@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench
+.PHONY: all build test vet fmt check bench bench-check
 
 all: check
 
@@ -16,7 +16,13 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt test
+check: build vet fmt test bench-check
+
+# bench-check vets and tests the repository benchmark, a module of its own
+# under bench/ that ./... at the root does not reach; mirrored by the CI
+# build-and-test job.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # bench runs the E1-E11 microbenchmarks with allocation stats, then
 # regenerates the experiment tables (including the E7 shard,
@@ -39,10 +45,12 @@ bench-smoke:
 
 # race exercises the concurrent paths (shard workers, engine fan-out,
 # sensor epoch sinks, the randomized serial-vs-sharded differential
-# harness) under the race detector; mirrored by the CI job.
+# harness, and the mutex-guarded route memo and ordered indexes of the
+# building path) under the race detector; mirrored by the CI job.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/stream/... ./internal/sensor/... ./internal/plan/... ./internal/core/...
+	$(GO) test -race ./internal/stream/... ./internal/sensor/... ./internal/plan/... ./internal/core/... \
+		./internal/sensornet/... ./internal/machines/... ./internal/smartcis/... ./internal/wrappers/...
 
 # dist runs the serial-vs-multi-node differential under the race detector:
 # random plans deploy their shard replicas over loopback shard workers

@@ -229,21 +229,12 @@ func drawSegment(c *canvas, toCell func(float64, float64) (int, int), x1, y1, x2
 // performed").
 func StatusPanel(app *smartcis.App, queries map[string]string) []string {
 	var out []string
+	m := app.Net.Metrics()
 	out = append(out, fmt.Sprintf("motes: %d alive (diameter %d hops); radio: %d msgs, %.1f mJ",
-		countAlive(app), app.Net.Diameter(), app.Net.Metrics().Sent, app.Net.Metrics().EnergyMJ))
+		app.Net.Len()-m.DeadNodes, app.Net.Diameter(), m.Sent, m.EnergyMJ))
 	out = append(out, fmt.Sprintf("min mote battery: %.1f mJ", app.Net.MinBattery()))
 	for name, plan := range queries {
 		out = append(out, fmt.Sprintf("%s: %s", name, plan))
 	}
 	return out
-}
-
-func countAlive(app *smartcis.App) int {
-	n := 0
-	for _, node := range app.Net.Nodes() {
-		if !node.Dead {
-			n++
-		}
-	}
-	return n
 }

@@ -8,8 +8,10 @@
 package machines
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -122,12 +124,18 @@ func DefaultConfig() Config {
 
 // Fleet is the set of simulated machines. All methods are safe for
 // concurrent use.
+//
+// Ordering invariant: byName holds every machine in ascending name order
+// and byDesk holds the same machines ordered by (room, desk, name), both
+// maintained at Add, so Machines, Each and Step enumerate by name without
+// sorting and the first byDesk entry of a desk is its lowest-named machine.
 type Fleet struct {
-	mu       sync.Mutex
-	cfg      Config
-	rng      *rand.Rand
-	machines map[string]*Machine
-	nextJob  int
+	mu      sync.Mutex
+	cfg     Config
+	rng     *rand.Rand
+	byName  []*Machine
+	byDesk  []*Machine
+	nextJob int
 }
 
 // NewFleet creates an empty fleet.
@@ -136,21 +144,52 @@ func NewFleet(cfg Config) *Fleet {
 		cfg.Users = DefaultConfig().Users
 	}
 	return &Fleet{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		machines: map[string]*Machine{},
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+}
+
+// deskOrder compares a machine with a (room, desk, name) position.
+func deskOrder(m *Machine, room string, desk int, name string) int {
+	if c := strings.Compare(m.Room, room); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(m.Desk, desk); c != 0 {
+		return c
+	}
+	return strings.Compare(m.Name, name)
+}
+
+// searchLocked returns where in byName the name is or would be inserted.
+func (f *Fleet) searchLocked(name string) (int, bool) {
+	return slices.BinarySearchFunc(f.byName, name, func(m *Machine, name string) int {
+		return strings.Compare(m.Name, name)
+	})
+}
+
+// findLocked returns the machine with the given name, or nil.
+func (f *Fleet) findLocked(name string) *Machine {
+	i, ok := f.searchLocked(name)
+	if !ok {
+		return nil
+	}
+	return f.byName[i]
 }
 
 // Add registers a machine; names must be unique.
 func (f *Fleet) Add(m Machine) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, dup := f.machines[m.Name]; dup {
+	i, dup := f.searchLocked(m.Name)
+	if dup {
 		return fmt.Errorf("machines: duplicate machine %q", m.Name)
 	}
 	cp := m
-	f.machines[m.Name] = &cp
+	f.byName = slices.Insert(f.byName, i, &cp)
+	j, _ := slices.BinarySearchFunc(f.byDesk, &cp, func(o, cp *Machine) int {
+		return deskOrder(o, cp.Room, cp.Desk, cp.Name)
+	})
+	f.byDesk = slices.Insert(f.byDesk, j, &cp)
 	return nil
 }
 
@@ -165,8 +204,8 @@ func (f *Fleet) MustAdd(m Machine) {
 func (f *Fleet) Get(name string) (Machine, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m, ok := f.machines[name]
-	if !ok {
+	m := f.findLocked(name)
+	if m == nil {
 		return Machine{}, false
 	}
 	return f.copyLocked(m), true
@@ -179,23 +218,59 @@ func (f *Fleet) copyLocked(m *Machine) Machine {
 	return cp
 }
 
+// Len returns the number of machines.
+func (f *Fleet) Len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.byName)
+}
+
 // Machines returns copies of all machines sorted by name.
 func (f *Fleet) Machines() []Machine {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]Machine, 0, len(f.machines))
-	for _, m := range f.machines {
-		out = append(out, f.copyLocked(m))
+	out := make([]Machine, len(f.byName))
+	for i, m := range f.byName {
+		out[i] = f.copyLocked(m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Each calls fn with every machine in name order until fn returns false,
+// without the copies Machines makes. fn runs under the fleet lock: it must
+// not modify or keep m (or its slices) and must not call back into the
+// fleet.
+func (f *Fleet) Each(fn func(m *Machine) bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, m := range f.byName {
+		if !fn(m) {
+			return
+		}
+	}
+}
+
+// ViewAt calls fn, under the same rules as Each, with the machine at the
+// given desk — the lowest-named one if several share it — and reports
+// whether there is one.
+func (f *Fleet) ViewAt(room string, desk int, fn func(m *Machine)) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(f.byDesk, room, func(m *Machine, room string) int {
+		return deskOrder(m, room, desk, "")
+	})
+	if i == len(f.byDesk) || f.byDesk[i].Room != room || f.byDesk[i].Desk != desk {
+		return false
+	}
+	fn(f.byDesk[i])
+	return true
 }
 
 // SetPower powers a machine on or off; jobs are killed on power-off.
 func (f *Fleet) SetPower(name string, on bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m := f.machines[name]; m != nil {
+	if m := f.findLocked(name); m != nil {
 		m.Off = !on
 		if m.Off {
 			m.Jobs, m.CPU, m.MemMB, m.Requests = nil, 0, 0, 0
@@ -208,7 +283,7 @@ func (f *Fleet) SetPower(name string, on bool) {
 func (f *Fleet) StartJob(machine, user, name string, cpuShare, memMB float64) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := f.machines[machine]
+	m := f.findLocked(machine)
 	if m == nil || m.Off {
 		return -1
 	}
@@ -223,7 +298,7 @@ func (f *Fleet) StartJob(machine, user, name string, cpuShare, memMB float64) in
 func (f *Fleet) KillJob(machine string, id int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := f.machines[machine]
+	m := f.findLocked(machine)
 	if m == nil {
 		return false
 	}
@@ -242,13 +317,7 @@ func (f *Fleet) KillJob(machine string, id int) bool {
 func (f *Fleet) Step(vtime.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.machines))
-	for n := range f.machines {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic RNG consumption order
-	for _, n := range names {
-		m := f.machines[n]
+	for _, m := range f.byName { // name order: deterministic RNG consumption
 		if m.Off {
 			continue
 		}
@@ -295,6 +364,6 @@ func (f *Fleet) recomputeLocked(m *Machine) {
 func (f *Fleet) Free(name string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := f.machines[name]
+	m := f.findLocked(name)
 	return m != nil && !m.Off && len(m.Jobs) == 0
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -218,5 +219,91 @@ func TestPDUReadingsAndHTTP(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Workstation.String() != "workstation" || Server.String() != "server" {
 		t.Fatal("kind names")
+	}
+}
+
+// TestDeskIndexMatchesLinearScan checks ViewAt against the scan it
+// replaced — the first machine by name at the desk in Machines() — over a
+// fleet added out of name order, with two machines on one desk and a
+// powered-off one, and that Each visits in Machines() order.
+func TestDeskIndexMatchesLinearScan(t *testing.T) {
+	f := NewFleet(DefaultConfig())
+	for _, m := range []Machine{
+		{Name: "ws-b", Room: "L102", Desk: 1},
+		{Name: "ws-z", Room: "L101", Desk: 2},
+		{Name: "ws-a", Room: "L101", Desk: 2}, // shares the desk; lower name, added later
+		{Name: "ws-off", Room: "L101", Desk: 3},
+		{Name: "ws-10", Room: "L101", Desk: 10},
+		{Name: "srv", Kind: Server, Room: "MR1", Desk: 1},
+	} {
+		f.MustAdd(m)
+	}
+	f.SetPower("ws-off", false)
+	f.StartJob("ws-a", "marie", "sim", 0.5, 100)
+	f.StartJob("ws-z", "zives", "sim", 0.25, 100)
+
+	scan := func(room string, desk int) (Machine, bool) {
+		for _, m := range f.Machines() {
+			if m.Room == room && m.Desk == desk {
+				return m, true
+			}
+		}
+		return Machine{}, false
+	}
+	for _, room := range []string{"L100", "L101", "L102", "MR1", "MR2", ""} {
+		for desk := 0; desk <= 11; desk++ {
+			want, wantOK := scan(room, desk)
+			var got Machine
+			gotOK := f.ViewAt(room, desk, func(m *Machine) { got = *m })
+			if gotOK != wantOK || got.Name != want.Name || got.CPU != want.CPU || got.Off != want.Off {
+				t.Fatalf("ViewAt(%q, %d) = %q cpu %v off %v (%v), scan %q cpu %v off %v (%v)",
+					room, desk, got.Name, got.CPU, got.Off, gotOK, want.Name, want.CPU, want.Off, wantOK)
+			}
+		}
+	}
+	if m, _ := scan("L101", 2); m.Name != "ws-a" || m.CPU != 0.5 {
+		t.Fatalf("shared desk resolved to %q cpu %v, want the lowest name ws-a", m.Name, m.CPU)
+	}
+
+	var names []string
+	f.Each(func(m *Machine) bool {
+		names = append(names, m.Name)
+		return m.Name != "ws-b" // stops early
+	})
+	want := f.Machines()
+	for i, n := range names {
+		if n != want[i].Name {
+			t.Fatalf("Each visited %v, Machines() order is %v", names, want)
+		}
+	}
+	if len(names) != 4 || f.Len() != 6 {
+		t.Fatalf("Each visited %d machines before stopping at ws-b, Len %d", len(names), f.Len())
+	}
+}
+
+// TestFleetConcurrentUse runs the visitors beside the workload simulator
+// and power switches; under -race it checks the ordered lists are guarded.
+func TestFleetConcurrentUse(t *testing.T) {
+	f := testFleet()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				jobs := 0
+				f.Each(func(m *Machine) bool { jobs += len(m.Jobs); return true })
+				f.ViewAt("L101", 2, func(m *Machine) { jobs += len(m.Jobs) })
+				f.Machines()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		f.Step(0)
+		f.SetPower("ws2", i%2 == 0)
+	}
+	wg.Wait()
+	if f.Len() != 3 {
+		t.Fatalf("Len = %d", f.Len())
 	}
 }

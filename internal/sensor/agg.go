@@ -166,6 +166,7 @@ func (e *Engine) RunAggregateEpochPart(q *AggregateQuery, now vtime.Time, keep N
 // first; each non-base node sends its merged group map to its parent in a
 // single message whose frame count is the number of groups carried.
 func (e *Engine) runAggTAG(q *AggregateQuery, now vtime.Time, keep NodeFilter, sink Sink) int {
+	// A private snapshot of the whole tree, reordered deepest first.
 	nodes := e.net.Nodes()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Hops > nodes[j].Hops })
 	base := e.net.Base()
@@ -229,20 +230,20 @@ func (e *Engine) runAggCentral(q *AggregateQuery, now vtime.Time, keep NodeFilte
 	base := e.net.Base()
 	groups := map[string]psr{}
 	scratch := make([]data.Value, 0, 4)
-	for _, n := range e.net.Nodes() {
+	e.net.EachWith(q.Sensor, func(n sensornet.Node) bool {
 		if keep != nil && !keep(n) {
-			continue
+			return true
 		}
 		t, ok := e.sampleInto(scratch, n, q.Sensor, now)
 		if !ok {
-			continue
+			return true
 		}
 		scratch = t.Vals[:0]
 		if q.Pred != nil && !q.Pred.EvalBool(t) {
-			continue
+			return true
 		}
 		if n.ID != base && !e.net.Send(n.ID, base, 1) {
-			continue
+			return true
 		}
 		key := ""
 		if q.GroupByRoom {
@@ -251,7 +252,8 @@ func (e *Engine) runAggCentral(q *AggregateQuery, now vtime.Time, keep NodeFilte
 		g := groups[key]
 		g.add(t.Vals[3].AsFloat())
 		groups[key] = g
-	}
+		return true
+	})
 	return e.emitGroups(q, groups, now, sink)
 }
 

@@ -86,7 +86,7 @@ func (e *Engine) EstimateJoin(st *JoinState) (CostEstimate, error) {
 	defer st.mu.Unlock()
 	msgs := 0.0
 	for _, p := range st.pairs {
-		s := st.stats[[2]int{p.l, p.r}]
+		s := p.stats
 		join := s.sigmaL * s.sigmaR * s.sigmaJ
 		var cost float64
 		switch st.choose(p) {

@@ -1,7 +1,9 @@
 package sensor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,6 +86,7 @@ type pair struct {
 	l, r int
 	// hops cached at pairing time
 	lr, lBase, rBase int
+	stats            *pairStats
 }
 
 // pairStats tracks online selectivity estimates (EWMA) per pair.
@@ -112,13 +115,12 @@ func (s *pairStats) observe(lPass, rPass, jPass bool) {
 }
 
 // JoinState is the long-lived execution state of a join query: the pair
-// list and each pair's adaptive statistics. Create once with PlanJoin, then
-// run epochs against it.
+// list, sorted by (left, right) mote ID, and each pair's adaptive
+// statistics. Create once with PlanJoin, then run epochs against it.
 type JoinState struct {
 	mu    sync.Mutex
 	q     *JoinQuery
 	pairs []pair
-	stats map[[2]int]*pairStats
 	// Sampling and concat scratch buffers, reused across pairs and epochs
 	// under mu; delivered tuples are cloned out of them.
 	lBuf, rBuf, jBuf []data.Value
@@ -147,16 +149,16 @@ func (e *Engine) PlanJoinPart(q *JoinQuery, keep PairFilter) (*JoinState, error)
 		return nil, errNoBase
 	}
 	var lefts, rights []sensornet.Node
-	for _, n := range e.net.Nodes() {
-		if n.HasSensor(q.Left.Sensor) {
-			lefts = append(lefts, n)
-		}
-		if n.HasSensor(q.Right.Sensor) {
-			rights = append(rights, n)
-		}
-	}
+	e.net.EachWith(q.Left.Sensor, func(n sensornet.Node) bool {
+		lefts = append(lefts, n)
+		return true
+	})
+	e.net.EachWith(q.Right.Sensor, func(n sensornet.Node) bool {
+		rights = append(rights, n)
+		return true
+	})
 	st := &JoinState{
-		q: q, stats: map[[2]int]*pairStats{}, Decisions: map[Placement]int{},
+		q: q, Decisions: map[Placement]int{},
 		lBuf: make([]data.Value, 0, 4),
 		rBuf: make([]data.Value, 0, 4),
 		jBuf: make([]data.Value, 0, 8),
@@ -187,12 +189,12 @@ func (e *Engine) PlanJoinPart(q *JoinQuery, keep PairFilter) (*JoinState, error)
 				lr:    e.net.HopDist(l.ID, r.ID),
 				lBase: e.net.HopDist(l.ID, base),
 				rBase: e.net.HopDist(r.ID, base),
+				stats: &pairStats{sigmaL: 0.5, sigmaR: 0.5, sigmaJ: 0.5},
 			}
 			if p.lr < 0 || p.lBase < 0 || p.rBase < 0 {
 				continue // disconnected
 			}
 			st.pairs = append(st.pairs, p)
-			st.stats[[2]int{l.ID, r.ID}] = &pairStats{sigmaL: 0.5, sigmaR: 0.5, sigmaJ: 0.5}
 		}
 	}
 	sort.Slice(st.pairs, func(i, j int) bool {
@@ -218,7 +220,7 @@ func (st *JoinState) choose(p pair) Placement {
 	if st.q.Placement != PlaceOptimized {
 		return st.q.Placement
 	}
-	s := st.stats[[2]int{p.l, p.r}]
+	s := p.stats
 	join := s.sigmaL * s.sigmaR * s.sigmaJ
 	costL := s.sigmaR*float64(p.lr) + join*float64(p.lBase)
 	costR := s.sigmaL*float64(p.lr) + join*float64(p.rBase)
@@ -246,7 +248,7 @@ func (e *Engine) RunJoinEpoch(st *JoinState, now vtime.Time, sink Sink) int {
 	q := st.q
 	base := e.net.Base()
 	delivered := 0
-	decisions := map[Placement]int{}
+	clear(st.Decisions)
 	deliver := func(t data.Tuple) {
 		sink(t.Clone())
 		delivered++
@@ -274,10 +276,9 @@ func (e *Engine) RunJoinEpoch(st *JoinState, now vtime.Time, sink Sink) int {
 		joined := lt.ConcatInto(st.jBuf, rt)
 		st.jBuf = joined.Vals[:0]
 		jPass := q.On == nil || q.On.EvalBool(joined)
-		stats := st.stats[[2]int{p.l, p.r}]
 		place := st.choose(p)
-		decisions[place]++
-		stats.observe(lPass, rPass, jPass)
+		st.Decisions[place]++
+		p.stats.observe(lPass, rPass, jPass)
 
 		switch place {
 		case PlaceAtLeft:
@@ -313,7 +314,6 @@ func (e *Engine) RunJoinEpoch(st *JoinState, now vtime.Time, sink Sink) int {
 			}
 		}
 	}
-	st.Decisions = decisions
 	return delivered
 }
 
@@ -353,7 +353,7 @@ func (st *JoinState) SnapshotStats() []PairStatsSnapshot {
 	defer st.mu.Unlock()
 	out := make([]PairStatsSnapshot, 0, len(st.pairs))
 	for _, p := range st.pairs {
-		s := st.stats[[2]int{p.l, p.r}]
+		s := p.stats
 		out = append(out, PairStatsSnapshot{
 			L: p.l, R: p.r,
 			SigmaL: s.sigmaL, SigmaR: s.sigmaR, SigmaJ: s.sigmaJ, N: s.n,
@@ -369,10 +369,13 @@ func (st *JoinState) RestoreStats(snap []PairStatsSnapshot) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, e := range snap {
-		s, ok := st.stats[[2]int{e.L, e.R}]
+		i, ok := slices.BinarySearchFunc(st.pairs, e, func(p pair, e PairStatsSnapshot) int {
+			return cmp.Or(cmp.Compare(p.l, e.L), cmp.Compare(p.r, e.R))
+		})
 		if !ok {
 			continue
 		}
+		s := st.pairs[i].stats
 		s.sigmaL, s.sigmaR, s.sigmaJ, s.n = e.SigmaL, e.SigmaR, e.SigmaJ, e.N
 	}
 }

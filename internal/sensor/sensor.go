@@ -194,28 +194,24 @@ func (e *Engine) RunSelectEpochPart(q *SelectQuery, now vtime.Time, keep NodeFil
 	base := e.net.Base()
 	delivered := 0
 	scratch := make([]data.Value, 0, 4)
-	for _, n := range e.net.Nodes() {
+	e.net.EachWith(q.Sensor, func(n sensornet.Node) bool {
 		if keep != nil && !keep(n) {
-			continue
+			return true
 		}
 		t, ok := e.sampleInto(scratch, n, q.Sensor, now)
 		if !ok {
-			continue
+			return true
 		}
 		scratch = t.Vals[:0]
 		if q.Pred != nil && !q.Pred.EvalBool(t) {
-			continue // filtered in-network: no radio traffic at all
+			return true // filtered in-network: no radio traffic at all
 		}
-		if n.ID == base {
-			sink(t.Clone())
-			delivered++
-			continue
-		}
-		if e.net.Send(n.ID, base, 1) {
+		if n.ID == base || e.net.Send(n.ID, base, 1) {
 			sink(t.Clone())
 			delivered++
 		}
-	}
+		return true
+	})
 	return delivered
 }
 

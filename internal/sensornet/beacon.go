@@ -106,23 +106,33 @@ func (bf *BeaconField) Hear(nodeID int) []Detection {
 	return out
 }
 
-// Locate returns, for each beacon, the reader that hears it loudest; the
-// building-side position estimate. Beacons out of range of every reader are
-// absent from the result.
+// Locate returns, for each beacon, the reader that hears it loudest — ties
+// go to the lowest node ID; the building-side position estimate. Beacons
+// out of range of every reader are absent from the result. Every reader is
+// judged against the same beacon positions: the field stays locked for
+// the one pass over the RFID motes.
 func (bf *BeaconField) Locate() map[int]Detection {
+	bf.mu.Lock()
+	defer bf.mu.Unlock()
 	best := map[int]Detection{}
-	for _, n := range bf.net.Nodes() {
-		if n.Dead || !n.HasSensor(SensorRFID) {
-			continue
+	bf.net.EachWith(SensorRFID, func(n Node) bool {
+		if n.Dead {
+			return true
 		}
-		for _, det := range bf.Hear(n.ID) {
-			cur, ok := best[det.BeaconID]
-			if !ok || det.RSSI > cur.RSSI ||
-				(det.RSSI == cur.RSSI && det.NodeID < cur.NodeID) {
-				best[det.BeaconID] = det
+		for _, b := range bf.beacons {
+			d := dist(n.X, n.Y, b.X, b.Y)
+			if d > bf.BeaconRange {
+				continue
+			}
+			// Readers arrive in ID order, so a later one must be
+			// strictly louder to win.
+			rssi := 1 / (1 + d)
+			if cur, ok := best[b.ID]; !ok || rssi > cur.RSSI {
+				best[b.ID] = Detection{BeaconID: b.ID, Owner: b.Owner, NodeID: n.ID, RSSI: rssi}
 			}
 		}
-	}
+		return true
+	})
 	return best
 }
 
@@ -130,13 +140,14 @@ func (bf *BeaconField) Locate() map[int]Detection {
 // range; handy for tests and GUI hit-testing. Returns -1 when no readers.
 func (bf *BeaconField) NearestReader(x, y float64) int {
 	bestID, bestD := -1, math.Inf(1)
-	for _, n := range bf.net.Nodes() {
-		if n.Dead || !n.HasSensor(SensorRFID) {
-			continue
+	bf.net.EachWith(SensorRFID, func(n Node) bool {
+		if n.Dead {
+			return true
 		}
 		if d := dist(n.X, n.Y, x, y); d < bestD {
 			bestID, bestD = n.ID, d
 		}
-	}
+		return true
+	})
 	return bestID
 }

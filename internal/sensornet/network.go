@@ -9,10 +9,11 @@
 package sensornet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -99,18 +100,51 @@ type Metrics struct {
 	Dropped   int64 // lost to the radio
 	EnergyMJ  float64
 	DeadNodes int
+	// RouteHits counts shortest-path lookups answered from the route
+	// memo, RouteMisses the ones that ran the BFS; a steady-state epoch
+	// with no topology change has no misses.
+	RouteHits, RouteMisses int64
 }
+
+// mote is a Node plus the simulator's private topology state.
+type mote struct {
+	Node
+	pos int32   // index in Network.nodes
+	adj []*mote // motes in radio range: lower IDs ascending, then later arrivals in arrival order
+}
+
+// routeKey names a memoized route by the endpoints' positions in
+// Network.nodes; a→b and b→a are separate entries because the BFS breaks
+// ties by adjacency order.
+type routeKey struct{ from, to int32 }
+
+// routeRef locates a memoized route in Network.hops; n == 0 records that
+// the endpoints are disconnected.
+type routeRef struct{ off, n uint32 }
 
 // Network is the simulated sensor field. All methods are safe for
 // concurrent use.
+//
+// Ordering invariant: nodes, and each byKind list, hold every mote
+// (carrying that sensor) in ascending ID order, maintained at AddNode, so
+// Nodes, Each and EachWith enumerate by ID without sorting. The lists only
+// ever grow by an in-place append or are replaced by a fresh slice, so a
+// visitor iterating an earlier slice header stays valid without the lock.
+//
+// Route memo: Send, HopDist and Path answer from routes/hops, filled on a
+// miss by the BFS. The whole memo is dropped on every topology event —
+// AddNode, Kill, Revive and a battery running out — so a memoized route
+// is always the path the BFS would find now, and the positions it is
+// stored as are always current.
 type Network struct {
-	mu    sync.Mutex
-	cfg   Config
-	rng   *rand.Rand
-	nodes map[int]*Node
-	base  int
-	// adjacency derived from positions & radio range
-	adj map[int][]int
+	mu     sync.Mutex
+	cfg    Config
+	rng    *rand.Rand
+	nodes  []*mote
+	byKind [][]*mote // indexed by SensorKind
+	base   int
+	routes map[routeKey]routeRef
+	hops   []int32 // arena: positions of every memoized route, endpoints included
 	// metrics
 	m Metrics
 }
@@ -121,29 +155,65 @@ func New(cfg Config) *Network {
 		cfg.RadioRange = DefaultConfig().RadioRange
 	}
 	return &Network{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		nodes: map[int]*Node{},
-		base:  -1,
-		adj:   map[int][]int{},
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		base: -1,
 	}
 }
 
 // Config returns the network configuration.
 func (nw *Network) Config() Config { return nw.cfg }
 
+func compareID(m *mote, id int) int { return cmp.Compare(m.ID, id) }
+
+// findLocked returns the mote with the given ID, or nil.
+func (nw *Network) findLocked(id int) *mote {
+	i, ok := slices.BinarySearchFunc(nw.nodes, id, compareID)
+	if !ok {
+		return nil
+	}
+	return nw.nodes[i]
+}
+
+// insertByID adds m to an ID-ordered list and returns the list and m's
+// index. The common append happens in place; an insert in the middle
+// builds a fresh list, so visitors holding the old one are undisturbed.
+func insertByID(list []*mote, m *mote) ([]*mote, int) {
+	i, _ := slices.BinarySearchFunc(list, m.ID, compareID)
+	if i == len(list) {
+		return append(list, m), i
+	}
+	out := make([]*mote, 0, len(list)+1)
+	out = append(append(append(out, list[:i]...), m), list[i:]...)
+	return out, i
+}
+
 // AddNode places a mote. IDs must be unique.
 func (nw *Network) AddNode(n Node) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if _, dup := nw.nodes[n.ID]; dup {
+	if nw.findLocked(n.ID) != nil {
 		return fmt.Errorf("sensornet: duplicate node id %d", n.ID)
 	}
 	n.Battery = nw.cfg.InitialBattery
 	n.Parent, n.Hops = -1, -1
-	node := n
-	nw.nodes[n.ID] = &node
-	nw.linkLocked(n.ID)
+	m := &mote{Node: n}
+	nw.linkLocked(m)
+	var at int
+	nw.nodes, at = insertByID(nw.nodes, m)
+	for i := at; i < len(nw.nodes); i++ {
+		nw.nodes[i].pos = int32(i)
+	}
+	for i, k := range n.Sensors {
+		if slices.Contains(n.Sensors[:i], k) {
+			continue
+		}
+		for int(k) >= len(nw.byKind) {
+			nw.byKind = append(nw.byKind, nil)
+		}
+		nw.byKind[k], _ = insertByID(nw.byKind[k], m)
+	}
+	nw.dropRoutesLocked()
 	return nil
 }
 
@@ -154,26 +224,21 @@ func (nw *Network) MustAddNode(n Node) {
 	}
 }
 
-// linkLocked recomputes adjacency for a newly added node.
-func (nw *Network) linkLocked(id int) {
-	a := nw.nodes[id]
-	for oid, o := range nw.nodes {
-		if oid == id {
-			continue
-		}
-		if dist(a.X, a.Y, o.X, o.Y) <= nw.cfg.RadioRange {
-			nw.adj[id] = append(nw.adj[id], oid)
-			nw.adj[oid] = append(nw.adj[oid], id)
+// linkLocked computes adjacency for a mote about to join nw.nodes.
+func (nw *Network) linkLocked(m *mote) {
+	for _, o := range nw.nodes {
+		if dist(m.X, m.Y, o.X, o.Y) <= nw.cfg.RadioRange {
+			m.adj = append(m.adj, o)
+			o.adj = append(o.adj, m)
 		}
 	}
-	sort.Ints(nw.adj[id])
 }
 
 // SetBase designates the base station (gateway to the stream engine).
 func (nw *Network) SetBase(id int) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if _, ok := nw.nodes[id]; !ok {
+	if nw.findLocked(id) == nil {
 		return fmt.Errorf("sensornet: no node %d for base", id)
 	}
 	nw.base = id
@@ -191,33 +256,76 @@ func (nw *Network) Base() int {
 func (nw *Network) Node(id int) (Node, bool) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	n, ok := nw.nodes[id]
-	if !ok {
+	m := nw.findLocked(id)
+	if m == nil {
 		return Node{}, false
 	}
-	return *n, true
+	return m.Node, true
+}
+
+// Len returns the number of motes, dead ones included.
+func (nw *Network) Len() int {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return len(nw.nodes)
 }
 
 // Nodes returns copies of all nodes sorted by ID.
 func (nw *Network) Nodes() []Node {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	out := make([]Node, 0, len(nw.nodes))
-	for _, n := range nw.nodes {
-		out = append(out, *n)
+	out := make([]Node, len(nw.nodes))
+	for i, m := range nw.nodes {
+		out[i] = m.Node
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// Each calls fn with a copy of every mote's current state in ID order
+// until fn returns false, without building the slice Nodes does. fn runs
+// outside the network lock, so it may call back into the network; each
+// mote is read as fn reaches it, and a mote added meanwhile may be missed.
+func (nw *Network) Each(fn func(Node) bool) {
+	nw.mu.Lock()
+	list := nw.nodes
+	nw.mu.Unlock()
+	nw.visit(list, fn)
+}
+
+// EachWith is Each over only the motes carrying the given sensor.
+func (nw *Network) EachWith(kind SensorKind, fn func(Node) bool) {
+	nw.mu.Lock()
+	var list []*mote
+	if int(kind) < len(nw.byKind) {
+		list = nw.byKind[kind]
+	}
+	nw.mu.Unlock()
+	nw.visit(list, fn)
+}
+
+func (nw *Network) visit(list []*mote, fn func(Node) bool) {
+	for _, m := range list {
+		nw.mu.Lock()
+		n := m.Node
+		nw.mu.Unlock()
+		if !fn(n) {
+			return
+		}
+	}
 }
 
 // Neighbors returns the IDs of alive nodes in radio range of id.
 func (nw *Network) Neighbors(id int) []int {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
+	m := nw.findLocked(id)
+	if m == nil {
+		return nil
+	}
 	var out []int
-	for _, o := range nw.adj[id] {
-		if n := nw.nodes[o]; n != nil && !n.Dead {
-			out = append(out, o)
+	for _, o := range m.adj {
+		if !o.Dead {
+			out = append(out, o.ID)
 		}
 	}
 	return out
@@ -235,28 +343,39 @@ func (nw *Network) buildTreeLocked() {
 	for _, n := range nw.nodes {
 		n.Parent, n.Hops = -1, -1
 	}
-	if nw.base < 0 {
-		return
-	}
-	root := nw.nodes[nw.base]
+	root := nw.findLocked(nw.base)
 	if root == nil || root.Dead {
 		return
 	}
 	root.Hops = 0
-	queue := []int{nw.base}
+	queue := []*mote{root}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range nw.adj[cur] {
-			n := nw.nodes[nb]
+		for _, n := range cur.adj {
 			if n.Dead || n.Hops >= 0 {
 				continue
 			}
-			n.Parent = cur
-			n.Hops = nw.nodes[cur].Hops + 1
-			queue = append(queue, nb)
+			n.Parent = cur.ID
+			n.Hops = cur.Hops + 1
+			queue = append(queue, n)
 		}
 	}
+}
+
+// topologyChangedLocked follows a mote dying or reviving: memoized routes
+// may cross it (or now be beaten by a path through it), and the tree must
+// route around it.
+func (nw *Network) topologyChangedLocked() {
+	nw.dropRoutesLocked()
+	nw.buildTreeLocked()
+}
+
+// dropRoutesLocked forgets every memoized route. The arena is released,
+// not truncated: a Send walking a route out of it finishes on the route it
+// started with.
+func (nw *Network) dropRoutesLocked() {
+	nw.routes, nw.hops = nil, nil
 }
 
 // Diameter returns the maximum tree depth among reachable nodes; the catalog
@@ -277,60 +396,87 @@ func (nw *Network) Diameter() int {
 // nodes, or -1 if disconnected. Used by the in-network join placement
 // optimizer.
 func (nw *Network) HopDist(a, b int) int {
-	path := nw.Path(a, b)
-	if path == nil {
-		return -1
-	}
-	return len(path) - 1
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return len(nw.routeLocked(a, b)) - 1
 }
 
 // Path returns the node sequence of a shortest radio path from a to b
-// (inclusive), or nil if disconnected or either endpoint is dead.
+// (inclusive), or nil if disconnected or either endpoint is dead. The
+// slice is the caller's.
 func (nw *Network) Path(a, b int) []int {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	na, nb := nw.nodes[a], nw.nodes[b]
-	if na == nil || nb == nil || na.Dead || nb.Dead {
+	route := nw.routeLocked(a, b)
+	if len(route) == 0 {
 		return nil
 	}
-	if a == b {
-		return []int{a}
+	path := make([]int, len(route))
+	for i, pos := range route {
+		path[i] = nw.nodes[pos].ID
 	}
-	prev := map[int]int{a: a}
-	queue := []int{a}
+	return path
+}
+
+// routeLocked returns the shortest radio path from a to b as positions in
+// nw.nodes, endpoints included — empty if disconnected or either endpoint
+// is missing or dead — from the memo, running the BFS on a miss. The
+// result aliases the arena: read it under the lock and do not keep it.
+func (nw *Network) routeLocked(a, b int) []int32 {
+	from, to := nw.findLocked(a), nw.findLocked(b)
+	if from == nil || to == nil || from.Dead || to.Dead {
+		return nil
+	}
+	key := routeKey{from.pos, to.pos}
+	if ref, ok := nw.routes[key]; ok {
+		nw.m.RouteHits++
+		return nw.hops[ref.off : ref.off+ref.n]
+	}
+	nw.m.RouteMisses++
+	off := len(nw.hops)
+	nw.hops = nw.appendShortestLocked(nw.hops, from, to)
+	if nw.routes == nil {
+		nw.routes = map[routeKey]routeRef{}
+	}
+	nw.routes[key] = routeRef{off: uint32(off), n: uint32(len(nw.hops) - off)}
+	return nw.hops[off:]
+}
+
+// appendShortestLocked appends to dst the positions of the breadth-first
+// shortest path from a to b over alive motes, or nothing if there is none.
+// Neighbours are tried in adjacency order and the search stops when b is
+// first discovered, which fixes the path among equally short ones.
+func (nw *Network) appendShortestLocked(dst []int32, a, b *mote) []int32 {
+	if a == b {
+		return append(dst, a.pos)
+	}
+	prev := make([]int32, len(nw.nodes)) // predecessor's position + 1; 0 = not reached
+	prev[a.pos] = a.pos + 1
+	queue := []*mote{a}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nbr := range nw.adj[cur] {
-			n := nw.nodes[nbr]
-			if n.Dead {
+		for _, n := range cur.adj {
+			if n.Dead || prev[n.pos] != 0 {
 				continue
 			}
-			if _, seen := prev[nbr]; seen {
+			prev[n.pos] = cur.pos + 1
+			if n != b {
+				queue = append(queue, n)
 				continue
 			}
-			prev[nbr] = cur
-			if nbr == b {
-				return reconstruct(prev, a, b)
+			start := len(dst)
+			for pos := b.pos; ; pos = prev[pos] - 1 {
+				dst = append(dst, pos)
+				if pos == a.pos {
+					break
+				}
 			}
-			queue = append(queue, nbr)
+			slices.Reverse(dst[start:])
+			return dst
 		}
 	}
-	return nil
-}
-
-func reconstruct(prev map[int]int, a, b int) []int {
-	var rev []int
-	for cur := b; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == a {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return dst
 }
 
 // Send transmits a message from a to b along a shortest radio path,
@@ -341,14 +487,14 @@ func (nw *Network) Send(a, b int, frames int) bool {
 	if frames <= 0 {
 		frames = 1
 	}
-	path := nw.Path(a, b)
-	if path == nil {
-		return false
-	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	for i := 0; i+1 < len(path); i++ {
-		if !nw.hopLocked(path[i], path[i+1], frames) {
+	route := nw.routeLocked(a, b)
+	if len(route) == 0 {
+		return false
+	}
+	for i := 0; i+1 < len(route); i++ {
+		if !nw.hopLocked(nw.nodes[route[i]], nw.nodes[route[i+1]], frames) {
 			return false
 		}
 	}
@@ -363,22 +509,21 @@ func (nw *Network) SendToParent(id int, frames int) (parent int, ok bool) {
 	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	n := nw.nodes[id]
+	n := nw.findLocked(id)
 	if n == nil || n.Dead || n.Parent < 0 {
 		return -1, false
 	}
-	p := nw.nodes[n.Parent]
+	p := nw.findLocked(n.Parent)
 	if p == nil || p.Dead {
 		return -1, false
 	}
-	return n.Parent, nw.hopLocked(id, n.Parent, frames)
+	return n.Parent, nw.hopLocked(n, p, frames)
 }
 
 // hopLocked performs one radio hop: charge tx on sender, roll loss, charge
 // rx on receiver.
-func (nw *Network) hopLocked(from, to int, frames int) bool {
-	f, t := nw.nodes[from], nw.nodes[to]
-	if f == nil || t == nil || f.Dead || t.Dead {
+func (nw *Network) hopLocked(f, t *mote, frames int) bool {
+	if f.Dead || t.Dead {
 		return false
 	}
 	for i := 0; i < frames; i++ {
@@ -394,7 +539,7 @@ func (nw *Network) hopLocked(from, to int, frames int) bool {
 	return true
 }
 
-func (nw *Network) chargeLocked(n *Node, mj float64) {
+func (nw *Network) chargeLocked(n *mote, mj float64) {
 	if n.ID == nw.base {
 		return // base stations are mains-powered
 	}
@@ -403,7 +548,7 @@ func (nw *Network) chargeLocked(n *Node, mj float64) {
 	if n.Battery <= 0 && !n.Dead {
 		n.Dead = true
 		nw.m.DeadNodes++
-		nw.buildTreeLocked()
+		nw.topologyChangedLocked()
 	}
 }
 
@@ -411,10 +556,10 @@ func (nw *Network) chargeLocked(n *Node, mj float64) {
 func (nw *Network) Kill(id int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if n := nw.nodes[id]; n != nil && !n.Dead {
+	if n := nw.findLocked(id); n != nil && !n.Dead {
 		n.Dead = true
 		nw.m.DeadNodes++
-		nw.buildTreeLocked()
+		nw.topologyChangedLocked()
 	}
 }
 
@@ -422,11 +567,11 @@ func (nw *Network) Kill(id int) {
 func (nw *Network) Revive(id int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if n := nw.nodes[id]; n != nil && n.Dead {
+	if n := nw.findLocked(id); n != nil && n.Dead {
 		n.Dead = false
 		n.Battery = nw.cfg.InitialBattery
 		nw.m.DeadNodes--
-		nw.buildTreeLocked()
+		nw.topologyChangedLocked()
 	}
 }
 

@@ -82,6 +82,9 @@ type App struct {
 	pduServers []*machines.PDUServer
 	pdus       []*machines.PDU
 
+	// mu guards the physical state below. Lock order: mu before the
+	// Fleet's lock, and mu before the Beacons' lock before the Net's; it
+	// is never held across a push into a stream input.
 	mu        sync.Mutex
 	roomLight map[string]bool         // lights on?
 	occupied  map[string]map[int]bool // room -> desk -> seated
@@ -289,7 +292,7 @@ func (a *App) deployPDUs() error {
 // creates the standard views.
 func (a *App) registerSources(opts Options) error {
 	rate := 1.0 / opts.SampleEvery.Seconds()
-	nodes := float64(len(a.Net.Nodes()))
+	nodes := float64(a.Net.Len())
 	if err := a.RT.RegisterSensorStream("Temperature", sensornet.SensorTemperature, nodes*rate/2); err != nil {
 		return err
 	}
@@ -308,7 +311,7 @@ func (a *App) registerSources(opts Options) error {
 	a.sightIn = sin
 
 	min, err := a.RT.RegisterStream("MachineState", wrappers.MachineStateSchema("MachineState"),
-		float64(len(a.Fleet.Machines()))*rate)
+		float64(a.Fleet.Len())*rate)
 	if err != nil {
 		return err
 	}
@@ -326,7 +329,7 @@ func (a *App) registerSources(opts Options) error {
 	a.jobsIn = jin
 
 	if _, err := a.RT.RegisterStream("Power", wrappers.PowerSchema("Power"),
-		float64(len(a.Fleet.Machines()))/10); err != nil {
+		float64(a.Fleet.Len())/10); err != nil {
 		return err
 	}
 
@@ -402,21 +405,13 @@ func (a *App) Reading(n sensornet.Node, kind sensornet.SensorKind, _ vtime.Time)
 			return base, true
 		}
 		// machine heat follows CPU load at that desk
-		if m, ok := a.machineAtLocked(n.Room, n.Desk); ok {
-			return base + 1 + 30*m.CPU, true
+		var cpu float64
+		if a.Fleet.ViewAt(n.Room, n.Desk, func(m *machines.Machine) { cpu = m.CPU }) {
+			return base + 1 + 30*cpu, true
 		}
 		return base, true
 	}
 	return 0, false
-}
-
-func (a *App) machineAtLocked(room string, desk int) (machines.Machine, bool) {
-	for _, m := range a.Fleet.Machines() {
-		if m.Room == room && m.Desk == desk {
-			return m, true
-		}
-	}
-	return machines.Machine{}, false
 }
 
 // Rescale live-migrates every deployed sharded query onto a new worker

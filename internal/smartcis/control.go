@@ -2,12 +2,12 @@ package smartcis
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"aspen/internal/core"
 	"aspen/internal/data"
 	"aspen/internal/expr"
+	"aspen/internal/machines"
 	"aspen/internal/routing"
 	"aspen/internal/sensornet"
 	"aspen/internal/wrappers"
@@ -49,24 +49,28 @@ func (f stopFunc) Stop() { f() }
 // drivers use it for deterministic sampling outside the periodic wrapper.
 func (a *App) SampleJobsNow() { a.sampleJobs() }
 
-// sampleJobs emits one tuple per running job.
+// sampleJobs emits one tuple per running job, one sample round as one
+// batch.
 func (a *App) sampleJobs() {
 	now := a.Sched.Now()
-	for _, m := range a.Fleet.Machines() {
+	var batch []data.Tuple
+	a.Fleet.Each(func(m *machines.Machine) bool {
 		for _, j := range m.Jobs {
-			a.jobsIn.Push(data.NewTuple(now,
+			batch = append(batch, data.NewTuple(now,
 				data.Str(m.Name), data.Str(m.Room), data.Str(j.User),
 				data.Str(j.Name), data.Float(j.CPUShare), data.Float(j.MemMB)))
 		}
-	}
+		return true
+	})
+	a.jobsIn.PushBatch(batch)
 }
 
 // sampleSightings localizes every badge and emits sighting tuples.
 func (a *App) sampleSightings() {
 	now := a.Sched.Now()
 	located := a.Beacons.Locate()
+	var batch []data.Tuple
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	for _, v := range a.visitors {
 		det, ok := located[v.BeaconID]
 		if !ok {
@@ -74,9 +78,11 @@ func (a *App) sampleSightings() {
 		}
 		node, _ := a.Net.Node(det.NodeID)
 		pt := a.Building.NearestPoint(node.X, node.Y)
-		a.sightIn.Push(data.NewTuple(now,
+		batch = append(batch, data.NewTuple(now,
 			data.Str(v.Name), data.Str(pt.Name), data.Float(node.X), data.Float(node.Y)))
 	}
+	a.mu.Unlock()
+	a.sightIn.PushBatch(batch)
 }
 
 // SetRoomLights switches a room's lights (area sensors see it next epoch).
@@ -179,16 +185,15 @@ type FreeMachine struct {
 // queries should agree with.
 func (a *App) FreeMachines(need string) []FreeMachine {
 	var out []FreeMachine
-	for _, m := range a.Fleet.Machines() {
-		if m.Off || !matches(need, m.Software[0]) {
-			continue
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.Fleet.Each(func(m *machines.Machine) bool { // name order
+		if !m.Off && matches(need, m.Software[0]) &&
+			a.roomLight[m.Room] && !a.occupied[m.Room][m.Desk] {
+			out = append(out, FreeMachine{Name: m.Name, Room: m.Room, Desk: m.Desk})
 		}
-		if !a.RoomLit(m.Room) || a.DeskOccupied(m.Room, m.Desk) {
-			continue
-		}
-		out = append(out, FreeMachine{Name: m.Name, Room: m.Room, Desk: m.Desk})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+		return true
+	})
 	return out
 }
 

@@ -168,10 +168,10 @@ func (w *MachineWrapper) SampleOnce(now vtime.Time) int {
 	if w.StepWorkload {
 		w.Fleet.Step(now)
 	}
-	batch := make([]data.Tuple, 0, len(w.Fleet.Machines()))
-	for _, m := range w.Fleet.Machines() {
+	batch := make([]data.Tuple, 0, w.Fleet.Len())
+	w.Fleet.Each(func(m *machines.Machine) bool {
 		if m.Off {
-			continue
+			return true
 		}
 		batch = append(batch, data.NewTuple(now,
 			data.Str(m.Name),
@@ -184,7 +184,8 @@ func (w *MachineWrapper) SampleOnce(now vtime.Time) int {
 			data.Int(int64(len(m.Users()))),
 			data.Float(m.Requests),
 		))
-	}
+		return true
+	})
 	// One scrape round = one batch into the engine.
 	w.Input.PushBatch(batch)
 	return len(batch)
