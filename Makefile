@@ -52,17 +52,31 @@ race:
 	$(GO) test -race ./internal/stream/... ./internal/sensor/... ./internal/plan/... ./internal/core/... \
 		./internal/sensornet/... ./internal/machines/... ./internal/smartcis/... ./internal/wrappers/...
 
+# race_run runs `go test -race -run PATTERN PKGS FLAGS -v`, after checking
+# with `go test -list` that every |-separated alternative of PATTERN still
+# names at least one test in PKGS: -run passes silently when a renamed or
+# deleted test matches nothing, and dist/chaos/elastic select by name.
+# Usage: $(call race_run,PATTERN,PKGS,FLAGS)
+define race_run
+	@for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" $(2) | grep -q '^\(Test\|Fuzz\)' || \
+			{ echo "make $@: -run alternative '$$alt' matches no test in $(2)"; exit 1; }; \
+	done
+	$(GO) test -race -run '$(1)' $(2) $(3) -v
+endef
+
 # dist runs the serial-vs-multi-node differential under the race detector:
 # random plans deploy their shard replicas over loopback shard workers
 # (in-process, so both wire ends are race-checked) and over two real
 # shardworker processes, and must stay multiset-identical to serial
-# execution. Mirrored by the CI `distributed` job.
+# execution. The cmd smoke test rides along: the built aspenql and
+# shardworker binaries must print the same rows serial, on a worker process,
+# and after rescale + save + restore. Mirrored by the CI `distributed` job.
 .PHONY: dist
 dist:
-	$(GO) test -race -run 'ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses' \
-		./internal/plan/ -fuzzshard.nodes=2 -fuzzshard.n=40 -v
-	$(GO) test -race -run 'RemoteSensorFragment|FragmentIneligible|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral' \
-		./internal/core/ ./internal/plan/ -v
+	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
+	$(call race_run,RemoteSensorFragment|FragmentIneligible|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
+	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)
 
 # chaos runs the kill-mode differential under the race detector: random
 # plans deploy with checkpointed failover armed over loopback shard
@@ -74,11 +88,10 @@ dist:
 # rides along. Mirrored by the CI `distributed` job.
 .PHONY: chaos
 chaos:
-	$(GO) test -race -run 'ShardDifferentialChaos|ChaosWorkerProcessKill' \
-		./internal/plan/ -fuzzshard.kill=8 -v
-	$(GO) test -race -run 'Failover|CheckpointRestore|TrimOpaqueTail' ./internal/stream/ -v
-	$(GO) test -race -run 'RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart' ./internal/core/ -v
-	$(GO) test -race -run 'SnapshotSaveCrashPoints' ./internal/plan/ -v
+	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill,./internal/plan/,-fuzzshard.kill=8)
+	$(call race_run,Failover|CheckpointRestore|TrimOpaqueTail|ShardHomeTransitions,./internal/stream/)
+	$(call race_run,RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart,./internal/core/)
+	$(call race_run,SnapshotSaveCrashPoints,./internal/plan/)
 
 # elastic runs the join/leave/restart differential under the race
 # detector: random plans serve while workers are added and removed
@@ -95,11 +108,9 @@ chaos:
 # the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(GO) test -race -run 'ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore' \
-		./internal/plan/ -fuzzshard.elastic=6 -v
-	$(GO) test -race -run 'ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation' \
-		./internal/stream/ -v
-	$(GO) test -race -run 'FragmentSnapshotRestart' ./internal/core/ -v
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions,./internal/stream/)
+	$(call race_run,FragmentSnapshotRestart,./internal/core/)
 
 # cover gates statement coverage of the partition-parallel core packages:
 # the floors rise as coverage grows (PR 3 introduced the gate; PR 5 raised
@@ -124,6 +135,16 @@ cover:
 	check ./internal/stream/ $(COVER_FLOOR_STREAM) && \
 	check ./internal/plan/ $(COVER_FLOOR_PLAN) && \
 	check ./internal/sensor/ $(COVER_FLOOR_SENSOR)
+
+# loc prints non-test Go lines per internal/* package and in total — the
+# number ROADMAP aim 2 asks every simplifying PR to report as a delta
+# (PERF.md keeps the per-PR tables).
+.PHONY: loc
+loc:
+	@total=0; for d in internal/*/; do \
+		n=$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
+		printf '%-24s %6d\n' "$$d" "$$n"; total=$$((total + n)); \
+	done; printf '%-24s %6d\n' "internal total" "$$total"
 
 # lint runs the static analyzers the CI lint job pins (staticcheck for
 # correctness/simplification findings, govulncheck for known-vulnerable

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -60,6 +61,10 @@ func main() {
 	if *restore && *snapshot == "" {
 		log.Fatal("-restore needs a -snapshot file to restore from")
 	}
+	occupied, err := parseOccupy(*occupy)
+	if err != nil {
+		log.Fatal(err)
+	}
 	app, err := aspen.NewSmartCIS(aspen.SmartCISOptions{
 		Building:       aspen.BuildingConfig{Labs: *labs, DesksPerLab: 6, HallSpacing: 100, Offices: 2},
 		SkipPDUServers: false,
@@ -73,18 +78,8 @@ func main() {
 	}
 	defer app.Close()
 	app.Start()
-	for _, pair := range strings.Split(*occupy, ",") {
-		var room string
-		var desk int
-		if _, err := fmt.Sscanf(strings.TrimSpace(pair), "%3s:%d", &room, &desk); err == nil {
-			// rooms are longer than 3 chars; re-split manually
-		}
-		bits := strings.SplitN(strings.TrimSpace(pair), ":", 2)
-		if len(bits) == 2 {
-			fmt.Sscanf(bits[1], "%d", &desk)
-			room = bits[0]
-			app.SetDeskOccupied(room, desk, true)
-		}
+	for _, d := range occupied {
+		app.SetDeskOccupied(d.room, d.desk, true)
 	}
 
 	var statements []string
@@ -183,6 +178,31 @@ func main() {
 		app.Sched.RunFor(*runFor)
 		showResult(q)
 	}
+}
+
+// deskRef names one desk of the simulated building.
+type deskRef struct {
+	room string
+	desk int
+}
+
+// parseOccupy splits the -occupy list into its room:desk pairs; an empty
+// list occupies nothing. A pair that is not room:desk is an error, not a
+// desk silently left free.
+func parseOccupy(list string) ([]deskRef, error) {
+	if strings.TrimSpace(list) == "" {
+		return nil, nil
+	}
+	var desks []deskRef
+	for _, pair := range strings.Split(list, ",") {
+		room, num, ok := strings.Cut(strings.TrimSpace(pair), ":")
+		desk, err := strconv.Atoi(num)
+		if !ok || room == "" || err != nil {
+			return nil, fmt.Errorf("-occupy: %q is not a room:desk pair (want e.g. L101:1)", pair)
+		}
+		desks = append(desks, deskRef{room, desk})
+	}
+	return desks, nil
 }
 
 // adminDirective executes one backslash admin command against the running

@@ -470,42 +470,38 @@ func newShardedE7(win time.Duration, p int, global bool) *ShardedE7 {
 	}
 	merge := stream.NewMerge(sink)
 	set := stream.NewShardSet(p)
-	lheads := make([]stream.Operator, p)
-	rheads := make([]stream.Operator, p)
-	for s := 0; s < p; s++ {
+	lsh, err := stream.NewSharder(set, "l", left, []int{0})
+	if err != nil {
+		panic(err)
+	}
+	rsh, err := stream.NewSharder(set, "r", right, []int{0})
+	if err != nil {
+		panic(err)
+	}
+	// The hand-wired replica: the set asks for shard s's pipeline like any
+	// other home's, but the operators emit into the merge funnel directly.
+	build := func(_ []byte, _ int, _ []byte, _ stream.ResultSender) (map[string]stream.Operator, []stream.Advancer, []stream.Checkpointer, error) {
 		var agg stream.Operator
+		var err error
 		if global {
-			pa, err := stream.NewPartialAggregate(merge, joined, groupBy, specs)
-			if err != nil {
-				panic(err)
-			}
-			agg = pa
+			agg, err = stream.NewPartialAggregate(merge, joined, groupBy, specs)
 		} else {
-			a, err := stream.NewAggregate(merge, joined, groupBy, specs, nil)
-			if err != nil {
-				panic(err)
-			}
-			agg = a
+			agg, err = stream.NewAggregate(merge, joined, groupBy, specs, nil)
+		}
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		j, err := stream.NewJoin(agg, left, right, []string{"a.k"}, []string{"b.k"}, nil)
 		if err != nil {
-			panic(err)
+			return nil, nil, nil, err
 		}
 		wl := stream.NewTimeWindow(j.Left(), win, 0)
 		wr := stream.NewTimeWindow(j.Right(), win, 0)
-		set.Track(s, wl)
-		set.Track(s, wr)
-		lheads[s], rheads[s] = wl, wr
+		return map[string]stream.Operator{"l": wl, "r": wr}, []stream.Advancer{wl, wr}, nil, nil
 	}
-	lsh, err := stream.NewSharder(set, lheads, []int{0})
-	if err != nil {
+	if err := set.Deploy(stream.ShardConfig{Sink: merge, LocalDeploy: build}, make([]string, p), nil); err != nil {
 		panic(err)
 	}
-	rsh, err := stream.NewSharder(set, rheads, []int{0})
-	if err != nil {
-		panic(err)
-	}
-	set.Start()
 	return &ShardedE7{Left: lsh, Right: rsh, Set: set, Mat: mat}
 }
 

@@ -1,17 +1,14 @@
 package plan
 
 import (
-	"bufio"
 	"math/rand"
-	"os"
 	"os/exec"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"aspen/internal/data"
 	"aspen/internal/stream"
+	"aspen/internal/testproc"
 	"aspen/internal/vtime"
 )
 
@@ -32,54 +29,14 @@ func TestDistributedWorkerProcesses(t *testing.T) {
 
 // buildWorker compiles cmd/shardworker into a scratch dir.
 func buildWorker(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "shardworker")
-	args := []string{"build"}
-	if raceEnabled {
-		args = append(args, "-race")
-	}
-	args = append(args, "-o", bin, "aspen/cmd/shardworker")
-	cmd := exec.Command("go", args...)
-	cmd.Env = os.Environ()
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build shardworker: %v\n%s", err, out)
-	}
-	return bin
+	return testproc.Build(t, "aspen/cmd/shardworker")
 }
 
-// startWorkerProcess launches one worker on an ephemeral port and parses
-// the advertised address off its stdout.
+// startWorkerProcess launches one worker on an ephemeral port and returns
+// the address it advertises.
 func startWorkerProcess(t *testing.T, bin string) string {
-	addr, _ := startWorkerProcessCmd(t, bin)
+	addr, _ := testproc.StartWorker(t, bin)
 	return addr
-}
-
-// startWorkerProcessCmd is startWorkerProcess exposing the process handle,
-// so chaos tests can SIGKILL it mid-run.
-func startWorkerProcessCmd(t *testing.T, bin string) (string, *exec.Cmd) {
-	t.Helper()
-	cmd := exec.Command(bin)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		t.Fatalf("worker banner: %v", err)
-	}
-	const banner = "shardworker listening "
-	if !strings.HasPrefix(line, banner) {
-		t.Fatalf("unexpected worker banner %q", line)
-	}
-	return strings.TrimSpace(strings.TrimPrefix(line, banner)), cmd
 }
 
 // TestChaosWorkerProcessKill is the full-fidelity chaos run: two real
@@ -103,7 +60,7 @@ func TestChaosWorkerProcessKill(t *testing.T) {
 		procs := make([]*exec.Cmd, 2)
 		addrs := make([]string, 2)
 		for i := range procs {
-			addrs[i], procs[i] = startWorkerProcessCmd(t, bin)
+			addrs[i], procs[i] = testproc.StartWorker(t, bin)
 		}
 		return chaosCluster{addrs: addrs, kill: func(i int) {
 			procs[i].Process.Kill() // SIGKILL: no teardown, no goodbyes
@@ -170,7 +127,7 @@ func TestCompileNodesWithoutParallelism(t *testing.T) {
 // TestDeployReplicaGarbageSpec: a corrupt wire spec is a deploy error, not
 // a worker panic.
 func TestDeployReplicaGarbageSpec(t *testing.T) {
-	if _, _, _, err := DeployReplica([]byte{0x01, 0x02, 0x03}, 0, nil,
+	if _, _, _, err := (*SensorHosts)(nil).DeployReplica([]byte{0x01, 0x02, 0x03}, 0, nil,
 		func([]data.Tuple) error { return nil }); err == nil {
 		t.Fatal("garbage spec must fail to deploy")
 	}

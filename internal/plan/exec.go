@@ -321,9 +321,10 @@ type CompileOptions struct {
 	// smaller values shrink replay logs, larger ones shrink checkpoint
 	// traffic.
 	CheckpointEvery int
-	// StallTimeout bounds every ack wait on a shard worker (flush/deploy
-	// barriers, in-flight credits, socket writes); a worker silent past it
-	// is a detected failure. 0 keeps the package default (30s).
+	// StallTimeout bounds the connect and every ack wait on a shard worker
+	// (flush/deploy barriers, in-flight credits, socket writes); a worker
+	// silent past it is a detected failure. 0 keeps the package default
+	// (30s).
 	StallTimeout time.Duration
 	// OnFailover, when set, observes completed failovers (tests, ops).
 	OnFailover func(stream.FailoverEvent)
@@ -498,14 +499,17 @@ func attachScan(x *Scan, head stream.Operator, eng *stream.Engine, dep *Deployme
 // the split — the serial spine — compile once behind the Merge funnel,
 // fed by the FinalMerge that combines the shards' partial states.
 //
-// With a node topology, replicas round-robin over the listed shard
-// workers: a remote replica compiles inside its worker process from the
-// shipped wire spec, the Sharder routes its partitions over the worker
-// connection, and the worker funnels results (or partial rows) back
-// through the same connection into the Merge sink. Worker connections
-// are logical streams: every deployment to the same address shares one
-// pooled TCP connection (stream.WorkerConnCount counts the sockets),
-// with FIFO ordering per stream preserved for barriers and failover.
+// The replicas themselves are never compiled here: the subtree is encoded
+// once into a wire spec and the shard set builds every replica from it
+// through SensorHosts.DeployReplica — in this process for a "" home, inside
+// the worker process for a node address — the same routine a later Rescale
+// or failover uses, so a shard is the same replica wherever and whenever it
+// comes to exist. The Sharder routes a remote shard's partitions over the
+// worker connection, and the worker funnels results (or partial rows) back
+// through the same connection into the Merge sink. Worker connections are
+// logical streams: every deployment to the same address shares one pooled
+// TCP connection (stream.WorkerConnCount counts the sockets), with FIFO
+// ordering per stream preserved for barriers and failover.
 func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *shardStrategy) (*Deployment, error) {
 	p, nodes := opts.Parallelism, opts.Nodes
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: p,
@@ -514,15 +518,10 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 	if err != nil {
 		return nil, err
 	}
-	set := stream.NewShardSet(p)
 
 	parRoot := b.Root
-	var merge *stream.Merge
-	var replicaSink func() (stream.Operator, error)
-	if strat.Split == nil {
-		merge = stream.NewMerge(sink)
-		replicaSink = func() (stream.Operator, error) { return merge, nil }
-	} else {
+	merge := stream.NewMerge(sink)
+	if strat.Split != nil {
 		sc := &compiler{
 			splitAgg: strat.Split,
 			track:    func(stream.Advancer) {}, // the spine is unary and windowless
@@ -535,11 +534,7 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 			return nil, err
 		}
 		merge = stream.NewMerge(sc.finalMerge)
-		split := strat.Split
-		parRoot = split.In
-		replicaSink = func() (stream.Operator, error) {
-			return stream.NewPartialAggregate(merge, split.In.Schema(), split.GroupBy, split.Specs)
-		}
+		parRoot = strat.Split.In
 	}
 
 	scans := Scans(parRoot)
@@ -662,47 +657,17 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 		}
 	}
 
-	heads := make(map[*Scan][]stream.Operator, len(scans))
-	for _, sc := range scans {
-		heads[sc] = make([]stream.Operator, p)
-	}
-	// Until set.Start, the connections are ours to tear down on failure
-	// (the unstarted set never owns them).
-	conns := map[string]*stream.ShardConn{}
-	fail := func(err error) (*Deployment, error) {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		return nil, err
-	}
 	// Every sharded deployment encodes its replica spec and arms the shard
-	// set's redeploy machinery, even all-in-process ones: Rescale needs the
-	// spec and wiring to move shards onto workers that join later. With
-	// Failover the arming also carries replay logs and failure notification
-	// (checkpointed redeploy on worker loss); without it the elastic arming
-	// is planned-moves-only — worker loss stays fail-stop and the hot path
-	// pays nothing.
+	// set with it, even all-in-process ones: Rescale needs the spec to move
+	// shards onto workers that join later. With Failover the arming also
+	// carries replay logs and failure notification (checkpointed redeploy on
+	// worker loss); without it moves are planned-only — worker loss stays
+	// fail-stop and the hot path pays nothing.
 	spec, err := encodeReplica(parRoot, strat.Split, wireFrags)
 	if err != nil {
 		return nil, err
 	}
-	fcfg := stream.FailoverConfig{
-		Spec:            spec,
-		Nodes:           addrs,
-		Sink:            merge,
-		LocalDeploy:     opts.SensorHosts.DeployReplica,
-		CheckpointEvery: opts.CheckpointEvery,
-		StallTimeout:    opts.StallTimeout,
-		OnFailover:      opts.OnFailover,
-	}
-	if opts.Failover {
-		// Arm before the connections register: SetRemote wires each one for
-		// replay logging and failure notification as it joins the set.
-		dep.Failover = anyRemote
-		set.EnableFailover(fcfg)
-	} else {
-		set.EnableElastic(fcfg)
-	}
+	dep.Failover = opts.Failover && anyRemote
 	dep.coordCks = append(dep.coordCks, dep.Result)
 	if opts.restoreCoord != nil {
 		if err := stream.RestoreCheckpoint(dep.coordCks, opts.restoreCoord); err != nil {
@@ -710,125 +675,64 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 		}
 	}
 
-	for j := 0; j < p; j++ {
-		if loc[j] == "" {
-			out, err := replicaSink()
-			if err != nil {
-				return fail(err)
-			}
-			// Track the replica's stateful operators in the same order
-			// DeployReplica uses on a worker — partial-aggregate cap first,
-			// then compile order — so a shard's checkpoint restores
-			// identically wherever it lands.
-			var cks []stream.Checkpointer
-			if pa, ok := out.(*stream.PartialAggregate); ok {
-				cks = append(cks, pa)
-			}
-			shard := j
-			c := &compiler{
-				track: func(a stream.Advancer) { set.Track(shard, a) },
-				ck:    func(k stream.Checkpointer) { cks = append(cks, k) },
-				scanHead: func(x *Scan, head stream.Operator) error {
-					heads[x][shard] = head
-					return nil
-				},
-			}
-			if err := c.compile(parRoot, out); err != nil {
-				return fail(err)
-			}
-			// In-process shards host their slice of the sensor fragments
-			// too, mirroring a worker's DeployReplica: runners ride the
-			// shard's advancer queue and extend the checkpointer list in
-			// spec order, keeping checkpoints portable across placements.
-			localHeads := map[string]stream.Operator{}
-			for i, sc := range scans {
-				localHeads[scanName(i)] = heads[sc][shard]
-			}
-			runners, err := opts.SensorHosts.buildFragRunners(wireFrags, shard, localHeads)
-			if err != nil {
-				return fail(err)
-			}
-			for _, r := range runners {
-				set.Track(shard, r)
-				cks = append(cks, r)
-			}
-			if st := opts.restoreShards[j]; st != nil {
-				if err := stream.RestoreCheckpoint(cks, st); err != nil {
-					return fail(err)
-				}
-			}
-			set.SetLocalCks(j, cks)
-			continue
-		}
-		conn := conns[loc[j]]
-		if conn == nil {
-			var err error
-			if conn, err = stream.DialShard(loc[j], merge); err != nil {
-				return fail(err)
-			}
-			conn.SetStallTimeout(opts.StallTimeout)
-			conns[loc[j]] = conn
-		}
-		// Register before the deploy barrier so a failover-armed link logs
-		// from its first frame; failure notification only arms at Start, so
-		// a worker lost during compile still just fails the compile.
-		set.SetRemote(j, conn)
-		// The worker compiles the replica from the spec; its scan heads
-		// answer to the walk-order names both sides derive from the tree.
-		// A rehydrating compile ships the shard's snapshotted state along.
-		if err := conn.Deploy(spec, j, opts.restoreShards[j]); err != nil {
-			return fail(err)
-		}
-		for i, sc := range scans {
-			heads[sc][j] = conn.Head(sc.Schema(), j, scanName(i))
-		}
-	}
-	// Resolve every input and build every exchange before wiring anything
-	// into the live engine: a failure on the second scan must not leave
-	// the first scan's Sharder subscribed and feeding a dead set.
-	type wiring struct {
-		scan *Scan
-		in   *stream.Input
-		sh   *stream.Sharder
-	}
-	var ws []wiring
+	// Build every exchange, then every replica, then resolve every input —
+	// all before anything is wired into the live engine: a failure on the
+	// second scan must not leave the first scan's Sharder subscribed and
+	// feeding a dead set. The scan heads answer to the walk-order names both
+	// sides derive from the tree.
+	set := stream.NewShardSet(p)
+	shs := make([]*stream.Sharder, len(scans))
 	for i, scan := range scans {
-		sh, err := newScanSharder(set, heads[scan], scan, strat.Keys[scan])
-		if err != nil {
-			return fail(err)
+		if shs[i], err = newScanSharder(set, scanName(i), scan, strat.Keys[scan]); err != nil {
+			return nil, err
 		}
-		sh.SetName(scanName(i))
-		in, err := resolveScanInput(scan, eng)
-		if err != nil {
-			return fail(err)
-		}
-		ws = append(ws, wiring{scan: scan, in: in, sh: sh})
 	}
-	// Nothing can fail past here: start the workers, then open the taps.
-	// From Start on, the set owns the worker connections (Close barriers
-	// and closes them).
-	set.Start()
+	// A rehydrating compile ships each shard's snapshotted state along. On
+	// error the set has torn down whatever it had placed.
+	err = set.Deploy(stream.ShardConfig{
+		Spec:            spec,
+		Nodes:           addrs,
+		Sink:            merge,
+		LocalDeploy:     opts.SensorHosts.DeployReplica,
+		Failover:        opts.Failover,
+		CheckpointEvery: opts.CheckpointEvery,
+		StallTimeout:    opts.StallTimeout,
+		OnFailover:      opts.OnFailover,
+	}, loc, opts.restoreShards)
+	if err != nil {
+		return nil, err
+	}
+	ins := make([]*stream.Input, len(scans))
+	for i, scan := range scans {
+		if ins[i], err = resolveScanInput(scan, eng); err != nil {
+			set.Close()
+			return nil, err
+		}
+	}
+	// Nothing can fail past here: open the taps. From Deploy on, the set
+	// owns the worker connections (Close barriers and closes them).
 	eng.TrackWindow(set)
 	dep.advs = append(dep.advs, set)
 	dep.set = set
-	for _, w := range ws {
-		w.in.Subscribe(w.sh)
-		dep.heads = append(dep.heads, headSub{in: w.in, op: w.sh})
-		dep.Inputs = append(dep.Inputs, w.scan.Input)
-		if w.scan.IsTable {
-			dep.TableHeads = append(dep.TableHeads, TableHead{Input: w.scan.Input, Head: w.sh})
+	for i, scan := range scans {
+		ins[i].Subscribe(shs[i])
+		dep.heads = append(dep.heads, headSub{in: ins[i], op: shs[i]})
+		dep.Inputs = append(dep.Inputs, scan.Input)
+		if scan.IsTable {
+			dep.TableHeads = append(dep.TableHeads, TableHead{Input: scan.Input, Head: shs[i]})
 		}
 	}
 	return dep, nil
 }
 
-// newScanSharder builds the exchange in front of one scan's replica heads.
-// When every key is a bare column the exchange routes on stored values
-// (the allocation-free fast path); computed keys route on evaluated
-// expression values. nil keys partition on all columns.
-func newScanSharder(set *stream.ShardSet, heads []stream.Operator, scan *Scan, keys []expr.Expr) (*stream.Sharder, error) {
+// newScanSharder builds the exchange in front of one scan's replica heads
+// (registered under name at every home). When every key is a bare column
+// the exchange routes on stored values (the allocation-free fast path);
+// computed keys route on evaluated expression values. nil keys partition on
+// all columns.
+func newScanSharder(set *stream.ShardSet, name string, scan *Scan, keys []expr.Expr) (*stream.Sharder, error) {
 	if keys == nil {
-		return stream.NewSharder(set, heads, nil)
+		return stream.NewSharder(set, name, scan.Schema(), nil)
 	}
 	keyIdx := make([]int, 0, len(keys))
 	allCols := true
@@ -845,7 +749,7 @@ func newScanSharder(set *stream.ShardSet, heads []stream.Operator, scan *Scan, k
 		keyIdx = append(keyIdx, i)
 	}
 	if allCols {
-		return stream.NewSharder(set, heads, keyIdx)
+		return stream.NewSharder(set, name, scan.Schema(), keyIdx)
 	}
 	compiled := make([]*expr.Compiled, len(keys))
 	for i, k := range keys {
@@ -855,7 +759,7 @@ func newScanSharder(set *stream.ShardSet, heads []stream.Operator, scan *Scan, k
 		}
 		compiled[i] = c
 	}
-	return stream.NewExprSharder(set, heads, compiled)
+	return stream.NewExprSharder(set, name, scan.Schema(), compiled)
 }
 
 // compiler carries the deployment context of one pipeline replica: who

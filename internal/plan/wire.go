@@ -215,24 +215,33 @@ func encodeReplica(root Node, split *Aggregate, frags []wireFragment) ([]byte, e
 // because both sides walk the identical decoded tree.
 func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 
-// resultSink ships replica output back to the coordinator. Tuples are
-// gob-copied during send, so nothing is retained.
+// resultSink hands replica output to the home's ResultSender: the wire
+// encoder on a worker (tuples are copied during send, so nothing is
+// retained), the deployment's merge funnel in-process.
 type resultSink struct {
 	schema *data.Schema
 	send   stream.ResultSender
+	// one is the singleton batch Push sends through. A replica has a single
+	// writer and send only borrows the slice for the call, so reusing it
+	// keeps per-tuple emitters (aggregates, joins) allocation-free — a
+	// fresh [1]Tuple would escape through the func value on every row.
+	one [1]data.Tuple
 }
 
 func (r *resultSink) Schema() *data.Schema { return r.schema }
 
 func (r *resultSink) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	_ = r.send(batch[:])
+	r.one[0] = t
+	_ = r.send(r.one[:])
+	r.one[0] = data.Tuple{}
 }
 
 func (r *resultSink) PushBatch(ts []data.Tuple) { _ = r.send(ts) }
 
-// DeployReplica is the stream.DeployFunc of a shard worker: it decodes a
-// wire replica spec, compiles the subtree's operators (capped by a
+// DeployReplica is the stream.DeployFunc behind every home a shard can
+// have — a shard worker's frame loop, and the coordinator's own shard set
+// for in-process replicas (first deployment, Rescale and failover's last
+// resort alike): it decodes a wire replica spec, compiles the subtree's operators (capped by a
 // PartialAggregate for two-phase plans) with results shipping back through
 // send, instantiates any shard-hosted sensor fragments against the
 // receiver's SensorHosts registry, optionally restores a failover
@@ -303,13 +312,6 @@ func (h *SensorHosts) DeployReplica(spec []byte, shard int, state []byte, send s
 		return nil, nil, nil, err
 	}
 	return heads, advs, cks, nil
-}
-
-// DeployReplica is the fragment-free stream.DeployFunc (an empty host
-// registry); kept as the package-level entry point for callers that never
-// host sensor fragments.
-func DeployReplica(spec []byte, shard int, state []byte, send stream.ResultSender) (map[string]stream.Operator, []stream.Advancer, []stream.Checkpointer, error) {
-	return (*SensorHosts)(nil).DeployReplica(spec, shard, state, send)
 }
 
 // NewWorker starts a shard worker hosting remote plan replicas on addr —

@@ -53,7 +53,7 @@ func TestWireReplicaRoundtrip(t *testing.T) {
 	}
 
 	var results []data.Tuple
-	heads, advs, _, err := DeployReplica(spec, 0, nil, func(ts []data.Tuple) error {
+	heads, advs, _, err := (*SensorHosts)(nil).DeployReplica(spec, 0, nil, func(ts []data.Tuple) error {
 		for _, tu := range ts {
 			results = append(results, tu.Clone())
 		}
@@ -125,7 +125,7 @@ func TestWireReplicaTwoPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []data.Tuple
-	heads, _, _, err := DeployReplica(spec, 0, nil, func(ts []data.Tuple) error {
+	heads, _, _, err := (*SensorHosts)(nil).DeployReplica(spec, 0, nil, func(ts []data.Tuple) error {
 		for _, tu := range ts {
 			got = append(got, tu.Clone())
 		}

@@ -283,20 +283,8 @@ func (e *Engine) emitGroups(q *AggregateQuery, groups map[string]psr, now vtime.
 	return emitted
 }
 
-// StartAggregate schedules the query every q.Period (default 1s).
-func (e *Engine) StartAggregate(q *AggregateQuery, sched *vtime.Scheduler, sink Sink) Runner {
-	period := q.Period
-	if period <= 0 {
-		period = time.Second
-	}
-	stop := sched.Every(period, func() {
-		e.RunAggregateEpoch(q, sched.Now(), sink)
-	})
-	return &handle{stop: stop}
-}
-
-// StartAggregateBatch is StartAggregate delivering each epoch's group rows
-// as one batch instead of tuple-at-a-time.
+// StartAggregateBatch schedules the query every q.Period (default 1s),
+// delivering each epoch's group rows as one batch.
 func (e *Engine) StartAggregateBatch(q *AggregateQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
 	return startEpochRunner(sched, q.Period, sink, func(now vtime.Time, deliver Sink) {
 		e.RunAggregateEpoch(q, now, deliver)

@@ -317,20 +317,8 @@ func (e *Engine) RunJoinEpoch(st *JoinState, now vtime.Time, sink Sink) int {
 	return delivered
 }
 
-// StartJoin schedules the join every q.Period (default 1s).
-func (e *Engine) StartJoin(st *JoinState, sched *vtime.Scheduler, sink Sink) Runner {
-	period := st.q.Period
-	if period <= 0 {
-		period = time.Second
-	}
-	stop := sched.Every(period, func() {
-		e.RunJoinEpoch(st, sched.Now(), sink)
-	})
-	return &handle{stop: stop}
-}
-
-// StartJoinBatch is StartJoin delivering each epoch's joined tuples as one
-// batch instead of tuple-at-a-time.
+// StartJoinBatch schedules the join every q.Period (default 1s),
+// delivering each epoch's joined tuples as one batch.
 func (e *Engine) StartJoinBatch(st *JoinState, sched *vtime.Scheduler, sink BatchSink) Runner {
 	return startEpochRunner(sched, st.q.Period, sink, func(now vtime.Time, deliver Sink) {
 		e.RunJoinEpoch(st, now, deliver)

@@ -138,6 +138,42 @@ func TestJoinAdaptivePlacementConverges(t *testing.T) {
 	}
 }
 
+// TestJoinStatsSnapshotRestore: the adaptive selectivity state a runner
+// checkpoints moves to a freshly planned join — as when a shard-hosted
+// fragment is rescaled or failed over — which then places every pair as the
+// original would have; entries for pairs the new plan does not have (a
+// drifted topology) are ignored.
+func TestJoinStatsSnapshotRestore(t *testing.T) {
+	dark := map[int]bool{1: true, 6: true, 11: true}
+	e := NewEngine(deskGrid(4, 4), constEnv(dark))
+	learned := occupancyJoin(t, e, PlaceOptimized)
+	for epoch := 0; epoch < 30; epoch++ {
+		e.RunJoinEpoch(learned, vtime.Time(epoch)*vtime.Second, func(data.Tuple) {})
+	}
+	snap := learned.SnapshotStats()
+	if len(snap) != learned.Pairs() {
+		t.Fatalf("snapshot has %d pairs, join has %d", len(snap), learned.Pairs())
+	}
+
+	fresh := occupancyJoin(t, e, PlaceOptimized)
+	drifted := append([]PairStatsSnapshot{{L: -1, R: -1, N: 99}}, snap...)
+	fresh.RestoreStats(drifted)
+	got := fresh.SnapshotStats()
+	if len(got) != len(snap) {
+		t.Fatalf("restored join has %d pairs, want %d", len(got), len(snap))
+	}
+	for i := range snap {
+		if got[i] != snap[i] {
+			t.Fatalf("pair %d restored as %+v, want %+v", i, got[i], snap[i])
+		}
+	}
+	for i, p := range fresh.pairs {
+		if a, b := fresh.choose(p), learned.choose(learned.pairs[i]); a != b {
+			t.Fatalf("pair %d: restored join places %v, the original %v", i, a, b)
+		}
+	}
+}
+
 func TestJoinSameRoomAndProximityPairing(t *testing.T) {
 	nw := sensornet.New(sensornet.DefaultConfig())
 	nw.MustAddNode(sensornet.Node{ID: 0, X: 0, Y: 0, Room: "A",

@@ -129,12 +129,6 @@ func NewEngine(net *sensornet.Network, env Env) *Engine {
 // Network returns the underlying simulated network.
 func (e *Engine) Network() *sensornet.Network { return e.net }
 
-// sample reads one sensor at one node into a freshly allocated reading
-// tuple.
-func (e *Engine) sample(n sensornet.Node, kind sensornet.SensorKind, now vtime.Time) (data.Tuple, bool) {
-	return e.sampleInto(make([]data.Value, 0, 4), n, kind, now)
-}
-
 // sampleInto reads one sensor at one node into a reading tuple backed by
 // buf's array when its capacity suffices. Epoch loops pass a scratch
 // buffer reused across nodes — the returned tuple is only valid until the
@@ -218,9 +212,8 @@ func (e *Engine) RunSelectEpochPart(q *SelectQuery, now vtime.Time, keep NodeFil
 // handle tracks a periodically scheduled query.
 type handle struct {
 	stop func()
-	// release, when set, frees resources the runner held across epochs
-	// (pooled batch buffers); it runs once, after the schedule is
-	// cancelled.
+	// release frees resources the runner held across epochs (pooled batch
+	// buffers); it runs once, after the schedule is cancelled.
 	release func()
 }
 
@@ -237,20 +230,8 @@ func (h *handle) Stop() {
 // Runner is the handle returned by Start* methods.
 type Runner interface{ Stop() }
 
-// StartSelect schedules the query on sched every q.Period (default: 1s).
-func (e *Engine) StartSelect(q *SelectQuery, sched *vtime.Scheduler, sink Sink) Runner {
-	period := q.Period
-	if period <= 0 {
-		period = time.Second
-	}
-	stop := sched.Every(period, func() {
-		e.RunSelectEpoch(q, sched.Now(), sink)
-	})
-	return &handle{stop: stop}
-}
-
-// StartSelectBatch is StartSelect delivering each epoch's passing readings
-// as one batch instead of tuple-at-a-time.
+// StartSelectBatch schedules the query on sched every q.Period (default:
+// 1s), delivering each epoch's passing readings as one batch.
 func (e *Engine) StartSelectBatch(q *SelectQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
 	return startEpochRunner(sched, q.Period, sink, func(now vtime.Time, deliver Sink) {
 		e.RunSelectEpoch(q, now, deliver)

@@ -31,6 +31,12 @@ func collect(sink *[]data.Tuple) Sink {
 	return func(t data.Tuple) { *sink = append(*sink, t) }
 }
 
+// collectBatch is collect for the periodic runners: the epoch slice is
+// reused, the tuples are the receiver's.
+func collectBatch(sink *[]data.Tuple) BatchSink {
+	return func(ts []data.Tuple) { *sink = append(*sink, ts...) }
+}
+
 func TestSelectEpochFiltersInNetwork(t *testing.T) {
 	nw := sensornet.Line(sensornet.DefaultConfig(), 5, 100, sensornet.SensorTemperature)
 	e := NewEngine(nw, constEnv(nil))
@@ -186,8 +192,8 @@ func TestStartSelectPeriodic(t *testing.T) {
 	e := NewEngine(nw, constEnv(nil))
 	sched := vtime.NewScheduler()
 	var got []data.Tuple
-	r := e.StartSelect(&SelectQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-		Period: 10 * time.Second}, sched, collect(&got))
+	r := e.StartSelectBatch(&SelectQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+		Period: 10 * time.Second}, sched, collectBatch(&got))
 	sched.RunUntil(35 * vtime.Second)
 	if len(got) != 3*2 { // 3 epochs × 2 nodes
 		t.Fatalf("tuples = %d", len(got))
@@ -209,8 +215,8 @@ func TestStartAggregateAndJoinPeriodic(t *testing.T) {
 	e := NewEngine(nw, constEnv(nil))
 	sched := vtime.NewScheduler()
 	var aggs, joins []data.Tuple
-	ra := e.StartAggregate(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-		Func: AggAvg}, sched, collect(&aggs))
+	ra := e.StartAggregateBatch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+		Func: AggAvg}, sched, collectBatch(&aggs))
 	st, err := e.PlanJoin(&JoinQuery{
 		Left:   JoinSide{Rel: "temp", Sensor: sensornet.SensorTemperature},
 		Right:  JoinSide{Rel: "light", Sensor: sensornet.SensorLight},
@@ -219,7 +225,7 @@ func TestStartAggregateAndJoinPeriodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj := e.StartJoin(st, sched, collect(&joins))
+	rj := e.StartJoinBatch(st, sched, collectBatch(&joins))
 	sched.RunUntil(2 * vtime.Second) // default period 1s → 2 epochs
 	ra.Stop()
 	rj.Stop()

@@ -60,11 +60,10 @@ func TestShardPoolEvictionRedialRace(t *testing.T) {
 					return
 				default:
 				}
-				c, err := DialShard(addr, NewCollector(tempSchema()))
+				c, err := dialShard(addr, NewCollector(tempSchema()), 200*time.Millisecond)
 				if err != nil {
 					continue // worker down this instant: next dial retries
 				}
-				c.SetStallTimeout(200 * time.Millisecond)
 				// Any of these may fail when the kill lands mid-flight;
 				// the invariant under test is pool consistency, not
 				// per-operation success.
@@ -99,7 +98,7 @@ func TestShardPoolEvictionRedialRace(t *testing.T) {
 	}
 	// No resurrection: with the worker alive, a fresh dial must get a
 	// working connection — not any evicted carcass from the churn.
-	c, err := DialShard(addr, NewCollector(tempSchema()))
+	c, err := dialShard(addr, NewCollector(tempSchema()), 0)
 	if err != nil {
 		t.Fatalf("dial after churn: %v", err)
 	}
@@ -121,7 +120,7 @@ func TestShardPoolEvictionRedialRace(t *testing.T) {
 func TestShardConnUndeploy(t *testing.T) {
 	w := startEchoWorker(t)
 	col := NewCollector(tempSchema())
-	c, err := DialShard(w.Addr(), col)
+	c, err := dialShard(w.Addr(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +177,17 @@ func TestRescaleValidation(t *testing.T) {
 		t.Fatal("wrong-arity placement must be rejected")
 	}
 	if err := s.Rescale([]string{"", ""}); err == nil {
-		t.Fatal("Rescale without elastic arming must be rejected")
+		t.Fatal("Rescale before Deploy must be rejected")
 	}
 	if _, err := s.CheckpointAll(nil); err == nil {
-		t.Fatal("CheckpointAll without elastic arming must be rejected")
+		t.Fatal("CheckpointAll before Deploy must be rejected")
 	}
-
-	armed := NewShardSet(2)
-	armed.EnableElastic(FailoverConfig{})
-	if err := armed.Rescale([]string{"", ""}); err == nil {
-		t.Fatal("Rescale before Start must be rejected")
+	s.Close()
+	if err := s.Rescale([]string{"", ""}); err == nil {
+		t.Fatal("Rescale after Close must be rejected")
 	}
-	if _, err := armed.CheckpointAll(nil); err == nil {
-		t.Fatal("CheckpointAll before Start must be rejected")
+	if _, err := s.CheckpointAll(nil); err == nil {
+		t.Fatal("CheckpointAll after Close must be rejected")
 	}
 }
 
@@ -280,97 +277,22 @@ func TestRescaleHealBackToRejoinedWorker(t *testing.T) {
 	}
 }
 
-// TestElasticOnlyLocalToRemoteAndBack: a set armed with EnableElastic
-// (no replay logs, zero hot-path overhead) serving in-process replicas
-// rescales out to a real worker and back home. Covers the elastic-only
-// checkpoint path: worker streams without a replay log get one armed
-// just for the barrier and detached after.
+// TestElasticOnlyLocalToRemoteAndBack: a set deployed without Failover (no
+// replay logs, zero hot-path overhead) serving in-process replicas rescales
+// out to a real worker and back home. Covers the log-less checkpoint path:
+// worker streams without a replay log get one armed just for the barrier
+// and detached after.
 func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
-	w, err := NewShardWorker("127.0.0.1:0", foDeploy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-
-	mat := NewMaterialize(foOutSchema(t))
-	merge := NewMerge(mat)
-	refMat := NewMaterialize(foOutSchema(t))
-	refHeads, _, _, err := foDeploy(nil, 0, nil, func(ts []data.Tuple) error {
-		PushBatch(refMat, ts)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refWin := refHeads["s0"]
-
-	set := NewShardSet(2)
-	set.EnableElastic(FailoverConfig{
-		Sink:         merge,
-		LocalDeploy:  foDeploy,
-		StallTimeout: 2 * time.Second,
-	})
-	send := ResultSender(func(ts []data.Tuple) error {
-		PushBatch(merge, ts)
-		return nil
-	})
-	heads := make([]Operator, 2)
-	for j := 0; j < 2; j++ {
-		hm, advs, cks, err := foDeploy(nil, j, nil, send)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heads[j] = hm["s0"]
-		for _, a := range advs {
-			set.Track(j, a)
-		}
-		set.SetLocalCks(j, cks)
-	}
-	sh, err := NewSharder(set, heads, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.SetName("s0")
-	set.Start()
-	t.Cleanup(set.Close)
-
+	_, addrs := startFoWorkers(t, 1)
+	h := deployFo(t, ShardConfig{LocalDeploy: foDeploy, StallTimeout: 2 * time.Second}, []string{"", ""}, nil)
 	evs := foEvents(35, 300)
-	feed := func(part []foEvent) {
-		for _, ev := range part {
-			if ev.tick != 0 {
-				set.Advance(ev.tick)
-				if adv, ok := refWin.(Advancer); ok {
-					adv.Advance(ev.tick)
-				}
-				continue
-			}
-			sh.Push(ev.t.Clone())
-			refWin.Push(ev.t.Clone())
-		}
-	}
-	check := func(label string) {
-		t.Helper()
-		set.Flush()
-		got := mat.MustSnapshot(nil, -1)
-		want := refMat.MustSnapshot(nil, -1)
-		SortTuples(got)
-		SortTuples(want)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].EqualVals(want[i]) {
-				t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
-			}
-		}
-	}
 
-	feed(evs[:100])
-	check("in-process before scale-out")
+	h.feed(evs[:100])
+	h.check("in-process before scale-out")
 
-	// CheckpointAll on an all-local elastic set: the SetLocalCks-registered
-	// checkpointers answer the barrier.
-	states, err := set.CheckpointAll(nil)
+	// CheckpointAll on an all-local set: the checkpointers LocalDeploy
+	// returned answer the barrier.
+	states, err := h.set.CheckpointAll(nil)
 	if err != nil {
 		t.Fatalf("local CheckpointAll: %v", err)
 	}
@@ -379,18 +301,126 @@ func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
 	}
 
 	// Scale out to the worker, serve, and checkpoint over the wire — the
-	// elastic-only stream must arm a replay log just for the barrier.
-	mustRescale(t, set, []string{w.Addr(), w.Addr()})
-	feed(evs[100:200])
-	check("after scale-out")
-	if _, err := set.CheckpointAll(nil); err != nil {
+	// log-less stream must arm a replay log just for the barrier.
+	mustRescale(t, h.set, []string{addrs[0], addrs[0]})
+	h.feed(evs[100:200])
+	h.check("after scale-out")
+	if _, err := h.set.CheckpointAll(nil); err != nil {
 		t.Fatalf("remote CheckpointAll: %v", err)
+	}
+	for _, c := range h.conns() {
+		if c.flog != nil {
+			t.Fatal("the barrier's borrowed replay log must be detached again")
+		}
 	}
 
 	// And home again.
-	mustRescale(t, set, []string{"", ""})
-	feed(evs[200:])
-	check("after scale-in")
+	mustRescale(t, h.set, []string{"", ""})
+	h.feed(evs[200:])
+	h.check("after scale-in")
+}
+
+// TestShardHomeTransitions drives every way a shard replica comes to exist
+// at a home — first deployment local and remote, a rescale in each
+// direction, failover onto a surviving worker and onto the in-process last
+// resort — through the one stage/install routine, as one table. After
+// every transition the placement is the expected one and the result equals
+// the serial reference (each move carries the shard's checkpoint from the
+// old kind of home to the new). At the end, a checkpoint taken wherever
+// the shards ended up must restore at first deployment on every kind of
+// home: a twin set deployed in-process and one deployed on a fresh worker,
+// seeded with those states, stay equal to the original under more input.
+func TestShardHomeTransitions(t *testing.T) {
+	const local = -1
+	type move struct {
+		kill int   // worker to kill (the failover then re-homes its shards), or local for a planned rescale
+		to   []int // the placement afterwards, by worker index
+	}
+	cases := []struct {
+		name     string
+		workers  int
+		failover bool
+		first    []int
+		moves    []move
+	}{
+		{"initial local, rescale local→remote→local", 1, false, []int{local, local},
+			[]move{{local, []int{0, 0}}, {local, []int{local, local}}}},
+		{"initial remote, rescale remote→remote→mixed", 2, false, []int{0, 0},
+			[]move{{local, []int{1, 1}}, {local, []int{local, 0}}}},
+		{"initial remote, failover remote→remote", 2, true, []int{0, 1},
+			[]move{{1, []int{0, 0}}}},
+		{"initial remote, failover remote→in-process", 1, true, []int{0, 0},
+			[]move{{0, []int{local, local}}}},
+		{"initial mixed, failover remote→remote, rescale home, rescale out", 2, true, []int{local, 1},
+			[]move{{1, []int{local, 0}}, {local, []int{local, local}}, {local, []int{0, local}}}},
+	}
+	for seed, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			workers, addrs := startFoWorkers(t, tc.workers)
+			loc := func(homes []int) []string {
+				out := make([]string, len(homes))
+				for j, w := range homes {
+					if w != local {
+						out[j] = addrs[w]
+					}
+				}
+				return out
+			}
+			cfg := ShardConfig{Nodes: addrs, LocalDeploy: foDeploy, Failover: tc.failover,
+				CheckpointEvery: 2, StallTimeout: 2 * time.Second}
+			h := deployFo(t, cfg, loc(tc.first), nil)
+			evs := foEvents(int64(40+seed), 100*(len(tc.moves)+2))
+			arrive := func(label string, homes []int) {
+				t.Helper()
+				h.feed(evs[:100])
+				evs = evs[100:]
+				h.check(label) // the Flush inside waits a pending failover out
+				if got, want := h.set.Placement(), loc(homes); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: placement %v, want %v", label, got, want)
+				}
+			}
+			arrive("first deployment", tc.first)
+			for i, m := range tc.moves {
+				if m.kill == local {
+					mustRescale(t, h.set, loc(m.to))
+				} else {
+					h.checkpointAll() // restore from state, not just a full replay
+					workers[m.kill].Close()
+				}
+				arrive(fmt.Sprintf("move %d", i+1), m.to)
+			}
+			for _, ev := range h.failovers() {
+				if ev.Err != nil {
+					t.Fatalf("failover abandoned shards: %+v", ev)
+				}
+			}
+
+			// One consistency point: every shard's state plus the result sink.
+			var matState []byte
+			states, err := h.set.CheckpointAll(func() (err error) {
+				matState, err = EncodeCheckpoint([]Checkpointer{h.mat})
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fresh := startFoWorkers(t, 1)
+			twins := map[string]*foHarness{
+				"in-process":     deployFo(t, ShardConfig{LocalDeploy: foDeploy}, []string{"", ""}, states),
+				"a fresh worker": deployFo(t, ShardConfig{}, []string{fresh[0], fresh[0]}, states),
+			}
+			h.feed(evs)
+			h.check("after the checkpoint")
+			for where, twin := range twins {
+				if err := RestoreCheckpoint([]Checkpointer{twin.mat}, matState); err != nil {
+					t.Fatal(err)
+				}
+				twin.feed(evs)
+				twin.set.Flush()
+				requireSameMat(t, "checkpoint restored at first deployment "+where, twin.mat, h.mat)
+			}
+		})
+	}
 }
 
 // TestCoordinatorSpineCheckpointRoundTrip covers the checkpoint kinds a

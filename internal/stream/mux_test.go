@@ -20,7 +20,7 @@ func TestMuxSharedPhysicalConn(t *testing.T) {
 	cols := make([]*Collector, n)
 	for i := range conns {
 		cols[i] = NewCollector(tempSchema())
-		c, err := DialShard(w.Addr(), cols[i])
+		c, err := dialShard(w.Addr(), cols[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +86,11 @@ func TestMuxFailureFailsAllStreams(t *testing.T) {
 	before := WorkerConnCount()
 	w := startEchoWorker(t)
 
-	c1, err := DialShard(w.Addr(), NewCollector(tempSchema()))
+	c1, err := dialShard(w.Addr(), NewCollector(tempSchema()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := DialShard(w.Addr(), NewCollector(tempSchema()))
+	c2, err := dialShard(w.Addr(), NewCollector(tempSchema()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestMuxFailureFailsAllStreams(t *testing.T) {
 func TestMuxTickFansOutPerStream(t *testing.T) {
 	w := startEchoWorker(t)
 	col1, col2 := NewCollector(tempSchema()), NewCollector(tempSchema())
-	c1, err := DialShard(w.Addr(), col1)
+	c1, err := dialShard(w.Addr(), col1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := DialShard(w.Addr(), col2)
+	c2, err := dialShard(w.Addr(), col2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

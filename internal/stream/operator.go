@@ -1,8 +1,12 @@
 // Package stream implements ASPEN's distributed stream engine (Fig. 1,
 // "Stream Engine (on PCs)"): push-based relational operators over
 // timestamped delta streams, windows, symmetric hash joins, incremental
-// grouped aggregation, materialized results for display, and an exchange
-// layer that ships tuples between engine nodes in-process or over TCP.
+// grouped aggregation, materialized results for display, and one exchange
+// layer for spreading a query over the PCs: a ShardSet replicates a
+// pipeline P ways behind hash-partitioning Sharders, each replica living in
+// this process or on a ShardWorker in another — built, placed and moved by
+// the same routine either way (shard.go), reached over multiplexed TCP
+// streams in a columnar wire format (remote.go, mux.go, wire.go).
 //
 // Every operator processes tuples carrying an insert/delete polarity
 // (data.Op). Windows emit deletions as tuples expire, so joins and

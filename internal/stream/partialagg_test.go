@@ -233,18 +233,16 @@ func TestExprSharderRouting(t *testing.T) {
 	schema := data.NewSchema("s", data.Col("k", data.TInt), data.Col("v", data.TInt))
 	set := NewShardSet(4)
 	cols := make([]*Collector, 4)
-	heads := make([]Operator, 4)
-	for i := range cols {
-		cols[i] = NewCollector(schema)
-		heads[i] = cols[i]
-	}
 	// Key expression k+1 over the source column.
 	keyExpr := expr.MustBind(expr.Bin{Op: expr.OpAdd, L: expr.C("k"), R: expr.L(1)}, schema)
-	sh, err := NewExprSharder(set, heads, []*expr.Compiled{keyExpr})
+	sh, err := NewExprSharder(set, "s0", schema, []*expr.Compiled{keyExpr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, nil, func(j int) (map[string]Operator, []Advancer) {
+		cols[j] = NewCollector(schema)
+		return map[string]Operator{"s0": cols[j]}, nil
+	})
 	defer set.Close()
 	for i := 0; i < 64; i++ {
 		sh.Push(data.NewTuple(vtime.Time(i), data.Int(int64(i%8)), data.Int(int64(i))))
@@ -309,15 +307,13 @@ func TestTwoPhaseBehindShardSet(t *testing.T) {
 	parts, got := twoPhase(t, in, 4, nil, specs, nil)
 
 	set := NewShardSet(4)
-	heads := make([]Operator, 4)
-	for j := range heads {
-		heads[j] = parts[j]
-	}
-	sh, err := NewSharder(set, heads, nil) // partition on all columns
+	sh, err := NewSharder(set, "s0", in, nil) // partition on all columns
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, nil, func(j int) (map[string]Operator, []Advancer) {
+		return map[string]Operator{"s0": parts[j]}, nil
+	})
 	defer set.Close()
 
 	rng := rand.New(rand.NewSource(11))

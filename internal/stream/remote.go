@@ -48,15 +48,15 @@ const workerAckEvery = 16
 
 // remoteStallTimeout is the default bound on every wait on a worker that
 // keeps its TCP session alive but stops responding: a peer that was never a
-// shard worker (a mistyped address, a plain engine Server — both drop shard
-// frames without acking), a SIGSTOPped worker process, or a blackholed link
-// the kernel still ACKs. Credit waits, socket writes, and the deploy/flush/
+// shard worker (a mistyped address reaching some other service that reads
+// shard frames without acking), a SIGSTOPped worker process, or a blackholed
+// link the kernel still ACKs. Credit waits, socket writes, and the deploy/flush/
 // close barriers all mark the link broken (sticky) after it, so the
 // coordinator's tick loop and Close can stall at most once per connection
 // instead of deadlocking. The credit window bounds what a flush waits on
 // (≤ remoteInflight frames), so a live worker has orders-of-magnitude
-// headroom. Per-connection override: ShardConn.SetStallTimeout (plumbed
-// from plan.CompileOptions.StallTimeout); variable for tests.
+// headroom. Per-deployment override: ShardConfig.StallTimeout (plumbed from
+// plan.CompileOptions.StallTimeout); variable for tests.
 var remoteStallTimeout = 30 * time.Second
 
 // ResultSender ships one batch of replica output tuples back to the
@@ -109,6 +109,82 @@ func NewShardWorker(addr string, deploy DeployFunc) (*ShardWorker, error) {
 	}
 	w.connServer = cs
 	return w, nil
+}
+
+// connServer owns a listener's connection lifecycle — accept loop, live
+// connection registry, and a Close that stops accepting, closes every
+// connection, and waits for the handlers to drain — so the subtle parts
+// (the accept-after-Close check, the WaitGroup ordering that keeps Close
+// from returning early) sit apart from the frame protocol.
+type connServer struct {
+	l  net.Listener
+	wg sync.WaitGroup
+
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// newConnServer listens on addr and serves each accepted connection with
+// handler on its own goroutine; the registry bookkeeping wraps the call.
+func newConnServer(addr string, handler func(net.Conn)) (*connServer, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("stream: listen: %w", err)
+	}
+	s := &connServer{l: l, conns: map[net.Conn]struct{}{}}
+	s.wg.Add(1)
+	go s.acceptLoop(handler)
+	return s, nil
+}
+
+// Addr returns the bound address.
+func (s *connServer) Addr() string { return s.l.Addr().String() }
+
+func (s *connServer) acceptLoop(handler func(net.Conn)) {
+	defer s.wg.Done()
+	for {
+		conn, err := s.l.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			defer func() {
+				conn.Close()
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+			}()
+			handler(conn)
+		}()
+	}
+}
+
+// Close stops accepting, closes live connections, and waits for handlers.
+func (s *connServer) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	err := s.l.Close()
+	for _, c := range conns {
+		c.Close()
+	}
+	s.wg.Wait()
+	return err
 }
 
 // workerStream is the worker-side state of one deployment's stream: its
@@ -227,8 +303,8 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 				return
 			}
 			ws := getStream(id)
-			// Unknown heads drop silently, mirroring Server: the coordinator
-			// validated the deployment before opening the taps.
+			// Unknown heads drop silently (there is no way to NACK mid-stream):
+			// the coordinator validated the deployment before opening the taps.
 			if op, ok := ws.heads[string(key)]; ok {
 				PushBatch(op, batch)
 			}
@@ -527,20 +603,17 @@ type ShardConn struct {
 	closed bool
 }
 
-// DialShard connects a deployment to a ShardWorker; decoded result batches
+// dialShard connects a deployment to a ShardWorker; decoded result batches
 // push into sink. The physical connection comes from the process-wide pool
 // — deployments to the same worker share one socket — so "dial" may just
-// open a new stream on an existing connection. The connect attempt itself
-// is bounded by the default stall timeout (use dialShard to bound it
-// tighter).
-func DialShard(addr string, sink Operator) (*ShardConn, error) {
-	return dialShard(addr, sink, remoteStallTimeout)
-}
-
-// dialShard is DialShard with an explicit connect + stall bound: a
-// blackholed address fails within timeout instead of the kernel's connect
-// default — the failover path dials while holding the deployment's locks,
-// so every wait it performs must be bounded.
+// open a new stream on an existing connection. timeout (<= 0: the package
+// default) bounds the connect attempt and then every ack wait on the
+// stream: a blackholed address fails within it instead of the kernel's
+// connect default, and any flush ack, barrier ack, credit, or socket write
+// outstanding longer marks the link broken — a stalled-but-connected worker
+// becomes a detected failure instead of an indefinite hang. Rescale and
+// failover dial while holding the deployment's locks, so every wait they
+// perform must be bounded.
 func dialShard(addr string, sink Operator, timeout time.Duration) (*ShardConn, error) {
 	if timeout <= 0 {
 		timeout = remoteStallTimeout
@@ -555,20 +628,9 @@ func dialShard(addr string, sink Operator, timeout time.Duration) (*ShardConn, e
 // Addr returns the worker address this connection serves.
 func (c *ShardConn) Addr() string { return c.addr }
 
-// SetStallTimeout overrides the ack deadline for this connection: any flush
-// ack, barrier ack, credit, or socket write outstanding longer than d marks
-// the link broken — a stalled-but-connected worker becomes a detected
-// failure instead of an indefinite hang. Call before the connection is in
-// use; d <= 0 keeps the default.
-func (c *ShardConn) SetStallTimeout(d time.Duration) {
-	if d > 0 {
-		c.stall = d
-	}
-}
-
-// enableFailover turns on the replay/undo logs. Called by
-// ShardSet.SetRemote (or the failover machinery for replacement
-// connections) before any frame traffic.
+// enableFailover turns on the replay/undo logs. Called by the ShardSet as
+// it dials the stream, before any frame traffic (and by a rescale, which
+// borrows a log just for its checkpoint barrier).
 func (c *ShardConn) enableFailover(ckEvery, ckMaxLog int) {
 	c.flog = &connLog{}
 	c.ckEvery = ckEvery
@@ -576,9 +638,9 @@ func (c *ShardConn) enableFailover(ckEvery, ckMaxLog int) {
 }
 
 // armFailover installs the sticky-failure notification. The set arms its
-// connections only once it starts (a failure during compile aborts the
-// compile instead); a failure that slipped in between is notified here, so
-// it is delivered exactly once either way.
+// connections only once it serves (a failure during ShardSet.Deploy aborts
+// the deploy instead); a failure that slipped in between is notified here,
+// so it is delivered exactly once either way.
 func (c *ShardConn) armFailover(onFail func(*ShardConn)) {
 	c.mu.Lock()
 	c.onFail = onFail
@@ -974,12 +1036,6 @@ func (c *ShardConn) checkpointBarrier() error {
 		return err
 	}
 	return c.awaitAck(ch, "checkpoint unanswered")
-}
-
-// Checkpoint runs one synchronous checkpoint barrier (tests and shutdown
-// paths; steady-state checkpoints self-schedule off the tick cadence).
-func (c *ShardConn) Checkpoint() {
-	c.checkpoint()
 }
 
 // Undeploy tears one shard's replica down on the worker while the stream

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func startEchoWorker(t *testing.T) *ShardWorker {
 func TestShardConnRoundtrip(t *testing.T) {
 	w := startEchoWorker(t)
 	col := NewCollector(tempSchema())
-	c, err := DialShard(w.Addr(), col)
+	c, err := dialShard(w.Addr(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestShardConnRoundtrip(t *testing.T) {
 		t.Fatal("remote head schema")
 	}
 	rh.Push(temp(3, "L3", 22))
-	// Batches to an unknown head drop silently, like Server.
+	// Batches to an unknown head drop silently.
 	if err := c.SendBatch(0, "nowhere", batch); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestShardConnRoundtrip(t *testing.T) {
 // the Deploy error.
 func TestShardConnDeployError(t *testing.T) {
 	w := startEchoWorker(t)
-	c, err := DialShard(w.Addr(), NewCollector(tempSchema()))
+	c, err := dialShard(w.Addr(), NewCollector(tempSchema()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,32 +151,32 @@ func TestShardSetMixedLocalRemote(t *testing.T) {
 	mat := NewMaterialize(tempSchema())
 	merge := NewMerge(mat)
 
-	c, err := DialShard(w.Addr(), merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Deploy(nil, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-
 	set := NewShardSet(2)
-	// Local replica mirrors the worker's echo pipeline.
-	lwin := NewTimeWindow(merge, 2*time.Minute, 0)
-	set.Track(0, lwin)
-	set.SetRemote(1, c)
-	set.SetRemote(1, c) // idempotent re-registration keeps one unique conn
 	if set.Shards() != 2 {
 		t.Fatalf("Shards = %d, want 2", set.Shards())
 	}
-	heads := []Operator{lwin, c.Head(tempSchema(), 1, "s0")}
-	sh, err := NewSharder(set, heads, []int{0})
+	sh, err := NewSharder(set, "s0", tempSchema(), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sh.Schema().Arity() != 2 {
 		t.Fatal("sharder schema")
 	}
-	set.Start()
+	// The local replica is the worker's echo pipeline, built by the same
+	// DeployFunc.
+	loc := []string{"", w.Addr()}
+	if err := set.Deploy(ShardConfig{Sink: merge, LocalDeploy: echoDeploy}, loc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := set.Placement(); fmt.Sprint(got) != fmt.Sprint(loc) {
+		t.Fatalf("placement = %v, want %v", got, loc)
+	}
+	if _, err := NewSharder(set, "late", tempSchema(), nil); err == nil {
+		t.Fatal("a Sharder built after Deploy has no heads and must be rejected")
+	}
+	if err := set.Deploy(ShardConfig{Sink: merge, LocalDeploy: echoDeploy}, loc, nil); err == nil {
+		t.Fatal("a second Deploy must be rejected")
+	}
 
 	const n = 50
 	batch := make([]data.Tuple, 0, n)
@@ -206,23 +207,74 @@ func TestShardSetMixedLocalRemote(t *testing.T) {
 	}
 }
 
+// TestShardSetDeployFailureTearsDown: a Deploy that fails part-way — shard
+// 0 placed in-process, shard 1's worker rejecting the spec, or a replica
+// missing an exchange's entry point — leaves nothing running: the set is
+// closed, its worker stream released, and the error names the shard.
+func TestShardSetDeployFailureTearsDown(t *testing.T) {
+	w := startEchoWorker(t)
+	before := WorkerConnCount()
+	for name, tc := range map[string]struct {
+		cfg ShardConfig
+		loc []string
+	}{
+		"worker rejects the spec": {ShardConfig{Spec: []byte("fail"), LocalDeploy: func([]byte, int, []byte, ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
+			return map[string]Operator{"s0": NewCollector(tempSchema())}, nil, nil, nil
+		}}, []string{"", w.Addr()}},
+		"replica lacks the entry point": {ShardConfig{LocalDeploy: func([]byte, int, []byte, ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
+			return map[string]Operator{"other": NewCollector(tempSchema())}, nil, nil, nil
+		}}, []string{w.Addr(), ""}},
+		"no in-process builder":       {ShardConfig{}, []string{w.Addr(), ""}},
+		"placement of the wrong size": {ShardConfig{LocalDeploy: echoDeploy}, []string{""}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			set := NewShardSet(2)
+			sh, err := NewSharder(set, "s0", tempSchema(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.cfg.Sink = NewCollector(tempSchema())
+			if err := set.Deploy(tc.cfg, tc.loc, nil); err == nil {
+				t.Fatal("Deploy must fail")
+			}
+			if got := WorkerConnCount(); got != before {
+				t.Fatalf("failed Deploy left %d pooled worker connections, want %d", got, before)
+			}
+			// The set never served: traffic, ticks, barriers and Close must
+			// neither panic on an unplaced shard's nil head nor block.
+			sh.Push(temp(1, "L1", 1))
+			set.Advance(vtime.Time(time.Hour))
+			set.Flush()
+			set.Close()
+		})
+	}
+}
+
 // TestShardConnDeploySilentPeerTimesOut: a peer that accepts the
-// connection but never acks shard frames — a plain engine Server, or any
-// mistyped address — fails the deploy within the ack timeout and marks the
-// link broken, instead of hanging the compile forever.
+// connection but never acks shard frames — any mistyped address reaching
+// some other service — fails the deploy within the ack timeout and marks
+// the link broken, instead of hanging the compile forever.
 func TestShardConnDeploySilentPeerTimesOut(t *testing.T) {
 	old := remoteStallTimeout
 	remoteStallTimeout = 100 * time.Millisecond
 	t.Cleanup(func() { remoteStallTimeout = old })
 
-	// A plain engine transport server: accepts, decodes, drops shard frames.
-	srv, err := NewServer(NewEngine("plain", vtime.NewScheduler()), "127.0.0.1:0")
+	// A bare listener that reads whatever arrives and never answers.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = io.Copy(io.Discard, conn)
+	}()
 
-	c, err := DialShard(srv.Addr(), NewCollector(tempSchema()))
+	c, err := dialShard(l.Addr().String(), NewCollector(tempSchema()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +337,7 @@ func TestShardConnStalledWorker(t *testing.T) {
 		}
 	}()
 
-	c, err := DialShard(l.Addr().String(), NewCollector(tempSchema()))
+	c, err := dialShard(l.Addr().String(), NewCollector(tempSchema()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,24 +384,14 @@ func TestShardSetAllRemoteTwoWorkers(t *testing.T) {
 	mat := NewMaterialize(tempSchema())
 	merge := NewMerge(mat)
 	set := NewShardSet(2)
-	heads := make([]Operator, 2)
-	for j := 0; j < 2; j++ {
-		w := startEchoWorker(t)
-		c, err := DialShard(w.Addr(), merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Deploy(nil, j, nil); err != nil {
-			t.Fatal(err)
-		}
-		set.SetRemote(j, c)
-		heads[j] = c.Head(tempSchema(), j, "s0")
-	}
-	sh, err := NewSharder(set, heads, []int{0})
+	sh, err := NewSharder(set, "s0", tempSchema(), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	loc := []string{startEchoWorker(t).Addr(), startEchoWorker(t).Addr()}
+	if err := set.Deploy(ShardConfig{Sink: merge}, loc, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	const n = 40
 	batch := make([]data.Tuple, 0, n)
@@ -369,21 +411,213 @@ func TestShardSetAllRemoteTwoWorkers(t *testing.T) {
 	set.Close()
 }
 
-// TestShardSetTrackRemotePanics: replica windows of a remote shard are
-// tracked by its worker, never locally.
-func TestShardSetTrackRemotePanics(t *testing.T) {
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatal("condition not reached in time")
+}
+
+// TestShardWorkerDisconnectMidEpoch: the worker dies while batches are in
+// flight. The link error is sticky, later sends drop instead of blocking,
+// flush barriers fail fast instead of hanging, and the ShardSet spanning
+// the dead link still routes, ticks, flushes and closes.
+func TestShardWorkerDisconnectMidEpoch(t *testing.T) {
 	w := startEchoWorker(t)
-	c, err := DialShard(w.Addr(), NewCollector(tempSchema()))
+	mat := NewMaterialize(tempSchema())
+	set := NewShardSet(1)
+	sh, err := NewSharder(set, "s0", tempSchema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	set := NewShardSet(2)
-	set.SetRemote(1, c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Track on a remote shard must panic")
+	if err := set.Deploy(ShardConfig{Sink: NewMerge(mat)}, []string{w.Addr()}, nil); err != nil {
+		t.Fatal(err)
+	}
+	c := set.homes[0].conn
+	if err := c.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	w.Close() // mid-epoch: the coordinator still has batches to send
+
+	// The reader notices the dead peer; sends and barriers then fail fast
+	// (the first few sends may still land in the kernel buffer).
+	waitFor(t, func() bool {
+		c.SendBatch(0, "s0", []data.Tuple{temp(2, "L2", 21)})
+		return c.Err() != nil
+	})
+	done := make(chan error, 1)
+	go func() { done <- c.Flush() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("flush over a dead link must fail")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flush over a dead link hung")
+	}
+
+	// Without Failover the set is fail-stop: it drops the shard's traffic,
+	// barriers vacuously and closes cleanly.
+	sh.Push(temp(3, "L3", 22))
+	set.Advance(vtime.Time(time.Hour))
+	set.Flush()
+	set.Close()
+}
+
+// TestShardConnTruncatedBarrierAck: the worker answers a flush with a
+// truncated/garbage ack and drops the link; the barrier must surface the
+// decode error, not hang.
+func TestShardConnTruncatedBarrierAck(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := newWireReader(conn)
+		for {
+			kind, _, err := r.next()
+			if err != nil {
+				return
+			}
+			if kind == frameFlush {
+				// A plausible length prefix, then EOF: the ack truncates.
+				conn.Write([]byte{0x40, 0x01, 0x00, 0x00})
+				return
+			}
 		}
 	}()
-	set.Track(1, NewNowWindow(NewCollector(tempSchema())))
+
+	c, err := dialShard(l.Addr().String(), NewCollector(tempSchema()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Flush() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("truncated barrier ack must fail the flush")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("truncated barrier ack hung the flush")
+	}
+	if c.Err() == nil {
+		t.Fatal("truncated ack must mark the link broken")
+	}
+}
+
+// TestShardConnReconnectRefused: dialing a worker that is gone — both a
+// never-listening port and a closed worker's stale address — is refused
+// with an error rather than a hang, and the error names the address.
+func TestShardConnReconnectRefused(t *testing.T) {
+	if _, err := dialShard("127.0.0.1:1", NewCollector(tempSchema()), 0); err == nil {
+		t.Fatal("dial to a closed port must fail")
+	}
+	w := startEchoWorker(t)
+	addr := w.Addr()
+	w.Close()
+	if _, err := dialShard(addr, NewCollector(tempSchema()), 0); err == nil {
+		t.Fatal("reconnect to a closed worker must be refused")
+	}
+}
+
+// requirePeerDropped connects a raw peer to addr, writes payload (then
+// half-closes, when eof, so the decoder sees EOF mid-frame) and requires the
+// server to close that connection: a read observes EOF/reset rather than
+// hanging.
+func requirePeerDropped(t *testing.T, addr string, payload []byte, eof bool) {
+	t.Helper()
+	bad, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if _, err := bad.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if eof {
+		bad.(*net.TCPConn).CloseWrite()
+	}
+	bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf [1]byte
+	if _, err := bad.Read(buf[:]); err == nil {
+		t.Fatal("worker kept the malformed connection open")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("worker neither served nor closed the malformed connection")
+	}
+}
+
+// echoLink deploys an echo replica over a healthy coordinator link; serves
+// pushes one tuple through it and requires the result back.
+func echoLink(t *testing.T, w *ShardWorker) (serves func()) {
+	t.Helper()
+	col := NewCollector(tempSchema())
+	good, err := dialShard(w.Addr(), col, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { good.Close() })
+	if err := good.Deploy(nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		before := col.Len()
+		if err := good.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 20)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := good.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if col.Len() != before+1 {
+			t.Fatal("healthy link lost its replica after a malformed peer")
+		}
+	}
+}
+
+// TestShardWorkerSurvivesMalformedFrame: a complete frame of an unknown
+// kind — a non-protocol peer — kills only that connection; a healthy
+// coordinator link on the same worker keeps its replicas served.
+func TestShardWorkerSurvivesMalformedFrame(t *testing.T) {
+	w := startEchoWorker(t)
+	serves := echoLink(t, w)
+	requirePeerDropped(t, w.Addr(), []byte{0x01, 0x00, 0x00, 0x00, 0xEE}, false)
+	serves()
+}
+
+// TestServerSurvivesMalformedFrame injects bytes the frame reader itself
+// rejects where the worker's connection server expects a frame: only the
+// offending connection must die (the server closes it), while frames keep
+// flowing on other connections.
+func TestServerSurvivesMalformedFrame(t *testing.T) {
+	w := startEchoWorker(t)
+	serves := echoLink(t, w)
+	serves()
+	for name, garbage := range map[string][]byte{
+		// A complete length prefix far past the frame-size bound: the
+		// decoder fails without waiting for more bytes.
+		"garbage": {0xFF, 0xFF, 0xFF, 0xFF},
+		// A truncated frame: a plausible length prefix, then EOF.
+		"truncated": {0x40, 0x01},
+	} {
+		t.Run(name, func(t *testing.T) {
+			requirePeerDropped(t, w.Addr(), garbage, name == "truncated")
+			serves()
+		})
+	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"aspen/internal/data"
 )
 
 // This file aims the failover machinery at planned topology change:
@@ -29,20 +27,20 @@ import (
 //	│
 //	QUIESCED ──(synchronous checkpoint of every source: worker streams
 //	│           answer a checkpoint barrier — lazily armed with a replay
-//	│           log if the set is elastic-only — and local replicas encode
-//	│           their tracked Checkpointers)──▶ CHECKPOINTED. The replay
+//	│           log if the set runs without Failover — and in-process
+//	│           homes encode their Checkpointers)──▶ CHECKPOINTED. The replay
 //	│           logs are empty afterwards (nothing was sent since the
 //	│           quiesce), so no undo and no replay is needed: the planned
 //	│           path skips the two failover stages that exist only because
 //	│           failure strikes mid-epoch.
 //	│
-//	CHECKPOINTED ──(per moving shard: deploy spec+state onto the new home
-//	│               — an existing healthy stream, a freshly dialed worker,
-//	│               or an in-process replica — then flip the exchange
-//	│               heads and shard routing, then frameUndeploy the old
-//	│               replica)──▶ SERVING on the new topology. A worker
-//	│               stream left hosting nothing is closed and dropped
-//	│               from the barrier/tick set.
+//	CHECKPOINTED ──(per moving shard: stage spec+state at the new home —
+//	│               an existing healthy stream, a freshly dialed worker,
+//	│               or an in-process replica — then install it (flip the
+//	│               exchange heads and shard routing), then frameUndeploy
+//	│               the old replica)──▶ SERVING on the new topology. A
+//	│               worker stream left hosting nothing is closed and
+//	│               dropped from the barrier/tick set.
 //	│
 //	└──(any deploy fails)──▶ the rescale stops and reports the error;
 //	    already-moved shards stay moved (the placement is valid, just not
@@ -56,17 +54,13 @@ import (
 // degrading monotonically.
 
 // Rescale moves the set's replicas to a new placement: loc[j] names shard
-// j's home worker address, "" keeps (or lands) shard j in-process. The
-// set must be armed with EnableElastic or EnableFailover. Safe on a live
-// deployment: producers block for the duration (like a failover) and
+// j's home worker address, "" keeps (or lands) shard j in-process. Safe on
+// a live deployment: producers block for the duration (like a failover) and
 // Flush/Snapshot barriers stay exact. Returns on the first deploy error,
 // leaving the deployment on a valid (possibly partially moved) topology.
 func (s *ShardSet) Rescale(loc []string) error {
 	if len(loc) != s.p {
 		return fmt.Errorf("stream: Rescale placement names %d shards, set has %d", len(loc), s.p)
-	}
-	if s.fo == nil {
-		return fmt.Errorf("stream: Rescale on a set without EnableElastic/EnableFailover")
 	}
 	return s.retryThroughFailover(func() error { return s.rescaleOnce(loc) })
 }
@@ -75,12 +69,12 @@ func (s *ShardSet) Rescale(loc []string) error {
 // worker link dies underneath it: the flush/checkpoint error queues an
 // ordinary failover (the set is log-armed), which re-homes the dead link's
 // shards, and the next attempt re-plans against the healed topology.
-// Elastic-only sets have no failover to defer to, so errors are final.
+// Sets without Failover have no failover to defer to, so errors are final.
 func (s *ShardSet) retryThroughFailover(op func() error) error {
 	const attempts = 10
 	var err error
 	for i := 0; i < attempts; i++ {
-		if err = op(); err == nil || !s.fo.logs {
+		if err = op(); err == nil || !s.cfg.Failover {
 			return err
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -100,17 +94,13 @@ func (s *ShardSet) rescaleOnce(loc []string) error {
 	}
 
 	var moved []int
-	for j := 0; j < s.p; j++ {
-		cur := ""
-		if s.conns[j] != nil {
-			cur = s.conns[j].addr
-		}
-		if loc[j] != cur {
+	for j := range s.homes {
+		if loc[j] != s.homes[j].addr() {
 			moved = append(moved, j)
 		}
 	}
 	// Future failovers should dial the new topology.
-	s.fo.cfg.Nodes = distinctAddrs(loc)
+	s.cfg.Nodes = distinctAddrs(loc)
 	if len(moved) == 0 {
 		return nil
 	}
@@ -151,7 +141,7 @@ func (s *ShardSet) quiesce() func() {
 func (s *ShardSet) drainLocked() error {
 	var wg sync.WaitGroup
 	for j := 0; j < s.p; j++ {
-		if s.conns[j] != nil || !s.running[j] {
+		if s.homes[j].conn != nil {
 			continue
 		}
 		wg.Add(1)
@@ -168,8 +158,8 @@ func (s *ShardSet) drainLocked() error {
 
 // checkpointShardsLocked takes a synchronous checkpoint of every listed
 // shard — a checkpoint barrier per source worker stream (armed with a
-// temporary replay log when the set is elastic-only), a local encode for
-// in-process replicas — and returns the per-shard states. The returned
+// temporary replay log when the set runs without Failover), a local encode
+// for in-process replicas — and returns the per-shard states. The returned
 // detach func removes any temporarily attached logs; callers run it after
 // the moves, still under the quiesce locks.
 func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(), error) {
@@ -182,9 +172,9 @@ func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(),
 	}
 	done := map[*ShardConn]bool{}
 	for _, j := range shards {
-		c := s.conns[j]
+		c := s.homes[j].conn
 		if c == nil {
-			st, err := EncodeCheckpoint(s.lcks[j])
+			st, err := EncodeCheckpoint(s.homes[j].cks)
 			if err != nil {
 				return nil, detach, fmt.Errorf("stream: rescale: checkpoint local shard %d: %w", j, err)
 			}
@@ -196,10 +186,10 @@ func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(),
 		}
 		done[c] = true
 		if c.flog == nil {
-			// Elastic-only sets carry no replay log in steady state; attach
-			// one just to receive the checkpoint states. Producers are
+			// Without Failover a stream carries no replay log in steady state;
+			// attach one just to receive the checkpoint states. Producers are
 			// excluded, so nothing else can observe it.
-			c.enableFailover(s.fo.cfg.CheckpointEvery, s.fo.cfg.CheckpointMaxLog)
+			c.enableFailover(s.cfg.CheckpointEvery, s.cfg.CheckpointMaxLog)
 			temps = append(temps, c)
 		}
 		if err := c.checkpointSync(); err != nil {
@@ -220,90 +210,24 @@ func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(),
 	return states, detach, nil
 }
 
-// moveLocked redeploys each moving shard onto its new home with its
-// checkpointed state, flips routing, and tears the old replica down.
-// Caller holds the quiesce locks and fmu.
+// moveLocked stages each moving shard at its new home with its
+// checkpointed state, installs it, and tears the old replica down. Worker
+// streams left hosting nothing — vacated by the moves, or dialed for a
+// stage that failed — are released on the way out. Caller holds the
+// quiesce locks and fmu.
 func (s *ShardSet) moveLocked(moved []int, loc []string, states map[int][]byte) error {
-	cfg := &s.fo.cfg
-	sink := cfg.Sink
-	send := ResultSender(func(ts []data.Tuple) error {
-		PushBatch(sink, ts)
-		return nil
-	})
-	findConn := func(addr string) (*ShardConn, error) {
-		for _, u := range s.uconns {
-			if u.addr == addr && u.Err() == nil {
-				return u, nil
-			}
-		}
-		c, err := dialShard(addr, sink, cfg.StallTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if s.fo.logs {
-			c.enableFailover(cfg.CheckpointEvery, cfg.CheckpointMaxLog)
-			c.armFailover(s.connFailed)
-		}
-		return c, nil
-	}
-	vacated := map[*ShardConn]bool{}
+	defer s.dropIdleConnsLocked()
 	for _, j := range moved {
-		old := s.conns[j]
-		if loc[j] != "" {
-			c, err := findConn(loc[j])
-			if err != nil {
-				return fmt.Errorf("stream: rescale shard %d: %w", j, err)
-			}
-			if err := c.Deploy(cfg.Spec, j, states[j]); err != nil {
-				return fmt.Errorf("stream: rescale shard %d onto %s: %w", j, loc[j], err)
-			}
-			s.conns[j] = c
-			s.advs[j] = nil
-			s.lcks[j] = nil
-			s.addConnLocked(c)
-			for _, sh := range s.sharders {
-				sh.heads[j] = c.Head(sh.schema, j, sh.name)
-			}
-		} else {
-			if cfg.LocalDeploy == nil {
-				return fmt.Errorf("stream: rescale shard %d in-process: no LocalDeploy configured", j)
-			}
-			heads, advs, cks, err := cfg.LocalDeploy(cfg.Spec, j, states[j], send)
-			if err != nil {
-				return fmt.Errorf("stream: rescale shard %d in-process: %w", j, err)
-			}
-			s.conns[j] = nil
-			s.advs[j] = advs
-			s.lcks[j] = cks
-			for _, sh := range s.sharders {
-				sh.heads[j] = heads[sh.name]
-			}
-			if !s.running[j] {
-				s.running[j] = true
-				s.wg.Add(1)
-				go s.worker(j)
-			}
+		old := s.homes[j].conn
+		h, err := s.stageLocked(j, loc[j], states[j])
+		if err != nil {
+			return fmt.Errorf("stream: rescale shard %d: %w", j, err)
 		}
+		s.installLocked(j, h)
 		if old != nil {
-			vacated[old] = true
 			// Best effort: a broken old link just means its replica died with
 			// the worker; the shard already lives elsewhere.
 			_ = old.Undeploy(j)
-		}
-	}
-	// Close worker streams that no longer host any shard — the "leave" half
-	// of elasticity releases the socket once the last deployment lets go.
-	for c := range vacated {
-		still := false
-		for j := 0; j < s.p; j++ {
-			if s.conns[j] == c {
-				still = true
-				break
-			}
-		}
-		if !still {
-			s.removeConnLocked(c)
-			_ = c.Close()
 		}
 	}
 	return nil
@@ -329,10 +253,8 @@ func (s *ShardSet) Placement() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	loc := make([]string, s.p)
-	for j := 0; j < s.p; j++ {
-		if s.conns[j] != nil {
-			loc[j] = s.conns[j].addr
-		}
+	for j := range loc {
+		loc[j] = s.homes[j].addr()
 	}
 	return loc
 }
@@ -342,11 +264,8 @@ func (s *ShardSet) Placement() []string {
 // the worker half of a durable coordinator snapshot. sidecar, when
 // non-nil, runs under the same quiescent locks after the checkpoint, so
 // the coordinator can snapshot its own serial-spine state at the exact
-// same consistency point. Requires EnableElastic/EnableFailover arming.
+// same consistency point.
 func (s *ShardSet) CheckpointAll(sidecar func() error) (map[int][]byte, error) {
-	if s.fo == nil {
-		return nil, fmt.Errorf("stream: CheckpointAll on a set without EnableElastic/EnableFailover")
-	}
 	var states map[int][]byte
 	err := s.retryThroughFailover(func() error {
 		var cerr error

@@ -51,36 +51,45 @@ type shardMsg struct {
 	kind  shardMsgKind
 }
 
-// FailoverConfig arms a ShardSet with everything it needs to redeploy the
-// shards of a lost worker: the replica wire spec, the candidate worker
-// addresses, the merged result sink replacement replicas emit into, and a
-// builder for the in-process last resort.
-type FailoverConfig struct {
-	// Spec is the encoded replica subplan every worker shard was deployed
-	// from (plan.encodeReplica); redeployments ship the same spec.
+// ShardConfig is everything a ShardSet needs to bring a shard replica into
+// existence at a home — at first deployment, when a Rescale moves it, and
+// when failover re-homes the shards of a lost worker: the replica wire
+// spec, the builder for in-process homes, the merged result sink every
+// home emits into, and the candidate worker addresses.
+type ShardConfig struct {
+	// Spec is the encoded replica subplan every shard deploys from
+	// (plan.encodeReplica); workers and LocalDeploy receive it verbatim, so
+	// hand-wired pipelines whose LocalDeploy ignores it may leave it nil.
 	Spec []byte
 	// Nodes lists worker addresses failover may dial for a replacement
 	// (typically the deployment's original topology). The failed address is
 	// skipped; a restarted worker on the same address is usable again by
 	// the next failover.
 	Nodes []string
-	// Sink is the deployment's merge funnel: replacement connections decode
-	// results into it, undo retractions push through it, and in-process
-	// replacement replicas emit into it.
+	// Sink is the deployment's merge funnel: worker streams decode results
+	// into it, undo retractions push through it, and in-process replicas
+	// emit into it.
 	Sink Operator
-	// LocalDeploy builds an in-process replica from Spec (the same builder
-	// shard workers run, plan.DeployReplica) — the last-resort host when no
-	// worker is reachable.
+	// LocalDeploy builds an in-process replica from Spec — the same builder
+	// shard workers run (plan's DeployReplica), or a hand-wired pipeline's
+	// per-shard build. nil leaves the set without in-process homes: no ""
+	// placement, and no last resort when every worker is unreachable.
 	LocalDeploy DeployFunc
+	// Failover arms the per-stream replay/undo logs, the checkpoint cadence
+	// and failure notification: a lost worker's shards redeploy from their
+	// last checkpoint (see the state machine on ShardSet). Without it the
+	// set still Rescales and checkpoints on demand, but worker loss stays
+	// fail-stop and the hot path is untouched — armed-but-idle elasticity
+	// costs nothing.
+	Failover bool
 	// CheckpointEvery is the tick cadence of worker checkpoints (default 8
 	// ticks); CheckpointMaxLog forces a checkpoint once a connection's
 	// replay log holds that many entries (default 256), bounding replay
 	// work and log memory between ticks.
 	CheckpointEvery  int
 	CheckpointMaxLog int
-	// StallTimeout bounds every ack wait on replacement connections dialed
-	// by failover (0 = the package default); the plan layer applies the
-	// same bound to the original connections.
+	// StallTimeout bounds the connect and every ack wait on the set's
+	// worker streams (0 = the package default).
 	StallTimeout time.Duration
 	// OnFailover, when set, observes every completed (or abandoned)
 	// failover — tests and operators hook it. It runs with no operator
@@ -103,11 +112,6 @@ type FailoverEvent struct {
 
 // failoverRuntime is the ShardSet's failover (and rescale) bookkeeping.
 type failoverRuntime struct {
-	cfg FailoverConfig
-	// logs arms the per-connection replay/undo logs and failure
-	// notification — full failover. Without it (EnableElastic) the set can
-	// still Rescale and checkpoint, but worker loss stays fail-stop.
-	logs bool
 	// fmu serializes failovers and rescales: a double failure (or a rescale
 	// racing a failure) queues behind the first.
 	fmu sync.Mutex
@@ -144,21 +148,46 @@ func (f *failoverRuntime) waitIdle() bool {
 	return waited
 }
 
+// home is where one shard's replica lives. conn set: behind that worker
+// stream — the worker owns the replica's operators, batches route over the
+// wire instead of through the shard's queue. conn nil: in this process —
+// heads, advs and cks are what LocalDeploy returned: the entry points by
+// scan name, the time-driven operators the queue's ticks advance, and the
+// stateful operators in the DeployFunc's deterministic order, so rescales
+// and coordinator snapshots checkpoint a local shard exactly like a remote
+// one and the state restores at any other home.
+type home struct {
+	conn  *ShardConn
+	heads map[string]Operator
+	advs  []Advancer
+	cks   []Checkpointer
+}
+
+// addr names the home the way placements do: the worker address, "" for
+// in-process.
+func (h home) addr() string {
+	if h.conn == nil {
+		return ""
+	}
+	return h.conn.addr
+}
+
 // ShardSet is the runtime of one partition-parallel deployment: P worker
-// goroutines, their queues, a shared freelist of batch buffers, and the
-// per-shard Advancers (replica windows) that clock ticks fan out to.
+// goroutines, their queues, a shared freelist of batch buffers, and each
+// shard's home — in this process or behind a ShardWorker.
 //
-// Lifecycle: NewShardSet → Track (replica windows) → Start → data flows
-// through Sharders → Flush (barrier) whenever a consistent snapshot of the
-// downstream sink is needed → Close. Close is safe while producers (engine
-// ticks, still-subscribed Sharders) are live: the set drops everything
-// sent after the close instead of panicking, so the detach a stopping
-// deployment performs (Input.Unsubscribe, Engine.UntrackWindow) can land
-// before or after the set closes without a window of panics between.
+// Lifecycle: NewShardSet → NewSharder per exchange → Deploy (every
+// replica built and placed) → data flows through Sharders → Flush
+// (barrier) whenever a consistent snapshot of the downstream sink is
+// needed → Close. Close is safe while producers (engine ticks,
+// still-subscribed Sharders) are live: the set drops everything sent after
+// the close instead of panicking, so the detach a stopping deployment
+// performs (Input.Unsubscribe, Engine.UntrackWindow) can land before or
+// after the set closes without a window of panics between.
 //
 // # Failover state machine
 //
-// With EnableFailover, a remote shard moves through these states:
+// With ShardConfig.Failover, a remote shard moves through these states:
 //
 //	SERVING ──(sticky link error: reset, EOF, missed flush-ack or
 //	│          credit deadline)──▶ QUARANTINED
@@ -178,19 +207,20 @@ func (f *failoverRuntime) waitIdle() bool {
 //	│   1. undo — retract the connection's un-checkpointed output from
 //	│      the sink, newest first (delta operators unwind exactly under
 //	│      reverse-order inverse application);
-//	│   2. redeploy — ship the replica spec plus the last committed
-//	│      checkpoint to a surviving connection, a freshly dialed Nodes
-//	│      worker, or in-process via LocalDeploy;
+//	│   2. stage — build each moved shard from the replica spec plus its
+//	│      last committed checkpoint at the next candidate home: a
+//	│      surviving stream, a freshly dialed Nodes worker, or in-process
+//	│      via LocalDeploy;
 //	│   3. replay — deliver the logged inputs in wire order. Holding the
-//	│      locks through the deploy matters: a replica must never receive
+//	│      locks through the stage matters: a replica must never receive
 //	│      a live clock tick before its replayed (older) input, or its
 //	│      windows would advance past tuples that still have to arrive.
 //	│
-//	RESTORING ──(flip exchange heads and shard routing to the new home,
-//	│            release the locks)──▶ SERVING. Deployment.Flush/Snapshot
-//	│            barriers are exact throughout: the undo/replay pair
-//	│            restores exactly-once delivery, and Flush waits out any
-//	│            pending failover before trusting a barrier.
+//	RESTORING ──(install: flip exchange heads and shard routing to the new
+//	│            home, release the locks)──▶ SERVING. Deployment.Flush/
+//	│            Snapshot barriers are exact throughout: the undo/replay
+//	│            pair restores exactly-once delivery, and Flush waits out
+//	│            any pending failover before trusting a barrier.
 //	│
 //	└──(every candidate exhausted)──▶ ABANDONED (fail-stop: the shard's
 //	    contribution freezes at its last checkpoint minus the undo;
@@ -204,30 +234,29 @@ type ShardSet struct {
 	p      int
 	queues []chan shardMsg
 	free   chan []data.Tuple
-	advs   [][]Advancer
 	wg     sync.WaitGroup
-	// conns[j] non-nil marks shard j remote: its replica lives on a
-	// ShardWorker behind that connection, so batches route over the wire
-	// instead of through queue j. uconns holds each distinct connection
-	// once, for tick fan-out and barriers. A ShardConn is a logical
-	// stream: connections to the same worker share one pooled socket,
-	// and a physical-link failure fails every stream on it, so each
-	// affected deployment's failover runs independently.
-	conns  []*ShardConn
+	// homes[j] is shard j's current home; only stageLocked builds one and
+	// only installLocked assigns one. uconns holds each distinct worker
+	// stream once, for tick fan-out and barriers. A ShardConn is a logical
+	// stream: connections to the same worker share one pooled socket, and
+	// a physical-link failure fails every stream on it, so each affected
+	// deployment's failover runs independently.
+	homes  []home
 	uconns []*ShardConn
 	// running[j] marks queue j's worker goroutine live: a shard that moved
 	// remote leaves its (idle) worker parked, and a later move back must
 	// not start a second one.
 	running []bool
-	// lcks[j] lists the stateful operators of an in-process replica in
-	// DeployReplica's deterministic order (two-phase cap first, then
-	// compile order) so rescales and coordinator snapshots can checkpoint
-	// local shards exactly like remote ones.
-	lcks [][]Checkpointer
-	// sharders lists the set's exchanges; failover rewires their per-shard
-	// heads when a replica moves.
+	// sharders lists the set's exchanges; installLocked rewires their
+	// per-shard heads when a replica lands at a home.
 	sharders []*Sharder
-	fo       *failoverRuntime
+	// cfg is fixed by Deploy, except Nodes, which a Rescale rewrites under
+	// mu; the other fields are read without it.
+	cfg ShardConfig
+	// emit is the ResultSender in-process replicas emit through: one func
+	// value per set, straight into cfg.Sink.
+	emit ResultSender
+	fo   failoverRuntime
 	// mu serializes in-flight queue sends against Close: senders hold it
 	// for reading (per batch, not per tuple), Close for writing.
 	mu      sync.RWMutex
@@ -235,7 +264,7 @@ type ShardSet struct {
 	closed  bool
 }
 
-// NewShardSet creates a set of p shards (p >= 1), not yet started.
+// NewShardSet creates a set of p shards (p >= 1), not yet deployed.
 func NewShardSet(p int) *ShardSet {
 	if p < 1 {
 		p = 1
@@ -244,11 +273,10 @@ func NewShardSet(p int) *ShardSet {
 		p:       p,
 		queues:  make([]chan shardMsg, p),
 		free:    make(chan []data.Tuple, p*shardQueueCap),
-		advs:    make([][]Advancer, p),
-		conns:   make([]*ShardConn, p),
+		homes:   make([]home, p),
 		running: make([]bool, p),
-		lcks:    make([][]Checkpointer, p),
 	}
+	s.fo.cond = sync.NewCond(&s.fo.pmu)
 	for j := range s.queues {
 		s.queues[j] = make(chan shardMsg, shardQueueCap)
 	}
@@ -258,12 +286,19 @@ func NewShardSet(p int) *ShardSet {
 // Shards returns the partition width P.
 func (s *ShardSet) Shards() int { return s.p }
 
-// EnableFailover arms checkpointed redeploy of lost workers. Must be
-// called before any SetRemote registration (the connections are wired for
-// logging and failure notification as they register).
-func (s *ShardSet) EnableFailover(cfg FailoverConfig) {
-	if s.started {
-		panic("stream: ShardSet.EnableFailover after Start")
+// Deploy brings the set to life: it builds shard j's replica at loc[j] — a
+// worker address, or "" for in-process — restoring states[j] when present,
+// through the same stage/install routine Rescale and failover use, and
+// starts serving. Call it once, after every Sharder of the set is built and
+// before any of them receives data. On error nothing is left running:
+// replicas already placed, their worker streams and queue workers are torn
+// down. A successful Deploy hands the set its worker streams (Close
+// barriers and closes them) and, with cfg.Failover, arms failure
+// notification: a worker lost during Deploy fails the Deploy; one lost
+// from here on fails over.
+func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) error {
+	if len(loc) != s.p {
+		return fmt.Errorf("stream: Deploy placement names %d shards, set has %d", len(loc), s.p)
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 8
@@ -271,90 +306,142 @@ func (s *ShardSet) EnableFailover(cfg FailoverConfig) {
 	if cfg.CheckpointMaxLog <= 0 {
 		cfg.CheckpointMaxLog = 256
 	}
-	s.fo = &failoverRuntime{cfg: cfg, logs: true}
-	s.fo.cond = sync.NewCond(&s.fo.pmu)
-}
-
-// EnableElastic arms the set for planned topology change (Rescale,
-// CheckpointAll) without the per-frame replay logging and failure
-// notification full failover carries: the spec, sink, and local deployer
-// let a rescale checkpoint shards and redeploy them elsewhere, but worker
-// loss stays fail-stop and the hot path is untouched — armed-but-idle
-// elasticity costs nothing. EnableFailover supersedes it.
-func (s *ShardSet) EnableElastic(cfg FailoverConfig) {
-	s.EnableFailover(cfg)
-	s.fo.logs = false
-}
-
-// SetRemote marks shard j as living behind a ShardWorker connection (its
-// replica was deployed there; the Sharder's head for j is a RemoteHead on
-// the same connection). Must be called before Start. The set takes
-// ownership of the connection: Close barriers and closes it. With failover
-// enabled, the connection is armed for replay logging and failure
-// notification.
-func (s *ShardSet) SetRemote(j int, c *ShardConn) {
-	if s.started {
-		panic("stream: ShardSet.SetRemote after Start")
+	s.mu.Lock()
+	if s.started || s.closed {
+		s.mu.Unlock()
+		return fmt.Errorf("stream: Deploy on a set already deployed or closed")
 	}
-	s.conns[j] = c
-	if s.fo != nil && s.fo.logs && c.flog == nil {
-		c.enableFailover(s.fo.cfg.CheckpointEvery, s.fo.cfg.CheckpointMaxLog)
+	s.cfg = cfg
+	sink := cfg.Sink
+	s.emit = func(ts []data.Tuple) error {
+		PushBatch(sink, ts)
+		return nil
 	}
-	for _, u := range s.uconns {
-		if u == c {
-			return
+	for j := 0; j < s.p; j++ {
+		h, err := s.stageLocked(j, loc[j], states[j])
+		if err != nil {
+			s.mu.Unlock()
+			s.Close()
+			return fmt.Errorf("stream: deploy shard %d: %w", j, err)
 		}
-	}
-	s.uconns = append(s.uconns, c)
-}
-
-// Track registers a time-driven operator (a replica's window) with its
-// shard; Advance ticks reach it in-order with that shard's data. Must be
-// called before Start.
-func (s *ShardSet) Track(shard int, a Advancer) {
-	if s.started {
-		panic("stream: ShardSet.Track after Start")
-	}
-	if s.conns[shard] != nil {
-		panic("stream: ShardSet.Track on a remote shard (its worker tracks replica windows)")
-	}
-	s.advs[shard] = append(s.advs[shard], a)
-}
-
-// SetLocalCks records an in-process replica's stateful operators in
-// DeployReplica's deterministic order (two-phase cap first, then compile
-// order), so rescales and coordinator snapshots can checkpoint the shard.
-// Must be called before Start.
-func (s *ShardSet) SetLocalCks(shard int, cks []Checkpointer) {
-	if s.started {
-		panic("stream: ShardSet.SetLocalCks after Start")
-	}
-	s.lcks[shard] = cks
-}
-
-// Start launches the local shard workers (remote shards are driven by
-// their ShardWorker connection). Call after all Track/SetRemote
-// registrations and before any Sharder of the set receives data.
-func (s *ShardSet) Start() {
-	if s.started {
-		return
+		s.installLocked(j, h)
 	}
 	s.started = true
-	for j := 0; j < s.p; j++ {
-		if s.conns[j] != nil {
-			continue
-		}
-		s.running[j] = true
-		s.wg.Add(1)
-		go s.worker(j)
-	}
-	if s.fo != nil && s.fo.logs {
-		// Arm failure notification only now: a worker lost during compile
-		// fails the compile; one lost from here on fails over.
+	if cfg.Failover {
 		for _, c := range s.uconns {
 			c.armFailover(s.connFailed)
 		}
 	}
+	s.mu.Unlock()
+	return nil
+}
+
+// connLocked returns the set's healthy stream to the worker at addr,
+// dialing one — and adopting it into the barrier/tick set — when there is
+// none. With Failover the new stream logs from its first frame; failure
+// notification arms with it once the set serves (Deploy arms the streams
+// of the first placement itself). The dial is bounded by the stall timeout:
+// rescale and failover hold the deployment's locks, so a blackholed
+// address must fail within that bound, not the kernel's connect timeout.
+// Caller holds s.mu.
+func (s *ShardSet) connLocked(addr string) (*ShardConn, error) {
+	for _, u := range s.uconns {
+		if u.addr == addr && u.Err() == nil {
+			return u, nil
+		}
+	}
+	c, err := dialShard(addr, s.cfg.Sink, s.cfg.StallTimeout)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.Failover {
+		c.enableFailover(s.cfg.CheckpointEvery, s.cfg.CheckpointMaxLog)
+		if s.started {
+			c.armFailover(s.connFailed)
+		}
+	}
+	s.uconns = append(s.uconns, c)
+	return c, nil
+}
+
+// stageLocked builds shard j's replica at addr from the armed spec, seeded
+// with state (nil = fresh), without routing anything to it yet: on a worker
+// over the set's stream to addr, or in-process through LocalDeploy. This is
+// the one place a replica comes to exist — first deployment, Rescale and
+// failover differ only in which homes they stage and what they do between
+// stage and install. A worker records the state as the shard's committed
+// checkpoint (ShardConn.Deploy), so a failover chain never loses it.
+// Caller holds s.mu.
+func (s *ShardSet) stageLocked(j int, addr string, state []byte) (home, error) {
+	cfg := &s.cfg
+	if addr != "" {
+		c, err := s.connLocked(addr)
+		if err != nil {
+			return home{}, err
+		}
+		if err := c.Deploy(cfg.Spec, j, state); err != nil {
+			return home{}, fmt.Errorf("onto %s: %w", addr, err)
+		}
+		return home{conn: c}, nil
+	}
+	if cfg.LocalDeploy == nil {
+		return home{}, fmt.Errorf("in-process: no LocalDeploy configured")
+	}
+	heads, advs, cks, err := cfg.LocalDeploy(cfg.Spec, j, state, s.emit)
+	if err != nil {
+		return home{}, fmt.Errorf("in-process: %w", err)
+	}
+	for _, sh := range s.sharders {
+		if heads[sh.name] == nil {
+			return home{}, fmt.Errorf("in-process: replica has no entry point %q", sh.name)
+		}
+	}
+	return home{heads: heads, advs: advs, cks: cks}, nil
+}
+
+// installLocked makes h shard j's home: it fills the slot, points every
+// exchange's head for j at it, and for an in-process home makes sure queue
+// j's worker runs. Caller holds s.mu and — on a serving set — every
+// Sharder lock, so no producer routes through a half-flipped shard.
+func (s *ShardSet) installLocked(j int, h home) {
+	s.homes[j] = h
+	for _, sh := range s.sharders {
+		if h.conn != nil {
+			sh.heads[j] = h.conn.Head(sh.schema, j, sh.name)
+		} else {
+			sh.heads[j] = h.heads[sh.name]
+		}
+	}
+	if h.conn == nil && !s.running[j] {
+		s.running[j] = true
+		s.wg.Add(1)
+		go s.worker(j)
+	}
+}
+
+// dropIdleConnsLocked lets go of every worker stream hosting no shard: one
+// a rescale vacated — the "leave" half of elasticity releases the socket
+// once the last deployment lets go — or one dialed for a stage that then
+// failed. A healthy stream closes gracefully; a broken one is severed (its
+// own failover, if notified, finds no shard mapped to it and only undoes
+// whatever partial replay it emitted). Caller holds s.mu.
+func (s *ShardSet) dropIdleConnsLocked() {
+	keep := s.uconns[:0]
+	for _, u := range s.uconns {
+		hosts := false
+		for j := range s.homes {
+			hosts = hosts || s.homes[j].conn == u
+		}
+		switch {
+		case hosts:
+			keep = append(keep, u)
+		case u.Err() != nil:
+			u.severLink()
+		default:
+			_ = u.Close()
+		}
+	}
+	s.uconns = keep
 }
 
 // worker drains shard j's queue: one goroutine, hence a single writer for
@@ -369,7 +456,7 @@ func (s *ShardSet) worker(j int) {
 			// drop tuple references (the pipeline owns them now) and recycle
 			s.recycle(m.batch)
 		case msgTick:
-			for _, a := range s.advs[j] {
+			for _, a := range s.homes[j].advs {
 				a.Advance(m.now)
 			}
 		case msgBarrier:
@@ -401,7 +488,7 @@ func (s *ShardSet) send(j int, head Operator, batch []data.Tuple) {
 		s.recycle(batch)
 		return
 	}
-	if c := s.conns[j]; c != nil {
+	if c := s.homes[j].conn; c != nil {
 		// Ship outside the lock: a stalled worker then blocks only this
 		// producer, never a pending Close (and through the writer-pending
 		// RWMutex, every other producer). A send racing Close lands on a
@@ -452,7 +539,7 @@ func (s *ShardSet) Advance(now vtime.Time) {
 		return
 	}
 	for j := 0; j < s.p; j++ {
-		if s.conns[j] != nil {
+		if s.homes[j].conn != nil {
 			continue
 		}
 		s.queues[j] <- shardMsg{kind: msgTick, now: now}
@@ -484,10 +571,10 @@ func (s *ShardSet) Advance(now vtime.Time) {
 func (s *ShardSet) Flush() {
 	for {
 		ok := s.flushOnce()
-		if s.fo == nil || !s.fo.logs {
-			// Without failure notification (elastic-only arming) no failover
-			// can be pending, and a failed barrier is fail-stop — rerunning
-			// it would spin on the dead link forever.
+		if !s.cfg.Failover {
+			// Without failure notification no failover can be pending, and a
+			// failed barrier is fail-stop — rerunning it would spin on the
+			// dead link forever.
 			return
 		}
 		waited := s.fo.waitIdle()
@@ -507,7 +594,7 @@ func (s *ShardSet) flushOnce() bool {
 		return true
 	}
 	for j := 0; j < s.p; j++ {
-		if s.conns[j] != nil {
+		if s.homes[j].conn != nil {
 			continue
 		}
 		wg.Add(1)
@@ -544,7 +631,7 @@ func (s *ShardSet) flushOnce() bool {
 // Idempotent.
 func (s *ShardSet) Close() {
 	s.mu.Lock()
-	if !s.started || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		return
 	}
@@ -583,51 +670,41 @@ func (s *ShardSet) connFailed(c *ShardConn) {
 	go s.runFailover(c)
 }
 
-// failoverTarget is one candidate home for the shards of a lost worker:
-// a replacement connection, or (conn nil) in-process replicas.
-type failoverTarget struct {
-	conn  *ShardConn
-	fresh bool // dialed by this failover: ours to close until cutover
-	addr  string
-	heads map[int]map[string]Operator // local replica heads per shard
-	advs  map[int][]Advancer          // local replica windows per shard
-	cks   map[int][]Checkpointer      // local replica stateful operators per shard
-}
-
-// deliver replays logged entries into the target, in log (= wire) order.
-// Local replicas are delivered directly: until cutover this goroutine is
-// their only writer.
-func (t *failoverTarget) deliver(entries []logEntry) error {
+// deliver replays logged entries, in log (= wire) order, into the homes
+// staged for the moved shards — all at one candidate, so either every one
+// shares a worker stream (a tick frame reaches all its replicas at once) or
+// every one is in-process. Local replicas are delivered directly: until
+// they are installed this goroutine is their only writer.
+func deliver(moved []int, staged map[int]home, entries []logEntry) error {
+	conn := staged[moved[0]].conn
 	for _, e := range entries {
-		if t.conn != nil {
-			var err error
-			if e.tick {
-				err = t.conn.Tick(e.now)
-			} else {
-				err = t.conn.sendShard(e.shard, e.name, headKey(e.shard, e.name), e.batch)
-			}
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if e.tick {
-			for _, advs := range t.advs {
-				for _, a := range advs {
+		var err error
+		switch {
+		case conn != nil && e.tick:
+			err = conn.Tick(e.now)
+		case conn != nil:
+			err = conn.sendShard(e.shard, e.name, headKey(e.shard, e.name), e.batch)
+		case e.tick:
+			for _, j := range moved {
+				for _, a := range staged[j].advs {
 					a.Advance(e.now)
 				}
 			}
-		} else if h := t.heads[e.shard][e.name]; h != nil {
-			PushBatch(h, e.batch)
+		default:
+			if h := staged[e.shard].heads[e.name]; h != nil {
+				PushBatch(h, e.batch)
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // runFailover moves every shard of a failed connection onto a new home:
-// sever → lock out producers and ticks → undo → restore (deploy
-// checkpoint + replay log) → flip routing. See the state-machine comment
-// on ShardSet.
+// sever → lock out producers and ticks → undo → stage (spec + checkpoint)
+// → replay log → install. See the state-machine comment on ShardSet.
 //
 // The OnFailover hook fires after every operator lock is released (the
 // hook may push or inspect the deployment) but before the failover is
@@ -636,8 +713,8 @@ func (t *failoverTarget) deliver(entries []logEntry) error {
 func (s *ShardSet) runFailover(failed *ShardConn) {
 	defer s.fo.finish()
 	ev := s.failover(failed)
-	if ev != nil && s.fo.cfg.OnFailover != nil {
-		s.fo.cfg.OnFailover(*ev)
+	if ev != nil && s.cfg.OnFailover != nil {
+		s.cfg.OnFailover(*ev)
 	}
 }
 
@@ -656,26 +733,15 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 	// lock through delivery. Under all of them the replay log is final and
 	// — critically — no live tick can reach a redeployed replica before
 	// its replayed (older) input does.
-	s.mu.RLock()
-	sharders := s.sharders
-	s.mu.RUnlock()
-	for _, sh := range sharders {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range sharders {
-			sh.mu.Unlock()
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	unlock := s.quiesce()
+	defer unlock()
 	if s.closed {
 		return nil
 	}
 
 	var moved []int
-	for j := 0; j < s.p; j++ {
-		if s.conns[j] == failed {
+	for j := range s.homes {
+		if s.homes[j].conn == failed {
 			moved = append(moved, j)
 		}
 	}
@@ -691,12 +757,20 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 		for k := range batch {
 			neg[k] = batch[len(batch)-1-k].Negate()
 		}
-		PushBatch(s.fo.cfg.Sink, neg)
+		PushBatch(s.cfg.Sink, neg)
 	}
 	states := failed.flog.statesCopy()
 	backlog := failed.flog.takeIn()
 	failed.flog.drop()
-	s.removeConnLocked(failed)
+	// The dead stream leaves the barrier/tick set whether or not its shards
+	// find a new home: a Flush must never barrier it again.
+	keep := s.uconns[:0]
+	for _, u := range s.uconns {
+		if u != failed {
+			keep = append(keep, u)
+		}
+	}
+	s.uconns = keep
 
 	if len(moved) == 0 {
 		// A replacement that died before any shard was flipped to it: the
@@ -705,164 +779,56 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 		return nil
 	}
 
-	// Restore: try surviving connections, then fresh dials, then local. A
-	// candidate that dies mid-restore costs a full redelivery to the next
-	// one (its own failover, queued behind this one, undoes the partial
-	// output it emitted).
-	tried := map[string]bool{failed.addr: true}
-	for {
-		target := s.pickTargetLocked(tried)
-		if target == nil {
-			err := fmt.Errorf("stream: shard failover: no candidate left for shards %v of %s", moved, failed.addr)
-			return &FailoverEvent{Shards: moved, From: failed.addr, Err: err}
-		}
-		if !s.restoreOn(target, moved, states) {
-			s.discardTarget(target)
-			continue
-		}
-		if target.deliver(backlog) != nil {
-			s.discardTarget(target)
-			continue
-		}
-		// Flip: reroute the moved shards, rebuild the exchanges' heads,
-		// start queue workers for an in-process replacement.
+	// Restore at the first candidate that takes every moved shard and the
+	// whole backlog. A candidate that dies mid-restore costs a full
+	// redelivery to the next one (its own failover, queued behind this one,
+	// undoes the partial output it emitted).
+	for _, addr := range s.candidatesLocked(failed.addr) {
+		staged := make(map[int]home, len(moved))
+		var err error
 		for _, j := range moved {
-			if target.conn != nil {
-				s.conns[j] = target.conn
-				s.advs[j] = nil
-				s.lcks[j] = nil
-				continue
-			}
-			s.conns[j] = nil
-			s.advs[j] = target.advs[j]
-			s.lcks[j] = target.cks[j]
-			if !s.running[j] {
-				s.running[j] = true
-				s.wg.Add(1)
-				go s.worker(j)
+			if staged[j], err = s.stageLocked(j, addr, states[j]); err != nil {
+				break
 			}
 		}
-		for _, sh := range sharders {
-			for _, j := range moved {
-				if target.conn != nil {
-					sh.heads[j] = target.conn.Head(sh.schema, j, sh.name)
-				} else {
-					sh.heads[j] = target.heads[j][sh.name]
-				}
-			}
+		if err == nil {
+			err = deliver(moved, staged, backlog)
 		}
-		if target.conn != nil {
-			s.addConnLocked(target.conn)
-		}
-		return &FailoverEvent{Shards: moved, From: failed.addr, To: target.addr}
-	}
-}
-
-// pickTargetLocked chooses the next restore candidate: a healthy
-// connection the set already owns, a fresh dial to a configured worker
-// address, then in-process replicas as the last resort (nil when even that
-// was tried). Caller holds s.mu.
-func (s *ShardSet) pickTargetLocked(tried map[string]bool) *failoverTarget {
-	for _, u := range s.uconns {
-		if u.Err() == nil && !tried[u.addr] {
-			tried[u.addr] = true
-			return &failoverTarget{conn: u, addr: u.addr}
-		}
-	}
-	for _, addr := range s.fo.cfg.Nodes {
-		if addr == "" || tried[addr] {
-			continue
-		}
-		tried[addr] = true
-		// The bounded dial matters: we hold the deployment's locks, so a
-		// blackholed candidate must fail within the stall bound, not the
-		// kernel's connect timeout.
-		c, err := dialShard(addr, s.fo.cfg.Sink, s.fo.cfg.StallTimeout)
 		if err != nil {
+			s.dropIdleConnsLocked()
 			continue
 		}
-		c.enableFailover(s.fo.cfg.CheckpointEvery, s.fo.cfg.CheckpointMaxLog)
-		c.armFailover(s.connFailed)
-		return &failoverTarget{conn: c, fresh: true, addr: addr}
-	}
-	if tried[""] {
-		return nil
-	}
-	tried[""] = true
-	return &failoverTarget{}
-}
-
-// removeConnLocked drops a connection from the barrier/tick set; caller
-// holds s.mu.
-func (s *ShardSet) removeConnLocked(c *ShardConn) {
-	keep := s.uconns[:0]
-	for _, u := range s.uconns {
-		if u != c {
-			keep = append(keep, u)
-		}
-	}
-	s.uconns = keep
-}
-
-// addConnLocked adopts a connection into the barrier/tick set once;
-// caller holds s.mu.
-func (s *ShardSet) addConnLocked(c *ShardConn) {
-	for _, u := range s.uconns {
-		if u == c {
-			return
-		}
-	}
-	s.uconns = append(s.uconns, c)
-}
-
-// restoreOn deploys the moved shards' spec and checkpoint states onto the
-// target, building in-process replicas for the local last resort.
-func (s *ShardSet) restoreOn(t *failoverTarget, moved []int, states map[int][]byte) bool {
-	cfg := &s.fo.cfg
-	if t.conn != nil {
 		for _, j := range moved {
-			if t.conn.Deploy(cfg.Spec, j, states[j]) != nil {
-				return false
-			}
+			s.installLocked(j, staged[j])
 		}
-		return true
+		return &FailoverEvent{Shards: moved, From: failed.addr, To: addr}
 	}
-	if cfg.LocalDeploy == nil {
-		return false
-	}
-	t.heads = map[int]map[string]Operator{}
-	t.advs = map[int][]Advancer{}
-	t.cks = map[int][]Checkpointer{}
-	sink := cfg.Sink
-	send := ResultSender(func(ts []data.Tuple) error {
-		PushBatch(sink, ts)
-		return nil
-	})
-	for _, j := range moved {
-		heads, advs, cks, err := cfg.LocalDeploy(cfg.Spec, j, states[j], send)
-		if err != nil {
-			return false
-		}
-		t.heads[j] = heads
-		t.advs[j] = advs
-		t.cks[j] = cks
-	}
-	return true
+	err := fmt.Errorf("stream: shard failover: no candidate left for shards %v of %s", moved, failed.addr)
+	return &FailoverEvent{Shards: moved, From: failed.addr, Err: err}
 }
 
-// discardTarget abandons a candidate: fresh connections are torn down (a
-// dead one is severed; its own failover, if notified, finds zero mapped
-// shards and only undoes whatever partial replay it emitted). A surviving
-// connection that died here runs its own failover, queued behind this one.
-func (s *ShardSet) discardTarget(t *failoverTarget) {
-	if t.conn == nil || !t.fresh {
-		return
+// candidatesLocked lists the homes a failover tries, in order: the workers
+// the set already holds a healthy stream to (no dial), the other configured
+// worker addresses, then in-process as the last resort. The failed address
+// itself is never a candidate. Caller holds s.mu.
+func (s *ShardSet) candidatesLocked(failedAddr string) []string {
+	var out []string
+	seen := map[string]bool{failedAddr: true, "": true}
+	add := func(addr string) {
+		if !seen[addr] {
+			seen[addr] = true
+			out = append(out, addr)
+		}
 	}
-	if t.conn.Err() != nil {
-		t.conn.severLink()
-	} else {
-		_ = t.conn.Close()
+	for _, u := range s.uconns {
+		if u.Err() == nil {
+			add(u.addr)
+		}
 	}
+	for _, addr := range s.cfg.Nodes {
+		add(addr)
+	}
+	return append(out, "")
 }
 
 // Sharder is the exchange operator in front of one replicated pipeline
@@ -877,13 +843,15 @@ func (s *ShardSet) discardTarget(t *failoverTarget) {
 // dispatch state is mutex-protected (per-shard order then follows arrival
 // order under the lock).
 type Sharder struct {
-	set    *ShardSet
-	heads  []Operator // replica entry points, one per shard
-	keyIdx []int      // key column indexes; nil = all columns
+	set *ShardSet
+	// heads[j] is this exchange's entry point into shard j's replica;
+	// ShardSet.installLocked keeps it pointing at the shard's current home.
+	heads  []Operator
+	keyIdx []int // key column indexes; nil = all columns
 	schema *data.Schema
 	hasher data.Hasher
-	// name is the scan's wire name (plan.scanName); failover uses it to
-	// rebuild this exchange's head for a moved shard.
+	// name is the scan's wire name (plan.scanName): a home's entry point for
+	// this exchange is the replica head registered under it.
 	name string
 
 	// keyFns, when set, routes on computed key expressions instead of
@@ -897,49 +865,48 @@ type Sharder struct {
 	pend [][]data.Tuple // per-shard pending batch, freelist-backed
 }
 
-// NewSharder builds the exchange in front of the given replica heads (one
-// per shard of set, all sharing a schema). keyIdx names the partition key
-// columns; nil partitions on all columns.
-func NewSharder(set *ShardSet, heads []Operator, keyIdx []int) (*Sharder, error) {
-	if len(heads) != set.p {
-		return nil, fmt.Errorf("stream: sharder needs %d heads, got %d", set.p, len(heads))
-	}
+// NewSharder builds the exchange in front of the replica entry points named
+// name — the key every home's DeployFunc registers that head under — which
+// accept schema. keyIdx names the partition key columns; nil partitions on
+// all columns. Build every Sharder of a set before ShardSet.Deploy, which
+// resolves the heads.
+func NewSharder(set *ShardSet, name string, schema *data.Schema, keyIdx []int) (*Sharder, error) {
 	sh := &Sharder{
 		set:    set,
-		heads:  heads,
+		heads:  make([]Operator, set.p),
 		keyIdx: keyIdx,
-		schema: heads[0].Schema(),
+		schema: schema,
+		name:   name,
 		pend:   make([][]data.Tuple, set.p),
 	}
 	set.mu.Lock()
+	defer set.mu.Unlock()
+	if set.started {
+		return nil, fmt.Errorf("stream: sharder %q built after its set deployed", name)
+	}
 	set.sharders = append(set.sharders, sh)
-	set.mu.Unlock()
 	return sh, nil
 }
 
 // NewExprSharder builds an exchange that routes each tuple on the hashed
-// values of computed key expressions (all bound against the head schema)
-// rather than stored columns. Equal expression values hash equal across
+// values of computed key expressions (all bound against schema) rather
+// than stored columns. Equal expression values hash equal across
 // Sharders (the canonical value encoding), so two exchanges partitioned on
 // value-aligned expressions still co-locate matching tuples; and because
 // the expressions are deterministic over the tuple's values, an insert and
 // its later delete route to the same shard.
-func NewExprSharder(set *ShardSet, heads []Operator, keys []*expr.Compiled) (*Sharder, error) {
-	sh, err := NewSharder(set, heads, nil)
-	if err != nil {
-		return nil, err
-	}
+func NewExprSharder(set *ShardSet, name string, schema *data.Schema, keys []*expr.Compiled) (*Sharder, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("stream: expression sharder needs at least one key")
+	}
+	sh, err := NewSharder(set, name, schema, nil)
+	if err != nil {
+		return nil, err
 	}
 	sh.keyFns = keys
 	sh.keyBuf = make([]data.Value, len(keys))
 	return sh, nil
 }
-
-// SetName records the exchange's scan wire name for failover rerouting;
-// call before the set starts.
-func (sh *Sharder) SetName(name string) { sh.name = name }
 
 // Schema implements Operator.
 func (sh *Sharder) Schema() *data.Schema { return sh.schema }

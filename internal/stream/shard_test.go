@@ -56,6 +56,20 @@ func buildSerialPipe(t *testing.T, win time.Duration) *shardPipe {
 	}
 }
 
+// deployLocal deploys every shard of a hand-wired set in-process: build is
+// the per-shard pipeline, handed to the set as its DeployFunc like any
+// other home's builder.
+func deployLocal(t *testing.T, set *ShardSet, sink Operator, build func(shard int) (map[string]Operator, []Advancer)) {
+	t.Helper()
+	err := set.Deploy(ShardConfig{Sink: sink, LocalDeploy: func(_ []byte, shard int, _ []byte, _ ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
+		heads, advs := build(shard)
+		return heads, advs, nil, nil
+	}}, make([]string, set.Shards()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // buildShardedPipe builds P replicas of the same pipeline behind Sharders
 // keyed on column k, merging into one shared Materialize.
 func buildShardedPipe(t *testing.T, win time.Duration, p int) *shardPipe {
@@ -70,9 +84,15 @@ func buildShardedPipe(t *testing.T, win time.Duration, p int) *shardPipe {
 	mat := NewMaterialize(out)
 	merge := NewMerge(mat)
 	set := NewShardSet(p)
-	lheads := make([]Operator, p)
-	rheads := make([]Operator, p)
-	for s := 0; s < p; s++ {
+	lsh, err := NewSharder(set, "l", left, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsh, err := NewSharder(set, "r", right, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployLocal(t, set, merge, func(int) (map[string]Operator, []Advancer) {
 		agg, err := NewAggregate(merge, joined, []string{"a.k"}, specs, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -83,19 +103,8 @@ func buildShardedPipe(t *testing.T, win time.Duration, p int) *shardPipe {
 		}
 		wl := NewTimeWindow(j.Left(), win, 0)
 		wr := NewTimeWindow(j.Right(), win, 0)
-		set.Track(s, wl)
-		set.Track(s, wr)
-		lheads[s], rheads[s] = wl, wr
-	}
-	lsh, err := NewSharder(set, lheads, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsh, err := NewSharder(set, rheads, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set.Start()
+		return map[string]Operator{"l": wl, "r": wr}, []Advancer{wl, wr}
+	})
 	return &shardPipe{
 		left: lsh, right: rsh, mat: mat,
 		advance: set.Advance,
@@ -223,15 +232,13 @@ func TestShardedDistinctEquivalence(t *testing.T) {
 	mat := NewMaterialize(schema)
 	merge := NewMerge(mat)
 	set := NewShardSet(p)
-	heads := make([]Operator, p)
-	for s := 0; s < p; s++ {
-		heads[s] = NewDistinct(merge)
-	}
-	sh, err := NewSharder(set, heads, nil) // nil = partition on all columns
+	sh, err := NewSharder(set, "s0", schema, nil) // nil = partition on all columns
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, merge, func(int) (map[string]Operator, []Advancer) {
+		return map[string]Operator{"s0": NewDistinct(merge)}, nil
+	})
 	workload(sh.Push)
 	set.Flush()
 	got := snapshotRows(t, mat)
@@ -247,16 +254,14 @@ func TestSharderRoutesKeysConsistently(t *testing.T) {
 	const p = 4
 	set := NewShardSet(p)
 	cols := make([]*Collector, p)
-	heads := make([]Operator, p)
-	for s := 0; s < p; s++ {
-		cols[s] = NewCollector(schema)
-		heads[s] = cols[s]
-	}
-	sh, err := NewSharder(set, heads, []int{0})
+	sh, err := NewSharder(set, "s0", schema, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, nil, func(s int) (map[string]Operator, []Advancer) {
+		cols[s] = NewCollector(schema)
+		return map[string]Operator{"s0": cols[s]}, nil
+	})
 	var batch []data.Tuple
 	for i := 0; i < 1000; i++ {
 		batch = append(batch, data.NewTuple(vtime.Time(i+1), data.Int(int64(i%37)), data.Int(int64(i))))
@@ -299,17 +304,14 @@ func TestShardSetAdvanceExpiresWindows(t *testing.T) {
 	mat := NewMaterialize(schema)
 	merge := NewMerge(mat)
 	set := NewShardSet(p)
-	heads := make([]Operator, p)
-	for s := 0; s < p; s++ {
-		w := NewTimeWindow(merge, time.Second, 0)
-		set.Track(s, w)
-		heads[s] = w
-	}
-	sh, err := NewSharder(set, heads, []int{0})
+	sh, err := NewSharder(set, "s0", schema, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, merge, func(int) (map[string]Operator, []Advancer) {
+		w := NewTimeWindow(merge, time.Second, 0)
+		return map[string]Operator{"s0": w}, []Advancer{w}
+	})
 	var batch []data.Tuple
 	for i := 0; i < 60; i++ {
 		batch = append(batch, data.NewTuple(vtime.Time(i+1), data.Int(int64(i)), data.Float(float64(i))))
@@ -337,17 +339,14 @@ func TestShardSetCloseWithLiveProducers(t *testing.T) {
 	merge := NewMerge(col)
 	const p = 2
 	set := NewShardSet(p)
-	heads := make([]Operator, p)
-	for s := 0; s < p; s++ {
-		w := NewTimeWindow(merge, time.Second, 0)
-		set.Track(s, w)
-		heads[s] = w
-	}
-	sh, err := NewSharder(set, heads, nil)
+	sh, err := NewSharder(set, "s0", schema, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, merge, func(int) (map[string]Operator, []Advancer) {
+		w := NewTimeWindow(merge, time.Second, 0)
+		return map[string]Operator{"s0": w}, []Advancer{w}
+	})
 	sh.Push(data.NewTuple(1, data.Int(1)))
 	set.Flush()
 	if col.Len() != 1 {
@@ -376,15 +375,13 @@ func TestMergeFunnelsConcurrentBatches(t *testing.T) {
 	merge := NewMerge(col)
 	const p = 8
 	set := NewShardSet(p)
-	heads := make([]Operator, p)
-	for s := 0; s < p; s++ {
-		heads[s] = merge
-	}
-	sh, err := NewSharder(set, heads, nil)
+	sh, err := NewSharder(set, "s0", schema, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Start()
+	deployLocal(t, set, merge, func(int) (map[string]Operator, []Advancer) {
+		return map[string]Operator{"s0": merge}, nil
+	})
 	const n = 5000
 	var batch []data.Tuple
 	for i := 0; i < n; i++ {

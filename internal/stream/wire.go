@@ -28,8 +28,7 @@ func vtimeFrom(u uint64) vtime.Time { return vtime.Time(int64(u)) }
 // frame-kind level even though the body encoding changed.
 //
 // Every body begins with a uvarint stream id: shard deployments
-// multiplexed over one physical connection each own an id (mux.go), and
-// the plain engine transport (Server/Remote) uses stream 0.
+// multiplexed over one physical connection each own an id (mux.go).
 //
 // Batches travel columnar: the timestamp vector, the delete-polarity
 // bitmap, and then each column as a contiguous typed vector with a null
@@ -40,6 +39,53 @@ func vtimeFrom(u uint64) vtime.Time { return vtime.Time(int64(u)) }
 // falls back to a per-value tagged encoding, and a ragged batch (rows of
 // differing arity) falls back to a row-oriented mode. The fallbacks
 // trade speed for generality; the fast path is what the exchange emits.
+
+// frameKind discriminates wire frames. The numbering is stable across
+// protocol revisions — a data frame is kind 0 today as it was under the
+// original gob framing — so peers agree at the frame-kind level even as
+// body encodings evolve.
+type frameKind uint8
+
+const (
+	// frameData delivers a tuple batch to a named replica head.
+	frameData frameKind = iota
+	// frameTick propagates a clock instant: the receiver advances its
+	// time-driven state (windows) to Now.
+	frameTick
+	// frameFlush is an acked barrier: the receiver processes everything
+	// before it, then answers frameAck with the same Seq — behind any
+	// result frames its processing produced, so the sender's ack doubles
+	// as a result-drain barrier.
+	frameFlush
+	// frameClose is an acked teardown barrier for the shard deployments on
+	// this connection.
+	frameClose
+	// frameDeploy carries an opaque replica spec (Spec) for shard Shard;
+	// acked with Seq (Err set on a failed deploy).
+	frameDeploy
+	// frameAck answers flush/close/deploy barriers (matching Seq) and, with
+	// Seq == 0, releases one in-flight credit for a processed data or tick
+	// frame.
+	frameAck
+	// frameResult returns a batch of replica output tuples from a shard
+	// worker to its coordinator.
+	frameResult
+	// frameCheckpoint asks a shard worker to snapshot the operator state of
+	// every replica on the connection; answered by frameCkptState with the
+	// same Seq. Its position in the FIFO input stream defines the
+	// checkpoint's consistency point.
+	frameCheckpoint
+	// frameCkptState answers frameCheckpoint: Spec carries the encoded
+	// per-shard operator states (see checkpoint.go). It arrives behind every
+	// result the pre-checkpoint input produced, so the coordinator can
+	// truncate its replay and undo logs exactly at the decode.
+	frameCkptState
+	// frameUndeploy is an acked barrier that tears down one shard's replica
+	// on the stream while the stream (and its other shards) keeps serving —
+	// a rescale moved that shard to another home. frameClose remains the
+	// whole-stream teardown.
+	frameUndeploy
+)
 
 // wireMaxFrame bounds one frame's kind+body. Large enough for any batch
 // the exchange emits (batches are epoch-sized), small enough that a

@@ -1,5 +1,5 @@
 //go:build !race
 
-package plan
+package testproc
 
 const raceEnabled = false

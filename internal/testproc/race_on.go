@@ -1,6 +1,6 @@
 //go:build race
 
-package plan
+package testproc
 
 // raceEnabled mirrors the race detector into the worker binaries the
 // distributed process test builds, so both sides of the wire run checked.
