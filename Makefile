@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench bench-check
+.PHONY: all build test vet fmt check bench bench-check tables-check
 
 all: check
 
@@ -16,13 +16,24 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt test bench-check
+check: build vet fmt test bench-check tables-check
 
 # bench-check vets and tests the repository benchmark, a module of its own
 # under bench/ that ./... at the root does not reach; mirrored by the CI
 # build-and-test job.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# tables-check regenerates the experiment tables that are deterministic —
+# radio message counts, battery levels, result counts, no clocks — and diffs
+# them against the committed copy, so "the E2 E3 E4 E9 E10 tables stay
+# byte-identical" (ROADMAP standing conventions) is checked, not remembered;
+# mirrored by the CI build-and-test job. A PR that means to move a table says
+# why and rewrites the golden file with the same command.
+TABLES        := E2 E3 E4 E9 E10
+TABLES_GOLDEN := cmd/benchharness/testdata/tables.golden
+tables-check:
+	$(GO) run ./cmd/benchharness $(TABLES) | diff -u $(TABLES_GOLDEN) -
 
 # bench runs the E1-E11 microbenchmarks with allocation stats, then
 # regenerates the experiment tables (including the E7 shard,

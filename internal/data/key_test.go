@@ -2,7 +2,11 @@ package data
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
+
+	"aspen/internal/vtime"
 )
 
 // Canonical keys must be injection-proof: values containing the tuple
@@ -150,5 +154,30 @@ func TestCloneIntoAndConcatInto(t *testing.T) {
 	}
 	if got := a.Concat(b); !got.EqualVals(cc) || got.TS != cc.TS || got.Op != cc.Op {
 		t.Fatalf("Concat and ConcatInto disagree: %v vs %v", got, cc)
+	}
+}
+
+// SortByKey must give the order sorting by Key() strings gives — the order
+// every snapshot and table in the repository was recorded in — while
+// building each key once.
+func TestSortByKeyMatchesKeyStringSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []Value{Null, Int(0), Int(1), Float(1), Float(-1.5), Int(1 << 40), Int(1<<62 + 1),
+		Str(""), Str("a"), Str("a|"), Str("ab"), Bool(true), Bool(false), TimeVal(7)}
+	for round := 0; round < 50; round++ {
+		ts := make([]Tuple, rng.Intn(200))
+		for i := range ts {
+			ts[i] = NewTuple(vtime.Time(i), vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))])
+		}
+		want := make([]Tuple, len(ts))
+		copy(want, ts)
+		sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+		SortByKey(ts)
+		for i := range want {
+			// Equal keys are value-equal rows; TS tells which copy landed where.
+			if ts[i].Key() != want[i].Key() || ts[i].TS != want[i].TS {
+				t.Fatalf("round %d: position %d = %v, want %v", round, i, ts[i], want[i])
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -100,7 +99,7 @@ func (r *Relation) Rows() []Tuple {
 // deterministic test assertions.
 func (r *Relation) SortedRows() []Tuple {
 	rows := r.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key() < rows[j].Key() })
+	SortByKey(rows)
 	return rows
 }
 

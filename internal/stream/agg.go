@@ -6,6 +6,7 @@ import (
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
+	"aspen/internal/vtime"
 )
 
 // AggKind enumerates the aggregate functions of the stream engine.
@@ -51,10 +52,14 @@ type AggSpec struct {
 }
 
 // Aggregate maintains grouped aggregates incrementally over a delta
-// stream. On every input delta that changes a group's result, it emits a
-// retraction of the group's previous output row followed by an insertion of
-// the new one, so downstream state (materialized displays, HAVING filters)
-// tracks the aggregate exactly.
+// stream. For every group whose result a Push or a PushBatch changed, it
+// emits a retraction of the group's previous output row followed by an
+// insertion of the new one, so downstream state (materialized displays,
+// HAVING filters) tracks the aggregate exactly once the call returns. A
+// batch emits net changes only: the states a group passes through inside
+// one PushBatch are not emitted, and a group the batch leaves with the row
+// it had emits nothing. Push is the one-tuple batch, so its output is a
+// retract+insert per changing tuple.
 // Group state is keyed by 64-bit hashes of the canonical grouping-key
 // encoding; a bucket holds every group sharing the hash, and lookups verify
 // candidates against the stored key values, so no key string is
@@ -81,6 +86,14 @@ type groupTable struct {
 	groups map[uint64][]*groupState
 	n      int // live group count
 	hasher data.Hasher
+	// touched lists the groups the running fold has changed and not yet
+	// emitted; empty between calls.
+	touched []touchedGroup
+}
+
+type touchedGroup struct {
+	key uint64
+	g   *groupState
 }
 
 // newGroupTable resolves the grouping columns against in. groupBy must
@@ -145,10 +158,47 @@ func (gt *groupTable) remove(key uint64, g *groupState) {
 	gt.n--
 }
 
+// fold runs a batch through the table for Aggregate and PartialAggregate,
+// which accumulate identically and differ only in the row they emit. Every
+// tuple accumulates in arrival order (float sums depend on it); each group
+// the batch touched emits once, when the batch ends, the row its final
+// state gives, stamped with the last tuple that reached it. A group whose
+// count reaches zero retires at that tuple, as it would on a Push: it
+// retracts its row and leaves the table, so a later insert of the key
+// starts from fresh state and a later delete of it is ignored.
+func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(*groupState) []data.Value) {
+	for _, t := range ts {
+		key, g := gt.lookup(t)
+		if g == nil {
+			continue // deletion for unknown group: ignore
+		}
+		accumulate(g, t, args)
+		if g.count <= 0 {
+			gt.emitRow(next, key, g, nil, t.TS)
+			continue
+		}
+		g.cause = t.TS
+		if !g.touched {
+			g.touched = true
+			gt.touched = append(gt.touched, touchedGroup{key, g})
+		}
+	}
+	for _, d := range gt.touched {
+		if d.g.count <= 0 {
+			continue // retired after it was listed
+		}
+		d.g.touched = false
+		gt.emitRow(next, d.key, d.g, row(d.g), d.g.cause)
+	}
+	clear(gt.touched) // a retired group must not stay reachable from the scratch
+	gt.touched = gt.touched[:0]
+}
+
 // emitRow retracts g's previously emitted row and emits newOut (nil means
 // no visible row, e.g. failed HAVING or dead group), suppressing no-op
-// transitions, then removes the group once its count reaches zero.
-func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut []data.Value, cause data.Tuple) {
+// transitions, then removes the group once its count reaches zero. Both
+// rows carry the timestamp ts of the tuple that caused the change.
+func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut []data.Value, ts vtime.Time) {
 	if g.lastOut != nil {
 		same := newOut != nil && len(newOut) == len(g.lastOut)
 		if same {
@@ -162,11 +212,11 @@ func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut [
 		if same {
 			return // no visible change
 		}
-		next.Push(data.Tuple{Vals: g.lastOut, TS: cause.TS, Op: data.Delete})
+		next.Push(data.Tuple{Vals: g.lastOut, TS: ts, Op: data.Delete})
 		g.lastOut = nil
 	}
 	if newOut != nil {
-		next.Push(data.Tuple{Vals: newOut, TS: cause.TS, Op: data.Insert})
+		next.Push(data.Tuple{Vals: newOut, TS: ts, Op: data.Insert})
 		g.lastOut = newOut
 	}
 	if g.count <= 0 {
@@ -179,6 +229,11 @@ type groupState struct {
 	count   int64 // tuples in group
 	aggs    []aggState
 	lastOut []data.Value // previously emitted row (nil if none)
+	// touched and cause live only inside groupTable.fold: the group is on
+	// the touched list, and cause is the timestamp of the last tuple folded
+	// into it.
+	touched bool
+	cause   vtime.Time
 }
 
 type aggState struct {
@@ -258,12 +313,16 @@ func (a *Aggregate) OutSchema() *data.Schema { return a.out }
 
 // Push implements Operator.
 func (a *Aggregate) Push(t data.Tuple) {
-	key, g := a.table.lookup(t)
-	if g == nil {
-		return // deletion for unknown group: ignore
-	}
-	accumulate(g, t, a.args)
-	a.emit(key, g, t)
+	batch := [1]data.Tuple{t}
+	a.PushBatch(batch[:])
+}
+
+// PushBatch implements BatchOperator: each group the batch changed emits
+// once, after the whole batch has accumulated.
+func (a *Aggregate) PushBatch(ts []data.Tuple) {
+	a.table.fold(a.next, ts, a.args, func(g *groupState) []data.Value {
+		return finalRow(g, a.specs, a.having)
+	})
 }
 
 // bindAggArgs compiles each spec's argument against in (nil entries mark
@@ -321,12 +380,6 @@ func accumulate(g *groupState, t data.Tuple, args []*expr.Compiled) {
 			delete(st.vals, f)
 		}
 	}
-}
-
-// emit retracts the group's previous row and emits the new one (subject to
-// HAVING). Groups that become empty only retract.
-func (a *Aggregate) emit(key uint64, g *groupState, cause data.Tuple) {
-	a.table.emitRow(a.next, key, g, finalRow(g, a.specs, a.having), cause)
 }
 
 // finalRow builds a group's visible output row — grouping columns followed

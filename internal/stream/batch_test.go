@@ -1,0 +1,585 @@
+package stream
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"aspen/internal/data"
+	"aspen/internal/expr"
+	"aspen/internal/vtime"
+)
+
+// The batch path of Aggregate, PartialAggregate and Join must be invisible
+// in the result: cutting one delta stream into batches any way at all gives,
+// at every cut, bit for bit the Materialize contents that pushing the tuples
+// one by one gives, while the aggregates' own output stays a well-formed
+// delta stream that changes a group at most once per batch.
+
+// deltaCheck sits behind an aggregate and fails the test when the stream it
+// forwards is not well-formed: a retraction of a row not currently asserted,
+// a second live row for one group, or (once set, for operators on the batch
+// path) more than one retraction and one insertion per group between two
+// endBatch calls.
+type deltaCheck struct {
+	t    *testing.T
+	name string
+	next Operator
+	key  []int // the leading grouping columns
+	once bool
+	live map[string]string // group key → key of its asserted row
+	seen map[string]data.Op
+}
+
+func newDeltaCheck(t *testing.T, name string, next Operator, nKey int, once bool) *deltaCheck {
+	c := &deltaCheck{t: t, name: name, next: next, once: once,
+		key: make([]int, nKey), live: map[string]string{}, seen: map[string]data.Op{}}
+	for i := range c.key {
+		c.key[i] = i
+	}
+	return c
+}
+
+func (c *deltaCheck) Schema() *data.Schema { return c.next.Schema() }
+
+func (c *deltaCheck) Push(t data.Tuple) {
+	c.t.Helper()
+	g, row := t.KeyOn(c.key), t.Key()
+	last, changed := c.seen[g]
+	switch t.Op {
+	case data.Delete:
+		if c.live[g] != row {
+			c.t.Fatalf("%s: retracts %v, group asserts %q", c.name, t, c.live[g])
+		}
+		delete(c.live, g)
+		if c.once && changed {
+			c.t.Fatalf("%s: group %q retracted after a %v in the same batch", c.name, g, last)
+		}
+	case data.Insert:
+		if old, ok := c.live[g]; ok {
+			c.t.Fatalf("%s: inserts %v over live row %q", c.name, t, old)
+		}
+		c.live[g] = row
+		if c.once && changed && last == data.Insert {
+			c.t.Fatalf("%s: group %q inserted twice in one batch", c.name, g)
+		}
+	}
+	c.seen[g] = t.Op
+	c.next.Push(t)
+}
+
+func (c *deltaCheck) endBatch() { clear(c.seen) }
+
+// batchRig is one pipeline under test. A segment of the random stream enters
+// through pushBatch in the run under test and through push, tuple by tuple,
+// in the reference run; side picks the join input and is ignored elsewhere.
+type batchRig struct {
+	push      func(side int, t data.Tuple)
+	pushBatch func(side int, ts []data.Tuple)
+	cks       []Checkpointer // every stateful operator, the result included
+	checks    []*deltaCheck
+	mat       *Materialize
+}
+
+func (r *batchRig) endBatch() {
+	for _, c := range r.checks {
+		c.endBatch()
+	}
+}
+
+// restoreFrom makes r, freshly built, continue where from stands: operator
+// state through an encoded checkpoint, and the checkers' view of what is
+// asserted, which is test state and not the operators'.
+func (r *batchRig) restoreFrom(t *testing.T, from *batchRig) {
+	t.Helper()
+	state, err := EncodeCheckpoint(from.cks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RestoreCheckpoint(r.cks, state); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range r.checks {
+		c.live = from.checks[i].live
+	}
+}
+
+var batchSpecs = []AggSpec{
+	{Kind: AggCount, Alias: "cnt"},
+	{Kind: AggCount, Arg: expr.C("v"), Alias: "cntv"},
+	{Kind: AggSum, Arg: expr.C("v"), Alias: "s"},
+	{Kind: AggAvg, Arg: expr.C("v"), Alias: "a"},
+	{Kind: AggMin, Arg: expr.C("v"), Alias: "lo"},
+	{Kind: AggMax, Arg: expr.C("v"), Alias: "hi"},
+}
+
+func batchSchema(name string) *data.Schema {
+	s := data.NewSchema(name, data.Col("g", data.TString), data.Col("v", data.TFloat))
+	s.IsStream = true
+	return s
+}
+
+func must[T any](t *testing.T) func(T, error) T {
+	return func(v T, err error) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
+// aggRig is Aggregate → Materialize.
+func aggRig(t *testing.T, having expr.Expr) *batchRig {
+	in := batchSchema("r")
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(in, []string{"g"}, batchSpecs)))
+	chk := newDeltaCheck(t, "aggregate", mat, 1, true)
+	agg := must[*Aggregate](t)(NewAggregate(chk, in, []string{"g"}, batchSpecs, having))
+	return &batchRig{
+		push:      func(_ int, tu data.Tuple) { agg.Push(tu) },
+		pushBatch: func(_ int, ts []data.Tuple) { agg.PushBatch(ts) },
+		cks:       []Checkpointer{agg, mat}, checks: []*deltaCheck{chk}, mat: mat,
+	}
+}
+
+// twoPhaseRig is 3 × PartialAggregate → Merge → FinalMerge → Materialize,
+// routed by group so that a group's merged float sum sees one shard's
+// deltas in one order, batched or not.
+func twoPhaseRig(t *testing.T, having expr.Expr) *batchRig {
+	const shards = 3
+	in := batchSchema("r")
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(in, []string{"g"}, batchSpecs)))
+	final := newDeltaCheck(t, "final merge", mat, 1, false)
+	fm := must[*FinalMerge](t)(NewFinalMerge(final, in, []string{"g"}, batchSpecs, having))
+	merge := NewMerge(fm)
+	rig := &batchRig{cks: []Checkpointer{fm, mat}, checks: []*deltaCheck{final}, mat: mat}
+	parts := make([]*PartialAggregate, shards)
+	for j := range parts {
+		chk := newDeltaCheck(t, fmt.Sprintf("partial %d", j), merge, 1, true)
+		parts[j] = must[*PartialAggregate](t)(NewPartialAggregate(chk, in, []string{"g"}, batchSpecs))
+		rig.cks = append(rig.cks, parts[j])
+		rig.checks = append(rig.checks, chk)
+	}
+	var hasher data.Hasher
+	route := func(tu data.Tuple) int { return int(hasher.HashOn(tu, []int{0}) % shards) }
+	rig.push = func(_ int, tu data.Tuple) { parts[route(tu)].Push(tu) }
+	rig.pushBatch = func(_ int, ts []data.Tuple) {
+		var sub [shards][]data.Tuple
+		for _, tu := range ts {
+			sub[route(tu)] = append(sub[route(tu)], tu)
+		}
+		for j, b := range sub {
+			parts[j].PushBatch(b)
+		}
+	}
+	return rig
+}
+
+// joinRig is Join → Aggregate → Materialize: the joined rows of one input
+// batch reach the aggregate as one batch.
+func joinRig(t *testing.T, having expr.Expr) *batchRig {
+	l, r := batchSchema("l"), batchSchema("r")
+	joined := l.Concat(r)
+	specs := []AggSpec{
+		{Kind: AggCount, Alias: "cnt"},
+		{Kind: AggSum, Arg: expr.C("l.v"), Alias: "s"},
+		{Kind: AggAvg, Arg: expr.C("r.v"), Alias: "a"},
+		{Kind: AggMin, Arg: expr.C("r.v"), Alias: "lo"},
+		{Kind: AggMax, Arg: expr.C("l.v"), Alias: "hi"},
+	}
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(joined, []string{"l.g"}, specs)))
+	chk := newDeltaCheck(t, "join aggregate", mat, 1, true)
+	agg := must[*Aggregate](t)(NewAggregate(chk, joined, []string{"l.g"}, specs, having))
+	j := must[*Join](t)(NewJoin(agg, l, r, []string{"g"}, []string{"g"}, nil))
+	sides := []Operator{j.Left(), j.Right()}
+	return &batchRig{
+		push:      func(side int, tu data.Tuple) { sides[side].Push(tu) },
+		pushBatch: func(side int, ts []data.Tuple) { PushBatch(sides[side], ts) },
+		cks:       []Checkpointer{j, agg, mat}, checks: []*deltaCheck{chk}, mat: mat,
+	}
+}
+
+type segment struct {
+	side int
+	ts   []data.Tuple
+}
+
+// randomSegments cuts a random insert/delete stream over a handful of groups
+// (one of them the NULL group) into batches of 1 to 40 tuples. About half the
+// tuples delete a live one, so groups empty and refill all the time, often
+// inside one batch; an eighth of the values are NULL. With ghosts set, some
+// deletes address a group that never existed.
+func randomSegments(rng *rand.Rand, n int, ghosts bool) []segment {
+	groups := []data.Value{data.Str("a"), data.Str("b"), data.Str("c"), data.Null}
+	var live [2][]data.Tuple
+	var segs []segment
+	for i := 0; i < n; {
+		seg := segment{side: rng.Intn(2)}
+		mine := &live[seg.side]
+		for k := 1 + rng.Intn(40); k > 0 && i < n; k, i = k-1, i+1 {
+			ts := vtime.Time(i)
+			switch {
+			case ghosts && rng.Intn(16) == 0:
+				del := data.NewTuple(ts, data.Str("ghost"), data.Float(1)).Negate()
+				seg.ts = append(seg.ts, del)
+			case len(*mine) > 0 && rng.Intn(20) < 9:
+				at := rng.Intn(len(*mine))
+				del := (*mine)[at].Negate()
+				del.TS = ts
+				(*mine)[at] = (*mine)[len(*mine)-1]
+				*mine = (*mine)[:len(*mine)-1]
+				seg.ts = append(seg.ts, del)
+			default:
+				v := data.Float(float64(rng.Intn(4000))/10 - 200) // tenths: sums round
+				if rng.Intn(8) == 0 {
+					v = data.Null
+				}
+				tu := data.NewTuple(ts, groups[rng.Intn(len(groups))], v)
+				*mine = append(*mine, tu)
+				seg.ts = append(seg.ts, tu)
+			}
+		}
+		segs = append(segs, seg)
+	}
+	return segs
+}
+
+func cloneAll(ts []data.Tuple) []data.Tuple {
+	out := make([]data.Tuple, len(ts))
+	for i, tu := range ts {
+		out[i] = tu.Clone()
+	}
+	return out
+}
+
+// requireBitEqual compares two results row by row: same rows, same
+// multiplicities, every value of the same type with the same bits.
+func requireBitEqual(t *testing.T, ctx string, gotMat, wantMat *Materialize) {
+	t.Helper()
+	got, want := gotMat.MustSnapshot(nil, -1), wantMat.MustSnapshot(nil, -1)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d\ngot:  %v\nwant: %v", ctx, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if !bitEqual(got[i], want[i]) {
+			t.Fatalf("%s: row %d = %v, want %v", ctx, i, got[i], want[i])
+		}
+	}
+}
+
+func bitEqual(a, b data.Tuple) bool {
+	if len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i, x := range a.Vals {
+		y := b.Vals[i]
+		if x.T != y.T || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestBatchCutsMatchPerTuple(t *testing.T) {
+	having := expr.Bin{Op: expr.OpGe, L: expr.C("cnt"), R: expr.L(2)}
+	rigs := []struct {
+		name   string
+		build  func(*testing.T, expr.Expr) *batchRig
+		ghosts bool
+	}{
+		{"aggregate", aggRig, true},
+		{"two-phase", twoPhaseRig, true},
+		{"join-aggregate", joinRig, false}, // a join input never sees a delete of a tuple it did not see
+	}
+	for _, rc := range rigs {
+		for _, mask := range []uint64{^uint64(0), 0} {
+			for hi, hv := range []expr.Expr{nil, having} {
+				name := fmt.Sprintf("%s/mask=%x/having=%d", rc.name, mask, hi)
+				t.Run(name, func(t *testing.T) {
+					defer SetTestHashMask(SetTestHashMask(mask))
+					for seed := int64(1); seed <= 8; seed++ {
+						rng := rand.New(rand.NewSource(seed))
+						segs := randomSegments(rng, 1500, rc.ghosts)
+						ref, rig := rc.build(t, hv), rc.build(t, hv)
+						restoreAt := rng.Intn(len(segs))
+						for i, seg := range segs {
+							if i == restoreAt {
+								// A checkpoint between two batches carries
+								// everything: a restored pipeline goes on as
+								// the original would have.
+								fresh := rc.build(t, hv)
+								fresh.restoreFrom(t, rig)
+								rig = fresh
+							}
+							for _, tu := range cloneAll(seg.ts) {
+								ref.push(seg.side, tu)
+								ref.endBatch()
+							}
+							rig.pushBatch(seg.side, cloneAll(seg.ts))
+							rig.endBatch()
+							requireBitEqual(t, fmt.Sprintf("seed %d segment %d", seed, i), rig.mat, ref.mat)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// A group emptied inside a batch retires at that tuple — its row is
+// retracted there, a delete that follows is ignored, and a returning key
+// starts from fresh state — and everything else the batch did to a group
+// shows as one retract+insert after the last tuple.
+func TestAggregateBatchRetiresAtZero(t *testing.T) {
+	out := must[*data.Schema](t)(AggOutSchema(tempSchema(), []string{"room"},
+		[]AggSpec{{Kind: AggSum, Arg: expr.C("temp"), Alias: "s"}}))
+	col := NewCollector(out)
+	a := must[*Aggregate](t)(NewAggregate(col, tempSchema(), []string{"room"},
+		[]AggSpec{{Kind: AggSum, Arg: expr.C("temp"), Alias: "s"}}, nil))
+	a.Push(temp(1, "L1", 0.1))
+	a.Push(temp(1, "L2", 7))
+	col.Reset()
+
+	a.PushBatch([]data.Tuple{
+		temp(2, "L1", 0.2),
+		temp(3, "L1", 0.2).Negate(),
+		temp(4, "L1", 0.1).Negate(), // L1 empties: its row 0.1 leaves here
+		temp(5, "L1", 0.3).Negate(), // unknown group now: ignored
+		temp(6, "L1", 0.4),          // fresh state: 0.4, not 0.1+0.2-0.2-0.1+0.4
+		temp(7, "L1", 0.5),
+		temp(8, "L2", 1),
+		temp(9, "L2", 1).Negate(), // L2 ends where it began: nothing to emit
+		temp(10, "L3", 3),
+		temp(11, "L3", 3).Negate(), // L3 came and went inside the batch
+	})
+	fresh := 0.4
+	fresh += 0.5
+	want := []data.Tuple{
+		data.NewTuple(4*vtime.Second, data.Str("L1"), data.Float(0.1)).Negate(),
+		data.NewTuple(7*vtime.Second, data.Str("L1"), data.Float(fresh)),
+	}
+	got := col.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("emitted %v, want %v", got, want)
+	}
+	for i := range want {
+		if !bitEqual(got[i], want[i]) || got[i].Op != want[i].Op || got[i].TS != want[i].TS {
+			t.Fatalf("emission %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if a.Groups() != 2 {
+		t.Fatalf("groups = %d, want L1 and L2", a.Groups())
+	}
+	if len(a.table.touched) != 0 {
+		t.Fatalf("fold left touched groups listed: %v", a.table.touched)
+	}
+	for _, d := range a.table.touched[:cap(a.table.touched)] {
+		if d.g != nil {
+			t.Fatal("fold's scratch still pins a group")
+		}
+	}
+}
+
+// The join scratch must not pin the rows of the last batch.
+func TestJoinBatchScratchCleared(t *testing.T) {
+	col := NewCollector(tempSchema().Concat(tempSchema()))
+	j := must[*Join](t)(NewJoin(col, tempSchema(), tempSchema(), []string{"room"}, []string{"room"}, nil))
+	j.Right().Push(temp(1, "L1", 1))
+	PushBatch(j.Left(), []data.Tuple{temp(2, "L1", 2), temp(3, "L1", 3)})
+	if col.Len() != 2 {
+		t.Fatalf("joined %d rows, want 2", col.Len())
+	}
+	for _, tu := range j.batch[:cap(j.batch)] {
+		if tu.Vals != nil {
+			t.Fatalf("scratch still holds %v", tu)
+		}
+	}
+}
+
+// snapshotLess is the comparator Snapshot sorted with before it sorted key
+// ranges: the ORDER BY columns, NULLs first (last under DESC), then the
+// canonical key string.
+func snapshotLess(a, b data.Tuple, idx []int, order []OrderSpec) bool {
+	for k, j := range idx {
+		c, ok := a.Vals[j].Compare(b.Vals[j])
+		if !ok || c == 0 {
+			if ok && c == 0 {
+				continue
+			}
+			an, bn := a.Vals[j].IsNull(), b.Vals[j].IsNull()
+			if an != bn {
+				return an && !order[k].Desc || !an && order[k].Desc
+			}
+			continue
+		}
+		if order[k].Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return a.Key() < b.Key()
+}
+
+func TestSnapshotOrderMatchesKeySort(t *testing.T) {
+	schema := data.NewSchema("m", data.Col("n", data.TFloat), data.Col("s", data.TString),
+		data.Col("b", data.TBool), data.Col("f", data.TFloat))
+	orders := [][]OrderSpec{
+		nil,
+		{{Col: "n"}},
+		{{Col: "n", Desc: true}},
+		{{Col: "s"}, {Col: "f", Desc: true}},
+		{{Col: "b", Desc: true}, {Col: "n"}, {Col: "s", Desc: true}},
+	}
+	for _, mask := range []uint64{^uint64(0), 0} {
+		func() {
+			defer SetTestHashMask(SetTestHashMask(mask))
+			rng := rand.New(rand.NewSource(int64(mask&1) + 11))
+			pick := func(vs ...data.Value) data.Value { return vs[rng.Intn(len(vs))] }
+			m := NewMaterialize(schema)
+			var ref []data.Tuple // the multiset, duplicates as clones of the first copy, as Materialize keeps them
+			for i := 0; i < 600; i++ {
+				if len(ref) > 0 && rng.Intn(4) == 0 {
+					at := rng.Intn(len(ref))
+					m.Push(ref[at].Negate())
+					ref = append(ref[:at], ref[at+1:]...)
+					continue
+				}
+				tu := data.NewTuple(vtime.Time(i),
+					pick(data.Null, data.Int(1), data.Float(1), data.Float(-2.5), data.Int(7), data.Float(1e300), data.Int(1<<62+1)),
+					pick(data.Null, data.Str(""), data.Str("a"), data.Str("a|"), data.Str("b")),
+					pick(data.Null, data.Bool(true), data.Bool(false)),
+					pick(data.Float(0.1), data.Float(0.30000000000000004), data.Float(-0.1), data.Null))
+				m.Push(tu)
+				for _, r := range ref {
+					if r.EqualVals(tu) {
+						tu = r
+						break
+					}
+				}
+				ref = append(ref, tu.Clone())
+			}
+			for _, order := range orders {
+				idx := make([]int, len(order))
+				for i, o := range order {
+					idx[i] = schema.MustColIndex(o.Col)
+				}
+				want := cloneAll(ref)
+				sort.Slice(want, func(i, j int) bool { return snapshotLess(want[i], want[j], idx, order) })
+				for _, limit := range []int{-1, 0, 5, len(ref) + 3} {
+					w := want
+					if limit >= 0 && len(w) > limit {
+						w = w[:limit]
+					}
+					got := m.MustSnapshot(order, limit)
+					if len(got) != len(w) {
+						t.Fatalf("order %v limit %d: %d rows, want %d", order, limit, len(got), len(w))
+					}
+					for i := range w {
+						if !bitEqual(got[i], w[i]) || got[i].TS != w[i].TS {
+							t.Fatalf("order %v limit %d: row %d = %v, want %v", order, limit, i, got[i], w[i])
+						}
+					}
+				}
+			}
+			// The rows are the caller's: writing one must not reach a neighbour
+			// in the shared arena, nor the result itself.
+			got := m.MustSnapshot(nil, -1)
+			got[0].Vals[0] = data.Str("scribble")
+			_ = append(got[0].Vals, data.Str("scribble"))
+			again := m.MustSnapshot(nil, -1)
+			if !bitEqual(again[1], got[1]) || again[0].Vals[0].T == data.TString {
+				t.Fatalf("snapshot rows alias: %v / %v", got[:2], again[:2])
+			}
+		}()
+	}
+}
+
+func snapshotFixture(n int) *Materialize {
+	schema := data.NewSchema("m", data.Col("room", data.TString), data.Col("desk", data.TInt),
+		data.Col("temp", data.TFloat), data.Col("lux", data.TFloat))
+	m := NewMaterialize(schema)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		m.Push(data.NewTuple(vtime.Time(i), data.Str(fmt.Sprintf("L%03d", i/8)), data.Int(int64(i%8)),
+			data.Float(20+rng.Float64()*10), data.Float(rng.Float64()*500)))
+	}
+	return m
+}
+
+// A snapshot allocates its arenas and its result, not once per row or per
+// comparison.
+func TestSnapshotAllocsConstant(t *testing.T) {
+	m := snapshotFixture(1000)
+	allocs := testing.AllocsPerRun(10, func() {
+		if len(m.MustSnapshot(nil, -1)) != 1000 {
+			t.Fatal("short snapshot")
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("Snapshot of 1000 rows: %v allocations", allocs)
+	}
+}
+
+var benchRows []data.Tuple
+
+func BenchmarkMaterializeSnapshot(b *testing.B) {
+	for _, n := range []int{162, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			m := snapshotFixture(n)
+			b.ReportAllocs()
+			for b.Loop() {
+				benchRows = m.MustSnapshot(nil, -1)
+			}
+		})
+	}
+}
+
+// BenchmarkAggregatePushBatch folds the same 512 tuples over 16 groups into
+// an aggregate as one batch and one by one; a retraction of all of them
+// follows so that state does not grow with b.N.
+func BenchmarkAggregatePushBatch(b *testing.B) {
+	in := batchSchema("r")
+	ins := make([]data.Tuple, 512)
+	rng := rand.New(rand.NewSource(5))
+	for i := range ins {
+		ins[i] = data.NewTuple(vtime.Time(i), data.Str(fmt.Sprintf("g%02d", i%16)), data.Float(rng.Float64()*100))
+	}
+	dels := make([]data.Tuple, len(ins))
+	for i, tu := range ins {
+		dels[i] = tu.Negate()
+	}
+	specs := []AggSpec{{Kind: AggAvg, Arg: expr.C("v"), Alias: "a"}, {Kind: AggCount, Alias: "n"}}
+	build := func(b *testing.B) *Aggregate {
+		out, err := AggOutSchema(in, []string{"g"}, specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := NewAggregate(NewMaterialize(out), in, []string{"g"}, specs, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	b.Run("batch", func(b *testing.B) {
+		a := build(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			a.PushBatch(ins)
+			a.PushBatch(dels)
+		}
+	})
+	b.Run("single", func(b *testing.B) {
+		a := build(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, tu := range ins {
+				a.Push(tu)
+			}
+			for _, tu := range dels {
+				a.Push(tu)
+			}
+		}
+	})
+}

@@ -28,6 +28,9 @@ type Join struct {
 	rTable          map[uint64][]data.Tuple
 	hasher          data.Hasher
 	leftIn, rightIn joinInput
+	// batch collects the joined rows of one input call for one downstream
+	// dispatch; cleared after it, so it pins no row between calls.
+	batch []data.Tuple
 }
 
 type joinInput struct {
@@ -44,7 +47,26 @@ func (ji *joinInput) Schema() *data.Schema {
 }
 
 // Push implements Operator.
-func (ji *joinInput) Push(t data.Tuple) { ji.j.push(t, ji.left) }
+func (ji *joinInput) Push(t data.Tuple) {
+	batch := [1]data.Tuple{t}
+	ji.PushBatch(batch[:])
+}
+
+// PushBatch implements BatchOperator: the tuples probe and update the tables
+// in order, and the rows they join to — the same rows in the same order as
+// tuple-at-a-time pushes — go downstream as one batch.
+func (ji *joinInput) PushBatch(ts []data.Tuple) {
+	j := ji.j
+	out := j.batch[:0]
+	for _, t := range ts {
+		out = j.apply(t, ji.left, out)
+	}
+	j.batch = out[:0]
+	if len(out) > 0 {
+		PushBatch(j.next, out)
+		clear(out)
+	}
+}
 
 // NewJoin builds a symmetric hash join. lCols/rCols name the equi-join
 // keys (same length, possibly empty for a pure cross/residual join);
@@ -101,7 +123,9 @@ func (j *Join) Right() Operator { return &j.rightIn }
 // OutSchema returns the concatenated output schema.
 func (j *Join) OutSchema() *data.Schema { return j.out }
 
-func (j *Join) push(t data.Tuple, fromLeft bool) {
+// apply updates t's side of the join and appends the rows t joins to on the
+// other side to out.
+func (j *Join) apply(t data.Tuple, fromLeft bool, out []data.Tuple) []data.Tuple {
 	var mine, other map[uint64][]data.Tuple
 	var myKey, otherKey []int
 	if fromLeft {
@@ -147,8 +171,9 @@ func (j *Join) push(t data.Tuple, fromLeft bool) {
 		if j.residual != nil && !j.residual.EvalBool(joined) {
 			continue
 		}
-		j.next.Push(joined)
+		out = append(out, joined)
 	}
+	return out
 }
 
 // SizeLeft and SizeRight report table populations for plan displays.

@@ -2,10 +2,11 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"aspen/internal/data"
+	"aspen/internal/vtime"
 )
 
 // OrderSpec is one sort key for snapshots.
@@ -34,6 +35,7 @@ type Materialize struct {
 	// repaint.
 	OnChange func()
 	version  uint64
+	keyBytes int // key-arena size of the last Snapshot, the next one's capacity
 }
 
 type matRow struct {
@@ -171,39 +173,64 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		}
 		idx[i] = j
 	}
+	// Under the lock, copy out what the sort needs: every distinct row's
+	// canonical key, built once into one arena, and all rows' values
+	// (duplicates back to back) in another.
+	type snapRow struct {
+		ts    vtime.Time
+		op    data.Op
+		key   int // index in keys
+		vals  int // offset of the first copy in vals
+		width int
+		count int
+	}
 	m.mu.Lock()
-	out := make([]data.Tuple, 0, m.n)
+	rows := make([]snapRow, 0, m.n)
+	keys := data.NewKeyArena(m.n, m.keyBytes)
+	vals := make([]data.Value, 0, m.n*m.schema.Arity())
+	total := 0
 	for _, bucket := range m.rows {
 		for _, r := range bucket {
+			rows = append(rows, snapRow{ts: r.t.TS, op: r.t.Op, key: keys.Add(r.t),
+				vals: len(vals), width: len(r.t.Vals), count: r.count})
 			for i := 0; i < r.count; i++ {
-				out = append(out, r.t.Clone())
+				vals = append(vals, r.t.Vals...)
 			}
+			total += r.count
 		}
 	}
+	m.keyBytes = keys.Bytes()
 	m.mu.Unlock()
 
-	sort.Slice(out, func(a, b int) bool {
+	slices.SortFunc(rows, func(a, b snapRow) int {
 		for k, j := range idx {
-			c, ok := out[a].Vals[j].Compare(out[b].Vals[j])
-			if !ok || c == 0 {
-				// NULLs and ties fall through to the next key
-				if ok && c == 0 {
-					continue
+			av, bv := vals[a.vals+j], vals[b.vals+j]
+			c, ok := av.Compare(bv)
+			if ok && c != 0 {
+				if order[k].Desc {
+					return -c
 				}
-				// order NULLs first deterministically
-				an, bn := out[a].Vals[j].IsNull(), out[b].Vals[j].IsNull()
-				if an != bn {
-					return an && !order[k].Desc || !an && order[k].Desc
+				return c
+			}
+			// Ties and incomparable values fall through to the next key,
+			// except that NULLs order first (last under DESC).
+			if an, bn := av.IsNull(), bv.IsNull(); an != bn {
+				if an != order[k].Desc {
+					return -1
 				}
-				continue
+				return 1
 			}
-			if order[k].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return out[a].Key() < out[b].Key()
+		return keys.Compare(a.key, b.key)
 	})
+
+	out := make([]data.Tuple, 0, total)
+	for _, r := range rows {
+		for i := 0; i < r.count; i++ {
+			off := r.vals + i*r.width
+			out = append(out, data.Tuple{Vals: vals[off : off+r.width : off+r.width], TS: r.ts, Op: r.op})
+		}
+	}
 	if limit >= 0 && len(out) > limit {
 		out = out[:limit]
 	}

@@ -16,7 +16,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"aspen/internal/data"
@@ -41,6 +40,15 @@ type Operator interface {
 // BatchOperator is implemented by operators with a native batched push
 // that amortizes per-tuple dispatch (locking, transport framing, window
 // maintenance) over the batch.
+//
+// A batch is also the unit of visible change. When PushBatch returns, the
+// operator's state and everything downstream of it are what pushing the
+// tuples one by one would have left, but the deltas sent downstream on the
+// way need only net out to the same: Aggregate and PartialAggregate emit one
+// retract+insert per group the batch changed, not the states the group
+// passed through inside it. What Push emits is unchanged — it is the batch
+// of one — and nothing is held back across calls, so ticks, flush barriers
+// and checkpoints between calls see exact state.
 type BatchOperator interface {
 	Operator
 	// PushBatch processes the tuples in order. The batch slice itself is
@@ -399,5 +407,5 @@ func (c *Collector) Reset() {
 
 // SortTuples orders tuples by canonical key; deterministic test helper.
 func SortTuples(ts []data.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
+	data.SortByKey(ts)
 }

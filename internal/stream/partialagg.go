@@ -15,12 +15,12 @@ import (
 //	serial:    FinalMerge        — merges the shards' partials per group
 //
 // PartialAggregate emits each group's partial state as a tuple; every
-// change retracts the previous partial row and inserts the new one, the
-// exact discipline Aggregate uses for visible rows, so FinalMerge sees at
-// most one live contribution per (group, shard) at any instant and can
-// combine contributions additively. Deletions flow through both stages:
-// the partial state shrinks, the shrunken partial replaces the old one,
-// and the merged result follows.
+// change (per Push, or net per PushBatch) retracts the previous partial row
+// and inserts the new one, the exact discipline Aggregate uses for visible
+// rows, so FinalMerge sees at most one live contribution per (group, shard)
+// at any instant and can combine contributions additively. Deletions flow
+// through both stages: the partial state shrinks, the shrunken partial
+// replaces the old one, and the merged result follows.
 //
 // The partial row layout (AggPartialSchema) is the grouping columns, the
 // group's tuple count, then per aggregate a non-null-input count and a
@@ -91,28 +91,27 @@ func (a *PartialAggregate) Groups() int { return a.table.n }
 
 // Push implements Operator.
 func (a *PartialAggregate) Push(t data.Tuple) {
-	key, g := a.table.lookup(t)
-	if g == nil {
-		return // deletion for unknown group: ignore
-	}
-	accumulate(g, t, a.args)
-	a.emit(key, g, t)
+	batch := [1]data.Tuple{t}
+	a.PushBatch(batch[:])
 }
 
-// emit replaces the group's previous partial row with the current state;
-// dead groups only retract (their contribution leaves the merge).
-func (a *PartialAggregate) emit(key uint64, g *groupState, cause data.Tuple) {
-	var newOut []data.Value
-	if g.count > 0 {
-		newOut = make([]data.Value, 0, len(g.keyVals)+1+2*len(a.specs))
-		newOut = append(newOut, g.keyVals...)
-		newOut = append(newOut, data.Int(g.count))
-		for i, s := range a.specs {
-			st := &g.aggs[i]
-			newOut = append(newOut, data.Int(st.n), st.partial(s.Kind))
-		}
+// PushBatch implements BatchOperator: each group the batch changed replaces
+// its partial row once, after the whole batch has accumulated, so only net
+// changes travel to the merge.
+func (a *PartialAggregate) PushBatch(ts []data.Tuple) {
+	a.table.fold(a.next, ts, a.args, a.partialRow)
+}
+
+// partialRow builds a live group's partial-state row.
+func (a *PartialAggregate) partialRow(g *groupState) []data.Value {
+	out := make([]data.Value, 0, len(g.keyVals)+1+2*len(a.specs))
+	out = append(out, g.keyVals...)
+	out = append(out, data.Int(g.count))
+	for i, s := range a.specs {
+		st := &g.aggs[i]
+		out = append(out, data.Int(st.n), st.partial(s.Kind))
 	}
-	a.table.emitRow(a.next, key, g, newOut, cause)
+	return out
 }
 
 // partial encodes the kind-dependent partial value of one aggregate.
@@ -201,7 +200,10 @@ func (f *FinalMerge) Groups() int { return f.table.n }
 // merged totals. Contributions are additive (counts and sums subtract
 // exactly; MIN/MAX contributions live in a delta-counted multiset), so
 // interleaving across shards is immaterial — each shard retracts its old
-// partial before inserting the new one, in its own order.
+// partial before inserting the new one, in its own order. The merge has no
+// batch path: that retraction legitimately takes a merged group through
+// count zero, where groupTable.fold would retire it and emit the pair
+// anyway.
 func (f *FinalMerge) Push(t data.Tuple) {
 	key, g := f.table.lookup(t)
 	if g == nil {
@@ -230,5 +232,5 @@ func (f *FinalMerge) Push(t data.Tuple) {
 			}
 		}
 	}
-	f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having), t)
+	f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having), t.TS)
 }

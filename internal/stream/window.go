@@ -138,15 +138,16 @@ func (w *Window) apply(t data.Tuple, out []data.Tuple) []data.Tuple {
 }
 
 // Advance expires by (virtual) wall-clock time; the engine calls this on
-// ticks so windows drain during stream silence.
+// ticks so windows drain during stream silence. The expiries of one tick
+// ship downstream as one batch.
 func (w *Window) Advance(now vtime.Time) {
 	if w.kind != windowTime {
 		return
 	}
 	out := w.advanceTo(now, w.batch[:0])
 	w.batch = out[:0]
-	for _, o := range out {
-		w.next.Push(o)
+	if len(out) > 0 {
+		PushBatch(w.next, out)
 	}
 }
 

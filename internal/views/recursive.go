@@ -225,7 +225,7 @@ func (v *View) Snapshot() []data.Tuple {
 			out = append(out, f.t.Clone())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	data.SortByKey(out)
 	return out
 }
 
