@@ -40,9 +40,8 @@ tables-check:
 # global-aggregate, multi-node, elastic/failover-armed sweeps, the
 # E11 query-density sweep, the E2-remote fragment-at-worker
 # comparison and the coordinator snapshot size/latency table) and
-# writes them, plus the recorded seed/PR-1..PR-9 baselines, to
-# $(BENCH_OUT).
-BENCH_OUT ?= BENCH_PR10.json
+# writes them to $(BENCH_OUT), an untracked file.
+BENCH_OUT ?= bench-tables.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) run ./cmd/benchharness -json $(BENCH_OUT)
@@ -123,6 +122,27 @@ elastic:
 	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart,./internal/core/)
 
+# fuzz-smoke gives every fuzz target a short run: the seed corpus alone
+# (FUZZTIME=0 — what plain `go test` and the CI build-and-test job run),
+# or FUZZTIME of mutation per target (default 10s; -fuzz takes one target
+# and one package at a time). Like race_run it first checks with
+# `go test -list` that each target still exists, since -run and -fuzz pass
+# silently when a renamed target matches nothing.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	@for tp in $(FUZZ_TARGETS); do \
+		target=$${tp%%:*}; pkg=$${tp#*:}; \
+		$(GO) test -list "^$$target\$$" $$pkg | grep -q "^$$target\$$" || \
+			{ echo "make $@: fuzz target $$target not found in $$pkg"; exit 1; }; \
+		if [ "$(FUZZTIME)" = 0 ]; then \
+			$(GO) test -run "^$$target\$$" $$pkg || exit 1; \
+		else \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		fi; \
+	done
+
 # cover gates statement coverage of the partition-parallel core packages:
 # the floors rise as coverage grows (PR 3 introduced the gate; PR 5 raised
 # it with the failover subsystem; PR 6 with the wire codec + mux tests;
@@ -149,13 +169,18 @@ cover:
 
 # loc prints non-test Go lines per internal/* package and in total — the
 # number ROADMAP aim 2 asks every simplifying PR to report as a delta
-# (PERF.md keeps the per-PR tables).
+# (PERF.md keeps the per-PR tables) — then the stream+plan+core sum, where
+# that aim's open items live, and what sits outside internal/: cmd/ plus
+# the root package.
 .PHONY: loc
 loc:
-	@total=0; for d in internal/*/; do \
-		n=$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	@count() { ls $$@ | grep -v '_test\.go$$' | xargs cat | wc -l; }; \
+	total=0; for d in internal/*/; do \
+		n=$$(count $$d*.go); \
 		printf '%-24s %6d\n' "$$d" "$$n"; total=$$((total + n)); \
-	done; printf '%-24s %6d\n' "internal total" "$$total"
+	done; printf '%-24s %6d\n' "internal total" "$$total"; \
+	printf '%-24s %6d\n' "stream+plan+core" "$$(count internal/stream/*.go internal/plan/*.go internal/core/*.go)"; \
+	printf '%-24s %6d\n' "cmd/ + root" "$$(count cmd/*/*.go *.go)"
 
 # lint runs the static analyzers the CI lint job pins (staticcheck for
 # correctness/simplification findings, govulncheck for known-vulnerable

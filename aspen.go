@@ -30,6 +30,7 @@ import (
 	"aspen/internal/core"
 	"aspen/internal/data"
 	"aspen/internal/gui"
+	"aspen/internal/plan"
 	"aspen/internal/routing"
 	"aspen/internal/sensor"
 	"aspen/internal/sensornet"
@@ -44,6 +45,11 @@ type (
 	Runtime = core.Runtime
 	// RuntimeConfig configures New.
 	RuntimeConfig = core.Config
+	// Topology describes how deployed stream plans are spread over pipeline
+	// replicas and shard workers, and how they survive losing one. It is the
+	// one struct RuntimeConfig, SmartCISOptions and the aspenql flags all
+	// embed.
+	Topology = plan.Topology
 	// Query is a deployed continuous query.
 	Query = core.Query
 )

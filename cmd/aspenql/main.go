@@ -6,13 +6,19 @@
 //	go run ./cmd/aspenql -plan -q "SELECT t.room, t.value FROM Temperature t, Light l WHERE t.room = l.room AND t.desk = l.desk AND l.value < 10"
 //	echo "CREATE VIEW V AS (SELECT l.room FROM Light l); SELECT v.room FROM V v" | go run ./cmd/aspenql
 //
+// -par, -nodes and -failover fill one aspen.Topology (plan.Topology), the
+// struct every layer below carries unchanged down to the shard set.
+//
 // Elastic administration: statements may be interleaved with backslash
-// directives — `\rescale addr1,addr2` live-migrates every deployed sharded
-// query onto a new worker topology (empty list heals everything back
-// in-process), and `\save` checkpoints all standing queries to the
-// -snapshot file. With -snapshot plus -restore, a fresh coordinator
-// rehydrates the standing queries recorded in the file and resumes them
-// from their last committed checkpoint:
+// directives — `\rescale addr1,addr2` retargets that topology's Nodes:
+// every deployed sharded query live-migrates onto the new workers (empty
+// list heals everything back in-process) and later statements deploy over
+// them, with or without -snapshot; a list a deploy would reject (duplicate
+// address, workers without -par >= 2) is an error and changes nothing.
+// `\save` checkpoints all standing queries to the -snapshot file. With
+// -snapshot plus -restore, a fresh coordinator rehydrates the standing
+// queries recorded in the file and resumes them from their last committed
+// checkpoint:
 //
 //	go run ./cmd/aspenql -par 2 -snapshot coord.snap \
 //	  -q "SELECT t.room, avg(t.value) FROM Temperature t GROUP BY t.room; \save"
@@ -65,14 +71,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := aspen.NewSmartCIS(aspen.SmartCISOptions{
-		Building:       aspen.BuildingConfig{Labs: *labs, DesksPerLab: 6, HallSpacing: 100, Offices: 2},
-		SkipPDUServers: false,
-		Parallelism:    *par,
-		Nodes:          topo,
-		Failover:       *failover,
-		SnapshotPath:   *snapshot,
-	})
+	opts := aspen.SmartCISOptions{
+		Building:     aspen.BuildingConfig{Labs: *labs, DesksPerLab: 6, HallSpacing: 100, Offices: 2},
+		Topology:     aspen.Topology{Parallelism: *par, Nodes: topo},
+		SnapshotPath: *snapshot,
+	}
+	opts.Failover = *failover
+	app, err := aspen.NewSmartCIS(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -206,9 +211,10 @@ func parseOccupy(list string) ([]deskRef, error) {
 }
 
 // adminDirective executes one backslash admin command against the running
-// deployment: \rescale addr1,addr2 live-migrates every sharded query
-// (empty list heals everything back in-process), \save checkpoints all
-// standing queries to the -snapshot file.
+// deployment: \rescale addr1,addr2 retargets the worker topology and
+// live-migrates every sharded query onto it (empty list heals everything
+// back in-process), \save checkpoints all standing queries to the
+// -snapshot file.
 func adminDirective(app *aspen.SmartCIS, cmd string) error {
 	verb, rest, _ := strings.Cut(cmd, " ")
 	switch verb {

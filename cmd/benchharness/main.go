@@ -1,14 +1,14 @@
 // Benchharness regenerates every experiment table (E1–E12) defined in
 // DESIGN.md and recorded in EXPERIMENTS.md.
 //
-//	go run ./cmd/benchharness                       # all experiments
-//	go run ./cmd/benchharness E2 E4                 # a subset
-//	go run ./cmd/benchharness -json BENCH_PR8.json  # machine-readable dump
+//	go run ./cmd/benchharness                          # all experiments
+//	go run ./cmd/benchharness E2 E4                    # a subset
+//	go run ./cmd/benchharness -json bench-tables.json  # machine-readable dump
 //
 // With -json, the selected experiment tables are also written to the given
-// file together with the recorded seed baselines of the hot-path
-// microbenchmarks (see PERF.md), so before/after comparisons ride along
-// with the data.
+// file. The per-PR microbenchmark baselines that used to ride along are
+// history, kept in PERF.md; comparisons between two builds go through the
+// repository benchmark (bench/README.md).
 package main
 
 import (
@@ -20,157 +20,6 @@ import (
 
 	"aspen/internal/experiments"
 )
-
-// seedBaselines records the microbenchmark numbers of the seed tree
-// (before PR 1's allocation-free hot path), measured with
-// `go test -run '^$' -bench <id> -benchmem`. PERF.md documents the
-// workflow and the matching post-PR numbers.
-var seedBaselines = map[string]string{
-	"E7StreamThroughput":  "662 ns/op, 287 B/op, 8 allocs/op",
-	"E2InNetworkJoin/opt": "39287 ns/op, 42272 B/op, 216 allocs/op",
-	"E9EndToEnd":          "335236 ns/op, 162985 B/op, 1078 allocs/op",
-}
-
-// pr1Baselines records the post-PR-1 numbers (allocation-free hot path,
-// from BENCH_PR1.json's era) that the PR-2 serial-regression criteria are
-// measured against; the sharded E7 sweep rides in the E7 table itself.
-var pr1Baselines = map[string]string{
-	"E7StreamThroughput":      "261 ns/op, 1 allocs/op",
-	"E7StreamThroughputBatch": "253 ns/op, 0 allocs/op",
-	"E2InNetworkJoin/opt":     "24049 ns/op, 26 allocs/op",
-	"E9EndToEnd":              "293379 ns/op, 977 allocs/op",
-}
-
-// pr2Baselines records the post-PR-2 shard-sweep numbers (single-core CI
-// container) that PR 3's two-phase additions must not regress against; the
-// global-aggregate sweep rides in the E7 table (`10s/glob/P=n` rows) and
-// in BenchmarkE7GlobalAggSharded.
-var pr2Baselines = map[string]string{
-	"E7StreamThroughputSharded/P=1": "244 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=2": "259 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=4": "287 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=8": "392 ns/op, 0 allocs/op",
-}
-
-// pr3Baselines records the post-PR-3 sweep numbers (single-core CI
-// container) that PR 4's multi-node exchange must not regress against; the
-// loopback-worker sweep rides in the E7 table (`10s/P=4/W=n` rows) and in
-// BenchmarkE7RemoteSharded.
-var pr3Baselines = map[string]string{
-	"E7StreamThroughputSharded/P=1": "217 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=2": "243 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=4": "286 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=8": "394 ns/op, 0 allocs/op",
-	"E7GlobalAggSharded/P=1":        "228 ns/op, 0 allocs/op",
-	"E7GlobalAggSharded/P=2":        "245 ns/op, 0 allocs/op",
-	"E7GlobalAggSharded/P=4":        "290 ns/op, 0 allocs/op",
-	"E7GlobalAggSharded/P=8":        "407 ns/op, 0 allocs/op",
-}
-
-// pr4Baselines records the post-PR-4 numbers (single-core CI container)
-// that PR 5's failover subsystem must not regress against: the in-process
-// sweeps must not pay for the failover machinery at all (it only hooks
-// worker connections), and the remote rows bound the replay-log +
-// checkpoint overhead on the wire path.
-var pr4Baselines = map[string]string{
-	"E7StreamThroughputSharded/P=1": "259 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=2": "270 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=4": "294 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=8": "390 ns/op, 0 allocs/op",
-	"E7RemoteSharded/W=0":           "284 ns/op, 0 allocs/op",
-	"E7RemoteSharded/W=1":           "2012 ns/op, 4 allocs/op",
-	"E7RemoteSharded/W=2":           "1955 ns/op, 4 allocs/op",
-}
-
-// pr5Baselines records the post-PR-5 numbers (single-core CI container,
-// gob wire codec, one TCP connection per deployment×worker) that PR 6's
-// columnar codec + connection multiplexing are measured against: the
-// W>=1 rows are the wire path the codec had to make ~10× cheaper.
-var pr5Baselines = map[string]string{
-	"E7RemoteSharded/W=0":         "321 ns/op, 0 allocs/op",
-	"E7RemoteSharded/W=1":         "2437 ns/op, 4 allocs/op",
-	"E7RemoteShardedFailover/W=0": "330 ns/op, 0 allocs/op",
-	"E7RemoteShardedFailover/W=1": "2615 ns/op, 4 allocs/op",
-}
-
-// pr6Baselines records the post-PR-6 numbers (single-core CI container,
-// columnar wire codec, multiplexed connections) that PR 7's elastic
-// membership is measured against: armed-but-idle rescale support must
-// keep the in-process sweeps at 0 allocs/op and stay within 5% on the
-// W=1 wire path.
-var pr6Baselines = map[string]string{
-	"E7StreamThroughputSharded/P=1": "214 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=2": "257 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=4": "285 ns/op, 0 allocs/op",
-	"E7StreamThroughputSharded/P=8": "362 ns/op, 0 allocs/op",
-	"E7RemoteSharded/W=0":           "285 ns/op, 0 allocs/op",
-	"E7RemoteSharded/W=1":           "422 ns/op, 0 allocs/op",
-	"E7RemoteSharded/W=2":           "364 ns/op, 0 allocs/op",
-	"E7RemoteShardedFailover/W=0":   "298 ns/op, 0 allocs/op",
-	"E7RemoteShardedFailover/W=1":   "621 ns/op, 0 allocs/op",
-}
-
-// pr7Baselines records the post-PR-7 query-density numbers (single-core CI
-// container, Q private windowed-filter pipelines per query — the only
-// deployment mode before PR 8's shared-subplan layer). ns/op is per tuple
-// across all Q queries, so the linear growth in Q is the cost PR 8's
-// prefix sharing has to flatten; the matching shared rows ride in the E11
-// table and in BenchmarkQueryDensity.
-var pr7Baselines = map[string]string{
-	"QueryDensity/Q=1/private":   "253 ns/op",
-	"QueryDensity/Q=16/private":  "3988 ns/op",
-	"QueryDensity/Q=256/private": "84824 ns/op",
-}
-
-// pr9Baselines records the post-PR-9 numbers (single-core CI container,
-// from BENCH_PR9.json's E7/E11/E2R tables) that PR 10's armed snapshot
-// support is measured against: capturing shared-chain windows and
-// fragment specs in coordinator snapshots is off the hot path, so the
-// shard/wire sweeps and the shared-prefix per-query costs must hold
-// unchanged (0 allocs/op in the matching microbenchmarks).
-var pr9Baselines = map[string]string{
-	"E7/10s/P=4":        "7.7 ms wall, 3.88M tuples/sec",
-	"E7/10s/P=4/W=1":    "10.0 ms wall, 3.01M tuples/sec",
-	"E7/10s/P=4/W=1/fo": "16.6 ms wall, 1.80M tuples/sec",
-	"E11/Q=16/shared":   "96 ns/tuple/query, 3.11x over private",
-	"E11/Q=256/shared":  "67 ns/tuple/query, 5.11x over private",
-	"E2R/12x12":         "fragment-at-worker 0.95x of raw-over-wire, 0 raw tuples shipped",
-}
-
-type report struct {
-	// SeedBaseline holds the pre-optimization microbenchmark numbers for
-	// the benchmarks the PR-1 acceptance criteria track.
-	SeedBaseline map[string]string `json:"seed_baseline"`
-	// PR1Baseline holds the post-PR-1 numbers that PR 2's serial paths
-	// must not regress against.
-	PR1Baseline map[string]string `json:"pr1_baseline"`
-	// PR2Baseline holds the post-PR-2 sharded numbers that PR 3's
-	// two-phase aggregation must not regress against.
-	PR2Baseline map[string]string `json:"pr2_baseline"`
-	// PR3Baseline holds the post-PR-3 sweep numbers that PR 4's
-	// multi-node exchange must not regress against.
-	PR3Baseline map[string]string `json:"pr3_baseline"`
-	// PR4Baseline holds the post-PR-4 sweep numbers that PR 5's failover
-	// subsystem must not regress against.
-	PR4Baseline map[string]string `json:"pr4_baseline"`
-	// PR5Baseline holds the post-PR-5 gob-era remote numbers that PR 6's
-	// columnar wire codec + multiplexing are compared against.
-	PR5Baseline map[string]string `json:"pr5_baseline"`
-	// PR6Baseline holds the post-PR-6 numbers that PR 7's elastic
-	// membership (always-armed rescale support) is compared against.
-	PR6Baseline map[string]string `json:"pr6_baseline"`
-	// PR7Baseline holds the post-PR-7 per-query numbers — Q private
-	// pipelines, before the shared-subplan layer existed — that PR 8's
-	// query-density criterion (per-query cost sublinear in Q) is
-	// measured against.
-	PR7Baseline map[string]string `json:"pr7_baseline"`
-	// PR9Baseline holds the post-PR-9 table numbers (PR 8's rows ride in
-	// the frozen BENCH_PR8.json) that PR 10's snapshot v2 capture — shared
-	// chains and fragment deployments — must not regress; the snapshot
-	// size/latency rows themselves live in the E12 table.
-	PR9Baseline map[string]string   `json:"pr9_baseline"`
-	Experiments []experiments.Table `json:"experiments"`
-}
 
 func main() {
 	jsonPath := flag.String("json", "", "also write the tables as JSON to this file")
@@ -197,11 +46,9 @@ func main() {
 	if len(want) == 0 {
 		want = order
 	}
-	rep := report{SeedBaseline: seedBaselines, PR1Baseline: pr1Baselines,
-		PR2Baseline: pr2Baselines, PR3Baseline: pr3Baselines,
-		PR4Baseline: pr4Baselines, PR5Baseline: pr5Baselines,
-		PR6Baseline: pr6Baselines, PR7Baseline: pr7Baselines,
-		PR9Baseline: pr9Baselines}
+	var rep struct {
+		Experiments []experiments.Table `json:"experiments"`
+	}
 	for _, id := range want {
 		fn, ok := all[strings.ToUpper(id)]
 		if !ok {

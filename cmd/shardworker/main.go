@@ -1,6 +1,7 @@
 // Shardworker hosts remote shard replicas for distributed plan execution:
-// a coordinator compiled with Parallelism=P and a node topology
-// (core.Config.Nodes / plan.CompileOptions.Nodes) deploys replica subplans
+// a coordinator whose plan.Topology (the one struct core.Config,
+// smartcis.Options and aspenql's -par/-nodes/-failover flags embed) names
+// this worker in Nodes, with Parallelism >= 2, deploys replica subplans
 // here over the shard frame protocol (columnar batch bodies, every
 // deployment from one coordinator multiplexed over one TCP connection as
 // its own stream id), streams hash-partitioned batches and clock ticks
@@ -13,7 +14,7 @@
 // shard replicas they feed (the paper's in-network execution pushed all
 // the way to the machine holding the motes). Coordinators advertise the
 // hosted sources through node affinity annotations ("addr=src1,src2" in
-// core.Config.Nodes) so locality placement routes the right shards here.
+// Topology.Nodes) so locality placement routes the right shards here.
 //
 //	go run ./cmd/shardworker -listen 127.0.0.1:7070
 //	go run ./cmd/shardworker                # ephemeral port, printed on stdout

@@ -43,17 +43,18 @@ func newFieldEngine() *sensor.Engine {
 // parallelism and (annotated) worker topology.
 func newFragmentRuntime(t *testing.T, par int, failover bool, nodes ...string) (*Runtime, *vtime.Scheduler) {
 	t.Helper()
-	return newFragmentRuntimeCfg(t, Config{
-		Parallelism: par,
-		Nodes:       nodes,
-		Failover:    failover,
-		CheckpointEvery: func() int {
-			if failover {
-				return 2
-			}
-			return 0
-		}(),
-	})
+	topo := plan.Topology{Parallelism: par, Nodes: nodes}
+	if failover {
+		topo.Failover, topo.CheckpointEvery = true, 2
+	}
+	return newFragmentRuntimeCfg(t, Config{Topology: topo})
+}
+
+// failoverTopology is p shards over nodes with checkpointed failover armed
+// every second tick.
+func failoverTopology(p int, nodes []string) plan.Topology {
+	return plan.Topology{Parallelism: p, Nodes: nodes,
+		Recovery: stream.Recovery{Failover: true, CheckpointEvery: 2}}
 }
 
 // newFragmentRuntimeCfg is newFragmentRuntime with the full Config surface
@@ -349,8 +350,7 @@ func fragRestartSnapshot(t *testing.T, path string) []string {
 	t.Helper()
 	workers, nodes := newSensorWorkers(t, 2, "light")
 	rt, sched := newFragmentRuntimeCfg(t, Config{
-		Parallelism: 4, Nodes: nodes,
-		Failover: true, CheckpointEvery: 2,
+		Topology:     failoverTopology(4, nodes),
 		SnapshotPath: path,
 	})
 	q, err := rt.Run(fragRestartSrc)
@@ -405,8 +405,7 @@ func TestFragmentSnapshotRestartSameWorkers(t *testing.T) {
 	}
 	newSensorWorkersAt(t, addrs, "light")
 	rt, sched := newFragmentRuntimeCfg(t, Config{
-		Parallelism: 4, Nodes: nodes,
-		Failover: true, CheckpointEvery: 2,
+		Topology:     failoverTopology(4, nodes),
 		SnapshotPath: path,
 	})
 	qs, skipped, err := rt.RestoreSnapshot()
@@ -448,7 +447,7 @@ func TestFragmentSnapshotRestartWorkersGone(t *testing.T) {
 	fragRestartSnapshot(t, path)
 
 	rt, sched := newFragmentRuntimeCfg(t, Config{
-		Parallelism: 4, SnapshotPath: path,
+		Topology: plan.Topology{Parallelism: 4}, SnapshotPath: path,
 	})
 	qs, skipped, err := rt.RestoreSnapshot()
 	if err != nil {
@@ -494,7 +493,7 @@ func TestFragmentSnapshotRestartCentralFallback(t *testing.T) {
 	rt := New(Config{
 		Scheduler:    sched,
 		SensorEngine: newFieldEngine(),
-		Parallelism:  4,
+		Topology:     plan.Topology{Parallelism: 4},
 		SnapshotPath: path,
 	})
 	t.Cleanup(rt.Close)
@@ -539,7 +538,7 @@ func TestFragmentIneligibleTickMisalignment(t *testing.T) {
 	rt := New(Config{
 		Scheduler:    sched,
 		SensorEngine: newFieldEngine(),
-		Parallelism:  2,
+		Topology:     plan.Topology{Parallelism: 2},
 		TickPeriod:   3 * time.Second,
 	})
 	t.Cleanup(rt.Close)
@@ -547,7 +546,7 @@ func TestFragmentIneligibleTickMisalignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, nodes := newSensorWorkers(t, 2, "light")
-	rt.nodes = nodes
+	rt.topo.Nodes = nodes
 
 	q, err := rt.Run(`SELECT l.room, count(*) AS n FROM Light l [RANGE 6 SECONDS]
 		 WHERE l.value < 10 GROUP BY l.room ORDER BY l.room`)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 func newParallelRuntime(t *testing.T, par int, nodes ...string) (*Runtime, *vtime.Scheduler) {
 	t.Helper()
 	sched := vtime.NewScheduler()
-	rt := New(Config{Scheduler: sched, Parallelism: par, Nodes: nodes})
+	rt := New(Config{Scheduler: sched, Topology: plan.Topology{Parallelism: par, Nodes: nodes}})
 	t.Cleanup(rt.Close)
 	schema := data.NewSchema("Readings",
 		data.Col("room", data.TString), data.Col("value", data.TFloat))
@@ -267,8 +268,7 @@ func TestRuntimeFailoverSurvivesWorkerLoss(t *testing.T) {
 		nodes = append(nodes, w.Addr())
 	}
 	sched := vtime.NewScheduler()
-	rt := New(Config{Scheduler: sched, Parallelism: 4, Nodes: nodes,
-		Failover: true, CheckpointEvery: 2})
+	rt := New(Config{Scheduler: sched, Topology: failoverTopology(4, nodes)})
 	t.Cleanup(rt.Close)
 	schema := data.NewSchema("Readings",
 		data.Col("room", data.TString), data.Col("value", data.TFloat))
@@ -297,5 +297,62 @@ func TestRuntimeFailoverSurvivesWorkerLoss(t *testing.T) {
 		if !want[i].EqualVals(got[i]) {
 			t.Fatalf("row %d: post-failover %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestRuntimeRescale covers Runtime.Rescale on a runtime without a
+// SnapshotPath: every deployed SELECT is tracked, so an empty list pulls a
+// P=2 query's shards off its loopback worker (at the parent commit Rescale
+// without a durable coordinator moved nothing and still reported success),
+// and a list the next deploy would reject is refused before it replaces the
+// topology — later queries keep deploying onto the old one.
+func TestRuntimeRescale(t *testing.T) {
+	const src = `SELECT r.room, count(*) AS n FROM Readings r [RANGE 5 SECONDS] GROUP BY r.room`
+	w, err := plan.NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	rt, _ := newParallelRuntime(t, 2, w.Addr())
+	q, err := rt.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+	onWorker := []string{w.Addr(), w.Addr()}
+	if got := q.Deployment.Placement(); !slices.Equal(got, onWorker) {
+		t.Fatalf("placement %v, want both shards on the worker", got)
+	}
+
+	for _, bad := range [][]string{{"w:1", "w:1"}, {"=readings"}} {
+		if err := rt.Rescale(bad); err == nil {
+			t.Fatalf("Rescale(%v) accepted a list every later deploy rejects", bad)
+		}
+	}
+	if got := q.Deployment.Placement(); !slices.Equal(got, onWorker) {
+		t.Fatalf("a rejected Rescale moved shards: %v", got)
+	}
+	q2, err := rt.Run(src)
+	if err != nil {
+		t.Fatalf("deploy after a rejected Rescale: %v", err)
+	}
+	defer q2.Stop()
+	if got := q2.Deployment.Placement(); !slices.Equal(got, onWorker) {
+		t.Fatalf("deploy after a rejected Rescale placed %v, want the old topology", got)
+	}
+
+	if err := rt.Rescale(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, dep := range []*plan.Deployment{q.Deployment, q2.Deployment} {
+		if got := dep.Placement(); !slices.Equal(got, []string{"", ""}) {
+			t.Fatalf("after Rescale(nil) placement is %v, want every shard in-process", got)
+		}
+	}
+	if _, err := rt.SaveSnapshot(); err == nil {
+		t.Fatal("SaveSnapshot without a SnapshotPath must fail")
+	}
+	if _, _, err := rt.RestoreSnapshot(); err == nil {
+		t.Fatal("RestoreSnapshot without a SnapshotPath must fail")
 	}
 }

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"aspen/internal/catalog"
@@ -40,30 +41,11 @@ type Config struct {
 	TickPeriod time.Duration
 	// RecursionDepth bounds WITH RECURSIVE evaluation (default 12).
 	RecursionDepth int
-	// Parallelism requests hash-partitioned parallel execution of deployed
-	// stream plans across this many pipeline replicas (default 1 =
-	// serial). Plans the shard analysis cannot partition run serial.
-	Parallelism int
-	// Nodes lists shard-worker addresses (cmd/shardworker) to distribute
-	// the replicas over: shard j deploys to Nodes[j%len(Nodes)], with ""
-	// keeping that replica in-process. Empty runs everything in-process.
-	// All deployments to one worker multiplex over a single pooled TCP
-	// connection (one per distinct address), each as its own wire stream.
-	Nodes []string
-	// Failover converts worker loss from fail-stop into checkpointed
-	// redeploy: remote replicas checkpoint their operator state to the
-	// coordinator, and a dead or stalled worker's shards redeploy —
-	// checkpoint plus replayed input — onto a surviving worker or
-	// in-process, keeping query results exact across the loss. Only
-	// meaningful with Nodes.
-	Failover bool
-	// CheckpointEvery is the failover checkpoint cadence in clock ticks
-	// (default 8).
-	CheckpointEvery int
-	// FailoverStallTimeout bounds every shard-worker ack wait (flush and
-	// deploy barriers, in-flight credits); a worker silent past it is a
-	// detected failure. 0 keeps the stream-layer default (30s).
-	FailoverStallTimeout time.Duration
+	// Topology spreads deployed stream plans over pipeline replicas and
+	// shard workers (cmd/shardworker) and says how they survive losing one;
+	// the zero value runs every plan serial and in-process. Runtime.Rescale
+	// retargets its Nodes.
+	plan.Topology
 	// SharedPrefixes enables multi-query plan sharing: serial SELECT
 	// deployments whose plans start with the same scan+window+selection
 	// prefix (canonicalized positionally, so aliases don't matter) run one
@@ -74,9 +56,9 @@ type Config struct {
 	// shared window warm-starts from the window's current contents. Only
 	// serial deployments share (Parallelism < 2 or unpartitionable plans).
 	SharedPrefixes bool
-	// SnapshotPath makes the coordinator durable: deployed SELECT queries
-	// are tracked by a plan.Coordinator that SaveSnapshot persists to this
-	// file (atomic, checksummed, fsynced through the rename) and
+	// SnapshotPath makes the coordinator durable: the plan.Coordinator
+	// tracking every deployed SELECT query is persisted by SaveSnapshot to
+	// this file (atomic, checksummed, fsynced through the rename) and
 	// RestoreSnapshot rehydrates after a coordinator restart — standing
 	// queries recompile onto their snapshotted shard placement and resume
 	// from the last committed checkpoint, shared-prefix window state and
@@ -92,21 +74,17 @@ type Runtime struct {
 	Sched  *vtime.Scheduler
 	Stream *stream.Engine
 
-	fed         *federation.Federator
-	sensors     *sensor.Engine
-	hosts       *plan.SensorHosts
-	recursion   int
-	parallelism int
-	nodes       []string
-	failover    bool
-	ckEvery     int
-	stall       time.Duration
-	tick        time.Duration
-	share       *plan.Sharing
-	tickCancel  func()
+	fed        *federation.Federator
+	sensors    *sensor.Engine
+	hosts      *plan.SensorHosts
+	recursion  int
+	topo       plan.Topology
+	tick       time.Duration
+	share      *plan.Sharing
+	tickCancel func()
 
-	// coord tracks SELECT deployments for durable snapshots (SnapshotPath);
-	// qn numbers them q1, q2, … in deploy order.
+	// coord tracks every SELECT deployment — Stop, Rescale and snapshots all
+	// go through it; qn numbers them q1, q2, … in deploy order.
 	coord *plan.Coordinator
 	qn    int
 }
@@ -126,56 +104,36 @@ func New(cfg Config) *Runtime {
 		cfg.RecursionDepth = 12
 	}
 	rt := &Runtime{
-		Cat:         catalog.New(),
-		Sched:       cfg.Scheduler,
-		Stream:      stream.NewEngine(cfg.NodeName, cfg.Scheduler),
-		sensors:     cfg.SensorEngine,
-		recursion:   cfg.RecursionDepth,
-		parallelism: cfg.Parallelism,
-		nodes:       cfg.Nodes,
-		failover:    cfg.Failover,
-		ckEvery:     cfg.CheckpointEvery,
-		stall:       cfg.FailoverStallTimeout,
-		tick:        cfg.TickPeriod,
+		Cat:       catalog.New(),
+		Sched:     cfg.Scheduler,
+		Stream:    stream.NewEngine(cfg.NodeName, cfg.Scheduler),
+		sensors:   cfg.SensorEngine,
+		recursion: cfg.RecursionDepth,
+		topo:      cfg.Topology,
+		tick:      cfg.TickPeriod,
 	}
+	rt.coord = plan.NewCoordinator(rt.Stream, cfg.SnapshotPath)
 	if cfg.SharedPrefixes {
 		rt.share = plan.NewSharing(rt.Stream)
-	}
-	if cfg.SnapshotPath != "" {
-		rt.coord = plan.NewCoordinator(rt.Stream, cfg.SnapshotPath)
-		if rt.share != nil {
-			rt.coord.EnableSharing(rt.share)
-		}
+		rt.coord.EnableSharing(rt.share)
 	}
 	rt.fed = &federation.Federator{Cat: rt.Cat}
 	if cfg.SensorEngine != nil {
 		kinds := map[string]sensornet.SensorKind{}
 		rt.hosts = plan.NewSensorHosts()
 		for k, v := range cfg.SensorKinds {
-			kinds[lower(k)] = v
+			kinds[strings.ToLower(k)] = v
 			rt.hosts.Add(k, cfg.SensorEngine)
 		}
 		rt.fed.Sensors = &federation.Binding{Kinds: kinds, Engine: cfg.SensorEngine}
 	}
-	if rt.coord != nil {
-		// The coordinator needs the process's sensor hosts, tick cadence,
-		// and clock to rehydrate fragment-carrying deployments.
-		rt.coord.SetRuntime(rt.hosts, cfg.TickPeriod, rt.Sched.Now)
-	}
+	// The coordinator needs the process's sensor hosts, tick cadence, and
+	// clock to rehydrate fragment-carrying deployments.
+	rt.coord.SetRuntime(rt.hosts, cfg.TickPeriod, rt.Sched.Now)
 	rt.tickCancel = rt.Sched.Every(cfg.TickPeriod, func() {
 		rt.Stream.Advance(rt.Sched.Now())
 	})
 	return rt
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
 }
 
 // Close stops the runtime's background tick.
@@ -202,12 +160,12 @@ type Query struct {
 	Partition *federation.Result
 
 	rt      *Runtime
-	name    string // coordinator-tracked name ("" without SnapshotPath)
+	name    string // coordinator-tracked name ("" for views and recursive queries)
 	runners []interface{ Stop() }
 }
 
-// Name reports the query's coordinator-tracked name ("" when the runtime
-// has no durable coordinator).
+// Name reports the name the coordinator tracks a live SELECT query under
+// (q1, q2, …; "" for views, recursive queries, and after Stop).
 func (q *Query) Name() string { return q.name }
 
 // Snapshot returns the current result under the query's ORDER BY/LIMIT.
@@ -230,13 +188,11 @@ func (q *Query) Stop() {
 		r.Stop()
 	}
 	q.runners = nil
-	if q.name != "" && q.rt.coord != nil {
+	if q.name != "" {
 		// Drop closes the deployment and stops snapshotting it.
 		_ = q.rt.coord.Drop(q.name)
 		q.name = ""
-		return
-	}
-	if q.Deployment != nil {
+	} else if q.Deployment != nil {
 		q.Deployment.Close()
 	}
 }
@@ -245,13 +201,10 @@ func (q *Query) Stop() {
 // topology (see plan.Deployment.Rescale): live re-sharding when workers
 // join or leave, and heal-back after a failover once the worker rejoins.
 func (q *Query) Rescale(nodes []string) error {
-	if q.Deployment == nil {
-		return fmt.Errorf("core: statement %q has no deployment to rescale", q.SQL)
+	if q.name == "" {
+		return fmt.Errorf("core: statement %q has no live tracked deployment to rescale", q.SQL)
 	}
-	if q.name != "" && q.rt.coord != nil {
-		return q.rt.coord.Rescale(q.name, nodes)
-	}
-	return q.Deployment.Rescale(nodes)
+	return q.rt.coord.Rescale(q.name, nodes)
 }
 
 // Run parses and deploys one StreamSQL statement.
@@ -289,19 +242,11 @@ func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, e
 		return nil, err
 	}
 	specs := fragSpecs(res.Chosen.Fragments)
-	opts := plan.CompileOptions{Parallelism: rt.parallelism, Nodes: rt.nodes,
-		Failover: rt.failover, CheckpointEvery: rt.ckEvery, StallTimeout: rt.stall,
-		Sharing: rt.share, SensorHosts: rt.hosts, TickPeriod: rt.tick,
-		Now: rt.Sched.Now(), Fragments: specs}
-	var dep *plan.Deployment
-	var name string
-	if rt.coord != nil {
-		rt.qn++
-		name = fmt.Sprintf("q%d", rt.qn)
-		dep, err = rt.coord.Deploy(name, res.Chosen.StreamPlan, opts)
-	} else {
-		dep, err = plan.CompileStreamOpts(res.Chosen.StreamPlan, rt.Stream, opts)
-	}
+	rt.qn++
+	name := fmt.Sprintf("q%d", rt.qn)
+	dep, err := rt.coord.Deploy(name, res.Chosen.StreamPlan, plan.CompileOptions{
+		Topology: rt.topo, Sharing: rt.share, SensorHosts: rt.hosts,
+		TickPeriod: rt.tick, Now: rt.Sched.Now(), Fragments: specs})
 	if err != nil {
 		return nil, err
 	}
@@ -344,15 +289,8 @@ func (rt *Runtime) startFragmentRunners(q *Query, dep *plan.Deployment, frags []
 		if remote[f.Name] {
 			continue
 		}
-		var schema *data.Schema
-		switch {
-		case f.Select != nil:
-			schema = f.Select.Schema()
-		case f.Join != nil:
-			schema = f.Join.Schema()
-		case f.Agg != nil:
-			schema = f.Agg.Schema()
-		default:
+		schema := f.Schema()
+		if schema == nil {
 			return fmt.Errorf("core: fragment %s has no query", f.Name)
 		}
 		in, ok := rt.Stream.Input(f.Name)
@@ -415,7 +353,8 @@ func (rt *Runtime) loadTables(dep *plan.Deployment) {
 	}
 }
 
-// Coordinator exposes the durable coordinator (nil without SnapshotPath).
+// Coordinator exposes the coordinator tracking every deployed SELECT query
+// (durable with Config.SnapshotPath).
 func (rt *Runtime) Coordinator() *plan.Coordinator { return rt.coord }
 
 // Sharing exposes the multi-query sharing registry (nil without
@@ -423,16 +362,12 @@ func (rt *Runtime) Coordinator() *plan.Coordinator { return rt.coord }
 func (rt *Runtime) Sharing() *plan.Sharing { return rt.share }
 
 // SaveSnapshot checkpoints every coordinator-tracked query at a quiescent
-// barrier and atomically replaces the snapshot file (Config.SnapshotPath).
+// barrier and atomically replaces the snapshot file (Config.SnapshotPath;
+// without one it is an error).
 // Shared-prefix window state and sensor fragment deployments are captured
 // too; the returned slice names any query the snapshot could not record
 // (empty = complete snapshot) — surface it, never ignore it.
-func (rt *Runtime) SaveSnapshot() ([]string, error) {
-	if rt.coord == nil {
-		return nil, fmt.Errorf("core: no SnapshotPath configured")
-	}
-	return rt.coord.Save()
-}
+func (rt *Runtime) SaveSnapshot() ([]string, error) { return rt.coord.Save() }
 
 // RestoreSnapshot rehydrates the standing queries recorded in the
 // snapshot file onto this runtime: each recompiles with its shards pinned
@@ -448,9 +383,6 @@ func (rt *Runtime) SaveSnapshot() ([]string, error) {
 // queries must be re-run); a validation or compile failure restores
 // nothing and reports why.
 func (rt *Runtime) RestoreSnapshot() ([]*Query, []string, error) {
-	if rt.coord == nil {
-		return nil, nil, fmt.Errorf("core: no SnapshotPath configured")
-	}
 	skipped, err := rt.coord.Restore()
 	if err != nil {
 		return nil, nil, err
@@ -484,15 +416,17 @@ func (rt *Runtime) RestoreSnapshot() ([]*Query, []string, error) {
 }
 
 // Rescale retargets the runtime's worker topology: future deployments
-// place shards over nodes, and every coordinator-tracked sharded query
-// live-migrates onto it (workers that joined take shards, leaving workers
-// hand theirs back, failover-stranded shards heal back out). Queries
-// deployed without the coordinator rescale individually via Query.Rescale.
+// place shards over nodes, and every live sharded query live-migrates onto
+// it (workers that joined take shards, leaving workers hand theirs back,
+// failover-stranded shards heal back out). A list the next deploy would
+// reject is refused here, leaving the topology as it was.
 func (rt *Runtime) Rescale(nodes []string) error {
-	rt.nodes = nodes
-	if rt.coord == nil {
-		return nil
+	next := rt.topo
+	next.Nodes = nodes
+	if _, _, err := next.Workers(); err != nil {
+		return err
 	}
+	rt.topo = next
 	for _, name := range rt.coord.Names() {
 		dep, ok := rt.coord.Deployment(name)
 		if !ok || dep.Shards < 2 {
@@ -540,7 +474,7 @@ func (rt *Runtime) RegisterSensorStream(name string, kind sensornet.SensorKind, 
 	}); err != nil {
 		return err
 	}
-	rt.fed.Sensors.Kinds[lower(name)] = kind
+	rt.fed.Sensors.Kinds[strings.ToLower(name)] = kind
 	rt.hosts.Add(name, rt.sensors)
 	if _, err := rt.Stream.Register(name, schema); err != nil {
 		return err

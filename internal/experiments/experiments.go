@@ -640,8 +640,9 @@ func NewRemoteE7Failover(win time.Duration, p, workers int, failover bool) (*Rem
 		e.workers = append(e.workers, wk)
 		nodes = append(nodes, wk.Addr())
 	}
-	dep, err := plan.CompileStreamOpts(&plan.Built{Root: agg, Limit: -1}, e.Eng,
-		plan.CompileOptions{Parallelism: p, Nodes: nodes, Failover: failover})
+	opts := plan.CompileOptions{Topology: plan.Topology{Parallelism: p, Nodes: nodes}}
+	opts.Failover = failover
+	dep, err := plan.CompileStreamOpts(&plan.Built{Root: agg, Limit: -1}, e.Eng, opts)
 	if err != nil {
 		e.Close()
 		return nil, err

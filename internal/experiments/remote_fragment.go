@@ -86,7 +86,7 @@ func runE2Remote(side, epochs, p, nWorkers int, fragment bool) (time.Duration, i
 	eng := stream.NewEngine("e2r", vtime.NewScheduler())
 	hosts := e2rHosts(side)
 	dep, err := plan.CompileStreamOpts(b, eng, plan.CompileOptions{
-		Parallelism: p, Nodes: nodes,
+		Topology:  plan.Topology{Parallelism: p, Nodes: nodes},
 		Fragments: []plan.SensorFragment{frag}, SensorHosts: hosts,
 		TickPeriod: time.Second,
 	})

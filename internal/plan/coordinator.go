@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -72,6 +73,8 @@ type coordEntry struct {
 	opts  CompileOptions
 }
 
+var errNoPath = errors.New("plan: no SnapshotPath configured")
+
 const (
 	snapMagic = "ASPENSNP"
 	// snapVersion is the format this build writes; snapVersionMin..snapVersion
@@ -103,7 +106,10 @@ type snapDeployment struct {
 	Display      string
 	SamplePeriod time.Duration
 
-	// Compile options the deployment ran with.
+	// The Topology the deployment ran with, kept as the flat fields format
+	// version 2 was first written with (an embedded struct would gob as one
+	// nested field and orphan every existing file); setTopology and topology
+	// are the only conversions.
 	Parallelism     int
 	Nodes           []string
 	Failover        bool
@@ -124,7 +130,19 @@ type snapDeployment struct {
 	RemoteFrags []string
 }
 
-// NewCoordinator tracks deployments on eng and snapshots them to path.
+func (sd *snapDeployment) setTopology(t Topology) {
+	sd.Parallelism, sd.Nodes = t.Parallelism, t.Nodes
+	sd.Failover, sd.CheckpointEvery, sd.StallTimeout = t.Failover, t.CheckpointEvery, t.StallTimeout
+}
+
+func (sd *snapDeployment) topology() Topology {
+	return Topology{Parallelism: sd.Parallelism, Nodes: sd.Nodes, Recovery: stream.Recovery{
+		Failover: sd.Failover, CheckpointEvery: sd.CheckpointEvery, StallTimeout: sd.StallTimeout}}
+}
+
+// NewCoordinator tracks deployments on eng and snapshots them to path. An
+// empty path keeps the coordinator in-memory only: everything but Save and
+// Restore works.
 func NewCoordinator(eng *stream.Engine, path string) *Coordinator {
 	return &Coordinator{eng: eng, path: path, deps: map[string]*coordEntry{}}
 }
@@ -279,6 +297,9 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Save() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.path == "" {
+		return nil, errNoPath
+	}
 	var f snapFile
 	names := make([]string, 0, len(c.deps))
 	for n := range c.deps {
@@ -312,24 +333,21 @@ func (c *Coordinator) Save() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: snapshot %q: %w", name, err)
 		}
-		f.Deployments = append(f.Deployments, snapDeployment{
-			Name:            name,
-			Root:            root,
-			OrderBy:         e.built.OrderBy,
-			Limit:           e.built.Limit,
-			Display:         e.built.Display,
-			SamplePeriod:    e.built.SamplePeriod,
-			Parallelism:     e.opts.Parallelism,
-			Nodes:           e.opts.Nodes,
-			Failover:        e.opts.Failover,
-			CheckpointEvery: e.opts.CheckpointEvery,
-			StallTimeout:    e.opts.StallTimeout,
-			Placement:       e.dep.Placement(),
-			Shards:          shards,
-			Coord:           coord,
-			Fragments:       frags,
-			RemoteFrags:     e.dep.RemoteFragments,
-		})
+		sd := snapDeployment{
+			Name:         name,
+			Root:         root,
+			OrderBy:      e.built.OrderBy,
+			Limit:        e.built.Limit,
+			Display:      e.built.Display,
+			SamplePeriod: e.built.SamplePeriod,
+			Placement:    e.dep.Placement(),
+			Shards:       shards,
+			Coord:        coord,
+			Fragments:    frags,
+			RemoteFrags:  e.dep.RemoteFragments,
+		}
+		sd.setTopology(e.opts.Topology)
+		f.Deployments = append(f.Deployments, sd)
 	}
 	if c.share != nil {
 		chains, err := c.share.CaptureChains()
@@ -422,6 +440,9 @@ func syncDir(dir string) error {
 func (c *Coordinator) Restore() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.path == "" {
+		return nil, errNoPath
+	}
 	if len(c.deps) != 0 {
 		return nil, fmt.Errorf("plan: Restore on a coordinator with %d live deployments", len(c.deps))
 	}
@@ -466,11 +487,7 @@ func (c *Coordinator) Restore() ([]string, error) {
 			frags = append(frags, fr)
 		}
 		opts := CompileOptions{
-			Parallelism:        sd.Parallelism,
-			Nodes:              sd.Nodes,
-			Failover:           sd.Failover,
-			CheckpointEvery:    sd.CheckpointEvery,
-			StallTimeout:       sd.StallTimeout,
+			Topology:           sd.topology(),
 			Sharing:            c.share,
 			Fragments:          frags,
 			SensorHosts:        c.hosts,
@@ -509,11 +526,7 @@ func (c *Coordinator) rehydrate(b *Built, opts CompileOptions, sd *snapDeploymen
 	if err0 == nil {
 		return dep, nil
 	}
-	anyRemote := false
-	for _, h := range sd.Placement {
-		anyRemote = anyRemote || h != ""
-	}
-	if anyRemote {
+	if anyRemote(sd.Placement) {
 		home := opts
 		home.restoreLoc = make([]string, sd.Parallelism)
 		if dep, err := CompileStreamOpts(b, c.eng, home); err == nil {

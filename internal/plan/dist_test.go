@@ -75,7 +75,7 @@ func TestCompileShardedDialRefused(t *testing.T) {
 	b := fuzzBuiltPlan(t)
 	eng := stream.NewEngine("refused", vtime.NewScheduler())
 	_, err := CompileStreamOpts(b, eng, CompileOptions{
-		Parallelism: 2, Nodes: []string{"127.0.0.1:1"},
+		Topology: Topology{Parallelism: 2, Nodes: []string{"127.0.0.1:1"}},
 	})
 	if err == nil {
 		t.Fatal("compile against a refused worker address must fail")
@@ -99,7 +99,7 @@ func TestCompileShardedDeadWorker(t *testing.T) {
 	eng := stream.NewEngine("dead", vtime.NewScheduler())
 	done := make(chan error, 1)
 	go func() {
-		_, err := CompileStreamOpts(b, eng, CompileOptions{Parallelism: 2, Nodes: []string{addr}})
+		_, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: 2, Nodes: []string{addr}}})
 		done <- err
 	}()
 	select {
@@ -118,7 +118,7 @@ func TestCompileNodesWithoutParallelism(t *testing.T) {
 	b := fuzzBuiltPlan(t)
 	eng := stream.NewEngine("misconfig", vtime.NewScheduler())
 	if _, err := CompileStreamOpts(b, eng, CompileOptions{
-		Nodes: []string{"127.0.0.1:7070"},
+		Topology: Topology{Nodes: []string{"127.0.0.1:7070"}},
 	}); err == nil {
 		t.Fatal("Nodes without Parallelism must fail the compile")
 	}
@@ -169,7 +169,7 @@ func TestMultiplexedConnAccounting(t *testing.T) {
 	for i := 0; i < n; i++ {
 		eng := stream.NewEngine("mux", vtime.NewScheduler())
 		dep, err := CompileStreamOpts(fuzzBuiltPlan(t), eng, CompileOptions{
-			Parallelism: 2, Nodes: nodes,
+			Topology: Topology{Parallelism: 2, Nodes: nodes},
 		})
 		if err != nil {
 			t.Fatal(err)

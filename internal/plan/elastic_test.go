@@ -22,6 +22,13 @@ var fuzzElastic = flag.Int("fuzzshard.elastic", 6,
 		"(and in the restart mode the coordinator itself restarts from its snapshot mid-run); "+
 		"results must stay multiset-equal to serial (0 disables)")
 
+// failoverTopology is p shards over nodes with checkpointed failover armed
+// at the given tick cadence.
+func failoverTopology(p int, nodes []string, ckEvery int) Topology {
+	return Topology{Parallelism: p, Nodes: nodes,
+		Recovery: stream.Recovery{Failover: true, CheckpointEvery: ckEvery}}
+}
+
 // pushEvents replays evs[lo:hi] into eng without snapshotting.
 func pushEvents(eng *stream.Engine, evs []fuzzEvent, lo, hi int) {
 	for _, ev := range evs[lo:hi] {
@@ -77,7 +84,7 @@ func TestRescaleLiveDeployment(t *testing.T) {
 	want := snapshotSorted(t, sdep)
 
 	eng := stream.NewEngine("rescale-elastic", vtime.NewScheduler())
-	dep, err := CompileStreamOpts(b, eng, CompileOptions{Parallelism: 2})
+	dep, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestRescaleHealBackAfterFailover(t *testing.T) {
 	var failovers int
 	eng := stream.NewEngine("heal-elastic", vtime.NewScheduler())
 	dep, err := CompileStreamOpts(b, eng, CompileOptions{
-		Parallelism: 2, Nodes: cl.addrs, Failover: true, CheckpointEvery: 2,
+		Topology: failoverTopology(2, cl.addrs, 2),
 		OnFailover: func(ev stream.FailoverEvent) {
 			if ev.Err != nil {
 				t.Errorf("failover abandoned shards %v: %v", ev.Shards, ev.Err)
@@ -223,7 +230,7 @@ func TestCoordinatorSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := coordA.Deploy("sharded", b, CompileOptions{
-		Parallelism: 2, Nodes: []string{"", addrs[0]}, Failover: true, CheckpointEvery: 2,
+		Topology: failoverTopology(2, []string{"", addrs[0]}, 2),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +280,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	if _, err := coord.Deploy("a", b, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Deploy("b", b, CompileOptions{Parallelism: 2}); err != nil {
+	if _, err := coord.Deploy("b", b, CompileOptions{Topology: Topology{Parallelism: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Deploy("a", b, CompileOptions{}); err == nil {
@@ -320,7 +327,7 @@ func TestSnapshotLoadFaults(t *testing.T) {
 	// Build one valid snapshot image to mutate.
 	engA := stream.NewEngine("faults-a", vtime.NewScheduler())
 	coordA := NewCoordinator(engA, path)
-	if _, err := coordA.Deploy("q", b, CompileOptions{Parallelism: 2}); err != nil {
+	if _, err := coordA.Deploy("q", b, CompileOptions{Topology: Topology{Parallelism: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coordA.Save(); err != nil {
@@ -446,8 +453,7 @@ func runElasticDifferential(t *testing.T, seed int64, nPlans int, restart bool) 
 			coord := NewCoordinator(eng, path)
 			coord.EnableSharing(NewSharing(eng))
 			dep, err := coord.Deploy("q", b, CompileOptions{
-				Parallelism: p, Nodes: alive[:2], Failover: true,
-				CheckpointEvery: 1 + rng.Intn(3),
+				Topology: failoverTopology(p, alive[:2], 1+rng.Intn(3)),
 				OnFailover: func(ev stream.FailoverEvent) {
 					if ev.Err != nil {
 						t.Errorf("seed %d plan %d P=%d: failover abandoned shards %v: %v",

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -240,6 +241,11 @@ func placeShards(p int, addrs []string, affinity map[string][]string, scanSource
 	return loc
 }
 
+// anyRemote reports whether a placement puts any shard on a worker.
+func anyRemote(loc []string) bool {
+	return slices.ContainsFunc(loc, func(addr string) bool { return addr != "" })
+}
+
 // affineAddrs filters addrs to those whose affinity covers a scanned
 // source, preserving order.
 func affineAddrs(addrs []string, affinity map[string][]string, scanSources []string) []string {
@@ -285,8 +291,13 @@ func (d *Deployment) captureStates() (map[int][]byte, []byte, error) {
 	return shards, coord, nil
 }
 
-// CompileOptions tunes CompileStreamOpts.
-type CompileOptions struct {
+// Topology is the one description of how a deployment is spread over
+// processes: how wide it shards, which workers host the shards, and how it
+// survives losing one. Every layer that configures a deployment embeds this
+// value instead of re-declaring its fields — CompileOptions here,
+// core.Config, smartcis.Options, the aspenql flags — and the coordinator's
+// snapshot records it per deployment (snapDeployment's flat fields).
+type Topology struct {
 	// Parallelism requests hash-partitioned parallel execution across this
 	// many pipeline replicas. Values < 2 compile serial; plans the shard
 	// analysis cannot prove partitionable (see shard.go) fall back to
@@ -302,6 +313,8 @@ type CompileOptions struct {
 	// in-process). Exchange routing, clock ticks, and Flush/Snapshot
 	// barriers span the worker connections, so results stay
 	// multiset-identical to serial execution wherever the replicas live.
+	// All deployments to one worker multiplex over a single pooled TCP
+	// connection, each as its own wire stream.
 	//
 	// Naming workers without Parallelism >= 2 is a configuration error
 	// (the explicit machine list would be silently ignored). Plans the
@@ -309,23 +322,22 @@ type CompileOptions struct {
 	// their workers, mirroring the documented Parallelism semantics —
 	// check Deployment.Shards/Nodes when distribution matters.
 	Nodes []string
-	// Failover converts worker loss from fail-stop into checkpointed
-	// redeploy: remote replicas periodically checkpoint their operator
-	// state to the coordinator at tick barriers, and when a worker dies or
-	// stalls its shards redeploy — checkpoint plus replayed epochs — onto a
-	// surviving worker, or in-process as the last resort, keeping
-	// Deployment.Flush/Snapshot exact across the loss. Only meaningful
-	// with a Nodes topology.
-	Failover bool
-	// CheckpointEvery is the checkpoint cadence in clock ticks (default 8);
-	// smaller values shrink replay logs, larger ones shrink checkpoint
-	// traffic.
-	CheckpointEvery int
-	// StallTimeout bounds the connect and every ack wait on a shard worker
-	// (flush/deploy barriers, in-flight credits, socket writes); a worker
-	// silent past it is a detected failure. 0 keeps the package default
-	// (30s).
-	StallTimeout time.Duration
+	stream.Recovery
+}
+
+// Workers validates the topology and splits Nodes into the worker addresses
+// and their source affinities (see ParseNodes).
+func (t Topology) Workers() (addrs []string, affinity map[string][]string, err error) {
+	if len(t.Nodes) > 0 && t.Parallelism < 2 {
+		return nil, nil, fmt.Errorf("plan: a Nodes topology (%d workers) requires Parallelism >= 2, got %d",
+			len(t.Nodes), t.Parallelism)
+	}
+	return ParseNodes(t.Nodes)
+}
+
+// CompileOptions tunes CompileStreamOpts.
+type CompileOptions struct {
+	Topology
 	// OnFailover, when set, observes completed failovers (tests, ops).
 	OnFailover func(stream.FailoverEvent)
 	// Fragments lists the sensor fragments feeding this plan's derived
@@ -393,18 +405,15 @@ func CompileStream(b *Built, eng *stream.Engine) (*Deployment, error) {
 // Parallelism > 1 and a partitionable plan, the pipeline is replicated per
 // shard behind Sharder exchanges and folded back through a Merge.
 func CompileStreamOpts(b *Built, eng *stream.Engine, opts CompileOptions) (*Deployment, error) {
-	if len(opts.Nodes) > 0 && opts.Parallelism < 2 {
-		return nil, fmt.Errorf("plan: a Nodes topology (%d workers) requires Parallelism >= 2, got %d",
-			len(opts.Nodes), opts.Parallelism)
-	}
-	// Validate the node list up front, on every path: serial fallbacks
-	// would otherwise carry a malformed list into a later Rescale.
-	if _, _, err := ParseNodes(opts.Nodes); err != nil {
+	// Validate the topology up front, on every path: serial fallbacks would
+	// otherwise carry a malformed node list into a later Rescale.
+	addrs, affinity, err := opts.Workers()
+	if err != nil {
 		return nil, err
 	}
 	if opts.Parallelism > 1 {
 		if strat, ok := analyzeShard(b.Root); ok {
-			return compileSharded(b, eng, opts, strat)
+			return compileSharded(b, eng, opts, strat, addrs, affinity)
 		}
 	}
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: 1, eng: eng}
@@ -440,7 +449,7 @@ func CompileStreamOpts(b *Built, eng *stream.Engine, opts CompileOptions) (*Depl
 }
 
 // newDeploymentSink builds the shared result sink: the materialized result,
-// teed into the engine display when the plan names one.
+// fanned out to the engine display too when the plan names one.
 func newDeploymentSink(b *Built, eng *stream.Engine, dep *Deployment) (stream.Operator, error) {
 	mat := stream.NewMaterialize(b.Root.Schema())
 	dep.Result = mat
@@ -450,7 +459,10 @@ func newDeploymentSink(b *Built, eng *stream.Engine, dep *Deployment) (stream.Op
 		if err != nil {
 			return nil, err
 		}
-		sink = stream.NewTee(mat, disp)
+		fan := stream.NewFanout(b.Root.Schema())
+		fan.Subscribe(mat)
+		fan.Subscribe(disp)
+		sink = fan
 	}
 	return sink, nil
 }
@@ -510,10 +522,10 @@ func attachScan(x *Scan, head stream.Operator, eng *stream.Engine, dep *Deployme
 // logical streams: every deployment to the same address shares one pooled
 // TCP connection (stream.WorkerConnCount counts the sockets), with FIFO
 // ordering per stream preserved for barriers and failover.
-func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *shardStrategy) (*Deployment, error) {
-	p, nodes := opts.Parallelism, opts.Nodes
+func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *shardStrategy, addrs []string, affinity map[string][]string) (*Deployment, error) {
+	p := opts.Parallelism
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: p,
-		TwoPhase: strat.Split != nil, Nodes: nodes, eng: eng}
+		TwoPhase: strat.Split != nil, Nodes: opts.Nodes, eng: eng}
 	sink, err := newDeploymentSink(b, eng, dep)
 	if err != nil {
 		return nil, err
@@ -537,124 +549,32 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 		parRoot = strat.Split.In
 	}
 
+	// Place: shards land on the workers hosting the plan's sources — a
+	// scan's input, or the raw sensor sources behind the fragment feeding
+	// it — load-balanced over all workers otherwise ("" keeps a shard
+	// in-process); Rescale re-applies the same policy from scanSources. A
+	// rehydrating compile instead pins the placement the snapshot captured.
 	scans := Scans(parRoot)
-	// Resolve what each scan reads: its input, or — for fragment-fed
-	// derived inputs — the raw sensor sources behind the fragment. This
-	// drives locality placement now and again at Rescale.
-	fragFor := map[*Scan]*SensorFragment{}
-	for i := range opts.Fragments {
-		f := &opts.Fragments[i]
-		for _, sc := range scans {
-			if strings.EqualFold(sc.Input, f.Name) {
-				fragFor[sc] = f
-			}
-		}
-	}
-	var scanSrcs []string
+	fragFor := fragmentsByScan(opts.Fragments, scans)
 	for _, sc := range scans {
 		if f := fragFor[sc]; f != nil {
-			scanSrcs = append(scanSrcs, f.Sources...)
+			dep.scanSources = append(dep.scanSources, f.Sources...)
 		} else if !sc.IsTable {
-			scanSrcs = append(scanSrcs, strings.ToLower(sc.Input))
+			dep.scanSources = append(dep.scanSources, strings.ToLower(sc.Input))
 		}
 	}
-	dep.scanSources = scanSrcs
-
-	// Locality-aware placement: shards land on the workers hosting the
-	// plan's sources, load-balanced over all workers otherwise ("" keeps a
-	// shard in-process). A rehydrating compile instead pins the placement
-	// the snapshot captured.
-	addrs, affinity, err := ParseNodes(nodes)
-	if err != nil {
-		return nil, err
-	}
-	loc := placeShards(p, addrs, affinity, scanSrcs)
+	loc := placeShards(p, addrs, affinity, dep.scanSources)
 	if len(opts.restoreLoc) == p {
 		copy(loc, opts.restoreLoc)
 	}
-	anyRemote := false
-	for j := range loc {
-		anyRemote = anyRemote || loc[j] != ""
-	}
 
-	// Decide, per fragment, whether it deploys inside the shard replicas:
-	// the shard key must be node-determined (sampling partitions by it),
-	// epochs must land on tick instants, the coordinator must host the
-	// sources (in-process shards, failover's local last resort), and every
-	// remote shard home must declare affinity for them. Anything else
-	// stays a central runner.
-	var wireFrags []wireFragment
-	if opts.restoreForceFrags {
-		// A rehydrating compile replays the snapshot's fragment placement
-		// verbatim: eligibility is a function of the compile instant (epoch
-		// anchors, tick alignment) and of worker affinity, both of which may
-		// legitimately differ now — but the shard checkpoints were encoded
-		// against exactly the snapshot's runner list, so the same fragments
-		// must go remote in the same wire order.
-		for _, name := range opts.restoreRemoteFrags {
-			var f *SensorFragment
-			var sc *Scan
-			for cand, frag := range fragFor {
-				if strings.EqualFold(frag.Name, name) {
-					f, sc = frag, cand
-				}
-			}
-			if f == nil {
-				return nil, fmt.Errorf("plan: snapshot pins fragment %s remote, but the plan no longer carries it", name)
-			}
-			keyIdx, ok := fragmentKeyIdx(f, sc, strat.Keys[sc])
-			if !ok {
-				return nil, fmt.Errorf("plan: snapshot pins fragment %s remote, but its shard key is no longer node-determined", name)
-			}
-			i := scanIndex(scans, sc)
-			wf, err := encodeFragment(f, scanName(i), keyIdx, p, opts.Now.Add(f.period()))
-			if err != nil {
-				return nil, err
-			}
-			wireFrags = append(wireFrags, wf)
-			dep.RemoteFragments = append(dep.RemoteFragments, f.Name)
-		}
-	} else if anyRemote {
-		for _, sc := range scans {
-			f := fragFor[sc]
-			if f == nil {
-				continue
-			}
-			keyIdx, ok := fragmentKeyIdx(f, sc, strat.Keys[sc])
-			if !ok || !alignedWithTicks(f.period(), opts.TickPeriod, opts.Now) {
-				continue
-			}
-			hosted := opts.SensorHosts != nil
-			for _, src := range f.Sources {
-				if _, ok := opts.SensorHosts.Engine(src); !ok {
-					hosted = false
-				}
-			}
-			for j := range loc {
-				if loc[j] == "" {
-					continue
-				}
-				have := make(map[string]bool, len(affinity[loc[j]]))
-				for _, s := range affinity[loc[j]] {
-					have[s] = true
-				}
-				for _, src := range f.Sources {
-					if !have[strings.ToLower(src)] {
-						hosted = false
-					}
-				}
-			}
-			if !hosted {
-				continue
-			}
-			i := scanIndex(scans, sc)
-			wf, err := encodeFragment(f, scanName(i), keyIdx, p, opts.Now.Add(f.period()))
-			if err != nil {
-				return nil, err
-			}
-			wireFrags = append(wireFrags, wf)
-			dep.RemoteFragments = append(dep.RemoteFragments, f.Name)
-		}
+	// Decide which fragments run inside the replicas, and encode.
+	wireFrags, err := hostedFragments(&opts, scans, fragFor, strat.Keys, loc, affinity)
+	if err != nil {
+		return nil, err
+	}
+	for i := range wireFrags {
+		dep.RemoteFragments = append(dep.RemoteFragments, wireFrags[i].Query.Name)
 	}
 
 	// Every sharded deployment encodes its replica spec and arms the shard
@@ -667,7 +587,7 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 	if err != nil {
 		return nil, err
 	}
-	dep.Failover = opts.Failover && anyRemote
+	dep.Failover = opts.Failover && anyRemote(loc)
 	dep.coordCks = append(dep.coordCks, dep.Result)
 	if opts.restoreCoord != nil {
 		if err := stream.RestoreCheckpoint(dep.coordCks, opts.restoreCoord); err != nil {
@@ -690,14 +610,12 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 	// A rehydrating compile ships each shard's snapshotted state along. On
 	// error the set has torn down whatever it had placed.
 	err = set.Deploy(stream.ShardConfig{
-		Spec:            spec,
-		Nodes:           addrs,
-		Sink:            merge,
-		LocalDeploy:     opts.SensorHosts.DeployReplica,
-		Failover:        opts.Failover,
-		CheckpointEvery: opts.CheckpointEvery,
-		StallTimeout:    opts.StallTimeout,
-		OnFailover:      opts.OnFailover,
+		Spec:        spec,
+		Nodes:       addrs,
+		Sink:        merge,
+		LocalDeploy: opts.SensorHosts.DeployReplica,
+		Recovery:    opts.Recovery,
+		OnFailover:  opts.OnFailover,
 	}, loc, opts.restoreShards)
 	if err != nil {
 		return nil, err

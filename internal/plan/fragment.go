@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,6 +75,20 @@ func (f *SensorFragment) period() time.Duration {
 	return p
 }
 
+// Schema returns the schema of the tuples the fragment delivers (nil when no
+// query is set).
+func (f *SensorFragment) Schema() *data.Schema {
+	switch {
+	case f.Select != nil:
+		return f.Select.Schema()
+	case f.Join != nil:
+		return f.Join.Schema()
+	case f.Agg != nil:
+		return f.Agg.Schema()
+	}
+	return nil
+}
+
 // fragKind discriminates wire fragments.
 type fragKind uint8
 
@@ -83,17 +98,18 @@ const (
 	fragAggregate
 )
 
-// wireFragment is the gob mirror of one shard-hosted sensor fragment.
-// Predicates travel as raw expressions (expr.Compiled closures cannot
-// cross processes) and re-Bind against the reading schemas worker-side.
-type wireFragment struct {
+// snapFragment is the one gob mirror of a SensorFragment: a durable
+// coordinator snapshot stores it per CompileOptions.Fragments entry (so a
+// restored coordinator can both recompile the deployment and restart
+// central runners for fragments that cannot go remote anymore), and a
+// replica wire spec carries it inside each wireFragment. Predicates travel
+// as raw expressions (expr.Compiled closures cannot cross processes or
+// restarts) and re-Bind against the reading schemas at decode.
+type snapFragment struct {
 	Kind    fragKind
-	Scan    string   // wire name of the scan head the epochs feed
-	Sources []string // SensorHosts registry keys the host must carry
+	Name    string
+	Sources []string // SensorHosts registry keys a host must carry
 	Period  time.Duration
-	StartAt vtime.Time // first epoch instant (anchor; checkpoints override)
-	KeyIdx  []int      // partition key columns of the fragment output schema
-	P       int        // shard count the key hashes over
 
 	// fragSelect and the left side of fragJoin.
 	Rel    string
@@ -115,6 +131,16 @@ type wireFragment struct {
 	Mode        sensor.AggMode
 }
 
+// wireFragment is one shard-hosted sensor fragment inside a replica wire
+// spec: the fragment's mirror plus what is particular to this deployment.
+type wireFragment struct {
+	Query   snapFragment
+	Scan    string     // wire name of the scan head the epochs feed
+	StartAt vtime.Time // first epoch instant (anchor; checkpoints override)
+	KeyIdx  []int      // partition key columns of the fragment output schema
+	P       int        // shard count the key hashes over
+}
+
 // exprSource unwraps a compiled predicate to its raw expression (nil-safe).
 func exprSource(c *expr.Compiled) expr.Expr {
 	if c == nil {
@@ -123,30 +149,13 @@ func exprSource(c *expr.Compiled) expr.Expr {
 	return c.Source()
 }
 
-// encodeFragment lowers one eligible fragment to its wire mirror.
+// encodeFragment lowers one shard-hosted fragment to its wire form.
 func encodeFragment(f *SensorFragment, scan string, keyIdx []int, p int, startAt vtime.Time) (wireFragment, error) {
-	w := wireFragment{
-		Scan: scan, Sources: f.Sources, Period: f.period(),
-		StartAt: startAt, KeyIdx: keyIdx, P: p,
+	q, err := encodeSnapFragment(f)
+	if err != nil {
+		return wireFragment{}, err
 	}
-	switch {
-	case f.Select != nil:
-		q := f.Select
-		w.Kind, w.Rel, w.Sensor, w.Pred = fragSelect, q.Rel, q.Sensor, exprSource(q.Pred)
-	case f.Join != nil:
-		q := f.Join
-		w.Kind, w.PairBy, w.Radius, w.Placement = fragJoin, q.PairBy, q.Radius, q.Placement
-		w.Rel, w.Sensor, w.Pred = q.Left.Rel, q.Left.Sensor, exprSource(q.Left.Pred)
-		w.RRel, w.RSensor, w.RPred = q.Right.Rel, q.Right.Sensor, exprSource(q.Right.Pred)
-		w.On = exprSource(q.On)
-	case f.Agg != nil:
-		q := f.Agg
-		w.Kind, w.Rel, w.Sensor, w.Pred = fragAggregate, q.Rel, q.Sensor, exprSource(q.Pred)
-		w.AggFunc, w.GroupByRoom, w.Mode = q.Func, q.GroupByRoom, q.Mode
-	default:
-		return wireFragment{}, fmt.Errorf("plan: fragment %s has no query", f.Name)
-	}
-	return w, nil
+	return wireFragment{Query: q, Scan: scan, StartAt: startAt, KeyIdx: keyIdx, P: p}, nil
 }
 
 // bindPred re-binds a raw wire predicate against a schema ("" = none).
@@ -200,13 +209,13 @@ func (h *SensorHosts) Sources() []string {
 // fragment.
 func (h *SensorHosts) engineFor(w *wireFragment) (*sensor.Engine, error) {
 	var eng *sensor.Engine
-	for _, src := range w.Sources {
+	for _, src := range w.Query.Sources {
 		e, ok := h.Engine(src)
 		if !ok {
 			return nil, fmt.Errorf("plan: this host has no sensor source %q", src)
 		}
 		if eng != nil && e != eng {
-			return nil, fmt.Errorf("plan: fragment sources %v span different sensor engines", w.Sources)
+			return nil, fmt.Errorf("plan: fragment sources %v span different sensor engines", w.Query.Sources)
 		}
 		eng = e
 	}
@@ -297,7 +306,7 @@ func (r *fragRunner) RestoreState(s stream.OpState) error {
 func shardKeep(w *wireFragment, shard int) sensor.NodeFilter {
 	var h data.Hasher
 	p := uint64(w.P)
-	if w.Kind == fragAggregate {
+	if w.Query.Kind == fragAggregate {
 		// Output schema (room, value): the only node-determined key is room.
 		vals := make([]data.Value, 2)
 		return func(n sensornet.Node) bool {
@@ -339,47 +348,39 @@ func (h *SensorHosts) newFragRunner(w *wireFragment, shard int, head stream.Oper
 	if err != nil {
 		return nil, err
 	}
-	r := &fragRunner{head: head, period: w.Period, next: w.StartAt}
-	switch w.Kind {
-	case fragSelect:
-		pred, err := bindPred(w.Pred, sensor.ReadingSchema(w.Rel))
-		if err != nil {
-			return nil, err
+	f, err := decodeSnapFragment(w.Query)
+	if err != nil {
+		return nil, err
+	}
+	// The spec arrived over the wire: re-check what the coordinator's
+	// eligibility test established, or a damaged spec deploys a replica that
+	// panics at its first epoch (a zero modulus, a key column off the row).
+	if w.P < 1 || shard < 0 || shard >= w.P {
+		return nil, fmt.Errorf("plan: fragment %s: shard %d of %d", w.Scan, shard, w.P)
+	}
+	arity := f.Schema().Arity()
+	if head.Schema().Arity() != arity {
+		return nil, fmt.Errorf("plan: fragment %s delivers %d columns into a %d-column scan", w.Scan, arity, head.Schema().Arity())
+	}
+	for _, idx := range w.KeyIdx {
+		if idx < 0 || idx >= arity || !fragKeyEligible(&f, idx) {
+			return nil, fmt.Errorf("plan: fragment %s: partition key column %d is not node-determined", w.Scan, idx)
 		}
-		q := &sensor.SelectQuery{Rel: w.Rel, Sensor: w.Sensor, Pred: pred, Period: w.Period}
+	}
+	r := &fragRunner{head: head, period: f.period(), next: w.StartAt}
+	switch {
+	case f.Select != nil:
 		keep := shardKeep(w, shard)
 		r.run = func(now vtime.Time, deliver sensor.Sink) {
-			eng.RunSelectEpochPart(q, now, keep, deliver)
+			eng.RunSelectEpochPart(f.Select, now, keep, deliver)
 		}
-	case fragAggregate:
-		pred, err := bindPred(w.Pred, sensor.ReadingSchema(w.Rel))
-		if err != nil {
-			return nil, err
-		}
-		q := &sensor.AggregateQuery{Rel: w.Rel, Sensor: w.Sensor, Pred: pred,
-			Func: w.AggFunc, GroupByRoom: w.GroupByRoom, Mode: w.Mode, Period: w.Period}
+	case f.Agg != nil:
 		keep := shardKeep(w, shard)
 		r.run = func(now vtime.Time, deliver sensor.Sink) {
-			eng.RunAggregateEpochPart(q, now, keep, deliver)
+			eng.RunAggregateEpochPart(f.Agg, now, keep, deliver)
 		}
-	case fragJoin:
-		lPred, err := bindPred(w.Pred, sensor.ReadingSchema(w.Rel))
-		if err != nil {
-			return nil, err
-		}
-		rPred, err := bindPred(w.RPred, sensor.ReadingSchema(w.RRel))
-		if err != nil {
-			return nil, err
-		}
-		q := &sensor.JoinQuery{
-			Left:   sensor.JoinSide{Rel: w.Rel, Sensor: w.Sensor, Pred: lPred},
-			Right:  sensor.JoinSide{Rel: w.RRel, Sensor: w.RSensor, Pred: rPred},
-			PairBy: w.PairBy, Radius: w.Radius, Placement: w.Placement, Period: w.Period,
-		}
-		if q.On, err = bindPred(w.On, q.Schema()); err != nil {
-			return nil, err
-		}
-		st, err := eng.PlanJoinPart(q, shardKeepPair(w, shard))
+	case f.Join != nil:
+		st, err := eng.PlanJoinPart(f.Join, shardKeepPair(w, shard))
 		if err != nil {
 			return nil, err
 		}
@@ -387,8 +388,6 @@ func (h *SensorHosts) newFragRunner(w *wireFragment, shard int, head stream.Oper
 		r.run = func(now vtime.Time, deliver sensor.Sink) {
 			eng.RunJoinEpoch(st, now, deliver)
 		}
-	default:
-		return nil, fmt.Errorf("plan: unknown fragment kind %d", w.Kind)
 	}
 	return r, nil
 }
@@ -416,39 +415,7 @@ func (h *SensorHosts) buildFragRunners(frags []wireFragment, shard int, heads ma
 	return runners, nil
 }
 
-// snapFragment is the gob mirror of one SensorFragment inside a durable
-// coordinator snapshot. Like wireFragment, predicates travel as raw
-// expressions and re-bind at decode; unlike wireFragment it captures the
-// full CompileOptions.Fragments entry (not one shard's partition), so a
-// restored coordinator can both recompile the deployment and restart
-// central runners for fragments that cannot go remote anymore.
-type snapFragment struct {
-	Kind    fragKind
-	Name    string
-	Sources []string
-	Period  time.Duration
-
-	// fragSelect and the left side of fragJoin.
-	Rel    string
-	Sensor sensornet.SensorKind
-	Pred   expr.Expr
-
-	// fragJoin.
-	RRel      string
-	RSensor   sensornet.SensorKind
-	RPred     expr.Expr
-	On        expr.Expr
-	PairBy    sensor.PairBy
-	Radius    float64
-	Placement sensor.Placement
-
-	// fragAggregate.
-	AggFunc     sensor.AggFunc
-	GroupByRoom bool
-	Mode        sensor.AggMode
-}
-
-// encodeSnapFragment lowers one fragment spec to its snapshot mirror.
+// encodeSnapFragment lowers one fragment spec to its mirror.
 func encodeSnapFragment(f *SensorFragment) (snapFragment, error) {
 	s := snapFragment{Name: f.Name, Sources: f.Sources}
 	switch {
@@ -471,8 +438,8 @@ func encodeSnapFragment(f *SensorFragment) (snapFragment, error) {
 	return s, nil
 }
 
-// decodeSnapFragment rebuilds a fragment spec from its snapshot mirror,
-// re-binding predicates exactly as newFragRunner does worker-side.
+// decodeSnapFragment rebuilds a fragment spec from its mirror, re-binding
+// predicates — at a coordinator restore and at every shard home alike.
 func decodeSnapFragment(s snapFragment) (SensorFragment, error) {
 	f := SensorFragment{Name: s.Name, Sources: s.Sources}
 	switch s.Kind {
@@ -508,19 +475,102 @@ func decodeSnapFragment(s snapFragment) (SensorFragment, error) {
 		}
 		f.Join = q
 	default:
-		return SensorFragment{}, fmt.Errorf("plan: unknown snapshot fragment kind %d", s.Kind)
+		return SensorFragment{}, fmt.Errorf("plan: unknown fragment kind %d", s.Kind)
 	}
 	return f, nil
 }
 
-// scanIndex is the plan-walk position of sc — the i of its scanName(i).
-func scanIndex(scans []*Scan, sc *Scan) int {
-	for i, s := range scans {
-		if s == sc {
-			return i
+// fragmentsByScan maps each scan fed by a fragment's derived input to that
+// fragment.
+func fragmentsByScan(frags []SensorFragment, scans []*Scan) map[*Scan]*SensorFragment {
+	fragFor := map[*Scan]*SensorFragment{}
+	for i := range frags {
+		for _, sc := range scans {
+			if strings.EqualFold(sc.Input, frags[i].Name) {
+				fragFor[sc] = &frags[i]
+			}
 		}
 	}
-	return -1
+	return fragFor
+}
+
+// hostedFragments decides which fragments deploy inside the shard replicas
+// placed at loc — in plan-walk order of the scans they feed — and encodes
+// them for the replica spec. A fragment goes there when its shard key is
+// node-determined (sampling partitions by it), its epochs land on tick
+// instants, the coordinator hosts its sources (in-process shards, failover's
+// local last resort) and every remote shard home declares affinity for
+// them; anything else stays a central runner. With every shard in-process
+// there is no hop to save and nothing is hosted.
+//
+// A rehydrating compile replays the snapshot's decision verbatim instead:
+// eligibility is a function of the compile instant (epoch anchors, tick
+// alignment) and of worker affinity, both of which may legitimately differ
+// now — but the shard checkpoints were encoded against exactly the
+// snapshot's runner list, so the same fragments must go remote in the same
+// wire order.
+func hostedFragments(opts *CompileOptions, scans []*Scan, fragFor map[*Scan]*SensorFragment, keys map[*Scan][]expr.Expr, loc []string, affinity map[string][]string) ([]wireFragment, error) {
+	var wire []wireFragment
+	host := func(i int, keyIdx []int) error {
+		f := fragFor[scans[i]]
+		w, err := encodeFragment(f, scanName(i), keyIdx, opts.Parallelism, opts.Now.Add(f.period()))
+		if err == nil {
+			wire = append(wire, w)
+		}
+		return err
+	}
+	switch {
+	case opts.restoreForceFrags:
+		for _, name := range opts.restoreRemoteFrags {
+			i := slices.IndexFunc(scans, func(sc *Scan) bool {
+				return fragFor[sc] != nil && strings.EqualFold(fragFor[sc].Name, name)
+			})
+			if i < 0 {
+				return nil, fmt.Errorf("plan: snapshot pins fragment %s remote, but the plan no longer carries it", name)
+			}
+			keyIdx, ok := fragmentKeyIdx(fragFor[scans[i]], scans[i], keys[scans[i]])
+			if !ok {
+				return nil, fmt.Errorf("plan: snapshot pins fragment %s remote, but its shard key is no longer node-determined", name)
+			}
+			if err := host(i, keyIdx); err != nil {
+				return nil, err
+			}
+		}
+	case anyRemote(loc):
+		for i, sc := range scans {
+			f := fragFor[sc]
+			if f == nil {
+				continue
+			}
+			keyIdx, ok := fragmentKeyIdx(f, sc, keys[sc])
+			if !ok || !alignedWithTicks(f.period(), opts.TickPeriod, opts.Now) || !hostedAt(f, opts.SensorHosts, loc, affinity) {
+				continue
+			}
+			if err := host(i, keyIdx); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return wire, nil
+}
+
+// hostedAt reports whether every source of f is hosted by this process and
+// declared by every worker in the placement.
+func hostedAt(f *SensorFragment, hosts *SensorHosts, loc []string, affinity map[string][]string) bool {
+	if hosts == nil {
+		return false
+	}
+	for _, src := range f.Sources {
+		if _, ok := hosts.Engine(src); !ok {
+			return false
+		}
+		for _, addr := range loc {
+			if addr != "" && !slices.Contains(affinity[addr], strings.ToLower(src)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // fragKeyEligible reports, per fragment kind, whether an output-schema

@@ -122,7 +122,7 @@ func TestCompileShardedRemoteFragmentDifferential(t *testing.T) {
 	nodes := newFragSensorWorkers(t, 2)
 	rEng := stream.NewEngine("frag-remote", vtime.NewScheduler())
 	dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), rEng, CompileOptions{
-		Parallelism: 4, Nodes: nodes,
+		Topology:  Topology{Parallelism: 4, Nodes: nodes},
 		Fragments: []SensorFragment{frag}, SensorHosts: newFragCompileHosts(),
 		TickPeriod: time.Second,
 	})
@@ -195,7 +195,7 @@ func TestCompileShardedFragmentStaysCentral(t *testing.T) {
 			}
 			eng := stream.NewEngine("frag-central-"+c.name, vtime.NewScheduler())
 			dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), eng, CompileOptions{
-				Parallelism: 2, Nodes: []string{node},
+				Topology:  Topology{Parallelism: 2, Nodes: []string{node}},
 				Fragments: []SensorFragment{frag}, SensorHosts: c.hosts,
 				TickPeriod: time.Second,
 			})
@@ -377,8 +377,8 @@ func TestSensorHostsResolutionErrors(t *testing.T) {
 	heads := map[string]stream.Operator{"s0": sink}
 
 	selWire := func(mut func(*wireFragment)) wireFragment {
-		w := wireFragment{Kind: fragSelect, Scan: "s0", Sources: []string{"light"},
-			Rel: "l", Sensor: sensornet.SensorLight, Period: time.Second, P: 1}
+		w := wireFragment{Scan: "s0", P: 1, Query: snapFragment{Kind: fragSelect, Sources: []string{"light"},
+			Rel: "l", Sensor: sensornet.SensorLight, Period: time.Second}}
 		mut(&w)
 		return w
 	}
@@ -386,15 +386,21 @@ func TestSensorHostsResolutionErrors(t *testing.T) {
 		name string
 		w    wireFragment
 	}{
-		{"missing-source", selWire(func(w *wireFragment) { w.Sources = []string{"pdu"} })},
-		{"no-sources", selWire(func(w *wireFragment) { w.Sources = nil })},
-		{"spanning-engines", wireFragment{Kind: fragJoin, Scan: "s0",
+		{"missing-source", selWire(func(w *wireFragment) { w.Query.Sources = []string{"pdu"} })},
+		{"no-sources", selWire(func(w *wireFragment) { w.Query.Sources = nil })},
+		{"spanning-engines", wireFragment{Scan: "s0", P: 1, Query: snapFragment{Kind: fragJoin,
 			Sources: []string{"temperature", "light"}, Rel: "t", RRel: "l",
 			Sensor: sensornet.SensorTemperature, RSensor: sensornet.SensorLight,
-			PairBy: sensor.PairSameDesk, Period: time.Second, P: 1}},
-		{"unknown-kind", selWire(func(w *wireFragment) { w.Kind = fragKind(9) })},
-		{"bad-select-pred", selWire(func(w *wireFragment) { w.Pred = expr.Col{Ref: "nosuch"} })},
+			PairBy: sensor.PairSameDesk, Period: time.Second}}},
+		{"unknown-kind", selWire(func(w *wireFragment) { w.Query.Kind = fragKind(9) })},
+		{"bad-select-pred", selWire(func(w *wireFragment) { w.Query.Pred = expr.Col{Ref: "nosuch"} })},
 		{"unknown-scan", selWire(func(w *wireFragment) { w.Scan = "s9" })},
+		{"zero-shards", selWire(func(w *wireFragment) { w.P = 0 })},
+		{"value-key", selWire(func(w *wireFragment) { w.KeyIdx = []int{3} })},
+		{"key-off-row", selWire(func(w *wireFragment) { w.KeyIdx = []int{9} })},
+		{"arity-mismatch", selWire(func(w *wireFragment) {
+			w.Query.Kind, w.Query.AggFunc, w.Query.GroupByRoom = fragAggregate, sensor.AggCount, true
+		})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -407,16 +413,16 @@ func TestSensorHostsResolutionErrors(t *testing.T) {
 	one := NewSensorHosts()
 	one.Add("temperature", mkEngine())
 	one.Add("light", one.m["temperature"])
-	aggBad := wireFragment{Kind: fragAggregate, Scan: "s0", Sources: []string{"temperature"},
+	aggBad := wireFragment{Scan: "s0", P: 1, Query: snapFragment{Kind: fragAggregate, Sources: []string{"temperature"},
 		Rel: "t", Sensor: sensornet.SensorTemperature, Pred: expr.Col{Ref: "nosuch"},
-		AggFunc: sensor.AggCount, GroupByRoom: true, Period: time.Second, P: 1}
+		AggFunc: sensor.AggCount, GroupByRoom: true, Period: time.Second}}
 	if _, err := one.buildFragRunners([]wireFragment{aggBad}, 0, heads); err == nil {
 		t.Fatal("aggregate with an unbindable predicate must fail")
 	}
-	joinBadRight := wireFragment{Kind: fragJoin, Scan: "s0",
+	joinBadRight := wireFragment{Scan: "s0", P: 1, Query: snapFragment{Kind: fragJoin,
 		Sources: []string{"temperature", "light"}, Rel: "t", RRel: "l",
 		Sensor: sensornet.SensorTemperature, RSensor: sensornet.SensorLight,
-		RPred: expr.Col{Ref: "nosuch"}, PairBy: sensor.PairSameDesk, Period: time.Second, P: 1}
+		RPred: expr.Col{Ref: "nosuch"}, PairBy: sensor.PairSameDesk, Period: time.Second}}
 	if _, err := one.buildFragRunners([]wireFragment{joinBadRight}, 0, heads); err == nil {
 		t.Fatal("join with an unbindable right predicate must fail")
 	}

@@ -273,7 +273,7 @@ func runShardDifferential(t *testing.T, seed int64, nPlans int, nodes []string) 
 
 		deploy := func(par int) (*Deployment, *stream.Engine) {
 			eng := stream.NewEngine(fmt.Sprintf("fz%d-p%d", pi, par), vtime.NewScheduler())
-			opts := CompileOptions{Parallelism: par}
+			opts := CompileOptions{Topology: Topology{Parallelism: par}}
 			if par > 0 {
 				opts.Nodes = nodes
 			}
@@ -456,9 +456,7 @@ func runChaosDifferential(t *testing.T, seed int64, nPlans int, cluster func(t *
 			var emu sync.Mutex
 			eng := stream.NewEngine(fmt.Sprintf("chaos%d-p%d", pi, p), vtime.NewScheduler())
 			dep, err := CompileStreamOpts(b, eng, CompileOptions{
-				Parallelism: p, Nodes: cl.addrs,
-				Failover:        true,
-				CheckpointEvery: 1 + rng.Intn(3),
+				Topology: failoverTopology(p, cl.addrs, 1+rng.Intn(3)),
 				OnFailover: func(ev stream.FailoverEvent) {
 					emu.Lock()
 					events = append(events, ev)

@@ -47,14 +47,14 @@ func TestParseNodesErrors(t *testing.T) {
 	eng := stream.NewEngine("nodes-err", vtime.NewScheduler())
 	for _, bad := range [][]string{{"=sensors", ""}, {"w1:9", "w1:9"}} {
 		if _, err := CompileStreamOpts(sharePlan("t1", w, nil), eng,
-			CompileOptions{Parallelism: 2, Nodes: bad}); err == nil {
+			CompileOptions{Topology: Topology{Parallelism: 2, Nodes: bad}}); err == nil {
 			t.Fatalf("compile accepted malformed node list %v", bad)
 		}
 	}
 
 	// A live Rescale rejects the same malformed lists without moving shards.
 	b := fuzzBuiltPlan(t)
-	dep, err := CompileStreamOpts(b, eng, CompileOptions{Parallelism: 2})
+	dep, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 	engA := stream.NewEngine("fragsnap-a", vtime.NewScheduler())
 	coordA := NewCoordinator(engA, path)
 	depA, err := coordA.Deploy("q", mustBuild(t, lightFeedQuery, fragFeedCatalog()), CompileOptions{
-		Parallelism: 4, Nodes: nodes,
+		Topology:  Topology{Parallelism: 4, Nodes: nodes},
 		Fragments: []SensorFragment{frag}, SensorHosts: newFragCompileHosts(),
 		TickPeriod: time.Second,
 	})

@@ -18,6 +18,7 @@ import (
 	"aspen/internal/core"
 	"aspen/internal/data"
 	"aspen/internal/machines"
+	"aspen/internal/plan"
 	"aspen/internal/sensor"
 	"aspen/internal/sensornet"
 	"aspen/internal/stream"
@@ -52,17 +53,10 @@ type Options struct {
 	MachinesPerLab int
 	// SkipPDUServers disables the real HTTP PDU endpoints (benchmarks).
 	SkipPDUServers bool
-	// Parallelism shards deployed stream plans across this many pipeline
-	// replicas (default 1 = serial).
-	Parallelism int
-	// Nodes lists shard-worker addresses (cmd/shardworker) to spread the
-	// replicas over — the paper's multi-PC deployment; "" entries keep a
-	// replica in-process. Empty runs everything in one process.
-	Nodes []string
-	// Failover redeploys the shards of a dead or stalled worker from
-	// their last checkpoint onto a surviving worker (or in-process),
-	// keeping query results exact across the loss.
-	Failover bool
+	// Topology spreads deployed stream plans over pipeline replicas and
+	// shard workers (cmd/shardworker) — the paper's multi-PC deployment;
+	// the zero value runs everything serial, in one process.
+	plan.Topology
 	// SnapshotPath makes the coordinator durable: deployed queries are
 	// checkpointed to this file by SaveSnapshot and rehydrated by
 	// RestoreSnapshot after a coordinator restart. Empty keeps the
@@ -150,9 +144,7 @@ func New(opts Options) (*App, error) {
 		// Bound recursive route enumeration by the hallway depth; deeper
 		// paths only revisit corridors.
 		RecursionDepth: len(b.Points()) / 2,
-		Parallelism:    opts.Parallelism,
-		Nodes:          opts.Nodes,
-		Failover:       opts.Failover,
+		Topology:       opts.Topology,
 		SnapshotPath:   opts.SnapshotPath,
 	})
 	if err := app.registerSources(opts); err != nil {

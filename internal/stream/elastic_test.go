@@ -284,7 +284,7 @@ func TestRescaleHealBackToRejoinedWorker(t *testing.T) {
 // and detached after.
 func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
 	_, addrs := startFoWorkers(t, 1)
-	h := deployFo(t, ShardConfig{LocalDeploy: foDeploy, StallTimeout: 2 * time.Second}, []string{"", ""}, nil)
+	h := deployFo(t, ShardConfig{LocalDeploy: foDeploy, Recovery: Recovery{StallTimeout: 2 * time.Second}}, []string{"", ""}, nil)
 	evs := foEvents(35, 300)
 
 	h.feed(evs[:100])
@@ -366,8 +366,8 @@ func TestShardHomeTransitions(t *testing.T) {
 				}
 				return out
 			}
-			cfg := ShardConfig{Nodes: addrs, LocalDeploy: foDeploy, Failover: tc.failover,
-				CheckpointEvery: 2, StallTimeout: 2 * time.Second}
+			cfg := ShardConfig{Nodes: addrs, LocalDeploy: foDeploy,
+				Recovery: Recovery{Failover: tc.failover, CheckpointEvery: 2, StallTimeout: 2 * time.Second}}
 			h := deployFo(t, cfg, loc(tc.first), nil)
 			evs := foEvents(int64(40+seed), 100*(len(tc.moves)+2))
 			arrive := func(label string, homes []int) {

@@ -59,14 +59,13 @@ func (e *Engine) Name() string { return e.name }
 // Clock returns the engine clock.
 func (e *Engine) Clock() vtime.Clock { return e.clock }
 
-// Input is a named stream entry point with fan-out to subscribers.
+// Input is a named stream entry point: a Fanout (which supplies Subscribe,
+// Unsubscribe, Subscribers, Schema and the dispatch with its ownership
+// rule) that also stamps zero timestamps with the engine clock.
 type Input struct {
+	Fanout
 	name   string
-	schema *data.Schema
 	engine *Engine
-	// subs is copy-on-write: Subscribe replaces the slice under the engine
-	// lock, Push/PushBatch load it atomically and dispatch lock-free.
-	subs atomic.Pointer[[]Operator]
 }
 
 // Register declares a named input stream. Duplicate names fail.
@@ -77,7 +76,7 @@ func (e *Engine) Register(name string, schema *data.Schema) (*Input, error) {
 	if _, dup := e.inputs[key]; dup {
 		return nil, fmt.Errorf("stream: duplicate input %q", name)
 	}
-	in := &Input{name: name, schema: schema, engine: e}
+	in := &Input{Fanout: Fanout{schema: schema}, name: name, engine: e}
 	e.inputs[key] = in
 	return in, nil
 }
@@ -111,124 +110,33 @@ func (e *Engine) Inputs() []string {
 	return out
 }
 
-// Schema returns the input's schema.
-func (in *Input) Schema() *data.Schema { return in.schema }
-
 // Name returns the input's name.
 func (in *Input) Name() string { return in.name }
 
-// Subscribe attaches a pipeline head to this input. The subscriber list is
-// copied, so in-flight pushes keep dispatching to the list they loaded.
-func (in *Input) Subscribe(op Operator) {
-	in.engine.mu.Lock()
-	var next []Operator
-	if cur := in.subs.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, op)
-	in.subs.Store(&next)
-	in.engine.mu.Unlock()
-}
-
-// Unsubscribe detaches a previously subscribed pipeline head, reporting
-// whether it was found. Removal is copy-on-write like Subscribe: a push
-// already dispatching keeps the list it loaded (the head may see one last
-// in-flight delivery), every later push skips the head. Only the first
-// matching subscription is removed, so double-subscribed heads detach one
-// subscription per call.
-func (in *Input) Unsubscribe(op Operator) bool {
-	in.engine.mu.Lock()
-	defer in.engine.mu.Unlock()
-	cur := in.subs.Load()
-	if cur == nil {
-		return false
-	}
-	next := make([]Operator, 0, len(*cur))
-	removed := false
-	for _, o := range *cur {
-		if !removed && o == op {
-			removed = true
-			continue
-		}
-		next = append(next, o)
-	}
-	if removed {
-		in.subs.Store(&next)
-	}
-	return removed
-}
-
-// Subscribers reports the number of currently subscribed pipeline heads;
-// churn tests assert it returns to baseline after queries stop.
-func (in *Input) Subscribers() int { return len(in.subscribers()) }
-
-// subscribers loads the current subscriber list without locking.
-func (in *Input) subscribers() []Operator {
-	if p := in.subs.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // Push injects a tuple into the input, driving all subscribed pipelines.
-// A zero timestamp is stamped with the engine clock.
+// A zero timestamp is stamped with the engine clock. Ownership is the
+// Fanout rule: the last subscriber is handed t itself, so the caller must
+// not reuse t.Vals afterwards.
 func (in *Input) Push(t data.Tuple) {
 	if t.TS == 0 {
 		t.TS = in.engine.clock.Now()
 	}
-	for _, op := range in.subscribers() {
-		op.Push(t.Clone())
-	}
+	in.Fanout.Push(t)
 }
 
 // PushBatch injects a batch of tuples, driving all subscribed pipelines
 // once per subscriber instead of once per tuple. Zero timestamps are
-// stamped in place with the engine clock. Every subscriber but the last
-// receives its own cloned batch; the final subscriber is handed the
-// original tuples, making single-subscriber pipelines zero-copy — so the
-// caller must not reuse the pushed Vals afterwards (the slice itself may
-// be reused, per the BatchOperator contract).
+// stamped in place with the engine clock. Under the Fanout rule a
+// single-subscriber pipeline is zero-copy — so the caller must not reuse
+// the pushed Vals afterwards (the slice itself may be reused, per the
+// BatchOperator contract).
 func (in *Input) PushBatch(ts []data.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
 	for i := range ts {
 		if ts[i].TS == 0 {
 			ts[i].TS = in.engine.clock.Now()
 		}
 	}
-	subs := in.subscribers()
-	for i, op := range subs {
-		b := ts
-		if i < len(subs)-1 {
-			cl := make([]data.Tuple, len(ts))
-			for k, t := range ts {
-				cl[k] = t.Clone()
-			}
-			b = cl
-		}
-		PushBatch(op, b)
-	}
-}
-
-// Push routes a tuple to the named input.
-func (e *Engine) Push(input string, t data.Tuple) error {
-	in, ok := e.Input(input)
-	if !ok {
-		return fmt.Errorf("stream: no input %q on node %s", input, e.name)
-	}
-	in.Push(t)
-	return nil
-}
-
-// PushBatch routes a batch of tuples to the named input in one dispatch.
-func (e *Engine) PushBatch(input string, ts []data.Tuple) error {
-	in, ok := e.Input(input)
-	if !ok {
-		return fmt.Errorf("stream: no input %q on node %s", input, e.name)
-	}
-	in.PushBatch(ts)
-	return nil
+	in.Fanout.PushBatch(ts)
 }
 
 // TrackWindow registers a window (or any Advancer) for clock ticks. The

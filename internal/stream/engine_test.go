@@ -18,12 +18,13 @@ func TestEngineRegisterAndPush(t *testing.T) {
 	}
 	col := NewCollector(tempSchema())
 	in.Subscribe(col)
-	if err := e.Push("TEMPS", temp(1, "L1", 20)); err != nil {
-		t.Fatal(err)
+	if got, ok := e.Input("TEMPS"); !ok || got != in {
+		t.Fatal("case-insensitive input lookup failed")
 	}
-	if err := e.Push("missing", temp(1, "L1", 20)); err == nil {
-		t.Fatal("push to missing input accepted")
+	if _, ok := e.Input("missing"); ok {
+		t.Fatal("lookup of a missing input succeeded")
 	}
+	in.Push(temp(1, "L1", 20))
 	if col.Len() != 1 {
 		t.Fatal("tuple lost")
 	}

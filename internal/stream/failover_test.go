@@ -356,8 +356,8 @@ func newFoHarness(t *testing.T, p, nWorkers int, stall time.Duration) *foHarness
 	for j := range loc {
 		loc[j] = addrs[j%nWorkers]
 	}
-	h := deployFo(t, ShardConfig{Nodes: addrs, LocalDeploy: foDeploy, Failover: true,
-		CheckpointEvery: 2, StallTimeout: stall}, loc, nil)
+	h := deployFo(t, ShardConfig{Nodes: addrs, LocalDeploy: foDeploy,
+		Recovery: Recovery{Failover: true, CheckpointEvery: 2, StallTimeout: stall}}, loc, nil)
 	h.workers, h.addrs = workers, addrs
 	return h
 }
@@ -593,8 +593,8 @@ func TestFailoverWedgedWorkerFlushDeadline(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	// No checkpoint cadence and fewer sends than the credit window below:
 	// the flush-ack deadline itself must detect the stall.
-	h := deployFo(t, ShardConfig{Nodes: []string{w.Addr()}, LocalDeploy: foDeploy, Failover: true,
-		CheckpointEvery: 1 << 20, StallTimeout: stall}, []string{w.Addr(), w.Addr()}, nil)
+	h := deployFo(t, ShardConfig{Nodes: []string{w.Addr()}, LocalDeploy: foDeploy,
+		Recovery: Recovery{Failover: true, CheckpointEvery: 1 << 20, StallTimeout: stall}}, []string{w.Addr(), w.Addr()}, nil)
 	c := h.conns()[0]
 
 	evs := foEvents(25, 120)
@@ -636,8 +636,8 @@ func TestFailoverAbandonWithoutCandidates(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 	// LocalDeploy nil: no last resort.
-	h := deployFo(t, ShardConfig{Nodes: []string{w.Addr()}, Failover: true,
-		StallTimeout: 500 * time.Millisecond}, []string{w.Addr(), w.Addr()}, nil)
+	h := deployFo(t, ShardConfig{Nodes: []string{w.Addr()},
+		Recovery: Recovery{Failover: true, StallTimeout: 500 * time.Millisecond}}, []string{w.Addr(), w.Addr()}, nil)
 	set, sh, mat, c := h.set, h.sh, h.mat, h.conns()[0]
 
 	sh.Push(temp(1, "L1", 20))
@@ -699,12 +699,10 @@ func TestFailoverAbandonAllCandidatesFail(t *testing.T) {
 			mu.Unlock()
 			return nil, nil, nil, fmt.Errorf("no replica capacity on the coordinator")
 		},
-		Failover:         true,
-		CheckpointEvery:  1,
-		CheckpointMaxLog: 1, // checkpoint behind every send
-		StallTimeout:     500 * time.Millisecond,
+		Recovery: Recovery{Failover: true, CheckpointEvery: 1, StallTimeout: 500 * time.Millisecond},
 	}, []string{w.Addr(), w.Addr()}, nil)
 	set, sh, mat, c := h.set, h.sh, h.mat, h.conns()[0]
+	c.ckMaxLog = 1 // checkpoint behind every send (nothing has been sent yet)
 
 	sh.Push(temp(1, "L1", 20))
 	sh.Push(temp(2, "L2", 21))
@@ -783,8 +781,8 @@ func TestFailoverTargetRejectsDeploy(t *testing.T) {
 	}
 	t.Cleanup(func() { wb.Close() })
 
-	h := deployFo(t, ShardConfig{Nodes: []string{wa.Addr(), wb.Addr()}, LocalDeploy: foDeploy, Failover: true,
-		CheckpointEvery: 2, StallTimeout: 2 * time.Second}, []string{wa.Addr(), wb.Addr()}, nil)
+	h := deployFo(t, ShardConfig{Nodes: []string{wa.Addr(), wb.Addr()}, LocalDeploy: foDeploy,
+		Recovery: Recovery{Failover: true, CheckpointEvery: 2, StallTimeout: 2 * time.Second}}, []string{wa.Addr(), wb.Addr()}, nil)
 
 	evs := foEvents(26, 200)
 	h.feed(evs[:100])

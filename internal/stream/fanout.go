@@ -7,18 +7,20 @@ import (
 	"aspen/internal/data"
 )
 
-// Fanout is a dynamic fan-out point inside a shared operator chain: the
-// seam where N queries' divergent suffixes attach to one physical
-// scan+window+select prefix (the plan layer's shared-subplan sharing).
-// Like an engine Input, the subscriber list is copy-on-write — Push and
-// PushBatch load it atomically and dispatch lock-free, Subscribe and
-// Unsubscribe replace it under a lock — so attaching or stopping one
-// query never serializes the hot path of the others.
+// Fanout is the engine's one dynamic fan-out point: an engine Input is a
+// named Fanout, the seam where N queries' divergent suffixes attach to one
+// physical scan+window+select prefix is one (the plan layer's shared-subplan
+// sharing), and so is the OUTPUT TO split between a query's result and its
+// display. The subscriber list is copy-on-write — Push and PushBatch load
+// it atomically and dispatch lock-free, Subscribe and Unsubscribe replace
+// it under a lock — so attaching or stopping one query never serializes
+// the hot path of the others.
 //
-// Ownership follows the Input convention: every subscriber but the last
+// Ownership, for Push and PushBatch alike: every subscriber but the last
 // receives its own cloned tuples (downstream operators may retain them as
 // state), and the final subscriber is handed the originals, so a
-// single-subscriber chain stays zero-copy.
+// single-subscriber chain stays zero-copy and the pusher gives its tuples'
+// Vals away.
 type Fanout struct {
 	mu     sync.Mutex
 	schema *data.Schema
@@ -33,7 +35,8 @@ func NewFanout(schema *data.Schema) *Fanout {
 // Schema implements Operator.
 func (f *Fanout) Schema() *data.Schema { return f.schema }
 
-// Subscribe attaches a consumer.
+// Subscribe attaches a consumer. The subscriber list is copied, so
+// in-flight pushes keep dispatching to the list they loaded.
 func (f *Fanout) Subscribe(op Operator) {
 	f.mu.Lock()
 	var next []Operator
@@ -46,7 +49,8 @@ func (f *Fanout) Subscribe(op Operator) {
 }
 
 // Unsubscribe detaches a consumer, reporting whether it was found. Only
-// the first matching subscription is removed. An in-flight push keeps the
+// the first matching subscription is removed, so a double-subscribed
+// consumer detaches one subscription per call. An in-flight push keeps the
 // list it loaded, so the consumer may see one last delivery.
 func (f *Fanout) Unsubscribe(op Operator) bool {
 	f.mu.Lock()
@@ -70,7 +74,8 @@ func (f *Fanout) Unsubscribe(op Operator) bool {
 	return removed
 }
 
-// Subscribers reports the current number of attached consumers.
+// Subscribers reports the current number of attached consumers; churn
+// tests assert it returns to baseline after queries stop.
 func (f *Fanout) Subscribers() int { return len(f.subscribers()) }
 
 func (f *Fanout) subscribers() []Operator {

@@ -98,7 +98,7 @@ func TestMuxFailureFailsAllStreams(t *testing.T) {
 		if err := c.Deploy(nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		c.enableFailover(0, 1<<20)
+		c.enableFailover(0)
 	}
 	fails := make(chan *ShardConn, 2)
 	c1.armFailover(func(c *ShardConn) { fails <- c })

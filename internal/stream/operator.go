@@ -275,41 +275,6 @@ func (d *Distinct) Push(t data.Tuple) {
 	}
 }
 
-// Tee duplicates a stream to several consumers.
-type Tee struct {
-	outs []Operator
-}
-
-// NewTee fans out to the given consumers (all must share a schema).
-func NewTee(outs ...Operator) *Tee { return &Tee{outs: outs} }
-
-// Schema implements Operator.
-func (t *Tee) Schema() *data.Schema {
-	if len(t.outs) == 0 {
-		return &data.Schema{}
-	}
-	return t.outs[0].Schema()
-}
-
-// Push implements Operator.
-func (t *Tee) Push(tu data.Tuple) {
-	for _, o := range t.outs {
-		o.Push(tu.Clone())
-	}
-}
-
-// PushBatch implements BatchOperator: each consumer receives its own
-// cloned batch in one dispatch.
-func (t *Tee) PushBatch(ts []data.Tuple) {
-	for _, o := range t.outs {
-		cl := make([]data.Tuple, len(ts))
-		for i, tu := range ts {
-			cl[i] = tu.Clone()
-		}
-		PushBatch(o, cl)
-	}
-}
-
 // Callback adapts a function to Operator; the engine's leaf sink.
 type Callback struct {
 	schema *data.Schema

@@ -109,26 +109,6 @@ func TestDistinctCounting(t *testing.T) {
 	}
 }
 
-func TestTeeClonesTuples(t *testing.T) {
-	a, b := NewCollector(tempSchema()), NewCollector(tempSchema())
-	tee := NewTee(a, b)
-	tee.Push(temp(1, "L1", 20))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatal("fanout failed")
-	}
-	// mutating one branch must not affect the other
-	a.Snapshot()[0].Vals[0] = data.Str("X")
-	if b.Snapshot()[0].Vals[0].AsString() != "L1" {
-		t.Fatal("tee shares storage")
-	}
-	if tee.Schema() != a.Schema() {
-		t.Fatal("tee schema")
-	}
-	if (&Tee{}).Schema() == nil {
-		t.Fatal("empty tee schema should be non-nil")
-	}
-}
-
 func TestCallbackAndCollector(t *testing.T) {
 	n := 0
 	cb := NewCallback(tempSchema(), func(data.Tuple) { n++ })

@@ -55,9 +55,14 @@ const workerAckEvery = 16
 // coordinator's tick loop and Close can stall at most once per connection
 // instead of deadlocking. The credit window bounds what a flush waits on
 // (≤ remoteInflight frames), so a live worker has orders-of-magnitude
-// headroom. Per-deployment override: ShardConfig.StallTimeout (plumbed from
-// plan.CompileOptions.StallTimeout); variable for tests.
+// headroom. Per-deployment override: Recovery.StallTimeout; variable for
+// tests.
 var remoteStallTimeout = 30 * time.Second
+
+// checkpointMaxLog forces a failover checkpoint once a stream's replay log
+// holds this many entries, bounding replay work and log memory between the
+// Recovery.CheckpointEvery ticks.
+const checkpointMaxLog = 256
 
 // ResultSender ships one batch of replica output tuples back to the
 // coordinator. The batch slice is only valid during the call.
@@ -591,7 +596,7 @@ type ShardConn struct {
 	flog       *connLog
 	onFail     func(*ShardConn)
 	ckEvery    int
-	ckMaxLog   int
+	ckMaxLog   int // checkpointMaxLog; a field so a test can shrink it
 	ticks      atomic.Int64
 	ckInflight atomic.Bool
 
@@ -631,10 +636,10 @@ func (c *ShardConn) Addr() string { return c.addr }
 // enableFailover turns on the replay/undo logs. Called by the ShardSet as
 // it dials the stream, before any frame traffic (and by a rescale, which
 // borrows a log just for its checkpoint barrier).
-func (c *ShardConn) enableFailover(ckEvery, ckMaxLog int) {
+func (c *ShardConn) enableFailover(ckEvery int) {
 	c.flog = &connLog{}
 	c.ckEvery = ckEvery
-	c.ckMaxLog = ckMaxLog
+	c.ckMaxLog = checkpointMaxLog
 }
 
 // armFailover installs the sticky-failure notification. The set arms its

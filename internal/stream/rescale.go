@@ -189,7 +189,7 @@ func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(),
 			// Without Failover a stream carries no replay log in steady state;
 			// attach one just to receive the checkpoint states. Producers are
 			// excluded, so nothing else can observe it.
-			c.enableFailover(s.cfg.CheckpointEvery, s.cfg.CheckpointMaxLog)
+			c.enableFailover(s.cfg.CheckpointEvery)
 			temps = append(temps, c)
 		}
 		if err := c.checkpointSync(); err != nil {

@@ -51,11 +51,37 @@ type shardMsg struct {
 	kind  shardMsgKind
 }
 
+// Recovery is how a deployment notices and survives the loss of a shard
+// worker. It is declared here, where the shard set consumes it, and rides
+// unchanged inside every description of a deployment above (plan.Topology
+// embeds it; core.Config, smartcis.Options and the CLI flags embed that).
+type Recovery struct {
+	// Failover converts worker loss from fail-stop into checkpointed
+	// redeploy: remote replicas checkpoint their operator state to the
+	// coordinator at tick barriers, the per-stream replay/undo logs and
+	// failure notification arm, and a dead or stalled worker's shards
+	// redeploy — checkpoint plus replayed epochs — onto a surviving worker,
+	// or in-process as the last resort, keeping Flush/Snapshot exact across
+	// the loss (see the state machine on ShardSet). Without it the set still
+	// rescales and checkpoints on demand, but worker loss stays fail-stop and
+	// the hot path is untouched. Only meaningful with a worker topology.
+	Failover bool
+	// CheckpointEvery is the failover checkpoint cadence in clock ticks
+	// (default 8); smaller values shrink replay logs, larger ones shrink
+	// checkpoint traffic.
+	CheckpointEvery int
+	// StallTimeout bounds the connect and every ack wait on a shard worker
+	// (flush/deploy barriers, in-flight credits, socket writes); a worker
+	// silent past it is a detected failure. 0 keeps the package default
+	// (30s).
+	StallTimeout time.Duration
+}
+
 // ShardConfig is everything a ShardSet needs to bring a shard replica into
 // existence at a home — at first deployment, when a Rescale moves it, and
 // when failover re-homes the shards of a lost worker: the replica wire
 // spec, the builder for in-process homes, the merged result sink every
-// home emits into, and the candidate worker addresses.
+// home emits into, the candidate worker addresses, and the recovery policy.
 type ShardConfig struct {
 	// Spec is the encoded replica subplan every shard deploys from
 	// (plan.encodeReplica); workers and LocalDeploy receive it verbatim, so
@@ -75,22 +101,7 @@ type ShardConfig struct {
 	// per-shard build. nil leaves the set without in-process homes: no ""
 	// placement, and no last resort when every worker is unreachable.
 	LocalDeploy DeployFunc
-	// Failover arms the per-stream replay/undo logs, the checkpoint cadence
-	// and failure notification: a lost worker's shards redeploy from their
-	// last checkpoint (see the state machine on ShardSet). Without it the
-	// set still Rescales and checkpoints on demand, but worker loss stays
-	// fail-stop and the hot path is untouched — armed-but-idle elasticity
-	// costs nothing.
-	Failover bool
-	// CheckpointEvery is the tick cadence of worker checkpoints (default 8
-	// ticks); CheckpointMaxLog forces a checkpoint once a connection's
-	// replay log holds that many entries (default 256), bounding replay
-	// work and log memory between ticks.
-	CheckpointEvery  int
-	CheckpointMaxLog int
-	// StallTimeout bounds the connect and every ack wait on the set's
-	// worker streams (0 = the package default).
-	StallTimeout time.Duration
+	Recovery
 	// OnFailover, when set, observes every completed (or abandoned)
 	// failover — tests and operators hook it. It runs with no operator
 	// locks held, but before the failover is accounted finished, so it
@@ -303,9 +314,6 @@ func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) 
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 8
 	}
-	if cfg.CheckpointMaxLog <= 0 {
-		cfg.CheckpointMaxLog = 256
-	}
 	s.mu.Lock()
 	if s.started || s.closed {
 		s.mu.Unlock()
@@ -355,7 +363,7 @@ func (s *ShardSet) connLocked(addr string) (*ShardConn, error) {
 		return nil, err
 	}
 	if s.cfg.Failover {
-		c.enableFailover(s.cfg.CheckpointEvery, s.cfg.CheckpointMaxLog)
+		c.enableFailover(s.cfg.CheckpointEvery)
 		if s.started {
 			c.armFailover(s.connFailed)
 		}
