@@ -38,9 +38,10 @@ tables-check:
 # bench runs the E1-E11 microbenchmarks with allocation stats, then
 # regenerates the experiment tables (including the E7 shard,
 # global-aggregate, multi-node, elastic/failover-armed sweeps, the
-# E11 query-density sweep, the E2-remote fragment-at-worker
-# comparison and the coordinator snapshot size/latency table) and
-# writes them to $(BENCH_OUT), an untracked file.
+# E11 query-density sweep and the E2-remote fragment-at-worker
+# comparison) and writes them to $(BENCH_OUT), an untracked file. Snapshot
+# size and save/restore latency are the repository benchmark's:
+# query-churn reports plan.snapshot.{bytes,save_ms,restore_ms} every run.
 BENCH_OUT ?= bench-tables.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

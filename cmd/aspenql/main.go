@@ -15,10 +15,11 @@
 // list heals everything back in-process) and later statements deploy over
 // them, with or without -snapshot; a list a deploy would reject (duplicate
 // address, workers without -par >= 2) is an error and changes nothing.
-// `\save` checkpoints all standing queries to the -snapshot file. With
-// -snapshot plus -restore, a fresh coordinator rehydrates the standing
-// queries recorded in the file and resumes them from their last committed
-// checkpoint:
+// `\save` checkpoints all standing queries to the -snapshot file and names,
+// on stderr, any it cannot capture (WITH RECURSIVE queries); -restore repeats
+// the names. With -snapshot plus -restore, a fresh coordinator rehydrates
+// the standing queries recorded in the file and resumes them from their last
+// committed checkpoint:
 //
 //	go run ./cmd/aspenql -par 2 -snapshot coord.snap \
 //	  -q "SELECT t.room, avg(t.value) FROM Temperature t GROUP BY t.room; \save"
@@ -141,7 +142,7 @@ func main() {
 		}
 		fmt.Printf("restored %d standing queries from %s\n", len(qs), *snapshot)
 		if len(skipped) > 0 {
-			fmt.Fprintf(os.Stderr, "warning: snapshot skipped %s at save time; re-run those queries\n",
+			fmt.Fprintf(os.Stderr, "warning: snapshot does not capture %s; re-run those queries\n",
 				strings.Join(skipped, ", "))
 		}
 		app.Sched.RunFor(*runFor)

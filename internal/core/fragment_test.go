@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -214,15 +215,16 @@ func TestRemoteSensorFragmentSurvivesWorkerKill(t *testing.T) {
 	if len(pq.Deployment.RemoteFragments) == 0 {
 		t.Fatal("no sensor fragments were pushed into the shard replicas")
 	}
-	if !pq.Deployment.Failover {
-		t.Fatal("deployment is not failover-armed")
-	}
 	psched.RunUntil(4 * vtime.Second)
 	workers[1].Close()
 	psched.RunUntil(9 * vtime.Second)
 	got, err := pq.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Failover-armed: the dead worker's shards were redeployed elsewhere.
+	if loc := pq.Deployment.Placement(); slices.Contains(loc, workers[1].Addr()) {
+		t.Fatalf("placement %v still names the killed worker %s", loc, workers[1].Addr())
 	}
 	pq.Stop()
 	if len(got) != len(want) {

@@ -196,9 +196,10 @@ func TestRuntimeParallelismMultiNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.Deployment.Shards != 4 || len(pq.Deployment.Nodes) != 2 {
-		t.Fatalf("Shards=%d Nodes=%v, want a 4-way deployment over 2 workers",
-			pq.Deployment.Shards, pq.Deployment.Nodes)
+	if loc := pq.Deployment.Placement(); pq.Deployment.Shards != 4 ||
+		!slices.Equal(loc, []string{nodes[0], nodes[1], nodes[0], nodes[1]}) {
+		t.Fatalf("Shards=%d Placement=%v, want a 4-way deployment round-robin over %v",
+			pq.Deployment.Shards, loc, nodes)
 	}
 	feed(prt, psched)
 	got, err := pq.Snapshot()
@@ -280,14 +281,17 @@ func TestRuntimeFailoverSurvivesWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.Deployment.Shards != 4 || !pq.Deployment.Failover {
-		t.Fatalf("Shards=%d Failover=%v, want a 4-way failover-armed deployment",
-			pq.Deployment.Shards, pq.Deployment.Failover)
+	if pq.Deployment.Shards != 4 {
+		t.Fatalf("Shards=%d, want a 4-way deployment", pq.Deployment.Shards)
 	}
 	feed(rt, sched, func() { workers[1].Close() })
 	got, err := pq.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Failover-armed: the dead worker's shards were redeployed elsewhere.
+	if loc := pq.Deployment.Placement(); slices.Contains(loc, workers[1].Addr()) {
+		t.Fatalf("placement %v still names the killed worker %s", loc, workers[1].Addr())
 	}
 	pq.Stop()
 	if len(got) != len(want) {

@@ -16,7 +16,9 @@ import (
 // deployRecursive lowers WITH RECURSIVE onto internal/views: the base
 // select seeds the view, the recursive select defines the rule (a linear
 // join between the view and one edge source), and the body runs as a normal
-// continuous query over the maintained view.
+// continuous query over the maintained view — deployed, like any SELECT,
+// through the coordinator, with the view's base and edge pipelines subscribed
+// on the deployment's behalf so Stop detaches them with it.
 func (rt *Runtime) deployRecursive(sqlText string, wr *sql.WithRecursive) (*Query, error) {
 	// --- base case: single-source select-project ------------------------
 	if len(wr.Base.From) != 1 {
@@ -134,14 +136,19 @@ func (rt *Runtime) deployRecursive(sqlText string, wr *sql.WithRecursive) (*Quer
 	if err != nil {
 		return nil, err
 	}
-	dep, err := plan.CompileStream(built, rt.Stream)
+	q, err := rt.deploy(sqlText, built, plan.CompileOptions{})
 	if err != nil {
+		return nil, err
+	}
+	dep := q.Deployment
+	fail := func(err error) (*Query, error) {
+		q.Stop()
 		return nil, err
 	}
 	viewIn, ok := rt.Stream.Input(wr.Name)
 	if !ok {
 		if viewIn, err = rt.Stream.Register(wr.Name, viewSchema); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 
@@ -155,46 +162,46 @@ func (rt *Runtime) deployRecursive(sqlText string, wr *sql.WithRecursive) (*Quer
 		MaxDepth:   rt.recursion,
 	}, stream.NewBatchCallback(viewSchema, func(ts []data.Tuple) { viewIn.PushBatch(ts) }))
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	// Wire the base pipeline: source → [filter] → project → BaseInput.
 	baseHead, err := pipelineInto(v.BaseInput(), baseSchema, wr.Base.Where, wr.Base.Items)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// Wire the edge pipeline: source → [edge-local filter] → EdgeInput.
 	var edgeHead stream.Operator = v.EdgeInput()
 	if len(edgeLocal) > 0 {
 		pred, err := expr.Bind(expr.Conjoin(edgeLocal), edgeSchema)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		edgeHead = stream.NewFilter(edgeHead, pred)
 	}
 
-	// Subscribe both pipelines to the edge source's input and feed current
-	// table rows (if stored).
+	// Subscribe both pipelines to their sources' inputs, through the
+	// deployment, and feed current table rows (if stored).
 	srcIn, ok := rt.Stream.Input(baseFrom.Name)
 	if !ok {
 		if srcIn, err = rt.Stream.Register(baseFrom.Name, baseSrc.Schema); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
-	srcIn.Subscribe(baseHead)
+	dep.Feed(srcIn, baseHead)
 	if !strings.EqualFold(edgeFrom.Name, baseFrom.Name) {
 		edgeIn, ok := rt.Stream.Input(edgeFrom.Name)
 		if !ok {
 			if edgeIn, err = rt.Stream.Register(edgeFrom.Name, edgeSrc.Schema); err != nil {
-				return nil, err
+				return fail(err)
 			}
 		}
-		edgeIn.Subscribe(edgeHead)
+		dep.Feed(edgeIn, edgeHead)
 		if edgeSrc.Table != nil {
 			rt.loadRelation(edgeSrc.Table, edgeHead)
 		}
 	} else {
-		srcIn.Subscribe(edgeHead)
+		dep.Feed(srcIn, edgeHead)
 	}
 	if baseSrc.Table != nil {
 		rt.loadRelation(baseSrc.Table, baseHead)
@@ -203,8 +210,7 @@ func (rt *Runtime) deployRecursive(sqlText string, wr *sql.WithRecursive) (*Quer
 		}
 	}
 	rt.loadTables(dep)
-
-	return &Query{SQL: sqlText, Deployment: dep, rt: rt}, nil
+	return q, nil
 }
 
 // pipelineInto builds source → [filter] → project → sink and returns the

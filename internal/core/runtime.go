@@ -57,13 +57,14 @@ type Config struct {
 	// serial deployments share (Parallelism < 2 or unpartitionable plans).
 	SharedPrefixes bool
 	// SnapshotPath makes the coordinator durable: the plan.Coordinator
-	// tracking every deployed SELECT query is persisted by SaveSnapshot to
+	// tracking every running statement is persisted by SaveSnapshot to
 	// this file (atomic, checksummed, fsynced through the rename) and
 	// RestoreSnapshot rehydrates after a coordinator restart — standing
-	// queries recompile onto their snapshotted shard placement and resume
-	// from the last committed checkpoint, shared-prefix window state and
-	// sensor fragment deployments included (fragments whose workers are
-	// gone fall back to central runners rather than being dropped). Empty
+	// SELECT queries recompile onto their snapshotted shard placement and
+	// resume from the last committed checkpoint, shared-prefix window state
+	// and sensor fragment deployments included (fragments whose workers are
+	// gone fall back to central runners rather than being dropped).
+	// WITH RECURSIVE queries are not captured; both calls name them. Empty
 	// keeps the coordinator in-memory only.
 	SnapshotPath string
 }
@@ -76,15 +77,14 @@ type Runtime struct {
 
 	fed        *federation.Federator
 	sensors    *sensor.Engine
-	hosts      *plan.SensorHosts
 	recursion  int
 	topo       plan.Topology
-	tick       time.Duration
-	share      *plan.Sharing
 	tickCancel func()
 
-	// coord tracks every SELECT deployment — Stop, Rescale and snapshots all
-	// go through it; qn numbers them q1, q2, … in deploy order.
+	// coord owns every running SELECT and WITH RECURSIVE statement — deploy,
+	// Stop, Rescale and snapshots all go through it, and it holds the one
+	// description of this process (plan.Host) they compile against; qn
+	// numbers them q1, q2, … in deploy order.
 	coord *plan.Coordinator
 	qn    int
 }
@@ -110,26 +110,22 @@ func New(cfg Config) *Runtime {
 		sensors:   cfg.SensorEngine,
 		recursion: cfg.RecursionDepth,
 		topo:      cfg.Topology,
-		tick:      cfg.TickPeriod,
 	}
-	rt.coord = plan.NewCoordinator(rt.Stream, cfg.SnapshotPath)
+	host := plan.Host{Engine: rt.Stream, Tick: cfg.TickPeriod, Now: cfg.Scheduler.Now}
 	if cfg.SharedPrefixes {
-		rt.share = plan.NewSharing(rt.Stream)
-		rt.coord.EnableSharing(rt.share)
+		host.Sharing = plan.NewSharing(rt.Stream)
 	}
 	rt.fed = &federation.Federator{Cat: rt.Cat}
 	if cfg.SensorEngine != nil {
 		kinds := map[string]sensornet.SensorKind{}
-		rt.hosts = plan.NewSensorHosts()
+		host.Sensors = plan.NewSensorHosts()
 		for k, v := range cfg.SensorKinds {
 			kinds[strings.ToLower(k)] = v
-			rt.hosts.Add(k, cfg.SensorEngine)
+			host.Sensors.Add(k, cfg.SensorEngine)
 		}
 		rt.fed.Sensors = &federation.Binding{Kinds: kinds, Engine: cfg.SensorEngine}
 	}
-	// The coordinator needs the process's sensor hosts, tick cadence, and
-	// clock to rehydrate fragment-carrying deployments.
-	rt.coord.SetRuntime(rt.hosts, cfg.TickPeriod, rt.Sched.Now)
+	rt.coord = plan.NewCoordinator(host, cfg.SnapshotPath)
 	rt.tickCancel = rt.Sched.Every(cfg.TickPeriod, func() {
 		rt.Stream.Advance(rt.Sched.Now())
 	})
@@ -160,12 +156,12 @@ type Query struct {
 	Partition *federation.Result
 
 	rt      *Runtime
-	name    string // coordinator-tracked name ("" for views and recursive queries)
+	name    string // coordinator-tracked name ("" for CREATE VIEW)
 	runners []interface{ Stop() }
 }
 
-// Name reports the name the coordinator tracks a live SELECT query under
-// (q1, q2, …; "" for views, recursive queries, and after Stop).
+// Name reports the name the coordinator tracks a live SELECT or WITH
+// RECURSIVE query under (q1, q2, …; "" for CREATE VIEW and after Stop).
 func (q *Query) Name() string { return q.name }
 
 // Snapshot returns the current result under the query's ORDER BY/LIMIT.
@@ -188,13 +184,10 @@ func (q *Query) Stop() {
 		r.Stop()
 	}
 	q.runners = nil
-	if q.name != "" {
-		// Drop closes the deployment and stops snapshotting it.
-		_ = q.rt.coord.Drop(q.name)
-		q.name = ""
-	} else if q.Deployment != nil {
-		q.Deployment.Close()
-	}
+	// Drop closes the deployment and stops snapshotting it. Its only error
+	// is an unknown name: a CREATE VIEW, or a second Stop — nothing to do.
+	_ = q.rt.coord.Drop(q.name)
+	q.name = ""
 }
 
 // Rescale moves this query's sharded deployment onto a new worker
@@ -202,7 +195,7 @@ func (q *Query) Stop() {
 // join or leave, and heal-back after a failover once the worker rejoins.
 func (q *Query) Rescale(nodes []string) error {
 	if q.name == "" {
-		return fmt.Errorf("core: statement %q has no live tracked deployment to rescale", q.SQL)
+		return fmt.Errorf("core: statement %q has no live deployment to rescale", q.SQL)
 	}
 	return q.rt.coord.Rescale(q.name, nodes)
 }
@@ -236,24 +229,31 @@ func (rt *Runtime) MustRun(sqlText string) *Query {
 	return q
 }
 
+// deploy compiles built through the coordinator under the next name q1, q2, ….
+// A caller that fails after it must Stop the query it returned: Stop cancels
+// the runners started so far and drops the deployment — shard workers,
+// subscriptions, tick work — so a failed statement leaks nothing.
+func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOptions) (*Query, error) {
+	rt.qn++
+	name := fmt.Sprintf("q%d", rt.qn)
+	dep, err := rt.coord.Deploy(name, built, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name}, nil
+}
+
 func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, error) {
 	res, err := rt.fed.Optimize(stmt)
 	if err != nil {
 		return nil, err
 	}
 	specs := fragSpecs(res.Chosen.Fragments)
-	rt.qn++
-	name := fmt.Sprintf("q%d", rt.qn)
-	dep, err := rt.coord.Deploy(name, res.Chosen.StreamPlan, plan.CompileOptions{
-		Topology: rt.topo, Sharing: rt.share, SensorHosts: rt.hosts,
-		TickPeriod: rt.tick, Now: rt.Sched.Now(), Fragments: specs})
+	q, err := rt.deploy(sqlText, res.Chosen.StreamPlan, plan.CompileOptions{Topology: rt.topo, Fragments: specs})
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{SQL: sqlText, Deployment: dep, Partition: res, rt: rt, name: name}
-	// A failure past this point must tear the deployment back down — Stop
-	// cancels the runners started so far and closes any shard workers, so
-	// a failed deploy leaks neither goroutines nor tick work.
+	q.Partition = res
 	fail := func(err error) (*Query, error) {
 		q.Stop()
 		return nil, err
@@ -265,10 +265,10 @@ func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, e
 	// the compile pushed into the shard replicas (dep.RemoteFragments) run
 	// partitioned at the shard homes instead — no central runner, and no
 	// exchange hop for their epochs.
-	if err := rt.startFragmentRunners(q, dep, specs); err != nil {
+	if err := rt.startFragmentRunners(q, specs); err != nil {
 		return fail(err)
 	}
-	rt.loadTables(dep)
+	rt.loadTables(q.Deployment)
 	return q, nil
 }
 
@@ -276,12 +276,12 @@ func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, e
 // not deployed inside the shard replicas, feeding the fragment's derived
 // input one batch per epoch. Runners append to q.runners (Stop cancels
 // them). Both fresh deploys and snapshot restores funnel through here.
-func (rt *Runtime) startFragmentRunners(q *Query, dep *plan.Deployment, frags []plan.SensorFragment) error {
+func (rt *Runtime) startFragmentRunners(q *Query, frags []plan.SensorFragment) error {
 	if len(frags) > 0 && rt.sensors == nil {
 		return fmt.Errorf("core: query %q carries sensor fragments but no sensor engine is configured", q.SQL)
 	}
 	remote := map[string]bool{}
-	for _, name := range dep.RemoteFragments {
+	for _, name := range q.Deployment.RemoteFragments {
 		remote[name] = true
 	}
 	for i := range frags {
@@ -353,20 +353,21 @@ func (rt *Runtime) loadTables(dep *plan.Deployment) {
 	}
 }
 
-// Coordinator exposes the coordinator tracking every deployed SELECT query
-// (durable with Config.SnapshotPath).
+// Coordinator exposes the coordinator owning every running SELECT and WITH
+// RECURSIVE statement (durable with Config.SnapshotPath).
 func (rt *Runtime) Coordinator() *plan.Coordinator { return rt.coord }
 
 // Sharing exposes the multi-query sharing registry (nil without
 // Config.SharedPrefixes) — tests and ops inspect live chain counts.
-func (rt *Runtime) Sharing() *plan.Sharing { return rt.share }
+func (rt *Runtime) Sharing() *plan.Sharing { return rt.coord.Host().Sharing }
 
 // SaveSnapshot checkpoints every coordinator-tracked query at a quiescent
 // barrier and atomically replaces the snapshot file (Config.SnapshotPath;
 // without one it is an error).
 // Shared-prefix window state and sensor fragment deployments are captured
-// too; the returned slice names any query the snapshot could not record
-// (empty = complete snapshot) — surface it, never ignore it.
+// too; the returned slice names every query the snapshot could not record —
+// the live WITH RECURSIVE ones, whose views no plan rebuilds (empty =
+// complete snapshot) — surface it, never ignore it.
 func (rt *Runtime) SaveSnapshot() ([]string, error) { return rt.coord.Save() }
 
 // RestoreSnapshot rehydrates the standing queries recorded in the
@@ -401,7 +402,7 @@ func (rt *Runtime) RestoreSnapshot() ([]*Query, []string, error) {
 			sqlText = b.String()
 		}
 		q := &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name}
-		if err := rt.startFragmentRunners(q, dep, rt.coord.Fragments(name)); err != nil {
+		if err := rt.startFragmentRunners(q, rt.coord.Fragments(name)); err != nil {
 			q.Stop()
 			return fail(fmt.Errorf("core: restore %s: %w", name, err))
 		}
@@ -475,7 +476,7 @@ func (rt *Runtime) RegisterSensorStream(name string, kind sensornet.SensorKind, 
 		return err
 	}
 	rt.fed.Sensors.Kinds[strings.ToLower(name)] = kind
-	rt.hosts.Add(name, rt.sensors)
+	rt.coord.Host().Sensors.Add(name, rt.sensors)
 	if _, err := rt.Stream.Register(name, schema); err != nil {
 		return err
 	}

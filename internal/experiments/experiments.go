@@ -1,4 +1,4 @@
-// Package experiments implements the E1–E12 evaluation suite defined in
+// Package experiments implements the E1–E11 evaluation suite defined in
 // DESIGN.md. The SmartCIS paper is a demonstration with no quantitative
 // tables, so each experiment quantifies one of its performance claims with
 // a baseline; EXPERIMENTS.md records expected-vs-measured shapes. Both
@@ -7,8 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"aspen/internal/building"
@@ -642,7 +640,7 @@ func NewRemoteE7Failover(win time.Duration, p, workers int, failover bool) (*Rem
 	}
 	opts := plan.CompileOptions{Topology: plan.Topology{Parallelism: p, Nodes: nodes}}
 	opts.Failover = failover
-	dep, err := plan.CompileStreamOpts(&plan.Built{Root: agg, Limit: -1}, e.Eng, opts)
+	dep, err := plan.CompileStreamOpts(&plan.Built{Root: agg, Limit: -1}, plan.Host{Engine: e.Eng}, opts)
 	if err != nil {
 		e.Close()
 		return nil, err
@@ -939,9 +937,9 @@ type QueryDensity struct {
 // NewQueryDensity builds and deploys the pipeline; callers Close it.
 func NewQueryDensity(q int, shared bool) *QueryDensity {
 	eng := stream.NewEngine("qd", vtime.NewScheduler())
-	opts := plan.CompileOptions{}
+	host := plan.Host{Engine: eng}
 	if shared {
-		opts.Sharing = plan.NewSharing(eng)
+		host.Sharing = plan.NewSharing(eng)
 	}
 	schema := data.NewSchema("S", data.Col("k", data.TInt), data.Col("v", data.TFloat))
 	schema.IsStream = true
@@ -953,7 +951,7 @@ func NewQueryDensity(q int, shared bool) *QueryDensity {
 		scan := plan.NewScan("S", alias, schema, w, 10, false)
 		pred := expr.Bin{Op: expr.OpLt, L: expr.C(alias + ".k"), R: expr.L(cuts[i%len(cuts)])}
 		dep, err := plan.CompileStreamOpts(
-			&plan.Built{Root: &plan.Select{In: scan, Pred: pred}, Limit: -1}, eng, opts)
+			&plan.Built{Root: &plan.Select{In: scan, Pred: pred}, Limit: -1}, host, plan.CompileOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -1022,82 +1020,6 @@ func E11QueryDensity() Table {
 	return t
 }
 
-// E12SnapshotDurability quantifies the PR-10 durable-coordinator cost:
-// snapshot file size and Save/Restore wall latency as the number of
-// standing shared-prefix queries grows. Capture is off the hot path —
-// Save walks the deployments and checkpoints each shared base window
-// once per chain — so these numbers bound restart recovery time, not
-// per-tuple cost (the E7/E11 sweeps pin that at 0 allocs/op).
-func E12SnapshotDurability() Table {
-	t := Table{
-		ID:     "E12",
-		Title:  "coordinator snapshot durability: file size and save/restore latency vs query count",
-		Header: []string{"Q", "tuples in window", "chains", "snapshot bytes", "save", "restore"},
-	}
-	dir, err := os.MkdirTemp("", "aspen-snap")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	const n = 4096
-	schema := data.NewSchema("S", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	schema.IsStream = true
-	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 10 * time.Second}
-	cuts := []int{8, 4, 16, 2}
-	for _, q := range []int{1, 16, 64} {
-		path := filepath.Join(dir, fmt.Sprintf("coord-%d.snap", q))
-		eng := stream.NewEngine(fmt.Sprintf("snap-%d", q), vtime.NewScheduler())
-		coord := plan.NewCoordinator(eng, path)
-		coord.EnableSharing(plan.NewSharing(eng))
-		for i := 0; i < q; i++ {
-			alias := fmt.Sprintf("t%d", i)
-			scan := plan.NewScan("S", alias, schema, w, 10, false)
-			pred := expr.Bin{Op: expr.OpLt, L: expr.C(alias + ".k"), R: expr.L(cuts[i%len(cuts)])}
-			if _, err := coord.Deploy(fmt.Sprintf("q%d", i),
-				&plan.Built{Root: &plan.Select{In: scan, Pred: pred}, Limit: -1},
-				plan.CompileOptions{}); err != nil {
-				panic(err)
-			}
-		}
-		in, _ := eng.Input("S")
-		ts := vtime.Time(0)
-		for i := 0; i < n; i++ {
-			ts += vtime.Time(50 * time.Millisecond)
-			in.Push(data.Tuple{Vals: []data.Value{data.Int(int64(i % 64)), data.Float(float64(i))}, TS: ts})
-		}
-		start := time.Now()
-		if _, err := coord.Save(); err != nil {
-			panic(err)
-		}
-		save := time.Since(start)
-		coord.Close()
-		fi, err := os.Stat(path)
-		if err != nil {
-			panic(err)
-		}
-
-		engB := stream.NewEngine(fmt.Sprintf("snap-%d-b", q), vtime.NewScheduler())
-		coordB := plan.NewCoordinator(engB, path)
-		shareB := plan.NewSharing(engB)
-		coordB.EnableSharing(shareB)
-		start = time.Now()
-		if _, err := coordB.Restore(); err != nil {
-			panic(err)
-		}
-		restore := time.Since(start)
-		chains, _ := shareB.Stats()
-		coordB.Close()
-
-		t.Rows = append(t.Rows, []string{d(int64(q)), d(n), d(int64(chains)),
-			d(fi.Size()), save.Truncate(time.Microsecond).String(),
-			restore.Truncate(time.Microsecond).String()})
-	}
-	t.Notes = "queries share one base window over a 4-cut predicate pool, so chains and snapshot " +
-		"size grow with the distinct prefixes (not with Q) while the restored coordinator " +
-		"warm-starts every query from the captured window state"
-	return t
-}
-
 // sampleAndRun pushes one job sample round through the app.
 func sampleAndRun(app *smartcis.App) {
 	app.Sched.RunFor(100 * time.Millisecond)
@@ -1119,7 +1041,6 @@ func All() []Table {
 		E9EndToEnd(),
 		E10Alarms(),
 		E11QueryDensity(),
-		E12SnapshotDurability(),
 	}
 }
 

@@ -84,11 +84,10 @@ func runE2Remote(side, epochs, p, nWorkers int, fragment bool) (time.Duration, i
 		return 0, 0, err
 	}
 	eng := stream.NewEngine("e2r", vtime.NewScheduler())
-	hosts := e2rHosts(side)
-	dep, err := plan.CompileStreamOpts(b, eng, plan.CompileOptions{
+	host := plan.Host{Engine: eng, Sensors: e2rHosts(side), Tick: time.Second}
+	dep, err := plan.CompileStreamOpts(b, host, plan.CompileOptions{
 		Topology:  plan.Topology{Parallelism: p, Nodes: nodes},
-		Fragments: []plan.SensorFragment{frag}, SensorHosts: hosts,
-		TickPeriod: time.Second,
+		Fragments: []plan.SensorFragment{frag},
 	})
 	if err != nil {
 		return 0, 0, err
@@ -99,7 +98,7 @@ func runE2Remote(side, epochs, p, nWorkers int, fragment bool) (time.Duration, i
 			fragment, dep.RemoteFragments)
 	}
 
-	se, _ := hosts.Engine("light")
+	se, _ := host.Sensors.Engine("light")
 	in, ok := eng.Input("LightFeed")
 	if !ok {
 		return 0, 0, fmt.Errorf("experiments: LightFeed input not registered")

@@ -233,7 +233,7 @@ func TestFederatedExecutionEndToEnd(t *testing.T) {
 	}
 
 	eng := stream.NewEngine("pc1", vtime.NewScheduler())
-	dep, err := plan.CompileStream(ch.StreamPlan, eng)
+	dep, err := plan.CompileStreamOpts(ch.StreamPlan, plan.Host{Engine: eng}, plan.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestPushedAggregate(t *testing.T) {
 	}
 
 	eng := stream.NewEngine("pc1", vtime.NewScheduler())
-	dep, err := plan.CompileStream(built, eng)
+	dep, err := plan.CompileStreamOpts(built, plan.Host{Engine: eng}, plan.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,14 @@ import (
 	"time"
 
 	"aspen/internal/stream"
-	"aspen/internal/vtime"
 )
 
-// Coordinator makes the coordinator process itself survivable. It tracks
-// every named deployment on one engine and persists the lot — logical
-// plans, compile options, the live shard placement, and a consistent
-// checkpoint of every operator's state — to a single snapshot file. A
+// Coordinator is the one owner of every standing query a process runs, and
+// what makes that process survivable. Built once from the Host it compiles
+// into, it deploys, rescales and drops every named deployment — SELECTs and
+// the bodies of recursive views alike — and persists what it can rebuild:
+// logical plans, compile options, the live shard placement, and a consistent
+// checkpoint of every operator's state, in a single snapshot file. A
 // restarted coordinator rehydrates its standing queries from that file and
 // resumes from the last committed checkpoint, closing the survivability
 // gap PR 5 left: workers could die and recover, but the coordinator was a
@@ -51,17 +52,8 @@ import (
 // corrupted, or stale-format file is a clean error — never a panic or a
 // silently partial rehydration.
 type Coordinator struct {
-	eng   *stream.Engine
-	path  string
-	share *Sharing
-
-	// hosts/tick/now describe the runtime a Restore compiles into (see
-	// SetRuntime): the sensor engines this process hosts, the engine tick
-	// cadence, and the scheduler clock — what fragment-carrying
-	// deployments need to recompile.
-	hosts *SensorHosts
-	tick  time.Duration
-	now   func() vtime.Time
+	host Host
+	path string
 
 	mu   sync.Mutex
 	deps map[string]*coordEntry
@@ -140,39 +132,21 @@ func (sd *snapDeployment) topology() Topology {
 		Failover: sd.Failover, CheckpointEvery: sd.CheckpointEvery, StallTimeout: sd.StallTimeout}}
 }
 
-// NewCoordinator tracks deployments on eng and snapshots them to path. An
-// empty path keeps the coordinator in-memory only: everything but Save and
-// Restore works.
-func NewCoordinator(eng *stream.Engine, path string) *Coordinator {
-	return &Coordinator{eng: eng, path: path, deps: map[string]*coordEntry{}}
+// NewCoordinator tracks deployments compiled into host and snapshots them to
+// path. Deploy and Restore compile against the same host, so a snapshot saved
+// on a host with Sharing restores only on one with it (and the coordinator-
+// side checkpoint sequence both compiles produce lines up): Save captures
+// each shared chain's window state once per chain, and Restore rebuilds the
+// chains warm before re-attaching queries. Restoring fragment-carrying
+// deployments needs the host's Sensors, Tick and Now; pure stream deployments
+// need only its Engine. An empty path keeps the coordinator in-memory only:
+// everything but Save and Restore works.
+func NewCoordinator(host Host, path string) *Coordinator {
+	return &Coordinator{host: host, path: path, deps: map[string]*coordEntry{}}
 }
 
-// EnableSharing makes every compile this coordinator performs — Deploy
-// and snapshot Restore alike — share plan prefixes through s (see
-// Sharing). Set it before the first Deploy and keep it for the
-// coordinator's lifetime: a snapshot Saved with sharing enabled must
-// Restore with it enabled (and vice versa), so the coordinator-side
-// checkpoint sequence both compiles produce lines up. Save captures each
-// shared chain's window state once per chain, and Restore rebuilds the
-// chains warm before re-attaching queries — a restored query sees
-// exactly the window (and the later expiry deletions) an uninterrupted
-// run would have.
-func (c *Coordinator) EnableSharing(s *Sharing) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.share = s
-}
-
-// SetRuntime describes the process a Restore compiles into: the sensor
-// engines it hosts, the stream engine's tick cadence, and the scheduler
-// clock. Fragment-carrying deployments need all three to recompile
-// (core.Config wires it automatically); a coordinator without it can
-// still restore pure stream deployments.
-func (c *Coordinator) SetRuntime(hosts *SensorHosts, tick time.Duration, now func() vtime.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hosts, c.tick, c.now = hosts, tick, now
-}
+// Host returns the process description the coordinator was built from.
+func (c *Coordinator) Host() Host { return c.host }
 
 // Fragments returns the sensor fragment specs a tracked deployment was
 // compiled with (after a Restore: the rehydrated specs). The caller runs
@@ -196,10 +170,7 @@ func (c *Coordinator) Deploy(name string, b *Built, opts CompileOptions) (*Deplo
 	if _, ok := c.deps[name]; ok {
 		return nil, fmt.Errorf("plan: deployment %q already exists", name)
 	}
-	if opts.Sharing == nil {
-		opts.Sharing = c.share
-	}
-	dep, err := CompileStreamOpts(b, c.eng, opts)
+	dep, err := CompileStreamOpts(b, c.host, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -290,9 +261,9 @@ func (c *Coordinator) Close() {
 // specs, which fragments ran remotely, and the runner states inside the
 // shard checkpoints — and shared prefix chains contribute their window
 // state once per chain. The returned slice names any deployment the
-// snapshot could NOT capture (today: one compiled against a foreign
-// Sharing registry this coordinator cannot rebuild); the names are also
-// recorded in the snapshot so Restore surfaces the same list. An empty
+// snapshot could NOT capture: one fed through Deployment.Feed by pipelines
+// no compile of its plan rebuilds (a recursive view's body). The names are
+// also recorded in the snapshot so Restore surfaces the same list. An empty
 // slice means the snapshot is complete.
 func (c *Coordinator) Save() ([]string, error) {
 	c.mu.Lock()
@@ -308,11 +279,9 @@ func (c *Coordinator) Save() ([]string, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		e := c.deps[name]
-		if e.opts.Sharing != nil && e.opts.Sharing != c.share {
-			// Compiled against a Sharing registry that is not the
-			// coordinator's own: Restore compiles with c.share, so the
-			// chain attachments (and the checkpoint sequence they shape)
-			// could not be rebuilt. Record the skip — never drop silently.
+		if e.dep.fed {
+			// Restore would bring the plan back with nothing feeding it.
+			// Record the skip — never drop silently.
 			f.Skipped = append(f.Skipped, name)
 			continue
 		}
@@ -349,8 +318,8 @@ func (c *Coordinator) Save() ([]string, error) {
 		sd.setTopology(e.opts.Topology)
 		f.Deployments = append(f.Deployments, sd)
 	}
-	if c.share != nil {
-		chains, err := c.share.CaptureChains()
+	if c.host.Sharing != nil {
+		chains, err := c.host.Sharing.CaptureChains()
 		if err != nil {
 			return nil, err
 		}
@@ -429,7 +398,7 @@ func syncDir(dir string) error {
 // A fragment-carrying deployment whose snapshotted workers are absent at
 // restore time degrades instead of failing: first all shards pull
 // in-process with the fragments still pinned (exact state, needs this
-// process to host the sources — see SetRuntime), and as the last resort
+// process to host the sources — Host.Sensors), and as the last resort
 // the fragments fall back to central runners (the caller restarts them
 // from Fragments; the stream state still restores exactly). The returned
 // slice surfaces the names Save recorded as skipped — queries the
@@ -457,12 +426,12 @@ func (c *Coordinator) Restore() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(f.Chains) > 0 && c.share == nil {
-		return nil, fmt.Errorf("plan: snapshot carries %d shared-chain states but sharing is not enabled (EnableSharing before Restore)", len(f.Chains))
+	if len(f.Chains) > 0 && c.host.Sharing == nil {
+		return nil, fmt.Errorf("plan: snapshot carries %d shared-chain states but this coordinator's Host has no Sharing", len(f.Chains))
 	}
-	if c.share != nil {
-		c.share.primeRestore(f.Chains)
-		defer c.share.finishRestore()
+	if c.host.Sharing != nil {
+		c.host.Sharing.primeRestore(f.Chains)
+		defer c.host.Sharing.finishRestore()
 	}
 	restored := map[string]*coordEntry{}
 	fail := func(err error) ([]string, error) {
@@ -488,26 +457,19 @@ func (c *Coordinator) Restore() ([]string, error) {
 		}
 		opts := CompileOptions{
 			Topology:           sd.topology(),
-			Sharing:            c.share,
 			Fragments:          frags,
-			SensorHosts:        c.hosts,
-			TickPeriod:         c.tick,
 			restoreShards:      sd.Shards,
 			restoreCoord:       sd.Coord,
 			restoreLoc:         sd.Placement,
 			restoreForceFrags:  true,
 			restoreRemoteFrags: sd.RemoteFrags,
 		}
-		if c.now != nil {
-			opts.Now = c.now()
-		}
 		dep, err := c.rehydrate(b, opts, &sd)
 		if err != nil {
 			return fail(fmt.Errorf("plan: rehydrate %q: %w", sd.Name, err))
 		}
-		opts.restoreShards, opts.restoreCoord, opts.restoreLoc = nil, nil, nil
-		opts.restoreForceFrags, opts.restoreRemoteFrags = false, nil
-		restored[sd.Name] = &coordEntry{dep: dep, built: b, opts: opts}
+		restored[sd.Name] = &coordEntry{dep: dep, built: b,
+			opts: CompileOptions{Topology: opts.Topology, Fragments: frags}}
 	}
 	c.deps = restored
 	return f.Skipped, nil
@@ -522,14 +484,14 @@ func (c *Coordinator) Restore() ([]string, error) {
 // deployment being lost. The first error is the one reported when every
 // tier fails.
 func (c *Coordinator) rehydrate(b *Built, opts CompileOptions, sd *snapDeployment) (*Deployment, error) {
-	dep, err0 := CompileStreamOpts(b, c.eng, opts)
+	dep, err0 := CompileStreamOpts(b, c.host, opts)
 	if err0 == nil {
 		return dep, nil
 	}
 	if anyRemote(sd.Placement) {
 		home := opts
 		home.restoreLoc = make([]string, sd.Parallelism)
-		if dep, err := CompileStreamOpts(b, c.eng, home); err == nil {
+		if dep, err := CompileStreamOpts(b, c.host, home); err == nil {
 			return dep, nil
 		}
 	}
@@ -545,7 +507,7 @@ func (c *Coordinator) rehydrate(b *Built, opts CompileOptions, sd *snapDeploymen
 			}
 			central.restoreShards[j] = trimmed
 		}
-		if dep, err := CompileStreamOpts(b, c.eng, central); err == nil {
+		if dep, err := CompileStreamOpts(b, c.host, central); err == nil {
 			return dep, nil
 		}
 	}

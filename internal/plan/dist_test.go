@@ -74,7 +74,7 @@ func TestChaosWorkerProcessKill(t *testing.T) {
 func TestCompileShardedDialRefused(t *testing.T) {
 	b := fuzzBuiltPlan(t)
 	eng := stream.NewEngine("refused", vtime.NewScheduler())
-	_, err := CompileStreamOpts(b, eng, CompileOptions{
+	_, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{
 		Topology: Topology{Parallelism: 2, Nodes: []string{"127.0.0.1:1"}},
 	})
 	if err == nil {
@@ -99,7 +99,7 @@ func TestCompileShardedDeadWorker(t *testing.T) {
 	eng := stream.NewEngine("dead", vtime.NewScheduler())
 	done := make(chan error, 1)
 	go func() {
-		_, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: 2, Nodes: []string{addr}}})
+		_, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{Topology: Topology{Parallelism: 2, Nodes: []string{addr}}})
 		done <- err
 	}()
 	select {
@@ -117,7 +117,7 @@ func TestCompileShardedDeadWorker(t *testing.T) {
 func TestCompileNodesWithoutParallelism(t *testing.T) {
 	b := fuzzBuiltPlan(t)
 	eng := stream.NewEngine("misconfig", vtime.NewScheduler())
-	if _, err := CompileStreamOpts(b, eng, CompileOptions{
+	if _, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{
 		Topology: Topology{Nodes: []string{"127.0.0.1:7070"}},
 	}); err == nil {
 		t.Fatal("Nodes without Parallelism must fail the compile")
@@ -168,7 +168,7 @@ func TestMultiplexedConnAccounting(t *testing.T) {
 	deps := make([]*Deployment, 0, n)
 	for i := 0; i < n; i++ {
 		eng := stream.NewEngine("mux", vtime.NewScheduler())
-		dep, err := CompileStreamOpts(fuzzBuiltPlan(t), eng, CompileOptions{
+		dep, err := CompileStreamOpts(fuzzBuiltPlan(t), Host{Engine: eng}, CompileOptions{
 			Topology: Topology{Parallelism: 2, Nodes: nodes},
 		})
 		if err != nil {

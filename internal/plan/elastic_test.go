@@ -76,7 +76,7 @@ func TestRescaleLiveDeployment(t *testing.T) {
 	evs := genWorkload(rng, sources, 300)
 
 	seng := stream.NewEngine("rescale-serial", vtime.NewScheduler())
-	sdep, err := CompileStream(b, seng)
+	sdep, err := CompileStreamOpts(b, Host{Engine: seng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRescaleLiveDeployment(t *testing.T) {
 	want := snapshotSorted(t, sdep)
 
 	eng := stream.NewEngine("rescale-elastic", vtime.NewScheduler())
-	dep, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: 2}})
+	dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{Topology: Topology{Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRescaleHealBackAfterFailover(t *testing.T) {
 	evs := genWorkload(rng, sources, 300)
 
 	seng := stream.NewEngine("heal-serial", vtime.NewScheduler())
-	sdep, err := CompileStream(b, seng)
+	sdep, err := CompileStreamOpts(b, Host{Engine: seng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRescaleHealBackAfterFailover(t *testing.T) {
 	cl := startKillableWorkers(t, 2)
 	var failovers int
 	eng := stream.NewEngine("heal-elastic", vtime.NewScheduler())
-	dep, err := CompileStreamOpts(b, eng, CompileOptions{
+	dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{
 		Topology: failoverTopology(2, cl.addrs, 2),
 		OnFailover: func(ev stream.FailoverEvent) {
 			if ev.Err != nil {
@@ -214,7 +214,7 @@ func TestCoordinatorSnapshotRestore(t *testing.T) {
 	evs := genWorkload(rng, sources, 300)
 
 	seng := stream.NewEngine("snap-serial", vtime.NewScheduler())
-	sdep, err := CompileStream(b, seng)
+	sdep, err := CompileStreamOpts(b, Host{Engine: seng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCoordinatorSnapshotRestore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.snap")
 
 	engA := stream.NewEngine("snap-a", vtime.NewScheduler())
-	coordA := NewCoordinator(engA, path)
+	coordA := NewCoordinator(Host{Engine: engA}, path)
 	if _, err := coordA.Deploy("serial", b, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCoordinatorSnapshotRestore(t *testing.T) {
 	coordA.Close() // the restart: old deployments die with the old process
 
 	engB := stream.NewEngine("snap-b", vtime.NewScheduler())
-	coordB := NewCoordinator(engB, path)
+	coordB := NewCoordinator(Host{Engine: engB}, path)
 	if _, err := coordB.Restore(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -274,7 +274,7 @@ func TestCoordinatorSnapshotRestore(t *testing.T) {
 func TestCoordinatorLifecycle(t *testing.T) {
 	b := fuzzBuiltPlan(t)
 	eng := stream.NewEngine("lifecycle", vtime.NewScheduler())
-	coord := NewCoordinator(eng, filepath.Join(t.TempDir(), "coord.snap"))
+	coord := NewCoordinator(Host{Engine: eng}, filepath.Join(t.TempDir(), "coord.snap"))
 	defer coord.Close()
 
 	if _, err := coord.Deploy("a", b, CompileOptions{}); err != nil {
@@ -326,7 +326,7 @@ func TestSnapshotLoadFaults(t *testing.T) {
 
 	// Build one valid snapshot image to mutate.
 	engA := stream.NewEngine("faults-a", vtime.NewScheduler())
-	coordA := NewCoordinator(engA, path)
+	coordA := NewCoordinator(Host{Engine: engA}, path)
 	if _, err := coordA.Deploy("q", b, CompileOptions{Topology: Topology{Parallelism: 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestSnapshotLoadFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := stream.NewEngine("faults-"+tc.name, vtime.NewScheduler())
-			coord := NewCoordinator(eng, p)
+			coord := NewCoordinator(Host{Engine: eng}, p)
 			if _, err := coord.Restore(); err == nil {
 				t.Fatal("Restore of a damaged snapshot must fail")
 			}
@@ -384,7 +384,7 @@ func TestSnapshotLoadFaults(t *testing.T) {
 
 	// A missing file is a fresh start, not an error.
 	eng := stream.NewEngine("faults-missing", vtime.NewScheduler())
-	coord := NewCoordinator(eng, filepath.Join(dir, "does-not-exist.snap"))
+	coord := NewCoordinator(Host{Engine: eng}, filepath.Join(dir, "does-not-exist.snap"))
 	if _, err := coord.Restore(); err != nil {
 		t.Fatalf("missing snapshot must be a fresh start: %v", err)
 	}
@@ -438,7 +438,7 @@ func runElasticDifferential(t *testing.T, seed int64, nPlans int, restart bool) 
 		evs := genWorkload(rng, sources, 300)
 
 		seng := stream.NewEngine(fmt.Sprintf("el%d-serial", pi), vtime.NewScheduler())
-		sdep, err := CompileStream(b, seng)
+		sdep, err := CompileStreamOpts(b, Host{Engine: seng}, CompileOptions{})
 		if err != nil {
 			t.Fatalf("seed %d plan %d: serial compile: %v", seed, pi, err)
 		}
@@ -450,8 +450,7 @@ func runElasticDifferential(t *testing.T, seed int64, nPlans int, restart bool) 
 			alive := append([]string(nil), cl.addrs...)
 			path := filepath.Join(t.TempDir(), "coord.snap")
 			eng := stream.NewEngine(fmt.Sprintf("el%d-p%d", pi, p), vtime.NewScheduler())
-			coord := NewCoordinator(eng, path)
-			coord.EnableSharing(NewSharing(eng))
+			coord := NewCoordinator(Host{Engine: eng, Sharing: NewSharing(eng)}, path)
 			dep, err := coord.Deploy("q", b, CompileOptions{
 				Topology: failoverTopology(p, alive[:2], 1+rng.Intn(3)),
 				OnFailover: func(ev stream.FailoverEvent) {
@@ -511,8 +510,7 @@ func runElasticDifferential(t *testing.T, seed int64, nPlans int, restart bool) 
 					}
 					coord.Close() // the old coordinator process dies
 					eng = stream.NewEngine(fmt.Sprintf("el%d-p%d-r", pi, p), vtime.NewScheduler())
-					coord = NewCoordinator(eng, path)
-					coord.EnableSharing(NewSharing(eng))
+					coord = NewCoordinator(Host{Engine: eng, Sharing: NewSharing(eng)}, path)
 					if skipped, err := coord.Restore(); err != nil {
 						t.Fatalf("seed %d plan %d P=%d: restore at event %d: %v", seed, pi, p, i, err)
 					} else if len(skipped) != 0 {

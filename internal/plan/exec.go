@@ -48,14 +48,6 @@ type Deployment struct {
 	// PartialAggregate stages merged by one serial FinalMerge (the path
 	// that shards global aggregates and non-partitionable grouping keys).
 	TwoPhase bool
-	// Nodes records the worker topology the shards deployed over, as
-	// given in CompileOptions — affinity annotations included (empty =
-	// every replica in-process).
-	Nodes []string
-	// Failover reports that lost workers redeploy from checkpoints (see
-	// CompileOptions.Failover); it is false when no replica left the
-	// process.
-	Failover bool
 	// RemoteFragments names the sensor-derived inputs whose fragments
 	// deployed inside the shard replicas (see CompileOptions.Fragments):
 	// the runtime must not start central epoch runners for them — each
@@ -81,14 +73,18 @@ type Deployment struct {
 	// records below from it.
 	eng *stream.Engine
 	// heads records every engine-input subscription the compile made —
-	// serial pipeline heads, sharded exchange Sharders — so Close can
-	// unsubscribe them.
+	// serial pipeline heads, sharded exchange Sharders — and every one Feed
+	// made since, so Close can unsubscribe them.
 	heads []headSub
 	// advs records the engine-tracked advancers (serial windows; the
 	// shard set itself) for UntrackWindow at Close.
 	advs []stream.Advancer
 	// shared records refcounted attachments to shared prefix chains.
 	shared []sharedAttach
+	// fed records that Feed subscribed pipelines built outside the plan. No
+	// compile can rebuild them, so a coordinator snapshot names a fed
+	// deployment as skipped.
+	fed bool
 
 	closeOnce sync.Once
 }
@@ -144,10 +140,20 @@ func (d *Deployment) Close() {
 	})
 }
 
+// Feed subscribes op to in on the deployment's behalf, so Close detaches it
+// with everything the compile wired: op heads a pipeline the caller built
+// outside the plan — a recursive view's base and edge rules — that ends in
+// one of the deployment's inputs.
+func (d *Deployment) Feed(in *stream.Input, op stream.Operator) {
+	in.Subscribe(op)
+	d.heads = append(d.heads, headSub{in: in, op: op})
+	d.fed = true
+}
+
 // Rescale moves a live sharded deployment onto a new worker topology,
 // re-applying the locality placement policy the compile used: shards
 // round-robin over the workers whose affinity annotations cover a scanned
-// source, falling back to all workers (the CompileOptions.Nodes placement
+// source, falling back to all workers (the Topology.Nodes placement
 // rule), with "" keeping a shard in-process and an empty list pulling
 // every shard home. Moved shards carry their checkpointed operator state,
 // so results stay multiset-identical to serial across the move; untouched
@@ -164,16 +170,12 @@ func (d *Deployment) Rescale(nodes []string) error {
 		return err
 	}
 	loc := placeShards(d.Shards, addrs, affinity, d.scanSources)
-	if err := d.set.Rescale(loc); err != nil {
-		return err
-	}
-	d.Nodes = nodes
-	return nil
+	return d.set.Rescale(loc)
 }
 
 // Placement reports where each shard currently runs ("" = in-process) —
 // the live topology after failovers and rescales, as opposed to the
-// compile-time Nodes request.
+// Topology.Nodes request the coordinator records.
 func (d *Deployment) Placement() []string {
 	if d.set == nil {
 		return nil
@@ -181,7 +183,7 @@ func (d *Deployment) Placement() []string {
 	return d.set.Placement()
 }
 
-// ParseNodes splits a CompileOptions.Nodes list into plain worker
+// ParseNodes splits a Topology.Nodes list into plain worker
 // addresses and source affinities. Each entry is either a bare address
 // ("127.0.0.1:7001") or an annotated one ("127.0.0.1:7001=temperature,light")
 // declaring which raw sources that worker physically hosts. The returned
@@ -320,7 +322,7 @@ type Topology struct {
 	// (the explicit machine list would be silently ignored). Plans the
 	// shard analysis cannot partition still fall back to serial without
 	// their workers, mirroring the documented Parallelism semantics —
-	// check Deployment.Shards/Nodes when distribution matters.
+	// check Deployment.Shards/Placement when distribution matters.
 	Nodes []string
 	stream.Recovery
 }
@@ -335,7 +337,44 @@ func (t Topology) Workers() (addrs []string, affinity map[string][]string, err e
 	return ParseNodes(t.Nodes)
 }
 
-// CompileOptions tunes CompileStreamOpts.
+// Host is the one description of the process a plan compiles into: the
+// stream engine, and what that process offers a deployment besides it. A
+// Coordinator is built from one and compiles every Deploy and Restore
+// against it; CompileStreamOpts takes it where a bare compile has no
+// coordinator. Only Engine is required.
+type Host struct {
+	Engine *stream.Engine
+	// Sharing, when set, lets serial compiles share canonicalized plan
+	// prefixes — the scan, its window, and any stack of selections over one
+	// non-table source — with every other deployment compiled against the
+	// same registry: N queries run one physical prefix chain, fanning out
+	// only where their plans diverge, and the last Close tears the chain
+	// down. Sharded plans ignore it. See Sharing for semantics (warm-start
+	// attach, positional canon keys).
+	Sharing *Sharing
+	// Sensors registers the sensor engines this process hosts, so in-process
+	// shards (and failover's in-process last resort) can run fragment
+	// partitions locally. Required for fragments to leave the coordinator.
+	Sensors *SensorHosts
+	// Tick is the engine's clock tick cadence; shard-hosted fragments must
+	// fire on tick instants (period a positive multiple, anchor aligned), so
+	// the compile needs it to decide eligibility.
+	Tick time.Duration
+	// Now is the scheduler clock, read once per compile: fragment epochs
+	// anchor at Now()+period, matching a central runner started at the same
+	// instant. Nil reads as instant 0.
+	Now func() vtime.Time
+}
+
+func (h Host) now() vtime.Time {
+	if h.Now == nil {
+		return 0
+	}
+	return h.Now()
+}
+
+// CompileOptions is what varies from one deployment to the next on the same
+// Host.
 type CompileOptions struct {
 	Topology
 	// OnFailover, when set, observes completed failovers (tests, ops).
@@ -348,26 +387,6 @@ type CompileOptions struct {
 	// failing any condition stay central (the caller starts their epoch
 	// runners as before — check Deployment.RemoteFragments).
 	Fragments []SensorFragment
-	// SensorHosts registers the sensor engines this process hosts, so
-	// in-process shards (and failover's in-process last resort) can run
-	// fragment partitions locally. Required for fragments to leave the
-	// coordinator.
-	SensorHosts *SensorHosts
-	// TickPeriod is the engine's clock tick cadence; shard-hosted
-	// fragments must fire on tick instants (period a positive multiple,
-	// anchor aligned), so the compile needs it to decide eligibility.
-	TickPeriod time.Duration
-	// Now is the scheduler instant of this compile; fragment epochs anchor
-	// at Now+period, matching a central runner started now.
-	Now vtime.Time
-	// Sharing, when set, lets this compile share canonicalized plan
-	// prefixes — the scan, its window, and any stack of selections over
-	// one non-table source — with every other deployment compiled against
-	// the same registry: N queries run one physical prefix chain, fanning
-	// out only where their plans diverge, and the last Close tears the
-	// chain down. Serial compiles only; sharded plans ignore it. See
-	// Sharing for semantics (warm-start attach, positional canon keys).
-	Sharing *Sharing
 
 	// restoreShards and restoreCoord rehydrate a deployment from a durable
 	// coordinator snapshot (see Coordinator): per-shard operator states
@@ -392,19 +411,14 @@ type CompileOptions struct {
 	restoreRemoteFrags []string
 }
 
-// CompileStream lowers a logical plan onto a stream engine serially; see
-// CompileStreamOpts.
-func CompileStream(b *Built, eng *stream.Engine) (*Deployment, error) {
-	return CompileStreamOpts(b, eng, CompileOptions{})
-}
-
-// CompileStreamOpts lowers a logical plan onto a stream engine: it builds
+// CompileStreamOpts lowers a logical plan onto host's stream engine: it builds
 // the operator pipeline bottom-up, registers/validates the engine inputs
 // the scans need, and subscribes the pipeline to them. When the plan names
 // a display (OUTPUT TO), the result also feeds the engine's display. With
 // Parallelism > 1 and a partitionable plan, the pipeline is replicated per
 // shard behind Sharder exchanges and folded back through a Merge.
-func CompileStreamOpts(b *Built, eng *stream.Engine, opts CompileOptions) (*Deployment, error) {
+func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, error) {
+	eng := host.Engine
 	// Validate the topology up front, on every path: serial fallbacks would
 	// otherwise carry a malformed node list into a later Rescale.
 	addrs, affinity, err := opts.Workers()
@@ -413,7 +427,7 @@ func CompileStreamOpts(b *Built, eng *stream.Engine, opts CompileOptions) (*Depl
 	}
 	if opts.Parallelism > 1 {
 		if strat, ok := analyzeShard(b.Root); ok {
-			return compileSharded(b, eng, opts, strat, addrs, affinity)
+			return compileSharded(b, host, opts, strat, addrs, affinity)
 		}
 	}
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: 1, eng: eng}
@@ -430,7 +444,7 @@ func CompileStreamOpts(b *Built, eng *stream.Engine, opts CompileOptions) (*Depl
 		scanHead: func(x *Scan, head stream.Operator) error {
 			return attachScan(x, head, eng, dep)
 		},
-		share:     opts.Sharing,
+		share:     host.Sharing,
 		dep:       dep,
 		restoring: opts.restoreCoord != nil,
 	}
@@ -522,10 +536,10 @@ func attachScan(x *Scan, head stream.Operator, eng *stream.Engine, dep *Deployme
 // logical streams: every deployment to the same address shares one pooled
 // TCP connection (stream.WorkerConnCount counts the sockets), with FIFO
 // ordering per stream preserved for barriers and failover.
-func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *shardStrategy, addrs []string, affinity map[string][]string) (*Deployment, error) {
-	p := opts.Parallelism
+func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrategy, addrs []string, affinity map[string][]string) (*Deployment, error) {
+	p, eng := opts.Parallelism, host.Engine
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: p,
-		TwoPhase: strat.Split != nil, Nodes: opts.Nodes, eng: eng}
+		TwoPhase: strat.Split != nil, eng: eng}
 	sink, err := newDeploymentSink(b, eng, dep)
 	if err != nil {
 		return nil, err
@@ -569,7 +583,7 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 	}
 
 	// Decide which fragments run inside the replicas, and encode.
-	wireFrags, err := hostedFragments(&opts, scans, fragFor, strat.Keys, loc, affinity)
+	wireFrags, err := hostedFragments(host, &opts, scans, fragFor, strat.Keys, loc, affinity)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +601,6 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 	if err != nil {
 		return nil, err
 	}
-	dep.Failover = opts.Failover && anyRemote(loc)
 	dep.coordCks = append(dep.coordCks, dep.Result)
 	if opts.restoreCoord != nil {
 		if err := stream.RestoreCheckpoint(dep.coordCks, opts.restoreCoord); err != nil {
@@ -613,7 +626,7 @@ func compileSharded(b *Built, eng *stream.Engine, opts CompileOptions, strat *sh
 		Spec:        spec,
 		Nodes:       addrs,
 		Sink:        merge,
-		LocalDeploy: opts.SensorHosts.DeployReplica,
+		LocalDeploy: host.Sensors.DeployReplica,
 		Recovery:    opts.Recovery,
 		OnFailover:  opts.OnFailover,
 	}, loc, opts.restoreShards)
@@ -696,11 +709,11 @@ type compiler struct {
 	// sequence on every host of the same spec.
 	ck func(stream.Checkpointer)
 
-	// share and dep, when set (serial compiles with
-	// CompileOptions.Sharing), divert shareable prefixes onto the shared
-	// chain registry instead of compiling them privately. restoring marks
-	// a snapshot rehydration: shared attaches skip the warm-start replay
-	// because the restored suffix state already reflects the window.
+	// share and dep, when set (serial compiles on a Host with Sharing),
+	// divert shareable prefixes onto the shared chain registry instead of
+	// compiling them privately. restoring marks a snapshot rehydration:
+	// shared attaches skip the warm-start replay because the restored suffix
+	// state already reflects the window.
 	share     *Sharing
 	dep       *Deployment
 	restoring bool

@@ -169,8 +169,8 @@ func bindPred(e expr.Expr, schema *data.Schema) (*expr.Compiled, error) {
 // SensorHosts registers the sensor engines a process hosts, keyed by
 // lowercased raw source name. A shard worker built with NewSensorWorker
 // consults it when a deploy spec carries sensor fragments; the coordinator
-// passes its own registry through CompileOptions.SensorHosts so in-process
-// shards (and failover's local last resort) host fragments the same way.
+// passes its own registry as Host.Sensors so in-process shards (and
+// failover's local last resort) host fragments the same way.
 // A nil *SensorHosts is a valid empty registry.
 type SensorHosts struct {
 	m map[string]*sensor.Engine
@@ -509,11 +509,12 @@ func fragmentsByScan(frags []SensorFragment, scans []*Scan) map[*Scan]*SensorFra
 // now — but the shard checkpoints were encoded against exactly the
 // snapshot's runner list, so the same fragments must go remote in the same
 // wire order.
-func hostedFragments(opts *CompileOptions, scans []*Scan, fragFor map[*Scan]*SensorFragment, keys map[*Scan][]expr.Expr, loc []string, affinity map[string][]string) ([]wireFragment, error) {
+func hostedFragments(host Host, opts *CompileOptions, scans []*Scan, fragFor map[*Scan]*SensorFragment, keys map[*Scan][]expr.Expr, loc []string, affinity map[string][]string) ([]wireFragment, error) {
 	var wire []wireFragment
-	host := func(i int, keyIdx []int) error {
+	now := host.now()
+	encode := func(i int, keyIdx []int) error {
 		f := fragFor[scans[i]]
-		w, err := encodeFragment(f, scanName(i), keyIdx, opts.Parallelism, opts.Now.Add(f.period()))
+		w, err := encodeFragment(f, scanName(i), keyIdx, opts.Parallelism, now.Add(f.period()))
 		if err == nil {
 			wire = append(wire, w)
 		}
@@ -532,7 +533,7 @@ func hostedFragments(opts *CompileOptions, scans []*Scan, fragFor map[*Scan]*Sen
 			if !ok {
 				return nil, fmt.Errorf("plan: snapshot pins fragment %s remote, but its shard key is no longer node-determined", name)
 			}
-			if err := host(i, keyIdx); err != nil {
+			if err := encode(i, keyIdx); err != nil {
 				return nil, err
 			}
 		}
@@ -543,10 +544,10 @@ func hostedFragments(opts *CompileOptions, scans []*Scan, fragFor map[*Scan]*Sen
 				continue
 			}
 			keyIdx, ok := fragmentKeyIdx(f, sc, keys[sc])
-			if !ok || !alignedWithTicks(f.period(), opts.TickPeriod, opts.Now) || !hostedAt(f, opts.SensorHosts, loc, affinity) {
+			if !ok || !alignedWithTicks(f.period(), host.Tick, now) || !hostedAt(f, host.Sensors, loc, affinity) {
 				continue
 			}
-			if err := host(i, keyIdx); err != nil {
+			if err := encode(i, keyIdx); err != nil {
 				return nil, err
 			}
 		}

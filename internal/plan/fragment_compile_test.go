@@ -39,6 +39,12 @@ func newFragCompileHosts() *SensorHosts {
 	return h
 }
 
+// fragHost is a compile host for eng that hosts sensors and ticks every
+// second, the cadence lightFeedFragment's epochs align with.
+func fragHost(eng *stream.Engine, sensors *SensorHosts) Host {
+	return Host{Engine: eng, Sensors: sensors, Tick: time.Second}
+}
+
 // lightFeedFragment is the fragment producing LightFeed: a filtered light
 // select whose epochs land every second.
 func lightFeedFragment(t *testing.T) SensorFragment {
@@ -105,7 +111,7 @@ func TestCompileShardedRemoteFragmentDifferential(t *testing.T) {
 	frag := lightFeedFragment(t)
 
 	sEng := stream.NewEngine("frag-serial", vtime.NewScheduler())
-	serial, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), sEng, CompileOptions{})
+	serial, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), Host{Engine: sEng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +127,9 @@ func TestCompileShardedRemoteFragmentDifferential(t *testing.T) {
 
 	nodes := newFragSensorWorkers(t, 2)
 	rEng := stream.NewEngine("frag-remote", vtime.NewScheduler())
-	dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), rEng, CompileOptions{
+	dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), fragHost(rEng, newFragCompileHosts()), CompileOptions{
 		Topology:  Topology{Parallelism: 4, Nodes: nodes},
-		Fragments: []SensorFragment{frag}, SensorHosts: newFragCompileHosts(),
-		TickPeriod: time.Second,
+		Fragments: []SensorFragment{frag},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +199,9 @@ func TestCompileShardedFragmentStaysCentral(t *testing.T) {
 				node += "=light"
 			}
 			eng := stream.NewEngine("frag-central-"+c.name, vtime.NewScheduler())
-			dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), eng, CompileOptions{
+			dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), fragHost(eng, c.hosts), CompileOptions{
 				Topology:  Topology{Parallelism: 2, Nodes: []string{node}},
-				Fragments: []SensorFragment{frag}, SensorHosts: c.hosts,
-				TickPeriod: time.Second,
+				Fragments: []SensorFragment{frag},
 			})
 			if err != nil {
 				t.Fatal(err)

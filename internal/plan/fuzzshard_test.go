@@ -277,7 +277,7 @@ func runShardDifferential(t *testing.T, seed int64, nPlans int, nodes []string) 
 			if par > 0 {
 				opts.Nodes = nodes
 			}
-			dep, err := CompileStreamOpts(b, eng, opts)
+			dep, err := CompileStreamOpts(b, Host{Engine: eng}, opts)
 			if err != nil {
 				t.Fatalf("seed %d plan %d: compile P=%d: %v\nplan: %s", seed, pi, par, err, root)
 			}
@@ -443,7 +443,7 @@ func runChaosDifferential(t *testing.T, seed int64, nPlans int, cluster func(t *
 		evs := genWorkload(rng, sources, 300)
 
 		seng := stream.NewEngine(fmt.Sprintf("chaos%d-serial", pi), vtime.NewScheduler())
-		sdep, err := CompileStream(b, seng)
+		sdep, err := CompileStreamOpts(b, Host{Engine: seng}, CompileOptions{})
 		if err != nil {
 			t.Fatalf("seed %d plan %d: serial compile: %v", seed, pi, err)
 		}
@@ -455,7 +455,7 @@ func runChaosDifferential(t *testing.T, seed int64, nPlans int, cluster func(t *
 			var events []stream.FailoverEvent
 			var emu sync.Mutex
 			eng := stream.NewEngine(fmt.Sprintf("chaos%d-p%d", pi, p), vtime.NewScheduler())
-			dep, err := CompileStreamOpts(b, eng, CompileOptions{
+			dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{
 				Topology: failoverTopology(p, cl.addrs, 1+rng.Intn(3)),
 				OnFailover: func(ev stream.FailoverEvent) {
 					emu.Lock()

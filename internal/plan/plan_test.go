@@ -242,7 +242,7 @@ func TestCompileFig1EndToEnd(t *testing.T) {
 
 	sched := vtime.NewScheduler()
 	eng := stream.NewEngine("pc1", sched)
-	dep, err := CompileStream(b, eng)
+	dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCompileWindowedAggregate(t *testing.T) {
 	cat := testCatalog()
 	b := mustBuild(t, `SELECT ss.room, count(*) AS n FROM SeatSensors ss [ROWS 2] GROUP BY ss.room`, cat)
 	eng := stream.NewEngine("pc1", vtime.NewScheduler())
-	dep, err := CompileStream(b, eng)
+	dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestCompileOutputToDisplay(t *testing.T) {
 	cat := testCatalog()
 	b := mustBuild(t, `SELECT ss.room FROM SeatSensors ss OUTPUT TO lobbyScreen`, cat)
 	eng := stream.NewEngine("pc1", vtime.NewScheduler())
-	if _, err := CompileStream(b, eng); err != nil {
+	if _, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	in, _ := eng.Input("SeatSensors")

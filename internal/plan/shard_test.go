@@ -18,7 +18,7 @@ func deployStream(t *testing.T, src string, par int) (*Deployment, *stream.Engin
 	t.Helper()
 	b := mustBuild(t, src, testCatalog())
 	eng := stream.NewEngine(fmt.Sprintf("pc-par%d", par), vtime.NewScheduler())
-	dep, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: par}})
+	dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{Topology: Topology{Parallelism: par}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCompileStreamComputedGroupKeyShards(t *testing.T) {
 
 	run := func(par int) ([]data.Tuple, *Deployment) {
 		eng := stream.NewEngine(fmt.Sprintf("pc-cg%d", par), vtime.NewScheduler())
-		dep, err := CompileStreamOpts(build(), eng, CompileOptions{Topology: Topology{Parallelism: par}})
+		dep, err := CompileStreamOpts(build(), Host{Engine: eng}, CompileOptions{Topology: Topology{Parallelism: par}})
 		if err != nil {
 			t.Fatal(err)
 		}

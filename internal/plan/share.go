@@ -58,9 +58,10 @@ type Sharing struct {
 	pending map[string][]byte
 }
 
-// NewSharing creates an empty sharing registry over one engine. Pass it
-// via CompileOptions.Sharing (core.Config.SharedPrefixes wires it for a
-// whole runtime); all compiles sharing prefixes must use one registry.
+// NewSharing creates an empty sharing registry over one engine. It is the
+// Sharing of the Host that names the same engine (core.Config.SharedPrefixes
+// builds both for a whole runtime), so every compile on that host shares
+// through the one registry.
 func NewSharing(eng *stream.Engine) *Sharing {
 	return &Sharing{eng: eng, chains: map[string]*sharedChain{}}
 }

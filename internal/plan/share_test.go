@@ -91,18 +91,18 @@ func TestSharedPrefixLifecycle(t *testing.T) {
 	eng := stream.NewEngine("share", vtime.NewScheduler())
 	s := NewSharing(eng)
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
-	opts := CompileOptions{Sharing: s}
+	host := Host{Engine: eng, Sharing: s}
 
 	ge := func(col string, v int) func(*Scan) []expr.Expr {
 		return func(sc *Scan) []expr.Expr {
 			return []expr.Expr{expr.Bin{Op: expr.OpGe, L: expr.C(sc.Alias + "." + col), R: expr.L(v)}}
 		}
 	}
-	d1, err := CompileStreamOpts(sharePlan("t1", w, ge("a", 1)), eng, opts)
+	d1, err := CompileStreamOpts(sharePlan("t1", w, ge("a", 1)), host, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := CompileStreamOpts(sharePlan("t2", w, ge("a", 1)), eng, opts)
+	d2, err := CompileStreamOpts(sharePlan("t2", w, ge("a", 1)), host, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSharedPrefixLifecycle(t *testing.T) {
 	}
 
 	// A divergent predicate adds one derived layer, still one base window.
-	d3, err := CompileStreamOpts(sharePlan("t3", w, ge("a", 3)), eng, opts)
+	d3, err := CompileStreamOpts(sharePlan("t3", w, ge("a", 3)), host, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,12 @@ func TestSharedWarmStartAttach(t *testing.T) {
 	eng := stream.NewEngine("warm", vtime.NewScheduler())
 	s := NewSharing(eng)
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
-	opts := CompileOptions{Sharing: s}
+	host := Host{Engine: eng, Sharing: s}
 	ge1 := func(sc *Scan) []expr.Expr {
 		return []expr.Expr{expr.Bin{Op: expr.OpGe, L: expr.C(sc.Alias + ".a"), R: expr.L(1)}}
 	}
 
-	d1, err := CompileStreamOpts(sharePlan("t1", w, ge1), eng, opts)
+	d1, err := CompileStreamOpts(sharePlan("t1", w, ge1), host, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSharedWarmStartAttach(t *testing.T) {
 	push(3, 8)
 
 	// Late attach: warm-starts from the live window, filtered.
-	d2, err := CompileStreamOpts(sharePlan("t2", w, ge1), eng, opts)
+	d2, err := CompileStreamOpts(sharePlan("t2", w, ge1), host, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestSharedPrefixDifferential(t *testing.T) {
 		sdeps := make([]*Deployment, Q)
 		for qi, b := range builts {
 			var err error
-			if pdeps[qi], err = CompileStreamOpts(b, peng, CompileOptions{}); err != nil {
+			if pdeps[qi], err = CompileStreamOpts(b, Host{Engine: peng}, CompileOptions{}); err != nil {
 				t.Fatalf("plan %d q%d private compile: %v\nplan: %s", pi, qi, err, b.Root)
 			}
-			if sdeps[qi], err = CompileStreamOpts(b, seng, CompileOptions{Sharing: sharing}); err != nil {
+			if sdeps[qi], err = CompileStreamOpts(b, Host{Engine: seng, Sharing: sharing}, CompileOptions{}); err != nil {
 				t.Fatalf("plan %d q%d shared compile: %v\nplan: %s", pi, qi, err, b.Root)
 			}
 		}
@@ -363,22 +363,22 @@ func TestStopMidStreamSurvivors(t *testing.T) {
 				victim := rng.Intn(len(builts))
 				stopAt := rng.Intn(len(evs))
 
-				newOpts := func(eng *stream.Engine) CompileOptions {
+				newHost := func(eng *stream.Engine) Host {
 					if mode.shared {
-						return CompileOptions{Sharing: NewSharing(eng)}
+						return Host{Engine: eng, Sharing: NewSharing(eng)}
 					}
-					return CompileOptions{}
+					return Host{Engine: eng}
 				}
 				// Reference: survivors only, full replay.
 				reng := stream.NewEngine(fmt.Sprintf("ref%d", pi), vtime.NewScheduler())
-				ropts := newOpts(reng)
+				rhost := newHost(reng)
 				want := map[int][]data.Tuple{}
 				rdeps := map[int]*Deployment{}
 				for qi, b := range builts {
 					if qi == victim {
 						continue
 					}
-					dep, err := CompileStreamOpts(b, reng, ropts)
+					dep, err := CompileStreamOpts(b, rhost, CompileOptions{})
 					if err != nil {
 						t.Fatalf("plan %d q%d compile: %v\nplan: %s", pi, qi, err, b.Root)
 					}
@@ -391,10 +391,10 @@ func TestStopMidStreamSurvivors(t *testing.T) {
 
 				// Test run: all three, victim stopped mid-stream.
 				teng := stream.NewEngine(fmt.Sprintf("stop%d", pi), vtime.NewScheduler())
-				topts := newOpts(teng)
+				thost := newHost(teng)
 				tdeps := make([]*Deployment, len(builts))
 				for qi, b := range builts {
-					dep, err := CompileStreamOpts(b, teng, topts)
+					dep, err := CompileStreamOpts(b, thost, CompileOptions{})
 					if err != nil {
 						t.Fatalf("plan %d q%d compile: %v\nplan: %s", pi, qi, err, b.Root)
 					}
@@ -422,11 +422,11 @@ func TestStopMidStreamSurvivors(t *testing.T) {
 						snapshotSorted(t, tdeps[qi]), want[qi])
 				}
 				// The stopped victim's result froze: later events never reached it.
-				if topts.Sharing != nil {
+				if thost.Sharing != nil {
 					for _, d := range tdeps {
 						d.Close()
 					}
-					if chains, attached := topts.Sharing.Stats(); chains != 0 || attached != 0 {
+					if chains, attached := thost.Sharing.Stats(); chains != 0 || attached != 0 {
 						t.Fatalf("plan %d: chains=%d attached=%d after closing all", pi, chains, attached)
 					}
 				}
@@ -452,15 +452,15 @@ func TestQueryChurnRegistriesReturnToBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(*fuzzSeed + 12000))
 	g := &fuzzGen{rng: rng, sources: sources}
 	for i := 0; i < 30; i++ {
-		var opts CompileOptions
+		host, opts := Host{Engine: eng}, CompileOptions{}
 		switch i % 3 {
 		case 1:
-			opts.Sharing = sharing
+			host.Sharing = sharing
 		case 2:
 			opts.Parallelism = 2
 		}
 		b := &Built{Root: g.genPlan(), Limit: -1}
-		dep, err := CompileStreamOpts(b, eng, opts)
+		dep, err := CompileStreamOpts(b, host, opts)
 		if err != nil {
 			t.Fatalf("churn %d: %v\nplan: %s", i, err, b.Root)
 		}
@@ -513,7 +513,7 @@ func TestQueryChurnConcurrentPush(t *testing.T) {
 	}()
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: time.Second}
 	for i := 0; i < 100; i++ {
-		dep, err := CompileStreamOpts(sharePlan(fmt.Sprintf("t%d", i), w, nil), eng, CompileOptions{})
+		dep, err := CompileStreamOpts(sharePlan(fmt.Sprintf("t%d", i), w, nil), Host{Engine: eng}, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,7 +597,7 @@ func TestCanonExprForms(t *testing.T) {
 func TestSharedAttachFailureCleanup(t *testing.T) {
 	eng := stream.NewEngine("share", vtime.NewScheduler())
 	s := NewSharing(eng)
-	opts := CompileOptions{Sharing: s}
+	host := Host{Engine: eng, Sharing: s}
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 2 * time.Second}
 	src := fuzzSources()[0]
 
@@ -610,7 +610,7 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 		In:   NewScan(src.name, "t", src.schema, w, 10, false),
 		Pred: good,
 	}, Limit: -1}
-	if _, err := CompileStreamOpts(mismatched, eng, opts); err == nil {
+	if _, err := CompileStreamOpts(mismatched, host, CompileOptions{}); err == nil {
 		t.Fatal("arity-conflicting shared compile succeeded")
 	}
 	if chains, attached := s.Stats(); chains != 0 || attached != 0 {
@@ -623,7 +623,7 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 	// holds a ref on).
 	eng = stream.NewEngine("share2", vtime.NewScheduler())
 	s = NewSharing(eng)
-	opts = CompileOptions{Sharing: s}
+	host = Host{Engine: eng, Sharing: s}
 	badcall := expr.Call{Name: "nosuchfn", Args: []expr.Expr{expr.C("t.a")}}
 	layered := &Built{Root: &Select{
 		In: &Select{
@@ -632,7 +632,7 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 		},
 		Pred: badcall,
 	}, Limit: -1}
-	if _, err := CompileStreamOpts(layered, eng, opts); err == nil {
+	if _, err := CompileStreamOpts(layered, host, CompileOptions{}); err == nil {
 		t.Fatal("unknown function bound through the shared path")
 	}
 	if chains, attached := s.Stats(); chains != 0 || attached != 0 {
@@ -652,7 +652,7 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 	ok1, err := CompileStreamOpts(&Built{Root: &Select{
 		In:   NewScan(src.name, "t", src.schema, w, 10, false),
 		Pred: good,
-	}, Limit: -1}, eng, opts)
+	}, Limit: -1}, host, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,14 +662,13 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSharing proves EnableSharing threads the registry through
-// coordinator deploys: two tracked queries with one prefix share a chain,
+// TestCoordinatorSharing proves the host's registry reaches every
+// coordinator deploy: two tracked queries with one prefix share a chain,
 // and dropping both tears it down.
 func TestCoordinatorSharing(t *testing.T) {
 	eng := stream.NewEngine("coord", vtime.NewScheduler())
 	s := NewSharing(eng)
-	c := NewCoordinator(eng, "")
-	c.EnableSharing(s)
+	c := NewCoordinator(Host{Engine: eng, Sharing: s}, "")
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
 	ge := func(sc *Scan) []expr.Expr {
 		return []expr.Expr{expr.Bin{Op: expr.OpGe, L: expr.C(sc.Alias + ".a"), R: expr.L(1)}}

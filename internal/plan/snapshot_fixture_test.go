@@ -33,9 +33,10 @@ func TestRestoreParentWrittenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := stream.NewEngine("fixture-restore", vtime.NewScheduler())
-	coord := NewCoordinator(eng, "testdata/snapshot_v2_parent.snap")
-	coord.EnableSharing(NewSharing(eng))
-	coord.SetRuntime(newFragCompileHosts(), time.Second, func() vtime.Time { return 4 * vtime.Second })
+	host := fragHost(eng, newFragCompileHosts())
+	host.Sharing = NewSharing(eng)
+	host.Now = func() vtime.Time { return 4 * vtime.Second }
+	coord := NewCoordinator(host, "testdata/snapshot_v2_parent.snap")
 	defer coord.Close()
 	skipped, err := coord.Restore()
 	if err != nil || len(skipped) != 0 {

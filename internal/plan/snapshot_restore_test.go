@@ -46,7 +46,7 @@ func TestParseNodesErrors(t *testing.T) {
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 2 * time.Second}
 	eng := stream.NewEngine("nodes-err", vtime.NewScheduler())
 	for _, bad := range [][]string{{"=sensors", ""}, {"w1:9", "w1:9"}} {
-		if _, err := CompileStreamOpts(sharePlan("t1", w, nil), eng,
+		if _, err := CompileStreamOpts(sharePlan("t1", w, nil), Host{Engine: eng},
 			CompileOptions{Topology: Topology{Parallelism: 2, Nodes: bad}}); err == nil {
 			t.Fatalf("compile accepted malformed node list %v", bad)
 		}
@@ -54,7 +54,7 @@ func TestParseNodesErrors(t *testing.T) {
 
 	// A live Rescale rejects the same malformed lists without moving shards.
 	b := fuzzBuiltPlan(t)
-	dep, err := CompileStreamOpts(b, eng, CompileOptions{Topology: Topology{Parallelism: 2}})
+	dep, err := CompileStreamOpts(b, Host{Engine: eng}, CompileOptions{Topology: Topology{Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSnapshotSaveCrashPoints(t *testing.T) {
 	path := filepath.Join(dir, "coord.snap")
 
 	eng := stream.NewEngine("crash-a", vtime.NewScheduler())
-	coord := NewCoordinator(eng, path)
+	coord := NewCoordinator(Host{Engine: eng}, path)
 	if _, err := coord.Deploy("q", b, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSnapshotSaveCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng2 := stream.NewEngine("crash-b", vtime.NewScheduler())
-	coord2 := NewCoordinator(eng2, blocked)
+	coord2 := NewCoordinator(Host{Engine: eng2}, blocked)
 	if _, err := coord2.Deploy("q", b, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSnapshotSaveCrashPoints(t *testing.T) {
 	}
 	coord.Close()
 	engB := stream.NewEngine("crash-c", vtime.NewScheduler())
-	coordB := NewCoordinator(engB, path)
+	coordB := NewCoordinator(Host{Engine: engB}, path)
 	defer coordB.Close()
 	if _, err := coordB.Restore(); err != nil {
 		t.Fatalf("restore of the recommitted snapshot: %v", err)
@@ -148,9 +148,9 @@ func TestSnapshotSaveCrashPoints(t *testing.T) {
 }
 
 // TestSnapshotSkipListSurfaced: a deployment the snapshot cannot capture —
-// compiled against a Sharing registry that is not the coordinator's own —
-// is named by Save, recorded in the file, and named again by Restore.
-// Nothing is ever dropped silently.
+// fed by a pipeline its plan does not describe, the way a recursive view
+// feeds its body — is named by Save, recorded in the file, and named again
+// by Restore. Nothing is ever dropped silently.
 func TestSnapshotSkipListSurfaced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.snap")
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
@@ -159,17 +159,20 @@ func TestSnapshotSkipListSurfaced(t *testing.T) {
 	}
 
 	engA := stream.NewEngine("skip-a", vtime.NewScheduler())
-	coordA := NewCoordinator(engA, path)
-	coordA.EnableSharing(NewSharing(engA))
+	coordA := NewCoordinator(Host{Engine: engA, Sharing: NewSharing(engA)}, path)
 	if _, err := coordA.Deploy("good", sharePlan("t1", w, ge1), CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// A foreign registry: the coordinator cannot rebuild its chain
-	// attachments on restore, so this deployment is skippable — loudly.
-	foreign := NewSharing(engA)
-	if _, err := coordA.Deploy("alien", sharePlan("t2", w, ge1), CompileOptions{Sharing: foreign}); err != nil {
+	// An external feeder: a pipeline the caller built over another input
+	// pushes into the deployment's input S1. Restore could recompile the plan
+	// but not that, so this deployment is skippable — loudly.
+	alien, err := coordA.Deploy("alien", sharePlan("t2", w, ge1), CompileOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	s1, _ := engA.Input("S1")
+	elsewhere := engA.MustRegister("Elsewhere", s1.Schema())
+	alien.Feed(elsewhere, stream.NewCallback(s1.Schema(), func(tu data.Tuple) { s1.Push(tu) }))
 	skipped, err := coordA.Save()
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +181,12 @@ func TestSnapshotSkipListSurfaced(t *testing.T) {
 		t.Fatalf("Save skipped %v, want [alien]", skipped)
 	}
 	coordA.Close()
+	if n := elsewhere.Subscribers(); n != 0 {
+		t.Fatalf("Close left %d feeder subscriptions behind", n)
+	}
 
 	engB := stream.NewEngine("skip-b", vtime.NewScheduler())
-	coordB := NewCoordinator(engB, path)
-	coordB.EnableSharing(NewSharing(engB))
+	coordB := NewCoordinator(Host{Engine: engB, Sharing: NewSharing(engB)}, path)
 	defer coordB.Close()
 	skipped, err = coordB.Restore()
 	if err != nil {
@@ -196,16 +201,15 @@ func TestSnapshotSkipListSurfaced(t *testing.T) {
 }
 
 // TestSnapshotChainsRequireSharing: a snapshot carrying shared-chain
-// window state refuses to Restore into a coordinator without sharing
-// enabled — the restored queries would otherwise attach cold and drift
+// window state refuses to Restore into a coordinator whose host has no
+// Sharing — the restored queries would otherwise attach cold and drift
 // from an uninterrupted run.
 func TestSnapshotChainsRequireSharing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.snap")
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
 
 	engA := stream.NewEngine("req-a", vtime.NewScheduler())
-	coordA := NewCoordinator(engA, path)
-	coordA.EnableSharing(NewSharing(engA))
+	coordA := NewCoordinator(Host{Engine: engA, Sharing: NewSharing(engA)}, path)
 	if _, err := coordA.Deploy("q", sharePlan("t1", w, nil), CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,15 +219,15 @@ func TestSnapshotChainsRequireSharing(t *testing.T) {
 	coordA.Close()
 
 	engB := stream.NewEngine("req-b", vtime.NewScheduler())
-	coordB := NewCoordinator(engB, path)
+	coordB := NewCoordinator(Host{Engine: engB}, path)
 	if _, err := coordB.Restore(); err == nil {
-		t.Fatal("Restore of shared-chain state without EnableSharing must fail")
+		t.Fatal("Restore of shared-chain state on a host without Sharing must fail")
 	}
 	if n := coordB.Names(); len(n) != 0 {
 		t.Fatalf("failed restore left deployments behind: %v", n)
 	}
-	// With sharing enabled the same coordinator restores cleanly.
-	coordB.EnableSharing(NewSharing(engB))
+	// A coordinator whose host shares restores the same file cleanly.
+	coordB = NewCoordinator(Host{Engine: engB, Sharing: NewSharing(engB)}, path)
 	defer coordB.Close()
 	if _, err := coordB.Restore(); err != nil {
 		t.Fatalf("restore with sharing enabled: %v", err)
@@ -272,7 +276,7 @@ func TestSharedChainRestartDifferential(t *testing.T) {
 	reng := stream.NewEngine("restart-ref", vtime.NewScheduler())
 	want := make([][]data.Tuple, len(builts))
 	for i, b := range builts {
-		dep, err := CompileStreamOpts(b, reng, CompileOptions{})
+		dep, err := CompileStreamOpts(b, Host{Engine: reng}, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,8 +294,7 @@ func TestSharedChainRestartDifferential(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.snap")
 	engA := stream.NewEngine("restart-a", vtime.NewScheduler())
 	shareA := NewSharing(engA)
-	coordA := NewCoordinator(engA, path)
-	coordA.EnableSharing(shareA)
+	coordA := NewCoordinator(Host{Engine: engA, Sharing: shareA}, path)
 	names := []string{"q1", "q2", "q3", "q4"}
 	for i, b := range builts {
 		if _, err := coordA.Deploy(names[i], b, CompileOptions{}); err != nil {
@@ -314,8 +317,7 @@ func TestSharedChainRestartDifferential(t *testing.T) {
 	// Restart: fresh engine, fresh Sharing, warm Restore.
 	engB := stream.NewEngine("restart-b", vtime.NewScheduler())
 	shareB := NewSharing(engB)
-	coordB := NewCoordinator(engB, path)
-	coordB.EnableSharing(shareB)
+	coordB := NewCoordinator(Host{Engine: engB, Sharing: shareB}, path)
 	defer coordB.Close()
 	skipped, err = coordB.Restore()
 	if err != nil {
@@ -417,7 +419,7 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 
 	// Serial, uninterrupted reference.
 	sEng := stream.NewEngine("fragsnap-serial", vtime.NewScheduler())
-	serial, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), sEng, CompileOptions{})
+	serial, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), Host{Engine: sEng}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +444,10 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 		nodes[i] = w.Addr() + "=light"
 	}
 	engA := stream.NewEngine("fragsnap-a", vtime.NewScheduler())
-	coordA := NewCoordinator(engA, path)
+	coordA := NewCoordinator(fragHost(engA, newFragCompileHosts()), path)
 	depA, err := coordA.Deploy("q", mustBuild(t, lightFeedQuery, fragFeedCatalog()), CompileOptions{
 		Topology:  Topology{Parallelism: 4, Nodes: nodes},
-		Fragments: []SensorFragment{frag}, SensorHosts: newFragCompileHosts(),
-		TickPeriod: time.Second,
+		Fragments: []SensorFragment{frag},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +469,12 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 
 	// The coordinator's runtime at restore time: sources hosted locally,
 	// 1s ticks, clock standing at the snapshot instant.
-	now4 := func() vtime.Time { return vtime.Time(4 * vtime.Second) }
+	// A restoring host: its clock stands at the instant of the Save.
+	host4 := func(eng *stream.Engine, sensors *SensorHosts) Host {
+		h := fragHost(eng, sensors)
+		h.Now = func() vtime.Time { return vtime.Time(4 * vtime.Second) }
+		return h
+	}
 	finish := func(t *testing.T, eng *stream.Engine, coord *Coordinator, wantRemote int) {
 		t.Helper()
 		skipped, err := coord.Restore()
@@ -515,8 +521,7 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 	// Tier 1: the workers are still there — exact redeploy, checkpointed
 	// epoch anchors included.
 	engB := stream.NewEngine("fragsnap-b", vtime.NewScheduler())
-	coordB := NewCoordinator(engB, path)
-	coordB.SetRuntime(newFragCompileHosts(), time.Second, now4)
+	coordB := NewCoordinator(host4(engB, newFragCompileHosts()), path)
 	finish(t, engB, coordB, 1)
 
 	// Tier 2: workers gone; shards heal in-process with the fragments still
@@ -525,8 +530,7 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 		w.Close()
 	}
 	engC := stream.NewEngine("fragsnap-c", vtime.NewScheduler())
-	coordC := NewCoordinator(engC, path)
-	coordC.SetRuntime(newFragCompileHosts(), time.Second, now4)
+	coordC := NewCoordinator(host4(engC, newFragCompileHosts()), path)
 	skippedC, err := coordC.Restore()
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -552,7 +556,6 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 	// Tier 3: no workers AND no local sensor hosts — the fragments fall
 	// back to central runners (states trimmed), the deployment survives.
 	engD := stream.NewEngine("fragsnap-d", vtime.NewScheduler())
-	coordD := NewCoordinator(engD, path)
-	coordD.SetRuntime(NewSensorHosts(), time.Second, now4)
+	coordD := NewCoordinator(host4(engD, NewSensorHosts()), path)
 	finish(t, engD, coordD, 0)
 }
