@@ -12,9 +12,10 @@ import (
 // tuples of that schema.
 type Compiled struct {
 	// Type is the inferred result type.
-	Type data.Type
-	eval func(vals []data.Value) data.Value
-	src  Expr
+	Type  data.Type
+	eval  evalFn
+	truth truthFn
+	src   Expr
 }
 
 // Eval evaluates the expression on a tuple.
@@ -24,8 +25,8 @@ func (c *Compiled) Eval(t data.Tuple) data.Value { return c.eval(t.Vals) }
 func (c *Compiled) EvalVals(vals []data.Value) data.Value { return c.eval(vals) }
 
 // EvalBool evaluates as a predicate: NULL counts as false (SQL WHERE
-// semantics).
-func (c *Compiled) EvalBool(t data.Tuple) bool { return c.eval(t.Vals).AsBool() }
+// semantics). It equals Eval(t).AsBool() on every tuple.
+func (c *Compiled) EvalBool(t data.Tuple) bool { return c.truth(t.Vals) }
 
 // String renders the source expression.
 func (c *Compiled) String() string { return c.src.String() }
@@ -42,7 +43,7 @@ func Bind(e Expr, schema *data.Schema) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{Type: typ, eval: eval, src: e}, nil
+	return &Compiled{Type: typ, eval: eval, truth: bindTruth(e, schema, eval), src: e}, nil
 }
 
 // MustBind is Bind for statically known expressions; panics on error.
@@ -55,6 +56,59 @@ func MustBind(e Expr, schema *data.Schema) *Compiled {
 }
 
 type evalFn func(vals []data.Value) data.Value
+
+// truthFn answers "is the expression TRUE" — all a WHERE, a join residual or
+// a sensor predicate asks — without building the Value that says so.
+type truthFn func(vals []data.Value) bool
+
+// bindTruth binds the truth form of e, whose value form eval already bound
+// against s (so binding its operands again cannot fail). AND and OR
+// short-circuit over their operands' truth forms, which is sound because
+// evaluation has no side effects and Kleene AND is TRUE iff both operands
+// are, OR iff either is: whether the skipped side was FALSE or NULL cannot
+// matter to a caller that only asks for TRUE. A comparison tests Compare's
+// result directly; every other node is its value's AsBool.
+func bindTruth(e Expr, s *data.Schema, eval evalFn) truthFn {
+	if x, ok := e.(Bin); ok {
+		switch {
+		case x.Op == OpAnd || x.Op == OpOr:
+			l, r := bindTruth(x.L, s, nil), bindTruth(x.R, s, nil)
+			if x.Op == OpAnd {
+				return func(vals []data.Value) bool { return l(vals) && r(vals) }
+			}
+			return func(vals []data.Value) bool { return l(vals) || r(vals) }
+		case x.Op.Comparison():
+			_, lf, _ := bind(x.L, s)
+			_, rf, _ := bind(x.R, s)
+			op := x.Op
+			return func(vals []data.Value) bool {
+				c, ok := lf(vals).Compare(rf(vals))
+				return ok && op.holds(c)
+			}
+		}
+	}
+	if eval == nil {
+		_, eval, _ = bind(e, s)
+	}
+	return func(vals []data.Value) bool { return eval(vals).AsBool() }
+}
+
+// holds reports whether a Compare result of c satisfies the comparison.
+func (o BinOp) holds(c int) bool {
+	switch o {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	}
+	return c >= 0 // OpGe
+}
 
 func bind(e Expr, s *data.Schema) (data.Type, evalFn, error) {
 	switch x := e.(type) {
@@ -179,21 +233,7 @@ func bindBin(op BinOp, lt, rt data.Type, lf, rf evalFn, src Expr) (data.Type, ev
 			if !ok {
 				return data.Null
 			}
-			switch o {
-			case OpEq:
-				return data.Bool(c == 0)
-			case OpNe:
-				return data.Bool(c != 0)
-			case OpLt:
-				return data.Bool(c < 0)
-			case OpLe:
-				return data.Bool(c <= 0)
-			case OpGt:
-				return data.Bool(c > 0)
-			case OpGe:
-				return data.Bool(c >= 0)
-			}
-			return data.Null
+			return data.Bool(o.holds(c))
 		}, nil
 
 	default: // arithmetic

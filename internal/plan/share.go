@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -32,9 +33,12 @@ import (
 // Canonical keys are positional: predicates are rendered with column
 // references rewritten to column indexes of the scan schema, so two
 // queries aliasing the same source differently (`temps AS t1` vs `AS
-// t2`) still share. Tuples are positional (data.Tuple.Vals), which is
-// what makes one physical chain's output valid input for every
-// subscriber regardless of its alias bindings.
+// t2`) still share, and a selection is keyed by its sorted conjuncts, so
+// the order its factors were written in does not matter either. Tuples are
+// positional (data.Tuple.Vals), which is what makes one physical chain's
+// output valid input for every subscriber regardless of its alias bindings
+// — and read-only once pushed (stream.Operator), which is what lets every
+// subscriber be handed the same ones.
 //
 // Semantics: a query attaching to a chain whose window is already
 // populated warm-starts — the window's current contents replay into the
@@ -79,7 +83,7 @@ type sharedChain struct {
 	head stream.Operator
 	win  *stream.Window // base chain's window; nil when unwindowed
 	in   *stream.Input  // base chain's engine input
-	pred *expr.Compiled // derived chain's predicate (catch-up filtering)
+	pred *expr.Compiled // derived chain's predicate (warm-start filtering)
 	refs int
 }
 
@@ -246,6 +250,24 @@ func canonExpr(e expr.Expr, s *data.Schema) (string, bool) {
 	return "", false
 }
 
+// canonSelection renders a selection as its sorted canonical conjuncts, so
+// the order a WHERE's factors were written in does not decide which chain
+// the query shares: the filter a chain runs asks only whether all of them
+// are TRUE.
+func canonSelection(p expr.Expr, s *data.Schema) (string, bool) {
+	factors := expr.Conjuncts(p)
+	keys := make([]string, len(factors))
+	for i, f := range factors {
+		c, ok := canonExpr(f, s)
+		if !ok {
+			return "", false
+		}
+		keys[i] = c
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " AND "), true
+}
+
 // tryAttach attaches out (the query's compiled divergent suffix) to the
 // shared chain for n's prefix, creating chain layers as needed. It
 // reports handled=false when n is not a shareable prefix — the caller
@@ -263,7 +285,7 @@ func (s *Sharing) tryAttach(n Node, out stream.Operator, dep *Deployment, restor
 	key := canonScanKey(scan)
 	keys = append(keys, key)
 	for _, p := range preds {
-		c, ok := canonExpr(p, scan.Schema())
+		c, ok := canonSelection(p, scan.Schema())
 		if !ok {
 			return false, nil
 		}
@@ -291,9 +313,7 @@ func (s *Sharing) tryAttach(n Node, out stream.Operator, dep *Deployment, restor
 	// the shared window's future expiry deletions always match insertions
 	// the suffix has seen.
 	if !restoring {
-		if rows := s.catchUp(ch); len(rows) > 0 {
-			stream.PushBatch(out, rows)
-		}
+		warmStart(ch, out)
 	}
 	ch.fan.Subscribe(out)
 	ch.refs++
@@ -352,32 +372,18 @@ func (s *Sharing) ensureLayer(parent *sharedChain, key string, pred expr.Expr, s
 	return ch, nil
 }
 
-// catchUp snapshots the rows a fresh subscriber of ch must see: the base
-// window's live contents filtered down the chain's predicate stack.
-// Caller holds s.mu and must not be pushing concurrently.
-func (s *Sharing) catchUp(ch *sharedChain) []data.Tuple {
-	var layers []*sharedChain
-	base := ch
-	for base.parent != nil {
-		layers = append(layers, base)
-		base = base.parent
+// warmStart replays what a fresh subscriber of ch must see into out: the
+// base window's live rows, through the chain's predicate stack (in which
+// order the filters run cannot change the surviving subset). An unwindowed
+// chain has no replayable state, same as a private one. Caller holds s.mu
+// and must not be pushing concurrently.
+func warmStart(ch *sharedChain, out stream.Operator) {
+	for ; ch.parent != nil; ch = ch.parent {
+		out = stream.NewFilter(out, ch.pred)
 	}
-	if base.win == nil {
-		return nil // unwindowed: no replayable state, same as a private chain
+	if ch.win != nil && ch.win.Len() > 0 {
+		stream.PushBatch(out, ch.win.Contents())
 	}
-	rows := base.win.Contents()
-	// layers run outermost-first here; predicate order cannot change the
-	// surviving subset (filters commute), only the work order.
-	for _, l := range layers {
-		keep := rows[:0]
-		for _, t := range rows {
-			if l.pred.EvalBool(t) {
-				keep = append(keep, t)
-			}
-		}
-		rows = keep
-	}
-	return rows
 }
 
 // release undoes one attachment: the suffix unsubscribes from its chain,

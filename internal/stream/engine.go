@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,9 +21,9 @@ import (
 // deterministic. Hot-path dispatch takes no engine lock — subscriber and
 // advancer lists are copy-on-write, so pipelines on different inputs never
 // serialize on the engine. Intra-pipeline parallelism comes from the
-// partition exchange layer (shard.go); cross-node parallelism from the
-// transport layer (transport.go), where each remote link feeds this engine
-// from its own goroutine.
+// partition exchange layer (shard.go), whose replicas run in this process
+// or on shard workers reached over the mux (remote.go), each merging its
+// results back into this engine from its own goroutine.
 type Engine struct {
 	mu       sync.Mutex // guards registries and copy-on-write writers
 	name     string
@@ -60,8 +61,8 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Clock() vtime.Clock { return e.clock }
 
 // Input is a named stream entry point: a Fanout (which supplies Subscribe,
-// Unsubscribe, Subscribers, Schema and the dispatch with its ownership
-// rule) that also stamps zero timestamps with the engine clock.
+// Unsubscribe, Subscribers, Schema and the dispatch) that also stamps zero
+// timestamps with the engine clock.
 type Input struct {
 	Fanout
 	name   string
@@ -115,8 +116,7 @@ func (in *Input) Name() string { return in.name }
 
 // Push injects a tuple into the input, driving all subscribed pipelines.
 // A zero timestamp is stamped with the engine clock. Ownership is the
-// Fanout rule: the last subscriber is handed t itself, so the caller must
-// not reuse t.Vals afterwards.
+// Operator rule: the caller gives t.Vals away.
 func (in *Input) Push(t data.Tuple) {
 	if t.TS == 0 {
 		t.TS = in.engine.clock.Now()
@@ -125,16 +125,22 @@ func (in *Input) Push(t data.Tuple) {
 }
 
 // PushBatch injects a batch of tuples, driving all subscribed pipelines
-// once per subscriber instead of once per tuple. Zero timestamps are
-// stamped in place with the engine clock. Under the Fanout rule a
-// single-subscriber pipeline is zero-copy — so the caller must not reuse
-// the pushed Vals afterwards (the slice itself may be reused, per the
-// BatchOperator contract).
+// once per subscriber instead of once per tuple. Ownership is the Operator
+// rule: the caller gives the pushed Vals away and may refill the slice
+// afterwards. An Input is as often fed a batch someone else produced (a
+// Fanout subscriber forwarding into a nested input) as one its caller
+// built, so zero timestamps are stamped with the engine clock on a copy of
+// the slice, taken only when there is one to stamp.
 func (in *Input) PushBatch(ts []data.Tuple) {
+	copied := false
 	for i := range ts {
-		if ts[i].TS == 0 {
-			ts[i].TS = in.engine.clock.Now()
+		if ts[i].TS != 0 {
+			continue
 		}
+		if !copied {
+			ts, copied = slices.Clone(ts), true
+		}
+		ts[i].TS = in.engine.clock.Now()
 	}
 	in.Fanout.PushBatch(ts)
 }

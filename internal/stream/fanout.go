@@ -16,11 +16,9 @@ import (
 // it under a lock — so attaching or stopping one query never serializes
 // the hot path of the others.
 //
-// Ownership, for Push and PushBatch alike: every subscriber but the last
-// receives its own cloned tuples (downstream operators may retain them as
-// state), and the final subscriber is handed the originals, so a
-// single-subscriber chain stays zero-copy and the pusher gives its tuples'
-// Vals away.
+// Every subscriber is handed the same tuples and the same batch slice: both
+// are read-only once pushed (see Operator), so sharing them is free and a
+// fan-out's cost is its subscribers' own work.
 type Fanout struct {
 	mu     sync.Mutex
 	schema *data.Schema
@@ -87,32 +85,17 @@ func (f *Fanout) subscribers() []Operator {
 
 // Push implements Operator.
 func (f *Fanout) Push(t data.Tuple) {
-	subs := f.subscribers()
-	for i, op := range subs {
-		if i < len(subs)-1 {
-			op.Push(t.Clone())
-			continue
-		}
+	for _, op := range f.subscribers() {
 		op.Push(t)
 	}
 }
 
-// PushBatch implements BatchOperator: one dispatch per subscriber, every
-// subscriber but the last on its own cloned batch.
+// PushBatch implements BatchOperator: one dispatch per subscriber.
 func (f *Fanout) PushBatch(ts []data.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	subs := f.subscribers()
-	for i, op := range subs {
-		b := ts
-		if i < len(subs)-1 {
-			cl := make([]data.Tuple, len(ts))
-			for k, t := range ts {
-				cl[k] = t.Clone()
-			}
-			b = cl
-		}
-		PushBatch(op, b)
+	for _, op := range f.subscribers() {
+		PushBatch(op, ts)
 	}
 }

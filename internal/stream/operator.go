@@ -25,11 +25,15 @@ import (
 
 // Operator is a push-based tuple consumer.
 //
-// Ownership: an operator may retain a pushed tuple as internal state
-// (windows buffer them, join tables index them), so a producer must not
-// reuse a tuple's Vals after pushing it; fan-out points (Tee, engine
-// inputs) clone per consumer for exactly this reason. Conversely, sinks
-// that copy what they keep (Materialize, Collector) always Clone.
+// Ownership: a tuple's Vals are read-only from the moment the tuple is
+// pushed. The pusher gives them away and never writes to them again; any
+// consumer may retain them as internal state (windows buffer them, join
+// tables index them), and any number of consumers may hold the same ones (a
+// Fanout hands every subscriber the same tuples), so no operator writes to
+// Vals it was handed: one that needs a different tuple builds it (Negate and
+// re-stamping copy the header, Project allocates new Vals). Sinks that
+// outlive their producers (Materialize, Collector, Distinct) Clone what they
+// keep, so a displayed row never pins the batch it arrived in.
 type Operator interface {
 	// Schema describes the tuples this operator accepts.
 	Schema() *data.Schema
@@ -51,9 +55,11 @@ type Operator interface {
 // and checkpoints between calls see exact state.
 type BatchOperator interface {
 	Operator
-	// PushBatch processes the tuples in order. The batch slice itself is
-	// only valid during the call; the tuples inside follow the Push
-	// ownership rules.
+	// PushBatch processes the tuples in order. The batch slice is read-only
+	// too, and only valid during the call: the operator neither writes to
+	// its elements (other subscribers of a Fanout are handed the same slice)
+	// nor keeps it (its producer may refill it once the call returns). The
+	// tuples inside follow the Push ownership rule.
 	PushBatch(ts []data.Tuple)
 }
 

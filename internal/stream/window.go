@@ -190,16 +190,13 @@ func (w *Window) removeOne(t data.Tuple, out []data.Tuple) []data.Tuple {
 // Len reports the current window population (for tests and plan displays).
 func (w *Window) Len() int { return len(w.buf) - w.head }
 
-// Contents returns a cloned snapshot of the live window rows in arrival
-// order. The shared-subplan layer uses it to warm-start a query attaching
+// Contents returns the live window rows in arrival order: the window's own
+// buffer, read-only like any pushed batch and valid until the next push or
+// tick. The shared-subplan layer uses it to warm-start a query attaching
 // to an already-running shared window: the rows replay as insertions into
 // the new suffix, so later expiry deletions retract tuples the suffix has
 // actually seen. Callers must not be pushing concurrently (the same
 // contract as deploy-time table loads).
 func (w *Window) Contents() []data.Tuple {
-	out := make([]data.Tuple, 0, w.Len())
-	for i := w.head; i < len(w.buf); i++ {
-		out = append(out, w.buf[i].Clone())
-	}
-	return out
+	return w.buf[w.head:len(w.buf):len(w.buf)]
 }
