@@ -137,6 +137,34 @@ func TestHashSpecialFloats(t *testing.T) {
 	}
 }
 
+// Equality, the canonical key and the hash agree on the special floats, so a
+// hash table verifying candidates with EqualVals holds exactly the rows a
+// map keyed by Key() would: -0 is 0, and NaN equals NaN and nothing else
+// (sorting above every number).
+func TestSpecialFloatsEqualFollowsKey(t *testing.T) {
+	var h Hasher
+	negZero, nan, inf := Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Inf(1))
+	cases := []struct {
+		a, b Value
+		eq   bool
+	}{
+		{negZero, Float(0), true}, {negZero, Int(0), true}, {nan, nan, true},
+		{nan, Float(1), false}, {nan, Int(0), false}, {inf, nan, false}, {negZero, nan, false},
+	}
+	for _, c := range cases {
+		a, b := NewTuple(0, c.a), NewTuple(0, c.b)
+		if a.EqualVals(b) != c.eq || (a.Key() == b.Key()) != c.eq || c.eq && h.Hash(a) != h.Hash(b) {
+			t.Errorf("%v vs %v: equal %v, keys %q %q, want equal %v", c.a, c.b, a.EqualVals(b), a.Key(), b.Key(), c.eq)
+		}
+	}
+	if c, ok := nan.Compare(inf); !ok || c != 1 {
+		t.Errorf("NaN vs +Inf = %d, %v; want NaN above", c, ok)
+	}
+	if c, ok := Int(-5).Compare(nan); !ok || c != -1 {
+		t.Errorf("-5 vs NaN = %d, %v; want NaN above", c, ok)
+	}
+}
+
 func TestCloneIntoAndConcatInto(t *testing.T) {
 	a := NewTuple(5, Str("x"), Int(1))
 	buf := make([]Value, 0, 8)

@@ -180,8 +180,13 @@ func (v Value) Compare(o Value) (int, bool) {
 		switch {
 		case a < b:
 			return -1, true
-		case a > b:
+		case a > b || a != a && b == b:
+			// NaN equals NaN and orders above every number (as in
+			// PostgreSQL), so equality follows the canonical key and
+			// sorting stays a total order.
 			return 1, true
+		case b != b && a == a:
+			return -1, true
 		}
 		return 0, true
 	}
@@ -223,8 +228,12 @@ func (v Value) AppendKey(buf []byte) []byte {
 		buf = append(buf, 'i')
 		return strconv.AppendInt(buf, v.I, 36)
 	case TFloat:
+		f := v.F
+		if f == 0 {
+			f = 0 // -0 keys as 0, as it hashes and compares
+		}
 		buf = append(buf, 'f')
-		return strconv.AppendFloat(buf, v.F, 'b', -1, 64)
+		return strconv.AppendFloat(buf, f, 'b', -1, 64)
 	case TString:
 		buf = append(buf, 's')
 		buf = strconv.AppendInt(buf, int64(len(v.S)), 10)

@@ -186,14 +186,8 @@ func rebuildTable(h *data.Hasher, ts []data.Tuple, keyIdx []int) map[uint64][]da
 
 // CheckpointState implements Checkpointer.
 func (d *Distinct) CheckpointState() OpState {
-	st := &DistinctState{}
-	for _, bucket := range d.counts {
-		for _, e := range bucket {
-			st.Tuples = append(st.Tuples, e.t)
-			st.Counts = append(st.Counts, int64(e.count))
-		}
-	}
-	return OpState{Kind: ckDistinct, Distinct: st}
+	rows, counts := d.rows.state()
+	return OpState{Kind: ckDistinct, Distinct: &DistinctState{Tuples: rows, Counts: counts}}
 }
 
 // RestoreState implements Checkpointer.
@@ -201,14 +195,8 @@ func (d *Distinct) RestoreState(s OpState) error {
 	if s.Kind != ckDistinct || s.Distinct == nil {
 		return ckKindErr(ckDistinct, s)
 	}
-	if len(s.Distinct.Tuples) != len(s.Distinct.Counts) {
-		return fmt.Errorf("stream: distinct checkpoint: %d tuples, %d counts",
-			len(s.Distinct.Tuples), len(s.Distinct.Counts))
-	}
-	d.counts = map[uint64][]distinctEntry{}
-	for i, t := range s.Distinct.Tuples {
-		key := d.hasher.Hash(t) & testHashMask
-		d.counts[key] = append(d.counts[key], distinctEntry{t: t, count: int(s.Distinct.Counts[i])})
+	if err := d.rows.restore(s.Distinct.Tuples, s.Distinct.Counts); err != nil {
+		return fmt.Errorf("stream: distinct checkpoint: %w", err)
 	}
 	return nil
 }
@@ -309,14 +297,8 @@ func (f *FinalMerge) RestoreState(s OpState) error {
 func (m *Materialize) CheckpointState() OpState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := &RowsState{Tuples: make([]data.Tuple, 0, m.n), Counts: make([]int64, 0, m.n)}
-	for _, bucket := range m.rows {
-		for _, r := range bucket {
-			st.Tuples = append(st.Tuples, r.t.Clone())
-			st.Counts = append(st.Counts, int64(r.count))
-		}
-	}
-	return OpState{Kind: ckMaterialize, Rows: st}
+	rows, counts := m.rows.state()
+	return OpState{Kind: ckMaterialize, Rows: &RowsState{Tuples: rows, Counts: counts}}
 }
 
 // RestoreState implements Checkpointer.
@@ -324,18 +306,10 @@ func (m *Materialize) RestoreState(s OpState) error {
 	if s.Kind != ckMaterialize || s.Rows == nil {
 		return ckKindErr(ckMaterialize, s)
 	}
-	if len(s.Rows.Tuples) != len(s.Rows.Counts) {
-		return fmt.Errorf("stream: materialize checkpoint: %d tuples, %d counts",
-			len(s.Rows.Tuples), len(s.Rows.Counts))
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rows = map[uint64][]*matRow{}
-	m.n = 0
-	for i, t := range s.Rows.Tuples {
-		key := m.hasher.Hash(t) & testHashMask
-		m.rows[key] = append(m.rows[key], &matRow{t: t, count: int(s.Rows.Counts[i])})
-		m.n++
+	if err := m.rows.restore(s.Rows.Tuples, s.Rows.Counts); err != nil {
+		return fmt.Errorf("stream: materialize checkpoint: %w", err)
 	}
 	m.version++
 	return nil

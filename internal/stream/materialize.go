@@ -20,17 +20,13 @@ type OrderSpec struct {
 // ORDER BY / LIMIT are given meaning over unbounded streams, and how the
 // SmartCIS GUI renders live results (§4).
 //
-// Rows are keyed by 64-bit hashes of the full canonical key with
-// collision buckets verified by EqualVals, and retired rows feed a small
-// freelist, so the steady-state retract/insert churn of upstream
-// aggregates allocates nothing.
+// Rows live in a rowSet, so the steady-state retract/insert churn of upstream
+// operators allocates nothing. It is a copying sink: it keeps nothing it was
+// handed once Push or PushBatch returns.
 type Materialize struct {
 	mu     sync.Mutex
 	schema *data.Schema
-	rows   map[uint64][]*matRow
-	n      int // distinct rows
-	free   []*matRow
-	hasher data.Hasher
+	rows   rowSet
 	// OnChange, when set, fires after every mutation; the GUI uses it to
 	// repaint.
 	OnChange func()
@@ -38,82 +34,16 @@ type Materialize struct {
 	keyBytes int // key-arena size of the last Snapshot, the next one's capacity
 }
 
-type matRow struct {
-	t     data.Tuple
-	count int
-}
-
-// freelistCap bounds retained retired rows.
-const freelistCap = 1024
-
 // NewMaterialize creates an empty materialized result with the schema.
 func NewMaterialize(schema *data.Schema) *Materialize {
-	return &Materialize{schema: schema, rows: map[uint64][]*matRow{}}
+	return &Materialize{schema: schema, rows: newRowSet(schema.Arity())}
 }
 
 // Schema implements Operator.
 func (m *Materialize) Schema() *data.Schema { return m.schema }
 
-// apply performs one mutation under m.mu.
-func (m *Materialize) apply(t data.Tuple) {
-	key := m.hasher.Hash(t) & testHashMask
-	bucket := m.rows[key]
-	slot := -1
-	for i, r := range bucket {
-		if r.t.EqualVals(t) {
-			slot = i
-			break
-		}
-	}
-	switch t.Op {
-	case data.Insert:
-		if slot >= 0 {
-			bucket[slot].count++
-			break
-		}
-		var r *matRow
-		if n := len(m.free); n > 0 {
-			r = m.free[n-1]
-			m.free = m.free[:n-1]
-			r.t = t.CloneInto(r.t.Vals)
-		} else {
-			r = &matRow{t: t.Clone()}
-		}
-		r.count = 1
-		m.rows[key] = append(bucket, r)
-		m.n++
-	case data.Delete:
-		if slot < 0 {
-			break
-		}
-		r := bucket[slot]
-		r.count--
-		if r.count <= 0 {
-			bucket[slot] = bucket[len(bucket)-1]
-			bucket[len(bucket)-1] = nil
-			m.rows[key] = bucket[:len(bucket)-1]
-			if len(m.rows[key]) == 0 {
-				delete(m.rows, key)
-			}
-			m.n--
-			if len(m.free) < freelistCap {
-				m.free = append(m.free, r)
-			}
-		}
-	}
-	m.version++
-}
-
 // Push implements Operator.
-func (m *Materialize) Push(t data.Tuple) {
-	m.mu.Lock()
-	m.apply(t)
-	cb := m.OnChange
-	m.mu.Unlock()
-	if cb != nil {
-		cb()
-	}
-}
+func (m *Materialize) Push(t data.Tuple) { m.PushBatch([]data.Tuple{t}) }
 
 // PushBatch implements BatchOperator: one lock acquisition and one
 // OnChange notification per batch.
@@ -123,8 +53,13 @@ func (m *Materialize) PushBatch(ts []data.Tuple) {
 	}
 	m.mu.Lock()
 	for _, t := range ts {
-		m.apply(t)
+		if t.Op == data.Insert {
+			m.rows.add(t, 1)
+		} else {
+			m.rows.remove(t)
+		}
 	}
+	m.version += uint64(len(ts))
 	cb := m.OnChange
 	m.mu.Unlock()
 	if cb != nil {
@@ -151,7 +86,7 @@ func (m *Materialize) ChainOnChange(fn func()) {
 func (m *Materialize) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.n
+	return m.rows.n
 }
 
 // Version increments on every mutation; displays poll it cheaply.
@@ -178,26 +113,26 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 	// (duplicates back to back) in another.
 	type snapRow struct {
 		ts    vtime.Time
-		op    data.Op
 		key   int // index in keys
 		vals  int // offset of the first copy in vals
-		width int
 		count int
 	}
 	m.mu.Lock()
-	rows := make([]snapRow, 0, m.n)
-	keys := data.NewKeyArena(m.n, m.keyBytes)
-	vals := make([]data.Value, 0, m.n*m.schema.Arity())
+	set, w := &m.rows, m.rows.w
+	rows := make([]snapRow, 0, set.n)
+	keys := data.NewKeyArena(set.n, m.keyBytes)
+	vals := make([]data.Value, 0, set.n*w)
 	total := 0
-	for _, bucket := range m.rows {
-		for _, r := range bucket {
-			rows = append(rows, snapRow{ts: r.t.TS, op: r.t.Op, key: keys.Add(r.t),
-				vals: len(vals), width: len(r.t.Vals), count: r.count})
-			for i := 0; i < r.count; i++ {
-				vals = append(vals, r.t.Vals...)
-			}
-			total += r.count
+	for r, rec := range set.recs {
+		if rec.count == 0 {
+			continue
 		}
+		row := set.row(int32(r))
+		rows = append(rows, snapRow{ts: rec.ts, key: keys.Add(data.Tuple{Vals: row}), vals: len(vals), count: rec.count})
+		for i := 0; i < rec.count; i++ {
+			vals = append(vals, row...)
+		}
+		total += rec.count
 	}
 	m.keyBytes = keys.Bytes()
 	m.mu.Unlock()
@@ -227,8 +162,8 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 	out := make([]data.Tuple, 0, total)
 	for _, r := range rows {
 		for i := 0; i < r.count; i++ {
-			off := r.vals + i*r.width
-			out = append(out, data.Tuple{Vals: vals[off : off+r.width : off+r.width], TS: r.ts, Op: r.op})
+			off := r.vals + i*w
+			out = append(out, data.Tuple{Vals: vals[off : off+w : off+w], TS: r.ts})
 		}
 	}
 	if limit >= 0 && len(out) > limit {

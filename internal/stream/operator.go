@@ -16,6 +16,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"aspen/internal/data"
@@ -31,9 +32,15 @@ import (
 // tables index them), and any number of consumers may hold the same ones (a
 // Fanout hands every subscriber the same tuples), so no operator writes to
 // Vals it was handed: one that needs a different tuple builds it (Negate and
-// re-stamping copy the header, Project allocates new Vals). Sinks that
-// outlive their producers (Materialize, Collector, Distinct) Clone what they
-// keep, so a displayed row never pins the batch it arrived in.
+// re-stamping copy the header, Project writes new Vals). Sinks that outlive
+// their producers (Materialize, Collector, Distinct) copy what they keep, so
+// a displayed row never pins the batch it arrived in.
+//
+// The one exception is a copying sink — Materialize or Collector — which
+// keeps nothing it was handed once Push or PushBatch returns: a Project
+// feeding one writes every batch into the same reused buffer. Every other
+// consumer, Distinct (which forwards what it gets) included, is handed Vals
+// nobody writes to again.
 type Operator interface {
 	// Schema describes the tuples this operator accepts.
 	Schema() *data.Schema
@@ -130,6 +137,7 @@ func (f *Filter) PushBatch(ts []data.Tuple) {
 	f.batch = out[:0]
 	if len(out) > 0 {
 		PushBatch(f.next, out)
+		clear(out) // the scratch must not pin the batch
 	}
 }
 
@@ -139,6 +147,10 @@ type Project struct {
 	exprs  []*expr.Compiled
 	schema *data.Schema
 	batch  []data.Tuple // scratch for PushBatch
+	// copier: next is a copying sink (Materialize, Collector), so outputs are
+	// written into the reused buf instead of fresh Vals.
+	copier bool
+	buf    []data.Value
 }
 
 // ProjectItem is one projected expression with an optional alias.
@@ -162,7 +174,12 @@ func NewProject(next Operator, in *data.Schema, items []ProjectItem) (*Project, 
 		}
 		exprs[i] = c
 	}
-	return &Project{next: next, exprs: exprs, schema: in}, nil
+	p := &Project{next: next, exprs: exprs, schema: in}
+	switch next.(type) {
+	case *Materialize, *Collector:
+		p.copier = true
+	}
+	return p, nil
 }
 
 // OutSchema computes the schema a projection over in would produce:
@@ -194,21 +211,22 @@ func (p *Project) Schema() *data.Schema { return p.schema }
 
 // Push implements Operator.
 func (p *Project) Push(t data.Tuple) {
-	vals := make([]data.Value, len(p.exprs))
+	vals := p.vals(len(p.exprs))
 	for i, e := range p.exprs {
 		vals[i] = e.Eval(t)
 	}
 	p.next.Push(data.Tuple{Vals: vals, TS: t.TS, Op: t.Op})
 }
 
-// PushBatch implements BatchOperator: output rows share one backing array,
-// amortizing the per-tuple Vals allocation over the batch.
+// PushBatch implements BatchOperator: output rows share one backing array —
+// the reused buffer in front of a copying sink, a fresh one per batch
+// otherwise.
 func (p *Project) PushBatch(ts []data.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
 	n := len(p.exprs)
-	backing := make([]data.Value, n*len(ts))
+	backing := p.vals(n * len(ts))
 	out := p.batch[:0]
 	for i, t := range ts {
 		vals := backing[i*n : (i+1)*n : (i+1)*n]
@@ -219,65 +237,38 @@ func (p *Project) PushBatch(ts []data.Tuple) {
 	}
 	p.batch = out[:0]
 	PushBatch(p.next, out)
+	clear(out) // the scratch must not pin the batch
+}
+
+// vals returns room for k output values.
+func (p *Project) vals(k int) []data.Value {
+	if !p.copier {
+		return make([]data.Value, k)
+	}
+	p.buf = slices.Grow(p.buf[:0], k)[:k]
+	return p.buf
 }
 
 // Distinct enforces set semantics over a delta stream using multiplicity
-// counting: an insert is forwarded only on 0→1, a delete only on 1→0.
-// Multiplicities are keyed by 64-bit hashes of the full canonical key;
-// each bucket entry keeps a cloned representative tuple so collisions are
-// resolved exactly with EqualVals.
+// counting: an insert is forwarded only on 0→1, a delete only on 1→0 — the
+// very tuple it was handed either way. Multiplicities live in a rowSet.
 type Distinct struct {
-	next   Operator
-	counts map[uint64][]distinctEntry
-	hasher data.Hasher
-}
-
-type distinctEntry struct {
-	t     data.Tuple // cloned representative
-	count int
+	next Operator
+	rows rowSet
 }
 
 // NewDistinct builds a distinct operator.
 func NewDistinct(next Operator) *Distinct {
-	return &Distinct{next: next, counts: map[uint64][]distinctEntry{}}
+	return &Distinct{next: next, rows: newRowSet(next.Schema().Arity())}
 }
 
 // Schema implements Operator.
 func (d *Distinct) Schema() *data.Schema { return d.next.Schema() }
 
-// Push implements Operator.
+// Push implements Operator. The deletion of an unseen tuple is ignored.
 func (d *Distinct) Push(t data.Tuple) {
-	k := d.hasher.Hash(t) & testHashMask
-	bucket := d.counts[k]
-	slot := -1
-	for i := range bucket {
-		if bucket[i].t.EqualVals(t) {
-			slot = i
-			break
-		}
-	}
-	switch t.Op {
-	case data.Insert:
-		if slot < 0 {
-			d.counts[k] = append(bucket, distinctEntry{t: t.Clone(), count: 1})
-			d.next.Push(t)
-			return
-		}
-		bucket[slot].count++
-	case data.Delete:
-		if slot < 0 {
-			return // deletion of an unseen tuple: ignore
-		}
-		bucket[slot].count--
-		if bucket[slot].count == 0 {
-			bucket[slot] = bucket[len(bucket)-1]
-			bucket[len(bucket)-1] = distinctEntry{}
-			d.counts[k] = bucket[:len(bucket)-1]
-			if len(d.counts[k]) == 0 {
-				delete(d.counts, k)
-			}
-			d.next.Push(t)
-		}
+	if t.Op == data.Insert && d.rows.add(t, 1) || t.Op == data.Delete && d.rows.remove(t) {
+		d.next.Push(t)
 	}
 }
 

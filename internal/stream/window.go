@@ -92,6 +92,7 @@ func (w *Window) Push(t data.Tuple) {
 	for _, o := range out {
 		w.next.Push(o)
 	}
+	clear(out) // the scratch must not pin what the window let go
 }
 
 // PushBatch implements BatchOperator: window maintenance for the whole
@@ -105,6 +106,7 @@ func (w *Window) PushBatch(ts []data.Tuple) {
 	w.batch = out[:0]
 	if len(out) > 0 {
 		PushBatch(w.next, out)
+		clear(out)
 	}
 }
 
@@ -148,6 +150,7 @@ func (w *Window) Advance(now vtime.Time) {
 	w.batch = out[:0]
 	if len(out) > 0 {
 		PushBatch(w.next, out)
+		clear(out)
 	}
 }
 
