@@ -56,8 +56,10 @@ bench-smoke:
 
 # race exercises the concurrent paths (shard workers, engine fan-out,
 # sensor epoch sinks, the randomized serial-vs-sharded differential
-# harness, and the mutex-guarded route memo and ordered indexes of the
-# building path) under the race detector; mirrored by the CI job.
+# harness, the grouped-filter-vs-per-layer-filter differential and its
+# attach/detach churn beside a live pusher, and the mutex-guarded route
+# memo and ordered indexes of the building path) under the race detector;
+# mirrored by the CI job.
 .PHONY: race
 race:
 	$(GO) test -race ./internal/stream/... ./internal/sensor/... ./internal/plan/... ./internal/core/... \
@@ -130,7 +132,7 @@ elastic:
 # `go test -list` that each target still exists, since -run and -fuzz pass
 # silently when a renamed target matches nothing.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/
+FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	@for tp in $(FUZZ_TARGETS); do \

@@ -52,12 +52,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Catch the stop signals before announcing the address, so a launcher
+	// that stops the worker as soon as it has read the banner gets a clean
+	// exit.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	// The address line is machine-readable: tests and launch scripts parse
 	// it to learn an ephemeral port.
 	fmt.Printf("shardworker listening %s\n", w.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	if err := w.Close(); err != nil {
 		log.Fatal(err)

@@ -72,7 +72,7 @@ func hashValue(h uint64, v Value) uint64 {
 	case TNull:
 		return fnvByte(h, 'n')
 	case TInt:
-		if f := float64(v.I); int64(f) == v.I {
+		if f := float64(v.I); f < 1<<63 && int64(f) == v.I {
 			return fnvWord(fnvByte(h, 'f'), math.Float64bits(f))
 		}
 		return fnvWord(fnvByte(h, 'i'), uint64(v.I))

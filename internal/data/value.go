@@ -8,6 +8,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -168,27 +169,22 @@ func (v Value) Equal(o Value) bool {
 
 // Compare orders two values: -1, 0, +1. The second result is false when the
 // values are incomparable (NULL involved, or mixed non-numeric types).
+// Numbers compare by exact value — an INT and a FLOAT too, however large —
+// so the numeric order is total and equality follows the canonical key.
 func (v Value) Compare(o Value) (int, bool) {
 	if v.T == TNull || o.T == TNull {
 		return 0, false
 	}
 	if v.T.Numeric() && o.T.Numeric() {
-		if v.T == TInt && o.T == TInt {
-			return cmpInt(v.I, o.I), true
-		}
-		a, b := v.AsFloat(), o.AsFloat()
 		switch {
-		case a < b:
-			return -1, true
-		case a > b || a != a && b == b:
-			// NaN equals NaN and orders above every number (as in
-			// PostgreSQL), so equality follows the canonical key and
-			// sorting stays a total order.
-			return 1, true
-		case b != b && a == a:
-			return -1, true
+		case v.T == TInt && o.T == TInt:
+			return cmpInt(v.I, o.I), true
+		case v.T == TInt:
+			return cmpIntFloat(v.I, o.F), true
+		case o.T == TInt:
+			return -cmpIntFloat(o.I, v.F), true
 		}
-		return 0, true
+		return cmpFloat(v.F, o.F), true
 	}
 	if v.T != o.T {
 		return 0, false
@@ -212,6 +208,41 @@ func cmpInt(a, b int64) int {
 	return 0
 }
 
+// cmpFloat orders two floats with -0 equal to 0, and NaN equal to NaN and
+// above every number (as in PostgreSQL), so sorting stays a total order.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b || a != a && b == b:
+		return 1
+	case b != b && a == a:
+		return -1
+	}
+	return 0
+}
+
+// cmpIntFloat orders an integer against a float by exact value. Converting i
+// to float64 would round once |i| > 2^53 and make distinct integers equal to
+// one float; instead f is split into its integer part, compared as an int64,
+// and its fraction.
+func cmpIntFloat(i int64, f float64) int {
+	if -1<<53 <= i && i <= 1<<53 {
+		return cmpFloat(float64(i), f) // i converts exactly
+	}
+	switch {
+	case f != f || f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmpInt(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f)
+}
+
 // AppendKey appends a canonical, collision-free encoding of the value to buf,
 // for use as a hash/group key. Numerically equal INT and FLOAT values encode
 // identically so that grouping follows SQL equality.
@@ -220,8 +251,10 @@ func (v Value) AppendKey(buf []byte) []byte {
 	case TNull:
 		return append(buf, 'n')
 	case TInt:
-		// Encode integral values in a float-compatible way when exact.
-		if f := float64(v.I); int64(f) == v.I {
+		// Encode integral values in a float-compatible way when exact. (A
+		// float at 2^63 is out of int64 range, where conversion is
+		// platform-defined.)
+		if f := float64(v.I); f < 1<<63 && int64(f) == v.I {
 			buf = append(buf, 'f')
 			return strconv.AppendFloat(buf, f, 'b', -1, 64)
 		}

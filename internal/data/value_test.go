@@ -143,6 +143,63 @@ func TestValueCompareAntisymmetric(t *testing.T) {
 	}
 }
 
+// TestValueCompareExactNumbers holds the numeric order to the laws a sorted
+// index needs — antisymmetry, transitivity of both < and =, and equality
+// agreeing with the canonical key and the hash — on integers past 2^53,
+// where float64 stops being exact, and near the ends of int64, where an
+// INT meets a FLOAT that no int64 can hold.
+func TestValueCompareExactNumbers(t *testing.T) {
+	const p53, p63 = 1 << 53, 1 << 63
+	var vals []Value
+	for _, i := range []int64{0, 1, -1, p53 - 1, p53, p53 + 1, p53 + 2, p53 + 3, -p53 - 1, -p53, -p53 + 1,
+		math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 511, math.MaxInt64 - 512, math.MaxInt64 - 1024,
+		math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 1024} {
+		vals = append(vals, Int(i))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, p53, p53 + 2, p53 - 0.5, -p53, -p53 - 2,
+		p63, -p63, p63 - 1024, -p63 + 1024, math.Nextafter(p63, math.Inf(1)), math.Nextafter(-p63, math.Inf(-1)),
+		math.Inf(1), math.Inf(-1), math.NaN()} {
+		vals = append(vals, Float(f))
+	}
+	cmp := func(a, b Value) int {
+		c, ok := a.Compare(b)
+		if !ok {
+			t.Fatalf("%v and %v are incomparable", a, b)
+		}
+		return c
+	}
+	var h Hasher
+	for _, a := range vals {
+		for _, b := range vals {
+			ab := cmp(a, b)
+			if ba := cmp(b, a); ab != -ba {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			if eq, sameKey := ab == 0, a.Key() == b.Key(); eq != sameKey {
+				t.Errorf("%v (%s) vs %v (%s): equal %t, same key %t", a, a.Key(), b, b.Key(), eq, sameKey)
+			}
+			if ab == 0 && h.Hash(NewTuple(0, a)) != h.Hash(NewTuple(0, b)) {
+				t.Errorf("%v = %v but they hash apart", a, b)
+			}
+			for _, c := range vals {
+				bc, ac := cmp(b, c), cmp(a, c)
+				if ab <= 0 && bc <= 0 && ac > 0 || ab == 0 && bc == 0 && ac != 0 {
+					t.Errorf("not transitive: %v vs %v = %d, %v vs %v = %d, %v vs %v = %d", a, b, ab, b, c, bc, a, c, ac)
+				}
+			}
+		}
+	}
+	if c := cmp(Int(p53+1), Float(p53)); c != 1 {
+		t.Errorf("Compare(2^53+1, 2^53.0) = %d, want 1", c)
+	}
+	if c := cmp(Int(math.MaxInt64), Float(p63)); c != -1 {
+		t.Errorf("Compare(MaxInt64, 2^63.0) = %d, want -1", c)
+	}
+	if c := cmp(Int(math.MinInt64), Float(-p63)); c != 0 {
+		t.Errorf("Compare(MinInt64, -2^63.0) = %d, want 0", c)
+	}
+}
+
 func TestValueKeyDistinctStrings(t *testing.T) {
 	// The length-prefixed string encoding must not collide across boundaries.
 	a := Tuple{Vals: []Value{Str("ab"), Str("c")}}

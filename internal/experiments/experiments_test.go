@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"aspen/internal/vtime"
 )
 
 // These tests pin the *shape* of every experiment result — the reproduction
@@ -240,5 +242,30 @@ func TestTableFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Format = %q", out)
 		}
+	}
+}
+
+// TestQueryDensityFeedAllocs pins E11's allocation count: once windows,
+// results and scratch have grown, pushing one tuple through 256 standing
+// queries — on shared chains (one grouped selection over four predicate
+// layers) or privately — allocates exactly once, the Vals Feed builds.
+func TestQueryDensityFeedAllocs(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		qd := NewQueryDensity(256, shared)
+		ts, i := vtime.Time(0), 0
+		feed := func() { ts = qd.Feed(i, ts); i++ }
+		for i < 1000 { // past one 10 s window of 50 ms steps
+			feed()
+		}
+		// Measured over whole cycles of Feed's 64 keys, so an allocation on
+		// some keys only (the ones a predicate passes) cannot round away.
+		if n := testing.AllocsPerRun(20, func() {
+			for range 64 {
+				feed()
+			}
+		}); n != 64 {
+			t.Errorf("Q=256 shared=%t: 64 Feeds allocate %v times, want 64", shared, n)
+		}
+		qd.Close()
 	}
 }

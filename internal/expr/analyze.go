@@ -19,6 +19,50 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// Atom is a comparison of one column with a constant, column first:
+// vals[Col] Op Const. Const is never NULL.
+type Atom struct {
+	Col   int
+	Op    BinOp
+	Const data.Value
+}
+
+// Holds reports whether a Compare result c of the column's value against
+// Const satisfies the atom.
+func (a Atom) Holds(c int) bool { return a.Op.holds(c) }
+
+// flipped maps a comparison to the one that holds with its operands swapped.
+var flipped = map[BinOp]BinOp{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
+
+// Atoms splits a predicate into atoms when every one of its conjuncts is a
+// comparison between a column of s and a non-NULL literal, on either side
+// (the operator flips when the literal is on the left); ok is false for any
+// other shape. The predicate is TRUE exactly when every atom holds: that is
+// how EvalBool reads a conjunction of comparisons.
+func Atoms(e Expr, s *data.Schema) (atoms []Atom, ok bool) {
+	for _, f := range Conjuncts(e) {
+		b, isBin := f.(Bin)
+		if !isBin || !b.Op.Comparison() {
+			return nil, false
+		}
+		op, col, lit := b.Op, b.L, b.R
+		if _, isLit := col.(Lit); isLit {
+			op, col, lit = flipped[op], b.R, b.L
+		}
+		c, isCol := col.(Col)
+		l, isLit := lit.(Lit)
+		if !isCol || !isLit || l.V.IsNull() {
+			return nil, false
+		}
+		i, err := s.ColIndex(c.Ref)
+		if err != nil {
+			return nil, false
+		}
+		atoms = append(atoms, Atom{Col: i, Op: op, Const: l.V})
+	}
+	return atoms, len(atoms) > 0
+}
+
 // Conjoin combines factors with AND; nil for an empty list.
 func Conjoin(factors []Expr) Expr {
 	var out Expr

@@ -25,10 +25,15 @@ import (
 // Engine.UntrackWindow) and frees its window state.
 //
 // Chains layer: the base chain is scan+window, and each distinct
-// selection predicate stacks a derived chain (one Filter feeding its own
-// Fanout) on the parent's fan-out point, so queries that share the scan
-// and window but diverge at the predicate still share the window — the
-// dominant state and maintenance cost.
+// selection predicate stacks a derived chain (its own Fanout) on the
+// parent's fan-out point, so queries that share the scan and window but
+// diverge at the predicate still share the window — the dominant state and
+// maintenance cost. Sibling layers share more than that: a fan-out point
+// with derived layers feeds them all through one stream.GroupedFilter, each
+// layer a member, so a tuple is matched once for every sibling predicate
+// (one probe per column for comparisons with constants) instead of once per
+// layer, and each layer's Fanout still receives exactly what a Filter of its
+// own would have forwarded, in the same order.
 //
 // Canonical keys are positional: predicates are rendered with column
 // references rewritten to column indexes of the scan schema, so two
@@ -77,32 +82,32 @@ type sharedChain struct {
 	key    string
 	parent *sharedChain
 	fan    *stream.Fanout
-	// head feeds this layer: the window (or the fan itself, unwindowed)
-	// subscribed to the engine input for a base chain; the filter
-	// subscribed to parent.fan for a derived chain.
+	// head feeds a base chain: the window (or the fan itself, unwindowed)
+	// subscribed to the engine input. A derived chain is fed as a member of
+	// its parent's sel.
 	head stream.Operator
 	win  *stream.Window // base chain's window; nil when unwindowed
 	in   *stream.Input  // base chain's engine input
-	pred *expr.Compiled // derived chain's predicate (warm-start filtering)
+	pred *expr.Compiled // derived chain's predicate
+	// sel is the grouped selection on fan feeding every derived chain
+	// stacked on this one; nil while there is none.
+	sel  *stream.GroupedFilter
 	refs int
 }
 
 // Stats reports the live chain count and the total number of query-side
-// attachments (fan-out subscriptions that are not child chains).
+// attachments (fan-out subscriptions that are not grouped selections
+// feeding child chains).
 func (s *Sharing) Stats() (chains, attached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	children := 0
 	for _, ch := range s.chains {
-		if ch.parent != nil {
-			children++
+		attached += ch.fan.Subscribers()
+		if ch.sel != nil {
+			attached--
 		}
 	}
-	total := 0
-	for _, ch := range s.chains {
-		total += ch.fan.Subscribers()
-	}
-	return len(s.chains), total - children
+	return len(s.chains), attached
 }
 
 // Chains reports the number of live shared chains.
@@ -365,8 +370,11 @@ func (s *Sharing) ensureLayer(parent *sharedChain, key string, pred expr.Expr, s
 		return nil, err
 	}
 	ch := &sharedChain{key: key, parent: parent, fan: stream.NewFanout(schema), pred: compiled}
-	ch.head = stream.NewFilter(ch.fan, compiled)
-	parent.fan.Subscribe(ch.head)
+	if parent.sel == nil {
+		parent.sel = stream.NewGroupedFilter(schema)
+		parent.fan.Subscribe(parent.sel)
+	}
+	parent.sel.Add(ch.fan, compiled)
 	parent.refs++
 	s.chains[key] = ch
 	return ch, nil
@@ -400,16 +408,27 @@ func (s *Sharing) release(ch *sharedChain, out stream.Operator) {
 		if ch.refs > 0 {
 			return
 		}
-		delete(s.chains, ch.key)
-		if ch.parent != nil {
-			ch.parent.fan.Unsubscribe(ch.head)
-		} else {
-			ch.in.Unsubscribe(ch.head)
-			if ch.win != nil {
-				s.eng.UntrackWindow(ch.win)
-			}
-		}
+		s.detachLocked(ch)
 		ch = ch.parent
+	}
+}
+
+// detachLocked forgets ch and unhooks it from what feeds it: its parent's
+// grouped selection (which leaves the parent's fan-out point with its last
+// member), or the engine input and tick list. Caller holds s.mu.
+func (s *Sharing) detachLocked(ch *sharedChain) {
+	delete(s.chains, ch.key)
+	if p := ch.parent; p != nil {
+		p.sel.Remove(ch.fan)
+		if p.sel.Members() == 0 {
+			p.fan.Unsubscribe(p.sel)
+			p.sel = nil
+		}
+		return
+	}
+	ch.in.Unsubscribe(ch.head)
+	if ch.win != nil {
+		s.eng.UntrackWindow(ch.win)
 	}
 }
 
@@ -424,15 +443,9 @@ func (s *Sharing) gcLocked() {
 			if ch.refs != 0 {
 				continue
 			}
-			delete(s.chains, ch.key)
+			s.detachLocked(ch)
 			if ch.parent != nil {
-				ch.parent.fan.Unsubscribe(ch.head)
 				ch.parent.refs--
-			} else {
-				ch.in.Unsubscribe(ch.head)
-				if ch.win != nil {
-					s.eng.UntrackWindow(ch.win)
-				}
 			}
 			removed = true
 		}
