@@ -25,26 +25,29 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # tables-check regenerates the experiment tables that are deterministic —
-# radio message counts, battery levels, result counts, no clocks — and diffs
-# them against the committed copy, so "the E2 E3 E4 E9 E10 tables stay
-# byte-identical" (ROADMAP standing conventions) is checked, not remembered;
-# mirrored by the CI build-and-test job. A PR that means to move a table says
-# why and rewrites the golden file with the same command.
-TABLES        := E2 E3 E4 E9 E10
+# optimizer costs, radio message counts, battery levels, result counts, no
+# clocks — and diffs them against the committed copy, so "the kept tables
+# stay byte-identical" (ROADMAP standing conventions) is checked, not
+# remembered; mirrored by the CI build-and-test job. E5 and E6 stay out:
+# they time loops on the wall clock, and their latency claim is that clock.
+# A PR that means to move a table says why and rewrites the golden file with
+# the same command.
+TABLES        := E1 E2 E3 E4 E8 E9 E10
 TABLES_GOLDEN := cmd/benchharness/testdata/tables.golden
 tables-check:
 	$(GO) run ./cmd/benchharness $(TABLES) | diff -u $(TABLES_GOLDEN) -
 
-# bench runs the E1-E11 microbenchmarks with allocation stats, then
-# regenerates the experiment tables (including the E7 shard,
-# global-aggregate, multi-node, elastic/failover-armed sweeps, the
-# E11 query-density sweep and the E2-remote fragment-at-worker
-# comparison) and writes them to $(BENCH_OUT), an untracked file. Snapshot
-# size and save/restore latency are the repository benchmark's:
-# query-churn reports plan.snapshot.{bytes,save_ms,restore_ms} every run.
+# bench runs the microbenchmarks with allocation stats where they live —
+# the paper experiments' at the root, the join+aggregate shard sweep
+# (BenchmarkJoinAgg) in internal/stream, the remote sweep
+# (BenchmarkRemoteJoinAgg) and query density (BenchmarkQueryDensity) in
+# internal/plan — then regenerates the experiment tables and writes them to
+# $(BENCH_OUT), an untracked file. Snapshot size and save/restore latency are
+# the repository benchmark's: query-churn reports
+# plan.snapshot.{bytes,save_ms,restore_ms} every run.
 BENCH_OUT ?= bench-tables.json
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/stream/ ./internal/plan/
 	$(GO) run ./cmd/benchharness -json $(BENCH_OUT)
 
 # bench-smoke compiles and runs every benchmark in every package exactly

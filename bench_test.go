@@ -1,6 +1,9 @@
-// Benchmarks: one per experiment E1–E11 (see DESIGN.md §3 and
-// EXPERIMENTS.md). Each benchmark exercises the experiment's inner
-// operation; cmd/benchharness regenerates the full parameter-sweep tables.
+// Benchmarks: one per paper experiment E1–E6 and E8–E10 (see the
+// internal/experiments package doc). Each benchmark exercises the
+// experiment's inner operation; cmd/benchharness regenerates the full
+// parameter-sweep tables. The stream pipelines' own benchmarks live beside
+// their code: BenchmarkJoinAgg in internal/stream, BenchmarkRemoteJoinAgg
+// and BenchmarkQueryDensity in internal/plan.
 package aspen_test
 
 import (
@@ -11,7 +14,6 @@ import (
 	"aspen/internal/building"
 	"aspen/internal/catalog"
 	"aspen/internal/data"
-	"aspen/internal/experiments"
 	"aspen/internal/expr"
 	"aspen/internal/federation"
 	"aspen/internal/sensor"
@@ -200,209 +202,6 @@ func BenchmarkE6IncrementalView(b *testing.B) {
 			load(feed)
 		}
 	})
-}
-
-// BenchmarkE7StreamThroughput measures per-tuple cost of the windowed
-// join + aggregation pipeline.
-func BenchmarkE7StreamThroughput(b *testing.B) {
-	left := data.NewSchema("a", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	right := data.NewSchema("bb", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	joined := left.Concat(right)
-	out, err := stream.AggOutSchema(joined, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mat := stream.NewMaterialize(out)
-	agg, err := stream.NewAggregate(mat, joined, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	j, err := stream.NewJoin(agg, left, right, []string{"a.k"}, []string{"bb.k"}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := stream.NewTimeWindow(j.Left(), 10*time.Second, 0)
-	wr := stream.NewTimeWindow(j.Right(), 10*time.Second, 0)
-	b.ResetTimer()
-	ts := vtime.Time(0)
-	for i := 0; i < b.N; i++ {
-		ts += vtime.Time(50 * time.Millisecond)
-		k := data.Int(int64(i % 64))
-		if i%2 == 0 {
-			wl.Push(data.Tuple{Vals: []data.Value{k, data.Float(float64(i))}, TS: ts})
-		} else {
-			wr.Push(data.Tuple{Vals: []data.Value{k, data.Float(float64(i))}, TS: ts})
-		}
-	}
-}
-
-// BenchmarkE7StreamThroughputBatch is E7 driven through the batch
-// propagation API: tuples arrive in epochs of 64 via PushBatch, letting
-// windows and sinks amortize downstream dispatch.
-func BenchmarkE7StreamThroughputBatch(b *testing.B) {
-	left := data.NewSchema("a", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	right := data.NewSchema("bb", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	joined := left.Concat(right)
-	out, err := stream.AggOutSchema(joined, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mat := stream.NewMaterialize(out)
-	agg, err := stream.NewAggregate(mat, joined, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	j, err := stream.NewJoin(agg, left, right, []string{"a.k"}, []string{"bb.k"}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := stream.NewTimeWindow(j.Left(), 10*time.Second, 0)
-	wr := stream.NewTimeWindow(j.Right(), 10*time.Second, 0)
-	const epoch = 64
-	lb := make([]data.Tuple, 0, epoch/2)
-	rb := make([]data.Tuple, 0, epoch/2)
-	b.ResetTimer()
-	ts := vtime.Time(0)
-	for i := 0; i < b.N; i += epoch {
-		lb, rb = lb[:0], rb[:0]
-		// One backing array per epoch: windows retain pushed tuples, so the
-		// source must not reuse Vals it already pushed.
-		vals := make([]data.Value, 2*epoch)
-		for k := 0; k < epoch; k++ {
-			ts += vtime.Time(50 * time.Millisecond)
-			v := vals[2*k : 2*k+2 : 2*k+2]
-			v[0] = data.Int(int64((i + k) % 64))
-			v[1] = data.Float(float64(i + k))
-			t := data.Tuple{Vals: v, TS: ts}
-			if k%2 == 0 {
-				lb = append(lb, t)
-			} else {
-				rb = append(rb, t)
-			}
-		}
-		stream.PushBatch(wl, lb)
-		stream.PushBatch(wr, rb)
-	}
-}
-
-// BenchmarkE7StreamThroughputSharded is E7 through the partition-parallel
-// layer: P replicas of the window→join→agg pipeline behind Sharders keyed
-// on k, merged into one shared Materialize (the exact harness pipeline,
-// experiments.NewShardedE7). Tuples arrive in epochs of 64 via PushBatch
-// like the Batch variant; the serial comparison point is
-// BenchmarkE7StreamThroughputBatch. Throughput scales with cores (P=1
-// measures pure exchange overhead on any machine).
-func BenchmarkE7StreamThroughputSharded(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			e := experiments.NewShardedE7(10*time.Second, p)
-			defer e.Set.Close()
-			b.ResetTimer()
-			ts := vtime.Time(0)
-			for i := 0; i < b.N; i += 64 {
-				ts = e.FeedEpoch(i, ts)
-			}
-			e.Set.Flush()
-		})
-	}
-}
-
-// BenchmarkE7GlobalAggSharded is E7 with the grouped aggregate replaced by
-// a global AVG (no GROUP BY): each replica runs window→join→
-// PartialAggregate and a single serial FinalMerge behind the Merge funnel
-// combines the per-shard partial states — the two-phase path that lets
-// building-wide rollups shard at all (PR 2 ran them serial). Every join
-// result updates the one global group, so this also stresses the
-// partial-emit path far harder than the grouped benchmark.
-func BenchmarkE7GlobalAggSharded(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			e := experiments.NewShardedE7Global(10*time.Second, p)
-			defer e.Set.Close()
-			b.ResetTimer()
-			ts := vtime.Time(0)
-			for i := 0; i < b.N; i += 64 {
-				ts = e.FeedEpoch(i, ts)
-			}
-			e.Set.Flush()
-		})
-	}
-}
-
-// BenchmarkE7RemoteSharded is the multi-node E7: the same compiled plan at
-// P=4 with its shard replicas round-robined over W loopback shard workers
-// (W=0 keeps every replica in-process — the same-harness baseline). The
-// delta against W=0 is the cost of routing the exchange, ticks, and the
-// result funnel over gob/TCP instead of in-process queues.
-func BenchmarkE7RemoteSharded(b *testing.B) {
-	for _, w := range []int{0, 1, 2} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			e, err := experiments.NewRemoteE7(10*time.Second, 4, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			b.ResetTimer()
-			ts := vtime.Time(0)
-			for i := 0; i < b.N; i += 64 {
-				ts = e.FeedEpoch(i, ts)
-			}
-			e.Dep.Flush()
-		})
-	}
-}
-
-// BenchmarkE7RemoteShardedFailover is BenchmarkE7RemoteSharded with
-// checkpointed worker failover armed: W=0 shows that an armed deployment
-// with no remote replica costs nothing (the failover machinery only hooks
-// worker connections), W=1 adds the coordinator-side replay log and the
-// periodic checkpoint barriers to the gob/TCP exchange path.
-func BenchmarkE7RemoteShardedFailover(b *testing.B) {
-	for _, w := range []int{0, 1} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			e, err := experiments.NewRemoteE7Failover(10*time.Second, 4, w, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			b.ResetTimer()
-			ts := vtime.Time(0)
-			for i := 0; i < b.N; i += 64 {
-				ts = e.FeedEpoch(i, ts)
-			}
-			e.Dep.Flush()
-		})
-	}
-}
-
-// BenchmarkQueryDensity is E11: per-tuple cost of Q standing queries —
-// selective windowed filters with heavily overlapping plans — over one
-// source, deployed privately (Q independent window+filter pipelines) vs
-// through one shared-prefix registry (one window, four predicate layers,
-// fan-out only at divergence points). ns/op is per tuple across ALL Q
-// queries: private grows linearly in Q, shared stays near-flat.
-func BenchmarkQueryDensity(b *testing.B) {
-	for _, q := range []int{1, 16, 256} {
-		for _, shared := range []bool{false, true} {
-			mode := "private"
-			if shared {
-				mode = "shared"
-			}
-			b.Run(fmt.Sprintf("Q=%d/%s", q, mode), func(b *testing.B) {
-				qd := experiments.NewQueryDensity(q, shared)
-				defer qd.Close()
-				b.ResetTimer()
-				ts := vtime.Time(0)
-				for i := 0; i < b.N; i++ {
-					ts = qd.Feed(i, ts)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkE8CostUnification measures one optimization under modified

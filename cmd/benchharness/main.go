@@ -1,14 +1,15 @@
-// Benchharness regenerates every experiment table (E1–E11) defined in
-// DESIGN.md and recorded in EXPERIMENTS.md.
+// Benchharness regenerates the experiment tables of internal/experiments
+// (E1–E6, E8–E10; the package doc says what each reproduces).
 //
 //	go run ./cmd/benchharness                          # all experiments
 //	go run ./cmd/benchharness E2 E4                    # a subset
 //	go run ./cmd/benchharness -json bench-tables.json  # machine-readable dump
 //
 // With -json, the selected experiment tables are also written to the given
-// file. The per-PR microbenchmark baselines that used to ride along are
-// history, kept in PERF.md; comparisons between two builds go through the
-// repository benchmark (bench/README.md).
+// file. An unknown ID exits 2 and lists the known ones. The per-PR
+// microbenchmark baselines that used to ride along are history, kept in
+// PERF.md; comparisons between two builds go through the repository
+// benchmark (bench/README.md).
 package main
 
 import (
@@ -25,36 +26,26 @@ func main() {
 	jsonPath := flag.String("json", "", "also write the tables as JSON to this file")
 	flag.Parse()
 
-	all := map[string]func() experiments.Table{
-		"E1":  experiments.E1FederatedPartitioning,
-		"E2":  experiments.E2InNetworkJoin,
-		"E2R": experiments.E2RemoteFragment,
-		"E3":  experiments.E3JoinPlacement,
-		"E4":  experiments.E4InNetworkAgg,
-		"E5":  experiments.E5RouteLatency,
-		"E6":  experiments.E6IncrementalView,
-		"E7":  experiments.E7StreamThroughput,
-		"E8":  experiments.E8CostUnification,
-		"E9":  experiments.E9EndToEnd,
-		"E10": experiments.E10Alarms,
-		"E11": experiments.E11QueryDensity,
+	byID := map[string]func() experiments.Table{}
+	var ids []string
+	for _, e := range experiments.All {
+		byID[e.ID] = e.Run
+		ids = append(ids, e.ID)
 	}
-	order := []string{"E1", "E2", "E2R", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11"}
-
 	want := flag.Args()
 	if len(want) == 0 {
-		want = order
+		want = ids
 	}
 	var rep struct {
 		Experiments []experiments.Table `json:"experiments"`
 	}
 	for _, id := range want {
-		fn, ok := all[strings.ToUpper(id)]
+		run, ok := byID[strings.ToUpper(id)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", id, strings.Join(order, ", "))
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", id, strings.Join(ids, ", "))
 			os.Exit(2)
 		}
-		tbl := fn()
+		tbl := run()
 		fmt.Println(tbl.Format())
 		rep.Experiments = append(rep.Experiments, tbl)
 	}

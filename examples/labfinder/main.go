@@ -25,7 +25,8 @@ func main() {
 	defer app.Close()
 
 	// Figure 1's view, over the raw light streams ('open' and 'free'
-	// become light-level thresholds; see DESIGN.md):
+	// become light-level thresholds, smartcis.OpenRoomLightThreshold and
+	// OccupiedLightThreshold):
 	// AreaSensors(room, light) and SeatSensors(room, desk, light) are
 	// created by SmartCIS at startup. Define the free-machine view.
 	if _, err := app.RT.Run(`CREATE VIEW OpenMachineInfo AS (

@@ -1,12 +1,16 @@
-// Package experiments implements the E1–E11 evaluation suite defined in
-// DESIGN.md. The SmartCIS paper is a demonstration with no quantitative
-// tables, so each experiment quantifies one of its performance claims with
-// a baseline; EXPERIMENTS.md records expected-vs-measured shapes. Both
-// bench_test.go and cmd/benchharness call into this package.
+// Package experiments reproduces the SmartCIS paper's claims as tables,
+// E1–E6 and E8–E10. The paper is a demonstration with no quantitative
+// tables, so each experiment quantifies one of its performance claims
+// against a baseline, and experiments_test.go pins the shape each table must
+// keep. cmd/benchharness prints the tables; PERF.md records their history.
+// The stream engine's own costs are measured by the repository benchmark
+// (bench/) and by the benchmarks beside the code in internal/stream and
+// internal/plan.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aspen/internal/building"
@@ -14,7 +18,6 @@ import (
 	"aspen/internal/data"
 	"aspen/internal/expr"
 	"aspen/internal/federation"
-	"aspen/internal/plan"
 	"aspen/internal/sensor"
 	"aspen/internal/sensornet"
 	"aspen/internal/smartcis"
@@ -376,362 +379,6 @@ func chainWithShortcuts(n int) [][2]string {
 	return out
 }
 
-// E7 measures stream-engine throughput for the windowed join + aggregation
-// pipeline as window sizes vary.
-func E7StreamThroughput() Table {
-	t := Table{
-		ID:     "E7",
-		Title:  "stream engine throughput: window → hash join → aggregate",
-		Header: []string{"window", "tuples pushed", "wall time", "tuples/sec"},
-	}
-	for _, win := range []time.Duration{time.Second, 10 * time.Second, 60 * time.Second} {
-		const n = 30000
-		elapsed, _ := runJoinPipeline(win, n)
-		t.Rows = append(t.Rows, []string{win.String(), d(n),
-			elapsed.Truncate(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds())})
-	}
-	// Shard sweep (PR 2): the same 10s-window pipeline behind the
-	// partition-parallel exchange, P pipeline replicas keyed on k.
-	for _, p := range []int{1, 2, 4, 8} {
-		const n = 30000
-		elapsed := runShardedJoinPipeline(10*time.Second, n, p)
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("10s/P=%d", p), d(n),
-			elapsed.Truncate(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds())})
-	}
-	// Global-aggregate sweep (PR 3): the same pipeline ending in a global
-	// AVG (no GROUP BY) — two-phase partial aggregation per shard, one
-	// serial FinalMerge.
-	for _, p := range []int{1, 2, 4, 8} {
-		const n = 30000
-		elapsed := runGlobalAggPipeline(10*time.Second, n, p)
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("10s/glob/P=%d", p), d(n),
-			elapsed.Truncate(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds())})
-	}
-	// Multi-node sweep (PR 4): the same compiled plan at P=4 with its
-	// replicas round-robined over W loopback shard workers (W=0 keeps all
-	// replicas in-process) — the columnar-wire/TCP exchange overhead
-	// (PR 6; gob before that) of the paper's replicas-on-different-PCs
-	// deployment.
-	for _, w := range []int{0, 1, 2} {
-		const n = 30000
-		elapsed := runRemoteJoinPipeline(10*time.Second, n, 4, w)
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("10s/P=4/W=%d", w), d(n),
-			elapsed.Truncate(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds())})
-	}
-	// Failover sweep (PR 5): the same deployments with checkpointed
-	// worker failover armed — replay logging on every remote exchange hop
-	// plus periodic checkpoint barriers. W=0 has no remote replica, so
-	// the row measures that an armed-but-inert deployment costs nothing.
-	for _, w := range []int{0, 1} {
-		const n = 30000
-		elapsed := runRemoteFailoverPipeline(10*time.Second, n, 4, w, true)
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("10s/P=4/W=%d/fo", w), d(n),
-			elapsed.Truncate(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds())})
-	}
-	t.Notes = "larger windows hold more join state, so each arrival probes and expires more; " +
-		"P rows shard the pipeline across worker replicas (speedup needs multiple cores); " +
-		"glob rows run the global-aggregate two-phase (partial/final-merge) path; " +
-		"W rows deploy the P=4 replicas over W loopback shard workers (gob/TCP exchange overhead); " +
-		"fo rows arm checkpointed worker failover (replay log + checkpoint barriers)"
-	return t
-}
-
-// ShardedE7 is the standard two-stream join+agg pipeline (E7) built
-// behind the partition-parallel exchange: P replicas of
-// window→join→aggregate keyed on k, merged into one materialized result.
-// Exported so the repo benchmarks drive the exact harness pipeline.
-type ShardedE7 struct {
-	Left, Right *stream.Sharder
-	Set         *stream.ShardSet
-	Mat         *stream.Materialize
-}
-
-// NewShardedE7 builds and starts the pipeline; callers Close the Set.
-func NewShardedE7(win time.Duration, p int) *ShardedE7 {
-	return newShardedE7(win, p, false)
-}
-
-// NewShardedE7Global is NewShardedE7 with the grouped AVG replaced by a
-// global AVG (no GROUP BY): each replica runs a stream.PartialAggregate
-// and one serial stream.FinalMerge behind the Merge funnel combines the
-// shards' partial states — the two-phase path global aggregates shard
-// through.
-func NewShardedE7Global(win time.Duration, p int) *ShardedE7 {
-	return newShardedE7(win, p, true)
-}
-
-func newShardedE7(win time.Duration, p int, global bool) *ShardedE7 {
-	left := data.NewSchema("a", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	left.IsStream = true
-	right := data.NewSchema("b", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	right.IsStream = true
-	joined := left.Concat(right)
-	specs := []stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}}
-	groupBy := []string{"a.k"}
-	if global {
-		groupBy = nil
-	}
-	outSchema, err := stream.AggOutSchema(joined, groupBy, specs)
-	if err != nil {
-		panic(err)
-	}
-	mat := stream.NewMaterialize(outSchema)
-	var sink stream.Operator = mat
-	if global {
-		fm, err := stream.NewFinalMerge(mat, joined, groupBy, specs, nil)
-		if err != nil {
-			panic(err)
-		}
-		sink = fm
-	}
-	merge := stream.NewMerge(sink)
-	set := stream.NewShardSet(p)
-	lsh, err := stream.NewSharder(set, "l", left, []int{0})
-	if err != nil {
-		panic(err)
-	}
-	rsh, err := stream.NewSharder(set, "r", right, []int{0})
-	if err != nil {
-		panic(err)
-	}
-	// The hand-wired replica: the set asks for shard s's pipeline like any
-	// other home's, but the operators emit into the merge funnel directly.
-	build := func(_ []byte, _ int, _ []byte, _ stream.ResultSender) (map[string]stream.Operator, []stream.Advancer, []stream.Checkpointer, error) {
-		var agg stream.Operator
-		var err error
-		if global {
-			agg, err = stream.NewPartialAggregate(merge, joined, groupBy, specs)
-		} else {
-			agg, err = stream.NewAggregate(merge, joined, groupBy, specs, nil)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		j, err := stream.NewJoin(agg, left, right, []string{"a.k"}, []string{"b.k"}, nil)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		wl := stream.NewTimeWindow(j.Left(), win, 0)
-		wr := stream.NewTimeWindow(j.Right(), win, 0)
-		return map[string]stream.Operator{"l": wl, "r": wr}, []stream.Advancer{wl, wr}, nil, nil
-	}
-	if err := set.Deploy(stream.ShardConfig{Sink: merge, LocalDeploy: build}, make([]string, p), nil); err != nil {
-		panic(err)
-	}
-	return &ShardedE7{Left: lsh, Right: rsh, Set: set, Mat: mat}
-}
-
-// FeedEpoch pushes one 64-tuple epoch (split between the two inputs) with
-// keys i..i+63 mod 64 and timestamps advancing 50ms per tuple from ts,
-// returning the advanced clock. One fresh backing array per epoch:
-// windows retain pushed tuples, so the source must not reuse Vals.
-func (e *ShardedE7) FeedEpoch(i int, ts vtime.Time) vtime.Time {
-	return feedE7Epoch(e.Left, e.Right, i, ts)
-}
-
-// feedE7Epoch generates the shared E7 epoch — 64 tuples with keys in
-// [0, 64) split alternately across the two inputs at a 50ms stride — so
-// every E7 variant (serial, sharded, remote) measures the identical
-// workload.
-func feedE7Epoch(left, right interface{ PushBatch([]data.Tuple) }, i int, ts vtime.Time) vtime.Time {
-	const epoch = 64
-	var lb, rb [epoch / 2]data.Tuple
-	ln, rn := 0, 0
-	vals := make([]data.Value, 2*epoch)
-	for k := 0; k < epoch; k++ {
-		ts += vtime.Time(50 * time.Millisecond)
-		v := vals[2*k : 2*k+2 : 2*k+2]
-		v[0] = data.Int(int64((i + k) % 64))
-		v[1] = data.Float(float64(i + k))
-		t := data.Tuple{Vals: v, TS: ts}
-		if k%2 == 0 {
-			lb[ln] = t
-			ln++
-		} else {
-			rb[rn] = t
-			rn++
-		}
-	}
-	left.PushBatch(lb[:ln])
-	right.PushBatch(rb[:rn])
-	return ts
-}
-
-// runShardedJoinPipeline drives n tuples through a ShardedE7 and times it.
-func runShardedJoinPipeline(win time.Duration, n, p int) time.Duration {
-	e := NewShardedE7(win, p)
-	defer e.Set.Close()
-	start := time.Now()
-	ts := vtime.Time(0)
-	for i := 0; i < n; i += 64 {
-		ts = e.FeedEpoch(i, ts)
-	}
-	e.Set.Flush()
-	return time.Since(start)
-}
-
-// runGlobalAggPipeline is runShardedJoinPipeline over the two-phase
-// global-aggregate variant.
-func runGlobalAggPipeline(win time.Duration, n, p int) time.Duration {
-	e := NewShardedE7Global(win, p)
-	defer e.Set.Close()
-	start := time.Now()
-	ts := vtime.Time(0)
-	for i := 0; i < n; i += 64 {
-		ts = e.FeedEpoch(i, ts)
-	}
-	e.Set.Flush()
-	return time.Since(start)
-}
-
-// RemoteE7 is the standard E7 join+agg pipeline compiled as a plan whose
-// shard replicas deploy over loopback shard workers (plan.NewWorker /
-// cmd/shardworker): the workload of the multi-node shard sweep, measuring
-// what routing the exchange over the wire costs against in-process shards.
-type RemoteE7 struct {
-	Eng  *stream.Engine
-	Dep  *plan.Deployment
-	L, R *stream.Input
-
-	workers []*stream.ShardWorker
-}
-
-// NewRemoteE7 compiles the pipeline at parallelism p over the given number
-// of loopback workers (0 = every replica in-process), with shards
-// round-robined across them.
-func NewRemoteE7(win time.Duration, p, workers int) (*RemoteE7, error) {
-	return NewRemoteE7Failover(win, p, workers, false)
-}
-
-// NewRemoteE7Failover is NewRemoteE7 with checkpointed worker failover
-// optionally armed — the configuration PR 5's checkpoint-overhead
-// measurements compare against the failover-off baseline.
-func NewRemoteE7Failover(win time.Duration, p, workers int, failover bool) (*RemoteE7, error) {
-	left := data.NewSchema("A", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	left.IsStream = true
-	right := data.NewSchema("B", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	right.IsStream = true
-	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: win}
-	join := plan.NewJoin(
-		plan.NewScan("A", "a", left, w, 100, false),
-		plan.NewScan("B", "b", right, w, 100, false),
-		[]string{"a.k"}, []string{"b.k"}, nil)
-	agg, err := plan.NewAggregate(join, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}}, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	e := &RemoteE7{Eng: stream.NewEngine("e7coord", vtime.NewScheduler())}
-	var nodes []string
-	for i := 0; i < workers; i++ {
-		wk, err := plan.NewWorker("127.0.0.1:0")
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.workers = append(e.workers, wk)
-		nodes = append(nodes, wk.Addr())
-	}
-	opts := plan.CompileOptions{Topology: plan.Topology{Parallelism: p, Nodes: nodes}}
-	opts.Failover = failover
-	dep, err := plan.CompileStreamOpts(&plan.Built{Root: agg, Limit: -1}, plan.Host{Engine: e.Eng}, opts)
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	e.Dep = dep
-	la, lok := e.Eng.Input("A")
-	rb, rok := e.Eng.Input("B")
-	if !lok || !rok {
-		e.Close()
-		return nil, fmt.Errorf("experiments: remote E7 scan inputs not registered (A=%v, B=%v)", lok, rok)
-	}
-	e.L, e.R = la, rb
-	return e, nil
-}
-
-// FeedEpoch pushes one shared E7 epoch into the engine inputs.
-func (e *RemoteE7) FeedEpoch(i int, ts vtime.Time) vtime.Time {
-	return feedE7Epoch(e.L, e.R, i, ts)
-}
-
-// Close tears down the deployment and its workers.
-func (e *RemoteE7) Close() {
-	if e.Dep != nil {
-		e.Dep.Close()
-	}
-	for _, w := range e.workers {
-		w.Close()
-	}
-}
-
-// runRemoteJoinPipeline drives n tuples through a RemoteE7 and times it.
-func runRemoteJoinPipeline(win time.Duration, n, p, workers int) time.Duration {
-	return runRemoteFailoverPipeline(win, n, p, workers, false)
-}
-
-// runRemoteFailoverPipeline is runRemoteJoinPipeline with failover
-// optionally armed (checkpoint cadence + replay logging overhead).
-func runRemoteFailoverPipeline(win time.Duration, n, p, workers int, failover bool) time.Duration {
-	e, err := NewRemoteE7Failover(win, p, workers, failover)
-	if err != nil {
-		panic(err)
-	}
-	defer e.Close()
-	start := time.Now()
-	ts := vtime.Time(0)
-	for i := 0; i < n; i += 64 {
-		ts = e.FeedEpoch(i, ts)
-	}
-	e.Dep.Flush()
-	return time.Since(start)
-}
-
-// runJoinPipeline drives the standard two-stream join+agg pipeline.
-func runJoinPipeline(win time.Duration, n int) (time.Duration, int) {
-	left := data.NewSchema("a", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	left.IsStream = true
-	right := data.NewSchema("b", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	right.IsStream = true
-	joined := left.Concat(right)
-	outSchema, err := stream.AggOutSchema(joined, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}})
-	if err != nil {
-		panic(err)
-	}
-	mat := stream.NewMaterialize(outSchema)
-	agg, err := stream.NewAggregate(mat, joined, []string{"a.k"},
-		[]stream.AggSpec{{Kind: stream.AggAvg, Arg: expr.C("v"), Alias: "m"}}, nil)
-	if err != nil {
-		panic(err)
-	}
-	j, err := stream.NewJoin(agg, left, right, []string{"a.k"}, []string{"b.k"}, nil)
-	if err != nil {
-		panic(err)
-	}
-	wl := stream.NewTimeWindow(j.Left(), win, 0)
-	wr := stream.NewTimeWindow(j.Right(), win, 0)
-
-	start := time.Now()
-	ts := vtime.Time(0)
-	for i := 0; i < n; i++ {
-		ts += vtime.Time(50 * time.Millisecond)
-		k := data.Int(int64(i % 64))
-		if i%2 == 0 {
-			wl.Push(data.Tuple{Vals: []data.Value{k, data.Float(float64(i))}, TS: ts})
-		} else {
-			wr.Push(data.Tuple{Vals: []data.Value{k, data.Float(float64(i))}, TS: ts})
-		}
-	}
-	return time.Since(start), mat.Len()
-}
-
 // E8 shows cost-model unification: as the catalog's radio statistics
 // change, the federated optimizer's choice flips between partitions.
 func E8CostUnification() Table {
@@ -740,47 +387,13 @@ func E8CostUnification() Table {
 		Title:  "unified cost model: chosen partition as radio cost varies",
 		Header: []string{"radio ms/msg", "msg energy mJ", "chosen partition", "unified cost", "all-stream cost", "advantage"},
 	}
-	for _, radio := range []struct {
-		lat    time.Duration
-		energy float64
-	}{
-		{0, 0},                       // free radio: nothing worth pushing
-		{5 * time.Millisecond, 0.01}, // cheap radio
-		{20 * time.Millisecond, 0.05},
-		{200 * time.Millisecond, 0.5}, // congested, battery-poor network
-	} {
-		nw := sensornet.Grid(sensornet.DefaultConfig(), 6, 6, 100, 6,
-			sensornet.SensorTemperature, sensornet.SensorLight)
-		eng := sensor.NewEngine(nw, deskEnv(map[int]bool{7: true}))
-		cat := catalog.New()
-		st := cat.Stats()
-		st.RadioMsgLatency = radio.lat
-		st.RadioMsgEnergy = radio.energy
-		st.NetworkDiameter = nw.Diameter()
-		cat.SetStats(st)
-		for _, name := range []string{"Temperature", "Light"} {
-			cat.MustAddSource(&catalog.Source{Name: name, Kind: catalog.KindSensorStream,
-				Schema: sensor.ReadingSchema(name), Rate: 36})
-		}
-		fed := &federation.Federator{Cat: cat, Sensors: &federation.Binding{
-			Kinds: map[string]sensornet.SensorKind{
-				"temperature": sensornet.SensorTemperature,
-				"light":       sensornet.SensorLight,
-			},
-			Engine: eng,
-		}}
-		stmt, err := sql.ParseSelect(`SELECT t.room, t.value FROM Temperature t, Light l
-			WHERE t.room = l.room AND t.desk = l.desk AND l.value < 10`)
-		if err != nil {
-			panic(err)
-		}
-		res, err := fed.Optimize(stmt)
-		if err != nil {
-			panic(err)
-		}
+	for _, radio := range e8Radios {
+		res := e8Optimize(radio.lat, radio.energy)
+		// The all-stream alternative pushes no work in-network: every one of
+		// its fragments is raw acquisition.
 		allStream := 0.0
 		for _, a := range res.Alternatives {
-			if len(a.Fragments) > 0 && a.Fragments[0].Kind == FragShipAllKind(a) {
+			if !slices.ContainsFunc(a.Fragments, func(fr *federation.Fragment) bool { return fr.Kind != federation.FragShipAll }) {
 				allStream = a.Unified
 			}
 		}
@@ -795,6 +408,52 @@ func E8CostUnification() Table {
 	}
 	t.Notes = "the in-network join reduces both radio and stream work, so it wins at every price; the unified conversion sets the size of its advantage, growing with radio cost"
 	return t
+}
+
+// e8Radios are E8's radio prices, one table row each.
+var e8Radios = []struct {
+	lat    time.Duration
+	energy float64
+}{
+	{0, 0},                       // free radio: nothing worth pushing
+	{5 * time.Millisecond, 0.01}, // cheap radio
+	{20 * time.Millisecond, 0.05},
+	{200 * time.Millisecond, 0.5}, // congested, battery-poor network
+}
+
+// e8Optimize runs the federated optimizer over E8's occupancy join on a
+// 6x6 grid whose catalog prices a radio message at lat and energy.
+func e8Optimize(lat time.Duration, energy float64) *federation.Result {
+	nw := sensornet.Grid(sensornet.DefaultConfig(), 6, 6, 100, 6,
+		sensornet.SensorTemperature, sensornet.SensorLight)
+	eng := sensor.NewEngine(nw, deskEnv(map[int]bool{7: true}))
+	cat := catalog.New()
+	st := cat.Stats()
+	st.RadioMsgLatency = lat
+	st.RadioMsgEnergy = energy
+	st.NetworkDiameter = nw.Diameter()
+	cat.SetStats(st)
+	for _, name := range []string{"Temperature", "Light"} {
+		cat.MustAddSource(&catalog.Source{Name: name, Kind: catalog.KindSensorStream,
+			Schema: sensor.ReadingSchema(name), Rate: 36})
+	}
+	fed := &federation.Federator{Cat: cat, Sensors: &federation.Binding{
+		Kinds: map[string]sensornet.SensorKind{
+			"temperature": sensornet.SensorTemperature,
+			"light":       sensornet.SensorLight,
+		},
+		Engine: eng,
+	}}
+	stmt, err := sql.ParseSelect(`SELECT t.room, t.value FROM Temperature t, Light l
+		WHERE t.room = l.room AND t.desk = l.desk AND l.value < 10`)
+	if err != nil {
+		panic(err)
+	}
+	res, err := fed.Optimize(stmt)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // E9 runs the full §4 demo scenario in virtual time and measures
@@ -913,135 +572,27 @@ func E10Alarms() Table {
 	return t
 }
 
-// FragShipAllKind reports the kind marking an alternative as all-stream
-// (every fragment is raw acquisition).
-func FragShipAllKind(a *federation.Alternative) federation.FragmentKind {
-	for _, fr := range a.Fragments {
-		if fr.Kind != federation.FragShipAll {
-			return fr.Kind // not all-stream; return non-matching kind
-		}
-	}
-	return federation.FragShipAll
-}
-
-// QueryDensity is the E11 / BenchmarkQueryDensity pipeline: Q standing
-// queries — selective windowed filters over one source, each under its own
-// alias with a predicate drawn from a 4-cut pool so plans overlap heavily —
-// deployed privately or through one Sharing registry.
-type QueryDensity struct {
-	Eng  *stream.Engine
-	In   *stream.Input
-	deps []*plan.Deployment
-}
-
-// NewQueryDensity builds and deploys the pipeline; callers Close it.
-func NewQueryDensity(q int, shared bool) *QueryDensity {
-	eng := stream.NewEngine("qd", vtime.NewScheduler())
-	host := plan.Host{Engine: eng}
-	if shared {
-		host.Sharing = plan.NewSharing(eng)
-	}
-	schema := data.NewSchema("S", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	schema.IsStream = true
-	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 10 * time.Second}
-	cuts := []int{8, 4, 16, 2}
-	deps := make([]*plan.Deployment, q)
-	for i := range deps {
-		alias := fmt.Sprintf("t%d", i)
-		scan := plan.NewScan("S", alias, schema, w, 10, false)
-		pred := expr.Bin{Op: expr.OpLt, L: expr.C(alias + ".k"), R: expr.L(cuts[i%len(cuts)])}
-		dep, err := plan.CompileStreamOpts(
-			&plan.Built{Root: &plan.Select{In: scan, Pred: pred}, Limit: -1}, host, plan.CompileOptions{})
-		if err != nil {
-			panic(err)
-		}
-		deps[i] = dep
-	}
-	in, _ := eng.Input("S")
-	return &QueryDensity{Eng: eng, In: in, deps: deps}
-}
-
-// Feed pushes the i-th tuple (key i%64) at ts+50ms and returns the new ts.
-func (qd *QueryDensity) Feed(i int, ts vtime.Time) vtime.Time {
-	ts += vtime.Time(50 * time.Millisecond)
-	qd.In.Push(data.Tuple{Vals: []data.Value{data.Int(int64(i % 64)), data.Float(float64(i))}, TS: ts})
-	return ts
-}
-
-// Close stops every deployment, detaching all heads, advancers, and shared
-// chains from the engine.
-func (qd *QueryDensity) Close() {
-	for _, dep := range qd.deps {
-		dep.Close()
-	}
-}
-
-// runQueryDensity pushes n tuples through a fresh q-query pipeline and
-// reports the elapsed wall time.
-func runQueryDensity(q, n int, shared bool) time.Duration {
-	qd := NewQueryDensity(q, shared)
-	defer qd.Close()
-	start := time.Now()
-	ts := vtime.Time(0)
-	for i := 0; i < n; i++ {
-		ts = qd.Feed(i, ts)
-	}
-	return time.Since(start)
-}
-
-// E11 quantifies multi-query sharing (PR 8): the paper's workload is many
-// standing queries asking overlapping questions over the same building
-// feeds, so the per-tuple cost of Q private pipelines is linear in Q. The
-// shared-prefix compile folds all Q scan+window+selection prefixes into
-// one physical chain (one window, four predicate layers), fanning out only
-// at the divergence points — per-query cost then falls with Q.
-func E11QueryDensity() Table {
-	t := Table{
-		ID:     "E11",
-		Title:  "query density: Q standing queries over one source, private vs shared prefixes",
-		Header: []string{"Q", "mode", "tuples pushed", "wall time", "ns/tuple/query", "speedup"},
-	}
-	const n = 20000
-	for _, q := range []int{1, 16, 256} {
-		priv := runQueryDensity(q, n, false)
-		shar := runQueryDensity(q, n, true)
-		perQ := func(el time.Duration) string {
-			return fmt.Sprintf("%.0f", float64(el.Nanoseconds())/float64(n)/float64(q))
-		}
-		t.Rows = append(t.Rows,
-			[]string{d(int64(q)), "private", d(n), priv.Truncate(time.Microsecond).String(),
-				perQ(priv), "1.00x"},
-			[]string{d(int64(q)), "shared", d(n), shar.Truncate(time.Microsecond).String(),
-				perQ(shar), fmt.Sprintf("%.2fx", float64(priv.Nanoseconds())/float64(shar.Nanoseconds()))})
-	}
-	t.Notes = "each query is a selective windowed filter (k < c, c cycling over 4 cuts) under its own alias; " +
-		"shared mode folds all Q prefixes into one base window + 4 predicate layers, so per-query cost " +
-		"falls with Q while private per-tuple cost grows linearly in Q"
-	return t
-}
-
 // sampleAndRun pushes one job sample round through the app.
 func sampleAndRun(app *smartcis.App) {
 	app.Sched.RunFor(100 * time.Millisecond)
 	app.SampleJobsNow()
 }
 
-// All runs every experiment in order.
-func All() []Table {
-	return []Table{
-		E1FederatedPartitioning(),
-		E2InNetworkJoin(),
-		E2RemoteFragment(),
-		E3JoinPlacement(),
-		E4InNetworkAgg(),
-		E5RouteLatency(),
-		E6IncrementalView(),
-		E7StreamThroughput(),
-		E8CostUnification(),
-		E9EndToEnd(),
-		E10Alarms(),
-		E11QueryDensity(),
-	}
+// Experiment names one table and the function that builds it.
+type Experiment struct {
+	ID  string
+	Run func() Table
 }
 
-var _ = plan.PerTupleCost // keep the cost-model package linked for docs
+// All lists every experiment in table order.
+var All = []Experiment{
+	{"E1", E1FederatedPartitioning},
+	{"E2", E2InNetworkJoin},
+	{"E3", E3JoinPlacement},
+	{"E4", E4InNetworkAgg},
+	{"E5", E5RouteLatency},
+	{"E6", E6IncrementalView},
+	{"E8", E8CostUnification},
+	{"E9", E9EndToEnd},
+	{"E10", E10Alarms},
+}

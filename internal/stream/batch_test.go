@@ -121,7 +121,7 @@ func batchSchema(name string) *data.Schema {
 	return s
 }
 
-func must[T any](t *testing.T) func(T, error) T {
+func must[T any](t testing.TB) func(T, error) T {
 	return func(v T, err error) T {
 		t.Helper()
 		if err != nil {

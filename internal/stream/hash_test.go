@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aspen/internal/data"
-	"aspen/internal/expr"
 	"aspen/internal/vtime"
 )
 
@@ -123,31 +122,6 @@ func TestMaterializeUnderForcedCollisions(t *testing.T) {
 	}
 }
 
-// buildPipeline wires window -> join -> agg -> materialize, the E7 shape.
-func buildPipeline(t *testing.T) (*Window, *Window, *Materialize) {
-	t.Helper()
-	left := data.NewSchema("a", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	right := data.NewSchema("bb", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	joined := left.Concat(right)
-	specs := []AggSpec{{Kind: AggAvg, Arg: expr.C("v"), Alias: "m"}}
-	out, err := AggOutSchema(joined, []string{"a.k"}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := NewMaterialize(out)
-	agg, err := NewAggregate(mat, joined, []string{"a.k"}, specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := NewJoin(agg, left, right, []string{"a.k"}, []string{"bb.k"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := NewTimeWindow(j.Left(), 10*time.Second, 0)
-	wr := NewTimeWindow(j.Right(), 10*time.Second, 0)
-	return wl, wr, mat
-}
-
 // Pushing tuple-by-tuple and pushing in batches must produce identical
 // materialized results.
 func TestPushBatchEquivalence(t *testing.T) {
@@ -162,16 +136,16 @@ func TestPushBatchEquivalence(t *testing.T) {
 		return ts
 	}
 
-	wl1, wr1, mat1 := buildPipeline(t)
+	p1 := buildJoinAgg(t, 10*time.Second, 0, false)
 	for i, tu := range mkInput(200) {
 		if i%2 == 0 {
-			wl1.Push(tu)
+			p1.left.Push(tu)
 		} else {
-			wr1.Push(tu)
+			p1.right.Push(tu)
 		}
 	}
 
-	wl2, wr2, mat2 := buildPipeline(t)
+	p2 := buildJoinAgg(t, 10*time.Second, 0, false)
 	var lb, rb []data.Tuple
 	for i, tu := range mkInput(200) {
 		if i%2 == 0 {
@@ -181,16 +155,16 @@ func TestPushBatchEquivalence(t *testing.T) {
 		}
 		// Flush interleaved chunks so both sides advance together.
 		if len(lb) == 10 {
-			PushBatch(wl2, lb)
-			PushBatch(wr2, rb)
+			p2.left.PushBatch(lb)
+			p2.right.PushBatch(rb)
 			lb, rb = lb[:0], rb[:0]
 		}
 	}
-	PushBatch(wl2, lb)
-	PushBatch(wr2, rb)
+	p2.left.PushBatch(lb)
+	p2.right.PushBatch(rb)
 
-	a := mat1.MustSnapshot(nil, -1)
-	b := mat2.MustSnapshot(nil, -1)
+	a := p1.mat.MustSnapshot(nil, -1)
+	b := p2.mat.MustSnapshot(nil, -1)
 	SortTuples(a)
 	SortTuples(b)
 	if len(a) != len(b) {
@@ -201,7 +175,7 @@ func TestPushBatchEquivalence(t *testing.T) {
 			t.Fatalf("row %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
-	if mat1.Len() == 0 {
+	if p1.mat.Len() == 0 {
 		t.Fatal("pipeline produced no rows; test is vacuous")
 	}
 }

@@ -6,60 +6,13 @@ import (
 	"time"
 
 	"aspen/internal/data"
-	"aspen/internal/expr"
 	"aspen/internal/vtime"
 )
-
-// shardPipe is one built join+aggregate pipeline under test: the entry
-// windows (serial) or sharders (parallel), its materialized result, and
-// the hooks to advance clocks and quiesce.
-type shardPipe struct {
-	left, right BatchOperator
-	mat         *Materialize
-	advance     func(now vtime.Time)
-	flush       func()
-	close       func()
-}
-
-func e7Schemas() (left, right *data.Schema) {
-	left = data.NewSchema("a", data.Col("k", data.TInt), data.Col("v", data.TFloat))
-	right = data.NewSchema("bb", data.Col("k", data.TInt), data.Col("w", data.TFloat))
-	return
-}
-
-// buildSerialPipe builds the serial reference: window → join → agg → mat.
-func buildSerialPipe(t *testing.T, win time.Duration) *shardPipe {
-	t.Helper()
-	left, right := e7Schemas()
-	joined := left.Concat(right)
-	specs := []AggSpec{{Kind: AggAvg, Arg: expr.C("v"), Alias: "m"}}
-	out, err := AggOutSchema(joined, []string{"a.k"}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := NewMaterialize(out)
-	agg, err := NewAggregate(mat, joined, []string{"a.k"}, specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := NewJoin(agg, left, right, []string{"a.k"}, []string{"bb.k"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := NewTimeWindow(j.Left(), win, 0)
-	wr := NewTimeWindow(j.Right(), win, 0)
-	return &shardPipe{
-		left: wl, right: wr, mat: mat,
-		advance: func(now vtime.Time) { wl.Advance(now); wr.Advance(now) },
-		flush:   func() {},
-		close:   func() {},
-	}
-}
 
 // deployLocal deploys every shard of a hand-wired set in-process: build is
 // the per-shard pipeline, handed to the set as its DeployFunc like any
 // other home's builder.
-func deployLocal(t *testing.T, set *ShardSet, sink Operator, build func(shard int) (map[string]Operator, []Advancer)) {
+func deployLocal(t testing.TB, set *ShardSet, sink Operator, build func(shard int) (map[string]Operator, []Advancer)) {
 	t.Helper()
 	err := set.Deploy(ShardConfig{Sink: sink, LocalDeploy: func(_ []byte, shard int, _ []byte, _ ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
 		heads, advs := build(shard)
@@ -67,49 +20,6 @@ func deployLocal(t *testing.T, set *ShardSet, sink Operator, build func(shard in
 	}}, make([]string, set.Shards()), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// buildShardedPipe builds P replicas of the same pipeline behind Sharders
-// keyed on column k, merging into one shared Materialize.
-func buildShardedPipe(t *testing.T, win time.Duration, p int) *shardPipe {
-	t.Helper()
-	left, right := e7Schemas()
-	joined := left.Concat(right)
-	specs := []AggSpec{{Kind: AggAvg, Arg: expr.C("v"), Alias: "m"}}
-	out, err := AggOutSchema(joined, []string{"a.k"}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := NewMaterialize(out)
-	merge := NewMerge(mat)
-	set := NewShardSet(p)
-	lsh, err := NewSharder(set, "l", left, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsh, err := NewSharder(set, "r", right, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deployLocal(t, set, merge, func(int) (map[string]Operator, []Advancer) {
-		agg, err := NewAggregate(merge, joined, []string{"a.k"}, specs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := NewJoin(agg, left, right, []string{"a.k"}, []string{"bb.k"}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wl := NewTimeWindow(j.Left(), win, 0)
-		wr := NewTimeWindow(j.Right(), win, 0)
-		return map[string]Operator{"l": wl, "r": wr}, []Advancer{wl, wr}
-	})
-	return &shardPipe{
-		left: lsh, right: rsh, mat: mat,
-		advance: set.Advance,
-		flush:   set.Flush,
-		close:   set.Close,
 	}
 }
 
@@ -172,7 +82,7 @@ func requireSameRows(t *testing.T, want, got []data.Tuple, label string) {
 // several shard counts (including non-power-of-two).
 func TestShardedJoinAggEquivalence(t *testing.T) {
 	const win = 2 * time.Second
-	serial := buildSerialPipe(t, win)
+	serial := buildJoinAgg(t, win, 0, false)
 	driveShardWorkload(serial, 1024)
 	want := snapshotRows(t, serial.mat)
 	if len(want) == 0 {
@@ -180,7 +90,7 @@ func TestShardedJoinAggEquivalence(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			sharded := buildShardedPipe(t, win, p)
+			sharded := buildJoinAgg(t, win, p, false)
 			driveShardWorkload(sharded, 1024)
 			sharded.flush()
 			got := snapshotRows(t, sharded.mat)
@@ -197,10 +107,10 @@ func TestShardedJoinAggEquivalence(t *testing.T) {
 func TestShardedEquivalenceUnderForcedCollisions(t *testing.T) {
 	forceHashCollisions(t)
 	const win = 2 * time.Second
-	serial := buildSerialPipe(t, win)
+	serial := buildJoinAgg(t, win, 0, false)
 	driveShardWorkload(serial, 256)
 	want := snapshotRows(t, serial.mat)
-	sharded := buildShardedPipe(t, win, 3)
+	sharded := buildJoinAgg(t, win, 3, false)
 	driveShardWorkload(sharded, 256)
 	sharded.flush()
 	got := snapshotRows(t, sharded.mat)

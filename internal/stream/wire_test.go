@@ -269,9 +269,9 @@ func FuzzWireBatch(f *testing.F) {
 	})
 }
 
-// e7Batch builds the E7-shaped numeric batch (int key, float value) the
-// exchange ships per shard per epoch.
-func e7Batch(n int) []data.Tuple {
+// numericBatch builds the join+aggregate pipeline's numeric batch (int key,
+// float value; see joinagg_test.go) the exchange ships per shard per epoch.
+func numericBatch(n int) []data.Tuple {
 	ts := make([]data.Tuple, n)
 	for i := range ts {
 		ts[i] = data.Tuple{TS: vtime.Time(i), Vals: []data.Value{data.Int(int64(i % 50)), data.Float(float64(i))}}
@@ -292,9 +292,9 @@ func BenchmarkWireEncode(b *testing.B) {
 			buf = appendBatch(buf[:0], ts)
 		}
 	}
-	b.Run("numeric64", func(b *testing.B) { run(b, e7Batch(64)) })
+	b.Run("numeric64", func(b *testing.B) { run(b, numericBatch(64)) })
 	b.Run("strings64", func(b *testing.B) {
-		ts := e7Batch(64)
+		ts := numericBatch(64)
 		for i := range ts {
 			ts[i].Vals = append(ts[i].Vals, data.Str("sensor-payload"))
 		}
@@ -320,9 +320,9 @@ func BenchmarkWireDecode(b *testing.B) {
 			}
 		}
 	}
-	b.Run("numeric64", func(b *testing.B) { run(b, e7Batch(64)) })
+	b.Run("numeric64", func(b *testing.B) { run(b, numericBatch(64)) })
 	b.Run("strings64", func(b *testing.B) {
-		ts := e7Batch(64)
+		ts := numericBatch(64)
 		for i := range ts {
 			ts[i].Vals = append(ts[i].Vals, data.Str("sensor-payload"))
 		}

@@ -2,4 +2,4 @@
 
 package testproc
 
-const raceEnabled = false
+const Race = false

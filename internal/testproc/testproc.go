@@ -22,7 +22,7 @@ func Build(t testing.TB, pkg string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), path.Base(pkg))
 	args := []string{"build"}
-	if raceEnabled {
+	if Race {
 		args = append(args, "-race")
 	}
 	args = append(args, "-o", bin, pkg)
