@@ -60,7 +60,8 @@ bench-smoke:
 # race exercises the concurrent paths (shard workers, engine fan-out,
 # sensor epoch sinks, the randomized serial-vs-sharded differential
 # harness, the grouped-filter-vs-per-layer-filter differential and its
-# attach/detach churn beside a live pusher, and the mutex-guarded route
+# attach/detach churn beside a live pusher, the shared-result differential
+# and result views frozen beside a live pusher, and the mutex-guarded route
 # memo and ordered indexes of the building path) under the race detector;
 # mirrored by the CI job.
 .PHONY: race
@@ -118,13 +119,15 @@ chaos:
 # forced-hash-collision sweep. The PR-10 restart differentials ride
 # along: shared-chain window state and sensor-fragment deployments
 # must come back from a snapshot v2 file exactly as an uninterrupted
-# run would have them, across all three fragment rehydration tiers.
+# run would have them, across all three fragment rehydration tiers, and
+# shared result groups must restore one store per group while queries
+# deploy and stop around the restart.
 # The stream-level elastic matrix (pool eviction/redial race,
 # per-shard undeploy, rescale validation) rides along. Mirrored by
 # the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore,./internal/plan/,-fuzzshard.elastic=6)
 	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart,./internal/core/)
 

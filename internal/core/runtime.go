@@ -53,7 +53,13 @@ type Config struct {
 	// Per-tuple cost becomes sublinear in the number of standing queries
 	// over one source; the last Stop of the last query sharing a prefix
 	// tears its chain down. A query attaching to an already-populated
-	// shared window warm-starts from the window's current contents. Only
+	// shared window warm-starts from the window's current contents.
+	// Identical queries — the same projection of the same selections over
+	// a windowed source, with no OUTPUT TO — also share one result: one
+	// projection into one materialized store, which each query reads under
+	// its own column names, ORDER BY and LIMIT. Stopping one freezes its
+	// result at its last state; the others keep updating. Unwindowed
+	// queries keep a result of their own (a late one starts empty). Only
 	// serial deployments share (Parallelism < 2 or unpartitionable plans).
 	SharedPrefixes bool
 	// SnapshotPath makes the coordinator durable: the plan.Coordinator

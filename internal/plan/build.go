@@ -161,7 +161,7 @@ func buildFlat(stmt *sql.SelectStmt, cat *catalog.Catalog) (*Built, error) {
 		placed := false
 		for i, n := range nodes {
 			if expr.BoundBy(c, n.Schema()) {
-				nodes[i] = &Select{In: n, Pred: mergePred(nodes[i], c)}
+				nodes[i] = &Select{In: n, Pred: c}
 				placed = true
 				break
 			}
@@ -170,7 +170,7 @@ func buildFlat(stmt *sql.SelectStmt, cat *catalog.Catalog) (*Built, error) {
 			joinPreds = append(joinPreds, c)
 		}
 	}
-	// collapse stacked selects created by mergePred
+	// one Select per scan, conjoining its conjuncts in WHERE order
 	for i, n := range nodes {
 		nodes[i] = collapseSelect(n)
 	}
@@ -249,13 +249,6 @@ func buildFlat(stmt *sql.SelectStmt, cat *catalog.Catalog) (*Built, error) {
 		b.Limit = -1
 	}
 	return b, nil
-}
-
-func mergePred(n Node, c expr.Expr) expr.Expr {
-	if s, ok := n.(*Select); ok {
-		return expr.Conjoin([]expr.Expr{s.Pred, c})
-	}
-	return c
 }
 
 func collapseSelect(n Node) Node {

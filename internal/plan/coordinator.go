@@ -277,6 +277,8 @@ func (c *Coordinator) Save() ([]string, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	// Members of one result group checkpoint the same store: encode it once.
+	groupCoord := map[*sharedResult][]byte{}
 	for _, name := range names {
 		e := c.deps[name]
 		if e.dep.fed {
@@ -298,9 +300,15 @@ func (c *Coordinator) Save() ([]string, error) {
 			frags = append(frags, sf)
 		}
 		e.dep.Flush()
-		shards, coord, err := e.dep.captureStates()
-		if err != nil {
-			return nil, fmt.Errorf("plan: snapshot %q: %w", name, err)
+		coord, shared := groupCoord[e.dep.group]
+		var shards map[int][]byte
+		if !shared {
+			if shards, coord, err = e.dep.captureStates(); err != nil {
+				return nil, fmt.Errorf("plan: snapshot %q: %w", name, err)
+			}
+			if e.dep.group != nil {
+				groupCoord[e.dep.group] = coord
+			}
 		}
 		sd := snapDeployment{
 			Name:         name,

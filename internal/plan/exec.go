@@ -64,9 +64,10 @@ type Deployment struct {
 	// pipeline (or two-phase spine) operators in compile order, then the
 	// materialized result — the deterministic sequence durable snapshots
 	// encode and a rehydrated deployment restores. Operators living in
-	// shared prefix chains are excluded: the chain, not any one
-	// deployment, owns them (their state is not yet snapshotted — see
-	// ROADMAP, multi-query sharing).
+	// shared prefix chains are excluded: the chain, not any one deployment,
+	// owns them, and Sharing.CaptureChains snapshots their windows once per
+	// chain. A result-group member lists only its Result view, which
+	// checkpoints (and restores) the group's store.
 	coordCks []stream.Checkpointer
 
 	// eng is the engine the deployment attached to; Close detaches the
@@ -81,6 +82,9 @@ type Deployment struct {
 	advs []stream.Advancer
 	// shared records refcounted attachments to shared prefix chains.
 	shared []sharedAttach
+	// group is the shared result group Result is a view of, nil when the
+	// deployment owns its result; Close leaves it.
+	group *sharedResult
 	// fed records that Feed subscribed pipelines built outside the plan. No
 	// compile can rebuild them, so a coordinator snapshot names a fed
 	// deployment as skipped.
@@ -115,7 +119,8 @@ func (d *Deployment) Snapshot() ([]data.Tuple, error) {
 // workers (if any) stop first, then every engine-input subscription the
 // compile made is unsubscribed, every tracked advancer untracked, and
 // every shared-prefix attachment released — tearing down any chain whose
-// last query this was. Safe on a live engine: an in-flight push or tick
+// last query this was. A result-group member's Result freezes: it keeps the
+// rows it read at Close. Safe on a live engine: an in-flight push or tick
 // keeps the subscriber list it loaded, so at most one final delivery
 // lands; later pushes into the deployment's inputs and later clock ticks
 // no longer reach it. Close is idempotent and concurrent-safe with
@@ -136,6 +141,9 @@ func (d *Deployment) Close() {
 		}
 		for _, sa := range d.shared {
 			sa.release()
+		}
+		if d.group != nil {
+			d.group.leave(d.Result)
 		}
 	})
 }
@@ -349,8 +357,10 @@ type Host struct {
 	// non-table source — with every other deployment compiled against the
 	// same registry: N queries run one physical prefix chain, fanning out
 	// only where their plans diverge, and the last Close tears the chain
-	// down. Sharded plans ignore it. See Sharing for semantics (warm-start
-	// attach, positional canon keys).
+	// down. Identical Project?(Select*(Scan)) plans over a windowed chain
+	// also share one result store, each reading it through a view of its own.
+	// Sharded plans ignore it. See Sharing for semantics (warm-start attach,
+	// positional canon keys, result groups).
 	Sharing *Sharing
 	// Sensors registers the sensor engines this process hosts, so in-process
 	// shards (and failover's in-process last resort) can run fragment
@@ -431,6 +441,14 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 		}
 	}
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: 1, eng: eng}
+	if host.Sharing != nil {
+		if handled, err := host.Sharing.tryAttachResult(b, dep, opts.restoreCoord); handled {
+			if err != nil {
+				return nil, err
+			}
+			return dep, nil
+		}
+	}
 	sink, err := newDeploymentSink(b, eng, dep)
 	if err != nil {
 		return nil, err

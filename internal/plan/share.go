@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,6 +46,20 @@ import (
 // — and read-only once pushed (stream.Operator), which is what lets every
 // subscriber be handed the same ones.
 //
+// Results share too, one level up: deployments whose whole plans are the
+// same canonical Project?(Select*(Scan)) over a windowed chain, naming no
+// display (OUTPUT TO), form a result group — one stream.Project feeding one
+// stream.Materialize store, subscribed to the selection layer's fan-out
+// point and keyed by the layer's key plus the positional canonical form of
+// each projection item. Every member keeps a Deployment.Result of its own: a
+// view of the group's store under the member's own schema, so column names,
+// ORDER BY and LIMIT stay per query. Closing a member freezes its view into
+// a private copy (a stopped query keeps its last state and no longer
+// updates); the last member's Close releases the group's chain attachment.
+// Only windowed chains group results: a late attacher to an unwindowed chain
+// starts empty, so its result legitimately differs from an earlier identical
+// query's, and it keeps a suffix of its own.
+//
 // Semantics: a query attaching to a chain whose window is already
 // populated warm-starts — the window's current contents replay into the
 // query's divergent suffix as insertions (filtered through the chain's
@@ -52,13 +67,18 @@ import (
 // always retract tuples the suffix has seen. A freshly attached query
 // therefore sees the current window contents where a private pipeline
 // would have started empty; once those rows expire the two are
-// indistinguishable. Attach and release follow the engine's deploy-time
-// contract: callers must not be pushing the affected input concurrently.
+// indistinguishable. A member joining an existing result group skips warm
+// start: the group's store already holds project(filter(window)), which is
+// what a warm start would build. Attach and release follow the engine's
+// deploy-time contract: callers must not be pushing the affected input
+// concurrently.
 type Sharing struct {
 	eng *stream.Engine
 
 	mu     sync.Mutex
 	chains map[string]*sharedChain
+	// results holds the live result groups by key (see tryAttachResult).
+	results map[string]*sharedResult
 	// pending holds per-chain window states decoded from a coordinator
 	// snapshot, keyed by canonical chain key. ensureBase consumes an entry
 	// when it builds a fresh base chain during restore, so the rebuilt
@@ -72,7 +92,7 @@ type Sharing struct {
 // builds both for a whole runtime), so every compile on that host shares
 // through the one registry.
 func NewSharing(eng *stream.Engine) *Sharing {
-	return &Sharing{eng: eng, chains: map[string]*sharedChain{}}
+	return &Sharing{eng: eng, chains: map[string]*sharedChain{}, results: map[string]*sharedResult{}}
 }
 
 // sharedChain is one physical prefix layer: the base scan+window, or one
@@ -95,9 +115,10 @@ type sharedChain struct {
 	refs int
 }
 
-// Stats reports the live chain count and the total number of query-side
-// attachments (fan-out subscriptions that are not grouped selections
-// feeding child chains).
+// Stats reports the live chain count (prefix layers; result groups are not
+// chains) and the total number of query-side attachments: fan-out
+// subscriptions that are not grouped selections feeding child chains, with a
+// result group counting once per member deployment.
 func (s *Sharing) Stats() (chains, attached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,6 +127,9 @@ func (s *Sharing) Stats() (chains, attached int) {
 		if ch.sel != nil {
 			attached--
 		}
+	}
+	for _, r := range s.results {
+		attached += r.members - 1
 	}
 	return len(s.chains), attached
 }
@@ -182,6 +206,24 @@ func shareablePrefix(n Node) (*Scan, []expr.Expr, bool) {
 	}
 }
 
+// prefixKeys renders the canonical key of every layer of a shareable prefix,
+// the base chain's first. It reports false when a predicate does not
+// canonicalize (no sharing; the private compile path will surface any real
+// error).
+func prefixKeys(scan *Scan, preds []expr.Expr) ([]string, bool) {
+	key := canonScanKey(scan)
+	keys := append(make([]string, 0, len(preds)+1), key)
+	for _, p := range preds {
+		c, ok := canonSelection(p, scan.Schema())
+		if !ok {
+			return nil, false
+		}
+		key += "|p:" + c
+		keys = append(keys, key)
+	}
+	return keys, true
+}
+
 // canonScanKey renders the canonical identity of a scan+window prefix:
 // the engine input (case-insensitive) and the window shape. Aliases and
 // rate estimates are presentation, not physical identity.
@@ -255,10 +297,11 @@ func canonExpr(e expr.Expr, s *data.Schema) (string, bool) {
 	return "", false
 }
 
-// canonSelection renders a selection as its sorted canonical conjuncts, so
-// the order a WHERE's factors were written in does not decide which chain
-// the query shares: the filter a chain runs asks only whether all of them
-// are TRUE.
+// canonSelection renders a selection as its sorted, deduplicated canonical
+// conjuncts, so neither the order a WHERE's factors were written in nor a
+// factor repeated (as plans restored from older snapshots carry them) decides
+// which chain the query shares: the filter a chain runs asks only whether all
+// of them are TRUE.
 func canonSelection(p expr.Expr, s *data.Schema) (string, bool) {
 	factors := expr.Conjuncts(p)
 	keys := make([]string, len(factors))
@@ -270,7 +313,7 @@ func canonSelection(p expr.Expr, s *data.Schema) (string, bool) {
 		keys[i] = c
 	}
 	sort.Strings(keys)
-	return strings.Join(keys, " AND "), true
+	return strings.Join(slices.Compact(keys), " AND "), true
 }
 
 // tryAttach attaches out (the query's compiled divergent suffix) to the
@@ -286,45 +329,139 @@ func (s *Sharing) tryAttach(n Node, out stream.Operator, dep *Deployment, restor
 	if !ok {
 		return false, nil
 	}
-	keys := make([]string, 0, len(preds)+1)
-	key := canonScanKey(scan)
-	keys = append(keys, key)
-	for _, p := range preds {
-		c, ok := canonSelection(p, scan.Schema())
-		if !ok {
-			return false, nil
-		}
-		key += "|p:" + c
-		keys = append(keys, key)
+	keys, ok := prefixKeys(scan, preds)
+	if !ok {
+		return false, nil
 	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ch, err := s.attachLocked(scan, preds, keys, out, restoring)
+	if err != nil {
+		return true, err
+	}
+	dep.Inputs = append(dep.Inputs, scan.Input)
+	dep.shared = append(dep.shared, sharedAttach{s: s, ch: ch, out: out})
+	return true, nil
+}
+
+// attachLocked subscribes out to the chain keyed keys[len(keys)-1], building
+// the missing layers from the base up, and takes a reference on it. Unless
+// restoring, out is first warm-started: the window's current contents
+// (filtered through the chain's predicates) replay into it before it
+// subscribes, so the shared window's future expiry deletions always match
+// insertions out has seen. Caller holds s.mu.
+func (s *Sharing) attachLocked(scan *Scan, preds []expr.Expr, keys []string, out stream.Operator, restoring bool) (*sharedChain, error) {
 	ch, err := s.ensureBase(keys[0], scan)
 	if err != nil {
 		s.gcLocked()
-		return true, err
+		return nil, err
 	}
 	for i, p := range preds {
 		ch, err = s.ensureLayer(ch, keys[i+1], p, scan.Schema())
 		if err != nil {
 			s.gcLocked()
-			return true, err
+			return nil, err
 		}
 	}
-
-	// Warm start: replay the window's current contents (filtered through
-	// the chain's predicates) into the suffix before subscribing it, so
-	// the shared window's future expiry deletions always match insertions
-	// the suffix has seen.
 	if !restoring {
 		warmStart(ch, out)
 	}
 	ch.fan.Subscribe(out)
 	ch.refs++
+	return ch, nil
+}
+
+// sharedResult is one result group: the projection of a chain's output into
+// one store that every member deployment reads through a view of its own.
+// It holds one reference on its chain, through head's subscription.
+type sharedResult struct {
+	s       *Sharing
+	key     string
+	ch      *sharedChain
+	head    stream.Operator // the Project feeding store, or store itself
+	store   *stream.Materialize
+	members int
+}
+
+// tryAttachResult deploys b as a member of its result group — creating the
+// group, warm-started or restored, when it is the first — and reports
+// handled=false when b's plan cannot share a result: it names a display, is
+// not Project?(Select*(Scan)), has an unwindowed scan, or does not
+// canonicalize. On handled=true dep.Result is a view of the group's store
+// (or err says why it could not be): dep needs nothing else compiled.
+// restoreCoord, a member's snapshotted coordinator state, restores a group
+// this call creates; a member joining a live group restores nothing, since
+// every member's state is the store's.
+func (s *Sharing) tryAttachResult(b *Built, dep *Deployment, restoreCoord []byte) (handled bool, err error) {
+	if b.Display != "" {
+		return false, nil
+	}
+	n := b.Root
+	proj, _ := n.(*Project)
+	if proj != nil {
+		n = proj.In
+	}
+	scan, preds, ok := shareablePrefix(n)
+	if !ok || windowFor(scan.Window) == nil {
+		return false, nil
+	}
+	keys, ok := prefixKeys(scan, preds)
+	if !ok {
+		return false, nil
+	}
+	items := []string{"*"}
+	if proj != nil {
+		items = make([]string, len(proj.Items))
+		for i, it := range proj.Items {
+			if items[i], ok = canonExpr(it.Expr, n.Schema()); !ok {
+				return false, nil
+			}
+		}
+	}
+	key := keys[len(keys)-1] + "|r:" + strings.Join(items, ",")
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.results[key]
+	if r == nil {
+		store := stream.NewMaterialize(b.Root.Schema())
+		var head stream.Operator = store
+		if proj != nil {
+			if head, err = stream.NewProject(store, n.Schema(), proj.Items); err != nil {
+				return true, err
+			}
+		}
+		ch, err := s.attachLocked(scan, preds, keys, head, restoreCoord != nil)
+		if err != nil {
+			return true, err
+		}
+		if err := stream.RestoreCheckpoint([]stream.Checkpointer{store}, restoreCoord); err != nil {
+			s.releaseLocked(ch, head)
+			return true, err
+		}
+		r = &sharedResult{s: s, key: key, ch: ch, head: head, store: store}
+		s.results[key] = r
+	}
+	r.members++
+	dep.Result = r.store.View(b.Root.Schema())
+	dep.coordCks = []stream.Checkpointer{dep.Result}
 	dep.Inputs = append(dep.Inputs, scan.Input)
-	dep.shared = append(dep.shared, sharedAttach{s: s, ch: ch, out: out})
+	dep.group = r
 	return true, nil
+}
+
+// leave undoes one membership: view freezes into a private copy, and the
+// last member's leave releases the group's chain attachment.
+func (r *sharedResult) leave(view *stream.Materialize) {
+	view.Freeze()
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.members--; r.members > 0 {
+		return
+	}
+	delete(s.results, r.key)
+	s.releaseLocked(r.ch, r.head)
 }
 
 // ensureBase finds or builds the scan+window base chain. Caller holds
@@ -402,6 +539,11 @@ func warmStart(ch *sharedChain, out stream.Operator) {
 func (s *Sharing) release(ch *sharedChain, out stream.Operator) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.releaseLocked(ch, out)
+}
+
+// releaseLocked is release with s.mu held.
+func (s *Sharing) releaseLocked(ch *sharedChain, out stream.Operator) {
 	ch.fan.Unsubscribe(out)
 	for ch != nil {
 		ch.refs--

@@ -293,25 +293,26 @@ func (f *FinalMerge) RestoreState(s OpState) error {
 
 // CheckpointState implements Checkpointer: the result multiset with
 // per-row multiplicities, taken under the mutex (Materialize is the one
-// shared sink, so unlike the single-writer operators it locks itself).
+// shared sink, so unlike the single-writer operators it locks itself). A
+// live view checkpoints its store's rows.
 func (m *Materialize) CheckpointState() OpState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rows, counts := m.rows.state()
+	src := m.lock()
+	defer m.unlock(src)
+	rows, counts := src.rows.state()
 	return OpState{Kind: ckMaterialize, Rows: &RowsState{Tuples: rows, Counts: counts}}
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Checkpointer. A live view restores its store.
 func (m *Materialize) RestoreState(s OpState) error {
 	if s.Kind != ckMaterialize || s.Rows == nil {
 		return ckKindErr(ckMaterialize, s)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.rows.restore(s.Rows.Tuples, s.Rows.Counts); err != nil {
+	src := m.lock()
+	defer m.unlock(src)
+	if err := src.rows.restore(s.Rows.Tuples, s.Rows.Counts); err != nil {
 		return fmt.Errorf("stream: materialize checkpoint: %w", err)
 	}
-	m.version++
+	src.version++
 	return nil
 }
 

@@ -23,6 +23,14 @@ type OrderSpec struct {
 // Rows live in a rowSet, so the steady-state retract/insert churn of upstream
 // operators allocates nothing. It is a copying sink: it keeps nothing it was
 // handed once Push or PushBatch returns.
+//
+// A Materialize is either a store, which operators push into, or a view
+// (View) that reads a store's rows under a schema of its own: identical
+// standing queries keep one store and give each query its own view, so each
+// still snapshots with its own column names, ORDER BY and LIMIT. A view's
+// Snapshot, Len, Version and checkpoint all read (and restore) the store's
+// rows, and its OnChange fires after every mutation of the store, until
+// Freeze makes it an independent copy that no longer updates.
 type Materialize struct {
 	mu     sync.Mutex
 	schema *data.Schema
@@ -32,11 +40,66 @@ type Materialize struct {
 	OnChange func()
 	version  uint64
 	keyBytes int // key-arena size of the last Snapshot, the next one's capacity
+
+	// store is the Materialize a live view reads; nil on a store and on a
+	// frozen view. Lock order: a view's mu before its store's.
+	store *Materialize
+	// views are a store's live views, notified after each mutation. The
+	// slice is copy-on-write: a push in flight keeps the one it loaded.
+	views []*Materialize
 }
 
 // NewMaterialize creates an empty materialized result with the schema.
 func NewMaterialize(schema *data.Schema) *Materialize {
 	return &Materialize{schema: schema, rows: newRowSet(schema.Arity())}
+}
+
+// View returns a live read view of m's rows under schema, which must have
+// m's arity (column names and qualifiers may differ).
+func (m *Materialize) View(schema *data.Schema) *Materialize {
+	v := &Materialize{schema: schema, store: m}
+	m.mu.Lock()
+	m.views = append(slices.Clip(m.views), v)
+	m.mu.Unlock()
+	return v
+}
+
+// Freeze turns a live view into a private copy of its store's current rows:
+// from then on it reads the same as at the call, later mutations of the
+// store neither reach it nor fire its OnChange (a notification already in
+// flight when Freeze runs may still land), and the store forgets it. Freeze
+// on a store or a frozen view does nothing.
+func (m *Materialize) Freeze() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.store
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	m.rows, m.version, m.keyBytes = s.rows.clone(), s.version, s.keyBytes
+	s.views = slices.DeleteFunc(slices.Clone(s.views), func(v *Materialize) bool { return v == m })
+	s.mu.Unlock()
+	m.store = nil
+}
+
+// lock takes m's lock and returns the Materialize whose rows m reads, with
+// its lock taken too: m itself, or the store m is a live view of. Release
+// with unlock.
+func (m *Materialize) lock() *Materialize {
+	m.mu.Lock()
+	if m.store == nil {
+		return m
+	}
+	m.store.mu.Lock()
+	return m.store
+}
+
+func (m *Materialize) unlock(src *Materialize) {
+	if src != m {
+		src.mu.Unlock()
+	}
+	m.mu.Unlock()
 }
 
 // Schema implements Operator.
@@ -46,7 +109,7 @@ func (m *Materialize) Schema() *data.Schema { return m.schema }
 func (m *Materialize) Push(t data.Tuple) { m.PushBatch([]data.Tuple{t}) }
 
 // PushBatch implements BatchOperator: one lock acquisition and one
-// OnChange notification per batch.
+// OnChange notification per batch, for the store and for each live view.
 func (m *Materialize) PushBatch(ts []data.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -60,7 +123,24 @@ func (m *Materialize) PushBatch(ts []data.Tuple) {
 		}
 	}
 	m.version += uint64(len(ts))
+	cb, views := m.OnChange, m.views
+	m.mu.Unlock()
+	if cb != nil {
+		cb()
+	}
+	for _, v := range views {
+		v.changed()
+	}
+}
+
+// changed runs a view's OnChange after its store mutated, unless the view
+// was frozen since the push loaded it.
+func (m *Materialize) changed() {
+	m.mu.Lock()
 	cb := m.OnChange
+	if m.store == nil {
+		cb = nil
+	}
 	m.mu.Unlock()
 	if cb != nil {
 		cb()
@@ -84,16 +164,16 @@ func (m *Materialize) ChainOnChange(fn func()) {
 
 // Len returns the number of distinct rows currently in the result.
 func (m *Materialize) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rows.n
+	src := m.lock()
+	defer m.unlock(src)
+	return src.rows.n
 }
 
 // Version increments on every mutation; displays poll it cheaply.
 func (m *Materialize) Version() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
+	src := m.lock()
+	defer m.unlock(src)
+	return src.version
 }
 
 // Snapshot returns the current result ordered by the given keys (ties
@@ -117,10 +197,10 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		vals  int // offset of the first copy in vals
 		count int
 	}
-	m.mu.Lock()
-	set, w := &m.rows, m.rows.w
+	src := m.lock()
+	set, w := &src.rows, src.rows.w
 	rows := make([]snapRow, 0, set.n)
-	keys := data.NewKeyArena(set.n, m.keyBytes)
+	keys := data.NewKeyArena(set.n, src.keyBytes)
 	vals := make([]data.Value, 0, set.n*w)
 	total := 0
 	for r, rec := range set.recs {
@@ -134,8 +214,8 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		}
 		total += rec.count
 	}
-	m.keyBytes = keys.Bytes()
-	m.mu.Unlock()
+	src.keyBytes = keys.Bytes()
+	m.unlock(src)
 
 	slices.SortFunc(rows, func(a, b snapRow) int {
 		for k, j := range idx {

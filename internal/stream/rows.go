@@ -121,6 +121,12 @@ func (s *rowSet) grow() {
 	}
 }
 
+// clone returns a copy of the set that shares no memory with it.
+func (s *rowSet) clone() rowSet {
+	return rowSet{w: s.w, vals: slices.Clone(s.vals), recs: slices.Clone(s.recs),
+		free: slices.Clone(s.free), table: slices.Clone(s.table), n: s.n}
+}
+
 // state copies the live rows and their counts out for a checkpoint, the rows
 // in one backing array.
 func (s *rowSet) state() ([]data.Tuple, []int64) {
