@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench bench-check tables-check
+.PHONY: all build test vet fmt check bench bench-check tables-check allocs
 
 all: check
 
@@ -16,7 +16,7 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt test bench-check tables-check
+check: build vet fmt test bench-check tables-check allocs
 
 # bench-check vets and tests the repository benchmark, a module of its own
 # under bench/ that ./... at the root does not reach; mirrored by the CI
@@ -36,6 +36,20 @@ TABLES        := E1 E2 E3 E4 E8 E9 E10
 TABLES_GOLDEN := cmd/benchharness/testdata/tables.golden
 tables-check:
 	$(GO) run ./cmd/benchharness $(TABLES) | diff -u $(TABLES_GOLDEN) -
+
+# allocs runs the tests that pin the hot path's exact allocation counts,
+# three times and without the race detector: under it sync.Pool drops items
+# at random, so those tests check their counts only here and in plain
+# `go test`. Like race_run it first checks with `go test -list` that each
+# test still exists. Mirrored by the CI build-and-test job.
+ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/
+allocs:
+	@for tp in $(ALLOC_TESTS); do \
+		test=$${tp%%:*}; pkg=$${tp#*:}; \
+		$(GO) test -list "^$$test\$$" $$pkg | grep -q "^$$test\$$" || \
+			{ echo "make $@: test $$test not found in $$pkg"; exit 1; }; \
+		$(GO) test -count=3 -run "^$$test\$$" $$pkg || exit 1; \
+	done
 
 # bench runs the microbenchmarks with allocation stats where they live —
 # the paper experiments' at the root, the join+aggregate shard sweep

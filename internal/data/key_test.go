@@ -180,8 +180,11 @@ func TestCloneIntoAndConcatInto(t *testing.T) {
 	if len(cc.Vals) != 3 || cc.TS != 9 {
 		t.Fatalf("ConcatInto mismatch: %v", cc)
 	}
-	if got := a.Concat(b); !got.EqualVals(cc) || got.TS != cc.TS || got.Op != cc.Op {
-		t.Fatalf("Concat and ConcatInto disagree: %v vs %v", got, cc)
+	if &cc.Vals[0] != &buf[:1][0] {
+		t.Error("ConcatInto did not reuse the buffer")
+	}
+	if got := a.ConcatInto(nil, b); !got.EqualVals(cc) || got.TS != cc.TS || got.Op != cc.Op {
+		t.Fatalf("ConcatInto into nil and into a buffer disagree: %v vs %v", got, cc)
 	}
 }
 

@@ -95,9 +95,9 @@ func TestTupleOps(t *testing.T) {
 	if a.Vals[0].AsInt() != 1 {
 		t.Fatal("Clone shares storage")
 	}
-	c := a.Concat(NewTuple(9, Bool(true)))
+	c := a.ConcatInto(nil, NewTuple(9, Bool(true)))
 	if len(c.Vals) != 3 || c.TS != 9 {
-		t.Fatalf("Concat = %v", c)
+		t.Fatalf("ConcatInto = %v", c)
 	}
 	n := a.Negate()
 	if n.Op != Delete || a.Negate().Negate().Op != Insert {
@@ -115,16 +115,16 @@ func TestTupleOps(t *testing.T) {
 func TestTupleDeltaPolarity(t *testing.T) {
 	plus := NewTuple(0, Int(1))
 	minus := plus.Negate()
-	if plus.Concat(minus).Op != Delete {
+	if plus.ConcatInto(nil, minus).Op != Delete {
 		t.Fatal("(+)(-) should be -")
 	}
-	if minus.Concat(plus).Op != Delete {
+	if minus.ConcatInto(nil, plus).Op != Delete {
 		t.Fatal("(-)(+) should be -")
 	}
-	if plus.Concat(plus).Op != Insert {
+	if plus.ConcatInto(nil, plus).Op != Insert {
 		t.Fatal("(+)(+) should be +")
 	}
-	if minus.Concat(minus).Op != Insert {
+	if minus.ConcatInto(nil, minus).Op != Insert {
 		t.Fatal("(-)(-) should be +")
 	}
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"slices"
 	"strings"
 
 	"aspen/internal/vtime"
@@ -61,17 +62,15 @@ func (t Tuple) Negate() Tuple {
 	return t
 }
 
-// Concat returns the concatenation of t and o's values, keeping t's
+// ConcatInto returns the concatenation of t and o's values, keeping t's
 // timestamp if later, else o's (join output carries the max event time).
-func (t Tuple) Concat(o Tuple) Tuple {
-	return t.ConcatInto(make([]Value, 0, len(t.Vals)+len(o.Vals)), o)
-}
-
-// ConcatInto is Concat writing the concatenated values into dst's backing
-// array when its capacity suffices. The result aliases dst; callers that
-// hand it to a retaining consumer must Clone first.
+// The values are written into dst's backing array when its capacity
+// suffices, and into one fresh array otherwise (a nil dst always allocates).
+// The result aliases dst, so a caller that reuses dst may hand the result
+// only to a consumer that keeps nothing of it (stream.Operator's ownership
+// rule); a consumer that retains it needs a fresh dst.
 func (t Tuple) ConcatInto(dst []Value, o Tuple) Tuple {
-	vals := append(dst[:0], t.Vals...)
+	vals := append(slices.Grow(dst[:0], len(t.Vals)+len(o.Vals)), t.Vals...)
 	vals = append(vals, o.Vals...)
 	ts := t.TS
 	if o.TS > ts {

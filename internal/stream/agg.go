@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aspen/internal/data"
@@ -89,6 +90,9 @@ type groupTable struct {
 	// touched lists the groups the running fold has changed and not yet
 	// emitted; empty between calls.
 	touched []touchedGroup
+	// reuse: the operator's consumer keeps nothing, so a group builds its
+	// next row in the row it last retracted (groupState.spare).
+	reuse bool
 }
 
 type touchedGroup struct {
@@ -98,8 +102,8 @@ type touchedGroup struct {
 
 // newGroupTable resolves the grouping columns against in. groupBy must
 // already be validated (AggOutSchema / AggPartialSchema do).
-func newGroupTable(in *data.Schema, groupBy []string, nAggs int) groupTable {
-	gt := groupTable{nAggs: nAggs, groups: map[uint64][]*groupState{}}
+func newGroupTable(next Operator, in *data.Schema, groupBy []string, nAggs int) groupTable {
+	gt := groupTable{nAggs: nAggs, groups: map[uint64][]*groupState{}, reuse: keepsNothing(next)}
 	// keyIdx must stay non-nil: Tuple.HashOn(h, nil) means "all columns",
 	// but an empty GROUP BY means one global group (empty key).
 	gt.keyIdx = make([]int, 0, len(groupBy))
@@ -166,7 +170,7 @@ func (gt *groupTable) remove(key uint64, g *groupState) {
 // count reaches zero retires at that tuple, as it would on a Push: it
 // retracts its row and leaves the table, so a later insert of the key
 // starts from fresh state and a later delete of it is ignored.
-func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(*groupState) []data.Value) {
+func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(g *groupState, dst []data.Value) []data.Value) {
 	for _, t := range ts {
 		key, g := gt.lookup(t)
 		if g == nil {
@@ -188,18 +192,30 @@ func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled
 			continue // retired after it was listed
 		}
 		d.g.touched = false
-		gt.emitRow(next, d.key, d.g, row(d.g), d.g.cause)
+		gt.emitRow(next, d.key, d.g, row(d.g, gt.rowBuf(d.g)), d.g.cause)
 	}
 	clear(gt.touched) // a retired group must not stay reachable from the scratch
 	gt.touched = gt.touched[:0]
 }
 
+// rowBuf returns what g's next row is built in: the group's spare when the
+// consumer keeps nothing, nil (fresh Vals) otherwise.
+func (gt *groupTable) rowBuf(g *groupState) []data.Value {
+	if gt.reuse {
+		return g.spare[:0]
+	}
+	return nil
+}
+
 // emitRow retracts g's previously emitted row and emits newOut (nil means
 // no visible row, e.g. failed HAVING or dead group), suppressing no-op
 // transitions, then removes the group once its count reaches zero. Both
-// rows carry the timestamp ts of the tuple that caused the change.
+// rows carry the timestamp ts of the tuple that caused the change. When the
+// consumer keeps nothing, the retracted row becomes the group's spare, and
+// a spare that newOut was built in stops being one.
 func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut []data.Value, ts vtime.Time) {
-	if g.lastOut != nil {
+	old := g.lastOut
+	if old != nil {
 		same := newOut != nil && len(newOut) == len(g.lastOut)
 		if same {
 			for i := range newOut {
@@ -219,6 +235,9 @@ func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut [
 		next.Push(data.Tuple{Vals: newOut, TS: ts, Op: data.Insert})
 		g.lastOut = newOut
 	}
+	if gt.reuse {
+		g.spare = old
+	}
 	if g.count <= 0 {
 		gt.remove(key, g)
 	}
@@ -229,6 +248,9 @@ type groupState struct {
 	count   int64 // tuples in group
 	aggs    []aggState
 	lastOut []data.Value // previously emitted row (nil if none)
+	// spare is a row this group built and retracted, free to build the next
+	// one in; only used when the consumer keeps nothing.
+	spare []data.Value
 	// touched and cause live only inside groupTable.fold: the group is on
 	// the touched list, and cause is the timestamp of the last tuple folded
 	// into it.
@@ -288,7 +310,7 @@ func NewAggregate(next Operator, in *data.Schema, groupBy []string, specs []AggS
 		return nil, err
 	}
 	a := &Aggregate{next: next, in: in, out: out, specs: specs,
-		table: newGroupTable(in, groupBy, len(specs))}
+		table: newGroupTable(next, in, groupBy, len(specs))}
 	if a.args, err = bindAggArgs(in, specs); err != nil {
 		return nil, err
 	}
@@ -320,8 +342,8 @@ func (a *Aggregate) Push(t data.Tuple) {
 // PushBatch implements BatchOperator: each group the batch changed emits
 // once, after the whole batch has accumulated.
 func (a *Aggregate) PushBatch(ts []data.Tuple) {
-	a.table.fold(a.next, ts, a.args, func(g *groupState) []data.Value {
-		return finalRow(g, a.specs, a.having)
+	a.table.fold(a.next, ts, a.args, func(g *groupState, dst []data.Value) []data.Value {
+		return finalRow(g, a.specs, a.having, dst)
 	})
 }
 
@@ -383,14 +405,14 @@ func accumulate(g *groupState, t data.Tuple, args []*expr.Compiled) {
 }
 
 // finalRow builds a group's visible output row — grouping columns followed
-// by finalized aggregates — or nil for a dead group / failed HAVING.
-// Shared by Aggregate and FinalMerge, whose output contracts are identical.
-func finalRow(g *groupState, specs []AggSpec, having *expr.Compiled) []data.Value {
+// by finalized aggregates — in dst's backing array when it has room, or
+// returns nil for a dead group / failed HAVING. Shared by Aggregate and
+// FinalMerge, whose output contracts are identical.
+func finalRow(g *groupState, specs []AggSpec, having *expr.Compiled, dst []data.Value) []data.Value {
 	if g.count <= 0 {
 		return nil
 	}
-	out := make([]data.Value, 0, len(g.keyVals)+len(specs))
-	out = append(out, g.keyVals...)
+	out := append(slices.Grow(dst[:0], len(g.keyVals)+len(specs)), g.keyVals...)
 	for i, s := range specs {
 		out = append(out, g.aggs[i].result(s.Kind))
 	}

@@ -1,9 +1,12 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -182,22 +185,153 @@ func twoPhaseRig(t *testing.T, having expr.Expr) *batchRig {
 func joinRig(t *testing.T, having expr.Expr) *batchRig {
 	l, r := batchSchema("l"), batchSchema("r")
 	joined := l.Concat(r)
-	specs := []AggSpec{
-		{Kind: AggCount, Alias: "cnt"},
-		{Kind: AggSum, Arg: expr.C("l.v"), Alias: "s"},
-		{Kind: AggAvg, Arg: expr.C("r.v"), Alias: "a"},
-		{Kind: AggMin, Arg: expr.C("r.v"), Alias: "lo"},
-		{Kind: AggMax, Arg: expr.C("l.v"), Alias: "hi"},
-	}
-	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(joined, []string{"l.g"}, specs)))
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(joined, []string{"l.g"}, joinSpecs)))
 	chk := newDeltaCheck(t, "join aggregate", mat, 1, true)
-	agg := must[*Aggregate](t)(NewAggregate(chk, joined, []string{"l.g"}, specs, having))
+	agg := must[*Aggregate](t)(NewAggregate(chk, joined, []string{"l.g"}, joinSpecs, having))
 	j := must[*Join](t)(NewJoin(agg, l, r, []string{"g"}, []string{"g"}, nil))
+	rig := joinSides(j, []Checkpointer{j, agg, mat}, mat)
+	rig.checks = []*deltaCheck{chk}
+	return rig
+}
+
+// joinSpecs are the aggregates the join rigs fold: every kind, MIN and MAX
+// over both join inputs.
+var joinSpecs = []AggSpec{
+	{Kind: AggCount, Alias: "cnt"},
+	{Kind: AggSum, Arg: expr.C("l.v"), Alias: "s"},
+	{Kind: AggAvg, Arg: expr.C("r.v"), Alias: "a"},
+	{Kind: AggMin, Arg: expr.C("r.v"), Alias: "lo"},
+	{Kind: AggMax, Arg: expr.C("l.v"), Alias: "hi"},
+}
+
+// The reuse rigs put a consumer that keeps nothing behind every producer, so
+// the join writes its rows into a pooled arena and the aggregates build rows
+// in the ones they retracted. With retain set, a pass-through that may keep
+// what it is handed (retaining) sits in front of each such consumer instead,
+// and every row is fresh: the twin whose checkpoints the reuse run must
+// match.
+
+// joinReuseRig is Join → Aggregate → Materialize.
+func joinReuseRig(t *testing.T, having expr.Expr, retain bool) *batchRig {
+	l, r := batchSchema("l"), batchSchema("r")
+	joined := l.Concat(r)
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(joined, []string{"l.g"}, joinSpecs)))
+	agg := must[*Aggregate](t)(NewAggregate(maybeRetaining(mat, retain), joined, []string{"l.g"}, joinSpecs, having))
+	j := must[*Join](t)(NewJoin(maybeRetaining(agg, retain), l, r, []string{"g"}, []string{"g"}, nil))
+	return joinSides(j, []Checkpointer{j, agg, mat}, mat)
+}
+
+// joinTwoPhaseReuseRig is Join → PartialAggregate → FinalMerge → Materialize.
+func joinTwoPhaseReuseRig(t *testing.T, having expr.Expr, retain bool) *batchRig {
+	l, r := batchSchema("l"), batchSchema("r")
+	joined := l.Concat(r)
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(joined, []string{"l.g"}, joinSpecs)))
+	fm := must[*FinalMerge](t)(NewFinalMerge(maybeRetaining(mat, retain), joined, []string{"l.g"}, joinSpecs, having))
+	pa := must[*PartialAggregate](t)(NewPartialAggregate(maybeRetaining(fm, retain), joined, []string{"l.g"}, joinSpecs))
+	j := must[*Join](t)(NewJoin(maybeRetaining(pa, retain), l, r, []string{"g"}, []string{"g"}, nil))
+	return joinSides(j, []Checkpointer{j, pa, fm, mat}, mat)
+}
+
+// joinProjectReuseRig is Join → Project → Materialize; it has no HAVING.
+func joinProjectReuseRig(t *testing.T, _ expr.Expr, retain bool) *batchRig {
+	l, r := batchSchema("l"), batchSchema("r")
+	joined := l.Concat(r)
+	items := []ProjectItem{
+		{Expr: expr.C("l.g")},
+		{Expr: expr.Bin{Op: expr.OpAdd, L: expr.C("l.v"), R: expr.C("r.v")}, Alias: "sum"},
+		{Expr: expr.C("r.v")},
+	}
+	mat := NewMaterialize(must[*data.Schema](t)(OutSchema(joined, items)))
+	p := must[*Project](t)(NewProject(maybeRetaining(mat, retain), joined, items))
+	j := must[*Join](t)(NewJoin(maybeRetaining(p, retain), l, r, []string{"g"}, []string{"g"}, nil))
+	return joinSides(j, []Checkpointer{j, mat}, mat)
+}
+
+func maybeRetaining(op Operator, retain bool) Operator {
+	if retain {
+		return retaining(op)
+	}
+	return op
+}
+
+// joinSides is a rig fed through j's two inputs.
+func joinSides(j *Join, cks []Checkpointer, mat *Materialize) *batchRig {
 	sides := []Operator{j.Left(), j.Right()}
 	return &batchRig{
 		push:      func(side int, tu data.Tuple) { sides[side].Push(tu) },
 		pushBatch: func(side int, ts []data.Tuple) { PushBatch(sides[side], ts) },
-		cks:       []Checkpointer{j, agg, mat}, checks: []*deltaCheck{chk}, mat: mat,
+		cks:       cks, mat: mat,
+	}
+}
+
+// canonState decodes an EncodeCheckpoint payload into a form two runs that
+// hold the same state agree on: hash-table and group order sorted by key.
+// The payload bytes themselves differ between identical runs, because gob
+// encodes maps (the aggregates' value multisets) in map order.
+func canonState(t *testing.T, payload []byte) []OpState {
+	t.Helper()
+	var states []OpState
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&states); err != nil {
+		t.Fatal(err)
+	}
+	// order returns the permutation that sorts n items by key, then by tie.
+	order := func(n int, key func(int) string, tie func(int) vtime.Time) []int {
+		keys, idx := make([]string, n), make([]int, n)
+		for i := range idx {
+			keys[i], idx[i] = key(i), i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			if ka, kb := keys[idx[a]], keys[idx[b]]; ka != kb {
+				return ka < kb
+			}
+			return tie(idx[a]) < tie(idx[b])
+		})
+		return idx
+	}
+	byKey := func(ts []data.Tuple) []data.Tuple {
+		out := make([]data.Tuple, len(ts))
+		for i, k := range order(len(ts), func(i int) string { return ts[i].Key() }, func(i int) vtime.Time { return ts[i].TS }) {
+			out[i] = ts[k]
+		}
+		return out
+	}
+	noTie := func(int) vtime.Time { return 0 }
+	for _, s := range states {
+		switch {
+		case s.Join != nil:
+			s.Join.L, s.Join.R = byKey(s.Join.L), byKey(s.Join.R)
+		case s.Groups != nil:
+			gs := s.Groups.Groups
+			out := make([]GroupState, len(gs))
+			for i, k := range order(len(gs), func(i int) string { return data.Tuple{Vals: gs[i].KeyVals}.Key() }, noTie) {
+				out[i] = gs[k]
+			}
+			s.Groups.Groups = out
+		case s.Rows != nil:
+			rows := s.Rows
+			ts, counts := make([]data.Tuple, len(rows.Tuples)), make([]int64, len(rows.Tuples))
+			for i, k := range order(len(ts), func(i int) string { return rows.Tuples[i].Key() }, noTie) {
+				ts[i], counts[i] = rows.Tuples[k], rows.Counts[k]
+			}
+			rows.Tuples, rows.Counts = ts, counts
+		}
+	}
+	return states
+}
+
+// requireSameState fails unless the two rigs' checkpoints hold the same state.
+func requireSameState(t *testing.T, ctx string, got, want *batchRig) {
+	t.Helper()
+	g, err := EncodeCheckpoint(got.cks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := EncodeCheckpoint(want.cks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs, ws := canonState(t, g), canonState(t, w); !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("%s: checkpoint differs from the run without reuse\ngot:  %+v\nwant: %+v", ctx, gs, ws)
 	}
 }
 
@@ -285,31 +419,56 @@ func bitEqual(a, b data.Tuple) bool {
 func TestBatchCutsMatchPerTuple(t *testing.T) {
 	having := expr.Bin{Op: expr.OpGe, L: expr.C("cnt"), R: expr.L(2)}
 	rigs := []struct {
-		name   string
-		build  func(*testing.T, expr.Expr) *batchRig
-		ghosts bool
+		name  string
+		build func(*testing.T, expr.Expr) *batchRig
+		// reuse, set instead of build, builds a reuse rig (retain false) and
+		// its twin without reuse (retain true), which takes the same batches
+		// and must hold the same checkpoint state after each.
+		reuse    func(t *testing.T, having expr.Expr, retain bool) *batchRig
+		ghosts   bool
+		noHaving bool
+		tuples   int // per seed; 1500 when 0
 	}{
-		{"aggregate", aggRig, true},
-		{"two-phase", twoPhaseRig, true},
-		{"join-aggregate", joinRig, false}, // a join input never sees a delete of a tuple it did not see
+		{name: "aggregate", build: aggRig, ghosts: true},
+		{name: "two-phase", build: twoPhaseRig, ghosts: true},
+		{name: "join-aggregate", build: joinRig}, // a join input never sees a delete of a tuple it did not see
+		{name: "join-aggregate-reuse", reuse: joinReuseRig},
+		{name: "join-two-phase-reuse", reuse: joinTwoPhaseReuseRig},
+		{name: "join-project-reuse", reuse: joinProjectReuseRig, noHaving: true, tuples: 400}, // every joined row reaches the result
 	}
 	for _, rc := range rigs {
+		build := rc.build
+		if rc.reuse != nil {
+			build = func(t *testing.T, h expr.Expr) *batchRig { return rc.reuse(t, h, false) }
+		}
+		n := rc.tuples
+		if n == 0 {
+			n = 1500
+		}
 		for _, mask := range []uint64{^uint64(0), 0} {
 			for hi, hv := range []expr.Expr{nil, having} {
+				if hi > 0 && rc.noHaving {
+					continue
+				}
 				name := fmt.Sprintf("%s/mask=%x/having=%d", rc.name, mask, hi)
 				t.Run(name, func(t *testing.T) {
 					defer SetTestHashMask(SetTestHashMask(mask))
 					for seed := int64(1); seed <= 8; seed++ {
 						rng := rand.New(rand.NewSource(seed))
-						segs := randomSegments(rng, 1500, rc.ghosts)
-						ref, rig := rc.build(t, hv), rc.build(t, hv)
+						segs := randomSegments(rng, n, rc.ghosts)
+						ref, rig := build(t, hv), build(t, hv)
+						var twin *batchRig
+						if rc.reuse != nil {
+							twin = rc.reuse(t, hv, true)
+						}
 						restoreAt := rng.Intn(len(segs))
 						for i, seg := range segs {
+							ctx := fmt.Sprintf("seed %d segment %d", seed, i)
 							if i == restoreAt {
 								// A checkpoint between two batches carries
 								// everything: a restored pipeline goes on as
 								// the original would have.
-								fresh := rc.build(t, hv)
+								fresh := build(t, hv)
 								fresh.restoreFrom(t, rig)
 								rig = fresh
 							}
@@ -319,7 +478,11 @@ func TestBatchCutsMatchPerTuple(t *testing.T) {
 							}
 							rig.pushBatch(seg.side, cloneAll(seg.ts))
 							rig.endBatch()
-							requireBitEqual(t, fmt.Sprintf("seed %d segment %d", seed, i), rig.mat, ref.mat)
+							requireBitEqual(t, ctx, rig.mat, ref.mat)
+							if twin != nil {
+								twin.pushBatch(seg.side, cloneAll(seg.ts))
+								requireSameState(t, ctx, rig, twin)
+							}
 						}
 					}
 				})
@@ -395,6 +558,9 @@ func TestJoinBatchScratchCleared(t *testing.T) {
 		if tu.Vals != nil {
 			t.Fatalf("scratch still holds %v", tu)
 		}
+	}
+	if !j.reuse || j.arena != nil {
+		t.Fatalf("join into a Collector: reuse %t, arena kept after the call", j.reuse)
 	}
 }
 

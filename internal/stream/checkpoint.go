@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 
 	"aspen/internal/data"
@@ -201,7 +202,11 @@ func (d *Distinct) RestoreState(s OpState) error {
 	return nil
 }
 
-// checkpoint snapshots every live group of a groupTable.
+// checkpoint snapshots every live group of a groupTable. The state aliases
+// each group's keyVals and lastOut rather than copying them. For lastOut
+// that is safe only because EncodeCheckpoint encodes the state on the
+// operator's goroutine before the next push: once retracted, a lastOut may
+// become the group's spare and be overwritten (groupTable.reuse).
 func (gt *groupTable) checkpoint() *GroupsState {
 	st := &GroupsState{Groups: make([]GroupState, 0, gt.n)}
 	for _, bucket := range gt.groups {
@@ -234,7 +239,9 @@ func (gt *groupTable) restore(st *GroupsState) error {
 		}
 		g := &groupState{keyVals: gc.KeyVals, count: gc.Count, aggs: make([]aggState, gt.nAggs)}
 		if gc.HasOut {
-			g.lastOut = gc.LastOut
+			// A copy: the group may later build rows in its retracted
+			// lastOut, and it writes only into rows it built itself.
+			g.lastOut = slices.Clone(gc.LastOut)
 		}
 		for i, a := range gc.Aggs {
 			vals := a.Vals

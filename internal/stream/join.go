@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
@@ -31,7 +33,18 @@ type Join struct {
 	// batch collects the joined rows of one input call for one downstream
 	// dispatch; cleared after it, so it pins no row between calls.
 	batch []data.Tuple
+	// reuse: next keeps nothing, so the joined rows of one input call are
+	// written into arena, taken from joinArenas for the call and returned
+	// after the dispatch; nil between calls.
+	reuse bool
+	arena *[]data.Value
 }
+
+// joinArenas recycles the value arenas joins write their rows into in front
+// of a consumer that keeps nothing. A pool and not one arena per join: a
+// tick's expiry batch can join thousands of rows, and an arena kept by its
+// join would pin that high-water mark for good.
+var joinArenas = sync.Pool{New: func() any { return new([]data.Value) }}
 
 type joinInput struct {
 	j    *Join
@@ -57,6 +70,9 @@ func (ji *joinInput) Push(t data.Tuple) {
 // tuple-at-a-time pushes — go downstream as one batch.
 func (ji *joinInput) PushBatch(ts []data.Tuple) {
 	j := ji.j
+	if j.reuse {
+		j.arena = joinArenas.Get().(*[]data.Value)
+	}
 	out := j.batch[:0]
 	for _, t := range ts {
 		out = j.apply(t, ji.left, out)
@@ -65,6 +81,12 @@ func (ji *joinInput) PushBatch(ts []data.Tuple) {
 	if len(out) > 0 {
 		PushBatch(j.next, out)
 		clear(out)
+	}
+	if a := j.arena; a != nil {
+		clear(*a) // a pooled arena must not pin the values it held
+		*a = (*a)[:0]
+		joinArenas.Put(a)
+		j.arena = nil
 	}
 }
 
@@ -79,6 +101,7 @@ func NewJoin(next Operator, left, right *data.Schema, lCols, rCols []string, res
 	j := &Join{
 		next: next, left: left, right: right, out: out,
 		lTable: map[uint64][]data.Tuple{}, rTable: map[uint64][]data.Tuple{},
+		reuse: keepsNothing(next),
 	}
 	// Key slices stay non-nil: HashOn(t, nil) means "all columns", but an
 	// empty key list means a pure cross/residual join (single bucket).
@@ -158,12 +181,11 @@ func (j *Join) apply(t data.Tuple, fromLeft bool, out []data.Tuple) []data.Tuple
 		if !t.EqualOn(myKey, m, otherKey) {
 			continue // hash collision, not a join partner
 		}
-		var joined data.Tuple
-		if fromLeft {
-			joined = t.Concat(m)
-		} else {
-			joined = m.Concat(t)
+		l, r := t, m
+		if !fromLeft {
+			l, r = m, t
 		}
+		joined := l.ConcatInto(j.rowBuf(len(l.Vals)+len(r.Vals)), r)
 		joined.Op = t.Op
 		if joined.TS < t.TS {
 			joined.TS = t.TS
@@ -174,6 +196,17 @@ func (j *Join) apply(t data.Tuple, fromLeft bool, out []data.Tuple) []data.Tuple
 		out = append(out, joined)
 	}
 	return out
+}
+
+// rowBuf returns room for one joined row of n values: the next n values of
+// the call's arena when there is one, nil (fresh Vals) otherwise.
+func (j *Join) rowBuf(n int) []data.Value {
+	if j.arena == nil {
+		return nil
+	}
+	a := slices.Grow(*j.arena, n)
+	*j.arena = a[:len(a)+n]
+	return a[len(a) : len(a) : len(a)+n]
 }
 
 // SizeLeft and SizeRight report table populations for plan displays.

@@ -36,11 +36,17 @@ import (
 // their producers (Materialize, Collector, Distinct) copy what they keep, so
 // a displayed row never pins the batch it arrived in.
 //
-// The one exception is a copying sink — Materialize or Collector — which
-// keeps nothing it was handed once Push or PushBatch returns: a Project
-// feeding one writes every batch into the same reused buffer. Every other
-// consumer, Distinct (which forwards what it gets) included, is handed Vals
-// nobody writes to again.
+// The one exception is a consumer that keeps nothing (keepsNothing): it
+// holds none of the Vals it was handed once Push or PushBatch returns. Those
+// are Materialize and Collector, which copy, and Project, Aggregate,
+// PartialAggregate and FinalMerge, which read values out and build rows of
+// their own. Three producers write into reused memory in front of one:
+// Project writes every batch into one buffer, Join writes the rows of one
+// input call into a pooled arena, and the aggregates build a group's next
+// row in the row it last retracted. Every other consumer — Window, Join,
+// Distinct (which forwards what it gets), Fanout and Input, GroupedFilter,
+// Filter, Sharder and Merge, callbacks — is handed Vals nobody writes to
+// again. The plan's shape decides which applies; there is no option.
 type Operator interface {
 	// Schema describes the tuples this operator accepts.
 	Schema() *data.Schema
@@ -80,6 +86,17 @@ func PushBatch(op Operator, ts []data.Tuple) {
 	for _, t := range ts {
 		op.Push(t)
 	}
+}
+
+// keepsNothing reports whether op holds none of the Vals it was handed once
+// its Push or PushBatch returns, so a producer in front of it may write its
+// next output into the same memory (see the ownership rule on Operator).
+func keepsNothing(op Operator) bool {
+	switch op.(type) {
+	case *Materialize, *Collector, *Project, *Aggregate, *PartialAggregate, *FinalMerge:
+		return true
+	}
+	return false
 }
 
 // testHashMask narrows operator key hashes; tests set it to 0 to force
@@ -147,10 +164,10 @@ type Project struct {
 	exprs  []*expr.Compiled
 	schema *data.Schema
 	batch  []data.Tuple // scratch for PushBatch
-	// copier: next is a copying sink (Materialize, Collector), so outputs are
-	// written into the reused buf instead of fresh Vals.
-	copier bool
-	buf    []data.Value
+	// reuse: next keeps nothing, so outputs are written into the reused buf
+	// instead of fresh Vals.
+	reuse bool
+	buf   []data.Value
 }
 
 // ProjectItem is one projected expression with an optional alias.
@@ -174,12 +191,7 @@ func NewProject(next Operator, in *data.Schema, items []ProjectItem) (*Project, 
 		}
 		exprs[i] = c
 	}
-	p := &Project{next: next, exprs: exprs, schema: in}
-	switch next.(type) {
-	case *Materialize, *Collector:
-		p.copier = true
-	}
-	return p, nil
+	return &Project{next: next, exprs: exprs, schema: in, reuse: keepsNothing(next)}, nil
 }
 
 // OutSchema computes the schema a projection over in would produce:
@@ -219,8 +231,8 @@ func (p *Project) Push(t data.Tuple) {
 }
 
 // PushBatch implements BatchOperator: output rows share one backing array —
-// the reused buffer in front of a copying sink, a fresh one per batch
-// otherwise.
+// the reused buffer in front of a consumer that keeps nothing, a fresh one
+// per batch otherwise.
 func (p *Project) PushBatch(ts []data.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -242,7 +254,7 @@ func (p *Project) PushBatch(ts []data.Tuple) {
 
 // vals returns room for k output values.
 func (p *Project) vals(k int) []data.Value {
-	if !p.copier {
+	if !p.reuse {
 		return make([]data.Value, k)
 	}
 	p.buf = slices.Grow(p.buf[:0], k)[:k]

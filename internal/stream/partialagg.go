@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
@@ -70,7 +71,7 @@ func NewPartialAggregate(next Operator, in *data.Schema, groupBy []string, specs
 		return nil, err
 	}
 	a := &PartialAggregate{next: next, in: in, out: out, specs: specs,
-		table: newGroupTable(in, groupBy, len(specs))}
+		table: newGroupTable(next, in, groupBy, len(specs))}
 	if a.args, err = bindAggArgs(in, specs); err != nil {
 		return nil, err
 	}
@@ -102,10 +103,10 @@ func (a *PartialAggregate) PushBatch(ts []data.Tuple) {
 	a.table.fold(a.next, ts, a.args, a.partialRow)
 }
 
-// partialRow builds a live group's partial-state row.
-func (a *PartialAggregate) partialRow(g *groupState) []data.Value {
-	out := make([]data.Value, 0, len(g.keyVals)+1+2*len(a.specs))
-	out = append(out, g.keyVals...)
+// partialRow builds a live group's partial-state row in dst's backing array
+// when it has room.
+func (a *PartialAggregate) partialRow(g *groupState, dst []data.Value) []data.Value {
+	out := append(slices.Grow(dst[:0], len(g.keyVals)+1+2*len(a.specs)), g.keyVals...)
 	out = append(out, data.Int(g.count))
 	for i, s := range a.specs {
 		st := &g.aggs[i]
@@ -160,7 +161,7 @@ func NewFinalMerge(next Operator, source *data.Schema, groupBy []string, specs [
 	}
 	f := &FinalMerge{next: next, in: in, out: out, specs: specs,
 		cntIdx: len(groupBy),
-		table:  groupTable{nAggs: len(specs), groups: map[uint64][]*groupState{}}}
+		table:  groupTable{nAggs: len(specs), groups: map[uint64][]*groupState{}, reuse: keepsNothing(next)}}
 	// Group columns sit first in the partial row, in groupBy order; key on
 	// them positionally (identity indexes, like the stored key values).
 	f.table.keyIdx = make([]int, len(groupBy))
@@ -232,5 +233,5 @@ func (f *FinalMerge) Push(t data.Tuple) {
 			}
 		}
 	}
-	f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having), t.TS)
+	f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
 }

@@ -296,10 +296,10 @@ func BenchmarkMaterializeChurn(b *testing.B) {
 	}
 }
 
-// A Project in front of a copying sink writes every batch into one reused
-// buffer; in front of anything else — here a window, which keeps what it is
-// handed — every batch gets Vals of its own.
-func TestProjectReusesOnlyForCopyingSinks(t *testing.T) {
+// A Project in front of a consumer that keeps nothing writes every batch
+// into one reused buffer; in front of anything else — here a window, which
+// keeps what it is handed — every batch gets Vals of its own.
+func TestProjectReusesOnlyWhenConsumerKeepsNothing(t *testing.T) {
 	items := []ProjectItem{{Expr: expr.C("room")}, {Expr: expr.C("temp")}}
 	batch := func(ts int64, room string) []data.Tuple {
 		return []data.Tuple{temp(ts, room, 1), temp(ts, room, 2)}
@@ -320,7 +320,7 @@ func TestProjectReusesOnlyForCopyingSinks(t *testing.T) {
 	pw := must[*Project](t)(NewProject(win, tempSchema(), items))
 	pw.PushBatch(batch(1, "L1"))
 	pw.PushBatch(batch(2, "L2"))
-	if pw.copier || pw.buf != nil {
+	if pw.reuse || pw.buf != nil {
 		t.Fatal("a Project into a window reuses a buffer")
 	}
 	if rows := win.Contents(); rows[0].Vals[0].AsString() != "L1" || rows[2].Vals[0].AsString() != "L2" {
@@ -330,12 +330,16 @@ func TestProjectReusesOnlyForCopyingSinks(t *testing.T) {
 		[]string{"room"}, []string{"room"}, nil))
 	for _, next := range []Operator{NewFanout(tempSchema()), NewDistinct(mat), NewMerge(mat), j.Left(),
 		NewCallback(tempSchema(), func(data.Tuple) {})} {
-		if must[*Project](t)(NewProject(next, tempSchema(), items)).copier {
+		if must[*Project](t)(NewProject(next, tempSchema(), items)).reuse {
 			t.Errorf("a Project into a %T reuses its buffer", next)
 		}
 	}
-	if !must[*Project](t)(NewProject(NewCollector(tempSchema()), tempSchema(), items)).copier {
-		t.Error("a Project into a Collector allocates")
+	agg := must[*Aggregate](t)(NewAggregate(NewMaterialize(tempSchema()), tempSchema(), []string{"room"},
+		[]AggSpec{{Kind: AggAvg, Arg: expr.C("temp"), Alias: "a"}}, nil))
+	for _, next := range []Operator{NewCollector(tempSchema()), pm, agg} {
+		if !must[*Project](t)(NewProject(next, tempSchema(), items)).reuse {
+			t.Errorf("a Project into a %T allocates", next)
+		}
 	}
 }
 

@@ -286,9 +286,11 @@ func appendBatchRows(b []byte, ts []data.Tuple) []byte {
 }
 
 // wireReader decodes frames off a connection, reusing one payload buffer
-// across frames.
+// and one length header across frames (a header local to next would escape
+// through io.ReadFull once per frame).
 type wireReader struct {
 	r   *bufio.Reader
+	hdr [4]byte
 	buf []byte
 }
 
@@ -304,11 +306,10 @@ func (r *wireReader) buffered() int { return r.r.Buffered() }
 // next reads one frame. The returned body aliases the reader's scratch
 // buffer and is valid until the next call.
 func (r *wireReader) next() (frameKind, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(r.hdr[:])
 	if n < 1 || n > wireMaxFrame {
 		return 0, nil, fmt.Errorf("stream: wire frame length %d out of range", n)
 	}
