@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench bench-check tables-check allocs
+.PHONY: all build test vet fmt check bench bench-check tables-check allocs push-check
 
 all: check
 
@@ -16,7 +16,7 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt test bench-check tables-check allocs
+check: build vet fmt push-check test bench-check tables-check allocs
 
 # bench-check vets and tests the repository benchmark, a module of its own
 # under bench/ that ./... at the root does not reach; mirrored by the CI
@@ -50,6 +50,15 @@ allocs:
 			{ echo "make $@: test $$test not found in $$pkg"; exit 1; }; \
 		$(GO) test -count=3 -run "^$$test\$$" $$pkg || exit 1; \
 	done
+
+# push-check keeps the engine on one push path: every operator's work lives
+# in its PushBatch, and a producer that emits one row at a time hands it on
+# through a stream.Slot it owns. It fails when non-test Go under internal/ or
+# cmd/ calls .Push( on anything but container/heap, so a tuple-at-a-time
+# producer cannot creep back in. Mirrored by the CI build-and-test job.
+push-check:
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Push(' internal cmd | grep -v 'heap\.Push(')"; \
+	if [ -n "$$out" ]; then echo "make $@: Push calls outside tests (use PushBatch, or a stream.Slot for one row):"; echo "$$out"; exit 1; fi
 
 # bench runs the microbenchmarks with allocation stats where they live —
 # the paper experiments' at the root, the join+aggregate shard sweep
@@ -166,14 +175,9 @@ fuzz-smoke:
 		fi; \
 	done
 
-# cover gates statement coverage of the partition-parallel core packages:
-# the floors rise as coverage grows (PR 3 introduced the gate; PR 5 raised
-# it with the failover subsystem; PR 6 with the wire codec + mux tests;
-# PR 7 with the elastic rescale + coordinator snapshot tests; PR 8 with
-# the detach/fanout and shared-prefix tests; PR 9 added the sensor floor
-# with the fragment runner + churn tests; PR 10 raised the plan floor
-# with the snapshot v2 restart differentials and fragment round-trip
-# tests), so new code must arrive tested.
+# cover gates statement coverage of the partition-parallel core packages and
+# the sensor runners. The floors only rise, and new code arrives tested: a
+# change that would lower coverage adds the tests, never a lower floor.
 COVER_FLOOR_STREAM := 92.0
 COVER_FLOOR_PLAN   := 89.5
 COVER_FLOOR_SENSOR := 86.5

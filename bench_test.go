@@ -168,7 +168,7 @@ func BenchmarkE6IncrementalView(b *testing.B) {
 			Schema: vs, EdgeSchema: es,
 			ViewKey: []string{"p.dst"}, EdgeKey: []string{"e.src"},
 			Project: []stream.ProjectItem{{Expr: expr.C("p.src")}, {Expr: expr.C("e.dst")}},
-		}, stream.NewCallback(vs, func(data.Tuple) {}))
+		}, stream.NewCallback(vs, func([]data.Tuple) {}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,8 +177,9 @@ func BenchmarkE6IncrementalView(b *testing.B) {
 			if del {
 				t = t.Negate()
 			}
-			v.BaseInput().Push(t)
-			v.EdgeInput().Push(t)
+			one := []data.Tuple{t}
+			v.BaseInput().PushBatch(one)
+			v.EdgeInput().PushBatch(one)
 		}
 		return v, feed
 	}

@@ -160,7 +160,7 @@ func (rt *Runtime) deployRecursive(sqlText string, wr *sql.WithRecursive) (*Quer
 		Residual:   expr.Conjoin(residual),
 		Project:    project,
 		MaxDepth:   rt.recursion,
-	}, stream.NewBatchCallback(viewSchema, func(ts []data.Tuple) { viewIn.PushBatch(ts) }))
+	}, stream.NewCallback(viewSchema, viewIn.PushBatch))
 	if err != nil {
 		return fail(err)
 	}
@@ -244,5 +244,5 @@ func (rt *Runtime) loadRelation(rel *data.Relation, head stream.Operator) {
 		rows = append(rows, t)
 		return true
 	})
-	stream.PushBatch(head, rows)
+	head.PushBatch(rows)
 }

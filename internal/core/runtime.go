@@ -309,18 +309,18 @@ func (rt *Runtime) startFragmentRunners(q *Query, frags []plan.SensorFragment) e
 				return err
 			}
 		}
-		sink := func(ts []data.Tuple) { in.PushBatch(ts) }
+		sink := in.PushBatch
 		switch {
 		case f.Select != nil:
-			q.runners = append(q.runners, rt.sensors.StartSelectBatch(f.Select, rt.Sched, sink))
+			q.runners = append(q.runners, rt.sensors.StartSelect(f.Select, rt.Sched, sink))
 		case f.Join != nil:
 			st, err := rt.sensors.PlanJoin(f.Join)
 			if err != nil {
 				return err
 			}
-			q.runners = append(q.runners, rt.sensors.StartJoinBatch(st, rt.Sched, sink))
+			q.runners = append(q.runners, rt.sensors.StartJoin(st, rt.Sched, sink))
 		case f.Agg != nil:
-			q.runners = append(q.runners, rt.sensors.StartAggregateBatch(f.Agg, rt.Sched, sink))
+			q.runners = append(q.runners, rt.sensors.StartAggregate(f.Agg, rt.Sched, sink))
 		}
 	}
 	return nil

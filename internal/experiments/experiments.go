@@ -322,7 +322,7 @@ func e6Run(n int) e6Result {
 			Schema: vs, EdgeSchema: es,
 			ViewKey: []string{"p.dst"}, EdgeKey: []string{"e.src"},
 			Project: []stream.ProjectItem{{Expr: expr.C("p.src")}, {Expr: expr.C("e.dst")}},
-		}, stream.NewCallback(vs, func(data.Tuple) {}))
+		}, stream.NewCallback(vs, func([]data.Tuple) {}))
 		if err != nil {
 			panic(err)
 		}
@@ -333,8 +333,9 @@ func e6Run(n int) e6Result {
 		if del {
 			t = t.Negate()
 		}
-		v.BaseInput().Push(t)
-		v.EdgeInput().Push(t)
+		one := []data.Tuple{t}
+		v.BaseInput().PushBatch(one)
+		v.EdgeInput().PushBatch(one)
 	}
 	var r e6Result
 	// incremental: build once, churn one edge repeatedly

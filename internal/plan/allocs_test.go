@@ -73,7 +73,7 @@ type epochGen struct {
 const genEpoch = 64
 
 // feed pushes the next epoch as one batch per input.
-func (g *epochGen) feed(l, r stream.BatchOperator) {
+func (g *epochGen) feed(l, r stream.Operator) {
 	g.lb, g.rb = g.lb[:0], g.rb[:0]
 	vals := make([]data.Value, 2*genEpoch)
 	for k := range genEpoch {
@@ -183,7 +183,8 @@ func BenchmarkRemoteJoinAgg(b *testing.B) {
 // four cuts so the plans overlap heavily — deployed privately or through
 // one Sharing registry.
 type queryDensity struct {
-	in *stream.Input
+	in   *stream.Input
+	slot stream.Slot
 }
 
 func newQueryDensity(tb testing.TB, q int, shared bool) *queryDensity {
@@ -212,9 +213,12 @@ func newQueryDensity(tb testing.TB, q int, shared bool) *queryDensity {
 }
 
 // feed pushes the i-th tuple (key i%64) at ts+50ms and returns the new ts.
+// Like every single-row producer of the engine, it sends the tuple as a
+// batch of one through a slot it owns: Input.Push would allocate that batch,
+// since the slice escapes into the subscribers.
 func (qd *queryDensity) feed(i int, ts vtime.Time) vtime.Time {
 	ts += vtime.Time(50 * time.Millisecond)
-	qd.in.Push(data.Tuple{Vals: []data.Value{data.Int(int64(i % 64)), data.Float(float64(i))}, TS: ts})
+	qd.slot.Send(qd.in, data.Tuple{Vals: []data.Value{data.Int(int64(i % 64)), data.Float(float64(i))}, TS: ts})
 	return ts
 }
 

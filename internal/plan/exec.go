@@ -27,7 +27,7 @@ type TableHead struct {
 // downstream dispatch (lock acquisitions, transport frames) over the whole
 // initial table load.
 func (th TableHead) Load(rows []data.Tuple) {
-	stream.PushBatch(th.Head, rows)
+	th.Head.PushBatch(rows)
 }
 
 // Deployment is a compiled continuous query running on a stream engine.

@@ -251,7 +251,7 @@ func (r *fragRunner) Advance(now vtime.Time) {
 		r.run(at, func(t data.Tuple) { r.buf = append(r.buf, t) })
 		r.next = r.next.Add(r.period)
 		if len(r.buf) > 0 {
-			stream.PushBatch(r.head, r.buf)
+			r.head.PushBatch(r.buf)
 			clear(r.buf)
 			r.buf = r.buf[:0]
 		}

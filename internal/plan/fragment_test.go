@@ -32,6 +32,11 @@ type collectOp struct {
 
 func (c *collectOp) Schema() *data.Schema { return c.schema }
 func (c *collectOp) Push(t data.Tuple)    { c.got = append(c.got, t.Clone()) }
+func (c *collectOp) PushBatch(ts []data.Tuple) {
+	for _, t := range ts {
+		c.Push(t)
+	}
+}
 
 // TestFragmentCheckpointRoundTrip advances a select fragment runner, moves
 // its checkpoint into a fresh runner, and checks the restored runner

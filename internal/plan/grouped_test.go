@@ -19,8 +19,9 @@ type recorder struct {
 	got    []data.Tuple
 }
 
-func (r *recorder) Schema() *data.Schema { return r.schema }
-func (r *recorder) Push(t data.Tuple)    { r.got = append(r.got, t) }
+func (r *recorder) Schema() *data.Schema      { return r.schema }
+func (r *recorder) Push(t data.Tuple)         { r.got = append(r.got, t) }
+func (r *recorder) PushBatch(ts []data.Tuple) { r.got = append(r.got, ts...) }
 
 // groupedSchema is the differential's stream: a column per comparable
 // class, with numbers of both kinds in the two numeric ones.
@@ -191,7 +192,7 @@ func TestGroupedFilterDifferential(t *testing.T) {
 				in.PushBatch(batch)
 			}
 			for _, q := range live {
-				stream.PushBatch(q.head, batch)
+				q.head.PushBatch(batch)
 				offered += len(batch)
 			}
 		}

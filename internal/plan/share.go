@@ -527,7 +527,7 @@ func warmStart(ch *sharedChain, out stream.Operator) {
 		out = stream.NewFilter(out, ch.pred)
 	}
 	if ch.win != nil && ch.win.Len() > 0 {
-		stream.PushBatch(out, ch.win.Contents())
+		out.PushBatch(ch.win.Contents())
 	}
 }
 

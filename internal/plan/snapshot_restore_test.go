@@ -172,7 +172,7 @@ func TestSnapshotSkipListSurfaced(t *testing.T) {
 	}
 	s1, _ := engA.Input("S1")
 	elsewhere := engA.MustRegister("Elsewhere", s1.Schema())
-	alien.Feed(elsewhere, stream.NewCallback(s1.Schema(), func(tu data.Tuple) { s1.Push(tu) }))
+	alien.Feed(elsewhere, stream.NewCallback(s1.Schema(), s1.PushBatch))
 	skipped, err := coordA.Save()
 	if err != nil {
 		t.Fatal(err)

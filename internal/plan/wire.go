@@ -221,20 +221,11 @@ func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 type resultSink struct {
 	schema *data.Schema
 	send   stream.ResultSender
-	// one is the singleton batch Push sends through. A replica has a single
-	// writer and send only borrows the slice for the call, so reusing it
-	// keeps per-tuple emitters (aggregates, joins) allocation-free — a
-	// fresh [1]Tuple would escape through the func value on every row.
-	one [1]data.Tuple
 }
 
 func (r *resultSink) Schema() *data.Schema { return r.schema }
 
-func (r *resultSink) Push(t data.Tuple) {
-	r.one[0] = t
-	_ = r.send(r.one[:])
-	r.one[0] = data.Tuple{}
-}
+func (r *resultSink) Push(t data.Tuple) { r.PushBatch([]data.Tuple{t}) }
 
 func (r *resultSink) PushBatch(ts []data.Tuple) { _ = r.send(ts) }
 

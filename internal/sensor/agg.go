@@ -283,9 +283,9 @@ func (e *Engine) emitGroups(q *AggregateQuery, groups map[string]psr, now vtime.
 	return emitted
 }
 
-// StartAggregateBatch schedules the query every q.Period (default 1s),
+// StartAggregate schedules the query every q.Period (default 1s),
 // delivering each epoch's group rows as one batch.
-func (e *Engine) StartAggregateBatch(q *AggregateQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
+func (e *Engine) StartAggregate(q *AggregateQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
 	return startEpochRunner(sched, q.Period, sink, func(now vtime.Time, deliver Sink) {
 		e.RunAggregateEpoch(q, now, deliver)
 	})

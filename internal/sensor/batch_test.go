@@ -23,7 +23,7 @@ func TestStartSelectBatchDeliversOneBatchPerEpoch(t *testing.T) {
 	sched := vtime.NewScheduler()
 	var batches int
 	var tuples []data.Tuple
-	r := e.StartSelectBatch(q, sched, func(ts []data.Tuple) {
+	r := e.StartSelect(q, sched, func(ts []data.Tuple) {
 		batches++
 		for _, tu := range ts {
 			tuples = append(tuples, tu) // tuples are receiver-owned; keep them
@@ -71,7 +71,7 @@ func TestStartAggregateBatchMatchesPerTuple(t *testing.T) {
 
 	sched := vtime.NewScheduler()
 	var batches [][]data.Tuple
-	r := e.StartAggregateBatch(q, sched, func(ts []data.Tuple) {
+	r := e.StartAggregate(q, sched, func(ts []data.Tuple) {
 		cp := make([]data.Tuple, len(ts))
 		copy(cp, ts) // the slice is reused across epochs; the tuples are ours
 		batches = append(batches, cp)

@@ -41,7 +41,7 @@ func TestRunnerStopMidEpochFromSink(t *testing.T) {
 
 	var r Runner
 	batches := 0
-	r = e.StartSelectBatch(&SelectQuery{Rel: "T", Sensor: sensornet.SensorTemperature},
+	r = e.StartSelect(&SelectQuery{Rel: "T", Sensor: sensornet.SensorTemperature},
 		sched, func(ts []data.Tuple) {
 			batches++
 			r.Stop() // reentrant: the delivery stops its own runner
@@ -65,7 +65,7 @@ func TestRunnerChurn(t *testing.T) {
 	var runners []Runner
 	for i := range counts {
 		i := i
-		runners = append(runners, e.StartSelectBatch(q, sched, func(ts []data.Tuple) {
+		runners = append(runners, e.StartSelect(q, sched, func(ts []data.Tuple) {
 			counts[i] += len(ts)
 		}))
 	}

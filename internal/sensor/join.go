@@ -317,9 +317,9 @@ func (e *Engine) RunJoinEpoch(st *JoinState, now vtime.Time, sink Sink) int {
 	return delivered
 }
 
-// StartJoinBatch schedules the join every q.Period (default 1s),
+// StartJoin schedules the join every q.Period (default 1s),
 // delivering each epoch's joined tuples as one batch.
-func (e *Engine) StartJoinBatch(st *JoinState, sched *vtime.Scheduler, sink BatchSink) Runner {
+func (e *Engine) StartJoin(st *JoinState, sched *vtime.Scheduler, sink BatchSink) Runner {
 	return startEpochRunner(sched, st.q.Period, sink, func(now vtime.Time, deliver Sink) {
 		e.RunJoinEpoch(st, now, deliver)
 	})

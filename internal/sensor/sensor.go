@@ -60,7 +60,7 @@ type Sink func(data.Tuple)
 // BatchSink receives one epoch's deliveries as a single batch. The tuples
 // are owned by the receiver like Sink deliveries; the slice itself is only
 // valid during the call (the scheduler reuses it across epochs), matching
-// the stream.BatchOperator contract.
+// the stream.Operator PushBatch contract.
 type BatchSink func(ts []data.Tuple)
 
 // epochBatch adapts a BatchSink to the per-tuple epoch runners: collect
@@ -101,7 +101,7 @@ func (b *epochBatch) detach() {
 
 // startEpochRunner schedules run every period (default 1s), collecting
 // each epoch's deliveries and flushing them to sink as one batch — the
-// shared engine behind the Start*Batch runners.
+// shared engine behind StartSelect, StartJoin and StartAggregate.
 func startEpochRunner(sched *vtime.Scheduler, period time.Duration, sink BatchSink, run func(now vtime.Time, deliver Sink)) Runner {
 	if period <= 0 {
 		period = time.Second
@@ -230,9 +230,9 @@ func (h *handle) Stop() {
 // Runner is the handle returned by Start* methods.
 type Runner interface{ Stop() }
 
-// StartSelectBatch schedules the query on sched every q.Period (default:
+// StartSelect schedules the query on sched every q.Period (default:
 // 1s), delivering each epoch's passing readings as one batch.
-func (e *Engine) StartSelectBatch(q *SelectQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
+func (e *Engine) StartSelect(q *SelectQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
 	return startEpochRunner(sched, q.Period, sink, func(now vtime.Time, deliver Sink) {
 		e.RunSelectEpoch(q, now, deliver)
 	})

@@ -192,7 +192,7 @@ func TestStartSelectPeriodic(t *testing.T) {
 	e := NewEngine(nw, constEnv(nil))
 	sched := vtime.NewScheduler()
 	var got []data.Tuple
-	r := e.StartSelectBatch(&SelectQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+	r := e.StartSelect(&SelectQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
 		Period: 10 * time.Second}, sched, collectBatch(&got))
 	sched.RunUntil(35 * vtime.Second)
 	if len(got) != 3*2 { // 3 epochs × 2 nodes
@@ -215,7 +215,7 @@ func TestStartAggregateAndJoinPeriodic(t *testing.T) {
 	e := NewEngine(nw, constEnv(nil))
 	sched := vtime.NewScheduler()
 	var aggs, joins []data.Tuple
-	ra := e.StartAggregateBatch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+	ra := e.StartAggregate(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
 		Func: AggAvg}, sched, collectBatch(&aggs))
 	st, err := e.PlanJoin(&JoinQuery{
 		Left:   JoinSide{Rel: "temp", Sensor: sensornet.SensorTemperature},
@@ -225,7 +225,7 @@ func TestStartAggregateAndJoinPeriodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj := e.StartJoinBatch(st, sched, collectBatch(&joins))
+	rj := e.StartJoin(st, sched, collectBatch(&joins))
 	sched.RunUntil(2 * vtime.Second) // default period 1s → 2 epochs
 	ra.Stop()
 	rj.Stop()

@@ -53,7 +53,7 @@ type AggSpec struct {
 }
 
 // Aggregate maintains grouped aggregates incrementally over a delta
-// stream. For every group whose result a Push or a PushBatch changed, it
+// stream. For every group whose result a PushBatch changed, it
 // emits a retraction of the group's previous output row followed by an
 // insertion of the new one, so downstream state (materialized displays,
 // HAVING filters) tracks the aggregate exactly once the call returns. A
@@ -93,6 +93,7 @@ type groupTable struct {
 	// reuse: the operator's consumer keeps nothing, so a group builds its
 	// next row in the row it last retracted (groupState.spare).
 	reuse bool
+	slot  Slot // emitRow's batch of one
 }
 
 type touchedGroup struct {
@@ -167,7 +168,7 @@ func (gt *groupTable) remove(key uint64, g *groupState) {
 // tuple accumulates in arrival order (float sums depend on it); each group
 // the batch touched emits once, when the batch ends, the row its final
 // state gives, stamped with the last tuple that reached it. A group whose
-// count reaches zero retires at that tuple, as it would on a Push: it
+// count reaches zero retires at that tuple, as it would in a batch of one: it
 // retracts its row and leaves the table, so a later insert of the key
 // starts from fresh state and a later delete of it is ignored.
 func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(g *groupState, dst []data.Value) []data.Value) {
@@ -228,11 +229,11 @@ func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut [
 		if same {
 			return // no visible change
 		}
-		next.Push(data.Tuple{Vals: g.lastOut, TS: ts, Op: data.Delete})
+		gt.slot.Send(next, data.Tuple{Vals: g.lastOut, TS: ts, Op: data.Delete})
 		g.lastOut = nil
 	}
 	if newOut != nil {
-		next.Push(data.Tuple{Vals: newOut, TS: ts, Op: data.Insert})
+		gt.slot.Send(next, data.Tuple{Vals: newOut, TS: ts, Op: data.Insert})
 		g.lastOut = newOut
 	}
 	if gt.reuse {
@@ -334,12 +335,9 @@ func (a *Aggregate) Schema() *data.Schema { return a.in }
 func (a *Aggregate) OutSchema() *data.Schema { return a.out }
 
 // Push implements Operator.
-func (a *Aggregate) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	a.PushBatch(batch[:])
-}
+func (a *Aggregate) Push(t data.Tuple) { a.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: each group the batch changed emits
+// PushBatch implements Operator: each group the batch changed emits
 // once, after the whole batch has accumulated.
 func (a *Aggregate) PushBatch(ts []data.Tuple) {
 	a.table.fold(a.next, ts, a.args, func(g *groupState, dst []data.Value) []data.Value {

@@ -15,11 +15,11 @@ import (
 	"aspen/internal/vtime"
 )
 
-// The batch path of Aggregate, PartialAggregate and Join must be invisible
-// in the result: cutting one delta stream into batches any way at all gives,
-// at every cut, bit for bit the Materialize contents that pushing the tuples
-// one by one gives, while the aggregates' own output stays a well-formed
-// delta stream that changes a group at most once per batch.
+// The batch path of every operator kind must be invisible in the result:
+// cutting one delta stream into batches any way at all gives, at every cut,
+// bit for bit the Materialize contents and the checkpoint state that pushing
+// the tuples one by one gives, while the aggregates' own output stays a
+// well-formed delta stream that changes a group at most once per batch.
 
 // deltaCheck sits behind an aggregate and fails the test when the stream it
 // forwards is not well-formed: a retraction of a row not currently asserted,
@@ -47,30 +47,34 @@ func newDeltaCheck(t *testing.T, name string, next Operator, nKey int, once bool
 
 func (c *deltaCheck) Schema() *data.Schema { return c.next.Schema() }
 
-func (c *deltaCheck) Push(t data.Tuple) {
+func (c *deltaCheck) Push(t data.Tuple) { c.PushBatch([]data.Tuple{t}) }
+
+func (c *deltaCheck) PushBatch(ts []data.Tuple) {
 	c.t.Helper()
-	g, row := t.KeyOn(c.key), t.Key()
-	last, changed := c.seen[g]
-	switch t.Op {
-	case data.Delete:
-		if c.live[g] != row {
-			c.t.Fatalf("%s: retracts %v, group asserts %q", c.name, t, c.live[g])
+	for _, t := range ts {
+		g, row := t.KeyOn(c.key), t.Key()
+		last, changed := c.seen[g]
+		switch t.Op {
+		case data.Delete:
+			if c.live[g] != row {
+				c.t.Fatalf("%s: retracts %v, group asserts %q", c.name, t, c.live[g])
+			}
+			delete(c.live, g)
+			if c.once && changed {
+				c.t.Fatalf("%s: group %q retracted after a %v in the same batch", c.name, g, last)
+			}
+		case data.Insert:
+			if old, ok := c.live[g]; ok {
+				c.t.Fatalf("%s: inserts %v over live row %q", c.name, t, old)
+			}
+			c.live[g] = row
+			if c.once && changed && last == data.Insert {
+				c.t.Fatalf("%s: group %q inserted twice in one batch", c.name, g)
+			}
 		}
-		delete(c.live, g)
-		if c.once && changed {
-			c.t.Fatalf("%s: group %q retracted after a %v in the same batch", c.name, g, last)
-		}
-	case data.Insert:
-		if old, ok := c.live[g]; ok {
-			c.t.Fatalf("%s: inserts %v over live row %q", c.name, t, old)
-		}
-		c.live[g] = row
-		if c.once && changed && last == data.Insert {
-			c.t.Fatalf("%s: group %q inserted twice in one batch", c.name, g)
-		}
+		c.seen[g] = t.Op
 	}
-	c.seen[g] = t.Op
-	c.next.Push(t)
+	c.next.PushBatch(ts)
 }
 
 func (c *deltaCheck) endBatch() { clear(c.seen) }
@@ -81,9 +85,12 @@ func (c *deltaCheck) endBatch() { clear(c.seen) }
 type batchRig struct {
 	push      func(side int, t data.Tuple)
 	pushBatch func(side int, ts []data.Tuple)
-	cks       []Checkpointer // every stateful operator, the result included
-	checks    []*deltaCheck
-	mat       *Materialize
+	// tick, when set, runs after every segment in every run: a clock tick
+	// for the window rigs, a flush barrier for the sharded one.
+	tick   func(now vtime.Time)
+	cks    []Checkpointer // every stateful operator, the result included
+	checks []*deltaCheck
+	mat    *Materialize
 }
 
 func (r *batchRig) endBatch() {
@@ -140,11 +147,9 @@ func aggRig(t *testing.T, having expr.Expr) *batchRig {
 	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(in, []string{"g"}, batchSpecs)))
 	chk := newDeltaCheck(t, "aggregate", mat, 1, true)
 	agg := must[*Aggregate](t)(NewAggregate(chk, in, []string{"g"}, batchSpecs, having))
-	return &batchRig{
-		push:      func(_ int, tu data.Tuple) { agg.Push(tu) },
-		pushBatch: func(_ int, ts []data.Tuple) { agg.PushBatch(ts) },
-		cks:       []Checkpointer{agg, mat}, checks: []*deltaCheck{chk}, mat: mat,
-	}
+	rig := headsRig(both(agg), []Checkpointer{agg, mat}, mat)
+	rig.checks = []*deltaCheck{chk}
+	return rig
 }
 
 // twoPhaseRig is 3 × PartialAggregate → Merge → FinalMerge → Materialize,
@@ -189,7 +194,7 @@ func joinRig(t *testing.T, having expr.Expr) *batchRig {
 	chk := newDeltaCheck(t, "join aggregate", mat, 1, true)
 	agg := must[*Aggregate](t)(NewAggregate(chk, joined, []string{"l.g"}, joinSpecs, having))
 	j := must[*Join](t)(NewJoin(agg, l, r, []string{"g"}, []string{"g"}, nil))
-	rig := joinSides(j, []Checkpointer{j, agg, mat}, mat)
+	rig := headsRig(joinSides(j), []Checkpointer{j, agg, mat}, mat)
 	rig.checks = []*deltaCheck{chk}
 	return rig
 }
@@ -218,7 +223,7 @@ func joinReuseRig(t *testing.T, having expr.Expr, retain bool) *batchRig {
 	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(joined, []string{"l.g"}, joinSpecs)))
 	agg := must[*Aggregate](t)(NewAggregate(maybeRetaining(mat, retain), joined, []string{"l.g"}, joinSpecs, having))
 	j := must[*Join](t)(NewJoin(maybeRetaining(agg, retain), l, r, []string{"g"}, []string{"g"}, nil))
-	return joinSides(j, []Checkpointer{j, agg, mat}, mat)
+	return headsRig(joinSides(j), []Checkpointer{j, agg, mat}, mat)
 }
 
 // joinTwoPhaseReuseRig is Join → PartialAggregate → FinalMerge → Materialize.
@@ -229,7 +234,7 @@ func joinTwoPhaseReuseRig(t *testing.T, having expr.Expr, retain bool) *batchRig
 	fm := must[*FinalMerge](t)(NewFinalMerge(maybeRetaining(mat, retain), joined, []string{"l.g"}, joinSpecs, having))
 	pa := must[*PartialAggregate](t)(NewPartialAggregate(maybeRetaining(fm, retain), joined, []string{"l.g"}, joinSpecs))
 	j := must[*Join](t)(NewJoin(maybeRetaining(pa, retain), l, r, []string{"g"}, []string{"g"}, nil))
-	return joinSides(j, []Checkpointer{j, pa, fm, mat}, mat)
+	return headsRig(joinSides(j), []Checkpointer{j, pa, fm, mat}, mat)
 }
 
 // joinProjectReuseRig is Join → Project → Materialize; it has no HAVING.
@@ -244,7 +249,7 @@ func joinProjectReuseRig(t *testing.T, _ expr.Expr, retain bool) *batchRig {
 	mat := NewMaterialize(must[*data.Schema](t)(OutSchema(joined, items)))
 	p := must[*Project](t)(NewProject(maybeRetaining(mat, retain), joined, items))
 	j := must[*Join](t)(NewJoin(maybeRetaining(p, retain), l, r, []string{"g"}, []string{"g"}, nil))
-	return joinSides(j, []Checkpointer{j, mat}, mat)
+	return headsRig(joinSides(j), []Checkpointer{j, mat}, mat)
 }
 
 func maybeRetaining(op Operator, retain bool) Operator {
@@ -254,14 +259,139 @@ func maybeRetaining(op Operator, retain bool) Operator {
 	return op
 }
 
-// joinSides is a rig fed through j's two inputs.
-func joinSides(j *Join, cks []Checkpointer, mat *Materialize) *batchRig {
-	sides := []Operator{j.Left(), j.Right()}
+// headsRig is a rig fed through heads, one per side of the stream.
+func headsRig(heads [2]Operator, cks []Checkpointer, mat *Materialize) *batchRig {
 	return &batchRig{
-		push:      func(side int, tu data.Tuple) { sides[side].Push(tu) },
-		pushBatch: func(side int, ts []data.Tuple) { PushBatch(sides[side], ts) },
+		push:      func(side int, tu data.Tuple) { heads[side].Push(tu) },
+		pushBatch: func(side int, ts []data.Tuple) { heads[side].PushBatch(ts) },
 		cks:       cks, mat: mat,
 	}
+}
+
+// joinSides are j's two inputs; both is op on either side.
+func joinSides(j *Join) [2]Operator { return [2]Operator{j.Left(), j.Right()} }
+func both(op Operator) [2]Operator  { return [2]Operator{op, op} }
+
+// The rigs below put one operator kind each in front of the result, so the
+// batch path under test is that operator's own.
+
+// filterRig is Filter → Materialize.
+func filterRig(t *testing.T, _ expr.Expr) *batchRig {
+	in := batchSchema("r")
+	mat := NewMaterialize(in)
+	f := NewFilter(mat, expr.MustBind(expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(0.0)}, in))
+	return headsRig(both(f), []Checkpointer{mat}, mat)
+}
+
+// projectReuseRig is Project → Materialize.
+func projectReuseRig(t *testing.T, _ expr.Expr, retain bool) *batchRig {
+	in := batchSchema("r")
+	items := []ProjectItem{{Expr: expr.C("g")}, {Expr: expr.Bin{Op: expr.OpMul, L: expr.C("v"), R: expr.L(2.0)}, Alias: "d"}}
+	mat := NewMaterialize(must[*data.Schema](t)(OutSchema(in, items)))
+	p := must[*Project](t)(NewProject(maybeRetaining(mat, retain), in, items))
+	return headsRig(both(p), []Checkpointer{mat}, mat)
+}
+
+// windowRig is Window → Materialize for one window kind. The stream's
+// timestamps are 1 ns apart, so a 200 ns time window expires on event time,
+// and every segment ends with a tick 100 ns past its last tuple. A delete
+// retracts a live tuple, one the window let go, or one it never saw.
+func windowRig(mk func(next Operator) *Window) func(*testing.T, expr.Expr) *batchRig {
+	return func(t *testing.T, _ expr.Expr) *batchRig {
+		mat := NewMaterialize(batchSchema("r"))
+		w := mk(mat)
+		rig := headsRig(both(w), []Checkpointer{w, mat}, mat)
+		rig.tick = w.Advance
+		return rig
+	}
+}
+
+// distinctRig is Project(g) → Distinct → Materialize: projected to its
+// group, the stream repeats rows all the time, and a ghost delete addresses
+// a row the Distinct never saw.
+func distinctRig(t *testing.T, _ expr.Expr) *batchRig {
+	in := batchSchema("r")
+	items := []ProjectItem{{Expr: expr.C("g")}}
+	out := must[*data.Schema](t)(OutSchema(in, items))
+	mat := NewMaterialize(out)
+	d := NewDistinct(mat)
+	p := must[*Project](t)(NewProject(d, in, items))
+	return headsRig(both(p), []Checkpointer{d, mat}, mat)
+}
+
+// fanoutRig is a Fanout into a GroupedFilter of three members (two answered
+// by its index, one evaluated whole), a Filter and a Distinct, all into one
+// Materialize, where a tuple counts once per path that passes it.
+func fanoutRig(t *testing.T, _ expr.Expr) *batchRig {
+	in := batchSchema("r")
+	mat := NewMaterialize(in)
+	pred := func(e expr.Expr) *expr.Compiled { return expr.MustBind(e, in) }
+	g := NewGroupedFilter(in)
+	g.Add(mat, pred(expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(0.0)}))
+	g.Add(mat, pred(expr.Bin{Op: expr.OpEq, L: expr.C("g"), R: expr.L("a")}))
+	g.Add(mat, pred(expr.Bin{Op: expr.OpOr, L: expr.Bin{Op: expr.OpLt, L: expr.C("v"), R: expr.L(-50.0)},
+		R: expr.Bin{Op: expr.OpEq, L: expr.C("g"), R: expr.L("b")}}))
+	d := NewDistinct(mat)
+	f := NewFanout(in)
+	f.Subscribe(g)
+	f.Subscribe(NewFilter(mat, pred(expr.Bin{Op: expr.OpLe, L: expr.C("v"), R: expr.L(0.0)})))
+	f.Subscribe(d)
+	return headsRig(both(f), []Checkpointer{d, mat}, mat)
+}
+
+// shardRig is a Sharder keyed on the group into two in-process replicas of
+// Aggregate → Merge → Materialize: a group's deltas stay on one shard, in
+// order, so its float sums are the per-tuple run's bit for bit.
+func shardRig(t *testing.T, having expr.Expr) *batchRig {
+	in := batchSchema("r")
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(in, []string{"g"}, batchSpecs)))
+	merge := NewMerge(mat)
+	set := NewShardSet(2)
+	t.Cleanup(set.Close)
+	sh := must[*Sharder](t)(NewSharder(set, "in", in, []int{0}))
+	var aggs [2]*Aggregate
+	deployLocal(t, set, merge, func(shard int) (map[string]Operator, []Advancer) {
+		aggs[shard] = must[*Aggregate](t)(NewAggregate(merge, in, []string{"g"}, batchSpecs, having))
+		return map[string]Operator{"in": aggs[shard]}, nil
+	})
+	rig := headsRig(both(sh), []Checkpointer{aggs[0], aggs[1], mat}, mat)
+	rig.tick = func(vtime.Time) { set.Flush() }
+	return rig
+}
+
+// finalMergeRig hands a FinalMerge partial-state rows directly: each tuple
+// of the stream becomes the partial row of a shard holding that tuple alone,
+// and its delete retracts that row. The merged groups then hold the
+// aggregates of the live tuples, and a group's count goes through zero
+// whenever its last tuple leaves, inside a batch or not.
+func finalMergeRig(t *testing.T, having expr.Expr) *batchRig {
+	in := batchSchema("r")
+	mat := NewMaterialize(must[*data.Schema](t)(AggOutSchema(in, []string{"g"}, batchSpecs)))
+	chk := newDeltaCheck(t, "final merge", mat, 1, false)
+	fm := must[*FinalMerge](t)(NewFinalMerge(chk, in, []string{"g"}, batchSpecs, having))
+	partial := func(ts []data.Tuple) []data.Tuple {
+		out := make([]data.Tuple, len(ts))
+		for i, tu := range ts {
+			v := tu.Vals[1]
+			row := []data.Value{tu.Vals[0], data.Int(1)}
+			for _, s := range batchSpecs {
+				n, pv := int64(1), v
+				if s.Arg != nil && v.IsNull() {
+					n = 0
+				}
+				if s.Kind == AggCount {
+					pv = data.Null
+				}
+				row = append(row, data.Int(n), pv)
+			}
+			out[i] = data.Tuple{Vals: row, TS: tu.TS, Op: tu.Op}
+		}
+		return out
+	}
+	rig := headsRig(both(NewCallback(in, func(ts []data.Tuple) { fm.PushBatch(partial(ts)) })),
+		[]Checkpointer{fm, mat}, mat)
+	rig.checks = []*deltaCheck{chk}
+	return rig
 }
 
 // canonState decodes an EncodeCheckpoint payload into a form two runs that
@@ -296,6 +426,15 @@ func canonState(t *testing.T, payload []byte) []OpState {
 		return out
 	}
 	noTie := func(int) vtime.Time { return 0 }
+	// A multiset row keeps the timestamp of whichever equal copy came first,
+	// which net emission legitimately moves, so rows compare by value.
+	byKeyCounted := func(rows []data.Tuple, counts []int64) ([]data.Tuple, []int64) {
+		ts, cs := make([]data.Tuple, len(rows)), make([]int64, len(rows))
+		for i, k := range order(len(ts), func(i int) string { return rows[i].Key() }, noTie) {
+			ts[i], cs[i] = data.Tuple{Vals: rows[k].Vals, Op: rows[k].Op}, counts[k]
+		}
+		return ts, cs
+	}
 	for _, s := range states {
 		switch {
 		case s.Join != nil:
@@ -308,12 +447,9 @@ func canonState(t *testing.T, payload []byte) []OpState {
 			}
 			s.Groups.Groups = out
 		case s.Rows != nil:
-			rows := s.Rows
-			ts, counts := make([]data.Tuple, len(rows.Tuples)), make([]int64, len(rows.Tuples))
-			for i, k := range order(len(ts), func(i int) string { return rows.Tuples[i].Key() }, noTie) {
-				ts[i], counts[i] = rows.Tuples[k], rows.Counts[k]
-			}
-			rows.Tuples, rows.Counts = ts, counts
+			s.Rows.Tuples, s.Rows.Counts = byKeyCounted(s.Rows.Tuples, s.Rows.Counts)
+		case s.Distinct != nil:
+			s.Distinct.Tuples, s.Distinct.Counts = byKeyCounted(s.Distinct.Tuples, s.Distinct.Counts)
 		}
 	}
 	return states
@@ -330,9 +466,28 @@ func requireSameState(t *testing.T, ctx string, got, want *batchRig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gs, ws := canonState(t, g), canonState(t, w); !reflect.DeepEqual(gs, ws) {
-		t.Fatalf("%s: checkpoint differs from the run without reuse\ngot:  %+v\nwant: %+v", ctx, gs, ws)
+	gs, ws := canonState(t, g), canonState(t, w)
+	for i := range ws {
+		if !reflect.DeepEqual(gs[i], ws[i]) {
+			t.Fatalf("%s: checkpoint state %d differs\ngot:  %s\nwant: %s", ctx, i, opStateString(gs[i]), opStateString(ws[i]))
+		}
 	}
+}
+
+func opStateString(s OpState) string {
+	switch {
+	case s.Window != nil:
+		return fmt.Sprintf("%+v", *s.Window)
+	case s.Join != nil:
+		return fmt.Sprintf("%+v", *s.Join)
+	case s.Distinct != nil:
+		return fmt.Sprintf("%+v", *s.Distinct)
+	case s.Groups != nil:
+		return fmt.Sprintf("%+v", *s.Groups)
+	case s.Rows != nil:
+		return fmt.Sprintf("%+v", *s.Rows)
+	}
+	return fmt.Sprintf("%+v", s)
 }
 
 type segment struct {
@@ -435,6 +590,16 @@ func TestBatchCutsMatchPerTuple(t *testing.T) {
 		{name: "join-aggregate-reuse", reuse: joinReuseRig},
 		{name: "join-two-phase-reuse", reuse: joinTwoPhaseReuseRig},
 		{name: "join-project-reuse", reuse: joinProjectReuseRig, noHaving: true, tuples: 400}, // every joined row reaches the result
+		{name: "filter", build: filterRig, ghosts: true, noHaving: true},
+		{name: "project-reuse", reuse: projectReuseRig, ghosts: true, noHaving: true},
+		{name: "time-window", build: windowRig(func(next Operator) *Window { return NewTimeWindow(next, 200, 0) }), ghosts: true, noHaving: true},
+		{name: "slide-window", build: windowRig(func(next Operator) *Window { return NewTimeWindow(next, 200, 50) }), ghosts: true, noHaving: true},
+		{name: "rows-window", build: windowRig(func(next Operator) *Window { return NewRowsWindow(next, 6) }), ghosts: true, noHaving: true},
+		{name: "now-window", build: windowRig(NewNowWindow), ghosts: true, noHaving: true},
+		{name: "distinct", build: distinctRig, ghosts: true, noHaving: true},
+		{name: "grouped-filter-fanout", build: fanoutRig, ghosts: true, noHaving: true},
+		{name: "sharder-merge", build: shardRig, ghosts: true},
+		{name: "final-merge", build: finalMergeRig, ghosts: true},
 	}
 	for _, rc := range rigs {
 		build := rc.build
@@ -478,9 +643,19 @@ func TestBatchCutsMatchPerTuple(t *testing.T) {
 							}
 							rig.pushBatch(seg.side, cloneAll(seg.ts))
 							rig.endBatch()
-							requireBitEqual(t, ctx, rig.mat, ref.mat)
+							runs := []*batchRig{ref, rig}
 							if twin != nil {
 								twin.pushBatch(seg.side, cloneAll(seg.ts))
+								runs = append(runs, twin)
+							}
+							for _, r := range runs {
+								if r.tick != nil {
+									r.tick(seg.ts[len(seg.ts)-1].TS + 100)
+								}
+							}
+							requireBitEqual(t, ctx, rig.mat, ref.mat)
+							requireSameState(t, ctx, rig, ref)
+							if twin != nil {
 								requireSameState(t, ctx, rig, twin)
 							}
 						}
@@ -550,7 +725,7 @@ func TestJoinBatchScratchCleared(t *testing.T) {
 	col := NewCollector(tempSchema().Concat(tempSchema()))
 	j := must[*Join](t)(NewJoin(col, tempSchema(), tempSchema(), []string{"room"}, []string{"room"}, nil))
 	j.Right().Push(temp(1, "L1", 1))
-	PushBatch(j.Left(), []data.Tuple{temp(2, "L1", 2), temp(3, "L1", 3)})
+	j.Left().PushBatch([]data.Tuple{temp(2, "L1", 2), temp(3, "L1", 3)})
 	if col.Len() != 2 {
 		t.Fatalf("joined %d rows, want 2", col.Len())
 	}

@@ -16,7 +16,7 @@ import (
 // owns named input streams, the operator pipelines subscribed to them, and
 // the display sinks that OUTPUT TO routes to.
 //
-// Execution is synchronous push: a Push drives the tuple through every
+// Execution is synchronous push: a PushBatch drives the batch through every
 // subscribed pipeline before returning, which keeps single-node tests
 // deterministic. Hot-path dispatch takes no engine lock — subscriber and
 // advancer lists are copy-on-write, so pipelines on different inputs never
@@ -114,15 +114,8 @@ func (e *Engine) Inputs() []string {
 // Name returns the input's name.
 func (in *Input) Name() string { return in.name }
 
-// Push injects a tuple into the input, driving all subscribed pipelines.
-// A zero timestamp is stamped with the engine clock. Ownership is the
-// Operator rule: the caller gives t.Vals away.
-func (in *Input) Push(t data.Tuple) {
-	if t.TS == 0 {
-		t.TS = in.engine.clock.Now()
-	}
-	in.Fanout.Push(t)
-}
+// Push implements Operator.
+func (in *Input) Push(t data.Tuple) { in.PushBatch([]data.Tuple{t}) }
 
 // PushBatch injects a batch of tuples, driving all subscribed pipelines
 // once per subscriber instead of once per tuple. Ownership is the Operator

@@ -568,9 +568,10 @@ type gateOp struct {
 }
 
 func (g *gateOp) Schema() *data.Schema { return g.next.Schema() }
-func (g *gateOp) Push(t data.Tuple) {
+func (g *gateOp) Push(t data.Tuple)    { g.PushBatch([]data.Tuple{t}) }
+func (g *gateOp) PushBatch(ts []data.Tuple) {
 	<-g.gate
-	g.next.Push(t)
+	g.next.PushBatch(ts)
 }
 
 // TestFailoverWedgedWorkerFlushDeadline is the regression test for the

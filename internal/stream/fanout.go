@@ -11,8 +11,8 @@ import (
 // named Fanout, the seam where N queries' divergent suffixes attach to one
 // physical scan+window+select prefix is one (the plan layer's shared-subplan
 // sharing), and so is the OUTPUT TO split between a query's result and its
-// display. The subscriber list is copy-on-write — Push and PushBatch load
-// it atomically and dispatch lock-free, Subscribe and Unsubscribe replace
+// display. The subscriber list is copy-on-write — PushBatch loads it
+// atomically and dispatch lock-free, Subscribe and Unsubscribe replace
 // it under a lock — so attaching or stopping one query never serializes
 // the hot path of the others.
 //
@@ -84,18 +84,14 @@ func (f *Fanout) subscribers() []Operator {
 }
 
 // Push implements Operator.
-func (f *Fanout) Push(t data.Tuple) {
-	for _, op := range f.subscribers() {
-		op.Push(t)
-	}
-}
+func (f *Fanout) Push(t data.Tuple) { f.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: one dispatch per subscriber.
+// PushBatch implements Operator: one dispatch per subscriber.
 func (f *Fanout) PushBatch(ts []data.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
 	for _, op := range f.subscribers() {
-		PushBatch(op, ts)
+		op.PushBatch(ts)
 	}
 }

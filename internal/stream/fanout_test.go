@@ -17,8 +17,9 @@ type retainer struct {
 	tuples []data.Tuple
 }
 
-func (r *retainer) Schema() *data.Schema { return r.schema }
-func (r *retainer) Push(t data.Tuple)    { r.tuples = append(r.tuples, t) }
+func (r *retainer) Schema() *data.Schema      { return r.schema }
+func (r *retainer) Push(t data.Tuple)         { r.tuples = append(r.tuples, t) }
+func (r *retainer) PushBatch(ts []data.Tuple) { r.tuples = append(r.tuples, ts...) }
 
 func TestFanoutSubscribeUnsubscribe(t *testing.T) {
 	f := NewFanout(tempSchema())
@@ -268,7 +269,7 @@ func TestNestedInputLeavesSharedBatchAlone(t *testing.T) {
 	outer := NewFanout(tempSchema())
 	before, after := &retainer{schema: tempSchema()}, &retainer{schema: tempSchema()}
 	outer.Subscribe(before)
-	outer.Subscribe(NewBatchCallback(tempSchema(), nested.PushBatch))
+	outer.Subscribe(NewCallback(tempSchema(), nested.PushBatch))
 	outer.Subscribe(after)
 
 	pushed := []data.Tuple{temp(1, "L1", 20), {Vals: []data.Value{data.Str("L2"), data.Float(21)}}}

@@ -186,7 +186,7 @@ func TestWindowPushBatchExpiry(t *testing.T) {
 	batch := []data.Tuple{
 		area(1, "L1", "a"), area(2, "L2", "b"), area(3, "L3", "c"),
 	}
-	PushBatch(w, batch)
+	w.PushBatch(batch)
 	if w.Len() != 2 {
 		t.Fatalf("window len = %d, want 2", w.Len())
 	}

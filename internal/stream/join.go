@@ -60,12 +60,9 @@ func (ji *joinInput) Schema() *data.Schema {
 }
 
 // Push implements Operator.
-func (ji *joinInput) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	ji.PushBatch(batch[:])
-}
+func (ji *joinInput) Push(t data.Tuple) { ji.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: the tuples probe and update the tables
+// PushBatch implements Operator: the tuples probe and update the tables
 // in order, and the rows they join to — the same rows in the same order as
 // tuple-at-a-time pushes — go downstream as one batch.
 func (ji *joinInput) PushBatch(ts []data.Tuple) {
@@ -77,11 +74,7 @@ func (ji *joinInput) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
 		out = j.apply(t, ji.left, out)
 	}
-	j.batch = out[:0]
-	if len(out) > 0 {
-		PushBatch(j.next, out)
-		clear(out)
-	}
+	j.batch = dispatch(j.next, out)
 	if a := j.arena; a != nil {
 		clear(*a) // a pooled arena must not pin the values it held
 		*a = (*a)[:0]

@@ -15,7 +15,7 @@ import (
 // windows (serial) or sharders (parallel), its materialized result, and
 // the hooks to advance clocks and quiesce.
 type shardPipe struct {
-	left, right BatchOperator
+	left, right Operator
 	mat         *Materialize
 	advance     func(now vtime.Time)
 	flush       func()

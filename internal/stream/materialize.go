@@ -108,7 +108,7 @@ func (m *Materialize) Schema() *data.Schema { return m.schema }
 // Push implements Operator.
 func (m *Materialize) Push(t data.Tuple) { m.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: one lock acquisition and one
+// PushBatch implements Operator: one lock acquisition and one
 // OnChange notification per batch, for the store and for each live view.
 func (m *Materialize) PushBatch(ts []data.Tuple) {
 	if len(ts) == 0 {

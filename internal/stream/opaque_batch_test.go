@@ -69,12 +69,12 @@ func TestTrimOpaqueTail(t *testing.T) {
 	}
 }
 
-// TestBatchCallback covers the batch-native leaf sink: a PushBatch arrives
-// as one call, a lone Push as a one-tuple batch.
+// TestBatchCallback covers the callback leaf sink: a PushBatch arrives as
+// one call, a lone Push as a one-tuple batch.
 func TestBatchCallback(t *testing.T) {
 	schema := data.NewSchema("cb", data.Col("v", data.TInt))
 	var batches [][]data.Tuple
-	c := NewBatchCallback(schema, func(ts []data.Tuple) {
+	c := NewCallback(schema, func(ts []data.Tuple) {
 		cp := make([]data.Tuple, len(ts))
 		copy(cp, ts)
 		batches = append(batches, cp)
@@ -83,7 +83,7 @@ func TestBatchCallback(t *testing.T) {
 		t.Fatal("schema not preserved")
 	}
 	c.Push(data.NewTuple(0, data.Int(1)))
-	PushBatch(c, []data.Tuple{
+	c.PushBatch([]data.Tuple{
 		data.NewTuple(0, data.Int(2)),
 		data.NewTuple(0, data.Int(3)),
 	})

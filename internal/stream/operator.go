@@ -24,21 +24,34 @@ import (
 	"aspen/internal/vtime"
 )
 
-// Operator is a push-based tuple consumer.
+// Operator is a push-based consumer of tuple batches, the engine's one
+// operator protocol: every operator's work lives in its PushBatch.
 //
-// Ownership: a tuple's Vals are read-only from the moment the tuple is
-// pushed. The pusher gives them away and never writes to them again; any
+// A batch is the unit of work and of visible change. PushBatch processes
+// the tuples in order. When it returns, the operator's state and everything
+// downstream of it are what pushing the tuples one by one would have left,
+// but the deltas sent downstream on the way need only net out to the same:
+// Aggregate and PartialAggregate emit one retract+insert per group the batch
+// changed, not the states the group passed through inside it. Nothing is
+// held back across calls, so ticks, flush barriers and checkpoints between
+// calls see exact state.
+//
+// Ownership: the batch slice is read-only and valid only during the call.
+// The operator neither writes to its elements (other subscribers of a Fanout
+// are handed the same slice) nor keeps it (its producer may refill it once
+// the call returns). A tuple's Vals are read-only from the moment the tuple
+// is pushed: the pusher gives them away and never writes to them again. Any
 // consumer may retain them as internal state (windows buffer them, join
-// tables index them), and any number of consumers may hold the same ones (a
-// Fanout hands every subscriber the same tuples), so no operator writes to
-// Vals it was handed: one that needs a different tuple builds it (Negate and
-// re-stamping copy the header, Project writes new Vals). Sinks that outlive
-// their producers (Materialize, Collector, Distinct) copy what they keep, so
-// a displayed row never pins the batch it arrived in.
+// tables index them), and any number of consumers may hold the same ones, so
+// no operator writes to Vals it was handed: one that needs a different tuple
+// builds it (Negate and re-stamping copy the header, Project writes new
+// Vals). Sinks that outlive their producers (Materialize, Collector,
+// Distinct) copy what they keep, so a displayed row never pins the batch it
+// arrived in.
 //
 // The one exception is a consumer that keeps nothing (keepsNothing): it
-// holds none of the Vals it was handed once Push or PushBatch returns. Those
-// are Materialize and Collector, which copy, and Project, Aggregate,
+// holds none of the Vals it was handed once PushBatch returns. Those are
+// Materialize and Collector, which copy, and Project, Aggregate,
 // PartialAggregate and FinalMerge, which read values out and build rows of
 // their own. Three producers write into reused memory in front of one:
 // Project writes every batch into one buffer, Join writes the rows of one
@@ -47,50 +60,51 @@ import (
 // Distinct (which forwards what it gets), Fanout and Input, GroupedFilter,
 // Filter, Sharder and Merge, callbacks — is handed Vals nobody writes to
 // again. The plan's shape decides which applies; there is no option.
+//
+// Push is a batch of one: every operator's Push hands its own PushBatch a
+// one-element batch. A producer that emits one row at a time hands it on
+// through a Slot it owns.
 type Operator interface {
 	// Schema describes the tuples this operator accepts.
 	Schema() *data.Schema
-	// Push processes one tuple (insert or delete).
+	// PushBatch processes the tuples (inserts and deletes) in order.
+	PushBatch(ts []data.Tuple)
+	// Push is PushBatch of a batch of one. Nothing in the engine calls it;
+	// it stays because the repository benchmark's tracing shim implements
+	// and calls it.
 	Push(t data.Tuple)
 }
 
-// BatchOperator is implemented by operators with a native batched push
-// that amortizes per-tuple dispatch (locking, transport framing, window
-// maintenance) over the batch.
-//
-// A batch is also the unit of visible change. When PushBatch returns, the
-// operator's state and everything downstream of it are what pushing the
-// tuples one by one would have left, but the deltas sent downstream on the
-// way need only net out to the same: Aggregate and PartialAggregate emit one
-// retract+insert per group the batch changed, not the states the group
-// passed through inside it. What Push emits is unchanged — it is the batch
-// of one — and nothing is held back across calls, so ticks, flush barriers
-// and checkpoints between calls see exact state.
-type BatchOperator interface {
-	Operator
-	// PushBatch processes the tuples in order. The batch slice is read-only
-	// too, and only valid during the call: the operator neither writes to
-	// its elements (other subscribers of a Fanout are handed the same slice)
-	// nor keeps it (its producer may refill it once the call returns). The
-	// tuples inside follow the Push ownership rule.
-	PushBatch(ts []data.Tuple)
+// PushBatch is op.PushBatch(ts). Nothing in the engine calls it; it stays
+// because the repository benchmark's tracing shim calls it.
+func PushBatch(op Operator, ts []data.Tuple) { op.PushBatch(ts) }
+
+// Slot is the one-element batch of a producer that emits one row at a time
+// (an aggregate's group rows, a recursive view's deltas). The producer owns
+// it, so handing a row on allocates nothing. It is not reentrant.
+type Slot [1]data.Tuple
+
+// Send hands t to next as a batch of one, then clears the slot so that it
+// pins nothing.
+func (s *Slot) Send(next Operator, t data.Tuple) {
+	s[0] = t
+	next.PushBatch(s[:])
+	s[0] = data.Tuple{}
 }
 
-// PushBatch delivers a batch to op, using its native batch path when
-// implemented and falling back to per-tuple Push otherwise.
-func PushBatch(op Operator, ts []data.Tuple) {
-	if b, ok := op.(BatchOperator); ok {
-		b.PushBatch(ts)
-		return
+// dispatch hands out to next unless it is empty, clears it so that the
+// scratch pins nothing, and returns it emptied for reuse.
+func dispatch(next Operator, out []data.Tuple) []data.Tuple {
+	if len(out) > 0 {
+		next.PushBatch(out)
+		clear(out)
 	}
-	for _, t := range ts {
-		op.Push(t)
-	}
+	return out[:0]
 }
 
 // keepsNothing reports whether op holds none of the Vals it was handed once
-// its Push or PushBatch returns, so a producer in front of it may write its
-// next output into the same memory (see the ownership rule on Operator).
+// its PushBatch returns, so a producer in front of it may write its next
+// output into the same memory (see the ownership rule on Operator).
 func keepsNothing(op Operator) bool {
 	switch op.(type) {
 	case *Materialize, *Collector, *Project, *Aggregate, *PartialAggregate, *FinalMerge:
@@ -136,14 +150,9 @@ func NewFilter(next Operator, pred *expr.Compiled) *Filter {
 func (f *Filter) Schema() *data.Schema { return f.next.Schema() }
 
 // Push implements Operator.
-func (f *Filter) Push(t data.Tuple) {
-	if f.pred.EvalBool(t) {
-		f.next.Push(t)
-	}
-}
+func (f *Filter) Push(t data.Tuple) { f.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: the passing subset forwards as one
-// batch.
+// PushBatch implements Operator: the passing subset forwards as one batch.
 func (f *Filter) PushBatch(ts []data.Tuple) {
 	out := f.batch[:0]
 	for _, t := range ts {
@@ -151,11 +160,7 @@ func (f *Filter) PushBatch(ts []data.Tuple) {
 			out = append(out, t)
 		}
 	}
-	f.batch = out[:0]
-	if len(out) > 0 {
-		PushBatch(f.next, out)
-		clear(out) // the scratch must not pin the batch
-	}
+	f.batch = dispatch(f.next, out)
 }
 
 // Project maps tuples through scalar expressions.
@@ -222,15 +227,9 @@ func OutSchema(in *data.Schema, items []ProjectItem) (*data.Schema, error) {
 func (p *Project) Schema() *data.Schema { return p.schema }
 
 // Push implements Operator.
-func (p *Project) Push(t data.Tuple) {
-	vals := p.vals(len(p.exprs))
-	for i, e := range p.exprs {
-		vals[i] = e.Eval(t)
-	}
-	p.next.Push(data.Tuple{Vals: vals, TS: t.TS, Op: t.Op})
-}
+func (p *Project) Push(t data.Tuple) { p.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: output rows share one backing array —
+// PushBatch implements Operator: output rows share one backing array —
 // the reused buffer in front of a consumer that keeps nothing, a fresh one
 // per batch otherwise.
 func (p *Project) PushBatch(ts []data.Tuple) {
@@ -247,9 +246,7 @@ func (p *Project) PushBatch(ts []data.Tuple) {
 		}
 		out = append(out, data.Tuple{Vals: vals, TS: t.TS, Op: t.Op})
 	}
-	p.batch = out[:0]
-	PushBatch(p.next, out)
-	clear(out) // the scratch must not pin the batch
+	p.batch = dispatch(p.next, out)
 }
 
 // vals returns room for k output values.
@@ -265,8 +262,9 @@ func (p *Project) vals(k int) []data.Value {
 // counting: an insert is forwarded only on 0→1, a delete only on 1→0 — the
 // very tuple it was handed either way. Multiplicities live in a rowSet.
 type Distinct struct {
-	next Operator
-	rows rowSet
+	next  Operator
+	rows  rowSet
+	batch []data.Tuple // scratch for PushBatch
 }
 
 // NewDistinct builds a distinct operator.
@@ -277,21 +275,33 @@ func NewDistinct(next Operator) *Distinct {
 // Schema implements Operator.
 func (d *Distinct) Schema() *data.Schema { return d.next.Schema() }
 
-// Push implements Operator. The deletion of an unseen tuple is ignored.
-func (d *Distinct) Push(t data.Tuple) {
-	if t.Op == data.Insert && d.rows.add(t, 1) || t.Op == data.Delete && d.rows.remove(t) {
-		d.next.Push(t)
+// Push implements Operator.
+func (d *Distinct) Push(t data.Tuple) { d.PushBatch([]data.Tuple{t}) }
+
+// PushBatch implements Operator: the tuples whose count crossed between 0
+// and 1 forward, in order, as one batch. The deletion of an unseen tuple is
+// ignored.
+func (d *Distinct) PushBatch(ts []data.Tuple) {
+	out := d.batch[:0]
+	for _, t := range ts {
+		if t.Op == data.Insert && d.rows.add(t, 1) || t.Op == data.Delete && d.rows.remove(t) {
+			out = append(out, t)
+		}
 	}
+	d.batch = dispatch(d.next, out)
 }
 
-// Callback adapts a function to Operator; the engine's leaf sink.
+// Callback adapts a batch function to Operator, the engine's leaf sink:
+// each PushBatch is one call, so feeding another engine input (a recursive
+// view's deltas) costs one dispatch per batch.
 type Callback struct {
 	schema *data.Schema
-	fn     func(data.Tuple)
+	fn     func([]data.Tuple)
 }
 
-// NewCallback wraps fn as an operator with the given schema.
-func NewCallback(schema *data.Schema, fn func(data.Tuple)) *Callback {
+// NewCallback wraps fn as an operator with the given schema. fn is handed
+// each batch under the PushBatch contract.
+func NewCallback(schema *data.Schema, fn func([]data.Tuple)) *Callback {
 	return &Callback{schema: schema, fn: fn}
 }
 
@@ -299,33 +309,10 @@ func NewCallback(schema *data.Schema, fn func(data.Tuple)) *Callback {
 func (c *Callback) Schema() *data.Schema { return c.schema }
 
 // Push implements Operator.
-func (c *Callback) Push(t data.Tuple) { c.fn(t) }
+func (c *Callback) Push(t data.Tuple) { c.PushBatch([]data.Tuple{t}) }
 
-// BatchCallback adapts a batch function to Operator; like Callback but
-// receiving each PushBatch as one call, so feeding another engine input
-// (recursive-view edges) costs one dispatch per batch.
-type BatchCallback struct {
-	schema *data.Schema
-	fn     func([]data.Tuple)
-}
-
-// NewBatchCallback wraps fn as a batch-native operator with the given
-// schema.
-func NewBatchCallback(schema *data.Schema, fn func([]data.Tuple)) *BatchCallback {
-	return &BatchCallback{schema: schema, fn: fn}
-}
-
-// Schema implements Operator.
-func (c *BatchCallback) Schema() *data.Schema { return c.schema }
-
-// Push implements Operator.
-func (c *BatchCallback) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	c.fn(batch[:])
-}
-
-// PushBatch implements BatchOperator.
-func (c *BatchCallback) PushBatch(ts []data.Tuple) { c.fn(ts) }
+// PushBatch implements Operator.
+func (c *Callback) PushBatch(ts []data.Tuple) { c.fn(ts) }
 
 // Collector accumulates pushed tuples; a test and example helper.
 type Collector struct {
@@ -341,13 +328,9 @@ func NewCollector(schema *data.Schema) *Collector { return &Collector{schema: sc
 func (c *Collector) Schema() *data.Schema { return c.schema }
 
 // Push implements Operator.
-func (c *Collector) Push(t data.Tuple) {
-	c.mu.Lock()
-	c.Tuples = append(c.Tuples, t.Clone())
-	c.mu.Unlock()
-}
+func (c *Collector) Push(t data.Tuple) { c.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: one lock acquisition per batch.
+// PushBatch implements Operator: one lock acquisition per batch.
 func (c *Collector) PushBatch(ts []data.Tuple) {
 	c.mu.Lock()
 	for _, t := range ts {

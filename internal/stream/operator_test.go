@@ -111,7 +111,7 @@ func TestDistinctCounting(t *testing.T) {
 
 func TestCallbackAndCollector(t *testing.T) {
 	n := 0
-	cb := NewCallback(tempSchema(), func(data.Tuple) { n++ })
+	cb := NewCallback(tempSchema(), func(ts []data.Tuple) { n += len(ts) })
 	cb.Push(temp(1, "L1", 20))
 	if n != 1 || cb.Schema().Arity() != 2 {
 		t.Fatal("callback")

@@ -15,8 +15,8 @@ import (
 //	replica j: PartialAggregate  — per-shard partial group states
 //	serial:    FinalMerge        — merges the shards' partials per group
 //
-// PartialAggregate emits each group's partial state as a tuple; every
-// change (per Push, or net per PushBatch) retracts the previous partial row
+// PartialAggregate emits each group's partial state as a tuple; every net
+// change of a PushBatch retracts the previous partial row
 // and inserts the new one, the exact discipline Aggregate uses for visible
 // rows, so FinalMerge sees at most one live contribution per (group, shard)
 // at any instant and can combine contributions additively. Deletions flow
@@ -91,12 +91,9 @@ func (a *PartialAggregate) OutSchema() *data.Schema { return a.out }
 func (a *PartialAggregate) Groups() int { return a.table.n }
 
 // Push implements Operator.
-func (a *PartialAggregate) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	a.PushBatch(batch[:])
-}
+func (a *PartialAggregate) Push(t data.Tuple) { a.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: each group the batch changed replaces
+// PushBatch implements Operator: each group the batch changed replaces
 // its partial row once, after the whole batch has accumulated, so only net
 // changes travel to the merge.
 func (a *PartialAggregate) PushBatch(ts []data.Tuple) {
@@ -197,41 +194,46 @@ func (f *FinalMerge) OutSchema() *data.Schema { return f.out }
 // Groups reports the live merged group count.
 func (f *FinalMerge) Groups() int { return f.table.n }
 
-// Push implements Operator: one partial-state delta folds into the group's
-// merged totals. Contributions are additive (counts and sums subtract
-// exactly; MIN/MAX contributions live in a delta-counted multiset), so
-// interleaving across shards is immaterial — each shard retracts its old
-// partial before inserting the new one, in its own order. The merge has no
-// batch path: that retraction legitimately takes a merged group through
-// count zero, where groupTable.fold would retire it and emit the pair
-// anyway.
-func (f *FinalMerge) Push(t data.Tuple) {
-	key, g := f.table.lookup(t)
-	if g == nil {
-		return // retraction for an unknown group: ignore
-	}
-	delta := int64(1)
-	if t.Op == data.Delete {
-		delta = -1
-	}
-	g.count += delta * t.Vals[f.cntIdx].AsInt()
-	for i, s := range f.specs {
-		st := &g.aggs[i]
-		st.n += delta * t.Vals[f.nIdx[i]].AsInt()
-		v := t.Vals[f.vIdx[i]]
-		if v.IsNull() {
-			continue
+// Push implements Operator.
+func (f *FinalMerge) Push(t data.Tuple) { f.PushBatch([]data.Tuple{t}) }
+
+// PushBatch implements Operator: each partial-state delta folds into its
+// group's merged totals. Contributions are additive (counts and sums
+// subtract exactly; MIN/MAX contributions live in a delta-counted multiset),
+// so interleaving across shards is immaterial — each shard retracts its old
+// partial before inserting the new one, in its own order. The merge emits
+// per tuple, not once per batch like groupTable.fold: that retraction
+// legitimately takes a merged group through count zero, where fold would
+// retire it and emit the pair anyway.
+func (f *FinalMerge) PushBatch(ts []data.Tuple) {
+	for _, t := range ts {
+		key, g := f.table.lookup(t)
+		if g == nil {
+			continue // retraction for an unknown group: ignore
 		}
-		switch s.Kind {
-		case AggSum, AggAvg:
-			st.sum += float64(delta) * v.AsFloat()
-		case AggMin, AggMax:
-			fv := v.AsFloat()
-			st.vals[fv] += delta
-			if st.vals[fv] <= 0 {
-				delete(st.vals, fv)
+		delta := int64(1)
+		if t.Op == data.Delete {
+			delta = -1
+		}
+		g.count += delta * t.Vals[f.cntIdx].AsInt()
+		for i, s := range f.specs {
+			st := &g.aggs[i]
+			st.n += delta * t.Vals[f.nIdx[i]].AsInt()
+			v := t.Vals[f.vIdx[i]]
+			if v.IsNull() {
+				continue
+			}
+			switch s.Kind {
+			case AggSum, AggAvg:
+				st.sum += float64(delta) * v.AsFloat()
+			case AggMin, AggMax:
+				fv := v.AsFloat()
+				st.vals[fv] += delta
+				if st.vals[fv] <= 0 {
+					delete(st.vals, fv)
+				}
 			}
 		}
+		f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
 	}
-	f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
 }

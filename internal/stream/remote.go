@@ -311,7 +311,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 			// Unknown heads drop silently (there is no way to NACK mid-stream):
 			// the coordinator validated the deployment before opening the taps.
 			if op, ok := ws.heads[string(key)]; ok {
-				PushBatch(op, batch)
+				op.PushBatch(batch)
 			}
 			ws.pend++
 			pendTotal++
@@ -684,7 +684,7 @@ func (c *ShardConn) handleFrame(kind frameKind, br *byteReader) bool {
 			// their arenas are retained either way).
 			c.flog.appendOut(append([]data.Tuple(nil), batch...))
 		}
-		PushBatch(c.sink, batch)
+		c.sink.PushBatch(batch)
 	case frameCkptState:
 		seq := br.uvarint()
 		errs := br.wireString()
@@ -1157,13 +1157,10 @@ func (c *ShardConn) Head(schema *data.Schema, shard int, name string) *RemoteHea
 // Schema implements Operator.
 func (h *RemoteHead) Schema() *data.Schema { return h.schema }
 
-// Push implements Operator: the tuple ships as a singleton batch.
-func (h *RemoteHead) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	_ = h.conn.sendShard(h.shard, h.name, h.key, batch[:])
-}
+// Push implements Operator.
+func (h *RemoteHead) Push(t data.Tuple) { h.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator.
+// PushBatch implements Operator.
 func (h *RemoteHead) PushBatch(ts []data.Tuple) {
 	_ = h.conn.sendShard(h.shard, h.name, h.key, ts)
 }

@@ -23,10 +23,7 @@ type sendSink struct {
 
 func (s *sendSink) Schema() *data.Schema { return s.schema }
 
-func (s *sendSink) Push(t data.Tuple) {
-	batch := [1]data.Tuple{t}
-	_ = s.send(batch[:])
-}
+func (s *sendSink) Push(t data.Tuple) { s.PushBatch([]data.Tuple{t}) }
 
 func (s *sendSink) PushBatch(ts []data.Tuple) { _ = s.send(ts) }
 

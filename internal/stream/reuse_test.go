@@ -26,10 +26,14 @@ type keeper struct {
 
 func (k *keeper) Schema() *data.Schema { return k.schema }
 
-func (k *keeper) Push(t data.Tuple) {
+func (k *keeper) Push(t data.Tuple) { k.PushBatch([]data.Tuple{t}) }
+
+func (k *keeper) PushBatch(ts []data.Tuple) {
 	k.mu.Lock()
-	k.handed = append(k.handed, t)
-	k.copies = append(k.copies, t.Clone())
+	for _, t := range ts {
+		k.handed = append(k.handed, t)
+		k.copies = append(k.copies, t.Clone())
+	}
 	k.mu.Unlock()
 }
 
@@ -58,7 +62,6 @@ func reuseProducers(t *testing.T) []reuseProducer {
 	in := batchSchema("r")
 	l, r := batchSchema("l"), batchSchema("r")
 	group := []string{"g"}
-	both := func(op Operator) [2]Operator { return [2]Operator{op, op} }
 	return []reuseProducer{
 		{"join", l.Concat(r), func(t *testing.T, next Operator) [2]Operator {
 			j := must[*Join](t)(NewJoin(next, l, r, group, group, nil))
@@ -80,7 +83,7 @@ func reuseProducers(t *testing.T) []reuseProducer {
 // retaining puts a pass-through that may keep what it is handed in front of
 // op, so nothing upstream of it writes into reused memory.
 func retaining(op Operator) Operator {
-	return NewBatchCallback(op.Schema(), func(ts []data.Tuple) { PushBatch(op, ts) })
+	return NewCallback(op.Schema(), op.PushBatch)
 }
 
 // reuseSegments is the random stream every case replays: about 150
@@ -91,7 +94,7 @@ func reuseSegments() []segment {
 
 func pushSegments(heads [2]Operator, segs []segment, after func()) {
 	for _, seg := range segs {
-		PushBatch(heads[seg.side], cloneAll(seg.ts))
+		heads[seg.side].PushBatch(cloneAll(seg.ts))
 		after()
 	}
 }
@@ -113,7 +116,7 @@ func TestReuseOwnership(t *testing.T) {
 				return f, func() {}
 			}},
 			{"batch-callback", func(k *keeper) (Operator, func()) {
-				return NewBatchCallback(s, func(ts []data.Tuple) { PushBatch(k, ts) }), func() {}
+				return NewCallback(s, k.PushBatch), func() {}
 			}},
 			{"join", func(k *keeper) (Operator, func()) {
 				// A join's left table keeps what the join is handed; no right

@@ -128,7 +128,7 @@ func TestRowMultisetDifferential(t *testing.T) {
 				}
 				m := NewMaterialize(schema)
 				var fwd []data.Tuple
-				d := NewDistinct(NewCallback(schema, func(t data.Tuple) { fwd = append(fwd, t) }))
+				d := NewDistinct(NewCallback(schema, func(ts []data.Tuple) { fwd = append(fwd, ts...) }))
 				ref := map[string]int{}
 				var live []data.Tuple
 				wrapped := false
@@ -329,7 +329,7 @@ func TestProjectReusesOnlyWhenConsumerKeepsNothing(t *testing.T) {
 	j := must[*Join](t)(NewJoin(NewCollector(tempSchema().Concat(tempSchema())), tempSchema(), tempSchema(),
 		[]string{"room"}, []string{"room"}, nil))
 	for _, next := range []Operator{NewFanout(tempSchema()), NewDistinct(mat), NewMerge(mat), j.Left(),
-		NewCallback(tempSchema(), func(data.Tuple) {})} {
+		NewCallback(tempSchema(), func([]data.Tuple) {})} {
 		if must[*Project](t)(NewProject(next, tempSchema(), items)).reuse {
 			t.Errorf("a Project into a %T reuses its buffer", next)
 		}

@@ -43,7 +43,7 @@ type GroupedFilter struct {
 	schema *data.Schema
 	idx    atomic.Pointer[selIndex]
 
-	acc []uint64       // Push/PushBatch scratch: the passing members of one tuple
+	acc []uint64       // PushBatch scratch: the passing members of one tuple
 	out [][]data.Tuple // PushBatch scratch: each member's passing tuples
 }
 
@@ -86,17 +86,10 @@ func (g *GroupedFilter) Remove(next Operator) bool {
 // Members reports the current number of members.
 func (g *GroupedFilter) Members() int { return len(g.idx.Load().members) }
 
-// Push implements Operator: the passing members' Push, in member order.
-func (g *GroupedFilter) Push(t data.Tuple) {
-	x := g.idx.Load()
-	for w, word := range g.match(x, t) {
-		for ; word != 0; word &= word - 1 {
-			x.members[w<<6|bits.TrailingZeros64(word)].next.Push(t)
-		}
-	}
-}
+// Push implements Operator.
+func (g *GroupedFilter) Push(t data.Tuple) { g.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: every tuple is matched once, and
+// PushBatch implements Operator: every tuple is matched once, and
 // each member with passing tuples then gets them as one batch, in member
 // order.
 func (g *GroupedFilter) PushBatch(ts []data.Tuple) {
@@ -114,11 +107,7 @@ func (g *GroupedFilter) PushBatch(ts []data.Tuple) {
 		}
 	}
 	for m := range x.members {
-		if len(out[m]) > 0 {
-			PushBatch(x.members[m].next, out[m])
-			clear(out[m]) // the scratch must not pin the batch
-			out[m] = out[m][:0]
-		}
+		out[m] = dispatch(x.members[m].next, out[m])
 	}
 }
 

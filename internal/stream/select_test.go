@@ -78,7 +78,7 @@ func TestGroupedFilterMembership(t *testing.T) {
 	g := NewGroupedFilter(in)
 	var order []int
 	member := func(id int) Operator {
-		return NewBatchCallback(in, func([]data.Tuple) { order = append(order, id) })
+		return NewCallback(in, func([]data.Tuple) { order = append(order, id) })
 	}
 	gt := func(c float64) *expr.Compiled {
 		return expr.MustBind(expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(c)}, in)

@@ -322,7 +322,7 @@ func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) 
 	s.cfg = cfg
 	sink := cfg.Sink
 	s.emit = func(ts []data.Tuple) error {
-		PushBatch(sink, ts)
+		sink.PushBatch(ts)
 		return nil
 	}
 	for j := 0; j < s.p; j++ {
@@ -460,7 +460,7 @@ func (s *ShardSet) worker(j int) {
 	for m := range s.queues[j] {
 		switch m.kind {
 		case msgData:
-			PushBatch(m.head, m.batch)
+			m.head.PushBatch(m.batch)
 			// drop tuple references (the pipeline owns them now) and recycle
 			s.recycle(m.batch)
 		case msgTick:
@@ -700,7 +700,7 @@ func deliver(moved []int, staged map[int]home, entries []logEntry) error {
 			}
 		default:
 			if h := staged[e.shard].heads[e.name]; h != nil {
-				PushBatch(h, e.batch)
+				h.PushBatch(e.batch)
 			}
 		}
 		if err != nil {
@@ -765,7 +765,7 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 		for k := range batch {
 			neg[k] = batch[len(batch)-1-k].Negate()
 		}
-		PushBatch(s.cfg.Sink, neg)
+		s.cfg.Sink.PushBatch(neg)
 	}
 	states := failed.flog.statesCopy()
 	backlog := failed.flog.takeIn()
@@ -919,16 +919,10 @@ func NewExprSharder(set *ShardSet, name string, schema *data.Schema, keys []*exp
 // Schema implements Operator.
 func (sh *Sharder) Schema() *data.Schema { return sh.schema }
 
-// Push implements Operator: the tuple routes to its shard and ships
-// immediately (single-tuple pushes do not linger in pending buffers).
-func (sh *Sharder) Push(t data.Tuple) {
-	sh.mu.Lock()
-	sh.route(t)
-	sh.flushPending()
-	sh.mu.Unlock()
-}
+// Push implements Operator.
+func (sh *Sharder) Push(t data.Tuple) { sh.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: the batch is split by key partition
+// PushBatch implements Operator: the batch is split by key partition
 // and each shard's slice ships as one queue message, so downstream
 // dispatch amortizes exactly like the serial PushBatch path.
 func (sh *Sharder) PushBatch(ts []data.Tuple) {
@@ -996,16 +990,12 @@ func NewMerge(next Operator) *Merge { return &Merge{next: next} }
 func (m *Merge) Schema() *data.Schema { return m.next.Schema() }
 
 // Push implements Operator.
-func (m *Merge) Push(t data.Tuple) {
-	m.mu.Lock()
-	m.next.Push(t)
-	m.mu.Unlock()
-}
+func (m *Merge) Push(t data.Tuple) { m.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: the whole batch crosses the funnel
+// PushBatch implements Operator: the whole batch crosses the funnel
 // under one lock acquisition.
 func (m *Merge) PushBatch(ts []data.Tuple) {
 	m.mu.Lock()
-	PushBatch(m.next, ts)
+	m.next.PushBatch(ts)
 	m.mu.Unlock()
 }

@@ -84,30 +84,19 @@ func (w *Window) removeAt(i int) {
 	w.buf = w.buf[:len(w.buf)-1]
 }
 
-// Push implements Operator. Deletions pass through (an upstream retraction
-// removes the tuple from the window if present).
-func (w *Window) Push(t data.Tuple) {
-	out := w.apply(t, w.batch[:0])
-	w.batch = out[:0]
-	for _, o := range out {
-		w.next.Push(o)
-	}
-	clear(out) // the scratch must not pin what the window let go
-}
+// Push implements Operator.
+func (w *Window) Push(t data.Tuple) { w.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements BatchOperator: window maintenance for the whole
-// batch runs first, then the resulting deltas ship downstream in one
-// dispatch.
+// PushBatch implements Operator: window maintenance for the whole batch runs
+// first, then the resulting deltas ship downstream in one dispatch.
+// Deletions pass through (an upstream retraction removes the tuple from the
+// window if present).
 func (w *Window) PushBatch(ts []data.Tuple) {
 	out := w.batch[:0]
 	for _, t := range ts {
 		out = w.apply(t, out)
 	}
-	w.batch = out[:0]
-	if len(out) > 0 {
-		PushBatch(w.next, out)
-		clear(out)
-	}
+	w.batch = dispatch(w.next, out)
 }
 
 // apply performs window maintenance for one tuple and appends the deltas
@@ -146,12 +135,7 @@ func (w *Window) Advance(now vtime.Time) {
 	if w.kind != windowTime {
 		return
 	}
-	out := w.advanceTo(now, w.batch[:0])
-	w.batch = out[:0]
-	if len(out) > 0 {
-		PushBatch(w.next, out)
-		clear(out)
-	}
+	w.batch = dispatch(w.next, w.advanceTo(now, w.batch[:0]))
 }
 
 func (w *Window) advanceTo(now vtime.Time, out []data.Tuple) []data.Tuple {

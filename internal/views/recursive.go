@@ -115,6 +115,7 @@ type View struct {
 	stats       Stats
 	baseIn      baseInput
 	edgeIn      edgeInput
+	slot        stream.Slot // emit's batch of one
 }
 
 // Stats counts maintenance work, the E6 efficiency metric.
@@ -265,38 +266,34 @@ func (v *View) Explain(t data.Tuple) []Derivation {
 type baseInput struct{ v *View }
 
 func (b *baseInput) Schema() *data.Schema { return b.v.cfg.Schema }
-func (b *baseInput) Push(t data.Tuple) {
-	if t.Op == data.Delete {
-		b.v.deleteBase(t)
-	} else {
-		b.v.insertBase(t)
-	}
-}
+func (b *baseInput) Push(t data.Tuple)    { b.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements stream.BatchOperator: maintenance is per-tuple (each
-// insert/delete runs its own fixpoint), but accepting the batch natively
-// keeps upstream batch edges (table loads, sharded exchanges) on one call.
+// PushBatch implements stream.Operator: maintenance is per tuple (each
+// insert or delete runs its own fixpoint), but accepting the batch keeps
+// upstream batch edges (table loads, sharded exchanges) on one call.
 func (b *baseInput) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
-		b.Push(t)
+		if t.Op == data.Delete {
+			b.v.deleteBase(t)
+		} else {
+			b.v.insertBase(t)
+		}
 	}
 }
 
 type edgeInput struct{ v *View }
 
 func (e *edgeInput) Schema() *data.Schema { return e.v.cfg.EdgeSchema }
-func (e *edgeInput) Push(t data.Tuple) {
-	if t.Op == data.Delete {
-		e.v.deleteEdge(t)
-	} else {
-		e.v.insertEdge(t)
-	}
-}
+func (e *edgeInput) Push(t data.Tuple)    { e.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements stream.BatchOperator (see baseInput.PushBatch).
+// PushBatch implements stream.Operator (see baseInput.PushBatch).
 func (e *edgeInput) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
-		e.Push(t)
+		if t.Op == data.Delete {
+			e.v.deleteEdge(t)
+		} else {
+			e.v.insertEdge(t)
+		}
 	}
 }
 
@@ -614,5 +611,5 @@ func (v *View) emit(t data.Tuple, op data.Op, ts vtime.Time) {
 	out.Op = op
 	out.TS = ts
 	v.stats.Emitted++
-	v.out.Push(out)
+	v.slot.Send(v.out, out)
 }
