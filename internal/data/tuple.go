@@ -99,9 +99,14 @@ func (t Tuple) Project(idx []int) Tuple {
 }
 
 // EqualVals reports positional SQL equality of values (ignores TS and Op).
+// Two tuples sharing their Vals, as a window's retraction shares the
+// insertion it retracts, are equal without a look at the values.
 func (t Tuple) EqualVals(o Tuple) bool {
 	if len(t.Vals) != len(o.Vals) {
 		return false
+	}
+	if len(t.Vals) == 0 || &t.Vals[0] == &o.Vals[0] {
+		return true
 	}
 	for i := range t.Vals {
 		a, b := t.Vals[i], o.Vals[i]

@@ -60,11 +60,7 @@ type AggSpec struct {
 // batch emits net changes only: the states a group passes through inside
 // one PushBatch are not emitted, and a group the batch leaves with the row
 // it had emits nothing. Push is the one-tuple batch, so its output is a
-// retract+insert per changing tuple.
-// Group state is keyed by 64-bit hashes of the canonical grouping-key
-// encoding; a bucket holds every group sharing the hash, and lookups verify
-// candidates against the stored key values, so no key string is
-// materialized per push.
+// retract+insert per changing tuple. Its groups live in a groupTable.
 type Aggregate struct {
 	next   Operator
 	in     *data.Schema
@@ -76,91 +72,125 @@ type Aggregate struct {
 }
 
 // groupTable is the grouped-state core shared by the one-phase Aggregate
-// and the two-phase PartialAggregate / FinalMerge operators: hash-bucketed
-// group lookup keyed on the canonical encoding of the grouping columns
-// (data.Hasher), with collision buckets verified value-by-value through
-// EqualOn, so no key string is materialized per push.
+// and the two-phase PartialAggregate / FinalMerge operators. A group is a
+// record found through a keyIndex by the 64-bit hash of the canonical
+// encoding of its grouping columns (data.Hasher) and verified against its
+// stored key values through EqualOn, so no key string is materialized per
+// push and no two keys share a record. A retired group's record, with its
+// aggregate slots and key, is reused by the next new group.
 type groupTable struct {
 	keyIdx []int
-	kvIdx  []int // identity indexes into groupState.keyVals
-	nAggs  int
-	groups map[uint64][]*groupState
-	n      int // live group count
+	kvIdx  []int  // identity indexes into groupState.keyVals
+	ext    []bool // per aggregate: MIN or MAX, the kinds that keep a value multiset
+	index  keyIndex
+	groups []groupState // by record id
+	free   []int32      // retired records
 	hasher data.Hasher
-	// touched lists the groups the running fold has changed and not yet
-	// emitted; empty between calls.
-	touched []touchedGroup
+	// touched lists, in first-touch order, the groups the running fold has
+	// changed and not yet emitted; a group retired since it was listed is -1.
+	// Empty between calls.
+	touched []int32
 	// reuse: the operator's consumer keeps nothing, so a group builds its
 	// next row in the row it last retracted (groupState.spare).
 	reuse bool
 	slot  Slot // emitRow's batch of one
 }
 
-type touchedGroup struct {
-	key uint64
-	g   *groupState
-}
-
-// newGroupTable resolves the grouping columns against in. groupBy must
-// already be validated (AggOutSchema / AggPartialSchema do).
-func newGroupTable(next Operator, in *data.Schema, groupBy []string, nAggs int) groupTable {
-	gt := groupTable{nAggs: nAggs, groups: map[uint64][]*groupState{}, reuse: keepsNothing(next)}
-	// keyIdx must stay non-nil: Tuple.HashOn(h, nil) means "all columns",
-	// but an empty GROUP BY means one global group (empty key).
-	gt.keyIdx = make([]int, 0, len(groupBy))
-	gt.kvIdx = make([]int, 0, len(groupBy))
-	for _, g := range groupBy {
-		i, _ := in.ColIndex(g)
-		gt.keyIdx = append(gt.keyIdx, i)
-		gt.kvIdx = append(gt.kvIdx, len(gt.kvIdx))
+// newGroupTable keys a table on the input columns keyIdx (non-nil: an empty
+// GROUP BY is one global group, while HashOn(t, nil) would mean "all
+// columns") for the aggregates specs.
+func newGroupTable(next Operator, keyIdx []int, specs []AggSpec) groupTable {
+	gt := groupTable{keyIdx: keyIdx, kvIdx: make([]int, len(keyIdx)), ext: make([]bool, len(specs)),
+		index: newKeyIndex(), reuse: keepsNothing(next)}
+	for i := range gt.kvIdx {
+		gt.kvIdx[i] = i
+	}
+	for i, s := range specs {
+		gt.ext[i] = s.Kind == AggMin || s.Kind == AggMax
 	}
 	return gt
 }
 
-// lookup finds the tuple's group, creating it for insertions. The nil
-// group result means a deletion addressed an unknown group (ignored by
-// every caller, matching the delta-stream convention).
-func (gt *groupTable) lookup(t data.Tuple) (uint64, *groupState) {
-	key := gt.hasher.HashOn(t, gt.keyIdx) & testHashMask
-	for _, cand := range gt.groups[key] {
-		// Verify the hash-bucket candidate's stored key values against the
-		// tuple's grouping columns under key-equality semantics.
-		if (data.Tuple{Vals: cand.keyVals}).EqualOn(gt.kvIdx, t, gt.keyIdx) {
-			return key, cand
-		}
+// groupCols resolves groupBy against in. groupBy must already be validated
+// (AggOutSchema / AggPartialSchema do).
+func groupCols(in *data.Schema, groupBy []string) []int {
+	idx := make([]int, 0, len(groupBy))
+	for _, g := range groupBy {
+		i, _ := in.ColIndex(g)
+		idx = append(idx, i)
 	}
-	if t.Op == data.Delete {
-		return key, nil
-	}
-	g := &groupState{aggs: make([]aggState, gt.nAggs)}
-	for i := range g.aggs {
-		g.aggs[i].vals = map[float64]int64{}
-	}
-	g.keyVals = make([]data.Value, len(gt.keyIdx))
-	for i, idx := range gt.keyIdx {
-		g.keyVals[i] = t.Vals[idx]
-	}
-	gt.groups[key] = append(gt.groups[key], g)
-	gt.n++
-	return key, g
+	return idx
 }
 
-// remove drops a dead group from its bucket.
-func (gt *groupTable) remove(key uint64, g *groupState) {
-	bucket := gt.groups[key]
-	for i, cand := range bucket {
-		if cand == g {
-			copy(bucket[i:], bucket[i+1:])
-			bucket[len(bucket)-1] = nil // drop the reference for GC
-			if len(bucket) == 1 {
-				delete(gt.groups, key)
-			} else {
-				gt.groups[key] = bucket[:len(bucket)-1]
-			}
-			break
+// len reports the live group count.
+func (gt *groupTable) len() int { return gt.index.n }
+
+// lookup finds the tuple's group, creating it for insertions. A nil group
+// means a deletion addressed an unknown group (ignored by every caller,
+// matching the delta-stream convention). The pointer is valid until the
+// next lookup.
+func (gt *groupTable) lookup(t data.Tuple) (int32, *groupState) {
+	return gt.place(t, gt.keyIdx, t.Op != data.Delete)
+}
+
+// place finds the group whose key is t's values at idx, creating it when
+// create is set; a new group's count is 0.
+func (gt *groupTable) place(t data.Tuple, idx []int, create bool) (int32, *groupState) {
+	h := gt.hasher.HashOn(t, idx) & testHashMask
+	gt.index.reserve()
+	i, id := gt.index.find(h, func(id int32) bool {
+		return data.Tuple{Vals: gt.groups[id].keyVals}.EqualOn(gt.kvIdx, t, idx)
+	})
+	if id >= 0 {
+		return id, &gt.groups[id]
+	}
+	if !create {
+		return -1, nil
+	}
+	id = gt.alloc()
+	g := &gt.groups[id]
+	g.hash = h
+	for _, k := range idx {
+		g.keyVals = append(g.keyVals, t.Vals[k])
+	}
+	gt.index.put(i, h, id)
+	return id, g
+}
+
+// alloc returns an empty group record: a retired one, or a new one with its
+// aggregate slots and, for MIN and MAX, value multisets.
+func (gt *groupTable) alloc() int32 {
+	if k := len(gt.free); k > 0 {
+		id := gt.free[k-1]
+		gt.free = gt.free[:k-1]
+		return id
+	}
+	g := groupState{keyVals: make([]data.Value, 0, len(gt.keyIdx)), aggs: make([]aggState, len(gt.ext))}
+	for i, e := range gt.ext {
+		if e {
+			g.aggs[i].vals = map[float64]int64{}
 		}
 	}
-	gt.n--
+	gt.groups = append(gt.groups, g)
+	return int32(len(gt.groups) - 1)
+}
+
+// retire drops a dead group from the index and the touched list, and empties
+// its record for alloc, keeping the memory it owns: key, aggregate slots,
+// value multisets and spare row.
+func (gt *groupTable) retire(id int32) {
+	g := &gt.groups[id]
+	gt.index.del(gt.index.slotOf(g.hash, id))
+	if g.touched > 0 {
+		gt.touched[g.touched-1] = -1
+	}
+	for i := range g.aggs {
+		clear(g.aggs[i].vals)
+		g.aggs[i] = aggState{vals: g.aggs[i].vals}
+	}
+	clear(g.keyVals)
+	*g = groupState{keyVals: g.keyVals[:0], aggs: g.aggs, spare: g.spare}
+	gt.free = append(gt.free, id)
 }
 
 // fold runs a batch through the table for Aggregate and PartialAggregate,
@@ -173,29 +203,29 @@ func (gt *groupTable) remove(key uint64, g *groupState) {
 // starts from fresh state and a later delete of it is ignored.
 func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(g *groupState, dst []data.Value) []data.Value) {
 	for _, t := range ts {
-		key, g := gt.lookup(t)
+		id, g := gt.lookup(t)
 		if g == nil {
 			continue // deletion for unknown group: ignore
 		}
 		accumulate(g, t, args)
 		if g.count <= 0 {
-			gt.emitRow(next, key, g, nil, t.TS)
+			gt.emitRow(next, id, g, nil, t.TS)
 			continue
 		}
 		g.cause = t.TS
-		if !g.touched {
-			g.touched = true
-			gt.touched = append(gt.touched, touchedGroup{key, g})
+		if g.touched == 0 {
+			gt.touched = append(gt.touched, id)
+			g.touched = int32(len(gt.touched))
 		}
 	}
-	for _, d := range gt.touched {
-		if d.g.count <= 0 {
+	for _, id := range gt.touched {
+		if id < 0 {
 			continue // retired after it was listed
 		}
-		d.g.touched = false
-		gt.emitRow(next, d.key, d.g, row(d.g, gt.rowBuf(d.g)), d.g.cause)
+		g := &gt.groups[id]
+		g.touched = 0
+		gt.emitRow(next, id, g, row(g, gt.rowBuf(g)), g.cause)
 	}
-	clear(gt.touched) // a retired group must not stay reachable from the scratch
 	gt.touched = gt.touched[:0]
 }
 
@@ -210,11 +240,11 @@ func (gt *groupTable) rowBuf(g *groupState) []data.Value {
 
 // emitRow retracts g's previously emitted row and emits newOut (nil means
 // no visible row, e.g. failed HAVING or dead group), suppressing no-op
-// transitions, then removes the group once its count reaches zero. Both
+// transitions, then retires the group once its count reaches zero. Both
 // rows carry the timestamp ts of the tuple that caused the change. When the
 // consumer keeps nothing, the retracted row becomes the group's spare, and
 // a spare that newOut was built in stops being one.
-func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut []data.Value, ts vtime.Time) {
+func (gt *groupTable) emitRow(next Operator, id int32, g *groupState, newOut []data.Value, ts vtime.Time) {
 	old := g.lastOut
 	if old != nil {
 		same := newOut != nil && len(newOut) == len(g.lastOut)
@@ -240,11 +270,12 @@ func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut [
 		g.spare = old
 	}
 	if g.count <= 0 {
-		gt.remove(key, g)
+		gt.retire(id)
 	}
 }
 
 type groupState struct {
+	hash    uint64 // of keyVals, masked: the group's key in the index
 	keyVals []data.Value
 	count   int64 // tuples in group
 	aggs    []aggState
@@ -252,17 +283,18 @@ type groupState struct {
 	// spare is a row this group built and retracted, free to build the next
 	// one in; only used when the consumer keeps nothing.
 	spare []data.Value
-	// touched and cause live only inside groupTable.fold: the group is on
-	// the touched list, and cause is the timestamp of the last tuple folded
-	// into it.
-	touched bool
+	// touched and cause live only inside groupTable.fold: touched is the
+	// group's position on the touched list + 1 (0: not on it), and cause is
+	// the timestamp of the last tuple folded into it.
+	touched int32
 	cause   vtime.Time
 }
 
 type aggState struct {
 	n   int64 // non-null inputs
 	sum float64
-	// multiset of values for min/max deletion support
+	// vals is the multiset of values MIN and MAX need to survive deletions;
+	// nil for the other kinds, which never read it.
 	vals map[float64]int64
 }
 
@@ -311,7 +343,7 @@ func NewAggregate(next Operator, in *data.Schema, groupBy []string, specs []AggS
 		return nil, err
 	}
 	a := &Aggregate{next: next, in: in, out: out, specs: specs,
-		table: newGroupTable(next, in, groupBy, len(specs))}
+		table: newGroupTable(next, groupCols(in, groupBy), specs)}
 	if a.args, err = bindAggArgs(in, specs); err != nil {
 		return nil, err
 	}
@@ -372,8 +404,8 @@ func checkAggDownstream(next Operator, out *data.Schema, what string) error {
 }
 
 // accumulate folds one input tuple into the group's running state — the
-// group count and every aggregate's (n, sum, value-multiset) — with the
-// tuple's polarity deciding the delta sign. Aggregate and
+// group count and every aggregate's (n, sum) and, for MIN and MAX, value
+// multiset — with the tuple's polarity deciding the delta sign. Aggregate and
 // PartialAggregate accumulate identically; they differ only in what they
 // emit.
 func accumulate(g *groupState, t data.Tuple, args []*expr.Compiled) {
@@ -395,10 +427,18 @@ func accumulate(g *groupState, t data.Tuple, args []*expr.Compiled) {
 		f := v.AsFloat()
 		st.n += delta
 		st.sum += float64(delta) * f
-		st.vals[f] += delta
-		if st.vals[f] <= 0 {
-			delete(st.vals, f)
+		if st.vals != nil {
+			st.addVal(f, delta)
 		}
+	}
+}
+
+// addVal counts delta more copies of f in a MIN/MAX value multiset.
+func (st *aggState) addVal(f float64, delta int64) {
+	if n := st.vals[f] + delta; n > 0 {
+		st.vals[f] = n
+	} else {
+		delete(st.vals, f)
 	}
 }
 
@@ -464,4 +504,4 @@ func (st *aggState) result(k AggKind) data.Value {
 }
 
 // Groups reports the live group count (for plan displays).
-func (a *Aggregate) Groups() int { return a.table.n }
+func (a *Aggregate) Groups() int { return a.table.len() }

@@ -713,9 +713,9 @@ func TestAggregateBatchRetiresAtZero(t *testing.T) {
 	if len(a.table.touched) != 0 {
 		t.Fatalf("fold left touched groups listed: %v", a.table.touched)
 	}
-	for _, d := range a.table.touched[:cap(a.table.touched)] {
-		if d.g != nil {
-			t.Fatal("fold's scratch still pins a group")
+	for id, g := range a.table.groups {
+		if g.touched != 0 {
+			t.Fatalf("group %d still marks itself listed at %d", id, g.touched)
 		}
 	}
 }

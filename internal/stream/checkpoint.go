@@ -20,7 +20,7 @@ import (
 // remote.go / shard.go for the protocol and the failover state machine).
 //
 // Snapshots capture exactly what the operators rebuild: window rings, join
-// hash tables, distinct multiplicities, and grouped aggregation states
+// rows, distinct multiplicities, and grouped aggregation states
 // including each group's last emitted row — so a restored replica's next
 // retract-then-insert pair matches the row the coordinator's sink currently
 // holds. Hash keys are never shipped: restore re-hashes through data.Hasher,
@@ -83,8 +83,8 @@ type WindowState struct {
 	LastAdv vtime.Time
 }
 
-// JoinState snapshots a symmetric hash join: the tuples of each side's
-// table (bucket structure rebuilds by re-hashing).
+// JoinState snapshots a symmetric hash join: the rows each side holds (the
+// key records rebuild by re-hashing).
 type JoinState struct {
 	L, R []data.Tuple
 }
@@ -150,40 +150,50 @@ func (w *Window) RestoreState(s OpState) error {
 	return nil
 }
 
-// CheckpointState implements Checkpointer. Bucket iteration order is
-// immaterial: restore re-hashes every tuple, and removals match by value
-// equality.
+// CheckpointState implements Checkpointer: each side's rows, key by key in
+// record order and in arrival order within a key.
 func (j *Join) CheckpointState() OpState {
-	st := &JoinState{L: flattenTable(j.lTable), R: flattenTable(j.rTable)}
+	var n [2]int
+	for _, r := range j.recs {
+		n[0] += len(r.rows[0])
+		n[1] += len(r.rows[1])
+	}
+	st := &JoinState{L: make([]data.Tuple, 0, n[0]), R: make([]data.Tuple, 0, n[1])}
+	for _, r := range j.recs {
+		st.L = append(st.L, r.rows[0]...)
+		st.R = append(st.R, r.rows[1]...)
+	}
 	return OpState{Kind: ckJoin, Join: st}
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Checkpointer: the rows go in as insertions, through
+// the path PushBatch takes. A row of the wrong arity or with a value of no
+// known type is an error and leaves the join as it was.
 func (j *Join) RestoreState(s OpState) error {
 	if s.Kind != ckJoin || s.Join == nil {
 		return ckKindErr(ckJoin, s)
 	}
-	j.lTable = rebuildTable(&j.hasher, s.Join.L, j.lKey)
-	j.rTable = rebuildTable(&j.hasher, s.Join.R, j.rKey)
+	sides := [2][]data.Tuple{s.Join.L, s.Join.R}
+	for side, rows := range sides {
+		w := j.in[side].Arity()
+		for _, t := range rows {
+			if len(t.Vals) != w || slices.ContainsFunc(t.Vals, unknownType) {
+				return fmt.Errorf("stream: join checkpoint: row %v: want %d columns of known types", t, w)
+			}
+		}
+	}
+	j.index, j.recs, j.free = newKeyIndex(), nil, nil
+	for side, rows := range sides {
+		for _, t := range rows {
+			j.update(data.Tuple{Vals: t.Vals, TS: t.TS}, side)
+		}
+	}
 	return nil
 }
 
-func flattenTable(m map[uint64][]data.Tuple) []data.Tuple {
-	out := make([]data.Tuple, 0, tableSize(m))
-	for _, b := range m {
-		out = append(out, b...)
-	}
-	return out
-}
-
-func rebuildTable(h *data.Hasher, ts []data.Tuple, keyIdx []int) map[uint64][]data.Tuple {
-	m := make(map[uint64][]data.Tuple, len(ts))
-	for _, t := range ts {
-		key := h.HashOn(t, keyIdx) & testHashMask
-		m[key] = append(m[key], t)
-	}
-	return m
-}
+// unknownType reports a value of no known type, which checkpoints may not
+// carry.
+func unknownType(v data.Value) bool { return v.T > data.TTime }
 
 // CheckpointState implements Checkpointer.
 func (d *Distinct) CheckpointState() OpState {
@@ -203,57 +213,79 @@ func (d *Distinct) RestoreState(s OpState) error {
 }
 
 // checkpoint snapshots every live group of a groupTable. The state aliases
-// each group's keyVals and lastOut rather than copying them. For lastOut
-// that is safe only because EncodeCheckpoint encodes the state on the
-// operator's goroutine before the next push: once retracted, a lastOut may
-// become the group's spare and be overwritten (groupTable.reuse).
+// each group's keyVals and lastOut rather than copying them. That is safe
+// only because EncodeCheckpoint encodes the state on the operator's
+// goroutine before the next push: a retired group's keyVals is reused by the
+// next new group, and once retracted, a lastOut may become the group's spare
+// and be overwritten (groupTable.reuse). Only MIN and MAX carry a value
+// multiset; the other kinds' Vals are nil.
 func (gt *groupTable) checkpoint() *GroupsState {
-	st := &GroupsState{Groups: make([]GroupState, 0, gt.n)}
-	for _, bucket := range gt.groups {
-		for _, g := range bucket {
-			gc := GroupState{
-				KeyVals: g.keyVals, Count: g.count,
-				LastOut: g.lastOut, HasOut: g.lastOut != nil,
-				Aggs: make([]AggState, len(g.aggs)),
-			}
-			for i := range g.aggs {
-				gc.Aggs[i] = AggState{N: g.aggs[i].n, Sum: g.aggs[i].sum, Vals: g.aggs[i].vals}
-			}
-			st.Groups = append(st.Groups, gc)
+	st := &GroupsState{Groups: make([]GroupState, 0, gt.len())}
+	for i := range gt.groups {
+		g := &gt.groups[i]
+		if g.count <= 0 {
+			continue // retired
 		}
+		gc := GroupState{
+			KeyVals: g.keyVals, Count: g.count,
+			LastOut: g.lastOut, HasOut: g.lastOut != nil,
+			Aggs: make([]AggState, len(g.aggs)),
+		}
+		for i := range g.aggs {
+			gc.Aggs[i] = AggState{N: g.aggs[i].n, Sum: g.aggs[i].sum, Vals: g.aggs[i].vals}
+		}
+		st.Groups = append(st.Groups, gc)
 	}
 	return st
 }
 
-// restore rebuilds the group table from a snapshot. The group hash of the
-// stored key values equals the hash lookup computes from an input tuple's
-// grouping columns: both fold the same value sequence through the canonical
-// encoding.
-func (gt *groupTable) restore(st *GroupsState) error {
-	gt.groups = map[uint64][]*groupState{}
-	gt.n = 0
+// restore rebuilds the group table from a snapshot whose output rows are
+// width wide, placing each group through the path lookup takes. The group
+// hash of the stored key values equals the hash lookup computes from an
+// input tuple's grouping columns: both fold the same value sequence through
+// the canonical encoding. A group with a key of the wrong arity or of
+// unknown types, a count below one, the wrong number of aggregates, a value
+// multiset count below one or a last row of the wrong width, or a key listed
+// twice, is an error and leaves the table as it was. A value multiset is
+// kept for MIN and MAX only; any other aggregate's is ignored.
+func (gt *groupTable) restore(st *GroupsState, width int) error {
+	fresh := groupTable{keyIdx: gt.keyIdx, kvIdx: gt.kvIdx, ext: gt.ext, index: newKeyIndex(), reuse: gt.reuse}
 	for _, gc := range st.Groups {
-		if len(gc.Aggs) != gt.nAggs {
-			return fmt.Errorf("stream: group checkpoint carries %d aggregates, operator has %d",
-				len(gc.Aggs), gt.nAggs)
+		switch {
+		case len(gc.KeyVals) != len(gt.keyIdx) || slices.ContainsFunc(gc.KeyVals, unknownType):
+			return fmt.Errorf("stream: group checkpoint key %v: want %d values of known types", gc.KeyVals, len(gt.keyIdx))
+		case gc.Count < 1:
+			return fmt.Errorf("stream: group checkpoint %v counts %d tuples", gc.KeyVals, gc.Count)
+		case len(gc.Aggs) != len(gt.ext):
+			return fmt.Errorf("stream: group checkpoint carries %d aggregates, operator has %d", len(gc.Aggs), len(gt.ext))
+		case gc.HasOut && len(gc.LastOut) != width:
+			return fmt.Errorf("stream: group checkpoint %v: last row %v is not %d wide", gc.KeyVals, gc.LastOut, width)
 		}
-		g := &groupState{keyVals: gc.KeyVals, count: gc.Count, aggs: make([]aggState, gt.nAggs)}
+		_, g := fresh.place(data.Tuple{Vals: gc.KeyVals}, fresh.kvIdx, true)
+		if g.count != 0 {
+			return fmt.Errorf("stream: group checkpoint lists key %v twice", gc.KeyVals)
+		}
+		g.count = gc.Count
 		if gc.HasOut {
 			// A copy: the group may later build rows in its retracted
 			// lastOut, and it writes only into rows it built itself.
 			g.lastOut = slices.Clone(gc.LastOut)
 		}
 		for i, a := range gc.Aggs {
-			vals := a.Vals
-			if vals == nil {
-				vals = map[float64]int64{}
+			ag := &g.aggs[i]
+			ag.n, ag.sum = a.N, a.Sum
+			if ag.vals == nil {
+				continue
 			}
-			g.aggs[i] = aggState{n: a.N, sum: a.Sum, vals: vals}
+			for f, c := range a.Vals {
+				if c < 1 {
+					return fmt.Errorf("stream: group checkpoint %v holds %v ×%d", gc.KeyVals, f, c)
+				}
+				ag.vals[f] = c
+			}
 		}
-		key := gt.hasher.HashOn(data.Tuple{Vals: g.keyVals}, nil) & testHashMask
-		gt.groups[key] = append(gt.groups[key], g)
-		gt.n++
 	}
+	*gt = fresh
 	return nil
 }
 
@@ -267,7 +299,7 @@ func (a *Aggregate) RestoreState(s OpState) error {
 	if s.Kind != ckAggregate || s.Groups == nil {
 		return ckKindErr(ckAggregate, s)
 	}
-	return a.table.restore(s.Groups)
+	return a.table.restore(s.Groups, a.out.Arity())
 }
 
 // CheckpointState implements Checkpointer.
@@ -280,7 +312,7 @@ func (a *PartialAggregate) RestoreState(s OpState) error {
 	if s.Kind != ckPartialAgg || s.Groups == nil {
 		return ckKindErr(ckPartialAgg, s)
 	}
-	return a.table.restore(s.Groups)
+	return a.table.restore(s.Groups, a.out.Arity())
 }
 
 // CheckpointState implements Checkpointer. FinalMerge lives on the
@@ -295,7 +327,7 @@ func (f *FinalMerge) RestoreState(s OpState) error {
 	if s.Kind != ckFinalMerge || s.Groups == nil {
 		return ckKindErr(ckFinalMerge, s)
 	}
-	return f.table.restore(s.Groups)
+	return f.table.restore(s.Groups, f.out.Arity())
 }
 
 // CheckpointState implements Checkpointer: the result multiset with

@@ -129,31 +129,29 @@ func (g *epochGen) feed(p *shardPipe) {
 //   - 1 when sharded, Flush's WaitGroup, which escapes into the barrier
 //     messages;
 //   - aggRows, one Vals per aggregate row handed to a consumer that keeps
-//     it: the grouped rows each replica sends into the Merge funnel, the
-//     global AVG's partial rows (partialRow), and at P=1 the final rows of
-//     the re-created group below, which has no retracted row to reuse;
-//   - 4 per group the FinalMerge re-creates: at P=1 the one shard's
-//     retraction of its partial row empties the global group, so its
-//     replacement builds the group's state, aggregate slots, value map and
-//     hash bucket again.
+//     it: the grouped rows each replica sends into the Merge funnel, and the
+//     global AVG's partial rows (partialRow).
 //
 // Windows, joins, Sharder routing, the shard queues, the Merge funnel and
 // Materialize allocate nothing: a join writes its rows into a pooled arena
 // and an aggregate builds each row in the one it last retracted, because
-// their consumers (the aggregate; Materialize) keep nothing. Sharding
-// changes aggRows because each replica's windows expire on their own
-// arrivals. The counts are measured across the barrier: without it, whether
-// a shard's batch buffer comes from the freelist depends on worker
-// scheduling. Under the race detector sync.Pool drops items at random, so
-// the counts, whose every path crosses the join's arena pool, are checked
-// only without it.
+// their consumers (the aggregate; Materialize) keep nothing. Neither does a
+// group the FinalMerge re-creates: at P=1 the one shard's retraction of its
+// partial row empties the global group, and its replacement takes over the
+// retired group's record — key, aggregate slots and spare row — and its
+// index slot is a (hash, id) pair. Sharding changes aggRows because each
+// replica's windows expire on their own arrivals. The counts are measured
+// across the barrier: without it, whether a shard's batch buffer comes from
+// the freelist depends on worker scheduling. Under the race detector
+// sync.Pool drops items at random, so the counts, whose every path crosses
+// the join's arena pool, are checked only without it.
 func TestJoinAggAllocs(t *testing.T) {
 	type allocCase struct {
-		name            string
-		p               int
-		global          bool
-		push            bool // one Push per tuple instead of one PushBatch per input
-		aggRows, groups int
+		name    string
+		p       int
+		global  bool
+		push    bool // one Push per tuple instead of one PushBatch per input
+		aggRows int
 	}
 	cases := []allocCase{
 		{name: "serial/Push", push: true},
@@ -162,7 +160,7 @@ func TestJoinAggAllocs(t *testing.T) {
 		{name: "P=2", p: 2, aggRows: 119},
 		{name: "P=4", p: 4, aggRows: 114},
 		{name: "P=8", p: 8, aggRows: 110},
-		{name: "glob/P=1", p: 1, global: true, aggRows: 2 + 2, groups: 2},
+		{name: "glob/P=1", p: 1, global: true, aggRows: 2},
 		{name: "glob/P=2", p: 2, global: true, aggRows: 4},
 		{name: "glob/P=4", p: 4, global: true, aggRows: 8},
 		{name: "glob/P=8", p: 8, global: true, aggRows: 16},
@@ -187,7 +185,7 @@ func TestJoinAggAllocs(t *testing.T) {
 			for range 400 {
 				epoch()
 			}
-			want := 1 + c.aggRows + 4*c.groups
+			want := 1 + c.aggRows
 			if c.p > 0 {
 				want++
 			}

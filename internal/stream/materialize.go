@@ -166,7 +166,7 @@ func (m *Materialize) ChainOnChange(fn func()) {
 func (m *Materialize) Len() int {
 	src := m.lock()
 	defer m.unlock(src)
-	return src.rows.n
+	return src.rows.len()
 }
 
 // Version increments on every mutation; displays poll it cheaply.
@@ -199,9 +199,9 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 	}
 	src := m.lock()
 	set, w := &src.rows, src.rows.w
-	rows := make([]snapRow, 0, set.n)
-	keys := data.NewKeyArena(set.n, src.keyBytes)
-	vals := make([]data.Value, 0, set.n*w)
+	rows := make([]snapRow, 0, set.len())
+	keys := data.NewKeyArena(set.len(), src.keyBytes)
+	vals := make([]data.Value, 0, set.len()*w)
 	total := 0
 	for r, rec := range set.recs {
 		if rec.count == 0 {

@@ -113,13 +113,13 @@ func keepsNothing(op Operator) bool {
 	return false
 }
 
-// testHashMask narrows operator key hashes; tests set it to 0 to force
-// every key into one collision bucket, exercising bucket verification.
+// testHashMask narrows operator key hashes; tests set it to 0 to give every
+// key the same hash, so every keyIndex lookup verifies every record.
 var testHashMask = ^uint64(0)
 
 // SetTestHashMask narrows operator key hashes and returns the previous
 // mask. It exists for tests in other packages (the plan-level differential
-// harness) that force every key into one collision bucket; only call it
+// harness) that give every key the same hash; only call it
 // while no operators are processing (before deploying, after closing).
 func SetTestHashMask(m uint64) (prev uint64) {
 	prev = testHashMask

@@ -71,7 +71,7 @@ func NewPartialAggregate(next Operator, in *data.Schema, groupBy []string, specs
 		return nil, err
 	}
 	a := &PartialAggregate{next: next, in: in, out: out, specs: specs,
-		table: newGroupTable(next, in, groupBy, len(specs))}
+		table: newGroupTable(next, groupCols(in, groupBy), specs)}
 	if a.args, err = bindAggArgs(in, specs); err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func (a *PartialAggregate) Schema() *data.Schema { return a.in }
 func (a *PartialAggregate) OutSchema() *data.Schema { return a.out }
 
 // Groups reports the live group count of this shard.
-func (a *PartialAggregate) Groups() int { return a.table.n }
+func (a *PartialAggregate) Groups() int { return a.table.len() }
 
 // Push implements Operator.
 func (a *PartialAggregate) Push(t data.Tuple) { a.PushBatch([]data.Tuple{t}) }
@@ -157,16 +157,14 @@ func NewFinalMerge(next Operator, source *data.Schema, groupBy []string, specs [
 		return nil, err
 	}
 	f := &FinalMerge{next: next, in: in, out: out, specs: specs,
-		cntIdx: len(groupBy),
-		table:  groupTable{nAggs: len(specs), groups: map[uint64][]*groupState{}, reuse: keepsNothing(next)}}
+		cntIdx: len(groupBy)}
 	// Group columns sit first in the partial row, in groupBy order; key on
 	// them positionally (identity indexes, like the stored key values).
-	f.table.keyIdx = make([]int, len(groupBy))
-	f.table.kvIdx = make([]int, len(groupBy))
-	for i := range groupBy {
-		f.table.keyIdx[i] = i
-		f.table.kvIdx[i] = i
+	keyIdx := make([]int, len(groupBy))
+	for i := range keyIdx {
+		keyIdx[i] = i
 	}
+	f.table = newGroupTable(next, keyIdx, specs)
 	for i := range specs {
 		f.nIdx = append(f.nIdx, f.cntIdx+1+2*i)
 		f.vIdx = append(f.vIdx, f.cntIdx+2+2*i)
@@ -192,7 +190,7 @@ func (f *FinalMerge) Schema() *data.Schema { return f.in }
 func (f *FinalMerge) OutSchema() *data.Schema { return f.out }
 
 // Groups reports the live merged group count.
-func (f *FinalMerge) Groups() int { return f.table.n }
+func (f *FinalMerge) Groups() int { return f.table.len() }
 
 // Push implements Operator.
 func (f *FinalMerge) Push(t data.Tuple) { f.PushBatch([]data.Tuple{t}) }
@@ -207,7 +205,7 @@ func (f *FinalMerge) Push(t data.Tuple) { f.PushBatch([]data.Tuple{t}) }
 // retire it and emit the pair anyway.
 func (f *FinalMerge) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
-		key, g := f.table.lookup(t)
+		id, g := f.table.lookup(t)
 		if g == nil {
 			continue // retraction for an unknown group: ignore
 		}
@@ -227,13 +225,9 @@ func (f *FinalMerge) PushBatch(ts []data.Tuple) {
 			case AggSum, AggAvg:
 				st.sum += float64(delta) * v.AsFloat()
 			case AggMin, AggMax:
-				fv := v.AsFloat()
-				st.vals[fv] += delta
-				if st.vals[fv] <= 0 {
-					delete(st.vals, fv)
-				}
+				st.addVal(v.AsFloat(), delta)
 			}
 		}
-		f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
+		f.table.emitRow(f.next, id, g, finalRow(g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
 	}
 }

@@ -124,8 +124,8 @@ func TestReuseOwnership(t *testing.T) {
 				j := must[*Join](t)(NewJoin(NewCollector(s.Concat(s)), s, s, nil, nil, nil))
 				seen := map[*data.Value]bool{}
 				return j.Left(), func() {
-					for _, b := range j.lTable {
-						for _, tu := range b {
+					for _, r := range j.recs {
+						for _, tu := range r.rows[0] {
 							if !seen[&tu.Vals[0]] {
 								seen[&tu.Vals[0]] = true
 								k.Push(tu)

@@ -3,69 +3,57 @@ package stream
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"aspen/internal/data"
 	"aspen/internal/vtime"
 )
 
-// rowSet is the row multiset behind Materialize and Distinct. Row i's values
-// sit at vals[i*w:(i+1)*w] in one arena, beside a pointer-free record of its
-// hash, first-insert timestamp and multiplicity. Rows are found through an
-// open-addressed table of row indexes (linear probing, backward-shift
-// deletion) keyed by the full data.Hasher hash and verified with EqualVals.
-// A retired row's slot is cleared and reused by the next new row, so once the
-// arena has grown, inserting copies into it and deleting allocates nothing.
+// rowSet is the row multiset behind Materialize and Distinct, keyIndex's
+// multiset user. Row i's values sit at vals[i*w:(i+1)*w] in one arena, beside
+// a pointer-free record of its first-insert timestamp and multiplicity. Rows
+// are found through the index by their data.Hasher hash and verified
+// with EqualVals. A retired row's slot is cleared and reused by the next new
+// row, so once the arena has grown, inserting copies into it and deleting
+// allocates nothing.
 type rowSet struct {
 	w      int
 	vals   []data.Value
 	recs   []rowRec
 	free   []int32 // retired rows, reused before the arena grows
-	table  []int32 // row index + 1 per slot; 0 is an empty slot
-	n      int     // live (distinct) rows
+	index  keyIndex
 	hasher data.Hasher
 }
 
 type rowRec struct {
-	hash  uint64
 	ts    vtime.Time
 	count int // 0 marks a retired row
 }
 
-func newRowSet(w int) rowSet { return rowSet{w: w, table: make([]int32, 8)} }
+func newRowSet(w int) rowSet { return rowSet{w: w, index: newKeyIndex()} }
 
 func (s *rowSet) row(r int32) []data.Value {
 	return s.vals[int(r)*s.w : (int(r)+1)*s.w : (int(r)+1)*s.w]
 }
 
-func (s *rowSet) home(h uint64) int {
-	return int((h * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(len(s.table)))))
+// find returns the slot and index of t's row, or the empty slot ending its
+// run and -1.
+func (s *rowSet) find(t data.Tuple, h uint64) (int, int32) {
+	return s.index.find(h, func(r int32) bool { return t.EqualVals(data.Tuple{Vals: s.row(r)}) })
 }
 
-// probe returns the slot holding t's row, or the empty slot ending its run.
-func (s *rowSet) probe(t data.Tuple, h uint64) int {
-	mask := len(s.table) - 1
-	for i := s.home(h); ; i = (i + 1) & mask {
-		r := s.table[i]
-		if r == 0 || s.recs[r-1].hash == h && t.EqualVals(data.Tuple{Vals: s.row(r - 1)}) {
-			return i
-		}
-	}
-}
+// len reports the live (distinct) rows.
+func (s *rowSet) len() int { return s.index.n }
 
 // add counts n more copies of t's row and reports whether it was absent.
 func (s *rowSet) add(t data.Tuple, n int) bool {
 	h := s.hasher.Hash(t) & testHashMask
-	if 2*(s.n+1) > len(s.table) {
-		s.grow()
-	}
-	i := s.probe(t, h)
-	if r := s.table[i]; r != 0 {
-		s.recs[r-1].count += n
+	s.index.reserve()
+	i, r := s.find(t, h)
+	if r >= 0 {
+		s.recs[r].count += n
 		return false
 	}
-	var r int32
 	if k := len(s.free); k > 0 {
 		r, s.free = s.free[k-1], s.free[:k-1]
 		copy(s.row(r), t.Vals)
@@ -74,17 +62,15 @@ func (s *rowSet) add(t data.Tuple, n int) bool {
 		s.vals = append(s.vals, t.Vals...)
 		s.recs = append(s.recs, rowRec{})
 	}
-	s.recs[r] = rowRec{hash: h, ts: t.TS, count: n}
-	s.table[i] = r + 1
-	s.n++
+	s.recs[r] = rowRec{ts: t.TS, count: n}
+	s.index.put(i, h, r)
 	return true
 }
 
 // remove takes one copy of t's row away and reports whether it was the last;
 // a row not present is ignored.
 func (s *rowSet) remove(t data.Tuple) bool {
-	i := s.probe(t, s.hasher.Hash(t)&testHashMask)
-	r := s.table[i] - 1
+	i, r := s.find(t, s.hasher.Hash(t)&testHashMask)
 	if r < 0 {
 		return false
 	}
@@ -94,44 +80,21 @@ func (s *rowSet) remove(t data.Tuple) bool {
 	clear(s.row(r))
 	s.recs[r] = rowRec{}
 	s.free = append(s.free, r)
-	s.n--
-	// Shift back every entry of the run whose probe path crosses the hole.
-	mask := len(s.table) - 1
-	for j := (i + 1) & mask; s.table[j] != 0; j = (j + 1) & mask {
-		if (j-s.home(s.recs[s.table[j]-1].hash))&mask >= (j-i)&mask {
-			s.table[i], i = s.table[j], j
-		}
-	}
-	s.table[i] = 0
+	s.index.del(i)
 	return true
-}
-
-// grow doubles the table (at most half full) and re-slots the live rows.
-func (s *rowSet) grow() {
-	s.table = make([]int32, 2*len(s.table))
-	mask := len(s.table) - 1
-	for r, rec := range s.recs {
-		if rec.count > 0 {
-			i := s.home(rec.hash)
-			for s.table[i] != 0 {
-				i = (i + 1) & mask
-			}
-			s.table[i] = int32(r) + 1
-		}
-	}
 }
 
 // clone returns a copy of the set that shares no memory with it.
 func (s *rowSet) clone() rowSet {
 	return rowSet{w: s.w, vals: slices.Clone(s.vals), recs: slices.Clone(s.recs),
-		free: slices.Clone(s.free), table: slices.Clone(s.table), n: s.n}
+		free: slices.Clone(s.free), index: keyIndex{slots: slices.Clone(s.index.slots), n: s.index.n}}
 }
 
 // state copies the live rows and their counts out for a checkpoint, the rows
 // in one backing array.
 func (s *rowSet) state() ([]data.Tuple, []int64) {
-	vals := make([]data.Value, 0, s.n*s.w)
-	rows, counts := make([]data.Tuple, 0, s.n), make([]int64, 0, s.n)
+	vals := make([]data.Value, 0, s.len()*s.w)
+	rows, counts := make([]data.Tuple, 0, s.len()), make([]int64, 0, s.len())
 	for r, rec := range s.recs {
 		if rec.count > 0 {
 			vals = append(vals, s.row(int32(r))...)
@@ -151,8 +114,7 @@ func (s *rowSet) restore(rows []data.Tuple, counts []int64) error {
 	}
 	fresh := newRowSet(s.w)
 	for i, t := range rows {
-		unknown := func(v data.Value) bool { return v.T > data.TTime }
-		if c := counts[i]; c < 1 || c > math.MaxInt32 || len(t.Vals) != s.w || slices.ContainsFunc(t.Vals, unknown) {
+		if c := counts[i]; c < 1 || c > math.MaxInt32 || len(t.Vals) != s.w || slices.ContainsFunc(t.Vals, unknownType) {
 			return fmt.Errorf("row %v ×%d: want %d columns of known types and a count in [1, 2^31)", t, c, s.w)
 		}
 		fresh.add(t, int(counts[i]))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,11 +94,11 @@ func multisetSchema() *data.Schema {
 // slot of a 16-slot table — and so of an 8-slot one — so their run wraps
 // past the end.
 func wrapRows(n int) []data.Tuple {
-	probe := rowSet{table: make([]int32, 16)}
+	probe := keyIndex{slots: make([]keySlot, 16)}
 	var h data.Hasher
 	var out []data.Tuple
 	for i := int64(0); len(out) < n; i++ {
-		if tu := data.NewTuple(0, data.Int(i), data.Null, data.Null); probe.home(h.Hash(tu)) == 15 {
+		if tu := data.NewTuple(0, data.Int(i), data.Null, data.Null); probe.home(tagOf(h.Hash(tu))) == 15 {
 			out = append(out, tu)
 		}
 	}
@@ -172,8 +173,8 @@ func TestRowMultisetDifferential(t *testing.T) {
 						t.Fatalf("%s: %v", ctx, err)
 					}
 					requireMultiset(t, ctx+" restored", m2, d2, ref)
-					if tab := m.rows.table; tab[len(tab)-1] != 0 && tab[0] != 0 &&
-						m.rows.home(m.rows.recs[tab[0]-1].hash) == len(tab)-1 {
+					if x := &m.rows.index; x.slots[len(x.slots)-1].id != 0 && x.slots[0].id != 0 &&
+						x.home(x.slots[0].tag) == len(x.slots)-1 {
 						wrapped = true
 					}
 				}
@@ -185,62 +186,170 @@ func TestRowMultisetDifferential(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointRestore feeds arbitrary bytes to RestoreCheckpoint for a
-// [Materialize, Distinct] replica: it errors or leaves every row at schema
-// arity, with Len equal to the distinct rows there are — never a panic.
-func FuzzCheckpointRestore(f *testing.F) {
-	schema := multisetSchema()
-	m, d := NewMaterialize(schema), NewDistinct(NewCollector(schema))
-	for i := 0; i < 24; i++ {
-		tu := data.NewTuple(vtime.Time(i), data.Float(float64(i%7)), data.Str(fmt.Sprint("r", i%5)), data.Null)
-		m.Push(tu)
-		d.Push(tu)
+// fuzzReplica holds one operator of every kind whose checkpoint carries
+// rows or keys: Materialize, Distinct, Join, Aggregate, PartialAggregate and
+// FinalMerge, over multisetSchema rows keyed and grouped on s.
+type fuzzReplica struct {
+	m       *Materialize
+	d       *Distinct
+	j       *Join
+	agg     *Aggregate
+	pa      *PartialAggregate
+	fm      *FinalMerge
+	fmFront *PartialAggregate // feeds fm; not checkpointed
+}
+
+var fuzzSpecs = []AggSpec{{Kind: AggCount, Alias: "n"}, {Kind: AggAvg, Arg: expr.C("a"), Alias: "avg"},
+	{Kind: AggMin, Arg: expr.C("a"), Alias: "lo"}, {Kind: AggMax, Arg: expr.C("b"), Alias: "hi"}}
+
+func newFuzzReplica(t testing.TB) *fuzzReplica {
+	s, key := multisetSchema(), []string{"s"}
+	out := must[*data.Schema](t)(AggOutSchema(s, key, fuzzSpecs))
+	partial := must[*data.Schema](t)(AggPartialSchema(s, key, fuzzSpecs))
+	r := &fuzzReplica{m: NewMaterialize(s), d: NewDistinct(NewCollector(s))}
+	r.j = must[*Join](t)(NewJoin(NewCollector(s.Concat(s)), s, s, key, key, nil))
+	r.agg = must[*Aggregate](t)(NewAggregate(NewMaterialize(out), s, key, fuzzSpecs, nil))
+	r.pa = must[*PartialAggregate](t)(NewPartialAggregate(NewMaterialize(partial), s, key, fuzzSpecs))
+	r.fm = must[*FinalMerge](t)(NewFinalMerge(NewMaterialize(out), s, key, fuzzSpecs, nil))
+	r.fmFront = must[*PartialAggregate](t)(NewPartialAggregate(r.fm, s, key, fuzzSpecs))
+	return r
+}
+
+func (r *fuzzReplica) cks() []Checkpointer {
+	return []Checkpointer{r.m, r.d, r.j, r.agg, r.pa, r.fm}
+}
+
+func (r *fuzzReplica) push(ts []data.Tuple) {
+	for _, op := range []Operator{r.m, r.d, r.j.Left(), r.j.Right(), r.agg, r.pa, r.fmFront} {
+		op.PushBatch(ts)
 	}
-	state, err := EncodeCheckpoint([]Checkpointer{m, d})
+}
+
+// fuzzTuples are rows (i mod 7, "r"+i mod 5, NULL or i), every third one
+// retracted again.
+func fuzzTuples(n int) []data.Tuple {
+	var ts []data.Tuple
+	for i := range n {
+		b := data.Null
+		if i%2 == 1 {
+			b = data.Float(float64(i))
+		}
+		tu := data.NewTuple(vtime.Time(i), data.Float(float64(i%7)), data.Str(fmt.Sprint("r", i%5)), b)
+		ts = append(ts, tu)
+		if i%3 == 2 {
+			ts = append(ts, ts[i/2].Negate())
+		}
+	}
+	return ts
+}
+
+// checkGroups fails unless every live group of gt has a key of the table's
+// arity, held once, a count of at least one, a last row of width w or none,
+// and a value multiset exactly where MIN or MAX needs one.
+func checkGroups(t *testing.T, name string, gt *groupTable, w int) {
+	t.Helper()
+	live := 0
+	for id := range gt.groups {
+		g := &gt.groups[id]
+		if g.count <= 0 {
+			continue
+		}
+		live++
+		if len(g.keyVals) != len(gt.keyIdx) || g.lastOut != nil && len(g.lastOut) != w || len(g.aggs) != len(gt.ext) {
+			t.Fatalf("%s: group %v: count %d, last row %v, %d aggregates", name, g.keyVals, g.count, g.lastOut, len(g.aggs))
+		}
+		for i, a := range g.aggs {
+			if (a.vals != nil) != gt.ext[i] {
+				t.Fatalf("%s: group %v aggregate %d: multiset %v", name, g.keyVals, i, a.vals)
+			}
+		}
+		k := data.Tuple{Vals: g.keyVals}
+		if _, found := gt.place(k, gt.kvIdx, false); found != g {
+			t.Fatalf("%s: key %v does not find its own group", name, g.keyVals)
+		}
+	}
+	if live != gt.len() {
+		t.Fatalf("%s: %d live groups, %d indexed", name, live, gt.len())
+	}
+}
+
+// FuzzCheckpointRestore feeds arbitrary bytes to RestoreCheckpoint for a
+// fuzzReplica, under both hash masks: it errors or leaves every row, key and
+// group well formed — rows at their operator's arity, each distinct row and
+// group key held once, counts of at least one — and tuples pushed after it
+// never panic.
+func FuzzCheckpointRestore(f *testing.F) {
+	r := newFuzzReplica(f)
+	r.push(fuzzTuples(24))
+	state, err := EncodeCheckpoint(r.cks())
 	if err != nil {
 		f.Fatal(err)
 	}
-	for n := len(state); n > 0; n -= 1 + len(state)/16 {
+	for n := len(state); n > 0; n -= 1 + len(state)/64 {
 		f.Add(state[:n])
 	}
+	later := fuzzTuples(12)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, d := NewMaterialize(schema), NewDistinct(NewCollector(schema))
-		_ = RestoreCheckpoint([]Checkpointer{m, d}, b)
-		for _, s := range []*rowSet{&m.rows, &d.rows} {
-			rows, counts := s.state()
-			if len(rows) != s.n {
-				t.Fatalf("%d live rows, Len %d", len(rows), s.n)
-			}
-			var h data.Hasher
-			for i, r := range rows {
-				if len(r.Vals) != schema.Arity() || counts[i] < 1 {
-					t.Fatalf("row %v ×%d", r, counts[i])
-				}
-				for _, o := range rows[:i] {
-					if h.Hash(o) == h.Hash(r) && o.EqualVals(r) {
-						t.Fatalf("row %v stored twice", r)
-					}
-				}
-			}
-		}
-		total := 0
-		for _, c := range m.CheckpointState().Rows.Counts {
-			total += int(c)
-		}
-		if total > 1<<12 {
-			return // a snapshot would copy every duplicate out
-		}
-		var h data.Hasher
-		snap, distinct := m.MustSnapshot(nil, -1), 0
-		for i, r := range snap {
-			if i == 0 || h.Hash(r) != h.Hash(snap[i-1]) || !r.EqualVals(snap[i-1]) {
-				distinct++
-			}
-		}
-		if len(snap) != total || distinct != m.Len() {
-			t.Fatalf("snapshot %d rows, %d distinct; Len %d, counts sum %d", len(snap), distinct, m.Len(), total)
+		for _, mask := range []uint64{^uint64(0), 0} {
+			old := SetTestHashMask(mask)
+			r := newFuzzReplica(t)
+			_ = RestoreCheckpoint(r.cks(), b)
+			checkRestored(t, r)
+			r.push(later)
+			SetTestHashMask(old)
 		}
 	})
+}
+
+func checkRestored(t *testing.T, r *fuzzReplica) {
+	t.Helper()
+	schema := multisetSchema()
+	for _, s := range []*rowSet{&r.m.rows, &r.d.rows} {
+		rows, counts := s.state()
+		if len(rows) != s.len() {
+			t.Fatalf("%d live rows, Len %d", len(rows), s.len())
+		}
+		var h data.Hasher
+		for i, row := range rows {
+			if len(row.Vals) != schema.Arity() || counts[i] < 1 {
+				t.Fatalf("row %v ×%d", row, counts[i])
+			}
+			for _, o := range rows[:i] {
+				if h.Hash(o) == h.Hash(row) && o.EqualVals(row) {
+					t.Fatalf("row %v stored twice", row)
+				}
+			}
+		}
+	}
+	for _, rec := range r.j.recs {
+		for _, side := range rec.rows {
+			for _, row := range side {
+				if len(row.Vals) != schema.Arity() || slices.ContainsFunc(row.Vals, unknownType) {
+					t.Fatalf("join row %v", row)
+				}
+			}
+		}
+	}
+	checkGroups(t, "aggregate", &r.agg.table, r.agg.out.Arity())
+	checkGroups(t, "partial", &r.pa.table, r.pa.out.Arity())
+	checkGroups(t, "final merge", &r.fm.table, r.fm.out.Arity())
+	total := 0
+	for _, c := range r.m.CheckpointState().Rows.Counts {
+		total += int(c)
+	}
+	if total > 1<<12 {
+		return // a snapshot would copy every duplicate out
+	}
+	var h data.Hasher
+	snap, distinct := r.m.MustSnapshot(nil, -1), 0
+	for i, row := range snap {
+		if i == 0 || h.Hash(row) != h.Hash(snap[i-1]) || !row.EqualVals(snap[i-1]) {
+			distinct++
+		}
+	}
+	if len(snap) != total || distinct != r.m.Len() {
+		t.Fatalf("snapshot %d rows, %d distinct; Len %d, counts sum %d", len(snap), distinct, r.m.Len(), total)
+	}
 }
 
 // churnRig is Project → Materialize in the query-churn shape: readings of
