@@ -232,7 +232,11 @@ func TestQueryDensityFeedAllocs(t *testing.T) {
 		qd := newQueryDensity(t, 256, shared)
 		ts, i := vtime.Time(0), 0
 		feed := func() { ts = qd.feed(i, ts); i++ }
-		for i < 1000 { // past one 10 s window of 50 ms steps
+		// Past one 10 s window of 50 ms steps, and past the first compaction
+		// of every window's ring: a private window admits only the keys its
+		// predicate passes (2 of every 64 for k < 2), so its ring takes some
+		// 1 300 feeds to reach the 33 popped rows that compact it.
+		for i < 3000 {
 			feed()
 		}
 		// Measured over whole cycles of feed's 64 keys, so an allocation on

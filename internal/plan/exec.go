@@ -466,7 +466,7 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 		dep:       dep,
 		restoring: opts.restoreCoord != nil,
 	}
-	if err := c.compile(b.Root, sink); err != nil {
+	if err := c.compile(b.Root, sink, nil); err != nil {
 		dep.Close() // detach whatever the partial compile already wired
 		return nil, err
 	}
@@ -574,7 +574,7 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 				return fmt.Errorf("plan: scan %s on the serial spine of a two-phase plan", x.Input)
 			},
 		}
-		if err := sc.compile(b.Root, sink); err != nil {
+		if err := sc.compile(b.Root, sink, nil); err != nil {
 			return nil, err
 		}
 		merge = stream.NewMerge(sc.finalMerge)
@@ -747,10 +747,45 @@ func (c *compiler) ckAdd(k stream.Checkpointer) {
 	}
 }
 
-func (c *compiler) compile(n Node, out stream.Operator) error {
+// compile lowers the plan rooted at n onto stream operators feeding out.
+// cols lists the columns of n's schema that out accepts — what writes(n, …)
+// returned for the columns out's operator reads — nil meaning all of them,
+// as for a plan's root.
+//
+// It builds only what the plan reads, by three rules. They run wherever the
+// compiler does — serial deployments, the serial spine of a two-phase plan,
+// and every shard replica (DeployReplica) — and never rewrite the plan
+// tree, so Node.String, the wire spec and the snapshot layout are the
+// tree's.
+//
+//  1. A selection directly over a scan's RANGE, RANGE…SLIDE or NOW window
+//     becomes the window's admission predicate (stream.Window.Admit): it
+//     runs before the window buffers, so rejected tuples are never held,
+//     expired or tested twice. A selection commutes with a time window but
+//     not with a row count, so over a ROWS window it stays a Filter above
+//     the window. So it does in a compile with Sharing, where the scan and
+//     its selections belong to a shared chain with one window and a
+//     GroupedFilter.
+//  2. Each operator is told which of its input's columns it reads — group
+//     keys and aggregate arguments, projection items, predicate columns —
+//     and a join writes only those plus its own residual's columns, in
+//     concatenated order (stream.NewJoinCols); its consumer binds to that
+//     narrower schema. Only what a join emits narrows: its sides still hand
+//     it whole rows, so the rows it stores, and which of them a deletion
+//     finds, are the node-per-operator lowering's. A join over a join,
+//     DISTINCT and the plan's root consumer read every column.
+//  3. A projection whose items are exactly its input's columns in order —
+//     buildFlat's reprojection to SELECT order over an aggregate already in
+//     that order, or over a join that writes just the selected columns —
+//     compiles to nothing: its input feeds out directly.
+//
+// Every rule holds rows, their order and their batches to what the
+// node-per-operator lowering emits, so results are bit-identical.
+func (c *compiler) compile(n Node, out stream.Operator, cols []int) error {
 	// The walk is top-down, so the first shareable subtree seen is the
 	// maximal shareable prefix: attach out to its shared chain and stop
-	// descending — the chain (not this deployment) owns those operators.
+	// descending — the chain (not this deployment) owns those operators. A
+	// shareable subtree holds no join, so it writes every column.
 	if c.share != nil {
 		if handled, err := c.share.tryAttach(n, out, c.dep, c.restoring); handled {
 			return err
@@ -758,45 +793,52 @@ func (c *compiler) compile(n Node, out stream.Operator) error {
 	}
 	switch x := n.(type) {
 	case *Scan:
-		head := out
-		if !x.IsTable {
-			w := windowFor(x.Window)
-			switch {
-			case w == nil:
-				// unwindowed stream: tuples accumulate (append-only source)
-			default:
-				win := buildWindow(w, out)
-				c.track(win)
-				c.ckAdd(win)
-				head = win
-			}
-		}
-		return c.scanHead(x, head)
+		return c.scan(x, out, nil)
 
 	case *Select:
-		pred, err := expr.Bind(x.Pred, x.In.Schema())
+		pred, err := expr.Bind(x.Pred, narrow(x.In.Schema(), cols))
 		if err != nil {
 			return err
 		}
-		return c.compile(x.In, stream.NewFilter(out, pred))
+		if sc, ok := x.In.(*Scan); ok && c.share == nil && admits(sc) {
+			return c.scan(sc, out, pred)
+		}
+		return c.compile(x.In, stream.NewFilter(out, pred), cols)
 
 	case *Project:
-		p, err := stream.NewProject(out, x.In.Schema(), x.Items)
+		need := make([]bool, x.In.Schema().Arity())
+		for _, it := range x.Items {
+			if err := readCols(need, x.In.Schema(), it.Expr); err != nil {
+				return err
+			}
+		}
+		in, err := writes(x.In, need)
 		if err != nil {
 			return err
 		}
-		return c.compile(x.In, p)
+		schema := narrow(x.In.Schema(), in)
+		if isIdentity(x.Items, schema) {
+			return c.compile(x.In, out, in)
+		}
+		p, err := stream.NewProject(out, schema, x.Items)
+		if err != nil {
+			return err
+		}
+		return c.compile(x.In, p, in)
 
 	case *Join:
-		j, err := stream.NewJoin(out, x.L.Schema(), x.R.Schema(), x.LKey, x.RKey, x.Residual)
+		// Only the rows the join emits narrow: its sides hand it whole
+		// rows, so what it stores, and which row a deletion removes, are
+		// what they would be unnarrowed.
+		j, err := stream.NewJoinCols(out, x.L.Schema(), x.R.Schema(), x.LKey, x.RKey, x.Residual, cols)
 		if err != nil {
 			return err
 		}
 		c.ckAdd(j)
-		if err := c.compile(x.L, j.Left()); err != nil {
+		if err := c.compile(x.L, j.Left(), nil); err != nil {
 			return err
 		}
-		return c.compile(x.R, j.Right())
+		return c.compile(x.R, j.Right(), nil)
 
 	case *Aggregate:
 		if c.splitAgg == x {
@@ -808,19 +850,143 @@ func (c *compiler) compile(n Node, out stream.Operator) error {
 			c.ckAdd(fm)
 			return nil
 		}
-		a, err := stream.NewAggregate(out, x.In.Schema(), x.GroupBy, x.Specs, x.Having)
+		in, err := aggWrites(x.In, x.GroupBy, x.Specs)
+		if err != nil {
+			return err
+		}
+		a, err := stream.NewAggregate(out, narrow(x.In.Schema(), in), x.GroupBy, x.Specs, x.Having)
 		if err != nil {
 			return err
 		}
 		c.ckAdd(a)
-		return c.compile(x.In, a)
+		return c.compile(x.In, a, in)
 
 	case *Distinct:
 		d := stream.NewDistinct(out)
 		c.ckAdd(d)
-		return c.compile(x.In, d)
+		return c.compile(x.In, d, nil)
 	}
 	return fmt.Errorf("plan: cannot compile %T", n)
+}
+
+// scan compiles a scan feeding out: through its window, if it has one, with
+// admit (when set) as the window's admission predicate.
+func (c *compiler) scan(x *Scan, out stream.Operator, admit *expr.Compiled) error {
+	head := out
+	if w := windowFor(x.Window); w != nil && !x.IsTable {
+		win := buildWindow(w, out)
+		if admit != nil {
+			if err := win.Admit(admit); err != nil {
+				return err
+			}
+		}
+		c.track(win)
+		c.ckAdd(win)
+		head = win
+	}
+	// else unwindowed stream: tuples accumulate (append-only source)
+	return c.scanHead(x, head)
+}
+
+// admits reports whether a selection directly over the scan may run as its
+// window's admission predicate: the scan is a stream with a time or NOW
+// window. Over a ROWS window, or none, the selection stays a Filter.
+func admits(x *Scan) bool {
+	w := windowFor(x.Window)
+	return !x.IsTable && w != nil && w.kind != sql.WindowRows
+}
+
+// writes returns the columns of n's schema that n's operators write when
+// their consumer reads the columns need marks (nil: all): ascending
+// positions, or nil for every column. Only a join leaves columns out — it
+// still writes its residual's — and a selection passes its input's choice
+// through, adding its predicate's columns to what it asks for.
+func writes(n Node, need []bool) ([]int, error) {
+	if need == nil {
+		return nil, nil
+	}
+	switch x := n.(type) {
+	case *Select:
+		need = slices.Clone(need)
+		if err := readCols(need, x.Schema(), x.Pred); err != nil {
+			return nil, err
+		}
+		return writes(x.In, need)
+	case *Join:
+		need = slices.Clone(need)
+		if err := readCols(need, x.Schema(), x.Residual); err != nil {
+			return nil, err
+		}
+		if !slices.Contains(need, false) {
+			return nil, nil
+		}
+		cols := []int{}
+		for i, read := range need {
+			if read {
+				cols = append(cols, i)
+			}
+		}
+		return cols, nil
+	}
+	return nil, nil
+}
+
+// aggWrites returns what writes does for an aggregate's input: the columns
+// the aggregate reads are its group keys and its arguments.
+func aggWrites(in Node, groupBy []string, specs []stream.AggSpec) ([]int, error) {
+	need := make([]bool, in.Schema().Arity())
+	for _, g := range groupBy {
+		if err := readCols(need, in.Schema(), expr.C(g)); err != nil {
+			return nil, err
+		}
+	}
+	for _, s := range specs {
+		if err := readCols(need, in.Schema(), s.Arg); err != nil {
+			return nil, err
+		}
+	}
+	return writes(in, need)
+}
+
+// readCols marks in need the columns of s that e reads.
+func readCols(need []bool, s *data.Schema, e expr.Expr) error {
+	if e == nil {
+		return nil
+	}
+	for _, ref := range expr.Columns(e) {
+		i, err := s.ColIndex(ref)
+		if err != nil {
+			return err
+		}
+		need[i] = true
+	}
+	return nil
+}
+
+// narrow is s narrowed to the columns cols lists (nil: all of them).
+func narrow(s *data.Schema, cols []int) *data.Schema {
+	if cols == nil {
+		return s
+	}
+	return s.Project(cols)
+}
+
+// isIdentity reports whether a projection's items are exactly the columns
+// of its input, in order.
+func isIdentity(items []stream.ProjectItem, in *data.Schema) bool {
+	if len(items) != in.Arity() {
+		return false
+	}
+	for i, it := range items {
+		col, ok := it.Expr.(expr.Col)
+		if !ok {
+			return false
+		}
+		if k, err := in.ColIndex(col.Ref); err != nil || k != i {
+			return false
+		}
+	}
+	return true
 }
 
 type windowSpec struct {

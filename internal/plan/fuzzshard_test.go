@@ -56,6 +56,11 @@ type fuzzGen struct {
 	sources []fuzzSource
 	nscans  int
 	nals    int // computed-column alias counter (aliases must stay unique plan-wide)
+	// every also draws the shapes the shard analysis need not take but the
+	// compiler must lower exactly: NOW and ROWS windows, selections over
+	// most scans, projections that drop columns, residual joins, and
+	// SELECT-order reprojections over aggregates.
+	every bool
 }
 
 // genScan emits a scan over a random source with a random window.
@@ -64,12 +69,20 @@ func (g *fuzzGen) genScan() Node {
 	g.nscans++
 	alias := fmt.Sprintf("t%d", g.nscans)
 	var w *sql.WindowSpec
-	switch g.rng.Intn(3) {
+	kinds := 3
+	if g.every {
+		kinds = 5
+	}
+	switch g.rng.Intn(kinds) {
 	case 0: // unwindowed: tuples accumulate
 	case 1:
 		w = &sql.WindowSpec{Kind: sql.WindowRange, Range: 2 * time.Second}
 	case 2:
 		w = &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second, Slide: time.Second}
+	case 3:
+		w = &sql.WindowSpec{Kind: sql.WindowNow}
+	case 4:
+		w = &sql.WindowSpec{Kind: sql.WindowRows, Rows: 1 + g.rng.Intn(6)}
 	}
 	return NewScan(src.name, alias, src.schema, w, 10, false)
 }
@@ -102,7 +115,7 @@ func (g *fuzzGen) genScalar(col string) expr.Expr {
 
 // genUnary maybe wraps n in selects / projects.
 func (g *fuzzGen) genUnary(n Node) Node {
-	if ints := intCols(n); len(ints) > 0 && g.rng.Intn(3) == 0 {
+	if ints := intCols(n); len(ints) > 0 && (g.rng.Intn(3) == 0 || g.every && g.rng.Intn(2) == 0) {
 		pred := expr.Bin{Op: expr.OpGe, L: expr.C(ints[g.rng.Intn(len(ints))]),
 			R: expr.L(g.rng.Intn(3) - 1)}
 		n = &Select{In: n, Pred: pred}
@@ -115,9 +128,12 @@ func (g *fuzzGen) genUnary(n Node) Node {
 				g.nals++
 				items = append(items, stream.ProjectItem{
 					Expr: g.genScalar(ref), Alias: fmt.Sprintf("e%d", g.nals)})
-			} else {
+			} else if !g.every || g.rng.Intn(3) > 0 {
 				items = append(items, stream.ProjectItem{Expr: expr.C(ref)})
 			}
+		}
+		if len(items) == 0 {
+			items = append(items, stream.ProjectItem{Expr: expr.C(n.Schema().Cols[0].QName())})
 		}
 		p, err := NewProject(n, items)
 		if err == nil {
@@ -129,7 +145,7 @@ func (g *fuzzGen) genUnary(n Node) Node {
 
 // genTree builds the select/project/join layer.
 func (g *fuzzGen) genTree(depth int) Node {
-	if depth <= 0 || g.rng.Intn(3) > 0 {
+	if depth <= 0 || g.rng.Intn(3) > 0 && (!g.every || g.rng.Intn(2) == 0) {
 		return g.genUnary(g.genScan())
 	}
 	l := g.genTree(depth - 1)
@@ -138,8 +154,13 @@ func (g *fuzzGen) genTree(depth int) Node {
 	if len(li) == 0 || len(ri) == 0 {
 		return g.genUnary(l)
 	}
-	j := NewJoin(l, r, []string{li[g.rng.Intn(len(li))]}, []string{ri[g.rng.Intn(len(ri))]}, nil)
-	return g.genUnary(j)
+	lk, rk := []string{li[g.rng.Intn(len(li))]}, []string{ri[g.rng.Intn(len(ri))]}
+	var residual expr.Expr
+	if g.every && g.rng.Intn(2) == 0 {
+		op := []expr.BinOp{expr.OpLe, expr.OpNe, expr.OpGt}[g.rng.Intn(3)]
+		residual = expr.Bin{Op: op, L: expr.C(li[g.rng.Intn(len(li))]), R: expr.C(ri[g.rng.Intn(len(ri))])}
+	}
+	return g.genUnary(NewJoin(l, r, lk, rk, residual))
 }
 
 // genPlan builds a full random plan: tree, then optionally an aggregate
@@ -170,6 +191,16 @@ func (g *fuzzGen) genPlan() Node {
 		agg, err := NewAggregate(n, groupBy, specs, nil)
 		if err == nil {
 			n = agg
+		}
+		if g.every && err == nil && g.rng.Intn(2) == 0 {
+			// buildFlat's reprojection to SELECT order, already that order
+			var items []stream.ProjectItem
+			for _, c := range agg.Schema().Cols {
+				items = append(items, stream.ProjectItem{Expr: expr.C(c.QName())})
+			}
+			if p, err := NewProject(agg, items); err == nil {
+				n = p
+			}
 		}
 	}
 	if g.rng.Intn(3) == 0 {

@@ -266,8 +266,12 @@ func (h *SensorHosts) DeployReplica(spec []byte, shard int, state []byte, send s
 	}
 	var cks []stream.Checkpointer
 	var out stream.Operator = &resultSink{schema: sinkSchema, send: send}
+	var cols []int // the columns of root the cap reads (nil: all)
 	if rep.Partial != nil {
-		pa, err := stream.NewPartialAggregate(out, root.Schema(), rep.Partial.GroupBy, rep.Partial.Specs)
+		if cols, err = aggWrites(root, rep.Partial.GroupBy, rep.Partial.Specs); err != nil {
+			return nil, nil, nil, err
+		}
+		pa, err := stream.NewPartialAggregate(out, narrow(root.Schema(), cols), rep.Partial.GroupBy, rep.Partial.Specs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -288,7 +292,7 @@ func (h *SensorHosts) DeployReplica(spec []byte, shard int, state []byte, send s
 		},
 		ck: func(k stream.Checkpointer) { cks = append(cks, k) },
 	}
-	if err := c.compile(root, out); err != nil {
+	if err := c.compile(root, out, cols); err != nil {
 		return nil, nil, nil, err
 	}
 	runners, err := h.buildFragRunners(rep.Fragments, shard, heads)

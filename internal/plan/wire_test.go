@@ -79,7 +79,7 @@ func TestWireReplicaRoundtrip(t *testing.T) {
 			return nil
 		},
 	}
-	if err := c.compile(root, col); err != nil {
+	if err := c.compile(root, col, nil); err != nil {
 		t.Fatal(err)
 	}
 

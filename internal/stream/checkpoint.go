@@ -139,13 +139,36 @@ func (w *Window) CheckpointState() OpState {
 	return OpState{Kind: ckWindow, Window: &WindowState{Buf: live, LastAdv: w.lastAdv}}
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Checkpointer: the rows go back in as the window's
+// insertions, in order. A row of the wrong arity or with a value of no known
+// type, more than n rows for a ROWS n window, or any row for a NOW window
+// (which holds nothing between pushes) is an error and leaves the window as
+// it was. Rows the admission predicate rejects are dropped, so an admitting
+// window holds only admitted rows whoever wrote the snapshot, and never
+// sends an expiry downstream for a row nothing downstream saw.
 func (w *Window) RestoreState(s OpState) error {
 	if s.Kind != ckWindow || s.Window == nil {
 		return ckKindErr(ckWindow, s)
 	}
-	w.buf = append(w.buf[:0], s.Window.Buf...)
-	w.head = 0
+	rows, width := s.Window.Buf, w.Schema().Arity()
+	for _, t := range rows {
+		if len(t.Vals) != width || slices.ContainsFunc(t.Vals, unknownType) {
+			return fmt.Errorf("stream: window checkpoint: row %v: want %d columns of known types", t, width)
+		}
+	}
+	switch {
+	case w.kind == windowRows && len(rows) > w.rows:
+		return fmt.Errorf("stream: window checkpoint: %d rows for a window of %d", len(rows), w.rows)
+	case w.kind == windowNow && len(rows) > 0:
+		return fmt.Errorf("stream: window checkpoint: %d rows for a NOW window", len(rows))
+	}
+	clear(w.buf)
+	w.buf, w.head = w.buf[:0], 0
+	for _, t := range rows {
+		if w.admit == nil || w.admit.EvalBool(t) {
+			w.buf = append(w.buf, data.Tuple{Vals: t.Vals, TS: t.TS})
+		}
+	}
 	w.lastAdv = s.Window.LastAdv
 	return nil
 }

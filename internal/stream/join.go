@@ -23,12 +23,20 @@ import (
 // the other side without checking again. So keys never mix, the per-tuple
 // path allocates nothing once the table has grown, and joined rows come out
 // in arrival order within a key.
+//
+// A joined row holds every column of the two sides, or only the columns its
+// consumer reads (NewJoinCols); the rows the sides hold are the same either
+// way.
 type Join struct {
 	next Operator
 
-	in       [2]*data.Schema // left, right
-	out      *data.Schema
-	keys     [2][]int // equi-join column indexes: left, right
+	in   [2]*data.Schema // left, right
+	out  *data.Schema
+	keys [2][]int // equi-join column indexes: left, right
+	// cols lists the columns a joined row takes from each side, in order;
+	// all: every column of both.
+	cols     [2][]int
+	all      bool
 	residual *expr.Compiled
 	index    keyIndex
 	recs     []joinRec
@@ -90,17 +98,42 @@ func (ji *joinInput) PushBatch(ts []data.Tuple) {
 	}
 }
 
-// NewJoin builds a symmetric hash join. lCols/rCols name the equi-join
-// keys (same length, possibly empty for a pure cross/residual join);
-// residual is an optional extra predicate over the concatenated schema.
+// NewJoin builds a symmetric hash join writing every column of both sides.
+// lCols/rCols name the equi-join keys (same length, possibly empty for a pure
+// cross/residual join); residual is an optional extra predicate over the
+// concatenated schema.
 func NewJoin(next Operator, left, right *data.Schema, lCols, rCols []string, residual expr.Expr) (*Join, error) {
+	return NewJoinCols(next, left, right, lCols, rCols, residual, nil)
+}
+
+// NewJoinCols builds a symmetric hash join whose rows hold only the columns
+// keep lists: ascending positions in left.Concat(right), which is the
+// join's output schema narrowed to them. A nil keep writes every column
+// (NewJoin). The residual is bound to that output schema and evaluated on
+// the written row, so keep must list the residual's columns.
+func NewJoinCols(next Operator, left, right *data.Schema, lCols, rCols []string, residual expr.Expr, keep []int) (*Join, error) {
 	if len(lCols) != len(rCols) {
 		return nil, fmt.Errorf("stream: join key arity mismatch: %v vs %v", lCols, rCols)
 	}
 	out := left.Concat(right)
 	j := &Join{
-		next: next, in: [2]*data.Schema{left, right}, out: out,
+		next: next, in: [2]*data.Schema{left, right}, out: out, all: keep == nil,
 		index: newKeyIndex(), reuse: keepsNothing(next),
+	}
+	if keep != nil {
+		for i, k := range keep {
+			if k < 0 || k >= out.Arity() || i > 0 && k <= keep[i-1] {
+				return nil, fmt.Errorf("stream: join columns %v are not ascending positions of %s", keep, out)
+			}
+		}
+		nl := left.Arity()
+		split, _ := slices.BinarySearch(keep, nl)
+		j.cols[0] = slices.Clone(keep[:split])
+		for _, k := range keep[split:] {
+			j.cols[1] = append(j.cols[1], k-nl)
+		}
+		out = out.Project(keep)
+		j.out = out
 	}
 	// Key slices stay non-nil: HashOn(t, nil) means "all columns", but an
 	// empty key list means a pure cross/residual join (one record).
@@ -150,11 +183,7 @@ func (j *Join) apply(t data.Tuple, side int, out []data.Tuple) []data.Tuple {
 		if side == 1 {
 			l, rt = m, t
 		}
-		joined := l.ConcatInto(j.rowBuf(len(l.Vals)+len(rt.Vals)), rt)
-		joined.Op = t.Op
-		if joined.TS < t.TS {
-			joined.TS = t.TS
-		}
+		joined := data.Tuple{Vals: j.write(l, rt), TS: max(l.TS, rt.TS), Op: t.Op}
 		if j.residual != nil && !j.residual.EvalBool(joined) {
 			continue
 		}
@@ -216,11 +245,27 @@ func (j *Join) sameKey(t data.Tuple, side int, id int32) bool {
 	return t.EqualOn(j.keys[side], r.rows[o][0], j.keys[o])
 }
 
-// rowBuf returns room for one joined row of n values: the next n values of
-// the call's arena when there is one, nil (fresh Vals) otherwise.
+// write returns the values of the row joining l and r: the kept columns of
+// each, in order.
+func (j *Join) write(l, r data.Tuple) []data.Value {
+	if j.all {
+		return append(append(j.rowBuf(len(l.Vals)+len(r.Vals)), l.Vals...), r.Vals...)
+	}
+	vals := j.rowBuf(len(j.cols[0]) + len(j.cols[1]))
+	for _, i := range j.cols[0] {
+		vals = append(vals, l.Vals[i])
+	}
+	for _, i := range j.cols[1] {
+		vals = append(vals, r.Vals[i])
+	}
+	return vals
+}
+
+// rowBuf returns empty room for one joined row of n values: the next n
+// values of the call's arena when there is one, fresh Vals otherwise.
 func (j *Join) rowBuf(n int) []data.Value {
 	if j.arena == nil {
-		return nil
+		return make([]data.Value, 0, n)
 	}
 	a := slices.Grow(*j.arena, n)
 	*j.arena = a[:len(a)+n]

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -203,4 +204,99 @@ func expireRef(win []data.Tuple, now vtime.Time, rng time.Duration) []data.Tuple
 		}
 	}
 	return out
+}
+
+// A join that writes only some columns emits, batch for batch, the rows of
+// the whole-row join narrowed to those columns — in front of a retaining
+// consumer (fresh Vals) and of one that keeps nothing (the pooled arena) —
+// with its residual evaluated on the written row. Every deletion retracts a
+// live row: a join retracts a row its side never held against the other
+// side anyway, and those retractions, narrowed, may match a different row.
+func TestJoinColsMatchesNarrowedJoin(t *testing.T) {
+	residual := expr.Bin{Op: expr.OpNe, L: expr.C("sa.status"), R: expr.C("ss.status")}
+	full := areaSchema().Concat(seatSchema())
+	for _, keep := range [][]int{{1, 4}, {0, 1, 4}, {1, 2, 3, 4}, {1, 4}} {
+		out := full.Project(keep)
+		for _, mat := range []bool{false, true} {
+			var sink, ref Operator = NewCollector(out), NewCollector(full)
+			if mat {
+				sink, ref = NewMaterialize(out), NewMaterialize(full)
+			}
+			narrow := must[*Join](t)(NewJoinCols(sink, areaSchema(), seatSchema(), []string{"sa.room"}, []string{"ss.room"}, residual, keep))
+			whole := must[*Join](t)(NewJoin(ref, areaSchema(), seatSchema(), []string{"sa.room"}, []string{"ss.room"}, residual))
+			if !narrow.OutSchema().Equal(out) {
+				t.Fatalf("keep %v: join writes %s, want %s", keep, narrow.OutSchema(), out)
+			}
+			rng := rand.New(rand.NewSource(int64(len(keep))))
+			var sent [2][]data.Tuple
+			status := []string{"free", "busy"}
+			for step := range 200 {
+				side := rng.Intn(2)
+				var batch []data.Tuple
+				for range 1 + rng.Intn(3) {
+					if live := sent[side]; len(live) > 0 && rng.Intn(4) == 0 {
+						k := rng.Intn(len(live))
+						batch = append(batch, live[k].Negate())
+						sent[side] = slices.Delete(live, k, k+1)
+						continue
+					}
+					room := "R" + string(rune('0'+rng.Intn(3)))
+					tu := area(int64(step), room, status[rng.Intn(2)])
+					if side == 1 {
+						tu = seat(int64(step), room, int64(rng.Intn(4)), status[rng.Intn(2)])
+					}
+					sent[side] = append(sent[side], tu)
+					batch = append(batch, tu)
+				}
+				ins := [2][2]Operator{{narrow.Left(), narrow.Right()}, {whole.Left(), whole.Right()}}
+				ins[0][side].PushBatch(batch)
+				ins[1][side].PushBatch(batch)
+				if mat {
+					// A result keeps one timestamp per distinct row, so only
+					// the values and their multiplicities compare.
+					got, want := sink.(*Materialize).MustSnapshot(nil, -1), ref.(*Materialize).MustSnapshot(nil, -1)
+					for i := range want {
+						want[i] = want[i].Project(keep)
+						want[i].TS = 0
+					}
+					for i := range got {
+						got[i].TS = 0
+					}
+					SortTuples(got)
+					SortTuples(want)
+					if !sameTuples(got, want) {
+						t.Fatalf("keep %v step %d: result %v, want %v", keep, step, got, want)
+					}
+					continue
+				}
+				got, want := sink.(*Collector).Snapshot(), ref.(*Collector).Snapshot()
+				for i := range want {
+					want[i] = want[i].Project(keep)
+				}
+				if !sameTuples(got, want) {
+					t.Fatalf("keep %v step %d: emitted %v, want %v", keep, step, got, want)
+				}
+			}
+		}
+	}
+}
+
+// NewJoinCols refuses column lists that are not ascending positions of the
+// concatenated schema, and a residual over a column it does not write.
+func TestJoinColsErrors(t *testing.T) {
+	full := areaSchema().Concat(seatSchema())
+	for _, keep := range [][]int{{4, 1}, {1, 1}, {-1, 2}, {0, 5}} {
+		if _, err := NewJoinCols(NewCollector(full), areaSchema(), seatSchema(), []string{"sa.room"}, []string{"ss.room"}, nil, keep); err == nil {
+			t.Errorf("keep %v accepted", keep)
+		}
+	}
+	residual := expr.Bin{Op: expr.OpNe, L: expr.C("sa.status"), R: expr.C("ss.status")}
+	if _, err := NewJoinCols(NewCollector(full.Project([]int{1})), areaSchema(), seatSchema(),
+		[]string{"sa.room"}, []string{"ss.room"}, residual, []int{1}); err == nil {
+		t.Error("a residual over a column the join does not write was accepted")
+	}
+	if _, err := NewJoinCols(NewCollector(full), areaSchema(), seatSchema(),
+		[]string{"sa.room"}, []string{"ss.room"}, nil, []int{1}); err == nil {
+		t.Error("a consumer wider than the written columns was accepted")
+	}
 }

@@ -188,7 +188,9 @@ func TestRowMultisetDifferential(t *testing.T) {
 
 // fuzzReplica holds one operator of every kind whose checkpoint carries
 // rows or keys: Materialize, Distinct, Join, Aggregate, PartialAggregate and
-// FinalMerge, over multisetSchema rows keyed and grouped on s.
+// FinalMerge, over multisetSchema rows keyed and grouped on s, and a time
+// window admitting a < 4, a ROWS 4 window and a NOW window, each in front
+// of a join.
 type fuzzReplica struct {
 	m       *Materialize
 	d       *Distinct
@@ -197,7 +199,12 @@ type fuzzReplica struct {
 	pa      *PartialAggregate
 	fm      *FinalMerge
 	fmFront *PartialAggregate // feeds fm; not checkpointed
+	tw      *Window
+	rw      *Window
+	nw      *Window
 }
+
+var fuzzAdmit = expr.MustBind(expr.Bin{Op: expr.OpLt, L: expr.C("a"), R: expr.L(4)}, multisetSchema())
 
 var fuzzSpecs = []AggSpec{{Kind: AggCount, Alias: "n"}, {Kind: AggAvg, Arg: expr.C("a"), Alias: "avg"},
 	{Kind: AggMin, Arg: expr.C("a"), Alias: "lo"}, {Kind: AggMax, Arg: expr.C("b"), Alias: "hi"}}
@@ -212,16 +219,30 @@ func newFuzzReplica(t testing.TB) *fuzzReplica {
 	r.pa = must[*PartialAggregate](t)(NewPartialAggregate(NewMaterialize(partial), s, key, fuzzSpecs))
 	r.fm = must[*FinalMerge](t)(NewFinalMerge(NewMaterialize(out), s, key, fuzzSpecs, nil))
 	r.fmFront = must[*PartialAggregate](t)(NewPartialAggregate(r.fm, s, key, fuzzSpecs))
+	join := func() Operator {
+		return must[*Join](t)(NewJoin(NewCollector(s.Concat(s)), s, s, key, key, nil)).Left()
+	}
+	r.tw, r.rw, r.nw = NewTimeWindow(join(), 5, 0), NewRowsWindow(join(), 4), NewNowWindow(join())
+	if err := r.tw.Admit(fuzzAdmit); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
+func (r *fuzzReplica) windows() []*Window { return []*Window{r.tw, r.rw, r.nw} }
+
 func (r *fuzzReplica) cks() []Checkpointer {
-	return []Checkpointer{r.m, r.d, r.j, r.agg, r.pa, r.fm}
+	return []Checkpointer{r.m, r.d, r.j, r.agg, r.pa, r.fm, r.tw, r.rw, r.nw}
 }
 
+// push pushes ts into every operator, then ticks the windows past the last
+// timestamp.
 func (r *fuzzReplica) push(ts []data.Tuple) {
-	for _, op := range []Operator{r.m, r.d, r.j.Left(), r.j.Right(), r.agg, r.pa, r.fmFront} {
+	for _, op := range []Operator{r.m, r.d, r.j.Left(), r.j.Right(), r.agg, r.pa, r.fmFront, r.tw, r.rw, r.nw} {
 		op.PushBatch(ts)
+	}
+	for _, w := range r.windows() {
+		w.Advance(ts[len(ts)-1].TS + 3)
 	}
 }
 
@@ -329,6 +350,19 @@ func checkRestored(t *testing.T, r *fuzzReplica) {
 				}
 			}
 		}
+	}
+	for _, w := range r.windows() {
+		for _, row := range w.Contents() {
+			if len(row.Vals) != schema.Arity() || slices.ContainsFunc(row.Vals, unknownType) || row.Op != data.Insert {
+				t.Fatalf("window row %v", row)
+			}
+			if w.admit != nil && !w.admit.EvalBool(row) {
+				t.Fatalf("window holds %v, which it does not admit", row)
+			}
+		}
+	}
+	if r.rw.Len() > r.rw.rows || r.nw.Len() != 0 {
+		t.Fatalf("ROWS %d window holds %d rows, NOW window %d", r.rw.rows, r.rw.Len(), r.nw.Len())
 	}
 	checkGroups(t, "aggregate", &r.agg.table, r.agg.out.Arity())
 	checkGroups(t, "partial", &r.pa.table, r.pa.out.Arity())

@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"errors"
 	"time"
 
 	"aspen/internal/data"
+	"aspen/internal/expr"
 	"aspen/internal/vtime"
 )
 
@@ -19,10 +21,16 @@ import (
 //	[ROWS n]           last-n window
 //	[NOW]              each tuple inserted then immediately retracted
 //
+// A time or NOW window may own an admission predicate (Admit): a selection
+// over the window run before it buffers, so it holds, expires and forwards
+// only the tuples the predicate passes — exactly what a Filter above it
+// would have forwarded, since a selection commutes with a time window.
+//
 // Ring state lives in a compacting slice ring rather than a linked list,
 // so steady-state insert/expire performs no per-tuple allocation.
 type Window struct {
-	next Operator
+	next  Operator
+	admit *expr.Compiled // nil admits every tuple
 
 	kind    windowKind
 	rng     time.Duration
@@ -55,6 +63,19 @@ func NewRowsWindow(next Operator, n int) *Window {
 // NewNowWindow builds a [NOW] window.
 func NewNowWindow(next Operator) *Window {
 	return &Window{next: next, kind: windowNow}
+}
+
+// Admit makes pred the window's admission predicate: from now on only the
+// tuples it passes enter the window, and a restore keeps only the rows it
+// passes. Tuples it rejects still drive a time window's expiry by their
+// timestamps. A ROWS window refuses one: a selection does not commute with a
+// row count. pred must be bound to the window's schema.
+func (w *Window) Admit(pred *expr.Compiled) error {
+	if w.kind == windowRows {
+		return errors.New("stream: a ROWS window cannot admit by predicate")
+	}
+	w.admit = pred
+	return nil
 }
 
 // Schema implements Operator.
@@ -102,6 +123,14 @@ func (w *Window) PushBatch(ts []data.Tuple) {
 // apply performs window maintenance for one tuple and appends the deltas
 // to emit downstream (in order) to out.
 func (w *Window) apply(t data.Tuple, out []data.Tuple) []data.Tuple {
+	if w.kind == windowTime && t.Op != data.Delete {
+		// Event time drives expiry, of the tuples the window holds, whether
+		// or not t is admitted: everything older than t.TS - rng leaves.
+		out = w.advanceTo(t.TS, out)
+	}
+	if w.admit != nil && !w.admit.EvalBool(t) {
+		return out // never held, so a deletion of it has nothing to retract
+	}
 	if t.Op == data.Delete {
 		return w.removeOne(t, out)
 	}
@@ -120,8 +149,6 @@ func (w *Window) apply(t data.Tuple, out []data.Tuple) []data.Tuple {
 		}
 
 	case windowTime:
-		// Event time drives expiry: everything older than t.TS - rng leaves.
-		out = w.advanceTo(t.TS, out)
 		w.buf = append(w.buf, t)
 		out = append(out, t)
 	}

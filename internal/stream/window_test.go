@@ -1,10 +1,15 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"aspen/internal/data"
+	"aspen/internal/expr"
 	"aspen/internal/vtime"
 )
 
@@ -147,5 +152,147 @@ func TestWindowContentsMatchBruteForce(t *testing.T) {
 		if w.Len() != want {
 			t.Fatalf("at %ds: len=%d want %d", sec, w.Len(), want)
 		}
+	}
+}
+
+// sameTuples reports whether two delta sequences are identical: the same
+// rows, values bit for bit, timestamps and polarities, in the same order.
+func sameTuples(a, b []data.Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y data.Tuple) bool {
+		return x.TS == y.TS && x.Op == y.Op && slices.Equal(x.Vals, y.Vals)
+	})
+}
+
+// A window that admits by predicate emits exactly what the same window with
+// a Filter above it forwards — after every batch of random insertions,
+// retractions of held, expired and never-admitted rows, and clock ticks —
+// and holds exactly the rows of that window the predicate passes.
+func TestWindowAdmitMatchesFilter(t *testing.T) {
+	pred := expr.MustBind(expr.Bin{Op: expr.OpLt, L: expr.C("temp"), R: expr.L(5)}, tempSchema())
+	kinds := map[string]func(Operator) *Window{
+		"range": func(next Operator) *Window { return NewTimeWindow(next, 5*time.Second, 0) },
+		"slide": func(next Operator) *Window { return NewTimeWindow(next, 5*time.Second, 2*time.Second) },
+		"now":   NewNowWindow,
+	}
+	for name, mk := range kinds {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			got, want := NewCollector(tempSchema()), NewCollector(tempSchema())
+			admitting, plain := mk(got), mk(NewFilter(want, pred))
+			if err := admitting.Admit(pred); err != nil {
+				t.Fatal(err)
+			}
+			var sent []data.Tuple
+			now := vtime.Time(0)
+			for step := range 400 {
+				if rng.Intn(8) == 0 {
+					now += vtime.Time(rng.Intn(4000)) * vtime.Millisecond
+					admitting.Advance(now)
+					plain.Advance(now)
+				} else {
+					var batch []data.Tuple
+					for range 1 + rng.Intn(4) {
+						now += vtime.Time(rng.Intn(600)) * vtime.Millisecond
+						switch {
+						case len(sent) > 0 && rng.Intn(4) == 0: // held, expired or rejected
+							del := sent[rng.Intn(len(sent))].Negate()
+							del.TS = now
+							batch = append(batch, del)
+						case rng.Intn(10) == 0: // never pushed
+							batch = append(batch, data.NewTuple(now, data.Str("ghost"), data.Float(1)).Negate())
+						default:
+							v := data.Float(float64(rng.Intn(10)))
+							if rng.Intn(8) == 0 {
+								v = data.Null
+							}
+							tu := data.NewTuple(now, data.Str(fmt.Sprint("r", rng.Intn(3))), v)
+							sent = append(sent, tu)
+							batch = append(batch, tu)
+						}
+					}
+					admitting.PushBatch(batch)
+					plain.PushBatch(batch)
+				}
+				if !sameTuples(got.Snapshot(), want.Snapshot()) {
+					t.Fatalf("step %d: admitting window emitted %v, window+filter %v", step, got.Snapshot(), want.Snapshot())
+				}
+				var held []data.Tuple
+				for _, tu := range plain.Contents() {
+					if pred.EvalBool(tu) {
+						held = append(held, tu)
+					}
+				}
+				if !sameTuples(admitting.Contents(), held) {
+					t.Fatalf("step %d: admitting window holds %v, want %v", step, admitting.Contents(), held)
+				}
+			}
+		})
+	}
+}
+
+// A ROWS window refuses an admission predicate: a selection does not
+// commute with a row count.
+func TestRowsWindowRefusesAdmit(t *testing.T) {
+	pred := expr.MustBind(expr.Bin{Op: expr.OpLt, L: expr.C("temp"), R: expr.L(5)}, tempSchema())
+	if err := NewRowsWindow(NewCollector(tempSchema()), 3).Admit(pred); err == nil {
+		t.Fatal("ROWS window accepted an admission predicate")
+	}
+}
+
+// A window restore validates what it reads — row width, value types, a ROWS
+// window's bound, a NOW window's emptiness — and leaves the window as it was
+// on error, so the join below it never sees a row it cannot hash. A valid
+// restore into an admitting window keeps only the rows it admits, as
+// insertions.
+func TestWindowRestoreValidates(t *testing.T) {
+	good := func(sec int64, v float64) data.Tuple { return at(sec, "a", v) }
+	bad := map[string]struct {
+		mk  func(Operator) *Window
+		buf []data.Tuple
+	}{
+		"narrow row": {func(n Operator) *Window { return NewTimeWindow(n, time.Minute, 0) },
+			[]data.Tuple{good(1, 1), {Vals: []data.Value{data.Str("a")}}}},
+		"wide row": {func(n Operator) *Window { return NewTimeWindow(n, time.Minute, 0) },
+			[]data.Tuple{{Vals: []data.Value{data.Str("a"), data.Float(1), data.Int(2)}}}},
+		"unknown type": {func(n Operator) *Window { return NewRowsWindow(n, 4) },
+			[]data.Tuple{{Vals: []data.Value{data.Str("a"), {T: data.TTime + 1}}}}},
+		"rows over bound": {func(n Operator) *Window { return NewRowsWindow(n, 2) },
+			[]data.Tuple{good(1, 1), good(2, 2), good(3, 3)}},
+		"rows in now": {NewNowWindow, []data.Tuple{good(1, 1)}},
+	}
+	for name, c := range bad {
+		t.Run(name, func(t *testing.T) {
+			j := must[*Join](t)(NewJoin(NewCollector(tempSchema().Concat(tempSchema())),
+				tempSchema(), tempSchema(), []string{"room"}, []string{"room"}, nil))
+			w := c.mk(j.Left())
+			w.PushBatch([]data.Tuple{good(0, 7)})
+			before := w.CheckpointState()
+			if err := w.RestoreState(OpState{Kind: ckWindow, Window: &WindowState{Buf: c.buf}}); err == nil {
+				t.Fatalf("restore of %v succeeded", c.buf)
+			}
+			if after := w.CheckpointState(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("failed restore changed the window: %+v, was %+v", after.Window, before.Window)
+			}
+			j.Right().PushBatch([]data.Tuple{good(5, 1)})
+			w.PushBatch([]data.Tuple{good(6, 2)})
+			w.Advance(vtime.Time(time.Hour))
+		})
+	}
+
+	col := NewCollector(tempSchema())
+	w := NewTimeWindow(col, time.Minute, 0)
+	if err := w.Admit(expr.MustBind(expr.Bin{Op: expr.OpLt, L: expr.C("temp"), R: expr.L(5)}, tempSchema())); err != nil {
+		t.Fatal(err)
+	}
+	held := []data.Tuple{good(1, 1), good(2, 9), good(3, 4).Negate(), good(4, 5)}
+	if err := w.RestoreState(OpState{Kind: ckWindow, Window: &WindowState{Buf: held}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []data.Tuple{good(1, 1), good(3, 4)}; !sameTuples(w.Contents(), want) {
+		t.Fatalf("admitting window restored %v, want %v", w.Contents(), want)
+	}
+	w.Advance(vtime.Time(time.Hour))
+	if got := col.Snapshot(); len(got) != 2 || got[0].Op != data.Delete || got[1].Op != data.Delete {
+		t.Fatalf("expiry after restore emitted %v, want the two admitted rows retracted", got)
 	}
 }
