@@ -81,7 +81,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # race exercises the concurrent paths (shard workers, engine fan-out,
-# sensor epoch sinks, the randomized serial-vs-sharded differential
+# sensor fragment runners, the randomized serial-vs-sharded differential
 # harness, the grouped-filter-vs-per-layer-filter differential and its
 # attach/detach churn beside a live pusher, the shared-result differential
 # and result views frozen beside a live pusher, and the mutex-guarded route
@@ -115,7 +115,7 @@ endef
 .PHONY: dist
 dist:
 	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
-	$(call race_run,RemoteSensorFragment|FragmentIneligible|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
+	$(call race_run,RemoteSensorFragment|FragmentIneligible|FragmentQueriesReadOnlyTheirOwnReadings|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
 	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)
 
 # chaos runs the kill-mode differential under the race detector: random
@@ -129,7 +129,7 @@ dist:
 .PHONY: chaos
 chaos:
 	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill,./internal/plan/,-fuzzshard.kill=8)
-	$(call race_run,Failover|CheckpointRestore|TrimOpaqueTail|ShardHomeTransitions,./internal/stream/)
+	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions,./internal/stream/)
 	$(call race_run,RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart,./internal/core/)
 	$(call race_run,SnapshotSaveCrashPoints,./internal/plan/)
 
@@ -142,9 +142,10 @@ chaos:
 # forced-hash-collision sweep. The PR-10 restart differentials ride
 # along: shared-chain window state and sensor-fragment deployments
 # must come back from a snapshot v2 file exactly as an uninterrupted
-# run would have them, across all three fragment rehydration tiers, and
-# shared result groups must restore one store per group while queries
-# deploy and stop around the restart.
+# run would have them, across both fragment rehydration tiers (workers
+# back, workers gone), a restore whose fragment sources nothing hosts
+# must fail whole, and shared result groups must restore one store per
+# group while queries deploy and stop around the restart.
 # The stream-level elastic matrix (pool eviction/redial race,
 # per-shard undeploy, rescale validation) rides along. Mirrored by
 # the CI `distributed` job.
@@ -152,7 +153,7 @@ chaos:
 elastic:
 	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore,./internal/plan/,-fuzzshard.elastic=6)
 	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions,./internal/stream/)
-	$(call race_run,FragmentSnapshotRestart,./internal/core/)
+	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 
 # fuzz-smoke gives every fuzz target a short run: the seed corpus alone
 # (FUZZTIME=0 — what plain `go test` and the CI build-and-test job run),
@@ -176,7 +177,7 @@ fuzz-smoke:
 	done
 
 # cover gates statement coverage of the partition-parallel core packages and
-# the sensor runners. The floors only rise, and new code arrives tested: a
+# the sensor engine. The floors only rise, and new code arrives tested: a
 # change that would lower coverage adds the tests, never a lower floor.
 COVER_FLOOR_STREAM := 92.0
 COVER_FLOOR_PLAN   := 89.5

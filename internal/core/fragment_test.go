@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -478,19 +481,17 @@ func TestFragmentSnapshotRestartWorkersGone(t *testing.T) {
 	requireFragRows(t, "restart-workers-gone", got, want)
 }
 
-// TestFragmentSnapshotRestartCentralFallback, tier 3: the workers are gone
-// AND the restarted process hosts no sensor sources for pinned in-process
-// fragments, so the fragments fall back to central epoch runners — the
-// deployment survives (stream state exact, fragment runners re-anchored at
-// the restore instant) instead of being silently dropped.
+// TestFragmentSnapshotRestartCentralFallback: the workers are gone AND the
+// restarted process hosts no sensor sources, so neither the pinned
+// in-process shards nor a central runner can sample Light. The restore fails
+// as a whole, naming the source, rather than bringing the query back with
+// nothing feeding it.
 func TestFragmentSnapshotRestartCentralFallback(t *testing.T) {
-	want := fragRestartReference(t)
 	path := filepath.Join(t.TempDir(), "coord.snap")
 	fragRestartSnapshot(t, path)
 
-	// No RegisterSensorStream: the runtime has a sensor engine (central
-	// runners work) but hosts no sources (pinned in-process fragments
-	// cannot build), forcing the last fallback tier.
+	// No RegisterSensorStream: the runtime has a sensor engine but hosts
+	// no sources.
 	sched := vtime.NewScheduler()
 	rt := New(Config{
 		Scheduler:    sched,
@@ -499,35 +500,130 @@ func TestFragmentSnapshotRestartCentralFallback(t *testing.T) {
 		SnapshotPath: path,
 	})
 	t.Cleanup(rt.Close)
-	// Central runners anchor at Now+period, so tick to the snapshot
-	// instant first: the restarted runners resume at exactly the epoch the
-	// checkpointed ones would have fired next.
 	sched.RunUntil(4 * vtime.Second)
-	qs, skipped, err := rt.RestoreSnapshot()
-	if err != nil {
-		t.Fatalf("restore: %v", err)
+	qs, _, err := rt.RestoreSnapshot()
+	if err == nil || !strings.Contains(err.Error(), `"light"`) {
+		t.Fatalf("restore error = %v, want one naming the unhosted source light", err)
 	}
-	if len(skipped) != 0 {
-		t.Fatalf("restore surfaced skips %v, want none", skipped)
+	if len(qs) != 0 || len(rt.Coordinator().Names()) != 0 {
+		t.Fatalf("a failed restore left queries deployed: %d returned, coordinator has %v", len(qs), rt.Coordinator().Names())
 	}
-	if len(qs) != 1 {
-		t.Fatalf("restored %d queries, want 1", len(qs))
+}
+
+// TestFailedRestoreLeavesNothingDeployed saves a stream query, a fragment
+// query and another stream query, then restores on a runtime with no sensor
+// engine. The fragment query cannot come back, so none may: the coordinator
+// stays empty, and the snapshot file is left byte for byte as it was, so a
+// later Save cannot overwrite it with a partial set.
+func TestFailedRestoreLeavesNothingDeployed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coord.snap")
+	rt, sched := newFragmentRuntimeCfg(t, Config{SnapshotPath: path})
+	if _, err := rt.RegisterStream("Pulse", pulseSchema(), 1); err != nil {
+		t.Fatal(err)
 	}
-	q := qs[0]
-	if len(q.Deployment.RemoteFragments) != 0 {
-		t.Fatalf("central fallback left fragments pinned: %v", q.Deployment.RemoteFragments)
-	}
-	for j, loc := range q.Deployment.Placement() {
-		if loc != "" {
-			t.Fatalf("shard %d restored onto dead worker %q", j, loc)
+	for _, src := range []string{
+		`SELECT p.v FROM Pulse p [RANGE 4 SECONDS]`,
+		fragRestartSrc,
+		`SELECT p.v FROM Pulse p [RANGE 2 SECONDS] WHERE p.v > 1`,
+	} {
+		if _, err := rt.Run(src); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sched.RunUntil(8 * vtime.Second)
-	got, err := q.Snapshot()
+	if q2, _ := rt.Coordinator().Deployment("q2"); q2 == nil {
+		t.Fatal("the fragment query is not q2")
+	}
+	sched.RunUntil(3 * vtime.Second)
+	if _, err := rt.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFragRows(t, "restart-central-fallback", got, want)
+
+	rt2 := New(Config{Scheduler: vtime.NewScheduler(), SnapshotPath: path})
+	t.Cleanup(rt2.Close)
+	if _, _, err := rt2.RestoreSnapshot(); err == nil {
+		t.Fatal("restoring a fragment query without a sensor engine must fail")
+	}
+	if names := rt2.Coordinator().Names(); len(names) != 0 {
+		t.Fatalf("a failed restore left %v deployed", names)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, saved) {
+		t.Fatal("a failed restore changed the snapshot file")
+	}
+}
+
+// TestFragmentQueriesReadOnlyTheirOwnReadings deploys two standing queries
+// whose sensor fragments the optimizer gives the same derived name, and
+// requires each to read exactly what it reads deployed alone: a fragment
+// feeds its own deployment's scan, never another query's. Serial, on shared
+// prefixes, and sharded.
+func TestFragmentQueriesReadOnlyTheirOwnReadings(t *testing.T) {
+	const (
+		dark = `SELECT l.room, count(*) AS n FROM Light l [RANGE 4 SECONDS]
+			WHERE l.value < 10 GROUP BY l.room ORDER BY l.room`
+		lit = `SELECT l.room, count(*) AS n FROM Light l [RANGE 4 SECONDS]
+			WHERE l.value > 10 GROUP BY l.room ORDER BY l.room`
+	)
+	for _, v := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"serial", Config{}},
+		{"shared-prefixes", Config{SharedPrefixes: true}},
+		{"parallelism-2", Config{Topology: plan.Topology{Parallelism: 2}}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			alone := func(src string) []data.Tuple {
+				rt, sched := newFragmentRuntimeCfg(t, v.cfg)
+				q, err := rt.Run(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sched.RunUntil(6 * vtime.Second)
+				rows, err := q.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) == 0 {
+					t.Fatalf("%s alone reads nothing; the probe is vacuous", src)
+				}
+				return rows
+			}
+			wantDark, wantLit := alone(dark), alone(lit)
+
+			rt, sched := newFragmentRuntimeCfg(t, v.cfg)
+			qd, err := rt.Run(dark)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ql, err := rt.Run(lit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fd, fl := qd.Partition.Chosen.Fragments, ql.Partition.Chosen.Fragments
+			if len(fd) != 1 || len(fl) != 1 || fd[0].DerivedName != fl[0].DerivedName {
+				t.Fatalf("fragments %v and %v do not share a derived name; the probe is vacuous", fd, fl)
+			}
+			sched.RunUntil(6 * vtime.Second)
+			for _, c := range []struct {
+				q    *Query
+				want []data.Tuple
+			}{{qd, wantDark}, {ql, wantLit}} {
+				got, err := c.q.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireFragRows(t, c.q.SQL, got, c.want)
+			}
+		})
+	}
 }
 
 // TestFragmentIneligibleTickMisalignment keeps a fragment central when its
@@ -565,6 +661,6 @@ func TestFragmentIneligibleTickMisalignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rows) == 0 {
-		t.Fatal("central fallback produced no rows")
+		t.Fatal("the central fragment produced no rows")
 	}
 }

@@ -5,10 +5,10 @@
 //
 //	StreamSQL → parser → federated optimizer → {sensor engine, stream engine}
 //
-// Pushed fragments run on the sensor engine in epochs and feed derived
-// stream-engine inputs; database tables load into each deployment's join
-// state; recursive (WITH RECURSIVE) queries are maintained incrementally by
-// internal/views; results materialize for displays.
+// Pushed fragments run on the sensor engine in epochs, each feeding its
+// deployment's scan directly; database tables load into each deployment's
+// join state; recursive (WITH RECURSIVE) queries are maintained
+// incrementally by internal/views; results materialize for displays.
 package core
 
 import (
@@ -68,8 +68,9 @@ type Config struct {
 	// RestoreSnapshot rehydrates after a coordinator restart — standing
 	// SELECT queries recompile onto their snapshotted shard placement and
 	// resume from the last committed checkpoint, shared-prefix window state
-	// and sensor fragment deployments included (fragments whose workers are
-	// gone fall back to central runners rather than being dropped).
+	// and sensor fragments included (shard-hosted fragments whose workers
+	// are gone resume in-process on this runtime's SensorEngine). A restore
+	// that cannot bring back every query brings back none.
 	// WITH RECURSIVE queries are not captured; both calls name them. Empty
 	// keeps the coordinator in-memory only.
 	SnapshotPath string
@@ -117,7 +118,7 @@ func New(cfg Config) *Runtime {
 		recursion: cfg.RecursionDepth,
 		topo:      cfg.Topology,
 	}
-	host := plan.Host{Engine: rt.Stream, Tick: cfg.TickPeriod, Now: cfg.Scheduler.Now}
+	host := plan.Host{Engine: rt.Stream, Tick: cfg.TickPeriod, Now: cfg.Scheduler.Now, Sched: cfg.Scheduler}
 	if cfg.SharedPrefixes {
 		host.Sharing = plan.NewSharing(rt.Stream)
 	}
@@ -161,9 +162,8 @@ type Query struct {
 	// made.
 	Partition *federation.Result
 
-	rt      *Runtime
-	name    string // coordinator-tracked name ("" for CREATE VIEW)
-	runners []interface{ Stop() }
+	rt   *Runtime
+	name string // coordinator-tracked name ("" for CREATE VIEW)
 }
 
 // Name reports the name the coordinator tracks a live SELECT or WITH
@@ -178,18 +178,13 @@ func (q *Query) Snapshot() ([]data.Tuple, error) {
 	return q.Deployment.Snapshot()
 }
 
-// Stop cancels the query's periodic sensor work and quiesces its
-// deployment: shard workers (if any) stop, every engine-input
-// subscription and clock-tick registration the deployment made is
-// detached, and any shared prefix chains this was the last query on are
-// torn down. The materialized result keeps its last state but no longer
+// Stop quiesces the query's deployment: its sensor fragment runners and
+// shard workers (if any) stop, every engine-input subscription and
+// clock-tick registration the deployment made is detached, and any shared
+// prefix chains this was the last query on are torn down. The materialized result keeps its last state but no longer
 // updates, and later input into the query's sources no longer reaches
 // its operators — other queries on the same inputs are unaffected.
 func (q *Query) Stop() {
-	for _, r := range q.runners {
-		r.Stop()
-	}
-	q.runners = nil
 	// Drop closes the deployment and stops snapshotting it. Its only error
 	// is an unknown name: a CREATE VIEW, or a second Stop — nothing to do.
 	_ = q.rt.coord.Drop(q.name)
@@ -236,9 +231,9 @@ func (rt *Runtime) MustRun(sqlText string) *Query {
 }
 
 // deploy compiles built through the coordinator under the next name q1, q2, ….
-// A caller that fails after it must Stop the query it returned: Stop cancels
-// the runners started so far and drops the deployment — shard workers,
-// subscriptions, tick work — so a failed statement leaks nothing.
+// A caller that fails after it must Stop the query it returned: Stop drops
+// the deployment — fragment runners, shard workers, subscriptions, tick
+// work — so a failed statement leaks nothing.
 func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOptions) (*Query, error) {
 	rt.qn++
 	name := fmt.Sprintf("q%d", rt.qn)
@@ -260,70 +255,8 @@ func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, e
 		return nil, err
 	}
 	q.Partition = res
-	fail := func(err error) (*Query, error) {
-		q.Stop()
-		return nil, err
-	}
-
-	// Start sensor fragments feeding their inputs, one batch per epoch: the
-	// engine dispatches (and a sharded plan exchanges) each epoch's
-	// deliveries in a single PushBatch instead of tuple-at-a-time. Fragments
-	// the compile pushed into the shard replicas (dep.RemoteFragments) run
-	// partitioned at the shard homes instead — no central runner, and no
-	// exchange hop for their epochs.
-	if err := rt.startFragmentRunners(q, specs); err != nil {
-		return fail(err)
-	}
 	rt.loadTables(q.Deployment)
 	return q, nil
-}
-
-// startFragmentRunners starts a central epoch runner for every fragment
-// not deployed inside the shard replicas, feeding the fragment's derived
-// input one batch per epoch. Runners append to q.runners (Stop cancels
-// them). Both fresh deploys and snapshot restores funnel through here.
-func (rt *Runtime) startFragmentRunners(q *Query, frags []plan.SensorFragment) error {
-	if len(frags) > 0 && rt.sensors == nil {
-		return fmt.Errorf("core: query %q carries sensor fragments but no sensor engine is configured", q.SQL)
-	}
-	remote := map[string]bool{}
-	for _, name := range q.Deployment.RemoteFragments {
-		remote[name] = true
-	}
-	for i := range frags {
-		f := &frags[i]
-		if remote[f.Name] {
-			continue
-		}
-		schema := f.Schema()
-		if schema == nil {
-			return fmt.Errorf("core: fragment %s has no query", f.Name)
-		}
-		in, ok := rt.Stream.Input(f.Name)
-		if !ok {
-			// A ship-all fragment whose raw source the plan did not end up
-			// scanning (e.g. projected away); register so data still flows.
-			var err error
-			in, err = rt.Stream.Register(f.Name, schema)
-			if err != nil {
-				return err
-			}
-		}
-		sink := in.PushBatch
-		switch {
-		case f.Select != nil:
-			q.runners = append(q.runners, rt.sensors.StartSelect(f.Select, rt.Sched, sink))
-		case f.Join != nil:
-			st, err := rt.sensors.PlanJoin(f.Join)
-			if err != nil {
-				return err
-			}
-			q.runners = append(q.runners, rt.sensors.StartJoin(st, rt.Sched, sink))
-		case f.Agg != nil:
-			q.runners = append(q.runners, rt.sensors.StartAggregate(f.Agg, rt.Sched, sink))
-		}
-	}
-	return nil
 }
 
 // fragSpecs lowers the optimizer's fragment decisions to the compile-level
@@ -379,40 +312,30 @@ func (rt *Runtime) SaveSnapshot() ([]string, error) { return rt.coord.Save() }
 // RestoreSnapshot rehydrates the standing queries recorded in the
 // snapshot file onto this runtime: each recompiles with its shards pinned
 // to the snapshotted placement and every operator — shared chain windows
-// and fragment runners included — restored from the last committed
-// checkpoint. Table loads are NOT replayed — the restored join and window
-// state already contains them; sources push new input as usual. Sensor
-// fragments resume where they ran: shard-hosted ones redeploy with their
-// checkpointed epoch anchors (falling back in-process, then to central
-// runners, when their snapshotted workers are gone), central ones restart
-// their epoch runners here. Returns the restored queries in name order
-// plus the names the snapshot recorded as skipped at Save time (those
-// queries must be re-run); a validation or compile failure restores
-// nothing and reports why.
+// and shard-hosted fragment runners included — restored from the last
+// committed checkpoint. Table loads are NOT replayed — the restored join and
+// window state already contains them; sources push new input as usual.
+// Sensor fragments resume where they ran: shard-hosted ones redeploy with
+// their checkpointed epoch anchors (in-process when their snapshotted
+// workers are gone), central ones restart their runners here. Returns the
+// restored queries in name order plus the names the snapshot recorded as
+// skipped at Save time (those queries must be re-run). A validation or
+// compile failure — a fragment whose source this runtime does not host, say
+// — restores nothing, leaves the coordinator empty and the file as it was,
+// and reports why.
 func (rt *Runtime) RestoreSnapshot() ([]*Query, []string, error) {
 	skipped, err := rt.coord.Restore()
 	if err != nil {
 		return nil, nil, err
 	}
 	var qs []*Query
-	fail := func(err error) ([]*Query, []string, error) {
-		for _, q := range qs {
-			q.Stop()
-		}
-		return nil, nil, err
-	}
 	for _, name := range rt.coord.Names() {
 		dep, _ := rt.coord.Deployment(name)
 		sqlText := name
 		if b, ok := rt.coord.Built(name); ok {
 			sqlText = b.String()
 		}
-		q := &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name}
-		if err := rt.startFragmentRunners(q, rt.coord.Fragments(name)); err != nil {
-			q.Stop()
-			return fail(fmt.Errorf("core: restore %s: %w", name, err))
-		}
-		qs = append(qs, q)
+		qs = append(qs, &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name})
 		// Keep q1, q2, … unique across the restart.
 		var n int
 		if _, err := fmt.Sscanf(name, "q%d", &n); err == nil && n > rt.qn {

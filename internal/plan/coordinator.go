@@ -113,7 +113,7 @@ type snapDeployment struct {
 	Shards    map[int][]byte
 	Coord     []byte
 
-	// Sensor fragments feeding the plan's derived inputs (v2): the full
+	// Sensor fragments feeding the plan's scans (v2): the full
 	// specs, and the names of those that deployed inside shard replicas
 	// at snapshot time — the shard states above carry one runner state
 	// per RemoteFrags entry, so a rehydrating compile must re-deploy
@@ -138,29 +138,15 @@ func (sd *snapDeployment) topology() Topology {
 // side checkpoint sequence both compiles produce lines up): Save captures
 // each shared chain's window state once per chain, and Restore rebuilds the
 // chains warm before re-attaching queries. Restoring fragment-carrying
-// deployments needs the host's Sensors, Tick and Now; pure stream deployments
-// need only its Engine. An empty path keeps the coordinator in-memory only:
-// everything but Save and Restore works.
+// deployments needs the host's Sensors, Sched, Tick and Now; pure stream
+// deployments need only its Engine. An empty path keeps the coordinator
+// in-memory only: everything but Save and Restore works.
 func NewCoordinator(host Host, path string) *Coordinator {
 	return &Coordinator{host: host, path: path, deps: map[string]*coordEntry{}}
 }
 
 // Host returns the process description the coordinator was built from.
 func (c *Coordinator) Host() Host { return c.host }
-
-// Fragments returns the sensor fragment specs a tracked deployment was
-// compiled with (after a Restore: the rehydrated specs). The caller runs
-// central epoch runners for every fragment not named in the deployment's
-// RemoteFragments.
-func (c *Coordinator) Fragments(name string) []SensorFragment {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.deps[name]
-	if !ok {
-		return nil
-	}
-	return e.opts.Fragments
-}
 
 // Deploy compiles b under name and tracks it for snapshots. Names must be
 // unique among live deployments.
@@ -398,19 +384,19 @@ func syncDir(dir string) error {
 // Restore rehydrates the coordinator from its snapshot file: every
 // recorded deployment recompiles against the engine with its shards
 // pinned to the snapshotted placement and every operator — shared chain
-// windows and fragment runners included — restored from the snapshotted
-// state. A missing file is a fresh start (no error). Any validation or
+// windows and shard-hosted fragment runners included — restored from the
+// snapshotted state. A missing file is a fresh start (no error). Any validation or
 // compile failure leaves the coordinator empty but alive — partially
 // restored deployments are torn down, never half-served.
 //
-// A fragment-carrying deployment whose snapshotted workers are absent at
-// restore time degrades instead of failing: first all shards pull
-// in-process with the fragments still pinned (exact state, needs this
-// process to host the sources — Host.Sensors), and as the last resort
-// the fragments fall back to central runners (the caller restarts them
-// from Fragments; the stream state still restores exactly). The returned
-// slice surfaces the names Save recorded as skipped — queries the
-// snapshot never captured, to be re-deployed by the operator.
+// A fragment-carrying deployment comes back with its fragments: shard-hosted
+// ones redeploy with their checkpointed epoch anchors, central ones restart
+// their runners on this Host's Sensors and Sched. When the snapshotted
+// workers are absent, every shard pulls in-process with the fragments still
+// pinned (exact state; this process must host their sources). A deployment
+// whose fragment sources nothing here hosts fails the Restore, naming the
+// source. The returned slice surfaces the names Save recorded as skipped —
+// queries the snapshot never captured, to be re-deployed by the operator.
 //
 // Restore does not replay table loads or input pushed after the snapshot;
 // callers re-attach sources, which resume from their own cursors.
@@ -483,14 +469,11 @@ func (c *Coordinator) Restore() ([]string, error) {
 	return f.Skipped, nil
 }
 
-// rehydrate compiles one snapshotted deployment, degrading through the
-// documented fallbacks when the saved shape cannot come back: (1) as
-// saved; (2) every shard in-process, fragments still pinned remote-style
-// with exact runner state (workers gone, sources hosted here); (3) every
-// shard in-process with the fragment runner states trimmed off the shard
-// checkpoints — the fragments return to central runners rather than the
-// deployment being lost. The first error is the one reported when every
-// tier fails.
+// rehydrate compiles one snapshotted deployment in two tiers: (1) as saved;
+// (2) when that fails and the snapshot placed shards on workers, every shard
+// in-process with the fragments still pinned and their exact runner state
+// (workers gone, sources hosted here). When both fail, the error reports
+// both.
 func (c *Coordinator) rehydrate(b *Built, opts CompileOptions, sd *snapDeployment) (*Deployment, error) {
 	dep, err0 := CompileStreamOpts(b, c.host, opts)
 	if err0 == nil {
@@ -499,25 +482,11 @@ func (c *Coordinator) rehydrate(b *Built, opts CompileOptions, sd *snapDeploymen
 	if anyRemote(sd.Placement) {
 		home := opts
 		home.restoreLoc = make([]string, sd.Parallelism)
-		if dep, err := CompileStreamOpts(b, c.host, home); err == nil {
+		dep, err := CompileStreamOpts(b, c.host, home)
+		if err == nil {
 			return dep, nil
 		}
-	}
-	if len(sd.RemoteFrags) > 0 {
-		central := opts
-		central.restoreLoc = make([]string, sd.Parallelism)
-		central.restoreRemoteFrags = nil
-		central.restoreShards = make(map[int][]byte, len(sd.Shards))
-		for j, st := range sd.Shards {
-			trimmed, err := stream.TrimOpaqueTail(st, len(sd.RemoteFrags))
-			if err != nil {
-				return nil, err0
-			}
-			central.restoreShards[j] = trimmed
-		}
-		if dep, err := CompileStreamOpts(b, c.host, central); err == nil {
-			return dep, nil
-		}
+		return nil, fmt.Errorf("%w; with every shard in-process: %v", err0, err)
 	}
 	return nil, err0
 }

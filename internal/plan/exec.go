@@ -48,10 +48,10 @@ type Deployment struct {
 	// PartialAggregate stages merged by one serial FinalMerge (the path
 	// that shards global aggregates and non-partitionable grouping keys).
 	TwoPhase bool
-	// RemoteFragments names the sensor-derived inputs whose fragments
-	// deployed inside the shard replicas (see CompileOptions.Fragments):
-	// the runtime must not start central epoch runners for them — each
-	// shard samples its partition where it runs.
+	// RemoteFragments names the fragments (SensorFragment.Name) that
+	// deployed inside the shard replicas, in wire order: each shard samples
+	// its partition where it runs. The deployment runs every other fragment
+	// of CompileOptions.Fragments centrally.
 	RemoteFragments []string
 
 	set *stream.ShardSet
@@ -70,6 +70,9 @@ type Deployment struct {
 	// checkpoints (and restores) the group's store.
 	coordCks []stream.Checkpointer
 
+	// runners are the deployment's central fragment runners, in
+	// CompileOptions.Fragments order; Close cancels them first.
+	runners []*fragRunner
 	// eng is the engine the deployment attached to; Close detaches the
 	// records below from it.
 	eng *stream.Engine
@@ -115,12 +118,12 @@ func (d *Deployment) Snapshot() ([]data.Tuple, error) {
 	return d.Result.Snapshot(d.OrderBy, d.Limit)
 }
 
-// Close stops the deployment and detaches it from the engine: shard
-// workers (if any) stop first, then every engine-input subscription the
-// compile made is unsubscribed, every tracked advancer untracked, and
-// every shared-prefix attachment released — tearing down any chain whose
-// last query this was. A result-group member's Result freezes: it keeps the
-// rows it read at Close. Safe on a live engine: an in-flight push or tick
+// Close stops the deployment and detaches it from the engine: its central
+// fragment runners stop first, then shard workers (if any), then every
+// engine-input subscription the compile made is unsubscribed, every tracked
+// advancer untracked, and every shared-prefix attachment released —
+// tearing down any chain whose last query this was. A result-group member's
+// Result freezes: it keeps the rows it read at Close. Safe on a live engine: an in-flight push or tick
 // keeps the subscriber list it loaded, so at most one final delivery
 // lands; later pushes into the deployment's inputs and later clock ticks
 // no longer reach it. Close is idempotent and concurrent-safe with
@@ -128,6 +131,9 @@ func (d *Deployment) Snapshot() ([]data.Tuple, error) {
 // is a no-op.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() {
+		for _, r := range d.runners {
+			r.Close()
+		}
 		if d.set != nil {
 			d.set.Close()
 		}
@@ -362,10 +368,14 @@ type Host struct {
 	// Sharded plans ignore it. See Sharing for semantics (warm-start attach,
 	// positional canon keys, result groups).
 	Sharing *Sharing
-	// Sensors registers the sensor engines this process hosts, so in-process
-	// shards (and failover's in-process last resort) can run fragment
-	// partitions locally. Required for fragments to leave the coordinator.
+	// Sensors registers the sensor engines this process hosts: central
+	// fragment runners sample on them, and in-process shards (and
+	// failover's in-process last resort) run fragment partitions on them.
+	// A deployment with fragments compiles only where it resolves their
+	// sources — here, or at every remote shard home that hosts them.
 	Sensors *SensorHosts
+	// Sched is the scheduler central fragment runners fire on.
+	Sched *vtime.Scheduler
 	// Tick is the engine's clock tick cadence; shard-hosted fragments must
 	// fire on tick instants (period a positive multiple, anchor aligned), so
 	// the compile needs it to decide eligibility.
@@ -389,13 +399,16 @@ type CompileOptions struct {
 	Topology
 	// OnFailover, when set, observes completed failovers (tests, ops).
 	OnFailover func(stream.FailoverEvent)
-	// Fragments lists the sensor fragments feeding this plan's derived
-	// inputs. The compile hosts each fragment inside the shard replicas —
-	// partitioned sampling next to the data — when the shard key is
-	// node-determined, epochs align with engine ticks, and every remote
-	// shard home declares affinity for the fragment's sources; fragments
-	// failing any condition stay central (the caller starts their epoch
-	// runners as before — check Deployment.RemoteFragments).
+	// Fragments lists the sensor fragments feeding this plan's scans, each
+	// the scan whose Input is its Name. The deployment owns their runners,
+	// and each pushes straight into its scan's head: such a scan is never
+	// subscribed to a named engine input, never joins a shared chain or
+	// result group, and its name is not registered with the engine. The
+	// compile hosts a fragment inside the shard replicas — partitioned
+	// sampling next to the data — when the shard key is node-determined,
+	// epochs align with engine ticks, and every remote shard home declares
+	// affinity for the fragment's sources (see Deployment.RemoteFragments);
+	// every other fragment runs centrally, on Host.Sensors and Host.Sched.
 	Fragments []SensorFragment
 
 	// restoreShards and restoreCoord rehydrate a deployment from a durable
@@ -440,8 +453,12 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 			return compileSharded(b, host, opts, strat, addrs, affinity)
 		}
 	}
+	feeds, fragFor, err := feedScans(opts.Fragments, Scans(b.Root))
+	if err != nil {
+		return nil, err
+	}
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: 1, eng: eng}
-	if host.Sharing != nil {
+	if host.Sharing != nil && len(feeds) == 0 {
 		if handled, err := host.Sharing.tryAttachResult(b, dep, opts.restoreCoord); handled {
 			if err != nil {
 				return nil, err
@@ -453,6 +470,7 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 	if err != nil {
 		return nil, err
 	}
+	heads := map[*Scan]stream.Operator{}
 	c := &compiler{
 		track: func(a stream.Advancer) {
 			eng.TrackWindow(a)
@@ -460,24 +478,71 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 		},
 		ck: func(k stream.Checkpointer) { dep.coordCks = append(dep.coordCks, k) },
 		scanHead: func(x *Scan, head stream.Operator) error {
+			if fragFor[x] != nil {
+				heads[x] = head // its fragment's runner feeds it
+				return nil
+			}
 			return attachScan(x, head, eng, dep)
 		},
 		share:     host.Sharing,
+		fragFor:   fragFor,
 		dep:       dep,
 		restoring: opts.restoreCoord != nil,
 	}
-	if err := c.compile(b.Root, sink, nil); err != nil {
+	fail := func(err error) (*Deployment, error) {
 		dep.Close() // detach whatever the partial compile already wired
 		return nil, err
+	}
+	if err := c.compile(b.Root, sink, nil); err != nil {
+		return fail(err)
+	}
+	if err := dep.buildRunners(host, opts.Fragments, feeds, heads); err != nil {
+		return fail(err)
 	}
 	dep.coordCks = append(dep.coordCks, dep.Result)
 	if opts.restoreCoord != nil {
 		if err := stream.RestoreCheckpoint(dep.coordCks, opts.restoreCoord); err != nil {
-			dep.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
+	dep.startRunners(host.Sched)
 	return dep, nil
+}
+
+// buildRunners builds the central runner of every fragment whose scan has a
+// head in heads — frags[i] feeds feeds[i] — in frags order. Its engine is
+// the one host.Sensors registers for the fragment's sources, the rule every
+// shard home uses, and it will fire on host.Sched.
+func (d *Deployment) buildRunners(host Host, frags []SensorFragment, feeds []*Scan, heads map[*Scan]stream.Operator) error {
+	for i := range frags {
+		f, head := &frags[i], heads[feeds[i]]
+		if head == nil {
+			continue // hosted in the shard replicas
+		}
+		if host.Sched == nil {
+			return fmt.Errorf("plan: fragment %s runs on the coordinator, but the Host has no scheduler", f.Name)
+		}
+		eng, err := host.Sensors.engineFor(f.Name, f.Sources)
+		if err != nil {
+			return err
+		}
+		r, err := newFragRunner(eng, f, head, nil, nil)
+		if err != nil {
+			return err
+		}
+		d.runners = append(d.runners, r)
+	}
+	return nil
+}
+
+// startRunners puts the central fragment runners on sched's schedule, in
+// CompileOptions.Fragments order, once the deployment's taps are open: at an
+// instant they share with the engine tick or another query's runners they
+// fire in the order they were registered.
+func (d *Deployment) startRunners(sched *vtime.Scheduler) {
+	for _, r := range d.runners {
+		r.start(sched)
+	}
 }
 
 // newDeploymentSink builds the shared result sink: the materialized result,
@@ -587,7 +652,10 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 	// in-process); Rescale re-applies the same policy from scanSources. A
 	// rehydrating compile instead pins the placement the snapshot captured.
 	scans := Scans(parRoot)
-	fragFor := fragmentsByScan(opts.Fragments, scans)
+	feeds, fragFor, err := feedScans(opts.Fragments, scans)
+	if err != nil {
+		return nil, err
+	}
 	for _, sc := range scans {
 		if f := fragFor[sc]; f != nil {
 			dep.scanSources = append(dep.scanSources, f.Sources...)
@@ -605,8 +673,10 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 	if err != nil {
 		return nil, err
 	}
-	for i := range wireFrags {
-		dep.RemoteFragments = append(dep.RemoteFragments, wireFrags[i].Query.Name)
+	hosted := map[string]bool{}
+	for _, w := range wireFrags {
+		dep.RemoteFragments = append(dep.RemoteFragments, w.Query.Name)
+		hosted[w.Scan] = true
 	}
 
 	// Every sharded deployment encodes its replica spec and arms the shard
@@ -626,17 +696,25 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 		}
 	}
 
-	// Build every exchange, then every replica, then resolve every input —
-	// all before anything is wired into the live engine: a failure on the
-	// second scan must not leave the first scan's Sharder subscribed and
-	// feeding a dead set. The scan heads answer to the walk-order names both
-	// sides derive from the tree.
+	// Build every exchange and central fragment runner, then every replica,
+	// then resolve every input — all before anything is wired into the live
+	// engine: a failure on the second scan must not leave the first scan's
+	// Sharder subscribed and feeding a dead set. The scan heads answer to the
+	// walk-order names both sides derive from the tree. A central fragment
+	// feeds its scan's Sharder; a hosted one, the replica heads.
 	set := stream.NewShardSet(p)
 	shs := make([]*stream.Sharder, len(scans))
+	heads := map[*Scan]stream.Operator{}
 	for i, scan := range scans {
 		if shs[i], err = newScanSharder(set, scanName(i), scan, strat.Keys[scan]); err != nil {
 			return nil, err
 		}
+		if fragFor[scan] != nil && !hosted[scanName(i)] {
+			heads[scan] = shs[i]
+		}
+	}
+	if err := dep.buildRunners(host, opts.Fragments, feeds, heads); err != nil {
+		return nil, err
 	}
 	// A rehydrating compile ships each shard's snapshotted state along. On
 	// error the set has torn down whatever it had placed.
@@ -653,6 +731,9 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 	}
 	ins := make([]*stream.Input, len(scans))
 	for i, scan := range scans {
+		if fragFor[scan] != nil {
+			continue
+		}
 		if ins[i], err = resolveScanInput(scan, eng); err != nil {
 			set.Close()
 			return nil, err
@@ -664,6 +745,9 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 	dep.advs = append(dep.advs, set)
 	dep.set = set
 	for i, scan := range scans {
+		if ins[i] == nil {
+			continue
+		}
 		ins[i].Subscribe(shs[i])
 		dep.heads = append(dep.heads, headSub{in: ins[i], op: shs[i]})
 		dep.Inputs = append(dep.Inputs, scan.Input)
@@ -671,6 +755,7 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 			dep.TableHeads = append(dep.TableHeads, TableHead{Input: scan.Input, Head: shs[i]})
 		}
 	}
+	dep.startRunners(host.Sched)
 	return dep, nil
 }
 
@@ -735,9 +820,18 @@ type compiler struct {
 	share     *Sharing
 	dep       *Deployment
 	restoring bool
+	// fragFor marks the scans sensor fragments feed; they never share.
+	fragFor map[*Scan]*SensorFragment
 
 	splitAgg   *Aggregate
 	finalMerge *stream.FinalMerge
+}
+
+// fragmentFed reports whether n is a stack of selections over a scan a
+// sensor fragment feeds.
+func (c *compiler) fragmentFed(n Node) bool {
+	sc, _, ok := shareablePrefix(n)
+	return ok && c.fragFor[sc] != nil
 }
 
 // ckAdd reports a stateful operator to the checkpoint collector, if any.
@@ -785,8 +879,9 @@ func (c *compiler) compile(n Node, out stream.Operator, cols []int) error {
 	// The walk is top-down, so the first shareable subtree seen is the
 	// maximal shareable prefix: attach out to its shared chain and stop
 	// descending — the chain (not this deployment) owns those operators. A
-	// shareable subtree holds no join, so it writes every column.
-	if c.share != nil {
+	// shareable subtree holds no join, so it writes every column. A scan a
+	// fragment feeds is this deployment's own.
+	if c.share != nil && !c.fragmentFed(n) {
 		if handled, err := c.share.tryAttach(n, out, c.dep, c.restoring); handled {
 			return err
 		}

@@ -16,34 +16,41 @@ import (
 	"aspen/internal/vtime"
 )
 
-// This file makes sensor fragments first-class distributed subplans: the
-// federated optimizer's in-network select/join/aggregate fragments, which
-// until now always ran on the coordinator's sensor engine, can ship inside
-// a replica's wire spec and execute on the shard worker that physically
-// hosts the sensor source. Each shard's replica runs a *partitioned* epoch
-// fragment — it samples only the motes (or mote pairs) whose partition-key
-// hash routes to that shard, exactly mirroring the coordinator Sharder's
-// hash (data.Hasher.HashOn % P) — so the shards' delivered multisets union
-// to the central run's and no exchange hop is needed: epoch batches feed
-// the co-resident replica heads directly.
+// This file runs a deployment's sensor fragments: the federated optimizer's
+// in-network select/join/aggregate fragments, each feeding one scan of the
+// deployment's plan. Every fragment runs as one fragRunner, owned by the
+// deployment, that pushes each epoch's deliveries as one batch straight into
+// its scan's head — never through a named engine input, so no other query
+// can read them. Where it runs is the compile's decision:
 //
-// Fragment runners implement stream.Advancer (epochs catch up at tick
+//   - central: on the coordinator, sampling every mote, fired by the host
+//     scheduler; it feeds the serial pipeline head or the scan's Sharder.
+//   - shard-hosted: inside the replicas, shipped in the wire spec, on the
+//     shard worker that physically hosts the sensor source. Each shard's
+//     replica samples only the motes (or mote pairs) whose partition-key
+//     hash routes to that shard, exactly mirroring the coordinator Sharder's
+//     hash (data.Hasher.HashOn % P), so the shards' deliveries union to the
+//     central run's and no exchange hop is needed.
+//
+// Hosted runners implement stream.Advancer (epochs catch up at tick
 // barriers, after windows advance — the same advance-then-epoch order the
 // serial scheduler's FIFO produces at shared instants) and
 // stream.Checkpointer (the next-epoch anchor plus adaptive join placement
 // stats ride shard checkpoints), so failover, rescale, and coordinator
 // snapshots of the *stream* state stay exact: a re-deployed replica
 // regenerates exactly the epochs after its restored anchor, which the
-// failover undo already retracted downstream.
+// failover undo already retracted downstream. Central runners keep no
+// checkpointed state: they fire at the scheduler's instants.
 
-// SensorFragment describes one sensor fragment feeding a plan's derived
-// input, for CompileOptions.Fragments: the compile decides per fragment
-// whether it can deploy inside the shard replicas (partition-aligned keys,
-// epoch/tick alignment, every shard home hosting the sources) or must stay
-// a central runner on the coordinator.
+// SensorFragment describes one sensor fragment feeding a scan of a plan,
+// for CompileOptions.Fragments: the compile decides per fragment whether it
+// can deploy inside the shard replicas (partition-aligned keys, epoch/tick
+// alignment, every shard home hosting the sources) or runs centrally on the
+// coordinator.
 type SensorFragment struct {
-	// Name is the derived stream-engine input the fragment feeds (the
-	// scan.Input of the plan scan it covers).
+	// Name is the derived input name the fragment covers: the Scan.Input of
+	// the plan scan it feeds. The name only pairs the fragment with its
+	// scan; nothing registers it as an engine input.
 	Name string
 	// Sources lists the raw catalog sensor sources the fragment reads
 	// (lowercased); locality placement routes shards to workers hosting
@@ -100,8 +107,7 @@ const (
 
 // snapFragment is the one gob mirror of a SensorFragment: a durable
 // coordinator snapshot stores it per CompileOptions.Fragments entry (so a
-// restored coordinator can both recompile the deployment and restart
-// central runners for fragments that cannot go remote anymore), and a
+// restored coordinator recompiles the deployment with its fragments), and a
 // replica wire spec carries it inside each wireFragment. Predicates travel
 // as raw expressions (expr.Compiled closures cannot cross processes or
 // restarts) and re-Bind against the reading schemas at decode.
@@ -167,10 +173,11 @@ func bindPred(e expr.Expr, schema *data.Schema) (*expr.Compiled, error) {
 }
 
 // SensorHosts registers the sensor engines a process hosts, keyed by
-// lowercased raw source name. A shard worker built with NewSensorWorker
-// consults it when a deploy spec carries sensor fragments; the coordinator
-// passes its own registry as Host.Sensors so in-process shards (and
-// failover's local last resort) host fragments the same way.
+// lowercased raw source name. It is how every fragment runner finds its
+// engine: a shard worker built with NewSensorWorker consults it when a
+// deploy spec carries sensor fragments, and the coordinator passes its own
+// registry as Host.Sensors for central runners and in-process shards (and
+// failover's local last resort) alike.
 // A nil *SensorHosts is a valid empty registry.
 type SensorHosts struct {
 	m map[string]*sensor.Engine
@@ -205,56 +212,112 @@ func (h *SensorHosts) Sources() []string {
 	return out
 }
 
-// engineFor resolves the single engine hosting every source of a wire
+// engineFor resolves the single engine hosting every source of the named
 // fragment.
-func (h *SensorHosts) engineFor(w *wireFragment) (*sensor.Engine, error) {
+func (h *SensorHosts) engineFor(name string, sources []string) (*sensor.Engine, error) {
 	var eng *sensor.Engine
-	for _, src := range w.Query.Sources {
+	for _, src := range sources {
 		e, ok := h.Engine(src)
 		if !ok {
-			return nil, fmt.Errorf("plan: this host has no sensor source %q", src)
+			return nil, fmt.Errorf("plan: fragment %s: this host has no sensor source %q", name, src)
 		}
 		if eng != nil && e != eng {
-			return nil, fmt.Errorf("plan: fragment sources %v span different sensor engines", w.Query.Sources)
+			return nil, fmt.Errorf("plan: fragment %s: sources %v span different sensor engines", name, sources)
 		}
 		eng = e
 	}
 	if eng == nil {
-		return nil, fmt.Errorf("plan: fragment %s names no sources", w.Scan)
+		return nil, fmt.Errorf("plan: fragment %s names no sources", name)
 	}
 	return eng, nil
 }
 
-// fragRunner executes one shard's partition of a sensor fragment. It is
-// driven by the replica's tick path (worker frame loop or local shard
-// goroutine) after the windows advance, so epoch batches enter the heads
-// under the same single-writer discipline as exchanged data.
+// fragRunner runs one sensor fragment's epochs into the head of the scan it
+// feeds, one batch per epoch (an epoch that delivers nothing pushes
+// nothing). A central runner samples every mote and fires from the host
+// scheduler (start). A shard-hosted runner samples its shard's partition and
+// is driven by the replica's tick path (worker frame loop or local shard
+// goroutine) after the windows advance, so its batches enter the replica
+// head under the same single-writer discipline as exchanged data.
 type fragRunner struct {
 	head   stream.Operator
 	period time.Duration
-	next   vtime.Time
-	run    func(now vtime.Time, deliver sensor.Sink)
+	run    func(now vtime.Time) // one epoch, delivering into buf
+	buf    []data.Tuple
+	// next is a hosted runner's next epoch instant.
+	next vtime.Time
 	// joinState is set for join fragments: its adaptive placement stats
-	// ride this runner's checkpoints.
+	// ride a hosted runner's checkpoints.
 	joinState *sensor.JoinState
-	buf       []data.Tuple
+	// stop cancels a central runner's schedule.
+	stop func()
 }
 
-// Advance implements stream.Advancer: catch epochs up to now. Epoch
-// instants coincide with tick instants (compile-side eligibility), so the
-// runner fires at most once per tick in steady state; after a failover
-// restore it regenerates every epoch since the checkpoint anchor — exactly
-// the deliveries the coordinator's undo log retracted.
-func (r *fragRunner) Advance(now vtime.Time) {
-	for r.next <= now {
-		at := r.next
-		r.run(at, func(t data.Tuple) { r.buf = append(r.buf, t) })
-		r.next = r.next.Add(r.period)
-		if len(r.buf) > 0 {
-			r.head.PushBatch(r.buf)
-			clear(r.buf)
-			r.buf = r.buf[:0]
+// newFragRunner binds fragment f, sampled on eng, to head. keep and pair
+// restrict sampling to one shard's partition; nil filters sample every mote.
+func newFragRunner(eng *sensor.Engine, f *SensorFragment, head stream.Operator, keep sensor.NodeFilter, pair sensor.PairFilter) (*fragRunner, error) {
+	schema := f.Schema()
+	if schema == nil {
+		return nil, fmt.Errorf("plan: fragment %s has no query", f.Name)
+	}
+	if head.Schema().Arity() != schema.Arity() {
+		return nil, fmt.Errorf("plan: fragment %s delivers %d columns into a %d-column scan", f.Name, schema.Arity(), head.Schema().Arity())
+	}
+	r := &fragRunner{head: head, period: f.period()}
+	deliver := func(t data.Tuple) { r.buf = append(r.buf, t) }
+	switch {
+	case f.Select != nil:
+		r.run = func(now vtime.Time) { eng.RunSelectEpochPart(f.Select, now, keep, deliver) }
+	case f.Agg != nil:
+		r.run = func(now vtime.Time) { eng.RunAggregateEpochPart(f.Agg, now, keep, deliver) }
+	case f.Join != nil:
+		st, err := eng.PlanJoinPart(f.Join, pair)
+		if err != nil {
+			return nil, err
 		}
+		r.joinState = st
+		r.run = func(now vtime.Time) { eng.RunJoinEpoch(st, now, deliver) }
+	}
+	return r, nil
+}
+
+// epoch runs the epoch at instant at and pushes its deliveries as one batch.
+// The batch's tuples pass to the head; the slice is reused for the next
+// epoch. Once the runner is closed — even from inside this push — it pushes
+// nothing more.
+func (r *fragRunner) epoch(at vtime.Time) {
+	r.run(at)
+	if len(r.buf) > 0 && r.head != nil {
+		r.head.PushBatch(r.buf)
+	}
+	clear(r.buf)
+	r.buf = r.buf[:0]
+}
+
+// start fires a central runner every period on sched, at the scheduler's
+// instants.
+func (r *fragRunner) start(sched *vtime.Scheduler) {
+	r.stop = sched.Every(r.period, func() { r.epoch(sched.Now()) })
+}
+
+// Close cancels a central runner's schedule and lets go of its head and
+// buffer, so a closed runner holds neither tuples nor the pipeline.
+// Idempotent.
+func (r *fragRunner) Close() {
+	if r.stop != nil {
+		r.stop()
+	}
+	r.head, r.buf = nil, nil
+}
+
+// Advance implements stream.Advancer for a hosted runner: catch epochs up to
+// now. Epoch instants coincide with tick instants (compile-side
+// eligibility), so the runner fires at most once per tick in steady state;
+// after a failover restore it regenerates every epoch since the checkpoint
+// anchor — exactly the deliveries the coordinator's undo log retracted.
+func (r *fragRunner) Advance(now vtime.Time) {
+	for ; r.next <= now; r.next = r.next.Add(r.period) {
+		r.epoch(r.next)
 	}
 }
 
@@ -341,10 +404,10 @@ func shardKeepPair(w *wireFragment, shard int) sensor.PairFilter {
 	}
 }
 
-// newFragRunner rebuilds one wire fragment's query on this host's engine
+// hostedRunner rebuilds one wire fragment's query on this host's engine
 // and binds its shard partition to the given replica head.
-func (h *SensorHosts) newFragRunner(w *wireFragment, shard int, head stream.Operator) (*fragRunner, error) {
-	eng, err := h.engineFor(w)
+func (h *SensorHosts) hostedRunner(w *wireFragment, shard int, head stream.Operator) (*fragRunner, error) {
+	eng, err := h.engineFor(w.Query.Name, w.Query.Sources)
 	if err != nil {
 		return nil, err
 	}
@@ -359,36 +422,23 @@ func (h *SensorHosts) newFragRunner(w *wireFragment, shard int, head stream.Oper
 		return nil, fmt.Errorf("plan: fragment %s: shard %d of %d", w.Scan, shard, w.P)
 	}
 	arity := f.Schema().Arity()
-	if head.Schema().Arity() != arity {
-		return nil, fmt.Errorf("plan: fragment %s delivers %d columns into a %d-column scan", w.Scan, arity, head.Schema().Arity())
-	}
 	for _, idx := range w.KeyIdx {
 		if idx < 0 || idx >= arity || !fragKeyEligible(&f, idx) {
 			return nil, fmt.Errorf("plan: fragment %s: partition key column %d is not node-determined", w.Scan, idx)
 		}
 	}
-	r := &fragRunner{head: head, period: f.period(), next: w.StartAt}
-	switch {
-	case f.Select != nil:
-		keep := shardKeep(w, shard)
-		r.run = func(now vtime.Time, deliver sensor.Sink) {
-			eng.RunSelectEpochPart(f.Select, now, keep, deliver)
-		}
-	case f.Agg != nil:
-		keep := shardKeep(w, shard)
-		r.run = func(now vtime.Time, deliver sensor.Sink) {
-			eng.RunAggregateEpochPart(f.Agg, now, keep, deliver)
-		}
-	case f.Join != nil:
-		st, err := eng.PlanJoinPart(f.Join, shardKeepPair(w, shard))
-		if err != nil {
-			return nil, err
-		}
-		r.joinState = st
-		r.run = func(now vtime.Time, deliver sensor.Sink) {
-			eng.RunJoinEpoch(st, now, deliver)
-		}
+	var keep sensor.NodeFilter
+	var pair sensor.PairFilter
+	if f.Join != nil {
+		pair = shardKeepPair(w, shard)
+	} else {
+		keep = shardKeep(w, shard)
 	}
+	r, err := newFragRunner(eng, &f, head, keep, pair)
+	if err != nil {
+		return nil, err
+	}
+	r.next = w.StartAt
 	return r, nil
 }
 
@@ -406,7 +456,7 @@ func (h *SensorHosts) buildFragRunners(frags []wireFragment, shard int, heads ma
 		if !ok {
 			return nil, fmt.Errorf("plan: fragment names unknown scan %s", w.Scan)
 		}
-		r, err := h.newFragRunner(w, shard, head)
+		r, err := h.hostedRunner(w, shard, head)
 		if err != nil {
 			return nil, err
 		}
@@ -480,18 +530,26 @@ func decodeSnapFragment(s snapFragment) (SensorFragment, error) {
 	return f, nil
 }
 
-// fragmentsByScan maps each scan fed by a fragment's derived input to that
-// fragment.
-func fragmentsByScan(frags []SensorFragment, scans []*Scan) map[*Scan]*SensorFragment {
-	fragFor := map[*Scan]*SensorFragment{}
-	for i := range frags {
-		for _, sc := range scans {
-			if strings.EqualFold(sc.Input, frags[i].Name) {
-				fragFor[sc] = &frags[i]
-			}
-		}
+// feedScans pairs every fragment with the scan it feeds: the first scan, in
+// plan-walk order, that reads the fragment's derived input and that no
+// earlier fragment claimed. It returns the pairing both ways — frags[i]
+// feeds scans[i] — and fails on a fragment that feeds no scan of the plan.
+func feedScans(frags []SensorFragment, all []*Scan) ([]*Scan, map[*Scan]*SensorFragment, error) {
+	if len(frags) == 0 {
+		return nil, nil, nil
 	}
-	return fragFor
+	scans := make([]*Scan, len(frags))
+	fragFor := make(map[*Scan]*SensorFragment, len(frags))
+	for i := range frags {
+		j := slices.IndexFunc(all, func(sc *Scan) bool {
+			return fragFor[sc] == nil && strings.EqualFold(sc.Input, frags[i].Name)
+		})
+		if j < 0 {
+			return nil, nil, fmt.Errorf("plan: fragment %s feeds no scan of the plan", frags[i].Name)
+		}
+		scans[i], fragFor[all[j]] = all[j], &frags[i]
+	}
+	return scans, fragFor, nil
 }
 
 // hostedFragments decides which fragments deploy inside the shard replicas

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,9 +41,13 @@ func newFragCompileHosts() *SensorHosts {
 }
 
 // fragHost is a compile host for eng that hosts sensors and ticks every
-// second, the cadence lightFeedFragment's epochs align with.
+// second, the cadence lightFeedFragment's epochs align with. Its scheduler
+// drives the engine's ticks, so central fragment runners started on it fire
+// after the windows advance, as on a core runtime.
 func fragHost(eng *stream.Engine, sensors *SensorHosts) Host {
-	return Host{Engine: eng, Sensors: sensors, Tick: time.Second}
+	sched := vtime.NewScheduler()
+	sched.Every(time.Second, func() { eng.Advance(sched.Now()) })
+	return Host{Engine: eng, Sensors: sensors, Tick: time.Second, Sched: sched}
 }
 
 // lightFeedFragment is the fragment producing LightFeed: a filtered light
@@ -173,11 +178,23 @@ func TestCompileShardedRemoteFragmentDifferential(t *testing.T) {
 	}
 }
 
-// TestCompileShardedFragmentStaysCentral covers the ways a fragment keeps
-// its central runner: workers without source affinity, and a coordinator
-// that hosts no sensor engines.
+// TestCompileShardedFragmentStaysCentral covers where a fragment runs when
+// it cannot go remote. With workers that declare no affinity for its source
+// it runs centrally, feeding its scan's Sharder, and matches the serial
+// reference. A coordinator that does not host the source cannot run it at
+// all: the compile fails and names the source.
 func TestCompileShardedFragmentStaysCentral(t *testing.T) {
+	const upto = vtime.Time(8 * vtime.Second)
 	frag := lightFeedFragment(t)
+	sEng := stream.NewEngine("frag-central-serial", vtime.NewScheduler())
+	serial, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), Host{Engine: sEng}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close()
+	runCentralEpochs(t, sEng, newFragCompileHosts(), frag.Select, upto)
+	want := snapshotSorted(t, serial)
+
 	cases := []struct {
 		name     string
 		annotate bool
@@ -199,16 +216,59 @@ func TestCompileShardedFragmentStaysCentral(t *testing.T) {
 				node += "=light"
 			}
 			eng := stream.NewEngine("frag-central-"+c.name, vtime.NewScheduler())
-			dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), fragHost(eng, c.hosts), CompileOptions{
+			host := fragHost(eng, c.hosts)
+			dep, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), host, CompileOptions{
 				Topology:  Topology{Parallelism: 2, Nodes: []string{node}},
 				Fragments: []SensorFragment{frag},
 			})
+			if _, hosted := c.hosts.Engine("light"); !hosted {
+				if err == nil || !strings.Contains(err.Error(), `"light"`) {
+					t.Fatalf("compile error = %v, want one naming the unhosted source light", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer dep.Close()
 			if len(dep.RemoteFragments) != 0 {
 				t.Fatalf("fragment must stay central, got RemoteFragments = %v", dep.RemoteFragments)
+			}
+			if _, ok := eng.Input("LightFeed"); ok {
+				t.Fatal("a fragment-fed scan registered its derived name as an engine input")
+			}
+			host.Sched.RunUntil(upto)
+			requireEqualRows(t, "central fragment into the Sharder", snapshotSorted(t, dep), want)
+		})
+	}
+}
+
+// TestCompileFragmentErrors covers the fragments a compile refuses: one that
+// feeds no scan of the plan, and a central one on a Host without a
+// scheduler to fire it.
+func TestCompileFragmentErrors(t *testing.T) {
+	frag := lightFeedFragment(t)
+	stray := frag
+	stray.Name = "NoSuchFeed"
+	cases := []struct {
+		name string
+		host func(*stream.Engine) Host
+		frag SensorFragment
+		want string
+	}{
+		{"feeds-no-scan", func(eng *stream.Engine) Host { return fragHost(eng, newFragCompileHosts()) }, stray, "feeds no scan"},
+		{"no-scheduler", func(eng *stream.Engine) Host { return Host{Engine: eng, Sensors: newFragCompileHosts()} }, frag, "no scheduler"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := stream.NewEngine("frag-err-"+c.name, vtime.NewScheduler())
+			_, err := CompileStreamOpts(mustBuild(t, lightFeedQuery, fragFeedCatalog()), c.host(eng),
+				CompileOptions{Fragments: []SensorFragment{c.frag}})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("compile error = %v, want one saying %q", err, c.want)
+			}
+			if n := eng.Advancers(); n != 0 {
+				t.Fatalf("a refused compile left %d advancers tracked", n)
 			}
 		})
 	}

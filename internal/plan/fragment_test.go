@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -185,5 +186,269 @@ func TestAlignedWithTicks(t *testing.T) {
 		if got := alignedWithTicks(c.period, c.tick, c.now); got != c.want {
 			t.Fatalf("alignedWithTicks(%v, %v, %v) = %v, want %v", c.period, c.tick, c.now, got, c.want)
 		}
+	}
+}
+
+// runnerEnv reads temperature 20 + mote id at every instant.
+func runnerEnv(n sensornet.Node, kind sensornet.SensorKind, _ vtime.Time) (float64, bool) {
+	if kind == sensornet.SensorLight {
+		return 80, true
+	}
+	return 20 + float64(n.ID), true
+}
+
+// startCentral starts a central runner of f on sched, sampling on eng and
+// feeding head — the runner a serial compile builds for a fragment.
+func startCentral(t *testing.T, eng *sensor.Engine, f SensorFragment, sched *vtime.Scheduler, head stream.Operator) *fragRunner {
+	t.Helper()
+	h := NewSensorHosts()
+	for _, src := range f.Sources {
+		h.Add(src, eng)
+	}
+	sc := &Scan{Input: f.Name}
+	var dep Deployment
+	if err := dep.buildRunners(Host{Sensors: h, Sched: sched}, []SensorFragment{f}, []*Scan{sc}, map[*Scan]stream.Operator{sc: head}); err != nil {
+		t.Fatal(err)
+	}
+	dep.startRunners(sched)
+	return dep.runners[0]
+}
+
+func tempSelect(period time.Duration) SensorFragment {
+	return SensorFragment{Name: "t", Sources: []string{"temperature"},
+		Select: &sensor.SelectQuery{Rel: "t", Sensor: sensornet.SensorTemperature, Period: period}}
+}
+
+// TestFragRunnerSelectPeriodic fires a central select runner every period:
+// every mote's reading each epoch, stamped at the epoch instant, and nothing
+// after Close.
+func TestFragRunnerSelectPeriodic(t *testing.T) {
+	nw := sensornet.Line(sensornet.DefaultConfig(), 2, 100, sensornet.SensorTemperature)
+	sched := vtime.NewScheduler()
+	sink := &collectOp{schema: sensor.ReadingSchema("t")}
+	r := startCentral(t, sensor.NewEngine(nw, sensor.EnvFunc(runnerEnv)), tempSelect(10*time.Second), sched, sink)
+	sched.RunUntil(35 * vtime.Second)
+	if len(sink.got) != 3*2 { // 3 epochs × 2 nodes
+		t.Fatalf("tuples = %d, want 6", len(sink.got))
+	}
+	for i, tu := range sink.got {
+		if want := vtime.Time(i/2+1) * 10 * vtime.Second; tu.TS != want {
+			t.Fatalf("tuple %d stamped %v, want the epoch instant %v", i, tu.TS, want)
+		}
+	}
+	r.Close()
+	sched.RunUntil(100 * vtime.Second)
+	if len(sink.got) != 6 {
+		t.Fatalf("tuples after Close = %d, want 6", len(sink.got))
+	}
+}
+
+// TestFragRunnerOneBatchPerEpoch checks a central select runner hands its
+// head each epoch's readings as one batch, with a 1s default period, and
+// that the tuples it handed over stay intact while later epochs reuse the
+// batch slice.
+func TestFragRunnerOneBatchPerEpoch(t *testing.T) {
+	nw := sensornet.Grid(sensornet.DefaultConfig(), 3, 3, 100, 3, sensornet.SensorTemperature)
+	eng := sensor.NewEngine(nw, sensor.EnvFunc(runnerEnv))
+	sched := vtime.NewScheduler()
+	var batches int
+	var tuples []data.Tuple
+	head := stream.NewCallback(sensor.ReadingSchema("t"), func(ts []data.Tuple) {
+		batches++
+		tuples = append(tuples, ts...) // the tuples are the head's to keep
+	})
+	r := startCentral(t, eng, tempSelect(0), sched, head)
+	defer r.Close()
+
+	const epochs = 4
+	sched.RunFor(epochs * time.Second)
+	if batches != epochs {
+		t.Fatalf("batches = %d, want one per epoch (%d)", batches, epochs)
+	}
+	fresh := sensor.NewEngine(sensornet.Grid(sensornet.DefaultConfig(), 3, 3, 100, 3, sensornet.SensorTemperature),
+		sensor.EnvFunc(runnerEnv))
+	perEpoch := fresh.RunSelectEpoch(tempSelect(0).Select, vtime.Time(vtime.Second), func(data.Tuple) {})
+	if len(tuples) != epochs*perEpoch {
+		t.Fatalf("delivered %d tuples over %d epochs, want %d per epoch", len(tuples), epochs, perEpoch)
+	}
+	seen := map[int64]bool{}
+	for _, tu := range tuples {
+		if len(tu.Vals) != 4 || tu.Vals[3].AsFloat() != 20+float64(tu.Vals[0].AsInt()) {
+			t.Fatalf("malformed reading %v", tu)
+		}
+		seen[tu.Vals[0].AsInt()] = true
+	}
+	if len(seen) != perEpoch {
+		t.Fatalf("distinct motes = %d, want %d", len(seen), perEpoch)
+	}
+}
+
+// tempGrid is a 4×4 grid of temperature and light motes read through
+// runnerEnv.
+func tempGrid() *sensor.Engine {
+	return sensor.NewEngine(sensornet.Grid(sensornet.DefaultConfig(), 4, 4, 100, 4,
+		sensornet.SensorTemperature, sensornet.SensorLight), sensor.EnvFunc(runnerEnv))
+}
+
+// roomAvg is a grouped in-network AVG fragment on the 1s default period.
+func roomAvg() SensorFragment {
+	return SensorFragment{Name: "a", Sources: []string{"temperature"},
+		Agg: &sensor.AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+			Func: sensor.AggAvg, GroupByRoom: true, Mode: sensor.AggInNetwork}}
+}
+
+// TestFragRunnerAggregateAndJoinPeriodic runs central aggregate and join
+// runners side by side on one engine and their 1s default period: one batch
+// per epoch each, the join's matching a direct epoch run of the same query.
+func TestFragRunnerAggregateAndJoinPeriodic(t *testing.T) {
+	agg := roomAvg()
+	join := SensorFragment{Name: "j", Sources: []string{"temperature", "light"},
+		Join: &sensor.JoinQuery{
+			Left:   sensor.JoinSide{Rel: "t", Sensor: sensornet.SensorTemperature},
+			Right:  sensor.JoinSide{Rel: "l", Sensor: sensornet.SensorLight},
+			PairBy: sensor.PairSameDesk,
+		}}
+	ref := tempGrid()
+	st, err := ref.PlanJoin(join.Join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJoin := ref.RunJoinEpoch(st, vtime.Time(vtime.Second), func(data.Tuple) {})
+	if wantJoin == 0 {
+		t.Fatal("the reference join epoch delivers no pairs; the probe is vacuous")
+	}
+
+	sched := vtime.NewScheduler()
+	eng := tempGrid()
+	var aggBatches, joinBatches []int
+	ra := startCentral(t, eng, agg, sched, stream.NewCallback(agg.Schema(), func(ts []data.Tuple) {
+		aggBatches = append(aggBatches, len(ts))
+	}))
+	rj := startCentral(t, eng, join, sched, stream.NewCallback(join.Schema(), func(ts []data.Tuple) {
+		joinBatches = append(joinBatches, len(ts))
+	}))
+	sched.RunUntil(2 * vtime.Second)
+	ra.Close()
+	rj.Close()
+	if len(aggBatches) != 2 || len(joinBatches) != 2 {
+		t.Fatalf("batches: aggregate %v, join %v; want 2 epochs each", aggBatches, joinBatches)
+	}
+	if aggBatches[0] == 0 || aggBatches[1] == 0 {
+		t.Fatalf("aggregate batches %v; want groups every epoch", aggBatches)
+	}
+	if joinBatches[0] != wantJoin {
+		t.Fatalf("join epoch delivered %d pairs, want %d", joinBatches[0], wantJoin)
+	}
+}
+
+// TestFragRunnerAggregateBatchMatchesEpochRun checks each epoch's batch from
+// a central aggregate runner holds exactly the groups a direct epoch run of
+// the same query delivers at that instant, stamped at the epoch instant.
+func TestFragRunnerAggregateBatchMatchesEpochRun(t *testing.T) {
+	agg := roomAvg()
+	ref := tempGrid()
+	var want [][]data.Tuple
+	for i := 1; i <= 2; i++ {
+		var epoch []data.Tuple
+		ref.RunAggregateEpoch(agg.Agg, vtime.Time(i)*vtime.Second, func(tu data.Tuple) { epoch = append(epoch, tu) })
+		if len(epoch) == 0 {
+			t.Fatalf("reference epoch %d delivers no groups; the probe is vacuous", i)
+		}
+		want = append(want, epoch)
+	}
+
+	sched := vtime.NewScheduler()
+	var got [][]data.Tuple
+	r := startCentral(t, tempGrid(), agg, sched, stream.NewCallback(agg.Schema(), func(ts []data.Tuple) {
+		got = append(got, slices.Clone(ts)) // the slice is reused across epochs; the tuples are ours
+	}))
+	sched.RunUntil(2 * vtime.Second)
+	r.Close()
+	if len(got) != len(want) {
+		t.Fatalf("epoch batches = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("epoch %d delivered %d groups, want %d", i+1, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			g, w := got[i][j], want[i][j]
+			if g.TS != vtime.Time(i+1)*vtime.Second || !slices.EqualFunc(g.Vals, w.Vals, data.Value.Equal) {
+				t.Fatalf("epoch %d group %d = %v @%v, want %v @%v", i+1, j, g.Vals, g.TS, w.Vals, vtime.Time(i+1)*vtime.Second)
+			}
+		}
+	}
+}
+
+// TestFragRunnerCloseMidEpochFromHead closes a central runner from inside
+// its own delivery — a consumer tearing its query down in reaction to a
+// batch — and checks nothing is pushed afterwards.
+func TestFragRunnerCloseMidEpochFromHead(t *testing.T) {
+	nw := sensornet.Line(sensornet.DefaultConfig(), 4, 50, sensornet.SensorTemperature)
+	sched := vtime.NewScheduler()
+	var r *fragRunner
+	batches := 0
+	r = startCentral(t, sensor.NewEngine(nw, sensor.EnvFunc(runnerEnv)), tempSelect(0), sched,
+		stream.NewCallback(sensor.ReadingSchema("t"), func([]data.Tuple) {
+			batches++
+			r.Close() // reentrant: the delivery closes its own runner
+		}))
+	sched.RunUntil(5 * vtime.Second)
+	if batches != 1 {
+		t.Fatalf("got %d batches after a first-delivery Close, want exactly 1", batches)
+	}
+}
+
+// TestFragRunnerCloseReleasesBuffer checks a closed runner retains neither
+// tuples nor its head, and that an epoch run after Close pushes nothing.
+func TestFragRunnerCloseReleasesBuffer(t *testing.T) {
+	nw := sensornet.Line(sensornet.DefaultConfig(), 4, 50, sensornet.SensorTemperature)
+	sched := vtime.NewScheduler()
+	sink := &collectOp{schema: sensor.ReadingSchema("t")}
+	r := startCentral(t, sensor.NewEngine(nw, sensor.EnvFunc(runnerEnv)), tempSelect(0), sched, sink)
+	sched.RunUntil(2 * vtime.Second)
+	delivered := len(sink.got)
+	if delivered == 0 || cap(r.buf) == 0 {
+		t.Fatal("the runner delivered nothing; the probe is vacuous")
+	}
+	r.Close()
+	r.Close() // idempotent
+	if r.buf != nil || r.head != nil {
+		t.Fatal("Close must release the epoch buffer and the head")
+	}
+	r.epoch(3 * vtime.Second) // an epoch already under way when Close landed
+	if len(sink.got) != delivered {
+		t.Fatalf("delivered %d tuples after Close", len(sink.got)-delivered)
+	}
+}
+
+// TestFragRunnerChurn starts and closes many central runners against one
+// engine, interleaved with epochs, and checks closed runners never deliver
+// again while the survivor keeps going.
+func TestFragRunnerChurn(t *testing.T) {
+	nw := sensornet.Line(sensornet.DefaultConfig(), 4, 50, sensornet.SensorTemperature)
+	eng := sensor.NewEngine(nw, sensor.EnvFunc(runnerEnv))
+	sched := vtime.NewScheduler()
+	counts := make([]int, 8)
+	var runners []*fragRunner
+	for i := range counts {
+		runners = append(runners, startCentral(t, eng, tempSelect(time.Second), sched,
+			stream.NewCallback(sensor.ReadingSchema("t"), func(ts []data.Tuple) { counts[i] += len(ts) })))
+	}
+	sched.RunUntil(2 * vtime.Second)
+	frozen := slices.Clone(counts)
+	for _, r := range runners[:len(runners)-1] {
+		r.Close()
+	}
+	runners[0].Close()
+	sched.RunUntil(6 * vtime.Second)
+	for i, n := range counts[:len(counts)-1] {
+		if n != frozen[i] {
+			t.Fatalf("closed runner %d delivered %d more tuples", i, n-frozen[i])
+		}
+	}
+	last := len(counts) - 1
+	if counts[last] <= frozen[last] {
+		t.Fatal("surviving runner stalled after its peers closed")
 	}
 }

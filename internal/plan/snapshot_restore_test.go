@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -409,10 +410,11 @@ func TestSnapFragmentRoundTrip(t *testing.T) {
 }
 
 // TestCoordinatorFragmentSnapshotRestore is the plan-level fragment restart
-// differential, walking all three rehydration tiers against one snapshot:
-// workers alive (exact redeploy), workers gone (in-process shards, pinned
-// fragments on the coordinator's own hosts), and hosts gone too (central
-// fallback with the runner states trimmed off the shard checkpoints).
+// differential, walking both rehydration tiers against one snapshot:
+// workers alive (exact redeploy) and workers gone (in-process shards, pinned
+// fragments on the coordinator's own hosts). With the hosts gone too, the
+// restore fails as a whole, naming the source, and leaves the coordinator
+// empty.
 func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 	const upto = vtime.Time(8 * vtime.Second)
 	frag := lightFeedFragment(t)
@@ -475,54 +477,29 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 		h.Now = func() vtime.Time { return vtime.Time(4 * vtime.Second) }
 		return h
 	}
-	finish := func(t *testing.T, eng *stream.Engine, coord *Coordinator, wantRemote int) {
-		t.Helper()
-		skipped, err := coord.Restore()
-		if err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		if len(skipped) != 0 {
-			t.Fatalf("Restore surfaced skips %v", skipped)
-		}
-		dep, ok := coord.Deployment("q")
-		if !ok {
-			t.Fatal("restored deployment missing")
-		}
-		if len(dep.RemoteFragments) != wantRemote {
-			t.Fatalf("RemoteFragments = %v, want %d entries", dep.RemoteFragments, wantRemote)
-		}
-		if got := coord.Fragments("q"); len(got) != 1 || got[0].Select == nil {
-			t.Fatalf("Fragments(q) = %+v, want the rehydrated select spec", got)
-		}
-		if wantRemote == 0 {
-			// Central fallback: the caller replays the epochs the trimmed
-			// runners would have generated, against the restored spec.
-			in, ok := eng.Input("LightFeed")
-			if !ok {
-				t.Fatal("restored deployment did not register LightFeed")
-			}
-			se, _ := newFragCompileHosts().Engine("light")
-			q := coord.Fragments("q")[0].Select
-			for now := vtime.Time(5 * vtime.Second); now <= upto; now += vtime.Time(vtime.Second) {
-				eng.Advance(now)
-				var batch []data.Tuple
-				se.RunSelectEpoch(q, now, func(tu data.Tuple) { batch = append(batch, tu) })
-				in.PushBatch(batch)
-			}
-		} else {
-			for now := vtime.Time(5 * vtime.Second); now <= upto; now += vtime.Time(vtime.Second) {
-				eng.Advance(now)
-			}
-		}
-		requireEqualRows(t, "restored fragment deployment", snapshotSorted(t, dep), want)
-		coord.Close()
-	}
-
 	// Tier 1: the workers are still there — exact redeploy, checkpointed
 	// epoch anchors included.
 	engB := stream.NewEngine("fragsnap-b", vtime.NewScheduler())
 	coordB := NewCoordinator(host4(engB, newFragCompileHosts()), path)
-	finish(t, engB, coordB, 1)
+	skippedB, err := coordB.Restore()
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if len(skippedB) != 0 {
+		t.Fatalf("Restore surfaced skips %v", skippedB)
+	}
+	depB, ok := coordB.Deployment("q")
+	if !ok {
+		t.Fatal("restored deployment missing")
+	}
+	if len(depB.RemoteFragments) != 1 {
+		t.Fatalf("RemoteFragments = %v, want [LightFeed]", depB.RemoteFragments)
+	}
+	for now := vtime.Time(5 * vtime.Second); now <= upto; now += vtime.Time(vtime.Second) {
+		engB.Advance(now)
+	}
+	requireEqualRows(t, "restored fragment deployment", snapshotSorted(t, depB), want)
+	coordB.Close()
 
 	// Tier 2: workers gone; shards heal in-process with the fragments still
 	// pinned to their exact runner state on the coordinator's own hosts.
@@ -553,9 +530,14 @@ func TestCoordinatorFragmentSnapshotRestore(t *testing.T) {
 	requireEqualRows(t, "workers-gone restore", snapshotSorted(t, depC), want)
 	coordC.Close()
 
-	// Tier 3: no workers AND no local sensor hosts — the fragments fall
-	// back to central runners (states trimmed), the deployment survives.
+	// No workers AND no local sensor hosts: nothing here can sample light,
+	// so the restore fails whole and names the source.
 	engD := stream.NewEngine("fragsnap-d", vtime.NewScheduler())
 	coordD := NewCoordinator(host4(engD, NewSensorHosts()), path)
-	finish(t, engD, coordD, 0)
+	if _, err := coordD.Restore(); err == nil || !strings.Contains(err.Error(), `"light"`) {
+		t.Fatalf("restore error = %v, want one naming the unhosted source light", err)
+	}
+	if names := coordD.Names(); len(names) != 0 {
+		t.Fatalf("a failed restore left %v deployed", names)
+	}
 }

@@ -282,11 +282,3 @@ func (e *Engine) emitGroups(q *AggregateQuery, groups map[string]psr, now vtime.
 	}
 	return emitted
 }
-
-// StartAggregate schedules the query every q.Period (default 1s),
-// delivering each epoch's group rows as one batch.
-func (e *Engine) StartAggregate(q *AggregateQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
-	return startEpochRunner(sched, q.Period, sink, func(now vtime.Time, deliver Sink) {
-		e.RunAggregateEpoch(q, now, deliver)
-	})
-}

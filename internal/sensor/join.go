@@ -317,14 +317,6 @@ func (e *Engine) RunJoinEpoch(st *JoinState, now vtime.Time, sink Sink) int {
 	return delivered
 }
 
-// StartJoin schedules the join every q.Period (default 1s),
-// delivering each epoch's joined tuples as one batch.
-func (e *Engine) StartJoin(st *JoinState, sched *vtime.Scheduler, sink BatchSink) Runner {
-	return startEpochRunner(sched, st.q.Period, sink, func(now vtime.Time, deliver Sink) {
-		e.RunJoinEpoch(st, now, deliver)
-	})
-}
-
 // PairStatsSnapshot is one pair's serialized adaptive state, the unit of
 // JoinState checkpoints (plan-level fragment runners ship these across
 // failovers and rescales so placement decisions survive a move).

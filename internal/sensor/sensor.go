@@ -57,63 +57,6 @@ func (f EnvFunc) Reading(n sensornet.Node, kind sensornet.SensorKind, now vtime.
 // engine clones per delivery rather than sharing its sampling buffers.
 type Sink func(data.Tuple)
 
-// BatchSink receives one epoch's deliveries as a single batch. The tuples
-// are owned by the receiver like Sink deliveries; the slice itself is only
-// valid during the call (the scheduler reuses it across epochs), matching
-// the stream.Operator PushBatch contract.
-type BatchSink func(ts []data.Tuple)
-
-// epochBatch adapts a BatchSink to the per-tuple epoch runners: collect
-// reuses one buffer across epochs, flush delivers the epoch's tuples as
-// one batch and releases the references.
-type epochBatch struct {
-	sink    BatchSink
-	buf     []data.Tuple
-	stopped bool
-}
-
-func (b *epochBatch) collect(t data.Tuple) {
-	if b.stopped {
-		return
-	}
-	b.buf = append(b.buf, t)
-}
-
-func (b *epochBatch) flush() {
-	if len(b.buf) == 0 || b.stopped {
-		return
-	}
-	b.sink(b.buf)
-	clear(b.buf) // receiver owns the tuples now; drop our references
-	b.buf = b.buf[:0]
-}
-
-// detach releases the pooled epoch buffer and severs the sink, so a
-// stopped runner retains neither tuples nor the downstream pipeline —
-// even when Stop lands mid-epoch (a sink stopping its own query): the
-// in-flight epoch finishes collecting into nothing and never flushes.
-func (b *epochBatch) detach() {
-	b.stopped = true
-	clear(b.buf)
-	b.buf = nil
-	b.sink = nil
-}
-
-// startEpochRunner schedules run every period (default 1s), collecting
-// each epoch's deliveries and flushing them to sink as one batch — the
-// shared engine behind StartSelect, StartJoin and StartAggregate.
-func startEpochRunner(sched *vtime.Scheduler, period time.Duration, sink BatchSink, run func(now vtime.Time, deliver Sink)) Runner {
-	if period <= 0 {
-		period = time.Second
-	}
-	b := &epochBatch{sink: sink}
-	stop := sched.Every(period, func() {
-		run(sched.Now(), b.collect)
-		b.flush()
-	})
-	return &handle{stop: stop, release: b.detach}
-}
-
 // Engine evaluates sensor queries over one network.
 type Engine struct {
 	mu  sync.Mutex
@@ -207,35 +150,6 @@ func (e *Engine) RunSelectEpochPart(q *SelectQuery, now vtime.Time, keep NodeFil
 		return true
 	})
 	return delivered
-}
-
-// handle tracks a periodically scheduled query.
-type handle struct {
-	stop func()
-	// release frees resources the runner held across epochs (pooled batch
-	// buffers); it runs once, after the schedule is cancelled.
-	release func()
-}
-
-// Stop cancels the periodic execution and releases any pooled buffers the
-// runner held. Idempotent.
-func (h *handle) Stop() {
-	h.stop()
-	if h.release != nil {
-		h.release()
-		h.release = nil
-	}
-}
-
-// Runner is the handle returned by Start* methods.
-type Runner interface{ Stop() }
-
-// StartSelect schedules the query on sched every q.Period (default:
-// 1s), delivering each epoch's passing readings as one batch.
-func (e *Engine) StartSelect(q *SelectQuery, sched *vtime.Scheduler, sink BatchSink) Runner {
-	return startEpochRunner(sched, q.Period, sink, func(now vtime.Time, deliver Sink) {
-		e.RunSelectEpoch(q, now, deliver)
-	})
 }
 
 // errNoBase is returned by estimators when the network has no base station.

@@ -2,7 +2,6 @@ package sensor
 
 import (
 	"testing"
-	"time"
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
@@ -29,12 +28,6 @@ func constEnv(dark map[int]bool) Env {
 
 func collect(sink *[]data.Tuple) Sink {
 	return func(t data.Tuple) { *sink = append(*sink, t) }
-}
-
-// collectBatch is collect for the periodic runners: the epoch slice is
-// reused, the tuples are the receiver's.
-func collectBatch(sink *[]data.Tuple) BatchSink {
-	return func(ts []data.Tuple) { *sink = append(*sink, ts...) }
 }
 
 func TestSelectEpochFiltersInNetwork(t *testing.T) {
@@ -184,55 +177,5 @@ func TestAggFuncString(t *testing.T) {
 	}
 	if AggFunc(99).String() != "agg?" {
 		t.Error("unknown agg should format")
-	}
-}
-
-func TestStartSelectPeriodic(t *testing.T) {
-	nw := sensornet.Line(sensornet.DefaultConfig(), 2, 100, sensornet.SensorTemperature)
-	e := NewEngine(nw, constEnv(nil))
-	sched := vtime.NewScheduler()
-	var got []data.Tuple
-	r := e.StartSelect(&SelectQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-		Period: 10 * time.Second}, sched, collectBatch(&got))
-	sched.RunUntil(35 * vtime.Second)
-	if len(got) != 3*2 { // 3 epochs × 2 nodes
-		t.Fatalf("tuples = %d", len(got))
-	}
-	r.Stop()
-	sched.RunUntil(100 * vtime.Second)
-	if len(got) != 6 {
-		t.Fatalf("tuples after stop = %d", len(got))
-	}
-	// timestamps carry virtual time
-	if got[0].TS != 10*vtime.Second {
-		t.Fatalf("ts = %v", got[0].TS)
-	}
-}
-
-func TestStartAggregateAndJoinPeriodic(t *testing.T) {
-	nw := sensornet.Grid(sensornet.DefaultConfig(), 2, 2, 90, 2,
-		sensornet.SensorTemperature, sensornet.SensorLight)
-	e := NewEngine(nw, constEnv(nil))
-	sched := vtime.NewScheduler()
-	var aggs, joins []data.Tuple
-	ra := e.StartAggregate(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-		Func: AggAvg}, sched, collectBatch(&aggs))
-	st, err := e.PlanJoin(&JoinQuery{
-		Left:   JoinSide{Rel: "temp", Sensor: sensornet.SensorTemperature},
-		Right:  JoinSide{Rel: "light", Sensor: sensornet.SensorLight},
-		PairBy: PairSameDesk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj := e.StartJoin(st, sched, collectBatch(&joins))
-	sched.RunUntil(2 * vtime.Second) // default period 1s → 2 epochs
-	ra.Stop()
-	rj.Stop()
-	if len(aggs) != 2 {
-		t.Fatalf("agg results = %d", len(aggs))
-	}
-	if len(joins) == 0 {
-		t.Fatalf("no join results")
 	}
 }

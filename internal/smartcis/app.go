@@ -89,7 +89,7 @@ type App struct {
 	sightIn  *stream.Input
 	machIn   *stream.Input
 	jobsIn   *stream.Input
-	stoppers []interface{ Stop() }
+	stoppers []func()
 }
 
 // Visitor is an occupant carrying an active RFID badge.
@@ -426,8 +426,8 @@ func (a *App) RestoreSnapshot() ([]*core.Query, []string, error) { return a.RT.R
 
 // Close shuts down PDU servers and periodic work.
 func (a *App) Close() {
-	for _, s := range a.stoppers {
-		s.Stop()
+	for _, stop := range a.stoppers {
+		stop()
 	}
 	a.stoppers = nil
 	for _, s := range a.pduServers {

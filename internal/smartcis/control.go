@@ -23,13 +23,10 @@ func (a *App) Start() {
 	mw := &wrappers.MachineWrapper{
 		Fleet: a.Fleet, Input: a.machIn, Period: time.Second, StepWorkload: true,
 	}
-	a.stoppers = append(a.stoppers, mw.Start(a.Sched))
-
-	stopJobs := a.Sched.Every(time.Second, func() { a.sampleJobs() })
-	a.stoppers = append(a.stoppers, stopFunc(stopJobs))
-
-	stopSight := a.Sched.Every(time.Second, func() { a.sampleSightings() })
-	a.stoppers = append(a.stoppers, stopFunc(stopSight))
+	a.stoppers = append(a.stoppers,
+		mw.Start(a.Sched),
+		a.Sched.Every(time.Second, func() { a.sampleJobs() }),
+		a.Sched.Every(time.Second, func() { a.sampleSightings() }))
 
 	for i, srv := range a.pduServers {
 		in, ok := a.RT.Stream.Input("Power")
@@ -40,10 +37,6 @@ func (a *App) Start() {
 		a.stoppers = append(a.stoppers, w.Start(a.Sched))
 	}
 }
-
-type stopFunc func()
-
-func (f stopFunc) Stop() { f() }
 
 // SampleJobsNow emits one job-sample round immediately; experiment
 // drivers use it for deterministic sampling outside the periodic wrapper.

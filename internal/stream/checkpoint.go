@@ -416,38 +416,6 @@ func RestoreCheckpoint(cks []Checkpointer, state []byte) error {
 	return nil
 }
 
-// TrimOpaqueTail drops the last n operator states from an EncodeCheckpoint
-// payload, verifying they are all opaque (plan-level fragment runner)
-// states. The coordinator uses it when a snapshotted deployment's remote
-// fragments cannot be rebuilt at restore time (host missing): the stream
-// operator prefix of the checkpoint still restores exactly, while the
-// fragment runners restart centrally from their own anchors.
-func TrimOpaqueTail(state []byte, n int) ([]byte, error) {
-	if n == 0 {
-		return state, nil
-	}
-	if len(state) == 0 {
-		return nil, nil
-	}
-	var states []OpState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&states); err != nil {
-		return nil, fmt.Errorf("stream: decode checkpoint: %w", err)
-	}
-	if len(states) < n {
-		return nil, fmt.Errorf("stream: checkpoint carries %d operator states, cannot trim %d", len(states), n)
-	}
-	for _, s := range states[len(states)-n:] {
-		if s.Kind != ckOpaque {
-			return nil, fmt.Errorf("stream: checkpoint tail is kind %d, not opaque", s.Kind)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(states[:len(states)-n]); err != nil {
-		return nil, fmt.Errorf("stream: encode checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // ShardCheckpoint pairs one hosted shard with its encoded operator states —
 // the unit a worker's checkpoint reply carries, one entry per replica on the
 // connection.

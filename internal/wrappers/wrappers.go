@@ -4,8 +4,10 @@
 //
 //   - Web sources scraped over real HTTP on a polling period (the paper's
 //     PDUs export power readings through a web interface polled every 10 s),
-//   - machine soft sensors sampled from the fleet simulator,
-//   - database tables loaded into the engine as static relations.
+//   - machine soft sensors sampled from the fleet simulator.
+//
+// Database tables need no wrapper: the runtime loads a stored relation's
+// rows into each deployment that scans it.
 package wrappers
 
 import (
@@ -20,13 +22,6 @@ import (
 	"aspen/internal/stream"
 	"aspen/internal/vtime"
 )
-
-// Runner is a handle to a started wrapper.
-type Runner interface{ Stop() }
-
-type runner struct{ stop func() }
-
-func (r *runner) Stop() { r.stop() }
 
 // Decoder converts one fetched payload into tuples at the given timestamp.
 type Decoder func(body []byte, now vtime.Time) ([]data.Tuple, error)
@@ -83,16 +78,16 @@ func (w *WebWrapper) PollOnce(now vtime.Time) error {
 	return nil
 }
 
-// Start schedules periodic polling on the scheduler.
-func (w *WebWrapper) Start(sched *vtime.Scheduler) Runner {
+// Start schedules periodic polling on the scheduler and returns the func
+// that cancels it.
+func (w *WebWrapper) Start(sched *vtime.Scheduler) (stop func()) {
 	period := w.Period
 	if period <= 0 {
 		period = 10 * time.Second
 	}
-	stop := sched.Every(period, func() {
+	return sched.Every(period, func() {
 		_ = w.PollOnce(sched.Now()) // errors are counted; polling continues
 	})
-	return &runner{stop: stop}
 }
 
 // PowerSchema is the PDU power stream: every 10 s, one reading per outlet.
@@ -191,27 +186,11 @@ func (w *MachineWrapper) SampleOnce(now vtime.Time) int {
 	return len(batch)
 }
 
-// Start schedules periodic sampling.
-func (w *MachineWrapper) Start(sched *vtime.Scheduler) Runner {
+// Start schedules periodic sampling and returns the func that cancels it.
+func (w *MachineWrapper) Start(sched *vtime.Scheduler) (stop func()) {
 	period := w.Period
 	if period <= 0 {
 		period = time.Second
 	}
-	stop := sched.Every(period, func() { w.SampleOnce(sched.Now()) })
-	return &runner{stop: stop}
-}
-
-// LoadTable pushes every row of a stored relation into a stream input as
-// insertions at the given timestamp; how database tables enter a continuous
-// query's join state. Returns the number of rows loaded.
-func LoadTable(rel *data.Relation, input *stream.Input, now vtime.Time) int {
-	var rows []data.Tuple
-	rel.Scan(func(t data.Tuple) bool {
-		t.TS = now
-		t.Op = data.Insert
-		rows = append(rows, t)
-		return true
-	})
-	input.PushBatch(rows)
-	return len(rows)
+	return sched.Every(period, func() { w.SampleOnce(sched.Now()) })
 }

@@ -88,7 +88,7 @@ func TestWebWrapperPeriodicOnScheduler(t *testing.T) {
 	in.Subscribe(col)
 
 	w := NewPDUWrapper("pdu1", srv.URL(), in)
-	r := w.Start(sched)
+	stop := w.Start(sched)
 	sched.RunUntil(35 * vtime.Second) // 10s period → polls at 10, 20, 30
 	if w.Polls != 3 {
 		t.Fatalf("polls = %d", w.Polls)
@@ -96,7 +96,7 @@ func TestWebWrapperPeriodicOnScheduler(t *testing.T) {
 	if col.Len() != 6 {
 		t.Fatalf("tuples = %d", col.Len())
 	}
-	r.Stop()
+	stop()
 	sched.RunUntil(100 * vtime.Second)
 	if w.Polls != 3 {
 		t.Fatalf("polls after stop = %d", w.Polls)
@@ -175,8 +175,8 @@ func TestMachineWrapperSchedulingAndWorkloadStep(t *testing.T) {
 	in.Subscribe(col)
 
 	w := &MachineWrapper{Fleet: f, Input: in, Period: 2 * time.Second, StepWorkload: true}
-	r := w.Start(sched)
-	defer r.Stop()
+	stop := w.Start(sched)
+	defer stop()
 	sched.RunUntil(11 * vtime.Second) // samples at 2,4,6,8,10
 	if col.Len() != 5 {
 		t.Fatalf("samples = %d", col.Len())
@@ -190,28 +190,5 @@ func TestMachineWrapperSchedulingAndWorkloadStep(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("workload never stepped")
-	}
-}
-
-func TestLoadTable(t *testing.T) {
-	schema := data.NewSchema("Machines",
-		data.Col("name", data.TString), data.Col("room", data.TString))
-	rel := data.NewRelation(schema)
-	rel.MustInsert(data.Str("ws1"), data.Str("L101"))
-	rel.MustInsert(data.Str("ws2"), data.Str("L102"))
-
-	e := stream.NewEngine("n", vtime.NewScheduler())
-	in := e.MustRegister("Machines", schema)
-	col := stream.NewCollector(schema)
-	in.Subscribe(col)
-
-	n := LoadTable(rel, in, 7*vtime.Second)
-	if n != 2 || col.Len() != 2 {
-		t.Fatalf("loaded = %d, collected = %d", n, col.Len())
-	}
-	for _, tu := range col.Snapshot() {
-		if tu.TS != 7*vtime.Second || tu.Op != data.Insert {
-			t.Fatalf("tuple = %v", tu)
-		}
 	}
 }
