@@ -111,10 +111,16 @@ endef
 # shardworker processes, and must stay multiset-identical to serial
 # execution. The cmd smoke test rides along: the built aspenql and
 # shardworker binaries must print the same rows serial, on a worker process,
-# and after rescale + save + restore. Mirrored by the CI `distributed` job.
+# and after rescale + save + restore. The remote hop rides along: a
+# selection over a scan runs ahead of its exchange, so a worker is shipped
+# exactly the admitted tuples and the result matches serial after every
+# tick; every replica call returns at most one result frame, split only
+# past the frame cap; and neither end's decoder pins a consumed frame.
+# Mirrored by the CI `distributed` job.
 .PHONY: dist
 dist:
-	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
+	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
+	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing,./internal/stream/)
 	$(call race_run,RemoteSensorFragment|FragmentIneligible|FragmentQueriesReadOnlyTheirOwnReadings|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
 	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)
 
@@ -125,10 +131,12 @@ dist:
 # stay multiset-equal to serial execution and Flush must stay an exact
 # barrier. The stream-level matrix (kill-during-flush/-deploy, double
 # failure, rejoin, wedged worker, per-operator checkpoint round-trips)
-# rides along. Mirrored by the CI `distributed` job.
+# rides along, as do a kill that cuts a link between a coalesced result
+# frame and its credit ack, and the sharded-selection differential's
+# worker kill. Mirrored by the CI `distributed` job.
 .PHONY: chaos
 chaos:
-	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill,./internal/plan/,-fuzzshard.kill=8)
+	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill|ShardDifferentialChaosCoalescedFrameCut|ShardedSelectionDifferential,./internal/plan/,-fuzzshard.kill=8)
 	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions,./internal/stream/)
 	$(call race_run,RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart,./internal/core/)
 	$(call race_run,SnapshotSaveCrashPoints,./internal/plan/)
@@ -145,13 +153,15 @@ chaos:
 # run would have them, across both fragment rehydration tiers (workers
 # back, workers gone), a restore whose fragment sources nothing hosts
 # must fail whole, and shared result groups must restore one store per
-# group while queries deploy and stop around the restart.
+# group while queries deploy and stop around the restart, and the
+# sharded-selection differential's live rescale must replay only
+# admitted tuples into the moved shards.
 # The stream-level elastic matrix (pool eviction/redial race,
 # per-shard undeploy, rescale validation) rides along. Mirrored by
 # the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential,./internal/plan/,-fuzzshard.elastic=6)
 	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 

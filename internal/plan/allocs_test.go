@@ -18,6 +18,7 @@ import (
 // at P=4 with its replicas round-robined over loopback workers.
 type remoteJoinAgg struct {
 	dep  *Deployment
+	eng  *stream.Engine
 	l, r *stream.Input
 }
 
@@ -25,6 +26,22 @@ type remoteJoinAgg struct {
 // loopback workers (0 keeps every replica in-process), with checkpointed
 // failover armed or not. Everything is closed when the test ends.
 func buildRemoteJoinAgg(tb testing.TB, workers int, failover bool) *remoteJoinAgg {
+	tb.Helper()
+	var nodes []string
+	for range workers {
+		wk, err := NewWorker("127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { wk.Close() })
+		nodes = append(nodes, wk.Addr())
+	}
+	return compileRemoteJoinAgg(tb, 4, nodes, failover)
+}
+
+// compileRemoteJoinAgg compiles the pipeline at P=p with its replicas
+// round-robined over nodes.
+func compileRemoteJoinAgg(tb testing.TB, p int, nodes []string, failover bool) *remoteJoinAgg {
 	tb.Helper()
 	left := data.NewSchema("A", data.Col("k", data.TInt), data.Col("v", data.TFloat))
 	left.IsStream = true
@@ -38,17 +55,8 @@ func buildRemoteJoinAgg(tb testing.TB, workers int, failover bool) *remoteJoinAg
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var nodes []string
-	for range workers {
-		wk, err := NewWorker("127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { wk.Close() })
-		nodes = append(nodes, wk.Addr())
-	}
 	eng := stream.NewEngine("joinagg", vtime.NewScheduler())
-	opts := CompileOptions{Topology: Topology{Parallelism: 4, Nodes: nodes}}
+	opts := CompileOptions{Topology: Topology{Parallelism: p, Nodes: nodes}}
 	opts.Failover = failover
 	dep, err := CompileStreamOpts(&Built{Root: agg, Limit: -1}, Host{Engine: eng}, opts)
 	if err != nil {
@@ -57,7 +65,7 @@ func buildRemoteJoinAgg(tb testing.TB, workers int, failover bool) *remoteJoinAg
 	tb.Cleanup(dep.Close) // before the workers close: cleanups run last-in first-out
 	l, _ := eng.Input("A")
 	r, _ := eng.Input("B")
-	return &remoteJoinAgg{dep: dep, l: l, r: r}
+	return &remoteJoinAgg{dep: dep, eng: eng, l: l, r: r}
 }
 
 // epochGen is stream's join+aggregate workload, one 64-tuple epoch at a
@@ -95,27 +103,32 @@ func (g *epochGen) feed(l, r stream.Operator) {
 // TestRemoteJoinAggAllocs pins what one epoch and the Flush after it
 // allocate on the compiled pipeline once warm. Every allocation has an
 // owner. In-process (W=0), failover off or armed, the count is stream's
-// TestJoinAggAllocs at P=4, 116:
+// TestJoinAggAllocs at P=4, 2:
 //
 //   - 1, the epoch's Vals, which windows keep;
-//   - 114 aggregate rows, one Vals each, because the Merge funnel they go
-//     to keeps them (join results cost nothing: the join writes them into a
-//     pooled arena, since the aggregate it feeds keeps nothing);
 //   - 1, Flush's WaitGroup.
 //
-// Arming failover with no remote replica costs nothing. Over workers the
-// replicas run the same operators in the same process, and the wire adds:
+// The 114 aggregate rows cost nothing: each replica's aggregate builds a
+// row in the one it last retracted, because the ResultSink it feeds copies
+// rows into a reused arena, and that arena goes round again because the
+// Merge funnel's Materialize keeps nothing (join results cost nothing
+// either: the join writes them into a pooled arena, since the aggregate
+// keeps nothing). Arming failover with no remote replica costs nothing.
+// Over workers the replicas run the same operators in the same process, and
+// the wire adds:
 //
-//   - 122 decoded Vals arenas, one per frame: the worker decodes the 8 data
-//     frames (4 shards × 2 inputs), the coordinator the 114 result frames,
-//     because every aggregate row travels in a frame of its own;
+//   - 12 decoded Vals arenas, one per frame: the worker decodes the 8 data
+//     frames (4 shards × 2 inputs), the coordinator 4 result frames — one
+//     per replica call that emits: each shard's left batch moves its
+//     groups' averages, and sends them in one frame, while a right batch
+//     leaves every average where it was;
 //   - the barrier: per link, flushOnce's goroutine and error slot,
 //     registerWait's ack channel and awaitAck's stall timer (9 at W=1 with
 //     the WaitGroup, 16 at W=2).
 //
 // Reading a frame costs nothing: its length header lives in the wireReader.
 // Failover armed at W=1 adds the replay log's copy of each of the 8 data
-// batches, the undo log's copy of each of the 114 result rows, and 17 for
+// batches, the undo log's copy of each of the 4 result batches, and 17 for
 // the checkpoints the replay log forces every 256 entries (gob-encoded
 // replica state; an AVG group carries no value multiset, so gob encodes no
 // map for it). gob pools its buffers, and the join its arenas, in a
@@ -127,11 +140,11 @@ func TestRemoteJoinAggAllocs(t *testing.T) {
 		failover bool
 		want     float64
 	}{
-		{0, false, 116},
-		{0, true, 116},
-		{1, false, 1 + 114 + 122 + 9},
-		{2, false, 1 + 114 + 122 + 16},
-		{1, true, 1 + 114 + 122 + 9 + 8 + 114 + 17},
+		{0, false, 2},
+		{0, true, 2},
+		{1, false, 1 + 12 + 9},
+		{2, false, 1 + 12 + 16},
+		{1, true, 1 + 12 + 9 + 8 + 4 + 17},
 	} {
 		t.Run(fmt.Sprintf("W=%d/failover=%t", c.workers, c.failover), func(t *testing.T) {
 			p := buildRemoteJoinAgg(t, c.workers, c.failover)

@@ -619,6 +619,18 @@ func attachScan(x *Scan, head stream.Operator, eng *stream.Engine, dep *Deployme
 // logical streams: every deployment to the same address shares one pooled
 // TCP connection (stream.WorkerConnCount counts the sockets), with FIFO
 // ordering per stream preserved for barriers and failover.
+//
+// A selection directly over a scan that an engine input feeds also runs
+// ahead of that scan's exchange (exchangePreds): the input feeds
+// Filter → Sharder, so a rejected tuple is never routed, queued, encoded or
+// sent. The replica spec is unchanged — the replica still evaluates the
+// selection, as its window's admission predicate — so snapshots and wire
+// specs stay what they were. The consequence: a rejected tuple no longer
+// reaches its shard's window, so it no longer drives that window's expiry;
+// the expiry happens at the shard's next admitted tuple or tick instead.
+// Sharding had already made that expiry shard-local, so the contract stands:
+// the result is multiset-equal to serial execution after every tick and
+// Flush.
 func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrategy, addrs []string, affinity map[string][]string) (*Deployment, error) {
 	p, eng := opts.Parallelism, host.Engine
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: p,
@@ -716,6 +728,10 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 	if err := dep.buildRunners(host, opts.Fragments, feeds, heads); err != nil {
 		return nil, err
 	}
+	preds, err := exchangePreds(parRoot, scans, fragFor)
+	if err != nil {
+		return nil, err
+	}
 	// A rehydrating compile ships each shard's snapshotted state along. On
 	// error the set has torn down whatever it had placed.
 	err = set.Deploy(stream.ShardConfig{
@@ -748,8 +764,12 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 		if ins[i] == nil {
 			continue
 		}
-		ins[i].Subscribe(shs[i])
-		dep.heads = append(dep.heads, headSub{in: ins[i], op: shs[i]})
+		var head stream.Operator = shs[i]
+		if preds[i] != nil {
+			head = stream.NewFilter(shs[i], preds[i])
+		}
+		ins[i].Subscribe(head)
+		dep.heads = append(dep.heads, headSub{in: ins[i], op: head})
 		dep.Inputs = append(dep.Inputs, scan.Input)
 		if scan.IsTable {
 			dep.TableHeads = append(dep.TableHeads, TableHead{Input: scan.Input, Head: shs[i]})
@@ -757,6 +777,50 @@ func compileSharded(b *Built, host Host, opts CompileOptions, strat *shardStrate
 	}
 	dep.startRunners(host.Sched)
 	return dep, nil
+}
+
+// exchangePreds binds, for each of scans (the scans of root, in walk
+// order), the selection directly over it that also runs ahead of its
+// exchange, or leaves nil. Only a scan an engine input feeds takes one — a
+// fragment's runner pushes into its scan's head directly — and only where
+// filtersAhead allows.
+func exchangePreds(root Node, scans []*Scan, fragFor map[*Scan]*SensorFragment) ([]*expr.Compiled, error) {
+	over := map[*Scan]*Select{}
+	var walk func(Node)
+	walk = func(n Node) {
+		if sel, ok := n.(*Select); ok {
+			if sc, ok := sel.In.(*Scan); ok {
+				over[sc] = sel
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+	preds := make([]*expr.Compiled, len(scans))
+	for i, sc := range scans {
+		sel := over[sc]
+		if sel == nil || fragFor[sc] != nil || !filtersAhead(sc) {
+			continue
+		}
+		pred, err := expr.Bind(sel.Pred, sc.Schema())
+		if err != nil {
+			return nil, err
+		}
+		preds[i] = pred
+	}
+	return preds, nil
+}
+
+// filtersAhead reports whether a selection directly over x may also run
+// ahead of x's exchange: x is a stream whose window, if any, counts time.
+// A table routes every row it is loaded with (TableHead feeds the exchange
+// directly), and a selection commutes with a time window but not with a
+// ROWS window's row count.
+func filtersAhead(x *Scan) bool {
+	w := windowFor(x.Window)
+	return !x.IsTable && (w == nil || w.kind != sql.WindowRows)
 }
 
 // newScanSharder builds the exchange in front of one scan's replica heads

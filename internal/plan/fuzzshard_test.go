@@ -437,6 +437,9 @@ func TestShardDifferentialMixedLocalRemote(t *testing.T) {
 type chaosCluster struct {
 	addrs []string
 	kill  func(i int)
+	// settle, when set, runs after the replay, before the final snapshot: a
+	// kill that only arms a cut makes sure by then that the link is down.
+	settle func()
 }
 
 func startKillableWorkers(t *testing.T, n int) chaosCluster {
@@ -516,6 +519,9 @@ func runChaosDifferential(t *testing.T, seed int64, nPlans int, cluster func(t *
 					in.Push(ev.t.Clone())
 				}
 			}
+			if cl.settle != nil {
+				cl.settle()
+			}
 			got, err := dep.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -578,6 +584,48 @@ func TestShardDifferentialChaosKillLastWorker(t *testing.T) {
 	}
 	runChaosDifferential(t, *fuzzSeed+7000, n,
 		func(t *testing.T) chaosCluster { return startKillableWorkers(t, 1) })
+}
+
+// TestShardDifferentialChaosCoalescedFrameCut runs the chaos differential
+// with each worker behind a frame relay, and the kill cuts a link right
+// after a result frame that carries several rows — one replica call's
+// coalesced output — before the credit ack written behind it arrives. The
+// coordinator holds that frame's rows in its undo log but never learns that
+// the data frame producing them was processed; failover must retract them
+// and replay the frame. A cut still armed when the replay ends (no such
+// frame followed the kill) severs the link there.
+func TestShardDifferentialChaosCoalescedFrameCut(t *testing.T) {
+	if *fuzzKill <= 0 {
+		t.Skip("chaos mode disabled (-fuzzshard.kill=0)")
+	}
+	var relays []*frameRelay
+	runChaosDifferential(t, *fuzzSeed+11000, *fuzzKill, func(t *testing.T) chaosCluster {
+		cl := startKillableWorkers(t, 2)
+		rs := make([]*frameRelay, len(cl.addrs))
+		addrs := make([]string, len(cl.addrs))
+		for i, a := range cl.addrs {
+			rs[i] = startRelay(t, a)
+			addrs[i] = rs[i].addr()
+		}
+		relays = append(relays, rs...)
+		return chaosCluster{addrs: addrs,
+			kill: func(i int) { rs[i].armCut(2) },
+			settle: func() {
+				for _, r := range rs {
+					if r.cutAt.Load() > 0 {
+						r.sever()
+					}
+				}
+			}}
+	})
+	cuts := int64(0)
+	for _, r := range relays {
+		cuts += r.cuts.Load()
+	}
+	t.Logf("%d cuts between a coalesced result frame and its ack", cuts)
+	if cuts == 0 {
+		t.Fatal("no kill landed between a coalesced result frame and its ack")
+	}
 }
 
 // TestShardDifferentialChaosKillForcedCollisions reruns the chaos

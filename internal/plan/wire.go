@@ -215,30 +215,17 @@ func encodeReplica(root Node, split *Aggregate, frags []wireFragment) ([]byte, e
 // because both sides walk the identical decoded tree.
 func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 
-// resultSink hands replica output to the home's ResultSender: the wire
-// encoder on a worker (tuples are copied during send, so nothing is
-// retained), the deployment's merge funnel in-process.
-type resultSink struct {
-	schema *data.Schema
-	send   stream.ResultSender
-}
-
-func (r *resultSink) Schema() *data.Schema { return r.schema }
-
-func (r *resultSink) Push(t data.Tuple) { r.PushBatch([]data.Tuple{t}) }
-
-func (r *resultSink) PushBatch(ts []data.Tuple) { _ = r.send(ts) }
-
 // DeployReplica is the stream.DeployFunc behind every home a shard can
 // have — a shard worker's frame loop, and the coordinator's own shard set
 // for in-process replicas (first deployment, Rescale and failover's last
 // resort alike): it decodes a wire replica spec, compiles the subtree's operators (capped by a
-// PartialAggregate for two-phase plans) with results shipping back through
-// send, instantiates any shard-hosted sensor fragments against the
+// PartialAggregate for two-phase plans) into a stream.ResultSink shipping
+// back through send, instantiates any shard-hosted sensor fragments against the
 // receiver's SensorHosts registry, optionally restores a failover
-// checkpoint into them, and returns the scan heads, replica advancers
-// (windows first, then fragment runners), and stateful operators for the
-// worker's frame loop to feed, tick, and checkpoint.
+// checkpoint into them, and returns the scan heads, the replica's one
+// advancer (its windows, then its fragment runners), and stateful operators
+// for the worker's frame loop to feed, tick, and checkpoint. Every push into
+// a head and every tick is one replica call, sent through send once.
 //
 // The checkpointer order is deterministic — the two-phase cap first, then
 // the stateful operators in compile (depth-first) order over the decoded
@@ -265,7 +252,8 @@ func (h *SensorHosts) DeployReplica(spec []byte, shard int, state []byte, send s
 		}
 	}
 	var cks []stream.Checkpointer
-	var out stream.Operator = &resultSink{schema: sinkSchema, send: send}
+	sink := stream.NewResultSink(sinkSchema, send)
+	var out stream.Operator = sink
 	var cols []int // the columns of root the cap reads (nil: all)
 	if rep.Partial != nil {
 		if cols, err = aggWrites(root, rep.Partial.GroupBy, rep.Partial.Specs); err != nil {
@@ -305,6 +293,12 @@ func (h *SensorHosts) DeployReplica(spec []byte, shard int, state []byte, send s
 	}
 	if err := stream.RestoreCheckpoint(cks, state); err != nil {
 		return nil, nil, nil, err
+	}
+	for name, h := range heads {
+		heads[name] = sink.Entry(h)
+	}
+	if len(advs) > 0 {
+		advs = []stream.Advancer{sink.Tick(advs)}
 	}
 	return heads, advs, cks, nil
 }

@@ -51,15 +51,19 @@ import (
 //
 // The one exception is a consumer that keeps nothing (keepsNothing): it
 // holds none of the Vals it was handed once PushBatch returns. Those are
-// Materialize and Collector, which copy, and Project, Aggregate,
-// PartialAggregate and FinalMerge, which read values out and build rows of
-// their own. Three producers write into reused memory in front of one:
-// Project writes every batch into one buffer, Join writes the rows of one
-// input call into a pooled arena, and the aggregates build a group's next
-// row in the row it last retracted. Every other consumer — Window, Join,
-// Distinct (which forwards what it gets), Fanout and Input, GroupedFilter,
-// Filter, Sharder and Merge, callbacks — is handed Vals nobody writes to
-// again. The plan's shape decides which applies; there is no option.
+// Materialize, Collector and a replica's ResultSink, which copy, and
+// Project, Aggregate, PartialAggregate and FinalMerge, which read values out
+// and build rows of their own — and a Merge in front of one of them. A Merge
+// is a synchronous funnel: every replica calls it on its own goroutine, and
+// it hands the rows to its consumer under its lock and returns after that
+// consumer has, so nothing crosses a goroutine boundary and it keeps exactly
+// what its consumer keeps. Three producers write into reused memory in
+// front of one: Project writes every batch into one buffer, Join writes the
+// rows of one input call into a pooled arena, and the aggregates build a
+// group's next row in the row it last retracted. Every other consumer —
+// Window, Join, Distinct (which forwards what it gets), Fanout and Input,
+// GroupedFilter, Filter, Sharder, callbacks — is handed Vals nobody writes
+// to again. The plan's shape decides which applies; there is no option.
 //
 // Push is a batch of one: every operator's Push hands its own PushBatch a
 // one-element batch. A producer that emits one row at a time hands it on
@@ -106,9 +110,11 @@ func dispatch(next Operator, out []data.Tuple) []data.Tuple {
 // its PushBatch returns, so a producer in front of it may write its next
 // output into the same memory (see the ownership rule on Operator).
 func keepsNothing(op Operator) bool {
-	switch op.(type) {
-	case *Materialize, *Collector, *Project, *Aggregate, *PartialAggregate, *FinalMerge:
+	switch x := op.(type) {
+	case *Materialize, *Collector, *ResultSink, *Project, *Aggregate, *PartialAggregate, *FinalMerge:
 		return true
+	case *Merge:
+		return keepsNothing(x.next)
 	}
 	return false
 }

@@ -64,16 +64,14 @@ var remoteStallTimeout = 30 * time.Second
 // Recovery.CheckpointEvery ticks.
 const checkpointMaxLog = 256
 
-// ResultSender ships one batch of replica output tuples back to the
-// coordinator. The batch slice is only valid during the call.
-type ResultSender func(ts []data.Tuple) error
-
 // DeployFunc builds one shard replica from an opaque spec (encoded by the
 // plan layer), optionally restoring a checkpoint (nil state = fresh). It
 // returns the replica's entry points keyed by the coordinator-chosen scan
 // name, the replica's time-driven operators (windows), which tick frames
 // advance on the connection's own goroutine, and the replica's stateful
-// operators in deterministic order for checkpoint barriers.
+// operators in deterministic order for checkpoint barriers. The replica
+// emits through send once per call into an entry point or advancer (a
+// ResultSink's Entry and Tick).
 type DeployFunc func(spec []byte, shard int, state []byte, send ResultSender) (heads map[string]Operator, advs []Advancer, cks []Checkpointer, err error)
 
 // headKey names one replica entry point on a stream hosting several
@@ -210,11 +208,14 @@ type workerStream struct {
 // the time a barrier frame acks, every result its predecessors produced
 // has already been encoded onto the connection ahead of the ack.
 //
-// Writes are coalesced: result frames and credit acks accumulate in the
-// connection's write buffer and flush when the input drains (nothing more
-// is in flight to process first), at any barrier ack, past the buffer
-// threshold, or every workerAckEvery credit frames — one syscall then
-// carries an epoch's worth of results and acks.
+// Each replica sends at most one result frame per replica call — per data
+// frame into one of its heads, and per tick frame (a tick reaches every
+// replica on the stream, each one call) — when the call returns, before the
+// frame's credit ack is owed. Writes are coalesced on top: result frames and
+// credit acks accumulate in the connection's write buffer and flush when the
+// input drains (nothing more is in flight to process first), at any barrier
+// ack, past the buffer threshold, or every workerAckEvery credit frames —
+// one syscall then carries an epoch's worth of results and acks.
 func (w *ShardWorker) serveConn(conn net.Conn) {
 	r := newWireReader(conn)
 	wr := &wireWriter{conn: conn}
@@ -313,6 +314,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 			if op, ok := ws.heads[string(key)]; ok {
 				op.PushBatch(batch)
 			}
+			dec.release()
 			ws.pend++
 			pendTotal++
 			sinceAck++
@@ -685,6 +687,7 @@ func (c *ShardConn) handleFrame(kind frameKind, br *byteReader) bool {
 			c.flog.appendOut(append([]data.Tuple(nil), batch...))
 		}
 		c.sink.PushBatch(batch)
+		c.dec.release()
 	case frameCkptState:
 		seq := br.uvarint()
 		errs := br.wireString()

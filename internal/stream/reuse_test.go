@@ -159,6 +159,27 @@ func TestReuseOwnership(t *testing.T) {
 			pushSegments(heads, segs, set.Flush)
 			k.check(t, p.name+" into a Merge")
 		})
+		// In-process replicas end in a ResultSink, which reuses its arena; the
+		// set hands the funnel fresh rows when its consumer keeps them.
+		t.Run(p.name+"/into-replica-sink", func(t *testing.T) {
+			k := &keeper{schema: s}
+			set := NewShardSet(2)
+			defer set.Close()
+			var heads [2]Operator
+			for side, name := range []string{"l", "r"} {
+				heads[side] = must[*Sharder](t)(NewSharder(set, name, batchSchema(name), []int{0}))
+			}
+			err := set.Deploy(ShardConfig{Sink: NewMerge(k), LocalDeploy: func(_ []byte, _ int, _ []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
+				sink := NewResultSink(s, send)
+				h := p.build(t, sink)
+				return map[string]Operator{"l": sink.Entry(h[0]), "r": sink.Entry(h[1])}, nil, nil, nil
+			}}, make([]string, 2), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushSegments(heads, segs, set.Flush)
+			k.check(t, p.name+" through a replica's ResultSink into a Merge")
+		})
 
 		// Consumers that keep nothing: the same result as behind a
 		// pass-through that retains.

@@ -471,7 +471,7 @@ func TestProjectReusesOnlyWhenConsumerKeepsNothing(t *testing.T) {
 	}
 	j := must[*Join](t)(NewJoin(NewCollector(tempSchema().Concat(tempSchema())), tempSchema(), tempSchema(),
 		[]string{"room"}, []string{"room"}, nil))
-	for _, next := range []Operator{NewFanout(tempSchema()), NewDistinct(mat), NewMerge(mat), j.Left(),
+	for _, next := range []Operator{NewFanout(tempSchema()), NewDistinct(mat), NewMerge(NewDistinct(mat)), j.Left(),
 		NewCallback(tempSchema(), func([]data.Tuple) {})} {
 		if must[*Project](t)(NewProject(next, tempSchema(), items)).reuse {
 			t.Errorf("a Project into a %T reuses its buffer", next)
@@ -479,7 +479,8 @@ func TestProjectReusesOnlyWhenConsumerKeepsNothing(t *testing.T) {
 	}
 	agg := must[*Aggregate](t)(NewAggregate(NewMaterialize(tempSchema()), tempSchema(), []string{"room"},
 		[]AggSpec{{Kind: AggAvg, Arg: expr.C("temp"), Alias: "a"}}, nil))
-	for _, next := range []Operator{NewCollector(tempSchema()), pm, agg} {
+	sink := NewResultSink(tempSchema(), func([]data.Tuple) error { return nil })
+	for _, next := range []Operator{NewCollector(tempSchema()), pm, agg, NewMerge(mat), sink} {
 		if !must[*Project](t)(NewProject(next, tempSchema(), items)).reuse {
 			t.Errorf("a Project into a %T allocates", next)
 		}

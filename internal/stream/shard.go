@@ -265,7 +265,7 @@ type ShardSet struct {
 	// mu; the other fields are read without it.
 	cfg ShardConfig
 	// emit is the ResultSender in-process replicas emit through: one func
-	// value per set, straight into cfg.Sink.
+	// value per set, one cfg.Sink acquisition per replica call.
 	emit ResultSender
 	fo   failoverRuntime
 	// mu serializes in-flight queue sends against Close: senders hold it
@@ -320,8 +320,14 @@ func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) 
 		return fmt.Errorf("stream: Deploy on a set already deployed or closed")
 	}
 	s.cfg = cfg
-	sink := cfg.Sink
+	// A replica's ResultSink reuses its arena once the send returns: hand
+	// the funnel those rows when its consumer keeps nothing, fresh copies
+	// when it keeps them (a display fan-out).
+	sink, keeps := cfg.Sink, !keepsNothing(cfg.Sink)
 	s.emit = func(ts []data.Tuple) error {
+		if keeps {
+			ts = freshRows(ts)
+		}
 		sink.PushBatch(ts)
 		return nil
 	}

@@ -396,11 +396,16 @@ type batchDecoder struct {
 	tuples []data.Tuple
 }
 
+// release clears the tuple scratch of the last decoded batch once its
+// consumer has returned, so that the scratch pins neither that frame's
+// values arena nor its string arenas until the next frame overwrites it.
+func (d *batchDecoder) release() { clear(d.tuples) }
+
 // errBadBatch reports a structurally invalid batch body.
 var errBadBatch = fmt.Errorf("stream: malformed wire batch")
 
-// decode parses one batch body. The returned slice is valid until the
-// next call.
+// decode parses one batch body. The returned slice is valid until release
+// or the next call.
 func (d *batchDecoder) decode(r *byteReader) ([]data.Tuple, error) {
 	n := int(r.uvarint())
 	// Every row costs at least one body byte in either mode, so a row
@@ -416,7 +421,8 @@ func (d *batchDecoder) decode(r *byteReader) ([]data.Tuple, error) {
 	if cap(d.tuples) < n {
 		d.tuples = make([]data.Tuple, n)
 	}
-	ts := d.tuples[:n]
+	d.tuples = d.tuples[:n]
+	ts := d.tuples
 	switch mode {
 	case batchModeColumnar:
 		if err := d.decodeColumnar(r, ts); err != nil {
