@@ -115,12 +115,17 @@ endef
 # selection over a scan runs ahead of its exchange, so a worker is shipped
 # exactly the admitted tuples and the result matches serial after every
 # tick; every replica call returns at most one result frame, split only
-# past the frame cap; and neither end's decoder pins a consumed frame.
+# past the frame cap; and neither end's decoder pins a consumed frame. The
+# exchange's batching rides along: each shard's batch is kept across pushes
+# and ships when full or at a tick, barrier, checkpoint, rescale or close
+# (the pending-batch differential against serial, in-process and on a
+# loopback worker, and the ship-point and frame-count pins); a worker ticks
+# its replicas in shard order; and a kept row pins no other row's string.
 # Mirrored by the CI `distributed` job.
 .PHONY: dist
 dist:
-	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
-	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing,./internal/stream/)
+	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch|ShardDifferentialPendingBatches,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
+	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing|KeptRowsPinNoFrame|DecoderInternsStrings|SharderShipPoints|WorkerTicksInShardOrder,./internal/stream/)
 	$(call race_run,RemoteSensorFragment|FragmentIneligible|FragmentQueriesReadOnlyTheirOwnReadings|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
 	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)
 
@@ -132,12 +137,13 @@ dist:
 # barrier. The stream-level matrix (kill-during-flush/-deploy, double
 # failure, rejoin, wedged worker, per-operator checkpoint round-trips)
 # rides along, as do a kill that cuts a link between a coalesced result
-# frame and its credit ack, and the sharded-selection differential's
-# worker kill. Mirrored by the CI `distributed` job.
+# frame and its credit ack, the sharded-selection differential's worker
+# kill, and the pending-batch differential's kill with batches held in the
+# exchange. Mirrored by the CI `distributed` job.
 .PHONY: chaos
 chaos:
-	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill|ShardDifferentialChaosCoalescedFrameCut|ShardedSelectionDifferential,./internal/plan/,-fuzzshard.kill=8)
-	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions,./internal/stream/)
+	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill|ShardDifferentialChaosCoalescedFrameCut|ShardedSelectionDifferential|ShardDifferentialPendingBatchesRemote,./internal/plan/,-fuzzshard.kill=8)
+	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
 	$(call race_run,RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart,./internal/core/)
 	$(call race_run,SnapshotSaveCrashPoints,./internal/plan/)
 
@@ -155,14 +161,16 @@ chaos:
 # must fail whole, and shared result groups must restore one store per
 # group while queries deploy and stop around the restart, and the
 # sharded-selection differential's live rescale must replay only
-# admitted tuples into the moved shards.
+# admitted tuples into the moved shards, and the pending-batch
+# differential's save, restore and rescale run with batches held in the
+# exchange, which a rescale drains to the shards' old homes first.
 # The stream-level elastic matrix (pool eviction/redial race,
-# per-shard undeploy, rescale validation) rides along. Mirrored by
-# the CI `distributed` job.
+# per-shard undeploy, rescale validation, the exchange's ship points)
+# rides along. Mirrored by the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential,./internal/plan/,-fuzzshard.elastic=6)
-	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions,./internal/stream/)
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 
 # fuzz-smoke gives every fuzz target a short run: the seed corpus alone

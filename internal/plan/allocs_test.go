@@ -122,9 +122,10 @@ func (g *epochGen) feed(l, r stream.Operator) {
 //     per replica call that emits: each shard's left batch moves its
 //     groups' averages, and sends them in one frame, while a right batch
 //     leaves every average where it was;
-//   - the barrier: per link, flushOnce's goroutine and error slot,
-//     registerWait's ack channel and awaitAck's stall timer (9 at W=1 with
-//     the WaitGroup, 16 at W=2).
+//   - the barrier: flushOnce's WaitGroup and error slots (2); per link,
+//     registerWait's ack channel and its waits entry (2) and awaitAck's
+//     stall timer (3); and the goroutine that runs each link's barrier past
+//     the first (2) — 7 at W=1, 14 at W=2.
 //
 // Reading a frame costs nothing: its length header lives in the wireReader.
 // Failover armed at W=1 adds the replay log's copy of each of the 8 data
@@ -142,9 +143,9 @@ func TestRemoteJoinAggAllocs(t *testing.T) {
 	}{
 		{0, false, 2},
 		{0, true, 2},
-		{1, false, 1 + 12 + 9},
-		{2, false, 1 + 12 + 16},
-		{1, true, 1 + 12 + 9 + 8 + 4 + 17},
+		{1, false, 1 + 12 + 7},
+		{2, false, 1 + 12 + 14},
+		{1, true, 1 + 12 + 7 + 8 + 4 + 17},
 	} {
 		t.Run(fmt.Sprintf("W=%d/failover=%t", c.workers, c.failover), func(t *testing.T) {
 			p := buildRemoteJoinAgg(t, c.workers, c.failover)

@@ -439,7 +439,7 @@ type chaosCluster struct {
 	kill  func(i int)
 	// settle, when set, runs after the replay, before the final snapshot: a
 	// kill that only arms a cut makes sure by then that the link is down.
-	settle func()
+	settle func(dep *Deployment)
 }
 
 func startKillableWorkers(t *testing.T, n int) chaosCluster {
@@ -520,7 +520,7 @@ func runChaosDifferential(t *testing.T, seed int64, nPlans int, cluster func(t *
 				}
 			}
 			if cl.settle != nil {
-				cl.settle()
+				cl.settle(dep)
 			}
 			got, err := dep.Snapshot()
 			if err != nil {
@@ -592,8 +592,11 @@ func TestShardDifferentialChaosKillLastWorker(t *testing.T) {
 // coalesced output — before the credit ack written behind it arrives. The
 // coordinator holds that frame's rows in its undo log but never learns that
 // the data frame producing them was processed; failover must retract them
-// and replay the frame. A cut still armed when the replay ends (no such
-// frame followed the kill) severs the link there.
+// and replay the frame. The exchange ships data only at a tick, a barrier
+// or a full batch, so the replay's last tick may still have its result
+// frames in flight when the replay ends: settling flushes the deployment
+// first, which lets them pass the armed relay, and a cut still armed after
+// that (no such frame followed the kill) severs the link there.
 func TestShardDifferentialChaosCoalescedFrameCut(t *testing.T) {
 	if *fuzzKill <= 0 {
 		t.Skip("chaos mode disabled (-fuzzshard.kill=0)")
@@ -610,7 +613,8 @@ func TestShardDifferentialChaosCoalescedFrameCut(t *testing.T) {
 		relays = append(relays, rs...)
 		return chaosCluster{addrs: addrs,
 			kill: func(i int) { rs[i].armCut(2) },
-			settle: func() {
+			settle: func(dep *Deployment) {
+				dep.Flush()
 				for _, r := range rs {
 					if r.cutAt.Load() > 0 {
 						r.sever()

@@ -3,12 +3,14 @@ package plan
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"aspen/internal/data"
+	"aspen/internal/stream"
 )
 
 // Shard wire frame kinds the relay tells apart, numbered as stream's
@@ -180,25 +182,78 @@ func (c relayCounts) minus(o relayCounts) relayCounts {
 	return relayCounts{c.data - o.data, c.ticks - o.ticks, c.results - o.results, c.rows - o.rows}
 }
 
-// TestResultFramesPerEpoch pins how many result frames the join+aggregate
-// pipeline sends back at P=2 over ten epochs (each two 32-tuple batches, one
-// tick and a Flush), counted where the coordinator reads them. Every replica
-// call — a data frame into one of its heads, or a tick — returns at most one
-// result frame, however many rows it emits. With one replica per worker
-// (W=2) that is at most data frames + ticks; with both replicas on one
-// worker (W=1) a tick frame reaches two replicas and is two replica calls.
-// The counts are exact: routing, and which calls emit, follow from the
-// generator alone. Before results were coalesced, every one of the 1 200
-// aggregate rows travelled in a frame of its own.
+// callSplitter is an engine input seen by the generator: it hands each
+// batch to in as calls PushBatch calls, and counts the tuples of each shard
+// of p the batch routes to (the join key, column 0, as the exchange routes).
+type callSplitter struct {
+	in     stream.Operator
+	calls  int
+	p      uint64
+	h      data.Hasher
+	shards []int
+}
+
+func (s *callSplitter) Schema() *data.Schema { return s.in.Schema() }
+
+func (s *callSplitter) Push(t data.Tuple) { s.PushBatch([]data.Tuple{t}) }
+
+func (s *callSplitter) PushBatch(ts []data.Tuple) {
+	for _, t := range ts {
+		s.shards[s.h.HashOn(t, []int{0})%s.p]++
+	}
+	for k := range s.calls {
+		s.in.PushBatch(ts[k*len(ts)/s.calls : (k+1)*len(ts)/s.calls])
+	}
+}
+
+// frames reports how many data frames the exchange ships for the tuples
+// counted since the last call, if it ships each shard's batch when full and
+// at the tick, and resets the count.
+func (s *callSplitter) frames() int64 {
+	n := int64(0)
+	for j, c := range s.shards {
+		n += int64((c + shardBatch - 1) / shardBatch)
+		s.shards[j] = 0
+	}
+	return n
+}
+
+// shardBatch is stream's shardBatchCap: the exchange ships a shard's
+// pending batch once it holds this many tuples.
+const shardBatch = 256
+
+// TestResultFramesPerEpoch pins the frames the join+aggregate pipeline
+// exchanges at P=2 over ten epochs, each some generator epochs of two
+// 32-tuple batches pushed as calls PushBatch calls per input, one tick and
+// a Flush, counted where the coordinator writes and reads them.
+//
+// Data frames: the exchange keeps each shard's batch across calls and ships
+// it when it holds 256 tuples or at the tick, so an epoch costs one frame
+// per input and shard, plus one per full batch, however many calls pushed
+// it (before, one per call and shard: 160 for the four-call case). The
+// splitter counts what each shard is routed and the test derives that
+// number exactly.
+//
+// Result frames: every replica call — a data frame into one of its heads,
+// or a tick — returns at most one, however many rows it emits. With one
+// replica per worker (W=2) that is at most data frames + ticks; with both
+// replicas on one worker (W=1) a tick frame reaches two replicas and is two
+// replica calls. The counts are exact: routing, and which calls emit,
+// follow from the generator alone. Before results were coalesced, every
+// one of the 1 200 aggregate rows of the one-call case travelled in a frame
+// of its own.
 func TestResultFramesPerEpoch(t *testing.T) {
 	for _, c := range []struct {
-		workers int
-		want    relayCounts // summed over the workers
+		name                  string
+		workers, feeds, calls int
+		want                  relayCounts // summed over the workers
 	}{
-		{1, relayCounts{data: 40, ticks: 10, results: 25, rows: 1200}},
-		{2, relayCounts{data: 40, ticks: 20, results: 25, rows: 1200}},
+		{"W=1", 1, 1, 1, relayCounts{data: 40, ticks: 10, results: 25, rows: 1200}},
+		{"W=2", 2, 1, 1, relayCounts{data: 40, ticks: 20, results: 25, rows: 1200}},
+		{"W=1,calls=4", 1, 1, 4, relayCounts{data: 40, ticks: 10, results: 25, rows: 1200}},
+		{"W=1,feeds=20,calls=4", 1, 20, 4, relayCounts{data: 60, ticks: 10, results: 40, rows: 2080}},
 	} {
-		t.Run(fmt.Sprintf("W=%d", c.workers), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			var relays []*frameRelay
 			var nodes []string
 			for range c.workers {
@@ -218,21 +273,31 @@ func TestResultFramesPerEpoch(t *testing.T) {
 				}
 				return sum
 			}
+			l := &callSplitter{in: p.l, calls: c.calls, p: 2, shards: make([]int, 2)}
+			r := &callSplitter{in: p.r, calls: c.calls, p: 2, shards: make([]int, 2)}
 			var g epochGen
+			var frames int64 // data frames the exchange should have shipped
 			epoch := func() {
-				g.feed(p.l, p.r)
+				for range c.feeds {
+					g.feed(l, r)
+				}
 				p.eng.Advance(g.ts)
 				p.dep.Flush()
+				frames += l.frames() + r.frames()
 			}
 			for range 20 {
 				epoch()
 			}
 			const epochs = 10
 			before := total()
+			frames = 0
 			for range epochs {
 				epoch()
 			}
 			got := total().minus(before)
+			if got.data != frames {
+				t.Errorf("%d data frames, want %d: one per shard and input per tick, and one per full batch", got.data, frames)
+			}
 			replicaTicks := got.ticks * int64(2/c.workers)
 			if got.results > got.data+replicaTicks {
 				t.Errorf("%d result frames for %d data frames and %d replica ticks", got.results, got.data, replicaTicks)

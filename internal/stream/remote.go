@@ -2,9 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,13 +196,34 @@ func (s *connServer) Close() error {
 // replica registry and the credit acks it owes the coordinator. heads,
 // advs and cks are all keyed (or prefixed) by shard, so one shard's
 // replica can leave the stream (frameUndeploy, a rescale) without
-// disturbing its siblings.
+// disturbing its siblings. advs is sorted by shard: a tick frame advances
+// the replicas, and so sends their result frames, in shard order.
 type workerStream struct {
 	heads map[string]Operator
-	advs  map[int][]Advancer
+	advs  []shardAdvancers
 	cks   map[int][]Checkpointer
 	send  ResultSender
 	pend  int // processed-but-unacked credit frames
+}
+
+// shardAdvancers is one replica's time-driven operators.
+type shardAdvancers struct {
+	shard int
+	advs  []Advancer
+}
+
+// setAdvs records shard's advancers at its place in shard order, replacing
+// any the shard had; nil removes the shard.
+func (ws *workerStream) setAdvs(shard int, advs []Advancer) {
+	i, found := slices.BinarySearchFunc(ws.advs, shard, func(r shardAdvancers, j int) int { return cmp.Compare(r.shard, j) })
+	switch {
+	case found && advs == nil:
+		ws.advs = slices.Delete(ws.advs, i, i+1)
+	case found:
+		ws.advs[i].advs = advs
+	case advs != nil:
+		ws.advs = slices.Insert(ws.advs, i, shardAdvancers{shard, advs})
+	}
 }
 
 // serveConn drives one coordinator link: decode a frame, route it to its
@@ -210,12 +233,13 @@ type workerStream struct {
 //
 // Each replica sends at most one result frame per replica call — per data
 // frame into one of its heads, and per tick frame (a tick reaches every
-// replica on the stream, each one call) — when the call returns, before the
-// frame's credit ack is owed. Writes are coalesced on top: result frames and
-// credit acks accumulate in the connection's write buffer and flush when the
-// input drains (nothing more is in flight to process first), at any barrier
-// ack, past the buffer threshold, or every workerAckEvery credit frames —
-// one syscall then carries an epoch's worth of results and acks.
+// replica on the stream, each one call, in shard order) — when the call
+// returns, before the frame's credit ack is owed. Writes are coalesced on
+// top: result frames and credit acks accumulate in the connection's write
+// buffer and flush when the input drains (nothing more is in flight to
+// process first), at any barrier ack, past the buffer threshold, or every
+// workerAckEvery credit frames — one syscall then carries an epoch's worth
+// of results and acks.
 func (w *ShardWorker) serveConn(conn net.Conn) {
 	r := newWireReader(conn)
 	wr := &wireWriter{conn: conn}
@@ -242,7 +266,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 	getStream := func(id uint64) *workerStream {
 		ws := streams[id]
 		if ws == nil {
-			ws = &workerStream{heads: map[string]Operator{}, advs: map[int][]Advancer{}, cks: map[int][]Checkpointer{}}
+			ws = &workerStream{heads: map[string]Operator{}, cks: map[int][]Checkpointer{}}
 			ws.send = func(ts []data.Tuple) error {
 				if len(ts) == 0 {
 					return nil
@@ -295,7 +319,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 				for name, op := range h {
 					ws.heads[headKey(db.Shard, name)] = op
 				}
-				ws.advs[db.Shard] = a
+				ws.setAdvs(db.Shard, a)
 				ws.cks[db.Shard] = ck
 			}
 			appendAckFrame(wr, id, db.Seq, 0, errs)
@@ -324,8 +348,8 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 				return
 			}
 			ws := getStream(id)
-			for _, advs := range ws.advs {
-				for _, a := range advs {
+			for _, r := range ws.advs {
+				for _, a := range r.advs {
 					a.Advance(now)
 				}
 			}
@@ -378,7 +402,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 						delete(ws.heads, k)
 					}
 				}
-				delete(ws.advs, shard)
+				ws.setAdvs(shard, nil)
 				delete(ws.cks, shard)
 			}
 			appendAckFrame(wr, id, seq, 0, "")

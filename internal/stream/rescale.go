@@ -135,10 +135,14 @@ func (s *ShardSet) quiesce() func() {
 	}
 }
 
-// drainLocked barriers every local queue and flushes every worker stream,
-// so every message sent before the quiesce is fully processed. Caller
-// holds the quiesce locks.
+// drainLocked ships every exchange's pending batch to its shard's current
+// home, then barriers every local queue and flushes every worker stream, so
+// every tuple pushed before the quiesce is fully processed and in the
+// checkpoint that follows. Caller holds the quiesce locks.
 func (s *ShardSet) drainLocked() error {
+	for _, sh := range s.sharders {
+		sh.flushPending(s.sendLocked)
+	}
 	var wg sync.WaitGroup
 	for j := 0; j < s.p; j++ {
 		if s.homes[j].conn != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
 	"aspen/internal/data"
@@ -230,5 +231,92 @@ func TestDecodersPinNothing(t *testing.T) {
 	}
 	if atCoord.Value() != nil {
 		t.Error("the coordinator's decoder still pins the last result frame's values arena")
+	}
+}
+
+// A row a consumer keeps pins nothing else of the frame it was decoded
+// from: not the frame's values arena, and not the string of another row of
+// that frame. A worker-side keeper (a window, a join key, a group) and the
+// coordinator's Materialize each keep row A of a two-row frame after row B
+// is retracted; B's string, too long to intern, must then be collectable at
+// both ends. When a frame decoded its strings into one arena per column, A
+// kept B's bytes alive, and a larger frame kept more.
+func TestKeptRowsPinNoFrame(t *testing.T) {
+	schema := data.NewSchema("ks", data.Col("k", data.TInt), data.Col("s", data.TString))
+	long := fmt.Sprintf("%0*d", 2*maxInternLen, 7)
+	type pins struct{ vals, str weak.Pointer[byte] }
+	// watch records weak pointers into the first batch that carries long:
+	// the values arena (through row 0's first value) and long's bytes.
+	watch := func(p *pins, ts []data.Tuple) {
+		for _, tu := range ts {
+			if s := tu.Vals[1].S; s == long && p.str == (weak.Pointer[byte]{}) {
+				p.vals = weak.Make((*byte)(unsafe.Pointer(&ts[0].Vals[0])))
+				p.str = weak.Make(unsafe.StringData(s))
+			}
+		}
+	}
+	var mu sync.Mutex // the worker's frame loop writes atWorker; no channel orders it before the test reads
+	var atWorker, atCoord pins
+	keptWorker := NewMaterialize(schema)
+	deploy := func(_ []byte, _ int, _ []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
+		sink := NewResultSink(schema, send)
+		head := NewCallback(schema, func(ts []data.Tuple) {
+			mu.Lock()
+			watch(&atWorker, ts)
+			mu.Unlock()
+			keptWorker.PushBatch(ts)
+			sink.PushBatch(ts)
+		})
+		return map[string]Operator{"s0": sink.Entry(head)}, nil, nil, nil
+	}
+	w, err := NewShardWorker("127.0.0.1:0", deploy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	keptCoord := NewMaterialize(schema)
+	c, err := dialShard(w.Addr(), NewCallback(schema, func(ts []data.Tuple) {
+		watch(&atCoord, ts)
+		keptCoord.PushBatch(ts)
+	}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.Deploy(nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	a := data.NewTuple(1, data.Int(1), data.Str("a"))
+	b := data.NewTuple(1, data.Int(2), data.Str(long))
+	for _, batch := range [][]data.Tuple{{a, b}, {b.Negate()}} {
+		if err := c.SendBatch(0, "s0", batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, end := range []struct {
+		name string
+		kept *Materialize
+		p    pins
+	}{{"worker", keptWorker, atWorker}, {"coordinator", keptCoord, atCoord}} {
+		rows, _ := end.kept.Snapshot(nil, -1)
+		if len(rows) != 1 || rows[0].Vals[1].S != "a" {
+			t.Fatalf("the %s keeps %v, want row a alone", end.name, rows)
+		}
+		if end.p.str == (weak.Pointer[byte]{}) {
+			t.Fatalf("the %s never saw row b", end.name)
+		}
+		if end.p.vals.Value() != nil {
+			t.Errorf("the %s's kept row pins its frame's values arena", end.name)
+		}
+		if end.p.str.Value() != nil {
+			t.Errorf("the %s's kept row pins the string of a retracted row of its frame", end.name)
+		}
 	}
 }

@@ -23,9 +23,16 @@ import (
 // tuple batches from any Sharder of the set, clock ticks, flush barriers —
 // travels through queue j, so replica operators never see two goroutines
 // and need no locks. Only the funnel sink behind Merge is shared.
+//
+// Batching: a Sharder collects each shard's tuples across PushBatch calls
+// (see Sharder.PushBatch for when they ship). A replica sees every tuple
+// before the tick or barrier that followed its push; between two of those,
+// it takes each exchange's batch in turn rather than in the order the
+// calls interleaved, which leaves the result multiset at every tick and
+// barrier unchanged.
 
-// shardBatchCap is the capacity of recycled batch buffers; a Sharder
-// flushes a shard's pending buffer early once it fills.
+// shardBatchCap is the capacity of recycled batch buffers: a Sharder ships
+// a shard's pending batch once it holds this many tuples.
 const shardBatchCap = 256
 
 // shardQueueCap bounds each shard's message queue; producers block when a
@@ -497,12 +504,7 @@ func (s *ShardSet) buf() []data.Tuple {
 // keeps the push path allocation-free.
 func (s *ShardSet) send(j int, head Operator, batch []data.Tuple) {
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.recycle(batch)
-		return
-	}
-	if c := s.homes[j].conn; c != nil {
+	if c := s.homes[j].conn; c != nil && !s.closed {
 		// Ship outside the lock: a stalled worker then blocks only this
 		// producer, never a pending Close (and through the writer-pending
 		// RWMutex, every other producer). A send racing Close lands on a
@@ -511,13 +513,50 @@ func (s *ShardSet) send(j int, head Operator, batch []data.Tuple) {
 		// quarantined shard's traffic replays onto its replacement — and
 		// drops like any lossy link otherwise.
 		s.mu.RUnlock()
-		rh := head.(*RemoteHead)
-		_ = c.sendShard(rh.shard, rh.name, rh.key, batch)
-		s.recycle(batch)
+		s.sendRemote(c, head, batch)
 		return
 	}
-	s.queues[j] <- shardMsg{kind: msgData, head: head, batch: batch}
+	s.sendLocked(j, head, batch)
 	s.mu.RUnlock()
+}
+
+// sendLocked is send for a caller holding s.mu, read or write: a rescale's
+// drain ships the exchanges' pending batches under the quiesce locks.
+func (s *ShardSet) sendLocked(j int, head Operator, batch []data.Tuple) {
+	switch c := s.homes[j].conn; {
+	case s.closed:
+		s.recycle(batch)
+	case c != nil:
+		s.sendRemote(c, head, batch)
+	default:
+		s.queues[j] <- shardMsg{kind: msgData, head: head, batch: batch}
+	}
+}
+
+// sendRemote encodes batch onto c for the replica head names and recycles
+// the buffer.
+func (s *ShardSet) sendRemote(c *ShardConn, head Operator, batch []data.Tuple) {
+	rh := head.(*RemoteHead)
+	_ = c.sendShard(rh.shard, rh.name, rh.key, batch)
+	s.recycle(batch)
+}
+
+// shipPending ships every exchange's pending batches (Sharder.PushBatch
+// keeps them across calls), so that what was pushed before a tick, barrier
+// or close reaches the replicas ahead of it. It takes each Sharder's lock
+// and, through send, the set's read lock, so the caller holds neither.
+func (s *ShardSet) shipPending() {
+	s.mu.RLock()
+	sharders, live := s.sharders, s.started && !s.closed
+	s.mu.RUnlock()
+	if !live {
+		return
+	}
+	for _, sh := range sharders {
+		sh.mu.Lock()
+		sh.flushPending(s.send)
+		sh.mu.Unlock()
+	}
 }
 
 // recycle clears a drained batch buffer back into the freelist.
@@ -531,7 +570,9 @@ func (s *ShardSet) recycle(batch []data.Tuple) {
 
 // Advance implements Advancer by fanning the tick to every local shard
 // queue and once to every worker connection, so replica windows expire
-// in-order with their shard's data stream wherever the replica lives. The
+// in-order with their shard's data stream wherever the replica lives. It
+// first ships every exchange's pending batch, so a tuple pushed before the
+// tick reaches its replica before the tick does. The
 // engine tick loop returns promptly (remote ticks can briefly block on
 // backpressure); Flush waits for the expiry work. Ticks after Close are
 // dropped — Deployment.Close untracks the set from its engine, but an
@@ -547,6 +588,7 @@ func (s *ShardSet) recycle(batch []data.Tuple) {
 // checkpoint and its replayed input. Close and failover therefore wait at
 // most one bounded tick fan-out for the write lock.
 func (s *ShardSet) Advance(now vtime.Time) {
+	s.shipPending()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -575,8 +617,9 @@ func (s *ShardSet) Advance(now vtime.Time) {
 
 // Flush blocks until every message enqueued before the call — batches and
 // ticks alike — has been fully processed, establishing a barrier: after
-// Flush, the merged sink reflects everything pushed so far. Producers must
-// be quiet for the barrier to be meaningful.
+// Flush, the merged sink reflects everything pushed so far. Each pass first
+// ships the exchanges' pending batches. Producers must be quiet for the
+// barrier to be meaningful.
 //
 // With failover enabled the barrier stays exact across worker loss: a
 // failed connection barrier means a failover is already pending (fail()
@@ -601,6 +644,7 @@ func (s *ShardSet) Flush() {
 // flushOnce runs one barrier pass over the current topology, reporting
 // whether every connection barrier succeeded.
 func (s *ShardSet) flushOnce() bool {
+	s.shipPending()
 	var wg sync.WaitGroup
 	s.mu.RLock()
 	if !s.started || s.closed {
@@ -618,10 +662,19 @@ func (s *ShardSet) flushOnce() bool {
 	// arrives behind the worker's results (FIFO), so when Wait returns the
 	// merged sink reflects every replica. Without failover a dead link acks
 	// vacuously (fail-stop); with it, the error reruns the barrier after
-	// the failover completes.
+	// the failover completes. The first link's barrier runs on this
+	// goroutine, so a set on one worker waits for its ack without a
+	// goroutine hand-off on either side of the round trip.
+	// Failover filters s.uconns in place, so its entries are read under the
+	// lock only.
 	uconns := s.uconns
 	errs := make([]error, len(uconns))
+	var first *ShardConn
 	for i, c := range uconns {
+		if i == 0 {
+			first = c
+			continue
+		}
 		wg.Add(1)
 		go func(i int, c *ShardConn) {
 			defer wg.Done()
@@ -629,6 +682,9 @@ func (s *ShardSet) flushOnce() bool {
 		}(i, c)
 	}
 	s.mu.RUnlock()
+	if first != nil {
+		errs[0] = first.Flush()
+	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -638,12 +694,16 @@ func (s *ShardSet) flushOnce() bool {
 	return true
 }
 
-// Close drains the queues, stops the local workers, and barrier-closes
-// every worker connection (remote replicas are torn down on their hosts).
-// It is safe with live producers: anything a Sharder or Advance sends
-// afterwards is dropped (the deployment's result simply stops updating).
-// Idempotent.
+// Close ships the exchanges' pending batches, drains the queues, stops the
+// local workers, and barrier-closes every worker connection (remote
+// replicas are torn down on their hosts), so the merged sink reflects
+// everything pushed before the call — except what went to a broken link
+// whose failover has not run: Close does not wait for failovers, and one
+// that finds the set closed stops. It is safe with live producers:
+// anything a Sharder or Advance sends afterwards is dropped (the
+// deployment's result simply stops updating). Idempotent.
 func (s *ShardSet) Close() {
+	s.shipPending()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -847,13 +907,15 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 
 // Sharder is the exchange operator in front of one replicated pipeline
 // entry point: it routes each pushed tuple to the shard owning the tuple's
-// key partition (hash of the key columns modulo P) and forwards batches
-// through the set's queues. Several Sharders (one per scan of a plan)
-// share one ShardSet, so a join's left and right inputs partitioned on
-// aligned keys meet in the same replica.
+// key partition (hash of the key columns modulo P), collects each shard's
+// tuples into a pending batch, and ships full or flushed batches through
+// the set's queues or over the shard's worker stream. Several Sharders
+// (one per scan of a plan) share one ShardSet, so a join's left and right
+// inputs partitioned on aligned keys meet in the same replica.
 //
 // Ownership: pushed tuples are handed to the owning replica un-cloned, per
-// the Operator convention. Producers may push from multiple goroutines;
+// the Operator convention; the pending batch keeps the tuples, never the
+// caller's batch slice. Producers may push from multiple goroutines;
 // dispatch state is mutex-protected (per-shard order then follows arrival
 // order under the lock).
 type Sharder struct {
@@ -876,7 +938,7 @@ type Sharder struct {
 	keyBuf []data.Value
 
 	mu   sync.Mutex
-	pend [][]data.Tuple // per-shard pending batch, freelist-backed
+	pend [][]data.Tuple // per-shard pending batch, freelist-backed; kept across PushBatch calls
 }
 
 // NewSharder builds the exchange in front of the replica entry points named
@@ -928,23 +990,25 @@ func (sh *Sharder) Schema() *data.Schema { return sh.schema }
 // Push implements Operator.
 func (sh *Sharder) Push(t data.Tuple) { sh.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements Operator: the batch is split by key partition
-// and each shard's slice ships as one queue message, so downstream
-// dispatch amortizes exactly like the serial PushBatch path.
+// PushBatch implements Operator: the batch is split by key partition into
+// each shard's pending batch, which outlives the call. A pending batch
+// ships — one queue message, or one data frame to a worker — when it
+// reaches shardBatchCap tuples, and otherwise when the set next ticks
+// (Advance), barriers (Flush, and so Deployment.Snapshot and
+// CheckpointAll), closes, or drains for a rescale. Every one of those
+// ships first, so a replica sees each tuple before the tick or barrier that
+// followed its push, and fewer, larger batches reach it than the producer
+// pushed.
 func (sh *Sharder) PushBatch(ts []data.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
 	sh.mu.Lock()
 	for _, t := range ts {
 		sh.route(t)
 	}
-	sh.flushPending()
 	sh.mu.Unlock()
 }
 
-// route appends t to its shard's pending buffer, shipping the buffer early
-// when full. Caller holds sh.mu.
+// route appends t to its shard's pending buffer, shipping the buffer when
+// full. Caller holds sh.mu.
 func (sh *Sharder) route(t data.Tuple) {
 	j := 0
 	if sh.set.p > 1 {
@@ -969,11 +1033,13 @@ func (sh *Sharder) route(t data.Tuple) {
 	sh.pend[j] = b
 }
 
-// flushPending ships every non-empty pending buffer. Caller holds sh.mu.
-func (sh *Sharder) flushPending() {
+// flushPending ships every non-empty pending buffer through send (the
+// set's send, or sendLocked under the quiesce locks) to the shard's
+// current head. Caller holds sh.mu.
+func (sh *Sharder) flushPending(send func(j int, head Operator, batch []data.Tuple)) {
 	for j, b := range sh.pend {
 		if len(b) > 0 {
-			sh.set.send(j, sh.heads[j], b)
+			send(j, sh.heads[j], b)
 			sh.pend[j] = nil
 		}
 	}

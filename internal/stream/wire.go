@@ -93,11 +93,16 @@ const (
 // waiting on a gigabyte that never comes.
 const wireMaxFrame = 1 << 26
 
-// wireFlushBytes is the write-combining threshold: producers buffer
-// encoded frames per connection and flush once this much is pending (or
-// at a tick/barrier, whichever comes first), amortizing syscalls across
-// the many small frames one epoch produces.
-const wireFlushBytes = 32 << 10
+// wireFlushBytes is the write-combining threshold: each end buffers the
+// frames it encodes per connection and writes them once this much is
+// pending, or earlier at a tick, barrier or credit wait. The exchange ships
+// a shard's batch when it holds shardBatchCap tuples (several KiB on the
+// wire) or at the tick, so an epoch is a few large data frames, not one per
+// push: the threshold sets how soon a full batch reaches its worker while
+// the producer is still pushing, and how soon a worker's result frames
+// reach the coordinator. Of 4, 8, 16 and 32 KiB, 16 read best on the
+// remote pipeline benchmark (PERF.md has the sweep).
+const wireFlushBytes = 16 << 10
 
 // Batch body layout discriminators.
 const (
@@ -389,11 +394,44 @@ func (r *byteReader) wireString() string {
 // scratch — reused across calls, so consumers must not retain it (the
 // established batch convention: operators retain tuples, never the
 // batch slice). The Vals of the decoded tuples live in one fresh arena
-// per call, because windows retain pushed tuples indefinitely; string
-// payloads likewise get one arena per string column. At epoch-sized
-// batches both arenas amortize below one allocation per operation.
+// per call, because windows retain pushed tuples indefinitely; at
+// epoch-sized batches it amortizes below one allocation per operation.
+//
+// A decoded string shares no memory with its frame (see str), so a row an
+// operator keeps — a window's, a join key's, a group's, a Materialize
+// row — pins only its own values, never the rest of the frame it came in.
 type batchDecoder struct {
 	tuples []data.Tuple
+	// interned maps the short strings decoded so far to one copy each.
+	interned map[string]string
+}
+
+// String interning bounds: a string longer than maxInternLen is copied on
+// its own, and the table starts over once it holds maxInterned strings, so
+// a column of ever-new values costs a copy each and a bounded table.
+const (
+	maxInternLen = 32
+	maxInterned  = 1024
+)
+
+// str returns b as a string of its own. A short string the decoder has
+// seen before — a room, a desk, a sensor name, which recur in every frame —
+// comes from the intern table and costs no allocation; any other string is
+// one copy. Either way the result aliases neither the frame nor another
+// row's string.
+func (d *batchDecoder) str(b []byte) string {
+	if len(b) > maxInternLen {
+		return string(b)
+	}
+	if s, ok := d.interned[string(b)]; ok {
+		return s
+	}
+	if d.interned == nil || len(d.interned) >= maxInterned {
+		d.interned = make(map[string]string, 64)
+	}
+	s := string(b)
+	d.interned[s] = s
+	return s
 }
 
 // release clears the tuple scratch of the last decoded batch once its
@@ -506,38 +544,15 @@ func (d *batchDecoder) decodeColumn(r *byteReader, ts []data.Tuple, col int) err
 	}
 	isNull := func(i int) bool { return nulls[i>>3]&(1<<(uint(i)&7)) != 0 }
 	if vt == data.TString {
-		// Prescan the payload to size one string arena for the column, so
-		// every string header can alias it without per-string copies.
-		start := r.off
-		total := 0
-		for i := range ts {
-			if isNull(i) {
-				continue
-			}
-			sl := int(r.uvarint())
-			if r.bytes(sl) == nil {
-				return errBadBatch
-			}
-			total += sl
-		}
-		if r.fail {
-			return errBadBatch
-		}
-		arena := make([]byte, 0, total)
-		r.off = start
 		for i := range ts {
 			if isNull(i) {
 				continue
 			}
 			b := r.bytes(int(r.uvarint()))
-			pos := len(arena)
-			arena = append(arena, b...)
-			s := arena[pos:]
-			var str string
-			if len(s) > 0 {
-				str = unsafe.String(&s[0], len(s))
+			if r.fail {
+				return errBadBatch
 			}
-			ts[i].Vals[col] = data.Value{T: data.TString, S: str}
+			ts[i].Vals[col] = data.Value{T: data.TString, S: d.str(b)}
 		}
 		return nil
 	}

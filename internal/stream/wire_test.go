@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"aspen/internal/data"
 	"aspen/internal/vtime"
@@ -267,6 +269,57 @@ func FuzzWireBatch(f *testing.F) {
 			t.Fatalf("round-trip law broken:\n in  %v\n out %v", first, again)
 		}
 	})
+}
+
+// TestDecoderInternsStrings: a short string that recurs across frames — a
+// room name in every reading — decodes to one shared copy and costs no
+// allocation once seen; a long string is a copy of its own each time; and a
+// column of ever-new values keeps the intern table within maxInterned.
+func TestDecoderInternsStrings(t *testing.T) {
+	rooms := make([]data.Tuple, 256)
+	for i := range rooms {
+		rooms[i] = data.NewTuple(vtime.Time(i), data.Str(fmt.Sprintf("R%03d", i%8)), data.Str(strings.Repeat("x", maxInternLen+1)))
+	}
+	body := appendBatch(nil, rooms)
+	var dec batchDecoder
+	decode := func() []data.Tuple {
+		br := byteReader{b: body}
+		ts, err := dec.decode(&br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	first := unsafe.StringData(decode()[0].Vals[0].S)
+	ts := decode()
+	if !tuplesEq(rooms, ts) {
+		t.Fatal("round trip mismatch")
+	}
+	if unsafe.StringData(ts[0].Vals[0].S) != first || unsafe.StringData(ts[8].Vals[0].S) != first {
+		t.Error("a recurring short string decoded to a new copy")
+	}
+	if unsafe.StringData(ts[0].Vals[1].S) == unsafe.StringData(ts[1].Vals[1].S) {
+		t.Error("two long strings share one copy")
+	}
+	// The values arena, and one copy per long string.
+	if n := testing.AllocsPerRun(20, func() { decode() }); n != 1+256 {
+		t.Errorf("decoding a frame of recurring rooms allocates %v times, want %d", n, 1+256)
+	}
+	for i := range rooms {
+		rooms[i].Vals = rooms[i].Vals[:1]
+	}
+	for k := range 5 {
+		for i := range rooms {
+			rooms[i].Vals[0] = data.Str(fmt.Sprintf("s%d-%d", k, i))
+		}
+		body = appendBatch(nil, rooms)
+		if ts := decode(); !tuplesEq(rooms, ts) {
+			t.Fatal("round trip mismatch")
+		}
+		if len(dec.interned) > maxInterned {
+			t.Fatalf("the intern table holds %d strings, bound %d", len(dec.interned), maxInterned)
+		}
+	}
 }
 
 // numericBatch builds the join+aggregate pipeline's numeric batch (int key,
