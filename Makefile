@@ -116,15 +116,17 @@ endef
 # exactly the admitted tuples and the result matches serial after every
 # tick; every replica call returns at most one result frame, split only
 # past the frame cap; and neither end's decoder pins a consumed frame. The
-# exchange's batching rides along: each shard's batch is kept across pushes
-# and ships when full or at a tick, barrier, checkpoint, rescale or close
-# (the pending-batch differential against serial, in-process and on a
-# loopback worker, and the ship-point and frame-count pins); a worker ticks
-# its replicas in shard order; and a kept row pins no other row's string.
+# exchange's batching rides along: an in-process shard's batch ships at
+# every push, a worker-hosted shard's is kept across pushes and ships when
+# full or at a tick, barrier, checkpoint, rescale or close (the
+# pending-batch differential against serial, in-process and on a loopback
+# worker, the ship-point and frame-count pins, and when a result changes
+# for a consumer that never flushes); a worker ticks its replicas in shard
+# order; and a kept row pins no other row's string.
 # Mirrored by the CI `distributed` job.
 .PHONY: dist
 dist:
-	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch|ShardDifferentialPendingBatches,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
+	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch|ShardDifferentialPendingBatches|ShardedChangesReachResultWithoutFlush,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
 	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing|KeptRowsPinNoFrame|DecoderInternsStrings|SharderShipPoints|WorkerTicksInShardOrder,./internal/stream/)
 	$(call race_run,RemoteSensorFragment|FragmentIneligible|FragmentQueriesReadOnlyTheirOwnReadings|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
 	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)

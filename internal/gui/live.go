@@ -29,7 +29,11 @@ func NewRepainter(out io.Writer, render func() string) *Repainter {
 // Watch marks the repainter dirty whenever the materialized result
 // changes, chaining any OnChange hook already installed. Changes arriving
 // from shard workers are safe: the hook installs under the materialize's
-// lock, Invalidate is locked, and Paint runs on the demo goroutine.
+// lock, Invalidate is locked, and Paint runs on the demo goroutine. The
+// hook fires when a change reaches the result: a serial query's within its
+// push, an in-process shard's one queue hop after it, and a ShardWorker-
+// hosted shard's at the engine's next tick at the latest
+// (stream.Sharder.PushBatch).
 func (r *Repainter) Watch(m *stream.Materialize) {
 	m.ChainOnChange(r.Invalidate)
 }

@@ -33,7 +33,13 @@ func (th TableHead) Load(rows []data.Tuple) {
 // Deployment is a compiled continuous query running on a stream engine.
 type Deployment struct {
 	// Result is the materialized continuous result; displays snapshot it
-	// with the plan's ORDER BY / LIMIT.
+	// with the plan's ORDER BY / LIMIT. Deployment.Snapshot flushes first,
+	// so it reflects every push. Without a flush (Result.OnChange, a direct
+	// read), what a push changes shows once it is processed: a serial
+	// query's within the push, an in-process shard's one queue hop after
+	// it, and a ShardWorker-hosted shard's at the engine's next tick at the
+	// latest, because the exchange holds a worker-hosted shard's batch
+	// until then or until it fills (stream.Sharder.PushBatch).
 	Result  *stream.Materialize
 	OrderBy []stream.OrderSpec
 	Limit   int

@@ -5,20 +5,23 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"aspen/internal/data"
 	"aspen/internal/stream"
 	"aspen/internal/vtime"
 )
 
-// The pending-batch differential. An exchange keeps each shard's batch
-// across PushBatch calls and ships it at the set's next tick, barrier,
-// checkpoint, close or full batch (stream.Sharder.PushBatch). These runs
-// push the workload as several batches between ticks, and stop at random
-// points where batches were pushed since the last tick to flush, save and
-// restore the coordinator, rescale and kill a worker; the run ends with
-// batches pending and closes the deployment. After every tick, every flush,
-// every restore and the close, the result must be multiset-equal to serial.
+// The pending-batch differential. An exchange keeps a worker-hosted shard's
+// batch across PushBatch calls and ships it at the set's next tick,
+// barrier, checkpoint, close or full batch; an in-process shard's ships at
+// the end of each call (stream.Sharder.PushBatch). These runs push the
+// workload as several batches between ticks, and stop at random points
+// where batches were pushed since the last tick to flush, save and restore
+// the coordinator, rescale and kill a worker; the run ends with batches
+// pushed since the last tick and closes the deployment. After every tick,
+// every flush, every restore and the close, the result must be
+// multiset-equal to serial.
 //
 // Every tuple pushed between two ticks carries the time of the tick before
 // it. A time window expires what a newer tuple pushes out as well as what a
@@ -225,7 +228,9 @@ func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote bool) {
 }
 
 // TestShardDifferentialPendingBatches runs the pending-batch differential
-// with every shard in-process; tune with -fuzzshard.seed / -fuzzshard.n.
+// with every shard in-process, where nothing stays pending past a call: it
+// checks that several calls between ticks match serial there too; tune with
+// -fuzzshard.seed / -fuzzshard.n.
 func TestShardDifferentialPendingBatches(t *testing.T) {
 	runPendingDifferential(t, *fuzzSeed+13000, max(*fuzzN/5, 4), false)
 }
@@ -234,4 +239,65 @@ func TestShardDifferentialPendingBatches(t *testing.T) {
 // loopback worker, failover armed, adding a rescale and a worker kill.
 func TestShardDifferentialPendingBatchesRemote(t *testing.T) {
 	runPendingDifferential(t, *fuzzSeed+14000, max(*fuzzN/5, 4), true)
+}
+
+// TestShardedChangesReachResultWithoutFlush pins when a sharded result
+// changes for a consumer that never ticks or flushes — a display's
+// OnChange hook. In process, a push's change arrives on its own; on a
+// worker, once the shard's batch fills (the exchange writes a full batch at
+// once), and otherwise at the next tick.
+func TestShardedChangesReachResultWithoutFlush(t *testing.T) {
+	wk, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wk.Close() })
+	for _, c := range []struct {
+		name  string
+		nodes []string
+	}{{"in-process", nil}, {"worker", []string{wk.Addr()}}} {
+		t.Run(c.name, func(t *testing.T) {
+			p := compileRemoteJoinAgg(t, 2, c.nodes, false)
+			changed := make(chan struct{}, 1)
+			p.dep.Result.ChainOnChange(func() {
+				select {
+				case changed <- struct{}{}:
+				default:
+				}
+			})
+			await := func(what string, within time.Duration, want bool) {
+				t.Helper()
+				select {
+				case <-changed:
+					if !want {
+						t.Fatalf("%s: the result changed", what)
+					}
+				case <-time.After(within):
+					if want {
+						t.Fatalf("%s: the result did not change in %v", what, within)
+					}
+				}
+			}
+			var g epochGen
+			g.feed(p.l, p.r)
+			if c.nodes == nil {
+				await("one push, in process", 10*time.Second, true)
+				return
+			}
+			await("one push, on a worker", 100*time.Millisecond, false)
+			p.eng.Advance(g.ts)
+			await("the tick after one push", 10*time.Second, true)
+			p.dep.Flush()
+			select {
+			case <-changed:
+			default:
+			}
+			// 24 epochs route at least 768 tuples per input to the shard
+			// that owns half the keys or more: full batches on both sides.
+			for range 24 {
+				g.feed(p.l, p.r)
+			}
+			await("full batches, on a worker", 10*time.Second, true)
+		})
+	}
 }

@@ -212,27 +212,23 @@ func (s *callSplitter) PushBatch(ts []data.Tuple) {
 func (s *callSplitter) frames() int64 {
 	n := int64(0)
 	for j, c := range s.shards {
-		n += int64((c + shardBatch - 1) / shardBatch)
+		n += int64((c + stream.ShardBatchCap - 1) / stream.ShardBatchCap)
 		s.shards[j] = 0
 	}
 	return n
 }
-
-// shardBatch is stream's shardBatchCap: the exchange ships a shard's
-// pending batch once it holds this many tuples.
-const shardBatch = 256
 
 // TestResultFramesPerEpoch pins the frames the join+aggregate pipeline
 // exchanges at P=2 over ten epochs, each some generator epochs of two
 // 32-tuple batches pushed as calls PushBatch calls per input, one tick and
 // a Flush, counted where the coordinator writes and reads them.
 //
-// Data frames: the exchange keeps each shard's batch across calls and ships
-// it when it holds 256 tuples or at the tick, so an epoch costs one frame
-// per input and shard, plus one per full batch, however many calls pushed
-// it (before, one per call and shard: 160 for the four-call case). The
-// splitter counts what each shard is routed and the test derives that
-// number exactly.
+// Data frames: the exchange keeps a worker-hosted shard's batch across calls
+// and ships it when it holds stream.ShardBatchCap tuples or at the tick, so
+// an epoch costs one frame per input and shard, plus one per full batch,
+// however many calls pushed it (before, one per call and shard: 160 for the
+// four-call case). The splitter counts what each shard is routed and the
+// test derives that number exactly.
 //
 // Result frames: every replica call — a data frame into one of its heads,
 // or a tick — returns at most one, however many rows it emits. With one

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"aspen/internal/data"
 	"aspen/internal/vtime"
@@ -26,6 +27,13 @@ func (r *batchRecorder) PushBatch(ts []data.Tuple) {
 	r.mu.Lock()
 	r.sizes = append(r.sizes, len(ts))
 	r.mu.Unlock()
+}
+
+// count reports how many batches were recorded since the last take.
+func (r *batchRecorder) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.sizes)
 }
 
 // take returns and clears the recorded batch sizes.
@@ -54,11 +62,15 @@ func (sh *Sharder) pending() []int {
 	return n
 }
 
-// TestSharderShipPoints pins when a Sharder's pending batch ships: not at
-// the end of a PushBatch call, but when it reaches shardBatchCap, and at
-// the set's tick (Advance), barrier (Flush), checkpoint (CheckpointAll),
-// rescale and Close. Between two of those, however many calls pushed, each
-// shard receives its tuples as one batch, in process or over the wire.
+// TestSharderShipPoints pins when a Sharder's pending batch ships. A shard
+// whose replica runs in process takes one batch at the end of every
+// PushBatch call, so its worker goroutine starts on it beside the producer.
+// A worker-hosted shard's batch outlives the call: it ships when it reaches
+// ShardBatchCap, and at the set's tick (Advance), barrier (Flush),
+// checkpoint (CheckpointAll), rescale and Close. Between two of those,
+// however many calls pushed, the worker-hosted shard receives its tuples as
+// one batch. Shard 0 starts in process and shard 1 on a worker; a rescale
+// swaps them.
 func TestSharderShipPoints(t *testing.T) {
 	set := NewShardSet(2)
 	sh := must[*Sharder](t)(NewSharder(set, "in", keySchema(), []int{0}))
@@ -71,7 +83,7 @@ func TestSharderShipPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	if err := set.Deploy(ShardConfig{Sink: NewCollector(keySchema()), LocalDeploy: deploy}, []string{"", ""}, nil); err != nil {
+	if err := set.Deploy(ShardConfig{Sink: NewCollector(keySchema()), LocalDeploy: deploy}, []string{"", w.Addr()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer set.Close()
@@ -88,82 +100,121 @@ func TestSharderShipPoints(t *testing.T) {
 			sh.PushBatch(b)
 		}
 	}
-	held := func(label string, want int) {
+	// held checks what the exchange holds for each shard.
+	held := func(label string, want ...int) {
 		t.Helper()
-		p := sh.pending()
-		if p[0]+p[1] != want {
-			t.Fatalf("%s: the exchange holds %v tuples per shard, want %d in all", label, p, want)
+		if p := sh.pending(); !slices.Equal(p, want) {
+			t.Fatalf("%s: the exchange holds %v tuples per shard, want %v", label, p, want)
 		}
 	}
-	// shipped checks that each shard received exactly one batch since the
-	// last check and that the two held total tuples.
-	shipped := func(label string, total int) {
+	// shipped checks that shard j received n batches since the last check,
+	// and returns how many tuples they held.
+	shipped := func(label string, j, n int) int {
 		t.Helper()
-		a, b := recs[0].take(), recs[1].take()
-		if len(a) != 1 || len(b) != 1 || a[0]+b[0] != total {
-			t.Fatalf("%s: shards received batches %v and %v, want one each, %d tuples in all", label, a, b, total)
+		set.mu.RLock()
+		inProcess := set.homes[j].conn == nil
+		set.mu.RUnlock()
+		if inProcess {
+			// Wait for the shard's queue to run what it was sent, without
+			// shipping what the exchange holds (Flush would).
+			var wg sync.WaitGroup
+			wg.Add(1)
+			set.queues[j] <- shardMsg{kind: msgBarrier, wg: &wg}
+			wg.Wait()
 		}
+		got := recs[j].take()
+		if len(got) != n {
+			t.Fatalf("%s: shard %d received batches %v, want %d", label, j, got, n)
+		}
+		sum := 0
+		for _, k := range got {
+			sum += k
+		}
+		return sum
 	}
 
 	push(3, 16)
-	held("three calls", 48)
+	local := shipped("three calls", 0, 3)
+	held("three calls", 0, 48-local)
 	set.Advance(vtime.Time(1))
-	held("after the tick", 0)
+	held("after the tick", 0, 0)
 	set.Flush()
-	shipped("tick", 48)
+	if n := shipped("tick", 1, 1); n != 48-local {
+		t.Fatalf("tick: shard 1 received %d tuples, want %d", n, 48-local)
+	}
 
 	push(4, 8)
-	held("four calls", 32)
+	local = shipped("four calls", 0, 4)
+	held("four calls", 0, 32-local)
 	set.Flush()
-	shipped("flush", 32)
+	shipped("flush", 1, 1)
 
 	push(2, 8)
+	local = shipped("two calls", 0, 2)
 	if _, err := set.CheckpointAll(nil); err != nil {
 		t.Fatal(err)
 	}
-	held("after a checkpoint", 0)
-	shipped("checkpoint", 16) // CheckpointAll barriers the queues itself
+	held("after a checkpoint", 0, 0)
+	if n := shipped("checkpoint", 1, 1); n != 16-local { // CheckpointAll barriers the worker itself
+		t.Fatalf("checkpoint: shard 1 received %d tuples, want %d", n, 16-local)
+	}
 
-	// One key, one shard: the 256th tuple fills the batch, which ships
-	// without waiting for a tick.
+	// One key on shard 1: the ShardBatchCap-th tuple fills the batch, which
+	// ships without waiting for a tick.
+	var k1 int64
+	for set.p > 1 && sh.hasher.HashOn(data.NewTuple(0, data.Int(k1)), sh.keyIdx)%2 != 1 {
+		k1++
+	}
 	one := func(n int) {
 		b := make([]data.Tuple, n)
 		for i := range b {
-			b[i] = data.NewTuple(vtime.Time(i+1), data.Int(3))
+			b[i] = data.NewTuple(vtime.Time(i+1), data.Int(k1))
 		}
 		sh.PushBatch(b)
 	}
-	for range shardBatchCap / 64 {
+	for range ShardBatchCap / 64 {
 		one(64)
 	}
-	held("a full batch", 0)
-	one(5)
-	held("five past a full batch", 5)
-	set.Flush()
-	var got []int
-	for _, r := range recs {
-		got = append(got, r.take()...)
+	held("a full batch", 0, 0)
+	// The full batch is written at once: the worker has it before any
+	// tick or barrier.
+	for deadline := time.Now().Add(10 * time.Second); recs[1].count() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a full batch did not reach its worker without a tick or flush")
+		}
 	}
-	if slices.Sort(got); !slices.Equal(got, []int{5, shardBatchCap}) {
-		t.Fatalf("one key, %d+5 tuples: batches %v, want [5 %d]", shardBatchCap, got, shardBatchCap)
+	one(5)
+	held("five past a full batch", 0, 5)
+	set.Flush()
+	if got := recs[1].take(); !slices.Equal(got, []int{ShardBatchCap, 5}) {
+		t.Fatalf("one key, %d+5 tuples: batches %v, want [%d 5]", ShardBatchCap, got, ShardBatchCap)
 	}
 
 	// A rescale drains the exchange to the shards' old homes before it
-	// checkpoints and moves them; shard 0 then takes its batches by wire.
+	// checkpoints and moves them; then shard 0 takes its batches by wire,
+	// and shard 1 one per call.
 	push(2, 8)
+	local = shipped("before the rescale", 0, 2)
 	if err := set.Rescale([]string{w.Addr(), ""}); err != nil {
 		t.Fatal(err)
 	}
-	held("after a rescale", 0)
-	shipped("rescale", 16)
+	held("after a rescale", 0, 0)
+	if n := shipped("rescale", 1, 1); n != 16-local {
+		t.Fatalf("rescale: shard 1 received %d tuples, want %d", n, 16-local)
+	}
 	push(3, 8)
+	local = shipped("three calls after the move", 1, 3)
+	held("three calls after the move", 24-local, 0)
 	set.Flush()
-	shipped("flush after the move", 24)
+	shipped("flush after the move", 0, 1)
 
 	push(2, 8)
-	held("before close", 16)
+	local = shipped("before close", 1, 2)
+	held("before close", 16-local, 0)
 	set.Close()
-	shipped("close", 16)
+	if n := shipped("close", 0, 1); n != 16-local {
+		t.Fatalf("close: shard 0 received %d tuples, want %d", n, 16-local)
+	}
 }
 
 // tickRecorder is a replica advancer that sends its shard number each tick.

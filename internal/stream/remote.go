@@ -1113,18 +1113,19 @@ func (c *ShardConn) SendBatch(shard int, name string, ts []data.Tuple) error {
 	if len(ts) == 0 {
 		return nil
 	}
-	return c.sendShard(shard, name, headKey(shard, name), ts)
+	return c.sendShard(shard, name, headKey(shard, name), ts, false)
 }
 
 // sendShard is SendBatch with the wire key precomposed (RemoteHead caches
 // it, keeping the exchange's per-batch path free of formatting
-// allocations). The frame coalesces in the write buffer until the next
-// flush point — normally the tick that ends the epoch.
-func (c *ShardConn) sendShard(shard int, name, key string, ts []data.Tuple) error {
+// allocations). Unless force writes it at once, the frame coalesces in the
+// write buffer until the next flush point — normally the tick that ends the
+// epoch.
+func (c *ShardConn) sendShard(shard int, name, key string, ts []data.Tuple, force bool) error {
 	if len(ts) == 0 {
 		return nil
 	}
-	return c.sendFrame(shard, name, key, ts, false, 0, false)
+	return c.sendFrame(shard, name, key, ts, false, 0, force)
 }
 
 // Tick advances every replica window deployed over this stream, flushes
@@ -1189,5 +1190,5 @@ func (h *RemoteHead) Push(t data.Tuple) { h.PushBatch([]data.Tuple{t}) }
 
 // PushBatch implements Operator.
 func (h *RemoteHead) PushBatch(ts []data.Tuple) {
-	_ = h.conn.sendShard(h.shard, h.name, h.key, ts)
+	_ = h.conn.sendShard(h.shard, h.name, h.key, ts, false)
 }

@@ -136,9 +136,9 @@ func TestResultFramesSplitAtCap(t *testing.T) {
 	}
 	serial := NewTimeWindow(want, time.Minute, 0)
 	push := func(from, n int, at vtime.Time) {
-		for lo := from; lo < from+n; lo += shardBatchCap {
+		for lo := from; lo < from+n; lo += ShardBatchCap {
 			var b []data.Tuple
-			for i := lo; i < min(lo+shardBatchCap, from+n); i++ {
+			for i := lo; i < min(lo+ShardBatchCap, from+n); i++ {
 				b = append(b, data.NewTuple(at, data.Str(fmt.Sprintf("r%d", i%97)), data.Float(float64(i))))
 			}
 			serial.PushBatch(b)

@@ -24,16 +24,17 @@ import (
 // travels through queue j, so replica operators never see two goroutines
 // and need no locks. Only the funnel sink behind Merge is shared.
 //
-// Batching: a Sharder collects each shard's tuples across PushBatch calls
-// (see Sharder.PushBatch for when they ship). A replica sees every tuple
-// before the tick or barrier that followed its push; between two of those,
-// it takes each exchange's batch in turn rather than in the order the
-// calls interleaved, which leaves the result multiset at every tick and
-// barrier unchanged.
+// Batching: a Sharder ships an in-process shard's tuples at the end of each
+// PushBatch call, and collects a worker-hosted shard's across calls (see
+// Sharder.PushBatch for when they ship). A replica sees every tuple before
+// the tick or barrier that followed its push; between two of those, a
+// worker-hosted one takes each exchange's batch in turn rather than in the
+// order the calls interleaved, which leaves the result multiset at every
+// tick and barrier unchanged.
 
-// shardBatchCap is the capacity of recycled batch buffers: a Sharder ships
+// ShardBatchCap is the capacity of recycled batch buffers: a Sharder ships
 // a shard's pending batch once it holds this many tuples.
-const shardBatchCap = 256
+const ShardBatchCap = 256
 
 // shardQueueCap bounds each shard's message queue; producers block when a
 // worker falls this far behind (backpressure instead of unbounded memory).
@@ -492,7 +493,7 @@ func (s *ShardSet) buf() []data.Tuple {
 	case b := <-s.free:
 		return b
 	default:
-		return make([]data.Tuple, 0, shardBatchCap)
+		return make([]data.Tuple, 0, ShardBatchCap)
 	}
 }
 
@@ -534,17 +535,35 @@ func (s *ShardSet) sendLocked(j int, head Operator, batch []data.Tuple) {
 }
 
 // sendRemote encodes batch onto c for the replica head names and recycles
-// the buffer.
+// the buffer. A full batch is written to the socket at once, so the worker
+// starts on it while the producer is still pushing; a partial one ships at
+// a tick, barrier, rescale or close, each of which writes what is buffered
+// anyway.
 func (s *ShardSet) sendRemote(c *ShardConn, head Operator, batch []data.Tuple) {
 	rh := head.(*RemoteHead)
-	_ = c.sendShard(rh.shard, rh.name, rh.key, batch)
+	_ = c.sendShard(rh.shard, rh.name, rh.key, batch, len(batch) == ShardBatchCap)
 	s.recycle(batch)
 }
 
+// shipLocal ships sh's pending batches for shards whose replica runs in
+// process, at the end of a PushBatch call; a batch for a worker home stays
+// pending (see Sharder.PushBatch). Caller holds sh.mu.
+func (s *ShardSet) shipLocal(sh *Sharder) {
+	s.mu.RLock()
+	for j, b := range sh.pend {
+		if len(b) > 0 && s.homes[j].conn == nil {
+			s.sendLocked(j, sh.heads[j], b)
+			sh.pend[j] = nil
+		}
+	}
+	s.mu.RUnlock()
+}
+
 // shipPending ships every exchange's pending batches (Sharder.PushBatch
-// keeps them across calls), so that what was pushed before a tick, barrier
-// or close reaches the replicas ahead of it. It takes each Sharder's lock
-// and, through send, the set's read lock, so the caller holds neither.
+// keeps a worker home's across calls), so that what was pushed before a
+// tick, barrier or close reaches the replicas ahead of it. It takes each
+// Sharder's lock and, through send, the set's read lock, so the caller
+// holds neither.
 func (s *ShardSet) shipPending() {
 	s.mu.RLock()
 	sharders, live := s.sharders, s.started && !s.closed
@@ -757,7 +776,7 @@ func deliver(moved []int, staged map[int]home, entries []logEntry) error {
 		case conn != nil && e.tick:
 			err = conn.Tick(e.now)
 		case conn != nil:
-			err = conn.sendShard(e.shard, e.name, headKey(e.shard, e.name), e.batch)
+			err = conn.sendShard(e.shard, e.name, headKey(e.shard, e.name), e.batch, false)
 		case e.tick:
 			for _, j := range moved {
 				for _, a := range staged[j].advs {
@@ -991,19 +1010,25 @@ func (sh *Sharder) Schema() *data.Schema { return sh.schema }
 func (sh *Sharder) Push(t data.Tuple) { sh.PushBatch([]data.Tuple{t}) }
 
 // PushBatch implements Operator: the batch is split by key partition into
-// each shard's pending batch, which outlives the call. A pending batch
-// ships — one queue message, or one data frame to a worker — when it
-// reaches shardBatchCap tuples, and otherwise when the set next ticks
-// (Advance), barriers (Flush, and so Deployment.Snapshot and
-// CheckpointAll), closes, or drains for a rescale. Every one of those
-// ships first, so a replica sees each tuple before the tick or barrier that
-// followed its push, and fewer, larger batches reach it than the producer
-// pushed.
+// each shard's pending batch. When the call returns, a batch for an
+// in-process replica has shipped as one queue message, so its worker
+// goroutine starts on it beside the producer. A batch for a replica on a
+// ShardWorker outlives the call: it ships as one data frame, written at
+// once, when it reaches ShardBatchCap tuples, and otherwise when the set
+// next ticks (Advance), barriers (Flush, and so Deployment.Snapshot and
+// CheckpointAll), closes, or drains for a rescale. Every one of those ships
+// first, so a replica sees each tuple before the tick or barrier that
+// followed its push, and a worker takes fewer, larger frames than the
+// producer made calls. A consumer that neither ticks nor flushes — a
+// Materialize OnChange hook, a display painting on it — therefore sees a
+// worker-hosted shard's output for a push at the next tick, or sooner once
+// its shard's batch fills.
 func (sh *Sharder) PushBatch(ts []data.Tuple) {
 	sh.mu.Lock()
 	for _, t := range ts {
 		sh.route(t)
 	}
+	sh.set.shipLocal(sh)
 	sh.mu.Unlock()
 }
 

@@ -96,12 +96,13 @@ const wireMaxFrame = 1 << 26
 // wireFlushBytes is the write-combining threshold: each end buffers the
 // frames it encodes per connection and writes them once this much is
 // pending, or earlier at a tick, barrier or credit wait. The exchange ships
-// a shard's batch when it holds shardBatchCap tuples (several KiB on the
-// wire) or at the tick, so an epoch is a few large data frames, not one per
-// push: the threshold sets how soon a full batch reaches its worker while
-// the producer is still pushing, and how soon a worker's result frames
-// reach the coordinator. Of 4, 8, 16 and 32 KiB, 16 read best on the
-// remote pipeline benchmark (PERF.md has the sweep).
+// a worker-hosted shard's batch when it holds ShardBatchCap tuples (several
+// KiB on the wire), which it writes at once, or at the tick, so an epoch is
+// a few large data frames, not one per push. The threshold therefore
+// matters most on the worker: it sets how soon the result frames of the
+// calls a worker has run reach the coordinator while more frames wait. Of
+// 4, 8, 16 and 32 KiB, 16 read best on the remote pipeline benchmark
+// (PERF.md has the sweep).
 const wireFlushBytes = 16 << 10
 
 // Batch body layout discriminators.
