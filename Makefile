@@ -122,12 +122,15 @@ endef
 # pending-batch differential against serial, in-process and on a loopback
 # worker, the ship-point and frame-count pins, and when a result changes
 # for a consumer that never flushes); a worker ticks its replicas in shard
-# order; and a kept row pins no other row's string.
+# order; and a kept row pins no other row's string. The link's one request
+# path rides along: the frame protocol round trip and the stalled worker
+# (every request carries its sequence number in the header), and the
+# hostile-frame fuzz seeds fed to both ends of the link.
 # Mirrored by the CI `distributed` job.
 .PHONY: dist
 dist:
 	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch|ShardDifferentialPendingBatches|ShardedChangesReachResultWithoutFlush,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
-	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing|KeptRowsPinNoFrame|DecoderInternsStrings|SharderShipPoints|WorkerTicksInShardOrder,./internal/stream/)
+	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing|KeptRowsPinNoFrame|DecoderInternsStrings|SharderShipPoints|WorkerTicksInShardOrder|ShardConnRoundtrip|ShardConnStalledWorker|FuzzShardFrames,./internal/stream/)
 	$(call race_run,RemoteSensorFragment|FragmentIneligible|FragmentQueriesReadOnlyTheirOwnReadings|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
 	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)
 
@@ -140,11 +143,14 @@ dist:
 # failure, rejoin, wedged worker, per-operator checkpoint round-trips)
 # rides along, as do a kill that cuts a link between a coalesced result
 # frame and its credit ack, the sharded-selection differential's worker
-# kill, and the pending-batch differential's kill with batches held in the
-# exchange. Mirrored by the CI `distributed` job.
+# kill, the pending-batch differential's kill with batches held in the
+# exchange, and its kill-then-close case: batches Close ships to a worker
+# killed after the last tick are replayed, not lost. The home-transition
+# table pins that a checkpoint's states come from its reply, with or
+# without a replay log. Mirrored by the CI `distributed` job.
 .PHONY: chaos
 chaos:
-	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill|ShardDifferentialChaosCoalescedFrameCut|ShardedSelectionDifferential|ShardDifferentialPendingBatchesRemote,./internal/plan/,-fuzzshard.kill=8)
+	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill|ShardDifferentialChaosCoalescedFrameCut|ShardedSelectionDifferential|ShardDifferentialPendingBatchesRemote|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.kill=8)
 	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
 	$(call race_run,RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart,./internal/core/)
 	$(call race_run,SnapshotSaveCrashPoints,./internal/plan/)
@@ -167,12 +173,18 @@ chaos:
 # differential's save, restore and rescale run with batches held in the
 # exchange, which a rescale drains to the shards' old homes first.
 # The stream-level elastic matrix (pool eviction/redial race,
-# per-shard undeploy, rescale validation, the exchange's ship points)
-# rides along. Mirrored by the CI `distributed` job.
+# per-shard undeploy, rescale validation, the exchange's ship points, and
+# the home-transition table, whose rescales and CheckpointAll read every
+# worker's states from the checkpoint reply — no replay log without
+# failover, exactly the committed states with it; and the rescale
+# differential, whose rescale onto a refused address fails at once, with no
+# failover to retry behind) rides along, as does the kill-then-close
+# differential, whose close waits out the failover.
+# Mirrored by the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches,./internal/plan/,-fuzzshard.elastic=6)
-	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 
 # fuzz-smoke gives every fuzz target a short run: the seed corpus alone
@@ -182,7 +194,7 @@ elastic:
 # `go test -list` that each target still exists, since -run and -fuzz pass
 # silently when a renamed target matches nothing.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/
+FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/ FuzzShardFrames:./internal/stream/
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	@for tp in $(FUZZ_TARGETS); do \

@@ -123,7 +123,7 @@ func (g *epochGen) feed(l, r stream.Operator) {
 //     groups' averages, and sends them in one frame, while a right batch
 //     leaves every average where it was;
 //   - the barrier: flushOnce's WaitGroup and error slots (2); per link,
-//     registerWait's ack channel and its waits entry (2) and awaitAck's
+//     ShardConn.request's reply channel and its waits entry (2) and its
 //     stall timer (3); and the goroutine that runs each link's barrier past
 //     the first (2) — 7 at W=1, 14 at W=2.
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,9 +20,11 @@ import (
 // workload as several batches between ticks, and stop at random points
 // where batches were pushed since the last tick to flush, save and restore
 // the coordinator, rescale and kill a worker; the run ends with batches
-// pushed since the last tick and closes the deployment. After every tick,
-// every flush, every restore and the close, the result must be
-// multiset-equal to serial.
+// pushed since the last tick and closes the deployment — in the
+// kill-then-close case, with a worker hosting a shard killed after the
+// last tick, so those batches go to a dead link and Close must see them
+// replayed. After every tick, every flush, every restore and the close, the
+// result must be multiset-equal to serial.
 //
 // Every tuple pushed between two ticks carries the time of the tick before
 // it. A time window expires what a newer tuple pushes out as well as what a
@@ -97,11 +100,14 @@ func (s pendingStep) push(eng *stream.Engine) bool {
 // every shard on one of two loopback workers and checkpointed failover
 // armed. Each sharded run takes its control actions at batch steps before
 // the last tick: in-process a flush and a save+restore, remote also a
-// rescale and a worker kill. It fails if no action found a batch pushed
-// since the last tick, which would make the run vacuous.
-func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote bool) {
+// rescale and a worker kill. With killClose (remote only) it also kills a
+// worker that hosts a shard right after the last tick, before the batches
+// the close must ship. It fails if no action found a batch pushed since the
+// last tick, or no kill-then-close found a worker hosting a shard, which
+// would make the run vacuous.
+func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote, killClose bool) {
 	sources := fuzzSources()
-	sharded, held := 0, 0
+	sharded, held, killClosed := 0, 0, 0
 	for pi := 0; pi < nPlans; pi++ {
 		rng := rand.New(rand.NewSource(seed + int64(pi)))
 		g := &fuzzGen{rng: rng, sources: sources}
@@ -158,8 +164,23 @@ func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote bool) {
 				requireEqualRows(t, fmt.Sprintf("%s: %s\nplan: %s", ctx, at, root),
 					snapshotSorted(t, dep), snapshotSorted(t, sdep))
 			}
+			killed := !killClose // the kill-then-close kill is done
+			killHost := func() {
+				killed = true
+				for _, a := range dep.Placement() {
+					if i := slices.Index(alive, a); a != "" && i >= 0 {
+						cl.kill(slices.Index(cl.addrs, a))
+						alive = slices.Delete(alive, i, i+1)
+						killClosed++
+						return
+					}
+				}
+			}
 			pushed := false // a scanned input was pushed since the last tick
 			for i, s := range steps {
+				if i > lastTick && !killed {
+					killHost()
+				}
 				if s.tick != 0 {
 					seng.Advance(s.tick)
 					eng.Advance(s.tick)
@@ -207,9 +228,13 @@ func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote bool) {
 				}
 			}
 			// The run ends with batches pushed since the last tick: Close
-			// must ship them before it tears the shards down.
+			// must ship them before it tears the shards down, and replay
+			// what went to a killed worker.
 			if pushed {
 				held++
+			}
+			if !killed {
+				killHost()
 			}
 			dep.Close()
 			got, err := dep.Result.Snapshot(dep.OrderBy, dep.Limit)
@@ -221,9 +246,9 @@ func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote bool) {
 			coord.Close()
 		}
 	}
-	t.Logf("seed %d: %d plans, %d sharded runs, %d actions and closes with batches pending", seed, nPlans, sharded, held)
-	if sharded == 0 || held == 0 {
-		t.Fatalf("%d sharded runs, %d actions with batches pending: the differential ran vacuously", sharded, held)
+	t.Logf("seed %d: %d plans, %d sharded runs, %d actions and closes with batches pending, %d kills before a close", seed, nPlans, sharded, held, killClosed)
+	if sharded == 0 || held == 0 || killClose && killClosed == 0 {
+		t.Fatalf("%d sharded runs, %d actions with batches pending, %d kills before a close: the differential ran vacuously", sharded, held, killClosed)
 	}
 }
 
@@ -232,13 +257,21 @@ func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote bool) {
 // checks that several calls between ticks match serial there too; tune with
 // -fuzzshard.seed / -fuzzshard.n.
 func TestShardDifferentialPendingBatches(t *testing.T) {
-	runPendingDifferential(t, *fuzzSeed+13000, max(*fuzzN/5, 4), false)
+	runPendingDifferential(t, *fuzzSeed+13000, max(*fuzzN/5, 4), false, false)
 }
 
 // TestShardDifferentialPendingBatchesRemote runs it with every shard on a
 // loopback worker, failover armed, adding a rescale and a worker kill.
 func TestShardDifferentialPendingBatchesRemote(t *testing.T) {
-	runPendingDifferential(t, *fuzzSeed+14000, max(*fuzzN/5, 4), true)
+	runPendingDifferential(t, *fuzzSeed+14000, max(*fuzzN/5, 4), true, false)
+}
+
+// TestShardDifferentialKillThenClose is the remote case whose close
+// follows a kill: a worker hosting a shard dies after the last tick, the
+// batches pushed after it are shipped to the dead link by Close, and Close
+// must wait out the failover that replays them, not drop them.
+func TestShardDifferentialKillThenClose(t *testing.T) {
+	runPendingDifferential(t, *fuzzSeed+15000, max(*fuzzN/5, 4), true, true)
 }
 
 // TestShardedChangesReachResultWithoutFlush pins when a sharded result

@@ -211,7 +211,7 @@ func encodeReplica(root Node, split *Aggregate, frags []wireFragment) ([]byte, e
 }
 
 // scanName is the wire name of the i-th scan (plan walk order); the
-// coordinator's RemoteHeads and the worker's registered heads agree on it
+// coordinator's exchanges and the worker's registered heads agree on it
 // because both sides walk the identical decoded tree.
 func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -205,7 +206,8 @@ func mustRescale(t *testing.T, s *ShardSet, loc []string) {
 // through the full placement matrix — drain onto one worker, scale to
 // zero workers (all in-process), spread back out mixed — checking the
 // materialized result against a lockstep serial reference after every
-// move, and takes a CheckpointAll barrier (with sidecar) mid-serve.
+// move, takes a CheckpointAll barrier (with sidecar) mid-serve, and tries
+// a rescale onto a refused address, which must fail and move nothing.
 // Planned rescales must never trip the failover machinery.
 func TestRescaleEndToEndDifferential(t *testing.T) {
 	h := newFoHarness(t, 4, 2, 2*time.Second)
@@ -247,6 +249,20 @@ func TestRescaleEndToEndDifferential(t *testing.T) {
 		}
 	}
 
+	// A rescale onto a refused address fails: no failover ran, so there is
+	// nothing to retry, and every shard keeps its home.
+	dead, err := NewShardWorker("127.0.0.1:0", foDeploy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	if err := h.set.Rescale([]string{dead.Addr(), a1, "", a1}); err == nil {
+		t.Fatal("a rescale onto a refused address must fail")
+	}
+	if got := h.set.Placement(); fmt.Sprint(got) != fmt.Sprint([]string{a0, a1, "", a1}) {
+		t.Fatalf("placement after a failed rescale = %v", got)
+	}
+
 	h.feed(evs[340:])
 	h.check("final")
 	if evts := h.failovers(); len(evts) != 0 {
@@ -280,8 +296,8 @@ func TestRescaleHealBackToRejoinedWorker(t *testing.T) {
 // TestElasticOnlyLocalToRemoteAndBack: a set deployed without Failover (no
 // replay logs, zero hot-path overhead) serving in-process replicas rescales
 // out to a real worker and back home. Covers the log-less checkpoint path:
-// worker streams without a replay log get one armed just for the barrier
-// and detached after.
+// a worker stream without a replay log hands the rescale and CheckpointAll
+// its states in the checkpoint reply, and never gets a log.
 func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
 	_, addrs := startFoWorkers(t, 1)
 	h := deployFo(t, ShardConfig{LocalDeploy: foDeploy, Recovery: Recovery{StallTimeout: 2 * time.Second}}, []string{"", ""}, nil)
@@ -301,7 +317,7 @@ func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
 	}
 
 	// Scale out to the worker, serve, and checkpoint over the wire — the
-	// log-less stream must arm a replay log just for the barrier.
+	// states come back in the reply, with no replay log on the stream.
 	mustRescale(t, h.set, []string{addrs[0], addrs[0]})
 	h.feed(evs[100:200])
 	h.check("after scale-out")
@@ -310,7 +326,7 @@ func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
 	}
 	for _, c := range h.conns() {
 		if c.flog != nil {
-			t.Fatal("the barrier's borrowed replay log must be detached again")
+			t.Fatal("a checkpoint without failover must not attach a replay log")
 		}
 	}
 
@@ -326,10 +342,13 @@ func TestElasticOnlyLocalToRemoteAndBack(t *testing.T) {
 // resort — through the one stage/install routine, as one table. After
 // every transition the placement is the expected one and the result equals
 // the serial reference (each move carries the shard's checkpoint from the
-// old kind of home to the new). At the end, a checkpoint taken wherever
-// the shards ended up must restore at first deployment on every kind of
-// home: a twin set deployed in-process and one deployed on a fresh worker,
-// seeded with those states, stay equal to the original under more input.
+// old kind of home to the new). A rescale or CheckpointAll reads a worker's
+// states from its checkpoint reply: without failover no stream ever holds a
+// replay log, and with it the states returned are exactly the ones the log
+// committed. At the end, a checkpoint taken wherever the shards ended up
+// must restore at first deployment on every kind of home: a twin set
+// deployed in-process and one deployed on a fresh worker, seeded with those
+// states, stay equal to the original under more input.
 func TestShardHomeTransitions(t *testing.T) {
 	const local = -1
 	type move struct {
@@ -353,6 +372,10 @@ func TestShardHomeTransitions(t *testing.T) {
 			[]move{{0, []int{local, local}}}},
 		{"initial mixed, failover remote→remote, rescale home, rescale out", 2, true, []int{local, 1},
 			[]move{{1, []int{local, 0}}, {local, []int{local, local}}, {local, []int{0, local}}}},
+		{"initial remote, no failover, rescale onto one worker and swap back", 2, false, []int{0, 1},
+			[]move{{local, []int{1, 1}}, {local, []int{1, 0}}}},
+		{"initial remote, failover armed, rescale swap and half home", 2, true, []int{0, 1},
+			[]move{{local, []int{1, 0}}, {local, []int{local, 1}}}},
 	}
 	for seed, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -379,10 +402,42 @@ func TestShardHomeTransitions(t *testing.T) {
 					t.Fatalf("%s: placement %v, want %v", label, got, want)
 				}
 			}
+			// checkpointed pins where a rescale's or CheckpointAll's states
+			// came from: without failover no stream holds a replay log; with
+			// it, every worker-hosted shard's state is the one its stream's
+			// log committed (states nil: only that a state is committed).
+			checkpointed := func(label string, states map[int][]byte) {
+				t.Helper()
+				for _, c := range h.conns() {
+					if !tc.failover {
+						if c.flog != nil {
+							t.Fatalf("%s: a stream without failover holds a replay log", label)
+						}
+						continue
+					}
+					committed := c.flog.statesCopy()
+					for j, addr := range h.set.Placement() {
+						st, ok := committed[j]
+						switch {
+						case addr != c.addr:
+						case !ok:
+							t.Fatalf("%s: shard %d has no committed state on %s", label, j, c.addr)
+						case states != nil && !bytes.Equal(states[j], st):
+							t.Fatalf("%s: shard %d's state is not the one the log committed", label, j)
+						}
+					}
+				}
+				for j := range h.set.Shards() {
+					if _, ok := states[j]; states != nil && !ok {
+						t.Fatalf("%s: no state for shard %d", label, j)
+					}
+				}
+			}
 			arrive("first deployment", tc.first)
 			for i, m := range tc.moves {
 				if m.kill == local {
 					mustRescale(t, h.set, loc(m.to))
+					checkpointed(fmt.Sprintf("rescale %d", i+1), nil)
 				} else {
 					h.checkpointAll() // restore from state, not just a full replay
 					workers[m.kill].Close()
@@ -404,6 +459,7 @@ func TestShardHomeTransitions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkpointed("CheckpointAll", states)
 			_, fresh := startFoWorkers(t, 1)
 			twins := map[string]*foHarness{
 				"in-process":     deployFo(t, ShardConfig{LocalDeploy: foDeploy}, []string{"", ""}, states),

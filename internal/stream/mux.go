@@ -140,7 +140,7 @@ func (pc *physConn) newStream(sink Operator, stall time.Duration) *ShardConn {
 		sink:    sink,
 		stall:   stall,
 		credits: make(chan struct{}, remoteInflight),
-		waits:   map[uint64]chan error{},
+		waits:   map[uint64]chan reply{},
 		done:    make(chan struct{}),
 	}
 	for i := 0; i < remoteInflight; i++ {

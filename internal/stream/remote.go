@@ -34,7 +34,13 @@ import (
 // a checkpoint of its replica states. The FIFO position of the checkpoint
 // frame makes both logs exact: everything before it is subsumed by the
 // returned state, everything after it is what a redeployed replica must
-// undo (results) and replay (inputs).
+// undo (results) and replay (inputs). Without failover a stream keeps no
+// log: a rescale or CheckpointAll takes the per-shard states straight from
+// the checkpoint reply.
+//
+// Every sequence-matched control frame — deploy, undeploy, flush, close,
+// checkpoint — leaves the coordinator through one call, ShardConn.request,
+// and carries its sequence number in the header after the stream id.
 
 // remoteInflight bounds un-acked data/tick frames per stream: producers
 // block when a worker falls this far behind (backpressure instead of
@@ -80,11 +86,10 @@ type DeployFunc func(spec []byte, shard int, state []byte, send ResultSender) (h
 // shards: the coordinator and worker derive it identically.
 func headKey(shard int, name string) string { return fmt.Sprintf("%d/%s", shard, name) }
 
-// deployBody is the gob payload of a deploy frame — the one remaining
-// gob-encoded frame body (replica specs are cold-path, deeply structured,
-// and already gob inside Spec anyway).
+// deployBody is the gob payload of a deploy frame, after its stream id and
+// sequence number — the one remaining gob-encoded frame body (replica specs
+// are cold-path, deeply structured, and already gob inside Spec anyway).
 type deployBody struct {
-	Seq   uint64
 	Shard int
 	Spec  []byte
 	State []byte
@@ -228,8 +233,9 @@ func (ws *workerStream) setAdvs(shard int, advs []Advancer) {
 
 // serveConn drives one coordinator link: decode a frame, route it to its
 // stream, process it. Processing is synchronous on this goroutine, so by
-// the time a barrier frame acks, every result its predecessors produced
-// has already been encoded onto the connection ahead of the ack.
+// the time a request (deploy, undeploy, flush, close, checkpoint) is
+// answered, every result its predecessors produced has already been
+// encoded onto the connection ahead of the reply.
 //
 // Each replica sends at most one result frame per replica call — per data
 // frame into one of its heads, and per tick frame (a tick reaches every
@@ -237,7 +243,7 @@ func (ws *workerStream) setAdvs(shard int, advs []Advancer) {
 // returns, before the frame's credit ack is owed. Writes are coalesced on
 // top: result frames and credit acks accumulate in the connection's write
 // buffer and flush when the input drains (nothing more is in flight to
-// process first), at any barrier ack, past the buffer threshold, or every
+// process first), at any request's reply, past the buffer threshold, or every
 // workerAckEvery credit frames — one syscall then carries an epoch's worth
 // of results and acks.
 func (w *ShardWorker) serveConn(conn net.Conn) {
@@ -305,27 +311,6 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 			return
 		}
 		switch kind {
-		case frameDeploy:
-			var db deployBody
-			if gob.NewDecoder(bytes.NewReader(br.rest())).Decode(&db) != nil {
-				return
-			}
-			ws := getStream(id)
-			h, a, ck, derr := w.deploy(db.Spec, db.Shard, db.State, ws.send)
-			errs := ""
-			if derr != nil {
-				errs = derr.Error()
-			} else {
-				for name, op := range h {
-					ws.heads[headKey(db.Shard, name)] = op
-				}
-				ws.setAdvs(db.Shard, a)
-				ws.cks[db.Shard] = ck
-			}
-			appendAckFrame(wr, id, db.Seq, 0, errs)
-			if flushAcks() != nil {
-				return
-			}
 		case frameData:
 			key := br.bytes(int(br.uvarint()))
 			batch, derr := dec.decode(br)
@@ -356,79 +341,81 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 			ws.pend++
 			pendTotal++
 			sinceAck++
-		case frameFlush:
-			seq := br.uvarint()
-			if br.fail {
-				return
-			}
-			appendAckFrame(wr, id, seq, 0, "")
-			if flushAcks() != nil {
-				return
-			}
-		case frameCheckpoint:
-			seq := br.uvarint()
-			if br.fail {
-				return
-			}
-			ws := getStream(id)
-			payload, cerr := encodeWorkerCheckpoint(ws.cks)
-			errs := ""
-			if cerr != nil {
-				errs = cerr.Error()
-				payload = nil
-			}
-			m := wr.begin(frameCkptState)
-			wr.buf = appendUvarint(wr.buf, id)
-			wr.buf = appendUvarint(wr.buf, seq)
-			wr.buf = appendWireString(wr.buf, errs)
-			wr.buf = appendUvarint(wr.buf, uint64(len(payload)))
-			wr.buf = append(wr.buf, payload...)
-			wr.end(m)
-			if flushAcks() != nil {
-				return
-			}
-		case frameUndeploy:
-			// One shard's replica leaves the stream (a rescale moved it);
-			// its siblings keep serving under the same credits.
-			seq := br.uvarint()
-			shard := int(br.uvarint())
-			if br.fail {
-				return
-			}
-			if ws := streams[id]; ws != nil {
-				prefix := fmt.Sprintf("%d/", shard)
-				for k := range ws.heads {
-					if strings.HasPrefix(k, prefix) {
-						delete(ws.heads, k)
-					}
-				}
-				ws.setAdvs(shard, nil)
-				delete(ws.cks, shard)
-			}
-			appendAckFrame(wr, id, seq, 0, "")
-			if flushAcks() != nil {
-				return
-			}
-		case frameClose:
-			// Drop this stream's replicas; the other streams (and the
-			// connection) live on until the coordinator's last deployment
-			// releases it.
-			seq := br.uvarint()
-			if br.fail {
-				return
-			}
-			if ws := streams[id]; ws != nil && ws.pend > 0 {
-				appendAckFrame(wr, id, 0, ws.pend, "")
-				pendTotal -= ws.pend
-			}
-			delete(streams, id)
-			appendAckFrame(wr, id, seq, 0, "")
-			if wr.flush() != nil {
-				return
-			}
 		default:
-			// Unknown frame kind: a non-protocol peer; drop the connection.
-			return
+			// A request: its sequence number follows the stream id, and its
+			// reply — an ack, or a checkpoint's states — goes out at once,
+			// behind every result its predecessors produced.
+			seq := br.uvarint()
+			if br.fail {
+				return
+			}
+			errs := ""
+			switch kind {
+			case frameDeploy:
+				var db deployBody
+				if gob.NewDecoder(bytes.NewReader(br.rest())).Decode(&db) != nil {
+					return
+				}
+				ws := getStream(id)
+				h, a, ck, derr := w.deploy(db.Spec, db.Shard, db.State, ws.send)
+				if derr != nil {
+					errs = derr.Error()
+					break
+				}
+				for name, op := range h {
+					ws.heads[headKey(db.Shard, name)] = op
+				}
+				ws.setAdvs(db.Shard, a)
+				ws.cks[db.Shard] = ck
+			case frameFlush:
+			case frameCheckpoint:
+				payload, cerr := encodeWorkerCheckpoint(getStream(id).cks)
+				if cerr != nil {
+					errs = cerr.Error()
+					payload = nil
+				}
+				m := wr.begin(frameCkptState)
+				wr.buf = appendUvarint(wr.buf, id)
+				wr.buf = appendUvarint(wr.buf, seq)
+				wr.buf = appendWireString(wr.buf, errs)
+				wr.buf = appendUvarint(wr.buf, uint64(len(payload)))
+				wr.buf = append(wr.buf, payload...)
+				wr.end(m)
+			case frameUndeploy:
+				// One shard's replica leaves the stream (a rescale moved it);
+				// its siblings keep serving under the same credits.
+				shard := int(br.uvarint())
+				if br.fail {
+					return
+				}
+				if ws := streams[id]; ws != nil {
+					prefix := fmt.Sprintf("%d/", shard)
+					for k := range ws.heads {
+						if strings.HasPrefix(k, prefix) {
+							delete(ws.heads, k)
+						}
+					}
+					ws.setAdvs(shard, nil)
+					delete(ws.cks, shard)
+				}
+			case frameClose:
+				// Drop this stream's replicas, acking its owed credits first;
+				// the other streams (and the connection) live on until the
+				// coordinator's last deployment releases it.
+				if ws := streams[id]; ws != nil && ws.pend > 0 {
+					appendAckFrame(wr, id, 0, ws.pend, "")
+				}
+				delete(streams, id)
+			default:
+				// Unknown frame kind: a non-protocol peer; drop the connection.
+				return
+			}
+			if kind != frameCheckpoint {
+				appendAckFrame(wr, id, seq, 0, errs)
+			}
+			if flushAcks() != nil {
+				return
+			}
 		}
 		if sinceAck >= workerAckEvery {
 			// Sustained input on a busy connection: bound the coordinator's
@@ -509,18 +496,13 @@ func (l *connLog) setMark() {
 // commit installs a decoded worker checkpoint: entries before the mark and
 // every output received so far (all FIFO-before the checkpoint reply) are
 // subsumed by the states.
-func (l *connLog) commit(payload []byte) error {
-	states, err := decodeWorkerCheckpoint(payload)
-	if err != nil {
-		return err
-	}
+func (l *connLog) commit(states map[int][]byte) {
 	l.mu.Lock()
 	l.in = append(l.in[:0:0], l.in[l.mark:]...)
 	l.mark = 0
 	l.out = nil
 	l.states = states
 	l.mu.Unlock()
-	return nil
 }
 
 // takeIn removes and returns every logged input entry.
@@ -594,16 +576,16 @@ func (l *connLog) drop() {
 // ShardConn is the coordinator side of one deployment's link to a
 // ShardWorker: one stream on the pooled physical connection to that
 // worker (mux.go). Data batches and ticks consume bounded in-flight
-// credits (acks release them); deploy, flush, close, and checkpoint are
-// sequence-matched barriers. Result batches decoded by the connection's
-// reader goroutine push into the deployment's merge sink, so per-stream
-// FIFO makes a flush ack a result-drain barrier too.
+// credits (acks release them); deploy, undeploy, flush, close, and
+// checkpoint are sequence-matched requests. Result batches decoded by the
+// connection's reader goroutine push into the deployment's merge sink, so
+// per-stream FIFO makes a flush ack a result-drain barrier too.
 //
 // A transport failure is sticky and link-wide: a worker that stalls or
 // dies stalls every stream on the connection, so any failure fails them
 // all. Every later send drops (with failover disabled the deployment's
 // result simply stops updating from this worker, matching the engine's
-// lossy-link convention) and every waiting barrier fails fast. With
+// lossy-link convention) and every waiting request fails fast. With
 // failover enabled, the first failure also notifies the owning ShardSet,
 // post-failure sends keep landing in the replay log, and the set
 // redeploys the stream's shards elsewhere (see shard.go).
@@ -618,17 +600,19 @@ type ShardConn struct {
 
 	// stall bounds every wait on an unresponsive worker; flog/onFail/ck*
 	// are the failover extensions (flog nil = disabled, the PR-4 behavior).
-	stall      time.Duration
-	flog       *connLog
-	onFail     func(*ShardConn)
-	ckEvery    int
-	ckMaxLog   int // checkpointMaxLog; a field so a test can shrink it
-	ticks      atomic.Int64
-	ckInflight atomic.Bool
+	stall    time.Duration
+	flog     *connLog
+	onFail   func(*ShardConn)
+	ckEvery  int
+	ckMaxLog int // checkpointMaxLog; a field so a test can shrink it
+	ticks    atomic.Int64
+	// ckmu is held by the one checkpoint in flight: the cadence checkpoints
+	// skip while it is taken, a rescale or CheckpointAll waits for it.
+	ckmu sync.Mutex
 
 	mu     sync.Mutex
 	seq    uint64
-	waits  map[uint64]chan error
+	waits  map[uint64]chan reply
 	err    error
 	done   chan struct{} // closed once the link is broken
 	closed bool
@@ -660,8 +644,7 @@ func dialShard(addr string, sink Operator, timeout time.Duration) (*ShardConn, e
 func (c *ShardConn) Addr() string { return c.addr }
 
 // enableFailover turns on the replay/undo logs. Called by the ShardSet as
-// it dials the stream, before any frame traffic (and by a rescale, which
-// borrows a log just for its checkpoint barrier).
+// it dials the stream, before any frame traffic.
 func (c *ShardConn) enableFailover(ckEvery int) {
 	c.flog = &connLog{}
 	c.ckEvery = ckEvery
@@ -671,13 +654,13 @@ func (c *ShardConn) enableFailover(ckEvery int) {
 // armFailover installs the sticky-failure notification. The set arms its
 // connections only once it serves (a failure during ShardSet.Deploy aborts
 // the deploy instead); a failure that slipped in between is notified here,
-// so it is delivered exactly once either way.
+// so it is delivered exactly once either way. onFail runs under c.mu, as in
+// fail, and must not take it.
 func (c *ShardConn) armFailover(onFail func(*ShardConn)) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.onFail = onFail
-	missed := c.err != nil && !c.closed
-	c.mu.Unlock()
-	if missed {
+	if c.err != nil && !c.closed {
 		onFail(c)
 	}
 }
@@ -691,9 +674,9 @@ func (c *ShardConn) Err() error {
 
 // handleFrame processes one worker frame dispatched by the physical
 // connection's read loop: results into the sink (and the undo log),
-// credit acks back into the send budget, barrier acks to their waiters,
-// checkpoint states into the log's committed snapshot. Returns false on
-// a malformed frame (which fails the whole link).
+// credit acks back into the send budget, request acks to their waiters,
+// checkpoint states to theirs and into the log's committed snapshot.
+// Returns false on a malformed frame (which fails the whole link).
 func (c *ShardConn) handleFrame(kind frameKind, br *byteReader) bool {
 	switch kind {
 	case frameResult:
@@ -722,13 +705,13 @@ func (c *ShardConn) handleFrame(kind frameKind, br *byteReader) bool {
 		// Decoded on the FIFO: every result before this reply is already
 		// in the undo log, so committing here truncates both logs at the
 		// exact consistency point of the checkpoint.
-		var err error
+		var r reply
 		if errs != "" {
-			err = fmt.Errorf("stream: shard worker %s: checkpoint: %s", c.addr, errs)
-		} else if c.flog != nil {
-			err = c.flog.commit(payload)
+			r.err = fmt.Errorf("stream: shard worker %s: checkpoint: %s", c.addr, errs)
+		} else if r.states, r.err = decodeWorkerCheckpoint(payload); r.err == nil && c.flog != nil {
+			c.flog.commit(r.states)
 		}
-		c.deliverAck(seq, err)
+		c.deliver(seq, r)
 	case frameAck:
 		seq := br.uvarint()
 		credits := br.uvarint()
@@ -743,33 +726,41 @@ func (c *ShardConn) handleFrame(kind frameKind, br *byteReader) bool {
 			}
 		}
 		if seq != 0 {
-			var err error
+			var r reply
 			if errs != "" {
-				err = fmt.Errorf("stream: shard worker %s: %s", c.addr, errs)
+				r.err = fmt.Errorf("stream: shard worker %s: %s", c.addr, errs)
 			}
-			c.deliverAck(seq, err)
+			c.deliver(seq, r)
 		}
 	}
 	return true
 }
 
-// deliverAck hands a sequence-matched ack to its waiter.
-func (c *ShardConn) deliverAck(seq uint64, err error) {
+// reply is what a request's waiter receives: the worker's or the link's
+// error, and a checkpoint's decoded per-shard states.
+type reply struct {
+	states map[int][]byte
+	err    error
+}
+
+// deliver hands a sequence-matched reply to its waiter.
+func (c *ShardConn) deliver(seq uint64, r reply) {
 	c.mu.Lock()
 	ch, ok := c.waits[seq]
 	delete(c.waits, seq)
 	c.mu.Unlock()
 	if ok {
-		ch <- err
+		ch <- r
 	}
 }
 
 // fail records the stream's sticky error, notifies the failover
-// machinery, wakes every barrier waiter, and unblocks all senders. Only
+// machinery, wakes every request waiter, and unblocks all senders. Only
 // the physical connection's fail (which owns failure for the whole link)
-// and newStream's dead-link check call it. The notification runs before
-// the waiters wake, so whoever observes a failed barrier (a Flush, a
-// deploy) already finds the failover pending.
+// and newStream's dead-link check call it. The notification runs under
+// c.mu, with the error, and before the waiters wake, so whoever observes a
+// failed request (a Flush, a deploy, a rescale) or the error already finds
+// the failover pending.
 func (c *ShardConn) fail(err error) {
 	c.mu.Lock()
 	if c.err != nil {
@@ -778,15 +769,14 @@ func (c *ShardConn) fail(err error) {
 	}
 	c.err = err
 	close(c.done)
-	notify := !c.closed && c.onFail != nil
-	waits := c.waits
-	c.waits = map[uint64]chan error{}
-	c.mu.Unlock()
-	if notify {
+	if !c.closed && c.onFail != nil {
 		c.onFail(c)
 	}
+	waits := c.waits
+	c.waits = map[uint64]chan reply{}
+	c.mu.Unlock()
 	for _, ch := range waits {
-		ch <- err
+		ch <- reply{err: err}
 	}
 }
 
@@ -890,85 +880,70 @@ func (c *ShardConn) sendFrame(shard int, name, key string, ts []data.Tuple, tick
 		err = c.Err()
 	}
 	pc.wmu.Unlock()
-	if err == nil && c.flog != nil && size >= c.ckMaxLog && !c.ckInflight.Load() {
+	if err == nil && c.flog != nil && size >= c.ckMaxLog {
 		// The replay log is getting long: checkpoint so it can truncate.
-		// The Load is advisory (checkpoint re-checks under the CAS); it
-		// keeps a fast producer from spawning a goroutine per batch while
-		// one checkpoint round trip is already in flight.
-		go c.checkpoint()
+		c.checkpointSoon()
 	}
 	return err
 }
 
-// writeSeqFrame encodes one sequence-carrying control frame (flush,
-// close, checkpoint) and force-flushes: a barrier's waiter needs the
-// frame on the wire before the stall clock means anything.
-func (c *ShardConn) writeSeqFrame(kind frameKind, seq uint64) error {
-	if err := c.Err(); err != nil {
-		return err // broken link: drop instead of touching the dead socket
-	}
+// request sends one sequence-matched control frame — deploy, undeploy,
+// flush, close or checkpoint — and waits for the worker's reply. Under the
+// link's write lock it reserves the next sequence number, registers the
+// waiter, and writes id, seq and body, flushed at once: the stall clock
+// means nothing until the frame is on the wire. A checkpoint marks the
+// replay log there too, so mark and frame take one FIFO position. The reply
+// carries the worker's error, or a checkpoint's decoded per-shard states;
+// none within the stall bound breaks the link.
+func (c *ShardConn) request(kind frameKind, body []byte) (map[int][]byte, error) {
+	ch := make(chan reply, 1)
 	pc := c.pc
 	pc.wmu.Lock()
-	if err := c.Err(); err != nil {
-		pc.wmu.Unlock()
-		return err
-	}
-	m := pc.w.begin(kind)
-	pc.w.buf = appendUvarint(pc.w.buf, c.id)
-	pc.w.buf = appendUvarint(pc.w.buf, seq)
-	pc.w.end(m)
-	err := pc.flushLocked(true, c.stall)
-	pc.wmu.Unlock()
-	return err
-}
-
-// barrier encodes a sequence-matched frame and waits for its ack, marking
-// the link broken if none comes within the stall timeout.
-func (c *ShardConn) barrier(kind frameKind) error {
-	ch, seq, err := c.registerWait()
-	if err != nil {
-		return err
-	}
-	if err := c.writeSeqFrame(kind, seq); err != nil {
-		return err
-	}
-	return c.awaitAck(ch, "worker stalled, or not a shard worker?")
-}
-
-// registerWait allocates a barrier sequence number and its ack channel.
-func (c *ShardConn) registerWait() (chan error, uint64, error) {
-	ch := make(chan error, 1)
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err := c.err; err != nil {
 		c.mu.Unlock()
-		return nil, 0, err
+		pc.wmu.Unlock()
+		return nil, err // broken link: fail fast instead of touching the dead socket
 	}
 	c.seq++
 	seq := c.seq
 	c.waits[seq] = ch
 	c.mu.Unlock()
-	return ch, seq, nil
-}
-
-// awaitAck waits for a registered barrier ack under the stall deadline.
-func (c *ShardConn) awaitAck(ch chan error, why string) error {
+	if kind == frameCheckpoint && c.flog != nil {
+		c.flog.setMark()
+	}
+	m := pc.w.begin(kind)
+	pc.w.buf = appendUvarint(pc.w.buf, c.id)
+	pc.w.buf = appendUvarint(pc.w.buf, seq)
+	pc.w.buf = append(pc.w.buf, body...)
+	pc.w.end(m)
+	err := pc.flushLocked(true, c.stall)
+	pc.wmu.Unlock()
+	if err != nil {
+		// The link broke under the write. The stream's fail — perhaps still
+		// running on the goroutine that saw the break first — answers the
+		// waiter only once the set knows, so wait for it.
+		if r := <-ch; r.err != nil {
+			return nil, r.err
+		}
+		return nil, err
+	}
 	stall := time.NewTimer(c.stall)
 	defer stall.Stop()
 	select {
-	case err := <-ch:
-		return err
+	case r := <-ch:
+		return r.states, r.err
 	case <-stall.C:
-		c.pc.fail(fmt.Errorf("stream: shard link %s: no barrier ack in %s (%s)",
-			c.addr, c.stall, why))
+		c.pc.fail(fmt.Errorf("stream: shard link %s: no reply to frame kind %d in %s (worker stalled, or not a shard worker?)",
+			c.addr, kind, c.stall))
 		// fail delivered the error to every registered waiter — but the
-		// real ack may have raced the timeout and buffered nil into ch
+		// real reply may have raced the timeout and buffered into ch
 		// first. The link is broken either way now, so never report
 		// success here.
-		if err := <-ch; err != nil {
-			return err
+		if r := <-ch; r.err != nil {
+			return nil, r.err
 		}
-		return c.Err()
+		return nil, c.Err()
 	}
 }
 
@@ -978,131 +953,53 @@ func (c *ShardConn) awaitAck(ch chan error, why string) error {
 // committed checkpoint, so a failover chain never loses the state a replica
 // was seeded with.
 func (c *ShardConn) Deploy(spec []byte, shard int, state []byte) error {
-	ch, seq, err := c.registerWait()
-	if err != nil {
-		return err
-	}
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(deployBody{Seq: seq, Shard: shard, Spec: spec, State: state}); err != nil {
-		c.deliverAck(seq, nil) // unregister the orphaned wait
+	if err := gob.NewEncoder(&body).Encode(deployBody{Shard: shard, Spec: spec, State: state}); err != nil {
 		return fmt.Errorf("stream: encode deploy: %w", err)
 	}
-	werr := func() error {
-		if err := c.Err(); err != nil {
-			return err
-		}
-		pc := c.pc
-		pc.wmu.Lock()
-		defer pc.wmu.Unlock()
-		if err := c.Err(); err != nil {
-			return err
-		}
-		m := pc.w.begin(frameDeploy)
-		pc.w.buf = appendUvarint(pc.w.buf, c.id)
-		pc.w.buf = append(pc.w.buf, body.Bytes()...)
-		pc.w.end(m)
-		return pc.flushLocked(true, c.stall)
-	}()
-	if werr != nil {
-		return werr
+	if _, err := c.request(frameDeploy, body.Bytes()); err != nil {
+		return err
 	}
-	err = c.awaitAck(ch, "worker stalled, or not a shard worker?")
-	if err == nil && c.flog != nil {
+	if c.flog != nil {
 		c.flog.setState(shard, state)
 	}
-	return err
+	return nil
 }
 
-// checkpoint runs one checkpoint barrier: it marks the replay-log position
-// under the write lock (the FIFO consistency point), asks the worker for
-// its replica states, and lets the read loop commit them. At most one
-// checkpoint is in flight per stream; failures leave the logs intact
-// (the next failover simply replays more).
-func (c *ShardConn) checkpoint() {
-	if c.flog == nil || !c.ckInflight.CompareAndSwap(false, true) {
+// checkpoint asks the worker for the state of every replica on the stream
+// and returns it by shard; with failover armed the read loop has committed
+// the same states to the replay log. It waits out a checkpoint already in
+// flight, which its own stall bound keeps finite.
+func (c *ShardConn) checkpoint() (map[int][]byte, error) {
+	c.ckmu.Lock()
+	defer c.ckmu.Unlock()
+	return c.request(frameCheckpoint, nil)
+}
+
+// checkpointSoon starts the failover cadence's checkpoint in the
+// background, unless one is already in flight. A failed one leaves the logs
+// intact (the next failover simply replays more).
+func (c *ShardConn) checkpointSoon() {
+	if !c.ckmu.TryLock() {
 		return
 	}
-	defer c.ckInflight.Store(false)
-	_ = c.checkpointBarrier()
-}
-
-// checkpointSync runs one checkpoint barrier, waiting out any in-flight
-// asynchronous checkpoint first — the rescale path needs a committed,
-// up-to-the-quiesce checkpoint, not a best-effort one.
-func (c *ShardConn) checkpointSync() error {
-	if c.flog == nil {
-		return fmt.Errorf("stream: shard link %s: checkpoint without a replay log", c.addr)
-	}
-	deadline := time.Now().Add(c.stall)
-	for !c.ckInflight.CompareAndSwap(false, true) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("stream: shard link %s: checkpoint already in flight past the stall bound", c.addr)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	defer c.ckInflight.Store(false)
-	return c.checkpointBarrier()
-}
-
-// checkpointBarrier is the locked body of checkpoint/checkpointSync;
-// caller holds the ckInflight flag.
-func (c *ShardConn) checkpointBarrier() error {
-	ch, seq, err := c.registerWait()
-	if err != nil {
-		return err
-	}
-	pc := c.pc
-	pc.wmu.Lock()
-	if err := c.Err(); err != nil {
-		pc.wmu.Unlock()
-		return err
-	}
-	c.flog.setMark()
-	m := pc.w.begin(frameCheckpoint)
-	pc.w.buf = appendUvarint(pc.w.buf, c.id)
-	pc.w.buf = appendUvarint(pc.w.buf, seq)
-	pc.w.end(m)
-	err = pc.flushLocked(true, c.stall)
-	pc.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	return c.awaitAck(ch, "checkpoint unanswered")
+	go func() {
+		defer c.ckmu.Unlock()
+		_, _ = c.request(frameCheckpoint, nil)
+	}()
 }
 
 // Undeploy tears one shard's replica down on the worker while the stream
 // and its other shards keep serving, and forgets the shard's committed
 // checkpoint — the rescale path's counterpart to Deploy.
 func (c *ShardConn) Undeploy(shard int) error {
-	ch, seq, err := c.registerWait()
-	if err != nil {
+	if _, err := c.request(frameUndeploy, appendUvarint(nil, uint64(shard))); err != nil {
 		return err
 	}
-	werr := func() error {
-		if err := c.Err(); err != nil {
-			return err
-		}
-		pc := c.pc
-		pc.wmu.Lock()
-		defer pc.wmu.Unlock()
-		if err := c.Err(); err != nil {
-			return err
-		}
-		m := pc.w.begin(frameUndeploy)
-		pc.w.buf = appendUvarint(pc.w.buf, c.id)
-		pc.w.buf = appendUvarint(pc.w.buf, seq)
-		pc.w.buf = appendUvarint(pc.w.buf, uint64(shard))
-		pc.w.end(m)
-		return pc.flushLocked(true, c.stall)
-	}()
-	if werr != nil {
-		return werr
-	}
-	err = c.awaitAck(ch, "undeploy unanswered")
-	if err == nil && c.flog != nil {
+	if c.flog != nil {
 		c.flog.dropShard(shard)
 	}
-	return err
+	return nil
 }
 
 // SendBatch ships one data batch to the named replica head of a shard.
@@ -1116,9 +1013,9 @@ func (c *ShardConn) SendBatch(shard int, name string, ts []data.Tuple) error {
 	return c.sendShard(shard, name, headKey(shard, name), ts, false)
 }
 
-// sendShard is SendBatch with the wire key precomposed (RemoteHead caches
-// it, keeping the exchange's per-batch path free of formatting
-// allocations). Unless force writes it at once, the frame coalesces in the
+// sendShard is SendBatch with the wire key precomposed (each Sharder keeps
+// its shards' keys, keeping the exchange's per-batch path free of
+// formatting allocations). Unless force writes it at once, the frame coalesces in the
 // write buffer until the next flush point — normally the tick that ends the
 // epoch.
 func (c *ShardConn) sendShard(shard int, name, key string, ts []data.Tuple, force bool) error {
@@ -1131,11 +1028,11 @@ func (c *ShardConn) sendShard(shard int, name, key string, ts []data.Tuple, forc
 // Tick advances every replica window deployed over this stream, flushes
 // the write buffer (a tick ends an epoch: everything it should see must
 // reach the worker), and paces the checkpoint cadence: every ckEvery-th
-// tick schedules an asynchronous checkpoint barrier.
+// tick starts a background checkpoint.
 func (c *ShardConn) Tick(now vtime.Time) error {
 	err := c.sendFrame(0, "", "", nil, true, now, true)
-	if c.flog != nil && c.ckEvery > 0 && c.ticks.Add(1)%int64(c.ckEvery) == 0 && !c.ckInflight.Load() {
-		go c.checkpoint()
+	if c.flog != nil && c.ckEvery > 0 && c.ticks.Add(1)%int64(c.ckEvery) == 0 {
+		c.checkpointSoon()
 	}
 	return err
 }
@@ -1144,7 +1041,8 @@ func (c *ShardConn) Tick(now vtime.Time) error {
 // sent before the call has been processed by the worker and every result it
 // produced has been pushed into the sink.
 func (c *ShardConn) Flush() error {
-	return c.barrier(frameFlush)
+	_, err := c.request(frameFlush, nil)
+	return err
 }
 
 // Close barriers outstanding work, tears this stream's replicas down on
@@ -1159,36 +1057,7 @@ func (c *ShardConn) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	err := c.barrier(frameClose)
+	_, err := c.request(frameClose, nil)
 	c.pc.dropStream(c)
 	return err
-}
-
-// RemoteHead is the coordinator-side stand-in for a replica entry point
-// hosted on a ShardWorker: pushes ship to the worker-registered head it
-// names (the wire key is precomposed once here). The ShardSet routes
-// batches through it without a local queue.
-type RemoteHead struct {
-	schema *data.Schema
-	conn   *ShardConn
-	shard  int
-	name   string
-	key    string
-}
-
-// Head builds the stand-in for the named entry point of a shard deployed
-// over this connection.
-func (c *ShardConn) Head(schema *data.Schema, shard int, name string) *RemoteHead {
-	return &RemoteHead{schema: schema, conn: c, shard: shard, name: name, key: headKey(shard, name)}
-}
-
-// Schema implements Operator.
-func (h *RemoteHead) Schema() *data.Schema { return h.schema }
-
-// Push implements Operator.
-func (h *RemoteHead) Push(t data.Tuple) { h.PushBatch([]data.Tuple{t}) }
-
-// PushBatch implements Operator.
-func (h *RemoteHead) PushBatch(ts []data.Tuple) {
-	_ = h.conn.sendShard(h.shard, h.name, h.key, ts, false)
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aspen/internal/data"
 	"aspen/internal/vtime"
@@ -83,12 +85,10 @@ func TestShardConnRoundtrip(t *testing.T) {
 	if col.Len() != 2 {
 		t.Fatalf("after flush: %d results, want 2", col.Len())
 	}
-	// A singleton push through the RemoteHead stand-in.
-	rh := c.Head(tempSchema(), 0, "s0")
-	if rh.Schema() != tempSchema() && rh.Schema().Arity() != 2 {
-		t.Fatal("remote head schema")
+	// A batch of one.
+	if err := c.SendBatch(0, "s0", []data.Tuple{temp(3, "L3", 22)}); err != nil {
+		t.Fatal(err)
 	}
-	rh.Push(temp(3, "L3", 22))
 	// Batches to an unknown head drop silently.
 	if err := c.SendBatch(0, "nowhere", batch); err != nil {
 		t.Fatal(err)
@@ -321,11 +321,12 @@ func TestShardConnStalledWorker(t *testing.T) {
 			br := &byteReader{b: body}
 			id := br.uvarint()
 			if kind == frameDeploy {
+				seq := br.uvarint()
 				var db deployBody
-				if gob.NewDecoder(bytes.NewReader(br.rest())).Decode(&db) != nil {
+				if br.fail || gob.NewDecoder(bytes.NewReader(br.rest())).Decode(&db) != nil {
 					return
 				}
-				appendAckFrame(wr, id, db.Seq, 0, "")
+				appendAckFrame(wr, id, seq, 0, "")
 				if wr.flush() != nil {
 					return
 				}
@@ -375,7 +376,7 @@ func TestShardConnStalledWorker(t *testing.T) {
 }
 
 // TestShardSetAllRemoteTwoWorkers runs both shards of a set on two
-// distinct workers: batch routing through RemoteHead.PushBatch, the
+// distinct workers: batch routing by the exchange's wire keys, the
 // multi-connection tick fan-out, and the concurrent barrier/close paths.
 func TestShardSetAllRemoteTwoWorkers(t *testing.T) {
 	mat := NewMaterialize(tempSchema())
@@ -617,4 +618,130 @@ func TestServerSurvivesMalformedFrame(t *testing.T) {
 			serves()
 		})
 	}
+}
+
+// shardFrames encodes a sequence of frames as they travel on a link.
+func shardFrames(frames ...func(w *wireWriter)) []byte {
+	var w wireWriter
+	for _, f := range frames {
+		f(&w)
+	}
+	return w.buf
+}
+
+// requestFrame encodes one request frame: stream id, sequence number, body.
+func requestFrame(kind frameKind, id, seq uint64, body []byte) func(*wireWriter) {
+	return func(w *wireWriter) {
+		m := w.begin(kind)
+		w.buf = appendUvarint(w.buf, id)
+		w.buf = appendUvarint(w.buf, seq)
+		w.buf = append(w.buf, body...)
+		w.end(m)
+	}
+}
+
+// FuzzShardFrames feeds hostile frames to both ends of a shard link: the
+// bytes as a connection to a worker's serveConn (over net.Pipe, with the
+// echo replica builder), and as frames read off a worker link into a
+// coordinator stream's handleFrame (result, ack and checkpoint-state
+// frames; a malformed one ends the run, as it fails the link). Neither side
+// may panic, nor allocate past the codec's bounds: per frame, a read buffer
+// of wireMaxFrame and a decoded batch of maxBatchCells values.
+func FuzzShardFrames(f *testing.F) {
+	var deploy bytes.Buffer
+	if err := gob.NewEncoder(&deploy).Encode(deployBody{Shard: 1}); err != nil {
+		f.Fatal(err)
+	}
+	batch := appendBatch(nil, []data.Tuple{temp(1, "L1", 20), temp(2, "L2", 21)})
+	f.Add(shardFrames(
+		requestFrame(frameDeploy, 1, 1, deploy.Bytes()),
+		func(w *wireWriter) {
+			m := w.begin(frameData)
+			w.buf = appendUvarint(w.buf, 1)
+			w.buf = appendWireString(w.buf, headKey(1, "s0"))
+			w.buf = append(w.buf, batch...)
+			w.end(m)
+			m = w.begin(frameTick)
+			w.buf = appendUvarint(w.buf, 1)
+			w.buf = appendU64(w.buf, uint64(time.Hour))
+			w.end(m)
+		},
+		requestFrame(frameFlush, 1, 2, nil),
+		requestFrame(frameCheckpoint, 1, 3, nil),
+		requestFrame(frameUndeploy, 1, 4, appendUvarint(nil, 1)),
+		requestFrame(frameClose, 1, 5, nil),
+	))
+	states, err := encodeWorkerCheckpoint(map[int][]Checkpointer{0: {NewMaterialize(tempSchema())}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shardFrames(
+		func(w *wireWriter) {
+			m := w.begin(frameResult)
+			w.buf = appendUvarint(w.buf, 1)
+			w.buf = append(w.buf, batch...)
+			w.end(m)
+			appendAckFrame(w, 1, 0, 3, "")
+			appendAckFrame(w, 1, 1, 0, "replica spec rejected")
+			m = w.begin(frameCkptState)
+			w.buf = appendUvarint(w.buf, 1)
+			w.buf = appendUvarint(w.buf, 2)
+			w.buf = appendWireString(w.buf, "")
+			w.buf = appendUvarint(w.buf, uint64(len(states)))
+			w.buf = append(w.buf, states...)
+			w.end(m)
+		},
+	))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		frames := uint64(len(in)/5 + 1) // a frame is at least a length and a kind
+		bound := 2*wireMaxFrame + frames*(maxBatchCells*uint64(unsafe.Sizeof(data.Value{}))+
+			uint64(len(in))*uint64(unsafe.Sizeof(data.Tuple{}))+1<<16)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+
+		// The worker end.
+		client, server := net.Pipe()
+		w := &ShardWorker{deploy: echoDeploy}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			w.serveConn(server)
+			server.Close()
+		}()
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			_, _ = io.Copy(io.Discard, client)
+		}()
+		_, _ = client.Write(in)
+		client.Close()
+		<-served
+		<-drained
+
+		// The coordinator end: one stream with a replay log and a waiter
+		// on every sequence number the seeds use.
+		c := &ShardConn{sink: NewCollector(tempSchema()), credits: make(chan struct{}, remoteInflight),
+			waits: map[uint64]chan reply{}, done: make(chan struct{})}
+		c.enableFailover(0)
+		for seq := uint64(1); seq <= 4; seq++ {
+			c.waits[seq] = make(chan reply, 1)
+		}
+		r := newWireReader(bytes.NewReader(in))
+		for {
+			kind, body, err := r.next()
+			if err != nil {
+				break
+			}
+			br := &byteReader{b: body}
+			br.uvarint() // the stream id: the read loop's, not the stream's
+			if br.fail || !c.handleFrame(kind, br) {
+				break
+			}
+		}
+
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("%d input bytes allocated %d bytes, past the codec's bound of %d", len(in), got, bound)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // This file aims the failover machinery at planned topology change:
@@ -26,13 +25,13 @@ import (
 //	│   consistent.
 //	│
 //	QUIESCED ──(synchronous checkpoint of every source: worker streams
-//	│           answer a checkpoint barrier — lazily armed with a replay
-//	│           log if the set runs without Failover — and in-process
-//	│           homes encode their Checkpointers)──▶ CHECKPOINTED. The replay
-//	│           logs are empty afterwards (nothing was sent since the
-//	│           quiesce), so no undo and no replay is needed: the planned
-//	│           path skips the two failover stages that exist only because
-//	│           failure strikes mid-epoch.
+//	│           answer a checkpoint request with their replicas' states —
+//	│           with or without a replay log — and in-process homes
+//	│           encode their Checkpointers)──▶ CHECKPOINTED. Replay logs,
+//	│           where failover keeps them, are empty afterwards (nothing
+//	│           was sent since the quiesce), so no undo and no replay is
+//	│           needed: the planned path skips the two failover stages that
+//	│           exist only because failure strikes mid-epoch.
 //	│
 //	CHECKPOINTED ──(per moving shard: stage spec+state at the new home —
 //	│               an existing healthy stream, a freshly dialed worker,
@@ -65,25 +64,29 @@ func (s *ShardSet) Rescale(loc []string) error {
 	return s.retryThroughFailover(func() error { return s.rescaleOnce(loc) })
 }
 
-// retryThroughFailover runs one control-plane operation, retrying when a
-// worker link dies underneath it: the flush/checkpoint error queues an
-// ordinary failover (the set is log-armed), which re-homes the dead link's
-// shards, and the next attempt re-plans against the healed topology.
-// Sets without Failover have no failover to defer to, so errors are final.
+// retryThroughFailover runs one control-plane operation once any pending
+// failover has settled, and again each time a failover ran while it failed:
+// a worker link that dies underneath it queues an ordinary failover before
+// the operation sees the error (fail notifies before waking waiters), which
+// re-homes the dead link's shards, and the next attempt re-plans against
+// the healed topology. An error no failover answers — a refused dial, a
+// rejected spec, or any error on a set without Failover — is final.
 func (s *ShardSet) retryThroughFailover(op func() error) error {
-	const attempts = 10
-	var err error
-	for i := 0; i < attempts; i++ {
-		if err = op(); err == nil || !s.cfg.Failover {
+	_, runs := s.fo.waitIdle()
+	for {
+		err := op()
+		if err == nil || !s.cfg.Failover {
 			return err
 		}
-		time.Sleep(10 * time.Millisecond)
+		_, now := s.fo.waitIdle()
+		if now == runs {
+			return err
+		}
+		runs = now
 	}
-	return err
 }
 
 func (s *ShardSet) rescaleOnce(loc []string) error {
-	s.fo.waitIdle() // let a pending failover settle before re-planning
 	s.fo.fmu.Lock()
 	defer s.fo.fmu.Unlock()
 
@@ -108,8 +111,7 @@ func (s *ShardSet) rescaleOnce(loc []string) error {
 	if err := s.drainLocked(); err != nil {
 		return err
 	}
-	states, detach, err := s.checkpointShardsLocked(moved)
-	defer detach()
+	states, err := s.checkpointShardsLocked(moved)
 	if err != nil {
 		return err
 	}
@@ -161,26 +163,21 @@ func (s *ShardSet) drainLocked() error {
 }
 
 // checkpointShardsLocked takes a synchronous checkpoint of every listed
-// shard — a checkpoint barrier per source worker stream (armed with a
-// temporary replay log when the set runs without Failover), a local encode
-// for in-process replicas — and returns the per-shard states. The returned
-// detach func removes any temporarily attached logs; callers run it after
-// the moves, still under the quiesce locks.
-func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(), error) {
+// shard — one checkpoint request per source worker stream, whose reply
+// carries the states of every shard on it, and a local encode for
+// in-process replicas — and returns the per-shard states. A stream with a
+// replay log must have nothing left in it: the quiesce stopped every
+// producer, so the checkpoint subsumes all it was sent. Caller holds the
+// quiesce locks.
+func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, error) {
 	states := map[int][]byte{}
-	var temps []*ShardConn
-	detach := func() {
-		for _, c := range temps {
-			c.flog = nil
-		}
-	}
 	done := map[*ShardConn]bool{}
 	for _, j := range shards {
 		c := s.homes[j].conn
 		if c == nil {
 			st, err := EncodeCheckpoint(s.homes[j].cks)
 			if err != nil {
-				return nil, detach, fmt.Errorf("stream: rescale: checkpoint local shard %d: %w", j, err)
+				return nil, fmt.Errorf("stream: rescale: checkpoint local shard %d: %w", j, err)
 			}
 			states[j] = st
 			continue
@@ -189,29 +186,25 @@ func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, func(),
 			continue
 		}
 		done[c] = true
-		if c.flog == nil {
-			// Without Failover a stream carries no replay log in steady state;
-			// attach one just to receive the checkpoint states. Producers are
-			// excluded, so nothing else can observe it.
-			c.enableFailover(s.cfg.CheckpointEvery)
-			temps = append(temps, c)
+		got, err := c.checkpoint()
+		if err != nil {
+			return nil, fmt.Errorf("stream: rescale: checkpoint %s: %w", c.addr, err)
 		}
-		if err := c.checkpointSync(); err != nil {
-			return nil, detach, fmt.Errorf("stream: rescale: checkpoint %s: %w", c.addr, err)
+		if c.flog != nil {
+			if n := c.flog.pendingIn(); n != 0 {
+				return nil, fmt.Errorf("stream: rescale: %s still has %d unsnapshotted entries after a quiesced checkpoint", c.addr, n)
+			}
 		}
-		if n := c.flog.pendingIn(); n != 0 {
-			return nil, detach, fmt.Errorf("stream: rescale: %s still has %d unsnapshotted entries after a quiesced checkpoint", c.addr, n)
-		}
-		for k, st := range c.flog.statesCopy() {
+		for k, st := range got {
 			states[k] = st
 		}
 	}
 	for _, j := range shards {
 		if _, ok := states[j]; !ok {
-			return nil, detach, fmt.Errorf("stream: rescale: no checkpoint for shard %d", j)
+			return nil, fmt.Errorf("stream: rescale: no checkpoint for shard %d", j)
 		}
 	}
-	return states, detach, nil
+	return states, nil
 }
 
 // moveLocked stages each moving shard at its new home with its
@@ -280,7 +273,6 @@ func (s *ShardSet) CheckpointAll(sidecar func() error) (map[int][]byte, error) {
 }
 
 func (s *ShardSet) checkpointAllOnce(sidecar func() error) (map[int][]byte, error) {
-	s.fo.waitIdle()
 	s.fo.fmu.Lock()
 	defer s.fo.fmu.Unlock()
 	unlock := s.quiesce()
@@ -295,8 +287,7 @@ func (s *ShardSet) checkpointAllOnce(sidecar func() error) (map[int][]byte, erro
 	for j := range all {
 		all[j] = j
 	}
-	states, detach, err := s.checkpointShardsLocked(all)
-	defer detach()
+	states, err := s.checkpointShardsLocked(all)
 	if err != nil {
 		return nil, err
 	}

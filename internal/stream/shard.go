@@ -71,8 +71,10 @@ type Recovery struct {
 	// redeploy — checkpoint plus replayed epochs — onto a surviving worker,
 	// or in-process as the last resort, keeping Flush/Snapshot exact across
 	// the loss (see the state machine on ShardSet). Without it the set still
-	// rescales and checkpoints on demand, but worker loss stays fail-stop and
-	// the hot path is untouched. Only meaningful with a worker topology.
+	// rescales and checkpoints on demand — with no replay log: the worker's
+	// checkpoint reply hands the states straight to the rescale — but worker
+	// loss stays fail-stop and the hot path is untouched. Only meaningful
+	// with a worker topology.
 	Failover bool
 	// CheckpointEvery is the failover checkpoint cadence in clock ticks
 	// (default 8); smaller values shrink replay logs, larger ones shrink
@@ -113,7 +115,8 @@ type ShardConfig struct {
 	// OnFailover, when set, observes every completed (or abandoned)
 	// failover — tests and operators hook it. It runs with no operator
 	// locks held, but before the failover is accounted finished, so it
-	// must not call Flush/Snapshot (they wait for pending failovers).
+	// must not call Flush/Snapshot or Close (they wait for pending
+	// failovers).
 	OnFailover func(FailoverEvent)
 }
 
@@ -135,15 +138,18 @@ type failoverRuntime struct {
 	// racing a failure) queues behind the first.
 	fmu sync.Mutex
 	// pending counts scheduled-but-unfinished failovers; Flush waits for it
-	// to reach zero so its barrier covers replayed work.
+	// to reach zero so its barrier covers replayed work. runs counts every
+	// failover ever scheduled.
 	pmu     sync.Mutex
 	cond    *sync.Cond
 	pending int
+	runs    int
 }
 
 func (f *failoverRuntime) schedule() {
 	f.pmu.Lock()
 	f.pending++
+	f.runs++
 	f.pmu.Unlock()
 }
 
@@ -154,17 +160,16 @@ func (f *failoverRuntime) finish() {
 	f.pmu.Unlock()
 }
 
-// waitIdle blocks until no failover is pending and reports whether it had
-// to wait.
-func (f *failoverRuntime) waitIdle() bool {
+// waitIdle blocks until no failover is pending. It reports whether it had
+// to wait, and how many failovers have been scheduled in all.
+func (f *failoverRuntime) waitIdle() (waited bool, runs int) {
 	f.pmu.Lock()
 	defer f.pmu.Unlock()
-	waited := false
 	for f.pending > 0 {
 		waited = true
 		f.cond.Wait()
 	}
-	return waited
+	return waited, f.runs
 }
 
 // home is where one shard's replica lives. conn set: behind that worker
@@ -422,17 +427,14 @@ func (s *ShardSet) stageLocked(j int, addr string, state []byte) (home, error) {
 }
 
 // installLocked makes h shard j's home: it fills the slot, points every
-// exchange's head for j at it, and for an in-process home makes sure queue
-// j's worker runs. Caller holds s.mu and — on a serving set — every
-// Sharder lock, so no producer routes through a half-flipped shard.
+// exchange's head for j at it (nil on a worker home, which batches reach by
+// the exchange's wire key), and for an in-process home makes sure queue j's
+// worker runs. Caller holds s.mu and — on a serving set — every Sharder
+// lock, so no producer routes through a half-flipped shard.
 func (s *ShardSet) installLocked(j int, h home) {
 	s.homes[j] = h
 	for _, sh := range s.sharders {
-		if h.conn != nil {
-			sh.heads[j] = h.conn.Head(sh.schema, j, sh.name)
-		} else {
-			sh.heads[j] = h.heads[sh.name]
-		}
+		sh.heads[j] = h.heads[sh.name]
 	}
 	if h.conn == nil && !s.running[j] {
 		s.running[j] = true
@@ -497,13 +499,13 @@ func (s *ShardSet) buf() []data.Tuple {
 	}
 }
 
-// send enqueues one data batch for shard j — through queue j for a local
-// shard, over the worker connection for a remote one (the encode copies the
-// tuples, so the buffer recycles immediately and the push path stays
-// allocation-free on the coordinator). After Close the batch is dropped but
-// its buffer still recycles, so a still-subscribed Sharder on a live input
-// keeps the push path allocation-free.
-func (s *ShardSet) send(j int, head Operator, batch []data.Tuple) {
+// send enqueues one data batch of sh for shard j — through queue j for a
+// local shard, over the worker connection for a remote one (the encode
+// copies the tuples, so the buffer recycles immediately and the push path
+// stays allocation-free on the coordinator). After Close the batch is
+// dropped but its buffer still recycles, so a still-subscribed Sharder on a
+// live input keeps the push path allocation-free. Caller holds sh.mu.
+func (s *ShardSet) send(sh *Sharder, j int, batch []data.Tuple) {
 	s.mu.RLock()
 	if c := s.homes[j].conn; c != nil && !s.closed {
 		// Ship outside the lock: a stalled worker then blocks only this
@@ -514,34 +516,33 @@ func (s *ShardSet) send(j int, head Operator, batch []data.Tuple) {
 		// quarantined shard's traffic replays onto its replacement — and
 		// drops like any lossy link otherwise.
 		s.mu.RUnlock()
-		s.sendRemote(c, head, batch)
+		s.sendRemote(c, sh, j, batch)
 		return
 	}
-	s.sendLocked(j, head, batch)
+	s.sendLocked(sh, j, batch)
 	s.mu.RUnlock()
 }
 
 // sendLocked is send for a caller holding s.mu, read or write: a rescale's
 // drain ships the exchanges' pending batches under the quiesce locks.
-func (s *ShardSet) sendLocked(j int, head Operator, batch []data.Tuple) {
+func (s *ShardSet) sendLocked(sh *Sharder, j int, batch []data.Tuple) {
 	switch c := s.homes[j].conn; {
 	case s.closed:
 		s.recycle(batch)
 	case c != nil:
-		s.sendRemote(c, head, batch)
+		s.sendRemote(c, sh, j, batch)
 	default:
-		s.queues[j] <- shardMsg{kind: msgData, head: head, batch: batch}
+		s.queues[j] <- shardMsg{kind: msgData, head: sh.heads[j], batch: batch}
 	}
 }
 
-// sendRemote encodes batch onto c for the replica head names and recycles
-// the buffer. A full batch is written to the socket at once, so the worker
-// starts on it while the producer is still pushing; a partial one ships at
-// a tick, barrier, rescale or close, each of which writes what is buffered
-// anyway.
-func (s *ShardSet) sendRemote(c *ShardConn, head Operator, batch []data.Tuple) {
-	rh := head.(*RemoteHead)
-	_ = c.sendShard(rh.shard, rh.name, rh.key, batch, len(batch) == ShardBatchCap)
+// sendRemote encodes batch onto c for sh's replica head on shard j and
+// recycles the buffer. A full batch is written to the socket at once, so
+// the worker starts on it while the producer is still pushing; a partial
+// one ships at a tick, barrier, rescale or close, each of which writes what
+// is buffered anyway.
+func (s *ShardSet) sendRemote(c *ShardConn, sh *Sharder, j int, batch []data.Tuple) {
+	_ = c.sendShard(j, sh.name, sh.keys[j], batch, len(batch) == ShardBatchCap)
 	s.recycle(batch)
 }
 
@@ -552,7 +553,7 @@ func (s *ShardSet) shipLocal(sh *Sharder) {
 	s.mu.RLock()
 	for j, b := range sh.pend {
 		if len(b) > 0 && s.homes[j].conn == nil {
-			s.sendLocked(j, sh.heads[j], b)
+			s.sendLocked(sh, j, b)
 			sh.pend[j] = nil
 		}
 	}
@@ -653,7 +654,7 @@ func (s *ShardSet) Flush() {
 			// dead link forever.
 			return
 		}
-		waited := s.fo.waitIdle()
+		waited, _ := s.fo.waitIdle()
 		if ok && !waited {
 			return
 		}
@@ -716,12 +717,18 @@ func (s *ShardSet) flushOnce() bool {
 // Close ships the exchanges' pending batches, drains the queues, stops the
 // local workers, and barrier-closes every worker connection (remote
 // replicas are torn down on their hosts), so the merged sink reflects
-// everything pushed before the call — except what went to a broken link
-// whose failover has not run: Close does not wait for failovers, and one
-// that finds the set closed stops. It is safe with live producers:
-// anything a Sharder or Advance sends afterwards is dropped (the
-// deployment's result simply stops updating). Idempotent.
+// everything pushed before the call. With failover armed it first runs
+// Flush, which waits out every failover its barriers find pending, so a
+// batch sent to a link that broke just before or during the close is
+// replayed onto the shard's new home, not lost; without failover such a
+// batch drops with its link. It is safe with live producers: anything a
+// Sharder or Advance sends afterwards is dropped (the deployment's result
+// simply stops updating), and a failover that finds the set closed stops.
+// Idempotent.
 func (s *ShardSet) Close() {
+	if s.cfg.Failover {
+		s.Flush()
+	}
 	s.shipPending()
 	s.mu.Lock()
 	if s.closed {
@@ -757,7 +764,7 @@ func (s *ShardSet) Close() {
 // connFailed is the sticky-failure hook of every failover-armed connection:
 // it registers the pending failover synchronously (so barriers observing
 // the failure find it) and runs the redeploy asynchronously (fail() may be
-// on the engine tick loop or a producer).
+// on the engine tick loop or a producer, and holds the connection's mu).
 func (s *ShardSet) connFailed(c *ShardConn) {
 	s.fo.schedule()
 	go s.runFailover(c)
@@ -939,9 +946,12 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 // order under the lock).
 type Sharder struct {
 	set *ShardSet
-	// heads[j] is this exchange's entry point into shard j's replica;
-	// ShardSet.installLocked keeps it pointing at the shard's current home.
+	// heads[j] is this exchange's entry point into shard j's replica when
+	// it runs in process, nil when it runs on a worker, which takes the
+	// batches under keys[j] (headKey, precomposed); ShardSet.installLocked
+	// keeps heads pointing at the shard's current home.
 	heads  []Operator
+	keys   []string
 	keyIdx []int // key column indexes; nil = all columns
 	schema *data.Schema
 	hasher data.Hasher
@@ -969,10 +979,14 @@ func NewSharder(set *ShardSet, name string, schema *data.Schema, keyIdx []int) (
 	sh := &Sharder{
 		set:    set,
 		heads:  make([]Operator, set.p),
+		keys:   make([]string, set.p),
 		keyIdx: keyIdx,
 		schema: schema,
 		name:   name,
 		pend:   make([][]data.Tuple, set.p),
+	}
+	for j := range sh.keys {
+		sh.keys[j] = headKey(j, name)
 	}
 	set.mu.Lock()
 	defer set.mu.Unlock()
@@ -1052,7 +1066,7 @@ func (sh *Sharder) route(t data.Tuple) {
 	}
 	b = append(b, t)
 	if len(b) == cap(b) {
-		sh.set.send(j, sh.heads[j], b)
+		sh.set.send(sh, j, b)
 		b = nil
 	}
 	sh.pend[j] = b
@@ -1060,11 +1074,11 @@ func (sh *Sharder) route(t data.Tuple) {
 
 // flushPending ships every non-empty pending buffer through send (the
 // set's send, or sendLocked under the quiesce locks) to the shard's
-// current head. Caller holds sh.mu.
-func (sh *Sharder) flushPending(send func(j int, head Operator, batch []data.Tuple)) {
+// current home. Caller holds sh.mu.
+func (sh *Sharder) flushPending(send func(sh *Sharder, j int, batch []data.Tuple)) {
 	for j, b := range sh.pend {
 		if len(b) > 0 {
-			send(j, sh.heads[j], b)
+			send(sh, j, b)
 			sh.pend[j] = nil
 		}
 	}

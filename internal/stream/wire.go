@@ -60,12 +60,14 @@ const (
 	// frameClose is an acked teardown barrier for the shard deployments on
 	// this connection.
 	frameClose
-	// frameDeploy carries an opaque replica spec (Spec) for shard Shard;
-	// acked with Seq (Err set on a failed deploy).
+	// frameDeploy carries Seq in its header, after the stream id, like every
+	// request, then a gob deployBody: an opaque replica spec (Spec) for
+	// shard Shard and the state to restore; acked with Seq (Err set on a
+	// failed deploy).
 	frameDeploy
-	// frameAck answers flush/close/deploy barriers (matching Seq) and, with
-	// Seq == 0, releases one in-flight credit for a processed data or tick
-	// frame.
+	// frameAck answers deploy/undeploy/flush/close requests (matching Seq)
+	// and, with Seq == 0, releases in-flight credits for processed data and
+	// tick frames.
 	frameAck
 	// frameResult returns a batch of replica output tuples from a shard
 	// worker to its coordinator.
@@ -369,7 +371,7 @@ func (r *byteReader) uvarint() uint64 {
 }
 
 func (r *byteReader) bytes(n int) []byte {
-	if n < 0 || r.off+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.off { // not r.off+n: a hostile n overflows it
 		r.fail = true
 		return nil
 	}
