@@ -116,9 +116,10 @@ endef
 # exactly the admitted tuples and the result matches serial after every
 # tick; every replica call returns at most one result frame, split only
 # past the frame cap; and neither end's decoder pins a consumed frame. The
-# exchange's batching rides along: an in-process shard's batch ships at
-# every push, a worker-hosted shard's is kept across pushes and ships when
-# full or at a tick, barrier, checkpoint, rescale or close (the
+# exchange's batching rides along: every home takes a batch through the
+# same call, an in-process home at the end of every push, a worker stream
+# only when the batch is full or at a tick, barrier, checkpoint, rescale or
+# close (the
 # pending-batch differential against serial, in-process and on a loopback
 # worker, the ship-point and frame-count pins, and when a result changes
 # for a consumer that never flushes); a worker ticks its replicas in shard
@@ -171,7 +172,7 @@ chaos:
 # sharded-selection differential's live rescale must replay only
 # admitted tuples into the moved shards, and the pending-batch
 # differential's save, restore and rescale run with batches held in the
-# exchange, which a rescale drains to the shards' old homes first.
+# exchange, which a rescale ships to the shards' old homes first.
 # The stream-level elastic matrix (pool eviction/redial race,
 # per-shard undeploy, rescale validation, the exchange's ship points, and
 # the home-transition table, whose rescales and CheckpointAll read every

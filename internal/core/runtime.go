@@ -31,12 +31,8 @@ import (
 type Config struct {
 	// Scheduler drives all periodic work (virtual time in simulations).
 	Scheduler *vtime.Scheduler
-	// NodeName names the stream engine node (default "pc1").
-	NodeName string
 	// SensorEngine is optional; without it every query runs all-stream.
 	SensorEngine *sensor.Engine
-	// SensorKinds maps catalog source names to mote sensors.
-	SensorKinds map[string]sensornet.SensorKind
 	// TickPeriod drives window expiry during stream silence (default 1s).
 	TickPeriod time.Duration
 	// RecursionDepth bounds WITH RECURSIVE evaluation (default 12).
@@ -101,9 +97,6 @@ func New(cfg Config) *Runtime {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = vtime.NewScheduler()
 	}
-	if cfg.NodeName == "" {
-		cfg.NodeName = "pc1"
-	}
 	if cfg.TickPeriod <= 0 {
 		cfg.TickPeriod = time.Second
 	}
@@ -113,7 +106,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		Cat:       catalog.New(),
 		Sched:     cfg.Scheduler,
-		Stream:    stream.NewEngine(cfg.NodeName, cfg.Scheduler),
+		Stream:    stream.NewEngine("pc1", cfg.Scheduler),
 		sensors:   cfg.SensorEngine,
 		recursion: cfg.RecursionDepth,
 		topo:      cfg.Topology,
@@ -124,13 +117,9 @@ func New(cfg Config) *Runtime {
 	}
 	rt.fed = &federation.Federator{Cat: rt.Cat}
 	if cfg.SensorEngine != nil {
-		kinds := map[string]sensornet.SensorKind{}
+		// RegisterSensorStream binds each sensor source as it is declared.
 		host.Sensors = plan.NewSensorHosts()
-		for k, v := range cfg.SensorKinds {
-			kinds[strings.ToLower(k)] = v
-			host.Sensors.Add(k, cfg.SensorEngine)
-		}
-		rt.fed.Sensors = &federation.Binding{Kinds: kinds, Engine: cfg.SensorEngine}
+		rt.fed.Sensors = &federation.Binding{Kinds: map[string]sensornet.SensorKind{}, Engine: cfg.SensorEngine}
 	}
 	rt.coord = plan.NewCoordinator(host, cfg.SnapshotPath)
 	rt.tickCancel = rt.Sched.Every(cfg.TickPeriod, func() {

@@ -22,8 +22,6 @@ type Options struct {
 	Visitor string
 	// Status lines are printed under the map (query plans, alarms...).
 	Status []string
-	// CellsPerFootX/Y scale feet into character cells (defaults 1/6, 1/12).
-	CellsPerFootX, CellsPerFootY float64
 }
 
 // canvas is a mutable character grid.
@@ -92,14 +90,8 @@ func (c *canvas) String() string {
 
 // Render draws one frame of the current deployment state.
 func Render(app *smartcis.App, opts Options) string {
-	sx := opts.CellsPerFootX
-	if sx <= 0 {
-		sx = 1.0 / 6
-	}
-	sy := opts.CellsPerFootY
-	if sy <= 0 {
-		sy = 1.0 / 12
-	}
+	// One cell is 6 feet across and 12 feet down.
+	const sx, sy = 1.0 / 6, 1.0 / 12
 	minX, minY, maxX, maxY := app.Building.Bounds()
 	pad := 2.0
 	toCell := func(x, y float64) (int, int) {

@@ -122,19 +122,22 @@ func (g *epochGen) feed(l, r stream.Operator) {
 //     per replica call that emits: each shard's left batch moves its
 //     groups' averages, and sends them in one frame, while a right batch
 //     leaves every average where it was;
-//   - the barrier: flushOnce's WaitGroup and error slots (2); per link,
-//     ShardConn.request's reply channel and its waits entry (2) and its
-//     stall timer (3); and the goroutine that runs each link's barrier past
-//     the first (2) — 7 at W=1, 14 at W=2.
+//   - the barrier: flushOnce's WaitGroup (1), and per link the posted
+//     flush request's reply channel and its waits entry (2) and the stall
+//     timer its await arms (3) — 6 at W=1, 11 at W=2. Every link's barrier
+//     is posted before any is awaited, so no goroutine runs one.
 //
 // Reading a frame costs nothing: its length header lives in the wireReader.
 // Failover armed at W=1 adds the replay log's copy of each of the 8 data
-// batches, the undo log's copy of each of the 4 result batches, and 17 for
-// the checkpoints the replay log forces every 256 entries (gob-encoded
-// replica state; an AVG group carries no value multiset, so gob encodes no
-// map for it). gob pools its buffers, and the join its arenas, in a
-// sync.Pool, which under the race detector drops items at random, so the
-// counts are checked only without it.
+// batches, the undo log's copy of each of the 4 result batches, and 11 for
+// the checkpoints the replay log forces every 256 entries (each replica's
+// state gob-encoded, the reply around them in the wire's own varints; an
+// AVG group carries no value multiset, so gob encodes no map for it). The
+// count is taken over 256 epochs, 8 whole checkpoint periods of 32 epochs (8
+// logged data frames each), so it does not depend on where the measured
+// window starts in the cadence. gob pools its buffers, and the join its
+// arenas, in a sync.Pool, which under the race detector drops items at
+// random, so the counts are checked only without it.
 func TestRemoteJoinAggAllocs(t *testing.T) {
 	for _, c := range []struct {
 		workers  int
@@ -143,9 +146,9 @@ func TestRemoteJoinAggAllocs(t *testing.T) {
 	}{
 		{0, false, 2},
 		{0, true, 2},
-		{1, false, 1 + 12 + 7},
-		{2, false, 1 + 12 + 14},
-		{1, true, 1 + 12 + 7 + 8 + 4 + 17},
+		{1, false, 1 + 12 + 6},
+		{2, false, 1 + 12 + 11},
+		{1, true, 1 + 12 + 6 + 8 + 4 + 11},
 	} {
 		t.Run(fmt.Sprintf("W=%d/failover=%t", c.workers, c.failover), func(t *testing.T) {
 			p := buildRemoteJoinAgg(t, c.workers, c.failover)
@@ -157,7 +160,7 @@ func TestRemoteJoinAggAllocs(t *testing.T) {
 			for range 400 {
 				epoch()
 			}
-			if n := testing.AllocsPerRun(200, epoch); n != c.want && !testproc.Race {
+			if n := testing.AllocsPerRun(256, epoch); n != c.want && !testproc.Race {
 				t.Errorf("one epoch allocates %v times, want %v", n, c.want)
 			}
 			if p.dep.Result.Len() == 0 {

@@ -75,8 +75,3 @@ func Work(n Node) float64 {
 	}
 	return 0
 }
-
-// Latency converts plan work into the modelled per-result latency.
-func Latency(n Node) time.Duration {
-	return time.Duration(Work(n) * float64(PerTupleCost))
-}

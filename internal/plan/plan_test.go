@@ -210,9 +210,6 @@ func TestCostModel(t *testing.T) {
 	if Work(small.Root) >= Work(big.Root) {
 		t.Fatalf("join should cost more: %v vs %v", Work(small.Root), Work(big.Root))
 	}
-	if Latency(big.Root) <= 0 {
-		t.Fatal("latency must be positive")
-	}
 	if Card(small.Root) >= 20 {
 		t.Fatalf("selection should reduce card: %v", Card(small.Root))
 	}

@@ -40,17 +40,13 @@ const OccupiedLightThreshold = 10.0
 // OpenRoomLightThreshold discriminates a lit (open) room at an area sensor.
 const OpenRoomLightThreshold = 50.0
 
+// sampleEvery is the sensor epoch.
+const sampleEvery = time.Second
+
 // Options configures the deployment.
 type Options struct {
 	Building building.GenConfig
 	Seed     int64
-	// RadioLossRate injects lossy links.
-	RadioLossRate float64
-	// SampleEvery is the sensor epoch (default 1s).
-	SampleEvery time.Duration
-	// MachinesPerLab places this many workstations per lab (default: one
-	// per desk).
-	MachinesPerLab int
 	// SkipPDUServers disables the real HTTP PDU endpoints (benchmarks).
 	SkipPDUServers bool
 	// Topology spreads deployed stream plans over pipeline replicas and
@@ -105,14 +101,10 @@ func New(opts Options) (*App, error) {
 	if opts.Building.Labs == 0 {
 		opts.Building = building.DefaultConfig()
 	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = time.Second
-	}
 	b := building.Generate(opts.Building)
 
 	netCfg := sensornet.DefaultConfig()
 	netCfg.Seed = opts.Seed + 1
-	netCfg.LossRate = opts.RadioLossRate
 	nw := sensornet.New(netCfg)
 
 	app := &App{
@@ -130,7 +122,7 @@ func New(opts Options) (*App, error) {
 	if err := app.deployMotes(); err != nil {
 		return nil, err
 	}
-	app.deployMachines(opts.MachinesPerLab)
+	app.deployMachines()
 	if !opts.SkipPDUServers {
 		if err := app.deployPDUs(); err != nil {
 			return nil, err
@@ -140,14 +132,14 @@ func New(opts Options) (*App, error) {
 	app.RT = core.New(core.Config{
 		Scheduler:    app.Sched,
 		SensorEngine: sensor.NewEngine(nw, app),
-		TickPeriod:   opts.SampleEvery,
+		TickPeriod:   sampleEvery,
 		// Bound recursive route enumeration by the hallway depth; deeper
 		// paths only revisit corridors.
 		RecursionDepth: len(b.Points()) / 2,
 		Topology:       opts.Topology,
 		SnapshotPath:   opts.SnapshotPath,
 	})
-	if err := app.registerSources(opts); err != nil {
+	if err := app.registerSources(); err != nil {
 		return nil, err
 	}
 	return app, nil
@@ -215,9 +207,9 @@ func (a *App) deployMotes() error {
 
 func deskKey(room string, desk int) string { return fmt.Sprintf("%s#%d", room, desk) }
 
-// deployMachines fills labs with workstations and the machine room with
-// servers.
-func (a *App) deployMachines(perLab int) {
+// deployMachines fills labs with workstations, one per desk, and the
+// machine room with servers.
+func (a *App) deployMachines() {
 	softwareSets := [][]string{
 		{"%fedora%", "fedora linux, gcc, emacs"},
 		{"%windows%word%", "windows, word, excel"},
@@ -226,11 +218,7 @@ func (a *App) deployMachines(perLab int) {
 	}
 	i := 0
 	for _, lab := range a.Building.Labs() {
-		n := perLab
-		if n <= 0 || n > len(lab.Desks) {
-			n = len(lab.Desks)
-		}
-		for d := 0; d < n; d++ {
+		for d := range lab.Desks {
 			sw := softwareSets[i%len(softwareSets)]
 			a.Fleet.MustAdd(machines.Machine{
 				Name: fmt.Sprintf("ws-%s-%d", lab.Name, d+1),
@@ -282,8 +270,8 @@ func (a *App) deployPDUs() error {
 
 // registerSources declares every source in the catalog and the engine and
 // creates the standard views.
-func (a *App) registerSources(opts Options) error {
-	rate := 1.0 / opts.SampleEvery.Seconds()
+func (a *App) registerSources() error {
+	rate := 1.0 / sampleEvery.Seconds()
 	nodes := float64(a.Net.Len())
 	if err := a.RT.RegisterSensorStream("Temperature", sensornet.SensorTemperature, nodes*rate/2); err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"slices"
-	"sort"
 
 	"aspen/internal/data"
 	"aspen/internal/vtime"
@@ -414,49 +413,4 @@ func RestoreCheckpoint(cks []Checkpointer, state []byte) error {
 		}
 	}
 	return nil
-}
-
-// ShardCheckpoint pairs one hosted shard with its encoded operator states —
-// the unit a worker's checkpoint reply carries, one entry per replica on the
-// connection.
-type ShardCheckpoint struct {
-	Shard int
-	State []byte
-}
-
-// encodeWorkerCheckpoint snapshots every replica hosted on one worker
-// connection (sorted by shard for determinism).
-func encodeWorkerCheckpoint(cks map[int][]Checkpointer) ([]byte, error) {
-	shards := make([]int, 0, len(cks))
-	for j := range cks {
-		shards = append(shards, j)
-	}
-	sort.Ints(shards)
-	payload := make([]ShardCheckpoint, 0, len(shards))
-	for _, j := range shards {
-		st, err := EncodeCheckpoint(cks[j])
-		if err != nil {
-			return nil, err
-		}
-		payload = append(payload, ShardCheckpoint{Shard: j, State: st})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return nil, fmt.Errorf("stream: encode worker checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeWorkerCheckpoint splits a worker checkpoint reply back into
-// per-shard payloads.
-func decodeWorkerCheckpoint(b []byte) (map[int][]byte, error) {
-	var payload []ShardCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("stream: decode worker checkpoint: %w", err)
-	}
-	out := make(map[int][]byte, len(payload))
-	for _, sc := range payload {
-		out[sc.Shard] = sc.State
-	}
-	return out, nil
 }

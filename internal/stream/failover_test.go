@@ -380,7 +380,13 @@ func (h *foHarness) feed(evs []foEvent) {
 func (h *foHarness) conns() []*ShardConn {
 	h.set.mu.RLock()
 	defer h.set.mu.RUnlock()
-	return append([]*ShardConn(nil), h.set.uconns...)
+	var out []*ShardConn
+	for _, home := range h.set.hosts {
+		if c, ok := home.(*ShardConn); ok {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // kill severs a worker like a SIGKILL: every replica it hosts dies with

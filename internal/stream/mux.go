@@ -169,13 +169,6 @@ func (pc *physConn) dropStream(c *ShardConn) {
 	pc.pool.release(pc)
 }
 
-// Err reports the sticky link failure, if any.
-func (pc *physConn) Err() error {
-	pc.mu.RLock()
-	defer pc.mu.RUnlock()
-	return pc.err
-}
-
 // fail records the first link-level error, evicts the connection from
 // the pool, closes the socket (waking the read loop), and fails every
 // stream — a worker that stalls or dies stalls all of them, so the

@@ -112,15 +112,12 @@ func TestSharderShipPoints(t *testing.T) {
 	shipped := func(label string, j, n int) int {
 		t.Helper()
 		set.mu.RLock()
-		inProcess := set.homes[j].conn == nil
+		home := set.homes[j]
 		set.mu.RUnlock()
-		if inProcess {
+		if h, ok := home.(*localHome); ok {
 			// Wait for the shard's queue to run what it was sent, without
 			// shipping what the exchange holds (Flush would).
-			var wg sync.WaitGroup
-			wg.Add(1)
-			set.queues[j] <- shardMsg{kind: msgBarrier, wg: &wg}
-			wg.Wait()
+			h.do(nil)
 		}
 		got := recs[j].take()
 		if len(got) != n {

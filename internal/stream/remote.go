@@ -3,8 +3,8 @@ package stream
 import (
 	"bytes"
 	"cmp"
-	"encoding/gob"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"strings"
@@ -19,13 +19,13 @@ import (
 // This file is the multi-node half of the partition-parallel layer: a shard
 // replica of a deployed plan may live in another engine process (another PC
 // of the paper's architecture) behind a ShardConn instead of an in-process
-// worker goroutine. One physical TCP connection per (coordinator, worker)
+// home (shard.go). One physical TCP connection per (coordinator, worker)
 // carries every deployment between the two, multiplexed by per-deployment
 // stream ids (mux.go); a ShardConn is one such stream. Everything travels
 // both ways over it — deploy specs, data batches, clock ticks, and
 // flush/close barriers outward; result batches and acks back — in the
 // binary columnar wire format (wire.go). FIFO ordering per stream gives
-// the same guarantees the in-process queues do: a barrier ack arrives
+// the same guarantees an in-process home's queue does: a barrier ack arrives
 // behind every result its data produced.
 //
 // With failover enabled (shard.go), each stream additionally keeps a
@@ -86,13 +86,51 @@ type DeployFunc func(spec []byte, shard int, state []byte, send ResultSender) (h
 // shards: the coordinator and worker derive it identically.
 func headKey(shard int, name string) string { return fmt.Sprintf("%d/%s", shard, name) }
 
-// deployBody is the gob payload of a deploy frame, after its stream id and
-// sequence number — the one remaining gob-encoded frame body (replica specs
-// are cold-path, deeply structured, and already gob inside Spec anyway).
-type deployBody struct {
-	Shard int
-	Spec  []byte
-	State []byte
+// appendDeployBody encodes a deploy frame's body, after its stream id and
+// sequence number: the shard, then the length-prefixed replica spec and
+// state to restore (empty = fresh).
+func appendDeployBody(b []byte, shard int, spec, state []byte) []byte {
+	return appendWireString(appendWireString(appendUvarint(b, uint64(shard)), spec), state)
+}
+
+// readDeployBody decodes appendDeployBody's layout into copies: the frame
+// buffer is reused, and a replica may keep either.
+func readDeployBody(br *byteReader) (shard int, spec, state []byte, ok bool) {
+	shard = int(br.uvarint())
+	spec = bytes.Clone(br.bytes(int(br.uvarint())))
+	if state = br.bytes(int(br.uvarint())); len(state) > 0 {
+		state = bytes.Clone(state)
+	}
+	return shard, spec, state, !br.fail && shard >= 0
+}
+
+// appendShardStates encodes a checkpoint reply's states: the replica
+// count, then each replica's shard and length-prefixed state (its
+// EncodeCheckpoint payload), in shard order.
+func appendShardStates(b []byte, states map[int][]byte) []byte {
+	b = appendUvarint(b, uint64(len(states)))
+	for _, j := range slices.Sorted(maps.Keys(states)) {
+		b = appendWireString(appendUvarint(b, uint64(j)), states[j])
+	}
+	return b
+}
+
+// readShardStates decodes appendShardStates' layout. A replica takes at
+// least two bytes, so a count the rest of the body cannot hold is
+// malformed before anything is allocated for it.
+func readShardStates(br *byteReader) (map[int][]byte, bool) {
+	n := br.uvarint()
+	if n > uint64(len(br.b)-br.off)/2 {
+		return nil, false
+	}
+	states := make(map[int][]byte, n)
+	for range n {
+		j := int(br.uvarint())
+		if states[j] = bytes.Clone(br.bytes(int(br.uvarint()))); j < 0 {
+			return nil, false
+		}
+	}
+	return states, !br.fail
 }
 
 // ShardWorker hosts remote shard replicas: it accepts coordinator
@@ -197,18 +235,16 @@ func (s *connServer) Close() error {
 	return err
 }
 
-// workerStream is the worker-side state of one deployment's stream: its
-// replica registry and the credit acks it owes the coordinator. heads,
-// advs and cks are all keyed (or prefixed) by shard, so one shard's
-// replica can leave the stream (frameUndeploy, a rescale) without
-// disturbing its siblings. advs is sorted by shard: a tick frame advances
-// the replicas, and so sends their result frames, in shard order.
-type workerStream struct {
+// replicas is one home's replica registry — a worker stream's, or an
+// in-process home's (shard.go): every entry point under its headKey, the
+// time-driven operators in shard order, the stateful ones by shard. All
+// three are keyed by shard, so one shard's replica can leave (frameUndeploy,
+// a rescale) without disturbing its siblings, and a tick advances the
+// replicas, and so sends their result frames, in shard order.
+type replicas struct {
 	heads map[string]Operator
 	advs  []shardAdvancers
 	cks   map[int][]Checkpointer
-	send  ResultSender
-	pend  int // processed-but-unacked credit frames
 }
 
 // shardAdvancers is one replica's time-driven operators.
@@ -217,18 +253,78 @@ type shardAdvancers struct {
 	advs  []Advancer
 }
 
+func newReplicas() replicas {
+	return replicas{heads: map[string]Operator{}, cks: map[int][]Checkpointer{}}
+}
+
+// deploy builds shard's replica through build and registers it.
+func (r *replicas) deploy(build DeployFunc, spec []byte, shard int, state []byte, send ResultSender) error {
+	heads, advs, cks, err := build(spec, shard, state, send)
+	if err != nil {
+		return err
+	}
+	for name, op := range heads {
+		r.heads[headKey(shard, name)] = op
+	}
+	r.setAdvs(shard, advs)
+	r.cks[shard] = cks
+	return nil
+}
+
+// undeploy drops shard's replica.
+func (r *replicas) undeploy(shard int) {
+	prefix := fmt.Sprintf("%d/", shard)
+	for k := range r.heads {
+		if strings.HasPrefix(k, prefix) {
+			delete(r.heads, k)
+		}
+	}
+	r.setAdvs(shard, nil)
+	delete(r.cks, shard)
+}
+
 // setAdvs records shard's advancers at its place in shard order, replacing
 // any the shard had; nil removes the shard.
-func (ws *workerStream) setAdvs(shard int, advs []Advancer) {
-	i, found := slices.BinarySearchFunc(ws.advs, shard, func(r shardAdvancers, j int) int { return cmp.Compare(r.shard, j) })
+func (r *replicas) setAdvs(shard int, advs []Advancer) {
+	i, found := slices.BinarySearchFunc(r.advs, shard, func(a shardAdvancers, j int) int { return cmp.Compare(a.shard, j) })
 	switch {
 	case found && advs == nil:
-		ws.advs = slices.Delete(ws.advs, i, i+1)
+		r.advs = slices.Delete(r.advs, i, i+1)
 	case found:
-		ws.advs[i].advs = advs
+		r.advs[i].advs = advs
 	case advs != nil:
-		ws.advs = slices.Insert(ws.advs, i, shardAdvancers{shard, advs})
+		r.advs = slices.Insert(r.advs, i, shardAdvancers{shard, advs})
 	}
+}
+
+// advance ticks every replica, in shard order.
+func (r *replicas) advance(now vtime.Time) {
+	for _, a := range r.advs {
+		for _, adv := range a.advs {
+			adv.Advance(now)
+		}
+	}
+}
+
+// states encodes every replica's operator state, by shard.
+func (r *replicas) states() (map[int][]byte, error) {
+	out := make(map[int][]byte, len(r.cks))
+	for j, cks := range r.cks {
+		st, err := EncodeCheckpoint(cks)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = st
+	}
+	return out, nil
+}
+
+// workerStream is the worker-side state of one deployment's stream: its
+// replica registry and the credit acks it owes the coordinator.
+type workerStream struct {
+	replicas
+	send ResultSender
+	pend int // processed-but-unacked credit frames
 }
 
 // serveConn drives one coordinator link: decode a frame, route it to its
@@ -272,7 +368,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 	getStream := func(id uint64) *workerStream {
 		ws := streams[id]
 		if ws == nil {
-			ws = &workerStream{heads: map[string]Operator{}, cks: map[int][]Checkpointer{}}
+			ws = &workerStream{replicas: newReplicas()}
 			ws.send = func(ts []data.Tuple) error {
 				if len(ts) == 0 {
 					return nil
@@ -333,11 +429,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 				return
 			}
 			ws := getStream(id)
-			for _, r := range ws.advs {
-				for _, a := range r.advs {
-					a.Advance(now)
-				}
-			}
+			ws.advance(now)
 			ws.pend++
 			pendTotal++
 			sinceAck++
@@ -352,34 +444,25 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 			errs := ""
 			switch kind {
 			case frameDeploy:
-				var db deployBody
-				if gob.NewDecoder(bytes.NewReader(br.rest())).Decode(&db) != nil {
+				shard, spec, state, ok := readDeployBody(br)
+				if !ok {
 					return
 				}
 				ws := getStream(id)
-				h, a, ck, derr := w.deploy(db.Spec, db.Shard, db.State, ws.send)
-				if derr != nil {
+				if derr := ws.deploy(w.deploy, spec, shard, state, ws.send); derr != nil {
 					errs = derr.Error()
-					break
 				}
-				for name, op := range h {
-					ws.heads[headKey(db.Shard, name)] = op
-				}
-				ws.setAdvs(db.Shard, a)
-				ws.cks[db.Shard] = ck
 			case frameFlush:
 			case frameCheckpoint:
-				payload, cerr := encodeWorkerCheckpoint(getStream(id).cks)
+				states, cerr := getStream(id).states()
 				if cerr != nil {
 					errs = cerr.Error()
-					payload = nil
 				}
 				m := wr.begin(frameCkptState)
 				wr.buf = appendUvarint(wr.buf, id)
 				wr.buf = appendUvarint(wr.buf, seq)
 				wr.buf = appendWireString(wr.buf, errs)
-				wr.buf = appendUvarint(wr.buf, uint64(len(payload)))
-				wr.buf = append(wr.buf, payload...)
+				wr.buf = appendShardStates(wr.buf, states)
 				wr.end(m)
 			case frameUndeploy:
 				// One shard's replica leaves the stream (a rescale moved it);
@@ -389,14 +472,7 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 					return
 				}
 				if ws := streams[id]; ws != nil {
-					prefix := fmt.Sprintf("%d/", shard)
-					for k := range ws.heads {
-						if strings.HasPrefix(k, prefix) {
-							delete(ws.heads, k)
-						}
-					}
-					ws.setAdvs(shard, nil)
-					delete(ws.cks, shard)
+					ws.undeploy(shard)
 				}
 			case frameClose:
 				// Drop this stream's replicas, acking its owed credits first;
@@ -439,12 +515,12 @@ func appendAckFrame(w *wireWriter, id, seq uint64, credits int, errs string) {
 	w.end(m)
 }
 
-// logEntry is one replayable coordinator→worker frame: a data batch for a
-// named replica head, or (Tick set) a clock instant for every replica on
-// the stream.
+// logEntry is one replayable coordinator→worker frame: a data batch for
+// the replica head under key, or (Tick set) a clock instant for every
+// replica on the stream.
 type logEntry struct {
 	shard int
-	name  string
+	key   string
 	batch []data.Tuple
 	tick  bool
 	now   vtime.Time
@@ -595,6 +671,7 @@ type ShardConn struct {
 	id   uint64
 	sink Operator     // result funnel (the deployment's Merge)
 	dec  batchDecoder // result decode scratch; reader goroutine only
+	pool batchPool    // where ship returns the exchange's buffers; nil on a bare stream
 
 	credits chan struct{}
 
@@ -698,18 +775,18 @@ func (c *ShardConn) handleFrame(kind frameKind, br *byteReader) bool {
 	case frameCkptState:
 		seq := br.uvarint()
 		errs := br.wireString()
-		payload := br.bytes(int(br.uvarint()))
-		if br.fail {
+		states, ok := readShardStates(br)
+		if br.fail || !ok {
 			return false
 		}
 		// Decoded on the FIFO: every result before this reply is already
 		// in the undo log, so committing here truncates both logs at the
 		// exact consistency point of the checkpoint.
-		var r reply
+		r := reply{states: states}
 		if errs != "" {
-			r.err = fmt.Errorf("stream: shard worker %s: checkpoint: %s", c.addr, errs)
-		} else if r.states, r.err = decodeWorkerCheckpoint(payload); r.err == nil && c.flog != nil {
-			c.flog.commit(r.states)
+			r = reply{err: fmt.Errorf("stream: shard worker %s: checkpoint: %s", c.addr, errs)}
+		} else if c.flog != nil {
+			c.flog.commit(states)
 		}
 		c.deliver(seq, r)
 	case frameAck:
@@ -841,7 +918,7 @@ func (c *ShardConn) acquireCredit() error {
 // redeployed replica can replay exactly what the lost worker was sent.
 // force flushes the buffer to the socket; otherwise frames coalesce until
 // a flush point (threshold, tick, barrier, or a credit wait).
-func (c *ShardConn) sendFrame(shard int, name, key string, ts []data.Tuple, tick bool, now vtime.Time, force bool) error {
+func (c *ShardConn) sendFrame(shard int, key string, ts []data.Tuple, tick bool, now vtime.Time, force bool) error {
 	live := c.Err() == nil
 	if live && c.acquireCredit() != nil {
 		live = false
@@ -853,7 +930,7 @@ func (c *ShardConn) sendFrame(shard int, name, key string, ts []data.Tuple, tick
 	pc.wmu.Lock()
 	var size int
 	if c.flog != nil {
-		e := logEntry{shard: shard, name: name, tick: tick, now: now}
+		e := logEntry{shard: shard, key: key, tick: tick, now: now}
 		if !tick {
 			// The pipeline owns pushed tuples (nobody mutates them after the
 			// send), so the log retains them without cloning values.
@@ -888,14 +965,22 @@ func (c *ShardConn) sendFrame(shard int, name, key string, ts []data.Tuple, tick
 }
 
 // request sends one sequence-matched control frame — deploy, undeploy,
-// flush, close or checkpoint — and waits for the worker's reply. Under the
-// link's write lock it reserves the next sequence number, registers the
-// waiter, and writes id, seq and body, flushed at once: the stall clock
-// means nothing until the frame is on the wire. A checkpoint marks the
-// replay log there too, so mark and frame take one FIFO position. The reply
-// carries the worker's error, or a checkpoint's decoded per-shard states;
-// none within the stall bound breaks the link.
+// flush, close or checkpoint — and waits for the worker's reply: the
+// worker's error, or a checkpoint's decoded per-shard states.
 func (c *ShardConn) request(kind frameKind, body []byte) (map[int][]byte, error) {
+	ch, err := c.post(kind, body)
+	if err != nil {
+		return nil, err
+	}
+	return c.await(kind, ch)
+}
+
+// post writes one request frame and returns the channel its reply arrives
+// on. Under the link's write lock it reserves the next sequence number,
+// registers the waiter, and writes id, seq and body, flushed at once: the
+// stall clock means nothing until the frame is on the wire. A checkpoint
+// marks the replay log there too, so mark and frame take one FIFO position.
+func (c *ShardConn) post(kind frameKind, body []byte) (chan reply, error) {
 	ch := make(chan reply, 1)
 	pc := c.pc
 	pc.wmu.Lock()
@@ -928,6 +1013,12 @@ func (c *ShardConn) request(kind frameKind, body []byte) (map[int][]byte, error)
 		}
 		return nil, err
 	}
+	return ch, nil
+}
+
+// await waits for the reply to a posted request; none within the stall
+// bound breaks the link.
+func (c *ShardConn) await(kind frameKind, ch chan reply) (map[int][]byte, error) {
 	stall := time.NewTimer(c.stall)
 	defer stall.Stop()
 	select {
@@ -953,11 +1044,7 @@ func (c *ShardConn) request(kind frameKind, body []byte) (map[int][]byte, error)
 // committed checkpoint, so a failover chain never loses the state a replica
 // was seeded with.
 func (c *ShardConn) Deploy(spec []byte, shard int, state []byte) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(deployBody{Shard: shard, Spec: spec, State: state}); err != nil {
-		return fmt.Errorf("stream: encode deploy: %w", err)
-	}
-	if _, err := c.request(frameDeploy, body.Bytes()); err != nil {
+	if _, err := c.request(frameDeploy, appendDeployBody(nil, shard, spec, state)); err != nil {
 		return err
 	}
 	if c.flog != nil {
@@ -968,12 +1055,20 @@ func (c *ShardConn) Deploy(spec []byte, shard int, state []byte) error {
 
 // checkpoint asks the worker for the state of every replica on the stream
 // and returns it by shard; with failover armed the read loop has committed
-// the same states to the replay log. It waits out a checkpoint already in
-// flight, which its own stall bound keeps finite.
+// the same states to the replay log, which must then hold nothing: the
+// caller quiesced every producer, so the checkpoint subsumes all the stream
+// was sent. It waits out a checkpoint already in flight, which its own
+// stall bound keeps finite.
 func (c *ShardConn) checkpoint() (map[int][]byte, error) {
 	c.ckmu.Lock()
 	defer c.ckmu.Unlock()
-	return c.request(frameCheckpoint, nil)
+	states, err := c.request(frameCheckpoint, nil)
+	if err == nil && c.flog != nil {
+		if n := c.flog.pendingIn(); n != 0 {
+			return nil, fmt.Errorf("stream: %s still has %d unsnapshotted entries after a quiesced checkpoint", c.addr, n)
+		}
+	}
+	return states, err
 }
 
 // checkpointSoon starts the failover cadence's checkpoint in the
@@ -1010,19 +1105,28 @@ func (c *ShardConn) SendBatch(shard int, name string, ts []data.Tuple) error {
 	if len(ts) == 0 {
 		return nil
 	}
-	return c.sendShard(shard, name, headKey(shard, name), ts, false)
+	return c.sendFrame(shard, headKey(shard, name), ts, false, 0, false)
 }
 
-// sendShard is SendBatch with the wire key precomposed (each Sharder keeps
-// its shards' keys, keeping the exchange's per-batch path free of
-// formatting allocations). Unless force writes it at once, the frame coalesces in the
-// write buffer until the next flush point — normally the tick that ends the
-// epoch.
-func (c *ShardConn) sendShard(shard int, name, key string, ts []data.Tuple, force bool) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	return c.sendFrame(shard, name, key, ts, false, 0, force)
+// ship implements shardHome: the batch is encoded under key (precomposed
+// by the Sharder, so the per-batch path formats nothing) and its buffer
+// goes straight back to the pool. A full batch is written to the socket at
+// once, so the worker starts on it while the producer is still pushing; a
+// partial one waits in the write buffer for the next flush point.
+func (c *ShardConn) ship(shard int, key string, batch []data.Tuple, full bool) error {
+	err := c.sendFrame(shard, key, batch, false, 0, full)
+	c.pool.put(batch)
+	return err
+}
+
+// eager, startFlush and awaitFlush implement shardHome; the last two are
+// Flush's halves.
+func (c *ShardConn) eager() bool                                    { return false }
+func (c *ShardConn) startFlush(*sync.WaitGroup) (chan reply, error) { return c.post(frameFlush, nil) }
+
+func (c *ShardConn) awaitFlush(ch chan reply) error {
+	_, err := c.await(frameFlush, ch)
+	return err
 }
 
 // Tick advances every replica window deployed over this stream, flushes
@@ -1030,7 +1134,7 @@ func (c *ShardConn) sendShard(shard int, name, key string, ts []data.Tuple, forc
 // reach the worker), and paces the checkpoint cadence: every ckEvery-th
 // tick starts a background checkpoint.
 func (c *ShardConn) Tick(now vtime.Time) error {
-	err := c.sendFrame(0, "", "", nil, true, now, true)
+	err := c.sendFrame(0, "", nil, true, now, true)
 	if c.flog != nil && c.ckEvery > 0 && c.ticks.Add(1)%int64(c.ckEvery) == 0 {
 		c.checkpointSoon()
 	}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -322,8 +321,7 @@ func TestShardConnStalledWorker(t *testing.T) {
 			id := br.uvarint()
 			if kind == frameDeploy {
 				seq := br.uvarint()
-				var db deployBody
-				if br.fail || gob.NewDecoder(bytes.NewReader(br.rest())).Decode(&db) != nil {
+				if _, _, _, ok := readDeployBody(br); !ok {
 					return
 				}
 				appendAckFrame(wr, id, seq, 0, "")
@@ -436,7 +434,7 @@ func TestShardWorkerDisconnectMidEpoch(t *testing.T) {
 	if err := set.Deploy(ShardConfig{Sink: NewMerge(mat)}, []string{w.Addr()}, nil); err != nil {
 		t.Fatal(err)
 	}
-	c := set.homes[0].conn
+	c := set.homes[0].(*ShardConn)
 	if err := c.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 20)}); err != nil {
 		t.Fatal(err)
 	}
@@ -648,13 +646,9 @@ func requestFrame(kind frameKind, id, seq uint64, body []byte) func(*wireWriter)
 // may panic, nor allocate past the codec's bounds: per frame, a read buffer
 // of wireMaxFrame and a decoded batch of maxBatchCells values.
 func FuzzShardFrames(f *testing.F) {
-	var deploy bytes.Buffer
-	if err := gob.NewEncoder(&deploy).Encode(deployBody{Shard: 1}); err != nil {
-		f.Fatal(err)
-	}
 	batch := appendBatch(nil, []data.Tuple{temp(1, "L1", 20), temp(2, "L2", 21)})
 	f.Add(shardFrames(
-		requestFrame(frameDeploy, 1, 1, deploy.Bytes()),
+		requestFrame(frameDeploy, 1, 1, appendDeployBody(nil, 1, nil, nil)),
 		func(w *wireWriter) {
 			m := w.begin(frameData)
 			w.buf = appendUvarint(w.buf, 1)
@@ -671,9 +665,20 @@ func FuzzShardFrames(f *testing.F) {
 		requestFrame(frameUndeploy, 1, 4, appendUvarint(nil, 1)),
 		requestFrame(frameClose, 1, 5, nil),
 	))
-	states, err := encodeWorkerCheckpoint(map[int][]Checkpointer{0: {NewMaterialize(tempSchema())}})
+	state, err := EncodeCheckpoint([]Checkpointer{NewMaterialize(tempSchema())})
 	if err != nil {
 		f.Fatal(err)
+	}
+	// ckptState is a checkpoint reply whose states are body.
+	ckptState := func(body []byte) func(*wireWriter) {
+		return func(w *wireWriter) {
+			m := w.begin(frameCkptState)
+			w.buf = appendUvarint(w.buf, 1)
+			w.buf = appendUvarint(w.buf, 2)
+			w.buf = appendWireString(w.buf, "")
+			w.buf = append(w.buf, body...)
+			w.end(m)
+		}
 	}
 	f.Add(shardFrames(
 		func(w *wireWriter) {
@@ -683,15 +688,14 @@ func FuzzShardFrames(f *testing.F) {
 			w.end(m)
 			appendAckFrame(w, 1, 0, 3, "")
 			appendAckFrame(w, 1, 1, 0, "replica spec rejected")
-			m = w.begin(frameCkptState)
-			w.buf = appendUvarint(w.buf, 1)
-			w.buf = appendUvarint(w.buf, 2)
-			w.buf = appendWireString(w.buf, "")
-			w.buf = appendUvarint(w.buf, uint64(len(states)))
-			w.buf = append(w.buf, states...)
-			w.end(m)
 		},
+		ckptState(appendShardStates(nil, map[int][]byte{0: state, 3: nil})),
 	))
+	// Hostile bodies: a deploy whose spec runs past the frame, a replica
+	// state longer than the reply, and more replicas than the reply holds.
+	f.Add(shardFrames(requestFrame(frameDeploy, 1, 1, appendDeployBody(nil, 0, []byte("spec"), nil)[:4])))
+	f.Add(shardFrames(ckptState(appendUvarint(appendUvarint(appendUvarint(nil, 1), 0), 1<<40))))
+	f.Add(shardFrames(ckptState(appendUvarint(nil, 1<<40))))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		frames := uint64(len(in)/5 + 1) // a frame is at least a length and a kind
 		bound := 2*wireMaxFrame + frames*(maxBatchCells*uint64(unsafe.Sizeof(data.Value{}))+

@@ -2,7 +2,7 @@ package stream
 
 import (
 	"fmt"
-	"sync"
+	"maps"
 )
 
 // This file aims the failover machinery at planned topology change:
@@ -20,14 +20,13 @@ import (
 //	SERVING ──(acquire fmu, every Sharder lock, and the set write lock:
 //	│          producers and the tick fan-out are excluded)──▶ QUIESCED
 //	│
-//	│   QUIESCED: barrier the local queues and flush every worker stream,
-//	│   so every pre-rescale message is fully processed and the sink is
-//	│   consistent.
+//	│   QUIESCED: ship the exchanges' pending batches and barrier every
+//	│   home, so every pre-rescale message is fully processed and the sink
+//	│   is consistent.
 //	│
-//	QUIESCED ──(synchronous checkpoint of every source: worker streams
-//	│           answer a checkpoint request with their replicas' states —
-//	│           with or without a replay log — and in-process homes
-//	│           encode their Checkpointers)──▶ CHECKPOINTED. Replay logs,
+//	QUIESCED ──(synchronous checkpoint of every source home: it answers
+//	│           with its replicas' states — a worker stream with or
+//	│           without a replay log)──▶ CHECKPOINTED. Replay logs,
 //	│           where failover keeps them, are empty afterwards (nothing
 //	│           was sent since the quiesce), so no undo and no replay is
 //	│           needed: the planned path skips the two failover stages that
@@ -35,11 +34,10 @@ import (
 //	│
 //	CHECKPOINTED ──(per moving shard: stage spec+state at the new home —
 //	│               an existing healthy stream, a freshly dialed worker,
-//	│               or an in-process replica — then install it (flip the
-//	│               exchange heads and shard routing), then frameUndeploy
-//	│               the old replica)──▶ SERVING on the new topology. A
-//	│               worker stream left hosting nothing is closed and
-//	│               dropped from the barrier/tick set.
+//	│               or an in-process home — then install it (point the
+//	│               shard at it), then undeploy the old replica)──▶
+//	│               SERVING on the new topology. A home left hosting
+//	│               nothing is closed and dropped from the barrier/tick set.
 //	│
 //	└──(any deploy fails)──▶ the rescale stops and reports the error;
 //	    already-moved shards stay moved (the placement is valid, just not
@@ -97,8 +95,8 @@ func (s *ShardSet) rescaleOnce(loc []string) error {
 	}
 
 	var moved []int
-	for j := range s.homes {
-		if loc[j] != s.homes[j].addr() {
+	for j, h := range s.homes {
+		if loc[j] != h.Addr() {
 			moved = append(moved, j)
 		}
 	}
@@ -108,8 +106,11 @@ func (s *ShardSet) rescaleOnce(loc []string) error {
 		return nil
 	}
 
-	if err := s.drainLocked(); err != nil {
-		return err
+	for _, sh := range s.sharders {
+		sh.flushPending(s.sendLocked)
+	}
+	if err := s.barrierLocked(func() {}); err != nil {
+		return fmt.Errorf("stream: rescale: %w", err)
 	}
 	states, err := s.checkpointShardsLocked(moved)
 	if err != nil {
@@ -137,67 +138,24 @@ func (s *ShardSet) quiesce() func() {
 	}
 }
 
-// drainLocked ships every exchange's pending batch to its shard's current
-// home, then barriers every local queue and flushes every worker stream, so
-// every tuple pushed before the quiesce is fully processed and in the
-// checkpoint that follows. Caller holds the quiesce locks.
-func (s *ShardSet) drainLocked() error {
-	for _, sh := range s.sharders {
-		sh.flushPending(s.sendLocked)
-	}
-	var wg sync.WaitGroup
-	for j := 0; j < s.p; j++ {
-		if s.homes[j].conn != nil {
-			continue
-		}
-		wg.Add(1)
-		s.queues[j] <- shardMsg{kind: msgBarrier, wg: &wg}
-	}
-	wg.Wait()
-	for _, c := range s.uconns {
-		if err := c.Flush(); err != nil {
-			return fmt.Errorf("stream: rescale: flush %s: %w", c.addr, err)
-		}
-	}
-	return nil
-}
-
 // checkpointShardsLocked takes a synchronous checkpoint of every listed
-// shard — one checkpoint request per source worker stream, whose reply
-// carries the states of every shard on it, and a local encode for
-// in-process replicas — and returns the per-shard states. A stream with a
-// replay log must have nothing left in it: the quiesce stopped every
-// producer, so the checkpoint subsumes all it was sent. Caller holds the
+// shard — one request per source home, whose reply carries the states of
+// every shard on it — and returns the per-shard states. Caller holds the
 // quiesce locks.
 func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, error) {
 	states := map[int][]byte{}
-	done := map[*ShardConn]bool{}
+	done := map[shardHome]bool{}
 	for _, j := range shards {
-		c := s.homes[j].conn
-		if c == nil {
-			st, err := EncodeCheckpoint(s.homes[j].cks)
-			if err != nil {
-				return nil, fmt.Errorf("stream: rescale: checkpoint local shard %d: %w", j, err)
-			}
-			states[j] = st
+		h := s.homes[j]
+		if done[h] {
 			continue
 		}
-		if done[c] {
-			continue
-		}
-		done[c] = true
-		got, err := c.checkpoint()
+		done[h] = true
+		got, err := h.checkpoint()
 		if err != nil {
-			return nil, fmt.Errorf("stream: rescale: checkpoint %s: %w", c.addr, err)
+			return nil, fmt.Errorf("stream: rescale: checkpoint shard %d at %q: %w", j, h.Addr(), err)
 		}
-		if c.flog != nil {
-			if n := c.flog.pendingIn(); n != 0 {
-				return nil, fmt.Errorf("stream: rescale: %s still has %d unsnapshotted entries after a quiesced checkpoint", c.addr, n)
-			}
-		}
-		for k, st := range got {
-			states[k] = st
-		}
+		maps.Copy(states, got)
 	}
 	for _, j := range shards {
 		if _, ok := states[j]; !ok {
@@ -208,24 +166,22 @@ func (s *ShardSet) checkpointShardsLocked(shards []int) (map[int][]byte, error) 
 }
 
 // moveLocked stages each moving shard at its new home with its
-// checkpointed state, installs it, and tears the old replica down. Worker
-// streams left hosting nothing — vacated by the moves, or dialed for a
-// stage that failed — are released on the way out. Caller holds the
-// quiesce locks and fmu.
+// checkpointed state, installs it, and tears the old replica down. Homes
+// left hosting nothing — vacated by the moves, or staged for a stage that
+// failed — are released on the way out. Caller holds the quiesce locks and
+// fmu.
 func (s *ShardSet) moveLocked(moved []int, loc []string, states map[int][]byte) error {
-	defer s.dropIdleConnsLocked()
+	defer s.dropIdleHomesLocked()
 	for _, j := range moved {
-		old := s.homes[j].conn
+		old := s.homes[j]
 		h, err := s.stageLocked(j, loc[j], states[j])
 		if err != nil {
 			return fmt.Errorf("stream: rescale shard %d: %w", j, err)
 		}
-		s.installLocked(j, h)
-		if old != nil {
-			// Best effort: a broken old link just means its replica died with
-			// the worker; the shard already lives elsewhere.
-			_ = old.Undeploy(j)
-		}
+		s.homes[j] = h
+		// Best effort: a broken old link just means its replica died with
+		// the worker; the shard already lives elsewhere.
+		_ = old.Undeploy(j)
 	}
 	return nil
 }
@@ -250,8 +206,10 @@ func (s *ShardSet) Placement() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	loc := make([]string, s.p)
-	for j := range loc {
-		loc[j] = s.homes[j].addr()
+	for j, h := range s.homes {
+		if h != nil {
+			loc[j] = h.Addr()
+		}
 	}
 	return loc
 }
@@ -280,8 +238,11 @@ func (s *ShardSet) checkpointAllOnce(sidecar func() error) (map[int][]byte, erro
 	if !s.started || s.closed {
 		return nil, fmt.Errorf("stream: CheckpointAll on a stopped set")
 	}
-	if err := s.drainLocked(); err != nil {
-		return nil, err
+	for _, sh := range s.sharders {
+		sh.flushPending(s.sendLocked)
+	}
+	if err := s.barrierLocked(func() {}); err != nil {
+		return nil, fmt.Errorf("stream: checkpoint: %w", err)
 	}
 	all := make([]int, s.p)
 	for j := range all {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,11 +19,20 @@ import (
 // (data.Hasher), join, aggregate and distinct state partitions cleanly by
 // construction: all tuples of one group / join key land in one replica.
 //
-// Concurrency model: single writer per shard. Each shard owns one worker
-// goroutine and one bounded FIFO queue; every message for replica j —
-// tuple batches from any Sharder of the set, clock ticks, flush barriers —
-// travels through queue j, so replica operators never see two goroutines
-// and need no locks. Only the funnel sink behind Merge is shared.
+// Every replica lives at a home, and every home answers the same calls
+// (shardHome): deploy, undeploy, ship a batch under its wire key, tick,
+// barrier, checkpoint and close. A home is a worker stream (ShardConn,
+// remote.go) or an in-process home (localHome, below), whose replicas sit
+// in the same registry a worker keeps per stream. Only staging a new home
+// (ShardSet.stageLocked) chooses its kind; every other operation of the set
+// treats all homes alike.
+//
+// Concurrency model: single writer per replica. An in-process home runs
+// one shard's replica on its own goroutine, fed by one bounded FIFO queue
+// that carries every batch, tick, barrier and control call for it, as a
+// worker runs every frame of a stream on its decode goroutine. Replica
+// operators therefore never see two goroutines and need no locks. Only the
+// funnel sink behind Merge is shared.
 //
 // Batching: a Sharder ships an in-process shard's tuples at the end of each
 // PushBatch call, and collects a worker-hosted shard's across calls (see
@@ -36,27 +46,36 @@ import (
 // a shard's pending batch once it holds this many tuples.
 const ShardBatchCap = 256
 
-// shardQueueCap bounds each shard's message queue; producers block when a
-// worker falls this far behind (backpressure instead of unbounded memory).
+// shardQueueCap bounds each in-process home's queue; producers block when
+// its goroutine falls this far behind (backpressure instead of unbounded
+// memory).
 const shardQueueCap = 16
 
-type shardMsgKind uint8
+// batchPool recycles the exchange's batch buffers: a Sharder takes one per
+// shard batch, and the home it ships to puts it back once done. Buffers of
+// another capacity stay out; a nil pool recycles nothing.
+type batchPool chan []data.Tuple
 
-const (
-	msgData shardMsgKind = iota
-	msgTick
-	msgBarrier
-)
+func (p batchPool) get() []data.Tuple {
+	select {
+	case b := <-p:
+		return b
+	default:
+		return make([]data.Tuple, 0, ShardBatchCap)
+	}
+}
 
-// shardMsg is one queue entry. Data messages carry a tuple batch and the
-// replica operator to deliver it to; ticks carry a clock instant for the
-// shard's Advancers; barriers carry a WaitGroup the worker signals.
-type shardMsg struct {
-	head  Operator
-	batch []data.Tuple
-	now   vtime.Time
-	wg    *sync.WaitGroup
-	kind  shardMsgKind
+// put clears b (drop tuple references: the pipeline owns them now) and
+// keeps it for reuse.
+func (p batchPool) put(b []data.Tuple) {
+	if cap(b) != ShardBatchCap {
+		return
+	}
+	clear(b)
+	select {
+	case p <- b[:0]:
+	default:
+	}
 }
 
 // Recovery is how a deployment notices and survives the loss of a shard
@@ -172,33 +191,150 @@ func (f *failoverRuntime) waitIdle() (waited bool, runs int) {
 	return waited, f.runs
 }
 
-// home is where one shard's replica lives. conn set: behind that worker
-// stream — the worker owns the replica's operators, batches route over the
-// wire instead of through the shard's queue. conn nil: in this process —
-// heads, advs and cks are what LocalDeploy returned: the entry points by
-// scan name, the time-driven operators the queue's ticks advance, and the
-// stateful operators in the DeployFunc's deterministic order, so rescales
-// and coordinator snapshots checkpoint a local shard exactly like a remote
-// one and the state restores at any other home.
-type home struct {
-	conn  *ShardConn
-	heads map[string]Operator
-	advs  []Advancer
-	cks   []Checkpointer
+// shardHome is where shard replicas live: a worker stream (*ShardConn) or
+// an in-process home (*localHome). A ShardSet places, feeds, ticks,
+// barriers, checkpoints and closes every home through these calls alone.
+type shardHome interface {
+	// Addr names the home as placements do: a worker address, or "" for
+	// in-process. Err reports a worker stream's sticky link failure.
+	Addr() string
+	Err() error
+	// Deploy builds shard's replica from spec, restoring state (nil =
+	// fresh); Undeploy tears it down while the home's other replicas serve.
+	Deploy(spec []byte, shard int, state []byte) error
+	Undeploy(shard int) error
+	// ship hands the home a pooled batch buffer for the replica head under
+	// key, which it returns to the pool once done; full marks a batch of
+	// ShardBatchCap tuples. eager says whether the exchange ships this
+	// home's batches at every push (in-process) or keeps them until a tick,
+	// barrier or full batch (a worker: fewer, larger frames).
+	ship(shard int, key string, batch []data.Tuple, full bool) error
+	eager() bool
+	// Tick advances every replica on the home, in shard order.
+	Tick(now vtime.Time) error
+	// startFlush posts a barrier behind everything sent so far, and
+	// awaitFlush waits it out, so a set barriers all its homes at once. An
+	// in-process home counts its barrier on wg, which the caller waits on.
+	startFlush(wg *sync.WaitGroup) (chan reply, error)
+	awaitFlush(ch chan reply) error
+	// checkpoint returns every replica's encoded operator state, by shard.
+	checkpoint() (map[int][]byte, error)
+	// Close barriers the home and tears its replicas down.
+	Close() error
 }
 
-// addr names the home the way placements do: the worker address, "" for
-// in-process.
-func (h home) addr() string {
-	if h.conn == nil {
-		return ""
+// localHome is an in-process home: one shard's replica, in the replica
+// registry a worker keeps per stream, run by one goroutine that takes every
+// batch, tick, barrier and control call from one bounded queue — a single
+// writer, as a worker's decode goroutine is for its streams.
+type localHome struct {
+	set  *ShardSet
+	q    chan homeMsg
+	reps replicas // the goroutine's alone
+}
+
+// homeMsg is one queue entry: a control call (nil: a barrier) whose
+// completion the goroutine signals on wg, else a batch for the replica head
+// under key, else a clock instant.
+type homeMsg struct {
+	wg    *sync.WaitGroup
+	call  func()
+	key   string
+	batch []data.Tuple
+	now   vtime.Time
+}
+
+func newLocalHome(s *ShardSet) *localHome {
+	h := &localHome{set: s, q: make(chan homeMsg, shardQueueCap), reps: newReplicas()}
+	go h.run()
+	return h
+}
+
+// run drains the queue. The loop performs no steady-state heap allocation:
+// batch buffers go back to the pool.
+func (h *localHome) run() {
+	for m := range h.q {
+		switch {
+		case m.wg != nil:
+			if m.call != nil {
+				m.call()
+			}
+			m.wg.Done()
+		case m.batch != nil:
+			if op := h.reps.heads[m.key]; op != nil {
+				op.PushBatch(m.batch)
+			}
+			h.set.pool.put(m.batch)
+		default:
+			h.reps.advance(m.now)
+		}
 	}
-	return h.conn.addr
 }
 
-// ShardSet is the runtime of one partition-parallel deployment: P worker
-// goroutines, their queues, a shared freelist of batch buffers, and each
-// shard's home — in this process or behind a ShardWorker.
+// do runs f on the home's goroutine, behind everything queued before it.
+func (h *localHome) do(f func()) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	h.q <- homeMsg{wg: &wg, call: f}
+	wg.Wait()
+}
+
+func (h *localHome) Addr() string { return "" }
+func (h *localHome) Err() error   { return nil }
+func (h *localHome) eager() bool  { return true }
+
+func (h *localHome) Deploy(spec []byte, shard int, state []byte) (err error) {
+	h.do(func() {
+		err = h.reps.deploy(h.set.cfg.LocalDeploy, spec, shard, state, h.set.emit)
+		for _, sh := range h.set.sharders {
+			if err == nil && h.reps.heads[sh.keys[shard]] == nil {
+				h.reps.undeploy(shard)
+				err = fmt.Errorf("replica has no entry point %q", sh.name)
+			}
+		}
+	})
+	return err
+}
+
+func (h *localHome) Undeploy(shard int) error {
+	h.do(func() { h.reps.undeploy(shard) })
+	return nil
+}
+
+func (h *localHome) ship(_ int, key string, batch []data.Tuple, _ bool) error {
+	h.q <- homeMsg{key: key, batch: batch}
+	return nil
+}
+
+func (h *localHome) Tick(now vtime.Time) error {
+	h.q <- homeMsg{now: now}
+	return nil
+}
+
+func (h *localHome) startFlush(wg *sync.WaitGroup) (chan reply, error) {
+	wg.Add(1)
+	h.q <- homeMsg{wg: wg}
+	return nil, nil
+}
+
+func (h *localHome) awaitFlush(chan reply) error { return nil }
+
+func (h *localHome) checkpoint() (states map[int][]byte, err error) {
+	h.do(func() { states, err = h.reps.states() })
+	return states, err
+}
+
+// Close drains the queue and stops the goroutine. The set closes a home
+// once, when no send can reach it any more.
+func (h *localHome) Close() error {
+	h.do(nil)
+	close(h.q)
+	return nil
+}
+
+// ShardSet is the runtime of one partition-parallel deployment: P shards,
+// each at a home — in this process or behind a ShardWorker — and a shared
+// pool of batch buffers.
 //
 // Lifecycle: NewShardSet → NewSharder per exchange → Deploy (every
 // replica built and placed) → data flows through Sharders → Flush
@@ -240,11 +376,11 @@ func (h home) addr() string {
 //	│      a live clock tick before its replayed (older) input, or its
 //	│      windows would advance past tuples that still have to arrive.
 //	│
-//	RESTORING ──(install: flip exchange heads and shard routing to the new
-//	│            home, release the locks)──▶ SERVING. Deployment.Flush/
-//	│            Snapshot barriers are exact throughout: the undo/replay
-//	│            pair restores exactly-once delivery, and Flush waits out
-//	│            any pending failover before trusting a barrier.
+//	RESTORING ──(install: point the shards at the new home, release the
+//	│            locks)──▶ SERVING. Deployment.Flush/Snapshot barriers are
+//	│            exact throughout: the undo/replay pair restores
+//	│            exactly-once delivery, and Flush waits out any pending
+//	│            failover before trusting a barrier.
 //	│
 //	└──(every candidate exhausted)──▶ ABANDONED (fail-stop: the shard's
 //	    contribution freezes at its last checkpoint minus the undo;
@@ -255,24 +391,20 @@ func (h home) addr() string {
 // emitted, while the original failover retries the next candidate with the
 // full backlog.
 type ShardSet struct {
-	p      int
-	queues []chan shardMsg
-	free   chan []data.Tuple
-	wg     sync.WaitGroup
+	p    int
+	pool batchPool
 	// homes[j] is shard j's current home; only stageLocked builds one and
-	// only installLocked assigns one. uconns holds each distinct worker
-	// stream once, for tick fan-out and barriers. A ShardConn is a logical
-	// stream: connections to the same worker share one pooled socket, and
-	// a physical-link failure fails every stream on it, so each affected
+	// only the install step of Deploy, Rescale and failover assigns one.
+	// hosts holds each distinct home once, for tick fan-out and barriers: a
+	// worker stream hosts every shard the set places on that worker, an
+	// in-process home one shard. A ShardConn is a logical stream:
+	// connections to the same worker share one pooled socket, and a
+	// physical-link failure fails every stream on it, so each affected
 	// deployment's failover runs independently.
-	homes  []home
-	uconns []*ShardConn
-	// running[j] marks queue j's worker goroutine live: a shard that moved
-	// remote leaves its (idle) worker parked, and a later move back must
-	// not start a second one.
-	running []bool
-	// sharders lists the set's exchanges; installLocked rewires their
-	// per-shard heads when a replica lands at a home.
+	homes []shardHome
+	hosts []shardHome
+	// sharders lists the set's exchanges, each shipping to a shard's home
+	// under its precomposed wire key.
 	sharders []*Sharder
 	// cfg is fixed by Deploy, except Nodes, which a Rescale rewrites under
 	// mu; the other fields are read without it.
@@ -281,8 +413,9 @@ type ShardSet struct {
 	// value per set, one cfg.Sink acquisition per replica call.
 	emit ResultSender
 	fo   failoverRuntime
-	// mu serializes in-flight queue sends against Close: senders hold it
-	// for reading (per batch, not per tuple), Close for writing.
+	// mu serializes sends, ticks and barrier posts (read) against Close,
+	// failover and rescale (write): senders hold it for reading per batch,
+	// not per tuple.
 	mu      sync.RWMutex
 	started bool
 	closed  bool
@@ -294,16 +427,12 @@ func NewShardSet(p int) *ShardSet {
 		p = 1
 	}
 	s := &ShardSet{
-		p:       p,
-		queues:  make([]chan shardMsg, p),
-		free:    make(chan []data.Tuple, p*shardQueueCap),
-		homes:   make([]home, p),
-		running: make([]bool, p),
+		p: p,
+		// Room for a buffer in every slot of every shard's queue.
+		pool:  make(batchPool, p*shardQueueCap),
+		homes: make([]shardHome, p),
 	}
 	s.fo.cond = sync.NewCond(&s.fo.pmu)
-	for j := range s.queues {
-		s.queues[j] = make(chan shardMsg, shardQueueCap)
-	}
 	return s
 }
 
@@ -312,14 +441,14 @@ func (s *ShardSet) Shards() int { return s.p }
 
 // Deploy brings the set to life: it builds shard j's replica at loc[j] — a
 // worker address, or "" for in-process — restoring states[j] when present,
-// through the same stage/install routine Rescale and failover use, and
-// starts serving. Call it once, after every Sharder of the set is built and
-// before any of them receives data. On error nothing is left running:
-// replicas already placed, their worker streams and queue workers are torn
-// down. A successful Deploy hands the set its worker streams (Close
-// barriers and closes them) and, with cfg.Failover, arms failure
-// notification: a worker lost during Deploy fails the Deploy; one lost
-// from here on fails over.
+// through the same stage routine Rescale and failover use, and starts
+// serving. Call it once, after every Sharder of the set is built and before
+// any of them receives data. On error nothing is left running: replicas
+// already placed and their homes are torn down. A successful Deploy hands
+// the set its homes (Close barriers and closes them). With cfg.Failover
+// every worker stream arms failure notification as it is dialed; a worker
+// lost while a shard is staged on it fails the Deploy, one lost later fails
+// over once the set serves.
 func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) error {
 	if len(loc) != s.p {
 		return fmt.Errorf("stream: Deploy placement names %d shards, set has %d", len(loc), s.p)
@@ -351,208 +480,109 @@ func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) 
 			s.Close()
 			return fmt.Errorf("stream: deploy shard %d: %w", j, err)
 		}
-		s.installLocked(j, h)
+		s.homes[j] = h
 	}
 	s.started = true
-	if cfg.Failover {
-		for _, c := range s.uconns {
-			c.armFailover(s.connFailed)
-		}
-	}
 	s.mu.Unlock()
 	return nil
 }
 
-// connLocked returns the set's healthy stream to the worker at addr,
-// dialing one — and adopting it into the barrier/tick set — when there is
-// none. With Failover the new stream logs from its first frame; failure
-// notification arms with it once the set serves (Deploy arms the streams
-// of the first placement itself). The dial is bounded by the stall timeout:
-// rescale and failover hold the deployment's locks, so a blackholed
-// address must fail within that bound, not the kernel's connect timeout.
-// Caller holds s.mu.
-func (s *ShardSet) connLocked(addr string) (*ShardConn, error) {
-	for _, u := range s.uconns {
-		if u.addr == addr && u.Err() == nil {
-			return u, nil
+// stageLocked builds shard j's replica at addr from the armed spec, seeded
+// with state (nil = fresh), without routing anything to it yet. This is the
+// one place a replica comes to exist — first deployment, Rescale and
+// failover differ only in which homes they stage and what they do between
+// stage and install — and the one place the set tells the two home kinds
+// apart: "" gets a new in-process home, any other address the set's healthy
+// stream to that worker, dialed and adopted into the tick/barrier set when
+// there is none. With Failover a new stream logs from its first frame and
+// arms failure notification at once (a failover that finds the set not yet
+// serving does nothing: Deploy fails instead). The dial is bounded by the
+// stall timeout: rescale and failover hold the deployment's locks, so a
+// blackholed address must fail within that bound. A worker records the
+// state as the shard's committed checkpoint (ShardConn.Deploy), so a
+// failover chain never loses it. Caller holds s.mu.
+func (s *ShardSet) stageLocked(j int, addr string, state []byte) (shardHome, error) {
+	var h shardHome
+	for _, u := range s.hosts {
+		if addr != "" && u.Addr() == addr && u.Err() == nil {
+			h = u
 		}
 	}
-	c, err := dialShard(addr, s.cfg.Sink, s.cfg.StallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Failover {
-		c.enableFailover(s.cfg.CheckpointEvery)
-		if s.started {
+	switch {
+	case h != nil:
+	case addr != "":
+		c, err := dialShard(addr, s.cfg.Sink, s.cfg.StallTimeout)
+		if err != nil {
+			return nil, err
+		}
+		c.pool = s.pool
+		if s.cfg.Failover {
+			c.enableFailover(s.cfg.CheckpointEvery)
 			c.armFailover(s.connFailed)
 		}
-	}
-	s.uconns = append(s.uconns, c)
-	return c, nil
-}
-
-// stageLocked builds shard j's replica at addr from the armed spec, seeded
-// with state (nil = fresh), without routing anything to it yet: on a worker
-// over the set's stream to addr, or in-process through LocalDeploy. This is
-// the one place a replica comes to exist — first deployment, Rescale and
-// failover differ only in which homes they stage and what they do between
-// stage and install. A worker records the state as the shard's committed
-// checkpoint (ShardConn.Deploy), so a failover chain never loses it.
-// Caller holds s.mu.
-func (s *ShardSet) stageLocked(j int, addr string, state []byte) (home, error) {
-	cfg := &s.cfg
-	if addr != "" {
-		c, err := s.connLocked(addr)
-		if err != nil {
-			return home{}, err
-		}
-		if err := c.Deploy(cfg.Spec, j, state); err != nil {
-			return home{}, fmt.Errorf("onto %s: %w", addr, err)
-		}
-		return home{conn: c}, nil
-	}
-	if cfg.LocalDeploy == nil {
-		return home{}, fmt.Errorf("in-process: no LocalDeploy configured")
-	}
-	heads, advs, cks, err := cfg.LocalDeploy(cfg.Spec, j, state, s.emit)
-	if err != nil {
-		return home{}, fmt.Errorf("in-process: %w", err)
-	}
-	for _, sh := range s.sharders {
-		if heads[sh.name] == nil {
-			return home{}, fmt.Errorf("in-process: replica has no entry point %q", sh.name)
-		}
-	}
-	return home{heads: heads, advs: advs, cks: cks}, nil
-}
-
-// installLocked makes h shard j's home: it fills the slot, points every
-// exchange's head for j at it (nil on a worker home, which batches reach by
-// the exchange's wire key), and for an in-process home makes sure queue j's
-// worker runs. Caller holds s.mu and — on a serving set — every Sharder
-// lock, so no producer routes through a half-flipped shard.
-func (s *ShardSet) installLocked(j int, h home) {
-	s.homes[j] = h
-	for _, sh := range s.sharders {
-		sh.heads[j] = h.heads[sh.name]
-	}
-	if h.conn == nil && !s.running[j] {
-		s.running[j] = true
-		s.wg.Add(1)
-		go s.worker(j)
-	}
-}
-
-// dropIdleConnsLocked lets go of every worker stream hosting no shard: one
-// a rescale vacated — the "leave" half of elasticity releases the socket
-// once the last deployment lets go — or one dialed for a stage that then
-// failed. A healthy stream closes gracefully; a broken one is severed (its
-// own failover, if notified, finds no shard mapped to it and only undoes
-// whatever partial replay it emitted). Caller holds s.mu.
-func (s *ShardSet) dropIdleConnsLocked() {
-	keep := s.uconns[:0]
-	for _, u := range s.uconns {
-		hosts := false
-		for j := range s.homes {
-			hosts = hosts || s.homes[j].conn == u
-		}
-		switch {
-		case hosts:
-			keep = append(keep, u)
-		case u.Err() != nil:
-			u.severLink()
-		default:
-			_ = u.Close()
-		}
-	}
-	s.uconns = keep
-}
-
-// worker drains shard j's queue: one goroutine, hence a single writer for
-// every operator of replica j. The loop performs no steady-state heap
-// allocation: batch buffers recycle through the freelist.
-func (s *ShardSet) worker(j int) {
-	defer s.wg.Done()
-	for m := range s.queues[j] {
-		switch m.kind {
-		case msgData:
-			m.head.PushBatch(m.batch)
-			// drop tuple references (the pipeline owns them now) and recycle
-			s.recycle(m.batch)
-		case msgTick:
-			for _, a := range s.homes[j].advs {
-				a.Advance(m.now)
-			}
-		case msgBarrier:
-			m.wg.Done()
-		}
-	}
-}
-
-// buf returns an empty batch buffer, recycling drained ones.
-func (s *ShardSet) buf() []data.Tuple {
-	select {
-	case b := <-s.free:
-		return b
+		h = c
+	case s.cfg.LocalDeploy == nil:
+		return nil, fmt.Errorf("in-process: no LocalDeploy configured")
 	default:
-		return make([]data.Tuple, 0, ShardBatchCap)
+		h = newLocalHome(s)
 	}
+	if !slices.Contains(s.hosts, h) {
+		s.hosts = append(s.hosts, h)
+	}
+	if err := h.Deploy(s.cfg.Spec, j, state); err != nil {
+		return nil, fmt.Errorf("at %q: %w", addr, err)
+	}
+	return h, nil
 }
 
-// send enqueues one data batch of sh for shard j — through queue j for a
-// local shard, over the worker connection for a remote one (the encode
-// copies the tuples, so the buffer recycles immediately and the push path
-// stays allocation-free on the coordinator). After Close the batch is
-// dropped but its buffer still recycles, so a still-subscribed Sharder on a
-// live input keeps the push path allocation-free. Caller holds sh.mu.
+// dropIdleHomesLocked closes every home hosting no shard: an in-process
+// home a shard moved out of, a worker stream a rescale vacated — the
+// "leave" half of elasticity releases the socket once the last deployment
+// lets go — or a home staged for a placement that then failed. A broken
+// stream's own failover, if notified, finds no shard mapped to it and only
+// undoes whatever partial replay it emitted. Caller holds s.mu.
+func (s *ShardSet) dropIdleHomesLocked() {
+	s.hosts = slices.DeleteFunc(s.hosts, func(h shardHome) bool {
+		if slices.Contains(s.homes, h) {
+			return false
+		}
+		_ = h.Close()
+		return true
+	})
+}
+
+// send ships one data batch of sh for shard j to its home (see
+// sendLocked). Caller holds sh.mu.
 func (s *ShardSet) send(sh *Sharder, j int, batch []data.Tuple) {
 	s.mu.RLock()
-	if c := s.homes[j].conn; c != nil && !s.closed {
-		// Ship outside the lock: a stalled worker then blocks only this
-		// producer, never a pending Close (and through the writer-pending
-		// RWMutex, every other producer). A send racing Close lands on a
-		// failed/closing link and drops there (sticky); on a dead link the
-		// batch lands in the replay log when failover is armed — the
-		// quarantined shard's traffic replays onto its replacement — and
-		// drops like any lossy link otherwise.
-		s.mu.RUnlock()
-		s.sendRemote(c, sh, j, batch)
-		return
-	}
 	s.sendLocked(sh, j, batch)
 	s.mu.RUnlock()
 }
 
-// sendLocked is send for a caller holding s.mu, read or write: a rescale's
-// drain ships the exchanges' pending batches under the quiesce locks.
+// sendLocked is send for a caller holding s.mu, read or write: a barrier
+// under the quiesce locks ships the exchanges' pending batches itself. A
+// worker stream encodes the batch (the push path stays allocation-free on
+// the coordinator); a worker that stalls holds the read lock at most one
+// stall timeout, after which its link error is sticky and later sends
+// drop at once — or, with failover armed, land in the replay log. After
+// Close the batch is dropped but its buffer still recycles, so a
+// still-subscribed Sharder on a live input keeps the push path
+// allocation-free.
 func (s *ShardSet) sendLocked(sh *Sharder, j int, batch []data.Tuple) {
-	switch c := s.homes[j].conn; {
-	case s.closed:
-		s.recycle(batch)
-	case c != nil:
-		s.sendRemote(c, sh, j, batch)
-	default:
-		s.queues[j] <- shardMsg{kind: msgData, head: sh.heads[j], batch: batch}
+	if h := s.homes[j]; h != nil && !s.closed {
+		_ = h.ship(j, sh.keys[j], batch, len(batch) == ShardBatchCap)
+		return
 	}
+	s.pool.put(batch)
 }
 
-// sendRemote encodes batch onto c for sh's replica head on shard j and
-// recycles the buffer. A full batch is written to the socket at once, so
-// the worker starts on it while the producer is still pushing; a partial
-// one ships at a tick, barrier, rescale or close, each of which writes what
-// is buffered anyway.
-func (s *ShardSet) sendRemote(c *ShardConn, sh *Sharder, j int, batch []data.Tuple) {
-	_ = c.sendShard(j, sh.name, sh.keys[j], batch, len(batch) == ShardBatchCap)
-	s.recycle(batch)
-}
-
-// shipLocal ships sh's pending batches for shards whose replica runs in
-// process, at the end of a PushBatch call; a batch for a worker home stays
-// pending (see Sharder.PushBatch). Caller holds sh.mu.
-func (s *ShardSet) shipLocal(sh *Sharder) {
+// shipEager ships sh's pending batches for shards whose home takes them at
+// every push, at the end of a PushBatch call; a batch for any other home
+// stays pending (see Sharder.PushBatch). Caller holds sh.mu.
+func (s *ShardSet) shipEager(sh *Sharder) {
 	s.mu.RLock()
 	for j, b := range sh.pend {
-		if len(b) > 0 && s.homes[j].conn == nil {
+		if h := s.homes[j]; len(b) > 0 && h != nil && h.eager() {
 			s.sendLocked(sh, j, b)
 			sh.pend[j] = nil
 		}
@@ -579,34 +609,20 @@ func (s *ShardSet) shipPending() {
 	}
 }
 
-// recycle clears a drained batch buffer back into the freelist.
-func (s *ShardSet) recycle(batch []data.Tuple) {
-	clear(batch)
-	select {
-	case s.free <- batch[:0]:
-	default:
-	}
-}
-
-// Advance implements Advancer by fanning the tick to every local shard
-// queue and once to every worker connection, so replica windows expire
-// in-order with their shard's data stream wherever the replica lives. It
-// first ships every exchange's pending batch, so a tuple pushed before the
-// tick reaches its replica before the tick does. The
-// engine tick loop returns promptly (remote ticks can briefly block on
-// backpressure); Flush waits for the expiry work. Ticks after Close are
-// dropped — Deployment.Close untracks the set from its engine, but an
-// in-flight Advance may still deliver one last tick.
+// Advance implements Advancer by ticking every home once, so replica
+// windows expire in order with their shard's data stream wherever the
+// replica lives. It first ships every exchange's pending batch, so a tuple
+// pushed before the tick reaches its replica before the tick does. The
+// engine tick loop returns promptly: an in-process home queues the tick
+// (Flush waits for the expiry work), and a worker stream writes one frame,
+// which a stalled worker delays at most one stall timeout, once — the link
+// error is sticky. Ticks after Close are dropped — Deployment.Close
+// untracks the set from its engine, but an in-flight Advance may still
+// deliver one last tick.
 //
-// Worker connections tick concurrently under the set's read lock: one
-// stalled worker costs the engine tick loop at most one stall timeout
-// (once — the link error is sticky), not one per connection. The wait
-// keeps successive ticks ordered per connection; cross-connection order
-// is free, as with the local queues. Holding the read lock across the
-// fan-out is what failover relies on for ordering: a restore (which holds
-// the write lock) can never interleave a live tick between a replica's
-// checkpoint and its replayed input. Close and failover therefore wait at
-// most one bounded tick fan-out for the write lock.
+// Holding the read lock across the fan-out is what failover relies on for
+// ordering: a restore (which holds the write lock) can never interleave a
+// live tick between a replica's checkpoint and its replayed input.
 func (s *ShardSet) Advance(now vtime.Time) {
 	s.shipPending()
 	s.mu.RLock()
@@ -614,25 +630,9 @@ func (s *ShardSet) Advance(now vtime.Time) {
 	if s.closed {
 		return
 	}
-	for j := 0; j < s.p; j++ {
-		if s.homes[j].conn != nil {
-			continue
-		}
-		s.queues[j] <- shardMsg{kind: msgTick, now: now}
+	for _, h := range s.hosts {
+		_ = h.Tick(now)
 	}
-	if len(s.uconns) == 1 {
-		_ = s.uconns[0].Tick(now) // common case: no fan-out machinery
-		return
-	}
-	var wg sync.WaitGroup
-	for _, c := range s.uconns {
-		wg.Add(1)
-		go func(c *ShardConn) {
-			defer wg.Done()
-			_ = c.Tick(now)
-		}(c)
-	}
-	wg.Wait()
 }
 
 // Flush blocks until every message enqueued before the call — batches and
@@ -662,69 +662,67 @@ func (s *ShardSet) Flush() {
 }
 
 // flushOnce runs one barrier pass over the current topology, reporting
-// whether every connection barrier succeeded.
+// whether every home's barrier succeeded. Without failover a dead link acks
+// vacuously (fail-stop); with it, the error reruns the barrier after the
+// failover completes.
 func (s *ShardSet) flushOnce() bool {
 	s.shipPending()
-	var wg sync.WaitGroup
 	s.mu.RLock()
 	if !s.started || s.closed {
 		s.mu.RUnlock()
 		return true
 	}
-	for j := 0; j < s.p; j++ {
-		if s.homes[j].conn != nil {
-			continue
-		}
-		wg.Add(1)
-		s.queues[j] <- shardMsg{kind: msgBarrier, wg: &wg}
-	}
-	// Remote barriers run concurrently with the local drain: each flush ack
-	// arrives behind the worker's results (FIFO), so when Wait returns the
-	// merged sink reflects every replica. Without failover a dead link acks
-	// vacuously (fail-stop); with it, the error reruns the barrier after
-	// the failover completes. The first link's barrier runs on this
-	// goroutine, so a set on one worker waits for its ack without a
-	// goroutine hand-off on either side of the round trip.
-	// Failover filters s.uconns in place, so its entries are read under the
-	// lock only.
-	uconns := s.uconns
-	errs := make([]error, len(uconns))
-	var first *ShardConn
-	for i, c := range uconns {
-		if i == 0 {
-			first = c
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c *ShardConn) {
-			defer wg.Done()
-			errs[i] = c.Flush()
-		}(i, c)
-	}
-	s.mu.RUnlock()
-	if first != nil {
-		errs[0] = first.Flush()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return false
-		}
-	}
-	return true
+	return s.barrierLocked(s.mu.RUnlock) == nil
 }
 
-// Close ships the exchanges' pending batches, drains the queues, stops the
-// local workers, and barrier-closes every worker connection (remote
-// replicas are torn down on their hosts), so the merged sink reflects
-// everything pushed before the call. With failover armed it first runs
-// Flush, which waits out every failover its barriers find pending, so a
-// batch sent to a link that broke just before or during the close is
-// replayed onto the shard's new home, not lost; without failover such a
-// batch drops with its link. It is safe with live producers: anything a
-// Sharder or Advance sends afterwards is dropped (the deployment's result
-// simply stops updating), and a failover that finds the set closed stops.
-// Idempotent.
+// barrierLocked posts a barrier on every home, runs release, and waits
+// every barrier out, returning the first failure. Each barrier arrives
+// behind everything sent to its home before it — and a worker's flush ack
+// behind every result its replicas produced — so once all are answered the
+// merged sink reflects every replica. Flush posts under the read lock and
+// releases it before waiting; a rescale or checkpoint runs the barrier
+// whole under the quiesce locks, having shipped every exchange's pending
+// batch itself, so every tuple pushed before the quiesce is in the state it
+// reads next. Caller holds s.mu; hosts is filtered in place by failover, so
+// it is read under the lock only.
+func (s *ShardSet) barrierLocked(release func()) error {
+	type posted struct {
+		h   shardHome
+		ch  chan reply
+		err error
+	}
+	var wg sync.WaitGroup
+	var buf [16]posted
+	all := buf[:0]
+	for _, h := range s.hosts {
+		ch, err := h.startFlush(&wg)
+		all = append(all, posted{h, ch, err})
+	}
+	release()
+	wg.Wait()
+	var first error
+	for _, p := range all {
+		err := p.err
+		if err == nil {
+			err = p.h.awaitFlush(p.ch)
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("stream: flush %q: %w", p.h.Addr(), err)
+		}
+	}
+	return first
+}
+
+// Close ships the exchanges' pending batches and closes every home — an
+// in-process home drains its queue, a worker stream barriers and tears its
+// replicas down on the host — so the merged sink reflects everything pushed
+// before the call. With failover armed it first runs Flush, which waits out
+// every failover its barriers find pending, so a batch sent to a link that
+// broke just before or during the close is replayed onto the shard's new
+// home, not lost; without failover such a batch drops with its link. It is
+// safe with live producers: anything a Sharder or Advance sends afterwards
+// is dropped (the deployment's result simply stops updating), and a
+// failover that finds the set closed stops. Idempotent.
 func (s *ShardSet) Close() {
 	if s.cfg.Failover {
 		s.Flush()
@@ -736,29 +734,19 @@ func (s *ShardSet) Close() {
 		return
 	}
 	s.closed = true
-	for j := 0; j < s.p; j++ {
-		// Every shard with a live worker goroutine — including one whose
-		// shard has since rescaled onto a remote home — gets its queue
-		// closed, or wg.Wait below would wait forever.
-		if !s.running[j] {
-			continue
-		}
-		close(s.queues[j]) // workers drain buffered messages, then exit
-	}
-	conns := s.uconns
+	hosts := s.hosts
 	s.mu.Unlock()
-	s.wg.Wait()
-	// Connection teardowns are acked round trips: run them concurrently so
-	// closing an N-worker deployment costs one RTT, not N (like Flush).
-	var cwg sync.WaitGroup
-	for _, c := range conns {
-		cwg.Add(1)
-		go func(c *ShardConn) {
-			defer cwg.Done()
-			_ = c.Close()
-		}(c)
+	// A worker stream's teardown is an acked round trip: close the homes
+	// concurrently, so closing an N-worker deployment costs one RTT, not N.
+	var wg sync.WaitGroup
+	for _, h := range hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = h.Close()
+		}()
 	}
-	cwg.Wait()
+	wg.Wait()
 }
 
 // connFailed is the sticky-failure hook of every failover-armed connection:
@@ -771,32 +759,31 @@ func (s *ShardSet) connFailed(c *ShardConn) {
 }
 
 // deliver replays logged entries, in log (= wire) order, into the homes
-// staged for the moved shards — all at one candidate, so either every one
-// shares a worker stream (a tick frame reaches all its replicas at once) or
-// every one is in-process. Local replicas are delivered directly: until
-// they are installed this goroutine is their only writer.
-func deliver(moved []int, staged map[int]home, entries []logEntry) error {
-	conn := staged[moved[0]].conn
+// staged for the moved shards — all at one candidate: one worker stream (a
+// tick frame reaches all its replicas at once), or one in-process home per
+// shard. A batch is copied into a pooled buffer, as the exchange would
+// ship it, so the backlog stays whole for the next candidate if this one
+// fails.
+func (s *ShardSet) deliver(moved []int, staged map[int]shardHome, entries []logEntry) error {
+	var targets []shardHome
+	for _, j := range moved {
+		if !slices.Contains(targets, staged[j]) {
+			targets = append(targets, staged[j])
+		}
+	}
 	for _, e := range entries {
-		var err error
-		switch {
-		case conn != nil && e.tick:
-			err = conn.Tick(e.now)
-		case conn != nil:
-			err = conn.sendShard(e.shard, e.name, headKey(e.shard, e.name), e.batch, false)
-		case e.tick:
-			for _, j := range moved {
-				for _, a := range staged[j].advs {
-					a.Advance(e.now)
+		if e.tick {
+			for _, h := range targets {
+				if err := h.Tick(e.now); err != nil {
+					return err
 				}
 			}
-		default:
-			if h := staged[e.shard].heads[e.name]; h != nil {
-				h.PushBatch(e.batch)
-			}
+			continue
 		}
-		if err != nil {
-			return err
+		if h := staged[e.shard]; h != nil {
+			if err := h.ship(e.shard, e.key, append(s.pool.get(), e.batch...), false); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -835,13 +822,15 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 	// its replayed (older) input does.
 	unlock := s.quiesce()
 	defer unlock()
-	if s.closed {
+	if !s.started || s.closed {
+		// A link lost while Deploy was still placing shards fails the
+		// Deploy instead, which closes the set.
 		return nil
 	}
 
 	var moved []int
-	for j := range s.homes {
-		if s.homes[j].conn == failed {
+	for j, h := range s.homes {
+		if h == shardHome(failed) {
 			moved = append(moved, j)
 		}
 	}
@@ -864,13 +853,7 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 	failed.flog.drop()
 	// The dead stream leaves the barrier/tick set whether or not its shards
 	// find a new home: a Flush must never barrier it again.
-	keep := s.uconns[:0]
-	for _, u := range s.uconns {
-		if u != failed {
-			keep = append(keep, u)
-		}
-	}
-	s.uconns = keep
+	s.hosts = slices.DeleteFunc(s.hosts, func(h shardHome) bool { return h == shardHome(failed) })
 
 	if len(moved) == 0 {
 		// A replacement that died before any shard was flipped to it: the
@@ -884,7 +867,7 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 	// redelivery to the next one (its own failover, queued behind this one,
 	// undoes the partial output it emitted).
 	for _, addr := range s.candidatesLocked(failed.addr) {
-		staged := make(map[int]home, len(moved))
+		staged := make(map[int]shardHome, len(moved))
 		var err error
 		for _, j := range moved {
 			if staged[j], err = s.stageLocked(j, addr, states[j]); err != nil {
@@ -892,14 +875,14 @@ func (s *ShardSet) failover(failed *ShardConn) *FailoverEvent {
 			}
 		}
 		if err == nil {
-			err = deliver(moved, staged, backlog)
+			err = s.deliver(moved, staged, backlog)
 		}
 		if err != nil {
-			s.dropIdleConnsLocked()
+			s.dropIdleHomesLocked()
 			continue
 		}
 		for _, j := range moved {
-			s.installLocked(j, staged[j])
+			s.homes[j] = staged[j]
 		}
 		return &FailoverEvent{Shards: moved, From: failed.addr, To: addr}
 	}
@@ -920,9 +903,9 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 			out = append(out, addr)
 		}
 	}
-	for _, u := range s.uconns {
-		if u.Err() == nil {
-			add(u.addr)
+	for _, h := range s.hosts {
+		if h.Err() == nil {
+			add(h.Addr())
 		}
 	}
 	for _, addr := range s.cfg.Nodes {
@@ -934,8 +917,8 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 // Sharder is the exchange operator in front of one replicated pipeline
 // entry point: it routes each pushed tuple to the shard owning the tuple's
 // key partition (hash of the key columns modulo P), collects each shard's
-// tuples into a pending batch, and ships full or flushed batches through
-// the set's queues or over the shard's worker stream. Several Sharders
+// tuples into a pending batch, and ships full or flushed batches to the
+// shard's home under the scan's wire key. Several Sharders
 // (one per scan of a plan) share one ShardSet, so a join's left and right
 // inputs partitioned on aligned keys meet in the same replica.
 //
@@ -946,11 +929,8 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 // order under the lock).
 type Sharder struct {
 	set *ShardSet
-	// heads[j] is this exchange's entry point into shard j's replica when
-	// it runs in process, nil when it runs on a worker, which takes the
-	// batches under keys[j] (headKey, precomposed); ShardSet.installLocked
-	// keeps heads pointing at the shard's current home.
-	heads  []Operator
+	// keys[j] is this exchange's wire key on shard j (headKey,
+	// precomposed): every home registers the replica's entry point under it.
 	keys   []string
 	keyIdx []int // key column indexes; nil = all columns
 	schema *data.Schema
@@ -974,11 +954,10 @@ type Sharder struct {
 // name — the key every home's DeployFunc registers that head under — which
 // accept schema. keyIdx names the partition key columns; nil partitions on
 // all columns. Build every Sharder of a set before ShardSet.Deploy, which
-// resolves the heads.
+// checks that every in-process replica has the entry point.
 func NewSharder(set *ShardSet, name string, schema *data.Schema, keyIdx []int) (*Sharder, error) {
 	sh := &Sharder{
 		set:    set,
-		heads:  make([]Operator, set.p),
 		keys:   make([]string, set.p),
 		keyIdx: keyIdx,
 		schema: schema,
@@ -1025,12 +1004,12 @@ func (sh *Sharder) Push(t data.Tuple) { sh.PushBatch([]data.Tuple{t}) }
 
 // PushBatch implements Operator: the batch is split by key partition into
 // each shard's pending batch. When the call returns, a batch for an
-// in-process replica has shipped as one queue message, so its worker
-// goroutine starts on it beside the producer. A batch for a replica on a
+// in-process home has shipped as one queue message, so its goroutine
+// starts on it beside the producer. A batch for a replica on a
 // ShardWorker outlives the call: it ships as one data frame, written at
 // once, when it reaches ShardBatchCap tuples, and otherwise when the set
 // next ticks (Advance), barriers (Flush, and so Deployment.Snapshot and
-// CheckpointAll), closes, or drains for a rescale. Every one of those ships
+// CheckpointAll), closes, or barriers for a rescale. Every one of those ships
 // first, so a replica sees each tuple before the tick or barrier that
 // followed its push, and a worker takes fewer, larger frames than the
 // producer made calls. A consumer that neither ticks nor flushes — a
@@ -1042,7 +1021,7 @@ func (sh *Sharder) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
 		sh.route(t)
 	}
-	sh.set.shipLocal(sh)
+	sh.set.shipEager(sh)
 	sh.mu.Unlock()
 }
 
@@ -1062,7 +1041,7 @@ func (sh *Sharder) route(t data.Tuple) {
 	}
 	b := sh.pend[j]
 	if b == nil {
-		b = sh.set.buf()
+		b = sh.set.pool.get()
 	}
 	b = append(b, t)
 	if len(b) == cap(b) {

@@ -61,8 +61,8 @@ const (
 	// this connection.
 	frameClose
 	// frameDeploy carries Seq in its header, after the stream id, like every
-	// request, then a gob deployBody: an opaque replica spec (Spec) for
-	// shard Shard and the state to restore; acked with Seq (Err set on a
+	// request, then the shard and the length-prefixed opaque replica spec
+	// and state to restore (appendDeployBody); acked with Seq (Err set on a
 	// failed deploy).
 	frameDeploy
 	// frameAck answers deploy/undeploy/flush/close requests (matching Seq)
@@ -77,8 +77,8 @@ const (
 	// same Seq. Its position in the FIFO input stream defines the
 	// checkpoint's consistency point.
 	frameCheckpoint
-	// frameCkptState answers frameCheckpoint: Spec carries the encoded
-	// per-shard operator states (see checkpoint.go). It arrives behind every
+	// frameCkptState answers frameCheckpoint with the encoded per-shard
+	// operator states (appendShardStates). It arrives behind every
 	// result the pre-checkpoint input produced, so the coordinator can
 	// truncate its replay and undo logs exactly at the decode.
 	frameCkptState
@@ -172,7 +172,7 @@ func appendU64(b []byte, v uint64) []byte {
 }
 
 // appendWireString appends a length-prefixed string.
-func appendWireString(b []byte, s string) []byte {
+func appendWireString[T string | []byte](b []byte, s T) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }

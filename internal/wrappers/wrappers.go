@@ -35,8 +35,6 @@ type WebWrapper struct {
 	Decode Decoder
 	// Period defaults to 10 seconds, the paper's PDU polling rate.
 	Period time.Duration
-	// Client defaults to http.DefaultClient.
-	Client *http.Client
 
 	// Errors counts failed polls.
 	Errors int
@@ -48,11 +46,7 @@ type WebWrapper struct {
 // simulation drivers that want deterministic polling.
 func (w *WebWrapper) PollOnce(now vtime.Time) error {
 	w.Polls++
-	client := w.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Get(w.URL)
+	resp, err := http.Get(w.URL)
 	if err != nil {
 		w.Errors++
 		return fmt.Errorf("wrappers: fetch %s: %w", w.URL, err)
