@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aspen/internal/data"
+	"aspen/internal/plan"
 	"aspen/internal/vtime"
 )
 
@@ -19,7 +20,13 @@ const lobbyRoutes = `WITH RECURSIVE paths(src, dst, dist) AS (
 // (lobby → hall1 → hall2) and a Readings stream.
 func newRoutingRuntime(t *testing.T, snapshotPath string) *Runtime {
 	t.Helper()
-	rt := New(Config{SnapshotPath: snapshotPath})
+	return newRoutingRuntimeCfg(t, Config{SnapshotPath: snapshotPath})
+}
+
+// newRoutingRuntimeCfg is newRoutingRuntime on a runtime built from cfg.
+func newRoutingRuntimeCfg(t *testing.T, cfg Config) *Runtime {
+	t.Helper()
+	rt := New(cfg)
 	t.Cleanup(rt.Close)
 	rel := data.NewRelation(data.NewSchema("RoutingPoints",
 		data.Col("src", data.TString), data.Col("dst", data.TString), data.Col("dist", data.TFloat)))
@@ -165,5 +172,118 @@ func TestSnapshotNamesRecursiveQueries(t *testing.T) {
 	}
 	if !slices.EqualFunc(got, want, data.Tuple.EqualVals) {
 		t.Fatalf("restored rows %v, saved %v", got, want)
+	}
+}
+
+// routeRows returns q's rows as "src dst dist" strings.
+func routeRows(t *testing.T, q *Query) []string {
+	t.Helper()
+	rows, err := q.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.Vals[0].AsString() + " " + r.Vals[1].AsString() + " " + r.Vals[2].String()
+	}
+	return out
+}
+
+// TestRecursiveQueriesReadOnlyTheirOwnFacts deploys two standing recursive
+// queries that both name their view paths, with different base WHEREs, and
+// requires each to read exactly what it reads deployed alone: a view feeds
+// its own deployment's scans, never another query's. Once both stop, the
+// name paths is free. Serial, on shared prefixes, and at Parallelism 2. At
+// the parent commit both views pushed into one engine input named paths:
+// from-lobby's rows gained from-hall1's (hall1 hall2 35), and registering
+// paths afterwards failed with "duplicate input".
+func TestRecursiveQueriesReadOnlyTheirOwnFacts(t *testing.T) {
+	const body = `
+		UNION ALL
+		SELECT p.src, r.dst, p.dist + r.dist FROM paths p, RoutingPoints r WHERE p.dst = r.src
+	) SELECT src, dst, dist FROM paths ORDER BY dist`
+	const (
+		fromLobby = `WITH RECURSIVE paths(src, dst, dist) AS (
+		SELECT r.src, r.dst, r.dist FROM RoutingPoints r WHERE r.src = 'lobby'` + body
+		fromHall1 = `WITH RECURSIVE paths(src, dst, dist) AS (
+		SELECT r.src, r.dst, r.dist FROM RoutingPoints r WHERE r.src = 'hall1'` + body
+	)
+	for _, v := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"serial", Config{}},
+		{"shared-prefixes", Config{SharedPrefixes: true}},
+		{"parallelism-2", Config{Topology: plan.Topology{Parallelism: 2}}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			alone := func(src string) []string {
+				return routeRows(t, newRoutingRuntimeCfg(t, v.cfg).MustRun(src))
+			}
+			wantLobby, wantHall1 := alone(fromLobby), alone(fromHall1)
+			if !slices.Equal(wantLobby, []string{"lobby hall1 40", "lobby hall2 75"}) ||
+				!slices.Equal(wantHall1, []string{"hall1 hall2 35"}) {
+				t.Fatalf("alone: from lobby %v, from hall1 %v", wantLobby, wantHall1)
+			}
+
+			rt := newRoutingRuntimeCfg(t, v.cfg)
+			ql, qh := rt.MustRun(fromLobby), rt.MustRun(fromHall1)
+			if got := routeRows(t, ql); !slices.Equal(got, wantLobby) {
+				t.Fatalf("from lobby beside from hall1: rows %v, alone %v", got, wantLobby)
+			}
+			if got := routeRows(t, qh); !slices.Equal(got, wantHall1) {
+				t.Fatalf("from hall1 beside from lobby: rows %v, alone %v", got, wantHall1)
+			}
+			if _, ok := rt.Stream.Input("paths"); ok {
+				t.Fatal("a recursive query registered an engine input named after its view")
+			}
+			ql.Stop()
+			qh.Stop()
+			s := data.NewSchema("paths", data.Col("src", data.TString))
+			s.IsStream = true
+			if _, err := rt.RegisterStream("paths", s, 1); err != nil {
+				t.Fatalf("paths after both queries stopped: %v", err)
+			}
+		})
+	}
+}
+
+// TestRecursiveEdgeWindowExpires: the edge scan takes its FROM item's window,
+// so a route derived through an edge of a [RANGE 5 SECONDS] stream retracts
+// once that edge leaves the window, and the base facts stay. At the parent
+// commit the window was dropped and the derived routes never retracted.
+func TestRecursiveEdgeWindowExpires(t *testing.T) {
+	rt := newRoutingRuntime(t, "")
+	links := data.NewSchema("Links",
+		data.Col("src", data.TString), data.Col("dst", data.TString), data.Col("dist", data.TFloat))
+	links.IsStream = true
+	in, err := rt.RegisterStream("Links", links, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rt.MustRun(`WITH RECURSIVE paths(src, dst, dist) AS (
+		SELECT r.src, r.dst, r.dist FROM RoutingPoints r
+		UNION ALL
+		SELECT p.src, l.dst, p.dist + l.dist FROM paths p, Links l [RANGE 5 SECONDS] WHERE p.dst = l.src
+	) SELECT src, dst, dist FROM paths ORDER BY dist`)
+	base := []string{"hall1 hall2 35", "lobby hall1 40"}
+	if got := routeRows(t, q); !slices.Equal(got, base) {
+		t.Fatalf("before any link: rows %v, want %v", got, base)
+	}
+	in.PushBatch([]data.Tuple{
+		data.NewTuple(vtime.Second, data.Str("hall2"), data.Str("L102"), data.Float(20)),
+		data.NewTuple(vtime.Second, data.Str("hall1"), data.Str("L101"), data.Float(25)),
+	})
+	linked := []string{"hall1 hall2 35", "lobby hall1 40", "hall1 L102 55", "lobby L101 65"}
+	if got := routeRows(t, q); !slices.Equal(got, linked) {
+		t.Fatalf("links at 1s: rows %v, want %v", got, linked)
+	}
+	rt.Sched.RunUntil(5 * vtime.Second)
+	if got := routeRows(t, q); !slices.Equal(got, linked) {
+		t.Fatalf("links still in the window at 5s: rows %v, want %v", got, linked)
+	}
+	rt.Sched.RunUntil(7 * vtime.Second)
+	if got := routeRows(t, q); !slices.Equal(got, base) {
+		t.Fatalf("links expired at 6s: rows %v, want the base facts %v", got, base)
 	}
 }

@@ -205,7 +205,11 @@ func (rt *Runtime) Run(sqlText string) (*Query, error) {
 	case *sql.SelectStmt:
 		return rt.deploySelect(sqlText, s)
 	case *sql.WithRecursive:
-		return rt.deployRecursive(sqlText, s)
+		built, err := plan.BuildRecursive(s, rt.Cat, rt.recursion)
+		if err != nil {
+			return nil, err
+		}
+		return rt.deploy(sqlText, built, plan.CompileOptions{})
 	}
 	return nil, fmt.Errorf("core: unsupported statement %T", stmt)
 }
@@ -219,10 +223,9 @@ func (rt *Runtime) MustRun(sqlText string) *Query {
 	return q
 }
 
-// deploy compiles built through the coordinator under the next name q1, q2, ….
-// A caller that fails after it must Stop the query it returned: Stop drops
-// the deployment — fragment runners, shard workers, subscriptions, tick
-// work — so a failed statement leaks nothing.
+// deploy compiles built through the coordinator under the next name q1, q2, …
+// and loads the tables it scans. A compile that fails has torn down whatever
+// it wired, so a failed statement leaks nothing but its name.
 func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOptions) (*Query, error) {
 	rt.qn++
 	name := fmt.Sprintf("q%d", rt.qn)
@@ -230,6 +233,7 @@ func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOp
 	if err != nil {
 		return nil, err
 	}
+	rt.loadTables(dep)
 	return &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name}, nil
 }
 
@@ -244,7 +248,6 @@ func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, e
 		return nil, err
 	}
 	q.Partition = res
-	rt.loadTables(q.Deployment)
 	return q, nil
 }
 
@@ -294,8 +297,8 @@ func (rt *Runtime) Sharing() *plan.Sharing { return rt.coord.Host().Sharing }
 // without one it is an error).
 // Shared-prefix window state and sensor fragment deployments are captured
 // too; the returned slice names every query the snapshot could not record —
-// the live WITH RECURSIVE ones, whose views no plan rebuilds (empty =
-// complete snapshot) — surface it, never ignore it.
+// the live WITH RECURSIVE ones, whose views' state the snapshot has no
+// field for (empty = complete snapshot) — surface it, never ignore it.
 func (rt *Runtime) SaveSnapshot() ([]string, error) { return rt.coord.Save() }
 
 // RestoreSnapshot rehydrates the standing queries recorded in the

@@ -185,39 +185,6 @@ func TestRunRecursiveRouting(t *testing.T) {
 	}
 }
 
-func TestRunRecursiveErrors(t *testing.T) {
-	rt, _ := newTestRuntime(t)
-	edges := data.NewSchema("E", data.Col("src", data.TString), data.Col("dst", data.TString))
-	if err := rt.RegisterTable("E", data.NewRelation(edges)); err != nil {
-		t.Fatal(err)
-	}
-	bad := []string{
-		// base over two sources
-		`WITH RECURSIVE p(a,b) AS (SELECT e.src, e.dst FROM E e, E f UNION ALL
-			SELECT p.a, e.dst FROM p, E e WHERE p.b = e.src) SELECT a FROM p`,
-		// rule missing the view
-		`WITH RECURSIVE p(a,b) AS (SELECT e.src, e.dst FROM E e UNION ALL
-			SELECT e.src, f.dst FROM E e, E f WHERE e.dst = f.src) SELECT a FROM p`,
-		// no equi-join in the rule
-		`WITH RECURSIVE p(a,b) AS (SELECT e.src, e.dst FROM E e UNION ALL
-			SELECT p.a, e.dst FROM p, E e WHERE p.b <> e.src) SELECT a FROM p`,
-		// arity mismatch in the rule projection
-		`WITH RECURSIVE p(a,b) AS (SELECT e.src, e.dst FROM E e UNION ALL
-			SELECT p.a FROM p, E e WHERE p.b = e.src) SELECT a FROM p`,
-		// unknown base source
-		`WITH RECURSIVE p(a,b) AS (SELECT z.src, z.dst FROM ZZZ z UNION ALL
-			SELECT p.a, e.dst FROM p, E e WHERE p.b = e.src) SELECT a FROM p`,
-		// star base
-		`WITH RECURSIVE p(a,b) AS (SELECT * FROM E e UNION ALL
-			SELECT p.a, e.dst FROM p, E e WHERE p.b = e.src) SELECT a FROM p`,
-	}
-	for _, src := range bad {
-		if _, err := rt.Run(src); err == nil {
-			t.Errorf("Run(%q) should fail", src)
-		}
-	}
-}
-
 func TestRunParseAndPlanErrors(t *testing.T) {
 	rt, _ := newTestRuntime(t)
 	if _, err := rt.Run(`SELEC nonsense`); err == nil {

@@ -131,27 +131,16 @@ func buildFlat(stmt *sql.SelectStmt, cat *catalog.Catalog) (*Built, error) {
 	var nodes []Node
 	seen := map[string]bool{}
 	for _, f := range stmt.From {
-		src, ok := cat.Source(f.Name)
-		if !ok {
-			return nil, fmt.Errorf("plan: unknown source %q", f.Name)
+		scan, err := fromScan(f, cat)
+		if err != nil {
+			return nil, err
 		}
 		binding := strings.ToLower(f.Binding())
 		if seen[binding] {
 			return nil, fmt.Errorf("plan: duplicate binding %q in FROM", f.Binding())
 		}
 		seen[binding] = true
-		w := f.Window
-		isTable := src.Kind == catalog.KindTable
-		if isTable && w != nil {
-			return nil, fmt.Errorf("plan: window on stored table %s", f.Name)
-		}
-		if src.Derived {
-			// Derived fragments keep their embedded column qualifiers
-			// (e.g. sa.room, ss.desk inside a pushed join's output).
-			nodes = append(nodes, NewDerivedScan(src.Name, sourceSchema(src), w, src.Cardinality()))
-		} else {
-			nodes = append(nodes, NewScan(src.Name, f.Binding(), sourceSchema(src), w, src.Cardinality(), isTable))
-		}
+		nodes = append(nodes, scan)
 	}
 
 	// Distribute conjuncts: local predicates below, join predicates kept.
@@ -249,6 +238,25 @@ func buildFlat(stmt *sql.SelectStmt, cat *catalog.Catalog) (*Built, error) {
 		b.Limit = -1
 	}
 	return b, nil
+}
+
+// fromScan builds the scan of one FROM item, through the item's window: an
+// unknown source, or a window on a stored table, is an error.
+func fromScan(f sql.FromItem, cat *catalog.Catalog) (*Scan, error) {
+	src, ok := cat.Source(f.Name)
+	if !ok {
+		return nil, fmt.Errorf("plan: unknown source %q", f.Name)
+	}
+	isTable := src.Kind == catalog.KindTable
+	if isTable && f.Window != nil {
+		return nil, fmt.Errorf("plan: window on stored table %s", f.Name)
+	}
+	if src.Derived {
+		// Derived fragments keep their embedded column qualifiers
+		// (e.g. sa.room, ss.desk inside a pushed join's output).
+		return NewDerivedScan(src.Name, sourceSchema(src), f.Window, src.Cardinality()), nil
+	}
+	return NewScan(src.Name, f.Binding(), sourceSchema(src), f.Window, src.Cardinality(), isTable), nil
 }
 
 func collapseSelect(n Node) Node {

@@ -19,7 +19,7 @@ import (
 // Coordinator is the one owner of every standing query a process runs, and
 // what makes that process survivable. Built once from the Host it compiles
 // into, it deploys, rescales and drops every named deployment — SELECTs and
-// the bodies of recursive views alike — and persists what it can rebuild:
+// recursive views alike — and persists what it can rebuild:
 // logical plans, compile options, the live shard placement, and a consistent
 // checkpoint of every operator's state, in a single snapshot file. A
 // restarted coordinator rehydrates its standing queries from that file and
@@ -247,10 +247,10 @@ func (c *Coordinator) Close() {
 // specs, which fragments ran remotely, and the runner states inside the
 // shard checkpoints — and shared prefix chains contribute their window
 // state once per chain. The returned slice names any deployment the
-// snapshot could NOT capture: one fed through Deployment.Feed by pipelines
-// no compile of its plan rebuilds (a recursive view's body). The names are
-// also recorded in the snapshot so Restore surfaces the same list. An empty
-// slice means the snapshot is complete.
+// snapshot could NOT capture: one whose plan carries a recursive view
+// (Built.View), whose state the format has no field for. The names are also
+// recorded in the snapshot so Restore surfaces the same list. An empty slice
+// means the snapshot is complete.
 func (c *Coordinator) Save() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -267,9 +267,9 @@ func (c *Coordinator) Save() ([]string, error) {
 	groupCoord := map[*sharedResult][]byte{}
 	for _, name := range names {
 		e := c.deps[name]
-		if e.dep.fed {
-			// Restore would bring the plan back with nothing feeding it.
-			// Record the skip — never drop silently.
+		if e.built.View != nil {
+			// No snapshot field holds a recursive view's state. Record the
+			// skip — never drop silently.
 			f.Skipped = append(f.Skipped, name)
 			continue
 		}

@@ -83,8 +83,8 @@ type Deployment struct {
 	// records below from it.
 	eng *stream.Engine
 	// heads records every engine-input subscription the compile made —
-	// serial pipeline heads, sharded exchange Sharders — and every one Feed
-	// made since, so Close can unsubscribe them.
+	// serial pipeline heads, sharded exchange Sharders — so Close can
+	// unsubscribe them.
 	heads []headSub
 	// advs records the engine-tracked advancers (serial windows; the
 	// shard set itself) for UntrackWindow at Close.
@@ -94,10 +94,6 @@ type Deployment struct {
 	// group is the shared result group Result is a view of, nil when the
 	// deployment owns its result; Close leaves it.
 	group *sharedResult
-	// fed records that Feed subscribed pipelines built outside the plan. No
-	// compile can rebuild them, so a coordinator snapshot names a fed
-	// deployment as skipped.
-	fed bool
 
 	closeOnce sync.Once
 }
@@ -158,16 +154,6 @@ func (d *Deployment) Close() {
 			d.group.leave(d.Result)
 		}
 	})
-}
-
-// Feed subscribes op to in on the deployment's behalf, so Close detaches it
-// with everything the compile wired: op heads a pipeline the caller built
-// outside the plan — a recursive view's base and edge rules — that ends in
-// one of the deployment's inputs.
-func (d *Deployment) Feed(in *stream.Input, op stream.Operator) {
-	in.Subscribe(op)
-	d.heads = append(d.heads, headSub{in: in, op: op})
-	d.fed = true
 }
 
 // Rescale moves a live sharded deployment onto a new worker topology,
@@ -445,7 +431,8 @@ type CompileOptions struct {
 // the scans need, and subscribes the pipeline to them. When the plan names
 // a display (OUTPUT TO), the result also feeds the engine's display. With
 // Parallelism > 1 and a partitionable plan, the pipeline is replicated per
-// shard behind Sharder exchanges and folded back through a Merge.
+// shard behind Sharder exchanges and folded back through a Merge. A plan
+// carrying a recursive view (Built.View) compiles serial at any Parallelism.
 func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, error) {
 	eng := host.Engine
 	// Validate the topology up front, on every path: serial fallbacks would
@@ -454,7 +441,7 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 	if err != nil {
 		return nil, err
 	}
-	if opts.Parallelism > 1 {
+	if opts.Parallelism > 1 && b.View == nil {
 		if strat, ok := analyzeShard(b.Root); ok {
 			return compileSharded(b, host, opts, strat, addrs, affinity)
 		}
@@ -464,7 +451,7 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 		return nil, err
 	}
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: 1, eng: eng}
-	if host.Sharing != nil && len(feeds) == 0 {
+	if host.Sharing != nil && len(feeds) == 0 && b.View == nil {
 		if handled, err := host.Sharing.tryAttachResult(b, dep, opts.restoreCoord); handled {
 			if err != nil {
 				return nil, err
@@ -492,6 +479,7 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 		},
 		share:     host.Sharing,
 		fragFor:   fragFor,
+		rec:       b.View,
 		dep:       dep,
 		restoring: opts.restoreCoord != nil,
 	}
@@ -890,18 +878,22 @@ type compiler struct {
 	share     *Sharing
 	dep       *Deployment
 	restoring bool
-	// fragFor marks the scans sensor fragments feed; they never share.
+	// fragFor marks the scans sensor fragments feed, and rec is the
+	// recursive view that feeds every scan of its name (see view); neither
+	// kind of scan ever shares.
 	fragFor map[*Scan]*SensorFragment
+	rec     *recView
 
 	splitAgg   *Aggregate
 	finalMerge *stream.FinalMerge
 }
 
-// fragmentFed reports whether n is a stack of selections over a scan a
-// sensor fragment feeds.
-func (c *compiler) fragmentFed(n Node) bool {
+// deploymentFed reports whether n is a stack of selections over a scan its
+// deployment feeds — from a sensor fragment's runner or a recursive view —
+// rather than a named engine input.
+func (c *compiler) deploymentFed(n Node) bool {
 	sc, _, ok := shareablePrefix(n)
-	return ok && c.fragFor[sc] != nil
+	return ok && (c.fragFor[sc] != nil || c.rec.feeds(sc))
 }
 
 // ckAdd reports a stateful operator to the checkpoint collector, if any.
@@ -949,9 +941,9 @@ func (c *compiler) compile(n Node, out stream.Operator, cols []int) error {
 	// The walk is top-down, so the first shareable subtree seen is the
 	// maximal shareable prefix: attach out to its shared chain and stop
 	// descending — the chain (not this deployment) owns those operators. A
-	// shareable subtree holds no join, so it writes every column. A scan a
-	// fragment feeds is this deployment's own.
-	if c.share != nil && !c.fragmentFed(n) {
+	// shareable subtree holds no join, so it writes every column. A scan the
+	// deployment feeds is its own.
+	if c.share != nil && !c.deploymentFed(n) {
 		if handled, err := c.share.tryAttach(n, out, c.dep, c.restoring); handled {
 			return err
 		}
@@ -1035,7 +1027,8 @@ func (c *compiler) compile(n Node, out stream.Operator, cols []int) error {
 }
 
 // scan compiles a scan feeding out: through its window, if it has one, with
-// admit (when set) as the window's admission predicate.
+// admit (when set) as the window's admission predicate. A scan of the
+// recursive view is fed by a view of its own, never by an engine input.
 func (c *compiler) scan(x *Scan, out stream.Operator, admit *expr.Compiled) error {
 	head := out
 	if w := windowFor(x.Window); w != nil && !x.IsTable {
@@ -1050,6 +1043,9 @@ func (c *compiler) scan(x *Scan, out stream.Operator, admit *expr.Compiled) erro
 		head = win
 	}
 	// else unwindowed stream: tuples accumulate (append-only source)
+	if c.rec.feeds(x) {
+		return c.view(head)
+	}
 	return c.scanHead(x, head)
 }
 

@@ -1,6 +1,10 @@
 package plan
 
 import (
+	"bytes"
+	"encoding/gob"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,9 +58,76 @@ func fuzzReplicaSpec(t testing.TB) ([]byte, *SensorHosts) {
 	return spec, hosts
 }
 
+// fuzzHorizon is the virtual instant FuzzReplicaSpec ticks a replica to, and
+// fuzzMaxEpochs the most epochs any one fragment may fire by then: a damaged
+// period or start instant can ask for billions, and the harness skips such a
+// spec rather than run it for hours.
+const (
+	fuzzHorizon   = 2 * vtime.Second
+	fuzzMaxEpochs = 64
+)
+
+// epochsBounded reports whether every fragment of the spec fires at most
+// fuzzMaxEpochs epochs by fuzzHorizon, at a period of at least 1 ms — the
+// period a runner uses, 1 s for one unset. A spec that does not decode
+// deploys nothing, so it passes.
+func epochsBounded(spec []byte) bool {
+	var rep wireReplica
+	if gob.NewDecoder(bytes.NewReader(spec)).Decode(&rep) != nil {
+		return true
+	}
+	for _, w := range rep.Fragments {
+		period := w.Query.Period
+		if period <= 0 {
+			period = time.Second
+		}
+		// In floats: a start instant far before 0 overflows the difference.
+		epochs := (float64(fuzzHorizon)-float64(w.StartAt))/float64(period) + 1
+		if period < time.Millisecond || epochs > fuzzMaxEpochs {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzRow is one insert at ts carrying a value of every column's type.
+func fuzzRow(s *data.Schema, ts vtime.Time) data.Tuple {
+	vals := make([]data.Value, s.Arity())
+	for i, c := range s.Cols {
+		switch c.Type {
+		case data.TInt:
+			vals[i] = data.Int(1)
+		case data.TFloat:
+			vals[i] = data.Float(1)
+		case data.TString:
+			vals[i] = data.Str("L101")
+		case data.TBool:
+			vals[i] = data.Bool(true)
+		case data.TTime:
+			vals[i] = data.TimeVal(ts)
+		}
+	}
+	return data.NewTuple(ts, vals...)
+}
+
+// driveReplica pushes one batch into every head of a deployed replica, in
+// name order so a failing input replays the same way, and then ticks its
+// advancer to fuzzHorizon, firing its fragments' epochs.
+func driveReplica(heads map[string]stream.Operator, advs []stream.Advancer) {
+	for _, name := range slices.Sorted(maps.Keys(heads)) {
+		h := heads[name]
+		h.PushBatch([]data.Tuple{fuzzRow(h.Schema(), vtime.Second)})
+	}
+	for _, a := range advs {
+		a.Advance(fuzzHorizon)
+	}
+}
+
 // FuzzReplicaSpec feeds DeployReplica — the decoder every shard home runs on
 // bytes that arrived over TCP — damaged replica specs: it must return an
-// error or a working replica, never panic. The corpus is the garbage
+// error or a working replica, never panic, and the replica must take a batch
+// into every head and tick to fuzzHorizon without panicking, both as
+// deployed and redeployed from its own checkpoint. The corpus is the garbage
 // TestDeployReplicaGarbageSpec deploys, a valid spec carrying one fragment
 // of each kind, and that spec's truncations.
 func FuzzReplicaSpec(f *testing.F) {
@@ -74,7 +145,7 @@ func FuzzReplicaSpec(f *testing.F) {
 		f.Fatalf("valid spec does not deploy: %v", err)
 	}
 	for _, a := range advs {
-		a.Advance(2 * vtime.Second)
+		a.Advance(fuzzHorizon)
 	}
 	if sent == 0 {
 		f.Fatal("valid spec deployed a replica that emits nothing")
@@ -86,19 +157,25 @@ func FuzzReplicaSpec(f *testing.F) {
 		f.Add(spec[:n])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		heads, _, cks, err := hosts.DeployReplica(b, 0, nil, discard)
+		if !epochsBounded(b) {
+			t.Skip("a fragment fires too many epochs by the horizon")
+		}
+		heads, advs, cks, err := hosts.DeployReplica(b, 0, nil, discard)
 		if err != nil {
 			return
 		}
 		if len(heads) == 0 {
 			t.Fatal("deployed a replica with no entry point")
 		}
+		driveReplica(heads, advs)
 		state, err := stream.EncodeCheckpoint(cks)
 		if err != nil {
-			t.Fatalf("fresh replica does not checkpoint: %v", err)
+			t.Fatalf("driven replica does not checkpoint: %v", err)
 		}
-		if _, _, _, err := hosts.DeployReplica(b, 0, state, discard); err != nil {
+		heads, advs, _, err = hosts.DeployReplica(b, 0, state, discard)
+		if err != nil {
 			t.Fatalf("replica does not redeploy from its own checkpoint: %v", err)
 		}
+		driveReplica(heads, advs)
 	})
 }

@@ -202,6 +202,9 @@ type Built struct {
 	Limit        int
 	Display      string
 	SamplePeriod time.Duration
+	// View is the recursive view a WITH RECURSIVE plan's scans of its name
+	// read (BuildRecursive); nil for every other plan.
+	View *recView
 }
 
 // String renders the plan.

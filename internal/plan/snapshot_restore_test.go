@@ -149,9 +149,9 @@ func TestSnapshotSaveCrashPoints(t *testing.T) {
 }
 
 // TestSnapshotSkipListSurfaced: a deployment the snapshot cannot capture —
-// fed by a pipeline its plan does not describe, the way a recursive view
-// feeds its body — is named by Save, recorded in the file, and named again
-// by Restore. Nothing is ever dropped silently.
+// one whose plan carries a recursive view, whose state the format has no
+// field for — is named by Save, recorded in the file, and named again by
+// Restore. Nothing is ever dropped silently.
 func TestSnapshotSkipListSurfaced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.snap")
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
@@ -164,16 +164,20 @@ func TestSnapshotSkipListSurfaced(t *testing.T) {
 	if _, err := coordA.Deploy("good", sharePlan("t1", w, ge1), CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// An external feeder: a pipeline the caller built over another input
-	// pushes into the deployment's input S1. Restore could recompile the plan
-	// but not that, so this deployment is skippable — loudly.
-	alien, err := coordA.Deploy("alien", sharePlan("t2", w, ge1), CompileOptions{})
+	// A recursive view over the Links stream: Restore could recompile the
+	// plan but not bring back the view's facts, so this deployment is
+	// skippable — loudly.
+	b, err := buildRecursive(strings.ReplaceAll(hopsRoutes, "Hops", "Links"), recursiveCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := engA.Input("S1")
-	elsewhere := engA.MustRegister("Elsewhere", s1.Schema())
-	alien.Feed(elsewhere, stream.NewCallback(s1.Schema(), s1.PushBatch))
+	if _, err := coordA.Deploy("alien", b, CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	links, _ := engA.Input("Links")
+	if links.Subscribers() == 0 {
+		t.Fatal("the recursive deployment subscribed nothing to Links")
+	}
 	skipped, err := coordA.Save()
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +186,8 @@ func TestSnapshotSkipListSurfaced(t *testing.T) {
 		t.Fatalf("Save skipped %v, want [alien]", skipped)
 	}
 	coordA.Close()
-	if n := elsewhere.Subscribers(); n != 0 {
-		t.Fatalf("Close left %d feeder subscriptions behind", n)
+	if n := links.Subscribers(); n != 0 {
+		t.Fatalf("Close left %d subscriptions on Links behind", n)
 	}
 
 	engB := stream.NewEngine("skip-b", vtime.NewScheduler())
