@@ -131,7 +131,7 @@ endef
 .PHONY: dist
 dist:
 	$(call race_run,ShardDifferentialMultiNode|ShardDifferentialMixedLocalRemote|DistributedWorkerProcesses|ShardedSelectionRoutesOnlyAdmitted|ShardedSelectionDifferential|ResultFramesPerEpoch|ShardDifferentialPendingBatches|ShardedChangesReachResultWithoutFlush,./internal/plan/,-fuzzshard.nodes=2 -fuzzshard.n=40)
-	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing|KeptRowsPinNoFrame|DecoderInternsStrings|SharderShipPoints|WorkerTicksInShardOrder|ShardConnRoundtrip|ShardConnStalledWorker|FuzzShardFrames,./internal/stream/)
+	$(call race_run,ResultSinkOneSendPerCall|ResultFramesSplitAtCap|DecodersPinNothing|KeptRowsPinNoFrame|DecoderInternsStrings|SharderShipPoints|WorkerReplicasRunFramesInOrder|WorkerOverloadBlocksSender|WorkerExecutorLifecycle|WorkerReplicaMidCallWhenLinkDies|ShardConnRoundtrip|ShardConnStalledWorker|FuzzShardFrames,./internal/stream/)
 	$(call race_run,RemoteSensorFragment|FragmentIneligible|FragmentQueriesReadOnlyTheirOwnReadings|CompileShardedRemoteFragment|CompileShardedFragmentStaysCentral,./internal/core/ ./internal/plan/)
 	$(call race_run,SmokeShardedCLI,./cmd/aspenql/)
 

@@ -128,6 +128,10 @@ func (g *epochGen) feed(l, r stream.Operator) {
 //     is posted before any is awaited, so no goroutine runs one.
 //
 // Reading a frame costs nothing: its length header lives in the wireReader.
+// Nor does handing it to a replica's executor on the worker: a data frame is
+// decoded into a pooled batch buffer, its entry point found by a map lookup
+// on the frame's bytes, and the barrier the worker runs before its flush
+// reply waits on the stream's reused WaitGroup.
 // Failover armed at W=1 adds the replay log's copy of each of the 8 data
 // batches, the undo log's copy of each of the 4 result batches, and 11 for
 // the checkpoints the replay log forces every 256 entries (each replica's

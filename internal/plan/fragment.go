@@ -236,8 +236,8 @@ func (h *SensorHosts) engineFor(name string, sources []string) (*sensor.Engine, 
 // feeds, one batch per epoch (an epoch that delivers nothing pushes
 // nothing). A central runner samples every mote and fires from the host
 // scheduler (start). A shard-hosted runner samples its shard's partition and
-// is driven by the replica's tick path (worker frame loop or local shard
-// goroutine) after the windows advance, so its batches enter the replica
+// is driven by the replica's tick path (the replica's executor, on a worker
+// or in process) after the windows advance, so its batches enter the replica
 // head under the same single-writer discipline as exchanged data.
 type fragRunner struct {
 	head   stream.Operator

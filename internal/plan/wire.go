@@ -216,7 +216,7 @@ func encodeReplica(root Node, split *Aggregate, frags []wireFragment) ([]byte, e
 func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 
 // DeployReplica is the stream.DeployFunc behind every home a shard can
-// have — a shard worker's frame loop, and the coordinator's own shard set
+// have — a shard worker's executors, and the coordinator's own shard set
 // for in-process replicas (first deployment, Rescale and failover's last
 // resort alike): it decodes a wire replica spec, compiles the subtree's operators (capped by a
 // PartialAggregate for two-phase plans) into a stream.ResultSink shipping
@@ -224,7 +224,7 @@ func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 // receiver's SensorHosts registry, optionally restores a failover
 // checkpoint into them, and returns the scan heads, the replica's one
 // advancer (its windows, then its fragment runners), and stateful operators
-// for the worker's frame loop to feed, tick, and checkpoint. Every push into
+// for the replica's executor to feed, tick, and checkpoint. Every push into
 // a head and every tick is one replica call, sent through send once.
 //
 // The checkpointer order is deterministic — the two-phase cap first, then

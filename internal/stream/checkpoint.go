@@ -28,7 +28,7 @@ import (
 
 // Checkpointer is implemented by stateful operators that participate in
 // shard failover. CheckpointState must be called only from the operator's
-// single writer (the worker's frame loop, a shard worker goroutine);
+// single writer (the replica's executor), or once a barrier has passed it;
 // RestoreState must be called before the operator processes any tuple.
 type Checkpointer interface {
 	CheckpointState() OpState

@@ -556,8 +556,9 @@ func TestFailoverKillThenRejoin(t *testing.T) {
 }
 
 // wedgeDeploy is foDeploy behind a gate operator: while the gate is shut,
-// processing a data frame blocks the worker's frame loop — the worker
-// stays connected but stops acking, the stalled-but-alive failure mode.
+// processing a data frame blocks the replica's executor — the worker stays
+// connected, but answers no barrier and, once the executor's queue fills,
+// acks no credit: the stalled-but-alive failure mode.
 func wedgeDeploy(gate chan struct{}) DeployFunc {
 	return func(spec []byte, shard int, state []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
 		heads, advs, cks, err := foDeploy(spec, shard, state, send)
@@ -594,7 +595,7 @@ func TestFailoverWedgedWorkerFlushDeadline(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 	// Registered after the worker's Close, so it runs first (LIFO):
-	// releasing the gate lets the wedged frame loop drain and Close return.
+	// releasing the gate lets the wedged executor drain and Close return.
 	t.Cleanup(func() { close(gate) })
 
 	const stall = 300 * time.Millisecond
@@ -605,7 +606,7 @@ func TestFailoverWedgedWorkerFlushDeadline(t *testing.T) {
 	c := h.conns()[0]
 
 	evs := foEvents(25, 120)
-	h.feed(evs[:20]) // the first data frame wedges the worker's frame loop
+	h.feed(evs[:20]) // the first data frame wedges its replica's executor
 	if err := c.Err(); err != nil {
 		t.Fatalf("stall detected before the flush barrier ran: %v", err)
 	}

@@ -117,7 +117,7 @@ func TestSharderShipPoints(t *testing.T) {
 		if h, ok := home.(*localHome); ok {
 			// Wait for the shard's queue to run what it was sent, without
 			// shipping what the exchange holds (Flush would).
-			h.do(nil)
+			h.ex.do(nil)
 		}
 		got := recs[j].take()
 		if len(got) != n {
@@ -214,67 +214,151 @@ func TestSharderShipPoints(t *testing.T) {
 	}
 }
 
-// tickRecorder is a replica advancer that sends its shard number each tick.
-type tickRecorder struct {
+// orderSchema is the rows of orderReplica's results: the shard, then a
+// pushed key, or minus the instant of a tick.
+func orderSchema() *data.Schema {
+	return data.NewSchema("order", data.Col("shard", data.TInt), data.Col("v", data.TInt))
+}
+
+// orderReplica is a replica that reports every call it runs, in its own
+// order: each pushed tuple comes back as (shard, k) and is kept in a
+// Materialize, its checkpointed state; each tick comes back as (shard,
+// -now).
+type orderReplica struct {
 	shard int
 	send  ResultSender
+	kept  *Materialize
 }
 
-func (a *tickRecorder) Advance(vtime.Time) {
-	_ = a.send([]data.Tuple{{Vals: []data.Value{data.Int(int64(a.shard))}}})
+func (r *orderReplica) Schema() *data.Schema { return keySchema() }
+
+func (r *orderReplica) Push(t data.Tuple) { r.PushBatch([]data.Tuple{t}) }
+
+func (r *orderReplica) PushBatch(ts []data.Tuple) {
+	r.kept.PushBatch(ts)
+	out := make([]data.Tuple, len(ts))
+	for i, t := range ts {
+		out[i] = data.NewTuple(t.TS, data.Int(int64(r.shard)), t.Vals[0])
+	}
+	_ = r.send(out)
 }
 
-// TestWorkerTicksInShardOrder: a worker advances the replicas a stream
-// hosts in shard order on every tick frame, whatever order they were
-// deployed in, so their result frames reach the coordinator in that order
-// from run to run.
-func TestWorkerTicksInShardOrder(t *testing.T) {
-	w, err := NewShardWorker("127.0.0.1:0", func(_ []byte, shard int, _ []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
-		return map[string]Operator{}, []Advancer{&tickRecorder{shard: shard, send: send}}, nil, nil
-	})
+func (r *orderReplica) Advance(now vtime.Time) {
+	_ = r.send([]data.Tuple{data.NewTuple(now, data.Int(int64(r.shard)), data.Int(-int64(now)))})
+}
+
+func orderDeploy(_ []byte, shard int, _ []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
+	r := &orderReplica{shard: shard, send: send, kept: NewMaterialize(keySchema())}
+	return map[string]Operator{"in": r}, []Advancer{r}, []Checkpointer{r.kept}, nil
+}
+
+// TestWorkerReplicasRunFramesInOrder pins what a worker guarantees about
+// the replicas it hosts, each on its own goroutine: 8 shards on one stream,
+// deployed in random order, take data frames and ticks in random
+// interleavings. The order in which different replicas' results arrive is
+// theirs to race for, so the test reads each shard's results on their own:
+//
+//   - each replica runs the frames it was sent in the order they were sent,
+//     so it is ticked once per tick frame, in tick order;
+//   - every result of the frames before a Flush or a checkpoint has arrived
+//     by the time it returns;
+//   - a checkpoint's states hold every tuple sent before it.
+func TestWorkerReplicasRunFramesInOrder(t *testing.T) {
+	w, err := NewShardWorker("127.0.0.1:0", orderDeploy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	col := NewCollector(keySchema())
+	col := NewCollector(orderSchema())
 	c, err := dialShard(w.Addr(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	const shards = 8
-	order := rand.New(rand.NewSource(1)).Perm(shards)
+	rng := rand.New(rand.NewSource(1))
+	order := rng.Perm(shards)
 	for _, j := range order {
 		if err := c.Deploy(nil, j, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Undeploy and redeploy one shard: it goes back to its place in order.
+	// Undeploy and redeploy one shard: it starts over, empty.
 	if err := c.Undeploy(order[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Deploy(nil, order[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	const ticks = 5
-	for i := range ticks {
-		if err := c.Tick(vtime.Time(i + 1)); err != nil {
+
+	want := make([][]int64, shards) // each shard's results, in its order
+	kept := make([]int, shards)     // tuples each replica has been sent
+	key, now := int64(0), vtime.Time(0)
+	send := func() {
+		for range 40 {
+			if rng.Intn(4) == 0 {
+				now++
+				if err := c.Tick(now); err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					want[j] = append(want[j], -int64(now))
+				}
+				continue
+			}
+			j := rng.Intn(shards)
+			b := make([]data.Tuple, 1+rng.Intn(8))
+			for i := range b {
+				key++
+				b[i] = data.NewTuple(now, data.Int(key))
+				want[j] = append(want[j], key)
+			}
+			kept[j] += len(b)
+			if err := c.SendBatch(j, "in", b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// arrived checks, as soon as a barrier returns, that every shard's
+	// results so far arrived, whole and in the order it was sent its frames.
+	arrived := func(label string) {
+		t.Helper()
+		got := make([][]int64, shards)
+		for _, r := range col.Snapshot() {
+			j := r.Vals[0].I
+			got[j] = append(got[j], r.Vals[1].I)
+		}
+		for j := range want {
+			if !slices.Equal(got[j], want[j]) {
+				t.Fatalf("%s: shard %d returned %v, want %v", label, j, got[j], want[j])
+			}
+		}
+	}
+	for round := range 20 {
+		send()
+		if round%2 == 0 {
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			arrived(fmt.Sprintf("flush %d", round))
+			continue
+		}
+		states, err := c.checkpoint()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got, want []int64
-	for _, r := range col.Snapshot() {
-		got = append(got, r.Vals[0].I)
-	}
-	for range ticks {
-		for j := range shards {
-			want = append(want, int64(j))
+		arrived(fmt.Sprintf("checkpoint %d", round))
+		if len(states) != shards {
+			t.Fatalf("checkpoint %d: states of %d shards, want %d", round, len(states), shards)
 		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("deployed in order %v, ticked in order %v, want shard order each tick", order, got)
+		for j, st := range states {
+			m := NewMaterialize(keySchema())
+			if err := RestoreCheckpoint([]Checkpointer{m}, st); err != nil {
+				t.Fatal(err)
+			}
+			if m.Len() != kept[j] {
+				t.Fatalf("checkpoint %d: shard %d's state holds %d tuples, it was sent %d", round, j, m.Len(), kept[j])
+			}
+		}
 	}
 }

@@ -2,12 +2,11 @@ package stream
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"maps"
 	"net"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,9 +23,10 @@ import (
 // stream ids (mux.go); a ShardConn is one such stream. Everything travels
 // both ways over it — deploy specs, data batches, clock ticks, and
 // flush/close barriers outward; result batches and acks back — in the
-// binary columnar wire format (wire.go). FIFO ordering per stream gives
-// the same guarantees an in-process home's queue does: a barrier ack arrives
-// behind every result its data produced.
+// binary columnar wire format (wire.go). FIFO ordering per stream, and the
+// worker's barrier before every reply (ShardWorker.serveConn), give the same
+// guarantees an in-process home's queue does: a barrier ack arrives behind
+// every result its data produced.
 //
 // With failover enabled (shard.go), each stream additionally keeps a
 // coordinator-side replay log of every frame sent and every result received
@@ -42,15 +42,20 @@ import (
 // checkpoint — leaves the coordinator through one call, ShardConn.request,
 // and carries its sequence number in the header after the stream id.
 
-// remoteInflight bounds un-acked data/tick frames per stream: producers
-// block when a worker falls this far behind (backpressure instead of
-// unbounded kernel socket buffering).
+// remoteInflight bounds un-acked data/tick frames per stream. A worker acks
+// a frame's credit once the frame is queued on its replicas' executors, not
+// once they have run it, so a sender that has used its window waits for the
+// worker to accept more. The overload policy is to block: a replica slower
+// than its frames fills its executor's queue (shardQueueCap), which blocks
+// the worker link's frame loop, which stops acking, which blocks the sender
+// after remoteInflight more frames — the engine tick loop or a producer,
+// until a credit arrives or the stall timeout fails the link.
 const remoteInflight = 32
 
 // workerAckEvery bounds credit-ack latency under sustained input: the
 // worker normally coalesces credit acks until its input drains, but a
 // connection whose other streams keep it busy must not starve one
-// stream's credit window, so acks also flush every this many processed
+// stream's credit window, so acks also flush every this many queued
 // credit frames.
 const workerAckEvery = 16
 
@@ -75,16 +80,40 @@ const checkpointMaxLog = 256
 // DeployFunc builds one shard replica from an opaque spec (encoded by the
 // plan layer), optionally restoring a checkpoint (nil state = fresh). It
 // returns the replica's entry points keyed by the coordinator-chosen scan
-// name, the replica's time-driven operators (windows), which tick frames
-// advance on the connection's own goroutine, and the replica's stateful
-// operators in deterministic order for checkpoint barriers. The replica
-// emits through send once per call into an entry point or advancer (a
-// ResultSink's Entry and Tick).
+// name, the replica's time-driven operators (windows), which ticks advance
+// on the replica's executor, and the replica's stateful operators in
+// deterministic order for checkpoint barriers. The replica emits through
+// send once per call into an entry point or advancer (a ResultSink's Entry
+// and Tick); replicas of one home emit from their own goroutines.
 type DeployFunc func(spec []byte, shard int, state []byte, send ResultSender) (heads map[string]Operator, advs []Advancer, cks []Checkpointer, err error)
 
-// headKey names one replica entry point on a stream hosting several
-// shards: the coordinator and worker derive it identically.
-func headKey(shard int, name string) string { return fmt.Sprintf("%d/%s", shard, name) }
+// appendHeadKey appends a data frame's key: shard's entry point name as
+// the length-prefixed string "shard/name", built in place rather than as a
+// string of its own.
+func appendHeadKey(b []byte, shard int, name string) []byte {
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], uint64(shard), 10)
+	b = appendUvarint(b, uint64(len(digits)+1+len(name)))
+	b = append(append(b, digits...), '/')
+	return append(b, name...)
+}
+
+// readHeadKey splits a data frame's key into its shard and entry point name,
+// which aliases the frame. A key that names no shard reads as shard -1.
+func readHeadKey(br *byteReader) (shard int, name []byte) {
+	key := br.bytes(int(br.uvarint()))
+	i := bytes.IndexByte(key, '/')
+	if br.fail || i < 1 || i > 9 { // 9 digits: no shard count comes near
+		return -1, nil
+	}
+	for _, c := range key[:i] {
+		if c < '0' || c > '9' {
+			return -1, nil
+		}
+		shard = 10*shard + int(c-'0')
+	}
+	return shard, key[i+1:]
+}
 
 // appendDeployBody encodes a deploy frame's body, after its stream id and
 // sequence number: the shard, then the length-prefixed replica spec and
@@ -139,9 +168,12 @@ func readShardStates(br *byteReader) (map[int][]byte, bool) {
 // advance replica windows, flush/close frames ack as barriers, checkpoint
 // frames reply with the replicas' encoded operator states. One connection
 // carries many deployments, each under its own stream id with its own
-// replica registry. All replica processing for one connection runs on that
-// connection's decode goroutine, preserving the single-writer discipline
-// replica operators rely on.
+// replicas. Each replica runs on an executor of its own (shard.go), one
+// goroutine per replica: the replicas a worker hosts run in parallel, and
+// each keeps the single-writer discipline replica operators rely on. A
+// connection's goroutine only decodes frames and hands them to the
+// executors (serveConn). Close returns once every connection and every
+// executor goroutine has ended.
 type ShardWorker struct {
 	*connServer
 	deploy DeployFunc
@@ -235,82 +267,52 @@ func (s *connServer) Close() error {
 	return err
 }
 
-// replicas is one home's replica registry — a worker stream's, or an
-// in-process home's (shard.go): every entry point under its headKey, the
-// time-driven operators in shard order, the stateful ones by shard. All
-// three are keyed by shard, so one shard's replica can leave (frameUndeploy,
-// a rescale) without disturbing its siblings, and a tick advances the
-// replicas, and so sends their result frames, in shard order.
-type replicas struct {
-	heads map[string]Operator
-	advs  []shardAdvancers
-	cks   map[int][]Checkpointer
+// workerStream is the worker-side state of one deployment's stream: an
+// executor per shard it hosts, and the credit acks it owes the coordinator.
+type workerStream struct {
+	execs map[int]*executor
+	send  ResultSender // every executor's: a result frame under the stream's id
+	pend  int          // queued-but-unacked credit frames
+	wg    sync.WaitGroup
 }
 
-// shardAdvancers is one replica's time-driven operators.
-type shardAdvancers struct {
-	shard int
-	advs  []Advancer
-}
-
-func newReplicas() replicas {
-	return replicas{heads: map[string]Operator{}, cks: map[int][]Checkpointer{}}
-}
-
-// deploy builds shard's replica through build and registers it.
-func (r *replicas) deploy(build DeployFunc, spec []byte, shard int, state []byte, send ResultSender) error {
-	heads, advs, cks, err := build(spec, shard, state, send)
+// deploy builds shard's replica on an executor of its own, replacing any the
+// stream had for it. Its results go out through the stream's send, and out
+// writes them once the executor's queue drains.
+func (ws *workerStream) deploy(build DeployFunc, spec []byte, shard int, state []byte, pool batchPool, out *linkWriter) error {
+	ws.undeploy(shard)
+	ex, err := newExecutor(build, spec, shard, state, ws.send, pool, out.flushIdle)
 	if err != nil {
 		return err
 	}
-	for name, op := range heads {
-		r.heads[headKey(shard, name)] = op
-	}
-	r.setAdvs(shard, advs)
-	r.cks[shard] = cks
+	ws.execs[shard] = ex
 	return nil
 }
 
-// undeploy drops shard's replica.
-func (r *replicas) undeploy(shard int) {
-	prefix := fmt.Sprintf("%d/", shard)
-	for k := range r.heads {
-		if strings.HasPrefix(k, prefix) {
-			delete(r.heads, k)
-		}
-	}
-	r.setAdvs(shard, nil)
-	delete(r.cks, shard)
-}
-
-// setAdvs records shard's advancers at its place in shard order, replacing
-// any the shard had; nil removes the shard.
-func (r *replicas) setAdvs(shard int, advs []Advancer) {
-	i, found := slices.BinarySearchFunc(r.advs, shard, func(a shardAdvancers, j int) int { return cmp.Compare(a.shard, j) })
-	switch {
-	case found && advs == nil:
-		r.advs = slices.Delete(r.advs, i, i+1)
-	case found:
-		r.advs[i].advs = advs
-	case advs != nil:
-		r.advs = slices.Insert(r.advs, i, shardAdvancers{shard, advs})
+// undeploy stops shard's executor, once it has run everything queued.
+func (ws *workerStream) undeploy(shard int) {
+	if ex := ws.execs[shard]; ex != nil {
+		ex.close()
+		delete(ws.execs, shard)
 	}
 }
 
-// advance ticks every replica, in shard order.
-func (r *replicas) advance(now vtime.Time) {
-	for _, a := range r.advs {
-		for _, adv := range a.advs {
-			adv.Advance(now)
-		}
+// barrier returns once every executor of the stream has run everything
+// queued before it, and so has written every result of the frames before.
+// The WaitGroup is the stream's, reused: a barrier allocates nothing.
+func (ws *workerStream) barrier() {
+	for _, ex := range ws.execs {
+		ex.post(&ws.wg)
 	}
+	ws.wg.Wait()
 }
 
-// states encodes every replica's operator state, by shard.
-func (r *replicas) states() (map[int][]byte, error) {
-	out := make(map[int][]byte, len(r.cks))
-	for j, cks := range r.cks {
-		st, err := EncodeCheckpoint(cks)
+// states encodes every replica's operator state, by shard. Call it behind a
+// barrier, which leaves every executor idle.
+func (ws *workerStream) states() (map[int][]byte, error) {
+	out := make(map[int][]byte, len(ws.execs))
+	for j, ex := range ws.execs {
+		st, err := EncodeCheckpoint(ex.rep.cks)
 		if err != nil {
 			return nil, err
 		}
@@ -319,48 +321,132 @@ func (r *replicas) states() (map[int][]byte, error) {
 	return out, nil
 }
 
-// workerStream is the worker-side state of one deployment's stream: its
-// replica registry and the credit acks it owes the coordinator.
-type workerStream struct {
-	replicas
-	send ResultSender
-	pend int // processed-but-unacked credit frames
+// close stops every executor of the stream.
+func (ws *workerStream) close() {
+	for j := range ws.execs {
+		ws.undeploy(j)
+	}
 }
 
-// serveConn drives one coordinator link: decode a frame, route it to its
-// stream, process it. Processing is synchronous on this goroutine, so by
-// the time a request (deploy, undeploy, flush, close, checkpoint) is
-// answered, every result its predecessors produced has already been
-// encoded onto the connection ahead of the reply.
+// linkWriter is a worker link's write side: every executor's result frames,
+// and the frame loop's credit acks and replies, coalesce in one buffer under
+// one lock. A write error is sticky, and once the frame loop leaves nothing
+// more is written, so a replica that is mid-call when its link dies finds
+// its send failing rather than the closed connection.
+type linkWriter struct {
+	mu   sync.Mutex
+	w    wireWriter
+	err  error       // the first write error
+	gone atomic.Bool // the frame loop has left
+}
+
+// usableLocked reports why nothing may be written, if anything. Caller
+// holds l.mu.
+func (l *linkWriter) usableLocked() error {
+	if l.err == nil && l.gone.Load() {
+		l.err = net.ErrClosed
+	}
+	return l.err
+}
+
+// flushLocked writes everything buffered. Caller holds l.mu.
+func (l *linkWriter) flushLocked() error {
+	if err := l.usableLocked(); err != nil {
+		return err
+	}
+	l.err = l.w.flush()
+	return l.err
+}
+
+// flushIdle is an executor's idle hook: whatever its replica (or any other)
+// buffered goes out.
+func (l *linkWriter) flushIdle() {
+	l.mu.Lock()
+	if l.w.buffered() > 0 {
+		_ = l.flushLocked()
+	}
+	l.mu.Unlock()
+}
+
+// result encodes one result frame of stream id, writing the buffer once it
+// holds wireFlushBytes.
+func (l *linkWriter) result(id uint64, ts []data.Tuple) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usableLocked(); err != nil {
+		return err
+	}
+	m := l.w.begin(frameResult)
+	l.w.buf = appendUvarint(l.w.buf, id)
+	l.w.buf = appendBatch(l.w.buf, ts)
+	l.w.end(m)
+	if l.w.buffered() >= wireFlushBytes {
+		return l.flushLocked()
+	}
+	return nil
+}
+
+// serveConn drives one coordinator link. Its goroutine decodes frames and
+// hands them to the executors of their stream's replicas, which run them:
+//
+//   - a data frame is decoded into a pooled batch and queued on its shard's
+//     executor, found from the frame's key without building a string;
+//   - a tick frame is queued on every executor of the stream;
+//   - a request (deploy, undeploy, flush, checkpoint, close) first barriers
+//     every executor of its stream, so by the time it is answered every
+//     result its predecessors produced has been encoded onto the connection
+//     ahead of the reply — the per-stream FIFO order failover's replay and
+//     undo logs, and checkpoint consistency, rely on.
 //
 // Each replica sends at most one result frame per replica call — per data
-// frame into one of its heads, and per tick frame (a tick reaches every
-// replica on the stream, each one call, in shard order) — when the call
-// returns, before the frame's credit ack is owed. Writes are coalesced on
-// top: result frames and credit acks accumulate in the connection's write
-// buffer and flush when the input drains (nothing more is in flight to
-// process first), at any request's reply, past the buffer threshold, or every
-// workerAckEvery credit frames — one syscall then carries an epoch's worth
-// of results and acks.
+// frame into one of its heads, and per tick frame — when the call returns,
+// from its own executor, under the link's write lock. The order in which
+// the replicas' frames interleave is theirs to race for. A credit is owed
+// once its frame is queued: the overload policy is to block (see
+// remoteInflight), as a full queue blocks this goroutine before it owes the
+// credit. Writes are coalesced: result frames and credit acks accumulate in
+// the link's write buffer and go out when an executor's queue drains, when
+// this goroutine's input drains (nothing more is in flight to queue first),
+// at any request's reply, past the buffer threshold, or every
+// workerAckEvery credit frames.
+//
+// When the link dies, or the peer breaks protocol, nothing more is written
+// and every executor of the connection has exited before serveConn returns.
 func (w *ShardWorker) serveConn(conn net.Conn) {
 	r := newWireReader(conn)
-	wr := &wireWriter{conn: conn}
+	out := &linkWriter{w: wireWriter{conn: conn}}
 	streams := map[uint64]*workerStream{}
+	// Buffers for decoded data batches, back from the executors once run.
+	// Room for two replicas' full queues: a pool smaller than the buffers in
+	// flight drops the surplus, and the next frames allocate again.
+	pool := make(batchPool, 2*shardQueueCap)
 	var dec batchDecoder
 	pendTotal := 0 // credit acks owed across all streams
-	sinceAck := 0  // credit frames processed since the last ack flush
+	sinceAck := 0  // credit frames queued since the last ack flush
+	defer func() {
+		out.gone.Store(true)
+		conn.Close()
+		for _, ws := range streams {
+			ws.close()
+		}
+	}()
 
 	// flushAcks emits every owed credit ack and flushes the buffer.
 	flushAcks := func() error {
+		out.mu.Lock()
+		defer out.mu.Unlock()
 		for id, ws := range streams {
 			if ws.pend > 0 {
-				appendAckFrame(wr, id, 0, ws.pend, "")
+				appendAckFrame(&out.w, id, 0, ws.pend, "")
 				ws.pend = 0
 			}
 		}
 		pendTotal = 0
 		sinceAck = 0
-		return wr.flush()
+		return out.flushLocked()
 	}
 	// getStream lazily creates per-stream state (deploy normally creates
 	// it; a data frame racing a dropped stream still gets its credit
@@ -368,29 +454,17 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 	getStream := func(id uint64) *workerStream {
 		ws := streams[id]
 		if ws == nil {
-			ws = &workerStream{replicas: newReplicas()}
-			ws.send = func(ts []data.Tuple) error {
-				if len(ts) == 0 {
-					return nil
-				}
-				m := wr.begin(frameResult)
-				wr.buf = appendUvarint(wr.buf, id)
-				wr.buf = appendBatch(wr.buf, ts)
-				wr.end(m)
-				if wr.buffered() >= wireFlushBytes {
-					return wr.flush()
-				}
-				return nil
-			}
+			ws = &workerStream{execs: map[int]*executor{}}
+			ws.send = func(ts []data.Tuple) error { return out.result(id, ts) }
 			streams[id] = ws
 		}
 		return ws
 	}
 
 	for {
-		if r.buffered() == 0 && (pendTotal > 0 || wr.buffered() > 0) {
-			// Input drained: everything owed — results, credit acks — goes
-			// out now, in one write.
+		if r.buffered() == 0 && pendTotal > 0 {
+			// Input drained: every credit ack owed goes out now, in one write
+			// with whatever results are buffered.
 			if flushAcks() != nil {
 				return
 			}
@@ -408,18 +482,19 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 		}
 		switch kind {
 		case frameData:
-			key := br.bytes(int(br.uvarint()))
-			batch, derr := dec.decode(br)
+			shard, name := readHeadKey(br)
+			batch, derr := dec.decodeInto(br, pool.get())
 			if derr != nil || br.fail {
 				return
 			}
 			ws := getStream(id)
 			// Unknown heads drop silently (there is no way to NACK mid-stream):
 			// the coordinator validated the deployment before opening the taps.
-			if op, ok := ws.heads[string(key)]; ok {
-				op.PushBatch(batch)
+			if ex := ws.execs[shard]; ex != nil {
+				ex.push(ex.rep.heads[string(name)], batch)
+			} else {
+				pool.put(batch)
 			}
-			dec.release()
 			ws.pend++
 			pendTotal++
 			sinceAck++
@@ -429,7 +504,9 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 				return
 			}
 			ws := getStream(id)
-			ws.advance(now)
+			for _, ex := range ws.execs {
+				ex.tick(now)
+			}
 			ws.pend++
 			pendTotal++
 			sinceAck++
@@ -441,29 +518,30 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 			if br.fail {
 				return
 			}
+			ws := streams[id]
+			if ws != nil {
+				ws.barrier()
+			}
 			errs := ""
+			var states map[int][]byte
 			switch kind {
 			case frameDeploy:
 				shard, spec, state, ok := readDeployBody(br)
 				if !ok {
 					return
 				}
-				ws := getStream(id)
-				if derr := ws.deploy(w.deploy, spec, shard, state, ws.send); derr != nil {
+				ws = getStream(id)
+				if derr := ws.deploy(w.deploy, spec, shard, state, pool, out); derr != nil {
 					errs = derr.Error()
 				}
 			case frameFlush:
 			case frameCheckpoint:
-				states, cerr := getStream(id).states()
-				if cerr != nil {
-					errs = cerr.Error()
+				if ws != nil {
+					var cerr error
+					if states, cerr = ws.states(); cerr != nil {
+						errs = cerr.Error()
+					}
 				}
-				m := wr.begin(frameCkptState)
-				wr.buf = appendUvarint(wr.buf, id)
-				wr.buf = appendUvarint(wr.buf, seq)
-				wr.buf = appendWireString(wr.buf, errs)
-				wr.buf = appendShardStates(wr.buf, states)
-				wr.end(m)
 			case frameUndeploy:
 				// One shard's replica leaves the stream (a rescale moved it);
 				// its siblings keep serving under the same credits.
@@ -471,24 +549,36 @@ func (w *ShardWorker) serveConn(conn net.Conn) {
 				if br.fail {
 					return
 				}
-				if ws := streams[id]; ws != nil {
+				if ws != nil {
 					ws.undeploy(shard)
 				}
 			case frameClose:
 				// Drop this stream's replicas, acking its owed credits first;
 				// the other streams (and the connection) live on until the
 				// coordinator's last deployment releases it.
-				if ws := streams[id]; ws != nil && ws.pend > 0 {
-					appendAckFrame(wr, id, 0, ws.pend, "")
+				if ws != nil {
+					ws.close()
+					delete(streams, id)
 				}
-				delete(streams, id)
 			default:
 				// Unknown frame kind: a non-protocol peer; drop the connection.
 				return
 			}
-			if kind != frameCheckpoint {
-				appendAckFrame(wr, id, seq, 0, errs)
+			out.mu.Lock()
+			if kind == frameClose && ws != nil && ws.pend > 0 {
+				appendAckFrame(&out.w, id, 0, ws.pend, "")
 			}
+			if kind == frameCheckpoint {
+				m := out.w.begin(frameCkptState)
+				out.w.buf = appendUvarint(out.w.buf, id)
+				out.w.buf = appendUvarint(out.w.buf, seq)
+				out.w.buf = appendWireString(out.w.buf, errs)
+				out.w.buf = appendShardStates(out.w.buf, states)
+				out.w.end(m)
+			} else {
+				appendAckFrame(&out.w, id, seq, 0, errs)
+			}
+			out.mu.Unlock()
 			if flushAcks() != nil {
 				return
 			}
@@ -516,11 +606,11 @@ func appendAckFrame(w *wireWriter, id, seq uint64, credits int, errs string) {
 }
 
 // logEntry is one replayable coordinator→worker frame: a data batch for
-// the replica head under key, or (Tick set) a clock instant for every
-// replica on the stream.
+// shard's entry point name, or (Tick set) a clock instant for every replica
+// on the stream.
 type logEntry struct {
 	shard int
-	key   string
+	name  string
 	batch []data.Tuple
 	tick  bool
 	now   vtime.Time
@@ -911,14 +1001,14 @@ func (c *ShardConn) acquireCredit() error {
 }
 
 // sendFrame ships one credit-consuming, replayable frame (a data batch
-// for key, or — tick true — a clock instant), encoding it into the shared
+// for shard's entry point name, or — tick true — a clock instant), encoding it into the shared
 // write buffer under the link's write lock. With failover enabled the
 // entry is appended to the replay log under the same lock — the log order
 // is the wire order — whether or not the link still delivers, so a
 // redeployed replica can replay exactly what the lost worker was sent.
 // force flushes the buffer to the socket; otherwise frames coalesce until
 // a flush point (threshold, tick, barrier, or a credit wait).
-func (c *ShardConn) sendFrame(shard int, key string, ts []data.Tuple, tick bool, now vtime.Time, force bool) error {
+func (c *ShardConn) sendFrame(shard int, name string, ts []data.Tuple, tick bool, now vtime.Time, force bool) error {
 	live := c.Err() == nil
 	if live && c.acquireCredit() != nil {
 		live = false
@@ -930,7 +1020,7 @@ func (c *ShardConn) sendFrame(shard int, key string, ts []data.Tuple, tick bool,
 	pc.wmu.Lock()
 	var size int
 	if c.flog != nil {
-		e := logEntry{shard: shard, key: key, tick: tick, now: now}
+		e := logEntry{shard: shard, name: name, tick: tick, now: now}
 		if !tick {
 			// The pipeline owns pushed tuples (nobody mutates them after the
 			// send), so the log retains them without cloning values.
@@ -948,7 +1038,7 @@ func (c *ShardConn) sendFrame(shard int, key string, ts []data.Tuple, tick bool,
 		} else {
 			m := pc.w.begin(frameData)
 			pc.w.buf = appendUvarint(pc.w.buf, c.id)
-			pc.w.buf = appendWireString(pc.w.buf, key)
+			pc.w.buf = appendHeadKey(pc.w.buf, shard, name)
 			pc.w.buf = appendBatch(pc.w.buf, ts)
 			pc.w.end(m)
 		}
@@ -1105,16 +1195,16 @@ func (c *ShardConn) SendBatch(shard int, name string, ts []data.Tuple) error {
 	if len(ts) == 0 {
 		return nil
 	}
-	return c.sendFrame(shard, headKey(shard, name), ts, false, 0, false)
+	return c.sendFrame(shard, name, ts, false, 0, false)
 }
 
-// ship implements shardHome: the batch is encoded under key (precomposed
-// by the Sharder, so the per-batch path formats nothing) and its buffer
-// goes straight back to the pool. A full batch is written to the socket at
+// ship implements shardHome: the batch is encoded, its key built in the
+// wire buffer (the per-batch path formats no string), and its buffer goes
+// straight back to the pool. A full batch is written to the socket at
 // once, so the worker starts on it while the producer is still pushing; a
 // partial one waits in the write buffer for the next flush point.
-func (c *ShardConn) ship(shard int, key string, batch []data.Tuple, full bool) error {
-	err := c.sendFrame(shard, key, batch, false, 0, full)
+func (c *ShardConn) ship(shard int, name string, batch []data.Tuple, full bool) error {
+	err := c.sendFrame(shard, name, batch, false, 0, full)
 	c.pool.put(batch)
 	return err
 }

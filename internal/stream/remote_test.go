@@ -652,7 +652,7 @@ func FuzzShardFrames(f *testing.F) {
 		func(w *wireWriter) {
 			m := w.begin(frameData)
 			w.buf = appendUvarint(w.buf, 1)
-			w.buf = appendWireString(w.buf, headKey(1, "s0"))
+			w.buf = appendHeadKey(w.buf, 1, "s0")
 			w.buf = append(w.buf, batch...)
 			w.end(m)
 			m = w.begin(frameTick)

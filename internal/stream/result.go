@@ -28,8 +28,8 @@ type ResultSender func(ts []data.Tuple) error
 // handed: the aggregate or join in front of it writes into reused memory (see
 // keepsNothing). A push outside any call is sent when it returns.
 //
-// A replica is single-writer (one shard goroutine, or one worker
-// connection's frame loop), so the sink needs no lock.
+// A replica is single-writer (its executor's goroutine, in process or on a
+// worker), so the sink needs no lock.
 type ResultSink struct {
 	schema *data.Schema
 	send   ResultSender

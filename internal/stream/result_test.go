@@ -181,7 +181,7 @@ func TestResultFramesSplitAtCap(t *testing.T) {
 func TestDecodersPinNothing(t *testing.T) {
 	schema := data.NewSchema("kv", data.Col("k", data.TInt), data.Col("v", data.TFloat))
 	var atWorker, atCoord weak.Pointer[data.Value]
-	var mu sync.Mutex // the worker's frame loop writes atWorker; no channel orders it before the test reads
+	var mu sync.Mutex // the replica's executor writes atWorker; no channel orders it before the test reads
 	deploy := func(_ []byte, _ int, _ []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {
 		sink := NewResultSink(schema, send)
 		head := NewCallback(schema, func(ts []data.Tuple) {
@@ -255,7 +255,7 @@ func TestKeptRowsPinNoFrame(t *testing.T) {
 			}
 		}
 	}
-	var mu sync.Mutex // the worker's frame loop writes atWorker; no channel orders it before the test reads
+	var mu sync.Mutex // the replica's executor writes atWorker; no channel orders it before the test reads
 	var atWorker, atCoord pins
 	keptWorker := NewMaterialize(schema)
 	deploy := func(_ []byte, _ int, _ []byte, send ResultSender) (map[string]Operator, []Advancer, []Checkpointer, error) {

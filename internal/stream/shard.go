@@ -20,19 +20,21 @@ import (
 // construction: all tuples of one group / join key land in one replica.
 //
 // Every replica lives at a home, and every home answers the same calls
-// (shardHome): deploy, undeploy, ship a batch under its wire key, tick,
+// (shardHome): undeploy, ship a batch to a replica's entry point, tick,
 // barrier, checkpoint and close. A home is a worker stream (ShardConn,
-// remote.go) or an in-process home (localHome, below), whose replicas sit
-// in the same registry a worker keeps per stream. Only staging a new home
-// (ShardSet.stageLocked) chooses its kind; every other operation of the set
-// treats all homes alike.
+// remote.go) or an in-process home (localHome, below). Only staging a new
+// replica (ShardSet.stageLocked) tells the two kinds apart; every other
+// operation of the set treats all homes alike.
 //
-// Concurrency model: single writer per replica. An in-process home runs
-// one shard's replica on its own goroutine, fed by one bounded FIFO queue
-// that carries every batch, tick, barrier and control call for it, as a
-// worker runs every frame of a stream on its decode goroutine. Replica
-// operators therefore never see two goroutines and need no locks. Only the
-// funnel sink behind Merge is shared.
+// Concurrency model: one goroutine per replica (Graefe's exchange model:
+// one thread per partition). Wherever a replica lives it runs on an
+// executor: one goroutine fed by one bounded FIFO queue that carries every
+// batch, tick, barrier and control call for that replica. An in-process
+// home is one executor; a shard worker runs one executor per replica it
+// hosts (remote.go). Replica operators therefore never see two goroutines
+// and need no locks, while the replicas of one process — in-process or on
+// one worker — run in parallel. Only the funnel sink behind Merge, and a
+// worker link's write buffer, are shared.
 //
 // Batching: a Sharder ships an in-process shard's tuples at the end of each
 // PushBatch call, and collects a worker-hosted shard's across calls (see
@@ -40,15 +42,17 @@ import (
 // the tick or barrier that followed its push; between two of those, a
 // worker-hosted one takes each exchange's batch in turn rather than in the
 // order the calls interleaved, which leaves the result multiset at every
-// tick and barrier unchanged.
+// tick and barrier unchanged. The order in which replicas' results reach
+// the funnel is nondeterministic, across homes and within one worker alike;
+// the multiset at every barrier is not.
 
 // ShardBatchCap is the capacity of recycled batch buffers: a Sharder ships
 // a shard's pending batch once it holds this many tuples.
 const ShardBatchCap = 256
 
-// shardQueueCap bounds each in-process home's queue; producers block when
-// its goroutine falls this far behind (backpressure instead of unbounded
-// memory).
+// shardQueueCap bounds each executor's queue: whoever feeds a replica — a
+// producer in process, a worker link's frame loop — blocks once the
+// replica falls this far behind (backpressure instead of unbounded memory).
 const shardQueueCap = 16
 
 // batchPool recycles the exchange's batch buffers: a Sharder takes one per
@@ -192,25 +196,24 @@ func (f *failoverRuntime) waitIdle() (waited bool, runs int) {
 }
 
 // shardHome is where shard replicas live: a worker stream (*ShardConn) or
-// an in-process home (*localHome). A ShardSet places, feeds, ticks,
-// barriers, checkpoints and closes every home through these calls alone.
+// an in-process home (*localHome). A ShardSet feeds, ticks, barriers,
+// checkpoints and closes every home through these calls alone.
 type shardHome interface {
 	// Addr names the home as placements do: a worker address, or "" for
 	// in-process. Err reports a worker stream's sticky link failure.
 	Addr() string
 	Err() error
-	// Deploy builds shard's replica from spec, restoring state (nil =
-	// fresh); Undeploy tears it down while the home's other replicas serve.
-	Deploy(spec []byte, shard int, state []byte) error
+	// Undeploy tears shard's replica down while the home's other replicas
+	// serve.
 	Undeploy(shard int) error
-	// ship hands the home a pooled batch buffer for the replica head under
-	// key, which it returns to the pool once done; full marks a batch of
+	// ship hands the home a pooled batch buffer for shard's entry point
+	// name, which it returns to the pool once done; full marks a batch of
 	// ShardBatchCap tuples. eager says whether the exchange ships this
 	// home's batches at every push (in-process) or keeps them until a tick,
 	// barrier or full batch (a worker: fewer, larger frames).
-	ship(shard int, key string, batch []data.Tuple, full bool) error
+	ship(shard int, name string, batch []data.Tuple, full bool) error
 	eager() bool
-	// Tick advances every replica on the home, in shard order.
+	// Tick advances every replica on the home.
 	Tick(now vtime.Time) error
 	// startFlush posts a barrier behind everything sent so far, and
 	// awaitFlush waits it out, so a set barriers all its homes at once. An
@@ -223,37 +226,68 @@ type shardHome interface {
 	Close() error
 }
 
-// localHome is an in-process home: one shard's replica, in the replica
-// registry a worker keeps per stream, run by one goroutine that takes every
-// batch, tick, barrier and control call from one bounded queue — a single
-// writer, as a worker's decode goroutine is for its streams.
-type localHome struct {
-	set  *ShardSet
-	q    chan homeMsg
-	reps replicas // the goroutine's alone
+// replica is one shard replica as its DeployFunc built it: the entry points
+// by scan name, the time-driven operators, and the stateful operators in
+// checkpoint order.
+type replica struct {
+	heads map[string]Operator
+	advs  []Advancer
+	cks   []Checkpointer
 }
 
-// homeMsg is one queue entry: a control call (nil: a barrier) whose
-// completion the goroutine signals on wg, else a batch for the replica head
-// under key, else a clock instant.
-type homeMsg struct {
+// executor runs one shard replica on its own goroutine, which takes every
+// batch, tick, barrier and control call for it from one bounded queue. It
+// is how every home runs its replicas: an in-process home is one executor,
+// a worker stream one per shard it hosts.
+type executor struct {
+	shard int
+	q     chan execMsg
+	// rep is fixed once built, so a feeder may look an entry point up in
+	// rep.heads; the operators themselves are the goroutine's alone.
+	rep  replica
+	pool batchPool // where the goroutine returns batch buffers
+	// idle, when set, runs each time the queue drains: a worker writes out
+	// the results its replicas buffered, so a consumer sees them without
+	// waiting for a barrier.
+	idle func()
+	done chan struct{} // closed once the goroutine has exited
+}
+
+// execMsg is one queue entry: a barrier (wg set), which runs call first when
+// there is one; else a batch for the entry point head; else a clock instant.
+type execMsg struct {
 	wg    *sync.WaitGroup
 	call  func()
-	key   string
+	head  Operator
 	batch []data.Tuple
 	now   vtime.Time
 }
 
-func newLocalHome(s *ShardSet) *localHome {
-	h := &localHome{set: s, q: make(chan homeMsg, shardQueueCap), reps: newReplicas()}
-	go h.run()
-	return h
+// newExecutor builds shard's replica through build from spec, restoring
+// state (nil = fresh), and starts its goroutine. The replica emits through
+// send.
+func newExecutor(build DeployFunc, spec []byte, shard int, state []byte, send ResultSender, pool batchPool, idle func()) (*executor, error) {
+	heads, advs, cks, err := build(spec, shard, state, send)
+	if err != nil {
+		return nil, err
+	}
+	ex := &executor{
+		shard: shard,
+		q:     make(chan execMsg, shardQueueCap),
+		rep:   replica{heads: heads, advs: advs, cks: cks},
+		pool:  pool,
+		idle:  idle,
+		done:  make(chan struct{}),
+	}
+	go ex.run()
+	return ex, nil
 }
 
-// run drains the queue. The loop performs no steady-state heap allocation:
-// batch buffers go back to the pool.
-func (h *localHome) run() {
-	for m := range h.q {
+// run drains the queue until close. The loop performs no steady-state heap
+// allocation: batch buffers go back to the pool.
+func (ex *executor) run() {
+	defer close(ex.done)
+	for m := range ex.q {
 		switch {
 		case m.wg != nil:
 			if m.call != nil {
@@ -261,74 +295,115 @@ func (h *localHome) run() {
 			}
 			m.wg.Done()
 		case m.batch != nil:
-			if op := h.reps.heads[m.key]; op != nil {
-				op.PushBatch(m.batch)
-			}
-			h.set.pool.put(m.batch)
+			m.head.PushBatch(m.batch)
+			ex.pool.put(m.batch)
 		default:
-			h.reps.advance(m.now)
+			for _, a := range ex.rep.advs {
+				a.Advance(m.now)
+			}
+		}
+		if ex.idle != nil && len(ex.q) == 0 {
+			ex.idle()
 		}
 	}
 }
 
-// do runs f on the home's goroutine, behind everything queued before it.
-func (h *localHome) do(f func()) {
+// push queues batch for head, one of the replica's entry points; a batch
+// for none (nil: the replica has no such entry point) goes straight back to
+// the pool.
+func (ex *executor) push(head Operator, batch []data.Tuple) {
+	if head != nil && len(batch) > 0 {
+		ex.q <- execMsg{head: head, batch: batch}
+		return
+	}
+	ex.pool.put(batch)
+}
+
+// tick queues a clock instant.
+func (ex *executor) tick(now vtime.Time) { ex.q <- execMsg{now: now} }
+
+// post queues a barrier counted on wg, whose Wait returns once the replica
+// has run everything queued before it.
+func (ex *executor) post(wg *sync.WaitGroup) {
+	wg.Add(1)
+	ex.q <- execMsg{wg: wg}
+}
+
+// do runs f on the goroutine, behind everything queued before it.
+func (ex *executor) do(f func()) {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	h.q <- homeMsg{wg: &wg, call: f}
+	ex.q <- execMsg{wg: &wg, call: f}
 	wg.Wait()
+}
+
+// close runs everything queued and waits for the goroutine to exit. Nothing
+// may be queued after it.
+func (ex *executor) close() {
+	close(ex.q)
+	<-ex.done
+}
+
+// localHome is an in-process home: one shard's replica on its executor,
+// which producers feed directly.
+type localHome struct{ ex *executor }
+
+// newLocalHome builds shard's replica in process from the set's armed spec.
+// Every exchange of the set must find its entry point on the replica.
+// Caller holds s.mu.
+func newLocalHome(s *ShardSet, shard int, state []byte) (*localHome, error) {
+	ex, err := newExecutor(s.cfg.LocalDeploy, s.cfg.Spec, shard, state, s.emit, s.pool, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range s.sharders {
+		if ex.rep.heads[sh.name] == nil {
+			ex.close()
+			return nil, fmt.Errorf("replica has no entry point %q", sh.name)
+		}
+	}
+	return &localHome{ex: ex}, nil
 }
 
 func (h *localHome) Addr() string { return "" }
 func (h *localHome) Err() error   { return nil }
 func (h *localHome) eager() bool  { return true }
 
-func (h *localHome) Deploy(spec []byte, shard int, state []byte) (err error) {
-	h.do(func() {
-		err = h.reps.deploy(h.set.cfg.LocalDeploy, spec, shard, state, h.set.emit)
-		for _, sh := range h.set.sharders {
-			if err == nil && h.reps.heads[sh.keys[shard]] == nil {
-				h.reps.undeploy(shard)
-				err = fmt.Errorf("replica has no entry point %q", sh.name)
-			}
-		}
-	})
-	return err
-}
+// Undeploy does nothing: a home hosts one shard, and the set closes a home
+// it has left idle (dropIdleHomesLocked), which stops the replica.
+func (h *localHome) Undeploy(int) error { return nil }
 
-func (h *localHome) Undeploy(shard int) error {
-	h.do(func() { h.reps.undeploy(shard) })
-	return nil
-}
-
-func (h *localHome) ship(_ int, key string, batch []data.Tuple, _ bool) error {
-	h.q <- homeMsg{key: key, batch: batch}
+func (h *localHome) ship(_ int, name string, batch []data.Tuple, _ bool) error {
+	h.ex.push(h.ex.rep.heads[name], batch)
 	return nil
 }
 
 func (h *localHome) Tick(now vtime.Time) error {
-	h.q <- homeMsg{now: now}
+	h.ex.tick(now)
 	return nil
 }
 
 func (h *localHome) startFlush(wg *sync.WaitGroup) (chan reply, error) {
-	wg.Add(1)
-	h.q <- homeMsg{wg: wg}
+	h.ex.post(wg)
 	return nil, nil
 }
 
 func (h *localHome) awaitFlush(chan reply) error { return nil }
 
 func (h *localHome) checkpoint() (states map[int][]byte, err error) {
-	h.do(func() { states, err = h.reps.states() })
+	h.ex.do(func() {
+		var st []byte
+		if st, err = EncodeCheckpoint(h.ex.rep.cks); err == nil {
+			states = map[int][]byte{h.ex.shard: st}
+		}
+	})
 	return states, err
 }
 
 // Close drains the queue and stops the goroutine. The set closes a home
 // once, when no send can reach it any more.
 func (h *localHome) Close() error {
-	h.do(nil)
-	close(h.q)
+	h.ex.close()
 	return nil
 }
 
@@ -404,7 +479,7 @@ type ShardSet struct {
 	homes []shardHome
 	hosts []shardHome
 	// sharders lists the set's exchanges, each shipping to a shard's home
-	// under its precomposed wire key.
+	// under its scan's wire name.
 	sharders []*Sharder
 	// cfg is fixed by Deploy, except Nodes, which a Rescale rewrites under
 	// mu; the other fields are read without it.
@@ -502,17 +577,26 @@ func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) 
 // state as the shard's committed checkpoint (ShardConn.Deploy), so a
 // failover chain never loses it. Caller holds s.mu.
 func (s *ShardSet) stageLocked(j int, addr string, state []byte) (shardHome, error) {
-	var h shardHome
+	if addr == "" {
+		if s.cfg.LocalDeploy == nil {
+			return nil, fmt.Errorf("in-process: no LocalDeploy configured")
+		}
+		h, err := newLocalHome(s, j, state)
+		if err != nil {
+			return nil, fmt.Errorf("at %q: %w", addr, err)
+		}
+		s.hosts = append(s.hosts, h)
+		return h, nil
+	}
+	var c *ShardConn
 	for _, u := range s.hosts {
-		if addr != "" && u.Addr() == addr && u.Err() == nil {
-			h = u
+		if u, ok := u.(*ShardConn); ok && u.addr == addr && u.Err() == nil {
+			c = u
 		}
 	}
-	switch {
-	case h != nil:
-	case addr != "":
-		c, err := dialShard(addr, s.cfg.Sink, s.cfg.StallTimeout)
-		if err != nil {
+	if c == nil {
+		var err error
+		if c, err = dialShard(addr, s.cfg.Sink, s.cfg.StallTimeout); err != nil {
 			return nil, err
 		}
 		c.pool = s.pool
@@ -520,19 +604,12 @@ func (s *ShardSet) stageLocked(j int, addr string, state []byte) (shardHome, err
 			c.enableFailover(s.cfg.CheckpointEvery)
 			c.armFailover(s.connFailed)
 		}
-		h = c
-	case s.cfg.LocalDeploy == nil:
-		return nil, fmt.Errorf("in-process: no LocalDeploy configured")
-	default:
-		h = newLocalHome(s)
+		s.hosts = append(s.hosts, c)
 	}
-	if !slices.Contains(s.hosts, h) {
-		s.hosts = append(s.hosts, h)
-	}
-	if err := h.Deploy(s.cfg.Spec, j, state); err != nil {
+	if err := c.Deploy(s.cfg.Spec, j, state); err != nil {
 		return nil, fmt.Errorf("at %q: %w", addr, err)
 	}
-	return h, nil
+	return c, nil
 }
 
 // dropIdleHomesLocked closes every home hosting no shard: an in-process
@@ -570,7 +647,7 @@ func (s *ShardSet) send(sh *Sharder, j int, batch []data.Tuple) {
 // allocation-free.
 func (s *ShardSet) sendLocked(sh *Sharder, j int, batch []data.Tuple) {
 	if h := s.homes[j]; h != nil && !s.closed {
-		_ = h.ship(j, sh.keys[j], batch, len(batch) == ShardBatchCap)
+		_ = h.ship(j, sh.name, batch, len(batch) == ShardBatchCap)
 		return
 	}
 	s.pool.put(batch)
@@ -781,7 +858,7 @@ func (s *ShardSet) deliver(moved []int, staged map[int]shardHome, entries []logE
 			continue
 		}
 		if h := staged[e.shard]; h != nil {
-			if err := h.ship(e.shard, e.key, append(s.pool.get(), e.batch...), false); err != nil {
+			if err := h.ship(e.shard, e.name, append(s.pool.get(), e.batch...), false); err != nil {
 				return err
 			}
 		}
@@ -918,9 +995,10 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 // entry point: it routes each pushed tuple to the shard owning the tuple's
 // key partition (hash of the key columns modulo P), collects each shard's
 // tuples into a pending batch, and ships full or flushed batches to the
-// shard's home under the scan's wire key. Several Sharders
-// (one per scan of a plan) share one ShardSet, so a join's left and right
-// inputs partitioned on aligned keys meet in the same replica.
+// shard's home, for the replica's entry point under the scan's wire name.
+// Several Sharders (one per scan of a plan) share one ShardSet, so a join's
+// left and right inputs partitioned on aligned keys meet in the same
+// replica.
 //
 // Ownership: pushed tuples are handed to the owning replica un-cloned, per
 // the Operator convention; the pending batch keeps the tuples, never the
@@ -928,15 +1006,12 @@ func (s *ShardSet) candidatesLocked(failedAddr string) []string {
 // dispatch state is mutex-protected (per-shard order then follows arrival
 // order under the lock).
 type Sharder struct {
-	set *ShardSet
-	// keys[j] is this exchange's wire key on shard j (headKey,
-	// precomposed): every home registers the replica's entry point under it.
-	keys   []string
+	set    *ShardSet
 	keyIdx []int // key column indexes; nil = all columns
 	schema *data.Schema
 	hasher data.Hasher
-	// name is the scan's wire name (plan.scanName): a home's entry point for
-	// this exchange is the replica head registered under it.
+	// name is the scan's wire name (plan.scanName): every replica's entry
+	// point for this exchange is the head its DeployFunc returns under it.
 	name string
 
 	// keyFns, when set, routes on computed key expressions instead of
@@ -958,14 +1033,10 @@ type Sharder struct {
 func NewSharder(set *ShardSet, name string, schema *data.Schema, keyIdx []int) (*Sharder, error) {
 	sh := &Sharder{
 		set:    set,
-		keys:   make([]string, set.p),
 		keyIdx: keyIdx,
 		schema: schema,
 		name:   name,
 		pend:   make([][]data.Tuple, set.p),
-	}
-	for j := range sh.keys {
-		sh.keys[j] = headKey(j, name)
 	}
 	set.mu.Lock()
 	defer set.mu.Unlock()
@@ -1065,7 +1136,7 @@ func (sh *Sharder) flushPending(send func(sh *Sharder, j int, batch []data.Tuple
 
 // Merge folds concurrent shard outputs into one downstream operator: a
 // mutex funnel. Per-shard output order is preserved (each shard pushes
-// from its single worker), interleaving across shards is arbitrary —
+// from its one executor), interleaving across shards is arbitrary —
 // sound, because partitioned state never emits deltas for the same key
 // from two shards.
 type Merge struct {

@@ -442,6 +442,17 @@ func (d *batchDecoder) str(b []byte) string {
 // values arena nor its string arenas until the next frame overwrites it.
 func (d *batchDecoder) release() { clear(d.tuples) }
 
+// decodeInto is decode into buf's backing array, grown when too short,
+// which the caller keeps: a worker hands each decoded data batch to a
+// replica's executor, while the next frame is decoded beside it.
+func (d *batchDecoder) decodeInto(r *byteReader, buf []data.Tuple) ([]data.Tuple, error) {
+	scratch := d.tuples
+	d.tuples = buf[:0]
+	ts, err := d.decode(r)
+	d.tuples = scratch
+	return ts, err
+}
+
 // errBadBatch reports a structurally invalid batch body.
 var errBadBatch = fmt.Errorf("stream: malformed wire batch")
 
