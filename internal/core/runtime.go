@@ -214,15 +214,6 @@ func (rt *Runtime) Run(sqlText string) (*Query, error) {
 	return nil, fmt.Errorf("core: unsupported statement %T", stmt)
 }
 
-// MustRun deploys a statically known statement, panicking on error.
-func (rt *Runtime) MustRun(sqlText string) *Query {
-	q, err := rt.Run(sqlText)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // deploy compiles built through the coordinator under the next name q1, q2, …
 // and loads the tables it scans. A compile that fails has torn down whatever
 // it wired, so a failed statement leaks nothing but its name.

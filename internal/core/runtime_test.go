@@ -11,6 +11,15 @@ import (
 	"aspen/internal/vtime"
 )
 
+// MustRun deploys a statically known statement, panicking on error.
+func (rt *Runtime) MustRun(sqlText string) *Query {
+	q, err := rt.Run(sqlText)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 // newTestRuntime assembles a runtime over a 3x3 desk grid where desk mote 4
 // is occupied (dark chair light).
 func newTestRuntime(t *testing.T) (*Runtime, *vtime.Scheduler) {

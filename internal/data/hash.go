@@ -8,16 +8,6 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// Fnv64 hashes b with 64-bit FNV-1a.
-func Fnv64(b []byte) uint64 {
-	h := fnvOffset64
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // Hasher computes 64-bit hashes of tuple keys without materializing key
 // strings: values are folded into an FNV-1a state through a binary
 // canonical encoding that mirrors Value.AppendKey branch for branch (ints

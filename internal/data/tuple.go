@@ -100,7 +100,9 @@ func (t Tuple) Project(idx []int) Tuple {
 
 // EqualVals reports positional SQL equality of values (ignores TS and Op).
 // Two tuples sharing their Vals, as a window's retraction shares the
-// insertion it retracts, are equal without a look at the values.
+// insertion it retracts, are equal without a look at the values. A second
+// reader trusts the same identity: a stream join removes its side's oldest
+// row, without a hash or a probe, when a retraction shares that row's Vals.
 func (t Tuple) EqualVals(o Tuple) bool {
 	if len(t.Vals) != len(o.Vals) {
 		return false

@@ -135,9 +135,6 @@ func (v Value) AsString() string {
 	return v.String()
 }
 
-// AsTime returns the value as a vtime.Time.
-func (v Value) AsTime() vtime.Time { return vtime.Time(v.I) }
-
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.T {

@@ -182,8 +182,12 @@ func (j *Join) CheckpointState() OpState {
 	}
 	st := &JoinState{L: make([]data.Tuple, 0, n[0]), R: make([]data.Tuple, 0, n[1])}
 	for _, r := range j.recs {
-		st.L = append(st.L, r.rows[0]...)
-		st.R = append(st.R, r.rows[1]...)
+		for _, row := range r.rows[0] {
+			st.L = append(st.L, row.tuple())
+		}
+		for _, row := range r.rows[1] {
+			st.R = append(st.R, row.tuple())
+		}
 	}
 	return OpState{Kind: ckJoin, Join: st}
 }
@@ -204,7 +208,7 @@ func (j *Join) RestoreState(s OpState) error {
 			}
 		}
 	}
-	j.index, j.recs, j.free = newKeyIndex(), nil, nil
+	j.index, j.recs, j.free, j.arrived = newKeyIndex(), nil, nil, [2]arrivals{}
 	for side, rows := range sides {
 		for _, t := range rows {
 			j.update(data.Tuple{Vals: t.Vals, TS: t.TS}, side)

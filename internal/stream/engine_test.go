@@ -9,6 +9,15 @@ import (
 	"aspen/internal/vtime"
 )
 
+// MustSnapshot is Snapshot for statically correct order keys.
+func (m *Materialize) MustSnapshot(order []OrderSpec, limit int) []data.Tuple {
+	out, err := m.Snapshot(order, limit)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestEngineRegisterAndPush(t *testing.T) {
 	sched := vtime.NewScheduler()
 	e := NewEngine("node1", sched)

@@ -7,6 +7,7 @@ import (
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
+	"aspen/internal/vtime"
 )
 
 // Join is a symmetric hash join over two delta streams (Wilschut & Apers).
@@ -18,11 +19,25 @@ import (
 // Both sides share one key-grouped table: a record per join key that either
 // side holds rows of, with that key's left rows and right rows in arrival
 // order, found through a keyIndex by the 64-bit hash of the key's canonical
-// encoding. A tuple probes once and checks its key once, against the
+// encoding. A tuple probes and checks its key at most once, against the
 // record's first row; it then updates its own side and joins every row of
 // the other side without checking again. So keys never mix, the per-tuple
 // path allocates nothing once the table has grown, and joined rows come out
 // in arrival order within a key.
+//
+// A retraction finds the row it removes in one of two ways, and removes the
+// same row either way: the first row of its key's record, on its side, that
+// equals it.
+//   - The oldest row. Each side keeps its rows' arrival order (arrivals). A
+//     window retracts in arrival order, and its retraction shares the Vals
+//     of the insertion the join stored, so when the side's oldest live row
+//     shares the retraction's Vals, that row goes without a hash or a probe.
+//     It is the row the probe would find: a row sharing the retraction's
+//     Vals has its key, so the row's record is its record, and the oldest
+//     row of a side is the first row of its record there.
+//   - The probe. Any other retraction (an upstream retraction, a row
+//     restored from a checkpoint, a value-equal copy) hashes its key, probes,
+//     checks the key and removes the first equal row.
 //
 // A joined row holds every column of the two sides, or only the columns its
 // consumer reads (NewJoinCols); the rows the sides hold are the same either
@@ -40,7 +55,9 @@ type Join struct {
 	residual *expr.Compiled
 	index    keyIndex
 	recs     []joinRec
-	free     []int32 // retired records, reused with their slices
+	free     []int32     // retired records, reused with their slices
+	arrived  [2]arrivals // each side's arrival order
+	cursor   []int32     // compact's scratch, an entry per record
 	hasher   data.Hasher
 	ins      [2]joinInput
 	// batch collects the joined rows of one input call for one downstream
@@ -57,7 +74,49 @@ type Join struct {
 // right side's, each in arrival order. A record whose sides are both empty
 // is retired.
 type joinRec struct {
-	rows [2][]data.Tuple
+	rows [2][]joinRow
+}
+
+// joinRow is a row one side holds. A stored row is always an insertion, so
+// in the place of its Op it carries its seq, its place in the side's arrival
+// order; it is as large as a data.Tuple.
+type joinRow struct {
+	vals []data.Value
+	ts   vtime.Time
+	seq  uint32
+}
+
+func (r joinRow) tuple() data.Tuple { return data.Tuple{Vals: r.vals, TS: r.ts} }
+
+// arrivals is one side's arrival order: an entry per row the side took, in
+// the order the rows came, naming the row's record and seq. An entry goes
+// stale when its row leaves by the probe, and stays stale when its record is
+// retired or reused. A record keeps its rows in arrival order too, so the
+// first live entry names its record's first row: the front entry is live
+// exactly when that row has its seq. The front pops stale entries as it
+// meets them, and the queue compacts once it holds more stale entries than
+// rows, so it stays O(rows) under any order of deletion. A seq that wraps
+// around is harmless: a row leaves by the front only when it shares the
+// retraction's Vals.
+type arrivals struct {
+	q    []arrival // the queue, at q[head:]
+	head int
+	seq  uint32 // the seq of the side's next row
+	rows int    // rows the side holds
+}
+
+type arrival struct {
+	rec int32
+	seq uint32
+}
+
+// pop drops the front entry, and the dead prefix once it dominates.
+func (a *arrivals) pop() {
+	a.head++
+	if a.head > 32 && a.head > len(a.q)/2 {
+		a.q = a.q[:copy(a.q, a.q[a.head:])]
+		a.head = 0
+	}
 }
 
 // joinArenas recycles the value arenas joins write their rows into in front
@@ -179,9 +238,9 @@ func (j *Join) apply(t data.Tuple, side int, out []data.Tuple) []data.Tuple {
 		return out
 	}
 	for _, m := range r.rows[1-side] {
-		l, rt := t, m
+		l, rt := t, m.tuple()
 		if side == 1 {
-			l, rt = m, t
+			l, rt = rt, t
 		}
 		joined := data.Tuple{Vals: j.write(l, rt), TS: max(l.TS, rt.TS), Op: t.Op}
 		if j.residual != nil && !j.residual.EvalBool(joined) {
@@ -197,6 +256,12 @@ func (j *Join) apply(t data.Tuple, side int, out []data.Tuple) []data.Tuple {
 // a row the side does not hold changes nothing. It returns the record, or
 // nil when no row of t's key is left on either side.
 func (j *Join) update(t data.Tuple, side int) *joinRec {
+	if t.Op == data.Delete {
+		if id := j.front(t, side); id >= 0 {
+			j.arrived[side].pop()
+			return j.remove(t, side, id, 0, -1)
+		}
+	}
 	h := j.hasher.HashOn(t, j.keys[side]) & testHashMask
 	j.index.reserve()
 	i, id := j.index.find(h, func(id int32) bool { return j.sameKey(t, side, id) })
@@ -215,23 +280,76 @@ func (j *Join) update(t data.Tuple, side int) *joinRec {
 	r := &j.recs[id]
 	rows := r.rows[side]
 	if t.Op != data.Delete {
-		r.rows[side] = append(rows, t)
+		a := &j.arrived[side]
+		r.rows[side] = append(rows, joinRow{vals: t.Vals, ts: t.TS, seq: a.seq})
+		a.q = append(a.q, arrival{rec: id, seq: a.seq})
+		a.seq++
+		a.rows++
 		return r
 	}
 	for k := range rows {
-		if rows[k].EqualVals(t) {
-			copy(rows[k:], rows[k+1:])
-			rows[len(rows)-1] = data.Tuple{} // drop the reference for GC
-			r.rows[side] = rows[:len(rows)-1]
-			if len(rows) == 1 && len(r.rows[1-side]) == 0 {
-				j.index.del(i)
-				j.free = append(j.free, id)
-				return nil
-			}
-			break
+		if rows[k].tuple().EqualVals(t) {
+			return j.remove(t, side, id, k, i)
 		}
 	}
 	return r
+}
+
+// remove deletes row k of record id's side, whose key is t's. It retires the
+// record when that empties it, at index slot i, or at t's slot when i < 0,
+// and returns nil then, the record otherwise.
+func (j *Join) remove(t data.Tuple, side int, id int32, k, i int) *joinRec {
+	r := &j.recs[id]
+	rows := r.rows[side]
+	copy(rows[k:], rows[k+1:])
+	rows[len(rows)-1] = joinRow{} // drop the reference for GC
+	r.rows[side] = rows[:len(rows)-1]
+	a := &j.arrived[side]
+	if a.rows--; len(a.q)-a.head > 2*a.rows {
+		j.compact(side)
+	}
+	if len(rows) > 1 || len(r.rows[1-side]) > 0 {
+		return r
+	}
+	if i < 0 {
+		i = j.index.slotOf(j.hasher.HashOn(t, j.keys[side])&testHashMask, id)
+	}
+	j.index.del(i)
+	j.free = append(j.free, id)
+	return nil
+}
+
+// front returns the record of side's oldest row when that row shares t's
+// Vals, or -1, popping the stale entries ahead of the oldest row.
+func (j *Join) front(t data.Tuple, side int) int32 {
+	a := &j.arrived[side]
+	for ; a.head < len(a.q); a.pop() {
+		e := a.q[a.head]
+		if rows := j.recs[e.rec].rows[side]; len(rows) > 0 && rows[0].seq == e.seq {
+			if v := rows[0].vals; len(v) == len(t.Vals) && len(v) > 0 && &v[0] == &t.Vals[0] {
+				return e.rec
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// compact drops side's stale entries and keeps the live ones in order.
+// Entries and each record's rows are both in arrival order, so walking the
+// queue, an entry is live exactly when it names the next row of its record
+// not yet met.
+func (j *Join) compact(side int) {
+	a := &j.arrived[side]
+	next := append(j.cursor[:0], make([]int32, len(j.recs))...)
+	live := a.q[:0]
+	for _, e := range a.q[a.head:] {
+		if rows, k := j.recs[e.rec].rows[side], next[e.rec]; int(k) < len(rows) && rows[k].seq == e.seq {
+			next[e.rec]++
+			live = append(live, e)
+		}
+	}
+	a.q, a.head, j.cursor = live, 0, next
 }
 
 // sameKey reports whether t's key, on its side, is record id's key: the key
@@ -242,7 +360,7 @@ func (j *Join) sameKey(t data.Tuple, side int, id int32) bool {
 	if len(r.rows[0]) == 0 {
 		o = 1
 	}
-	return t.EqualOn(j.keys[side], r.rows[o][0], j.keys[o])
+	return t.EqualOn(j.keys[side], r.rows[o][0].tuple(), j.keys[o])
 }
 
 // write returns the values of the row joining l and r: the kept columns of

@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -141,59 +144,85 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-// Property: the symmetric hash join over windows equals a brute-force
-// nested-loop join of the current window contents, across random
-// insert/expiry interleavings.
+// Property: the symmetric hash join over two time windows holds exactly the
+// nested-loop join of the windows' contents, as a multiset after every
+// step, under both hash masks. The windows see duplicates (one Vals pushed
+// twice), value-equal tuples with Vals of their own, upstream retractions
+// (of held tuples, by their own Vals or a copy, and of tuples never held)
+// and NULL, NaN and ±0 join keys, so retractions reach the join both
+// sharing the Vals of the row it holds and not.
 func TestJoinEquivalentToNestedLoop(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	rooms := []string{"L1", "L2", "L3"}
-
-	out := areaSchema().Concat(seatSchema())
-	mat := NewMaterialize(out)
-	j, err := NewJoin(mat, areaSchema(), seatSchema(),
-		[]string{"sa.room"}, []string{"ss.room"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := NewTimeWindow(j.Left(), 10*time.Second, 0)
-	wr := NewTimeWindow(j.Right(), 15*time.Second, 0)
-
-	var lWin, rWin []data.Tuple // reference window contents
-	now := vtime.Time(0)
-	for step := 0; step < 300; step++ {
-		now += vtime.Time(r.Int63n(int64(3 * vtime.Second)))
-		if r.Intn(2) == 0 {
-			tu := data.NewTuple(now, data.Str(rooms[r.Intn(3)]), data.Str("open"))
-			wl.Push(tu)
-			lWin = append(lWin, tu)
-		} else {
-			tu := data.NewTuple(now, data.Str(rooms[r.Intn(3)]), data.Int(int64(r.Intn(4))), data.Str("free"))
-			wr.Push(tu)
-			rWin = append(rWin, tu)
-		}
-		// both windows see the clock advance (Engine.Advance in production)
-		wl.Advance(now)
-		wr.Advance(now)
-		// reference expiry
-		lWin = expireRef(lWin, now, 10*time.Second)
-		rWin = expireRef(rWin, now, 15*time.Second)
-
-		if step%37 != 0 {
-			continue
-		}
-		want := 0
-		for _, l := range lWin {
-			for _, rr := range rWin {
-				if l.Vals[0].Equal(rr.Vals[0]) {
-					want++
+	sides := twinSchemas()
+	keys := []data.Value{data.Float(1), data.Float(2), data.Null, data.Float(math.NaN()), data.Float(0), data.Float(math.Copysign(0, -1))}
+	spans := [2]time.Duration{10 * time.Second, 15 * time.Second}
+	for _, mask := range []uint64{^uint64(0), 0} {
+		t.Run(fmt.Sprintf("mask=%x", mask&1), func(t *testing.T) {
+			defer SetTestHashMask(SetTestHashMask(mask))
+			rng := rand.New(rand.NewSource(5))
+			mat := NewMaterialize(sides[0].Concat(sides[1]))
+			j := must[*Join](t)(NewJoin(mat, sides[0], sides[1], []string{"l.k"}, []string{"r.k"}, nil))
+			wins := [2]*Window{NewTimeWindow(j.Left(), spans[0], 0), NewTimeWindow(j.Right(), spans[1], 0)}
+			var ref [2][]data.Tuple // the windows' contents, by definition
+			now := vtime.Time(0)
+			for step := range 600 {
+				now += vtime.Time(rng.Int63n(int64(2 * vtime.Second)))
+				side := rng.Intn(2)
+				live := ref[side]
+				tu := windowDelta(rng, live, keys, now)
+				wins[side].Push(tu)
+				if tu.Op != data.Delete {
+					ref[side] = append(live, tu)
+				} else if k := slices.IndexFunc(live, tu.EqualVals); k >= 0 {
+					ref[side] = slices.Delete(live, k, k+1)
 				}
+				for s, w := range wins {
+					w.Advance(now)
+					ref[s] = expireRef(ref[s], now, spans[s])
+				}
+
+				want := map[string]int{}
+				for _, a := range ref[0] {
+					for _, b := range ref[1] {
+						if a.EqualOn([]int{0}, b, []int{0}) {
+							want[a.ConcatInto(nil, b).Key()]++
+						}
+					}
+				}
+				got := map[string]int{}
+				for _, row := range mat.MustSnapshot(nil, -1) {
+					got[row.Key()]++
+				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("step %d (%d %v): join holds %v, nested loop %v", step, side, tu, got, want)
+				}
+				checkArrivals(t, j)
 			}
-		}
-		snap := mat.MustSnapshot(nil, -1)
-		if len(snap) != want {
-			t.Fatalf("step %d: join has %d rows, nested loop %d", step, len(snap), want)
-		}
+		})
 	}
+}
+
+// windowDelta is a random tuple for a window holding live: a retraction of a
+// held tuple, by its own Vals or by a copy; a retraction of a tuple never
+// held; a duplicate, a held tuple's Vals again; a value-equal copy of a held
+// tuple; or, most often, a fresh row with one of keys.
+func windowDelta(rng *rand.Rand, live []data.Tuple, keys []data.Value, now vtime.Time) data.Tuple {
+	switch c := rng.Intn(10); {
+	case c < 2 && len(live) > 0:
+		tu := live[rng.Intn(len(live))].Negate()
+		if c == 1 {
+			tu = tu.Clone()
+		}
+		return tu
+	case c == 2:
+		return data.NewTuple(now, keys[rng.Intn(len(keys))], data.Int(-1)).Negate()
+	case c == 3 && len(live) > 0:
+		return data.Tuple{Vals: live[rng.Intn(len(live))].Vals, TS: now}
+	case c == 4 && len(live) > 0:
+		tu := live[rng.Intn(len(live))].Clone()
+		tu.TS = now
+		return tu
+	}
+	return data.NewTuple(now, keys[rng.Intn(len(keys))], data.Int(int64(rng.Intn(3))))
 }
 
 func expireRef(win []data.Tuple, now vtime.Time, rng time.Duration) []data.Tuple {
@@ -298,5 +327,239 @@ func TestJoinColsErrors(t *testing.T) {
 	if _, err := NewJoinCols(NewCollector(full), areaSchema(), seatSchema(),
 		[]string{"sa.room"}, []string{"ss.room"}, nil, []int{1}); err == nil {
 		t.Error("a consumer wider than the written columns was accepted")
+	}
+}
+
+// checkArrivals checks j's arrival queues against the rows its sides hold:
+// every row is named by exactly one entry, entries and each record's rows
+// run in rising seq, the side counts its rows right, and a queue holds at
+// most twice as many entries as its side holds rows.
+func checkArrivals(t testing.TB, j *Join) {
+	t.Helper()
+	for side := range j.arrived {
+		a := &j.arrived[side]
+		q := a.q[a.head:]
+		named := make(map[arrival]int, len(q))
+		for i, e := range q {
+			if i > 0 && e.seq <= q[i-1].seq {
+				t.Fatalf("side %d: entry %d has seq %d after %d", side, i, e.seq, q[i-1].seq)
+			}
+			named[e]++
+		}
+		held := 0
+		for id, r := range j.recs {
+			for k, row := range r.rows[side] {
+				if n := named[arrival{rec: int32(id), seq: row.seq}]; n != 1 || k > 0 && row.seq <= r.rows[side][k-1].seq {
+					t.Fatalf("side %d: row %d of record %d, %v, is named by %d entries", side, k, id, row.tuple(), n)
+				}
+				held++
+			}
+		}
+		if a.rows != held || len(q) > 2*held {
+			t.Fatalf("side %d: holds %d rows, counts %d, queues %d entries", side, held, a.rows, len(q))
+		}
+	}
+}
+
+// sameDelta reports whether two deltas are identical: values bit for bit
+// (NaN keys included), timestamp and polarity.
+func sameDelta(a, b data.Tuple) bool { return bitEqual(a, b) && a.TS == b.TS && a.Op == b.Op }
+
+// twinSchemas are the sides of the arrival-order tests: a FLOAT key and a
+// payload.
+func twinSchemas() [2]*data.Schema {
+	return [2]*data.Schema{
+		data.NewSchema("l", data.Col("k", data.TFloat), data.Col("v", data.TInt)),
+		data.NewSchema("r", data.Col("k", data.TFloat), data.Col("w", data.TInt)),
+	}
+}
+
+// watchedInput feeds side of j one tuple at a time, counting the
+// retractions that leave by the front of the side's arrival queue in
+// path[0] and the ones that take the probe in path[1].
+func watchedInput(j *Join, side int, path *[2]int) Operator {
+	in := joinSides(j)[side]
+	return NewCallback(j.in[side], func(ts []data.Tuple) {
+		for _, tu := range ts {
+			if tu.Op == data.Delete {
+				if j.front(tu, side) >= 0 {
+					path[0]++
+				} else {
+					path[1]++
+				}
+			}
+			in.PushBatch([]data.Tuple{tu})
+		}
+	})
+}
+
+// The two ways a retraction finds its row, against each other: twin joins
+// take every batch of one RANGE and one ROWS window, A the windows' own
+// tuples, whose expiries share the Vals of the rows A holds, B value-equal
+// copies, which never do. Duplicates, value-equal tuples, upstream
+// retractions and retractions of tuples never held ride along, over NULL
+// and NaN keys. After every batch both have emitted the same rows in the
+// same order, and A took both paths.
+func TestJoinExpiryTwins(t *testing.T) {
+	sides := twinSchemas()
+	keys := []data.Value{data.Float(1), data.Float(2), data.Float(3), data.Null, data.Float(math.NaN())}
+	for _, mask := range []uint64{^uint64(0), 0} {
+		t.Run(fmt.Sprintf("mask=%x", mask&1), func(t *testing.T) {
+			defer SetTestHashMask(SetTestHashMask(mask))
+			rng := rand.New(rand.NewSource(13))
+			out := sides[0].Concat(sides[1])
+			colA, colB := NewCollector(out), NewCollector(out)
+			a := must[*Join](t)(NewJoin(colA, sides[0], sides[1], []string{"l.k"}, []string{"r.k"}, nil))
+			b := must[*Join](t)(NewJoin(colB, sides[0], sides[1], []string{"l.k"}, []string{"r.k"}, nil))
+			var path [2]int
+			step := 0
+			tee := func(side int) Operator {
+				inA, inB := watchedInput(a, side, &path), joinSides(b)[side]
+				return NewCallback(sides[side], func(ts []data.Tuple) {
+					inA.PushBatch(ts)
+					copies := make([]data.Tuple, len(ts))
+					for i, tu := range ts {
+						copies[i] = tu.Clone()
+					}
+					inB.PushBatch(copies)
+					if got, want := colA.Snapshot(), colB.Snapshot(); !slices.EqualFunc(got, want, sameDelta) {
+						t.Fatalf("step %d, side %d, batch %v: fast path emitted %v, probed path %v", step, side, ts, got, want)
+					}
+					colA.Reset()
+					colB.Reset()
+				})
+			}
+			wins := [2]*Window{NewTimeWindow(tee(0), 3*time.Second, 0), NewRowsWindow(tee(1), 6)}
+			now := vtime.Time(0)
+			for ; step < 2000; step++ {
+				now += vtime.Time(rng.Int63n(int64(vtime.Second)))
+				side := rng.Intn(2)
+				live := wins[side].Contents()
+				batch := make([]data.Tuple, 1+rng.Intn(4))
+				for i := range batch {
+					batch[i] = windowDelta(rng, live, keys, now)
+				}
+				wins[side].PushBatch(batch)
+				wins[0].Advance(now)
+				checkArrivals(t, a)
+				checkArrivals(t, b)
+			}
+			if path[0] <= path[1] || path[1] == 0 {
+				t.Fatalf("A took the fast path %d times and the probe %d times", path[0], path[1])
+			}
+		})
+	}
+}
+
+// A join fed only out-of-order retractions keeps its arrival queues within
+// twice the rows its sides hold: each retraction takes a row other than its
+// side's oldest, which stays, so no entry ever leaves by the front and only
+// compaction drops the stale ones. It joins like the nested-loop join.
+func TestJoinArrivalQueueBounded(t *testing.T) {
+	sides := twinSchemas()
+	col := NewCollector(sides[0].Concat(sides[1]))
+	j := must[*Join](t)(NewJoin(col, sides[0], sides[1], []string{"l.k"}, []string{"r.k"}, nil))
+	ref := &nestedLoop{keys: [2][]int{{0}, {0}}}
+	heads := joinSides(j)
+	push := func(round, side int, tu data.Tuple) {
+		want := ref.push(tu, side)
+		heads[side].Push(tu)
+		got := col.Snapshot()
+		col.Reset()
+		if !slices.EqualFunc(got, want, sameDelta) {
+			t.Fatalf("round %d (%d %v): joined %v, want %v", round, side, tu, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	keys := []data.Value{data.Float(1), data.Float(2), data.Null}
+	var held [2][]data.Tuple
+	for round := range 20000 {
+		side := round % 2
+		tu := data.NewTuple(vtime.Time(round), keys[rng.Intn(len(keys))], data.Int(int64(round)))
+		push(round, side, tu)
+		held[side] = append(held[side], tu)
+		if live := held[side]; len(live) > 24 {
+			k := 1 + rng.Intn(len(live)-1)
+			del := live[k].Negate()
+			if rng.Intn(2) == 0 {
+				del = del.Clone()
+			}
+			push(round, side, del)
+			held[side] = slices.Delete(live, k, k+1)
+		}
+		checkArrivals(t, j)
+	}
+}
+
+// A join restored behind restored windows holds copies of the windows' rows,
+// so their expiries take the probe and leave stale entries; once one window
+// length has passed, every expiry leaves by the front again. Throughout, its
+// result matches a run that was never interrupted. The windows take more
+// rows per tick after the restore than before, so the stale entries never
+// outnumber the rows and only the front's skipping drops them.
+func TestJoinRestoreReturnsToFastPath(t *testing.T) {
+	sides := twinSchemas()
+	out := sides[0].Concat(sides[1])
+	const span, restoreAt = 10, 15 // seconds
+	type run struct {
+		j    *Join
+		wins [2]*Window
+		mat  *Materialize
+		path [2]int
+	}
+	build := func() *run {
+		r := &run{mat: NewMaterialize(out)}
+		r.j = must[*Join](t)(NewJoin(r.mat, sides[0], sides[1], []string{"l.k"}, []string{"r.k"}, nil))
+		for side := range r.wins {
+			r.wins[side] = NewTimeWindow(watchedInput(r.j, side, &r.path), span*time.Second, 0)
+		}
+		return r
+	}
+	tick := func(r *run, sec, n int) {
+		now := vtime.Time(sec) * vtime.Second
+		for side, w := range r.wins {
+			batch := make([]data.Tuple, n)
+			for i := range batch {
+				k := data.Float(float64((sec + i + side) % 4))
+				if i == 0 {
+					k = data.Null
+				}
+				batch[i] = data.NewTuple(now, k, data.Int(int64(sec*10+i)))
+			}
+			w.PushBatch(batch)
+			w.Advance(now)
+		}
+	}
+	whole, cut := build(), build()
+	for sec := range restoreAt {
+		tick(whole, sec, 3)
+		tick(cut, sec, 3)
+	}
+	restored := build()
+	cks := []Checkpointer{cut.j, cut.wins[0], cut.wins[1], cut.mat}
+	for i, ck := range []Checkpointer{restored.j, restored.wins[0], restored.wins[1], restored.mat} {
+		if err := ck.RestoreState(gobCopy(t, cks[i].CheckpointState())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkArrivals(t, restored.j)
+	probed := 0
+	for sec := restoreAt; sec < restoreAt+3*span; sec++ {
+		tick(whole, sec, 5)
+		restored.path = [2]int{}
+		tick(restored, sec, 5)
+		checkArrivals(t, restored.j)
+		probed += restored.path[1]
+		if sec >= restoreAt+span && (restored.path[1] != 0 || restored.path[0] == 0) {
+			t.Fatalf("%d s, %d s after the restore: %d retractions left by the front, %d took the probe",
+				sec, sec-restoreAt, restored.path[0], restored.path[1])
+		}
+		got, want := restored.mat.MustSnapshot(nil, -1), whole.mat.MustSnapshot(nil, -1)
+		if !sameMultiset(got, want) {
+			t.Fatalf("%d s: restored join holds %v, uninterrupted %v", sec, got, want)
+		}
+	}
+	if probed == 0 {
+		t.Fatal("no retraction of a restored row took the probe")
 	}
 }

@@ -251,12 +251,3 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 	}
 	return out, nil
 }
-
-// MustSnapshot is Snapshot for statically correct order keys.
-func (m *Materialize) MustSnapshot(order []OrderSpec, limit int) []data.Tuple {
-	out, err := m.Snapshot(order, limit)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}

@@ -126,9 +126,9 @@ func TestReuseOwnership(t *testing.T) {
 				return j.Left(), func() {
 					for _, r := range j.recs {
 						for _, tu := range r.rows[0] {
-							if !seen[&tu.Vals[0]] {
-								seen[&tu.Vals[0]] = true
-								k.Push(tu)
+							if !seen[&tu.vals[0]] {
+								seen[&tu.vals[0]] = true
+								k.Push(tu.tuple())
 							}
 						}
 					}

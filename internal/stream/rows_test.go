@@ -317,6 +317,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 			_ = RestoreCheckpoint(r.cks(), b)
 			checkRestored(t, r)
 			r.push(later)
+			checkArrivals(t, r.j)
 			SetTestHashMask(old)
 		}
 	})
@@ -342,11 +343,12 @@ func checkRestored(t *testing.T, r *fuzzReplica) {
 			}
 		}
 	}
+	checkArrivals(t, r.j)
 	for _, rec := range r.j.recs {
 		for _, side := range rec.rows {
 			for _, row := range side {
-				if len(row.Vals) != schema.Arity() || slices.ContainsFunc(row.Vals, unknownType) {
-					t.Fatalf("join row %v", row)
+				if len(row.vals) != schema.Arity() || slices.ContainsFunc(row.vals, unknownType) {
+					t.Fatalf("join row %v", row.tuple())
 				}
 			}
 		}
