@@ -33,7 +33,7 @@ func TestKeyDelimiterInjection(t *testing.T) {
 		// Hash equality is allowed to collide in principle, but these
 		// specific non-equal keys must not (they are the collision-safety
 		// cases the encoding is designed for).
-		if h.Hash(a) == h.Hash(b) {
+		if h.Index(a, nil) == h.Index(b, nil) || h.Route(a, nil) == h.Route(b, nil) {
 			t.Errorf("hashes alias: %v vs %v", a, b)
 		}
 	}
@@ -54,7 +54,7 @@ func TestKeyIntFloatCrossType(t *testing.T) {
 		if a.Key() != b.Key() {
 			t.Errorf("keys differ: %v vs %v", p[0], p[1])
 		}
-		if h.Hash(a) != h.Hash(b) {
+		if h.Index(a, nil) != h.Index(b, nil) {
 			t.Errorf("hashes differ: %v vs %v", p[0], p[1])
 		}
 		if !a.EqualVals(b) {
@@ -62,13 +62,14 @@ func TestKeyIntFloatCrossType(t *testing.T) {
 		}
 	}
 	// Non-equal numerics must not alias.
-	if h.Hash(NewTuple(0, Int(1))) == h.Hash(NewTuple(0, Float(1.5))) {
+	if h.Index(NewTuple(0, Int(1)), nil) == h.Index(NewTuple(0, Float(1.5)), nil) {
 		t.Error("1 and 1.5 hash alike")
 	}
 }
 
-// Hash equality must follow key equality on mixed multi-column tuples,
-// including NULLs, bools, and times, for full keys and key subsets.
+// Hash equality must follow key equality under both hashes, on mixed
+// multi-column tuples, including NULLs, bools, and times, for full keys and
+// key subsets.
 func TestHashOnFollowsKeyOn(t *testing.T) {
 	var h Hasher
 	tuples := []Tuple{
@@ -84,10 +85,12 @@ func TestHashOnFollowsKeyOn(t *testing.T) {
 		for i := range tuples {
 			for j := range tuples {
 				ki, kj := tuples[i].KeyOn(idx), tuples[j].KeyOn(idx)
-				hi, hj := h.HashOn(tuples[i], idx), h.HashOn(tuples[j], idx)
-				if (ki == kj) != (hi == hj) {
-					t.Errorf("idx %v: key eq %v but hash eq %v for %v vs %v",
-						idx, ki == kj, hi == hj, tuples[i], tuples[j])
+				for _, hash := range []func(Tuple, []int) uint64{h.Index, h.Route} {
+					hi, hj := hash(tuples[i], idx), hash(tuples[j], idx)
+					if (ki == kj) != (hi == hj) {
+						t.Errorf("idx %v: key eq %v but hash eq %v for %v vs %v",
+							idx, ki == kj, hi == hj, tuples[i], tuples[j])
+					}
 				}
 			}
 		}
@@ -118,6 +121,18 @@ func TestEqualOn(t *testing.T) {
 	if !a.EqualOn(nil, b, nil) {
 		t.Error("empty key not equal")
 	}
+	// Identical values skip the comparison; the answer must not change:
+	// NULLs equal, NaN equals NaN, and a value of no known type equals
+	// nothing, itself included.
+	vals := append(hashLawValues(), Value{T: TTime + 1, I: 7})
+	for _, x := range vals {
+		for _, y := range vals {
+			want := x.IsNull() && y.IsNull() || x.Equal(y)
+			if got := NewTuple(0, x).EqualOn([]int{0}, NewTuple(0, y), []int{0}); got != want {
+				t.Errorf("EqualOn(%v, %v) = %v, want %v", x, y, got, want)
+			}
+		}
+	}
 }
 
 func TestHashSpecialFloats(t *testing.T) {
@@ -129,10 +144,10 @@ func TestHashSpecialFloats(t *testing.T) {
 	if a.Key() != b.Key() {
 		t.Skip("platform NaN formatting differs")
 	}
-	if h.Hash(a) != h.Hash(b) {
+	if h.Index(a, nil) != h.Index(b, nil) {
 		t.Error("NaN hashes differ")
 	}
-	if h.Hash(NewTuple(0, Float(math.Inf(1)))) == h.Hash(NewTuple(0, Float(math.Inf(-1)))) {
+	if h.Index(NewTuple(0, Float(math.Inf(1))), nil) == h.Index(NewTuple(0, Float(math.Inf(-1))), nil) {
 		t.Error("+Inf and -Inf hash alike")
 	}
 }
@@ -153,7 +168,7 @@ func TestSpecialFloatsEqualFollowsKey(t *testing.T) {
 	}
 	for _, c := range cases {
 		a, b := NewTuple(0, c.a), NewTuple(0, c.b)
-		if a.EqualVals(b) != c.eq || (a.Key() == b.Key()) != c.eq || c.eq && h.Hash(a) != h.Hash(b) {
+		if a.EqualVals(b) != c.eq || (a.Key() == b.Key()) != c.eq || c.eq && h.Index(a, nil) != h.Index(b, nil) {
 			t.Errorf("%v vs %v: equal %v, keys %q %q, want equal %v", c.a, c.b, a.EqualVals(b), a.Key(), b.Key(), c.eq)
 		}
 	}
@@ -165,16 +180,9 @@ func TestSpecialFloatsEqualFollowsKey(t *testing.T) {
 	}
 }
 
-func TestCloneIntoAndConcatInto(t *testing.T) {
+func TestConcatInto(t *testing.T) {
 	a := NewTuple(5, Str("x"), Int(1))
 	buf := make([]Value, 0, 8)
-	cl := a.CloneInto(buf)
-	if !cl.EqualVals(a) || cl.TS != a.TS {
-		t.Fatalf("CloneInto mismatch: %v", cl)
-	}
-	if &cl.Vals[0] != &buf[:1][0] {
-		t.Error("CloneInto did not reuse the buffer")
-	}
 	b := NewTuple(9, Float(2.5))
 	cc := a.ConcatInto(buf, b)
 	if len(cc.Vals) != 3 || cc.TS != 9 {

@@ -94,18 +94,3 @@ func (r *Relation) Rows() []Tuple {
 	}
 	return out
 }
-
-// SortedRows returns rows sorted by their canonical key; handy for
-// deterministic test assertions.
-func (r *Relation) SortedRows() []Tuple {
-	rows := r.Rows()
-	SortByKey(rows)
-	return rows
-}
-
-// Clear removes all rows.
-func (r *Relation) Clear() {
-	r.mu.Lock()
-	r.rows = r.rows[:0]
-	r.mu.Unlock()
-}

@@ -45,13 +45,6 @@ func (t Tuple) Clone() Tuple {
 	return Tuple{Vals: vals, TS: t.TS, Op: t.Op}
 }
 
-// CloneInto deep-copies the tuple into dst's backing array when its
-// capacity suffices, allocating only on growth; operators use it with
-// pooled buffers to keep steady-state cloning allocation-free.
-func (t Tuple) CloneInto(dst []Value) Tuple {
-	return Tuple{Vals: append(dst[:0], t.Vals...), TS: t.TS, Op: t.Op}
-}
-
 // Negate returns the tuple with flipped polarity.
 func (t Tuple) Negate() Tuple {
 	if t.Op == Insert {
@@ -125,10 +118,14 @@ func (t Tuple) EqualVals(o Tuple) bool {
 // EqualOn reports SQL equality between t's values at idx and o's values at
 // oIdx (same length), with NULLs comparing equal — exactly the equality the
 // canonical key encoding captures. Hash-table users call it to verify
-// candidates that share a 64-bit key hash.
+// candidates that share a 64-bit key hash, which mostly find the same key:
+// two identical values of a known type are equal without a comparison.
 func (t Tuple) EqualOn(idx []int, o Tuple, oIdx []int) bool {
 	for i := range idx {
 		a, b := t.Vals[idx[i]], o.Vals[oIdx[i]]
+		if a == b && a.T <= TTime {
+			continue
+		}
 		if a.IsNull() || b.IsNull() {
 			if a.IsNull() != b.IsNull() {
 				return false
@@ -141,10 +138,6 @@ func (t Tuple) EqualOn(idx []int, o Tuple, oIdx []int) bool {
 	}
 	return true
 }
-
-// HashOn returns the 64-bit hash of the canonical key of the values at idx
-// (all values when idx is nil), written through h's reusable buffer.
-func (t Tuple) HashOn(h *Hasher, idx []int) uint64 { return h.HashOn(t, idx) }
 
 // Key returns a canonical encoding of all values, usable as a map key for
 // set semantics and provenance identity. TS and Op are excluded.

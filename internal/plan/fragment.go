@@ -29,7 +29,7 @@ import (
 //     shard worker that physically hosts the sensor source. Each shard's
 //     replica samples only the motes (or mote pairs) whose partition-key
 //     hash routes to that shard, exactly mirroring the coordinator Sharder's
-//     hash (data.Hasher.HashOn % P), so the shards' deliveries union to the
+//     hash (data.Hasher.Route % P), so the shards' deliveries union to the
 //     central run's and no exchange hop is needed.
 //
 // Hosted runners implement stream.Advancer (epochs catch up at tick
@@ -365,7 +365,7 @@ func (r *fragRunner) RestoreState(s stream.OpState) error {
 // shardKeep builds the node filter of one shard's partition: hash the
 // node-determined key columns of the fragment's output schema exactly as
 // the coordinator's Sharder hashes delivered tuples. Unused value slots
-// stay zero — HashOn folds only the KeyIdx positions.
+// stay zero — Route folds only the KeyIdx positions.
 func shardKeep(w *wireFragment, shard int) sensor.NodeFilter {
 	var h data.Hasher
 	p := uint64(w.P)
@@ -374,7 +374,7 @@ func shardKeep(w *wireFragment, shard int) sensor.NodeFilter {
 		vals := make([]data.Value, 2)
 		return func(n sensornet.Node) bool {
 			vals[0] = data.Str(n.Room)
-			return int(h.HashOn(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
+			return int(h.Route(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
 		}
 	}
 	// Output schema (mote, room, desk, value).
@@ -383,7 +383,7 @@ func shardKeep(w *wireFragment, shard int) sensor.NodeFilter {
 		vals[0] = data.Int(int64(n.ID))
 		vals[1] = data.Str(n.Room)
 		vals[2] = data.Int(int64(n.Desk))
-		return int(h.HashOn(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
+		return int(h.Route(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
 	}
 }
 
@@ -400,7 +400,7 @@ func shardKeepPair(w *wireFragment, shard int) sensor.PairFilter {
 		vals[4] = data.Int(int64(r.ID))
 		vals[5] = data.Str(r.Room)
 		vals[6] = data.Int(int64(r.Desk))
-		return int(h.HashOn(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
+		return int(h.Route(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
 	}
 }
 

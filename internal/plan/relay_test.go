@@ -199,7 +199,7 @@ func (s *callSplitter) Push(t data.Tuple) { s.PushBatch([]data.Tuple{t}) }
 
 func (s *callSplitter) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
-		s.shards[s.h.HashOn(t, []int{0})%s.p]++
+		s.shards[s.h.Route(t, []int{0})%s.p]++
 	}
 	for k := range s.calls {
 		s.in.PushBatch(ts[k*len(ts)/s.calls : (k+1)*len(ts)/s.calls])

@@ -26,7 +26,7 @@ import (
 //
 //   - exact:  precisely the values of keys, in order — required below a
 //     join, whose two sides must agree bit-for-bit on the shard of
-//     matching tuples (data.Hasher's canonical encoding makes equal
+//     matching tuples (data.Hasher.Route's canonical walk makes equal
 //     values hash equal across schemas);
 //   - !exact: any non-empty, order-preserved subsequence of keys — enough
 //     for single-input state (groups, distinct), which only needs the

@@ -73,10 +73,9 @@ type Aggregate struct {
 
 // groupTable is the grouped-state core shared by the one-phase Aggregate
 // and the two-phase PartialAggregate / FinalMerge operators. A group is a
-// record found through a keyIndex by the 64-bit hash of the canonical
-// encoding of its grouping columns (data.Hasher) and verified against its
-// stored key values through EqualOn, so no key string is materialized per
-// push and no two keys share a record. A retired group's record, with its
+// record found through a keyIndex by the index hash of its grouping columns
+// (indexHash) and verified against its stored key values through EqualOn,
+// so no key string is materialized per push and no two keys share a record. A retired group's record, with its
 // aggregate slots and key, is reused by the next new group.
 type groupTable struct {
 	keyIdx []int
@@ -85,7 +84,6 @@ type groupTable struct {
 	index  keyIndex
 	groups []groupState // by record id
 	free   []int32      // retired records
-	hasher data.Hasher
 	// touched lists, in first-touch order, the groups the running fold has
 	// changed and not yet emitted; a group retired since it was listed is -1.
 	// Empty between calls.
@@ -97,7 +95,7 @@ type groupTable struct {
 }
 
 // newGroupTable keys a table on the input columns keyIdx (non-nil: an empty
-// GROUP BY is one global group, while HashOn(t, nil) would mean "all
+// GROUP BY is one global group, while indexHash(t, nil) would mean "all
 // columns") for the aggregates specs.
 func newGroupTable(next Operator, keyIdx []int, specs []AggSpec) groupTable {
 	gt := groupTable{keyIdx: keyIdx, kvIdx: make([]int, len(keyIdx)), ext: make([]bool, len(specs)),
@@ -136,7 +134,7 @@ func (gt *groupTable) lookup(t data.Tuple) (int32, *groupState) {
 // place finds the group whose key is t's values at idx, creating it when
 // create is set; a new group's count is 0.
 func (gt *groupTable) place(t data.Tuple, idx []int, create bool) (int32, *groupState) {
-	h := gt.hasher.HashOn(t, idx) & testHashMask
+	h := indexHash(t, idx)
 	gt.index.reserve()
 	i, id := gt.index.find(h, func(id int32) bool {
 		return data.Tuple{Vals: gt.groups[id].keyVals}.EqualOn(gt.kvIdx, t, idx)

@@ -171,7 +171,7 @@ func twoPhaseRig(t *testing.T, having expr.Expr) *batchRig {
 		rig.checks = append(rig.checks, chk)
 	}
 	var hasher data.Hasher
-	route := func(tu data.Tuple) int { return int(hasher.HashOn(tu, []int{0}) % shards) }
+	route := func(tu data.Tuple) int { return int(hasher.Route(tu, []int{0}) % shards) }
 	rig.push = func(_ int, tu data.Tuple) { parts[route(tu)].Push(tu) }
 	rig.pushBatch = func(_ int, ts []data.Tuple) {
 		var sub [shards][]data.Tuple

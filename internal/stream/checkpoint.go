@@ -208,7 +208,7 @@ func (j *Join) RestoreState(s OpState) error {
 			}
 		}
 	}
-	j.index, j.recs, j.free, j.arrived = newKeyIndex(), nil, nil, [2]arrivals{}
+	j.index, j.recs, j.keyVals, j.free, j.arrived = newKeyIndex(), nil, nil, nil, [2]arrivals{}
 	for side, rows := range sides {
 		for _, t := range rows {
 			j.update(data.Tuple{Vals: t.Vals, TS: t.TS}, side)

@@ -18,12 +18,15 @@ import (
 //
 // Both sides share one key-grouped table: a record per join key that either
 // side holds rows of, with that key's left rows and right rows in arrival
-// order, found through a keyIndex by the 64-bit hash of the key's canonical
-// encoding. A tuple probes and checks its key at most once, against the
-// record's first row; it then updates its own side and joins every row of
-// the other side without checking again. So keys never mix, the per-tuple
-// path allocates nothing once the table has grown, and joined rows come out
-// in arrival order within a key.
+// order, found through a keyIndex by the index hash of the key (indexHash).
+// A record carries its key: its key values sit in one arena of the join's
+// own, w values per record id, written when the record is created or
+// reused and cleared when it retires. A tuple probes and checks its key at
+// most once, against that arena, not against a stored row (a window's tuple,
+// wherever the heap put it); it then updates its own side and joins every
+// row of the other side without checking again. So keys never mix, the
+// per-tuple path allocates nothing once the table has grown, and joined rows
+// come out in arrival order within a key.
 //
 // A retraction finds the row it removes in one of two ways, and removes the
 // same row either way: the first row of its key's record, on its side, that
@@ -55,11 +58,14 @@ type Join struct {
 	residual *expr.Compiled
 	index    keyIndex
 	recs     []joinRec
-	free     []int32     // retired records, reused with their slices
-	arrived  [2]arrivals // each side's arrival order
-	cursor   []int32     // compact's scratch, an entry per record
-	hasher   data.Hasher
-	ins      [2]joinInput
+	// keyVals holds record id's key values at [id*w, (id+1)*w), w the key's
+	// width; a retired record's are zero, so they pin no string.
+	keyVals []data.Value
+	kvIdx   []int       // 0..w-1, the arena's side of sameKey's EqualOn
+	free    []int32     // retired records, reused with their slices
+	arrived [2]arrivals // each side's arrival order
+	cursor  []int32     // compact's scratch, an entry per record
+	ins     [2]joinInput
 	// batch collects the joined rows of one input call for one downstream
 	// dispatch; cleared after it, so it pins no row between calls.
 	batch []data.Tuple
@@ -194,7 +200,7 @@ func NewJoinCols(next Operator, left, right *data.Schema, lCols, rCols []string,
 		out = out.Project(keep)
 		j.out = out
 	}
-	// Key slices stay non-nil: HashOn(t, nil) means "all columns", but an
+	// Key slices stay non-nil: indexHash(t, nil) means "all columns", but an
 	// empty key list means a pure cross/residual join (one record).
 	for side, cols := range [2][]string{lCols, rCols} {
 		j.keys[side] = make([]int, 0, len(cols))
@@ -216,6 +222,10 @@ func NewJoinCols(next Operator, left, right *data.Schema, lCols, rCols []string,
 	if next.Schema().Arity() != out.Arity() {
 		return nil, fmt.Errorf("stream: join output arity %d does not match downstream %s",
 			out.Arity(), next.Schema())
+	}
+	j.kvIdx = make([]int, len(lCols))
+	for i := range j.kvIdx {
+		j.kvIdx[i] = i
 	}
 	j.ins = [2]joinInput{{j: j, side: 0}, {j: j, side: 1}}
 	return j, nil
@@ -262,7 +272,7 @@ func (j *Join) update(t data.Tuple, side int) *joinRec {
 			return j.remove(t, side, id, 0, -1)
 		}
 	}
-	h := j.hasher.HashOn(t, j.keys[side]) & testHashMask
+	h := indexHash(t, j.keys[side])
 	j.index.reserve()
 	i, id := j.index.find(h, func(id int32) bool { return j.sameKey(t, side, id) })
 	if id < 0 {
@@ -274,6 +284,11 @@ func (j *Join) update(t data.Tuple, side int) *joinRec {
 		} else {
 			id = int32(len(j.recs))
 			j.recs = append(j.recs, joinRec{})
+			j.keyVals = append(j.keyVals, make([]data.Value, len(j.kvIdx))...)
+		}
+		key := j.key(id)
+		for k, c := range j.keys[side] {
+			key[k] = t.Vals[c]
 		}
 		j.index.put(i, h, id)
 	}
@@ -312,9 +327,10 @@ func (j *Join) remove(t data.Tuple, side int, id int32, k, i int) *joinRec {
 		return r
 	}
 	if i < 0 {
-		i = j.index.slotOf(j.hasher.HashOn(t, j.keys[side])&testHashMask, id)
+		i = j.index.slotOf(indexHash(t, j.keys[side]), id)
 	}
 	j.index.del(i)
+	clear(j.key(id))
 	j.free = append(j.free, id)
 	return nil
 }
@@ -352,15 +368,15 @@ func (j *Join) compact(side int) {
 	a.q, a.head, j.cursor = live, 0, next
 }
 
-// sameKey reports whether t's key, on its side, is record id's key: the key
-// of the record's first row, left or right.
+// key returns record id's key values in the arena.
+func (j *Join) key(id int32) []data.Value {
+	w := len(j.kvIdx)
+	return j.keyVals[int(id)*w : (int(id)+1)*w : (int(id)+1)*w]
+}
+
+// sameKey reports whether t's key, on its side, is record id's key.
 func (j *Join) sameKey(t data.Tuple, side int, id int32) bool {
-	r := &j.recs[id]
-	o := 0
-	if len(r.rows[0]) == 0 {
-		o = 1
-	}
-	return t.EqualOn(j.keys[side], r.rows[o][0].tuple(), j.keys[o])
+	return t.EqualOn(j.keys[side], data.Tuple{Vals: j.key(id)}, j.kvIdx)
 }
 
 // write returns the values of the row joining l and r: the kept columns of

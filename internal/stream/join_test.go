@@ -196,6 +196,7 @@ func TestJoinEquivalentToNestedLoop(t *testing.T) {
 					t.Fatalf("step %d (%d %v): join holds %v, nested loop %v", step, side, tu, got, want)
 				}
 				checkArrivals(t, j)
+				checkJoinKeys(t, j)
 			}
 		})
 	}
@@ -361,6 +362,70 @@ func checkArrivals(t testing.TB, j *Join) {
 	}
 }
 
+// checkJoinKeys checks j's key arena against its records: the arena holds a
+// key per record, the index a slot per live record, a live record's key
+// EqualOns the first row of each side that holds rows, and a retired
+// record holds no rows and zero cells, so it pins no string.
+func checkJoinKeys(t testing.TB, j *Join) {
+	t.Helper()
+	if len(j.keyVals) != len(j.kvIdx)*len(j.recs) || j.index.n != len(j.recs)-len(j.free) {
+		t.Fatalf("%d records, %d retired, %d indexed, %d key cells of width %d",
+			len(j.recs), len(j.free), j.index.n, len(j.keyVals), len(j.kvIdx))
+	}
+	retired := make(map[int32]bool, len(j.free))
+	for _, id := range j.free {
+		retired[id] = true
+	}
+	for id, r := range j.recs {
+		key := data.Tuple{Vals: j.key(int32(id))}
+		if retired[int32(id)] {
+			if len(r.rows[0])+len(r.rows[1]) > 0 || slices.ContainsFunc(key.Vals, func(v data.Value) bool { return v != data.Value{} }) {
+				t.Fatalf("retired record %d holds %d+%d rows, key %v", id, len(r.rows[0]), len(r.rows[1]), key.Vals)
+			}
+			continue
+		}
+		if len(r.rows[0])+len(r.rows[1]) == 0 {
+			t.Fatalf("live record %d holds no rows", id)
+		}
+		for side, rows := range r.rows {
+			if len(rows) > 0 && !rows[0].tuple().EqualOn(j.keys[side], key, j.kvIdx) {
+				t.Fatalf("record %d: key %v, but side %d's first row is %v", id, key.Vals, side, rows[0].tuple())
+			}
+		}
+	}
+}
+
+// A record carries its key: a retired record's key cells are cleared, and
+// the next key to take the record writes its own. With every key under one
+// hash tag, only the arena tells keys apart, so a stale or cleared key
+// would split one key's rows over two records or let two keys share one.
+func TestJoinKeyArenaFollowsRecords(t *testing.T) {
+	defer SetTestHashMask(SetTestHashMask(0))
+	j, col := newTestJoin(t, nil)
+	l, r := j.Left(), j.Right()
+	l.Push(area(1, "L101", "a"))
+	l.Push(area(1, "L101", "a").Negate())
+	checkJoinKeys(t, j)
+	if len(j.free) != 1 || j.key(j.free[0])[0] != (data.Value{}) {
+		t.Fatalf("retired records %v, key cells %v", j.free, j.keyVals)
+	}
+	r.Push(seat(2, "L102", 1, "busy")) // takes the retired record
+	l.Push(area(3, "L101", "b"))
+	l.Push(area(4, "L102", "c"))
+	r.Push(seat(5, "L101", 2, "free"))
+	checkJoinKeys(t, j)
+	if len(j.recs) != 2 || len(j.free) != 0 {
+		t.Fatalf("%d records, %d retired; want 2 and 0", len(j.recs), len(j.free))
+	}
+	got := map[string]bool{}
+	for _, row := range col.Snapshot() {
+		got[row.Vals[0].AsString()+"/"+row.Vals[2].AsString()+"/"+row.Vals[1].AsString()] = true
+	}
+	if want := map[string]bool{"L102/L102/c": true, "L101/L101/b": true}; !maps.Equal(got, want) {
+		t.Fatalf("joined %v, want %v", got, want)
+	}
+}
+
 // sameDelta reports whether two deltas are identical: values bit for bit
 // (NaN keys included), timestamp and polarity.
 func sameDelta(a, b data.Tuple) bool { return bitEqual(a, b) && a.TS == b.TS && a.Op == b.Op }
@@ -443,6 +508,8 @@ func TestJoinExpiryTwins(t *testing.T) {
 				wins[0].Advance(now)
 				checkArrivals(t, a)
 				checkArrivals(t, b)
+				checkJoinKeys(t, a)
+				checkJoinKeys(t, b)
 			}
 			if path[0] <= path[1] || path[1] == 0 {
 				t.Fatalf("A took the fast path %d times and the probe %d times", path[0], path[1])

@@ -1,6 +1,10 @@
 package stream
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"aspen/internal/data"
+)
 
 // keyIndex is the one hash index behind the package's keyed operator state:
 // the row multisets of Materialize and Distinct (rowSet), a Join's key
@@ -8,11 +12,16 @@ import "math/bits"
 // record ids in an open-addressed table of (tag, id) slots: Fibonacci home
 // slots, linear probing, at most half full, deletion by backward shift.
 //
-// The index knows nothing of the records. The caller hashes (masking with
-// testHashMask), keeps the records in a slice of its own and verifies each
-// candidate id with its own equality; find is the one probe loop. Because
-// every slot holds its tag, from which its home follows, growing and
-// shifting never read a record.
+// The index knows nothing of the records. The caller hashes with indexHash,
+// keeps the records in a slice of its own and verifies each candidate id
+// with its own equality; find is the one probe loop. Because every slot
+// holds its tag, from which its home follows, growing and shifting never
+// read a record.
+//
+// A record carries its key, so verifying a candidate reads the caller's own
+// memory: a rowSet row's values sit in its value arena, a group's key in
+// groupState.keyVals, and a Join record's key in the join's key arena — not
+// in a row some window allocated, wherever the heap put it.
 type keyIndex struct {
 	slots []keySlot
 	n     int // occupied slots
@@ -30,6 +39,11 @@ type keySlot struct {
 // of the tag are the home slot. Two hashes with one tag are both verified by
 // the caller's equality, like two equal hashes.
 func tagOf(h uint64) uint32 { return uint32((h * 0x9e3779b97f4a7c15) >> 32) }
+
+// indexHash is the hash every keyIndex user files its records under: the
+// index hash of t's values at idx (all of them when idx is nil), narrowed by
+// testHashMask. A test that picks keys by where they land calls it too.
+func indexHash(t data.Tuple, idx []int) uint64 { return data.Hasher{}.Index(t, idx) & testHashMask }
 
 func newKeyIndex() keyIndex { return keyIndex{slots: make([]keySlot, 8)} }
 

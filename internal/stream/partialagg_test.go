@@ -91,9 +91,9 @@ func aggWorkload(t *testing.T, groupBy []string, having expr.Expr, p int) {
 	route := func(tu data.Tuple) *PartialAggregate {
 		if len(groupBy) == 0 {
 			// Global group: spread the tuples over every shard.
-			return parts[int(hasher.Hash(tu)%uint64(p))]
+			return parts[int(hasher.Route(tu, nil)%uint64(p))]
 		}
-		return parts[int(hasher.HashOn(tu, []int{0})%uint64(p))]
+		return parts[int(hasher.Route(tu, []int{0})%uint64(p))]
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -282,7 +282,7 @@ func TestExprSharderRouting(t *testing.T) {
 		// invariant that aligns this exchange with a column exchange on the
 		// other side of a join.
 		for k := range byKey {
-			want := int(hasher.HashOn(data.Tuple{Vals: []data.Value{data.Int(k + 1)}}, nil) % 4)
+			want := int(hasher.Route(data.Tuple{Vals: []data.Value{data.Int(k + 1)}}, nil) % 4)
 			if want != j {
 				t.Fatalf("key %d on shard %d, value-hash says %d", k, j, want)
 			}

@@ -159,7 +159,7 @@ func TestSharderShipPoints(t *testing.T) {
 	// One key on shard 1: the ShardBatchCap-th tuple fills the batch, which
 	// ships without waiting for a tick.
 	var k1 int64
-	for set.p > 1 && sh.hasher.HashOn(data.NewTuple(0, data.Int(k1)), sh.keyIdx)%2 != 1 {
+	for set.p > 1 && sh.hasher.Route(data.NewTuple(0, data.Int(k1)), sh.keyIdx)%2 != 1 {
 		k1++
 	}
 	one := func(n int) {

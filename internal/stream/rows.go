@@ -12,17 +12,16 @@ import (
 // rowSet is the row multiset behind Materialize and Distinct, keyIndex's
 // multiset user. Row i's values sit at vals[i*w:(i+1)*w] in one arena, beside
 // a pointer-free record of its first-insert timestamp and multiplicity. Rows
-// are found through the index by their data.Hasher hash and verified
-// with EqualVals. A retired row's slot is cleared and reused by the next new
+// are found through the index by their indexHash and verified with
+// EqualVals. A retired row's slot is cleared and reused by the next new
 // row, so once the arena has grown, inserting copies into it and deleting
 // allocates nothing.
 type rowSet struct {
-	w      int
-	vals   []data.Value
-	recs   []rowRec
-	free   []int32 // retired rows, reused before the arena grows
-	index  keyIndex
-	hasher data.Hasher
+	w     int
+	vals  []data.Value
+	recs  []rowRec
+	free  []int32 // retired rows, reused before the arena grows
+	index keyIndex
 }
 
 type rowRec struct {
@@ -47,7 +46,7 @@ func (s *rowSet) len() int { return s.index.n }
 
 // add counts n more copies of t's row and reports whether it was absent.
 func (s *rowSet) add(t data.Tuple, n int) bool {
-	h := s.hasher.Hash(t) & testHashMask
+	h := indexHash(t, nil)
 	s.index.reserve()
 	i, r := s.find(t, h)
 	if r >= 0 {
@@ -70,7 +69,7 @@ func (s *rowSet) add(t data.Tuple, n int) bool {
 // remove takes one copy of t's row away and reports whether it was the last;
 // a row not present is ignored.
 func (s *rowSet) remove(t data.Tuple) bool {
-	i, r := s.find(t, s.hasher.Hash(t)&testHashMask)
+	i, r := s.find(t, indexHash(t, nil))
 	if r < 0 {
 		return false
 	}

@@ -14,10 +14,11 @@ import (
 // This file is the engine's partition-parallel execution layer: a pipeline
 // is replicated P ways, a Sharder exchange operator routes every tuple to
 // the replica owning its key partition, and a Merge funnel folds the
-// replicas' outputs back into one sink. Because routing hashes the same
-// canonical key encoding the stateful operators key their tables on
-// (data.Hasher), join, aggregate and distinct state partitions cleanly by
-// construction: all tuples of one group / join key land in one replica.
+// replicas' outputs back into one sink. Because the routing hash
+// (data.Hasher.Route) walks the same canonical key encoding the stateful
+// operators key their tables on, join, aggregate and distinct state
+// partitions cleanly by construction: all tuples of one group / join key
+// land in one replica.
 //
 // Every replica lives at a home, and every home answers the same calls
 // (shardHome): undeploy, ship a batch to a replica's entry point, tick,
@@ -1105,9 +1106,9 @@ func (sh *Sharder) route(t data.Tuple) {
 			for i, f := range sh.keyFns {
 				sh.keyBuf[i] = f.Eval(t)
 			}
-			j = int(sh.hasher.HashOn(data.Tuple{Vals: sh.keyBuf}, nil) % uint64(sh.set.p))
+			j = int(sh.hasher.Route(data.Tuple{Vals: sh.keyBuf}, nil) % uint64(sh.set.p))
 		} else {
-			j = int(sh.hasher.HashOn(t, sh.keyIdx) % uint64(sh.set.p))
+			j = int(sh.hasher.Route(t, sh.keyIdx) % uint64(sh.set.p))
 		}
 	}
 	b := sh.pend[j]

@@ -92,7 +92,7 @@ func TestProvenanceBoundedUnderChurn(t *testing.T) {
 	if v.Len() != 0 {
 		t.Fatalf("facts leaked: %d", v.Len())
 	}
-	e := v.findEdge(pair("b", "c"), v.hasher.Hash(pair("b", "c")))
+	e := v.findEdge(pair("b", "c"), indexHash(pair("b", "c"), nil))
 	if e == nil {
 		t.Fatal("edge vanished")
 	}

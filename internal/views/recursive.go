@@ -92,6 +92,11 @@ type edge struct {
 // force every tuple into one collision bucket.
 var testHashMask = ^uint64(0)
 
+// indexHash is the hash the view files facts and edges under, by identity
+// (idx nil) and by join key: the index hash of t's values at idx, narrowed
+// by testHashMask.
+func indexHash(t data.Tuple, idx []int) uint64 { return data.Hasher{}.Index(t, idx) & testHashMask }
+
 // View is a maintained recursive view.
 type View struct {
 	cfg      Config
@@ -106,7 +111,6 @@ type View struct {
 	edges    map[uint64][]*edge // identity hash -> edges
 	eIdx     map[uint64][]*edge // edge join-key hash -> edges
 	nFacts   int
-	hasher   data.Hasher
 	// scratch buffers for the rule firing hot path: the joined tuple and
 	// the projected child are built here and cloned only when a new fact
 	// is actually inserted.
@@ -146,7 +150,7 @@ func New(cfg Config, out stream.Operator) (*View, error) {
 		edges:  map[uint64][]*edge{},
 		eIdx:   map[uint64][]*edge{},
 	}
-	// Key index slices stay non-nil: HashOn(t, nil) means "all columns".
+	// Key index slices stay non-nil: indexHash(t, nil) means "all columns".
 	v.vKeyIdx = make([]int, 0, len(cfg.ViewKey))
 	v.eKeyIdx = make([]int, 0, len(cfg.EdgeKey))
 	for _, c := range cfg.ViewKey {
@@ -233,7 +237,7 @@ func (v *View) Snapshot() []data.Tuple {
 // Explain returns the recorded derivations of a tuple currently in the
 // view (nil when absent).
 func (v *View) Explain(t data.Tuple) []Derivation {
-	f := v.findFact(t, v.hasher.Hash(t)&testHashMask)
+	f := v.findFact(t, indexHash(t, nil))
 	if f == nil {
 		return nil
 	}
@@ -300,13 +304,13 @@ func (e *edgeInput) PushBatch(ts []data.Tuple) {
 // --- insertion ---------------------------------------------------------
 
 func (v *View) insertBase(t data.Tuple) {
-	h := v.hasher.Hash(t) & testHashMask
+	h := indexHash(t, nil)
 	f := v.findFact(t, h)
 	fresh := f == nil
 	if fresh {
 		f = &fact{t: t.Clone(), hash: h, derivs: map[deriv]struct{}{}, live: true}
 		f.t.Op = data.Insert
-		f.jkHash = v.hasher.HashOn(f.t, v.vKeyIdx) & testHashMask
+		f.jkHash = indexHash(f.t, v.vKeyIdx)
 		v.facts[h] = append(v.facts[h], f)
 		v.vIdx[f.jkHash] = append(v.vIdx[f.jkHash], f)
 		v.nFacts++
@@ -324,12 +328,12 @@ func (v *View) insertBase(t data.Tuple) {
 }
 
 func (v *View) insertEdge(t data.Tuple) {
-	h := v.hasher.Hash(t) & testHashMask
+	h := indexHash(t, nil)
 	e := v.findEdge(t, h)
 	if e == nil {
 		e = &edge{t: t.Clone(), hash: h, live: true}
 		e.t.Op = data.Insert
-		e.jkHash = v.hasher.HashOn(e.t, v.eKeyIdx) & testHashMask
+		e.jkHash = indexHash(e.t, v.eKeyIdx)
 		v.edges[h] = append(v.edges[h], e)
 		v.eIdx[e.jkHash] = append(v.eIdx[e.jkHash], e)
 	}
@@ -393,7 +397,7 @@ func (v *View) deriveOne(f *fact, e *edge, ts vtime.Time) (*fact, bool) {
 	}
 	v.projScratch = vals[:0]
 	child := data.Tuple{Vals: vals, TS: ts, Op: data.Insert}
-	ch := v.hasher.Hash(child) & testHashMask
+	ch := indexHash(child, nil)
 	d := deriv{vParent: f, eParent: e}
 	if cf := v.findFact(child, ch); cf != nil {
 		if cf == f {
@@ -417,7 +421,7 @@ func (v *View) deriveOne(f *fact, e *edge, ts vtime.Time) (*fact, bool) {
 		depth:  f.depth + 1,
 		live:   true,
 	}
-	cf.jkHash = v.hasher.HashOn(cf.t, v.vKeyIdx) & testHashMask
+	cf.jkHash = indexHash(cf.t, v.vKeyIdx)
 	v.facts[ch] = append(v.facts[ch], cf)
 	v.vIdx[cf.jkHash] = append(v.vIdx[cf.jkHash], cf)
 	v.nFacts++
@@ -441,7 +445,7 @@ func (v *View) link(f *fact, e *edge, child *fact) {
 // --- deletion (provenance-guided DRed) ---------------------------------
 
 func (v *View) deleteBase(t data.Tuple) {
-	f := v.findFact(t, v.hasher.Hash(t)&testHashMask)
+	f := v.findFact(t, indexHash(t, nil))
 	if f == nil || f.baseMult == 0 {
 		return
 	}
@@ -454,7 +458,7 @@ func (v *View) deleteBase(t data.Tuple) {
 }
 
 func (v *View) deleteEdge(t data.Tuple) {
-	h := v.hasher.Hash(t) & testHashMask
+	h := indexHash(t, nil)
 	e := v.findEdge(t, h)
 	if e == nil {
 		return
