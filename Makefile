@@ -195,7 +195,7 @@ elastic:
 # `go test -list` that each target still exists, since -run and -fuzz pass
 # silently when a renamed target matches nothing.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/ FuzzShardFrames:./internal/stream/ FuzzIndexHash:./internal/data/
+FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/ FuzzShardFrames:./internal/stream/ FuzzIndexHash:./internal/data/ FuzzSnapshotFile:./internal/plan/
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	@for tp in $(FUZZ_TARGETS); do \

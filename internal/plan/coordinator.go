@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"aspen/internal/gobcheck"
 	"aspen/internal/stream"
 )
 
@@ -507,7 +508,7 @@ func decodeSnapshot(raw []byte) (*snapFile, error) {
 		return nil, fmt.Errorf("plan: snapshot checksum mismatch (truncated or corrupted body)")
 	}
 	var f snapFile
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
+	if err := gobcheck.Decode(body, &f); err != nil {
 		return nil, fmt.Errorf("plan: snapshot decode: %w", err)
 	}
 	return &f, nil

@@ -10,6 +10,7 @@ import (
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
+	"aspen/internal/gobcheck"
 	"aspen/internal/sensor"
 	"aspen/internal/sensornet"
 	"aspen/internal/stream"
@@ -352,7 +353,7 @@ func (r *fragRunner) RestoreState(s stream.OpState) error {
 		return nil
 	}
 	var st fragCkState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+	if err := gobcheck.Decode(b, &st); err != nil {
 		return fmt.Errorf("plan: decode fragment checkpoint: %w", err)
 	}
 	r.next = st.Next

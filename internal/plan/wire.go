@@ -7,6 +7,7 @@ import (
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
+	"aspen/internal/gobcheck"
 	"aspen/internal/sql"
 	"aspen/internal/stream"
 )
@@ -22,13 +23,14 @@ import (
 
 func init() {
 	// expr.Expr values ride inside wire nodes (predicates, projections,
-	// aggregate arguments); gob needs the concrete types registered.
-	gob.Register(expr.Lit{})
-	gob.Register(expr.Col{})
-	gob.Register(expr.Bin{})
-	gob.Register(expr.Un{})
-	gob.Register(expr.IsNull{})
-	gob.Register(expr.Call{})
+	// aggregate arguments); gob, and gobcheck's walk ahead of it, need the
+	// concrete types registered.
+	gobcheck.Register(expr.Lit{})
+	gobcheck.Register(expr.Col{})
+	gobcheck.Register(expr.Bin{})
+	gobcheck.Register(expr.Un{})
+	gobcheck.Register(expr.IsNull{})
+	gobcheck.Register(expr.Call{})
 }
 
 // wireKind discriminates wire plan nodes.
@@ -236,7 +238,7 @@ func scanName(i int) string { return fmt.Sprintf("s%d", i) }
 // carries sensor fragments (fragment-free specs deploy as before).
 func (h *SensorHosts) DeployReplica(spec []byte, shard int, state []byte, send stream.ResultSender) (map[string]stream.Operator, []stream.Advancer, []stream.Checkpointer, error) {
 	var rep wireReplica
-	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&rep); err != nil {
+	if err := gobcheck.Decode(spec, &rep); err != nil {
 		return nil, nil, nil, fmt.Errorf("plan: decode replica spec: %w", err)
 	}
 	root, err := decodeNode(rep.Root)

@@ -75,8 +75,17 @@ type Aggregate struct {
 // and the two-phase PartialAggregate / FinalMerge operators. A group is a
 // record found through a keyIndex by the index hash of its grouping columns
 // (indexHash) and verified against its stored key values through EqualOn,
-// so no key string is materialized per push and no two keys share a record. A retired group's record, with its
-// aggregate slots and key, is reused by the next new group.
+// so no key string is materialized per push and no two keys share a record.
+// A retired group's record, with its aggregate slots and key, is reused by
+// the next new group.
+//
+// The table remembers the record its last lookup resolved (last), because
+// a group's tuples tend to arrive back to back: a join emits one probe's
+// matches together, and readings arrive room by room. A lookup checks the
+// tuple's grouping columns against that record's stored key before it
+// hashes and probes. The memo is forgotten when its record retires, when a
+// lookup finds no group, and by a restore, so the table never names a
+// record it has not verified against the tuple in hand.
 type groupTable struct {
 	keyIdx []int
 	kvIdx  []int  // identity indexes into groupState.keyVals
@@ -84,6 +93,7 @@ type groupTable struct {
 	index  keyIndex
 	groups []groupState // by record id
 	free   []int32      // retired records
+	last   int32        // the record the last lookup resolved; -1: none
 	// touched lists, in first-touch order, the groups the running fold has
 	// changed and not yet emitted; a group retired since it was listed is -1.
 	// Empty between calls.
@@ -98,13 +108,21 @@ type groupTable struct {
 // GROUP BY is one global group, while indexHash(t, nil) would mean "all
 // columns") for the aggregates specs.
 func newGroupTable(next Operator, keyIdx []int, specs []AggSpec) groupTable {
-	gt := groupTable{keyIdx: keyIdx, kvIdx: make([]int, len(keyIdx)), ext: make([]bool, len(specs)),
-		index: newKeyIndex(), reuse: keepsNothing(next)}
+	ext := make([]bool, len(specs))
+	for i, s := range specs {
+		ext[i] = s.Kind == AggMin || s.Kind == AggMax
+	}
+	return emptyGroupTable(keyIdx, ext, keepsNothing(next))
+}
+
+// emptyGroupTable is the one constructor of a groupTable value: a new
+// operator's table and a restored one both start here, so no field a table
+// needs is left zero.
+func emptyGroupTable(keyIdx []int, ext []bool, reuse bool) groupTable {
+	gt := groupTable{keyIdx: keyIdx, kvIdx: make([]int, len(keyIdx)), ext: ext,
+		index: newKeyIndex(), last: -1, reuse: reuse}
 	for i := range gt.kvIdx {
 		gt.kvIdx[i] = i
-	}
-	for i, s := range specs {
-		gt.ext[i] = s.Kind == AggMin || s.Kind == AggMax
 	}
 	return gt
 }
@@ -126,9 +144,17 @@ func (gt *groupTable) len() int { return gt.index.n }
 // lookup finds the tuple's group, creating it for insertions. A nil group
 // means a deletion addressed an unknown group (ignored by every caller,
 // matching the delta-stream convention). The pointer is valid until the
-// next lookup.
+// next lookup. A tuple of the group the last lookup resolved is answered
+// by one key check; any other goes through place and becomes the memo.
 func (gt *groupTable) lookup(t data.Tuple) (int32, *groupState) {
-	return gt.place(t, gt.keyIdx, t.Op != data.Delete)
+	if id := gt.last; id >= 0 {
+		if g := &gt.groups[id]; (data.Tuple{Vals: g.keyVals}).EqualOn(gt.kvIdx, t, gt.keyIdx) {
+			return id, g
+		}
+	}
+	id, g := gt.place(t, gt.keyIdx, t.Op != data.Delete)
+	gt.last = id
+	return id, g
 }
 
 // place finds the group whose key is t's values at idx, creating it when
@@ -173,9 +199,9 @@ func (gt *groupTable) alloc() int32 {
 	return int32(len(gt.groups) - 1)
 }
 
-// retire drops a dead group from the index and the touched list, and empties
-// its record for alloc, keeping the memory it owns: key, aggregate slots,
-// value multisets and spare row.
+// retire drops a dead group from the index, the touched list and the memo,
+// and empties its record for alloc, keeping the memory it owns: key,
+// aggregate slots, value multisets and spare row.
 func (gt *groupTable) retire(id int32) {
 	g := &gt.groups[id]
 	gt.index.del(gt.index.slotOf(g.hash, id))
@@ -189,6 +215,9 @@ func (gt *groupTable) retire(id int32) {
 	clear(g.keyVals)
 	*g = groupState{keyVals: g.keyVals[:0], aggs: g.aggs, spare: g.spare}
 	gt.free = append(gt.free, id)
+	if gt.last == id {
+		gt.last = -1
+	}
 }
 
 // fold runs a batch through the table for Aggregate and PartialAggregate,

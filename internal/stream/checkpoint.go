@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"aspen/internal/data"
+	"aspen/internal/gobcheck"
 	"aspen/internal/vtime"
 )
 
@@ -275,7 +276,7 @@ func (gt *groupTable) checkpoint() *GroupsState {
 // twice, is an error and leaves the table as it was. A value multiset is
 // kept for MIN and MAX only; any other aggregate's is ignored.
 func (gt *groupTable) restore(st *GroupsState, width int) error {
-	fresh := groupTable{keyIdx: gt.keyIdx, kvIdx: gt.kvIdx, ext: gt.ext, index: newKeyIndex(), reuse: gt.reuse}
+	fresh := emptyGroupTable(gt.keyIdx, gt.ext, gt.reuse)
 	for _, gc := range st.Groups {
 		switch {
 		case len(gc.KeyVals) != len(gt.keyIdx) || slices.ContainsFunc(gc.KeyVals, unknownType):
@@ -395,6 +396,16 @@ func EncodeCheckpoint(cks []Checkpointer) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// DecodeCheckpoint decodes an EncodeCheckpoint payload into its operator
+// states, in operator order, without restoring them anywhere.
+func DecodeCheckpoint(state []byte) ([]OpState, error) {
+	var states []OpState
+	if err := gobcheck.Decode(state, &states); err != nil {
+		return nil, fmt.Errorf("stream: decode checkpoint: %w", err)
+	}
+	return states, nil
+}
+
 // RestoreCheckpoint rebuilds a freshly compiled replica's operators from an
 // EncodeCheckpoint payload; the operator collection order must match the
 // encoding side (both walk the identical decoded plan). A nil/empty payload
@@ -403,9 +414,9 @@ func RestoreCheckpoint(cks []Checkpointer, state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
-	var states []OpState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&states); err != nil {
-		return fmt.Errorf("stream: decode checkpoint: %w", err)
+	states, err := DecodeCheckpoint(state)
+	if err != nil {
+		return err
 	}
 	if len(states) != len(cks) {
 		return fmt.Errorf("stream: checkpoint carries %d operator states, replica has %d",

@@ -297,8 +297,9 @@ func checkGroups(t *testing.T, name string, gt *groupTable, w int) {
 // FuzzCheckpointRestore feeds arbitrary bytes to RestoreCheckpoint for a
 // fuzzReplica, under both hash masks: it errors or leaves every row, key and
 // group well formed — rows at their operator's arity, each distinct row and
-// group key held once, counts of at least one — and tuples pushed after it
-// never panic.
+// group key held once, counts of at least one, no group table remembering a
+// record — and tuples pushed after it never panic and leave each grouped
+// table's memo on the last tuple's group or on none.
 func FuzzCheckpointRestore(f *testing.F) {
 	r := newFuzzReplica(f)
 	r.push(fuzzTuples(24))
@@ -318,6 +319,8 @@ func FuzzCheckpointRestore(f *testing.F) {
 			checkRestored(t, r)
 			r.push(later)
 			checkArrivals(t, r.j)
+			checkGroupMemo(t, "aggregate", &r.agg.table, &later[len(later)-1])
+			checkGroupMemo(t, "partial", &r.pa.table, &later[len(later)-1])
 			SetTestHashMask(old)
 		}
 	})
@@ -369,6 +372,9 @@ func checkRestored(t *testing.T, r *fuzzReplica) {
 	checkGroups(t, "aggregate", &r.agg.table, r.agg.out.Arity())
 	checkGroups(t, "partial", &r.pa.table, r.pa.out.Arity())
 	checkGroups(t, "final merge", &r.fm.table, r.fm.out.Arity())
+	checkGroupMemo(t, "aggregate", &r.agg.table, nil)
+	checkGroupMemo(t, "partial", &r.pa.table, nil)
+	checkGroupMemo(t, "final merge", &r.fm.table, nil)
 	total := 0
 	for _, c := range r.m.CheckpointState().Rows.Counts {
 		total += int(c)
