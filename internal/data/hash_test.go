@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,14 +51,15 @@ func TestRouteGolden(t *testing.T) {
 }
 
 // hashLawValues are the values the hash laws are checked on: numbers at
-// the edges of exact conversion, signed zeros, infinities and NaNs of
+// the edges of exact conversion (2^53+1 is an INT; as a FLOAT it rounds to
+// 2^53), signed zeros, infinities and NaNs of
 // several payloads, strings on both sides of the 8-byte word boundary, and
 // NULL, bools and times.
 func hashLawValues() []Value {
 	p53, p63 := float64(1<<53), float64(1<<63)
 	vals := []Value{Null, Bool(true), Bool(false), TimeVal(0), TimeVal(99), TimeVal(math.MinInt64),
 		Int(0), Int(1), Int(-1), Int(1 << 53), Int(1<<53 + 1), Int(math.MinInt64), Int(math.MaxInt64),
-		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(p53), Float(p53 + 2), Float(-p63), Float(p63),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(p53), Float(p53 + 1), Float(p53 + 2), Float(-p63), Float(p63),
 		Float(math.Inf(1)), Float(math.Inf(-1)), Float(1.5),
 		Float(math.NaN()), Float(math.Float64frombits(0x7ff0000000000001)),
 		Float(math.Float64frombits(0xfff8000000000001)), Float(math.Float64frombits(0x7fffffffffffffff)),
@@ -92,8 +94,9 @@ func checkHashLaw(t *testing.T, a, b Tuple, idx []int) {
 }
 
 // Where EqualOn calls two keys equal, both hashes must be equal, for all
-// columns and for subsets; and the keys the canonical encoding separates
-// on purpose stay apart under the index hash.
+// columns and for subsets; a tuple's values at any column list hash and
+// compare as the row they make (checkProjectLaw); and the keys the
+// canonical encoding separates on purpose stay apart under the index hash.
 func TestIndexHashFollowsEqualOn(t *testing.T) {
 	vals := hashLawValues()
 	for _, a := range vals {
@@ -111,6 +114,19 @@ func TestIndexHashFollowsEqualOn(t *testing.T) {
 		}
 		for _, idx := range [][]int{nil, {0}, {0, 2}, {2, 0}, {}} {
 			checkHashLaw(t, a, b, idx)
+		}
+	}
+	// The values a store keeps of its query's input hash and compare as the
+	// row they make, for any column list: repeated, reordered, empty.
+	for i := 0; i < 20000; i++ {
+		a := NewTuple(0, pick(), pick(), pick())
+		for _, idx := range [][]int{{0}, {2, 0}, {1, 1}, {0, 2, 1, 0}, {2, 1, 0}, {}} {
+			checkProjectLaw(t, a, idx, project(NewTuple(0, pick(), pick(), pick()), idx))
+			row := project(a, idx)
+			if len(idx) > 0 && rng.Intn(2) == 0 {
+				row.Vals[rng.Intn(len(idx))] = pick()
+			}
+			checkProjectLaw(t, a, idx, row)
 		}
 	}
 	var h Hasher
@@ -141,10 +157,44 @@ func TestIndexHashFollowsEqualOn(t *testing.T) {
 	}
 }
 
+// project returns t's values at idx as a tuple of their own.
+func project(t Tuple, idx []int) Tuple {
+	vals := make([]Value, len(idx))
+	for k, j := range idx {
+		vals[k] = t.Vals[j]
+	}
+	return Tuple{Vals: vals, TS: t.TS, Op: t.Op}
+}
+
+// checkProjectLaw fails t when a's values at idx hash or compare unlike the
+// row they make. A result store that keeps its query's columns files a
+// tuple under Index(t, idx) and verifies it with EqualOn(idx, row,
+// identity), while a restored row was filed under Index(row, nil): the two
+// must find each other. So Index(a, idx) must equal Index(project(a, idx),
+// nil), and EqualOn(idx, row, identity) must answer as
+// EqualVals(project(a, idx), row).
+func checkProjectLaw(t *testing.T, a Tuple, idx []int, row Tuple) {
+	t.Helper()
+	p := project(a, idx)
+	var h Hasher
+	if h.Index(a, idx) != h.Index(p, nil) {
+		t.Errorf("idx %v of %v: index hash differs from that of the row %v", idx, a, p)
+	}
+	ident := make([]int, len(idx))
+	for i := range ident {
+		ident[i] = i
+	}
+	if on, vals := a.EqualOn(idx, row, ident), p.EqualVals(row); on != vals {
+		t.Errorf("idx %v of %v against %v: EqualOn says %t, EqualVals of the row %v says %t", idx, a, row, on, p, vals)
+	}
+}
+
 // FuzzIndexHash decodes two tuples from the input, the second built from
 // the first by steps that keep a value equal (an exact int as a float, a
 // NaN of another payload, -0 for 0) or replace it, and checks the hash law
-// for all columns and for the subset the input's first byte selects.
+// for all columns and for the subset the input's first byte selects, and
+// the projection law (checkProjectLaw) for that subset and for it reversed
+// with a column repeated.
 func FuzzIndexHash(f *testing.F) {
 	f.Add([]byte{0x05, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0x80, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x03, 3, 9, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 0, 6, 30, 1})
@@ -210,6 +260,16 @@ func FuzzIndexHash(f *testing.F) {
 		}
 		checkHashLaw(t, a, b, nil)
 		checkHashLaw(t, a, b, idx)
+		// The same subset reversed with its first column repeated, as a
+		// projection may list columns: b's values there are a row a's may
+		// or may not make.
+		on := slices.Clone(idx)
+		slices.Reverse(on)
+		if len(idx) > 0 {
+			on = append(on, idx[0])
+		}
+		checkProjectLaw(t, a, idx, project(b, idx))
+		checkProjectLaw(t, a, on, project(b, on))
 	})
 }
 

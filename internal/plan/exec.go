@@ -483,6 +483,9 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 		dep:       dep,
 		restoring: opts.restoreCoord != nil,
 	}
+	if sink == stream.Operator(dep.Result) {
+		c.store = dep.Result
+	}
 	fail := func(err error) (*Deployment, error) {
 		dep.Close() // detach whatever the partial compile already wired
 		return nil, err
@@ -886,6 +889,10 @@ type compiler struct {
 
 	splitAgg   *Aggregate
 	finalMerge *stream.FinalMerge
+	// store is the deployment's result when it is the plan root's one
+	// consumer — a serial deployment naming no display — and nil
+	// otherwise: rule 4 compiles a bare-column projection into it.
+	store *stream.Materialize
 }
 
 // deploymentFed reports whether n is a stack of selections over a scan its
@@ -934,6 +941,16 @@ func (c *compiler) ckAdd(k stream.Checkpointer) {
 //     buildFlat's reprojection to SELECT order over an aggregate already in
 //     that order, or over a join that writes just the selected columns —
 //     compiles to nothing: its input feeds out directly.
+//  4. A projection of bare columns straight into the deployment's own
+//     store compiles into the store: its input feeds the store's column
+//     feed (stream.Materialize.KeepColumns, through resultFeed), which
+//     copies those columns into the store's row with no projected row
+//     built first. It applies only where out is that store, so a serial
+//     deployment naming no display. A computed item keeps its Project, and
+//     so do a display fan-out (OUTPUT TO), the serial spine of a two-phase
+//     plan and a sharded plan's Merge-fed sink, whose compiles have no
+//     store; a result group applies the same rule to its own store
+//     (Sharing.tryAttachResult).
 //
 // Every rule holds rows, their order and their batches to what the
 // node-per-operator lowering emits, so results are bit-identical.
@@ -977,7 +994,12 @@ func (c *compiler) compile(n Node, out stream.Operator, cols []int) error {
 		if isIdentity(x.Items, schema) {
 			return c.compile(x.In, out, in)
 		}
-		p, err := stream.NewProject(out, schema, x.Items)
+		var p stream.Operator
+		if c.store != nil && out == stream.Operator(c.store) {
+			p, err = resultFeed(c.store, schema, x.Items)
+		} else {
+			p, err = stream.NewProject(out, schema, x.Items)
+		}
 		if err != nil {
 			return err
 		}
@@ -1130,6 +1152,26 @@ func narrow(s *data.Schema, cols []int) *data.Schema {
 		return s
 	}
 	return s.Project(cols)
+}
+
+// resultFeed returns what feeds store with the projection of in through
+// items: when every item is a bare column of in, the store's own column feed,
+// which copies those columns into its row with no projected row built;
+// otherwise a Project in front of it.
+func resultFeed(store *stream.Materialize, in *data.Schema, items []stream.ProjectItem) (stream.Operator, error) {
+	cols := make([]int, len(items))
+	for i, it := range items {
+		col, ok := it.Expr.(expr.Col)
+		if !ok {
+			return stream.NewProject(store, in, items)
+		}
+		k, err := in.ColIndex(col.Ref)
+		if err != nil {
+			return stream.NewProject(store, in, items)
+		}
+		cols[i] = k
+	}
+	return store.KeepColumns(in, cols)
 }
 
 // isIdentity reports whether a projection's items are exactly the columns

@@ -48,14 +48,17 @@ import (
 //
 // Results share too, one level up: deployments whose whole plans are the
 // same canonical Project?(Select*(Scan)) over a windowed chain, naming no
-// display (OUTPUT TO), form a result group — one stream.Project feeding one
-// stream.Materialize store, subscribed to the selection layer's fan-out
-// point and keyed by the layer's key plus the positional canonical form of
-// each projection item. Every member keeps a Deployment.Result of its own: a
-// view of the group's store under the member's own schema, so column names,
-// ORDER BY and LIMIT stay per query. Closing a member freezes its view into
-// a private copy (a stopped query keeps its last state and no longer
-// updates); the last member's Close releases the group's chain attachment.
+// display (OUTPUT TO), form a result group — one stream.Materialize store
+// subscribed to the selection layer's fan-out point and keyed by the
+// layer's key plus the positional canonical form of each projection item.
+// When every item is a bare column, the store takes the layer's tuples
+// itself and keeps those columns (stream.Materialize.KeepColumns, see
+// resultFeed); a computed item puts a stream.Project in front of it. Every
+// member keeps a Deployment.Result of its own: a view of the group's store
+// under the member's own schema, so column names, ORDER BY and LIMIT stay
+// per query. Closing a member freezes its view into a private copy (a
+// stopped query keeps its last state and no longer updates); the last
+// member's Close releases the group's chain attachment.
 // Only windowed chains group results: a late attacher to an unwindowed chain
 // starts empty, so its result legitimately differs from an earlier identical
 // query's, and it keeps a suffix of its own.
@@ -378,7 +381,7 @@ type sharedResult struct {
 	s       *Sharing
 	key     string
 	ch      *sharedChain
-	head    stream.Operator // the Project feeding store, or store itself
+	head    stream.Operator // what feeds store: its column feed, a Project, or store itself
 	store   *stream.Materialize
 	members int
 }
@@ -427,7 +430,7 @@ func (s *Sharing) tryAttachResult(b *Built, dep *Deployment, restoreCoord []byte
 		store := stream.NewMaterialize(b.Root.Schema())
 		var head stream.Operator = store
 		if proj != nil {
-			if head, err = stream.NewProject(store, n.Schema(), proj.Items); err != nil {
+			if head, err = resultFeed(store, n.Schema(), proj.Items); err != nil {
 				return true, err
 			}
 		}

@@ -29,14 +29,25 @@ type OrderSpec struct {
 // standing queries keep one store and give each query its own view, so each
 // still snapshots with its own column names, ORDER BY and LIMIT. A view's
 // Snapshot, Len, Version and checkpoint all read (and restore) the store's
-// rows, and its OnChange fires after every mutation of the store, until
-// Freeze makes it an independent copy that no longer updates.
+// rows. A view's hook is installed with ChainOnChange, and it fires after
+// every mutation of the store until Freeze makes the view an independent
+// copy that no longer updates.
+//
+// A push pays for its own rows and for the hooks that listen, nothing more.
+// It takes the store's lock once per batch: each tuple costs one hash, one
+// probe and, for a new row, one copy into the arena. After the batch it runs
+// the store's OnChange and wakes the views on its listener list, which holds
+// exactly the live views that ChainOnChange gave a hook; a view without one
+// is never touched. A store can also take tuples of its query's input
+// directly (KeepColumns): when every projection item is a bare column, the
+// store copies those columns into its row and no projected row is built.
 type Materialize struct {
 	mu     sync.Mutex
 	schema *data.Schema
 	rows   rowSet
 	// OnChange, when set, fires after every mutation; the GUI uses it to
-	// repaint.
+	// repaint. On a view, install it with ChainOnChange: a hook written into
+	// the field puts the view on no listener list, so it never fires.
 	OnChange func()
 	version  uint64
 	keyBytes int // key-arena size of the last Snapshot, the next one's capacity
@@ -44,9 +55,10 @@ type Materialize struct {
 	// store is the Materialize a live view reads; nil on a store and on a
 	// frozen view. Lock order: a view's mu before its store's.
 	store *Materialize
-	// views are a store's live views, notified after each mutation. The
-	// slice is copy-on-write: a push in flight keeps the one it loaded.
-	views []*Materialize
+	// listeners are a store's live views that have a hook, notified after
+	// each mutation. The slice is copy-on-write: a push in flight keeps the
+	// one it loaded.
+	listeners []*Materialize
 }
 
 // NewMaterialize creates an empty materialized result with the schema.
@@ -55,20 +67,17 @@ func NewMaterialize(schema *data.Schema) *Materialize {
 }
 
 // View returns a live read view of m's rows under schema, which must have
-// m's arity (column names and qualifiers may differ).
+// m's arity (column names and qualifiers may differ). The store does not
+// know of it until ChainOnChange gives it a hook.
 func (m *Materialize) View(schema *data.Schema) *Materialize {
-	v := &Materialize{schema: schema, store: m}
-	m.mu.Lock()
-	m.views = append(slices.Clip(m.views), v)
-	m.mu.Unlock()
-	return v
+	return &Materialize{schema: schema, store: m}
 }
 
 // Freeze turns a live view into a private copy of its store's current rows:
 // from then on it reads the same as at the call, later mutations of the
 // store neither reach it nor fire its OnChange (a notification already in
-// flight when Freeze runs may still land), and the store forgets it. Freeze
-// on a store or a frozen view does nothing.
+// flight when Freeze runs may still land), and the store stops waking it.
+// Freeze on a store or a frozen view does nothing.
 func (m *Materialize) Freeze() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -78,7 +87,7 @@ func (m *Materialize) Freeze() {
 	}
 	s.mu.Lock()
 	m.rows, m.version, m.keyBytes = s.rows.clone(), s.version, s.keyBytes
-	s.views = slices.DeleteFunc(slices.Clone(s.views), func(v *Materialize) bool { return v == m })
+	s.listeners = slices.DeleteFunc(slices.Clone(s.listeners), func(v *Materialize) bool { return v == m })
 	s.mu.Unlock()
 	m.store = nil
 }
@@ -108,30 +117,63 @@ func (m *Materialize) Schema() *data.Schema { return m.schema }
 // Push implements Operator.
 func (m *Materialize) Push(t data.Tuple) { m.PushBatch([]data.Tuple{t}) }
 
-// PushBatch implements Operator: one lock acquisition and one
-// OnChange notification per batch, for the store and for each live view.
-func (m *Materialize) PushBatch(ts []data.Tuple) {
+// PushBatch implements Operator: one lock acquisition, one OnChange
+// notification and one wake of each listening view per batch.
+func (m *Materialize) PushBatch(ts []data.Tuple) { m.push(ts, nil) }
+
+// push adds or retracts, for each tuple, the row its values at on make (all
+// of them when on is nil), then notifies.
+func (m *Materialize) push(ts []data.Tuple, on []int) {
 	if len(ts) == 0 {
 		return
 	}
 	m.mu.Lock()
 	for _, t := range ts {
 		if t.Op == data.Insert {
-			m.rows.add(t, 1)
+			m.rows.add(t, on, 1)
 		} else {
-			m.rows.remove(t)
+			m.rows.remove(t, on)
 		}
 	}
 	m.version += uint64(len(ts))
-	cb, views := m.OnChange, m.views
+	cb, listeners := m.OnChange, m.listeners
 	m.mu.Unlock()
 	if cb != nil {
 		cb()
 	}
-	for _, v := range views {
+	for _, v := range listeners {
 		v.changed()
 	}
 }
+
+// KeepColumns returns the operator that feeds the store m with tuples of
+// schema in, each making the row of its values at cols — what a Project of
+// those bare columns in front of m would push, without building the
+// projected row. len(cols) must be m's arity and every column must be in's.
+// Like m it keeps nothing it was handed. Its Schema is in; m's stays the
+// result schema, and a checkpoint of m still holds result rows.
+func (m *Materialize) KeepColumns(in *data.Schema, cols []int) (Operator, error) {
+	if len(cols) != m.schema.Arity() || slices.ContainsFunc(cols, func(j int) bool { return j < 0 || j >= in.Arity() }) {
+		return nil, fmt.Errorf("stream: columns %v of %s do not make a row of %s", cols, in, m.schema)
+	}
+	return &keptColumns{m: m, in: in, cols: cols}, nil
+}
+
+// keptColumns is the operator KeepColumns hands out.
+type keptColumns struct {
+	m    *Materialize
+	in   *data.Schema
+	cols []int
+}
+
+// Schema implements Operator (input schema).
+func (k *keptColumns) Schema() *data.Schema { return k.in }
+
+// Push implements Operator.
+func (k *keptColumns) Push(t data.Tuple) { k.PushBatch([]data.Tuple{t}) }
+
+// PushBatch implements Operator.
+func (k *keptColumns) PushBatch(ts []data.Tuple) { k.m.push(ts, k.cols) }
 
 // changed runs a view's OnChange after its store mutated, unless the view
 // was frozen since the push loaded it.
@@ -150,16 +192,24 @@ func (m *Materialize) changed() {
 // ChainOnChange installs fn to run after any already-installed OnChange
 // hook, atomically with respect to concurrent mutations — use it instead
 // of writing the OnChange field once the materialize may be receiving
-// pushes (e.g. from shard workers).
+// pushes (e.g. from shard workers). On a live view it is the one way to
+// install a hook: it puts the view on its store's listener list.
 func (m *Materialize) ChainOnChange(fn func()) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	prev := m.OnChange
 	if prev == nil {
 		m.OnChange = fn
 	} else {
 		m.OnChange = func() { prev(); fn() }
 	}
-	m.mu.Unlock()
+	if s := m.store; s != nil {
+		s.mu.Lock()
+		if !slices.Contains(s.listeners, m) {
+			s.listeners = append(slices.Clip(s.listeners), m)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Len returns the number of distinct rows currently in the result.

@@ -51,7 +51,8 @@ import (
 //
 // The one exception is a consumer that keeps nothing (keepsNothing): it
 // holds none of the Vals it was handed once PushBatch returns. Those are
-// Materialize, Collector and a replica's ResultSink, which copy, and
+// Materialize (and the column feed its KeepColumns hands out), Collector and
+// a replica's ResultSink, which copy, and
 // Project, Aggregate, PartialAggregate and FinalMerge, which read values out
 // and build rows of their own — and a Merge in front of one of them. A Merge
 // is a synchronous funnel: every replica calls it on its own goroutine, and
@@ -111,7 +112,7 @@ func dispatch(next Operator, out []data.Tuple) []data.Tuple {
 // output into the same memory (see the ownership rule on Operator).
 func keepsNothing(op Operator) bool {
 	switch x := op.(type) {
-	case *Materialize, *Collector, *ResultSink, *Project, *Aggregate, *PartialAggregate, *FinalMerge:
+	case *Materialize, *keptColumns, *Collector, *ResultSink, *Project, *Aggregate, *PartialAggregate, *FinalMerge:
 		return true
 	case *Merge:
 		return keepsNothing(x.next)
@@ -290,7 +291,7 @@ func (d *Distinct) Push(t data.Tuple) { d.PushBatch([]data.Tuple{t}) }
 func (d *Distinct) PushBatch(ts []data.Tuple) {
 	out := d.batch[:0]
 	for _, t := range ts {
-		if t.Op == data.Insert && d.rows.add(t, 1) || t.Op == data.Delete && d.rows.remove(t) {
+		if t.Op == data.Insert && d.rows.add(t, nil, 1) || t.Op == data.Delete && d.rows.remove(t, nil) {
 			out = append(out, t)
 		}
 	}

@@ -11,17 +11,24 @@ import (
 
 // rowSet is the row multiset behind Materialize and Distinct, keyIndex's
 // multiset user. Row i's values sit at vals[i*w:(i+1)*w] in one arena, beside
-// a pointer-free record of its first-insert timestamp and multiplicity. Rows
-// are found through the index by their indexHash and verified with
-// EqualVals. A retired row's slot is cleared and reused by the next new
-// row, so once the arena has grown, inserting copies into it and deleting
-// allocates nothing.
+// a pointer-free record of its first-insert timestamp and multiplicity. A
+// retired row's slot is cleared and reused by the next new row, so once the
+// arena has grown, inserting copies into it and deleting allocates nothing.
+//
+// Each call names the columns of the tuple it is handed that make the row:
+// on, or all of them when on is nil. A row is found through the index by
+// indexHash(t, on) and verified with EqualOn(on, row, ident), and a new row
+// copies t's values at on. Both agree with the row the values make, because
+// Index(t, on) == Index(project(t, on), nil) and EqualOn compares what
+// EqualVals does (data.TestIndexHashFollowsEqualOn): so a row added from a
+// whole tuple and one added from its columns are the same row.
 type rowSet struct {
 	w     int
 	vals  []data.Value
 	recs  []rowRec
 	free  []int32 // retired rows, reused before the arena grows
 	index keyIndex
+	ident []int // 0, 1, …, w-1: a row's columns, for EqualOn
 }
 
 type rowRec struct {
@@ -29,47 +36,63 @@ type rowRec struct {
 	count int // 0 marks a retired row
 }
 
-func newRowSet(w int) rowSet { return rowSet{w: w, index: newKeyIndex()} }
+func newRowSet(w int) rowSet {
+	ident := make([]int, w)
+	for i := range ident {
+		ident[i] = i
+	}
+	return rowSet{w: w, index: newKeyIndex(), ident: ident}
+}
 
 func (s *rowSet) row(r int32) []data.Value {
 	return s.vals[int(r)*s.w : (int(r)+1)*s.w : (int(r)+1)*s.w]
 }
 
-// find returns the slot and index of t's row, or the empty slot ending its
-// run and -1.
-func (s *rowSet) find(t data.Tuple, h uint64) (int, int32) {
-	return s.index.find(h, func(r int32) bool { return t.EqualVals(data.Tuple{Vals: s.row(r)}) })
+// find returns the slot and index of the row t's values at on make, or the
+// empty slot ending its run and -1.
+func (s *rowSet) find(t data.Tuple, on []int, h uint64) (int, int32) {
+	return s.index.find(h, func(r int32) bool { return t.EqualOn(on, data.Tuple{Vals: s.row(r)}, s.ident) })
 }
 
 // len reports the live (distinct) rows.
 func (s *rowSet) len() int { return s.index.n }
 
-// add counts n more copies of t's row and reports whether it was absent.
-func (s *rowSet) add(t data.Tuple, n int) bool {
-	h := indexHash(t, nil)
+// add counts n more copies of the row t's values at on make and reports
+// whether it was absent.
+func (s *rowSet) add(t data.Tuple, on []int, n int) bool {
+	if on == nil {
+		on = s.ident
+	}
+	h := indexHash(t, on)
 	s.index.reserve()
-	i, r := s.find(t, h)
+	i, r := s.find(t, on, h)
 	if r >= 0 {
 		s.recs[r].count += n
 		return false
 	}
 	if k := len(s.free); k > 0 {
 		r, s.free = s.free[k-1], s.free[:k-1]
-		copy(s.row(r), t.Vals)
 	} else {
 		r = int32(len(s.recs))
-		s.vals = append(s.vals, t.Vals...)
+		s.vals = append(s.vals, make([]data.Value, s.w)...)
 		s.recs = append(s.recs, rowRec{})
+	}
+	row := s.row(r)
+	for k, j := range on {
+		row[k] = t.Vals[j]
 	}
 	s.recs[r] = rowRec{ts: t.TS, count: n}
 	s.index.put(i, h, r)
 	return true
 }
 
-// remove takes one copy of t's row away and reports whether it was the last;
-// a row not present is ignored.
-func (s *rowSet) remove(t data.Tuple) bool {
-	i, r := s.find(t, indexHash(t, nil))
+// remove takes one copy of the row t's values at on make away and reports
+// whether it was the last; a row not present is ignored.
+func (s *rowSet) remove(t data.Tuple, on []int) bool {
+	if on == nil {
+		on = s.ident
+	}
+	i, r := s.find(t, on, indexHash(t, on))
 	if r < 0 {
 		return false
 	}
@@ -86,7 +109,7 @@ func (s *rowSet) remove(t data.Tuple) bool {
 // clone returns a copy of the set that shares no memory with it.
 func (s *rowSet) clone() rowSet {
 	return rowSet{w: s.w, vals: slices.Clone(s.vals), recs: slices.Clone(s.recs),
-		free: slices.Clone(s.free), index: keyIndex{slots: slices.Clone(s.index.slots), n: s.index.n}}
+		free: slices.Clone(s.free), index: keyIndex{slots: slices.Clone(s.index.slots), n: s.index.n}, ident: s.ident}
 }
 
 // state copies the live rows and their counts out for a checkpoint, the rows
@@ -116,7 +139,7 @@ func (s *rowSet) restore(rows []data.Tuple, counts []int64) error {
 		if c := counts[i]; c < 1 || c > math.MaxInt32 || len(t.Vals) != s.w || slices.ContainsFunc(t.Vals, unknownType) {
 			return fmt.Errorf("row %v ×%d: want %d columns of known types and a count in [1, 2^31)", t, c, s.w)
 		}
-		fresh.add(t, int(counts[i]))
+		fresh.add(t, nil, int(counts[i]))
 	}
 	*s = fresh
 	return nil

@@ -3,7 +3,9 @@ package stream
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aspen/internal/data"
 )
@@ -53,7 +55,7 @@ func TestMaterializeView(t *testing.T) {
 		t.Fatalf("restore through the view left the store at %v", got)
 	}
 
-	inflight := store.views // what a push loaded just before Freeze
+	inflight := store.listeners // what a push loaded just before Freeze
 	v.Freeze()
 	before := v.MustSnapshot(nil, -1)
 	firedAtFreeze, versionAtFreeze := fired, v.Version()
@@ -68,8 +70,8 @@ func TestMaterializeView(t *testing.T) {
 	if after := v.MustSnapshot(nil, -1); len(after) != 1 || !after[0].EqualVals(before[0]) {
 		t.Fatalf("frozen view reads %v, want its state at Freeze %v", after, before)
 	}
-	if store.Len() != 1 || len(store.views) != 0 {
-		t.Fatalf("store: %d rows, %d views after Freeze", store.Len(), len(store.views))
+	if store.Len() != 1 || len(store.listeners) != 0 {
+		t.Fatalf("store: %d rows, %d views after Freeze", store.Len(), len(store.listeners))
 	}
 	v.Freeze() // idempotent
 	store.Freeze()
@@ -125,7 +127,131 @@ func TestMaterializeViewConcurrent(t *testing.T) {
 	viewers.Wait()
 	close(stop)
 	pusher.Wait()
-	if n := len(store.views); n != 0 {
+	if n := len(store.listeners); n != 0 {
 		t.Fatalf("store still lists %d views after every one froze", n)
+	}
+}
+
+// TestViewHooksUnderConcurrentPushes pushes batches into a store while
+// other goroutines give new views hooks with ChainOnChange, snapshot them
+// and freeze them, for the race detector. A hooked view fires once for
+// every batch that started after its hook was installed and finished before
+// Freeze began, never twice for one batch, and never for a batch that
+// started after Freeze returned.
+func TestViewHooksUnderConcurrentPushes(t *testing.T) {
+	store := NewMaterialize(tempSchema())
+	var current atomic.Int64 // the batch being pushed, 1-based
+	stop := make(chan struct{})
+	var pusher, viewers sync.WaitGroup
+	pusher.Add(1)
+	go func() {
+		defer pusher.Done()
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			current.Store(i)
+			// Insert reading i and retract reading i-3: at most three rows live.
+			batch := []data.Tuple{data.NewTuple(0, data.Str("L1"), data.Float(float64(i%7)))}
+			if i > 3 {
+				batch = append(batch, data.NewTuple(0, data.Str("L1"), data.Float(float64((i-3)%7))).Negate())
+			}
+			store.PushBatch(batch)
+		}
+	}()
+	type hooked struct {
+		mu     sync.Mutex
+		fired  []int64 // the batch each call fired for
+		hooked int64   // batches past this one started after the hook went in
+		freeze int64   // batches before this one finished before Freeze began
+		frozen int64   // batches past this one started after Freeze returned
+	}
+	var all []*hooked
+	var allMu sync.Mutex
+	for range 3 {
+		viewers.Add(1)
+		go func() {
+			defer viewers.Done()
+			for range 150 {
+				h := &hooked{}
+				v := store.View(tempSchema())
+				v.ChainOnChange(func() {
+					h.mu.Lock()
+					h.fired = append(h.fired, current.Load())
+					h.mu.Unlock()
+				})
+				h.hooked = current.Load()
+				for range 3 {
+					runtime.Gosched()
+					v.MustSnapshot(nil, -1)
+				}
+				h.freeze = current.Load()
+				v.Freeze()
+				h.frozen = current.Load()
+				allMu.Lock()
+				all = append(all, h)
+				allMu.Unlock()
+			}
+		}()
+	}
+	viewers.Wait()
+	close(stop)
+	pusher.Wait()
+
+	required := 0
+	for _, h := range all {
+		seen := map[int64]bool{}
+		for _, b := range h.fired {
+			if seen[b] {
+				t.Fatalf("a view fired twice for batch %d", b)
+			}
+			seen[b] = true
+			if b > h.frozen {
+				t.Fatalf("a view fired for batch %d, which started after it froze (at batch %d)", b, h.frozen)
+			}
+		}
+		for b := h.hooked + 1; b < h.freeze; b++ {
+			if !seen[b] {
+				t.Fatalf("a view hooked at batch %d and frozen at %d missed batch %d", h.hooked, h.freeze, b)
+			}
+			required++
+		}
+	}
+	if required == 0 {
+		t.Fatal("no view was hooked across a whole batch; the check ran vacuously")
+	}
+	if n := len(store.listeners); n != 0 {
+		t.Fatalf("store still lists %d views after every one froze", n)
+	}
+}
+
+// TestSilentViewIsNotWoken: a store's push touches only the views with a
+// hook. It completes while the view's own lock is held, both for a view
+// that never had a hook and for one that had one and froze.
+func TestSilentViewIsNotWoken(t *testing.T) {
+	store := NewMaterialize(tempSchema())
+	silent := store.View(tempSchema())
+	frozen := store.View(tempSchema())
+	frozen.ChainOnChange(func() {})
+	frozen.Freeze()
+	for _, v := range []*Materialize{silent, frozen} {
+		v.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			store.Push(data.NewTuple(1, data.Str("L101"), data.Float(21)))
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Error("a push waited on the lock of a view without a hook")
+		}
+		v.mu.Unlock()
+		<-done
+	}
+	if got := silent.Len(); got != 1 {
+		t.Fatalf("silent view reads %d rows, want 1", got)
 	}
 }
