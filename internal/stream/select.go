@@ -3,6 +3,7 @@ package stream
 import (
 	"cmp"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -25,14 +26,19 @@ import (
 // n constants cut the column's values into 2n+1 regions — strictly between
 // two neighbours, or equal to one — and each region stores the bitset of
 // members whose atoms on the column all hold there (a member with no atom
-// on the column is always set). A tuple costs one binary search per column
+// on the column is always set). A tuple costs one region search per column
 // and an AND of the bitsets. Any other predicate is evaluated whole, by its
 // compiled truth form, inside the same node. The predicate's shape decides.
 //
 // Constants fall into the classes Compare can order — numbers, strings,
 // booleans, times — and each class has its own sorted run; a value of a
 // class with no constant on the column, or NULL, reads the column's "none"
-// bitset (every atom on it is false there).
+// bitset (every atom on it is false there). A run of numbers, booleans or
+// times also keeps its constants' order keys (orderKey), and a tuple value
+// with a key finds its region among them with integer compares. A string
+// has no key, and neither has an INT beyond ±2^53: such a constant leaves
+// its whole run to search its constants with Compare, such a tuple value
+// its own probe.
 //
 // Membership is copy-on-write, like Fanout's subscriber list: Add and
 // Remove rebuild the index under a lock and publish it atomically, and a
@@ -158,10 +164,12 @@ type selCol struct {
 
 // selRun is one class's distinct constants on a column, ascending, and the
 // 2n+1 region bitsets: region 2i lies strictly between consts[i-1] and
-// consts[i], region 2i+1 equals consts[i].
+// consts[i], region 2i+1 equals consts[i]. keys holds the constants' order
+// keys, or is nil when one of them has none.
 type selRun struct {
 	class  int8
 	consts []data.Value
+	keys   []uint64
 	masks  []uint64 // region r at [r*words, (r+1)*words)
 }
 
@@ -181,6 +189,45 @@ func valueClass(t data.Type) int8 {
 	return -1
 }
 
+// nanKey is every NaN's order key: one above +Inf's.
+const nanKey = 0xfff0_0000_0000_0001
+
+// orderKey maps v to an integer whose unsigned order is Value.Compare's
+// among values of v's class, reporting false for a value without one:
+// strings, NULL, unknown types and an INT beyond ±2^53, which float64 would
+// round. A number keys through float64 with the sortable-bits transform —
+// every bit of a negative flipped, the sign bit of a positive set — with −0
+// keyed as 0 and every NaN as nanKey, as Compare orders them. A boolean or
+// a time keys its payload with the sign bit flipped, which turns signed
+// order into unsigned.
+func orderKey(v data.Value) (uint64, bool) {
+	var f float64
+	switch v.T {
+	case data.TInt:
+		if v.I < -1<<53 || v.I > 1<<53 {
+			return 0, false
+		}
+		f = float64(v.I)
+	case data.TFloat:
+		f = v.F
+	case data.TBool, data.TTime:
+		return uint64(v.I) ^ 1<<63, true
+	default:
+		return 0, false
+	}
+	switch {
+	case f != f:
+		return nanKey, true
+	case f == 0:
+		return 1 << 63, true // −0 keys as 0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b, true
+	}
+	return b | 1<<63, true
+}
+
 // lookup returns the bitset of the region v falls in.
 func (c *selCol) lookup(v data.Value) []uint64 {
 	k, words := valueClass(v.T), len(c.none)
@@ -189,24 +236,39 @@ func (c *selCol) lookup(v data.Value) []uint64 {
 		if r.class != k {
 			continue
 		}
-		lo, hi := 0, len(r.consts)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if cmp, _ := r.consts[mid].Compare(v); cmp < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		reg := 2 * lo
-		if lo < len(r.consts) {
-			if cmp, _ := r.consts[lo].Compare(v); cmp == 0 {
-				reg++
-			}
-		}
+		reg := r.region(v)
 		return r.masks[reg*words : (reg+1)*words]
 	}
 	return c.none
+}
+
+// region returns the region of v, a value of the run's class: by its order
+// key when v and the run have keys, else by Compare.
+func (r *selRun) region(v data.Value) int {
+	if r.keys != nil {
+		if key, ok := orderKey(v); ok {
+			i, eq := slices.BinarySearch(r.keys, key)
+			if eq {
+				return 2*i + 1
+			}
+			return 2 * i
+		}
+	}
+	lo, hi := 0, len(r.consts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c, _ := r.consts[mid].Compare(v); c < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(r.consts) {
+		if c, _ := r.consts[lo].Compare(v); c == 0 {
+			return 2*lo + 1
+		}
+	}
+	return 2 * lo
 }
 
 // buildSelIndex indexes a membership.
@@ -249,7 +311,7 @@ func buildSelCol(members []selMember, col int, ms []int, all []uint64) selCol {
 		consts := byClass[k]
 		slices.SortFunc(consts, compareValues)
 		consts = slices.CompactFunc(consts, func(a, b data.Value) bool { return compareValues(a, b) == 0 })
-		r := selRun{class: k, consts: consts, masks: make([]uint64, (2*len(consts)+1)*words)}
+		r := selRun{class: k, consts: consts, keys: orderKeys(consts), masks: make([]uint64, (2*len(consts)+1)*words)}
 		for reg := 0; reg <= 2*len(consts); reg++ {
 			mask := r.masks[reg*words : (reg+1)*words]
 			copy(mask, c.none)
@@ -262,6 +324,18 @@ func buildSelCol(members []selMember, col int, ms []int, all []uint64) selCol {
 		c.runs = append(c.runs, r)
 	}
 	return c
+}
+
+// orderKeys returns the order keys of consts, or nil when one has none.
+func orderKeys(consts []data.Value) []uint64 {
+	keys := make([]uint64, len(consts))
+	for i, v := range consts {
+		var ok bool
+		if keys[i], ok = orderKey(v); !ok {
+			return nil
+		}
+	}
+	return keys
 }
 
 // holdsAll reports whether every atom on col holds for a value in region

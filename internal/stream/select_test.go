@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aspen/internal/data"
@@ -111,15 +114,66 @@ func TestGroupedFilterMembership(t *testing.T) {
 }
 
 // selPalette is what FuzzGroupedFilter draws constants and tuple values
-// from: NULL, integers on both sides of 2^53 and at the top of int64, floats
-// with -0, NaN and the infinities, strings, booleans, times, and a type
-// nothing compares with.
+// from: NULL, integers on both sides of ±2^53 and at both ends of int64,
+// floats with ±0, both NaN signs, the smallest subnormal and the
+// infinities, strings, booleans, times on both sides of 0, and a type
+// nothing compares with. Integers beyond ±2^53 and strings have no order
+// key, so their runs and probes take the Compare search, and the rest take
+// the keyed one.
 var selPalette = []data.Value{
 	data.Null, data.Int(-1), data.Int(0), data.Int(1), data.Int(2), data.Int(1 << 53), data.Int(1<<53 + 1),
-	data.Int(math.MaxInt64), data.Float(math.Copysign(0, -1)), data.Float(0.5), data.Float(1), data.Float(2.5),
-	data.Float(1 << 53), data.Float(math.NaN()), data.Float(math.Inf(1)), data.Float(math.Inf(-1)),
+	data.Int(math.MaxInt64), data.Int(-(1 << 53)), data.Int(-(1 << 53) - 1), data.Int(math.MinInt64),
+	data.Float(math.Copysign(0, -1)), data.Float(0.5), data.Float(1), data.Float(2.5), data.Float(1 << 53),
+	data.Float(-(1 << 53)), data.Float(1<<53 + 2), data.Float(math.SmallestNonzeroFloat64),
+	data.Float(math.NaN()), data.Float(math.Copysign(math.NaN(), -1)), data.Float(math.Inf(1)), data.Float(math.Inf(-1)),
 	data.Str(""), data.Str("a"), data.Str("b"), data.Str("a%"), data.Bool(false), data.Bool(true),
-	data.TimeVal(1), data.TimeVal(2), {T: 99},
+	data.TimeVal(1), data.TimeVal(2), data.TimeVal(-1), {T: 99},
+}
+
+// TestOrderKeyFollowsCompare: two values of one class that both have order
+// keys compare as their keys do, over every pair of palette values and
+// seeded draws near ±2^53, ±0, the subnormals, ±Inf and int64's ends; and
+// exactly the palette's NULL, INTs beyond ±2^53, strings and unknown type
+// have no key.
+func TestOrderKeyFollowsCompare(t *testing.T) {
+	vals := slices.Clone(selPalette)
+	rng := rand.New(rand.NewSource(1))
+	floats := []float64{1 << 53, -(1 << 53), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
+	for i := 0; i < 400; i++ {
+		d := int64(rng.Intn(9) - 4)
+		f := floats[rng.Intn(len(floats))]
+		nan := math.Float64frombits(0x7ff0_0000_0000_0001 | rng.Uint64()&0x800f_ffff_ffff_ffff) // any sign and payload
+		ints := []int64{1<<53 + d, -(1 << 53) + d, d, int64(rng.Uint64()), math.MaxInt64 - d*d, math.MinInt64 + d*d}
+		vals = append(vals, data.Int(ints[rng.Intn(len(ints))]), data.Float(f), data.Float(nan),
+			data.Float(math.Nextafter(f, float64(d))), data.Float(f+float64(d)),
+			data.Float(math.SmallestNonzeroFloat64*float64(d)), data.Float(math.Float64frombits(rng.Uint64())),
+			data.TimeVal(vtime.Time(ints[rng.Intn(len(ints))])), data.TimeVal(vtime.Time(d)))
+	}
+	for _, a := range vals {
+		ka, okA := orderKey(a)
+		for _, b := range vals {
+			kb, okB := orderKey(b)
+			if !okA || !okB || valueClass(a.T) != valueClass(b.T) {
+				continue
+			}
+			if want, _ := a.Compare(b); cmp.Compare(ka, kb) != want {
+				t.Fatalf("orderKey(%v) = %#x, orderKey(%v) = %#x: key order %d, Compare %d",
+					a, ka, b, kb, cmp.Compare(ka, kb), want)
+			}
+		}
+	}
+	var unkeyed []data.Value
+	for _, v := range selPalette {
+		if _, ok := orderKey(v); !ok {
+			unkeyed = append(unkeyed, v)
+		}
+	}
+	want := []data.Value{data.Null, data.Int(1<<53 + 1), data.Int(math.MaxInt64), data.Int(-(1 << 53) - 1),
+		data.Int(math.MinInt64), data.Str(""), data.Str("a"), data.Str("b"), data.Str("a%"), {T: 99}}
+	if !slices.Equal(unkeyed, want) {
+		t.Fatalf("palette values without a key: %v, want %v", unkeyed, want)
+	}
 }
 
 // selFuzzSchema has a column of every type a comparison binds against,
@@ -269,4 +323,44 @@ func FuzzGroupedFilter(f *testing.F) {
 		g.PushBatch(tuples[half:])
 		check("PushBatch after Remove", func(i int) bool { return i%3 != 0 })
 	})
+}
+
+// BenchmarkGroupedFilter pushes a batch of 2 048 readings through 24
+// members of query-churn's shape, value > c AND desk > d, whose numeric
+// runs search order keys; and through 24 members comparing the room with
+// a string constant, whose run searches its constants with Compare.
+func BenchmarkGroupedFilter(b *testing.B) {
+	s := data.NewSchema("q", data.Col("room", data.TString), data.Col("desk", data.TInt), data.Col("value", data.TFloat))
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]data.Tuple, 2048)
+	for i := range batch {
+		batch[i] = data.NewTuple(vtime.Second, data.Str(fmt.Sprintf("R%03d", rng.Intn(256))),
+			data.Int(int64(1+rng.Intn(8))), data.Float(100*rng.Float64()))
+	}
+	cuts := []float64{90, 92, 94, 96, 97, 98}
+	for _, bc := range []struct {
+		name string
+		pred func(k int) expr.Expr
+	}{
+		{"numeric", func(k int) expr.Expr {
+			return expr.And(expr.Bin{Op: expr.OpGt, L: expr.C("value"), R: expr.L(cuts[k%len(cuts)])},
+				expr.Bin{Op: expr.OpGt, L: expr.C("desk"), R: expr.L(1 + k/len(cuts)%4)})
+		}},
+		{"string", func(k int) expr.Expr {
+			return expr.Bin{Op: expr.OpGt, L: expr.C("room"), R: expr.L(fmt.Sprintf("R%03d", 10*k))}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := NewGroupedFilter(s)
+			for k := 0; k < 24; k++ {
+				g.Add(&counter{schema: s}, expr.MustBind(bc.pred(k), s))
+			}
+			g.PushBatch(batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.PushBatch(batch)
+			}
+		})
+	}
 }
