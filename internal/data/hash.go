@@ -81,7 +81,7 @@ func (f fold) value(h uint64, v *Value) uint64 {
 		return f.tag(h, 'n')
 	case TInt:
 		tag, w = 'i', uint64(v.I)
-		if x := float64(v.I); x < 1<<63 && int64(x) == v.I {
+		if x, ok := intKeyFloat(v.I); ok {
 			tag, w = 'f', math.Float64bits(x)
 		}
 	case TFloat:

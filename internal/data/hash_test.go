@@ -199,58 +199,15 @@ func FuzzIndexHash(f *testing.F) {
 	f.Add([]byte{0x05, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0x80, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x03, 3, 9, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 0, 6, 30, 1})
 	f.Add([]byte{0xff, 2, 0x01, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 7, 0xfe, 1, 6, 12, 1})
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		vals := hashLawValues()
-		next := func(n int) []byte {
-			b := make([]byte, n)
-			in = in[copy(b, in):]
-			return b
-		}
-		value := func() Value {
-			k := next(1)[0]
-			switch k % 7 {
-			case 0:
-				return Null
-			case 1:
-				return Int(int64(binary.LittleEndian.Uint64(next(8))))
-			case 2:
-				return Float(math.Float64frombits(binary.LittleEndian.Uint64(next(8))))
-			case 3:
-				return Str(string(next(int(next(1)[0] % 24))))
-			case 4:
-				return Bool(k&8 != 0)
-			case 5:
-				return TimeVal(vtime.Time(binary.LittleEndian.Uint64(next(8))))
-			}
-			return vals[int(next(1)[0])%len(vals)]
-		}
-		twin := func(v Value) Value {
-			switch next(1)[0] % 4 {
-			case 0:
-				return v
-			case 1:
-				switch {
-				case v.T == TInt && float64(v.I) < 1<<63 && int64(float64(v.I)) == v.I:
-					return Float(float64(v.I))
-				case v.T == TFloat && v.F != v.F:
-					return Float(math.Float64frombits(math.Float64bits(v.F) ^ 1<<63 | 1))
-				case v.T == TFloat && v.F == 0:
-					return Float(math.Copysign(0, -math.Copysign(1, v.F)))
-				case v.T == TFloat && v.F >= -(1<<63) && v.F < 1<<63 && float64(int64(v.F)) == v.F:
-					return Int(int64(v.F))
-				}
-				return v
-			case 2:
-				return value()
-			}
-			return vals[int(next(1)[0])%len(vals)]
-		}
-		subset := next(1)[0]
+		in := fuzzInput(data)
+		subset := in.next(1)[0]
 		var a, b Tuple
 		for i := 0; i < 4 && len(in) > 0; i++ {
-			v := value()
+			v := in.value(vals)
 			a.Vals = append(a.Vals, v)
-			b.Vals = append(b.Vals, twin(v))
+			b.Vals = append(b.Vals, in.twin(v, vals))
 		}
 		idx := []int{}
 		for i := range a.Vals {
@@ -271,6 +228,62 @@ func FuzzIndexHash(f *testing.F) {
 		checkProjectLaw(t, a, idx, project(b, idx))
 		checkProjectLaw(t, a, on, project(b, on))
 	})
+}
+
+// fuzzInput decodes values from a fuzzer's bytes; once they run out, every
+// read is zeros.
+type fuzzInput []byte
+
+func (in *fuzzInput) next(n int) []byte {
+	b := make([]byte, n)
+	*in = (*in)[copy(b, *in):]
+	return b
+}
+
+// value decodes one value: a kind byte, then its bits, its length and
+// bytes, or an index into vals.
+func (in *fuzzInput) value(vals []Value) Value {
+	k := in.next(1)[0]
+	switch k % 7 {
+	case 0:
+		return Null
+	case 1:
+		return Int(int64(binary.LittleEndian.Uint64(in.next(8))))
+	case 2:
+		return Float(math.Float64frombits(binary.LittleEndian.Uint64(in.next(8))))
+	case 3:
+		return Str(string(in.next(int(in.next(1)[0] % 24))))
+	case 4:
+		return Bool(k&8 != 0)
+	case 5:
+		return TimeVal(vtime.Time(binary.LittleEndian.Uint64(in.next(8))))
+	}
+	return vals[int(in.next(1)[0])%len(vals)]
+}
+
+// twin decodes a value to stand beside v: v itself, a value equal to it by
+// another route (an exact int as a float, a NaN of another payload, -0 for
+// 0), or one decoded afresh.
+func (in *fuzzInput) twin(v Value, vals []Value) Value {
+	switch in.next(1)[0] % 4 {
+	case 0:
+		return v
+	case 1:
+		switch {
+		case v.T == TInt && float64(v.I) < 1<<63 && int64(float64(v.I)) == v.I:
+			return Float(float64(v.I))
+		case v.T == TFloat && v.F != v.F:
+			return Float(math.Float64frombits(math.Float64bits(v.F) ^ 1<<63 | 1))
+		case v.T == TFloat && v.F == 0:
+			return Float(math.Copysign(0, -math.Copysign(1, v.F)))
+		case v.T == TFloat && v.F >= -(1<<63) && v.F < 1<<63 && float64(int64(v.F)) == v.F:
+			return Int(int64(v.F))
+		}
+		return v
+	case 2:
+		return in.value(vals)
+	}
+	return vals[int(in.next(1)[0])%len(vals)]
 }
 
 // BenchmarkHash times both hashes on the benchmark's join key, (room, desk)

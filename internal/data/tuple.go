@@ -140,7 +140,8 @@ func (t Tuple) EqualOn(idx []int, o Tuple, oIdx []int) bool {
 }
 
 // Key returns a canonical encoding of all values, usable as a map key for
-// set semantics and provenance identity. TS and Op are excluded.
+// set semantics and provenance identity. TS and Op are excluded. Sorting by
+// key needs no key: CompareKeys orders rows as their keys compare.
 func (t Tuple) Key() string {
 	return string(t.AppendKey(nil, nil))
 }
@@ -151,7 +152,8 @@ func (t Tuple) KeyOn(idx []int) string {
 }
 
 // AppendKey appends the canonical encoding of the values at idx (all values
-// when idx is nil) to buf.
+// when idx is nil) to buf: each value's unit, its Value.AppendKey encoding
+// and a '|'. CompareKeys and KeyPrefix read that order from the values.
 func (t Tuple) AppendKey(buf []byte, idx []int) []byte {
 	if idx == nil {
 		for i := range t.Vals {

@@ -248,10 +248,8 @@ func (v Value) AppendKey(buf []byte) []byte {
 	case TNull:
 		return append(buf, 'n')
 	case TInt:
-		// Encode integral values in a float-compatible way when exact. (A
-		// float at 2^63 is out of int64 range, where conversion is
-		// platform-defined.)
-		if f := float64(v.I); f < 1<<63 && int64(f) == v.I {
+		// Encode integral values in a float-compatible way when exact.
+		if f, ok := intKeyFloat(v.I); ok {
 			buf = append(buf, 'f')
 			return strconv.AppendFloat(buf, f, 'b', -1, 64)
 		}
@@ -283,3 +281,11 @@ func (v Value) AppendKey(buf []byte) []byte {
 
 // Key returns the canonical key encoding as a string.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
+
+// intKeyFloat reports whether an INT keys as a FLOAT, being exact as one,
+// and that float. (A float at 2^63 is out of int64 range, where conversion
+// is platform-defined.)
+func intKeyFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < 1<<63 && int64(f) == i
+}

@@ -49,7 +49,7 @@ func snapshotSorted(t *testing.T, dep *Deployment) []data.Tuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.SortTuples(rows)
+	data.SortByKey(rows)
 	return rows
 }
 

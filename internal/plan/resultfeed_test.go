@@ -166,7 +166,7 @@ func TestResultFeedCompileRule(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					stream.SortTuples(want)
+					data.SortByKey(want)
 					requireEqualRows(t, ctx, snapshotSorted(t, dep), want)
 					nonEmpty = nonEmpty || len(want) > 0
 					if !c.deltasToo {
@@ -293,7 +293,7 @@ func runStoreLifecycle(t *testing.T) {
 				out = append(out, data.Tuple{Vals: m.row(tu)})
 			}
 		}
-		stream.SortTuples(out)
+		data.SortByKey(out)
 		return out
 	}
 

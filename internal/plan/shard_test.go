@@ -280,7 +280,7 @@ func TestCompileStreamComputedGroupKeyShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream.SortTuples(rows)
+		data.SortByKey(rows)
 		return rows, dep
 	}
 

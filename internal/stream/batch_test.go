@@ -849,8 +849,29 @@ func snapshotFixture(n int) *Materialize {
 	return m
 }
 
-// A snapshot allocates its arenas and its result, not once per row or per
-// comparison.
+// churnStore holds n rows shaped like a query-churn result: (room, desk,
+// value), each room on three rows, so rows of one room share their
+// key prefix ("s4:R001|") and the sort compares past it. With floatFirst
+// the value leads, and each prefix is formatted by AppendKey.
+func churnStore(n int, floatFirst bool) *Materialize {
+	cols := []data.Column{data.Col("room", data.TString), data.Col("desk", data.TInt), data.Col("value", data.TFloat)}
+	if floatFirst {
+		cols = []data.Column{cols[2], cols[0], cols[1]}
+	}
+	m := NewMaterialize(data.NewSchema("m", cols...))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		vals := []data.Value{data.Str(fmt.Sprintf("R%03d", i/3)), data.Int(int64(2 + rng.Intn(7))), data.Float(90 + rng.Float64()*10)}
+		if floatFirst {
+			vals = []data.Value{vals[2], vals[0], vals[1]}
+		}
+		m.Push(data.NewTuple(vtime.Time(i), vals...))
+	}
+	return m
+}
+
+// A snapshot allocates three times, whatever its size: the sort's rows,
+// the value arena and the result. It builds no key.
 func TestSnapshotAllocsConstant(t *testing.T) {
 	m := snapshotFixture(1000)
 	allocs := testing.AllocsPerRun(10, func() {
@@ -858,23 +879,27 @@ func TestSnapshotAllocsConstant(t *testing.T) {
 			t.Fatal("short snapshot")
 		}
 	})
-	if allocs > 12 {
-		t.Fatalf("Snapshot of 1000 rows: %v allocations", allocs)
+	if allocs != 3 {
+		t.Fatalf("Snapshot of 1000 rows: %v allocations, want 3", allocs)
 	}
 }
 
 var benchRows []data.Tuple
 
 func BenchmarkMaterializeSnapshot(b *testing.B) {
-	for _, n := range []int{162, 1000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			m := snapshotFixture(n)
+	run := func(name string, m *Materialize) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				benchRows = m.MustSnapshot(nil, -1)
 			}
 		})
 	}
+	for _, n := range []int{162, 1000} {
+		run(fmt.Sprintf("rows=%d", n), snapshotFixture(n))
+	}
+	run("churn/rows=162", churnStore(162, false))
+	run("float-first/rows=162", churnStore(162, true))
 }
 
 // BenchmarkAggregatePushBatch folds the same 512 tuples over 16 groups into

@@ -558,8 +558,8 @@ func TestMaterializeCheckpointRoundTrip(t *testing.T) {
 		t.Helper()
 		got := matB.MustSnapshot(nil, -1)
 		want := matA.MustSnapshot(nil, -1)
-		SortTuples(got)
-		SortTuples(want)
+		data.SortByKey(got)
+		data.SortByKey(want)
 		if len(got) != len(want) {
 			t.Fatalf("%s: restored %d rows, original %d", label, len(got), len(want))
 		}

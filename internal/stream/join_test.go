@@ -292,8 +292,8 @@ func TestJoinColsMatchesNarrowedJoin(t *testing.T) {
 					for i := range got {
 						got[i].TS = 0
 					}
-					SortTuples(got)
-					SortTuples(want)
+					data.SortByKey(got)
+					data.SortByKey(want)
 					if !sameTuples(got, want) {
 						t.Fatalf("keep %v step %d: result %v, want %v", keep, step, got, want)
 					}

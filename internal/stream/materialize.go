@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -50,7 +51,6 @@ type Materialize struct {
 	// the field puts the view on no listener list, so it never fires.
 	OnChange func()
 	version  uint64
-	keyBytes int // key-arena size of the last Snapshot, the next one's capacity
 
 	// store is the Materialize a live view reads; nil on a store and on a
 	// frozen view. Lock order: a view's mu before its store's.
@@ -86,7 +86,7 @@ func (m *Materialize) Freeze() {
 		return
 	}
 	s.mu.Lock()
-	m.rows, m.version, m.keyBytes = s.rows.clone(), s.version, s.keyBytes
+	m.rows, m.version = s.rows.clone(), s.version
 	s.listeners = slices.DeleteFunc(slices.Clone(s.listeners), func(v *Materialize) bool { return v == m })
 	s.mu.Unlock()
 	m.store = nil
@@ -227,8 +227,9 @@ func (m *Materialize) Version() uint64 {
 }
 
 // Snapshot returns the current result ordered by the given keys (ties
-// broken by canonical key for determinism), truncated to limit when
-// limit >= 0. Duplicate rows appear with their multiplicity.
+// broken by canonical key for determinism: each row's data.KeyPrefix, then
+// data.CompareKeys, so no key is built), truncated to limit when limit >= 0.
+// Duplicate rows appear with their multiplicity.
 func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, error) {
 	idx := make([]int, len(order))
 	for i, o := range order {
@@ -238,19 +239,17 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		}
 		idx[i] = j
 	}
-	// Under the lock, copy out what the sort needs: every distinct row's
-	// canonical key, built once into one arena, and all rows' values
-	// (duplicates back to back) in another.
+	// Under the lock, copy out what the sort needs: every distinct row's key
+	// prefix, and all rows' values (duplicates back to back) in one arena.
 	type snapRow struct {
 		ts    vtime.Time
-		key   int // index in keys
-		vals  int // offset of the first copy in vals
+		pre   uint64 // data.KeyPrefix of the row
+		vals  int    // offset of the first copy in vals
 		count int
 	}
 	src := m.lock()
 	set, w := &src.rows, src.rows.w
 	rows := make([]snapRow, 0, set.len())
-	keys := data.NewKeyArena(set.len(), src.keyBytes)
 	vals := make([]data.Value, 0, set.len()*w)
 	total := 0
 	for r, rec := range set.recs {
@@ -258,13 +257,12 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 			continue
 		}
 		row := set.row(int32(r))
-		rows = append(rows, snapRow{ts: rec.ts, key: keys.Add(data.Tuple{Vals: row}), vals: len(vals), count: rec.count})
+		rows = append(rows, snapRow{ts: rec.ts, pre: data.KeyPrefix(row), vals: len(vals), count: rec.count})
 		for i := 0; i < rec.count; i++ {
 			vals = append(vals, row...)
 		}
 		total += rec.count
 	}
-	src.keyBytes = keys.Bytes()
 	m.unlock(src)
 
 	slices.SortFunc(rows, func(a, b snapRow) int {
@@ -286,7 +284,10 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 				return 1
 			}
 		}
-		return keys.Compare(a.key, b.key)
+		if a.pre != b.pre {
+			return cmp.Compare(a.pre, b.pre)
+		}
+		return data.CompareKeys(vals[a.vals:a.vals+w], vals[b.vals:b.vals+w])
 	})
 
 	out := make([]data.Tuple, 0, total)

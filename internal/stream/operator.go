@@ -368,8 +368,3 @@ func (c *Collector) Reset() {
 	c.Tuples = nil
 	c.mu.Unlock()
 }
-
-// SortTuples orders tuples by canonical key; deterministic test helper.
-func SortTuples(ts []data.Tuple) {
-	data.SortByKey(ts)
-}

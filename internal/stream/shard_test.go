@@ -59,7 +59,7 @@ func snapshotRows(t *testing.T, m *Materialize) []data.Tuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SortTuples(rows)
+	data.SortByKey(rows)
 	return rows
 }
 
