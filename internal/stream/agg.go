@@ -73,27 +73,18 @@ type Aggregate struct {
 
 // groupTable is the grouped-state core shared by the one-phase Aggregate
 // and the two-phase PartialAggregate / FinalMerge operators. A group is a
-// record found through a keyIndex by the index hash of its grouping columns
-// (indexHash) and verified against its stored key values through EqualOn,
-// so no key string is materialized per push and no two keys share a record.
-// A retired group's record, with its aggregate slots and key, is reused by
-// the next new group.
+// keyTable id keyed on its grouping columns, whose payload is its
+// groupState; a retired group's state, with its aggregate slots, is reused
+// by the next new group.
 //
-// The table remembers the record its last lookup resolved (last), because
-// a group's tuples tend to arrive back to back: a join emits one probe's
-// matches together, and readings arrive room by room. A lookup checks the
-// tuple's grouping columns against that record's stored key before it
-// hashes and probes. The memo is forgotten when its record retires, when a
-// lookup finds no group, and by a restore, so the table never names a
-// record it has not verified against the tuple in hand.
+// A lookup first asks the table's memo (recall), because a group's tuples
+// tend to arrive back to back: a join emits one probe's matches together,
+// and readings arrive room by room.
 type groupTable struct {
 	keyIdx []int
-	kvIdx  []int  // identity indexes into groupState.keyVals
 	ext    []bool // per aggregate: MIN or MAX, the kinds that keep a value multiset
-	index  keyIndex
-	groups []groupState // by record id
-	free   []int32      // retired records
-	last   int32        // the record the last lookup resolved; -1: none
+	index  keyTable
+	groups []groupState // by id
 	// touched lists, in first-touch order, the groups the running fold has
 	// changed and not yet emitted; a group retired since it was listed is -1.
 	// Empty between calls.
@@ -119,12 +110,7 @@ func newGroupTable(next Operator, keyIdx []int, specs []AggSpec) groupTable {
 // operator's table and a restored one both start here, so no field a table
 // needs is left zero.
 func emptyGroupTable(keyIdx []int, ext []bool, reuse bool) groupTable {
-	gt := groupTable{keyIdx: keyIdx, kvIdx: make([]int, len(keyIdx)), ext: ext,
-		index: newKeyIndex(), last: -1, reuse: reuse}
-	for i := range gt.kvIdx {
-		gt.kvIdx[i] = i
-	}
-	return gt
+	return groupTable{keyIdx: keyIdx, ext: ext, index: newKeyTable(len(keyIdx)), reuse: reuse}
 }
 
 // groupCols resolves groupBy against in. groupBy must already be validated
@@ -139,72 +125,45 @@ func groupCols(in *data.Schema, groupBy []string) []int {
 }
 
 // len reports the live group count.
-func (gt *groupTable) len() int { return gt.index.n }
+func (gt *groupTable) len() int { return gt.index.len() }
 
 // lookup finds the tuple's group, creating it for insertions. A nil group
 // means a deletion addressed an unknown group (ignored by every caller,
 // matching the delta-stream convention). The pointer is valid until the
 // next lookup. A tuple of the group the last lookup resolved is answered
-// by one key check; any other goes through place and becomes the memo.
+// by one key check.
 func (gt *groupTable) lookup(t data.Tuple) (int32, *groupState) {
-	if id := gt.last; id >= 0 {
-		if g := &gt.groups[id]; (data.Tuple{Vals: g.keyVals}).EqualOn(gt.kvIdx, t, gt.keyIdx) {
-			return id, g
+	id := gt.index.recall(t, gt.keyIdx)
+	if id < 0 {
+		if id, _ = gt.index.lookup(t, gt.keyIdx, t.Op != data.Delete); id < 0 {
+			return -1, nil
 		}
+		gt.grow(id)
 	}
-	id, g := gt.place(t, gt.keyIdx, t.Op != data.Delete)
-	gt.last = id
-	return id, g
+	return id, &gt.groups[id]
 }
 
-// place finds the group whose key is t's values at idx, creating it when
-// create is set; a new group's count is 0.
-func (gt *groupTable) place(t data.Tuple, idx []int, create bool) (int32, *groupState) {
-	h := indexHash(t, idx)
-	gt.index.reserve()
-	i, id := gt.index.find(h, func(id int32) bool {
-		return data.Tuple{Vals: gt.groups[id].keyVals}.EqualOn(gt.kvIdx, t, idx)
-	})
-	if id >= 0 {
-		return id, &gt.groups[id]
+// grow gives a new id its group: aggregate slots and, for MIN and MAX,
+// value multisets. A reused id keeps the state its retire emptied.
+func (gt *groupTable) grow(id int32) {
+	if int(id) < len(gt.groups) {
+		return
 	}
-	if !create {
-		return -1, nil
-	}
-	id = gt.alloc()
-	g := &gt.groups[id]
-	g.hash = h
-	for _, k := range idx {
-		g.keyVals = append(g.keyVals, t.Vals[k])
-	}
-	gt.index.put(i, h, id)
-	return id, g
-}
-
-// alloc returns an empty group record: a retired one, or a new one with its
-// aggregate slots and, for MIN and MAX, value multisets.
-func (gt *groupTable) alloc() int32 {
-	if k := len(gt.free); k > 0 {
-		id := gt.free[k-1]
-		gt.free = gt.free[:k-1]
-		return id
-	}
-	g := groupState{keyVals: make([]data.Value, 0, len(gt.keyIdx)), aggs: make([]aggState, len(gt.ext))}
+	g := groupState{aggs: make([]aggState, len(gt.ext))}
 	for i, e := range gt.ext {
 		if e {
 			g.aggs[i].vals = map[float64]int64{}
 		}
 	}
 	gt.groups = append(gt.groups, g)
-	return int32(len(gt.groups) - 1)
 }
 
-// retire drops a dead group from the index, the touched list and the memo,
-// and empties its record for alloc, keeping the memory it owns: key,
+// retire drops a dead group from the table and the touched list, and
+// empties its state for the next new group, keeping the memory it owns:
 // aggregate slots, value multisets and spare row.
 func (gt *groupTable) retire(id int32) {
 	g := &gt.groups[id]
-	gt.index.del(gt.index.slotOf(g.hash, id))
+	gt.index.retire(id)
 	if g.touched > 0 {
 		gt.touched[g.touched-1] = -1
 	}
@@ -212,12 +171,7 @@ func (gt *groupTable) retire(id int32) {
 		clear(g.aggs[i].vals)
 		g.aggs[i] = aggState{vals: g.aggs[i].vals}
 	}
-	clear(g.keyVals)
-	*g = groupState{keyVals: g.keyVals[:0], aggs: g.aggs, spare: g.spare}
-	gt.free = append(gt.free, id)
-	if gt.last == id {
-		gt.last = -1
-	}
+	*g = groupState{aggs: g.aggs, spare: g.spare}
 }
 
 // fold runs a batch through the table for Aggregate and PartialAggregate,
@@ -228,7 +182,7 @@ func (gt *groupTable) retire(id int32) {
 // count reaches zero retires at that tuple, as it would in a batch of one: it
 // retracts its row and leaves the table, so a later insert of the key
 // starts from fresh state and a later delete of it is ignored.
-func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(g *groupState, dst []data.Value) []data.Value) {
+func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled, row func(key []data.Value, g *groupState, dst []data.Value) []data.Value) {
 	for _, t := range ts {
 		id, g := gt.lookup(t)
 		if g == nil {
@@ -251,7 +205,7 @@ func (gt *groupTable) fold(next Operator, ts []data.Tuple, args []*expr.Compiled
 		}
 		g := &gt.groups[id]
 		g.touched = 0
-		gt.emitRow(next, id, g, row(g, gt.rowBuf(g)), g.cause)
+		gt.emitRow(next, id, g, row(gt.index.key(id), g, gt.rowBuf(g)), g.cause)
 	}
 	gt.touched = gt.touched[:0]
 }
@@ -302,8 +256,6 @@ func (gt *groupTable) emitRow(next Operator, id int32, g *groupState, newOut []d
 }
 
 type groupState struct {
-	hash    uint64 // of keyVals, masked: the group's key in the index
-	keyVals []data.Value
 	count   int64 // tuples in group
 	aggs    []aggState
 	lastOut []data.Value // previously emitted row (nil if none)
@@ -399,8 +351,8 @@ func (a *Aggregate) Push(t data.Tuple) { a.PushBatch([]data.Tuple{t}) }
 // PushBatch implements Operator: each group the batch changed emits
 // once, after the whole batch has accumulated.
 func (a *Aggregate) PushBatch(ts []data.Tuple) {
-	a.table.fold(a.next, ts, a.args, func(g *groupState, dst []data.Value) []data.Value {
-		return finalRow(g, a.specs, a.having, dst)
+	a.table.fold(a.next, ts, a.args, func(key []data.Value, g *groupState, dst []data.Value) []data.Value {
+		return finalRow(key, g, a.specs, a.having, dst)
 	})
 }
 
@@ -469,15 +421,15 @@ func (st *aggState) addVal(f float64, delta int64) {
 	}
 }
 
-// finalRow builds a group's visible output row — grouping columns followed
-// by finalized aggregates — in dst's backing array when it has room, or
-// returns nil for a dead group / failed HAVING. Shared by Aggregate and
-// FinalMerge, whose output contracts are identical.
-func finalRow(g *groupState, specs []AggSpec, having *expr.Compiled, dst []data.Value) []data.Value {
+// finalRow builds the visible output row of the group keyed key — grouping
+// columns followed by finalized aggregates — in dst's backing array when it
+// has room, or returns nil for a dead group / failed HAVING. Shared by
+// Aggregate and FinalMerge, whose output contracts are identical.
+func finalRow(key []data.Value, g *groupState, specs []AggSpec, having *expr.Compiled, dst []data.Value) []data.Value {
 	if g.count <= 0 {
 		return nil
 	}
-	out := append(slices.Grow(dst[:0], len(g.keyVals)+len(specs)), g.keyVals...)
+	out := append(slices.Grow(dst[:0], len(key)+len(specs)), key...)
 	for i, s := range specs {
 		out = append(out, g.aggs[i].result(s.Kind))
 	}

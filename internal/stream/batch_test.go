@@ -871,16 +871,24 @@ func churnStore(n int, floatFirst bool) *Materialize {
 }
 
 // A snapshot allocates three times, whatever its size: the sort's rows,
-// the value arena and the result. It builds no key.
+// the value arena and the result. It builds no key, and it sizes the arena
+// by every copy of every row, so a row held twice grows nothing.
 func TestSnapshotAllocsConstant(t *testing.T) {
-	m := snapshotFixture(1000)
-	allocs := testing.AllocsPerRun(10, func() {
-		if len(m.MustSnapshot(nil, -1)) != 1000 {
-			t.Fatal("short snapshot")
+	dup := snapshotFixture(1000)
+	dup.Push(dup.MustSnapshot(nil, 1)[0])
+	for _, c := range []struct {
+		name string
+		m    *Materialize
+		rows int
+	}{{"distinct", snapshotFixture(1000), 1000}, {"a duplicate", dup, 1001}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if len(c.m.MustSnapshot(nil, -1)) != c.rows {
+				t.Fatalf("%s: short snapshot", c.name)
+			}
+		})
+		if allocs != 3 {
+			t.Fatalf("Snapshot of %d rows, %s: %v allocations, want 3", c.rows, c.name, allocs)
 		}
-	})
-	if allocs != 3 {
-		t.Fatalf("Snapshot of 1000 rows: %v allocations, want 3", allocs)
 	}
 }
 

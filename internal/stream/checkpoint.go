@@ -209,7 +209,7 @@ func (j *Join) RestoreState(s OpState) error {
 			}
 		}
 	}
-	j.index, j.recs, j.keyVals, j.free, j.arrived = newKeyIndex(), nil, nil, nil, [2]arrivals{}
+	j.index, j.recs, j.arrived = newKeyTable(len(j.keys[0])), nil, [2]arrivals{}
 	for side, rows := range sides {
 		for _, t := range rows {
 			j.update(data.Tuple{Vals: t.Vals, TS: t.TS}, side)
@@ -240,21 +240,22 @@ func (d *Distinct) RestoreState(s OpState) error {
 }
 
 // checkpoint snapshots every live group of a groupTable. The state aliases
-// each group's keyVals and lastOut rather than copying them. That is safe
-// only because EncodeCheckpoint encodes the state on the operator's
-// goroutine before the next push: a retired group's keyVals is reused by the
-// next new group, and once retracted, a lastOut may become the group's spare
-// and be overwritten (groupTable.reuse). Only MIN and MAX carry a value
-// multiset; the other kinds' Vals are nil.
+// each group's key in the table's arena and its lastOut rather than copying
+// them. That is safe only because EncodeCheckpoint encodes the state on the
+// operator's goroutine before the next push: a retired group's key cells
+// are cleared and reused by the next new group, and once retracted, a
+// lastOut may become the group's spare and be overwritten
+// (groupTable.reuse). Only MIN and MAX carry a value multiset; the other
+// kinds' Vals are nil.
 func (gt *groupTable) checkpoint() *GroupsState {
 	st := &GroupsState{Groups: make([]GroupState, 0, gt.len())}
-	for i := range gt.groups {
-		g := &gt.groups[i]
+	for id := range gt.groups {
+		g := &gt.groups[id]
 		if g.count <= 0 {
 			continue // retired
 		}
 		gc := GroupState{
-			KeyVals: g.keyVals, Count: g.count,
+			KeyVals: gt.index.key(int32(id)), Count: g.count,
 			LastOut: g.lastOut, HasOut: g.lastOut != nil,
 			Aggs: make([]AggState, len(g.aggs)),
 		}
@@ -267,14 +268,12 @@ func (gt *groupTable) checkpoint() *GroupsState {
 }
 
 // restore rebuilds the group table from a snapshot whose output rows are
-// width wide, placing each group through the path lookup takes. The group
-// hash of the stored key values equals the hash lookup computes from an
-// input tuple's grouping columns: both fold the same value sequence through
-// the canonical encoding. A group with a key of the wrong arity or of
-// unknown types, a count below one, the wrong number of aggregates, a value
-// multiset count below one or a last row of the wrong width, or a key listed
-// twice, is an error and leaves the table as it was. A value multiset is
-// kept for MIN and MAX only; any other aggregate's is ignored.
+// width wide, looking each group up by its key values, which file where an
+// input tuple's grouping columns do. A group with a key of the wrong arity
+// or of unknown types, a count below one, the wrong number of aggregates, a
+// value multiset count below one or a last row of the wrong width, or a key
+// listed twice, is an error and leaves the table as it was. A value
+// multiset is kept for MIN and MAX only; any other aggregate's is ignored.
 func (gt *groupTable) restore(st *GroupsState, width int) error {
 	fresh := emptyGroupTable(gt.keyIdx, gt.ext, gt.reuse)
 	for _, gc := range st.Groups {
@@ -288,10 +287,12 @@ func (gt *groupTable) restore(st *GroupsState, width int) error {
 		case gc.HasOut && len(gc.LastOut) != width:
 			return fmt.Errorf("stream: group checkpoint %v: last row %v is not %d wide", gc.KeyVals, gc.LastOut, width)
 		}
-		_, g := fresh.place(data.Tuple{Vals: gc.KeyVals}, fresh.kvIdx, true)
-		if g.count != 0 {
+		id, isNew := fresh.index.lookup(data.Tuple{Vals: gc.KeyVals}, nil, true)
+		if !isNew {
 			return fmt.Errorf("stream: group checkpoint lists key %v twice", gc.KeyVals)
 		}
+		fresh.grow(id)
+		g := &fresh.groups[id]
 		g.count = gc.Count
 		if gc.HasOut {
 			// A copy: the group may later build rows in its retracted
@@ -312,6 +313,7 @@ func (gt *groupTable) restore(st *GroupsState, width int) error {
 			}
 		}
 	}
+	fresh.index.forget()
 	*gt = fresh
 	return nil
 }

@@ -10,31 +10,19 @@ import (
 	"aspen/internal/vtime"
 )
 
-// checkGroupMemo checks gt's memo after a lookup of last: nothing is
-// remembered, or the remembered record is live — the index finds it under
-// its own key — and its key EqualOns last's grouping columns. A nil last
-// means no lookup since the table was built or restored, so nothing may be
-// remembered.
+// checkGroupMemo checks gt's table, and its memo after a lookup of last:
+// nothing is remembered, or the remembered group's key EqualOns last's
+// grouping columns. A nil last means no lookup since the table was built or
+// restored, so nothing may be remembered.
 func checkGroupMemo(t testing.TB, name string, gt *groupTable, last *data.Tuple) {
 	t.Helper()
-	id := gt.last
-	switch {
+	gt.index.check(t)
+	switch id := gt.index.last; {
 	case id == -1:
-		return
-	case id < -1 || int(id) >= len(gt.groups):
-		t.Fatalf("%s: remembers record %d of %d", name, id, len(gt.groups))
 	case last == nil:
 		t.Fatalf("%s: remembers record %d before any lookup", name, id)
-	}
-	g := &gt.groups[id]
-	if len(g.keyVals) != len(gt.keyIdx) || g.count <= 0 {
-		t.Fatalf("%s: remembers retired record %d (key %v, count %d)", name, id, g.keyVals, g.count)
-	}
-	if found, _ := gt.place(data.Tuple{Vals: g.keyVals}, gt.kvIdx, false); found != id {
-		t.Fatalf("%s: remembers record %d, but its key %v indexes record %d", name, id, g.keyVals, found)
-	}
-	if !(data.Tuple{Vals: g.keyVals}).EqualOn(gt.kvIdx, *last, gt.keyIdx) {
-		t.Fatalf("%s: remembers record %d with key %v after a lookup of %v", name, id, g.keyVals, *last)
+	case !(data.Tuple{Vals: gt.index.key(id)}).EqualOn(gt.index.ident, *last, gt.keyIdx):
+		t.Fatalf("%s: remembers record %d with key %v after a lookup of %v", name, id, gt.index.key(id), *last)
 	}
 }
 
@@ -264,7 +252,7 @@ func TestGroupMemoFollowsLookups(t *testing.T) {
 }
 
 // A tuple of the remembered group is answered without the index: with the
-// index emptied between two tuples of one group whose values differ but
+// index's slots emptied between two tuples of one group whose values differ but
 // are SQL-equal, the second still lands in the first's record. A check by
 // value identity would miss, probe the empty index and open a second
 // record.
@@ -282,10 +270,11 @@ func TestGroupMemoSkipsProbe(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := newMemoRig(t, []string{"k"})
 			r.agg.Push(mt(1, data.Str("x"), c.first, 1))
-			index := r.agg.table.index
-			r.agg.table.index = newKeyIndex()
+			x := &r.agg.table.index
+			slots := x.slots
+			x.slots = make([]keySlot, len(slots))
 			r.agg.Push(mt(2, data.Str("x"), c.then, 2))
-			r.agg.table.index = index
+			x.slots = slots
 			if n := len(r.agg.table.groups); n != 1 || r.agg.table.groups[0].count != 2 {
 				t.Fatalf("%d records, the first counting %d; want 1 counting 2", n, r.agg.table.groups[0].count)
 			}

@@ -17,16 +17,12 @@ import (
 // join of the two windows at every instant.
 //
 // Both sides share one key-grouped table: a record per join key that either
-// side holds rows of, with that key's left rows and right rows in arrival
-// order, found through a keyIndex by the index hash of the key (indexHash).
-// A record carries its key: its key values sit in one arena of the join's
-// own, w values per record id, written when the record is created or
-// reused and cleared when it retires. A tuple probes and checks its key at
-// most once, against that arena, not against a stored row (a window's tuple,
-// wherever the heap put it); it then updates its own side and joins every
-// row of the other side without checking again. So keys never mix, the
-// per-tuple path allocates nothing once the table has grown, and joined rows
-// come out in arrival order within a key.
+// side holds rows of, a keyTable id whose payload is that key's left rows
+// and right rows in arrival order. A tuple looks its key up at most once; it
+// then updates its own side and joins every row of the other side without
+// checking again. So keys never mix, the per-tuple path allocates nothing
+// once the table has grown, and joined rows come out in arrival order
+// within a key.
 //
 // A retraction finds the row it removes in one of two ways, and removes the
 // same row either way: the first row of its key's record, on its side, that
@@ -56,16 +52,11 @@ type Join struct {
 	cols     [2][]int
 	all      bool
 	residual *expr.Compiled
-	index    keyIndex
-	recs     []joinRec
-	// keyVals holds record id's key values at [id*w, (id+1)*w), w the key's
-	// width; a retired record's are zero, so they pin no string.
-	keyVals []data.Value
-	kvIdx   []int       // 0..w-1, the arena's side of sameKey's EqualOn
-	free    []int32     // retired records, reused with their slices
-	arrived [2]arrivals // each side's arrival order
-	cursor  []int32     // compact's scratch, an entry per record
-	ins     [2]joinInput
+	index    keyTable
+	recs     []joinRec   // by id
+	arrived  [2]arrivals // each side's arrival order
+	cursor   []int32     // compact's scratch, an entry per record
+	ins      [2]joinInput
 	// batch collects the joined rows of one input call for one downstream
 	// dispatch; cleared after it, so it pins no row between calls.
 	batch []data.Tuple
@@ -183,7 +174,7 @@ func NewJoinCols(next Operator, left, right *data.Schema, lCols, rCols []string,
 	out := left.Concat(right)
 	j := &Join{
 		next: next, in: [2]*data.Schema{left, right}, out: out, all: keep == nil,
-		index: newKeyIndex(), reuse: keepsNothing(next),
+		index: newKeyTable(len(lCols)), reuse: keepsNothing(next),
 	}
 	if keep != nil {
 		for i, k := range keep {
@@ -200,7 +191,7 @@ func NewJoinCols(next Operator, left, right *data.Schema, lCols, rCols []string,
 		out = out.Project(keep)
 		j.out = out
 	}
-	// Key slices stay non-nil: indexHash(t, nil) means "all columns", but an
+	// Key slices stay non-nil: a lookup on nil means "all columns", but an
 	// empty key list means a pure cross/residual join (one record).
 	for side, cols := range [2][]string{lCols, rCols} {
 		j.keys[side] = make([]int, 0, len(cols))
@@ -222,10 +213,6 @@ func NewJoinCols(next Operator, left, right *data.Schema, lCols, rCols []string,
 	if next.Schema().Arity() != out.Arity() {
 		return nil, fmt.Errorf("stream: join output arity %d does not match downstream %s",
 			out.Arity(), next.Schema())
-	}
-	j.kvIdx = make([]int, len(lCols))
-	for i := range j.kvIdx {
-		j.kvIdx[i] = i
 	}
 	j.ins = [2]joinInput{{j: j, side: 0}, {j: j, side: 1}}
 	return j, nil
@@ -269,28 +256,15 @@ func (j *Join) update(t data.Tuple, side int) *joinRec {
 	if t.Op == data.Delete {
 		if id := j.front(t, side); id >= 0 {
 			j.arrived[side].pop()
-			return j.remove(t, side, id, 0, -1)
+			return j.remove(side, id, 0)
 		}
 	}
-	h := indexHash(t, j.keys[side])
-	j.index.reserve()
-	i, id := j.index.find(h, func(id int32) bool { return j.sameKey(t, side, id) })
+	id, _ := j.index.lookup(t, j.keys[side], t.Op != data.Delete)
 	if id < 0 {
-		if t.Op == data.Delete {
-			return nil
-		}
-		if k := len(j.free); k > 0 {
-			id, j.free = j.free[k-1], j.free[:k-1]
-		} else {
-			id = int32(len(j.recs))
-			j.recs = append(j.recs, joinRec{})
-			j.keyVals = append(j.keyVals, make([]data.Value, len(j.kvIdx))...)
-		}
-		key := j.key(id)
-		for k, c := range j.keys[side] {
-			key[k] = t.Vals[c]
-		}
-		j.index.put(i, h, id)
+		return nil
+	}
+	if int(id) == len(j.recs) {
+		j.recs = append(j.recs, joinRec{})
 	}
 	r := &j.recs[id]
 	rows := r.rows[side]
@@ -304,16 +278,15 @@ func (j *Join) update(t data.Tuple, side int) *joinRec {
 	}
 	for k := range rows {
 		if rows[k].tuple().EqualVals(t) {
-			return j.remove(t, side, id, k, i)
+			return j.remove(side, id, k)
 		}
 	}
 	return r
 }
 
-// remove deletes row k of record id's side, whose key is t's. It retires the
-// record when that empties it, at index slot i, or at t's slot when i < 0,
-// and returns nil then, the record otherwise.
-func (j *Join) remove(t data.Tuple, side int, id int32, k, i int) *joinRec {
+// remove deletes row k of record id's side. It retires the record when that
+// empties it and returns nil then, the record otherwise.
+func (j *Join) remove(side int, id int32, k int) *joinRec {
 	r := &j.recs[id]
 	rows := r.rows[side]
 	copy(rows[k:], rows[k+1:])
@@ -326,12 +299,7 @@ func (j *Join) remove(t data.Tuple, side int, id int32, k, i int) *joinRec {
 	if len(rows) > 1 || len(r.rows[1-side]) > 0 {
 		return r
 	}
-	if i < 0 {
-		i = j.index.slotOf(indexHash(t, j.keys[side]), id)
-	}
-	j.index.del(i)
-	clear(j.key(id))
-	j.free = append(j.free, id)
+	j.index.retire(id)
 	return nil
 }
 
@@ -366,17 +334,6 @@ func (j *Join) compact(side int) {
 		}
 	}
 	a.q, a.head, j.cursor = live, 0, next
-}
-
-// key returns record id's key values in the arena.
-func (j *Join) key(id int32) []data.Value {
-	w := len(j.kvIdx)
-	return j.keyVals[int(id)*w : (int(id)+1)*w : (int(id)+1)*w]
-}
-
-// sameKey reports whether t's key, on its side, is record id's key.
-func (j *Join) sameKey(t data.Tuple, side int, id int32) bool {
-	return t.EqualOn(j.keys[side], data.Tuple{Vals: j.key(id)}, j.kvIdx)
 }
 
 // write returns the values of the row joining l and r: the kept columns of

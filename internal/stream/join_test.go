@@ -362,33 +362,25 @@ func checkArrivals(t testing.TB, j *Join) {
 	}
 }
 
-// checkJoinKeys checks j's key arena against its records: the arena holds a
-// key per record, the index a slot per live record, a live record's key
-// EqualOns the first row of each side that holds rows, and a retired
-// record holds no rows and zero cells, so it pins no string.
+// checkJoinKeys checks j's table, and its records against it: a record per
+// id, a live record holds rows and its key EqualOns the first row of each
+// side that holds any, and a retired record holds no rows.
 func checkJoinKeys(t testing.TB, j *Join) {
 	t.Helper()
-	if len(j.keyVals) != len(j.kvIdx)*len(j.recs) || j.index.n != len(j.recs)-len(j.free) {
-		t.Fatalf("%d records, %d retired, %d indexed, %d key cells of width %d",
-			len(j.recs), len(j.free), j.index.n, len(j.keyVals), len(j.kvIdx))
-	}
-	retired := make(map[int32]bool, len(j.free))
-	for _, id := range j.free {
-		retired[id] = true
+	j.index.check(t)
+	if len(j.recs) != int(j.index.ids) {
+		t.Fatalf("%d records for %d ids", len(j.recs), j.index.ids)
 	}
 	for id, r := range j.recs {
-		key := data.Tuple{Vals: j.key(int32(id))}
-		if retired[int32(id)] {
-			if len(r.rows[0])+len(r.rows[1]) > 0 || slices.ContainsFunc(key.Vals, func(v data.Value) bool { return v != data.Value{} }) {
-				t.Fatalf("retired record %d holds %d+%d rows, key %v", id, len(r.rows[0]), len(r.rows[1]), key.Vals)
+		if n, live := len(r.rows[0])+len(r.rows[1]), j.index.isLive(int32(id)); n == 0 || !live {
+			if n > 0 || live {
+				t.Fatalf("record %d holds %d+%d rows, live %v", id, len(r.rows[0]), len(r.rows[1]), live)
 			}
 			continue
 		}
-		if len(r.rows[0])+len(r.rows[1]) == 0 {
-			t.Fatalf("live record %d holds no rows", id)
-		}
+		key := data.Tuple{Vals: j.index.key(int32(id))}
 		for side, rows := range r.rows {
-			if len(rows) > 0 && !rows[0].tuple().EqualOn(j.keys[side], key, j.kvIdx) {
+			if len(rows) > 0 && !rows[0].tuple().EqualOn(j.keys[side], key, j.index.ident) {
 				t.Fatalf("record %d: key %v, but side %d's first row is %v", id, key.Vals, side, rows[0].tuple())
 			}
 		}
@@ -406,16 +398,16 @@ func TestJoinKeyArenaFollowsRecords(t *testing.T) {
 	l.Push(area(1, "L101", "a"))
 	l.Push(area(1, "L101", "a").Negate())
 	checkJoinKeys(t, j)
-	if len(j.free) != 1 || j.key(j.free[0])[0] != (data.Value{}) {
-		t.Fatalf("retired records %v, key cells %v", j.free, j.keyVals)
+	if x := &j.index; len(x.free) != 1 || x.key(x.free[0])[0] != (data.Value{}) {
+		t.Fatalf("retired records %v, key cells %v", x.free, x.keys)
 	}
 	r.Push(seat(2, "L102", 1, "busy")) // takes the retired record
 	l.Push(area(3, "L101", "b"))
 	l.Push(area(4, "L102", "c"))
 	r.Push(seat(5, "L101", 2, "free"))
 	checkJoinKeys(t, j)
-	if len(j.recs) != 2 || len(j.free) != 0 {
-		t.Fatalf("%d records, %d retired; want 2 and 0", len(j.recs), len(j.free))
+	if len(j.recs) != 2 || len(j.index.free) != 0 {
+		t.Fatalf("%d records, %d retired; want 2 and 0", len(j.recs), len(j.index.free))
 	}
 	got := map[string]bool{}
 	for _, row := range col.Snapshot() {

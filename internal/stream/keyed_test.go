@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -30,12 +31,61 @@ func endHashes(n int) []uint64 {
 	return out
 }
 
+// check fails unless x is well formed: the arena holds w cells per id and
+// the index one slot per id that is not free, a free id is listed once and
+// holds zero cells, every live id's own key looks up to itself, and the memo
+// is -1 or a live id. It leaves the memo and the last slot as they were.
+func (x *keyTable) check(tb testing.TB) {
+	tb.Helper()
+	ids := int(x.ids)
+	if len(x.keys) != len(x.ident)*ids || int(x.n) != ids-len(x.free) || 2*int(x.n) > len(x.slots) {
+		tb.Fatalf("%d ids (%d free, %d indexed in %d slots), %d key cells of width %d",
+			ids, len(x.free), x.n, len(x.slots), len(x.keys), len(x.ident))
+	}
+	freed := make([]bool, ids)
+	for _, id := range x.free {
+		if id < 0 || int(id) >= ids || freed[id] || slices.ContainsFunc(x.key(id), func(v data.Value) bool { return v != data.Value{} }) {
+			tb.Fatalf("free id %d of %d: listed before %v, key %v", id, ids, id >= 0 && int(id) < ids && freed[id], x.key(id))
+		}
+		freed[id] = true
+	}
+	slotted := 0
+	for i, s := range x.slots {
+		if s.id != 0 {
+			if int(s.id) > ids || freed[s.id-1] {
+				tb.Fatalf("slot %d holds id %d, which is not live", i, s.id-1)
+			}
+			slotted++
+		}
+	}
+	if slotted != int(x.n) {
+		tb.Fatalf("%d slots filled, %d ids indexed", slotted, x.n)
+	}
+	if m := x.last; m != -1 && (m < 0 || int(m) >= ids || freed[m]) {
+		tb.Fatalf("the memo names id %d of %d, which is not live", m, ids)
+	}
+	last, found := x.last, x.found
+	for id := range int32(ids) {
+		if freed[id] {
+			continue
+		}
+		if got, fresh := x.lookup(data.Tuple{Vals: x.key(id)}, nil, false); got != id || fresh {
+			tb.Fatalf("id %d's key %v looks up to %d (fresh %v)", id, x.key(id), got, fresh)
+		}
+	}
+	x.last, x.found = last, found
+}
+
+// isLive reports whether id is handed out and not retired.
+func (x *keyTable) isLive(id int32) bool { return id < x.ids && !slices.Contains(x.free, id) }
+
 // The index is driven against a map from hash to ids: interleaved puts, finds
 // and deletes over a hash pool where many ids share a hash and some hashes
 // (with one tag) start their run in the table's last slot, under both masks.
 // After every step each hash's candidates are exactly the reference's ids
 // under the hashes of its tag, so growth and backward shifts, wrapping or
-// not, lose and invent nothing.
+// not, lose and invent nothing. Then the table is driven through its own
+// calls (driveKeyTable).
 func TestKeyIndexDifferential(t *testing.T) {
 	for _, mask := range []uint64{^uint64(0), 0} {
 		t.Run(fmt.Sprintf("mask=%x", mask&1), func(t *testing.T) {
@@ -44,12 +94,12 @@ func TestKeyIndexDifferential(t *testing.T) {
 			for range 12 {
 				pool = append(pool, rng.Uint64())
 			}
-			x := newKeyIndex()
+			x := newKeyTable(0)
 			ref := map[uint64][]int32{}
 			next, wrapped := int32(0), false
 			candidates := func(h uint64) []int32 {
 				var ids []int32
-				x.find(h, func(id int32) bool { ids = append(ids, id); return false })
+				x.find(tagOf(h), func(id int32) bool { ids = append(ids, id); return false })
 				return ids
 			}
 			for step := range 4000 {
@@ -58,24 +108,25 @@ func TestKeyIndexDifferential(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 5 && x.n < 300 || len(ids) == 0:
 					x.reserve()
-					i, id := x.find(h, noRecord)
+					i, id := x.find(tagOf(h), noRecord)
 					if id != -1 || x.slots[i].id != 0 {
 						t.Fatalf("step %d: find with no match returned slot %d id %d", step, i, id)
 					}
-					x.put(i, h, next)
+					x.put(i, tagOf(h), next)
 					ref[h] = append(ids, next)
 					next++
 				case op < 7:
 					want := ids[rng.Intn(len(ids))]
-					if _, got := x.find(h, func(id int32) bool { return id == want }); got != want {
+					if _, got := x.find(tagOf(h), func(id int32) bool { return id == want }); got != want {
 						t.Fatalf("step %d: find %d under %x got %d", step, want, h, got)
 					}
-					if _, got := x.find(h, func(id int32) bool { return id == next }); got != -1 {
+					if _, got := x.find(tagOf(h), func(id int32) bool { return id == next }); got != -1 {
 						t.Fatalf("step %d: found unknown id %d", step, next)
 					}
 				default:
 					k := rng.Intn(len(ids))
-					x.del(x.slotOf(h, ids[k]))
+					i, _ := x.find(tagOf(h), func(id int32) bool { return id == ids[k] })
+					x.del(i)
 					ref[h] = slices.Delete(ids, k, k+1)
 				}
 				total, byTag := 0, map[uint32][]int32{}
@@ -91,7 +142,7 @@ func TestKeyIndexDifferential(t *testing.T) {
 						t.Fatalf("step %d: hash %x holds %v, want %v", step, rh, got, want)
 					}
 				}
-				if x.n != total || 2*x.n > len(x.slots) {
+				if int(x.n) != total || 2*int(x.n) > len(x.slots) {
 					t.Fatalf("step %d: %d entries in %d slots, want %d at most half full", step, x.n, len(x.slots), total)
 				}
 				if last := x.slots[len(x.slots)-1]; last.id != 0 && x.slots[0].id != 0 && x.home(x.slots[0].tag) == len(x.slots)-1 {
@@ -104,7 +155,86 @@ func TestKeyIndexDifferential(t *testing.T) {
 			if mask != 0 && !wrapped {
 				t.Fatal("no probe run wrapped the table end")
 			}
+			defer SetTestHashMask(SetTestHashMask(mask))
+			for _, on := range [][]int{{1}, {2, 0}, {}} {
+				driveKeyTable(t, rng, on)
+			}
 		})
+	}
+}
+
+// driveKeyTable drives a table keyed on the columns on of 3-column tuples
+// against a map from canonical key to id: lookups that create and that do
+// not, retires at the slot a lookup just found and by rehashing the key from
+// the arena, and recalls, checking the table after every step. The values
+// include pairs that are equal but differ in bits (INT and FLOAT, NaN
+// payloads, −0 and +0), so a key is one id however it is spelled. An empty
+// on is the cross join's zero-width key: every tuple makes it, and
+// indexHash(t, []int{}) must file where the empty key does.
+func driveKeyTable(t *testing.T, rng *rand.Rand, on []int) {
+	t.Helper()
+	vals := []data.Value{data.Null, data.Int(1), data.Float(1), data.Float(math.NaN()),
+		data.Float(math.Float64frombits(0x7ff8_0000_dead_beef)), data.Float(0), data.Float(math.Copysign(0, -1)),
+		data.Str("a"), data.Str("b"), data.Str(""), data.TimeVal(3)}
+	for i := range 12 {
+		vals = append(vals, data.Str(fmt.Sprint("k", i)))
+	}
+	tuple := func() data.Tuple {
+		return data.NewTuple(0, vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))])
+	}
+	if len(on) == 0 && indexHash(tuple(), on) != indexHash(data.Tuple{}, nil) {
+		t.Fatal("a zero-width key hashes apart from the empty key")
+	}
+	x := newKeyTable(len(on))
+	ref, last := map[string]int32{}, int32(-1)
+	for step := range 3000 {
+		tu := tuple()
+		k := tu.KeyOn(on)
+		want, held := ref[k]
+		if !held {
+			want = -1
+		}
+		ctx := fmt.Sprintf("on %v, step %d (%v)", on, step, tu)
+		switch op := rng.Intn(10); {
+		case op < 4 && len(ref) < 40:
+			id, fresh := x.lookup(tu, on, true)
+			if fresh == held || held && id != want || !tu.EqualOn(on, data.Tuple{Vals: x.key(id)}, x.ident) {
+				t.Fatalf("%s: create gave id %d (fresh %v, key %v), want %d", ctx, id, fresh, x.key(id), want)
+			}
+			ref[k], last = id, id
+		case op < 6:
+			if id, fresh := x.lookup(tu, on, false); id != want || fresh {
+				t.Fatalf("%s: lookup gave id %d (fresh %v), want %d", ctx, id, fresh, want)
+			}
+			last = want
+		case op < 8:
+			id := x.recall(tu, on)
+			if last < 0 || !tu.EqualOn(on, data.Tuple{Vals: x.key(last)}, x.ident) {
+				if id != -1 {
+					t.Fatalf("%s: recall gave %d, the memo is %d", ctx, id, last)
+				}
+			} else if id != last {
+				t.Fatalf("%s: recall gave %d, want the memo %d", ctx, id, last)
+			}
+		case held:
+			if id, _ := x.lookup(tu, on, false); op == 8 {
+				if x.slots[x.found].id != id+1 {
+					t.Fatalf("%s: the lookup left slot %d, which does not hold id %d", ctx, x.found, id)
+				}
+			} else {
+				x.found = (x.found + 1) & int32(len(x.slots)-1) // not id's slot: retire rehashes
+			}
+			x.retire(want)
+			delete(ref, k)
+			last = -1 // the lookup made it the memo, and retiring it forgets it
+		}
+		x.check(t)
+		if x.len() != len(ref) || x.last != last {
+			t.Fatalf("%s: %d live ids, memo %d; want %d and %d", ctx, x.len(), x.last, len(ref), last)
+		}
+	}
+	if len(on) > 0 && len(x.slots) < 64 {
+		t.Fatalf("on %v: the table never grew past %d slots", on, len(x.slots))
 	}
 }
 

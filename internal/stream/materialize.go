@@ -248,10 +248,9 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		count int
 	}
 	src := m.lock()
-	set, w := &src.rows, src.rows.w
+	set, w := &src.rows, len(src.rows.index.ident)
 	rows := make([]snapRow, 0, set.len())
-	vals := make([]data.Value, 0, set.len()*w)
-	total := 0
+	vals := make([]data.Value, 0, set.total*w)
 	for r, rec := range set.recs {
 		if rec.count == 0 {
 			continue
@@ -261,8 +260,8 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		for i := 0; i < rec.count; i++ {
 			vals = append(vals, row...)
 		}
-		total += rec.count
 	}
+	total := set.total
 	m.unlock(src)
 
 	slices.SortFunc(rows, func(a, b snapRow) int {

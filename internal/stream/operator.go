@@ -121,7 +121,7 @@ func keepsNothing(op Operator) bool {
 }
 
 // testHashMask narrows operator key hashes; tests set it to 0 to give every
-// key the same hash, so every keyIndex lookup verifies every record.
+// key the same hash, so every keyTable lookup verifies every record.
 var testHashMask = ^uint64(0)
 
 // SetTestHashMask narrows operator key hashes and returns the previous

@@ -100,10 +100,10 @@ func (a *PartialAggregate) PushBatch(ts []data.Tuple) {
 	a.table.fold(a.next, ts, a.args, a.partialRow)
 }
 
-// partialRow builds a live group's partial-state row in dst's backing array
-// when it has room.
-func (a *PartialAggregate) partialRow(g *groupState, dst []data.Value) []data.Value {
-	out := append(slices.Grow(dst[:0], len(g.keyVals)+1+2*len(a.specs)), g.keyVals...)
+// partialRow builds the partial-state row of the live group keyed key in
+// dst's backing array when it has room.
+func (a *PartialAggregate) partialRow(key []data.Value, g *groupState, dst []data.Value) []data.Value {
+	out := append(slices.Grow(dst[:0], len(key)+1+2*len(a.specs)), key...)
 	out = append(out, data.Int(g.count))
 	for i, s := range a.specs {
 		st := &g.aggs[i]
@@ -228,6 +228,6 @@ func (f *FinalMerge) PushBatch(ts []data.Tuple) {
 				st.addVal(v.AsFloat(), delta)
 			}
 		}
-		f.table.emitRow(f.next, id, g, finalRow(g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
+		f.table.emitRow(f.next, id, g, finalRow(f.table.index.key(id), g, f.specs, f.having, f.table.rowBuf(g)), t.TS)
 	}
 }

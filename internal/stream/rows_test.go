@@ -95,7 +95,7 @@ func multisetSchema() *data.Schema {
 // past the end. It hashes with indexHash, as a rowSet does, so the rows keep
 // wrapping whatever the index hash is.
 func wrapRows(n int) []data.Tuple {
-	probe := keyIndex{slots: make([]keySlot, 16)}
+	probe := keyTable{slots: make([]keySlot, 16)}
 	var out []data.Tuple
 	for i := int64(0); len(out) < n; i++ {
 		if tu := data.NewTuple(0, data.Int(i), data.Null, data.Null); probe.home(tagOf(indexHash(tu, nil))) == 15 {
@@ -164,6 +164,8 @@ func TestRowMultisetDifferential(t *testing.T) {
 					}
 					ctx := fmt.Sprintf("step %d (%v)", step, tu)
 					requireMultiset(t, ctx, m, d, ref)
+					checkRows(t, &m.rows)
+					checkRows(t, &d.rows)
 					state, err := EncodeCheckpoint([]Checkpointer{m, d})
 					if err != nil {
 						t.Fatal(err)
@@ -264,33 +266,32 @@ func fuzzTuples(n int) []data.Tuple {
 	return ts
 }
 
-// checkGroups fails unless every live group of gt has a key of the table's
-// arity, held once, a count of at least one, a last row of width w or none,
-// and a value multiset exactly where MIN or MAX needs one.
+// checkGroups fails unless gt's table is well formed, with a group per id,
+// a retired group counts nothing and holds no last row, and every live
+// group has a count of at least one, a last row of width w or none, and a
+// value multiset exactly where MIN or MAX needs one.
 func checkGroups(t *testing.T, name string, gt *groupTable, w int) {
 	t.Helper()
-	live := 0
+	gt.index.check(t)
+	if len(gt.groups) != int(gt.index.ids) {
+		t.Fatalf("%s: %d groups for %d ids", name, len(gt.groups), gt.index.ids)
+	}
 	for id := range gt.groups {
-		g := &gt.groups[id]
-		if g.count <= 0 {
+		g, key := &gt.groups[id], gt.index.key(int32(id))
+		if live := gt.index.isLive(int32(id)); !live {
+			if g.count != 0 || g.lastOut != nil || g.touched != 0 {
+				t.Fatalf("%s: retired group %d: count %d, last row %v, touched %d", name, id, g.count, g.lastOut, g.touched)
+			}
 			continue
 		}
-		live++
-		if len(g.keyVals) != len(gt.keyIdx) || g.lastOut != nil && len(g.lastOut) != w || len(g.aggs) != len(gt.ext) {
-			t.Fatalf("%s: group %v: count %d, last row %v, %d aggregates", name, g.keyVals, g.count, g.lastOut, len(g.aggs))
+		if g.count <= 0 || g.lastOut != nil && len(g.lastOut) != w || len(g.aggs) != len(gt.ext) {
+			t.Fatalf("%s: group %v: count %d, last row %v, %d aggregates", name, key, g.count, g.lastOut, len(g.aggs))
 		}
 		for i, a := range g.aggs {
 			if (a.vals != nil) != gt.ext[i] {
-				t.Fatalf("%s: group %v aggregate %d: multiset %v", name, g.keyVals, i, a.vals)
+				t.Fatalf("%s: group %v aggregate %d: multiset %v", name, key, i, a.vals)
 			}
 		}
-		k := data.Tuple{Vals: g.keyVals}
-		if _, found := gt.place(k, gt.kvIdx, false); found != g {
-			t.Fatalf("%s: key %v does not find its own group", name, g.keyVals)
-		}
-	}
-	if live != gt.len() {
-		t.Fatalf("%s: %d live groups, %d indexed", name, live, gt.len())
 	}
 }
 
@@ -326,10 +327,32 @@ func FuzzCheckpointRestore(f *testing.F) {
 	})
 }
 
+// checkRows fails unless s's table is well formed, with a record per id,
+// a row counts copies exactly while its id is live, and the copies add up
+// to the set's total.
+func checkRows(t testing.TB, s *rowSet) {
+	t.Helper()
+	s.index.check(t)
+	if len(s.recs) != int(s.index.ids) {
+		t.Fatalf("%d row records for %d ids", len(s.recs), s.index.ids)
+	}
+	total := 0
+	for r, rec := range s.recs {
+		if live := s.index.isLive(int32(r)); live != (rec.count > 0) || rec.count < 0 {
+			t.Fatalf("row %v counts %d copies, live %v", s.row(int32(r)), rec.count, live)
+		}
+		total += rec.count
+	}
+	if total != s.total {
+		t.Fatalf("the rows count %d copies, the set %d", total, s.total)
+	}
+}
+
 func checkRestored(t *testing.T, r *fuzzReplica) {
 	t.Helper()
 	schema := multisetSchema()
 	for _, s := range []*rowSet{&r.m.rows, &r.d.rows} {
+		checkRows(t, s)
 		rows, counts := s.state()
 		if len(rows) != s.len() {
 			t.Fatalf("%d live rows, Len %d", len(rows), s.len())
