@@ -168,7 +168,9 @@ chaos:
 # run would have them, across both fragment rehydration tiers (workers
 # back, workers gone), a restore whose fragment sources nothing hosts
 # must fail whole, and shared result groups must restore one store per
-# group while queries deploy and stop around the restart (and a group's
+# group while queries deploy and stop around the restart — from a file
+# that holds each group's state once, in its first member, and from a
+# file written before that, with a copy in every member (and a group's
 # store, keeping its query's columns, must retract through its column feed
 # the rows a restore filed whole), and the
 # sharded-selection differential's live rescale must replay only
@@ -186,7 +188,7 @@ chaos:
 # Mirrored by the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ResultStoreLifecycle|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ResultGroupSaveRestore|RestoreParentWrittenGroupSnapshot|ResultStoreLifecycle|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
 	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 

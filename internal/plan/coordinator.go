@@ -109,7 +109,11 @@ type snapDeployment struct {
 	CheckpointEvery int
 	StallTimeout    time.Duration
 
-	// Live topology and state at the snapshot's consistency point.
+	// Live topology and state at the snapshot's consistency point. A result
+	// group's state is written once, in the Coord of its first member in name
+	// order; a later member's Coord is nil (files written before carry a copy
+	// in every member). Restore reads only the Coord of the member that
+	// creates the group, which is the first in the file.
 	Placement []string
 	Shards    map[int][]byte
 	Coord     []byte
@@ -247,11 +251,13 @@ func (c *Coordinator) Close() {
 // Fragment-carrying deployments are captured in full — the fragment
 // specs, which fragments ran remotely, and the runner states inside the
 // shard checkpoints — and shared prefix chains contribute their window
-// state once per chain. The returned slice names any deployment the
-// snapshot could NOT capture: one whose plan carries a recursive view
-// (Built.View), whose state the format has no field for. The names are also
-// recorded in the snapshot so Restore surfaces the same list. An empty slice
-// means the snapshot is complete.
+// state once per chain. A result group's store state is written once too, in
+// the Coord of its first member in name order, the member Restore compiles
+// first and the only one whose Coord it reads. The returned slice names any
+// deployment the snapshot could NOT capture: one whose plan carries a
+// recursive view (Built.View), whose state the format has no field for. The
+// names are also recorded in the snapshot so Restore surfaces the same list.
+// An empty slice means the snapshot is complete.
 func (c *Coordinator) Save() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,8 +270,9 @@ func (c *Coordinator) Save() ([]string, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Members of one result group checkpoint the same store: encode it once.
-	groupCoord := map[*sharedResult][]byte{}
+	// Members of one result group checkpoint the same store: the first in
+	// name order writes it, and the later ones carry no Coord.
+	written := map[*sharedResult]bool{}
 	for _, name := range names {
 		e := c.deps[name]
 		if e.built.View != nil {
@@ -287,14 +294,14 @@ func (c *Coordinator) Save() ([]string, error) {
 			frags = append(frags, sf)
 		}
 		e.dep.Flush()
-		coord, shared := groupCoord[e.dep.group]
 		var shards map[int][]byte
-		if !shared {
+		var coord []byte
+		if !written[e.dep.group] {
 			if shards, coord, err = e.dep.captureStates(); err != nil {
 				return nil, fmt.Errorf("plan: snapshot %q: %w", name, err)
 			}
 			if e.dep.group != nil {
-				groupCoord[e.dep.group] = coord
+				written[e.dep.group] = true
 			}
 		}
 		sd := snapDeployment{
@@ -320,15 +327,16 @@ func (c *Coordinator) Save() ([]string, error) {
 		}
 		f.Chains = chains
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&f); err != nil {
+	// The 16-byte header is reserved in front of the body and filled in
+	// after the encode, so the file image is one buffer.
+	body := bytes.NewBuffer(make([]byte, 16))
+	if err := gob.NewEncoder(body).Encode(&f); err != nil {
 		return nil, fmt.Errorf("plan: snapshot encode: %w", err)
 	}
-	buf := make([]byte, 0, 16+body.Len())
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body.Bytes()))
-	buf = append(buf, body.Bytes()...)
+	buf := body.Bytes()
+	copy(buf, snapMagic)
+	binary.LittleEndian.PutUint32(buf[8:], snapVersion)
+	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[16:]))
 	tmp := c.path + ".tmp"
 	if err := writeFileSync(tmp, buf); err != nil {
 		return nil, fmt.Errorf("plan: snapshot write: %w", err)

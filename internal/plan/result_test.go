@@ -84,10 +84,12 @@ func TestSharedKeyDropsRepeatedConjuncts(t *testing.T) {
 }
 
 // TestResultGroupSaveRestore: N identical queries (aliases, ORDER BY and LIMIT
-// differ) and one distinct query share two result stores. Save writes every
-// member's Coord, byte-equal across a group; the file restores one store per
-// group, and every query reads what it read before Save, then keeps tracking
-// an uninterrupted run.
+// differ) and one distinct query share two result stores. Save writes each
+// store's state once: the first member of a group in name order carries it,
+// a later member carries no Coord, and the distinct query carries its own, so
+// the file's Coord bytes sum to one state per group. The file restores one
+// store per group, and every query reads what it read before Save, then keeps
+// tracking an uninterrupted run.
 func TestResultGroupSaveRestore(t *testing.T) {
 	same := []string{
 		"SELECT {a}.a, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1",
@@ -132,6 +134,17 @@ func TestResultGroupSaveRestore(t *testing.T) {
 	if _, err := coordA.Save(); err != nil {
 		t.Fatal(err)
 	}
+	// A group's state at the save barrier: nothing runs between Save and
+	// here, so encoding it again yields the bytes Save wrote.
+	stateOf := func(name string) []byte {
+		dep, _ := coordA.Deployment(name)
+		st, err := stream.EncodeCheckpoint(dep.coordCks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	sameState, distinctState := stateOf(names[0]), stateOf(names[len(same)])
 	coordA.Close()
 
 	raw, err := os.ReadFile(path)
@@ -142,17 +155,25 @@ func TestResultGroupSaveRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords := map[string][]byte{}
+	coords, written := map[string][]byte{}, 0
 	for _, sd := range f.Deployments {
 		coords[sd.Name] = sd.Coord
+		written += len(sd.Coord)
+	}
+	if len(sameState) == 0 || !bytes.Equal(coords[names[0]], sameState) {
+		t.Fatalf("%s, first of its group in name order, saved %d Coord bytes, not its group's %d-byte state",
+			names[0], len(coords[names[0]]), len(sameState))
 	}
 	for i := 1; i < len(same); i++ {
-		if !bytes.Equal(coords[names[i]], coords[names[0]]) {
-			t.Fatalf("%s and %s share a store but saved different Coord bytes", names[i], names[0])
+		if coords[names[i]] != nil {
+			t.Fatalf("%s joins %s's group but saved %d Coord bytes, want none", names[i], names[0], len(coords[names[i]]))
 		}
 	}
-	if bytes.Equal(coords[names[len(same)]], coords[names[0]]) {
-		t.Fatal("the distinct query saved its group's state")
+	if bytes.Equal(distinctState, sameState) || !bytes.Equal(coords[names[len(same)]], distinctState) {
+		t.Fatal("the distinct query did not save its own group's state")
+	}
+	if oneEach := len(sameState) + len(distinctState); written != oneEach {
+		t.Fatalf("the file's Coord bytes sum to %d, want one state per group: %d", written, oneEach)
 	}
 
 	engB := stream.NewEngine("b", vtime.NewScheduler())

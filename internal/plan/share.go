@@ -394,7 +394,10 @@ type sharedResult struct {
 // (or err says why it could not be): dep needs nothing else compiled.
 // restoreCoord, a member's snapshotted coordinator state, restores a group
 // this call creates; a member joining a live group restores nothing, since
-// every member's state is the store's.
+// every member's state is the store's. Coordinator.Save writes that state
+// once, in the group's first member in name order, which Restore compiles
+// first; a later member's restoreCoord is nil, or, in files written before,
+// an ignored copy.
 func (s *Sharing) tryAttachResult(b *Built, dep *Deployment, restoreCoord []byte) (handled bool, err error) {
 	if b.Display != "" {
 		return false, nil

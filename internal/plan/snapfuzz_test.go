@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"maps"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"aspen/internal/expr"
 	"aspen/internal/gobcheck"
 	"aspen/internal/stream"
+	"aspen/internal/vtime"
 )
 
 // sealSnapshot frames body as a snapshot file of the format this build
@@ -78,6 +80,9 @@ func decodeSnapshotFile(t testing.TB, raw []byte) bool {
 		states = append(states, f.Chains[k])
 	}
 	for _, st := range states {
+		if len(st) == 0 {
+			continue // no state: RestoreCheckpoint's fresh start decodes nothing
+		}
 		var ops []stream.OpState
 		call("a checkpoint", len(st), func() { ops, _ = stream.DecodeCheckpoint(st) })
 		for _, op := range ops {
@@ -146,19 +151,50 @@ func TestSnapshotManyDeploymentsDecode(t *testing.T) {
 	}
 }
 
+// readSnapshot returns the snapshot file at path.
+func readSnapshot(t testing.TB, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// resavedGroups restores the parent-written result groups' snapshot and
+// returns the file this build's Save writes from it: each group's state in
+// its first member only.
+func resavedGroups(t testing.TB) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "groups.snap")
+	if err := os.WriteFile(path, readSnapshot(t, "testdata/snapshot_v2_groups_parent.snap"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := stream.NewEngine("resave", vtime.NewScheduler())
+	coord := NewCoordinator(Host{Engine: eng, Sharing: NewSharing(eng)}, path)
+	defer coord.Close()
+	if _, err := coord.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Save(); err != nil {
+		t.Fatal(err)
+	}
+	return readSnapshot(t, path)
+}
+
 // FuzzSnapshotFile feeds damaged snapshot bodies, resealed so that they
 // pass the checksum and reach gob, to every decoder Coordinator.Restore
 // runs before it compiles anything (decodeSnapshotFile): each returns an
 // error or a value, never panics, and allocates no more than its input
-// pays for. Nothing here dials or compiles. The corpus is the
-// parent-written snapshot TestRestoreParentWrittenSnapshot restores, its
-// truncations, the map that claims more entries than it holds, and a
-// snapshot of many deployments.
+// pays for. Nothing here dials, and only the seeding compiles. The corpus
+// is the parent-written snapshot TestRestoreParentWrittenSnapshot restores,
+// its truncations, the result groups' file
+// TestRestoreParentWrittenGroupSnapshot restores (a copy of a group's state
+// in every member), that file restored and saved again by this build (the
+// state in the first member only), the map that claims more entries than it
+// holds, and a snapshot of many deployments.
 func FuzzSnapshotFile(f *testing.F) {
-	raw, err := os.ReadFile("testdata/snapshot_v2_parent.snap")
-	if err != nil {
-		f.Fatal(err)
-	}
+	raw := readSnapshot(f, "testdata/snapshot_v2_parent.snap")
 	if !decodeSnapshotFile(f, raw) {
 		f.Fatal("the parent-written snapshot does not decode")
 	}
@@ -166,6 +202,12 @@ func FuzzSnapshotFile(f *testing.F) {
 	f.Add(body)
 	for n := len(body) - 1; n > 0; n -= len(body)/16 + 1 {
 		f.Add(body[:n])
+	}
+	for _, groups := range [][]byte{readSnapshot(f, "testdata/snapshot_v2_groups_parent.snap"), resavedGroups(f)} {
+		if !decodeSnapshotFile(f, groups) {
+			f.Fatal("a result groups' snapshot does not decode")
+		}
+		f.Add(groups[16:])
 	}
 	f.Add(hostileSnapshot(f)[16:])
 	f.Add(manyDeployments(f))

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"slices"
@@ -89,6 +90,115 @@ func TestRestoreParentWrittenSnapshot(t *testing.T) {
 	}
 	for now := 5 * vtime.Second; now <= 8*vtime.Second; now += vtime.Second {
 		eng.Advance(now)
+	}
+	check("after")
+}
+
+// TestRestoreParentWrittenGroupSnapshot restores
+// testdata/snapshot_v2_groups_parent.snap, a format-version-2 file written by
+// commit 74dd4c1, the last whose Save wrote a copy of a result group's store
+// state into every member's Coord, and requires the rows that commit recorded
+// beside it (sorted as strings). The writer deployed six queries over S1 on
+// a Host with Sharing, each under its own alias {a} (t, u, v, … in deploy
+// order g3c, g2b, g3a, priv, g3b, g2a):
+//
+//	g3a  SELECT {a}.a, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1
+//	g3b  g3a's text + ORDER BY {a}.a DESC LIMIT 3
+//	g3c  g3a's text with {a}.a AS x, + ORDER BY {a}.s  (one 3-member group)
+//	g2a  SELECT {a}.b, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1
+//	g2b  g2a's text + ORDER BY {a}.b                   (a 2-member group)
+//	priv SELECT {a}.b, count(*) AS n FROM S1 {a} [RANGE 5 SECONDS] GROUP BY {a}.b
+//
+// It pushed (a, b, s) rows at 1s (1,10,p) (0,11,q), 2s (2,10,r), 3s
+// (3,12,s) (4,11,t) and 4s (5,10,u), advancing the engine to each second
+// after that second's pushes, and saved at the 4s mark; "after" is what its
+// own uninterrupted run showed at 8s after the pushes below.
+func TestRestoreParentWrittenGroupSnapshot(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_v2_groups_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string][]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/snapshot_v2_groups_parent.snap"
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := decodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := map[string][]byte{}
+	for _, sd := range f.Deployments {
+		coords[sd.Name] = sd.Coord
+	}
+	// The file is what the old Save wrote: a copy of the group's state in
+	// every member.
+	for _, g := range [][]string{{"g3a", "g3b", "g3c"}, {"g2a", "g2b"}} {
+		for _, name := range g[1:] {
+			if len(coords[name]) == 0 || !bytes.Equal(coords[name], coords[g[0]]) {
+				t.Fatalf("fixture: %s does not carry a copy of %s's group state", name, g[0])
+			}
+		}
+	}
+
+	eng := stream.NewEngine("group-fixture-restore", vtime.NewScheduler())
+	share := NewSharing(eng)
+	coord := NewCoordinator(Host{Engine: eng, Sharing: share}, path)
+	defer coord.Close()
+	skipped, err := coord.Restore()
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("restore: err %v, skipped %v", err, skipped)
+	}
+	names := []string{"g2a", "g2b", "g3a", "g3b", "g3c", "priv"}
+	if got := coord.Names(); !slices.Equal(got, names) {
+		t.Fatalf("restored %v, want %v", got, names)
+	}
+	if len(share.results) != 2 {
+		t.Fatalf("restore built %d result stores, want 2", len(share.results))
+	}
+	for name, members := range map[string]int{"g2a": 2, "g2b": 2, "g3a": 3, "g3b": 3, "g3c": 3} {
+		if dep, _ := coord.Deployment(name); dep.group == nil || dep.group.members != members {
+			t.Fatalf("%s restored into group %+v, want one of %d members", name, dep.group, members)
+		}
+	}
+	if priv, _ := coord.Deployment("priv"); priv.group != nil {
+		t.Fatal("priv restored into a result group")
+	}
+	check := func(phase string) {
+		t.Helper()
+		for _, name := range names {
+			dep, _ := coord.Deployment(name)
+			var got []string
+			for _, r := range snapshotSorted(t, dep) {
+				cells := make([]string, len(r.Vals))
+				for i, v := range r.Vals {
+					cells[i] = v.String()
+				}
+				got = append(got, strings.Join(cells, "|"))
+			}
+			slices.Sort(got)
+			if len(got) == 0 || !slices.Equal(got, want[phase][name]) {
+				t.Fatalf("%s %s: rows %v, the writer recorded %v", name, phase, got, want[phase][name])
+			}
+		}
+	}
+	check("at_save")
+
+	in, _ := eng.Input("S1")
+	pushed := map[vtime.Time][]data.Tuple{
+		5: {{Vals: []data.Value{data.Int(6), data.Int(12), data.Str("v")}}},
+		6: {{Vals: []data.Value{data.Int(7), data.Int(10), data.Str("w")}}},
+		7: {{Vals: []data.Value{data.Int(0), data.Int(12), data.Str("x")}}},
+	}
+	for sec := vtime.Time(5); sec <= 8; sec++ {
+		for _, r := range pushed[sec] {
+			r.TS = sec * vtime.Second
+			in.Push(r)
+		}
+		eng.Advance(sec * vtime.Second)
 	}
 	check("after")
 }
