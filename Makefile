@@ -168,11 +168,12 @@ chaos:
 # run would have them, across both fragment rehydration tiers (workers
 # back, workers gone), a restore whose fragment sources nothing hosts
 # must fail whole, and shared result groups must restore one store per
-# group while queries deploy and stop around the restart — from a file
-# that holds each group's state once, in its first member, and from a
-# file written before that, with a copy in every member (and a group's
-# store, keeping its query's columns, must retract through its column feed
-# the rows a restore filed whole), and the
+# group, rebuilt from its chain's window, while queries deploy and stop
+# around the restart — from a file that holds no group state, and from a
+# file written before, with a copy in every member that the restore
+# ignores even when it is wrong (and a group's store, keeping its query's
+# columns, must retract through its column feed the rows a restore
+# filed whole), and the
 # sharded-selection differential's live rescale must replay only
 # admitted tuples into the moved shards, and the pending-batch
 # differential's save, restore and rescale run with batches held in the
@@ -188,7 +189,7 @@ chaos:
 # Mirrored by the CI `distributed` job.
 .PHONY: elastic
 elastic:
-	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ResultGroupSaveRestore|RestoreParentWrittenGroupSnapshot|ResultStoreLifecycle|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
+	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ResultGroupSaveRestore|RestoreParentWrittenGroupSnapshot|RestoreIgnoresGroupCopies|ResultStoreLifecycle|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
 	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 
@@ -197,7 +198,11 @@ elastic:
 # or FUZZTIME of mutation per target (default 10s; -fuzz takes one target
 # and one package at a time). Like race_run it first checks with
 # `go test -list` that each target still exists, since -run and -fuzz pass
-# silently when a renamed target matches nothing.
+# silently when a renamed target matches nothing. -fuzzminimizetime 0
+# turns minimizing off (go's default spends up to 60s on each input a run
+# keeps), so a run of seconds mutates instead of shrinking the kB-sized
+# inputs it finds; a failing input is still written whole to the package's
+# testdata/fuzz. CI's 30s fuzz steps pass the same flag.
 FUZZTIME ?= 10s
 FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/ FuzzShardFrames:./internal/stream/ FuzzIndexHash:./internal/data/ FuzzSnapshotFile:./internal/plan/ FuzzKeyOrder:./internal/data/
 .PHONY: fuzz-smoke
@@ -209,7 +214,7 @@ fuzz-smoke:
 		if [ "$(FUZZTIME)" = 0 ]; then \
 			$(GO) test -run "^$$target\$$" $$pkg || exit 1; \
 		else \
-			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 0 $$pkg || exit 1; \
 		fi; \
 	done
 

@@ -30,7 +30,7 @@ import (
 //
 // # Snapshot format
 //
-// One file, written atomically (temp file + rename on the same
+// One file, replaced atomically (temp file + rename on the same
 // directory, both fsynced, and the directory synced across the rename):
 //
 //	offset  size  field
@@ -100,7 +100,7 @@ type snapDeployment struct {
 	SamplePeriod time.Duration
 
 	// The Topology the deployment ran with, kept as the flat fields format
-	// version 2 was first written with (an embedded struct would gob as one
+	// version 2 first had (an embedded struct would gob as one
 	// nested field and orphan every existing file); setTopology and topology
 	// are the only conversions.
 	Parallelism     int
@@ -109,11 +109,9 @@ type snapDeployment struct {
 	CheckpointEvery int
 	StallTimeout    time.Duration
 
-	// Live topology and state at the snapshot's consistency point. A result
-	// group's state is written once, in the Coord of its first member in name
-	// order; a later member's Coord is nil (files written before carry a copy
-	// in every member). Restore reads only the Coord of the member that
-	// creates the group, which is the first in the file.
+	// Live topology and state at the snapshot's consistency point: Coord is
+	// nil for a deployment with no coordinator-side operators, such as a
+	// shared result's member, whose store copy in older files Restore ignores.
 	Placement []string
 	Shards    map[int][]byte
 	Coord     []byte
@@ -251,13 +249,12 @@ func (c *Coordinator) Close() {
 // Fragment-carrying deployments are captured in full — the fragment
 // specs, which fragments ran remotely, and the runner states inside the
 // shard checkpoints — and shared prefix chains contribute their window
-// state once per chain. A result group's store state is written once too, in
-// the Coord of its first member in name order, the member Restore compiles
-// first and the only one whose Coord it reads. The returned slice names any
-// deployment the snapshot could NOT capture: one whose plan carries a
-// recursive view (Built.View), whose state the format has no field for. The
-// names are also recorded in the snapshot so Restore surfaces the same list.
-// An empty slice means the snapshot is complete.
+// state once per chain. A shared result's store is not saved: Restore
+// rebuilds it from its chain's window, as a deploy does. The returned slice
+// names any deployment the snapshot could NOT capture: one whose plan
+// carries a recursive view (Built.View), whose state the format has no field
+// for. The names are also recorded in the snapshot so Restore surfaces the
+// same list. An empty slice means the snapshot is complete.
 func (c *Coordinator) Save() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -270,9 +267,6 @@ func (c *Coordinator) Save() ([]string, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Members of one result group checkpoint the same store: the first in
-	// name order writes it, and the later ones carry no Coord.
-	written := map[*sharedResult]bool{}
 	for _, name := range names {
 		e := c.deps[name]
 		if e.built.View != nil {
@@ -294,15 +288,9 @@ func (c *Coordinator) Save() ([]string, error) {
 			frags = append(frags, sf)
 		}
 		e.dep.Flush()
-		var shards map[int][]byte
-		var coord []byte
-		if !written[e.dep.group] {
-			if shards, coord, err = e.dep.captureStates(); err != nil {
-				return nil, fmt.Errorf("plan: snapshot %q: %w", name, err)
-			}
-			if e.dep.group != nil {
-				written[e.dep.group] = true
-			}
+		shards, coord, err := e.dep.captureStates()
+		if err != nil {
+			return nil, fmt.Errorf("plan: snapshot %q: %w", name, err)
 		}
 		sd := snapDeployment{
 			Name:         name,

@@ -72,8 +72,8 @@ type Deployment struct {
 	// encode and a rehydrated deployment restores. Operators living in
 	// shared prefix chains are excluded: the chain, not any one deployment,
 	// owns them, and Sharing.CaptureChains snapshots their windows once per
-	// chain. A result-group member lists only its Result view, which
-	// checkpoints (and restores) the group's store.
+	// chain. A result-group member lists none: its store is derived from
+	// its chain's window.
 	coordCks []stream.Checkpointer
 
 	// runners are the deployment's central fragment runners, in
@@ -275,12 +275,16 @@ func affineAddrs(addrs []string, affinity map[string][]string, scanSources []str
 
 // captureStates snapshots the deployment at one consistency point: the
 // per-shard encoded operator states (nil for a serial deployment) and the
-// coordinator-side state, taken under the shard set's quiescent barrier so
-// both halves agree. Serial deployments process synchronously, so their
-// capture is consistent as long as the caller is not pushing concurrently
-// — the same contract Snapshot has.
+// coordinator-side state (nil for a serial deployment with no
+// checkpointers), taken under the shard set's quiescent barrier so both
+// halves agree. Serial deployments process synchronously, so their capture
+// is consistent as long as the caller is not pushing concurrently — the
+// same contract Snapshot has.
 func (d *Deployment) captureStates() (map[int][]byte, []byte, error) {
 	if d.set == nil {
+		if len(d.coordCks) == 0 {
+			return nil, nil, nil
+		}
 		coord, err := stream.EncodeCheckpoint(d.coordCks)
 		if err != nil {
 			return nil, nil, err
@@ -452,7 +456,7 @@ func CompileStreamOpts(b *Built, host Host, opts CompileOptions) (*Deployment, e
 	}
 	dep := &Deployment{OrderBy: b.OrderBy, Limit: b.Limit, Shards: 1, eng: eng}
 	if host.Sharing != nil && len(feeds) == 0 && b.View == nil {
-		if handled, err := host.Sharing.tryAttachResult(b, dep, opts.restoreCoord); handled {
+		if handled, err := host.Sharing.tryAttachResult(b, dep); handled {
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -84,19 +83,24 @@ func TestSharedKeyDropsRepeatedConjuncts(t *testing.T) {
 }
 
 // TestResultGroupSaveRestore: N identical queries (aliases, ORDER BY and LIMIT
-// differ) and one distinct query share two result stores. Save writes each
-// store's state once: the first member of a group in name order carries it,
-// a later member carries no Coord, and the distinct query carries its own, so
-// the file's Coord bytes sum to one state per group. The file restores one
-// store per group, and every query reads what it read before Save, then keeps
-// tracking an uninterrupted run.
+// differ), one distinct query and one query that reads -0 share three result
+// stores. Save writes no store: every member of every group carries no Coord
+// and no Shards, so the file's Coord bytes sum to 0. The file restores one
+// store per group, rebuilt from its chain's window, and every query reads
+// what it read before Save, -0 included, then keeps tracking an
+// uninterrupted run.
 func TestResultGroupSaveRestore(t *testing.T) {
 	same := []string{
 		"SELECT {a}.a, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1",
 		"SELECT {a}.a, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1 ORDER BY {a}.s DESC LIMIT 3",
 		"SELECT {a}.a AS x, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1 ORDER BY {a}.s",
 	}
-	texts := append(slices.Clone(same), "SELECT {a}.b, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1")
+	// negZero's store holds a * -1.0, which is -0 where a is 0: a store
+	// decoded from gob would read 0 there.
+	negZero := len(same) + 1
+	texts := append(slices.Clone(same),
+		"SELECT {a}.b, {a}.s FROM S1 {a} [RANGE 5 SECONDS] WHERE {a}.a >= 1",
+		"SELECT {a}.a * -1.0 AS z, {a}.s FROM S1 {a} [RANGE 5 SECONDS]")
 	rng := rand.New(rand.NewSource(*fuzzSeed + 28100))
 	evs := genWorkload(rng, fuzzSources()[:1], 200)
 	half := len(evs) / 2
@@ -119,8 +123,8 @@ func TestResultGroupSaveRestore(t *testing.T) {
 		}
 		defer refs[i].Close()
 	}
-	if len(shareA.results) != 2 {
-		t.Fatalf("%d result groups, want 2", len(shareA.results))
+	if len(shareA.results) != 3 {
+		t.Fatalf("%d result groups, want 3", len(shareA.results))
 	}
 	pushEvents(engA, evs, 0, half)
 	pushEvents(ref, evs, 0, half)
@@ -131,20 +135,14 @@ func TestResultGroupSaveRestore(t *testing.T) {
 			t.Fatalf("%s is empty at Save; the comparison would be vacuous", name)
 		}
 	}
+	dep, _ := coordA.Deployment(names[negZero])
+	negBefore := rowStrings(t, dep)
+	if !slices.ContainsFunc(negBefore, func(r string) bool { return strings.HasPrefix(r, "-0|") }) {
+		t.Fatalf("%s reads no -0 at Save; the sign check would be vacuous: %v", names[negZero], negBefore)
+	}
 	if _, err := coordA.Save(); err != nil {
 		t.Fatal(err)
 	}
-	// A group's state at the save barrier: nothing runs between Save and
-	// here, so encoding it again yields the bytes Save wrote.
-	stateOf := func(name string) []byte {
-		dep, _ := coordA.Deployment(name)
-		st, err := stream.EncodeCheckpoint(dep.coordCks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	sameState, distinctState := stateOf(names[0]), stateOf(names[len(same)])
 	coordA.Close()
 
 	raw, err := os.ReadFile(path)
@@ -155,25 +153,11 @@ func TestResultGroupSaveRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords, written := map[string][]byte{}, 0
 	for _, sd := range f.Deployments {
-		coords[sd.Name] = sd.Coord
-		written += len(sd.Coord)
-	}
-	if len(sameState) == 0 || !bytes.Equal(coords[names[0]], sameState) {
-		t.Fatalf("%s, first of its group in name order, saved %d Coord bytes, not its group's %d-byte state",
-			names[0], len(coords[names[0]]), len(sameState))
-	}
-	for i := 1; i < len(same); i++ {
-		if coords[names[i]] != nil {
-			t.Fatalf("%s joins %s's group but saved %d Coord bytes, want none", names[i], names[0], len(coords[names[i]]))
+		if sd.Coord != nil || sd.Shards != nil {
+			t.Fatalf("%s saved %d Coord bytes and %d shard states; a result group's member saves none",
+				sd.Name, len(sd.Coord), len(sd.Shards))
 		}
-	}
-	if bytes.Equal(distinctState, sameState) || !bytes.Equal(coords[names[len(same)]], distinctState) {
-		t.Fatal("the distinct query did not save its own group's state")
-	}
-	if oneEach := len(sameState) + len(distinctState); written != oneEach {
-		t.Fatalf("the file's Coord bytes sum to %d, want one state per group: %d", written, oneEach)
 	}
 
 	engB := stream.NewEngine("b", vtime.NewScheduler())
@@ -183,8 +167,8 @@ func TestResultGroupSaveRestore(t *testing.T) {
 	if _, err := coordB.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	if len(shareB.results) != 2 {
-		t.Fatalf("restore built %d result stores, want 2 (one per group)", len(shareB.results))
+	if len(shareB.results) != 3 {
+		t.Fatalf("restore built %d result stores, want 3 (one per group)", len(shareB.results))
 	}
 	first, _ := coordB.Deployment(names[0])
 	for i, name := range names {
@@ -197,6 +181,10 @@ func TestResultGroupSaveRestore(t *testing.T) {
 		if (dep.group == first.group) != inGroup || dep.group == nil || dep.group.members != members {
 			t.Fatalf("%s: restored into group %+v, the first query's is %p; want %d members", name, dep.group, first.group, members)
 		}
+	}
+	dep, _ = coordB.Deployment(names[negZero])
+	if got := rowStrings(t, dep); !slices.Equal(got, negBefore) {
+		t.Fatalf("restored %s reads %v, want the signs it read at Save: %v", names[negZero], got, negBefore)
 	}
 	pushEvents(engB, evs, half, len(evs)-1) // all but the final drain tick
 	pushEvents(ref, evs, half, len(evs)-1)

@@ -386,19 +386,14 @@ type sharedResult struct {
 	members int
 }
 
-// tryAttachResult deploys b as a member of its result group — creating the
-// group, warm-started or restored, when it is the first — and reports
-// handled=false when b's plan cannot share a result: it names a display, is
-// not Project?(Select*(Scan)), has an unwindowed scan, or does not
-// canonicalize. On handled=true dep.Result is a view of the group's store
-// (or err says why it could not be): dep needs nothing else compiled.
-// restoreCoord, a member's snapshotted coordinator state, restores a group
-// this call creates; a member joining a live group restores nothing, since
-// every member's state is the store's. Coordinator.Save writes that state
-// once, in the group's first member in name order, which Restore compiles
-// first; a later member's restoreCoord is nil, or, in files written before,
-// an ignored copy.
-func (s *Sharing) tryAttachResult(b *Built, dep *Deployment, restoreCoord []byte) (handled bool, err error) {
+// tryAttachResult deploys b as a member of its result group, creating the
+// group when it is the first, and reports handled=false when b's plan cannot
+// share a result: it names a display, is not Project?(Select*(Scan)), has an
+// unwindowed scan, or does not canonicalize. On handled=true dep.Result is a
+// view of the group's store (or err says why it could not be): dep needs
+// nothing else compiled and checkpoints nothing, since a new store, on deploy
+// and on restore alike, is warm-started from its chain's window.
+func (s *Sharing) tryAttachResult(b *Built, dep *Deployment) (handled bool, err error) {
 	if b.Display != "" {
 		return false, nil
 	}
@@ -437,12 +432,8 @@ func (s *Sharing) tryAttachResult(b *Built, dep *Deployment, restoreCoord []byte
 				return true, err
 			}
 		}
-		ch, err := s.attachLocked(scan, preds, keys, head, restoreCoord != nil)
+		ch, err := s.attachLocked(scan, preds, keys, head, false)
 		if err != nil {
-			return true, err
-		}
-		if err := stream.RestoreCheckpoint([]stream.Checkpointer{store}, restoreCoord); err != nil {
-			s.releaseLocked(ch, head)
 			return true, err
 		}
 		r = &sharedResult{s: s, key: key, ch: ch, head: head, store: store}
@@ -450,7 +441,6 @@ func (s *Sharing) tryAttachResult(b *Built, dep *Deployment, restoreCoord []byte
 	}
 	r.members++
 	dep.Result = r.store.View(b.Root.Schema())
-	dep.coordCks = []stream.Checkpointer{dep.Result}
 	dep.Inputs = append(dep.Inputs, scan.Input)
 	dep.group = r
 	return true, nil

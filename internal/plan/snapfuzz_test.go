@@ -162,8 +162,8 @@ func readSnapshot(t testing.TB, path string) []byte {
 }
 
 // resavedGroups restores the parent-written result groups' snapshot and
-// returns the file this build's Save writes from it: each group's state in
-// its first member only.
+// returns the file this build's Save writes from it: no group's state in any
+// member.
 func resavedGroups(t testing.TB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "groups.snap")
@@ -190,8 +190,8 @@ func resavedGroups(t testing.TB) []byte {
 // is the parent-written snapshot TestRestoreParentWrittenSnapshot restores,
 // its truncations, the result groups' file
 // TestRestoreParentWrittenGroupSnapshot restores (a copy of a group's state
-// in every member), that file restored and saved again by this build (the
-// state in the first member only), the map that claims more entries than it
+// in every member), that file restored and saved again by this build (no
+// group state), the map that claims more entries than it
 // holds, and a snapshot of many deployments.
 func FuzzSnapshotFile(f *testing.F) {
 	raw := readSnapshot(f, "testdata/snapshot_v2_parent.snap")

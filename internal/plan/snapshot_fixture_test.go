@@ -2,8 +2,10 @@ package plan
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -114,19 +116,8 @@ func TestRestoreParentWrittenSnapshot(t *testing.T) {
 // after that second's pushes, and saved at the 4s mark; "after" is what its
 // own uninterrupted run showed at 8s after the pushes below.
 func TestRestoreParentWrittenGroupSnapshot(t *testing.T) {
-	raw, err := os.ReadFile("testdata/snapshot_v2_groups_parent.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]map[string][]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
 	const path = "testdata/snapshot_v2_groups_parent.snap"
-	if raw, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := decodeSnapshot(raw)
+	f, err := decodeSnapshot(readSnapshot(t, path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +134,52 @@ func TestRestoreParentWrittenGroupSnapshot(t *testing.T) {
 			}
 		}
 	}
+	restoreGroupFixture(t, path)
+}
 
+// TestRestoreIgnoresGroupCopies: a result group's store comes from its
+// chain's window, never from the copy of it a file written before carries in
+// a member's Coord. The group fixture with g2a's store state put into g3a,
+// the member that creates the 3-member group on restore, still restores to
+// exactly the rows the writer recorded.
+func TestRestoreIgnoresGroupCopies(t *testing.T) {
+	f, err := decodeSnapshot(readSnapshot(t, "testdata/snapshot_v2_groups_parent.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[string]int{}
+	for i, sd := range f.Deployments {
+		at[sd.Name] = i
+	}
+	g2a, g3a := &f.Deployments[at["g2a"]], &f.Deployments[at["g3a"]]
+	if len(g2a.Coord) == 0 || bytes.Equal(g2a.Coord, g3a.Coord) {
+		t.Fatal("fixture: g2a and g3a must carry different group states")
+	}
+	g3a.Coord = g2a.Coord
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "swapped.snap")
+	if err := os.WriteFile(path, sealSnapshot(body.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restoreGroupFixture(t, path)
+}
+
+// restoreGroupFixture restores the group fixture's deployments from path and
+// requires the rows testdata/snapshot_v2_groups_parent.json records: at the
+// save, and after TestRestoreParentWrittenGroupSnapshot's pushes.
+func restoreGroupFixture(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/snapshot_v2_groups_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string][]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
 	eng := stream.NewEngine("group-fixture-restore", vtime.NewScheduler())
 	share := NewSharing(eng)
 	coord := NewCoordinator(Host{Engine: eng, Sharing: share}, path)
@@ -171,14 +207,7 @@ func TestRestoreParentWrittenGroupSnapshot(t *testing.T) {
 		t.Helper()
 		for _, name := range names {
 			dep, _ := coord.Deployment(name)
-			var got []string
-			for _, r := range snapshotSorted(t, dep) {
-				cells := make([]string, len(r.Vals))
-				for i, v := range r.Vals {
-					cells[i] = v.String()
-				}
-				got = append(got, strings.Join(cells, "|"))
-			}
+			got := rowStrings(t, dep)
 			slices.Sort(got)
 			if len(got) == 0 || !slices.Equal(got, want[phase][name]) {
 				t.Fatalf("%s %s: rows %v, the writer recorded %v", name, phase, got, want[phase][name])
@@ -201,4 +230,19 @@ func TestRestoreParentWrittenGroupSnapshot(t *testing.T) {
 		eng.Advance(sec * vtime.Second)
 	}
 	check("after")
+}
+
+// rowStrings returns dep's rows in its snapshot order, each as its cells'
+// String forms joined by "|"; unlike EqualVals it tells -0 from 0.
+func rowStrings(t *testing.T, dep *Deployment) []string {
+	t.Helper()
+	var out []string
+	for _, r := range snapshotSorted(t, dep) {
+		cells := make([]string, len(r.Vals))
+		for i, v := range r.Vals {
+			cells[i] = v.String()
+		}
+		out = append(out, strings.Join(cells, "|"))
+	}
+	return out
 }

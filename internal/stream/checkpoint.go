@@ -28,9 +28,18 @@ import (
 // are portable across processes.
 
 // Checkpointer is implemented by stateful operators that participate in
-// shard failover. CheckpointState must be called only from the operator's
-// single writer (the replica's executor), or once a barrier has passed it;
-// RestoreState must be called before the operator processes any tuple.
+// shard failover and durable snapshots. CheckpointState must be called only
+// from the operator's single writer (the replica's executor), or once a
+// barrier has passed it; RestoreState must be called before the operator
+// processes any tuple.
+//
+// Not every piece of state is checkpointed. Windows are: they hold the
+// inputs nothing upstream keeps. A shared result's store is not: it is the
+// projection of its chain's filtered window, so a restore rebuilds it by
+// replaying the restored window, the way a deploy warm-starts it. A
+// deployment's own operators and result store are still checkpointed beside
+// its windows; aggregates must be until their sums replay exactly, and so
+// must operators over an unwindowed scan, which has no window to replay.
 type Checkpointer interface {
 	CheckpointState() OpState
 	RestoreState(OpState) error
@@ -370,7 +379,8 @@ func (m *Materialize) CheckpointState() OpState {
 	return OpState{Kind: ckMaterialize, Rows: &RowsState{Tuples: rows, Counts: counts}}
 }
 
-// RestoreState implements Checkpointer. A live view restores its store.
+// RestoreState implements Checkpointer. On a live view it replaces the
+// store's rows.
 func (m *Materialize) RestoreState(s OpState) error {
 	if s.Kind != ckMaterialize || s.Rows == nil {
 		return ckKindErr(ckMaterialize, s)

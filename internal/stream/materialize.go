@@ -29,8 +29,8 @@ type OrderSpec struct {
 // (View) that reads a store's rows under a schema of its own: identical
 // standing queries keep one store and give each query its own view, so each
 // still snapshots with its own column names, ORDER BY and LIMIT. A view's
-// Snapshot, Len, Version and checkpoint all read (and restore) the store's
-// rows. A view's hook is installed with ChainOnChange, and it fires after
+// Snapshot, Len, Version and CheckpointState read the store's rows. A
+// view's hook is installed with ChainOnChange, and it fires after
 // every mutation of the store until Freeze makes the view an independent
 // copy that no longer updates.
 //
