@@ -84,13 +84,15 @@ bench-smoke:
 # sensor fragment runners, the randomized serial-vs-sharded differential
 # harness, the grouped-filter-vs-per-layer-filter differential and its
 # attach/detach churn beside a live pusher, the shared-result differential
-# and result views frozen beside a live pusher, and the mutex-guarded route
-# memo and ordered indexes of the building path) under the race detector;
-# mirrored by the CI job.
+# and result views frozen beside a live pusher, the mutex-guarded route
+# memo and ordered indexes of the building path, and the routing graph's
+# searches beside its mutations) under the race detector; mirrored by the
+# CI job.
 .PHONY: race
 race:
 	$(GO) test -race ./internal/stream/... ./internal/sensor/... ./internal/plan/... ./internal/core/... \
-		./internal/sensornet/... ./internal/machines/... ./internal/smartcis/... ./internal/wrappers/...
+		./internal/sensornet/... ./internal/machines/... ./internal/smartcis/... ./internal/wrappers/... \
+		./internal/routing/...
 
 # race_run runs `go test -race -run PATTERN PKGS FLAGS -v`, after checking
 # with `go test -list` that every |-separated alternative of PATTERN still
@@ -219,13 +221,15 @@ fuzz-smoke:
 	done
 
 # cover gates statement coverage of the partition-parallel core packages,
-# the sensor engine, and the data model, where the key order every snapshot
-# sorts by lives. The floors only rise, and new code arrives tested: a
+# the sensor engine, the data model, where the key order every snapshot
+# sorts by lives, and the routing graph a visitor's guidance searches. The
+# floors only rise, and new code arrives tested: a
 # change that would lower coverage adds the tests, never a lower floor.
-COVER_FLOOR_STREAM := 92.0
-COVER_FLOOR_PLAN   := 89.5
-COVER_FLOOR_SENSOR := 86.5
-COVER_FLOOR_DATA   := 97.8
+COVER_FLOOR_STREAM  := 92.0
+COVER_FLOOR_PLAN    := 89.5
+COVER_FLOOR_SENSOR  := 86.5
+COVER_FLOOR_DATA    := 97.8
+COVER_FLOOR_ROUTING := 100.0
 .PHONY: cover
 cover:
 	@check() { \
@@ -238,7 +242,8 @@ cover:
 	check ./internal/stream/ $(COVER_FLOOR_STREAM) && \
 	check ./internal/plan/ $(COVER_FLOOR_PLAN) && \
 	check ./internal/sensor/ $(COVER_FLOOR_SENSOR) && \
-	check ./internal/data/ $(COVER_FLOOR_DATA)
+	check ./internal/data/ $(COVER_FLOOR_DATA) && \
+	check ./internal/routing/ $(COVER_FLOOR_ROUTING)
 
 # loc prints non-test Go lines per internal/* package and in total — the
 # number ROADMAP aim 2 asks every simplifying PR to report as a delta

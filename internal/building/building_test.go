@@ -178,3 +178,48 @@ func TestRoomKindString(t *testing.T) {
 		t.Error("unknown kind")
 	}
 }
+
+// The goal search settles no point past the first accepted distance: on the
+// benchmark's building, from every routing point, accept is shown exactly
+// the points no farther than the nearest wanted lab, and the route goes to
+// a nearest one.
+func TestNearestWhereSettlesNothingFarther(t *testing.T) {
+	b := Generate(GenConfig{Labs: 32, DesksPerLab: 8, Offices: 16, HallSpacing: 100})
+	g := b.Graph()
+	// The labs past the last office: the lobby is half a building away
+	// from them, the machine room a few points.
+	wanted := func(p string) bool {
+		r, ok := b.Room(p)
+		return ok && r.Kind == Lab && r.DoorX > 1600
+	}
+	fromLobby := 0
+	for _, src := range g.Nodes() {
+		dists := g.Distances(src)
+		seen := 0
+		dest, route, ok := g.NearestWhere(src, func(p string) bool {
+			seen++
+			return wanted(p)
+		})
+		if !ok || !wanted(dest) || route.Dist != dists[dest] {
+			t.Fatalf("from %s: %s %v %t", src, dest, route, ok)
+		}
+		within := 0
+		for p, d := range dists {
+			if d <= route.Dist {
+				within++
+			}
+			if wanted(p) && d < route.Dist {
+				t.Fatalf("from %s: %s at %v is nearer than %s at %v", src, p, d, dest, route.Dist)
+			}
+		}
+		if seen != within {
+			t.Fatalf("from %s: accept saw %d points, %d lie within %v", src, seen, within, route.Dist)
+		}
+		if src == "lobby" {
+			fromLobby = seen
+		}
+	}
+	if all := len(g.Nodes()); fromLobby >= all {
+		t.Fatalf("from the lobby the search saw all %d points", all)
+	}
+}

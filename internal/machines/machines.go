@@ -266,6 +266,21 @@ func (f *Fleet) ViewAt(room string, desk int, fn func(m *Machine)) bool {
 	return true
 }
 
+// EachInRoom calls fn, under the same rules as Each, with every machine in
+// the room in (desk, name) order until fn returns false.
+func (f *Fleet) EachInRoom(room string, fn func(m *Machine) bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(f.byDesk, room, func(m *Machine, room string) int {
+		return strings.Compare(m.Room, room)
+	})
+	for ; i < len(f.byDesk) && f.byDesk[i].Room == room; i++ {
+		if !fn(f.byDesk[i]) {
+			return
+		}
+	}
+}
+
 // SetPower powers a machine on or off; jobs are killed on power-off.
 func (f *Fleet) SetPower(name string, on bool) {
 	f.mu.Lock()

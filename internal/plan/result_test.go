@@ -244,6 +244,9 @@ type resultMember struct {
 // result moved; each stopped query must read what it read at Stop, with no
 // OnChange since. At the end the engine and the registry return to baseline.
 // The test fails if no result group ever had two members.
+//
+// Each run's seed also draws the batch after which the restart falls, so a
+// sweep over -fuzzshard.seed moves the restart through the run.
 func TestSharedResultDifferential(t *testing.T) {
 	maxMembers := 0
 	for run := int64(0); run < 4; run++ {
@@ -260,7 +263,8 @@ func sharedResultRun(t *testing.T, seed int64) (maxMembers int) {
 	rng := rand.New(rand.NewSource(seed))
 	evs := genWorkload(rng, fuzzSources()[:1], 480)
 	aliases := []string{"t", "u", "v"}
-	const batches, restartAt = 12, 6
+	const batches = 12
+	restartAt := rand.New(rand.NewSource(seed)).Intn(batches) // apart from rng, so the workload stays the seed's
 
 	peng := stream.NewEngine("private", vtime.NewScheduler())
 	refs := map[int]*Deployment{}

@@ -10,24 +10,54 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // Graph is a directed weighted graph over string-named routing points.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use: mutations take the graph's
+// lock, and a search holds its read lock for the whole run, so the
+// callback of NearestWhere must not call the graph.
+//
+// Points get dense ids in the order the graph first sees them, and a
+// point's edges keep the order they were first added in. Ties between
+// paths of equal length are broken by those ids, so a route never depends
+// on anything but the sequence of mutations: a search settles points in
+// order of distance, equal distances lowest id first, and a point's route
+// runs through the first settled point that reaches it at its least
+// distance.
 type Graph struct {
-	mu  sync.RWMutex
-	adj map[string]map[string]float64
-	rev uint64 // bumped on mutation; lets cached routes invalidate
+	mu    sync.RWMutex
+	ids   map[string]int32
+	names []string // by id
+	out   [][]edge // by id: the point's edges in the order first added
+	edges int
+	rev   uint64 // bumped on mutation; lets cached routes invalidate
+}
+
+type edge struct {
+	to int32
+	w  float64
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{adj: map[string]map[string]float64{}}
+	return &Graph{ids: map[string]int32{}}
+}
+
+// point returns the named point's id, adding the point when it is new.
+// g.mu is held for writing.
+func (g *Graph) point(name string) int32 {
+	if id, ok := g.ids[name]; ok {
+		return id
+	}
+	id := int32(len(g.names))
+	g.ids[name] = id
+	g.names = append(g.names, name)
+	g.out = append(g.out, nil)
+	return id
 }
 
 // AddEdge inserts (or updates) a directed edge. Negative weights are
@@ -38,13 +68,13 @@ func (g *Graph) AddEdge(from, to string, w float64) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.adj[from] == nil {
-		g.adj[from] = map[string]float64{}
+	f, t := g.point(from), g.point(to)
+	if i := slices.IndexFunc(g.out[f], func(e edge) bool { return e.to == t }); i >= 0 {
+		g.out[f][i].w = w
+	} else {
+		g.out[f] = append(g.out[f], edge{to: t, w: w})
+		g.edges++
 	}
-	if _, ok := g.adj[to]; !ok {
-		g.adj[to] = map[string]float64{}
-	}
-	g.adj[from][to] = w
 	g.rev++
 	return nil
 }
@@ -57,16 +87,23 @@ func (g *Graph) AddBoth(a, b string, w float64) error {
 	return g.AddEdge(b, a, w)
 }
 
-// RemoveEdge deletes a directed edge; unknown edges are ignored.
+// RemoveEdge deletes a directed edge; unknown edges are ignored. The
+// points stay.
 func (g *Graph) RemoveEdge(from, to string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if m := g.adj[from]; m != nil {
-		if _, ok := m[to]; ok {
-			delete(m, to)
-			g.rev++
-		}
+	f, okF := g.ids[from]
+	t, okT := g.ids[to]
+	if !okF || !okT {
+		return
 	}
+	i := slices.IndexFunc(g.out[f], func(e edge) bool { return e.to == t })
+	if i < 0 {
+		return
+	}
+	g.out[f] = slices.Delete(g.out[f], i, i+1)
+	g.edges--
+	g.rev++
 }
 
 // RemoveBoth deletes the edge in both directions.
@@ -78,12 +115,9 @@ func (g *Graph) RemoveBoth(a, b string) {
 // Nodes returns all known routing points, sorted.
 func (g *Graph) Nodes() []string {
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.adj))
-	for n := range g.adj {
-		out = append(out, n)
-	}
-	sort.Strings(out)
+	out := slices.Clone(g.names)
+	g.mu.RUnlock()
+	slices.Sort(out)
 	return out
 }
 
@@ -91,11 +125,7 @@ func (g *Graph) Nodes() []string {
 func (g *Graph) Edges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := 0
-	for _, m := range g.adj {
-		n += len(m)
-	}
-	return n
+	return g.edges
 }
 
 // Version increments on every mutation.
@@ -126,141 +156,198 @@ func (r Route) String() string {
 	return fmt.Sprintf("%s (%.0f)", s, r.Dist)
 }
 
-// pqItem is a priority queue entry for Dijkstra.
-type pqItem struct {
-	node string
-	dist float64
-	idx  int
-}
-
-type pq []*pqItem
-
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i]; p[i].idx, p[j].idx = i, j }
-func (p *pq) Push(x any)        { it := x.(*pqItem); it.idx = len(*p); *p = append(*p, it) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
-
 // Shortest returns the minimum-distance route from src to dst, or ok=false
 // when unreachable.
 func (g *Graph) Shortest(src, dst string) (Route, bool) {
-	dists, prev := g.dijkstra(src, dst)
-	d, ok := dists[dst]
-	if !ok {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	s, okS := g.ids[src]
+	d, okD := g.ids[dst]
+	if !okS || !okD {
 		return Route{}, false
 	}
-	var points []string
-	for cur := dst; ; cur = prev[cur] {
-		points = append(points, cur)
-		if cur == src {
-			break
-		}
+	sr := searches.Get().(*search)
+	defer searches.Put(sr)
+	sr.run(g, s, func(p int32) bool { return p != d })
+	if !sr.done[d] {
+		return Route{}, false
 	}
-	for i, j := 0, len(points)-1; i < j; i, j = i+1, j-1 {
-		points[i], points[j] = points[j], points[i]
-	}
-	return Route{Points: points, Dist: d}, true
+	return sr.route(g, d), true
 }
 
 // Distances returns shortest distances from src to every reachable node.
 func (g *Graph) Distances(src string) map[string]float64 {
-	dists, _ := g.dijkstra(src, "")
-	return dists
-}
-
-// dijkstra runs from src; when target is non-empty it stops early on
-// settling the target.
-func (g *Graph) dijkstra(src, target string) (map[string]float64, map[string]string) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	dists := map[string]float64{}
-	prev := map[string]string{}
-	if _, ok := g.adj[src]; !ok {
-		return dists, prev
+	out := map[string]float64{}
+	s, ok := g.ids[src]
+	if !ok {
+		return out
 	}
-	settled := map[string]bool{}
-	q := &pq{}
-	heap.Push(q, &pqItem{node: src, dist: 0})
-	dists[src] = 0
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		if settled[it.node] {
-			continue
-		}
-		settled[it.node] = true
-		if target != "" && it.node == target {
-			return dists, prev
-		}
-		for nb, w := range g.adj[it.node] {
-			nd := it.dist + w
-			if cur, ok := dists[nb]; !ok || nd < cur {
-				dists[nb] = nd
-				prev[nb] = it.node
-				heap.Push(q, &pqItem{node: nb, dist: nd})
-			}
-		}
-	}
-	return dists, prev
+	sr := searches.Get().(*search)
+	defer searches.Put(sr)
+	sr.run(g, s, func(p int32) bool {
+		out[g.names[p]] = sr.dist[p]
+		return true
+	})
+	return out
 }
 
 // Nearest returns the reachable destination among candidates with the
-// smallest distance from src, with its route; ok=false when none reachable.
+// smallest distance from src, with its route; among equally near ones the
+// earliest in candidates wins. ok=false when none is reachable.
 func (g *Graph) Nearest(src string, candidates []string) (string, Route, bool) {
-	dists, prev := g.dijkstra(src, "")
-	best, bestD := "", math.Inf(1)
-	for _, c := range candidates {
-		if d, ok := dists[c]; ok && d < bestD {
-			best, bestD = c, d
+	rank := make(map[string]int, len(candidates))
+	for i, c := range candidates {
+		if _, dup := rank[c]; !dup {
+			rank[c] = i
 		}
 	}
-	if best == "" {
-		return "", Route{}, false
-	}
-	var points []string
-	for cur := best; ; cur = prev[cur] {
-		points = append(points, cur)
-		if cur == src {
-			break
+	best := len(candidates)
+	return g.NearestWhere(src, func(p string) bool {
+		if r, ok := rank[p]; ok && r < best {
+			best = r
+			return true
 		}
-	}
-	for i, j := 0, len(points)-1; i < j; i, j = i+1, j-1 {
-		points[i], points[j] = points[j], points[i]
-	}
-	return best, Route{Points: points, Dist: bestD}, true
+		return false
+	})
 }
 
-// FloydWarshall computes all-pairs shortest distances; the reference
-// implementation used by property tests (O(n³), small graphs only).
-func (g *Graph) FloydWarshall() map[string]map[string]float64 {
+// NearestWhere searches outward from src for the nearest point that accept
+// takes. accept sees each point at most once, in the order the search
+// settles them (distance, then id); once it has taken a point at distance
+// d, it sees the rest of the points at d and none farther. The route goes
+// to the last point it took, so a caller that breaks ties among equally
+// near points its own way takes a point only when it beats the one taken
+// before. accept runs under the graph's read lock and must not call the
+// graph. ok=false when accept takes no reachable point.
+func (g *Graph) NearestWhere(src string, accept func(point string) bool) (string, Route, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	nodes := make([]string, 0, len(g.adj))
-	for n := range g.adj {
-		nodes = append(nodes, n)
+	s, ok := g.ids[src]
+	if !ok {
+		return "", Route{}, false
 	}
-	d := map[string]map[string]float64{}
-	for _, a := range nodes {
-		d[a] = map[string]float64{a: 0}
-		for b, w := range g.adj[a] {
-			if cur, ok := d[a][b]; !ok || w < cur {
-				d[a][b] = w
+	sr := searches.Get().(*search)
+	defer searches.Put(sr)
+	best := int32(-1)
+	sr.run(g, s, func(p int32) bool {
+		if best >= 0 && sr.dist[p] > sr.dist[best] {
+			return false
+		}
+		if accept(g.names[p]) {
+			best = p
+		}
+		return true
+	})
+	if best < 0 {
+		return "", Route{}, false
+	}
+	return g.names[best], sr.route(g, best), true
+}
+
+// search is one search's working state over a graph's ids, pooled so that
+// a search allocates nothing but what it returns.
+type search struct {
+	dist []float64
+	prev []int32 // the point a route arrives from; -1 at the source
+	done []bool  // settled
+	heap []entry // a binary min-heap by (d, p)
+}
+
+type entry struct {
+	d float64
+	p int32
+}
+
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// run settles the points reachable from src in order of distance, equal
+// distances lowest id first, and calls visit with each settled point; it
+// stops when visit returns false. dist, prev and done then describe every
+// point settled so far. g.mu is held for reading.
+func (s *search) run(g *Graph, src int32, visit func(p int32) bool) {
+	n := len(g.names)
+	s.dist, s.prev, s.done = resize(s.dist, n), resize(s.prev, n), resize(s.done, n)
+	for i := range n {
+		s.dist[i], s.prev[i], s.done[i] = math.Inf(1), -1, false
+	}
+	s.dist[src] = 0
+	s.heap = append(s.heap[:0], entry{0, src})
+	for len(s.heap) > 0 {
+		e := s.pop()
+		if s.done[e.p] {
+			continue
+		}
+		s.done[e.p] = true
+		if !visit(e.p) {
+			return
+		}
+		for _, ed := range g.out[e.p] {
+			if d := e.d + ed.w; d < s.dist[ed.to] {
+				s.dist[ed.to], s.prev[ed.to] = d, e.p
+				s.push(entry{d, ed.to})
 			}
 		}
 	}
-	for _, k := range nodes {
-		for _, i := range nodes {
-			dik, ok := d[i][k]
-			if !ok {
-				continue
-			}
-			for _, j := range nodes {
-				if dkj, ok := d[k][j]; ok {
-					if cur, exists := d[i][j]; !exists || dik+dkj < cur {
-						d[i][j] = dik + dkj
-					}
-				}
-			}
-		}
+}
+
+// route returns the settled route to dst: the one allocation of a search.
+func (s *search) route(g *Graph, dst int32) Route {
+	n := 0
+	for p := dst; p >= 0; p = s.prev[p] {
+		n++
 	}
-	return d
+	points := make([]string, n)
+	for p := dst; p >= 0; p = s.prev[p] {
+		n--
+		points[n] = g.names[p]
+	}
+	return Route{Points: points, Dist: s.dist[dst]}
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (a entry) less(b entry) bool { return a.d < b.d || (a.d == b.d && a.p < b.p) }
+
+func (s *search) push(e entry) {
+	h := append(s.heap, e)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].less(h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	s.heap = h
+}
+
+func (s *search) pop() entry {
+	h := s.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	s.heap = h
+	return top
 }

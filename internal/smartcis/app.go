@@ -73,8 +73,9 @@ type App struct {
 	pdus       []*machines.PDU
 
 	// mu guards the physical state below. Lock order: mu before the
-	// Fleet's lock, and mu before the Beacons' lock before the Net's; it
-	// is never held across a push into a stream input.
+	// routing graph's lock before the Fleet's (Guide), and mu before the
+	// Beacons' lock before the Net's; it is never held across a push into
+	// a stream input.
 	mu        sync.Mutex
 	roomLight map[string]bool         // lights on?
 	occupied  map[string]map[int]bool // room -> desk -> seated

@@ -181,13 +181,19 @@ func (a *App) FreeMachines(need string) []FreeMachine {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.Fleet.Each(func(m *machines.Machine) bool { // name order
-		if !m.Off && matches(need, m.Software[0]) &&
-			a.roomLight[m.Room] && !a.occupied[m.Room][m.Desk] {
+		if a.freeLocked(m, need) {
 			out = append(out, FreeMachine{Name: m.Name, Room: m.Room, Desk: m.Desk})
 		}
 		return true
 	})
 	return out
+}
+
+// freeLocked is the one rule for offering a machine to a visitor: it is
+// powered, its capability pattern matches need, its room is lit and its
+// seat is unoccupied. a.mu is held.
+func (a *App) freeLocked(m *machines.Machine, need string) bool {
+	return !m.Off && matches(need, m.Software[0]) && a.roomLight[m.Room] && !a.occupied[m.Room][m.Desk]
 }
 
 // Guidance is a route to a recommended machine.
@@ -197,29 +203,41 @@ type Guidance struct {
 }
 
 // Guide locates the visitor and routes them to the nearest free machine
-// with the needed capability (§4's demo flow).
+// with the needed capability (§4's demo flow). The search goes outward from
+// the visitor and stops at the nearest rooms with a free machine; among
+// equally near rooms, the one holding the lowest-named free machine wins,
+// and that machine is offered.
 func (a *App) Guide(visitor, need string) (*Guidance, error) {
 	at, ok := a.LocateVisitor(visitor)
 	if !ok {
 		return nil, fmt.Errorf("smartcis: cannot locate %q (no reader hears the badge)", visitor)
+	}
+	var best FreeMachine
+	found := false
+	a.mu.Lock()
+	_, route, ok := a.Building.Graph().NearestWhere(at, func(room string) bool {
+		better := false
+		a.Fleet.EachInRoom(room, func(m *machines.Machine) bool {
+			if (!found || m.Name < best.Name) && a.freeLocked(m, need) {
+				best, found, better = FreeMachine{Name: m.Name, Room: m.Room, Desk: m.Desk}, true, true
+			}
+			return true
+		})
+		return better
+	})
+	a.mu.Unlock()
+	if ok {
+		return &Guidance{Machine: best, Route: route}, nil
 	}
 	frees := a.FreeMachines(need)
 	if len(frees) == 0 {
 		return nil, fmt.Errorf("smartcis: no free machine matches %q", need)
 	}
 	rooms := make([]string, len(frees))
-	byRoom := map[string]FreeMachine{}
 	for i, f := range frees {
 		rooms[i] = f.Room
-		if _, dup := byRoom[f.Room]; !dup {
-			byRoom[f.Room] = f
-		}
 	}
-	dest, route, ok := a.Building.Graph().Nearest(at, rooms)
-	if !ok {
-		return nil, fmt.Errorf("smartcis: no route from %s to any of %v", at, rooms)
-	}
-	return &Guidance{Machine: byRoom[dest], Route: route}, nil
+	return nil, fmt.Errorf("smartcis: no route from %s to any of %v", at, rooms)
 }
 
 func matches(need, pattern string) bool {

@@ -1,6 +1,7 @@
 package smartcis
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -324,6 +325,35 @@ func BenchmarkAppReading(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if v, ok := app.Reading(mote, sensornet.SensorTemperature, 0); !ok || v < 30 {
 			b.Fatal("reading", v, ok)
+		}
+	}
+}
+
+// BenchmarkGuide measures one visitor request on the benchmark's building:
+// the visitor stands mid-hallway with the nearest labs dark, so the search
+// walks several hallway points before it finds a free machine.
+func BenchmarkGuide(b *testing.B) {
+	app, err := New(Options{
+		Building:       building.GenConfig{Labs: 32, DesksPerLab: 8, Offices: 16, HallSpacing: 100},
+		Seed:           1,
+		SkipPDUServers: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer app.Close()
+	app.VisitorArrives("alice")
+	if err := app.MoveVisitorTo("alice", "hall16"); err != nil {
+		b.Fatal(err)
+	}
+	for lab := 113; lab <= 119; lab++ {
+		app.SetRoomLights(fmt.Sprintf("L%d", lab), false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := app.Guide("alice", "fedora linux"); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
