@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt check bench bench-check tables-check allocs push-check
+.PHONY: all build test vet fmt check bench bench-check tables-check allocs push-check deadcode
 
 all: check
 
@@ -16,7 +16,7 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt push-check test bench-check tables-check allocs
+check: build vet fmt push-check deadcode test bench-check tables-check allocs
 
 # bench-check vets and tests the repository benchmark, a module of its own
 # under bench/ that ./... at the root does not reach; mirrored by the CI
@@ -59,6 +59,15 @@ allocs:
 push-check:
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Push(' internal cmd | grep -v 'heap\.Push(')"; \
 	if [ -n "$$out" ]; then echo "make $@: Push calls outside tests (use PushBatch, or a stream.Slot for one row):"; echo "$$out"; exit 1; fi
+
+# deadcode type-checks every package of both modules (the root and bench/)
+# and fails on a declaration that no program reaches — no main or init of a
+# main package, no package-level variable initializer, no exported name of
+# the root package — unless cmd/deadcode/allow.txt lists it with a reason,
+# and on an allowlist line that is stale or gives no reason, so the list
+# only shrinks. Mirrored by the CI build-and-test job.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 # bench runs the microbenchmarks with allocation stats where they live —
 # the paper experiments' at the root, the join+aggregate shard sweep

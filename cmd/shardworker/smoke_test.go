@@ -2,7 +2,6 @@ package main
 
 import (
 	"os/exec"
-	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -36,10 +35,8 @@ func TestBuildHosts(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		got := hosts.Sources()
-		slices.Sort(got)
-		if !slices.Equal(got, c.sources) || (c.sources == nil) != (hosts == nil) {
-			t.Errorf("%s: hosts %v serve %v, want %v", c.name, hosts, got, c.sources)
+		if (c.sources == nil) != (hosts == nil) {
+			t.Errorf("%s: hosts %v, want %v", c.name, hosts, c.sources)
 		}
 		for _, src := range c.sources {
 			if e, _ := hosts.Engine(src); e == nil {

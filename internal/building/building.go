@@ -57,11 +57,6 @@ type Room struct {
 // Center returns the room's center point.
 func (r *Room) Center() (float64, float64) { return r.X + r.W/2, r.Y + r.H/2 }
 
-// Contains reports whether the point lies inside the room's box.
-func (r *Room) Contains(x, y float64) bool {
-	return x >= r.X && x <= r.X+r.W && y >= r.Y && y <= r.Y+r.H
-}
-
 // Point is a named routing point with coordinates.
 type Point struct {
 	Name string
@@ -236,16 +231,6 @@ func (b *Building) Point(name string) (Point, bool) {
 	return p, ok
 }
 
-// Room looks up a room by name.
-func (b *Building) Room(name string) (*Room, bool) {
-	for i := range b.Rooms {
-		if b.Rooms[i].Name == name {
-			return &b.Rooms[i], true
-		}
-	}
-	return nil, false
-}
-
 // Labs returns the lab rooms sorted by name.
 func (b *Building) Labs() []*Room {
 	var out []*Room
@@ -255,30 +240,6 @@ func (b *Building) Labs() []*Room {
 		}
 	}
 	return out
-}
-
-// DeskPosition returns the coordinates of a desk.
-func (b *Building) DeskPosition(room string, desk int) (x, y float64, ok bool) {
-	r, found := b.Room(room)
-	if !found {
-		return 0, 0, false
-	}
-	for _, d := range r.Desks {
-		if d.Num == desk {
-			return d.X, d.Y, true
-		}
-	}
-	return 0, 0, false
-}
-
-// RoomAt returns the room containing the point, if any.
-func (b *Building) RoomAt(x, y float64) (*Room, bool) {
-	for i := range b.Rooms {
-		if b.Rooms[i].Contains(x, y) {
-			return &b.Rooms[i], true
-		}
-	}
-	return nil, false
 }
 
 // NearestPoint returns the routing point closest to the coordinates; used

@@ -1,9 +1,8 @@
 // Package catalog implements ASPEN's Source & Device Catalog (Fig. 1): the
 // registry of every data source (sensor streams, PC streams, database
-// tables, Web sources), the devices deployed in the building, the display
-// endpoints that queries can route output to, and the statistics the
-// federated optimizer needs to convert between engine cost models (network
-// diameter, sampling rates, stream rates, cardinalities).
+// tables, Web sources) and the statistics the federated optimizer needs to
+// convert between engine cost models (network diameter, sampling rates,
+// stream rates, cardinalities).
 package catalog
 
 import (
@@ -80,23 +79,6 @@ func (s *Source) Cardinality() float64 {
 	return s.Rate
 }
 
-// Device is one physical device known to the catalog. The paper's database
-// stores "the coordinates on the map of each RFID detector" — motes have no
-// built-in positioning, so positions live here.
-type Device struct {
-	ID   int
-	Kind string // "mote", "rfid-reader", "pdu", "workstation", "server"
-	Room string
-	Desk int // 0 when not on a desk
-	X, Y float64
-}
-
-// Display is a GUI endpoint that OUTPUT TO can route results to.
-type Display struct {
-	Name string
-	Room string // virtual mapping of a laptop to a building position
-}
-
 // Stats holds the global federation statistics used to unify cost models.
 type Stats struct {
 	// NetworkDiameter is the sensor network diameter in hops.
@@ -123,22 +105,18 @@ func DefaultStats() Stats {
 // Catalog is the source & device catalog. All methods are safe for
 // concurrent use.
 type Catalog struct {
-	mu       sync.RWMutex
-	sources  map[string]*Source
-	views    map[string]*sql.CreateView
-	devices  map[int]Device
-	displays map[string]Display
-	stats    Stats
+	mu      sync.RWMutex
+	sources map[string]*Source
+	views   map[string]*sql.CreateView
+	stats   Stats
 }
 
 // New returns an empty catalog with default statistics.
 func New() *Catalog {
 	return &Catalog{
-		sources:  map[string]*Source{},
-		views:    map[string]*sql.CreateView{},
-		devices:  map[int]Device{},
-		displays: map[string]Display{},
-		stats:    DefaultStats(),
+		sources: map[string]*Source{},
+		views:   map[string]*sql.CreateView{},
+		stats:   DefaultStats(),
 	}
 }
 
@@ -208,55 +186,6 @@ func (c *Catalog) View(name string) (*sql.CreateView, bool) {
 	defer c.mu.RUnlock()
 	v, ok := c.views[strings.ToLower(name)]
 	return v, ok
-}
-
-// DropView removes a view if present.
-func (c *Catalog) DropView(name string) {
-	c.mu.Lock()
-	delete(c.views, strings.ToLower(name))
-	c.mu.Unlock()
-}
-
-// RegisterDevice adds or replaces a device record.
-func (c *Catalog) RegisterDevice(d Device) {
-	c.mu.Lock()
-	c.devices[d.ID] = d
-	c.mu.Unlock()
-}
-
-// Device looks up a device by ID.
-func (c *Catalog) Device(id int) (Device, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.devices[id]
-	return d, ok
-}
-
-// Devices returns all devices sorted by ID.
-func (c *Catalog) Devices() []Device {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Device, 0, len(c.devices))
-	for _, d := range c.devices {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// RegisterDisplay adds a display endpoint.
-func (c *Catalog) RegisterDisplay(d Display) {
-	c.mu.Lock()
-	c.displays[strings.ToLower(d.Name)] = d
-	c.mu.Unlock()
-}
-
-// Display resolves a display by name.
-func (c *Catalog) Display(name string) (Display, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.displays[strings.ToLower(name)]
-	return d, ok
 }
 
 // Stats returns the federation statistics.

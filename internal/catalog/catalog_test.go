@@ -9,6 +9,16 @@ import (
 	"aspen/internal/sql"
 )
 
+// mustView parses a CREATE VIEW statement.
+func mustView(t *testing.T, src string) *sql.CreateView {
+	t.Helper()
+	st, err := sql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*sql.CreateView)
+}
+
 func tempSource() *Source {
 	return &Source{
 		Name: "Temperature",
@@ -49,7 +59,7 @@ func TestSourceRegistry(t *testing.T) {
 
 func TestViewRegistry(t *testing.T) {
 	c := New()
-	v := sql.MustParse(`CREATE VIEW OpenMachineInfo AS (SELECT ss.room FROM SeatSensors ss)`).(*sql.CreateView)
+	v := mustView(t, `CREATE VIEW OpenMachineInfo AS (SELECT ss.room FROM SeatSensors ss)`)
 	if err := c.AddView(v); err != nil {
 		t.Fatal(err)
 	}
@@ -61,37 +71,13 @@ func TestViewRegistry(t *testing.T) {
 	}
 	// name clash with a source
 	c.MustAddSource(tempSource())
-	clash := sql.MustParse(`CREATE VIEW Temperature AS (SELECT t.mote FROM T t)`).(*sql.CreateView)
+	clash := mustView(t, `CREATE VIEW Temperature AS (SELECT t.mote FROM T t)`)
 	if err := c.AddView(clash); err == nil {
 		t.Fatal("view/source clash accepted")
 	}
 	if err := c.AddSource(&Source{Name: "OpenMachineInfo",
 		Schema: data.NewSchema("OpenMachineInfo", data.Col("room", data.TString))}); err == nil {
 		t.Fatal("source/view clash accepted")
-	}
-	c.DropView("OpenMachineInfo")
-	if _, ok := c.View("OpenMachineInfo"); ok {
-		t.Fatal("DropView failed")
-	}
-}
-
-func TestDevicesAndDisplays(t *testing.T) {
-	c := New()
-	c.RegisterDevice(Device{ID: 3, Kind: "mote", Room: "H1", X: 1, Y: 2})
-	c.RegisterDevice(Device{ID: 1, Kind: "pdu", Room: "L101"})
-	if d, ok := c.Device(3); !ok || d.Room != "H1" {
-		t.Fatalf("Device(3) = %+v %t", d, ok)
-	}
-	if _, ok := c.Device(99); ok {
-		t.Fatal("phantom device")
-	}
-	ds := c.Devices()
-	if len(ds) != 2 || ds[0].ID != 1 {
-		t.Fatalf("Devices = %v", ds)
-	}
-	c.RegisterDisplay(Display{Name: "LobbyScreen", Room: "Lobby"})
-	if d, ok := c.Display("lobbyscreen"); !ok || d.Room != "Lobby" {
-		t.Fatalf("Display = %+v %t", d, ok)
 	}
 }
 

@@ -272,7 +272,7 @@ func TestRemoteSensorFragmentRescaleKeepsLocality(t *testing.T) {
 
 	_, more := newSensorWorkers(t, 1, "light")
 	grown := append(append([]string{}, nodes...), more...)
-	if err := pq.Rescale(grown); err != nil {
+	if err := prt.coord.Rescale(pq.Name(), grown); err != nil {
 		t.Fatal(err)
 	}
 	addrs, affinity, err := plan.ParseNodes(grown)
@@ -374,7 +374,7 @@ func fragRestartSnapshot(t *testing.T, path string) []string {
 		t.Fatalf("snapshot skipped %v; a fragment deployment must be captured", skipped)
 	}
 	// The restart: nothing of the first process survives but the file.
-	rt.Coordinator().Close()
+	rt.coord.Close()
 	rt.Close()
 	for _, w := range workers {
 		w.Close()
@@ -505,8 +505,8 @@ func TestFragmentSnapshotRestartCentralFallback(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"light"`) {
 		t.Fatalf("restore error = %v, want one naming the unhosted source light", err)
 	}
-	if len(qs) != 0 || len(rt.Coordinator().Names()) != 0 {
-		t.Fatalf("a failed restore left queries deployed: %d returned, coordinator has %v", len(qs), rt.Coordinator().Names())
+	if len(qs) != 0 || len(rt.coord.Names()) != 0 {
+		t.Fatalf("a failed restore left queries deployed: %d returned, coordinator has %v", len(qs), rt.coord.Names())
 	}
 }
 
@@ -530,7 +530,7 @@ func TestFailedRestoreLeavesNothingDeployed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q2, _ := rt.Coordinator().Deployment("q2"); q2 == nil {
+	if q2, _ := rt.coord.Deployment("q2"); q2 == nil {
 		t.Fatal("the fragment query is not q2")
 	}
 	sched.RunUntil(3 * vtime.Second)
@@ -547,7 +547,7 @@ func TestFailedRestoreLeavesNothingDeployed(t *testing.T) {
 	if _, _, err := rt2.RestoreSnapshot(); err == nil {
 		t.Fatal("restoring a fragment query without a sensor engine must fail")
 	}
-	if names := rt2.Coordinator().Names(); len(names) != 0 {
+	if names := rt2.coord.Names(); len(names) != 0 {
 		t.Fatalf("a failed restore left %v deployed", names)
 	}
 	after, err := os.ReadFile(path)

@@ -87,7 +87,7 @@ func TestRecursiveStopDetachesView(t *testing.T) {
 	rt := newRoutingRuntime(t, "")
 	before := subscribers(rt)
 	q := rt.MustRun(lobbyRoutes)
-	if names := rt.Coordinator().Names(); !slices.Equal(names, []string{q.Name()}) || q.Name() != "q1" {
+	if names := rt.coord.Names(); !slices.Equal(names, []string{q.Name()}) || q.Name() != "q1" {
 		t.Fatalf("running: coordinator tracks %v, query is named %q; want [q1]", names, q.Name())
 	}
 	if during := subscribers(rt); during == before {
@@ -97,7 +97,7 @@ func TestRecursiveStopDetachesView(t *testing.T) {
 	if after := subscribers(rt); after != before {
 		t.Fatalf("subscribers after Stop %v, before Run %v", after, before)
 	}
-	if names := rt.Coordinator().Names(); len(names) != 0 || q.Name() != "" {
+	if names := rt.coord.Names(); len(names) != 0 || q.Name() != "" {
 		t.Fatalf("stopped: coordinator tracks %v, query is named %q", names, q.Name())
 	}
 
@@ -122,7 +122,7 @@ func TestRecursiveFailureTearsBodyDown(t *testing.T) {
 	if n := subscribers(rt); n != [2]int{} {
 		t.Fatalf("failed statement left subscribers %v on [RoutingPoints paths]", n)
 	}
-	if names := rt.Coordinator().Names(); len(names) != 0 {
+	if names := rt.coord.Names(); len(names) != 0 {
 		t.Fatalf("failed statement left %v tracked", names)
 	}
 	if q := rt.MustRun(lobbyRoutes); q.Name() != "q2" {

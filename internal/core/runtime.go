@@ -180,16 +180,6 @@ func (q *Query) Stop() {
 	q.name = ""
 }
 
-// Rescale moves this query's sharded deployment onto a new worker
-// topology (see plan.Deployment.Rescale): live re-sharding when workers
-// join or leave, and heal-back after a failover once the worker rejoins.
-func (q *Query) Rescale(nodes []string) error {
-	if q.name == "" {
-		return fmt.Errorf("core: statement %q has no live deployment to rescale", q.SQL)
-	}
-	return q.rt.coord.Rescale(q.name, nodes)
-}
-
 // Run parses and deploys one StreamSQL statement.
 func (rt *Runtime) Run(sqlText string) (*Query, error) {
 	stmt, err := sql.Parse(sqlText)
@@ -274,10 +264,6 @@ func (rt *Runtime) loadTables(dep *plan.Deployment) {
 		th.Load(rows)
 	}
 }
-
-// Coordinator exposes the coordinator owning every running SELECT and WITH
-// RECURSIVE statement (durable with Config.SnapshotPath).
-func (rt *Runtime) Coordinator() *plan.Coordinator { return rt.coord }
 
 // Sharing exposes the multi-query sharing registry (nil without
 // Config.SharedPrefixes) — tests and ops inspect live chain counts.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"slices"
 	"strings"
 )
 
@@ -57,12 +56,6 @@ func KeyPrefix(vals []Value) uint64 {
 		copy(b[:], append(vals[0].AppendKey(buf[:0]), '|'))
 	}
 	return binary.BigEndian.Uint64(b[:])
-}
-
-// SortByKey sorts ts by canonical key (CompareKeys), the order
-// sort.Slice(ts, ts[i].Key() < ts[j].Key()) gives.
-func SortByKey(ts []Tuple) {
-	slices.SortFunc(ts, func(a, b Tuple) int { return CompareKeys(a.Vals, b.Vals) })
 }
 
 // keyTag is the first byte of a value's unit.

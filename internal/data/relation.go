@@ -47,23 +47,6 @@ func (r *Relation) MustInsert(vals ...Value) {
 	}
 }
 
-// Delete removes all rows with values equal to t's, returning the count.
-func (r *Relation) Delete(t Tuple) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	out := r.rows[:0]
-	for _, row := range r.rows {
-		if row.EqualVals(t) {
-			n++
-			continue
-		}
-		out = append(out, row)
-	}
-	r.rows = out
-	return n
-}
-
 // Len returns the row count.
 func (r *Relation) Len() int {
 	r.mu.RLock()
@@ -82,15 +65,4 @@ func (r *Relation) Scan(fn func(Tuple) bool) {
 			return
 		}
 	}
-}
-
-// Rows returns a deep copy of all rows.
-func (r *Relation) Rows() []Tuple {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Tuple, len(r.rows))
-	for i, row := range r.rows {
-		out[i] = row.Clone()
-	}
-	return out
 }

@@ -71,15 +71,6 @@ func (s *Schema) ColIndex(ref string) (int, error) {
 	return found, nil
 }
 
-// MustColIndex is ColIndex for schemas known statically; it panics on error.
-func (s *Schema) MustColIndex(ref string) int {
-	i, err := s.ColIndex(ref)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
 // HasCol reports whether ref resolves in this schema.
 func (s *Schema) HasCol(ref string) bool {
 	_, err := s.ColIndex(ref)
@@ -125,19 +116,6 @@ func (s *Schema) Project(idx []int) *Schema {
 		out.Cols[i] = s.Cols[j]
 	}
 	return out
-}
-
-// Equal reports structural equality of schemas (names, relations, types).
-func (s *Schema) Equal(o *Schema) bool {
-	if len(s.Cols) != len(o.Cols) || s.IsStream != o.IsStream {
-		return false
-	}
-	for i := range s.Cols {
-		if s.Cols[i] != o.Cols[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the schema for diagnostics.

@@ -13,12 +13,22 @@ func seatSensors() *Schema {
 	)
 }
 
+// colIndex is ColIndex for a reference that must resolve.
+func colIndex(t *testing.T, s *Schema, ref string) int {
+	t.Helper()
+	i, err := s.ColIndex(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return i
+}
+
 func TestSchemaColIndex(t *testing.T) {
 	s := seatSensors()
-	if i := s.MustColIndex("desk"); i != 1 {
+	if i := colIndex(t, s, "desk"); i != 1 {
 		t.Fatalf("desk index = %d", i)
 	}
-	if i := s.MustColIndex("ss.room"); i != 0 {
+	if i := colIndex(t, s, "ss.room"); i != 0 {
 		t.Fatalf("ss.room index = %d", i)
 	}
 	if _, err := s.ColIndex("nope"); err == nil {
@@ -28,7 +38,7 @@ func TestSchemaColIndex(t *testing.T) {
 		t.Fatal("expected error for wrong qualifier")
 	}
 	// case-insensitive resolution
-	if i := s.MustColIndex("SS.ROOM"); i != 0 {
+	if i := colIndex(t, s, "SS.ROOM"); i != 0 {
 		t.Fatalf("case-insensitive index = %d", i)
 	}
 }
@@ -38,10 +48,10 @@ func TestSchemaAmbiguity(t *testing.T) {
 	if _, err := j.ColIndex("room"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("want ambiguity error, got %v", err)
 	}
-	if i := j.MustColIndex("sa.room"); i != 3 {
+	if i := colIndex(t, j, "sa.room"); i != 3 {
 		t.Fatalf("sa.room = %d", i)
 	}
-	if i := j.MustColIndex("desk"); i != 1 {
+	if i := colIndex(t, j, "desk"); i != 1 {
 		t.Fatalf("desk still unambiguous: %d", i)
 	}
 }
@@ -58,19 +68,8 @@ func TestSchemaRenameAndProject(t *testing.T) {
 }
 
 func TestSchemaEqualAndString(t *testing.T) {
-	a, b := seatSensors(), seatSensors()
-	if !a.Equal(b) {
-		t.Fatal("identical schemas not Equal")
-	}
-	b.Cols[0].Type = TInt
-	if a.Equal(b) {
-		t.Fatal("different schemas Equal")
-	}
-	b2 := seatSensors()
+	a, b2 := seatSensors(), seatSensors()
 	b2.IsStream = true
-	if a.Equal(b2) {
-		t.Fatal("stream flag ignored by Equal")
-	}
 	if !strings.Contains(b2.String(), "[stream]") {
 		t.Fatalf("String misses stream flag: %s", b2)
 	}
@@ -103,11 +102,7 @@ func TestTupleOps(t *testing.T) {
 	if n.Op != Delete || a.Negate().Negate().Op != Insert {
 		t.Fatal("Negate broken")
 	}
-	p := c.Project([]int{2, 0})
-	if !p.Vals[0].AsBool() || p.Vals[1].AsInt() != 1 {
-		t.Fatalf("Project = %v", p)
-	}
-	if p.String() == "" || n.String()[0] != '-' {
+	if c.String() == "" || n.String()[0] != '-' {
 		t.Fatal("String rendering broken")
 	}
 }
@@ -159,16 +154,10 @@ func TestRelationBasics(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("Scan early-exit failed, count = %d", count)
 	}
-	if n := r.Delete(NewTuple(0, Str("L101"), Int(2), Str("busy"))); n != 1 {
-		t.Fatalf("Delete = %d", n)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len after delete = %d", r.Len())
-	}
-	rows := r.Rows()
-	SortByKey(rows)
-	if len(rows) != 2 || rows[0].Vals[0].AsString() != "L101" {
-		t.Fatalf("sorted rows = %v", rows)
+	var rows []Tuple
+	r.Scan(func(tu Tuple) bool { rows = append(rows, tu); return true })
+	if len(rows) != 3 || rows[1].Vals[1].AsInt() != 2 {
+		t.Fatalf("rows = %v", rows)
 	}
 }
 
@@ -179,7 +168,10 @@ func TestRelationScanIsolation(t *testing.T) {
 		tu.Vals[0] = Int(99) // mutating the copy must not affect the relation
 		return true
 	})
-	if r.Rows()[0].Vals[0].AsInt() != 7 {
-		t.Fatal("Scan leaked internal storage")
-	}
+	r.Scan(func(tu Tuple) bool {
+		if tu.Vals[0].AsInt() != 7 {
+			t.Fatal("Scan leaked internal storage")
+		}
+		return true
+	})
 }

@@ -82,15 +82,6 @@ func (t Tuple) ConcatInto(dst []Value, o Tuple) Tuple {
 	return Tuple{Vals: vals, TS: ts, Op: op}
 }
 
-// Project returns a tuple with the values at the given indexes.
-func (t Tuple) Project(idx []int) Tuple {
-	vals := make([]Value, len(idx))
-	for i, j := range idx {
-		vals[i] = t.Vals[j]
-	}
-	return Tuple{Vals: vals, TS: t.TS, Op: t.Op}
-}
-
 // EqualVals reports positional SQL equality of values (ignores TS and Op).
 // Two tuples sharing their Vals, as a window's retraction shares the
 // insertion it retracts, are equal without a look at the values. A second

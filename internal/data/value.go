@@ -85,9 +85,6 @@ func Bool(b bool) Value {
 	return Value{T: TBool}
 }
 
-// TimeVal returns a time value.
-func TimeVal(t vtime.Time) Value { return Value{T: TTime, I: int64(t)} }
-
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.T == TNull }
 

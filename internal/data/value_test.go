@@ -10,6 +10,9 @@ import (
 	"aspen/internal/vtime"
 )
 
+// TimeVal returns a time value.
+func TimeVal(t vtime.Time) Value { return Value{T: TTime, I: int64(t)} }
+
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	cases := []struct {
 		v    Value

@@ -111,22 +111,6 @@ func collectCols(e Expr, set map[string]bool) {
 	}
 }
 
-// Rels returns the sorted set of relation qualifiers referenced by e.
-// Unqualified columns contribute the empty string.
-func Rels(e Expr) []string {
-	set := map[string]bool{}
-	for _, c := range Columns(e) {
-		rel, _ := data.SplitQualified(c)
-		set[strings.ToLower(rel)] = true
-	}
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BoundBy reports whether every column in e resolves in schema.
 func BoundBy(e Expr, s *data.Schema) bool {
 	for _, c := range Columns(e) {
@@ -217,14 +201,6 @@ func Substitute(e Expr, mapping map[string]Expr) Expr {
 		return Call{Name: x.Name, Args: args}
 	}
 	return e
-}
-
-// Equal reports structural equality of expression trees.
-func Equal(a, b Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.String() == b.String()
 }
 
 // Selectivity gives a crude textbook selectivity estimate for a conjunct,

@@ -157,9 +157,3 @@ func L(v any) Lit {
 
 // C builds a column reference.
 func C(ref string) Col { return Col{Ref: ref} }
-
-// Eq builds l = r.
-func Eq(l, r Expr) Bin { return Bin{Op: OpEq, L: l, R: r} }
-
-// And conjoins two expressions.
-func And(l, r Expr) Bin { return Bin{Op: OpAnd, L: l, R: r} }

@@ -80,8 +80,10 @@ func TestCompileShardedDialRefused(t *testing.T) {
 	if err == nil {
 		t.Fatal("compile against a refused worker address must fail")
 	}
-	if len(eng.Inputs()) != 0 {
-		t.Fatalf("failed compile left inputs registered: %v", eng.Inputs())
+	for _, src := range fuzzSources() {
+		if _, ok := eng.Input(src.name); ok {
+			t.Fatalf("failed compile left input %s registered", src.name)
+		}
 	}
 }
 

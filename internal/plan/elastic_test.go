@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"aspen/internal/data"
@@ -42,6 +43,11 @@ func pushEvents(eng *stream.Engine, evs []fuzzEvent, lo, hi int) {
 	}
 }
 
+// sortByKey sorts ts by canonical key, the order snapshots keep.
+func sortByKey(ts []data.Tuple) {
+	slices.SortFunc(ts, func(a, b data.Tuple) int { return data.CompareKeys(a.Vals, b.Vals) })
+}
+
 // snapshotSorted flushes and returns the deployment's rows sorted.
 func snapshotSorted(t *testing.T, dep *Deployment) []data.Tuple {
 	t.Helper()
@@ -49,7 +55,7 @@ func snapshotSorted(t *testing.T, dep *Deployment) []data.Tuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data.SortByKey(rows)
+	sortByKey(rows)
 	return rows
 }
 

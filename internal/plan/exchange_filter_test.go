@@ -288,8 +288,8 @@ func TestShardedSelectionDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data.SortByKey(want)
-			data.SortByKey(got)
+			sortByKey(want)
+			sortByKey(got)
 			if !slices.EqualFunc(got, want, data.Tuple.EqualVals) {
 				t.Fatalf("seed %d plan %d, tick at event %d (rescale@%d, kill@%d): %d rows, want %d\nplan: %s\ngot:  %v\nwant: %v",
 					seed, pi, i, rescaleAt, killAt, len(got), len(want), root, got, want)

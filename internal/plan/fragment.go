@@ -201,18 +201,6 @@ func (h *SensorHosts) Engine(source string) (*sensor.Engine, bool) {
 	return e, ok
 }
 
-// Sources lists the registered source names (unordered).
-func (h *SensorHosts) Sources() []string {
-	if h == nil {
-		return nil
-	}
-	out := make([]string, 0, len(h.m))
-	for k := range h.m {
-		out = append(out, k)
-	}
-	return out
-}
-
 // engineFor resolves the single engine hosting every source of the named
 // fragment.
 func (h *SensorHosts) engineFor(name string, sources []string) (*sensor.Engine, error) {

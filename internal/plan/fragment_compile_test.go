@@ -415,9 +415,6 @@ func TestFragmentPeriodDefaults(t *testing.T) {
 // missing sources, fragments spanning engines, bad wire predicates,
 // unknown scans and kinds.
 func TestSensorHostsResolutionErrors(t *testing.T) {
-	if (*SensorHosts)(nil).Sources() != nil {
-		t.Fatal("nil registry must list no sources")
-	}
 	if _, ok := (*SensorHosts)(nil).Engine("light"); ok {
 		t.Fatal("nil registry must host nothing")
 	}
@@ -434,8 +431,8 @@ func TestSensorHostsResolutionErrors(t *testing.T) {
 	split := NewSensorHosts()
 	split.Add("temperature", mkEngine())
 	split.Add("light", mkEngine())
-	if got := len(split.Sources()); got != 2 {
-		t.Fatalf("Sources lists %d entries, want 2", got)
+	if got := len(split.m); got != 2 {
+		t.Fatalf("the registry holds %d sources, want 2", got)
 	}
 	sink := &collectOp{schema: sensor.ReadingSchema("l")}
 	heads := map[string]stream.Operator{"s0": sink}

@@ -175,9 +175,9 @@ func TestAlignedWithTicks(t *testing.T) {
 	}{
 		{sec, sec, 0, true},
 		{2 * sec, sec, 0, true},
-		{sec, 2 * sec, 0, false},                               // epochs between ticks
-		{700 * time.Millisecond, sec, 0, false},                // never on a tick
-		{sec, sec, vtime.Time(500 * vtime.Millisecond), false}, // deploy off-tick
+		{sec, 2 * sec, 0, false},                // epochs between ticks
+		{700 * time.Millisecond, sec, 0, false}, // never on a tick
+		{sec, sec, vtime.Second / 2, false},     // deploy off-tick
 		{sec, sec, vtime.Time(3 * vtime.Second), true},
 		{0, sec, 0, false},
 		{sec, 0, 0, false},

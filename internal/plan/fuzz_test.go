@@ -104,7 +104,7 @@ func fuzzRow(s *data.Schema, ts vtime.Time) data.Tuple {
 		case data.TBool:
 			vals[i] = data.Bool(true)
 		case data.TTime:
-			vals[i] = data.TimeVal(ts)
+			vals[i] = data.Value{T: data.TTime, I: int64(ts)}
 		}
 	}
 	return data.NewTuple(ts, vals...)

@@ -282,7 +282,7 @@ func replay(t *testing.T, dep *Deployment, eng *stream.Engine, evs []fuzzEvent) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	data.SortByKey(rows)
+	sortByKey(rows)
 	return rows
 }
 
@@ -526,7 +526,7 @@ func runChaosDifferential(t *testing.T, seed int64, nPlans int, cluster func(t *
 			if err != nil {
 				t.Fatal(err)
 			}
-			data.SortByKey(got)
+			sortByKey(got)
 			emu.Lock()
 			evCopy := append([]stream.FailoverEvent(nil), events...)
 			emu.Unlock()

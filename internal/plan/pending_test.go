@@ -241,7 +241,7 @@ func runPendingDifferential(t *testing.T, seed int64, nPlans int, remote, killCl
 			if err != nil {
 				t.Fatal(err)
 			}
-			data.SortByKey(got)
+			sortByKey(got)
 			requireEqualRows(t, fmt.Sprintf("%s: after close\nplan: %s", ctx, root), got, snapshotSorted(t, sdep))
 			coord.Close()
 		}

@@ -11,6 +11,16 @@ import (
 	"aspen/internal/vtime"
 )
 
+// mustView parses a CREATE VIEW statement.
+func mustView(t *testing.T, src string) *sql.CreateView {
+	t.Helper()
+	st, err := sql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*sql.CreateView)
+}
+
 // testCatalog registers the paper's sources: AreaSensors and SeatSensors
 // (sensor streams), Machines and Person and Route (tables).
 func testCatalog() *catalog.Catalog {
@@ -99,9 +109,9 @@ func TestBuildPushdownAndJoinOrder(t *testing.T) {
 
 func TestBuildFig1ViewInlining(t *testing.T) {
 	cat := testCatalog()
-	view := sql.MustParse(`create view OpenMachineInfo as (
+	view := mustView(t, `create view OpenMachineInfo as (
 		select ss.room, ss.desk from AreaSensors sa, SeatSensors ss
-		where sa.room = ss.room ^ sa.status = 'open' ^ ss.status = 'free')`).(*sql.CreateView)
+		where sa.room = ss.room ^ sa.status = 'open' ^ ss.status = 'free')`)
 	if err := cat.AddView(view); err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +140,11 @@ func TestBuildFig1ViewInlining(t *testing.T) {
 
 func TestBuildViewInliningNested(t *testing.T) {
 	cat := testCatalog()
-	v1 := sql.MustParse(`create view FreeSeats as (
-		select ss.room, ss.desk from SeatSensors ss where ss.status = 'free')`).(*sql.CreateView)
-	v2 := sql.MustParse(`create view OpenFree as (
+	v1 := mustView(t, `create view FreeSeats as (
+		select ss.room, ss.desk from SeatSensors ss where ss.status = 'free')`)
+	v2 := mustView(t, `create view OpenFree as (
 		select fs.room AS room from FreeSeats fs, AreaSensors sa
-		where sa.room = fs.room ^ sa.status = 'open')`).(*sql.CreateView)
+		where sa.room = fs.room ^ sa.status = 'open')`)
 	if err := cat.AddView(v1); err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +235,9 @@ func TestCostModel(t *testing.T) {
 // the free fedora machine.
 func TestCompileFig1EndToEnd(t *testing.T) {
 	cat := testCatalog()
-	view := sql.MustParse(`create view OpenMachineInfo as (
+	view := mustView(t, `create view OpenMachineInfo as (
 		select ss.room, ss.desk from AreaSensors sa, SeatSensors ss
-		where sa.room = ss.room ^ sa.status = 'open' ^ ss.status = 'free')`).(*sql.CreateView)
+		where sa.room = ss.room ^ sa.status = 'open' ^ ss.status = 'free')`)
 	if err := cat.AddView(view); err != nil {
 		t.Fatal(err)
 	}

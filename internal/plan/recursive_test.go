@@ -169,8 +169,10 @@ func TestCompileRecursiveStaysSerialAndPrivate(t *testing.T) {
 			t.Fatalf("recursive plan deployed with %d shards, want 1", dep.Shards)
 		}
 		hops, _ := cat.Source("Hops")
+		var rows []data.Tuple
+		hops.Table.Scan(func(tu data.Tuple) bool { rows = append(rows, tu); return true })
 		for _, th := range dep.TableHeads { // the base's and the edge's
-			th.Load(hops.Table.Rows())
+			th.Load(rows)
 		}
 		deps = append(deps, dep)
 	}

@@ -54,8 +54,8 @@ func TestSharedKeyDropsRepeatedConjuncts(t *testing.T) {
 	sc := NewScan("S1", "t", fuzzSources()[0].schema, nil, 10, false)
 	ge := expr.Bin{Op: expr.OpGe, L: expr.C("t.a"), R: expr.L(1)}
 	lt := expr.Bin{Op: expr.OpLt, L: expr.C("t.b"), R: expr.L(3)}
-	once, _ := canonSelection(expr.And(lt, ge), sc.Schema())
-	twice, _ := canonSelection(expr.And(ge, expr.And(ge, lt)), sc.Schema())
+	once, _ := canonSelection(expr.Bin{Op: expr.OpAnd, L: lt, R: ge}, sc.Schema())
+	twice, _ := canonSelection(expr.Bin{Op: expr.OpAnd, L: ge, R: expr.Bin{Op: expr.OpAnd, L: ge, R: lt}}, sc.Schema())
 	if once != twice || strings.Count(twice, "AND") != 1 {
 		t.Fatalf("repeated conjunct kept in the key: %q vs %q", twice, once)
 	}
@@ -65,7 +65,8 @@ func TestSharedKeyDropsRepeatedConjuncts(t *testing.T) {
 	fresh := buildAs(t, "SELECT {a}.a FROM S1 {a} [RANGE 2 SECONDS] WHERE {a}.b < 3 AND {a}.a >= 1", "t")
 	old := buildAs(t, "SELECT {a}.a FROM S1 {a} [RANGE 2 SECONDS] WHERE {a}.a >= 1", "u")
 	sel := old.Root.(*Project).In.(*Select)
-	sel.Pred = expr.And(sel.Pred, expr.And(sel.Pred, expr.Bin{Op: expr.OpLt, L: expr.C("u.b"), R: expr.L(3)}))
+	lt3 := expr.Bin{Op: expr.OpLt, L: expr.C("u.b"), R: expr.L(3)}
+	sel.Pred = expr.Bin{Op: expr.OpAnd, L: sel.Pred, R: expr.Bin{Op: expr.OpAnd, L: sel.Pred, R: lt3}}
 	var deps []*Deployment
 	for _, b := range []*Built{fresh, old} {
 		d, err := CompileStreamOpts(b, Host{Engine: eng, Sharing: s}, CompileOptions{})

@@ -166,7 +166,7 @@ func TestResultFeedCompileRule(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					data.SortByKey(want)
+					sortByKey(want)
 					requireEqualRows(t, ctx, snapshotSorted(t, dep), want)
 					nonEmpty = nonEmpty || len(want) > 0
 					if !c.deltasToo {
@@ -293,7 +293,7 @@ func runStoreLifecycle(t *testing.T) {
 				out = append(out, data.Tuple{Vals: m.row(tu)})
 			}
 		}
-		data.SortByKey(out)
+		sortByKey(out)
 		return out
 	}
 

@@ -280,7 +280,7 @@ func TestCompileStreamComputedGroupKeyShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data.SortByKey(rows)
+		sortByKey(rows)
 		return rows, dep
 	}
 

@@ -137,13 +137,6 @@ func (s *Sharing) Stats() (chains, attached int) {
 	return len(s.chains), attached
 }
 
-// Chains reports the number of live shared chains.
-func (s *Sharing) Chains() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.chains)
-}
-
 // CaptureChains snapshots the window state of every base chain, keyed by
 // the chain's canonical key. Derived layers (filter stacks) are stateless
 // and unwindowed base chains carry nothing replayable, so one entry per

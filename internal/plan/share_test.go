@@ -345,7 +345,7 @@ func TestSharedConjunctOrder(t *testing.T) {
 	host := Host{Engine: eng, Sharing: s}
 	w := &sql.WindowSpec{Kind: sql.WindowRange, Range: 5 * time.Second}
 	ge := func(col string, v int) expr.Expr { return expr.Bin{Op: expr.OpGe, L: expr.C(col), R: expr.L(v)} }
-	isS1 := expr.Eq(expr.C("s"), expr.L("s1"))
+	isS1 := expr.Bin{Op: expr.OpEq, L: expr.C("s"), R: expr.L("s1")}
 	deploy := func(alias string, pred expr.Expr) *Deployment {
 		t.Helper()
 		preds := func(*Scan) []expr.Expr { return []expr.Expr{pred} }
@@ -355,12 +355,12 @@ func TestSharedConjunctOrder(t *testing.T) {
 		}
 		return d
 	}
-	d1 := deploy("t1", expr.And(expr.And(ge("a", 2), ge("b", 1)), isS1))
-	d2 := deploy("t2", expr.And(isS1, expr.And(ge("b", 1), ge("a", 2))))
+	d1 := deploy("t1", expr.Bin{Op: expr.OpAnd, L: expr.Bin{Op: expr.OpAnd, L: ge("a", 2), R: ge("b", 1)}, R: isS1})
+	d2 := deploy("t2", expr.Bin{Op: expr.OpAnd, L: isS1, R: expr.Bin{Op: expr.OpAnd, L: ge("b", 1), R: ge("a", 2)}})
 	if chains, attached := s.Stats(); chains != 2 || attached != 2 {
 		t.Fatalf("chains=%d attached=%d, want the base and one selection layer under both queries", chains, attached)
 	}
-	d3 := deploy("t3", expr.And(ge("b", 1), ge("a", 3)))
+	d3 := deploy("t3", expr.Bin{Op: expr.OpAnd, L: ge("b", 1), R: ge("a", 3)})
 	if chains, attached := s.Stats(); chains != 3 || attached != 3 {
 		t.Fatalf("chains=%d attached=%d, want a layer of its own for the different selection", chains, attached)
 	}
@@ -389,8 +389,9 @@ func genShareJoin(rng *rand.Rand, tag string, w *sql.WindowSpec) *Built {
 		var n Node = NewScan(src.name, alias, src.schema, w, 10, false)
 		pool := []expr.Expr{
 			expr.Bin{Op: expr.OpGe, L: expr.C(alias + "." + cols[0]), R: expr.L(1)},
-			expr.And(expr.Bin{Op: expr.OpLt, L: expr.C(alias + "." + cols[1]), R: expr.L(4)},
-				expr.Bin{Op: expr.OpGe, L: expr.C(alias + "." + cols[1]), R: expr.L(0)}),
+			expr.Bin{Op: expr.OpAnd,
+				L: expr.Bin{Op: expr.OpLt, L: expr.C(alias + "." + cols[1]), R: expr.L(4)},
+				R: expr.Bin{Op: expr.OpGe, L: expr.C(alias + "." + cols[1]), R: expr.L(0)}},
 		}
 		for _, p := range pool {
 			if rng.Intn(3) == 0 {
@@ -811,7 +812,9 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 	// Pre-register S1 with a conflicting arity: ensureBase fails.
 	narrow := data.NewSchema("S1", data.Col("a", data.TInt))
 	narrow.IsStream = true
-	eng.MustRegister(src.name, narrow)
+	if _, err := eng.Register(src.name, narrow); err != nil {
+		t.Fatal(err)
+	}
 	good := expr.Bin{Op: expr.OpGe, L: expr.C("t.a"), R: expr.L(0)}
 	mismatched := &Built{Root: &Select{
 		In:   NewScan(src.name, "t", src.schema, w, 10, false),
@@ -845,8 +848,8 @@ func TestSharedAttachFailureCleanup(t *testing.T) {
 	if chains, attached := s.Stats(); chains != 0 || attached != 0 {
 		t.Fatalf("chains leaked past ensureLayer failure: %d/%d", chains, attached)
 	}
-	if s.Chains() != 0 {
-		t.Fatalf("Chains() = %d after failed attach", s.Chains())
+	if chains, _ := s.Stats(); chains != 0 {
+		t.Fatalf("%d chains after failed attach", chains)
 	}
 	if in, ok := eng.Input(src.name); ok && in.Subscribers() != 0 {
 		t.Fatalf("orphan chain still subscribed: %d heads", in.Subscribers())

@@ -97,8 +97,8 @@ func TestWireReplicaRoundtrip(t *testing.T) {
 		refHeads[1].Push(mk(i%3, i*10).Clone())
 	}
 	want := col.Snapshot()
-	data.SortByKey(want)
-	data.SortByKey(results)
+	sortByKey(want)
+	sortByKey(results)
 	if len(results) != len(want) || len(want) == 0 {
 		t.Fatalf("replica emitted %d rows, reference %d", len(results), len(want))
 	}

@@ -34,7 +34,6 @@ type Graph struct {
 	names []string // by id
 	out   [][]edge // by id: the point's edges in the order first added
 	edges int
-	rev   uint64 // bumped on mutation; lets cached routes invalidate
 }
 
 type edge struct {
@@ -75,7 +74,6 @@ func (g *Graph) AddEdge(from, to string, w float64) error {
 		g.out[f] = append(g.out[f], edge{to: t, w: w})
 		g.edges++
 	}
-	g.rev++
 	return nil
 }
 
@@ -103,7 +101,6 @@ func (g *Graph) RemoveEdge(from, to string) {
 	}
 	g.out[f] = slices.Delete(g.out[f], i, i+1)
 	g.edges--
-	g.rev++
 }
 
 // RemoveBoth deletes the edge in both directions.
@@ -112,27 +109,11 @@ func (g *Graph) RemoveBoth(a, b string) {
 	g.RemoveEdge(b, a)
 }
 
-// Nodes returns all known routing points, sorted.
-func (g *Graph) Nodes() []string {
-	g.mu.RLock()
-	out := slices.Clone(g.names)
-	g.mu.RUnlock()
-	slices.Sort(out)
-	return out
-}
-
 // Edges returns the edge count.
 func (g *Graph) Edges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.edges
-}
-
-// Version increments on every mutation.
-func (g *Graph) Version() uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.rev
 }
 
 // Route is a computed path.

@@ -1,7 +1,6 @@
 package sensornet
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
@@ -49,25 +48,6 @@ func (bf *BeaconField) Move(id int, x, y float64) {
 		b.X, b.Y = x, y
 	}
 	bf.mu.Unlock()
-}
-
-// Remove deletes a beacon (occupant left the building).
-func (bf *BeaconField) Remove(id int) {
-	bf.mu.Lock()
-	delete(bf.beacons, id)
-	bf.mu.Unlock()
-}
-
-// Beacons returns a snapshot of all beacons sorted by ID.
-func (bf *BeaconField) Beacons() []Beacon {
-	bf.mu.Lock()
-	defer bf.mu.Unlock()
-	out := make([]Beacon, 0, len(bf.beacons))
-	for _, b := range bf.beacons {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Detection is one beacon sighting by a reader mote.
@@ -134,20 +114,4 @@ func (bf *BeaconField) Locate() map[int]Detection {
 		return true
 	})
 	return best
-}
-
-// NearestReader returns the RFID mote closest to (x, y) regardless of
-// range; handy for tests and GUI hit-testing. Returns -1 when no readers.
-func (bf *BeaconField) NearestReader(x, y float64) int {
-	bestID, bestD := -1, math.Inf(1)
-	bf.net.EachWith(SensorRFID, func(n Node) bool {
-		if n.Dead {
-			return true
-		}
-		if d := dist(n.X, n.Y, x, y); d < bestD {
-			bestID, bestD = n.ID, d
-		}
-		return true
-	})
-	return bestID
 }

@@ -314,23 +314,6 @@ func (nw *Network) visit(list []*mote, fn func(Node) bool) {
 	}
 }
 
-// Neighbors returns the IDs of alive nodes in radio range of id.
-func (nw *Network) Neighbors(id int) []int {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	m := nw.findLocked(id)
-	if m == nil {
-		return nil
-	}
-	var out []int
-	for _, o := range m.adj {
-		if !o.Dead {
-			out = append(out, o.ID)
-		}
-	}
-	return out
-}
-
 // BuildTree (re)computes the collection tree: a BFS spanning tree rooted at
 // the base over alive nodes. Unreachable nodes get Hops == -1.
 func (nw *Network) BuildTree() {

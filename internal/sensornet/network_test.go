@@ -236,6 +236,23 @@ func TestMinBattery(t *testing.T) {
 	}
 }
 
+// Neighbors returns the IDs of alive nodes in radio range of id.
+func (nw *Network) Neighbors(id int) []int {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	m := nw.findLocked(id)
+	if m == nil {
+		return nil
+	}
+	var out []int
+	for _, o := range m.adj {
+		if !o.Dead {
+			out = append(out, o.ID)
+		}
+	}
+	return out
+}
+
 func TestNeighbors(t *testing.T) {
 	nw := lineNet(t, 4)
 	nbs := nw.Neighbors(1)

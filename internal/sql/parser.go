@@ -40,15 +40,6 @@ func ParseSelect(src string) (*SelectStmt, error) {
 	return sel, nil
 }
 
-// MustParse parses a statically known statement, panicking on error.
-func MustParse(src string) Statement {
-	st, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
 type parser struct {
 	src  string
 	toks []token

@@ -282,15 +282,6 @@ func TestParseSelectRejectsView(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParse("not sql")
-}
-
 // Round-trip: parse → String → parse yields an identical String.
 func TestRoundTrip(t *testing.T) {
 	queries := []string{

@@ -342,9 +342,6 @@ func NewAggregate(next Operator, in *data.Schema, groupBy []string, specs []AggS
 // Schema implements Operator.
 func (a *Aggregate) Schema() *data.Schema { return a.in }
 
-// OutSchema returns the grouped output schema.
-func (a *Aggregate) OutSchema() *data.Schema { return a.out }
-
 // Push implements Operator.
 func (a *Aggregate) Push(t data.Tuple) { a.PushBatch([]data.Tuple{t}) }
 
@@ -481,6 +478,3 @@ func (st *aggState) result(k AggKind) data.Value {
 	}
 	return data.Null
 }
-
-// Groups reports the live group count (for plan displays).
-func (a *Aggregate) Groups() int { return a.table.len() }

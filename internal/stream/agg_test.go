@@ -10,6 +10,15 @@ import (
 	"aspen/internal/vtime"
 )
 
+// Groups reports the live group count.
+func (a *Aggregate) Groups() int { return a.table.len() }
+
+// Groups reports the live group count of this shard.
+func (a *PartialAggregate) Groups() int { return a.table.len() }
+
+// Groups reports the live merged group count.
+func (f *FinalMerge) Groups() int { return f.table.len() }
+
 func newAgg(t *testing.T, groupBy []string, specs []AggSpec, having expr.Expr) (*Aggregate, *Materialize) {
 	t.Helper()
 	out, err := AggOutSchema(tempSchema(), groupBy, specs)

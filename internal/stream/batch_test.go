@@ -804,7 +804,7 @@ func TestSnapshotOrderMatchesKeySort(t *testing.T) {
 			for _, order := range orders {
 				idx := make([]int, len(order))
 				for i, o := range order {
-					idx[i] = schema.MustColIndex(o.Col)
+					idx[i] = must[int](t)(schema.ColIndex(o.Col))
 				}
 				want := cloneAll(ref)
 				sort.Slice(want, func(i, j int) bool { return snapshotLess(want[i], want[j], idx, order) })

@@ -69,7 +69,7 @@ func TestShardPoolEvictionRedialRace(t *testing.T) {
 				// the invariant under test is pool consistency, not
 				// per-operation success.
 				if err := c.Deploy(nil, g, nil); err == nil {
-					_ = c.SendBatch(g, "s0", []data.Tuple{temp(int64(i), "L1", 20)})
+					_ = c.sendFrame(g, "s0", []data.Tuple{temp(int64(i), "L1", 20)}, false, 0, false)
 					_ = c.Flush()
 				}
 				_ = c.Close()
@@ -131,10 +131,10 @@ func TestShardConnUndeploy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 20)}); err != nil {
+	if err := c.sendFrame(0, "s0", []data.Tuple{temp(1, "L1", 20)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendBatch(1, "s0", []data.Tuple{temp(2, "L2", 21)}); err != nil {
+	if err := c.sendFrame(1, "s0", []data.Tuple{temp(2, "L2", 21)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -148,10 +148,10 @@ func TestShardConnUndeploy(t *testing.T) {
 		t.Fatalf("undeploy: %v", err)
 	}
 	// The undeployed shard's input drops on the worker; shard 1 serves on.
-	if err := c.SendBatch(0, "s0", []data.Tuple{temp(3, "L1", 22)}); err != nil {
+	if err := c.sendFrame(0, "s0", []data.Tuple{temp(3, "L1", 22)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendBatch(1, "s0", []data.Tuple{temp(4, "L2", 23)}); err != nil {
+	if err := c.sendFrame(1, "s0", []data.Tuple{temp(4, "L2", 23)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Tick(vtime.Time(30 * time.Second)); err != nil {
@@ -558,8 +558,8 @@ func TestMaterializeCheckpointRoundTrip(t *testing.T) {
 		t.Helper()
 		got := matB.MustSnapshot(nil, -1)
 		want := matA.MustSnapshot(nil, -1)
-		data.SortByKey(got)
-		data.SortByKey(want)
+		sortByKey(got)
+		sortByKey(want)
 		if len(got) != len(want) {
 			t.Fatalf("%s: restored %d rows, original %d", label, len(got), len(want))
 		}

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,7 +34,7 @@ type Engine struct {
 
 // display is one registered display endpoint: the materialized view plus
 // the original-case name it was first registered under (lookups are
-// case-insensitive, listings report the registered name).
+// case-insensitive, errors report the registered name).
 type display struct {
 	name string
 	mat  *Materialize
@@ -56,9 +55,6 @@ func NewEngine(name string, clock vtime.Clock) *Engine {
 
 // Name returns the node name.
 func (e *Engine) Name() string { return e.name }
-
-// Clock returns the engine clock.
-func (e *Engine) Clock() vtime.Clock { return e.clock }
 
 // Input is a named stream entry point: a Fanout (which supplies Subscribe,
 // Unsubscribe, Subscribers, Schema and the dispatch) that also stamps zero
@@ -82,33 +78,12 @@ func (e *Engine) Register(name string, schema *data.Schema) (*Input, error) {
 	return in, nil
 }
 
-// MustRegister registers a statically known input; panics on error.
-func (e *Engine) MustRegister(name string, schema *data.Schema) *Input {
-	in, err := e.Register(name, schema)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // Input resolves a registered input by name.
 func (e *Engine) Input(name string) (*Input, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	in, ok := e.inputs[strings.ToLower(name)]
 	return in, ok
-}
-
-// Inputs lists registered input names, sorted.
-func (e *Engine) Inputs() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.inputs))
-	for _, in := range e.inputs {
-		out = append(out, in.name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Name returns the input's name.
@@ -243,16 +218,4 @@ func schemaCompatible(a, b *data.Schema) bool {
 		}
 	}
 	return true
-}
-
-// Displays lists display names as registered (original case), sorted.
-func (e *Engine) Displays() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.displays))
-	for _, d := range e.displays {
-		out = append(out, d.name)
-	}
-	sort.Strings(out)
-	return out
 }

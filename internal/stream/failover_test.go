@@ -428,8 +428,8 @@ func requireSameMat(t *testing.T, label string, gotMat, wantMat *Materialize) {
 	t.Helper()
 	got := gotMat.MustSnapshot(nil, -1)
 	want := wantMat.MustSnapshot(nil, -1)
-	data.SortByKey(got)
-	data.SortByKey(want)
+	sortByKey(got)
+	sortByKey(want)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d\ngot:  %v\nwant: %v", label, len(got), len(want), got, want)
 	}

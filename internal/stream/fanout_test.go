@@ -70,8 +70,7 @@ func TestFanoutFreshAndEmpty(t *testing.T) {
 	}
 
 	sched := vtime.NewScheduler()
-	sched.At(5*vtime.Second, func() {})
-	sched.Run() // clock at 5s so zero-TS stamping is observable below
+	sched.RunUntil(5 * vtime.Second) // clock at 5s so zero-TS stamping is observable below
 	e := NewEngine("n", sched)
 	if e.Advancers() != 0 {
 		t.Fatal("fresh engine has advancers")
@@ -238,9 +237,9 @@ func TestFanoutPushBatchAllocs(t *testing.T) {
 	f := NewFanout(in)
 	sink := &retainer{schema: in}
 	for i := 0; i < 24; i++ {
-		f.Subscribe(NewFilter(sink, expr.MustBind(expr.And(
-			expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(float64(100 + i))},
-			expr.Bin{Op: expr.OpEq, L: expr.C("g"), R: expr.L("a")}), in)))
+		f.Subscribe(NewFilter(sink, expr.MustBind(expr.Bin{Op: expr.OpAnd,
+			L: expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(float64(100 + i))},
+			R: expr.Bin{Op: expr.OpEq, L: expr.C("g"), R: expr.L("a")}}, in)))
 	}
 	batch := make([]data.Tuple, 64)
 	for i := range batch {
@@ -259,8 +258,7 @@ func TestFanoutPushBatchAllocs(t *testing.T) {
 // does) must not get the other subscribers' tuples stamped under them.
 func TestNestedInputLeavesSharedBatchAlone(t *testing.T) {
 	sched := vtime.NewScheduler()
-	sched.At(5*vtime.Second, func() {})
-	sched.Run()
+	sched.RunUntil(5 * vtime.Second)
 	e := NewEngine("n", sched)
 	nested := e.MustRegister("nested", tempSchema())
 	inner := &retainer{schema: tempSchema()}

@@ -165,8 +165,8 @@ func TestPushBatchEquivalence(t *testing.T) {
 
 	a := p1.mat.MustSnapshot(nil, -1)
 	b := p2.mat.MustSnapshot(nil, -1)
-	data.SortByKey(a)
-	data.SortByKey(b)
+	sortByKey(a)
+	sortByKey(b)
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}

@@ -243,6 +243,13 @@ func expireRef(win []data.Tuple, now vtime.Time, rng time.Duration) []data.Tuple
 // live row: a join retracts a row its side never held against the other
 // side anyway, and those retractions, narrowed, may match a different row.
 func TestJoinColsMatchesNarrowedJoin(t *testing.T) {
+	project := func(tu data.Tuple, idx []int) data.Tuple {
+		vals := make([]data.Value, len(idx))
+		for i, j := range idx {
+			vals[i] = tu.Vals[j]
+		}
+		return data.Tuple{Vals: vals, TS: tu.TS, Op: tu.Op}
+	}
 	residual := expr.Bin{Op: expr.OpNe, L: expr.C("sa.status"), R: expr.C("ss.status")}
 	full := areaSchema().Concat(seatSchema())
 	for _, keep := range [][]int{{1, 4}, {0, 1, 4}, {1, 2, 3, 4}, {1, 4}} {
@@ -254,7 +261,7 @@ func TestJoinColsMatchesNarrowedJoin(t *testing.T) {
 			}
 			narrow := must[*Join](t)(NewJoinCols(sink, areaSchema(), seatSchema(), []string{"sa.room"}, []string{"ss.room"}, residual, keep))
 			whole := must[*Join](t)(NewJoin(ref, areaSchema(), seatSchema(), []string{"sa.room"}, []string{"ss.room"}, residual))
-			if !narrow.OutSchema().Equal(out) {
+			if !slices.Equal(narrow.OutSchema().Cols, out.Cols) {
 				t.Fatalf("keep %v: join writes %s, want %s", keep, narrow.OutSchema(), out)
 			}
 			rng := rand.New(rand.NewSource(int64(len(keep))))
@@ -286,14 +293,14 @@ func TestJoinColsMatchesNarrowedJoin(t *testing.T) {
 					// the values and their multiplicities compare.
 					got, want := sink.(*Materialize).MustSnapshot(nil, -1), ref.(*Materialize).MustSnapshot(nil, -1)
 					for i := range want {
-						want[i] = want[i].Project(keep)
+						want[i] = project(want[i], keep)
 						want[i].TS = 0
 					}
 					for i := range got {
 						got[i].TS = 0
 					}
-					data.SortByKey(got)
-					data.SortByKey(want)
+					sortByKey(got)
+					sortByKey(want)
 					if !sameTuples(got, want) {
 						t.Fatalf("keep %v step %d: result %v, want %v", keep, step, got, want)
 					}
@@ -301,7 +308,7 @@ func TestJoinColsMatchesNarrowedJoin(t *testing.T) {
 				}
 				got, want := sink.(*Collector).Snapshot(), ref.(*Collector).Snapshot()
 				for i := range want {
-					want[i] = want[i].Project(keep)
+					want[i] = project(want[i], keep)
 				}
 				if !sameTuples(got, want) {
 					t.Fatalf("keep %v step %d: emitted %v, want %v", keep, step, got, want)

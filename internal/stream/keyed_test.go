@@ -175,7 +175,7 @@ func driveKeyTable(t *testing.T, rng *rand.Rand, on []int) {
 	t.Helper()
 	vals := []data.Value{data.Null, data.Int(1), data.Float(1), data.Float(math.NaN()),
 		data.Float(math.Float64frombits(0x7ff8_0000_dead_beef)), data.Float(0), data.Float(math.Copysign(0, -1)),
-		data.Str("a"), data.Str("b"), data.Str(""), data.TimeVal(3)}
+		data.Str("a"), data.Str("b"), data.Str(""), data.Value{T: data.TTime, I: 3}}
 	for i := range 12 {
 		vals = append(vals, data.Str(fmt.Sprint("k", i)))
 	}

@@ -36,7 +36,7 @@ func TestMuxSharedPhysicalConn(t *testing.T) {
 	// Each stream delivers to its own sink: stream i sends i+1 tuples.
 	for i, c := range conns {
 		for k := 0; k <= i; k++ {
-			if err := c.SendBatch(0, "s0", []data.Tuple{temp(int64(k+1), "L1", float64(i))}); err != nil {
+			if err := c.sendFrame(0, "s0", []data.Tuple{temp(int64(k+1), "L1", float64(i))}, false, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -62,7 +62,7 @@ func TestMuxSharedPhysicalConn(t *testing.T) {
 	if got := WorkerConnCount(); got != before+1 {
 		t.Fatalf("connection released while a stream still uses it (count %d)", got-before)
 	}
-	if err := conns[n-1].SendBatch(0, "s0", []data.Tuple{temp(100, "L1", 1)}); err != nil {
+	if err := conns[n-1].sendFrame(0, "s0", []data.Tuple{temp(100, "L1", 1)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := conns[n-1].Flush(); err != nil {
@@ -148,10 +148,10 @@ func TestMuxTickFansOutPerStream(t *testing.T) {
 	if err := c2.Deploy(nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 1)}); err != nil {
+	if err := c1.sendFrame(0, "s0", []data.Tuple{temp(1, "L1", 1)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 2)}); err != nil {
+	if err := c2.sendFrame(0, "s0", []data.Tuple{temp(1, "L1", 2)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Advance only stream 1 far past the echo replica's 2m window: its

@@ -84,12 +84,6 @@ func NewPartialAggregate(next Operator, in *data.Schema, groupBy []string, specs
 // Schema implements Operator.
 func (a *PartialAggregate) Schema() *data.Schema { return a.in }
 
-// OutSchema returns the partial-state schema.
-func (a *PartialAggregate) OutSchema() *data.Schema { return a.out }
-
-// Groups reports the live group count of this shard.
-func (a *PartialAggregate) Groups() int { return a.table.len() }
-
 // Push implements Operator.
 func (a *PartialAggregate) Push(t data.Tuple) { a.PushBatch([]data.Tuple{t}) }
 
@@ -185,12 +179,6 @@ func NewFinalMerge(next Operator, source *data.Schema, groupBy []string, specs [
 
 // Schema implements Operator (the partial-state input schema).
 func (f *FinalMerge) Schema() *data.Schema { return f.in }
-
-// OutSchema returns the finalized output schema.
-func (f *FinalMerge) OutSchema() *data.Schema { return f.out }
-
-// Groups reports the live merged group count.
-func (f *FinalMerge) Groups() int { return f.table.len() }
 
 // Push implements Operator.
 func (f *FinalMerge) Push(t data.Tuple) { f.PushBatch([]data.Tuple{t}) }

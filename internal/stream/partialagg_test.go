@@ -55,8 +55,8 @@ func sameRows(t *testing.T, ctx string, got, want *Materialize) {
 	t.Helper()
 	g := got.MustSnapshot(nil, -1)
 	w := want.MustSnapshot(nil, -1)
-	data.SortByKey(g)
-	data.SortByKey(w)
+	sortByKey(g)
+	sortByKey(w)
 	if len(g) != len(w) {
 		t.Fatalf("%s: two-phase rows %v, want %v", ctx, g, w)
 	}

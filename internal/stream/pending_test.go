@@ -314,7 +314,7 @@ func TestWorkerReplicasRunFramesInOrder(t *testing.T) {
 				want[j] = append(want[j], key)
 			}
 			kept[j] += len(b)
-			if err := c.SendBatch(j, "in", b); err != nil {
+			if err := c.sendFrame(j, "in", b, false, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}

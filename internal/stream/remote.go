@@ -1187,17 +1187,6 @@ func (c *ShardConn) Undeploy(shard int) error {
 	return nil
 }
 
-// SendBatch ships one data batch to the named replica head of a shard.
-// After it returns, the batch buffer may be reused: the codec has copied
-// the tuples into the wire buffer (and the replay log keeps only the
-// tuples, which the pipeline owns).
-func (c *ShardConn) SendBatch(shard int, name string, ts []data.Tuple) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	return c.sendFrame(shard, name, ts, false, 0, false)
-}
-
 // ship implements shardHome: the batch is encoded, its key built in the
 // wire buffer (the per-batch path formats no string), and its buffer goes
 // straight back to the pool. A full batch is written to the socket at

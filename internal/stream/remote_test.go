@@ -71,11 +71,8 @@ func TestShardConnRoundtrip(t *testing.T) {
 	}
 
 	batch := []data.Tuple{temp(1, "L1", 20), temp(2, "L2", 21)}
-	if err := c.SendBatch(0, "s0", batch); err != nil {
+	if err := c.sendFrame(0, "s0", batch, false, 0, false); err != nil {
 		t.Fatal(err)
-	}
-	if err := c.SendBatch(0, "s0", nil); err != nil {
-		t.Fatal("empty batch must be a no-op")
 	}
 	// Flush is a result-drain barrier: no waitFor needed.
 	if err := c.Flush(); err != nil {
@@ -85,11 +82,11 @@ func TestShardConnRoundtrip(t *testing.T) {
 		t.Fatalf("after flush: %d results, want 2", col.Len())
 	}
 	// A batch of one.
-	if err := c.SendBatch(0, "s0", []data.Tuple{temp(3, "L3", 22)}); err != nil {
+	if err := c.sendFrame(0, "s0", []data.Tuple{temp(3, "L3", 22)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Batches to an unknown head drop silently.
-	if err := c.SendBatch(0, "nowhere", batch); err != nil {
+	if err := c.sendFrame(0, "nowhere", batch, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Advancing past the window retracts all three live tuples.
@@ -346,7 +343,7 @@ func TestShardConnStalledWorker(t *testing.T) {
 		// More batches than the credit window: the sender must hit the
 		// stall timeout, not block forever.
 		for i := 0; i < remoteInflight+2; i++ {
-			if c.SendBatch(0, "s0", []data.Tuple{temp(int64(i+1), "L1", 1)}) != nil {
+			if c.sendFrame(0, "s0", []data.Tuple{temp(int64(i+1), "L1", 1)}, false, 0, false) != nil {
 				return
 			}
 		}
@@ -365,7 +362,7 @@ func TestShardConnStalledWorker(t *testing.T) {
 	// Post-failure sends drop immediately — even with leftover credits —
 	// instead of touching the dead socket.
 	start := time.Now()
-	if err := c.SendBatch(0, "s0", []data.Tuple{temp(99, "L9", 9)}); err == nil {
+	if err := c.sendFrame(0, "s0", []data.Tuple{temp(99, "L9", 9)}, false, 0, false); err == nil {
 		t.Fatal("send on a broken link must error")
 	}
 	if time.Since(start) > remoteStallTimeout {
@@ -435,7 +432,7 @@ func TestShardWorkerDisconnectMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := set.homes[0].(*ShardConn)
-	if err := c.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 20)}); err != nil {
+	if err := c.sendFrame(0, "s0", []data.Tuple{temp(1, "L1", 20)}, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -447,7 +444,7 @@ func TestShardWorkerDisconnectMidEpoch(t *testing.T) {
 	// The reader notices the dead peer; sends and barriers then fail fast
 	// (the first few sends may still land in the kernel buffer).
 	waitFor(t, func() bool {
-		c.SendBatch(0, "s0", []data.Tuple{temp(2, "L2", 21)})
+		c.sendFrame(0, "s0", []data.Tuple{temp(2, "L2", 21)}, false, 0, false)
 		return c.Err() != nil
 	})
 	done := make(chan error, 1)
@@ -574,7 +571,7 @@ func echoLink(t *testing.T, w *ShardWorker) (serves func()) {
 	return func() {
 		t.Helper()
 		before := col.Len()
-		if err := good.SendBatch(0, "s0", []data.Tuple{temp(1, "L1", 20)}); err != nil {
+		if err := good.sendFrame(0, "s0", []data.Tuple{temp(1, "L1", 20)}, false, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := good.Flush(); err != nil {

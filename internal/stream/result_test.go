@@ -142,7 +142,7 @@ func TestResultFramesSplitAtCap(t *testing.T) {
 				b = append(b, data.NewTuple(at, data.Str(fmt.Sprintf("r%d", i%97)), data.Float(float64(i))))
 			}
 			serial.PushBatch(b)
-			if err := c.SendBatch(0, "s0", cloneAll(b)); err != nil {
+			if err := c.sendFrame(0, "s0", cloneAll(b), false, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -154,8 +154,8 @@ func TestResultFramesSplitAtCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, maxRows = 0, 0
-	serial.Advance(2 * vtime.Minute)
-	if err := c.Tick(2 * vtime.Minute); err != nil {
+	serial.Advance(120 * vtime.Second)
+	if err := c.Tick(120 * vtime.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -165,7 +165,7 @@ func TestResultFramesSplitAtCap(t *testing.T) {
 		t.Fatalf("the tick expired %d rows in %d frames of at most %d rows, want 2 frames of at most %d",
 			n, frames, maxRows, perFrame)
 	}
-	push(n, 100, 3*vtime.Minute)
+	push(n, 100, 180*vtime.Second)
 	if err := c.Flush(); err != nil {
 		t.Fatalf("the link did not survive the split: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestDecodersPinNothing(t *testing.T) {
 	for i := range 3 {
 		b := []data.Tuple{data.NewTuple(vtime.Time(i), data.Int(int64(i)), data.Float(1)),
 			data.NewTuple(vtime.Time(i), data.Int(int64(i+1)), data.Float(2))}
-		if err := c.SendBatch(0, "s0", b); err != nil {
+		if err := c.sendFrame(0, "s0", b, false, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Flush(); err != nil {
@@ -289,7 +289,7 @@ func TestKeptRowsPinNoFrame(t *testing.T) {
 	a := data.NewTuple(1, data.Int(1), data.Str("a"))
 	b := data.NewTuple(1, data.Int(2), data.Str(long))
 	for _, batch := range [][]data.Tuple{{a, b}, {b.Negate()}} {
-		if err := c.SendBatch(0, "s0", batch); err != nil {
+		if err := c.sendFrame(0, "s0", batch, false, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Flush(); err != nil {

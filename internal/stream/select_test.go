@@ -37,8 +37,9 @@ func TestGroupedFilterAllocs(t *testing.T) {
 		g.Add(sinks[len(sinks)-1], expr.MustBind(pred, in))
 	}
 	for i := 0; i < 24; i++ {
-		add(expr.And(expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(float64(40 + 2*i))},
-			expr.Bin{Op: expr.OpEq, L: expr.L("a"), R: expr.C("g")}))
+		add(expr.Bin{Op: expr.OpAnd,
+			L: expr.Bin{Op: expr.OpGt, L: expr.C("v"), R: expr.L(float64(40 + 2*i))},
+			R: expr.Bin{Op: expr.OpEq, L: expr.L("a"), R: expr.C("g")}})
 	}
 	add(expr.Bin{Op: expr.OpOr, L: expr.Bin{Op: expr.OpLt, L: expr.C("v"), R: expr.L(3)},
 		R: expr.Bin{Op: expr.OpEq, L: expr.C("g"), R: expr.L("b")}})
@@ -127,7 +128,7 @@ var selPalette = []data.Value{
 	data.Float(-(1 << 53)), data.Float(1<<53 + 2), data.Float(math.SmallestNonzeroFloat64),
 	data.Float(math.NaN()), data.Float(math.Copysign(math.NaN(), -1)), data.Float(math.Inf(1)), data.Float(math.Inf(-1)),
 	data.Str(""), data.Str("a"), data.Str("b"), data.Str("a%"), data.Bool(false), data.Bool(true),
-	data.TimeVal(1), data.TimeVal(2), data.TimeVal(-1), {T: 99},
+	data.Value{T: data.TTime, I: 1}, data.Value{T: data.TTime, I: 2}, data.Value{T: data.TTime, I: -1}, {T: 99},
 }
 
 // TestOrderKeyFollowsCompare: two values of one class that both have order
@@ -148,7 +149,7 @@ func TestOrderKeyFollowsCompare(t *testing.T) {
 		vals = append(vals, data.Int(ints[rng.Intn(len(ints))]), data.Float(f), data.Float(nan),
 			data.Float(math.Nextafter(f, float64(d))), data.Float(f+float64(d)),
 			data.Float(math.SmallestNonzeroFloat64*float64(d)), data.Float(math.Float64frombits(rng.Uint64())),
-			data.TimeVal(vtime.Time(ints[rng.Intn(len(ints))])), data.TimeVal(vtime.Time(d)))
+			data.Value{T: data.TTime, I: ints[rng.Intn(len(ints))]}, data.Value{T: data.TTime, I: d})
 	}
 	for _, a := range vals {
 		ka, okA := orderKey(a)
@@ -343,8 +344,9 @@ func BenchmarkGroupedFilter(b *testing.B) {
 		pred func(k int) expr.Expr
 	}{
 		{"numeric", func(k int) expr.Expr {
-			return expr.And(expr.Bin{Op: expr.OpGt, L: expr.C("value"), R: expr.L(cuts[k%len(cuts)])},
-				expr.Bin{Op: expr.OpGt, L: expr.C("desk"), R: expr.L(1 + k/len(cuts)%4)})
+			return expr.Bin{Op: expr.OpAnd,
+				L: expr.Bin{Op: expr.OpGt, L: expr.C("value"), R: expr.L(cuts[k%len(cuts)])},
+				R: expr.Bin{Op: expr.OpGt, L: expr.C("desk"), R: expr.L(1 + k/len(cuts)%4)}}
 		}},
 		{"string", func(k int) expr.Expr {
 			return expr.Bin{Op: expr.OpGt, L: expr.C("room"), R: expr.L(fmt.Sprintf("R%03d", 10*k))}

@@ -512,9 +512,6 @@ func NewShardSet(p int) *ShardSet {
 	return s
 }
 
-// Shards returns the partition width P.
-func (s *ShardSet) Shards() int { return s.p }
-
 // Deploy brings the set to life: it builds shard j's replica at loc[j] — a
 // worker address, or "" for in-process — restoring states[j] when present,
 // through the same stage routine Rescale and failover use, and starts

@@ -9,6 +9,9 @@ import (
 	"aspen/internal/vtime"
 )
 
+// Shards returns the partition width P.
+func (s *ShardSet) Shards() int { return s.p }
+
 // deployLocal deploys every shard of a hand-wired set in-process: build is
 // the per-shard pipeline, handed to the set as its DeployFunc like any
 // other home's builder.
@@ -59,7 +62,7 @@ func snapshotRows(t *testing.T, m *Materialize) []data.Tuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data.SortByKey(rows)
+	sortByKey(rows)
 	return rows
 }
 

@@ -155,6 +155,11 @@ func TestWindowContentsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// sortByKey sorts ts by canonical key, the order snapshots keep.
+func sortByKey(ts []data.Tuple) {
+	slices.SortFunc(ts, func(a, b data.Tuple) int { return data.CompareKeys(a.Vals, b.Vals) })
+}
+
 // sameTuples reports whether two delta sequences are identical: the same
 // rows, values bit for bit, timestamps and polarities, in the same order.
 func sameTuples(a, b []data.Tuple) bool {
@@ -186,13 +191,13 @@ func TestWindowAdmitMatchesFilter(t *testing.T) {
 			now := vtime.Time(0)
 			for step := range 400 {
 				if rng.Intn(8) == 0 {
-					now += vtime.Time(rng.Intn(4000)) * vtime.Millisecond
+					now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
 					admitting.Advance(now)
 					plain.Advance(now)
 				} else {
 					var batch []data.Tuple
 					for range 1 + rng.Intn(4) {
-						now += vtime.Time(rng.Intn(600)) * vtime.Millisecond
+						now = now.Add(time.Duration(rng.Intn(600)) * time.Millisecond)
 						switch {
 						case len(sent) > 0 && rng.Intn(4) == 0: // held, expired or rejected
 							del := sent[rng.Intn(len(sent))].Negate()

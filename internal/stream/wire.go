@@ -380,12 +380,6 @@ func (r *byteReader) bytes(n int) []byte {
 	return v
 }
 
-func (r *byteReader) rest() []byte {
-	v := r.b[r.off:]
-	r.off = len(r.b)
-	return v
-}
-
 // wireString decodes a length-prefixed string with a copy (for the rare
 // paths where no arena is prepared).
 func (r *byteReader) wireString() string {

@@ -78,7 +78,7 @@ func TestWorkerOverloadBlocksSender(t *testing.T) {
 	var blocked time.Duration
 	for {
 		start := time.Now()
-		err := c.SendBatch(0, "in", batch)
+		err := c.sendFrame(0, "in", batch, false, 0, false)
 		if err != nil {
 			blocked = time.Since(start)
 			break
@@ -159,7 +159,7 @@ func TestWorkerExecutorLifecycle(t *testing.T) {
 		}
 		// Give every replica work, so an executor has run before it ends.
 		for _, j := range shards {
-			if err := c.SendBatch(j, "in", []data.Tuple{data.NewTuple(1, data.Int(int64(j)))}); err != nil {
+			if err := c.sendFrame(j, "in", []data.Tuple{data.NewTuple(1, data.Int(int64(j)))}, false, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}

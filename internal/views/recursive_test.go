@@ -3,12 +3,68 @@ package views
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
 	"aspen/internal/stream"
 )
+
+// Snapshot returns the current view contents sorted by canonical key.
+func (v *View) Snapshot() []data.Tuple {
+	out := make([]data.Tuple, 0, v.nFacts)
+	for _, bucket := range v.facts {
+		for _, f := range bucket {
+			out = append(out, f.t.Clone())
+		}
+	}
+	slices.SortFunc(out, func(a, b data.Tuple) int { return data.CompareKeys(a.Vals, b.Vals) })
+	return out
+}
+
+// Derivation is one recorded way a view tuple was produced, exposed by
+// Explain.
+type Derivation struct {
+	// Base marks a tuple inserted directly through the base input.
+	Base bool
+	// ViewParent and EdgeParent render the antecedent tuples.
+	ViewParent, EdgeParent string
+}
+
+// Explain returns the recorded derivations of a tuple currently in the
+// view (nil when absent).
+func (v *View) Explain(t data.Tuple) []Derivation {
+	f := v.findFact(t, indexHash(t, nil))
+	if f == nil {
+		return nil
+	}
+	var out []Derivation
+	if f.baseMult > 0 {
+		out = append(out, Derivation{Base: true})
+	}
+	for d := range f.derivs {
+		vp, ep := "", ""
+		if d.vParent != nil && d.vParent.live {
+			vp = d.vParent.t.String()
+		}
+		if d.eParent != nil && d.eParent.live {
+			ep = d.eParent.t.String()
+		}
+		out = append(out, Derivation{ViewParent: vp, EdgeParent: ep})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Base != out[j].Base {
+			return out[i].Base
+		}
+		if out[i].ViewParent != out[j].ViewParent {
+			return out[i].ViewParent < out[j].ViewParent
+		}
+		return out[i].EdgeParent < out[j].EdgeParent
+	})
+	return out
+}
 
 // tcSchemas builds the classic transitive-closure view:
 //

@@ -19,31 +19,14 @@ import (
 // clock adapters are lossless.
 type Time int64
 
-// Common durations re-exported for readability at call sites.
-const (
-	Nanosecond  = Time(time.Nanosecond)
-	Microsecond = Time(time.Microsecond)
-	Millisecond = Time(time.Millisecond)
-	Second      = Time(time.Second)
-	Minute      = Time(time.Minute)
-	Hour        = Time(time.Hour)
-)
+// Second is one second of the timeline.
+const Second = Time(time.Second)
 
 // Add returns t shifted by d.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Seconds returns the time as a floating point number of seconds since the
-// epoch; convenient for reporting.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 // String formats the instant as a duration offset from the epoch.
 func (t Time) String() string { return time.Duration(t).String() }
@@ -193,34 +176,6 @@ func (s *Scheduler) Every(period time.Duration, fn func()) (stop func()) {
 	}
 }
 
-// Step runs the single earliest pending event, advancing the clock to its
-// instant. It reports whether an event ran.
-func (s *Scheduler) Step() bool {
-	for {
-		s.mu.Lock()
-		if len(s.heap) == 0 {
-			s.mu.Unlock()
-			return false
-		}
-		e := heap.Pop(&s.heap).(*event)
-		if e.off {
-			s.mu.Unlock()
-			continue
-		}
-		s.now = e.at
-		s.mu.Unlock()
-		e.fn()
-		return true
-	}
-}
-
-// Run executes events until none remain. Events may schedule further events;
-// Run returns only when the queue is drained.
-func (s *Scheduler) Run() {
-	for s.Step() {
-	}
-}
-
 // RunUntil executes events with instants <= deadline, then advances the clock
 // to the deadline. Pending later events remain queued.
 func (s *Scheduler) RunUntil(deadline Time) {
@@ -252,16 +207,3 @@ func (s *Scheduler) RunUntil(deadline Time) {
 
 // RunFor executes events within the next d of simulated time.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
-
-// Pending returns the number of queued (uncancelled) events.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.heap {
-		if !e.off {
-			n++
-		}
-	}
-	return n
-}

@@ -33,10 +33,20 @@ func pduFixture(t *testing.T) (*machines.Fleet, *machines.PDU, *machines.PDUServ
 	return f, p, srv
 }
 
+// register declares an engine input that must not exist yet.
+func register(t *testing.T, e *stream.Engine, name string, schema *data.Schema) *stream.Input {
+	t.Helper()
+	in, err := e.Register(name, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestPDUWrapperPollOnce(t *testing.T) {
 	_, _, srv := pduFixture(t)
 	e := stream.NewEngine("n", vtime.NewScheduler())
-	in := e.MustRegister("Power", PowerSchema("Power"))
+	in := register(t, e, "Power", PowerSchema("Power"))
 	col := stream.NewCollector(PowerSchema("Power"))
 	in.Subscribe(col)
 
@@ -65,7 +75,7 @@ func TestPDUWrapperPollOnce(t *testing.T) {
 func TestPDUWrapperTracksLoad(t *testing.T) {
 	f, _, srv := pduFixture(t)
 	e := stream.NewEngine("n", vtime.NewScheduler())
-	in := e.MustRegister("Power", PowerSchema("Power"))
+	in := register(t, e, "Power", PowerSchema("Power"))
 	col := stream.NewCollector(PowerSchema("Power"))
 	in.Subscribe(col)
 	w := NewPDUWrapper("pdu1", srv.URL(), in)
@@ -83,7 +93,7 @@ func TestWebWrapperPeriodicOnScheduler(t *testing.T) {
 	_, _, srv := pduFixture(t)
 	sched := vtime.NewScheduler()
 	e := stream.NewEngine("n", sched)
-	in := e.MustRegister("Power", PowerSchema("Power"))
+	in := register(t, e, "Power", PowerSchema("Power"))
 	col := stream.NewCollector(PowerSchema("Power"))
 	in.Subscribe(col)
 
@@ -105,7 +115,7 @@ func TestWebWrapperPeriodicOnScheduler(t *testing.T) {
 
 func TestWebWrapperErrorPaths(t *testing.T) {
 	e := stream.NewEngine("n", vtime.NewScheduler())
-	in := e.MustRegister("s", PowerSchema("s"))
+	in := register(t, e, "s", PowerSchema("s"))
 
 	// unreachable host
 	w := &WebWrapper{URL: "http://127.0.0.1:1/readings", Input: in,
@@ -146,7 +156,7 @@ func TestMachineWrapper(t *testing.T) {
 	f.StartJob("ws1", "marie", "job", 0.25, 128)
 
 	e := stream.NewEngine("n", vtime.NewScheduler())
-	in := e.MustRegister("MachineState", MachineStateSchema("MachineState"))
+	in := register(t, e, "MachineState", MachineStateSchema("MachineState"))
 	col := stream.NewCollector(MachineStateSchema("MachineState"))
 	in.Subscribe(col)
 
@@ -170,7 +180,7 @@ func TestMachineWrapperSchedulingAndWorkloadStep(t *testing.T) {
 	f.MustAdd(machines.Machine{Name: "ws1", Room: "L101", Desk: 1})
 	sched := vtime.NewScheduler()
 	e := stream.NewEngine("n", sched)
-	in := e.MustRegister("ms", MachineStateSchema("ms"))
+	in := register(t, e, "ms", MachineStateSchema("ms"))
 	col := stream.NewCollector(MachineStateSchema("ms"))
 	in.Subscribe(col)
 
