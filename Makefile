@@ -230,8 +230,9 @@ fuzz-smoke:
 	done
 
 # cover gates statement coverage of the partition-parallel core packages,
-# the sensor engine, the data model, where the key order every snapshot
-# sorts by lives, and the routing graph a visitor's guidance searches. The
+# the sensor engine, the data model, where the one value order that ORDER BY,
+# every snapshot's tie-break and the grouped filter share lives, and the
+# routing graph a visitor's guidance searches. The
 # floors only rise, and new code arrives tested: a
 # change that would lower coverage adds the tests, never a lower floor.
 COVER_FLOOR_STREAM  := 92.0

@@ -160,6 +160,11 @@ type Query struct {
 func (q *Query) Name() string { return q.name }
 
 // Snapshot returns the current result under the query's ORDER BY/LIMIT.
+// Rows that ORDER BY leaves tied, and all rows when there is none, come out
+// in ascending value order, column by column: NULLs first, then numbers by
+// value (1, 2, 10), strings byte by byte ("L101" before "MR1"), booleans and
+// times. An ORDER BY column sorts in the same order, reversed under DESC, so
+// its NULLs come last there. A LIMIT without ORDER BY keeps the least rows.
 func (q *Query) Snapshot() ([]data.Tuple, error) {
 	if q.Deployment == nil {
 		return nil, fmt.Errorf("core: statement %q has no result", q.SQL)

@@ -1,17 +1,8 @@
 package data
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
 	"math"
-	"math/rand"
-	"slices"
-	"sort"
-	"strings"
 	"testing"
-
-	"aspen/internal/vtime"
 )
 
 // Canonical keys must be injection-proof: values containing the tuple
@@ -199,151 +190,4 @@ func TestConcatInto(t *testing.T) {
 	if got := a.ConcatInto(nil, b); !got.EqualVals(cc) || got.TS != cc.TS || got.Op != cc.Op {
 		t.Fatalf("ConcatInto into nil and into a buffer disagree: %v vs %v", got, cc)
 	}
-}
-
-// Sorting by CompareKeys must give the order sorting by Key() strings
-// gives — the order every snapshot and table in the repository was
-// recorded in — without building a key.
-func TestSortByKeyMatchesKeyStringSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	vals := []Value{Null, Int(0), Int(1), Float(1), Float(-1.5), Int(1 << 40), Int(1<<62 + 1),
-		Str(""), Str("a"), Str("a|"), Str("ab"), Bool(true), Bool(false), TimeVal(7)}
-	for round := 0; round < 50; round++ {
-		ts := make([]Tuple, rng.Intn(200))
-		for i := range ts {
-			ts[i] = NewTuple(vtime.Time(i), vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))])
-		}
-		want := make([]Tuple, len(ts))
-		copy(want, ts)
-		sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
-		slices.SortFunc(ts, func(a, b Tuple) int { return CompareKeys(a.Vals, b.Vals) })
-		for i := range want {
-			// Equal keys are value-equal rows; TS tells which copy landed where.
-			if ts[i].Key() != want[i].Key() || ts[i].TS != want[i].TS {
-				t.Fatalf("round %d: position %d = %v, want %v", round, i, ts[i], want[i])
-			}
-		}
-	}
-}
-
-// keyOrderValues are the values the key order is checked on: the hash-law
-// values, a type with no name, NaNs of more payloads and of either sign,
-// subnormals and the ends of the normal range, INTs on both sides of
-// ±2^53, negative times, and strings holding '|' and bytes of 0x80 and up,
-// of lengths on both sides of a decimal digit (9/10, 99/100), whose units
-// end before, at and past 8 bytes, or share their first 8 bytes.
-func keyOrderValues() []Value {
-	vals := append(hashLawValues(), Value{T: TTime + 1, I: 7},
-		Float(math.Float64frombits(0x7ff8000000000000)), Float(math.Float64frombits(0xfff8000000000000)),
-		Float(math.Float64frombits(0x7ff0000000000002)),
-		Float(math.Float64frombits(1)), Float(math.Float64frombits(12)), Float(math.Float64frombits(123)),
-		Float(-math.Float64frombits(1)), Float(math.Float64frombits(1<<52-1)), Float(-math.Float64frombits(1<<52-1)),
-		Float(0x1p-1022), Float(-0x1p-1022), Float(math.MaxFloat64), Float(-math.MaxFloat64),
-		Float(0.1), Float(-0.1), Float(-1.5), Float(1e300), Float(-1e-300), Float(0x1p60), Float(1024),
-		Int(1<<53-1), Int(-1<<53), Int(-1<<53-1), Int(3), Int(-3), Int(1<<62+1), Int(-1<<62-1),
-		Int(math.MinInt64+1), Int(math.MaxInt64-1),
-		TimeVal(-1), TimeVal(-36), TimeVal(35), TimeVal(36), TimeVal(math.MaxInt64),
-		Str("|"), Str("a|b"), Str("\x80"), Str("\xff|"), Str("é"), Str("L10"), Str("L101"), Str("L1010"), Str("L1011"),
-		Str("abcdefgh1"), Str("abcdefgh2"), Str("abcdefgh|"))
-	for _, n := range []int{9, 10, 99, 100} {
-		vals = append(vals, Str(strings.Repeat("z", n)), Str(strings.Repeat("\x90", n)))
-	}
-	return vals
-}
-
-// checkKeyOrder fails t when CompareKeys(a, b) differs in sign from
-// bytes.Compare of the two rows' keys, when a row's KeyPrefix is not the
-// first 8 bytes of its first value's unit, zero-padded, or when two
-// prefixes that differ order unlike the keys.
-func checkKeyOrder(t *testing.T, a, b []Value) {
-	t.Helper()
-	want := bytes.Compare(Tuple{Vals: a}.AppendKey(nil, nil), Tuple{Vals: b}.AppendKey(nil, nil))
-	if got := CompareKeys(a, b); cmp.Compare(got, 0) != want {
-		t.Errorf("CompareKeys(%v, %v) = %d, want the sign of their keys' order, %d", a, b, got, want)
-	}
-	pa, pb := KeyPrefix(a), KeyPrefix(b)
-	for _, r := range []struct {
-		vals []Value
-		pre  uint64
-	}{{a, pa}, {b, pb}} {
-		var unit [8]byte
-		if len(r.vals) > 0 {
-			copy(unit[:], append(r.vals[0].AppendKey(nil), '|'))
-		}
-		if w := binary.BigEndian.Uint64(unit[:]); r.pre != w {
-			t.Errorf("KeyPrefix(%v) = %#016x, want %#016x", r.vals, r.pre, w)
-		}
-	}
-	if pa != pb && cmp.Compare(pa, pb) != want {
-		t.Errorf("prefixes of %v and %v order %d, their keys %d", a, b, cmp.Compare(pa, pb), want)
-	}
-}
-
-// CompareKeys and KeyPrefix answer as the keys they stand for, on every
-// pair of palette values and on rows of up to three of them, of unequal
-// arity and sharing leading values.
-func TestKeyOrderPalette(t *testing.T) {
-	vals := keyOrderValues()
-	for _, a := range vals {
-		for _, b := range vals {
-			checkKeyOrder(t, []Value{a}, []Value{b})
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	pick := func() Value { return vals[rng.Intn(len(vals))] }
-	for i := 0; i < 20000; i++ {
-		a := make([]Value, rng.Intn(4))
-		for k := range a {
-			a[k] = pick()
-		}
-		b := make([]Value, rng.Intn(4))
-		for k := range b {
-			if b[k] = pick(); k < len(a) && rng.Intn(3) > 0 {
-				b[k] = a[k]
-			}
-		}
-		checkKeyOrder(t, a, b)
-	}
-}
-
-// FuzzKeyOrder decodes two rows of up to four values each; the input's
-// first byte gives both arities and how many of the first row's leading
-// values the second takes as twins (fuzzInput.twin). It checks CompareKeys
-// and KeyPrefix against the keys (checkKeyOrder) for the two rows and for
-// every pair of their values.
-func FuzzKeyOrder(f *testing.F) {
-	// NaN against a NaN twin, 2^53 as an INT against its twin, then a string
-	// of 9 bytes holding '|' and 0x80 against a palette value.
-	f.Add([]byte{3 + 5*3 + 25*2, 2, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x20, 0,
-		3, 9, 'a', 'b', '|', 0x80, 'c', 'd', 'e', 'f', 'g', 1, 1, 6, 40})
-	// -0 against its +0 twin, and -1 as a TIME against MinInt64, in rows
-	// of unequal arity.
-	f.Add([]byte{2 + 5*3 + 25*1, 2, 0, 0, 0, 0, 0, 0, 0, 0x80, 5, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-		1, 5, 0, 0, 0, 0, 0, 0, 0, 0x80, 6, 90})
-	// Strings sharing their first 8 key bytes, and NULL against a BOOL.
-	f.Add([]byte{2 + 5*2 + 25*1, 3, 9, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', '1', 0,
-		2, 3, 9, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', '2', 4})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vals := keyOrderValues()
-		in := fuzzInput(data)
-		shape := in.next(1)[0]
-		a := make([]Value, shape%5)
-		for k := range a {
-			a[k] = in.value(vals)
-		}
-		b := make([]Value, shape/5%5)
-		for k := range b {
-			if k < len(a) && k < int(shape/25%5) {
-				b[k] = in.twin(a[k], vals)
-			} else {
-				b[k] = in.value(vals)
-			}
-		}
-		checkKeyOrder(t, a, b)
-		for _, x := range a {
-			for _, y := range b {
-				checkKeyOrder(t, []Value{x}, []Value{y})
-			}
-		}
-	})
 }

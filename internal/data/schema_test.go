@@ -37,6 +37,9 @@ func TestSchemaColIndex(t *testing.T) {
 	if _, err := s.ColIndex("other.room"); err == nil {
 		t.Fatal("expected error for wrong qualifier")
 	}
+	if got := Col("room", TString).QName(); got != "room" {
+		t.Fatalf("unqualified QName = %q", got)
+	}
 	// case-insensitive resolution
 	if i := colIndex(t, s, "SS.ROOM"); i != 0 {
 		t.Fatalf("case-insensitive index = %d", i)
@@ -143,6 +146,17 @@ func TestRelationBasics(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
 	}
+	if r.Schema() != r.schema || !r.Schema().HasCol("ss.desk") || r.Schema().HasCol("nope") {
+		t.Fatal("relation schema does not resolve its columns")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("MustInsert accepted a row of the wrong arity")
+			}
+		}()
+		r.MustInsert(Int(1))
+	}()
 	if err := r.Insert(NewTuple(0, Int(1))); err == nil {
 		t.Fatal("arity violation accepted")
 	}

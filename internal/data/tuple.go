@@ -131,8 +131,8 @@ func (t Tuple) EqualOn(idx []int, o Tuple, oIdx []int) bool {
 }
 
 // Key returns a canonical encoding of all values, usable as a map key for
-// set semantics and provenance identity. TS and Op are excluded. Sorting by
-// key needs no key: CompareKeys orders rows as their keys compare.
+// set semantics and provenance identity. TS and Op are excluded. Rows that
+// CompareRows ties have equal keys, and only they.
 func (t Tuple) Key() string {
 	return string(t.AppendKey(nil, nil))
 }
@@ -143,8 +143,9 @@ func (t Tuple) KeyOn(idx []int) string {
 }
 
 // AppendKey appends the canonical encoding of the values at idx (all values
-// when idx is nil) to buf: each value's unit, its Value.AppendKey encoding
-// and a '|'. CompareKeys and KeyPrefix read that order from the values.
+// when idx is nil) to buf: each value's Value.AppendKey encoding and a '|'.
+// The keys are for equality and hashing; their byte order is no order of
+// the values.
 func (t Tuple) AppendKey(buf []byte, idx []int) []byte {
 	if idx == nil {
 		for i := range t.Vals {

@@ -32,6 +32,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 		{Bool(false), TBool, 0, 0, false, "false", "false"},
 		{Null, TNull, 0, 0, false, "NULL", "NULL"},
 		{TimeVal(vtime.Second), TTime, int64(vtime.Second), float64(vtime.Second), true, "1s", "1s"},
+		{Value{T: TTime + 1, I: 7}, TTime + 1, 0, 0, false, "?", "?"},
 	}
 	for _, c := range cases {
 		if c.v.T != c.typ {

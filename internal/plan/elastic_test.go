@@ -43,9 +43,10 @@ func pushEvents(eng *stream.Engine, evs []fuzzEvent, lo, hi int) {
 	}
 }
 
-// sortByKey sorts ts by canonical key, the order snapshots keep.
+// sortByKey sorts ts in the value order (data.CompareRows), the order
+// snapshots keep.
 func sortByKey(ts []data.Tuple) {
-	slices.SortFunc(ts, func(a, b data.Tuple) int { return data.CompareKeys(a.Vals, b.Vals) })
+	slices.SortFunc(ts, func(a, b data.Tuple) int { return data.CompareRows(a.Vals, b.Vals) })
 }
 
 // snapshotSorted flushes and returns the deployment's rows sorted.
@@ -58,6 +59,9 @@ func snapshotSorted(t *testing.T, dep *Deployment) []data.Tuple {
 	sortByKey(rows)
 	return rows
 }
+
+// sameRows reports whether two sorted snapshots hold the same rows.
+func sameRows(a, b []data.Tuple) bool { return slices.EqualFunc(a, b, data.Tuple.EqualVals) }
 
 func requireEqualRows(t *testing.T, ctx string, got, want []data.Tuple) {
 	t.Helper()

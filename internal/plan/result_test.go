@@ -232,9 +232,9 @@ type resultMember struct {
 	twin  *Deployment // the unwindowed entry's private twin, deployed beside it
 	fired int         // the member's Result OnChange count
 
-	seenVersion uint64 // Result.Version and fired at the last check
-	seenFired   int
-	frozen      []data.Tuple // a stopped member's rows at Stop
+	seen      []data.Tuple // the rows and fired at the last check
+	seenFired int
+	frozen    []data.Tuple // a stopped member's rows at Stop
 }
 
 // TestSharedResultDifferential is the result-group differential: random
@@ -288,7 +288,7 @@ func sharedResultRun(t *testing.T, seed int64) (maxMembers int) {
 	var live, stopped []*resultMember
 	hook := func(m *resultMember) {
 		m.dep.Result.ChainOnChange(func() { m.fired++ })
-		m.seenVersion, m.seenFired = m.dep.Result.Version(), m.fired
+		m.seen, m.seenFired = snapshotSorted(t, m.dep), m.fired
 	}
 	n := 0
 	deploy := func(entry int) {
@@ -332,11 +332,12 @@ func sharedResultRun(t *testing.T, seed int64) (maxMembers int) {
 				want = refs[m.entry]
 			}
 			ctx := fmt.Sprintf("seed %d %s: %s %q", seed, when, m.name, resultPool[m.entry])
-			requireEqualRows(t, ctx, snapshotSorted(t, m.dep), snapshotSorted(t, want))
-			if v := m.dep.Result.Version(); v != m.seenVersion && m.fired == m.seenFired {
-				t.Fatalf("%s: the result moved (version %d → %d) but OnChange never fired", ctx, m.seenVersion, v)
+			rows := snapshotSorted(t, m.dep)
+			requireEqualRows(t, ctx, rows, snapshotSorted(t, want))
+			if m.fired == m.seenFired && !sameRows(rows, m.seen) {
+				t.Fatalf("%s: the rows moved from %v to %v but OnChange never fired", ctx, m.seen, rows)
 			}
-			m.seenVersion, m.seenFired = m.dep.Result.Version(), m.fired
+			m.seen, m.seenFired = rows, m.fired
 		}
 		for _, m := range stopped {
 			ctx := fmt.Sprintf("seed %d %s: stopped %s %q", seed, when, m.name, resultPool[m.entry])

@@ -201,9 +201,9 @@ type lifeMember struct {
 	dep   *Deployment
 	fired int
 
-	seenVersion uint64
-	seenFired   int
-	frozen      []data.Tuple // the rows at Drop; nil while live
+	seen      []data.Tuple // the rows and fired at the last check
+	seenFired int
+	frozen    []data.Tuple // the rows at Drop; nil while live
 }
 
 // TestResultStoreLifecycle runs a result group's store through its whole
@@ -303,7 +303,7 @@ func runStoreLifecycle(t *testing.T) {
 	coord := NewCoordinator(Host{Engine: eng, Sharing: sharing}, path)
 	hook := func(m *lifeMember) {
 		m.dep.Result.ChainOnChange(func() { m.fired++ })
-		m.seenVersion, m.seenFired = m.dep.Result.Version(), m.fired
+		m.seen, m.seenFired = snapshotSorted(t, m.dep), m.fired
 	}
 	deploy := func(name string) {
 		t.Helper()
@@ -329,11 +329,12 @@ func runStoreLifecycle(t *testing.T) {
 				}
 				continue
 			}
-			requireEqualRows(t, ctx, snapshotSorted(t, m.dep), want(m))
-			if v := m.dep.Result.Version(); v != m.seenVersion && m.fired == m.seenFired {
-				t.Fatalf("%s: the result moved (version %d → %d) but OnChange never fired", ctx, m.seenVersion, v)
+			rows := snapshotSorted(t, m.dep)
+			requireEqualRows(t, ctx, rows, want(m))
+			if m.fired == m.seenFired && !sameRows(rows, m.seen) {
+				t.Fatalf("%s: the rows moved from %v to %v but OnChange never fired", ctx, m.seen, rows)
 			}
-			m.seenVersion, m.seenFired = m.dep.Result.Version(), m.fired
+			m.seen, m.seenFired = rows, m.fired
 		}
 	}
 	run := func(lo, hi int) {

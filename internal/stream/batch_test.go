@@ -739,31 +739,24 @@ func TestJoinBatchScratchCleared(t *testing.T) {
 	}
 }
 
-// snapshotLess is the comparator Snapshot sorted with before it sorted key
-// ranges: the ORDER BY columns, NULLs first (last under DESC), then the
-// canonical key string.
+// snapshotLess is the order Snapshot promises, without its sort prefix: the
+// ORDER BY columns in the value order, a DESC column's reversed, then the
+// whole row.
 func snapshotLess(a, b data.Tuple, idx []int, order []OrderSpec) bool {
 	for k, j := range idx {
-		c, ok := a.Vals[j].Compare(b.Vals[j])
-		if !ok || c == 0 {
-			if ok && c == 0 {
-				continue
-			}
-			an, bn := a.Vals[j].IsNull(), b.Vals[j].IsNull()
-			if an != bn {
-				return an && !order[k].Desc || !an && order[k].Desc
-			}
-			continue
+		if c := data.CompareValues(a.Vals[j], b.Vals[j]); c != 0 {
+			return c < 0 != order[k].Desc
 		}
-		if order[k].Desc {
-			return c > 0
-		}
-		return c < 0
 	}
-	return a.Key() < b.Key()
+	return data.CompareRows(a.Vals, b.Vals) < 0
 }
 
-func TestSnapshotOrderMatchesKeySort(t *testing.T) {
+// Snapshot sorts by prefix before values and copies rows into one arena:
+// under every ORDER BY shape and LIMIT, with every key hashing alike and
+// apart, it must read the rows in snapshotLess's order, each copy of a
+// duplicate with its first copy's timestamp, and hand out rows that alias
+// nothing.
+func TestSnapshotOrderMatchesRowOrder(t *testing.T) {
 	schema := data.NewSchema("m", data.Col("n", data.TFloat), data.Col("s", data.TString),
 		data.Col("b", data.TBool), data.Col("f", data.TFloat))
 	orders := [][]OrderSpec{
@@ -850,9 +843,9 @@ func snapshotFixture(n int) *Materialize {
 }
 
 // churnStore holds n rows shaped like a query-churn result: (room, desk,
-// value), each room on three rows, so rows of one room share their
-// key prefix ("s4:R001|") and the sort compares past it. With floatFirst
-// the value leads, and each prefix is formatted by AppendKey.
+// value), each room on three rows, so rows of one room share their sort
+// prefix (the room's bytes) and the sort compares past it. With floatFirst
+// the value leads, and each prefix comes from a number's order key.
 func churnStore(n int, floatFirst bool) *Materialize {
 	cols := []data.Column{data.Col("room", data.TString), data.Col("desk", data.TInt), data.Col("value", data.TFloat)}
 	if floatFirst {

@@ -390,7 +390,6 @@ func (m *Materialize) RestoreState(s OpState) error {
 	if err := src.rows.restore(s.Rows.Tuples, s.Rows.Counts); err != nil {
 		return fmt.Errorf("stream: materialize checkpoint: %w", err)
 	}
-	src.version++
 	return nil
 }
 

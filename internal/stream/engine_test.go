@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -151,9 +152,8 @@ func TestMaterializeSnapshotOrderLimit(t *testing.T) {
 	}
 }
 
-func TestMaterializeMultiplicityAndVersion(t *testing.T) {
+func TestMaterializeMultiplicity(t *testing.T) {
 	m := NewMaterialize(tempSchema())
-	v0 := m.Version()
 	a := temp(1, "a", 1)
 	m.Push(a)
 	m.Push(a) // duplicate row: multiplicity 2
@@ -171,9 +171,6 @@ func TestMaterializeMultiplicityAndVersion(t *testing.T) {
 	m.Push(a.Negate())
 	if m.Len() != 0 {
 		t.Fatal("row not removed at zero")
-	}
-	if m.Version() == v0 {
-		t.Fatal("version not bumped")
 	}
 	// deleting a missing row is a no-op
 	m.Push(temp(9, "zz", 0).Negate())
@@ -203,6 +200,54 @@ func TestMaterializeNullOrdering(t *testing.T) {
 	desc := m.MustSnapshot([]OrderSpec{{Col: "temp", Desc: true}}, -1)
 	if !desc[1].Vals[1].IsNull() {
 		t.Fatalf("nulls should sort last desc: %v", desc)
+	}
+}
+
+// A snapshot reads its rows in the one value order: without ORDER BY, INTs
+// by value (1, 2, 10) and strings byte by byte ("L101" before "MR1"), and
+// LIMIT keeps the least rows; under ORDER BY, NULLs first under ASC and last
+// under DESC, and rows the ORDER BY ties in ascending order either way.
+func TestSnapshotValueOrder(t *testing.T) {
+	read := func(m *Materialize, order []OrderSpec, limit int) string {
+		var rows []string
+		for _, r := range m.MustSnapshot(order, limit) {
+			cells := make([]string, len(r.Vals))
+			for i, v := range r.Vals {
+				cells[i] = v.String()
+			}
+			rows = append(rows, strings.Join(cells, ", "))
+		}
+		return strings.Join(rows, "; ")
+	}
+	ints := NewMaterialize(data.NewSchema("m", data.Col("n", data.TInt)))
+	for _, n := range []int64{10, 2, 1} {
+		ints.Push(data.NewTuple(0, data.Int(n)))
+	}
+	strs := NewMaterialize(data.NewSchema("m", data.Col("room", data.TString)))
+	for _, s := range []string{"MR1", "L101"} {
+		strs.Push(data.NewTuple(0, data.Str(s)))
+	}
+	m := NewMaterialize(tempSchema())
+	for _, r := range []data.Tuple{temp(1, "c", 2), temp(2, "z", 1), temp(3, "a", 2),
+		data.NewTuple(4, data.Str("b"), data.Null)} {
+		m.Push(r)
+	}
+	for _, c := range []struct {
+		m     *Materialize
+		order []OrderSpec
+		limit int
+		want  string
+	}{
+		{ints, nil, -1, "1; 2; 10"},
+		{ints, nil, 2, "1; 2"},
+		{strs, nil, -1, "L101; MR1"},
+		{m, []OrderSpec{{Col: "temp"}}, -1, "b, NULL; z, 1; a, 2; c, 2"},
+		{m, []OrderSpec{{Col: "temp", Desc: true}}, -1, "a, 2; c, 2; z, 1; b, NULL"},
+		{m, nil, 2, "a, 2; b, NULL"},
+	} {
+		if got := read(c.m, c.order, c.limit); got != c.want {
+			t.Errorf("%s ORDER BY %v LIMIT %d: %s, want %s", c.m.Schema(), c.order, c.limit, got, c.want)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ type OrderSpec struct {
 // (View) that reads a store's rows under a schema of its own: identical
 // standing queries keep one store and give each query its own view, so each
 // still snapshots with its own column names, ORDER BY and LIMIT. A view's
-// Snapshot, Len, Version and CheckpointState read the store's rows. A
+// Snapshot, Len and CheckpointState read the store's rows. A
 // view's hook is installed with ChainOnChange, and it fires after
 // every mutation of the store until Freeze makes the view an independent
 // copy that no longer updates.
@@ -50,7 +50,6 @@ type Materialize struct {
 	// repaint. On a view, install it with ChainOnChange: a hook written into
 	// the field puts the view on no listener list, so it never fires.
 	OnChange func()
-	version  uint64
 
 	// store is the Materialize a live view reads; nil on a store and on a
 	// frozen view. Lock order: a view's mu before its store's.
@@ -86,7 +85,7 @@ func (m *Materialize) Freeze() {
 		return
 	}
 	s.mu.Lock()
-	m.rows, m.version = s.rows.clone(), s.version
+	m.rows = s.rows.clone()
 	s.listeners = slices.DeleteFunc(slices.Clone(s.listeners), func(v *Materialize) bool { return v == m })
 	s.mu.Unlock()
 	m.store = nil
@@ -135,7 +134,6 @@ func (m *Materialize) push(ts []data.Tuple, on []int) {
 			m.rows.remove(t, on)
 		}
 	}
-	m.version += uint64(len(ts))
 	cb, listeners := m.OnChange, m.listeners
 	m.mu.Unlock()
 	if cb != nil {
@@ -219,17 +217,14 @@ func (m *Materialize) Len() int {
 	return src.rows.len()
 }
 
-// Version increments on every mutation; displays poll it cheaply.
-func (m *Materialize) Version() uint64 {
-	src := m.lock()
-	defer m.unlock(src)
-	return src.version
-}
-
-// Snapshot returns the current result ordered by the given keys (ties
-// broken by canonical key for determinism: each row's data.KeyPrefix, then
-// data.CompareKeys, so no key is built), truncated to limit when limit >= 0.
-// Duplicate rows appear with their multiplicity.
+// Snapshot returns the current result ordered by the given keys, truncated
+// to limit when limit >= 0. Duplicate rows appear with their multiplicity.
+// Rows order in the one value order, data.CompareValues: by the ORDER BY
+// columns first, a DESC column's order reversed (so NULLs come first under
+// ASC and last under DESC), then by the whole row, data.CompareRows. Rows
+// that tie on ORDER BY, or all rows when there is none, come out in
+// ascending value order. The sort compares each row's data.SortPrefix before
+// its values, and builds no key.
 func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, error) {
 	idx := make([]int, len(order))
 	for i, o := range order {
@@ -239,11 +234,11 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		}
 		idx[i] = j
 	}
-	// Under the lock, copy out what the sort needs: every distinct row's key
+	// Under the lock, copy out what the sort needs: every distinct row's sort
 	// prefix, and all rows' values (duplicates back to back) in one arena.
 	type snapRow struct {
 		ts    vtime.Time
-		pre   uint64 // data.KeyPrefix of the row
+		pre   uint64 // data.SortPrefix of the row
 		vals  int    // offset of the first copy in vals
 		count int
 	}
@@ -256,7 +251,7 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 			continue
 		}
 		row := set.row(int32(r))
-		rows = append(rows, snapRow{ts: rec.ts, pre: data.KeyPrefix(row), vals: len(vals), count: rec.count})
+		rows = append(rows, snapRow{ts: rec.ts, pre: data.SortPrefix(row), vals: len(vals), count: rec.count})
 		for i := 0; i < rec.count; i++ {
 			vals = append(vals, row...)
 		}
@@ -266,27 +261,17 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 
 	slices.SortFunc(rows, func(a, b snapRow) int {
 		for k, j := range idx {
-			av, bv := vals[a.vals+j], vals[b.vals+j]
-			c, ok := av.Compare(bv)
-			if ok && c != 0 {
+			if c := data.CompareValues(vals[a.vals+j], vals[b.vals+j]); c != 0 {
 				if order[k].Desc {
 					return -c
 				}
 				return c
 			}
-			// Ties and incomparable values fall through to the next key,
-			// except that NULLs order first (last under DESC).
-			if an, bn := av.IsNull(), bv.IsNull(); an != bn {
-				if an != order[k].Desc {
-					return -1
-				}
-				return 1
-			}
 		}
 		if a.pre != b.pre {
 			return cmp.Compare(a.pre, b.pre)
 		}
-		return data.CompareKeys(vals[a.vals:a.vals+w], vals[b.vals:b.vals+w])
+		return data.CompareRows(vals[a.vals:a.vals+w], vals[b.vals:b.vals+w])
 	})
 
 	out := make([]data.Tuple, 0, total)

@@ -3,7 +3,6 @@ package stream
 import (
 	"cmp"
 	"maps"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -30,15 +29,15 @@ import (
 // and an AND of the bitsets. Any other predicate is evaluated whole, by its
 // compiled truth form, inside the same node. The predicate's shape decides.
 //
-// Constants fall into the classes Compare can order — numbers, strings,
-// booleans, times — and each class has its own sorted run; a value of a
-// class with no constant on the column, or NULL, reads the column's "none"
-// bitset (every atom on it is false there). A run of numbers, booleans or
-// times also keeps its constants' order keys (orderKey), and a tuple value
-// with a key finds its region among them with integer compares. A string
-// has no key, and neither has an INT beyond ±2^53: such a constant leaves
-// its whole run to search its constants with Compare, such a tuple value
-// its own probe.
+// Constants fall into the value classes Compare can order (data.Class) —
+// numbers, strings, booleans, times — and each class has its own sorted run;
+// a value of a class with no constant on the column, or NULL, reads the
+// column's "none" bitset (every atom on it is false there). A run of
+// numbers, booleans or times also keeps its constants' data.OrderKey, the
+// key of the one value order, and a tuple value with a key finds its region
+// among them with integer compares. A string has no key, and neither has an
+// INT beyond ±2^53: such a constant leaves its whole run to search its
+// constants with Compare, such a tuple value its own probe.
 //
 // Membership is copy-on-write, like Fanout's subscriber list: Add and
 // Remove rebuild the index under a lock and publish it atomically, and a
@@ -167,70 +166,15 @@ type selCol struct {
 // consts[i], region 2i+1 equals consts[i]. keys holds the constants' order
 // keys, or is nil when one of them has none.
 type selRun struct {
-	class  int8
+	class  data.Class
 	consts []data.Value
 	keys   []uint64
 	masks  []uint64 // region r at [r*words, (r+1)*words)
 }
 
-// valueClass names the classes of values Compare orders among themselves;
-// -1 for NULL and unknown types, which compare with nothing.
-func valueClass(t data.Type) int8 {
-	switch t {
-	case data.TInt, data.TFloat:
-		return 0
-	case data.TString:
-		return 1
-	case data.TBool:
-		return 2
-	case data.TTime:
-		return 3
-	}
-	return -1
-}
-
-// nanKey is every NaN's order key: one above +Inf's.
-const nanKey = 0xfff0_0000_0000_0001
-
-// orderKey maps v to an integer whose unsigned order is Value.Compare's
-// among values of v's class, reporting false for a value without one:
-// strings, NULL, unknown types and an INT beyond ±2^53, which float64 would
-// round. A number keys through float64 with the sortable-bits transform —
-// every bit of a negative flipped, the sign bit of a positive set — with −0
-// keyed as 0 and every NaN as nanKey, as Compare orders them. A boolean or
-// a time keys its payload with the sign bit flipped, which turns signed
-// order into unsigned.
-func orderKey(v data.Value) (uint64, bool) {
-	var f float64
-	switch v.T {
-	case data.TInt:
-		if v.I < -1<<53 || v.I > 1<<53 {
-			return 0, false
-		}
-		f = float64(v.I)
-	case data.TFloat:
-		f = v.F
-	case data.TBool, data.TTime:
-		return uint64(v.I) ^ 1<<63, true
-	default:
-		return 0, false
-	}
-	switch {
-	case f != f:
-		return nanKey, true
-	case f == 0:
-		return 1 << 63, true // −0 keys as 0
-	}
-	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b, true
-	}
-	return b | 1<<63, true
-}
-
 // lookup returns the bitset of the region v falls in.
 func (c *selCol) lookup(v data.Value) []uint64 {
-	k, words := valueClass(v.T), len(c.none)
+	k, words := v.T.Class(), len(c.none)
 	for i := range c.runs {
 		r := &c.runs[i]
 		if r.class != k {
@@ -246,7 +190,7 @@ func (c *selCol) lookup(v data.Value) []uint64 {
 // key when v and the run have keys, else by Compare.
 func (r *selRun) region(v data.Value) int {
 	if r.keys != nil {
-		if key, ok := orderKey(v); ok {
+		if key, ok := data.OrderKey(v); ok {
 			i, eq := slices.BinarySearch(r.keys, key)
 			if eq {
 				return 2*i + 1
@@ -298,19 +242,19 @@ func buildSelIndex(members []selMember) *selIndex {
 func buildSelCol(members []selMember, col int, ms []int, all []uint64) selCol {
 	words := len(all)
 	c := selCol{col: col, none: slices.Clone(all)}
-	byClass := map[int8][]data.Value{}
+	byClass := map[data.Class][]data.Value{}
 	for _, m := range ms {
 		c.none[m>>6] &^= 1 << (m & 63)
 		for _, a := range members[m].atoms {
-			if k := valueClass(a.Const.T); a.Col == col && k >= 0 {
+			if k := a.Const.T.Class(); a.Col == col && k != data.ClassOther {
 				byClass[k] = append(byClass[k], a.Const)
 			}
 		}
 	}
 	for _, k := range slices.Sorted(maps.Keys(byClass)) {
 		consts := byClass[k]
-		slices.SortFunc(consts, compareValues)
-		consts = slices.CompactFunc(consts, func(a, b data.Value) bool { return compareValues(a, b) == 0 })
+		slices.SortFunc(consts, data.CompareValues)
+		consts = slices.CompactFunc(consts, func(a, b data.Value) bool { return data.CompareValues(a, b) == 0 })
 		r := selRun{class: k, consts: consts, keys: orderKeys(consts), masks: make([]uint64, (2*len(consts)+1)*words)}
 		for reg := 0; reg <= 2*len(consts); reg++ {
 			mask := r.masks[reg*words : (reg+1)*words]
@@ -331,7 +275,7 @@ func orderKeys(consts []data.Value) []uint64 {
 	keys := make([]uint64, len(consts))
 	for i, v := range consts {
 		var ok bool
-		if keys[i], ok = orderKey(v); !ok {
+		if keys[i], ok = data.OrderKey(v); !ok {
 			return nil
 		}
 	}
@@ -345,12 +289,12 @@ func (r *selRun) holdsAll(atoms []expr.Atom, col, reg int) bool {
 		if a.Col != col {
 			continue
 		}
-		if valueClass(a.Const.T) != r.class {
+		if a.Const.T.Class() != r.class {
 			return false
 		}
 		// A value in region reg against consts[j]: the region equals
 		// consts[reg/2] when odd and lies just below it when even.
-		j, _ := slices.BinarySearchFunc(r.consts, a.Const, compareValues)
+		j, _ := slices.BinarySearchFunc(r.consts, a.Const, data.CompareValues)
 		c := cmp.Compare(reg/2, j)
 		if c == 0 && reg%2 == 0 {
 			c = -1
@@ -360,10 +304,4 @@ func (r *selRun) holdsAll(atoms []expr.Atom, col, reg int) bool {
 		}
 	}
 	return true
-}
-
-// compareValues is Value.Compare for values of one class.
-func compareValues(a, b data.Value) int {
-	c, _ := a.Compare(b)
-	return c
 }

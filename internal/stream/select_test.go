@@ -1,11 +1,9 @@
 package stream
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"aspen/internal/data"
@@ -129,52 +127,6 @@ var selPalette = []data.Value{
 	data.Float(math.NaN()), data.Float(math.Copysign(math.NaN(), -1)), data.Float(math.Inf(1)), data.Float(math.Inf(-1)),
 	data.Str(""), data.Str("a"), data.Str("b"), data.Str("a%"), data.Bool(false), data.Bool(true),
 	data.Value{T: data.TTime, I: 1}, data.Value{T: data.TTime, I: 2}, data.Value{T: data.TTime, I: -1}, {T: 99},
-}
-
-// TestOrderKeyFollowsCompare: two values of one class that both have order
-// keys compare as their keys do, over every pair of palette values and
-// seeded draws near ±2^53, ±0, the subnormals, ±Inf and int64's ends; and
-// exactly the palette's NULL, INTs beyond ±2^53, strings and unknown type
-// have no key.
-func TestOrderKeyFollowsCompare(t *testing.T) {
-	vals := slices.Clone(selPalette)
-	rng := rand.New(rand.NewSource(1))
-	floats := []float64{1 << 53, -(1 << 53), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
-		-math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
-	for i := 0; i < 400; i++ {
-		d := int64(rng.Intn(9) - 4)
-		f := floats[rng.Intn(len(floats))]
-		nan := math.Float64frombits(0x7ff0_0000_0000_0001 | rng.Uint64()&0x800f_ffff_ffff_ffff) // any sign and payload
-		ints := []int64{1<<53 + d, -(1 << 53) + d, d, int64(rng.Uint64()), math.MaxInt64 - d*d, math.MinInt64 + d*d}
-		vals = append(vals, data.Int(ints[rng.Intn(len(ints))]), data.Float(f), data.Float(nan),
-			data.Float(math.Nextafter(f, float64(d))), data.Float(f+float64(d)),
-			data.Float(math.SmallestNonzeroFloat64*float64(d)), data.Float(math.Float64frombits(rng.Uint64())),
-			data.Value{T: data.TTime, I: ints[rng.Intn(len(ints))]}, data.Value{T: data.TTime, I: d})
-	}
-	for _, a := range vals {
-		ka, okA := orderKey(a)
-		for _, b := range vals {
-			kb, okB := orderKey(b)
-			if !okA || !okB || valueClass(a.T) != valueClass(b.T) {
-				continue
-			}
-			if want, _ := a.Compare(b); cmp.Compare(ka, kb) != want {
-				t.Fatalf("orderKey(%v) = %#x, orderKey(%v) = %#x: key order %d, Compare %d",
-					a, ka, b, kb, cmp.Compare(ka, kb), want)
-			}
-		}
-	}
-	var unkeyed []data.Value
-	for _, v := range selPalette {
-		if _, ok := orderKey(v); !ok {
-			unkeyed = append(unkeyed, v)
-		}
-	}
-	want := []data.Value{data.Null, data.Int(1<<53 + 1), data.Int(math.MaxInt64), data.Int(-(1 << 53) - 1),
-		data.Int(math.MinInt64), data.Str(""), data.Str("a"), data.Str("b"), data.Str("a%"), {T: 99}}
-	if !slices.Equal(unkeyed, want) {
-		t.Fatalf("palette values without a key: %v, want %v", unkeyed, want)
-	}
 }
 
 // selFuzzSchema has a column of every type a comparison binds against,

@@ -11,8 +11,8 @@ import (
 )
 
 // TestMaterializeView pins what a view of a store reads: the store's rows
-// under its own schema (its own ORDER BY names), Len, Version and a
-// checkpoint through it, OnChange after every store mutation until Freeze,
+// under its own schema (its own ORDER BY names), Len and a checkpoint
+// through it, OnChange after every store mutation until Freeze,
 // and after Freeze a private copy the store no longer reaches.
 func TestMaterializeView(t *testing.T) {
 	store := NewMaterialize(tempSchema())
@@ -26,8 +26,8 @@ func TestMaterializeView(t *testing.T) {
 
 	store.Push(data.NewTuple(1, data.Str("L101"), data.Float(21)))
 	store.Push(data.NewTuple(2, data.Str("L102"), data.Float(25)))
-	if fired != 2 || v.Len() != 2 || v.Version() != store.Version() {
-		t.Fatalf("live view: fired %d, len %d, version %d (store %d)", fired, v.Len(), v.Version(), store.Version())
+	if fired != 2 || v.Len() != 2 {
+		t.Fatalf("live view: fired %d, len %d", fired, v.Len())
 	}
 	rows, err := v.Snapshot([]OrderSpec{{Col: "mine.temp", Desc: true}}, 1)
 	if err != nil {
@@ -58,14 +58,14 @@ func TestMaterializeView(t *testing.T) {
 	inflight := store.listeners // what a push loaded just before Freeze
 	v.Freeze()
 	before := v.MustSnapshot(nil, -1)
-	firedAtFreeze, versionAtFreeze := fired, v.Version()
+	firedAtFreeze := fired
 	for _, w := range inflight {
 		w.changed() // that push's notification, landing after Freeze returned
 	}
 	store.Push(data.NewTuple(4, data.Str("L104"), data.Float(30)))
 	store.Push(data.NewTuple(3, data.Str("L103"), data.Float(19)).Negate())
-	if fired != firedAtFreeze || v.Version() != versionAtFreeze {
-		t.Fatalf("frozen view still updates: fired %d→%d, version %d→%d", firedAtFreeze, fired, versionAtFreeze, v.Version())
+	if fired != firedAtFreeze {
+		t.Fatalf("frozen view still fires: fired %d→%d", firedAtFreeze, fired)
 	}
 	if after := v.MustSnapshot(nil, -1); len(after) != 1 || !after[0].EqualVals(before[0]) {
 		t.Fatalf("frozen view reads %v, want its state at Freeze %v", after, before)

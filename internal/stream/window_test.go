@@ -155,9 +155,10 @@ func TestWindowContentsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// sortByKey sorts ts by canonical key, the order snapshots keep.
+// sortByKey sorts ts in the value order (data.CompareRows), the order
+// snapshots keep.
 func sortByKey(ts []data.Tuple) {
-	slices.SortFunc(ts, func(a, b data.Tuple) int { return data.CompareKeys(a.Vals, b.Vals) })
+	slices.SortFunc(ts, func(a, b data.Tuple) int { return data.CompareRows(a.Vals, b.Vals) })
 }
 
 // sameTuples reports whether two delta sequences are identical: the same

@@ -12,7 +12,8 @@ import (
 	"aspen/internal/stream"
 )
 
-// Snapshot returns the current view contents sorted by canonical key.
+// Snapshot returns the current view contents in the value order
+// (data.CompareRows).
 func (v *View) Snapshot() []data.Tuple {
 	out := make([]data.Tuple, 0, v.nFacts)
 	for _, bucket := range v.facts {
@@ -20,7 +21,7 @@ func (v *View) Snapshot() []data.Tuple {
 			out = append(out, f.t.Clone())
 		}
 	}
-	slices.SortFunc(out, func(a, b data.Tuple) int { return data.CompareKeys(a.Vals, b.Vals) })
+	slices.SortFunc(out, func(a, b data.Tuple) int { return data.CompareRows(a.Vals, b.Vals) })
 	return out
 }
 
