@@ -42,7 +42,7 @@ tables-check:
 # at random, so those tests check their counts only here and in plain
 # `go test`. Like race_run it first checks with `go test -list` that each
 # test still exists. Mirrored by the CI build-and-test job.
-ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/ TestSnapshotAllocsConstant:./internal/stream/
+ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/ TestSnapshotAllocsConstant:./internal/stream/ TestLocateVisitorAllocs:./internal/smartcis/
 allocs:
 	@for tp in $(ALLOC_TESTS); do \
 		test=$${tp%%:*}; pkg=$${tp#*:}; \

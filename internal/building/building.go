@@ -243,7 +243,7 @@ func (b *Building) Labs() []*Room {
 }
 
 // NearestPoint returns the routing point closest to the coordinates; used
-// to snap an RFID sighting to the routing graph.
+// to snap each RFID reader to the routing graph as it is placed.
 func (b *Building) NearestPoint(x, y float64) Point {
 	var best Point
 	bestD := math.Inf(1)

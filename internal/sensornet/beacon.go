@@ -15,7 +15,8 @@ type Beacon struct {
 	X, Y  float64
 }
 
-// BeaconField tracks the moving beacons over a network.
+// BeaconField tracks the moving beacons over a network. Lock order: the
+// field's lock before the network's, the order Locate takes them in.
 type BeaconField struct {
 	mu      sync.Mutex
 	net     *Network
@@ -86,32 +87,37 @@ func (bf *BeaconField) Hear(nodeID int) []Detection {
 	return out
 }
 
-// Locate returns, for each beacon, the reader that hears it loudest — ties
-// go to the lowest node ID; the building-side position estimate. Beacons
-// out of range of every reader are absent from the result. Every reader is
-// judged against the same beacon positions: the field stays locked for
-// the one pass over the RFID motes.
-func (bf *BeaconField) Locate() map[int]Detection {
+// Locate returns the reader that hears the badge loudest: the building's
+// position estimate for the one beacon with this ID. Ties go to the lowest
+// node ID and dead readers hear nothing; a badge that is unknown, or out of
+// range of every live reader, is not located. The field, then the
+// network, stay locked for the one pass over the RFID motes, so every
+// reader is judged against the same badge position and the same liveness.
+func (bf *BeaconField) Locate(id int) (Detection, bool) {
 	bf.mu.Lock()
 	defer bf.mu.Unlock()
-	best := map[int]Detection{}
-	bf.net.EachWith(SensorRFID, func(n Node) bool {
-		if n.Dead {
-			return true
+	b := bf.beacons[id]
+	if b == nil {
+		return Detection{}, false
+	}
+	nw := bf.net
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	var best Detection
+	found := false
+	for _, m := range nw.kindLocked(SensorRFID) {
+		if m.Dead {
+			continue
 		}
-		for _, b := range bf.beacons {
-			d := dist(n.X, n.Y, b.X, b.Y)
-			if d > bf.BeaconRange {
-				continue
-			}
-			// Readers arrive in ID order, so a later one must be
-			// strictly louder to win.
-			rssi := 1 / (1 + d)
-			if cur, ok := best[b.ID]; !ok || rssi > cur.RSSI {
-				best[b.ID] = Detection{BeaconID: b.ID, Owner: b.Owner, NodeID: n.ID, RSSI: rssi}
-			}
+		d := dist(m.X, m.Y, b.X, b.Y)
+		if d > bf.BeaconRange {
+			continue
 		}
-		return true
-	})
-	return best
+		// Readers arrive in ID order, so a later one must be strictly
+		// louder to win.
+		if rssi := 1 / (1 + d); !found || rssi > best.RSSI {
+			best, found = Detection{BeaconID: b.ID, Owner: b.Owner, NodeID: m.ID, RSSI: rssi}, true
+		}
+	}
+	return best, found
 }

@@ -295,12 +295,17 @@ func (nw *Network) Each(fn func(Node) bool) {
 // EachWith is Each over only the motes carrying the given sensor.
 func (nw *Network) EachWith(kind SensorKind, fn func(Node) bool) {
 	nw.mu.Lock()
-	var list []*mote
-	if int(kind) < len(nw.byKind) {
-		list = nw.byKind[kind]
-	}
+	list := nw.kindLocked(kind)
 	nw.mu.Unlock()
 	nw.visit(list, fn)
+}
+
+// kindLocked returns the ID-ordered motes carrying the given sensor.
+func (nw *Network) kindLocked(kind SensorKind) []*mote {
+	if int(kind) < len(nw.byKind) {
+		return nw.byKind[kind]
+	}
+	return nil
 }
 
 func (nw *Network) visit(list []*mote, fn func(Node) bool) {

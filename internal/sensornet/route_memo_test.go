@@ -440,7 +440,7 @@ func TestNetworkConcurrentUse(t *testing.T) {
 					t.Errorf("path 35→%d = %v", a, p)
 				}
 				nw.EachWith(SensorRFID, func(n Node) bool { return n.ID < a })
-				if det, ok := bf.Locate()[1]; ok && det.Owner != "alice" {
+				if det, ok := bf.Locate(1); ok && det.Owner != "alice" {
 					t.Errorf("located %+v", det)
 				}
 			}

@@ -72,10 +72,17 @@ type App struct {
 	pduServers []*machines.PDUServer
 	pdus       []*machines.PDU
 
+	// readers maps an RFID reader's node ID to where a sighting by it
+	// places a visitor. deployMotes fills it as it places the readers;
+	// readers and routing points never move after New, so it is read
+	// without a lock.
+	readers []readerSpot
+
 	// mu guards the physical state below. Lock order: mu before the
 	// routing graph's lock before the Fleet's (Guide), and mu before the
-	// Beacons' lock before the Net's; it is never held across a push into
-	// a stream input.
+	// Beacons' lock before the Net's (sampleSightings locates every
+	// visitor under mu); it is never held across a push into a stream
+	// input.
 	mu        sync.Mutex
 	roomLight map[string]bool         // lights on?
 	occupied  map[string]map[int]bool // room -> desk -> seated
@@ -87,6 +94,12 @@ type App struct {
 	machIn   *stream.Input
 	jobsIn   *stream.Input
 	stoppers []func()
+}
+
+// readerSpot is where a sighting by one RFID reader places a visitor.
+type readerSpot struct {
+	point string  // the routing point nearest the reader
+	x, y  float64 // the reader's position
 }
 
 // Visitor is an occupant carrying an active RFID badge.
@@ -153,24 +166,27 @@ func (a *App) deployMotes() error {
 	id := 0
 	next := func() int { id++; return id - 1 }
 
-	lobby, _ := a.Building.Point("lobby")
-	base := next()
-	// The base station doubles as the lobby's RFID reader, so arriving
-	// visitors are detected immediately.
-	a.Net.MustAddNode(sensornet.Node{ID: base, X: lobby.X, Y: lobby.Y, Room: "lobby",
-		Sensors: []sensornet.SensorKind{sensornet.SensorRFID}})
-	if err := a.Net.SetBase(base); err != nil {
-		return err
+	reader := func(p building.Point) int {
+		rid := next()
+		a.Net.MustAddNode(sensornet.Node{ID: rid, X: p.X, Y: p.Y, Room: p.Name,
+			Sensors: []sensornet.SensorKind{sensornet.SensorRFID}})
+		if grow := rid + 1 - len(a.readers); grow > 0 {
+			a.readers = append(a.readers, make([]readerSpot, grow)...)
+		}
+		a.readers[rid] = readerSpot{point: a.Building.NearestPoint(p.X, p.Y).Name, x: p.X, y: p.Y}
+		return rid
 	}
 
+	// The base station doubles as the lobby's RFID reader, so arriving
+	// visitors are detected immediately.
+	lobby, _ := a.Building.Point("lobby")
+	if err := a.Net.SetBase(reader(lobby)); err != nil {
+		return err
+	}
 	for _, p := range a.Building.Points() {
-		if !strings.HasPrefix(p.Name, "hall") {
-			continue
+		if strings.HasPrefix(p.Name, "hall") {
+			reader(p)
 		}
-		a.Net.MustAddNode(sensornet.Node{
-			ID: next(), X: p.X, Y: p.Y, Room: p.Name,
-			Sensors: []sensornet.SensorKind{sensornet.SensorRFID},
-		})
 	}
 	for _, r := range a.Building.Rooms {
 		if r.Kind == building.Lobby {

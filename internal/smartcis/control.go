@@ -61,18 +61,15 @@ func (a *App) sampleJobs() {
 // sampleSightings localizes every badge and emits sighting tuples.
 func (a *App) sampleSightings() {
 	now := a.Sched.Now()
-	located := a.Beacons.Locate()
 	var batch []data.Tuple
 	a.mu.Lock()
 	for _, v := range a.visitors {
-		det, ok := located[v.BeaconID]
+		at, ok := a.locate(v)
 		if !ok {
 			continue
 		}
-		node, _ := a.Net.Node(det.NodeID)
-		pt := a.Building.NearestPoint(node.X, node.Y)
 		batch = append(batch, data.NewTuple(now,
-			data.Str(v.Name), data.Str(pt.Name), data.Float(node.X), data.Float(node.Y)))
+			data.Str(v.Name), data.Str(at.point), data.Float(at.x), data.Float(at.y)))
 	}
 	a.mu.Unlock()
 	a.sightIn.PushBatch(batch)
@@ -158,12 +155,18 @@ func (a *App) LocateVisitor(name string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	det, ok := a.Beacons.Locate()[v.BeaconID]
+	at, ok := a.locate(v)
+	return at.point, ok
+}
+
+// locate places a visitor at the reader that hears their badge loudest.
+// A visitor's badge ID never changes, so a.mu need not be held.
+func (a *App) locate(v *Visitor) (readerSpot, bool) {
+	det, ok := a.Beacons.Locate(v.BeaconID)
 	if !ok {
-		return "", false
+		return readerSpot{}, false
 	}
-	node, _ := a.Net.Node(det.NodeID)
-	return a.Building.NearestPoint(node.X, node.Y).Name, true
+	return a.readers[det.NodeID], true
 }
 
 // FreeMachine describes an available machine offered to a visitor.

@@ -14,6 +14,8 @@ import (
 	"aspen/internal/machines"
 	"aspen/internal/sensor"
 	"aspen/internal/sensornet"
+	"aspen/internal/stream"
+	"aspen/internal/testproc"
 )
 
 // The ref* functions are the building-path lookups as they were before the
@@ -71,12 +73,14 @@ func refFreeMachines(a *App, need string) []FreeMachine {
 	return out
 }
 
-func refLocate(a *App, name string) (string, bool) {
+// refReader is the live reader that hears the visitor's badge loudest,
+// found reader by reader through Hear.
+func refReader(a *App, name string) (sensornet.Node, bool) {
 	a.mu.Lock()
 	v, ok := a.visitors[name]
 	a.mu.Unlock()
 	if !ok {
-		return "", false
+		return sensornet.Node{}, false
 	}
 	var best sensornet.Detection
 	found := false
@@ -94,10 +98,30 @@ func refLocate(a *App, name string) (string, bool) {
 		}
 	}
 	if !found {
+		return sensornet.Node{}, false
+	}
+	return a.Net.Node(best.NodeID)
+}
+
+func refLocate(a *App, name string) (string, bool) {
+	n, ok := refReader(a, name)
+	if !ok {
 		return "", false
 	}
-	node, _ := a.Net.Node(best.NodeID)
-	return a.Building.NearestPoint(node.X, node.Y).Name, true
+	return a.Building.NearestPoint(n.X, n.Y).Name, true
+}
+
+// refSightings is what one sampleSightings round should push: a tuple per
+// located visitor, in name order.
+func refSightings(a *App, names ...string) []string {
+	var out []string
+	for _, name := range names {
+		if n, ok := refReader(a, name); ok {
+			at := a.Building.NearestPoint(n.X, n.Y).Name
+			out = append(out, fmt.Sprint([]data.Value{data.Str(name), data.Str(at), data.Float(n.X), data.Float(n.Y)}))
+		}
+	}
+	return out
 }
 
 func refGuide(a *App, visitor, need string) (*Guidance, bool) {
@@ -148,22 +172,29 @@ func scenarioApp(t *testing.T) *App {
 }
 
 // TestScenarioMatchesLinearScans scripts 50 epochs — people sitting down
-// and standing up, labs going dark, rooms heating, a machine powered off, a
-// visitor walking the hallway — and requires Reading at every mote,
-// FreeMachines, LocateVisitor and Guide to equal the linear-scan
-// references after every epoch.
+// and standing up, labs going dark, rooms heating, a machine powered off,
+// two visitors walking the hallway, the reader that hears one of them
+// loudest dying and coming back — and requires Reading at every mote,
+// FreeMachines, both visitors' LocateVisitor, the sightings pushed and
+// Guide to equal the linear-scan references after every epoch.
 func TestScenarioMatchesLinearScans(t *testing.T) {
 	app := scenarioApp(t)
-	app.VisitorArrives("alice")
-	var halls []string
+	visitors := []string{"alice", "bob"}
+	for _, v := range visitors {
+		app.VisitorArrives(v)
+	}
+	sightings := stream.NewCollector(app.sightIn.Schema())
+	app.sightIn.Subscribe(sightings)
+	var halls []building.Point
 	for _, p := range app.Building.Points() {
 		if strings.HasPrefix(p.Name, "hall") {
-			halls = append(halls, p.Name)
+			halls = append(halls, p)
 		}
 	}
 	labs := app.Building.Labs()
 	rng := rand.New(rand.NewSource(11))
-	guided, heated := 0, 0
+	var dead []int // readers killed and not yet revived
+	guided, heated, unlocated, handedOver := 0, 0, 0, 0
 	for epoch := 1; epoch <= 50; epoch++ {
 		for i := 0; i < 3; i++ {
 			lab := labs[rng.Intn(len(labs))]
@@ -182,9 +213,32 @@ func TestScenarioMatchesLinearScans(t *testing.T) {
 		if epoch == 35 {
 			app.Fleet.SetPower("ws-L102-2", true)
 		}
-		if err := app.MoveVisitorTo("alice", halls[rng.Intn(len(halls))]); err != nil {
+		// alice stands at a hall's reader; bob stands 40–60 feet past one,
+		// where the next reader along may hear him too.
+		if err := app.MoveVisitorTo("alice", halls[rng.Intn(len(halls))].Name); err != nil {
 			t.Fatal(err)
 		}
+		h := halls[rng.Intn(len(halls))]
+		if err := app.MoveVisitor("bob", h.X+40+20*rng.Float64(), h.Y); err != nil {
+			t.Fatal(err)
+		}
+		switch epoch % 6 {
+		case 2, 3: // kill alice's, then bob's, loudest live reader
+			v := visitors[epoch%2]
+			if n, ok := refReader(app, v); ok {
+				app.Net.Kill(n.ID)
+				dead = append(dead, n.ID)
+				if _, ok := refReader(app, v); ok {
+					handedOver++ // the next loudest reader hears them
+				}
+			}
+		case 5:
+			for _, id := range dead {
+				app.Net.Revive(id)
+			}
+			dead = dead[:0]
+		}
+		sightings.Reset()
 		now := app.Sched.Now().Add(time.Second)
 		app.Sched.RunUntil(now)
 
@@ -206,9 +260,22 @@ func TestScenarioMatchesLinearScans(t *testing.T) {
 				t.Fatalf("epoch %d: FreeMachines(%q) = %v, linear scan %v", epoch, need, got, want)
 			}
 		}
-		at, ok := app.LocateVisitor("alice")
-		if wantAt, wantOK := refLocate(app, "alice"); at != wantAt || ok != wantOK {
-			t.Fatalf("epoch %d: LocateVisitor = %q (%v), per-reader scan %q (%v)", epoch, at, ok, wantAt, wantOK)
+		for _, v := range visitors {
+			at, ok := app.LocateVisitor(v)
+			if wantAt, wantOK := refLocate(app, v); at != wantAt || ok != wantOK {
+				t.Fatalf("epoch %d: LocateVisitor(%s) = %q (%v), per-reader scan %q (%v)", epoch, v, at, ok, wantAt, wantOK)
+			}
+			if !ok {
+				unlocated++
+			}
+		}
+		var got []string
+		for _, tp := range sightings.Snapshot() {
+			got = append(got, fmt.Sprint(tp.Vals))
+		}
+		sort.Strings(got)
+		if want := refSightings(app, visitors...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: sightings %v, per-reader scan %v", epoch, got, want)
 		}
 		g, err := app.Guide("alice", "fedora linux")
 		want, wantOK := refGuide(app, "alice", "fedora linux")
@@ -219,8 +286,9 @@ func TestScenarioMatchesLinearScans(t *testing.T) {
 			guided++
 		}
 	}
-	if guided == 0 || heated == 0 {
-		t.Fatalf("scenario exercised too little: %d guides, %d warm desk readings", guided, heated)
+	if guided == 0 || heated == 0 || unlocated == 0 || handedOver == 0 {
+		t.Fatalf("scenario exercised too little: %d guides, %d warm desk readings, %d visitors unlocated, %d handed to a farther reader",
+			guided, heated, unlocated, handedOver)
 	}
 	// The shared desk reads the lowest-named machine's load.
 	app.Fleet.StartJob("aux-L101-1", "marie", "sim", 0.5, 64)
@@ -294,22 +362,68 @@ func TestSteadyStateEpochHitsRouteMemo(t *testing.T) {
 	}
 }
 
-// BenchmarkAppReading measures the physical model's temperature reading at
-// a desk — the per-sample cost of both in-network fragments — on the
-// benchmark's building: 260 machines.
-func BenchmarkAppReading(b *testing.B) {
+// benchmarkApp is the benchmark's building: 260 machines.
+func benchmarkApp(tb testing.TB) *App {
+	tb.Helper()
 	app, err := New(Options{
 		Building:       building.GenConfig{Labs: 32, DesksPerLab: 8, Offices: 16, HallSpacing: 100},
 		Seed:           1,
 		SkipPDUServers: true,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer app.Close()
+	tb.Cleanup(app.Close)
 	if app.Fleet.Len() != 260 {
-		b.Fatalf("fleet has %d machines, want 260", app.Fleet.Len())
+		tb.Fatalf("fleet has %d machines, want 260", app.Fleet.Len())
 	}
+	return app
+}
+
+// guideApp is benchmarkApp with a visitor mid-hallway and the nearest labs
+// dark, so a guide's search walks several hallway points before it finds a
+// free machine.
+func guideApp(tb testing.TB) *App {
+	tb.Helper()
+	app := benchmarkApp(tb)
+	app.VisitorArrives("alice")
+	if err := app.MoveVisitorTo("alice", "hall16"); err != nil {
+		tb.Fatal(err)
+	}
+	for lab := 113; lab <= 119; lab++ {
+		app.SetRoomLights(fmt.Sprintf("L%d", lab), false)
+	}
+	return app
+}
+
+// TestLocateVisitorAllocs pins a visitor's request: locating the visitor
+// allocates nothing, and a guide allocates only its answer — the route's
+// points and the Guidance holding them.
+func TestLocateVisitorAllocs(t *testing.T) {
+	if testproc.Race {
+		t.Skip("the race detector drains the search pool at random")
+	}
+	app := guideApp(t)
+	if at, ok := app.LocateVisitor("alice"); !ok || at != "hall16" {
+		t.Fatalf("LocateVisitor = %q (%t), want hall16", at, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { app.LocateVisitor("alice") }); n != 0 {
+		t.Errorf("LocateVisitor allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := app.Guide("alice", "fedora linux"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("Guide allocates %v times, want 2", n)
+	}
+}
+
+// BenchmarkAppReading measures the physical model's temperature reading at
+// a desk — the per-sample cost of both in-network fragments — on the
+// benchmark's building.
+func BenchmarkAppReading(b *testing.B) {
+	app := benchmarkApp(b)
 	var mote sensornet.Node
 	for _, n := range app.Net.Nodes() {
 		if n.Room == "L116" && n.Desk == 4 && n.HasSensor(sensornet.SensorTemperature) {
@@ -329,31 +443,59 @@ func BenchmarkAppReading(b *testing.B) {
 	}
 }
 
-// BenchmarkGuide measures one visitor request on the benchmark's building:
-// the visitor stands mid-hallway with the nearest labs dark, so the search
-// walks several hallway points before it finds a free machine.
+// BenchmarkGuide measures one visitor request on the benchmark's building
+// (guideApp).
 func BenchmarkGuide(b *testing.B) {
-	app, err := New(Options{
-		Building:       building.GenConfig{Labs: 32, DesksPerLab: 8, Offices: 16, HallSpacing: 100},
-		Seed:           1,
-		SkipPDUServers: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer app.Close()
-	app.VisitorArrives("alice")
-	if err := app.MoveVisitorTo("alice", "hall16"); err != nil {
-		b.Fatal(err)
-	}
-	for lab := 113; lab <= 119; lab++ {
-		app.SetRoomLights(fmt.Sprintf("L%d", lab), false)
-	}
+	app := guideApp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := app.Guide("alice", "fedora linux"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLocateVisitor measures placing a visitor on the benchmark's
+// building, seated as the repository benchmark seats it (a quarter of the
+// lab desks, every fourth office, one server seat), while the visitor
+// walks: every 64 requests they move to a seeded random hall.
+func BenchmarkLocateVisitor(b *testing.B) {
+	app := benchmarkApp(b)
+	offices := 0
+	for _, r := range app.Building.Rooms {
+		if r.Kind == building.Office {
+			offices++
+		}
+		for k, d := range r.Desks {
+			switch r.Kind {
+			case building.Office:
+				app.SetDeskOccupied(r.Name, d.Num, offices%4 == 0)
+			case building.MachineRoom:
+				app.SetDeskOccupied(r.Name, d.Num, k == 0)
+			default:
+				app.SetDeskOccupied(r.Name, d.Num, d.Num%4 == 2)
+			}
+		}
+	}
+	app.VisitorArrives("alice")
+	var halls []string
+	for _, p := range app.Building.Points() {
+		if strings.HasPrefix(p.Name, "hall") {
+			halls = append(halls, p.Name)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			if err := app.MoveVisitorTo("alice", halls[rng.Intn(len(halls))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, ok := app.LocateVisitor("alice"); !ok {
+			b.Fatal("visitor not located")
 		}
 	}
 }
