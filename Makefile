@@ -42,7 +42,7 @@ tables-check:
 # at random, so those tests check their counts only here and in plain
 # `go test`. Like race_run it first checks with `go test -list` that each
 # test still exists. Mirrored by the CI build-and-test job.
-ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/ TestSnapshotAllocsConstant:./internal/stream/ TestLocateVisitorAllocs:./internal/smartcis/
+ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/ TestSnapshotAllocsConstant:./internal/stream/ TestLocateVisitorAllocs:./internal/smartcis/ TestIdleFlushAllocs:./internal/stream/
 allocs:
 	@for tp in $(ALLOC_TESTS); do \
 		test=$${tp%%:*}; pkg=$${tp#*:}; \
@@ -163,7 +163,7 @@ dist:
 .PHONY: chaos
 chaos:
 	$(call race_run,ShardDifferentialChaos|ChaosWorkerProcessKill|ShardDifferentialChaosCoalescedFrameCut|ShardedSelectionDifferential|ShardDifferentialPendingBatchesRemote|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.kill=8)
-	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
+	$(call race_run,Failover|CheckpointRestore|ShardHomeTransitions|SharderShipPoints|FlushAfterKillBarriersAgain|ConcurrentFlushersWaitForTheirOwnBarrier|PushRacingFlush,./internal/stream/)
 	$(call race_run,RemoteSensorFragmentSurvivesWorkerKill|FragmentSnapshotRestart,./internal/core/)
 	$(call race_run,SnapshotSaveCrashPoints,./internal/plan/)
 
@@ -201,7 +201,7 @@ chaos:
 .PHONY: elastic
 elastic:
 	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ResultGroupSaveRestore|RestoreParentWrittenGroupSnapshot|RestoreIgnoresGroupCopies|ResultStoreLifecycle|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
-	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints,./internal/stream/)
+	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints|RescaleBetweenFlushes,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 
 # fuzz-smoke gives every fuzz target a short run: the seed corpus alone
@@ -215,7 +215,7 @@ elastic:
 # inputs it finds; a failing input is still written whole to the package's
 # testdata/fuzz. CI's 30s fuzz steps pass the same flag.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/ FuzzShardFrames:./internal/stream/ FuzzIndexHash:./internal/data/ FuzzSnapshotFile:./internal/plan/ FuzzKeyOrder:./internal/data/
+FUZZ_TARGETS := FuzzWireBatch:./internal/stream/ FuzzReplicaSpec:./internal/plan/ FuzzPredicateTruth:./internal/expr/ FuzzCheckpointRestore:./internal/stream/ FuzzGroupedFilter:./internal/stream/ FuzzShardFrames:./internal/stream/ FuzzIndexHash:./internal/data/ FuzzSnapshotFile:./internal/plan/ FuzzKeyOrder:./internal/data/ FuzzParsePrint:./internal/sql/
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	@for tp in $(FUZZ_TARGETS); do \

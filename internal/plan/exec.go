@@ -106,7 +106,9 @@ type headSub struct {
 
 // Flush blocks until every tuple pushed so far has been fully processed.
 // Serial deployments process synchronously, so it only acts on sharded
-// ones, where it barriers the shard workers.
+// ones, where it barriers the shard homes (stream.ShardSet.Flush). An idle
+// Flush posts nothing: when no batch, tick, failover or rescale has reached
+// a home since a barrier every home acked, it returns without a round trip.
 func (d *Deployment) Flush() {
 	if d.set != nil {
 		d.set.Flush()
@@ -114,7 +116,8 @@ func (d *Deployment) Flush() {
 }
 
 // Snapshot returns the current result rows under the query's ORDER BY and
-// LIMIT, after flushing any in-flight sharded work.
+// LIMIT, after flushing any in-flight sharded work. A re-read with nothing
+// new since the last one costs only the read: its Flush posts no barrier.
 func (d *Deployment) Snapshot() ([]data.Tuple, error) {
 	d.Flush()
 	return d.Result.Snapshot(d.OrderBy, d.Limit)

@@ -1,12 +1,15 @@
 package smartcis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"aspen/internal/building"
+	"aspen/internal/data"
 	"aspen/internal/federation"
 	"aspen/internal/sensornet"
+	"aspen/internal/stream"
 	"aspen/internal/vtime"
 )
 
@@ -220,6 +223,29 @@ func TestVisitorDetectionAndGuidance(t *testing.T) {
 	}
 	if err := app.MoveVisitor("nobody", 0, 0); err == nil {
 		t.Fatal("moved a ghost")
+	}
+}
+
+// TestSightingsInNameOrder samples three visitors' badges 20 times: every
+// round pushes their sightings in visitor-name order, whatever order they
+// arrived in and whatever order the visitors map iterates in.
+func TestSightingsInNameOrder(t *testing.T) {
+	app := smallApp(t)
+	for _, name := range []string{"carol", "alice", "bob"} {
+		app.VisitorArrives(name)
+	}
+	var got []string
+	app.sightIn.Subscribe(stream.NewCallback(app.sightIn.Schema(), func(ts []data.Tuple) {
+		for _, tp := range ts {
+			got = append(got, tp.Vals[0].AsString())
+		}
+	}))
+	for round := 0; round < 20; round++ {
+		got = got[:0]
+		app.sampleSightings()
+		if want := []string{"alice", "bob", "carol"}; !slices.Equal(got, want) {
+			t.Fatalf("round %d: sightings pushed for %v, want %v", round, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package smartcis
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"aspen/internal/core"
@@ -58,12 +60,15 @@ func (a *App) sampleJobs() {
 	a.jobsIn.PushBatch(batch)
 }
 
-// sampleSightings localizes every badge and emits sighting tuples.
+// sampleSightings localizes every badge and emits sighting tuples, in
+// visitor-name order, so the Sightings stream's tuple order is the same on
+// every run.
 func (a *App) sampleSightings() {
 	now := a.Sched.Now()
 	var batch []data.Tuple
 	a.mu.Lock()
-	for _, v := range a.visitors {
+	for _, name := range slices.Sorted(maps.Keys(a.visitors)) {
+		v := a.visitors[name]
 		at, ok := a.locate(v)
 		if !ok {
 			continue

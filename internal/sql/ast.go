@@ -2,9 +2,11 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
+	"aspen/internal/data"
 	"aspen/internal/expr"
 )
 
@@ -66,10 +68,10 @@ func (f FromItem) Binding() string {
 
 func (f FromItem) String() string {
 	var b strings.Builder
-	b.WriteString(f.Name)
+	b.WriteString(identSQL(f.Name))
 	if f.Alias != "" && !strings.EqualFold(f.Alias, f.Name) {
 		b.WriteString(" ")
-		b.WriteString(f.Alias)
+		b.WriteString(identSQL(f.Alias))
 	}
 	if f.Window != nil && f.Window.Kind != WindowNone {
 		b.WriteString(" ")
@@ -86,7 +88,7 @@ type SelectItem struct {
 
 func (s SelectItem) String() string {
 	if s.Alias != "" {
-		return fmt.Sprintf("%s AS %s", exprSQL(s.Expr), s.Alias)
+		return fmt.Sprintf("%s AS %s", exprSQL(s.Expr), identSQL(s.Alias))
 	}
 	return exprSQL(s.Expr)
 }
@@ -99,9 +101,9 @@ type OrderKey struct {
 
 func (o OrderKey) String() string {
 	if o.Desc {
-		return o.Ref + " DESC"
+		return refSQL(o.Ref) + " DESC"
 	}
-	return o.Ref
+	return refSQL(o.Ref)
 }
 
 // SelectStmt is a SELECT block with ASPEN's stream extensions.
@@ -152,7 +154,12 @@ func (s *SelectStmt) String() string {
 	}
 	if len(s.GroupBy) > 0 {
 		b.WriteString(" GROUP BY ")
-		b.WriteString(strings.Join(s.GroupBy, ", "))
+		for i, g := range s.GroupBy {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(refSQL(g))
+		}
 	}
 	if s.Having != nil {
 		b.WriteString(" HAVING ")
@@ -174,7 +181,7 @@ func (s *SelectStmt) String() string {
 		fmt.Fprintf(&b, " SAMPLE PERIOD %s", durSQL(s.SamplePeriod))
 	}
 	if s.OutputTo != "" {
-		fmt.Fprintf(&b, " OUTPUT TO %s", s.OutputTo)
+		fmt.Fprintf(&b, " OUTPUT TO %s", identSQL(s.OutputTo))
 	}
 	return b.String()
 }
@@ -188,7 +195,7 @@ type CreateView struct {
 func (*CreateView) stmt() {}
 
 func (c *CreateView) String() string {
-	return fmt.Sprintf("CREATE VIEW %s AS (%s)", c.Name, c.Query)
+	return fmt.Sprintf("CREATE VIEW %s AS (%s)", identSQL(c.Name), c.Query)
 }
 
 // WithRecursive is the transitive-closure extension: a recursive view
@@ -212,10 +219,14 @@ func (w *WithRecursive) String() string {
 	}
 	cols := ""
 	if len(w.Cols) > 0 {
-		cols = "(" + strings.Join(w.Cols, ", ") + ")"
+		quoted := make([]string, len(w.Cols))
+		for i, c := range w.Cols {
+			quoted[i] = identSQL(c)
+		}
+		cols = "(" + strings.Join(quoted, ", ") + ")"
 	}
 	return fmt.Sprintf("WITH RECURSIVE %s%s AS (%s %s %s) %s",
-		w.Name, cols, w.Base, union, w.Rec, w.Body)
+		identSQL(w.Name), cols, w.Base, union, w.Rec, w.Body)
 }
 
 // durSQL renders a duration in StreamSQL unit syntax.
@@ -232,10 +243,69 @@ func durSQL(d time.Duration) string {
 	}
 }
 
-// exprSQL renders an expression tree in parseable StreamSQL.
+// identSQL writes an identifier so that it lexes back as itself: as is
+// when it is a plain word and no keyword, else double-quoted (the lexer
+// ends a quoted identifier at the next '"', so none contains one).
+func identSQL(s string) string {
+	plain := s != "" && isIdentStart(s[0]) && !keywords[strings.ToUpper(s)]
+	for i := 1; plain && i < len(s); i++ {
+		plain = isIdentPart(s[i])
+	}
+	if plain {
+		return s
+	}
+	return `"` + s + `"`
+}
+
+// refSQL writes a column reference, ident[.ident], each part as identSQL
+// does; "*" (COUNT's argument) stays bare.
+func refSQL(ref string) string {
+	if ref == "*" {
+		return ref
+	}
+	if i := strings.IndexByte(ref, '.'); i >= 0 {
+		return identSQL(ref[:i]) + "." + identSQL(ref[i+1:])
+	}
+	return identSQL(ref)
+}
+
+// exprSQL renders an expression tree in parseable StreamSQL: the form of
+// expr's String, except that column and function names are written as
+// refSQL and identSQL do, and a float always carries a decimal point and
+// no exponent, so it lexes back as the same float.
 func exprSQL(e expr.Expr) string {
-	if e == nil {
+	switch x := e.(type) {
+	case nil:
 		return ""
+	case expr.Lit:
+		if x.V.T != data.TFloat {
+			return x.String()
+		}
+		f := strconv.FormatFloat(x.V.F, 'f', -1, 64)
+		if !strings.Contains(f, ".") {
+			f += ".0"
+		}
+		return f
+	case expr.Col:
+		return refSQL(x.Ref)
+	case expr.Bin:
+		return "(" + exprSQL(x.L) + " " + x.Op.String() + " " + exprSQL(x.R) + ")"
+	case expr.Un:
+		if x.Op == expr.OpNot {
+			return "(NOT " + exprSQL(x.X) + ")"
+		}
+		return "(-" + exprSQL(x.X) + ")"
+	case expr.IsNull:
+		if x.Neg {
+			return "(" + exprSQL(x.X) + " IS NOT NULL)"
+		}
+		return "(" + exprSQL(x.X) + " IS NULL)"
+	case expr.Call:
+		args := make([]string, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = exprSQL(a)
+		}
+		return identSQL(strings.ToUpper(x.Name)) + "(" + strings.Join(args, ", ") + ")"
 	}
 	return e.String()
 }

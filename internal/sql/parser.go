@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -422,6 +423,9 @@ func (p *parser) duration() (time.Duration, error) {
 		unit = time.Hour
 	default:
 		return 0, p.errf("expected time unit, got %q", t.text)
+	}
+	if int64(n) > math.MaxInt64/int64(unit) {
+		return 0, p.errf("duration %d %s out of range", n, t.text)
 	}
 	p.advance()
 	return time.Duration(n) * unit, nil

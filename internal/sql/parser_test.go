@@ -268,6 +268,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM t WHERE a ! b",
 		"SELECT * FROM t WHERE (a = 1",
 		`SELECT * FROM "unterminated`,
+		"SELECT * FROM t [RANGE 9999999999999 HOURS]",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -282,32 +283,76 @@ func TestParseSelectRejectsView(t *testing.T) {
 	}
 }
 
+// roundTripQueries cover every clause and expression form the printer
+// writes.
+var roundTripQueries = []string{
+	fig1Federated,
+	fig1Rewritten,
+	fig1View,
+	`SELECT * FROM Temps t [RANGE 30 SECONDS SLIDE 10 SECONDS] WHERE t.v > 3 LIMIT 10`,
+	`SELECT DISTINCT a, b AS bee FROM t [ROWS 50] ORDER BY a DESC, b`,
+	`SELECT room, avg(temp) AS a FROM Temps [RANGE 2 MINUTES] GROUP BY room HAVING avg(temp) > 30`,
+	`SELECT mote FROM Temperature [NOW] SAMPLE PERIOD 10 SECONDS OUTPUT TO hall`,
+	`WITH RECURSIVE paths(src, dst) AS (SELECT r.src, r.dst FROM edges r UNION ALL SELECT p.src, r.dst FROM paths p, edges r WHERE p.dst = r.src) SELECT src FROM paths`,
+	`SELECT a FROM t WHERE a + 2 * 3 = 7 AND NOT b LIKE 'x%' OR c IS NOT NULL`,
+	`SELECT coalesce(a, b), abs(-c) FROM t WHERE dist(x1, y1, x2, y2) < 5.5`,
+	`SELECT "room number", x."select" AS "from", "f n"(a) FROM "Seat Sensors" "s s", t x GROUP BY "s s"."room number" ORDER BY "9lives" DESC OUTPUT TO "lobby display"`,
+	`CREATE VIEW "open seats" AS SELECT a FROM t`,
+	`WITH RECURSIVE "all paths"("from", dst) AS (SELECT a, b FROM e UNION SELECT a, b FROM e) SELECT dst FROM "all paths"`,
+	`SELECT a FROM t WHERE b > 100000000000000000000000.0 AND c < 0.0000001 AND d = 2.0 AND e = -0.0`,
+}
+
+// requirePrintFixpoint fails unless src, when it parses, prints to a text
+// that parses again and prints the same.
+func requirePrintFixpoint(t *testing.T, src string) {
+	t.Helper()
+	st1, err := Parse(src)
+	if err != nil {
+		return
+	}
+	printed := st1.String()
+	st2, err := Parse(printed)
+	if err != nil {
+		t.Fatalf("reparse of %q failed: %v\n(original: %q)", printed, err, src)
+	}
+	if st2.String() != printed {
+		t.Fatalf("not a fixpoint:\n1st: %s\n2nd: %s\n(original: %q)", printed, st2.String(), src)
+	}
+}
+
 // Round-trip: parse → String → parse yields an identical String.
 func TestRoundTrip(t *testing.T) {
-	queries := []string{
-		fig1Federated,
-		fig1Rewritten,
-		fig1View,
-		`SELECT * FROM Temps t [RANGE 30 SECONDS SLIDE 10 SECONDS] WHERE t.v > 3 LIMIT 10`,
-		`SELECT DISTINCT a, b AS bee FROM t [ROWS 50] ORDER BY a DESC, b`,
-		`SELECT room, avg(temp) AS a FROM Temps [RANGE 2 MINUTES] GROUP BY room HAVING avg(temp) > 30`,
-		`SELECT mote FROM Temperature [NOW] SAMPLE PERIOD 10 SECONDS OUTPUT TO hall`,
-		`WITH RECURSIVE paths(src, dst) AS (SELECT r.src, r.dst FROM edges r UNION ALL SELECT p.src, r.dst FROM paths p, edges r WHERE p.dst = r.src) SELECT src FROM paths`,
-		`SELECT a FROM t WHERE a + 2 * 3 = 7 AND NOT b LIKE 'x%' OR c IS NOT NULL`,
-		`SELECT coalesce(a, b), abs(-c) FROM t WHERE dist(x1, y1, x2, y2) < 5.5`,
-	}
-	for _, q := range queries {
-		st1, err := Parse(q)
-		if err != nil {
+	for _, q := range roundTripQueries {
+		if _, err := Parse(q); err != nil {
 			t.Fatalf("Parse(%q): %v", q, err)
 		}
-		printed := st1.String()
-		st2, err := Parse(printed)
-		if err != nil {
-			t.Fatalf("reparse of %q failed: %v\n(original: %q)", printed, err, q)
-		}
-		if st2.String() != printed {
-			t.Fatalf("not a fixpoint:\n1st: %s\n2nd: %s", printed, st2.String())
-		}
+		requirePrintFixpoint(t, q)
 	}
+}
+
+// FuzzParsePrint: any text that parses prints to StreamSQL that parses
+// again, and the reprint equals the first print. Seeded with the Figure 1
+// statements and every statement the parser tests use.
+func FuzzParsePrint(f *testing.F) {
+	for _, q := range roundTripQueries {
+		f.Add(q)
+	}
+	for _, q := range []string{
+		`SELECT * FROM Temps t [RANGE 30 SECONDS SLIDE 10 SECONDS], Light l [ROWS 100], Conf c [NOW], Machines m`,
+		`SELECT mote, temp FROM Temperature SAMPLE PERIOD 10 SECONDS OUTPUT TO lobbyDisplay`,
+		`SELECT mote FROM Temperature EVERY 500 MILLISECONDS`,
+		`WITH RECURSIVE paths(src, dst, dist) AS (SELECT r.src, r.dst, r.dist FROM RoutingPoints r UNION ALL SELECT p.src, r.dst, p.dist + r.dist FROM paths p, RoutingPoints r WHERE p.dst = r.src) SELECT src, dst, dist FROM paths WHERE dst = 'L101' ORDER BY dist LIMIT 1`,
+		`SELECT room, avg(temp) AS avgtemp, count(*) FROM Temps [RANGE 1 MINUTES] GROUP BY room HAVING avg(temp) > 30.5`,
+		`SELECT DISTINCT room FROM Temps ORDER BY room DESC LIMIT 5`,
+		`SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3`,
+		`SELECT * FROM t WHERE NOT a = 1 AND b = 2`,
+		`SELECT * FROM t WHERE a = -5 AND b = 2.5 AND c = 'it''s' AND d = TRUE AND e IS NOT NULL AND f <> 3 AND g != 4 AND h NOT LIKE 'x%'`,
+		"SELECT * -- trailing comment\nFROM t -- another\nWHERE a = 1",
+		`SELECT "room number" FROM "Seat Sensors"`,
+		"SELECT * FROM t WHERE 'unterminated",
+		"SELECT * FROM t WHERE (a = 1",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(requirePrintFixpoint)
 }

@@ -121,7 +121,9 @@ func (s *ShardSet) rescaleOnce(loc []string) error {
 
 // quiesce acquires the failover lock ladder — every Sharder's lock, then
 // the set write lock — excluding all producers and the tick fan-out. The
-// returned func releases everything.
+// returned func releases everything, bumping the set's sent count first:
+// whatever the quiesced operation staged, replayed, installed or
+// checkpointed, the next Flush barriers it.
 func (s *ShardSet) quiesce() func() {
 	s.mu.RLock()
 	sharders := s.sharders
@@ -131,6 +133,7 @@ func (s *ShardSet) quiesce() func() {
 	}
 	s.mu.Lock()
 	return func() {
+		s.sent.Add(1)
 		s.mu.Unlock()
 		for _, sh := range sharders {
 			sh.mu.Unlock()

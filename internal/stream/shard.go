@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aspen/internal/data"
@@ -495,6 +496,13 @@ type ShardSet struct {
 	mu      sync.RWMutex
 	started bool
 	closed  bool
+	// sent counts hand-offs of work to homes: it is bumped after every
+	// batch a sender ships, after every tick fan-out, and when a Deploy, a
+	// failover, a rescale or a checkpoint releases its locks. covered is
+	// the value of sent read before posting the last barrier that every
+	// home acked; it only grows. Flush posts no barrier while they are
+	// equal.
+	sent, covered atomic.Uint64
 }
 
 // NewShardSet creates a set of p shards (p >= 1), not yet deployed.
@@ -556,6 +564,7 @@ func (s *ShardSet) Deploy(cfg ShardConfig, loc []string, states map[int][]byte) 
 		s.homes[j] = h
 	}
 	s.started = true
+	s.sent.Add(1)
 	s.mu.Unlock()
 	return nil
 }
@@ -646,6 +655,7 @@ func (s *ShardSet) send(sh *Sharder, j int, batch []data.Tuple) {
 func (s *ShardSet) sendLocked(sh *Sharder, j int, batch []data.Tuple) {
 	if h := s.homes[j]; h != nil && !s.closed {
 		_ = h.ship(j, sh.name, batch, len(batch) == ShardBatchCap)
+		s.sent.Add(1)
 		return
 	}
 	s.pool.put(batch)
@@ -708,6 +718,7 @@ func (s *ShardSet) Advance(now vtime.Time) {
 	for _, h := range s.hosts {
 		_ = h.Tick(now)
 	}
+	s.sent.Add(1)
 }
 
 // Flush blocks until every message enqueued before the call — batches and
@@ -716,10 +727,26 @@ func (s *ShardSet) Advance(now vtime.Time) {
 // ships the exchanges' pending batches. Producers must be quiet for the
 // barrier to be meaningful.
 //
+// An idle Flush posts nothing: when no batch, tick, deploy, failover,
+// rescale or checkpoint has gone to any home since a barrier that every
+// home acked (covered == sent), that barrier already proves what a new one
+// would, and the pass returns without a round trip or an allocation. The
+// invariant is that every hand-off counted in covered was enqueued on its
+// home ahead of a barrier that was acked. Two orders make it hold: a
+// hand-off bumps sent only after its frame is enqueued, and a barrier pass
+// reads sent before it posts on any home. A hand-off counted in the value a
+// pass reads was therefore enqueued before that pass's barrier, on the same
+// home's FIFO, and the pass stores the value into covered only once every
+// home has acked without error. A caller's own pushes and ticks have bumped
+// sent before it calls Flush, so it skips only a barrier whose ack already
+// covered them — never one still in flight for another caller.
+//
 // With failover enabled the barrier stays exact across worker loss: a
 // failed connection barrier means a failover is already pending (fail()
 // notifies before waking waiters), so Flush waits for the redeploy/replay
-// to finish and barriers the new topology again.
+// to finish and barriers the new topology again. A failed barrier never
+// advances covered, and a failover bumps sent, so the pass after it is
+// never skipped.
 func (s *ShardSet) Flush() {
 	for {
 		ok := s.flushOnce()
@@ -737,17 +764,29 @@ func (s *ShardSet) Flush() {
 }
 
 // flushOnce runs one barrier pass over the current topology, reporting
-// whether every home's barrier succeeded. Without failover a dead link acks
-// vacuously (fail-stop); with it, the error reruns the barrier after the
-// failover completes.
+// whether every home's barrier succeeded; a pass with nothing sent since the
+// last acked barrier posts none (see Flush). Without failover a dead link
+// acks vacuously (fail-stop); with it, the error reruns the barrier after
+// the failover completes.
 func (s *ShardSet) flushOnce() bool {
 	s.shipPending()
 	s.mu.RLock()
-	if !s.started || s.closed {
+	sent := s.sent.Load()
+	if !s.started || s.closed || s.covered.Load() == sent {
 		s.mu.RUnlock()
 		return true
 	}
-	return s.barrierLocked(s.mu.RUnlock) == nil
+	if s.barrierLocked(s.mu.RUnlock) != nil {
+		return false
+	}
+	// covered only grows: a pass that read less than a concurrent one
+	// leaves the larger value.
+	for c := s.covered.Load(); c < sent; c = s.covered.Load() {
+		if s.covered.CompareAndSwap(c, sent) {
+			break
+		}
+	}
+	return true
 }
 
 // barrierLocked posts a barrier on every home, runs release, and waits

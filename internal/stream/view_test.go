@@ -137,7 +137,9 @@ func TestMaterializeViewConcurrent(t *testing.T) {
 // and freeze them, for the race detector. A hooked view fires once for
 // every batch that started after its hook was installed and finished before
 // Freeze began, never twice for one batch, and never for a batch that
-// started after Freeze returned.
+// started after Freeze returned. Every view waits, within a bound, for the
+// pusher to get two batches past its hook before it freezes, so each one
+// has at least one batch it must have seen, however the host schedules.
 func TestViewHooksUnderConcurrentPushes(t *testing.T) {
 	store := NewMaterialize(tempSchema())
 	var current atomic.Int64 // the batch being pushed, 1-based
@@ -186,6 +188,12 @@ func TestViewHooksUnderConcurrentPushes(t *testing.T) {
 				for range 3 {
 					runtime.Gosched()
 					v.MustSnapshot(nil, -1)
+				}
+				// Let the pusher get two batches past the hook, so batch
+				// hooked+1 finished before Freeze and the missed-batch
+				// check below always has a batch to check.
+				for deadline := time.Now().Add(10 * time.Second); current.Load() < h.hooked+2 && time.Now().Before(deadline); {
+					runtime.Gosched()
 				}
 				h.freeze = current.Load()
 				v.Freeze()
