@@ -108,30 +108,72 @@ func (l Lit) String() string {
 
 func (c Col) String() string { return c.Ref }
 
-func (b Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+func (b Bin) String() string    { return Format(b, plain, plain, Lit.String) }
+func (u Un) String() string     { return Format(u, plain, plain, Lit.String) }
+func (n IsNull) String() string { return Format(n, plain, plain, Lit.String) }
+func (c Call) String() string   { return Format(c, plain, plain, Lit.String) }
+
+func plain(s string) string { return s }
+
+// Format writes e as SQL text, fully parenthesized. It is the one walk of
+// the tree: ref writes each column reference, name each function name
+// (upper-cased) and lit each literal. String is Format with the names as
+// they are and Lit.String; a printer that must quote or spell the leaves
+// otherwise passes its own writers.
+func Format(e Expr, ref, name func(string) string, lit func(Lit) string) string {
+	var b strings.Builder
+	f := formatter{&b, ref, name, lit}
+	f.write(e)
+	return b.String()
 }
 
-func (u Un) String() string {
-	if u.Op == OpNot {
-		return fmt.Sprintf("(NOT %s)", u.X)
-	}
-	return fmt.Sprintf("(-%s)", u.X)
+type formatter struct {
+	b         *strings.Builder
+	ref, name func(string) string
+	lit       func(Lit) string
 }
 
-func (n IsNull) String() string {
-	if n.Neg {
-		return fmt.Sprintf("(%s IS NOT NULL)", n.X)
+func (f formatter) write(e Expr) {
+	switch x := e.(type) {
+	case Lit:
+		f.b.WriteString(f.lit(x))
+	case Col:
+		f.b.WriteString(f.ref(x.Ref))
+	case Bin:
+		f.b.WriteByte('(')
+		f.write(x.L)
+		f.b.WriteString(" " + x.Op.String() + " ")
+		f.write(x.R)
+		f.b.WriteByte(')')
+	case Un:
+		if x.Op == OpNot {
+			f.b.WriteString("(NOT ")
+		} else {
+			f.b.WriteString("(-")
+		}
+		f.write(x.X)
+		f.b.WriteByte(')')
+	case IsNull:
+		f.b.WriteByte('(')
+		f.write(x.X)
+		if x.Neg {
+			f.b.WriteString(" IS NOT NULL)")
+		} else {
+			f.b.WriteString(" IS NULL)")
+		}
+	case Call:
+		f.b.WriteString(f.name(strings.ToUpper(x.Name)))
+		f.b.WriteByte('(')
+		for i, a := range x.Args {
+			if i > 0 {
+				f.b.WriteString(", ")
+			}
+			f.write(a)
+		}
+		f.b.WriteByte(')')
+	default:
+		panic(fmt.Sprintf("expr: Format has no case for %T", e))
 	}
-	return fmt.Sprintf("(%s IS NULL)", n.X)
-}
-
-func (c Call) String() string {
-	args := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", strings.ToUpper(c.Name), strings.Join(args, ", "))
 }
 
 // Convenience constructors used heavily by tests and the planner.

@@ -106,9 +106,11 @@ type headSub struct {
 
 // Flush blocks until every tuple pushed so far has been fully processed.
 // Serial deployments process synchronously, so it only acts on sharded
-// ones, where it barriers the shard homes (stream.ShardSet.Flush). An idle
-// Flush posts nothing: when no batch, tick, failover or rescale has reached
-// a home since a barrier every home acked, it returns without a round trip.
+// ones, where it barriers the shard homes (stream.ShardSet.Flush). Without
+// failover an idle Flush posts nothing: when no batch, tick or rescale has
+// reached a home since a barrier every home acked, it returns without a
+// round trip. With failover armed it always barriers, which is what finds a
+// worker lost since the last barrier and waits out its failover.
 func (d *Deployment) Flush() {
 	if d.set != nil {
 		d.set.Flush()
@@ -116,8 +118,9 @@ func (d *Deployment) Flush() {
 }
 
 // Snapshot returns the current result rows under the query's ORDER BY and
-// LIMIT, after flushing any in-flight sharded work. A re-read with nothing
-// new since the last one costs only the read: its Flush posts no barrier.
+// LIMIT, after flushing any in-flight sharded work. Without failover a
+// re-read with nothing new since the last one costs only the read: its
+// Flush posts no barrier.
 func (d *Deployment) Snapshot() ([]data.Tuple, error) {
 	d.Flush()
 	return d.Result.Snapshot(d.OrderBy, d.Limit)

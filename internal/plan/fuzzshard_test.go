@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -597,10 +596,7 @@ func TestShardDifferentialChaosKillLastWorker(t *testing.T) {
 // or a full batch, so the replay's last tick may still have its result
 // frames in flight when the replay ends: settling flushes the deployment
 // first, which lets them pass the armed relay, and a cut still armed after
-// that (no such frame followed the kill) severs the link there. That flush
-// left nothing unacked, so the snapshot's own flush posts no barrier that
-// could run into the break: settling waits until the failover has moved
-// the severed link's shards.
+// that (no such frame followed the kill) severs the link there.
 func TestShardDifferentialChaosCoalescedFrameCut(t *testing.T) {
 	if *fuzzKill <= 0 {
 		t.Skip("chaos mode disabled (-fuzzshard.kill=0)")
@@ -622,13 +618,6 @@ func TestShardDifferentialChaosCoalescedFrameCut(t *testing.T) {
 				for _, r := range rs {
 					if r.cutAt.Load() > 0 {
 						r.sever()
-						deadline := time.Now().Add(10 * time.Second)
-						for slices.Contains(dep.Placement(), r.addr()) {
-							if time.Now().After(deadline) {
-								t.Fatalf("no failover moved the shards off severed link %s", r.addr())
-							}
-							time.Sleep(time.Millisecond)
-						}
 					}
 				}
 			}}

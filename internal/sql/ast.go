@@ -269,43 +269,26 @@ func refSQL(ref string) string {
 	return identSQL(ref)
 }
 
-// exprSQL renders an expression tree in parseable StreamSQL: the form of
-// expr's String, except that column and function names are written as
-// refSQL and identSQL do, and a float always carries a decimal point and
-// no exponent, so it lexes back as the same float.
+// exprSQL renders an expression tree in parseable StreamSQL: expr.Format
+// with column references written as refSQL does, function names as
+// identSQL does, and literals as litSQL does.
 func exprSQL(e expr.Expr) string {
-	switch x := e.(type) {
-	case nil:
+	if e == nil {
 		return ""
-	case expr.Lit:
-		if x.V.T != data.TFloat {
-			return x.String()
-		}
-		f := strconv.FormatFloat(x.V.F, 'f', -1, 64)
-		if !strings.Contains(f, ".") {
-			f += ".0"
-		}
-		return f
-	case expr.Col:
-		return refSQL(x.Ref)
-	case expr.Bin:
-		return "(" + exprSQL(x.L) + " " + x.Op.String() + " " + exprSQL(x.R) + ")"
-	case expr.Un:
-		if x.Op == expr.OpNot {
-			return "(NOT " + exprSQL(x.X) + ")"
-		}
-		return "(-" + exprSQL(x.X) + ")"
-	case expr.IsNull:
-		if x.Neg {
-			return "(" + exprSQL(x.X) + " IS NOT NULL)"
-		}
-		return "(" + exprSQL(x.X) + " IS NULL)"
-	case expr.Call:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = exprSQL(a)
-		}
-		return identSQL(strings.ToUpper(x.Name)) + "(" + strings.Join(args, ", ") + ")"
 	}
-	return e.String()
+	return expr.Format(e, refSQL, identSQL, litSQL)
+}
+
+// litSQL writes a literal as Lit.String does, except that a float always
+// carries a decimal point and no exponent, so it lexes back as the same
+// float.
+func litSQL(l expr.Lit) string {
+	if l.V.T != data.TFloat {
+		return l.String()
+	}
+	f := strconv.FormatFloat(l.V.F, 'f', -1, 64)
+	if !strings.Contains(f, ".") {
+		f += ".0"
+	}
+	return f
 }

@@ -500,8 +500,8 @@ type ShardSet struct {
 	// batch a sender ships, after every tick fan-out, and when a Deploy, a
 	// failover, a rescale or a checkpoint releases its locks. covered is
 	// the value of sent read before posting the last barrier that every
-	// home acked; it only grows. Flush posts no barrier while they are
-	// equal.
+	// home acked; it only grows. Without failover, Flush posts no barrier
+	// while they are equal.
 	sent, covered atomic.Uint64
 }
 
@@ -727,26 +727,30 @@ func (s *ShardSet) Advance(now vtime.Time) {
 // ships the exchanges' pending batches. Producers must be quiet for the
 // barrier to be meaningful.
 //
-// An idle Flush posts nothing: when no batch, tick, deploy, failover,
-// rescale or checkpoint has gone to any home since a barrier that every
-// home acked (covered == sent), that barrier already proves what a new one
-// would, and the pass returns without a round trip or an allocation. The
-// invariant is that every hand-off counted in covered was enqueued on its
-// home ahead of a barrier that was acked. Two orders make it hold: a
-// hand-off bumps sent only after its frame is enqueued, and a barrier pass
-// reads sent before it posts on any home. A hand-off counted in the value a
-// pass reads was therefore enqueued before that pass's barrier, on the same
-// home's FIFO, and the pass stores the value into covered only once every
-// home has acked without error. A caller's own pushes and ticks have bumped
-// sent before it calls Flush, so it skips only a barrier whose ack already
-// covered them — never one still in flight for another caller.
+// Without failover an idle Flush posts nothing: when no batch, tick,
+// deploy, rescale or checkpoint has gone to any home since a barrier that
+// every home acked (covered == sent), that barrier already proves what a
+// new one would, and the pass returns without a round trip or an
+// allocation. The invariant is that every hand-off counted in covered was
+// enqueued on its home ahead of a barrier that was acked. Two orders make
+// it hold: a hand-off bumps sent only after its frame is enqueued, and a
+// barrier pass reads sent before it posts on any home. A hand-off counted
+// in the value a pass reads was therefore enqueued before that pass's
+// barrier, on the same home's FIFO, and the pass stores the value into
+// covered only once every home has acked without error. A caller's own
+// pushes and ticks have bumped sent before it calls Flush, so it skips only
+// a barrier whose ack already covered them — never one still in flight for
+// another caller. A link lost since that barrier changes nothing a new one
+// would show: without failover a dead link acks vacuously (fail-stop).
 //
-// With failover enabled the barrier stays exact across worker loss: a
-// failed connection barrier means a failover is already pending (fail()
-// notifies before waking waiters), so Flush waits for the redeploy/replay
-// to finish and barriers the new topology again. A failed barrier never
-// advances covered, and a failover bumps sent, so the pass after it is
-// never skipped.
+// With failover enabled every Flush barriers, and the barrier stays exact
+// across worker loss: a failed connection barrier means a failover is
+// already pending (fail() notifies before waking waiters), so Flush waits
+// for the redeploy/replay to finish and barriers the new topology again.
+// Here the barrier is also the probe that finds a link lost since the last
+// one; skipping it would let a Snapshot taken right after a worker loss
+// return before the failover runs, or read the sink while the failover's
+// undo retracts the lost link's rows.
 func (s *ShardSet) Flush() {
 	for {
 		ok := s.flushOnce()
@@ -764,15 +768,15 @@ func (s *ShardSet) Flush() {
 }
 
 // flushOnce runs one barrier pass over the current topology, reporting
-// whether every home's barrier succeeded; a pass with nothing sent since the
-// last acked barrier posts none (see Flush). Without failover a dead link
-// acks vacuously (fail-stop); with it, the error reruns the barrier after
-// the failover completes.
+// whether every home's barrier succeeded. Without failover a dead link
+// acks vacuously (fail-stop), and a pass with nothing sent since the last
+// acked barrier posts none (see Flush); with it, the error reruns the
+// barrier after the failover completes.
 func (s *ShardSet) flushOnce() bool {
 	s.shipPending()
 	s.mu.RLock()
 	sent := s.sent.Load()
-	if !s.started || s.closed || s.covered.Load() == sent {
+	if !s.started || s.closed || !s.cfg.Failover && s.covered.Load() == sent {
 		s.mu.RUnlock()
 		return true
 	}
