@@ -133,7 +133,7 @@ func BenchmarkE4InNetworkAgg(b *testing.B) {
 			nw := sensornet.Grid(sensornet.DefaultConfig(), 10, 10, 100, 10,
 				sensornet.SensorTemperature)
 			e := sensor.NewEngine(nw, benchEnv(nil))
-			q := &sensor.AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+			q := &sensor.AggregateQuery{Sensor: sensornet.SensorTemperature,
 				Func: sensor.AggAvg, Mode: mode.m}
 			sink := func(data.Tuple) {}
 			b.ResetTimer()

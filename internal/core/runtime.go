@@ -244,7 +244,7 @@ func fragSpecs(frags []*federation.Fragment) []plan.SensorFragment {
 	for _, f := range frags {
 		specs = append(specs, plan.SensorFragment{
 			Name: f.DerivedName, Sources: f.Sources,
-			Select: f.Select, Join: f.Join, Agg: f.Agg,
+			Select: f.Select, Join: f.Join,
 		})
 	}
 	return specs

@@ -227,7 +227,7 @@ func E4InNetworkAgg() Table {
 			nw := sensornet.Grid(sensornet.DefaultConfig(), side, side, 100, side,
 				sensornet.SensorTemperature)
 			e := sensor.NewEngine(nw, deskEnv(nil))
-			q := &sensor.AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+			q := &sensor.AggregateQuery{Sensor: sensornet.SensorTemperature,
 				Func: sensor.AggAvg, Mode: mode}
 			for ep := 0; ep < 5; ep++ {
 				e.RunAggregateEpoch(q, vtime.Time(ep), func(data.Tuple) {})

@@ -38,7 +38,6 @@ const (
 	FragShipAll FragmentKind = iota // raw acquisition, no in-network work
 	FragSelect
 	FragJoin
-	FragAggregate
 )
 
 // String names the kind.
@@ -50,8 +49,6 @@ func (k FragmentKind) String() string {
 		return "in-network-select"
 	case FragJoin:
 		return "in-network-join"
-	case FragAggregate:
-		return "in-network-aggregate"
 	}
 	return "frag?"
 }
@@ -74,7 +71,6 @@ type Fragment struct {
 
 	Select *sensor.SelectQuery
 	Join   *sensor.JoinQuery
-	Agg    *sensor.AggregateQuery
 
 	// Est is the sensor optimizer's cost report.
 	Est sensor.CostEstimate

@@ -262,64 +262,10 @@ func TestFederatedExecutionEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPushedAggregate(t *testing.T) {
-	fed, sEng, nw := fixture(t, 3, 3)
-	stmt, err := sql.ParseSelect(`SELECT t.room, avg(t.value) FROM Temperature t GROUP BY t.room`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frag, built, err := fed.PushedAggregate(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frag.Kind != FragAggregate || !frag.Agg.GroupByRoom || frag.Agg.Func != sensor.AggAvg {
-		t.Fatalf("fragment = %+v", frag)
-	}
-	if frag.Est.MsgsPerEpoch != float64(len(nw.Nodes())-1) {
-		t.Fatalf("estimate = %v", frag.Est.MsgsPerEpoch)
-	}
-
-	eng := stream.NewEngine("pc1", vtime.NewScheduler())
-	dep, err := plan.CompileStreamOpts(built, plan.Host{Engine: eng}, plan.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, _ := eng.Input(frag.DerivedName)
-	sEng.RunAggregateEpoch(frag.Agg, vtime.Second, func(tu data.Tuple) { in.Push(tu) })
-	rows, err := dep.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 { // 3 rooms in a 3x3/3-per-room grid
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestPushedAggregateRejections(t *testing.T) {
-	fed, _, _ := fixture(t, 2, 2)
-	bad := []string{
-		`SELECT t.room, avg(t.value) FROM Temperature t GROUP BY t.room HAVING avg(t.value) > 5`,
-		`SELECT m.room, count(*) FROM Machines m GROUP BY m.room`,
-		`SELECT t.desk, avg(t.value) FROM Temperature t GROUP BY t.desk`,
-		`SELECT t.room, avg(t.value), max(t.value) FROM Temperature t GROUP BY t.room`,
-		`SELECT t.room FROM Temperature t`,
-		`SELECT t.room, l.room, count(*) FROM Temperature t, Light l GROUP BY t.room`,
-	}
-	for _, src := range bad {
-		stmt, err := sql.ParseSelect(src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		if _, _, err := fed.PushedAggregate(stmt); err == nil {
-			t.Errorf("PushedAggregate(%q) should fail", src)
-		}
-	}
-}
-
 func TestFragmentKindString(t *testing.T) {
 	for k, want := range map[FragmentKind]string{
 		FragShipAll: "ship-all", FragSelect: "in-network-select",
-		FragJoin: "in-network-join", FragAggregate: "in-network-aggregate",
+		FragJoin: "in-network-join",
 	} {
 		if k.String() != want {
 			t.Errorf("%d = %q", k, k.String())

@@ -12,7 +12,6 @@ import (
 	"aspen/internal/sensor"
 	"aspen/internal/sensornet"
 	"aspen/internal/sql"
-	"aspen/internal/stream"
 )
 
 // sensorItem pairs a FROM index with its physical sensor kind.
@@ -302,123 +301,3 @@ func (f *Federator) joinFragment(flat *sql.SelectStmt, conjuncts []expr.Expr,
 }
 
 func derivedName(mask int) string { return fmt.Sprintf("aspen_frag_%d", mask) }
-
-// PushedAggregate attempts to push a whole single-source aggregation query
-// in-network (TAG). It succeeds only for SELECT [room,] agg(value) FROM one
-// sensor source [GROUP BY room] with optional local WHERE and no HAVING.
-func (f *Federator) PushedAggregate(stmt *sql.SelectStmt) (*Fragment, *plan.Built, error) {
-	flat, err := plan.Inline(stmt, f.Cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if f.Sensors == nil || len(flat.From) != 1 || flat.Having != nil {
-		return nil, nil, fmt.Errorf("federation: aggregate not pushable")
-	}
-	fi := flat.From[0]
-	src, ok := f.Cat.Source(fi.Name)
-	if !ok || src.Kind != catalog.KindSensorStream || !isReadingSchema(src.Schema) {
-		return nil, nil, fmt.Errorf("federation: %s is not a raw sensor source", fi.Name)
-	}
-	kind, bound := f.Sensors.Kinds[strings.ToLower(src.Name)]
-	if !bound {
-		return nil, nil, fmt.Errorf("federation: no sensor binding for %s", src.Name)
-	}
-	binding := fi.Binding()
-	schema := sensor.ReadingSchema(binding)
-
-	groupByRoom := false
-	switch len(flat.GroupBy) {
-	case 0:
-	case 1:
-		_, n := data.SplitQualified(flat.GroupBy[0])
-		if !strings.EqualFold(n, "room") {
-			return nil, nil, fmt.Errorf("federation: in-network grouping supports room only")
-		}
-		groupByRoom = true
-	default:
-		return nil, nil, fmt.Errorf("federation: in-network grouping supports one key")
-	}
-
-	var fn sensor.AggFunc
-	found := false
-	for _, item := range flat.Items {
-		call, isCall := item.Expr.(expr.Call)
-		if !isCall {
-			continue
-		}
-		kindName, isAgg := stream.ParseAggKind(call.Name)
-		if !isAgg {
-			continue
-		}
-		if found {
-			return nil, nil, fmt.Errorf("federation: one in-network aggregate at a time")
-		}
-		found = true
-		switch kindName {
-		case stream.AggCount:
-			fn = sensor.AggCount
-		case stream.AggSum:
-			fn = sensor.AggSum
-		case stream.AggAvg:
-			fn = sensor.AggAvg
-		case stream.AggMin:
-			fn = sensor.AggMin
-		case stream.AggMax:
-			fn = sensor.AggMax
-		}
-	}
-	if !found {
-		return nil, nil, fmt.Errorf("federation: no aggregate to push")
-	}
-
-	period := flat.SamplePeriod
-	if period <= 0 {
-		period = f.Cat.Stats().EpochPeriod
-	}
-	q := &sensor.AggregateQuery{
-		Rel: binding, Sensor: kind, Func: fn,
-		GroupByRoom: groupByRoom, Mode: sensor.AggInNetwork, Period: period,
-	}
-	if flat.Where != nil {
-		if !expr.BoundBy(flat.Where, schema) {
-			return nil, nil, fmt.Errorf("federation: aggregate WHERE not local to the sensor source")
-		}
-		pred, err := expr.Bind(flat.Where, schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		q.Pred = pred
-	}
-	est, err := f.Sensors.Engine.EstimateAggregate(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	frag := &Fragment{
-		Kind:        FragAggregate,
-		DerivedName: "aspen_agg_" + strings.ToLower(binding),
-		Bindings:    []string{binding},
-		Sources:     []string{strings.ToLower(src.Name)},
-		Schema:      q.Schema(),
-		Agg:         q,
-		Est:         est,
-	}
-	// The stream side just materializes the derived aggregate stream.
-	shadow := catalog.New()
-	shadow.SetStats(f.Cat.Stats())
-	if err := shadow.AddSource(&catalog.Source{
-		Name: frag.DerivedName, Kind: catalog.KindStream,
-		Schema: frag.Schema, Rate: est.PerSecond(), Derived: true,
-	}); err != nil {
-		return nil, nil, err
-	}
-	body := &sql.SelectStmt{
-		Star:  true,
-		From:  []sql.FromItem{{Name: frag.DerivedName, Alias: frag.DerivedName}},
-		Limit: -1, OutputTo: flat.OutputTo,
-	}
-	built, err := plan.Build(body, shadow)
-	if err != nil {
-		return nil, nil, err
-	}
-	return frag, built, nil
-}

@@ -18,7 +18,7 @@ import (
 )
 
 // This file runs a deployment's sensor fragments: the federated optimizer's
-// in-network select/join/aggregate fragments, each feeding one scan of the
+// in-network select and join fragments, each feeding one scan of the
 // deployment's plan. Every fragment runs as one fragRunner, owned by the
 // deployment, that pushes each epoch's deliveries as one batch straight into
 // its scan's head — never through a named engine input, so no other query
@@ -59,10 +59,9 @@ type SensorFragment struct {
 	// registry carries every one.
 	Sources []string
 
-	// Exactly one of the queries is set, mirroring federation.Fragment.
+	// Exactly one of Select and Join is set, mirroring federation.Fragment.
 	Select *sensor.SelectQuery
 	Join   *sensor.JoinQuery
-	Agg    *sensor.AggregateQuery
 }
 
 // period returns the fragment's effective epoch period (the sensor
@@ -74,8 +73,6 @@ func (f *SensorFragment) period() time.Duration {
 		p = f.Select.Period
 	case f.Join != nil:
 		p = f.Join.Period
-	case f.Agg != nil:
-		p = f.Agg.Period
 	}
 	if p <= 0 {
 		p = time.Second
@@ -91,19 +88,17 @@ func (f *SensorFragment) Schema() *data.Schema {
 		return f.Select.Schema()
 	case f.Join != nil:
 		return f.Join.Schema()
-	case f.Agg != nil:
-		return f.Agg.Schema()
 	}
 	return nil
 }
 
-// fragKind discriminates wire fragments.
+// fragKind discriminates wire fragments. Any other value is refused at
+// decode.
 type fragKind uint8
 
 const (
 	fragSelect fragKind = iota
 	fragJoin
-	fragAggregate
 )
 
 // snapFragment is the one gob mirror of a SensorFragment: a durable
@@ -131,11 +126,6 @@ type snapFragment struct {
 	PairBy    sensor.PairBy
 	Radius    float64
 	Placement sensor.Placement
-
-	// fragAggregate.
-	AggFunc     sensor.AggFunc
-	GroupByRoom bool
-	Mode        sensor.AggMode
 }
 
 // wireFragment is one shard-hosted sensor fragment inside a replica wire
@@ -257,8 +247,6 @@ func newFragRunner(eng *sensor.Engine, f *SensorFragment, head stream.Operator, 
 	switch {
 	case f.Select != nil:
 		r.run = func(now vtime.Time) { eng.RunSelectEpochPart(f.Select, now, keep, deliver) }
-	case f.Agg != nil:
-		r.run = func(now vtime.Time) { eng.RunAggregateEpochPart(f.Agg, now, keep, deliver) }
 	case f.Join != nil:
 		st, err := eng.PlanJoinPart(f.Join, pair)
 		if err != nil {
@@ -351,22 +339,14 @@ func (r *fragRunner) RestoreState(s stream.OpState) error {
 	return nil
 }
 
-// shardKeep builds the node filter of one shard's partition: hash the
-// node-determined key columns of the fragment's output schema exactly as
-// the coordinator's Sharder hashes delivered tuples. Unused value slots
-// stay zero — Route folds only the KeyIdx positions.
+// shardKeep builds the node filter of one shard's partition of a select
+// fragment: hash the node-determined key columns of its output schema
+// (mote, room, desk, value) exactly as the coordinator's Sharder hashes
+// delivered tuples. Unused value slots stay zero — Route folds only the
+// KeyIdx positions.
 func shardKeep(w *wireFragment, shard int) sensor.NodeFilter {
 	var h data.Hasher
 	p := uint64(w.P)
-	if w.Query.Kind == fragAggregate {
-		// Output schema (room, value): the only node-determined key is room.
-		vals := make([]data.Value, 2)
-		return func(n sensornet.Node) bool {
-			vals[0] = data.Str(n.Room)
-			return int(h.Route(data.Tuple{Vals: vals}, w.KeyIdx)%p) == shard
-		}
-	}
-	// Output schema (mote, room, desk, value).
 	vals := make([]data.Value, 4)
 	return func(n sensornet.Node) bool {
 		vals[0] = data.Int(int64(n.ID))
@@ -467,10 +447,6 @@ func encodeSnapFragment(f *SensorFragment) (snapFragment, error) {
 		s.Rel, s.Sensor, s.Pred = q.Left.Rel, q.Left.Sensor, exprSource(q.Left.Pred)
 		s.RRel, s.RSensor, s.RPred = q.Right.Rel, q.Right.Sensor, exprSource(q.Right.Pred)
 		s.On = exprSource(q.On)
-	case f.Agg != nil:
-		q := f.Agg
-		s.Kind, s.Rel, s.Sensor, s.Pred, s.Period = fragAggregate, q.Rel, q.Sensor, exprSource(q.Pred), q.Period
-		s.AggFunc, s.GroupByRoom, s.Mode = q.Func, q.GroupByRoom, q.Mode
 	default:
 		return snapFragment{}, fmt.Errorf("plan: fragment %s has no query", f.Name)
 	}
@@ -488,13 +464,6 @@ func decodeSnapFragment(s snapFragment) (SensorFragment, error) {
 			return SensorFragment{}, err
 		}
 		f.Select = &sensor.SelectQuery{Rel: s.Rel, Sensor: s.Sensor, Pred: pred, Period: s.Period}
-	case fragAggregate:
-		pred, err := bindPred(s.Pred, sensor.ReadingSchema(s.Rel))
-		if err != nil {
-			return SensorFragment{}, err
-		}
-		f.Agg = &sensor.AggregateQuery{Rel: s.Rel, Sensor: s.Sensor, Pred: pred,
-			Func: s.AggFunc, GroupByRoom: s.GroupByRoom, Mode: s.Mode, Period: s.Period}
 	case fragJoin:
 		lPred, err := bindPred(s.Pred, sensor.ReadingSchema(s.Rel))
 		if err != nil {
@@ -630,8 +599,6 @@ func fragKeyEligible(f *SensorFragment, idx int) bool {
 		return idx <= 2 // (mote, room, desk) of (mote, room, desk, value)
 	case f.Join != nil:
 		return idx != 3 && idx != 7 // both sides' (mote, room, desk)
-	case f.Agg != nil:
-		return f.Agg.GroupByRoom && idx == 0 // (room) of (room, value)
 	}
 	return false
 }

@@ -351,53 +351,6 @@ func TestFragmentJoinRunnerPartitionsUnion(t *testing.T) {
 	}
 }
 
-// TestFragmentAggRunnerPartitionsUnion partitions a grouped count fragment
-// by room and checks every room's PSR lands on exactly one shard, with the
-// union matching the central TAG epoch.
-func TestFragmentAggRunnerPartitionsUnion(t *testing.T) {
-	h := newFragTestHosts()
-	f := &SensorFragment{Name: "d", Sources: []string{"temperature"},
-		Agg: &sensor.AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-			Func: sensor.AggCount, GroupByRoom: true, Period: time.Second}}
-	const p = 3
-	w, err := encodeFragment(f, "s0", []int{0}, p, vtime.Time(vtime.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var union []data.Tuple
-	for shard := 0; shard < p; shard++ {
-		sink := &collectOp{schema: f.Agg.Schema()}
-		rs, err := h.buildFragRunners([]wireFragment{w}, shard, map[string]stream.Operator{"s0": sink})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs[0].Advance(vtime.Time(vtime.Second))
-		union = append(union, sink.got...)
-	}
-
-	eng, _ := h.Engine("temperature")
-	var central []data.Tuple
-	eng.RunAggregateEpoch(f.Agg, vtime.Time(vtime.Second), func(tu data.Tuple) { central = append(central, tu.Clone()) })
-	if len(central) == 0 {
-		t.Fatal("central aggregate epoch is empty")
-	}
-	if len(union) != len(central) {
-		t.Fatalf("partition union has %d groups, central %d", len(union), len(central))
-	}
-	want := map[string]int64{}
-	for _, tu := range central {
-		want[tu.Vals[0].AsString()] = tu.Vals[1].AsInt()
-	}
-	for _, tu := range union {
-		room := tu.Vals[0].AsString()
-		if got, ok := want[room]; !ok || got != tu.Vals[1].AsInt() {
-			t.Fatalf("room %s: partition count %d, central %d", room, tu.Vals[1].AsInt(), got)
-		}
-		delete(want, room)
-	}
-}
-
 // TestFragmentPeriodDefaults covers the effective-period rule per kind.
 func TestFragmentPeriodDefaults(t *testing.T) {
 	if got := (&SensorFragment{Select: &sensor.SelectQuery{}}).period(); got != time.Second {
@@ -405,9 +358,6 @@ func TestFragmentPeriodDefaults(t *testing.T) {
 	}
 	if got := (&SensorFragment{Join: &sensor.JoinQuery{Period: 2 * time.Second}}).period(); got != 2*time.Second {
 		t.Fatalf("join period = %v", got)
-	}
-	if got := (&SensorFragment{Agg: &sensor.AggregateQuery{Period: 3 * time.Second}}).period(); got != 3*time.Second {
-		t.Fatalf("agg period = %v", got)
 	}
 }
 
@@ -459,8 +409,8 @@ func TestSensorHostsResolutionErrors(t *testing.T) {
 		{"zero-shards", selWire(func(w *wireFragment) { w.P = 0 })},
 		{"value-key", selWire(func(w *wireFragment) { w.KeyIdx = []int{3} })},
 		{"key-off-row", selWire(func(w *wireFragment) { w.KeyIdx = []int{9} })},
-		{"arity-mismatch", selWire(func(w *wireFragment) {
-			w.Query.Kind, w.Query.AggFunc, w.Query.GroupByRoom = fragAggregate, sensor.AggCount, true
+		{"arity-mismatch", selWire(func(w *wireFragment) { // a self-join's 8 columns into a reading's 4
+			w.Query.Kind, w.Query.RRel, w.Query.RSensor, w.Query.PairBy = fragJoin, "r", sensornet.SensorLight, sensor.PairSameDesk
 		})},
 	}
 	for _, c := range cases {
@@ -474,11 +424,12 @@ func TestSensorHostsResolutionErrors(t *testing.T) {
 	one := NewSensorHosts()
 	one.Add("temperature", mkEngine())
 	one.Add("light", one.m["temperature"])
-	aggBad := wireFragment{Scan: "s0", P: 1, Query: snapFragment{Kind: fragAggregate, Sources: []string{"temperature"},
-		Rel: "t", Sensor: sensornet.SensorTemperature, Pred: expr.Col{Ref: "nosuch"},
-		AggFunc: sensor.AggCount, GroupByRoom: true, Period: time.Second}}
-	if _, err := one.buildFragRunners([]wireFragment{aggBad}, 0, heads); err == nil {
-		t.Fatal("aggregate with an unbindable predicate must fail")
+	// Kind 2 named an in-network aggregate fragment, which no longer
+	// exists: a worker handed a spec carrying one deploys nothing.
+	kind2, hosts := fuzzReplicaSpec(t, func(w *wireFragment) { w.Query.Kind = fragKind(2) })
+	got, advs, cks, err := hosts.DeployReplica(kind2, 0, nil, func([]data.Tuple) error { return nil })
+	if err == nil || got != nil || advs != nil || cks != nil {
+		t.Fatalf("a spec with a kind-2 fragment deployed (err %v, %d heads)", err, len(got))
 	}
 	joinBadRight := wireFragment{Scan: "s0", P: 1, Query: snapFragment{Kind: fragJoin,
 		Sources: []string{"temperature", "light"}, Rel: "t", RRel: "l",

@@ -150,20 +150,6 @@ func TestFragmentKeyEligibility(t *testing.T) {
 		expr.Bin{Op: expr.OpAdd, L: expr.Col{Ref: "desk"}, R: expr.Lit{V: data.Int(1)}}}); ok {
 		t.Fatal("expression keys must be ineligible")
 	}
-
-	agg := &SensorFragment{Agg: &sensor.AggregateQuery{Rel: "l", GroupByRoom: true}}
-	aggScan := NewScan("d", "d", agg.Agg.Schema(), nil, 1, false)
-	if _, ok := fragmentKeyIdx(agg, aggScan, []expr.Expr{expr.Col{Ref: "room"}}); !ok {
-		t.Fatal("grouped aggregate keyed on room must be eligible")
-	}
-	if _, ok := fragmentKeyIdx(agg, aggScan, []expr.Expr{expr.Col{Ref: "value"}}); ok {
-		t.Fatal("aggregate value column must be ineligible")
-	}
-	global := &SensorFragment{Agg: &sensor.AggregateQuery{Rel: "l"}}
-	globalScan := NewScan("d", "d", global.Agg.Schema(), nil, 1, false)
-	if _, ok := fragmentKeyIdx(global, globalScan, []expr.Expr{expr.Col{Ref: "value"}}); ok {
-		t.Fatal("global aggregate has no node-determined columns")
-	}
 }
 
 func TestAlignedWithTicks(t *testing.T) {
@@ -290,18 +276,10 @@ func tempGrid() *sensor.Engine {
 		sensornet.SensorTemperature, sensornet.SensorLight), sensor.EnvFunc(runnerEnv))
 }
 
-// roomAvg is a grouped in-network AVG fragment on the 1s default period.
-func roomAvg() SensorFragment {
-	return SensorFragment{Name: "a", Sources: []string{"temperature"},
-		Agg: &sensor.AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-			Func: sensor.AggAvg, GroupByRoom: true, Mode: sensor.AggInNetwork}}
-}
-
-// TestFragRunnerAggregateAndJoinPeriodic runs central aggregate and join
-// runners side by side on one engine and their 1s default period: one batch
-// per epoch each, the join's matching a direct epoch run of the same query.
-func TestFragRunnerAggregateAndJoinPeriodic(t *testing.T) {
-	agg := roomAvg()
+// TestFragRunnerJoinPeriodic runs a central join runner on its 1s default
+// period: one batch per epoch, the first matching a direct epoch run of the
+// same query.
+func TestFragRunnerJoinPeriodic(t *testing.T) {
 	join := SensorFragment{Name: "j", Sources: []string{"temperature", "light"},
 		Join: &sensor.JoinQuery{
 			Left:   sensor.JoinSide{Rel: "t", Sensor: sensornet.SensorTemperature},
@@ -319,64 +297,17 @@ func TestFragRunnerAggregateAndJoinPeriodic(t *testing.T) {
 	}
 
 	sched := vtime.NewScheduler()
-	eng := tempGrid()
-	var aggBatches, joinBatches []int
-	ra := startCentral(t, eng, agg, sched, stream.NewCallback(agg.Schema(), func(ts []data.Tuple) {
-		aggBatches = append(aggBatches, len(ts))
-	}))
-	rj := startCentral(t, eng, join, sched, stream.NewCallback(join.Schema(), func(ts []data.Tuple) {
+	var joinBatches []int
+	rj := startCentral(t, tempGrid(), join, sched, stream.NewCallback(join.Schema(), func(ts []data.Tuple) {
 		joinBatches = append(joinBatches, len(ts))
 	}))
 	sched.RunUntil(2 * vtime.Second)
-	ra.Close()
 	rj.Close()
-	if len(aggBatches) != 2 || len(joinBatches) != 2 {
-		t.Fatalf("batches: aggregate %v, join %v; want 2 epochs each", aggBatches, joinBatches)
-	}
-	if aggBatches[0] == 0 || aggBatches[1] == 0 {
-		t.Fatalf("aggregate batches %v; want groups every epoch", aggBatches)
+	if len(joinBatches) != 2 {
+		t.Fatalf("join batches %v; want 2 epochs", joinBatches)
 	}
 	if joinBatches[0] != wantJoin {
 		t.Fatalf("join epoch delivered %d pairs, want %d", joinBatches[0], wantJoin)
-	}
-}
-
-// TestFragRunnerAggregateBatchMatchesEpochRun checks each epoch's batch from
-// a central aggregate runner holds exactly the groups a direct epoch run of
-// the same query delivers at that instant, stamped at the epoch instant.
-func TestFragRunnerAggregateBatchMatchesEpochRun(t *testing.T) {
-	agg := roomAvg()
-	ref := tempGrid()
-	var want [][]data.Tuple
-	for i := 1; i <= 2; i++ {
-		var epoch []data.Tuple
-		ref.RunAggregateEpoch(agg.Agg, vtime.Time(i)*vtime.Second, func(tu data.Tuple) { epoch = append(epoch, tu) })
-		if len(epoch) == 0 {
-			t.Fatalf("reference epoch %d delivers no groups; the probe is vacuous", i)
-		}
-		want = append(want, epoch)
-	}
-
-	sched := vtime.NewScheduler()
-	var got [][]data.Tuple
-	r := startCentral(t, tempGrid(), agg, sched, stream.NewCallback(agg.Schema(), func(ts []data.Tuple) {
-		got = append(got, slices.Clone(ts)) // the slice is reused across epochs; the tuples are ours
-	}))
-	sched.RunUntil(2 * vtime.Second)
-	r.Close()
-	if len(got) != len(want) {
-		t.Fatalf("epoch batches = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("epoch %d delivered %d groups, want %d", i+1, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			g, w := got[i][j], want[i][j]
-			if g.TS != vtime.Time(i+1)*vtime.Second || !slices.EqualFunc(g.Vals, w.Vals, data.Value.Equal) {
-				t.Fatalf("epoch %d group %d = %v @%v, want %v @%v", i+1, j, g.Vals, g.TS, w.Vals, vtime.Time(i+1)*vtime.Second)
-			}
-		}
 	}
 }
 

@@ -15,41 +15,36 @@ import (
 	"aspen/internal/vtime"
 )
 
-// fuzzReplicaSpec encodes a replica whose three scans are each fed by a
+// fuzzReplicaSpec encodes a replica whose two scans are each fed by a
 // shard-hosted fragment, one of every kind, plus the host registry that can
-// run it: (s ⋈ a on room) ⋈ j on room over a select, a grouped aggregate
-// and a same-desk join fragment.
-func fuzzReplicaSpec(t testing.TB) ([]byte, *SensorHosts) {
+// run it: s ⋈ j on room over a select and a same-desk join fragment. A
+// non-nil damage edits the select fragment's wire form before encoding.
+func fuzzReplicaSpec(t testing.TB, damage func(*wireFragment)) ([]byte, *SensorHosts) {
 	t.Helper()
 	hosts := newFragTestHosts()
 
 	sel := SensorFragment{Name: "sel", Sources: []string{"light"},
 		Select: &sensor.SelectQuery{Rel: "s", Sensor: sensornet.SensorLight, Period: time.Second}}
-	agg := SensorFragment{Name: "agg", Sources: []string{"temperature"},
-		Agg: &sensor.AggregateQuery{Rel: "a", Sensor: sensornet.SensorTemperature,
-			Func: sensor.AggCount, GroupByRoom: true, Period: time.Second}}
 	join := SensorFragment{Name: "jn", Sources: []string{"temperature", "light"},
 		Join: &sensor.JoinQuery{
 			Left:   sensor.JoinSide{Rel: "t", Sensor: sensornet.SensorTemperature},
 			Right:  sensor.JoinSide{Rel: "l", Sensor: sensornet.SensorLight},
 			PairBy: sensor.PairSameDesk, Period: time.Second,
 		}}
-	root := NewJoin(
-		NewJoin(NewScan("sel", "s", sel.Schema(), nil, 10, false),
-			NewScan("agg", "a", agg.Schema(), nil, 10, false), []string{"s.room"}, []string{"a.room"}, nil),
+	root := NewJoin(NewScan("sel", "s", sel.Schema(), nil, 10, false),
 		&Scan{Input: "jn", Alias: "j", Rate: 10, schema: join.Schema()}, []string{"s.room"}, []string{"t.room"}, nil)
 
 	var frags []wireFragment
-	for i, f := range []*SensorFragment{&sel, &agg, &join} {
-		keyIdx := []int{1} // room, of a reading or of a joined pair's left side
-		if f.Agg != nil {
-			keyIdx = []int{0}
-		}
-		w, err := encodeFragment(f, scanName(i), keyIdx, 1, vtime.Second)
+	for i, f := range []*SensorFragment{&sel, &join} {
+		// room, of a reading or of a joined pair's left side
+		w, err := encodeFragment(f, scanName(i), []int{1}, 1, vtime.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		frags = append(frags, w)
+	}
+	if damage != nil {
+		damage(&frags[0])
 	}
 	spec, err := encodeReplica(root, nil, frags)
 	if err != nil {
@@ -129,9 +124,10 @@ func driveReplica(heads map[string]stream.Operator, advs []stream.Advancer) {
 // into every head and tick to fuzzHorizon without panicking, both as
 // deployed and redeployed from its own checkpoint. The corpus is the garbage
 // TestDeployReplicaGarbageSpec deploys, a valid spec carrying one fragment
-// of each kind, and that spec's truncations.
+// of each kind, that spec's truncations, and the spec with its select
+// fragment relabelled kind 2 (once an aggregate, now unknown and refused).
 func FuzzReplicaSpec(f *testing.F) {
-	spec, hosts := fuzzReplicaSpec(f)
+	spec, hosts := fuzzReplicaSpec(f, nil)
 	discard := func([]data.Tuple) error { return nil }
 
 	// The valid seed really is valid: it deploys, its epochs fire, and rows
@@ -151,8 +147,14 @@ func FuzzReplicaSpec(f *testing.F) {
 		f.Fatal("valid spec deployed a replica that emits nothing")
 	}
 
+	kind2, _ := fuzzReplicaSpec(f, func(w *wireFragment) { w.Query.Kind = fragKind(2) })
+	if _, _, _, err := hosts.DeployReplica(kind2, 0, nil, discard); err == nil {
+		f.Fatal("a spec with a kind-2 fragment deploys")
+	}
+
 	f.Add([]byte{0x01, 0x02, 0x03})
 	f.Add(spec)
+	f.Add(kind2)
 	for n := len(spec) - 1; n > 0; n -= len(spec)/16 + 1 {
 		f.Add(spec[:n])
 	}

@@ -352,8 +352,9 @@ func TestSharedChainRestartDifferential(t *testing.T) {
 }
 
 // TestSnapFragmentRoundTrip covers the snapshot mirror of every fragment
-// kind — select, join, aggregate — and the decode refusals (unknown kind,
-// unbindable predicates) that keep a damaged snapshot a clean error.
+// kind — select, join — and the decode refusals (unknown kinds, among them
+// kind 2, once an aggregate; unbindable predicates) that keep a damaged
+// snapshot a clean error.
 func TestSnapFragmentRoundTrip(t *testing.T) {
 	sel := lightFeedFragment(t)
 	join := SensorFragment{Name: "j", Sources: []string{"temperature", "light"},
@@ -362,10 +363,7 @@ func TestSnapFragmentRoundTrip(t *testing.T) {
 			Right:  sensor.JoinSide{Rel: "l", Sensor: sensornet.SensorLight},
 			PairBy: sensor.PairSameDesk, Period: 2 * time.Second,
 		}}
-	agg := SensorFragment{Name: "a", Sources: []string{"temperature"},
-		Agg: &sensor.AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
-			Func: sensor.AggCount, GroupByRoom: true, Period: 3 * time.Second}}
-	for _, f := range []SensorFragment{sel, join, agg} {
+	for _, f := range []SensorFragment{sel, join} {
 		s, err := encodeSnapFragment(&f)
 		if err != nil {
 			t.Fatalf("encode %s: %v", f.Name, err)
@@ -387,10 +385,6 @@ func TestSnapFragmentRoundTrip(t *testing.T) {
 				got.Join.Left.Rel != "t" || got.Join.Right.Rel != "l" {
 				t.Fatalf("join round trip: %+v", got.Join)
 			}
-		case f.Agg != nil:
-			if got.Agg == nil || got.Agg.Func != f.Agg.Func || !got.Agg.GroupByRoom {
-				t.Fatalf("agg round trip: %+v", got.Agg)
-			}
 		}
 	}
 
@@ -401,7 +395,7 @@ func TestSnapFragmentRoundTrip(t *testing.T) {
 	refusals := []snapFragment{
 		{Kind: fragKind(9), Name: "k"},
 		{Kind: fragSelect, Rel: "l", Pred: bad},
-		{Kind: fragAggregate, Rel: "t", Pred: bad},
+		{Kind: fragKind(2), Rel: "t", Sensor: sensornet.SensorTemperature, Period: time.Second},
 		{Kind: fragJoin, Rel: "t", RRel: "l", Pred: bad},
 		{Kind: fragJoin, Rel: "t", RRel: "l", RPred: bad},
 		{Kind: fragJoin, Rel: "t", RRel: "l", On: bad},

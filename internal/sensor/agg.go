@@ -2,7 +2,6 @@ package sensor
 
 import (
 	"sort"
-	"time"
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
@@ -55,28 +54,16 @@ const (
 )
 
 // AggregateQuery aggregates one sensor type across the field each epoch.
+// Its results are (room STRING,)? value FLOAT tuples.
 type AggregateQuery struct {
-	Rel    string
 	Sensor sensornet.SensorKind
-	// Pred is an optional local filter applied before aggregation.
+	// Pred is an optional local filter applied before aggregation, over
+	// the reading schema.
 	Pred *expr.Compiled
 	Func AggFunc
 	// GroupByRoom groups results per room; otherwise one global group.
 	GroupByRoom bool
 	Mode        AggMode
-	Period      time.Duration
-}
-
-// Schema returns the output schema: (room STRING,)? value FLOAT.
-func (q *AggregateQuery) Schema() *data.Schema {
-	cols := []data.Column{}
-	if q.GroupByRoom {
-		cols = append(cols, data.Col("room", data.TString))
-	}
-	cols = append(cols, data.Col("value", data.TFloat))
-	s := data.NewSchema(q.Rel, cols...)
-	s.IsStream = true
-	return s
 }
 
 // psr is a partial state record, mergeable without loss for all supported
@@ -142,30 +129,21 @@ func (p *psr) final(f AggFunc) (float64, bool) {
 }
 
 // RunAggregateEpoch executes one epoch, delivering one tuple per group to
-// sink. Returns the number of groups delivered.
+// sink. Returns the number of groups delivered. It locks the engine (see
+// RunSelectEpochPart).
 func (e *Engine) RunAggregateEpoch(q *AggregateQuery, now vtime.Time, sink Sink) int {
-	return e.RunAggregateEpochPart(q, now, nil, sink)
-}
-
-// RunAggregateEpochPart is RunAggregateEpoch sampling only the nodes keep
-// admits (nil keeps all). The filter gates each node's *own sample* — tree
-// routing and PSR merging are untouched, and a node contributing nothing
-// suppresses its message exactly like an empty group — so a run
-// partitioned on the grouping key delivers each admitted group bit-equal
-// to the unpartitioned run. It locks the engine (see RunSelectEpochPart).
-func (e *Engine) RunAggregateEpochPart(q *AggregateQuery, now vtime.Time, keep NodeFilter, sink Sink) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if q.Mode == AggCentralized {
-		return e.runAggCentral(q, now, keep, sink)
+		return e.runAggCentral(q, now, sink)
 	}
-	return e.runAggTAG(q, now, keep, sink)
+	return e.runAggTAG(q, now, sink)
 }
 
 // runAggTAG merges PSRs up the collection tree: process nodes deepest
 // first; each non-base node sends its merged group map to its parent in a
 // single message whose frame count is the number of groups carried.
-func (e *Engine) runAggTAG(q *AggregateQuery, now vtime.Time, keep NodeFilter, sink Sink) int {
+func (e *Engine) runAggTAG(q *AggregateQuery, now vtime.Time, sink Sink) int {
 	// A private snapshot of the whole tree, reordered deepest first.
 	nodes := e.net.Nodes()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Hops > nodes[j].Hops })
@@ -189,9 +167,7 @@ func (e *Engine) runAggTAG(q *AggregateQuery, now vtime.Time, keep NodeFilter, s
 			groups = map[string]psr{}
 		}
 		// own sample (scratch-backed: consumed before the next node samples)
-		if keep != nil && !keep(n) {
-			// excluded from this partition: still relays children's PSRs
-		} else if t, ok := e.sampleInto(scratch, n, q.Sensor, now); ok {
+		if t, ok := e.sampleInto(scratch, n, q.Sensor, now); ok {
 			scratch = t.Vals[:0]
 			if q.Pred == nil || q.Pred.EvalBool(t) {
 				g := groups[groupOf(n)]
@@ -226,14 +202,11 @@ func (e *Engine) runAggTAG(q *AggregateQuery, now vtime.Time, keep NodeFilter, s
 }
 
 // runAggCentral ships raw readings to the base and aggregates there.
-func (e *Engine) runAggCentral(q *AggregateQuery, now vtime.Time, keep NodeFilter, sink Sink) int {
+func (e *Engine) runAggCentral(q *AggregateQuery, now vtime.Time, sink Sink) int {
 	base := e.net.Base()
 	groups := map[string]psr{}
 	scratch := make([]data.Value, 0, 4)
 	e.net.EachWith(q.Sensor, func(n sensornet.Node) bool {
-		if keep != nil && !keep(n) {
-			return true
-		}
 		t, ok := e.sampleInto(scratch, n, q.Sensor, now)
 		if !ok {
 			return true

@@ -50,32 +50,6 @@ func (e *Engine) EstimateSelect(q *SelectQuery) (CostEstimate, error) {
 	return CostEstimate{MsgsPerEpoch: msgs, Period: q.Period}, nil
 }
 
-// EstimateAggregate predicts messages/epoch: in-network TAG sends one
-// message per participating node per epoch (frame count grows with groups);
-// the centralized baseline ships every raw reading over its full depth.
-func (e *Engine) EstimateAggregate(q *AggregateQuery) (CostEstimate, error) {
-	if e.net.Base() < 0 {
-		return CostEstimate{}, errNoBase
-	}
-	sigma := selEstimate(q.Pred)
-	msgs := 0.0
-	for _, n := range e.net.Nodes() {
-		if n.Dead || n.Hops < 0 || n.ID == e.net.Base() {
-			continue
-		}
-		if q.Mode == AggCentralized {
-			if n.HasSensor(q.Sensor) {
-				msgs += sigma * float64(n.Hops)
-			}
-		} else {
-			// Every tree node relays one PSR message per epoch. Nodes whose
-			// subtree has no readings suppress theirs; approximate with 1.
-			msgs++
-		}
-	}
-	return CostEstimate{MsgsPerEpoch: msgs, Period: q.Period}, nil
-}
-
 // EstimateJoin predicts messages/epoch using each pair's optimizer-chosen
 // placement under current selectivity estimates.
 func (e *Engine) EstimateJoin(st *JoinState) (CostEstimate, error) {

@@ -84,9 +84,9 @@ func TestAggregateTAGMatchesCentralized(t *testing.T) {
 		eB := NewEngine(nwB, constEnv(nil))
 
 		var inNet, central []data.Tuple
-		eA.RunAggregateEpoch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+		eA.RunAggregateEpoch(&AggregateQuery{Sensor: sensornet.SensorTemperature,
 			Func: fn, Mode: AggInNetwork, GroupByRoom: true}, 0, collect(&inNet))
-		eB.RunAggregateEpoch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+		eB.RunAggregateEpoch(&AggregateQuery{Sensor: sensornet.SensorTemperature,
 			Func: fn, Mode: AggCentralized, GroupByRoom: true}, 0, collect(&central))
 
 		if len(inNet) != len(central) || len(inNet) == 0 {
@@ -106,9 +106,9 @@ func TestAggregateTAGSavesMessages(t *testing.T) {
 	eA := NewEngine(nwA, constEnv(nil))
 	eB := NewEngine(nwB, constEnv(nil))
 	drop := func(data.Tuple) {}
-	eA.RunAggregateEpoch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+	eA.RunAggregateEpoch(&AggregateQuery{Sensor: sensornet.SensorTemperature,
 		Func: AggAvg, Mode: AggInNetwork}, 0, drop)
-	eB.RunAggregateEpoch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+	eB.RunAggregateEpoch(&AggregateQuery{Sensor: sensornet.SensorTemperature,
 		Func: AggAvg, Mode: AggCentralized}, 0, drop)
 	tag, central := nwA.Metrics().Sent, nwB.Metrics().Sent
 	if tag >= central {
@@ -124,7 +124,7 @@ func TestAggregateGlobalValue(t *testing.T) {
 	nw := sensornet.Line(sensornet.DefaultConfig(), 3, 100, sensornet.SensorTemperature)
 	e := NewEngine(nw, constEnv(nil))
 	var got []data.Tuple
-	e.RunAggregateEpoch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+	e.RunAggregateEpoch(&AggregateQuery{Sensor: sensornet.SensorTemperature,
 		Func: AggAvg, Mode: AggInNetwork}, 0, collect(&got))
 	if len(got) != 1 {
 		t.Fatalf("groups = %d", len(got))
@@ -136,7 +136,7 @@ func TestAggregateGlobalValue(t *testing.T) {
 	checks := map[AggFunc]float64{AggMin: 20, AggMax: 22, AggCount: 3, AggSum: 63}
 	for fn, want := range checks {
 		var out []data.Tuple
-		e.RunAggregateEpoch(&AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature,
+		e.RunAggregateEpoch(&AggregateQuery{Sensor: sensornet.SensorTemperature,
 			Func: fn, Mode: AggInNetwork}, 0, collect(&out))
 		if out[0].Vals[0].AsFloat() != want {
 			t.Fatalf("%v = %v, want %v", fn, out[0].Vals[0], want)
@@ -147,24 +147,13 @@ func TestAggregateGlobalValue(t *testing.T) {
 func TestAggregateWithPredicate(t *testing.T) {
 	nw := sensornet.Line(sensornet.DefaultConfig(), 5, 100, sensornet.SensorTemperature)
 	e := NewEngine(nw, constEnv(nil))
-	q := &AggregateQuery{Rel: "t", Sensor: sensornet.SensorTemperature, Func: AggCount, Mode: AggInNetwork}
+	q := &AggregateQuery{Sensor: sensornet.SensorTemperature, Func: AggCount, Mode: AggInNetwork}
 	q.Pred = expr.MustBind(expr.Bin{Op: expr.OpGt, L: expr.C("value"), R: expr.L(21.5)},
 		ReadingSchema("t"))
 	var got []data.Tuple
 	e.RunAggregateEpoch(q, 0, collect(&got))
 	if got[0].Vals[0].AsFloat() != 3 { // nodes 2,3,4
 		t.Fatalf("count = %v", got[0].Vals[0])
-	}
-}
-
-func TestAggregateSchemas(t *testing.T) {
-	g := &AggregateQuery{Rel: "a", GroupByRoom: true}
-	if g.Schema().Arity() != 2 || g.Schema().Cols[0].Name != "room" {
-		t.Fatalf("grouped schema = %s", g.Schema())
-	}
-	u := &AggregateQuery{Rel: "a"}
-	if u.Schema().Arity() != 1 {
-		t.Fatalf("global schema = %s", u.Schema())
 	}
 }
 

@@ -101,6 +101,9 @@ func TestMaterializeViewConcurrent(t *testing.T) {
 			if i >= 3 {
 				store.Push(data.NewTuple(0, data.Str("L1"), data.Float(float64((i-3)%7))).Negate())
 			}
+			// Yield, or on one CPU every viewer's Gosched hands this loop
+			// a whole time slice.
+			runtime.Gosched()
 		}
 	}()
 	for range 2 {
@@ -161,6 +164,7 @@ func TestViewHooksUnderConcurrentPushes(t *testing.T) {
 				batch = append(batch, data.NewTuple(0, data.Str("L1"), data.Float(float64((i-3)%7))).Negate())
 			}
 			store.PushBatch(batch)
+			runtime.Gosched() // as in TestMaterializeViewConcurrent
 		}
 	}()
 	type hooked struct {
