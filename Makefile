@@ -42,7 +42,7 @@ tables-check:
 # at random, so those tests check their counts only here and in plain
 # `go test`. Like race_run it first checks with `go test -list` that each
 # test still exists. Mirrored by the CI build-and-test job.
-ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/ TestSnapshotAllocsConstant:./internal/stream/ TestLocateVisitorAllocs:./internal/smartcis/ TestIdleFlushAllocs:./internal/stream/
+ALLOC_TESTS := TestJoinAggAllocs:./internal/stream/ TestRemoteJoinAggAllocs:./internal/plan/ TestQueryDensityFeedAllocs:./internal/plan/ TestSnapshotAllocsConstant:./internal/stream/ TestLocateVisitorAllocs:./internal/smartcis/ TestIdleFlushAllocs:./internal/stream/ TestIdleSnapshotAllocs:./internal/plan/
 allocs:
 	@for tp in $(ALLOC_TESTS); do \
 		test=$${tp%%:*}; pkg=$${tp#*:}; \
@@ -196,12 +196,15 @@ chaos:
 # failover, exactly the committed states with it; and the rescale
 # differential, whose rescale onto a refused address fails at once, with no
 # failover to retry behind) rides along, as does the kill-then-close
-# differential, whose close waits out the failover.
+# differential, whose close waits out the failover. So does a result
+# store's memo of its last snapshot's row order, read by snapshots of the
+# store, of a live view and of views frozen on the way while pushes and
+# restores walk the store through its states.
 # Mirrored by the CI `distributed` job.
 .PHONY: elastic
 elastic:
 	$(call race_run,ShardDifferentialElastic|ShardDifferentialJoinLeaveRestart|RescaleLiveDeployment|RescaleHealBack|CoordinatorSnapshot|SnapshotLoadFaults|SnapshotSkipListSurfaced|SnapshotChainsRequireSharing|SharedChainRestartDifferential|SharedResultDifferential|ResultGroupSaveRestore|RestoreParentWrittenGroupSnapshot|RestoreIgnoresGroupCopies|ResultStoreLifecycle|ParseNodesErrors|SnapFragmentRoundTrip|CoordinatorFragmentSnapshotRestore|ShardedSelectionDifferential|ShardDifferentialPendingBatches|ShardDifferentialKillThenClose,./internal/plan/,-fuzzshard.elastic=6)
-	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints|RescaleBetweenFlushes,./internal/stream/)
+	$(call race_run,ShardPoolEvictionRedialRace|ShardConnUndeploy|RescaleValidation|RescaleEndToEndDifferential|ElasticOnlyLocalToRemoteAndBack|ShardHomeTransitions|SharderShipPoints|RescaleBetweenFlushes|SnapshotMemoUnderConcurrentMutations,./internal/stream/)
 	$(call race_run,FragmentSnapshotRestart|FailedRestoreLeavesNothingDeployed,./internal/core/)
 
 # fuzz-smoke gives every fuzz target a short run: the seed corpus alone

@@ -165,6 +165,8 @@ func (q *Query) Name() string { return q.name }
 // value (1, 2, 10), strings byte by byte ("L101" before "MR1"), booleans and
 // times. An ORDER BY column sorts in the same order, reversed under DESC, so
 // its NULLs come last there. A LIMIT without ORDER BY keeps the least rows.
+// A re-read with nothing new since the last one copies the rows out in the
+// order that one sorted, and does not sort again.
 func (q *Query) Snapshot() ([]data.Tuple, error) {
 	if q.Deployment == nil {
 		return nil, fmt.Errorf("core: statement %q has no result", q.SQL)

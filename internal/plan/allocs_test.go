@@ -174,6 +174,46 @@ func TestRemoteJoinAggAllocs(t *testing.T) {
 	}
 }
 
+// TestIdleSnapshotAllocs pins what a display refresh with nothing new
+// allocates: a Deployment.Snapshot right after another, serial and with
+// its shards on a loopback worker (failover off). It allocates 2, the value
+// arena and the result: its Flush posts no barrier, and the result store
+// copies its rows out in the order the last snapshot sorted, with no sort.
+func TestIdleSnapshotAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		sharded bool
+		build   func(testing.TB) *remoteJoinAgg
+	}{
+		{"serial", false, func(tb testing.TB) *remoteJoinAgg { return compileRemoteJoinAgg(tb, 1, nil, false) }},
+		{"W=1", true, func(tb testing.TB) *remoteJoinAgg { return buildRemoteJoinAgg(tb, 1, false) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.build(t)
+			if (p.dep.set != nil) != c.sharded {
+				t.Fatalf("%s: sharded %t", c.name, p.dep.set != nil)
+			}
+			var g epochGen
+			for range 40 {
+				g.feed(p.l, p.r)
+			}
+			first, err := p.dep.Snapshot()
+			if err != nil || len(first) == 0 {
+				t.Fatalf("first snapshot: %d rows, %v", len(first), err)
+			}
+			n := testing.AllocsPerRun(256, func() {
+				rows, err := p.dep.Snapshot()
+				if err != nil || len(rows) != len(first) {
+					t.Fatalf("idle snapshot: %d rows, want %d, %v", len(rows), len(first), err)
+				}
+			})
+			if n != 2 && !testproc.Race {
+				t.Errorf("an idle snapshot allocates %v times, want 2", n)
+			}
+		})
+	}
+}
+
 // BenchmarkRemoteJoinAgg is the compiled pipeline's per-tuple cost at P=4
 // over W loopback workers (W=0 keeps every replica in-process), with
 // checkpointed failover off and armed: against W=0, the cost of routing

@@ -119,8 +119,9 @@ func (d *Deployment) Flush() {
 
 // Snapshot returns the current result rows under the query's ORDER BY and
 // LIMIT, after flushing any in-flight sharded work. Without failover a
-// re-read with nothing new since the last one costs only the read: its
-// Flush posts no barrier.
+// re-read with nothing new since the last one costs only the copy: its
+// Flush posts no barrier, and the result store copies its rows out in the
+// order it remembers from the last snapshot, without sorting.
 func (d *Deployment) Snapshot() ([]data.Tuple, error) {
 	d.Flush()
 	return d.Result.Snapshot(d.OrderBy, d.Limit)

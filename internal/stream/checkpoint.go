@@ -387,6 +387,7 @@ func (m *Materialize) RestoreState(s OpState) error {
 	}
 	src := m.lock()
 	defer m.unlock(src)
+	src.mutated()
 	if err := src.rows.restore(s.Rows.Tuples, s.Rows.Counts); err != nil {
 		return fmt.Errorf("stream: materialize checkpoint: %w", err)
 	}

@@ -42,10 +42,19 @@ type OrderSpec struct {
 // is never touched. A store can also take tuples of its query's input
 // directly (KeepColumns): when every projection item is a bare column, the
 // store copies those columns into its row and no projected row is built.
+//
+// A store remembers the row order of its last snapshot until the next
+// mutation, so a display that re-reads with nothing new copies the rows out
+// in that order and sorts nothing. The views of one store share that memo;
+// a frozen view keeps its own.
 type Materialize struct {
 	mu     sync.Mutex
 	schema *data.Schema
 	rows   rowSet
+	// muts counts the mutations of rows (see mutated). order is the row
+	// order of the last snapshot, nil when there has been a mutation since.
+	muts  uint64
+	order *snapOrder
 	// OnChange, when set, fires after every mutation; the GUI uses it to
 	// repaint. On a view, install it with ChainOnChange: a hook written into
 	// the field puts the view on no listener list, so it never fires.
@@ -127,6 +136,7 @@ func (m *Materialize) push(ts []data.Tuple, on []int) {
 		return
 	}
 	m.mu.Lock()
+	m.mutated()
 	for _, t := range ts {
 		if t.Op == data.Insert {
 			m.rows.add(t, on, 1)
@@ -142,6 +152,16 @@ func (m *Materialize) push(ts []data.Tuple, on []int) {
 	for _, v := range listeners {
 		v.changed()
 	}
+}
+
+// mutated records a mutation of m's rows, under m's lock: every non-empty
+// push and every restore. It drops the memo of the last snapshot's order,
+// whose ids may name other rows from now on. Freeze needs no call: a live
+// view's snapshots remember their order on its store, so a view has no memo
+// until it is frozen and snapshots itself.
+func (m *Materialize) mutated() {
+	m.muts++
+	m.order = nil
 }
 
 // KeepColumns returns the operator that feeds the store m with tuples of
@@ -224,26 +244,35 @@ func (m *Materialize) Len() int {
 // ASC and last under DESC), then by the whole row, data.CompareRows. Rows
 // that tie on ORDER BY, or all rows when there is none, come out in
 // ascending value order. The sort compares each row's data.SortPrefix before
-// its values, and builds no key.
+// its values, and builds no key. A re-read under the same ORDER BY with no
+// mutation since the last snapshot copies the rows out in the order that
+// snapshot sorted, and does not sort. Either way the rows are the caller's.
 func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, error) {
-	idx := make([]int, len(order))
+	keys := make([]sortKey, len(order))
 	for i, o := range order {
 		j, err := m.schema.ColIndex(o.Col)
 		if err != nil {
 			return nil, fmt.Errorf("stream: snapshot order: %w", err)
 		}
-		idx[i] = j
+		keys[i] = sortKey{col: j, desc: o.Desc}
 	}
-	// Under the lock, copy out what the sort needs: every distinct row's sort
-	// prefix, and all rows' values (duplicates back to back) in one arena.
+	src := m.lock()
+	if o := src.order; o != nil && slices.Equal(o.keys, keys) {
+		out := src.copyOut(o.ids, limit)
+		m.unlock(src)
+		return out, nil
+	}
+	// Under the lock, copy out what the sort needs: every distinct row's id
+	// and sort prefix, and all rows' values (duplicates back to back) in one
+	// arena.
 	type snapRow struct {
 		ts    vtime.Time
 		pre   uint64 // data.SortPrefix of the row
 		vals  int    // offset of the first copy in vals
 		count int
+		id    int32
 	}
-	src := m.lock()
-	set, w := &src.rows, len(src.rows.index.ident)
+	set, w, at := &src.rows, len(src.rows.index.ident), src.muts
 	rows := make([]snapRow, 0, set.len())
 	vals := make([]data.Value, 0, set.total*w)
 	for r, rec := range set.recs {
@@ -251,7 +280,7 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 			continue
 		}
 		row := set.row(int32(r))
-		rows = append(rows, snapRow{ts: rec.ts, pre: data.SortPrefix(row), vals: len(vals), count: rec.count})
+		rows = append(rows, snapRow{ts: rec.ts, pre: data.SortPrefix(row), vals: len(vals), count: rec.count, id: int32(r)})
 		for i := 0; i < rec.count; i++ {
 			vals = append(vals, row...)
 		}
@@ -260,9 +289,9 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 	m.unlock(src)
 
 	slices.SortFunc(rows, func(a, b snapRow) int {
-		for k, j := range idx {
-			if c := data.CompareValues(vals[a.vals+j], vals[b.vals+j]); c != 0 {
-				if order[k].Desc {
+		for _, k := range keys {
+			if c := data.CompareValues(vals[a.vals+k.col], vals[b.vals+k.col]); c != 0 {
+				if k.desc {
 					return -c
 				}
 				return c
@@ -273,6 +302,19 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		}
 		return data.CompareRows(vals[a.vals:a.vals+w], vals[b.vals:b.vals+w])
 	})
+
+	// Remember the order, unless the rows mutated since the copy (the ids
+	// name rows only until the next mutation) or m, a view, froze since and
+	// reads rows of its own.
+	memo := &snapOrder{ids: make([]int32, len(rows)), keys: keys}
+	for i, r := range rows {
+		memo.ids[i] = r.id
+	}
+	again := m.lock()
+	if again == src && src.muts == at {
+		src.order = memo
+	}
+	m.unlock(again)
 
 	out := make([]data.Tuple, 0, total)
 	for _, r := range rows {
@@ -285,4 +327,43 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 		out = out[:limit]
 	}
 	return out, nil
+}
+
+// sortKey is one ORDER BY column of a snapshot, by position.
+type sortKey struct {
+	col  int
+	desc bool
+}
+
+// snapOrder is a store's memo of its last snapshot's row order: the
+// distinct rows' ids as that snapshot sorted them under keys. The ids are
+// valid only until the next mutation, because a retired id is reused by the
+// next new row.
+type snapOrder struct {
+	ids  []int32
+	keys []sortKey
+}
+
+// copyOut copies the first limit rows (all when limit < 0) out in the order
+// of ids, the current memo's, into one fresh arena, each row as many times
+// as it is held. The caller holds m's lock.
+func (m *Materialize) copyOut(ids []int32, limit int) []data.Tuple {
+	set, w := &m.rows, len(m.rows.index.ident)
+	n := set.total
+	if limit >= 0 && limit < n {
+		n = limit
+	}
+	vals := make([]data.Value, 0, n*w)
+	out := make([]data.Tuple, 0, n)
+	for _, r := range ids {
+		if len(out) == n {
+			break
+		}
+		rec, row := set.recs[r], set.row(r)
+		for i := 0; i < rec.count && len(out) < n; i++ {
+			vals = append(vals, row...)
+			out = append(out, data.Tuple{Vals: vals[len(vals)-w : len(vals) : len(vals)], TS: rec.ts})
+		}
+	}
+	return out
 }
