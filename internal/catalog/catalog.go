@@ -103,12 +103,16 @@ func DefaultStats() Stats {
 }
 
 // Catalog is the source & device catalog. All methods are safe for
-// concurrent use.
+// concurrent use. Its generation counts the changes a plan can depend on:
+// AddSource, AddView and SetStats each bump it, so a plan made at one
+// generation is still the plan the catalog would give while Generation reads
+// the same.
 type Catalog struct {
 	mu      sync.RWMutex
 	sources map[string]*Source
 	views   map[string]*sql.CreateView
 	stats   Stats
+	gen     uint64
 }
 
 // New returns an empty catalog with default statistics.
@@ -135,6 +139,7 @@ func (c *Catalog) AddSource(s *Source) error {
 		return fmt.Errorf("catalog: %q already names a view", s.Name)
 	}
 	c.sources[key] = s
+	c.gen++
 	return nil
 }
 
@@ -177,6 +182,7 @@ func (c *Catalog) AddView(v *sql.CreateView) error {
 		return fmt.Errorf("catalog: %q already names a source", v.Name)
 	}
 	c.views[key] = v
+	c.gen++
 	return nil
 }
 
@@ -199,5 +205,14 @@ func (c *Catalog) Stats() Stats {
 func (c *Catalog) SetStats(s Stats) {
 	c.mu.Lock()
 	c.stats = s
+	c.gen++
 	c.mu.Unlock()
+}
+
+// Generation reports how many times the catalog has changed: it moves on
+// every AddSource, AddView and SetStats that takes effect.
+func (c *Catalog) Generation() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.gen
 }

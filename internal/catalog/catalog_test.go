@@ -94,6 +94,41 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestGeneration: every change that takes effect moves the generation, a
+// refused one and a read do not.
+func TestGeneration(t *testing.T) {
+	c := New()
+	g := c.Generation()
+	step := func(what string, moves bool) {
+		t.Helper()
+		now := c.Generation()
+		if (now != g) != moves {
+			t.Fatalf("%s: generation %d -> %d", what, g, now)
+		}
+		g = now
+	}
+	c.MustAddSource(tempSource())
+	step("AddSource", true)
+	if c.AddSource(tempSource()) == nil {
+		t.Fatal("duplicate accepted")
+	}
+	step("refused AddSource", false)
+	if err := c.AddView(mustView(t, `CREATE VIEW V AS (SELECT t.mote FROM Temperature t)`)); err != nil {
+		t.Fatal(err)
+	}
+	step("AddView", true)
+	if c.AddView(mustView(t, `CREATE VIEW V AS (SELECT t.mote FROM Temperature t)`)) == nil {
+		t.Fatal("duplicate view accepted")
+	}
+	step("refused AddView", false)
+	c.SetStats(c.Stats())
+	step("SetStats", true)
+	c.Source("temperature")
+	c.View("v")
+	c.Sources()
+	step("reads", false)
+}
+
 func TestCardinality(t *testing.T) {
 	s := tempSource()
 	if s.Cardinality() != 10 {

@@ -14,6 +14,8 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"aspen/internal/catalog"
@@ -57,6 +59,8 @@ type Config struct {
 	// result at its last state; the others keep updating. Unwindowed
 	// queries keep a result of their own (a late one starts empty). Only
 	// serial deployments share (Parallelism < 2 or unpartitionable plans).
+	// Sharing or not, identical texts whose plan depends on the catalog
+	// alone also share one optimizer result while one of them runs (Run).
 	SharedPrefixes bool
 	// SnapshotPath makes the coordinator durable: the plan.Coordinator
 	// tracking every running statement is persisted by SaveSnapshot to
@@ -89,7 +93,22 @@ type Runtime struct {
 	// description of this process (plan.Host) they compile against; qn
 	// numbers them q1, q2, … in deploy order.
 	coord *plan.Coordinator
-	qn    int
+	qn    atomic.Int64
+
+	// plans holds the optimizer's answer for the text of every live SELECT
+	// whose plan depends on the catalog alone (livePlan), so a Run of the
+	// same text deploys it without parsing or planning again. Stop may come
+	// from any goroutine, so the map sits under a mutex of its own.
+	plansMu sync.Mutex
+	plans   map[string]*livePlan
+}
+
+// livePlan is the optimizer's answer for one text, the catalog generation
+// it was made at, and how many live queries deployed it.
+type livePlan struct {
+	res  *federation.Result
+	gen  uint64
+	live int
 }
 
 // New builds a runtime.
@@ -110,6 +129,7 @@ func New(cfg Config) *Runtime {
 		sensors:   cfg.SensorEngine,
 		recursion: cfg.RecursionDepth,
 		topo:      cfg.Topology,
+		plans:     map[string]*livePlan{},
 	}
 	host := plan.Host{Engine: rt.Stream, Tick: cfg.TickPeriod, Now: cfg.Scheduler.Now, Sched: cfg.Scheduler}
 	if cfg.SharedPrefixes {
@@ -148,7 +168,9 @@ type Query struct {
 	// Deployment carries the materialized result; nil for CREATE VIEW.
 	Deployment *plan.Deployment
 	// Partition records the federated optimizer's decision, when one was
-	// made.
+	// made. Live queries of one SELECT text whose plan depends on the
+	// catalog alone share it, and the plan.Built it chose: both are
+	// read-only.
 	Partition *federation.Result
 
 	rt   *Runtime
@@ -179,16 +201,32 @@ func (q *Query) Snapshot() ([]data.Tuple, error) {
 // clock-tick registration the deployment made is detached, and any shared
 // prefix chains this was the last query on are torn down. The materialized result keeps its last state but no longer
 // updates, and later input into the query's sources no longer reaches
-// its operators — other queries on the same inputs are unaffected.
+// its operators — other queries on the same inputs are unaffected. The
+// last Stop of the live queries sharing one text's plan lets the runtime
+// forget that plan, so the next Run of the text plans it again.
 func (q *Query) Stop() {
-	// Drop closes the deployment and stops snapshotting it. Its only error
-	// is an unknown name: a CREATE VIEW, or a second Stop — nothing to do.
+	if q.name == "" {
+		return // a CREATE VIEW, or a second Stop: nothing to do
+	}
+	// Drop closes the deployment and stops snapshotting it; the name is
+	// live, so it has nothing to report.
 	_ = q.rt.coord.Drop(q.name)
 	q.name = ""
+	q.rt.release(q.SQL, q.Partition)
 }
 
-// Run parses and deploys one StreamSQL statement.
+// Run parses and deploys one StreamSQL statement. A SELECT whose text a
+// live query already runs, with the catalog unchanged since that query was
+// planned, deploys the same plan without being parsed or planned again;
+// such a plan pushes no sensor fragment and scans no stored table, whose
+// estimates follow live state. Every other statement is parsed and planned
+// on every Run. Runs may overlap one another, but as plan.Sharing requires,
+// not a push into a source whose shared chain they attach to.
 func (rt *Runtime) Run(sqlText string) (*Query, error) {
+	gen := rt.Cat.Generation()
+	if res := rt.livePlan(sqlText, gen); res != nil {
+		return rt.deploySelect(sqlText, res, gen)
+	}
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		return nil, err
@@ -200,7 +238,11 @@ func (rt *Runtime) Run(sqlText string) (*Query, error) {
 		}
 		return &Query{SQL: sqlText, rt: rt}, nil
 	case *sql.SelectStmt:
-		return rt.deploySelect(sqlText, s)
+		res, err := rt.fed.Optimize(s)
+		if err != nil {
+			return nil, err
+		}
+		return rt.deploySelect(sqlText, res, gen)
 	case *sql.WithRecursive:
 		built, err := plan.BuildRecursive(s, rt.Cat, rt.recursion)
 		if err != nil {
@@ -215,8 +257,7 @@ func (rt *Runtime) Run(sqlText string) (*Query, error) {
 // and loads the tables it scans. A compile that fails has torn down whatever
 // it wired, so a failed statement leaks nothing but its name.
 func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOptions) (*Query, error) {
-	rt.qn++
-	name := fmt.Sprintf("q%d", rt.qn)
+	name := fmt.Sprintf("q%d", rt.qn.Add(1))
 	dep, err := rt.coord.Deploy(name, built, opts)
 	if err != nil {
 		return nil, err
@@ -225,18 +266,72 @@ func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOp
 	return &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name}, nil
 }
 
-func (rt *Runtime) deploySelect(sqlText string, stmt *sql.SelectStmt) (*Query, error) {
-	res, err := rt.fed.Optimize(stmt)
-	if err != nil {
-		return nil, err
-	}
+// deploySelect deploys the optimizer's choice for a SELECT planned at
+// catalog generation gen, and counts the query on the text's live plan when
+// that plan depends on the catalog alone.
+func (rt *Runtime) deploySelect(sqlText string, res *federation.Result, gen uint64) (*Query, error) {
 	specs := fragSpecs(res.Chosen.Fragments)
 	q, err := rt.deploy(sqlText, res.Chosen.StreamPlan, plan.CompileOptions{Topology: rt.topo, Fragments: specs})
 	if err != nil {
 		return nil, err
 	}
 	q.Partition = res
+	if catalogOnly(res.Chosen) {
+		rt.hold(sqlText, res, gen)
+	}
 	return q, nil
+}
+
+// catalogOnly reports whether the optimizer's choice depends on the catalog
+// alone: it pushes no fragment, whose cost follows the live sensor network,
+// and scans no stored table, whose live size orders the joins.
+func catalogOnly(alt *federation.Alternative) bool {
+	if len(alt.Fragments) > 0 {
+		return false
+	}
+	for _, s := range plan.Scans(alt.StreamPlan.Root) {
+		if s.IsTable {
+			return false
+		}
+	}
+	return true
+}
+
+// livePlan returns the plan a live query of sqlText runs, if it was made at
+// catalog generation gen.
+func (rt *Runtime) livePlan(sqlText string, gen uint64) *federation.Result {
+	rt.plansMu.Lock()
+	defer rt.plansMu.Unlock()
+	if e := rt.plans[sqlText]; e != nil && e.gen == gen {
+		return e.res
+	}
+	return nil
+}
+
+// hold counts one more live query of sqlText running res. A plan other than
+// the text's entry replaces it, and the replaced plan's queries release
+// nothing.
+func (rt *Runtime) hold(sqlText string, res *federation.Result, gen uint64) {
+	rt.plansMu.Lock()
+	defer rt.plansMu.Unlock()
+	if e := rt.plans[sqlText]; e != nil && e.res == res {
+		e.live++
+		return
+	}
+	rt.plans[sqlText] = &livePlan{res: res, gen: gen, live: 1}
+}
+
+// release counts one live query of sqlText running res less, and forgets
+// the text's entry after its last. A query planned before the entry was
+// replaced releases nothing.
+func (rt *Runtime) release(sqlText string, res *federation.Result) {
+	rt.plansMu.Lock()
+	defer rt.plansMu.Unlock()
+	if e := rt.plans[sqlText]; e != nil && e.res == res {
+		if e.live--; e.live == 0 {
+			delete(rt.plans, sqlText)
+		}
+	}
 }
 
 // fragSpecs lowers the optimizer's fragment decisions to the compile-level
@@ -313,9 +408,9 @@ func (rt *Runtime) RestoreSnapshot() ([]*Query, []string, error) {
 		}
 		qs = append(qs, &Query{SQL: sqlText, Deployment: dep, rt: rt, name: name})
 		// Keep q1, q2, … unique across the restart.
-		var n int
-		if _, err := fmt.Sscanf(name, "q%d", &n); err == nil && n > rt.qn {
-			rt.qn = n
+		var n int64
+		if _, err := fmt.Sscanf(name, "q%d", &n); err == nil && n > rt.qn.Load() {
+			rt.qn.Store(n)
 		}
 	}
 	return qs, skipped, nil

@@ -122,25 +122,29 @@ func (f *Federator) buildAlternative(flat *sql.SelectStmt, conjuncts []expr.Expr
 	}
 	rewritten.Where = expr.Conjoin(remaining)
 
-	// Shadow catalog with the derived source registered.
-	shadow := catalog.New()
-	shadow.SetStats(f.Cat.Stats())
-	for _, s := range f.Cat.Sources() {
-		cp := *s
-		if err := shadow.AddSource(&cp); err != nil {
-			return nil, fmt.Sprintf("partition %b: %v", mask, err)
-		}
-	}
+	// The remainder reads the catalog's sources, plus the derived one when a
+	// fragment is pushed: then it plans against a shadow catalog that
+	// registers it beside copies of the rest.
+	cat := f.Cat
 	if pushed != nil {
+		shadow := catalog.New()
+		shadow.SetStats(f.Cat.Stats())
+		for _, s := range f.Cat.Sources() {
+			cp := *s
+			if err := shadow.AddSource(&cp); err != nil {
+				return nil, fmt.Sprintf("partition %b: %v", mask, err)
+			}
+		}
 		if err := shadow.AddSource(&catalog.Source{
 			Name: pushed.DerivedName, Kind: catalog.KindStream,
 			Schema: pushed.Schema, Rate: pushed.Est.PerSecond(), Derived: true,
 		}); err != nil {
 			return nil, fmt.Sprintf("partition %b: %v", mask, err)
 		}
+		cat = shadow
 	}
 
-	built, err := plan.Build(&rewritten, shadow)
+	built, err := plan.Build(&rewritten, cat)
 	if err != nil {
 		return nil, fmt.Sprintf("partition %b: stream engine rejects remainder: %v", mask, err)
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aspen/internal/catalog"
@@ -32,7 +33,9 @@ const maxViewDepth = 8
 
 // inlineViews rewrites FROM items naming views into their definitions,
 // recursively, requalifying the view's internal aliases and substituting
-// its projection into the outer expressions.
+// its projection into the outer expressions. It writes into copies and
+// leaves stmt as it was. A window belongs to a view's definition, so a
+// window written on a view reference is an error.
 func inlineViews(stmt *sql.SelectStmt, cat *catalog.Catalog, depth int) (*sql.SelectStmt, error) {
 	if depth > maxViewDepth {
 		return nil, fmt.Errorf("plan: view nesting deeper than %d (cycle?)", maxViewDepth)
@@ -46,6 +49,15 @@ func inlineViews(stmt *sql.SelectStmt, cat *catalog.Catalog, depth int) (*sql.Se
 		if !isView {
 			out.From = append(out.From, f)
 			continue
+		}
+		if f.Window != nil {
+			return nil, fmt.Errorf("plan: window on view %s (write it in the view's definition)", view.Name)
+		}
+		if !changed {
+			// The substitutions below write into these.
+			out.Items = slices.Clone(stmt.Items)
+			out.GroupBy = slices.Clone(stmt.GroupBy)
+			out.OrderBy = slices.Clone(stmt.OrderBy)
 		}
 		changed = true
 		inner := view.Query
@@ -89,9 +101,7 @@ func inlineViews(stmt *sql.SelectStmt, cat *catalog.Catalog, depth int) (*sql.Se
 		out.Where = expr.Substitute(out.Where, sub)
 		out.Having = expr.Substitute(out.Having, sub)
 		for i := range out.Items {
-			if i < len(stmt.Items) {
-				out.Items[i].Expr = expr.Substitute(stmt.Items[i].Expr, sub)
-			}
+			out.Items[i].Expr = expr.Substitute(out.Items[i].Expr, sub)
 		}
 		// ORDER BY and GROUP BY references to the view's columns.
 		for i, g := range out.GroupBy {

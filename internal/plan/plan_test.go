@@ -340,3 +340,71 @@ func TestBuiltString(t *testing.T) {
 		}
 	}
 }
+
+// viewCatalog registers a stream T(a, b) and the view V over it that renames
+// its columns.
+func viewCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	ts := data.NewSchema("T", data.Col("a", data.TInt), data.Col("b", data.TInt))
+	ts.IsStream = true
+	cat.MustAddSource(&catalog.Source{Name: "T", Kind: catalog.KindStream, Schema: ts, Rate: 1})
+	if err := cat.AddView(mustView(t, `CREATE VIEW V AS (SELECT t.a AS x, t.b AS y FROM T t)`)); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestInlineLeavesStatement: inlining a view substitutes into copies of the
+// select list, GROUP BY and ORDER BY, so the caller's statement reads as it
+// was written afterwards, and planning it twice gives the same plan.
+func TestInlineLeavesStatement(t *testing.T) {
+	cat := viewCatalog(t)
+	src := `SELECT v.x, count(*) AS n FROM V v WHERE v.y > 1 GROUP BY v.x ORDER BY v.x`
+	stmt, err := sql.ParseSelect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stmt.String()
+	flat, err := Inline(stmt, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stmt.String(); got != before {
+		t.Fatalf("Inline wrote into its input:\n got %s\nwant %s", got, before)
+	}
+	if want := "SELECT v_t.a, COUNT(*) AS n FROM T v_t WHERE (v_t.b > 1) GROUP BY v_t.a ORDER BY v_t.a"; flat.String() != want {
+		t.Fatalf("inlined = %s\n   want %s", flat, want)
+	}
+	b1, err := Build(stmt, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := Build(stmt, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.String() != b2.String() || stmt.String() != before {
+		t.Fatalf("Build moved the statement: %s then %s; statement %s", b1, b2, stmt)
+	}
+}
+
+// TestWindowOnViewRefused: a window written on a view reference is refused
+// with the view's name, not dropped; the view's own window is kept.
+func TestWindowOnViewRefused(t *testing.T) {
+	cat := viewCatalog(t)
+	stmt, err := sql.ParseSelect(`SELECT v.x FROM V v [RANGE 2 SECONDS] WHERE v.y > 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(stmt, cat); err == nil || !strings.Contains(err.Error(), "window on view V") {
+		t.Fatalf("Build = %v, want the window on view V refused", err)
+	}
+	if err := cat.AddView(mustView(t, `CREATE VIEW W AS (SELECT t.a AS x FROM T t [RANGE 2 SECONDS])`)); err != nil {
+		t.Fatal(err)
+	}
+	b := mustBuild(t, `SELECT w.x FROM W w`, cat)
+	if !strings.Contains(b.String(), "RANGE 2") {
+		t.Fatalf("the view's own window is lost: %s", b)
+	}
+}
