@@ -426,7 +426,7 @@ func TestRepeatRunAllocs(t *testing.T) {
 		mallocs += after.Mallocs - before.Mallocs
 		q.Stop()
 	}
-	if n := mallocs / runs; n != 45 && !testproc.Race {
-		t.Errorf("a repeated Run allocates %d times, want %d", n, 45)
+	if n := mallocs / runs; n != 42 && !testproc.Race {
+		t.Errorf("a repeated Run allocates %d times, want %d", n, 42)
 	}
 }

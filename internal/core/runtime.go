@@ -225,7 +225,7 @@ func (q *Query) Stop() {
 func (rt *Runtime) Run(sqlText string) (*Query, error) {
 	gen := rt.Cat.Generation()
 	if res := rt.livePlan(sqlText, gen); res != nil {
-		return rt.deploySelect(sqlText, res, gen)
+		return rt.deploySelect(sqlText, res, gen, true) // an entry is catalogOnly
 	}
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
@@ -242,7 +242,7 @@ func (rt *Runtime) Run(sqlText string) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		return rt.deploySelect(sqlText, res, gen)
+		return rt.deploySelect(sqlText, res, gen, catalogOnly(res.Chosen))
 	case *sql.WithRecursive:
 		built, err := plan.BuildRecursive(s, rt.Cat, rt.recursion)
 		if err != nil {
@@ -268,15 +268,16 @@ func (rt *Runtime) deploy(sqlText string, built *plan.Built, opts plan.CompileOp
 
 // deploySelect deploys the optimizer's choice for a SELECT planned at
 // catalog generation gen, and counts the query on the text's live plan when
-// that plan depends on the catalog alone.
-func (rt *Runtime) deploySelect(sqlText string, res *federation.Result, gen uint64) (*Query, error) {
+// keep says that plan depends on the catalog alone (catalogOnly, decided
+// once when the plan was made).
+func (rt *Runtime) deploySelect(sqlText string, res *federation.Result, gen uint64, keep bool) (*Query, error) {
 	specs := fragSpecs(res.Chosen.Fragments)
 	q, err := rt.deploy(sqlText, res.Chosen.StreamPlan, plan.CompileOptions{Topology: rt.topo, Fragments: specs})
 	if err != nil {
 		return nil, err
 	}
 	q.Partition = res
-	if catalogOnly(res.Chosen) {
+	if keep {
 		rt.hold(sqlText, res, gen)
 	}
 	return q, nil

@@ -175,27 +175,21 @@ func TestRemoteJoinAggAllocs(t *testing.T) {
 }
 
 // TestIdleSnapshotAllocs pins what a display refresh with nothing new
-// allocates: a Deployment.Snapshot right after another, serial, serial
-// under a two-column ORDER BY, and with its shards on a loopback worker
-// (failover off). It allocates 2, the value arena and the result: its Flush
-// posts no barrier, the result store copies its rows out in the order the
-// last snapshot sorted, with no sort, and a short ORDER BY's keys stay on
-// the stack.
+// allocates: a Deployment.Snapshot right after another, serial and with
+// its shards on a loopback worker (failover off). It allocates 2, the value
+// arena and the result: its Flush posts no barrier, and the result store
+// copies its rows out in the order the last snapshot sorted, with no sort.
 func TestIdleSnapshotAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		sharded bool
-		order   []stream.OrderSpec
 		build   func(testing.TB) *remoteJoinAgg
 	}{
-		{"serial", false, nil, func(tb testing.TB) *remoteJoinAgg { return compileRemoteJoinAgg(tb, 1, nil, false) }},
-		{"serial/ORDER BY", false, []stream.OrderSpec{{Col: "m", Desc: true}, {Col: "a.k"}},
-			func(tb testing.TB) *remoteJoinAgg { return compileRemoteJoinAgg(tb, 1, nil, false) }},
-		{"W=1", true, nil, func(tb testing.TB) *remoteJoinAgg { return buildRemoteJoinAgg(tb, 1, false) }},
+		{"serial", false, func(tb testing.TB) *remoteJoinAgg { return compileRemoteJoinAgg(tb, 1, nil, false) }},
+		{"W=1", true, func(tb testing.TB) *remoteJoinAgg { return buildRemoteJoinAgg(tb, 1, false) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := c.build(t)
-			p.dep.OrderBy = c.order
 			if (p.dep.set != nil) != c.sharded {
 				t.Fatalf("%s: sharded %t", c.name, p.dep.set != nil)
 			}

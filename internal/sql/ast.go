@@ -247,12 +247,9 @@ func durSQL(d time.Duration) string {
 // when it is a plain word and no keyword, else double-quoted (the lexer
 // ends a quoted identifier at the next '"', so none contains one).
 func identSQL(s string) string {
-	plain := s != "" && isIdentStart(s[0])
+	plain := s != "" && isIdentStart(s[0]) && !keywords[strings.ToUpper(s)]
 	for i := 1; plain && i < len(s); i++ {
 		plain = isIdentPart(s[i])
-	}
-	if _, kw := keyword(s); kw {
-		plain = false
 	}
 	if plain {
 		return s

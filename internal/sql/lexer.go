@@ -28,39 +28,18 @@ type token struct {
 	pos  int    // byte offset for error messages
 }
 
-// keywords maps each keyword to itself, so a lookup hands back the
-// uppercased text without building it.
-var keywords = func() map[string]string {
-	m := map[string]string{}
-	for _, k := range strings.Fields(`SELECT DISTINCT FROM WHERE GROUP BY HAVING ORDER
-		ASC DESC LIMIT AS AND OR NOT LIKE IS NULL TRUE FALSE
-		CREATE VIEW WITH RECURSIVE UNION ALL RANGE SLIDE ROWS NOW SAMPLE PERIOD
-		OUTPUT TO EVERY SECONDS SECOND MINUTES MINUTE
-		MILLISECONDS MILLISECOND HOURS HOUR`) {
-		m[k] = k
-	}
-	return m
-}()
-
-// maxKeyword is the length of the longest keyword, MILLISECONDS.
-const maxKeyword = 12
-
-// keyword returns the keyword an identifier-shaped word spells in any case,
-// uppercased. It uppercases into a stack buffer, so it allocates nothing.
-func keyword(word string) (string, bool) {
-	if len(word) > maxKeyword {
-		return "", false
-	}
-	var buf [maxKeyword]byte
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	kw, ok := keywords[string(buf[:len(word)])]
-	return kw, ok
+var keywords = map[string]bool{
+	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
+	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
+	"ASC": true, "DESC": true, "LIMIT": true, "AS": true,
+	"AND": true, "OR": true, "NOT": true, "LIKE": true,
+	"IS": true, "NULL": true, "TRUE": true, "FALSE": true,
+	"CREATE": true, "VIEW": true, "WITH": true, "RECURSIVE": true,
+	"UNION": true, "ALL": true, "RANGE": true, "SLIDE": true,
+	"ROWS": true, "NOW": true, "SAMPLE": true, "PERIOD": true,
+	"OUTPUT": true, "TO": true, "EVERY": true,
+	"SECONDS": true, "SECOND": true, "MINUTES": true, "MINUTE": true,
+	"MILLISECONDS": true, "MILLISECOND": true, "HOURS": true, "HOUR": true,
 }
 
 // lexer produces tokens from a StreamSQL string.
@@ -98,8 +77,9 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		if kw, ok := keyword(word); ok {
-			return token{kind: tokKeyword, text: kw, pos: start}, nil
+		up := strings.ToUpper(word)
+		if keywords[up] {
+			return token{kind: tokKeyword, text: up, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: word, pos: start}, nil
 

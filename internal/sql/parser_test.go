@@ -356,31 +356,3 @@ func FuzzParsePrint(f *testing.F) {
 	}
 	f.Fuzz(requirePrintFixpoint)
 }
-
-// TestKeywordLookup: every keyword lexes as itself, uppercased, in any case;
-// a longer word or an identifier does not; maxKeyword bounds every keyword;
-// and a lookup allocates nothing.
-func TestKeywordLookup(t *testing.T) {
-	for k := range keywords {
-		if len(k) > maxKeyword {
-			t.Fatalf("keyword %s is longer than maxKeyword %d", k, maxKeyword)
-		}
-		for _, w := range []string{k, strings.ToLower(k), strings.ToLower(k[:1]) + k[1:]} {
-			toks, err := lex(w)
-			if err != nil || toks[0].kind != tokKeyword || toks[0].text != k {
-				t.Fatalf("lex(%q) = %+v, %v; want keyword %s", w, toks, err, k)
-			}
-		}
-		if _, ok := keyword(k + "S_"); ok {
-			t.Fatalf("%sS_ read as a keyword", k)
-		}
-	}
-	for _, w := range []string{"millisecondsx", "temp", "q", ""} {
-		if _, ok := keyword(w); ok {
-			t.Fatalf("%q read as a keyword", w)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { keyword("Milliseconds") }); n != 0 {
-		t.Fatalf("keyword allocates %v", n)
-	}
-}

@@ -248,15 +248,13 @@ func (m *Materialize) Len() int {
 // mutation since the last snapshot copies the rows out in the order that
 // snapshot sorted, and does not sort. Either way the rows are the caller's.
 func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, error) {
-	// A short ORDER BY's keys stay on the stack; an installed memo copies them.
-	var short [4]sortKey
-	keys := short[:0]
-	for _, o := range order {
+	keys := make([]sortKey, len(order))
+	for i, o := range order {
 		j, err := m.schema.ColIndex(o.Col)
 		if err != nil {
 			return nil, fmt.Errorf("stream: snapshot order: %w", err)
 		}
-		keys = append(keys, sortKey{col: j, desc: o.Desc})
+		keys[i] = sortKey{col: j, desc: o.Desc}
 	}
 	src := m.lock()
 	if o := src.order; o != nil && slices.Equal(o.keys, keys) {
@@ -308,13 +306,12 @@ func (m *Materialize) Snapshot(order []OrderSpec, limit int) ([]data.Tuple, erro
 	// Remember the order, unless the rows mutated since the copy (the ids
 	// name rows only until the next mutation) or m, a view, froze since and
 	// reads rows of its own.
-	memo := &snapOrder{ids: make([]int32, len(rows))}
+	memo := &snapOrder{ids: make([]int32, len(rows)), keys: keys}
 	for i, r := range rows {
 		memo.ids[i] = r.id
 	}
 	again := m.lock()
 	if again == src && src.muts == at {
-		memo.keys = append([]sortKey(nil), keys...)
 		src.order = memo
 	}
 	m.unlock(again)
